@@ -28,7 +28,9 @@
 // so host-independent counters must match bit for bit while wall-clock gets
 // a noise allowance. The comparison table (benchstat-style old/new/delta)
 // goes to stdout and, with -summary, to a markdown file for the CI job
-// summary.
+// summary. The same gate checks the new artifact against itself: a
+// host-parallel row (see earnedRows) whose -cpu N median is slower than its
+// -cpu 1 median fails — host parallelism has to pay for itself or go.
 //
 // Only benchmark result lines are consumed; everything else (goos/pkg
 // headers, PASS/ok trailers) is ignored, and a raw line is preserved in
@@ -120,6 +122,9 @@ func main() {
 
 	if *baseline != "" {
 		ok, table := compare(loadArtifact(*baseline), art, *maxRegress)
+		earned, earnedTable := hostParallelGate(art, *maxRegress)
+		ok = ok && earned
+		table += earnedTable
 		fmt.Print(table)
 		if *summary != "" {
 			if err := os.WriteFile(*summary, []byte(table), 0o644); err != nil {
@@ -127,7 +132,7 @@ func main() {
 			}
 		}
 		if !ok {
-			fatal(fmt.Errorf("performance gate failed (max regression %.0f%%, sim_cycles exact)", *maxRegress))
+			fatal(fmt.Errorf("performance gate failed (max regression %.0f%%, sim_cycles exact, -cpu N no slower than -cpu 1)", *maxRegress))
 		}
 	}
 }
@@ -251,26 +256,28 @@ func medianPtr(g []Bench, col func(Bench) *float64) *float64 {
 	return ptr(m)
 }
 
+// find returns the artifact's row for (name, cpu), or nil.
+func (a Artifact) find(name string, cpu int) *Bench {
+	for i := range a.Benches {
+		if a.Benches[i].Name == name && a.Benches[i].Cpu == cpu {
+			return &a.Benches[i]
+		}
+	}
+	return nil
+}
+
 // compare gates the new artifact against the baseline: every baseline row
 // present in the new artifact must hold its median ns/op within maxRegress
 // percent and reproduce sim_cycles exactly. Returns pass/fail and a
 // benchstat-style markdown table.
 func compare(old, cur Artifact, maxRegress float64) (bool, string) {
-	find := func(a Artifact, name string, cpu int) *Bench {
-		for i := range a.Benches {
-			if a.Benches[i].Name == name && a.Benches[i].Cpu == cpu {
-				return &a.Benches[i]
-			}
-		}
-		return nil
-	}
 	ok := true
 	var b strings.Builder
 	b.WriteString("### Host-performance gate vs baseline\n\n")
 	b.WriteString("| benchmark | cpu | old ns/op | new ns/op | delta | sim_cycles | status |\n")
 	b.WriteString("|---|---|---|---|---|---|---|\n")
 	for _, o := range old.Benches {
-		n := find(cur, o.Name, o.Cpu)
+		n := cur.find(o.Name, o.Cpu)
 		if n == nil {
 			ok = false
 			fmt.Fprintf(&b, "| %s | %d | %.0f | — | — | — | MISSING |\n", o.Name, o.Cpu, o.NsPerOp)
@@ -294,6 +301,44 @@ func compare(old, cur Artifact, maxRegress float64) (bool, string) {
 		}
 		fmt.Fprintf(&b, "| %s | %d | %.0f | %.0f | %+.1f%% | %s | %s |\n",
 			o.Name, o.Cpu, o.NsPerOp, n.NsPerOp, delta, cyc, status)
+	}
+	return ok, b.String()
+}
+
+// earnedRows are the benchmarks hostParallelGate holds to "earn it or remove
+// it": BenchmarkRunParallel simulates four cores and must turn extra host
+// threads into wall-clock; BenchmarkRunJoinGraph4 simulates one and must at
+// least not pay for the threads it cannot use.
+var earnedRows = []string{"BenchmarkRunParallel", "BenchmarkRunJoinGraph4"}
+
+// hostParallelGate compares, within one artifact, each earned row's -cpu N
+// median against its own -cpu 1 median and fails any that is slower. noise is
+// the same percentage allowance the baseline comparison gives wall-clock: the
+// single-core row ties by construction, and a strict comparison of two noisy
+// medians would fail it every other run.
+func hostParallelGate(cur Artifact, noise float64) (bool, string) {
+	ok := true
+	var b strings.Builder
+	b.WriteString("\n### Host parallelism: -cpu N vs -cpu 1\n\n")
+	b.WriteString("| benchmark | cpu | -cpu 1 ns/op | -cpu N ns/op | speedup | status |\n")
+	b.WriteString("|---|---|---|---|---|---|\n")
+	for _, name := range earnedRows {
+		one := cur.find(name, 1)
+		if one == nil {
+			continue
+		}
+		for _, n := range cur.Benches {
+			if n.Name != name || n.Cpu == 1 {
+				continue
+			}
+			status := "ok"
+			if n.NsPerOp > one.NsPerOp*(1+noise/100) {
+				status = "FAIL"
+				ok = false
+			}
+			fmt.Fprintf(&b, "| %s | %d | %.0f | %.0f | %.2fx | %s |\n",
+				name, n.Cpu, one.NsPerOp, n.NsPerOp, one.NsPerOp/n.NsPerOp, status)
+		}
 	}
 	return ok, b.String()
 }

@@ -2,6 +2,7 @@ package progopt
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,13 +11,24 @@ import (
 // The host-parallel scheduler executes simulated cores on real goroutines,
 // so the determinism contract gets its own matrix: for a fixed (Workers,
 // mode) cell, results, cycles, optimizer stats, and every PMU counter must
-// be bit-identical whether the host runs the wave on one OS thread or four,
-// and whether the batch kernels run fused or per-operator. Fused vs unfused
-// is the oracle relation of the kernel fusion; GOMAXPROCS 1 vs 4 is the
-// oracle relation of the host pool (at GOMAXPROCS 1 the scheduler takes the
-// serial inline path, so matching it proves the pool introduces no
-// scheduling-order dependence). Run with -race to also check the pool for
-// data races while it reproduces the reference bit patterns.
+// be bit-identical whatever the number of host threads, and whether the
+// batch kernels run fused or per-operator. Fused vs unfused is the oracle
+// relation of the kernel fusion; GOMAXPROCS 1 vs N is the oracle relation of
+// the lookahead scheduler (at GOMAXPROCS 1 the driver runs every morsel
+// itself, in order — the serial scheduler — so matching it proves that
+// overlapping morsels on the host introduces no scheduling-order
+// dependence). The cells with fewer host threads than simulated cores
+// (GOMAXPROCS 2 × Workers 4 or 8) are the ones where workers are not tied to
+// cores and assignments wait on published clocks. Run with -race to also
+// check the scheduler for data races while it reproduces the reference bit
+// patterns.
+
+// detWorkers and detProcs span the matrix; Workers 1 never leaves the inline
+// path and anchors it.
+var (
+	detWorkers = []int{1, 2, 4, 8}
+	detProcs   = []int{1, 2, 4, 8}
+)
 
 // detRun executes the three-predicate aggregate plan on a fresh engine in
 // the given configuration.
@@ -47,16 +59,16 @@ func detRun(t *testing.T, workers int, mode Mode, noFuse bool) ExecResult {
 }
 
 func TestDeterminismMatrix(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range detWorkers {
 		for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {
-			// Reference: serial host (inline wave path), fused kernels.
+			// Reference: serial host (the driver alone), fused kernels.
 			prev := runtime.GOMAXPROCS(1)
 			ref := detRun(t, workers, mode, false)
 			runtime.GOMAXPROCS(prev)
 			if ref.Qualifying == 0 {
 				t.Fatalf("workers=%d/%s: reference selected nothing", workers, mode)
 			}
-			for _, gmp := range []int{1, 4} {
+			for _, gmp := range detProcs {
 				for _, noFuse := range []bool{false, true} {
 					name := fmt.Sprintf("workers=%d/%s/gomaxprocs=%d/nofuse=%v", workers, mode, gmp, noFuse)
 					t.Run(name, func(t *testing.T) {
@@ -111,11 +123,11 @@ func detServe(t *testing.T, workers int, noFuse bool) ExecResult {
 // TestDeterminismMatrixServed extends the matrix to the served path: the
 // server's pool must also be indifferent to host parallelism and fusion.
 func TestDeterminismMatrixServed(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range detWorkers {
 		prev := runtime.GOMAXPROCS(1)
 		ref := detServe(t, workers, false)
 		runtime.GOMAXPROCS(prev)
-		for _, gmp := range []int{1, 4} {
+		for _, gmp := range detProcs {
 			for _, noFuse := range []bool{false, true} {
 				name := fmt.Sprintf("workers=%d/gomaxprocs=%d/nofuse=%v", workers, gmp, noFuse)
 				t.Run(name, func(t *testing.T) {
@@ -123,6 +135,76 @@ func TestDeterminismMatrixServed(t *testing.T) {
 					got := detServe(t, workers, noFuse)
 					sameResult(t, name, ref.Result, got.Result)
 					sameStats(t, name, ref.Stats, got.Stats)
+				})
+			}
+		}
+	}
+}
+
+// TestDeterminismMatrixShapes extends the matrix to the execution shapes
+// whose reduction is more than a sum: grouped aggregation (per-morsel
+// survivor vectors folded in row order, then the partial-table merge),
+// ordered output (per-core collectors fed in each core's morsel order), and
+// a stored scan whose zone maps skip vectors in zero simulated cycles (a
+// skipped morsel's lower bound is its entry clock, so nothing is certified
+// past it until it completes). Everything Exec returns must match the
+// GOMAXPROCS=1 run.
+func TestDeterminismMatrixShapes(t *testing.T) {
+	shapes := []struct {
+		name  string
+		cfg   Config
+		order Ordering
+		mode  Mode
+		plan  func(d *Dataset) *Plan
+	}{
+		{"grouped", Config{VectorSize: 512}, OrderRandom, ModeFixed, func(*Dataset) *Plan {
+			return Scan("lineitem").Filter("l_discount", CmpGE, 0.05).GroupBy("l_quantity", "l_extendedprice")
+		}},
+		{"sorted", Config{VectorSize: 512}, OrderRandom, ModeProgressive, func(d *Dataset) *Plan { return sortTestPlan(d, 40) }},
+		{"stored-skips", Config{VectorSize: 512, Storage: &StorageConfig{
+			BlockRows: 1024, LatencyCycles: 300, BytesPerCycle: 16, ResidentBytes: 64 << 10, SkipScan: true,
+		}}, OrderNatural, ModeProgressive, func(*Dataset) *Plan { return storedQ6Plan() }},
+	}
+	for _, sh := range shapes {
+		run := func(t *testing.T, workers int) ExecResult {
+			t.Helper()
+			cfg := sh.cfg
+			cfg.Workers = workers
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			d, err := e.GenerateTPCH(30_000, 21, sh.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := e.Compile(d, sh.plan(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Exec(q, ExecOptions{Mode: sh.mode, Progressive: Progressive{Interval: 5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for _, workers := range detWorkers[1:] {
+			prev := runtime.GOMAXPROCS(1)
+			ref := run(t, workers)
+			runtime.GOMAXPROCS(prev)
+			if ref.Qualifying == 0 {
+				t.Fatalf("%s/workers=%d: reference selected nothing", sh.name, workers)
+			}
+			if sh.cfg.Storage != nil && ref.Storage.VectorsSkipped == 0 {
+				t.Fatalf("%s: no vector was skipped; the zero-duration case is not exercised", sh.name)
+			}
+			for _, gmp := range detProcs[1:] {
+				t.Run(fmt.Sprintf("%s/workers=%d/gomaxprocs=%d", sh.name, workers, gmp), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
+					if got := run(t, workers); !reflect.DeepEqual(ref, got) {
+						t.Errorf("diverges from the GOMAXPROCS=1 run:\n ref %+v\n got %+v", ref, got)
+					}
 				})
 			}
 		}

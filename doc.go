@@ -115,8 +115,15 @@
 // concurrently on the host (their simulated core subsets are disjoint),
 // with all order-sensitive effects published at a deterministic round
 // barrier — behavior is unchanged from the serial service, rounds are just
-// faster when several queries are in flight. cmd/progopt-serve drives
-// seeded workload traces and emits the BENCH_serve.json artifact.
+// faster when several queries are in flight. Within a segment — as within
+// any Exec at Workers > 1 — the simulated cores themselves run on as many
+// host threads as are free: the next morsel is handed out as soon as the
+// clocks the running cores have published prove the serial scheduler would
+// make the same pick, so a lone query with the pool to itself uses the host
+// too, and a host thread that finishes a short segment helps a long one.
+// None of it is configurable and none of it is observable in any result.
+// cmd/progopt-serve drives seeded workload traces and emits the
+// BENCH_serve.json artifact.
 //
 // # Stored tables
 //

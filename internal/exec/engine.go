@@ -139,6 +139,10 @@ type Engine struct {
 	// untraced runs are bit-identical; a nil track is the zero-overhead
 	// disabled state.
 	tr *trace.Track
+
+	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
+	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
+	_ [112]byte
 }
 
 // NewEngine returns an engine with the given vector size (tuples per vector).
@@ -292,6 +296,11 @@ func (e *Engine) runVectorScalar(q *Query, lo, hi int) VectorResult {
 	// Hoist the operator type dispatch out of the row loop: predicates (the
 	// common case) evaluate through a direct call. Simulation order and
 	// effects per (row, op) are untouched.
+	if cap(e.preds) < len(ops) {
+		// At least a 128-byte sector: rewritten every vector, it must not
+		// share a cache line with another core's.
+		e.preds = make([]*Predicate, 0, max(len(ops), 16))
+	}
 	preds := e.preds[:0]
 	for _, op := range ops {
 		p, _ := op.(*Predicate)

@@ -1,0 +1,308 @@
+package exec
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+func TestCertify(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		clocks   []uint64
+		bounds   []uint64 // read only where inFlight
+		inFlight []bool
+		pos      int
+		blocker  int
+		at       uint64 // the idle argmin's clock
+	}{
+		{"all idle: smallest clock", []uint64{30, 10, 20}, []uint64{0, 0, 0}, []bool{false, false, false}, 1, -1, 10},
+		{"all idle: tie goes to the lowest position", []uint64{10, 10, 10}, []uint64{0, 0, 0}, []bool{false, false, false}, 0, -1, 10},
+		{"below the running core's bound", []uint64{0, 40, 50}, []uint64{41, 0, 0}, []bool{true, false, false}, 1, -1, 40},
+		{"equal to the bound is not certified", []uint64{0, 40, 50}, []uint64{40, 0, 0}, []bool{true, false, false}, -1, 0, 40},
+		{"a running core far behind blocks everyone", []uint64{0, 900, 950}, []uint64{100, 0, 0}, []bool{true, false, false}, -1, 0, 900},
+		{"second bound in the way", []uint64{0, 0, 70}, []uint64{100, 60, 0}, []bool{true, true, false}, -1, 1, 70},
+		{"only the idle argmin is a candidate", []uint64{0, 90, 60}, []uint64{50, 0, 0}, []bool{true, false, false}, -1, 0, 60},
+		{"zero-duration morsel in flight: bound is its entry", []uint64{7, 7, 9}, []uint64{7, 0, 0}, []bool{true, false, false}, -1, 0, 7},
+		{"every core in flight", []uint64{1, 2}, []uint64{5, 6}, []bool{true, true}, -1, -1, 0},
+	} {
+		pos, blocker, at := certify(c.clocks, c.bounds, c.inFlight)
+		if pos != c.pos || blocker != c.blocker || at != c.at {
+			t.Errorf("%s: got (pos %d, blocker %d, at %d), want (%d, %d, %d)", c.name, pos, blocker, at, c.pos, c.blocker, c.at)
+		}
+	}
+}
+
+func TestStartsWave(t *testing.T) {
+	inWave := []bool{true, false, true, false}
+	minEnd := []uint64{100, 0, 140, 999}
+	for _, c := range []struct {
+		name string
+		pos  int
+		t    uint64
+		want bool
+	}{
+		{"fresh core below every member's minimum end", 1, 99, false},
+		{"core already carries a morsel of this wave", 0, 0, true},
+		{"clock reached a member's minimum end", 1, 100, true},
+		{"non-members' stale minEnd is ignored", 3, 50, false},
+	} {
+		if got := startsWave(c.pos, c.t, inWave, minEnd); got != c.want {
+			t.Errorf("%s: got %v", c.name, got)
+		}
+	}
+}
+
+// schedCase is one synthetic block: entry clocks, a duration for every
+// (core, morsel) pair, guaranteed minimum durations, and optionally failing
+// morsels. No engine, no query — only what the scheduling rule sees.
+type schedCase struct {
+	entry  []uint64
+	dur    [][]uint64 // [pos][morsel]
+	minDur []uint64
+	fails  []bool
+	window int
+}
+
+// serialSchedule is the reference: morsels in order, each to the core with
+// the smallest clock (ties to the lowest position), one at a time, stopping
+// at the first failed morsel.
+func (c *schedCase) serialSchedule() (pos []int, clocks []uint64) {
+	clocks = slices.Clone(c.entry)
+	for v := range c.minDur {
+		i := 0
+		for j := range clocks {
+			if clocks[j] < clocks[i] {
+				i = j
+			}
+		}
+		pos = append(pos, i)
+		clocks[i] += c.dur[i][v]
+		if c.fails[v] {
+			break
+		}
+	}
+	return pos, clocks
+}
+
+// barrierWaves is the scheduler this one replaced, kept as the reference for
+// the trace's wave numbers: certify a maximal run of morsels from the clocks
+// at the last barrier and the guaranteed minimum durations alone, at most one
+// morsel per core; run them; update the clocks at the barrier; repeat.
+func (c *schedCase) barrierWaves() (pos, wave []int) {
+	clocks := slices.Clone(c.entry)
+	n := len(c.minDur)
+	for v, w := 0, 0; v < n; w++ {
+		busy := make([]bool, len(clocks))
+		var minEnds []uint64
+		first := v
+		for v < n {
+			i := -1
+			for j := range clocks {
+				if !busy[j] && (i < 0 || clocks[j] < clocks[i]) {
+					i = j
+				}
+			}
+			certified := i >= 0
+			for _, e := range minEnds {
+				certified = certified && clocks[i] < e
+			}
+			if !certified {
+				break
+			}
+			busy[i] = true
+			minEnds = append(minEnds, clocks[i]+c.minDur[v])
+			pos, wave = append(pos, i), append(wave, w)
+			v++
+		}
+		for m := first; m < v; m++ {
+			clocks[pos[m]] += c.dur[pos[m]][m]
+			if c.fails[m] {
+				return pos[:m+1], wave[:m+1]
+			}
+		}
+	}
+	return pos, wave
+}
+
+// decodeSched turns fuzz bytes into a case plus the leftover bytes that drive
+// the interleaving. Durations are drawn from a small alphabet on purpose:
+// zero (zone-map-skipped vectors), equal values (exact ties), and one large
+// value (a core that falls far behind).
+func decodeSched(data []byte) (*schedCase, []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	cores := 1 + int(next()%6)
+	morsels := 1 + int(next()%48)
+	c := &schedCase{window: 1 + int(next()%(4*uint8(cores)))}
+	for i := 0; i < cores; i++ {
+		c.entry = append(c.entry, []uint64{0, 0, 5, 100, 100, 4000}[next()%6])
+		c.dur = append(c.dur, make([]uint64, morsels))
+	}
+	alphabet := []uint64{0, 1, 100, 100, 101, 250, 3000}
+	failAt := int(next()) // mostly beyond the block: no failure
+	for v := 0; v < morsels; v++ {
+		skip := next()%5 == 0
+		lowest := ^uint64(0)
+		for i := 0; i < cores; i++ {
+			if !skip {
+				c.dur[i][v] = alphabet[next()%uint8(len(alphabet))]
+			}
+			lowest = min(lowest, c.dur[i][v])
+		}
+		// The guaranteed minimum never exceeds any core's real duration.
+		c.minDur = append(c.minDur, lowest/uint64(1+next()%3))
+		c.fails = append(c.fails, v >= failAt && next()%2 == 0)
+	}
+	return c, data
+}
+
+// runLookahead replays a case through the lookahead scheduler with the host
+// interleaving chosen by script: each byte picks a worker; an idle worker
+// tries to take a morsel, a running one publishes part of its progress or
+// completes and reduces whatever is next in order. When the script runs out
+// the remaining work is drained round-robin, which also proves that no
+// reachable state is a deadlock.
+func runLookahead(c *schedCase, workers int, script []byte) (pos, wave, merged []int, clocks []uint64, failed int, err error) {
+	type running struct {
+		active     bool
+		pos, v     int
+		entry, end uint64
+		published  uint64
+	}
+	n := len(c.minDur)
+	clocks = slices.Clone(c.entry)
+	var s lookahead
+	s.reset(clocks, 0, n, c.window)
+	ws := make([]running, workers)
+	pos, wave = make([]int, 0, n), make([]int, 0, n)
+	failed = -1
+	step := func(w int, publish bool, frac uint64) (progressed bool) {
+		r := &ws[w]
+		if !r.active {
+			if s.finished() {
+				return false
+			}
+			v := s.next
+			p, wv, _, at := s.assign(c.minDur[v])
+			if p < 0 {
+				return false
+			}
+			if len(pos) != v {
+				err = fmt.Errorf("morsel %d assigned after %d others", v, len(pos))
+			}
+			pos, wave = append(pos, p), append(wave, wv)
+			*r = running{active: true, pos: p, v: v, entry: at, end: at + c.dur[p][v], published: at}
+			return true
+		}
+		if publish && r.end > r.published {
+			// Any clock between the last one published and the end is a
+			// legal publication: the simulated clock is monotone.
+			r.published += 1 + frac%(r.end-r.published)
+			s.cells[r.pos].clock.Store(r.published)
+			return true
+		}
+		s.complete(r.pos, r.v, r.end, c.fails[r.v])
+		r.active = false
+		for s.mergeable() {
+			m := s.merged
+			if c.fails[m] {
+				failed = m
+			} else {
+				merged = append(merged, m)
+			}
+			s.advance(!c.fails[m])
+		}
+		return true
+	}
+	for len(script) >= 2 {
+		step(int(script[0])%workers, script[1]%3 != 0, uint64(script[1]))
+		script = script[2:]
+	}
+	for idle := 0; idle < 2; {
+		idle++
+		for w := range ws {
+			if step(w, false, 0) {
+				idle = 0
+			}
+		}
+	}
+	for _, r := range ws {
+		if r.active {
+			err = fmt.Errorf("morsel %d still running after the drain", r.v)
+		}
+	}
+	if !s.finished() {
+		err = fmt.Errorf("deadlock: morsel %d can never be assigned (clocks %v)", s.next, clocks)
+	}
+	return pos, wave, merged, clocks, failed, err
+}
+
+func checkLookahead(t *testing.T, data []byte) {
+	c, script := decodeSched(data)
+	wantPos, wantClocks := c.serialSchedule()
+	barrierPos, wantWave := c.barrierWaves()
+	if !slices.Equal(barrierPos, wantPos) {
+		t.Fatalf("references disagree: barrier waves %v, serial %v", barrierPos, wantPos)
+	}
+	wantFailed := -1
+	if last := len(wantPos) - 1; c.fails[last] {
+		wantFailed = last
+	}
+	workers := 1
+	if len(script) > 0 {
+		workers += int(script[0]) % len(c.entry)
+	}
+	pos, wave, merged, clocks, failed, err := runLookahead(c, workers, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After a failure the scheduler may have handed out a few more morsels
+	// than the serial one, which stops dead; up to there they must agree.
+	if len(pos) < len(wantPos) || !slices.Equal(pos[:len(wantPos)], wantPos) {
+		t.Fatalf("assignment sequence %v, serial argmin schedule %v", pos, wantPos)
+	}
+	if !slices.Equal(wave[:len(wantWave)], wantWave) {
+		t.Fatalf("wave numbers %v, barrier scheduler's %v", wave, wantWave)
+	}
+	if failed != wantFailed {
+		t.Fatalf("surfaced failure of morsel %d, serial scheduler stops at %d", failed, wantFailed)
+	}
+	wantMerged := len(wantPos)
+	if wantFailed >= 0 {
+		wantMerged--
+	}
+	if len(merged) != wantMerged {
+		t.Fatalf("reduced %d morsels, want %d", len(merged), wantMerged)
+	}
+	for i, m := range merged {
+		if m != i {
+			t.Fatalf("reduction order %v is not ascending", merged)
+		}
+	}
+	if wantFailed < 0 && !slices.Equal(clocks, wantClocks) {
+		t.Fatalf("final clocks %v, serial %v", clocks, wantClocks)
+	}
+}
+
+// FuzzLookaheadSchedule: for random per-(core, morsel) durations — including
+// zero-duration skipped vectors, exact ties, and a core far behind — random
+// interleavings of assign/publish/complete events, random publication points
+// and random worker counts, the lookahead scheduler hands out morsels in
+// exactly the serial argmin order, numbers waves like the barrier scheduler
+// did, reduces in ascending morsel order, surfaces the lowest failed morsel,
+// and never deadlocks.
+func FuzzLookaheadSchedule(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 20, 7, 0, 0, 0, 0, 255})
+	f.Add([]byte("\x03\x2f\x0b\x05\x00\x03\xff lookahead scheduling: morsels, clocks, certified picks"))
+	f.Add([]byte("\x01\x10\x01\x02\xff one core, serial by construction, window of one ........"))
+	f.Add([]byte("\x05\x1e\x02\x00\x00\x00\x00\x00\x04 a failing morsel in a tight window \x00\x01\x02\x03\x04\x00\x01\x02\x03"))
+	f.Fuzz(checkLookahead)
+}

@@ -29,14 +29,15 @@ import (
 // order), and cycle counts and PMU samples reproduce exactly across runs,
 // host machines, and GOMAXPROCS settings.
 //
-// On multi-core hosts the simulated cores really do run in parallel: the
-// scheduler certifies *waves* of morsel assignments whose core choice is
-// provably independent of the in-flight morsels' still-unknown durations
-// (see buildWave), executes each wave's members concurrently on a persistent
-// per-core goroutine pool, and merges results at the wave barrier in global
-// vector order. Because each member touches only its own simulated core and
-// the merge order is fixed by morsel index — never by host completion order
-// — the host schedule cannot influence any simulated observable.
+// On multi-core hosts the simulated cores really do run in parallel. Every
+// block is one loop (BlockRun.work) run by the calling goroutine and by
+// however many pooled helpers are free: take the scheduler lock, pick the
+// idle-first core, certify the pick against the clocks the running cores
+// have published (lookahead.go), run the morsel, hand the core back. There
+// are no barriers inside a block. Each morsel touches only its own simulated
+// core, its result waits in a ring until every lower-numbered morsel has
+// been reduced, and the assignment sequence is provably the serial one — so
+// the host schedule cannot influence any simulated observable.
 type Parallel struct {
 	workers    []*Engine
 	vectorSize int
@@ -50,28 +51,77 @@ type Parallel struct {
 	// service's host-parallel scheduling rounds) allocate their own context
 	// per driver with NewBlockRun.
 	run BlockRun
-	// pool holds the persistent host worker goroutines, started lazily by
-	// the first multi-member wave (or segment fan-out) on a GOMAXPROCS > 1
-	// host and reused across blocks until Close. Guarded by poolMu for
-	// concurrent starters; readers load the atomic pointer.
+	// pool holds the persistent helper goroutines, started lazily by the
+	// first block or segment fan-out that can use one on a GOMAXPROCS > 1
+	// host and reused until Close. Guarded by poolMu for concurrent
+	// starters; readers load the atomic pointer.
 	poolMu sync.Mutex
 	pool   atomic.Pointer[hostPool]
 }
 
-// BlockRun is one driver's reusable scratch for block execution: wave slots,
-// per-core busy flags, PMU sample snapshots, and the per-call busy-cycle
-// counters. The simulation state lives in the Parallel's engines; a BlockRun
-// only buffers the coordinator-side bookkeeping of one driver, so several
-// drivers may execute blocks on one Parallel concurrently as long as each
-// uses its own BlockRun over a disjoint core subset.
+// BlockRun is one driver's block execution context: the lookahead scheduler
+// state, the ring of per-morsel results, the reduction targets, and reusable
+// scratch (PMU sample snapshots, the per-call busy-cycle counters). The
+// simulation state lives in the Parallel's engines; several drivers may
+// execute blocks on one Parallel concurrently as long as each uses its own
+// BlockRun over a disjoint core subset. Everything a block needs lives here
+// and is reused, so a steady-state block allocates nothing.
 type BlockRun struct {
 	p             *Parallel
 	sampleScratch []pmu.Sample
-	waveSlots     []waveSlot
-	waveBusy      []bool
 	// busyScratch backs BlockResult.WorkerCycles, which therefore stays
 	// valid only until the next call on the same BlockRun.
 	busyScratch []uint64
+
+	// The block in progress.
+	q      *Query
+	impl   ScanImpl
+	cores  []int
+	groups []*GroupBy // non-nil: run GroupVector instead of RunVectorImpl
+	// skip is the zone-map verdict per vector (see StorageScan), shared by
+	// the run's cores; the subset's first core carries it like every other.
+	skip       []bool
+	issueWidth int
+
+	// shared says helpers were invited to the block: running cores then
+	// publish their clocks. In a block the driver runs alone nothing does.
+	shared bool
+	job    hostJob
+	mu     sync.Mutex // guards sched, the ring handoff, merging, busyScratch
+	sched  lookahead
+	// ring buffers the results of morsels [sched.merged, sched.next), slot
+	// v % len(ring). merging marks the one worker reducing a slot outside
+	// the lock; slots are reduced in ascending morsel order.
+	ring    []morsel
+	merging bool
+
+	// Reduction targets.
+	out  BlockResult
+	sum  *float64
+	acc  *groupTable   // RunGroupBy: the merged accumulator
+	keys []*groupTable // RunGroupBy: which keys each core's partial table holds
+	// failed is the lowest-numbered failed morsel, once the reduction has
+	// reached it (its ring slot is not reused: a failure stops assignment).
+	failed *morsel
+}
+
+// morsel is one (core, vector) assignment and, once run, its result.
+type morsel struct {
+	pos    int // index into the block's core subset
+	core   int // pool core id
+	v      int // morsel (vector) index
+	lo, hi int // row range
+	wave   int
+	entry  uint64 // block-absolute clock the core starts the morsel at
+
+	res VectorResult
+	// sel is a copy of GroupVector's survivors: the engine's own buffer is
+	// overwritten by the core's next morsel, which may start before this one
+	// is reduced.
+	sel    []int32
+	cycles uint64
+	err    error
+	pv     any // captured panic value, nil if the morsel did not panic
 }
 
 // NewBlockRun returns a fresh block-run context for one concurrent driver.
@@ -130,11 +180,12 @@ func (p *Parallel) SetFuse(enable bool) {
 }
 
 // SetTrace attaches one event track per simulated core (tracks[i] goes to
-// core i; nil detaches all). During a wave, core i's track is written only by
-// the host goroutine running core i, and the coordinator adds morsel spans at
-// the wave barrier while the members are quiesced — single-writer per track
-// throughout, so append order is the certified serial schedule and traces
-// reproduce byte-for-byte at any GOMAXPROCS.
+// core i; nil detaches all). Core i's track is written only by the host
+// goroutine currently running a morsel on core i — vector spans while it
+// runs, the morsel span right after — and a core changes hands only through
+// the scheduler lock, so every track has a single writer at any instant and
+// its append order is the core's own morsel order in the serial schedule:
+// traces reproduce byte-for-byte at any GOMAXPROCS.
 func (p *Parallel) SetTrace(tracks []*trace.Track) {
 	for i, w := range p.workers {
 		if tracks == nil || i >= len(tracks) {
@@ -145,34 +196,17 @@ func (p *Parallel) SetTrace(tracks []*trace.Track) {
 	}
 }
 
-// Close stops the persistent host worker goroutines, if any were started.
-// The Parallel remains usable afterwards (a later multi-member wave simply
-// starts a fresh pool); Close exists so long-lived processes that retire an
-// executor on a multi-core host do not leak its goroutines. On single-
-// threaded hosts no pool is ever started and Close is a no-op.
+// Close stops the persistent helper goroutines, if any were started. The
+// Parallel remains usable afterwards (a later block simply starts a fresh
+// pool); Close exists so long-lived processes that retire an executor on a
+// multi-core host do not leak its goroutines. On single-threaded hosts no
+// pool is ever started and Close is a no-op.
 func (p *Parallel) Close() {
 	p.poolMu.Lock()
 	defer p.poolMu.Unlock()
 	if hp := p.pool.Swap(nil); hp != nil {
-		hp.close()
+		close(hp.jobs)
 	}
-}
-
-// hostPoolStart returns the persistent host pool, starting it on first use.
-// Safe for concurrent callers: the first-start race is resolved under
-// poolMu, and the fast path is one atomic load.
-func (p *Parallel) hostPoolStart() *hostPool {
-	if hp := p.pool.Load(); hp != nil {
-		return hp
-	}
-	p.poolMu.Lock()
-	defer p.poolMu.Unlock()
-	if hp := p.pool.Load(); hp != nil {
-		return hp
-	}
-	hp := newHostPool(len(p.workers))
-	p.pool.Store(hp)
-	return hp
 }
 
 // Cold flushes caches and resets predictors on every core.
@@ -198,6 +232,130 @@ func (p *Parallel) BindQuery(q *Query) error {
 	}
 	p.Cold()
 	return nil
+}
+
+// hostJob is work that its driver runs together with whichever pooled
+// helpers are free: a block's morsel loop or a segment fan-out. Helpers join
+// while the job is open and the driver waits for the last of them to leave.
+type hostJob struct {
+	// work takes items off the job until none are left; the driver and every
+	// helper call it concurrently.
+	work func()
+
+	mu      sync.Mutex
+	open    bool
+	helpers int
+}
+
+// hostPool holds the persistent helper goroutines. Helpers are not tied to
+// simulated cores or to drivers: each takes the next invitation from jobs
+// and works alongside whoever posted it until that job runs dry.
+type hostPool struct {
+	// jobs is buffered one invitation per helper: with every helper busy, a
+	// longer queue would only hold invitations to jobs that have since ended.
+	jobs chan *hostJob
+}
+
+// runJob runs j.work on the caller and on up to n invited helpers, and
+// returns once all of them are out of it. An invitation is not a rendezvous:
+// a helper busy elsewhere takes it when it comes free and joins late, or
+// finds the job over; the driver never waits for one to show up. The pool is
+// started on first use with one helper fewer than the host threads the
+// simulated cores can occupy — the driver is a worker too.
+func (p *Parallel) runJob(j *hostJob, n int) {
+	hp := p.pool.Load()
+	if hp == nil {
+		p.poolMu.Lock()
+		if hp = p.pool.Load(); hp == nil {
+			size := min(runtime.GOMAXPROCS(0), len(p.workers)) - 1
+			hp = &hostPool{jobs: make(chan *hostJob, size)}
+			for i := 0; i < size; i++ {
+				go func() {
+					for j := range hp.jobs {
+						j.help()
+					}
+				}()
+			}
+			p.pool.Store(hp)
+		}
+		p.poolMu.Unlock()
+	}
+	j.mu.Lock()
+	j.open = true
+	j.mu.Unlock()
+invite:
+	for ; n > 0; n-- {
+		select {
+		case hp.jobs <- j:
+		default:
+			break invite
+		}
+	}
+	j.work()
+	// The job's work is exhausted, so a helper still inside is finishing its
+	// last item.
+	var w waiter
+	j.mu.Lock()
+	j.open = false
+	for j.helpers > 0 {
+		j.mu.Unlock()
+		w.pause()
+		j.mu.Lock()
+	}
+	j.mu.Unlock()
+}
+
+// help is a pooled helper's side of runJob; it returns at once when the job
+// is already over.
+func (j *hostJob) help() {
+	j.mu.Lock()
+	open := j.open
+	if open {
+		j.helpers++
+	}
+	j.mu.Unlock()
+	if !open {
+		return
+	}
+	j.work()
+	j.mu.Lock()
+	j.helpers--
+	j.mu.Unlock()
+}
+
+// RunSegments executes the given closures concurrently — on the caller and
+// on whichever pooled helpers are free — and returns after all complete: the
+// fan-out primitive for the workload service's host-parallel scheduling
+// rounds. The closures must be mutually data-independent (distinct queries
+// on disjoint core subsets, each with its own BlockRun). On a single-
+// threaded host, or with a single closure, everything runs inline on the
+// caller in slice order with zero dispatch overhead. A closure panic is
+// captured where it happened and re-raised on the caller after all closures
+// have finished; when several panic, the lowest slice index wins, so the
+// surfaced failure is deterministic.
+func (p *Parallel) RunSegments(fns []func()) {
+	if len(fns) <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		for _, f := range fns {
+			f()
+		}
+		return
+	}
+	pvs := make([]any, len(fns)) // the panic closure i raised, if any
+	call := func(i int) {
+		defer func() { pvs[i] = recover() }()
+		fns[i]()
+	}
+	var next atomic.Int64
+	p.runJob(&hostJob{work: func() {
+		for i := int(next.Add(1)) - 1; i < len(fns); i = int(next.Add(1)) - 1 {
+			call(i)
+		}
+	}}, len(fns)-1)
+	for _, pv := range pvs {
+		if pv != nil {
+			panic(pv)
+		}
+	}
 }
 
 // BlockResult reports one morsel block execution.
@@ -241,9 +399,7 @@ func (p *Parallel) fullCores() ([]int, []uint64) {
 		}
 		p.blockClocks = make([]uint64, len(p.workers))
 	}
-	for i := range p.blockClocks {
-		p.blockClocks[i] = 0
-	}
+	clear(p.blockClocks)
 	return p.blockCores, p.blockClocks
 }
 
@@ -255,29 +411,6 @@ func (p *Parallel) fullCores() ([]int, []uint64) {
 func (p *Parallel) RunBlockImplSum(q *Query, vecLo, vecHi int, impl ScanImpl, sum *float64) (BlockResult, error) {
 	cores, clocks := p.fullCores()
 	return p.run.RunBlockSubset(q, vecLo, vecHi, cores, clocks, impl, sum)
-}
-
-// waveSlot is one certified (core, morsel) assignment of a wave: the
-// scheduling decision plus the member's results, written by whichever host
-// goroutine runs the member and read by the coordinator after the wave
-// barrier.
-type waveSlot struct {
-	pos    int // index into the block's core subset
-	core   int // pool core id
-	v      int // morsel (vector) index
-	lo, hi int // row range
-	// minEnd is the entry clock plus the guaranteed minimum duration of the
-	// morsel — the earliest simulated instant this core could possibly be
-	// idle again (see minVectorCycles).
-	minEnd uint64
-	group  *GroupBy // non-nil: run GroupVector instead of RunVectorImpl
-	// Results.
-	res      VectorResult
-	sel      []int32 // GroupVector survivors (aliases the engine's buffers)
-	cycles   uint64
-	err      error
-	pv       any // panic value captured on a pool goroutine
-	panicked bool
 }
 
 // minVectorCycles returns a guaranteed lower bound on the simulated cycles
@@ -293,234 +426,180 @@ func minVectorCycles(n, issueWidth int) uint64 {
 	return uint64(4*n) * 4 / uint64(issueWidth) / 4
 }
 
-// buildWave certifies a maximal run of morsels starting at vector v for
-// concurrent execution and returns the assignments (ascending morsel order)
-// plus the next unassigned vector.
-//
-// The serial reference scheduler assigns each morsel to the idle-first core:
-// the smallest clock, ties to the lowest subset position. A wave extends
-// this one decision at a time without waiting for in-flight durations: the
-// next morsel's core is chosen as the argmin over cores NOT yet in the wave
-// (their clocks are exact), and the choice is *certified* by checking that
-// the candidate's clock is strictly below every in-flight member's minEnd.
-// An in-flight core finishes at entry + duration >= minEnd > candidate
-// clock, so whatever the durations turn out to be, the reference scheduler
-// would also have picked this candidate — the strict inequality even
-// preserves the lowest-position tie rule, because a tie with an in-flight
-// core is impossible. The first morsel that fails certification ends the
-// wave (a barrier); each core therefore carries at most one morsel per wave.
-func (r *BlockRun) buildWave(cores []int, clocks []uint64, v, vecHi, nRows int, gs []*GroupBy) ([]waveSlot, int) {
+// lookaheadWindow is how many morsels per subset core may be assigned but
+// not yet reduced: enough that a core drawing a long morsel does not stall
+// the others, small enough that the result ring stays cache-resident.
+const lookaheadWindow = 4
+
+// runBlock executes morsels [vecLo, vecHi) on the core subset and reduces
+// them, in ascending morsel order, into the BlockRun's targets. It returns
+// the error of the lowest-numbered failed morsel — re-raising it if it was a
+// panic — after every running morsel has drained, exactly the failure the
+// serial scheduler would have stopped at.
+func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, groups []*GroupBy) error {
 	p := r.p
-	iw := p.workers[0].CPU().Profile().IssueWidth
-	// A zone-map-skipped vector (see StorageScan) answers from metadata in
-	// zero simulated cycles, so its guaranteed minimum duration is zero:
-	// minEnd collapses to the entry clock, no later candidate can certify
-	// against it (clocks are >= the argmin's), and the wave ends right after
-	// the skipped member — the serial argmin schedule is replayed exactly.
-	// The skip bitmap is shared across the run's cores; the subset's first
-	// core carries it like every other.
-	var skip []bool
+	r.q, r.impl, r.cores, r.groups = q, impl, cores, groups
+	r.issueWidth = p.workers[0].CPU().Profile().IssueWidth
+	r.skip = nil
 	if st := p.workers[cores[0]].stor; st != nil {
-		skip = st.Skip
+		r.skip = st.Skip
 	}
-	slots := r.waveSlots[:0]
-	if cap(r.waveBusy) < len(cores) {
-		r.waveBusy = make([]bool, len(cores))
+	window := lookaheadWindow * len(cores)
+	if len(r.ring) < window {
+		r.ring = make([]morsel, window)
 	}
-	busy := r.waveBusy[:len(cores)]
-	for i := range busy {
-		busy[i] = false
+	r.sched.reset(clocks, vecLo, vecHi, window)
+	r.out, r.failed = BlockResult{}, nil
+	// Helpers are worth inviting only when two morsels can overlap and the
+	// host has a second thread to run one on.
+	width := min(runtime.GOMAXPROCS(0), len(cores), vecHi-vecLo)
+	if r.shared = width > 1; r.shared {
+		if r.job.work == nil {
+			r.job.work = r.work
+		}
+		p.runJob(&r.job, width-1)
+	} else {
+		r.work()
 	}
-	for v < vecHi {
-		i := -1
-		for j := range clocks {
-			if !busy[j] && (i < 0 || clocks[j] < clocks[i]) {
-				i = j
-			}
-		}
-		if i < 0 {
-			break // every core already carries a morsel
-		}
-		certified := true
-		for s := range slots {
-			if clocks[i] >= slots[s].minEnd {
-				certified = false
-				break
-			}
-		}
-		if !certified {
-			break
-		}
-		lo := v * p.vectorSize
-		hi := lo + p.vectorSize
-		if hi > nRows {
-			hi = nRows
-		}
-		minVC := minVectorCycles(hi-lo, iw)
-		if v < len(skip) && skip[v] {
-			minVC = 0
-		}
-		slot := waveSlot{
-			pos: i, core: cores[i], v: v, lo: lo, hi: hi,
-			minEnd: clocks[i] + minVC,
-		}
-		if gs != nil {
-			slot.group = gs[cores[i]]
-		}
-		slots = append(slots, slot)
-		busy[i] = true
-		v++
+	r.q, r.groups = nil, nil
+	if r.failed == nil {
+		return nil
 	}
-	r.waveSlots = slots
-	return slots, v
+	if r.failed.pv != nil {
+		panic(r.failed.pv)
+	}
+	return r.failed.err
 }
 
-// hostPool holds the persistent host worker goroutines: one per simulated
-// core for wave members (each drains its own job channel, so a wave member
-// always runs on the goroutine dedicated to its simulated core — one core's
-// simulation state is only ever touched from one goroutine at a time), plus
-// a separate set of segment drivers that execute whole-segment closures for
-// RunSegments. The two sets must be distinct: a segment closure itself
-// dispatches wave jobs and blocks at wave barriers, so running it on a
-// per-core wave goroutine could deadlock waiting for its own core's jobs.
-type hostPool struct {
-	jobs []chan func()
-	seg  chan func()
-}
-
-func newHostPool(n int) *hostPool {
-	hp := &hostPool{jobs: make([]chan func(), n), seg: make(chan func(), n)}
-	for i := range hp.jobs {
-		ch := make(chan func(), 1)
-		hp.jobs[i] = ch
-		go func() {
-			for f := range ch {
-				f()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		go func() {
-			for f := range hp.seg {
-				f()
-			}
-		}()
-	}
-	return hp
-}
-
-func (hp *hostPool) close() {
-	for _, ch := range hp.jobs {
-		close(ch)
-	}
-	close(hp.seg)
-}
-
-// RunSegments executes the given closures concurrently on the persistent
-// host pool's segment drivers and returns after all complete — the fan-out
-// primitive for the workload service's host-parallel scheduling rounds. The
-// closures must be mutually data-independent (distinct queries on disjoint
-// core subsets, each with its own BlockRun). On a single-threaded host, or
-// with a single closure, everything runs inline on the caller in slice order
-// with zero dispatch overhead. A closure panic is captured on its driver
-// goroutine and re-raised on the caller after the barrier; when several
-// members panic, the lowest slice index wins, so the surfaced failure is
-// deterministic.
-func (p *Parallel) RunSegments(fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, f := range fns {
-			f()
-		}
-		return
-	}
-	hp := p.hostPoolStart()
-	pvs := make([]any, len(fns))
-	panicked := make([]bool, len(fns))
-	var wg sync.WaitGroup
-	wg.Add(len(fns) - 1)
-	for i := 1; i < len(fns); i++ {
-		i, f := i, fns[i]
-		hp.seg <- func() {
-			defer func() {
-				if r := recover(); r != nil {
-					pvs[i], panicked[i] = r, true
-				}
-				wg.Done()
-			}()
-			f()
-		}
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				pvs[0], panicked[0] = r, true
-			}
-		}()
-		fns[0]()
-	}()
-	wg.Wait()
-	for i := range fns {
-		if panicked[i] {
-			panic(pvs[i])
-		}
+// work is the loop every host worker of a block runs — the driver always,
+// helpers while they have nothing else to do: take a certified morsel, run
+// it on its simulated core, hand the core back.
+func (r *BlockRun) work() {
+	for m := r.acquire(); m != nil; m = r.acquire() {
+		r.execute(m)
+		r.complete(m)
 	}
 }
 
-// runSlot executes one wave member on its simulated core and records the
-// result and cycle delta.
-func (p *Parallel) runSlot(q *Query, impl ScanImpl, s *waveSlot) {
-	eng := p.workers[s.core]
+// acquire returns the next morsel once its core choice is certified, or nil
+// when the block has none left to hand out.
+func (r *BlockRun) acquire() *morsel {
+	s := &r.sched
+	for {
+		r.mu.Lock()
+		if s.finished() {
+			r.mu.Unlock()
+			return nil
+		}
+		v := s.next
+		lo := v * r.p.vectorSize
+		hi := min(lo+r.p.vectorSize, r.q.Table.NumRows())
+		// A zone-map-skipped vector answers from metadata in zero simulated
+		// cycles, so nothing can be certified past it until it completes —
+		// which it does at once, clock unchanged.
+		var minDur uint64
+		if v >= len(r.skip) || !r.skip[v] {
+			minDur = minVectorCycles(hi-lo, r.issueWidth)
+		}
+		pos, wave, blocker, at := s.assign(minDur)
+		if pos >= 0 {
+			m := &r.ring[v%len(s.done)]
+			*m = morsel{pos: pos, core: r.cores[pos], v: v, lo: lo, hi: hi, wave: wave, entry: at, sel: m.sel[:0]}
+			r.mu.Unlock()
+			return m
+		}
+		gen := s.gen.Load()
+		r.mu.Unlock()
+		s.await(blocker, at, gen)
+	}
+}
+
+// execute runs the morsel on its simulated core. While helpers share the
+// block, the core publishes its block-absolute clock as it goes.
+func (r *BlockRun) execute(m *morsel) {
+	eng := r.p.workers[m.core]
 	c := eng.CPU()
 	c0 := c.Cycles()
-	if s.group != nil {
-		s.sel, s.err = eng.GroupVector(q, s.group, s.lo, s.hi)
-	} else {
-		s.res, s.err = eng.RunVectorImpl(q, s.lo, s.hi, impl)
+	if r.shared {
+		c.SetProgress(&r.sched.cells[m.pos].clock, m.entry-c0)
 	}
-	s.cycles = c.Cycles() - c0
+	defer r.finish(m, eng, c0)
+	if r.groups != nil {
+		var sel []int32
+		sel, m.err = eng.GroupVector(r.q, r.groups[m.core], m.lo, m.hi)
+		m.sel = append(m.sel, sel...)
+	} else {
+		m.res, m.err = eng.RunVectorImpl(r.q, m.lo, m.hi, r.impl)
+	}
 }
 
-// runWave executes the wave's members. Single-member waves — and any wave on
-// a single-threaded host — run inline on the calling goroutine with zero
-// dispatch overhead (and, on an error or panic, behavior identical to the
-// fully serial scheduler). Larger waves dispatch members 1..k to the
-// persistent per-core goroutines, run member 0 on the coordinator, and block
-// at the wave barrier. A member panic (e.g. an out-of-range foreign key) is
-// captured on the worker goroutine and re-raised on the coordinator after
-// the barrier.
-func (r *BlockRun) runWave(q *Query, impl ScanImpl, slots []waveSlot) {
-	p := r.p
-	if len(slots) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := range slots {
-			p.runSlot(q, impl, &slots[i])
-		}
-		return
-	}
-	hp := p.hostPoolStart()
-	var wg sync.WaitGroup
-	wg.Add(len(slots) - 1)
-	for i := 1; i < len(slots); i++ {
-		s := &slots[i]
-		hp.jobs[s.core] <- func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.pv, s.panicked = r, true
-				}
-				wg.Done()
-			}()
-			p.runSlot(q, impl, s)
+// finish closes a morsel's execution: it captures a panic (e.g. an
+// out-of-range foreign key) for the reduction to re-raise in morsel order,
+// detaches the progress cell, and emits the morsel span while this worker
+// still owns the core's track.
+func (r *BlockRun) finish(m *morsel, eng *Engine, c0 uint64) {
+	m.pv = recover()
+	c := eng.CPU()
+	c.SetProgress(nil, 0)
+	end := c.Cycles()
+	m.cycles = end - c0
+	if tr := eng.tr; tr != nil && m.err == nil && m.pv == nil {
+		if r.groups != nil {
+			tr.Span("morsel", c0, end, trace.A("v", m.v), trace.A("rows", m.hi-m.lo), trace.A("grouped", true))
+		} else {
+			tr.Span("morsel", c0, end, trace.A("v", m.v), trace.A("wave", m.wave), trace.A("rows", m.hi-m.lo))
 		}
 	}
-	p.runSlot(q, impl, &slots[0])
-	wg.Wait()
-	for i := range slots {
-		if slots[i].panicked {
-			panic(slots[i].pv)
-		}
+}
+
+// complete hands the morsel's core back to the scheduler and reduces every
+// result that is now next in morsel order. The reduction runs outside the
+// lock — a grouped morsel folds a thousand survivors into a hash table — with
+// merging keeping it to one worker at a time.
+func (r *BlockRun) complete(m *morsel) {
+	s := &r.sched
+	r.mu.Lock()
+	s.complete(m.pos, m.v, m.entry+m.cycles, m.err != nil || m.pv != nil)
+	r.busyScratch[m.pos] += m.cycles
+	for !r.merging && s.mergeable() {
+		next := &r.ring[s.merged%len(s.done)]
+		r.merging = true
+		r.mu.Unlock()
+		ok := r.merge(next)
+		r.mu.Lock()
+		r.merging = false
+		s.advance(ok)
 	}
+	r.mu.Unlock()
+}
+
+// merge reduces one morsel into the block's targets, or records its failure.
+func (r *BlockRun) merge(m *morsel) bool {
+	if m.err != nil || m.pv != nil {
+		r.failed = m
+		return false
+	}
+	r.out.Vectors++
+	if r.groups == nil {
+		// The aggregate accumulates in global vector order for a
+		// serial-identical float bit pattern.
+		r.out.Qualifying += m.res.Qualifying
+		if r.sum != nil {
+			*r.sum += m.res.Sum
+		} else {
+			r.out.Sum += m.res.Sum
+		}
+		return true
+	}
+	// Per-key accumulation order is the global row order — identical float
+	// association to a serial run for every worker count.
+	g, keys := r.groups[m.core], r.keys[m.pos]
+	for _, row := range m.sel {
+		g.apply(r.acc, int(row))
+		keys.at(g.GroupCol.Int64At(int(row))).Count = 1
+	}
+	r.out.Qualifying += int64(len(m.sel))
+	return true
 }
 
 // RunBlockSubset executes vectors [vecLo, vecHi) of the query morsel-driven
@@ -533,11 +612,11 @@ func (r *BlockRun) runWave(q *Query, impl ScanImpl, slots []waveSlot) {
 // a core that enters the block behind the others naturally backfills first —
 // the same self-balancing rule RunBlock applies from an even start.
 //
-// Execution proceeds in certified waves (see buildWave) whose members run
-// host-parallel on multi-core machines; results merge at each wave barrier
-// in ascending morsel order, so every simulated observable — results, cycle
-// clocks, PMU counters, float bit patterns — is identical to the serial
-// scheduler's for every Workers and GOMAXPROCS combination.
+// Morsels overlap on the host wherever the lookahead rule can certify the
+// next core choice early (see lookahead.go); results reduce in ascending
+// morsel order, so every simulated observable — results, cycle clocks, PMU
+// counters, float bit patterns — is identical to the serial scheduler's for
+// every Workers and GOMAXPROCS combination.
 //
 // The returned BlockResult reports WorkerCycles[i] as the busy cycles core
 // cores[i] consumed in this call, MaxCycles as the block makespan measured
@@ -557,9 +636,8 @@ func (p *Parallel) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clock
 }
 
 // RunBlockSubset is the per-driver form of Parallel.RunBlockSubset: identical
-// semantics, but the coordinator-side scratch (wave slots, PMU snapshots, the
-// WorkerCycles backing array) comes from this BlockRun, so concurrent drivers
-// over disjoint core subsets do not contend.
+// semantics, but the scheduler state and scratch come from this BlockRun, so
+// concurrent drivers over disjoint core subsets do not contend.
 func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
 	p := r.p
 	if err := q.Validate(); err != nil {
@@ -579,79 +657,45 @@ func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clock
 			return BlockResult{}, fmt.Errorf("exec: core subset %v not strictly ascending", cores)
 		}
 	}
-	n := q.Table.NumRows()
-	numVec := (n + p.vectorSize - 1) / p.vectorSize
-	if vecLo < 0 || vecHi > numVec || vecLo > vecHi {
+	if numVec := p.NumVectors(q); vecLo < 0 || vecHi > numVec || vecLo > vecHi {
 		return BlockResult{}, fmt.Errorf("exec: block [%d,%d) outside %d vectors", vecLo, vecHi, numVec)
 	}
-	nw := len(cores)
 	entryMin := clocks[0]
 	for _, cl := range clocks[1:] {
-		if cl < entryMin {
-			entryMin = cl
-		}
+		entryMin = min(entryMin, cl)
 	}
-	if cap(r.busyScratch) < nw {
-		r.busyScratch = make([]uint64, nw)
+	startSamples := r.begin(cores)
+	r.sum = sum
+	if err := r.runBlock(q, vecLo, vecHi, cores, clocks, impl, nil); err != nil {
+		return BlockResult{}, err
 	}
-	busy := r.busyScratch[:nw]
-	for i := range busy {
-		busy[i] = 0
-	}
-	if cap(r.sampleScratch) < nw {
-		r.sampleScratch = make([]pmu.Sample, nw)
-	}
-	startSamples := r.sampleScratch[:nw]
-	for i, w := range cores {
-		startSamples[i] = p.workers[w].CPU().Sample()
-	}
-	var out BlockResult
-	wave := 0
-	for v := vecLo; v < vecHi; {
-		slots, nv := r.buildWave(cores, clocks, v, vecHi, n, nil)
-		r.runWave(q, impl, slots)
-		// Wave barrier: merge in ascending morsel order. Clock updates feed
-		// the next wave's scheduling; the aggregate accumulates in global
-		// vector order for a serial-identical float bit pattern.
-		for i := range slots {
-			s := &slots[i]
-			if s.err != nil {
-				return BlockResult{}, s.err
-			}
-			clocks[s.pos] += s.cycles
-			busy[s.pos] += s.cycles
-			out.Qualifying += s.res.Qualifying
-			if sum != nil {
-				*sum += s.res.Sum
-			} else {
-				out.Sum += s.res.Sum
-			}
-			out.Vectors++
-			// Morsel spans are emitted by the coordinator while the members
-			// are quiesced at the barrier: the core clock still reads the
-			// slot's end, and append order (ascending morsel) is a pure
-			// function of the certified schedule.
-			if tr := p.workers[s.core].tr; tr != nil {
-				end := p.workers[s.core].CPU().Cycles()
-				tr.Span("morsel", end-s.cycles, end,
-					trace.A("v", s.v), trace.A("wave", wave), trace.A("rows", s.hi-s.lo))
-			}
-		}
-		wave++
-		v = nv
-	}
-	out.WorkerCycles = busy
+	out := r.out
+	out.WorkerCycles = r.busyScratch
 	if out.Vectors > 0 {
 		for _, cl := range clocks {
-			if cl-entryMin > out.MaxCycles {
-				out.MaxCycles = cl - entryMin
-			}
+			out.MaxCycles = max(out.MaxCycles, cl-entryMin)
 		}
 	}
 	for i, w := range cores {
 		out.Counters = out.Counters.Add(p.workers[w].CPU().Sample().Sub(startSamples[i]))
 	}
 	return out, nil
+}
+
+// begin zeroes the per-core busy counters and snapshots the cores' PMUs.
+func (r *BlockRun) begin(cores []int) []pmu.Sample {
+	nw := len(cores)
+	if cap(r.busyScratch) < nw {
+		r.busyScratch = make([]uint64, nw)
+		r.sampleScratch = make([]pmu.Sample, nw)
+	}
+	r.busyScratch = r.busyScratch[:nw]
+	clear(r.busyScratch)
+	samples := r.sampleScratch[:nw]
+	for i, w := range cores {
+		samples[i] = r.p.workers[w].CPU().Sample()
+	}
+	return samples
 }
 
 // RunGroupBy executes the query's filters and aggregates survivors
@@ -661,9 +705,9 @@ func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clock
 // merges every other core's partial slots into its table, extending the
 // makespan — the standard shared-nothing parallel aggregation plan.
 //
-// The scan runs in the same certified waves as RunBlockSubset (host-parallel
-// on multi-core machines); each wave's survivor vectors reduce into the
-// accumulator at the barrier in global vector order, so Groups (keys, sums,
+// The scan is one block on the same lookahead loop as RunBlockSubset
+// (host-parallel on multi-core machines); each morsel's survivors reduce
+// into the accumulator in global vector order, so Groups (keys, sums,
 // counts) are bit-identical to a serial Engine.RunGroupBy and deterministic
 // across worker counts and GOMAXPROCS settings.
 func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
@@ -679,68 +723,39 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 			return GroupResult{}, fmt.Errorf("exec: nil partial group table for worker %d", w)
 		}
 	}
-	n := q.Table.NumRows()
-	numVec := p.NumVectors(q)
 	cores, clocks := p.fullCores()
-	if cap(p.run.sampleScratch) < nw {
-		p.run.sampleScratch = make([]pmu.Sample, nw)
+	r := &p.run
+	startSamples := r.begin(cores)
+	r.acc = gs[0].accTable()
+	// keys tracks which keys each core's partial table holds, for the merge
+	// phase (sorted for determinism). Count doubles as the presence marker;
+	// sums stay zero. The tables escape into nothing but grow with the key
+	// domain, so they stay per-call rather than pool scratch.
+	r.keys = make([]*groupTable, nw)
+	for w := range r.keys {
+		r.keys[w] = gs[w].accTable()
 	}
-	startSamples := p.run.sampleScratch[:nw]
-	for w, eng := range p.workers {
-		startSamples[w] = eng.CPU().Sample()
-	}
-	acc := gs[0].accTable()
-	// workerKeys tracks which keys each core's partial table holds, for the
-	// merge phase (sorted for determinism). Count doubles as the presence
-	// marker; sums stay zero. The tables escape into nothing but grow with
-	// the key domain, so they stay per-call rather than pool scratch.
-	workerKeys := make([]*groupTable, nw)
-	for w := range workerKeys {
-		workerKeys[w] = gs[w].accTable()
+	acc, keys := r.acc, r.keys
+	err := r.runBlock(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, gs)
+	r.acc, r.keys = nil, nil
+	if err != nil {
+		return GroupResult{}, err
 	}
 	var out GroupResult
-	for v := 0; v < numVec; {
-		slots, nv := p.run.buildWave(cores, clocks, v, numVec, n, gs)
-		p.run.runWave(q, ImplBranching, slots)
-		// Wave barrier: reduce survivor vectors in ascending morsel order, so
-		// per-key accumulation order is the global row order — identical
-		// float association to a serial run for every worker count.
-		for si := range slots {
-			s := &slots[si]
-			if s.err != nil {
-				return GroupResult{}, s.err
-			}
-			w := s.pos
-			clocks[w] += s.cycles
-			for _, r := range s.sel {
-				gs[w].apply(acc, int(r))
-				workerKeys[w].at(gs[w].GroupCol.Int64At(int(r))).Count = 1
-			}
-			out.Qualifying += int64(len(s.sel))
-			out.Vectors++
-			if tr := p.workers[s.core].tr; tr != nil {
-				end := p.workers[s.core].CPU().Cycles()
-				tr.Span("morsel", end-s.cycles, end,
-					trace.A("v", s.v), trace.A("rows", s.hi-s.lo), trace.A("grouped", true))
-			}
-		}
-		v = nv
-	}
+	out.Qualifying, out.Vectors = r.out.Qualifying, r.out.Vectors
 	// Merge barrier: every core must finish scanning before core 0 folds the
 	// partial tables, so the merge starts at the scan makespan (the slowest
 	// core's clock) and extends it — not core 0's own scan clock.
 	var scanMakespan uint64
 	for _, cl := range clocks {
-		if cl > scanMakespan {
-			scanMakespan = cl
-		}
+		scanMakespan = max(scanMakespan, cl)
 	}
 	// Core 0 folds every other core's partial slots into its table (one read
 	// of the remote slot, one read-modify-write of its own).
 	c0 := p.workers[0].CPU()
 	mergeStart := c0.Cycles()
 	for w := 1; w < nw; w++ {
-		for _, k := range workerKeys[w].sortedKeys() {
+		for _, k := range keys[w].sortedKeys() {
 			c0.Load(gs[w].slotAddr(k))
 			c0.Load(gs[0].slotAddr(k))
 			c0.Exec(groupMergeCostInstr)

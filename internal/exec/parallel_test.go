@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
+	"progopt/internal/columnar"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/tpch"
 )
@@ -125,5 +127,137 @@ func TestParallelBlockValidation(t *testing.T) {
 	}
 	if _, err := NewParallel(cpu.ScaledXeon(), 2, 0); err == nil {
 		t.Error("zero vector size accepted")
+	}
+}
+
+// failingJoinQuery builds lineitem→orders with an aggregate, over a private
+// data set whose foreign keys the caller may corrupt.
+func failingJoinQuery(t *testing.T) (*tpch.Dataset, *Query) {
+	t.Helper()
+	d := tpch.MustGenerate(tpch.Config{Lineitems: 16 * 512, Seed: 11})
+	c := cpu.MustNew(cpu.ScaledXeon())
+	j, err := NewFKJoin(c, d.Lineitem.Column("l_orderkey"), d.NumOrders, nil, "join-orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := d.Lineitem.Column("l_extendedprice")
+	q := &Query{
+		Table: d.Lineitem,
+		Ops:   []Op{j},
+		Agg:   &Aggregate{Cols: []*columnar.Column{price}, F: func(row int) float64 { return price.F64()[row] }},
+	}
+	if err := MustEngine(c, 512).BindQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	return d, q
+}
+
+// TestParallelFailurePaths: a morsel that panics (an out-of-range foreign
+// key) or errors surfaces exactly as under the serial scheduler, whatever
+// overlapped on the host — the lowest-numbered failed morsel wins, the
+// morsels before it are reduced (the external accumulator holds their sum)
+// and none after it, every running morsel is drained before the failure
+// propagates, and the executor is usable afterwards.
+func TestParallelFailurePaths(t *testing.T) {
+	d, q := failingJoinQuery(t)
+	keys := d.Lineitem.Column("l_orderkey").I64()
+	// Two bad keys in different morsels; the serial scheduler trips over the
+	// one in morsel 5 and never sees the one in morsel 9.
+	saved5, saved9 := keys[5*512+17], keys[9*512+3]
+	keys[5*512+17], keys[9*512+3] = int64(d.NumOrders)+55, int64(d.NumOrders)+99
+
+	type outcome struct {
+		panicked any
+		sum      float64
+	}
+	run := func(p *Parallel) (o outcome) {
+		defer func() { o.panicked = recover() }()
+		p.Cold()
+		_, err := p.RunBlockImplSum(q, 0, p.NumVectors(q), ImplBranching, &o.sum)
+		t.Errorf("block over a corrupt key returned (err %v) instead of panicking", err)
+		return o
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	serialPool, err := NewParallel(cpu.ScaledXeon(), 4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(serialPool)
+	if want.panicked != keyRangeError(int64(d.NumOrders)+55, int64(d.NumOrders)) {
+		t.Fatalf("serial scheduler surfaced %v, want morsel 5's key error", want.panicked)
+	}
+	if want.sum == 0 {
+		t.Fatal("serial scheduler reduced nothing before the failure")
+	}
+	for _, gmp := range []int{2, 4} {
+		runtime.GOMAXPROCS(gmp)
+		p, err := NewParallel(cpu.ScaledXeon(), 4, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 5; rep++ {
+			if got := run(p); got != want {
+				t.Fatalf("gomaxprocs=%d rep %d: surfaced %+v, serial scheduler %+v", gmp, rep, got, want)
+			}
+		}
+		// An error every morsel raises: the block returns it, reduces nothing,
+		// and leaves no morsel running.
+		sum := 0.0
+		if _, err := p.RunBlockImplSum(q, 0, p.NumVectors(q), ImplBranchFree, &sum); err == nil || sum != 0 {
+			t.Fatalf("gomaxprocs=%d: branch-free join returned err %v, sum %v", gmp, err, sum)
+		}
+		// Same executor, keys repaired: it must still give the serial answer.
+		keys[5*512+17], keys[9*512+3] = saved5, saved9
+		p.Cold()
+		got, err := p.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serialPool.Cold()
+		ref, err := serialPool.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Qualifying != ref.Qualifying || got.Sum != ref.Sum || got.Cycles != ref.Cycles {
+			t.Fatalf("gomaxprocs=%d: after the failures %+v, fresh serial run %+v", gmp, got, ref)
+		}
+		keys[5*512+17], keys[9*512+3] = int64(d.NumOrders)+55, int64(d.NumOrders)+99
+		p.Close()
+	}
+}
+
+// TestRunSegmentsPanicLowestIndexWins: closures run on whichever workers are
+// free, yet the panic that surfaces is the lowest slice index's, after every
+// closure has finished.
+func TestRunSegmentsPanicLowestIndexWins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p, err := NewParallel(cpu.ScaledXeon(), 4, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for rep := 0; rep < 20; rep++ {
+		var ran [4]bool
+		fns := make([]func(), 4)
+		for i := range fns {
+			fns[i] = func() {
+				ran[i] = true
+				if i == 1 || i == 3 {
+					panic(i)
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if pv := recover(); pv != 1 {
+					t.Fatalf("surfaced panic %v, want closure 1's", pv)
+				}
+			}()
+			p.RunSegments(fns)
+		}()
+		if ran != [4]bool{true, true, true, true} {
+			t.Fatalf("closures ran %v before the panic surfaced", ran)
+		}
 	}
 }

@@ -18,6 +18,10 @@ type Gshare struct {
 	table       []uint8 // two-bit counters, 0..3; >=2 predicts taken
 	mask        uint32
 	initVal     uint8
+
+	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
+	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
+	_ [80]byte
 }
 
 // NewGshare returns a gshare predictor with 2^tableBits two-bit counters and

@@ -18,6 +18,10 @@ type Saturating struct {
 	initState   int8
 	counters    []int8
 	name        string
+
+	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
+	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
+	_ [64]byte
 }
 
 // Bias selects how an odd state count splits between taken- and
@@ -166,7 +170,7 @@ func (s *Saturating) grow(site int) {
 // Reset implements Predictor.
 func (s *Saturating) Reset() {
 	if s.counters == nil {
-		s.counters = make([]int8, 64)
+		s.counters = make([]int8, 128) // a whole 128-byte sector per core
 	}
 	for i := range s.counters {
 		s.counters[i] = s.initState

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Config describes one cache level.
@@ -102,6 +103,14 @@ type Level struct {
 	// lastSlot is the tag-array index touched by the most recent Lookup hit
 	// or Insert, consumed by the hierarchy's same-line fast path.
 	lastSlot int
+
+	// Pads the struct to a multiple of 128 bytes. Levels are written on every
+	// simulated access (stats, lastSlot) and one core's levels are allocated
+	// next to another's, so an unpadded 240-byte Level shares a cache line
+	// with its neighbour's cfg/setMask — false sharing once simulated cores
+	// run on different host threads (see DESIGN.md, "False-sharing layout
+	// rule"; pinned by TestLayoutNoFalseSharing).
+	_ [16]byte
 }
 
 // NewLevel builds a cache level from its configuration.
@@ -121,14 +130,23 @@ func NewLevel(cfg Config) (*Level, error) {
 		setShift: shift,
 		pshift:   uint(bits.TrailingZeros64(uint64(sets))),
 		ways:     cfg.Ways,
-		tags:     make([]uint64, lines),
-		ptags:    make([]uint8, lines),
-		prev:     make([]uint16, lines),
-		next:     make([]uint16, lines),
-		heads:    make([]uint16, sets),
+		tags:     sectorSlice[uint64](lines),
+		ptags:    sectorSlice[uint8](lines),
+		prev:     sectorSlice[uint16](lines),
+		next:     sectorSlice[uint16](lines),
+		heads:    sectorSlice[uint16](sets),
 	}
 	l.linkRings()
 	return l, nil
+}
+
+// sectorSlice returns a zeroed []T of length n whose backing array fills
+// whole 128-byte sectors. The scaled L1 has four sets, so its recency arrays
+// are a few bytes each; sized exactly, the allocator would pack several
+// cores' arrays — written on every simulated access — into one cache line.
+func sectorSlice[T any](n int) []T {
+	per := 128 / int(unsafe.Sizeof(*new(T)))
+	return make([]T, n, (n+per-1)/per*per)
 }
 
 // linkRings threads every set's ways into the initial recency ring

@@ -286,3 +286,20 @@ func TestHitLevelString(t *testing.T) {
 		}
 	}
 }
+
+// TestSectorSlice: per-core recency arrays fill whole 128-byte sectors
+// whatever their length, so two cores' arrays never share a cache line.
+func TestSectorSlice(t *testing.T) {
+	for _, n := range []int{1, 4, 32, 64, 65, 1000} {
+		if s := sectorSlice[uint16](n); len(s) != n || cap(s)*2%128 != 0 {
+			t.Errorf("uint16 n=%d: len %d cap %d", n, len(s), cap(s))
+		}
+		if s := sectorSlice[uint64](n); len(s) != n || cap(s)*8%128 != 0 {
+			t.Errorf("uint64 n=%d: len %d cap %d", n, len(s), cap(s))
+		}
+	}
+	// The streamer's result buffer must not start life as a 16-byte object.
+	if p := NewStreamPrefetcher(); cap(p.buf)*8 < 128 {
+		t.Errorf("prefetch buffer holds %d bytes, want a full sector", cap(p.buf)*8)
+	}
+}

@@ -136,6 +136,10 @@ type Hierarchy struct {
 	// (like the CPU's own stall clock); cores snapshot and subtract.
 	st            *StorageSet
 	storageStalls uint64
+
+	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
+	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
+	_ [8]byte
 }
 
 // memoEntries sizes the direct-mapped line memo (power of two, comfortably
@@ -274,6 +278,11 @@ type RunHits struct {
 
 // Total returns the number of demand loads in the run.
 func (r RunHits) Total() int { return r.L1 + r.L2 + r.L3 + r.Mem }
+
+// Plus returns the level-wise sum of two runs' counts.
+func (r RunHits) Plus(o RunHits) RunHits {
+	return RunHits{L1: r.L1 + o.L1, L2: r.L2 + o.L2, L3: r.L3 + o.L3, Mem: r.Mem + o.Mem}
+}
 
 // add accounts one completed load at the given hit level.
 func (r *RunHits) add(lv HitLevel) {

@@ -41,10 +41,18 @@ type StreamPrefetcher struct {
 	prev, next [streamTableSize]uint8
 	head       uint8
 	linked     bool
-	buf        []uint64
+	// buf backs Observe's result. NewStreamPrefetcher gives it a full
+	// 128-byte allocation up front: grown by append from nil it would be a
+	// 16-byte object, and the allocator packs every core's into one cache
+	// line that each core then writes on every prefetch.
+	buf []uint64
 	// Issued counts prefetch requests issued; each consumes an L3 access
 	// slot, which is why the paper's L3-access counter includes them.
 	Issued uint64
+
+	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
+	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
+	_ [96]byte
 }
 
 const streamTableSize = 16
@@ -58,7 +66,7 @@ const invalidLine = uint64(1) << 63
 // NewStreamPrefetcher returns a prefetcher with typical streamer parameters:
 // degree 2, window 4 lines, confidence threshold 2.
 func NewStreamPrefetcher() *StreamPrefetcher {
-	return &StreamPrefetcher{Degree: 2, Window: 4, MinConfidence: 2}
+	return &StreamPrefetcher{Degree: 2, Window: 4, MinConfidence: 2, buf: make([]uint64, 0, 16)}
 }
 
 // link seeds the table: all entries empty, recency ring ordered so that the

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"progopt/internal/hw/branch"
 	"progopt/internal/hw/cache"
@@ -46,7 +47,23 @@ type CPU struct {
 	// (the join's branch phase).
 	addrBuf []uint64
 	keyBuf  []int64
+
+	// progress, when non-nil, is where this core publishes progressBase +
+	// Cycles() after every batched load run (see SetProgress). Nil — the
+	// state of every core outside a host-parallel morsel — keeps the load
+	// paths free of atomics and of chunking.
+	progress     *atomic.Uint64
+	progressBase uint64
+
+	// Pads the struct to a multiple of 128 bytes so two cores' hot counters
+	// never share a cache-line pair (see DESIGN.md, "False-sharing layout
+	// rule"; pinned by TestLayoutNoFalseSharing).
+	_ [72]byte
 }
+
+// progressChunk is how many gathered loads a core simulates between two
+// publications of its clock while a progress cell is attached.
+const progressChunk = 128
 
 // New builds a CPU from a profile.
 func New(prof Profile) (*CPU, error) {
@@ -141,9 +158,38 @@ func (c *CPU) Load(addr uint64) cache.AccessResult {
 // would through Load.
 func (c *CPU) addRunHits(rh cache.RunHits) {
 	c.instructions += uint64(rh.Total())
-	c.stallQuarters += uint64(rh.L2)*c.stallQ[cache.HitL2] +
+	c.stallQuarters += c.runStall(rh)
+	if c.progress != nil {
+		c.progress.Store(c.progressBase + c.Cycles())
+	}
+}
+
+// runStall converts a run's per-level hit counts into stall quarter-cycles.
+func (c *CPU) runStall(rh cache.RunHits) uint64 {
+	return uint64(rh.L2)*c.stallQ[cache.HitL2] +
 		uint64(rh.L3)*c.stallQ[cache.HitL3] +
 		uint64(rh.Mem)*c.stallQ[cache.HitMem]
+}
+
+// publishAhead publishes the clock the core will read once the part of a
+// gathered run simulated so far (rh) is accounted. The run is still accounted
+// in one piece when it ends, so Cycles — which a storage-tier observer stamps
+// its events with from inside the run — reads the same whether or not the run
+// was chunked for publication.
+func (c *CPU) publishAhead(rh cache.RunHits) {
+	c.progress.Store(c.progressBase + c.cyclesAt(c.instructions+uint64(rh.Total()), c.stallQuarters+c.runStall(rh)))
+}
+
+// SetProgress attaches (or, with nil, detaches) the cell this core publishes
+// its clock to: after every batched load run, and every progressChunk loads
+// inside a gathered one, the cell receives base plus the core's clock. The
+// clock is monotone, so each published value is a lower bound on every later
+// one — the property the lookahead morsel scheduler certifies assignments
+// against. Publication observes the simulation and never alters it: chunking
+// a gathered run is event-exact because LoadStream and LoadSel are defined
+// as their per-element Load sequence.
+func (c *CPU) SetProgress(cell *atomic.Uint64, base uint64) {
+	c.progress, c.progressBase = cell, base
 }
 
 // CondBranch retires one conditional branch at the given site: one compare
@@ -189,14 +235,30 @@ func (c *CPU) LoadSeq(start uint64, stride, n int) {
 // those of per-row Load calls, simulated by the hierarchy in one run-batched
 // call.
 func (c *CPU) LoadSel(base uint64, stride int, rows []int32) {
-	c.addRunHits(c.mem.LoadSel(base, stride, rows))
+	var rh cache.RunHits
+	if c.progress != nil {
+		for len(rows) > progressChunk {
+			rh = rh.Plus(c.mem.LoadSel(base, stride, rows[:progressChunk]))
+			c.publishAhead(rh)
+			rows = rows[progressChunk:]
+		}
+	}
+	c.addRunHits(rh.Plus(c.mem.LoadSel(base, stride, rows)))
 }
 
 // LoadAddrs performs one demand load per address, in order — the gather path
 // of kernels whose address streams are data-dependent (join probes,
 // hash-table touches). Effects are exactly those of per-element Load calls.
 func (c *CPU) LoadAddrs(addrs []uint64) {
-	c.addRunHits(c.mem.LoadStream(addrs))
+	var rh cache.RunHits
+	if c.progress != nil {
+		for len(addrs) > progressChunk {
+			rh = rh.Plus(c.mem.LoadStream(addrs[:progressChunk]))
+			c.publishAhead(rh)
+			addrs = addrs[progressChunk:]
+		}
+	}
+	c.addRunHits(rh.Plus(c.mem.LoadStream(addrs)))
 }
 
 // AddrBuf returns the CPU's reusable address-gather scratch, emptied, with
@@ -285,9 +347,13 @@ func (c *CPU) FlushCaches() { c.mem.Flush() }
 // stall debt is read out-of-band (cache.StorageSet.Counters) and added to
 // reported run times by the driver, so attaching a tier perturbs neither
 // scheduling decisions nor any simulated observable.
-func (c *CPU) Cycles() uint64 {
-	issueQuarters := c.instructions * 4 / uint64(c.prof.IssueWidth)
-	return (issueQuarters + c.stallQuarters) / 4
+func (c *CPU) Cycles() uint64 { return c.cyclesAt(c.instructions, c.stallQuarters) }
+
+// cyclesAt is the cycle clock at the given retired-instruction and
+// stall-quarter totals.
+func (c *CPU) cyclesAt(instructions, stallQuarters uint64) uint64 {
+	issueQuarters := instructions * 4 / uint64(c.prof.IssueWidth)
+	return (issueQuarters + stallQuarters) / 4
 }
 
 // Millis converts Cycles to milliseconds at the profile's clock.

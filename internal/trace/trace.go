@@ -53,6 +53,11 @@ type Track struct {
 	events  []Event
 	limit   int
 	dropped int
+
+	// Pads the struct to 128 bytes: per-core tracks are allocated back to back
+	// and each is appended to by a different host thread (see DESIGN.md,
+	// "False-sharing layout rule").
+	_ [72]byte
 }
 
 // Name returns the track's display name.

@@ -62,10 +62,12 @@ func graphRun(t *testing.T, workers int, mode Mode, noFuse bool) ExecResult {
 }
 
 // TestJoinGraphDeterminismMatrix: the 4-table graph query is bit-identical —
-// results, cycles, and every PMU counter — across GOMAXPROCS {1,4} ×
-// fused/unfused for each (Workers, mode) cell.
+// results, cycles, and every PMU counter — across GOMAXPROCS {1,2,4,8} ×
+// fused/unfused for each (Workers, mode) cell. Join vectors are the long
+// morsels (two orders of magnitude above the guaranteed minimum), so here
+// nearly every early assignment rests on a published clock.
 func TestJoinGraphDeterminismMatrix(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range detWorkers {
 		for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {
 			prev := runtime.GOMAXPROCS(1)
 			ref := graphRun(t, workers, mode, false)
@@ -73,7 +75,7 @@ func TestJoinGraphDeterminismMatrix(t *testing.T) {
 			if ref.Qualifying == 0 {
 				t.Fatalf("workers=%d/%s: reference selected nothing", workers, mode)
 			}
-			for _, gmp := range []int{1, 4} {
+			for _, gmp := range detProcs {
 				for _, noFuse := range []bool{false, true} {
 					name := fmt.Sprintf("workers=%d/%s/gomaxprocs=%d/nofuse=%v", workers, mode, gmp, noFuse)
 					t.Run(name, func(t *testing.T) {

@@ -172,7 +172,7 @@ func TestTraceByteIdentity(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	ref := traceBytes(t)
 	runtime.GOMAXPROCS(prev)
-	for _, gmp := range []int{1, 4} {
+	for _, gmp := range detProcs {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
 			got := traceBytes(t)

@@ -14,7 +14,8 @@
 //	go test -run xxx -bench 'BenchmarkRun(TupleAtATime|Batch|Parallel|ParallelTraced|TopK|JoinGraph[24])$|BenchmarkScan(Stored|Compressed)$|BenchmarkServeConcurrent[48]$' \
 //	    -benchmem -benchtime 3x -count 3 -cpu 1,4 . \
 //	    | go run ./cmd/progopt-perfjson -out BENCH_perf.json \
-//	        [-baseline BENCH_baseline.json -max-regress 10 -summary sum.md]
+//	        [-baseline BENCH_baseline.json -max-regress 10 -summary sum.md] \
+//	        [-history BENCH_history.jsonl -commit $GITHUB_SHA]
 //
 // Result lines repeating the same benchmark (from -count) are aggregated to
 // one row per (name, cpu) holding the median of every numeric column — the
@@ -26,11 +27,18 @@
 // median ns/op regresses by more than -max-regress percent, or when any
 // sim_cycles metric differs at all — the simulated work is deterministic,
 // so host-independent counters must match bit for bit while wall-clock gets
-// a noise allowance. The comparison table (benchstat-style old/new/delta)
+// a noise allowance — or when a row's median allocs/op exceeds the baseline's
+// by more than 10 % and by more than 16 objects: allocation counts repeat
+// almost exactly, so this gate is much sharper than the wall-clock one and
+// independent of the host. The comparison table (benchstat-style old/new/delta)
 // goes to stdout and, with -summary, to a markdown file for the CI job
 // summary. The same gate checks the new artifact against itself: a
 // host-parallel row (see earnedRows) whose -cpu N median is slower than its
 // -cpu 1 median fails — host parallelism has to pay for itself or go.
+//
+// With -history, the run is appended as one JSON line (commit, date, schema,
+// rows without their raw text) to an append-only file: the trajectory is a
+// file, not git archaeology. CI's main-branch job commits it.
 //
 // Only benchmark result lines are consumed; everything else (goos/pkg
 // headers, PASS/ok trailers) is ignored, and a raw line is preserved in
@@ -46,6 +54,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Schema is the artifact format identifier. v2 is v1 plus the sort
@@ -79,8 +88,8 @@ type Bench struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Samples is how many result lines were aggregated (omitted when 1).
 	Samples int `json:"samples,omitempty"`
-	// Raw is one verbatim result line of the group.
-	Raw string `json:"raw"`
+	// Raw is one verbatim result line of the group (omitted in history lines).
+	Raw string `json:"raw,omitempty"`
 }
 
 // Artifact is the whole BENCH_perf.json document.
@@ -94,6 +103,8 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline artifact to compare against (empty = no gate)")
 	maxRegress := flag.Float64("max-regress", 10, "max tolerated median ns/op regression, percent")
 	summary := flag.String("summary", "", "write the comparison table as markdown to this path")
+	history := flag.String("history", "", "append this run as one JSON line to this file")
+	commit := flag.String("commit", "", "commit id recorded in the -history line")
 	flag.Parse()
 
 	art := Artifact{Schema: Schema}
@@ -119,6 +130,11 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%d benches)\n", *out, len(art.Benches))
+	if *history != "" {
+		if err := appendHistory(*history, *commit, time.Now(), art); err != nil {
+			fatal(err)
+		}
+	}
 
 	if *baseline != "" {
 		ok, table := compare(loadArtifact(*baseline), art, *maxRegress)
@@ -132,7 +148,7 @@ func main() {
 			}
 		}
 		if !ok {
-			fatal(fmt.Errorf("performance gate failed (max regression %.0f%%, sim_cycles exact, -cpu N no slower than -cpu 1)", *maxRegress))
+			fatal(fmt.Errorf("performance gate failed (max regression %.0f%%, sim_cycles exact, allocs/op within 10%% or 16, -cpu N no slower than -cpu 1)", *maxRegress))
 		}
 	}
 }
@@ -266,21 +282,28 @@ func (a Artifact) find(name string, cpu int) *Bench {
 	return nil
 }
 
+// allocsRegressed is the allocation gate: more than 10 % and more than 16
+// objects above the baseline. The absolute floor keeps single-digit rows
+// (RunBatch allocates once) from failing on one extra object.
+func allocsRegressed(old, cur float64) bool {
+	return cur > old*1.10 && cur-old > 16
+}
+
 // compare gates the new artifact against the baseline: every baseline row
 // present in the new artifact must hold its median ns/op within maxRegress
-// percent and reproduce sim_cycles exactly. Returns pass/fail and a
-// benchstat-style markdown table.
+// percent, reproduce sim_cycles exactly, and hold its median allocs/op (see
+// allocsRegressed). Returns pass/fail and a benchstat-style markdown table.
 func compare(old, cur Artifact, maxRegress float64) (bool, string) {
 	ok := true
 	var b strings.Builder
 	b.WriteString("### Host-performance gate vs baseline\n\n")
-	b.WriteString("| benchmark | cpu | old ns/op | new ns/op | delta | sim_cycles | status |\n")
-	b.WriteString("|---|---|---|---|---|---|---|\n")
+	b.WriteString("| benchmark | cpu | old ns/op | new ns/op | delta | allocs/op | sim_cycles | status |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|\n")
 	for _, o := range old.Benches {
 		n := cur.find(o.Name, o.Cpu)
 		if n == nil {
 			ok = false
-			fmt.Fprintf(&b, "| %s | %d | %.0f | — | — | — | MISSING |\n", o.Name, o.Cpu, o.NsPerOp)
+			fmt.Fprintf(&b, "| %s | %d | %.0f | — | — | — | — | MISSING |\n", o.Name, o.Cpu, o.NsPerOp)
 			continue
 		}
 		delta := (n.NsPerOp - o.NsPerOp) / o.NsPerOp * 100
@@ -295,14 +318,55 @@ func compare(old, cur Artifact, maxRegress float64) (bool, string) {
 				ok = false
 			}
 		}
+		allocs := "n/a"
+		if o.AllocsPerOp != nil && n.AllocsPerOp != nil {
+			allocs = fmt.Sprintf("%.0f → %.0f", *o.AllocsPerOp, *n.AllocsPerOp)
+			if allocsRegressed(*o.AllocsPerOp, *n.AllocsPerOp) {
+				allocs += " REGRESSED"
+				status = "FAIL"
+				ok = false
+			}
+		}
 		if delta > maxRegress {
 			status = "FAIL"
 			ok = false
 		}
-		fmt.Fprintf(&b, "| %s | %d | %.0f | %.0f | %+.1f%% | %s | %s |\n",
-			o.Name, o.Cpu, o.NsPerOp, n.NsPerOp, delta, cyc, status)
+		fmt.Fprintf(&b, "| %s | %d | %.0f | %.0f | %+.1f%% | %s | %s | %s |\n",
+			o.Name, o.Cpu, o.NsPerOp, n.NsPerOp, delta, allocs, cyc, status)
 	}
 	return ok, b.String()
+}
+
+// historyEntry is one line of the append-only trajectory file.
+type historyEntry struct {
+	Commit  string  `json:"commit"`
+	Date    string  `json:"date"`
+	Schema  string  `json:"schema"`
+	Benches []Bench `json:"benches"`
+}
+
+// appendHistory appends art as one JSON line to path, creating it if needed.
+// Raw result lines are dropped: the trajectory keeps the numbers, the
+// per-commit artifact keeps the forensics.
+func appendHistory(path, commit string, now time.Time, art Artifact) error {
+	e := historyEntry{Commit: commit, Date: now.UTC().Format(time.RFC3339), Schema: art.Schema}
+	for _, b := range art.Benches {
+		b.Raw = ""
+		e.Benches = append(e.Benches, b)
+	}
+	line, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // earnedRows are the benchmarks hostParallelGate holds to "earn it or remove

@@ -34,27 +34,36 @@ type Bounds struct {
 // 1-based indexing — which also reproduces the paper's own worked example
 // ([67, 50, 10, 10] for accesses [80,70,50,10]); we implement that.
 func Restrict(p int, tupsIn, tupsOut, bntSampled float64) (Bounds, error) {
+	var b Bounds
+	if err := b.restrict(p, tupsIn, tupsOut, bntSampled); err != nil {
+		return Bounds{}, err
+	}
+	return b, nil
+}
+
+// restrict is Restrict into b, reusing b's slices when they are large enough
+// (the estimator re-restricts the same Bounds once per decision).
+func (b *Bounds) restrict(p int, tupsIn, tupsOut, bntSampled float64) error {
 	if p <= 0 {
-		return Bounds{}, fmt.Errorf("core: non-positive predicate count %d", p)
+		return fmt.Errorf("core: non-positive predicate count %d", p)
 	}
 	if tupsIn <= 0 {
-		return Bounds{}, fmt.Errorf("core: non-positive input cardinality %v", tupsIn)
+		return fmt.Errorf("core: non-positive input cardinality %v", tupsIn)
 	}
 	if tupsOut < 0 || tupsOut > tupsIn {
-		return Bounds{}, fmt.Errorf("core: output cardinality %v outside [0, %v]", tupsOut, tupsIn)
+		return fmt.Errorf("core: output cardinality %v outside [0, %v]", tupsOut, tupsIn)
 	}
 	if bntSampled < 0 {
-		return Bounds{}, fmt.Errorf("core: negative sampled BNT %v", bntSampled)
+		return fmt.Errorf("core: negative sampled BNT %v", bntSampled)
 	}
-	b := Bounds{
-		TupsIn:     tupsIn,
-		TupsOut:    tupsOut,
-		BNT:        bntSampled,
-		UpperTuple: make([]float64, p),
-		LowerTuple: make([]float64, p),
-		UpperBNT:   make([]float64, p),
-		LowerBNT:   make([]float64, p),
+	b.TupsIn, b.TupsOut, b.BNT = tupsIn, tupsOut, bntSampled
+	if cap(b.UpperTuple) < p {
+		buf := make([]float64, 4*p)
+		b.UpperTuple, b.LowerTuple = buf[0:p:p], buf[p:2*p:2*p]
+		b.UpperBNT, b.LowerBNT = buf[2*p:3*p:3*p], buf[3*p:4*p]
 	}
+	b.UpperTuple, b.LowerTuple = b.UpperTuple[:p], b.LowerTuple[:p]
+	b.UpperBNT, b.LowerBNT = b.UpperBNT[:p], b.LowerBNT[:p]
 	for i := 0; i < p; i++ {
 		// Eq. (6)/(7): only the last access count is pinned to the output.
 		if i == p-1 {
@@ -92,7 +101,7 @@ func Restrict(p int, tupsIn, tupsOut, bntSampled float64) (Bounds, error) {
 		}
 		b.LowerBNT[i] = lo
 	}
-	return b, nil
+	return nil
 }
 
 // ProductBounds converts the BNT access bounds into bounds on cumulative
@@ -102,11 +111,16 @@ func (b Bounds) ProductBounds() (lo, hi []float64) {
 	p := len(b.UpperBNT)
 	lo = make([]float64, p)
 	hi = make([]float64, p)
-	for i := 0; i < p; i++ {
+	b.productBounds(lo, hi)
+	return lo, hi
+}
+
+// productBounds is ProductBounds into caller-provided slices of length p.
+func (b Bounds) productBounds(lo, hi []float64) {
+	for i := range b.UpperBNT {
 		lo[i] = b.LowerBNT[i] / b.TupsIn
 		hi[i] = b.UpperBNT[i] / b.TupsIn
 	}
-	return lo, hi
 }
 
 // Feasible reports whether a per-predicate access vector satisfies all

@@ -149,6 +149,7 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 		opt.Geometry.CapacityLines = hier.L3.Lines()
 	}
 	aggWidths := aggColumnWidths(q)
+	var estimator Estimator
 
 	vec := 0
 	for lo := 0; lo < n; lo += vs {
@@ -178,8 +179,7 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 			pendingValidation = false
 			limit := float64(prevVecCycles) * (1 + opt.ValidationTolerance)
 			if float64(vecCycles) > limit && (hi-lo) == vs {
-				rejected = append([]int(nil), curPerm...)
-				curPerm = append([]int(nil), prevPerm...)
+				rejected, curPerm = curPerm, prevPerm
 				curQ, err = q.WithOrder(curPerm)
 				if err != nil {
 					return exec.Result{}, MicroAdaptiveStats{}, err
@@ -190,9 +190,11 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 				c.Exec(opt.ReorderCostInstr)
 				st.Reverts++
 				st.ConvergedAtCycles = c.Cycles() - startCycles
-				traceDecision(opt.Trace, "revert", c.Cycles(), delta,
-					trace.A("to", curPerm),
-					trace.A("vec_cycles", vecCycles), trace.A("limit", limit))
+				if opt.Trace != nil {
+					traceDecision(opt.Trace, "revert", c.Cycles(), delta,
+						trace.A("to", curPerm),
+						trace.A("vec_cycles", vecCycles), trace.A("limit", limit))
+				}
 			}
 		}
 
@@ -209,10 +211,11 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 				Chain:     opt.Chain,
 				MaxStarts: opt.MaxStartsOverride,
 			}
-			est, err := EstimateSelectivities(sample, cfg)
+			est, err := estimator.Estimate(sample, cfg)
 			if err != nil {
 				return exec.Result{}, MicroAdaptiveStats{}, err
 			}
+			est.Sels = st.keepSels(est.Sels)
 			st.Optimizations++
 			st.EstimatorEvaluations += est.NMEvaluations
 			st.LastEstimate = est.Sels
@@ -229,8 +232,7 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 			order := RankOrder(LoadWeights(curQ), est.Sels)
 			newPerm := compose(curPerm, order)
 			if !equalPerm(newPerm, curPerm) && !equalPerm(newPerm, rejected) {
-				prevPerm = append([]int(nil), curPerm...)
-				curPerm = newPerm
+				prevPerm, curPerm = curPerm, newPerm
 				curQ, err = q.WithOrder(curPerm)
 				if err != nil {
 					return exec.Result{}, MicroAdaptiveStats{}, err
@@ -242,9 +244,11 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 				st.Reorders++
 				pendingValidation = true
 				st.ConvergedAtCycles = c.Cycles() - startCycles
-				traceDecision(opt.Trace, "reorder", c.Cycles(), smp.Counters,
-					trace.A("from", prevPerm), trace.A("to", curPerm),
-					trace.A("est_sels", est.Sels))
+				if opt.Trace != nil {
+					traceDecision(opt.Trace, "reorder", c.Cycles(), smp.Counters,
+						trace.A("from", prevPerm), trace.A("to", curPerm),
+						trace.A("est_sels", est.Sels))
+				}
 			}
 			if eligible {
 				ordered := make([]float64, len(est.Sels))
@@ -260,9 +264,11 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 					}
 					c.Exec(opt.ReorderCostInstr)
 					st.ConvergedAtCycles = c.Cycles() - startCycles
-					traceDecision(opt.Trace, "impl-switch", c.Cycles(), smp.Counters,
-						trace.A("impl", implName(impl)),
-						trace.A("est_sels", ordered))
+					if opt.Trace != nil {
+						traceDecision(opt.Trace, "impl-switch", c.Cycles(), smp.Counters,
+							trace.A("impl", implName(impl)),
+							trace.A("est_sels", ordered))
+					}
 				}
 			}
 		} else if runOpt && impl == exec.ImplBranchFree {
@@ -279,9 +285,11 @@ func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, 
 					c.ResetPredictor()
 				}
 				c.Exec(opt.ReorderCostInstr)
-				traceDecision(opt.Trace, "impl-switch", c.Cycles(), delta,
-					trace.A("impl", implName(impl)),
-					trace.A("resample", true))
+				if opt.Trace != nil {
+					traceDecision(opt.Trace, "impl-switch", c.Cycles(), delta,
+						trace.A("impl", implName(impl)),
+						trace.A("resample", true))
+				}
 			}
 		}
 		prevVecCycles = vecCycles

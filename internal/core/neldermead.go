@@ -46,6 +46,63 @@ type NMResult struct {
 // method (Nelder & Mead 1965), the algorithm the paper selected from NLopt
 // for its selectivity estimation.
 func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResult, error) {
+	var w nmWorkspace
+	return w.minimize(f, x0, opt)
+}
+
+// nmWorkspace owns the vectors of a Nelder-Mead search so that repeated
+// searches (one per start point, several per decision) allocate nothing once
+// the workspace has grown to the problem's dimension.
+type nmWorkspace struct {
+	// rows holds the d+1 simplex vertices followed by the four scratch
+	// vectors (centroid, reflection, expansion, contraction). A vertex that is
+	// replaced swaps rows with the scratch vector that replaces it, so rows
+	// stays a partition of buf and no iteration allocates.
+	rows   [][]float64
+	values []float64
+	order  []int
+	buf    []float64
+}
+
+// nmScratchRows is the number of scratch vectors after the simplex in rows.
+const nmScratchRows = 4
+
+func (w *nmWorkspace) resize(d int) {
+	n := d + 1 + nmScratchRows
+	if cap(w.buf) < n*d {
+		w.buf = make([]float64, n*d)
+	}
+	if cap(w.rows) < n {
+		w.rows = make([][]float64, n)
+		w.values = make([]float64, d+1)
+		w.order = make([]int, d+1)
+	}
+	w.rows, w.values, w.order = w.rows[:n], w.values[:d+1], w.order[:d+1]
+	for i := range w.rows {
+		w.rows[i] = w.buf[i*d : (i+1)*d : (i+1)*d]
+	}
+}
+
+// sortOrder sorts order by ascending values[order[i]]. Up to 12 elements it
+// is the insertion sort sort.Slice itself runs at that size (pdqsort's
+// maxInsertion), so the permutation — which fixes the centroid's summation
+// order and thus its bits — is the one sort.Slice produces; larger simplices
+// call sort.Slice.
+func sortOrder(order []int, values []float64) {
+	if len(order) > 12 {
+		sort.Slice(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+		return
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && values[order[j]] < values[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+}
+
+// minimize is NelderMead on the workspace's vectors. The result's X aliases
+// a workspace row and is valid until the next call.
+func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResult, error) {
 	d := len(x0)
 	if d == 0 {
 		return NMResult{}, fmt.Errorf("core: zero-dimensional optimization")
@@ -84,14 +141,18 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 		return f(x)
 	}
 
+	w.resize(d)
+	simplex, values, order := w.rows[:d+1], w.values, w.order
+	// Positions of the scratch vectors in w.rows.
+	iCentroid, iRefl, iExpd, iContr := d+1, d+2, d+3, d+4
+
 	// Initial simplex: x0 plus d vertices offset along each axis.
-	simplex := make([][]float64, d+1)
-	values := make([]float64, d+1)
-	simplex[0] = append([]float64(nil), x0...)
+	copy(simplex[0], x0)
 	clamp(simplex[0])
 	values[0] = eval(simplex[0])
 	for i := 0; i < d; i++ {
-		v := append([]float64(nil), simplex[0]...)
+		v := simplex[i+1]
+		copy(v, simplex[0])
 		h := step
 		if opt.Lo != nil && opt.Hi != nil {
 			h = step * (opt.Hi[i] - opt.Lo[i])
@@ -105,7 +166,6 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 		} else {
 			v[i] += h
 		}
-		simplex[i+1] = v
 		values[i+1] = eval(v)
 	}
 
@@ -116,13 +176,12 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 		sigma = 0.5 // shrink
 	)
 
-	order := make([]int, d+1)
 	iter := 0
 	for ; iter < opt.MaxIter; iter++ {
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
+		sortOrder(order, values)
 		best, worst := order[0], order[d]
 		if math.Abs(values[worst]-values[best]) < opt.AbsTol {
 			if opt.XTol <= 0 {
@@ -141,7 +200,10 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 			}
 		}
 		// Centroid of all but the worst.
-		centroid := make([]float64, d)
+		centroid := w.rows[iCentroid]
+		for j := range centroid {
+			centroid[j] = 0
+		}
 		for _, idx := range order[:d] {
 			for j := range centroid {
 				centroid[j] += simplex[idx][j]
@@ -151,34 +213,40 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResul
 			centroid[j] /= float64(d)
 		}
 		// Reflection.
-		refl := make([]float64, d)
+		refl := w.rows[iRefl]
 		for j := range refl {
 			refl[j] = centroid[j] + alpha*(centroid[j]-simplex[worst][j])
 		}
 		fRefl := eval(refl)
 		secondWorst := order[d-1]
+		// replace makes scratch row i the worst vertex's replacement; the old
+		// vertex becomes that scratch row.
+		replace := func(i int, fv float64) {
+			w.rows[worst], w.rows[i] = w.rows[i], w.rows[worst]
+			values[worst] = fv
+		}
 		switch {
 		case fRefl < values[best]:
 			// Expansion.
-			expd := make([]float64, d)
+			expd := w.rows[iExpd]
 			for j := range expd {
 				expd[j] = centroid[j] + gamma*(refl[j]-centroid[j])
 			}
 			if fExp := eval(expd); fExp < fRefl {
-				simplex[worst], values[worst] = expd, fExp
+				replace(iExpd, fExp)
 			} else {
-				simplex[worst], values[worst] = refl, fRefl
+				replace(iRefl, fRefl)
 			}
 		case fRefl < values[secondWorst]:
-			simplex[worst], values[worst] = refl, fRefl
+			replace(iRefl, fRefl)
 		default:
 			// Contraction.
-			contr := make([]float64, d)
+			contr := w.rows[iContr]
 			for j := range contr {
 				contr[j] = centroid[j] + rho*(simplex[worst][j]-centroid[j])
 			}
 			if fContr := eval(contr); fContr < values[worst] {
-				simplex[worst], values[worst] = contr, fContr
+				replace(iContr, fContr)
 			} else {
 				// Shrink toward the best vertex.
 				for _, idx := range order[1:] {

@@ -107,6 +107,9 @@ type Stats struct {
 	// order. The trace's optimizer track and the ext-* figures render the
 	// same series.
 	Samples []Sample
+
+	// selsChunk is the storage keepSels carves retained estimates from.
+	selsChunk []float64
 }
 
 // RunProgressive executes the query vector-at-a-time with progressive
@@ -138,6 +141,7 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 	prevPerm := identity(nOps)
 	curQ := q
 	aggWidths := aggColumnWidths(q)
+	var estimator Estimator
 
 	start := c.Sample()
 	startCycles := c.Cycles()
@@ -184,8 +188,7 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 			if float64(vecCycles) > limit && (hi-lo) == vs {
 				// Deteriorated: re-establish the previous order and remember
 				// the rejected one so it is not proposed again.
-				rejected = append([]int(nil), curPerm...)
-				curPerm = append([]int(nil), prevPerm...)
+				rejected, curPerm = curPerm, prevPerm
 				curQ, err = q.WithOrder(curPerm)
 				if err != nil {
 					return exec.Result{}, Stats{}, err
@@ -196,9 +199,11 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 				c.Exec(opt.ReorderCostInstr)
 				st.Reverts++
 				st.ConvergedAtCycles = c.Cycles() - startCycles
-				traceDecision(opt.Trace, "revert", c.Cycles(), delta,
-					trace.A("to", curPerm),
-					trace.A("vec_cycles", vecCycles), trace.A("limit", limit))
+				if opt.Trace != nil {
+					traceDecision(opt.Trace, "revert", c.Cycles(), delta,
+						trace.A("to", curPerm),
+						trace.A("vec_cycles", vecCycles), trace.A("limit", limit))
+				}
 			}
 		}
 
@@ -213,8 +218,7 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 			if probe := rotate(curPerm); !equalPerm(probe, rejected) {
 				stableCycles = 0
 				st.Explorations++
-				prevPerm = append([]int(nil), curPerm...)
-				curPerm = probe
+				prevPerm, curPerm = curPerm, probe
 				curQ, err = q.WithOrder(curPerm)
 				if err != nil {
 					return exec.Result{}, Stats{}, err
@@ -225,8 +229,10 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 				c.Exec(opt.ReorderCostInstr)
 				pendingValidation = true
 				st.ConvergedAtCycles = c.Cycles() - startCycles
-				traceDecision(opt.Trace, "explore", c.Cycles(), delta,
-					trace.A("from", prevPerm), trace.A("to", curPerm))
+				if opt.Trace != nil {
+					traceDecision(opt.Trace, "explore", c.Cycles(), delta,
+						trace.A("from", prevPerm), trace.A("to", curPerm))
+				}
 				prevVecCycles = vecCycles
 				continue
 			}
@@ -241,10 +247,11 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 				Chain:     opt.Chain,
 				MaxStarts: opt.MaxStartsOverride,
 			}
-			est, err := EstimateSelectivities(sample, cfg)
+			est, err := estimator.Estimate(sample, cfg)
 			if err != nil {
 				return exec.Result{}, Stats{}, err
 			}
+			est.Sels = st.keepSels(est.Sels)
 			st.Optimizations++
 			st.EstimatorEvaluations += est.NMEvaluations
 			st.LastEstimate = est.Sels
@@ -261,8 +268,7 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 			newPerm := compose(curPerm, order)
 			if !equalPerm(newPerm, curPerm) && !equalPerm(newPerm, rejected) {
 				stableCycles = 0
-				prevPerm = append([]int(nil), curPerm...)
-				curPerm = newPerm
+				prevPerm, curPerm = curPerm, newPerm
 				curQ, err = q.WithOrder(curPerm)
 				if err != nil {
 					return exec.Result{}, Stats{}, err
@@ -274,9 +280,11 @@ func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, St
 				st.Reorders++
 				pendingValidation = true
 				st.ConvergedAtCycles = c.Cycles() - startCycles
-				traceDecision(opt.Trace, "reorder", c.Cycles(), smp.Counters,
-					trace.A("from", prevPerm), trace.A("to", curPerm),
-					trace.A("est_sels", est.Sels))
+				if opt.Trace != nil {
+					traceDecision(opt.Trace, "reorder", c.Cycles(), smp.Counters,
+						trace.A("from", prevPerm), trace.A("to", curPerm),
+						trace.A("est_sels", est.Sels))
+				}
 			} else {
 				stableCycles++
 			}
@@ -320,6 +328,20 @@ func compose(curPerm, order []int) []int {
 		out[i] = curPerm[o]
 	}
 	return out
+}
+
+// composesTo reports whether compose(curPerm, order) equals perm, without
+// building the composition.
+func composesTo(curPerm, order, perm []int) bool {
+	if len(order) != len(perm) {
+		return false
+	}
+	for i, o := range order {
+		if curPerm[o] != perm[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func equalPerm(a, b []int) bool {

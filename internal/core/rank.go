@@ -41,7 +41,11 @@ func LoadWeights(q *exec.Query) []float64 {
 // Exact rank ties break by ascending selectivity, then input position, so
 // the order is deterministic for any input.
 func RankOrder(weights, sels []float64) []int {
-	order := make([]int, len(sels))
+	return rankOrder(make([]int, len(sels)), weights, sels)
+}
+
+// rankOrder is RankOrder into order (length len(sels)).
+func rankOrder(order []int, weights, sels []float64) []int {
 	for i := range order {
 		order[i] = i
 	}
@@ -56,13 +60,23 @@ func RankOrder(weights, sels []float64) []int {
 		}
 		return w / drop
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := order[x], order[y]
+	less := func(a, b int) bool {
 		ra, rb := rank(a), rank(b)
 		if ra != rb {
 			return ra < rb
 		}
 		return sels[a] < sels[b]
-	})
+	}
+	if len(order) > 20 {
+		sort.SliceStable(order, func(x, y int) bool { return less(order[x], order[y]) })
+		return order
+	}
+	// Up to 20 elements sort.SliceStable is one insertion-sort block; running
+	// it directly spares the reflection swapper's allocation per decision.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
 	return order
 }

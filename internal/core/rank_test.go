@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -48,5 +51,55 @@ func TestRankOrderSaturated(t *testing.T) {
 	got := RankOrder([]float64{1, 1, 1}, []float64{1.0, 0.3, 1.0})
 	if want := []int{1, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("RankOrder saturated = %v, want %v", got, want)
+	}
+}
+
+// rankOrderRef is RankOrder as it stood when it sorted through
+// sort.SliceStable at every size.
+func rankOrderRef(weights, sels []float64) []int {
+	order := make([]int, len(sels))
+	for i := range order {
+		order[i] = i
+	}
+	rank := func(i int) float64 {
+		drop := 1 - sels[i]
+		if drop < 1e-9 {
+			drop = 1e-9
+		}
+		w := 1.0
+		if i < len(weights) {
+			w = weights[i]
+		}
+		return w / drop
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		a, b := order[x], order[y]
+		ra, rb := rank(a), rank(b)
+		if ra != rb {
+			return ra < rb
+		}
+		return sels[a] < sels[b]
+	})
+	return order
+}
+
+// TestRankOrderMatchesSliceStable: the hand-written insertion sort (up to 20
+// operators) and the sort.SliceStable branch above it yield the reference's
+// permutation, ties, saturated and NaN estimates included.
+func TestRankOrderMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(26)
+		weights, sels := make([]float64, n), make([]float64, n)
+		for i := range sels {
+			weights[i] = float64(1 + rng.Intn(3))
+			sels[i] = float64(rng.Intn(6)) / 5 // many ties, 0 and 1 included
+			if rng.Intn(40) == 0 {
+				sels[i] = math.NaN()
+			}
+		}
+		if got, want := RankOrder(weights, sels), rankOrderRef(weights, sels); !reflect.DeepEqual(got, want) {
+			t.Fatalf("RankOrder(%v, %v) = %v, reference %v", weights, sels, got, want)
+		}
 	}
 }

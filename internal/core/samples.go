@@ -31,6 +31,23 @@ type Sample struct {
 // complete series.
 const maxSampleHistory = 512
 
+// selsChunkSamples is how many retained estimates share one allocation.
+const selsChunkSamples = 16
+
+// keepSels copies an estimate borrowed from the Estimator into storage the
+// stats own, carving it from a chunk shared by selsChunkSamples estimates so
+// that retaining one per decision is not an allocation per decision. The
+// returned slice is never written again: LastEstimate, the sample series and
+// trace events all retain it.
+func (st *Stats) keepSels(sels []float64) []float64 {
+	if len(sels) > cap(st.selsChunk)-len(st.selsChunk) {
+		st.selsChunk = make([]float64, 0, selsChunkSamples*len(sels))
+	}
+	n := len(st.selsChunk)
+	st.selsChunk = append(st.selsChunk, sels...)
+	return st.selsChunk[n:len(st.selsChunk):len(st.selsChunk)]
+}
+
 func (st *Stats) addSample(s Sample) {
 	if len(st.Samples) >= maxSampleHistory {
 		copy(st.Samples, st.Samples[1:])

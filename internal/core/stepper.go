@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/trace"
@@ -27,10 +29,19 @@ type BlockStepper struct {
 
 	curPerm, prevPerm []int
 	curQ              *exec.Query
-	// curWidths caches opWidths(curQ), refreshed only when the order changes
-	// — the estimator consumes it once per block.
-	curWidths []int
-	aggWidths []int
+	// curWidths and curWeights cache opWidths(curQ) and LoadWeights(curQ),
+	// refreshed only when the order changes — the estimator and the ranking
+	// consume them once per block.
+	curWidths  []int
+	curWeights []float64
+	aggWidths  []int
+
+	// estimator and the two vectors below are the decision step's scratch,
+	// owned for the life of the run: order is the rank order of the current
+	// estimate, ordered the estimate in that order.
+	estimator Estimator
+	order     []int
+	ordered   []float64
 
 	impl        exec.ScanImpl
 	bfOptPoints int
@@ -77,22 +88,40 @@ func NewBlockStepper(q *exec.Query, prof cpu.Profile, workers int, micro bool, o
 	costP.Chain = opt.Chain
 	nOps := len(q.Ops)
 	s := &BlockStepper{
-		base:      q,
-		opt:       opt,
-		micro:     micro,
-		eligible:  micro && exec.BranchFreeEligible(q),
-		costP:     costP,
-		curPerm:   identity(nOps),
-		prevPerm:  identity(nOps),
-		curQ:      q,
-		curWidths: opWidths(q),
+		base:     q,
+		opt:      opt,
+		micro:    micro,
+		eligible: micro && exec.BranchFreeEligible(q),
+		costP:    costP,
+		curPerm:  identity(nOps),
+		prevPerm: identity(nOps),
+		curQ:     q,
+		order:    make([]int, nOps),
+		ordered:  make([]float64, nOps),
 
 		aggWidths:      aggColumnWidths(q),
 		impl:           exec.ImplBranching,
 		prevCostPerVec: -1.0,
 	}
 	s.st.Workers = workers
+	s.refreshOrderCaches()
 	return s, nil
+}
+
+// setOrder makes perm the current operator order.
+func (s *BlockStepper) setOrder(perm []int) error {
+	q, err := s.base.WithOrder(perm)
+	if err != nil {
+		return err
+	}
+	s.curPerm, s.curQ = perm, q
+	s.refreshOrderCaches()
+	return nil
+}
+
+func (s *BlockStepper) refreshOrderCaches() {
+	s.curWidths = opWidths(s.curQ)
+	s.curWeights = LoadWeights(s.curQ)
 }
 
 // Query returns the query in its current operator order; the next block must
@@ -150,21 +179,19 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 		if s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+s.opt.ValidationTolerance) {
 			// Deteriorated: re-establish the previous order on every core and
 			// remember the rejected one so it is not proposed again.
-			s.rejected = append([]int(nil), s.curPerm...)
-			s.curPerm = append([]int(nil), s.prevPerm...)
-			var err error
-			s.curQ, err = s.base.WithOrder(s.curPerm)
-			if err != nil {
+			s.rejected = s.curPerm
+			if err := s.setOrder(s.prevPerm); err != nil {
 				return 0, err
 			}
-			s.curWidths = opWidths(s.curQ)
 			extra += recompileEngines(engines, s.opt)
 			s.st.Reverts++
 			changed = true
-			traceDecision(s.opt.Trace, "revert", s.accounted+extra, br.Counters,
-				trace.A("to", s.curPerm),
-				trace.A("cost_per_vec", costPerVec),
-				trace.A("prev_cost_per_vec", s.prevCostPerVec))
+			if s.opt.Trace != nil {
+				traceDecision(s.opt.Trace, "revert", s.accounted+extra, br.Counters,
+					trace.A("to", s.curPerm),
+					trace.A("cost_per_vec", costPerVec),
+					trace.A("prev_cost_per_vec", s.prevCostPerVec))
+			}
 		}
 	}
 
@@ -178,19 +205,17 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 		if probe := rotate(s.curPerm); !equalPerm(probe, s.rejected) {
 			s.stableBlocks = 0
 			s.st.Explorations++
-			s.prevPerm = append([]int(nil), s.curPerm...)
-			s.curPerm = probe
-			var err error
-			s.curQ, err = s.base.WithOrder(s.curPerm)
-			if err != nil {
+			s.prevPerm = s.curPerm
+			if err := s.setOrder(probe); err != nil {
 				return 0, err
 			}
-			s.curWidths = opWidths(s.curQ)
 			extra += recompileEngines(engines, s.opt)
 			s.pendingValidation = true
 			changed = true
-			traceDecision(s.opt.Trace, "explore", s.accounted+extra, br.Counters,
-				trace.A("from", s.prevPerm), trace.A("to", s.curPerm))
+			if s.opt.Trace != nil {
+				traceDecision(s.opt.Trace, "explore", s.accounted+extra, br.Counters,
+					trace.A("from", s.prevPerm), trace.A("to", s.curPerm))
+			}
 			s.prevCostPerVec = costPerVec
 			s.accounted += extra
 			s.st.ConvergedAtCycles = s.accounted
@@ -209,10 +234,11 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 			Chain:     s.opt.Chain,
 			MaxStarts: s.opt.MaxStartsOverride,
 		}
-		est, err := EstimateSelectivities(sample, cfg)
+		est, err := s.estimator.Estimate(sample, cfg)
 		if err != nil {
 			return 0, err
 		}
+		est.Sels = s.st.keepSels(est.Sels)
 		s.st.Optimizations++
 		s.st.EstimatorEvaluations += est.NMEvaluations
 		s.st.LastEstimate = est.Sels
@@ -227,41 +253,41 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 		s.st.addSample(smp)
 		traceSample(s.opt.Trace, s.accounted+extra, smp)
 
-		order := RankOrder(LoadWeights(s.curQ), est.Sels)
-		newPerm := compose(s.curPerm, order)
-		if !equalPerm(newPerm, s.curPerm) && !equalPerm(newPerm, s.rejected) {
+		order := rankOrder(s.order, s.curWeights, est.Sels)
+		if !composesTo(s.curPerm, order, s.curPerm) && !composesTo(s.curPerm, order, s.rejected) {
 			s.stableBlocks = 0
-			s.prevPerm = append([]int(nil), s.curPerm...)
-			s.curPerm = newPerm
-			s.curQ, err = s.base.WithOrder(s.curPerm)
-			if err != nil {
+			s.prevPerm = s.curPerm
+			if err := s.setOrder(compose(s.curPerm, order)); err != nil {
 				return 0, err
 			}
-			s.curWidths = opWidths(s.curQ)
 			extra += recompileEngines(engines, s.opt)
 			s.st.Reorders++
 			s.pendingValidation = true
 			changed = true
-			traceDecision(s.opt.Trace, "reorder", s.accounted+extra, smp.Counters,
-				trace.A("from", s.prevPerm), trace.A("to", s.curPerm),
-				trace.A("est_sels", est.Sels))
+			if s.opt.Trace != nil {
+				traceDecision(s.opt.Trace, "reorder", s.accounted+extra, smp.Counters,
+					trace.A("from", s.prevPerm), trace.A("to", s.curPerm),
+					trace.A("est_sels", est.Sels))
+			}
 		} else {
 			s.stableBlocks++
 		}
 		if s.eligible {
-			ordered := make([]float64, len(est.Sels))
 			for i, o := range order {
-				ordered[i] = est.Sels[o]
+				s.ordered[i] = est.Sels[o]
 			}
-			next := ChooseImpl(ordered, s.costP)
+			next := ChooseImpl(s.ordered, s.costP)
 			if next != s.impl {
 				s.st.ImplSwitches++
 				s.impl = next
 				extra += recompileEngines(engines, s.opt)
 				changed = true
-				traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, smp.Counters,
-					trace.A("impl", implName(s.impl)),
-					trace.A("est_sels", ordered))
+				if s.opt.Trace != nil {
+					// The event retains its arguments; s.ordered is reused.
+					traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, smp.Counters,
+						trace.A("impl", implName(s.impl)),
+						trace.A("est_sels", slices.Clone(s.ordered)))
+				}
 			}
 		}
 	} else if runOpt && s.impl == exec.ImplBranchFree {
@@ -273,9 +299,11 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 			s.st.ImplSwitches++
 			s.impl = exec.ImplBranching
 			extra += recompileEngines(engines, s.opt)
-			traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, br.Counters,
-				trace.A("impl", implName(s.impl)),
-				trace.A("resample", true))
+			if s.opt.Trace != nil {
+				traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, br.Counters,
+					trace.A("impl", implName(s.impl)),
+					trace.A("resample", true))
+			}
 		}
 	}
 	s.prevCostPerVec = costPerVec

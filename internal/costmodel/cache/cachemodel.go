@@ -63,22 +63,41 @@ type CondRead struct {
 // previous predicates, each independently with probability access (the
 // selectivity product of the preceding predicates).
 func (g Geometry) CondReadAccesses(n int, width int, access float64) CondRead {
-	if access <= 0 || n <= 0 {
+	return g.CondReadColumn(n, width).Accesses(access)
+}
+
+// CondReadColumn is the part of the conditional-read pattern that does not
+// depend on the access probability: the column's covering lines and values
+// per line. The selectivity estimator evaluates one column at thousands of
+// probabilities per decision, so it builds the column once.
+type CondReadColumn struct {
+	n          int
+	lines, vpl float64
+}
+
+// CondReadColumn prepares the conditional-read pattern of n values of the
+// given width.
+func (g Geometry) CondReadColumn(n int, width int) CondReadColumn {
+	vpl := float64(g.LineSize) / float64(width)
+	if vpl < 1 {
+		vpl = 1
+	}
+	return CondReadColumn{n: n, lines: g.Lines(n, width), vpl: vpl}
+}
+
+// Accesses evaluates the pattern at one access probability.
+func (c CondReadColumn) Accesses(access float64) CondRead {
+	if access <= 0 || c.n <= 0 {
 		return CondRead{}
 	}
 	if access > 1 {
 		access = 1
 	}
-	lines := g.Lines(n, width)
-	vpl := float64(g.LineSize) / float64(width)
-	if vpl < 1 {
-		vpl = 1
-	}
 	// Probability at least one of the ~vpl tuples on a line is accessed.
-	pTouch := 1 - math.Pow(1-access, vpl)
-	touched := lines * pTouch
+	pTouch := 1 - math.Pow(1-access, c.vpl)
+	touched := c.lines * pTouch
 	// A touched line is a random access when the preceding line was skipped.
-	random := lines * pTouch * (1 - pTouch)
+	random := c.lines * pTouch * (1 - pTouch)
 	return CondRead{
 		Touched:  touched,
 		Random:   random,

@@ -85,24 +85,31 @@ func (c Chain) TakenStates() int { return c.takenStates }
 // taken". A not-taken outcome (probability p) moves one state up, a taken
 // outcome (probability 1-p) one state down, saturating at the ends.
 func (c Chain) Stationary(p float64) []float64 {
+	pi := make([]float64, c.states)
+	stationary(pi, p)
+	return pi
+}
+
+// stationary fills the zeroed slice pi (one element per state) with the
+// stationary distribution for selectivity p.
+func stationary(pi []float64, p float64) {
 	if p < 0 {
 		p = 0
 	}
 	if p > 1 {
 		p = 1
 	}
-	pi := make([]float64, c.states)
 	switch {
 	case p == 0:
 		pi[0] = 1
 	case p == 1:
-		pi[c.states-1] = 1
+		pi[len(pi)-1] = 1
 	default:
 		// Detailed balance: pi[i+1]/pi[i] = p/(1-p).
 		r := p / (1 - p)
 		pi[0] = 1
 		sum := 1.0
-		for i := 1; i < c.states; i++ {
+		for i := 1; i < len(pi); i++ {
 			pi[i] = pi[i-1] * r
 			sum += pi[i]
 		}
@@ -110,13 +117,26 @@ func (c Chain) Stationary(p float64) []float64 {
 			pi[i] /= sum
 		}
 	}
-	return pi
 }
 
+// maxStackStates is the largest chain whose distribution ProbPredictTaken
+// evaluates in a stack array; every chain the paper considers (Variants) has
+// at most eight states.
+const maxStackStates = 16
+
 // ProbPredictTaken returns the stationary probability that the predictor
-// predicts "taken" (the paper's B_Tak).
+// predicts "taken" (the paper's B_Tak). It is the estimator's innermost call
+// (once per predicate per objective evaluation) and does not allocate for
+// chains of up to maxStackStates states.
 func (c Chain) ProbPredictTaken(p float64) float64 {
-	pi := c.Stationary(p)
+	var buf [maxStackStates]float64
+	var pi []float64
+	if c.states <= maxStackStates {
+		pi = buf[:c.states]
+	} else {
+		pi = make([]float64, c.states)
+	}
+	stationary(pi, p)
 	t := 0.0
 	for i := 0; i < c.takenStates; i++ {
 		t += pi[i]

@@ -29,20 +29,24 @@ type Params struct {
 	Chain markov.Chain
 }
 
-func (p Params) validate(sels []float64) error {
+func (p Params) validate() error {
 	if p.N <= 0 {
 		return fmt.Errorf("peo: non-positive tuple count %d", p.N)
 	}
 	if len(p.Widths) == 0 {
 		return fmt.Errorf("peo: no predicates")
 	}
-	if len(sels) != len(p.Widths) {
-		return fmt.Errorf("peo: %d selectivities for %d predicates", len(sels), len(p.Widths))
-	}
 	for i, w := range p.Widths {
 		if w <= 0 {
 			return fmt.Errorf("peo: predicate %d has non-positive width %d", i, w)
 		}
+	}
+	return nil
+}
+
+func checkSels(sels []float64, predicates int) error {
+	if len(sels) != predicates {
+		return fmt.Errorf("peo: %d selectivities for %d predicates", len(sels), predicates)
 	}
 	return nil
 }
@@ -66,14 +70,47 @@ type Estimate struct {
 // MP returns total mispredictions.
 func (e Estimate) MP() float64 { return e.MPTaken + e.MPNotTaken }
 
+// Model is Params with everything that does not depend on the selectivities
+// evaluated once: the validation and each column's conditional-read pattern.
+// The selectivity estimator evaluates one model at thousands of selectivity
+// vectors per decision; a Model is reused across decisions with Reset and
+// owns its buffers, so neither step allocates once the buffers have grown.
+type Model struct {
+	n          float64
+	chain      markov.Chain
+	cols, aggs []cachemodel.CondReadColumn
+}
+
+// Reset rebuilds the model for par, reusing its buffers.
+func (m *Model) Reset(par Params) error {
+	if err := par.validate(); err != nil {
+		return err
+	}
+	m.n = float64(par.N)
+	m.chain = par.Chain
+	p, all := len(par.Widths), len(par.Widths)+len(par.AggWidths)
+	if cap(m.cols) < all {
+		m.cols = make([]cachemodel.CondReadColumn, all)
+	}
+	// One backing array: the predicates' columns, then the aggregates'.
+	m.cols, m.aggs = m.cols[:p], m.cols[p:all]
+	for i, w := range par.Widths {
+		m.cols[i] = par.Geometry.CondReadColumn(par.N, w)
+	}
+	for i, w := range par.AggWidths {
+		m.aggs[i] = par.Geometry.CondReadColumn(par.N, w)
+	}
+	return nil
+}
+
 // Counters predicts the counter values for the PEO whose per-predicate
 // selectivities (in evaluation order) are sels. Selectivities are clamped to
 // [0,1]; independence between predicates is assumed, as in the paper.
-func Counters(par Params, sels []float64) (Estimate, error) {
-	if err := par.validate(sels); err != nil {
+func (m *Model) Counters(sels []float64) (Estimate, error) {
+	if err := checkSels(sels, len(m.cols)); err != nil {
 		return Estimate{}, err
 	}
-	n := float64(par.N)
+	n := m.n
 	var est Estimate
 	prod := 1.0
 	for i, raw := range sels {
@@ -89,22 +126,31 @@ func Counters(par Params, sels []float64) (Estimate, error) {
 		// qualifies, taken when it fails.
 		est.BNT += input * sel
 		est.BTaken += input * (1 - sel)
-		r := par.Chain.Predict(sel)
+		r := m.chain.Predict(sel)
 		est.MPTaken += r.MPTaken * input
 		est.MPNotTaken += r.MPNotTaken * input
 		// Column of predicate i is read for every tuple reaching it: a
 		// conditional-read pattern with access probability prod (sequential
 		// scan when prod == 1).
-		est.L3 += par.Geometry.CondReadAccesses(par.N, par.Widths[i], prod).Accesses
+		est.L3 += m.cols[i].Accesses(prod).Accesses
 		prod *= sel
 	}
 	// Loop-back branch: taken once per tuple, fully predictable.
 	est.BTaken += n
-	for _, w := range par.AggWidths {
-		est.L3 += par.Geometry.CondReadAccesses(par.N, w, prod).Accesses
+	for _, c := range m.aggs {
+		est.L3 += c.Accesses(prod).Accesses
 	}
 	est.Qualifying = n * prod
 	return est, nil
+}
+
+// Counters is Model.Counters on a model built for this one call.
+func Counters(par Params, sels []float64) (Estimate, error) {
+	var m Model
+	if err := m.Reset(par); err != nil {
+		return Estimate{}, err
+	}
+	return m.Counters(sels)
 }
 
 // CostParams convert counter estimates into cycles, mirroring the simulated
@@ -170,7 +216,10 @@ func Cycles(par Params, cost CostParams, sels []float64) (float64, error) {
 // Params/sels order). For equal widths this is ascending selectivity, the
 // classical result the paper's reordering step applies.
 func BestOrder(par Params, cost CostParams, sels []float64) ([]int, error) {
-	if err := par.validate(sels); err != nil {
+	if err := par.validate(); err != nil {
+		return nil, err
+	}
+	if err := checkSels(sels, len(par.Widths)); err != nil {
 		return nil, err
 	}
 	idx := make([]int, len(sels))

@@ -379,11 +379,36 @@ func permuteTable(t *columnar.Table, perm []int) *columnar.Table {
 
 // QuantileInt32 returns the q-quantile (0..1) of the column's values; used to
 // pick shipdate cutoffs that hit a target selectivity exactly on the
-// generated data.
+// generated data. It is the value QuantileSortedInt32 returns on a sorted
+// copy of the column. Date-like columns (a few thousand distinct days over
+// millions of rows) are counted in one pass over [min, max] instead of being
+// copied and sorted; the sort remains for columns whose value range exceeds
+// their length.
 func QuantileInt32(c *columnar.Column, q float64) int32 {
-	vals := append([]int32(nil), c.I32()...)
-	slices.Sort(vals)
-	return QuantileSortedInt32(vals, q)
+	vals := c.I32()
+	if len(vals) == 0 {
+		return 0
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if span := int64(hi) - int64(lo); span < int64(len(vals)) {
+		counts := make([]int, span+1)
+		for _, v := range vals {
+			counts[v-lo]++
+		}
+		idx := quantileIndex(len(vals), q)
+		for i, n := range counts {
+			if idx < n {
+				return lo + int32(i)
+			}
+			idx -= n
+		}
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	return QuantileSortedInt32(sorted, q)
 }
 
 // QuantileSortedInt32 is QuantileInt32 over values already sorted ascending;
@@ -392,14 +417,19 @@ func QuantileSortedInt32(vals []int32, q float64) int32 {
 	if len(vals) == 0 {
 		return 0
 	}
-	idx := int(q * float64(len(vals)))
+	return vals[quantileIndex(len(vals), q)]
+}
+
+// quantileIndex is the position of the q-quantile among n sorted values.
+func quantileIndex(n int, q float64) int {
+	idx := int(q * float64(n))
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
+	if idx >= n {
+		idx = n - 1
 	}
-	return vals[idx]
+	return idx
 }
 
 // ShipdateCutoff returns a "l_shipdate <= cutoff" bound whose selectivity on

@@ -256,6 +256,32 @@ func TestShipdateCutoffSelectivity(t *testing.T) {
 	}
 }
 
+// TestShipdateCutoffMatchesSortedQuantile pins the counting-pass quantile to
+// the value a sorted copy yields, on random and sorted row orders, at the
+// edges of the selectivity range and inside it.
+func TestShipdateCutoffMatchesSortedQuantile(t *testing.T) {
+	base := smallSet(t)
+	for _, o := range []Ordering{OrderingRandom, OrderingShipdateSorted} {
+		d := base.ReorderLineitem(o, 3)
+		ship := d.Lineitem.Column("l_shipdate").I32()
+		sorted := append([]int32(nil), ship...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		n := float64(len(ship))
+		for _, sel := range []float64{0, 1 / n, 0.001, 0.15, 0.5, 0.8, 1 - 1/n, 1} {
+			want := QuantileSortedInt32(sorted, sel)
+			switch {
+			case sel <= 0:
+				want = StartDate - 1
+			case sel >= 1:
+				want = EndShipDate
+			}
+			if got := d.ShipdateCutoff(sel); got != want {
+				t.Errorf("%v order, sel %v: cutoff %d, sorted quantile %d", o, sel, got, want)
+			}
+		}
+	}
+}
+
 func TestDateHelpers(t *testing.T) {
 	if DaysSinceEpoch(1970, time.January, 1) != 0 {
 		t.Error("epoch day not zero")
@@ -291,5 +317,21 @@ func TestQuantileInt32(t *testing.T) {
 	empty := columnar.NewInt32("e", nil)
 	if q := QuantileInt32(empty, 0.5); q != 0 {
 		t.Errorf("empty quantile = %d, want 0", q)
+	}
+	// A value range wider than the column (the sort path, extremes included)
+	// and a narrow one with duplicates (the counting path) agree with a
+	// sorted copy at every position.
+	for _, vals := range [][]int32{
+		{math.MaxInt32, math.MinInt32, 0, 7, -7},
+		{3, 1, 2, 1, 3, 3, 2, 1, 1, 2, 3, 1},
+	} {
+		sorted := append([]int32(nil), vals...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		for i := 0; i <= 2*len(vals); i++ {
+			q := float64(i) / float64(2*len(vals))
+			if got, want := QuantileInt32(columnar.NewInt32("v", vals), q), QuantileSortedInt32(sorted, q); got != want {
+				t.Errorf("%v q=%v: %d, sorted copy gives %d", vals, q, got, want)
+			}
+		}
 	}
 }

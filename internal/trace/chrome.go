@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -19,113 +19,156 @@ import (
 // append order per track is deterministic (see the package comment) and all
 // numeric formatting is exact, identical simulations produce byte-identical
 // files across runs, GOMAXPROCS settings, and hosts.
+//
+// The document is appended into one buffer the recorder keeps across exports
+// and Reset, so a session's second export allocates nothing that grows with
+// the event count. Like recording, exporting is not synchronized: one
+// WriteChrome at a time, and none while tracks are being appended to.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	var b bytes.Buffer
-	b.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+	b := append(r.out[:0], "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"...)
 	first := true
-	emit := func() {
+	// open starts the next event: separator, phase, pid and tid.
+	open := func(ph string, tid int) {
 		if !first {
-			b.WriteString(",\n")
+			b = append(b, ",\n"...)
 		}
 		first = false
+		b = append(b, "{\"ph\":\""...)
+		b = append(b, ph...)
+		b = append(b, "\",\"pid\":1,\"tid\":"...)
+		b = strconv.AppendInt(b, int64(tid), 10)
 	}
 	for tid, t := range r.tracks {
-		emit()
-		fmt.Fprintf(&b, "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}",
-			tid, jsonString(t.name))
+		open("M", tid)
+		b = append(b, ",\"name\":\"thread_name\",\"args\":{\"name\":"...)
+		b = appendJSONString(b, t.name)
+		b = append(b, "}}"...)
 	}
 	for tid, t := range r.tracks {
 		for i := range t.events {
 			ev := &t.events[i]
-			emit()
 			if ev.Instant {
-				fmt.Fprintf(&b, "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%s",
-					tid, cyclesToTs(ev.Start), jsonString(ev.Name))
+				open("i", tid)
+				b = append(b, ",\"ts\":"...)
+				b = appendTs(b, ev.Start)
+				b = append(b, ",\"s\":\"t\",\"name\":"...)
 			} else {
-				fmt.Fprintf(&b, "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s",
-					tid, cyclesToTs(ev.Start), cyclesToTs(ev.End-ev.Start), jsonString(ev.Name))
+				open("X", tid)
+				b = append(b, ",\"ts\":"...)
+				b = appendTs(b, ev.Start)
+				b = append(b, ",\"dur\":"...)
+				b = appendTs(b, ev.End-ev.Start)
+				b = append(b, ",\"name\":"...)
 			}
-			writeArgs(&b, ev.Args)
-			b.WriteByte('}')
+			b = appendJSONString(b, ev.Name)
+			b = appendArgs(b, ev.Args)
+			b = append(b, '}')
 		}
 		if t.dropped > 0 {
-			emit()
-			last := t.events[len(t.events)-1].End
-			fmt.Fprintf(&b, "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":\"events_dropped\",\"args\":{\"count\":%d}}",
-				tid, cyclesToTs(last), t.dropped)
+			open("i", tid)
+			b = append(b, ",\"ts\":"...)
+			b = appendTs(b, t.events[len(t.events)-1].End)
+			b = append(b, ",\"s\":\"t\",\"name\":\"events_dropped\",\"args\":{\"count\":"...)
+			b = strconv.AppendInt(b, int64(t.dropped), 10)
+			b = append(b, "}}"...)
 		}
 	}
-	b.WriteString("\n]}\n")
-	_, err := w.Write(b.Bytes())
+	b = append(b, "\n]}\n"...)
+	r.out = b
+	_, err := w.Write(b)
 	return err
 }
 
-// cyclesToTs renders a cycle count as microseconds at 1 cycle = 1 ns, with
+// appendTs renders a cycle count as microseconds at 1 cycle = 1 ns, with
 // exactly three decimals: integer arithmetic only, so the rendering is exact.
-func cyclesToTs(cycles uint64) string {
-	return fmt.Sprintf("%d.%03d", cycles/1000, cycles%1000)
+func appendTs(b []byte, cycles uint64) []byte {
+	b = strconv.AppendUint(b, cycles/1000, 10)
+	frac := cycles % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
-func writeArgs(b *bytes.Buffer, args []Arg) {
+func appendArgs(b []byte, args []Arg) []byte {
 	if len(args) == 0 {
-		return
+		return b
 	}
-	b.WriteString(",\"args\":{")
+	b = append(b, ",\"args\":{"...)
 	for i, a := range args {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(jsonString(a.Key))
-		b.WriteByte(':')
-		writeVal(b, a.Val)
+		b = appendJSONString(b, a.Key)
+		b = append(b, ':')
+		b = appendVal(b, a.Val)
 	}
-	b.WriteByte('}')
+	return append(b, '}')
 }
 
-func writeVal(b *bytes.Buffer, v any) {
+func appendVal(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case uint64:
-		b.WriteString(strconv.FormatUint(x, 10))
+		return strconv.AppendUint(b, x, 10)
 	case int:
-		b.WriteString(strconv.Itoa(x))
+		return strconv.AppendInt(b, int64(x), 10)
 	case int64:
-		b.WriteString(strconv.FormatInt(x, 10))
+		return strconv.AppendInt(b, x, 10)
 	case float64:
-		// shortest round-trip form; deterministic (pure-Go Ryū formatting)
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		return appendFloat(b, x)
 	case bool:
-		b.WriteString(strconv.FormatBool(x))
+		return strconv.AppendBool(b, x)
 	case string:
-		b.WriteString(jsonString(x))
+		return appendJSONString(b, x)
 	case []int:
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i, n := range x {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(strconv.Itoa(n))
+			b = strconv.AppendInt(b, int64(n), 10)
 		}
-		b.WriteByte(']')
+		return append(b, ']')
 	case []float64:
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i, f := range x {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+			b = appendFloat(b, f)
 		}
-		b.WriteByte(']')
+		return append(b, ']')
 	default:
-		b.WriteString(jsonString(fmt.Sprintf("%v", x)))
+		return appendJSONString(b, fmt.Sprint(x))
 	}
 }
 
-// jsonString renders s as a JSON string literal via encoding/json, whose
-// escaping is deterministic.
-func jsonString(s string) string {
-	buf, err := json.Marshal(s)
-	if err != nil { // cannot happen for a string
-		return `"?"`
+// appendFloat renders a finite float in its shortest round-trip form
+// (deterministic: pure-Go Ryū formatting). JSON has no NaN or infinities —
+// an estimate's cost is +Inf until a start succeeds — so those are emitted as
+// the strings "NaN", "+Inf" and "-Inf", keeping the file loadable.
+func appendFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		b = append(b, '"')
+		b = strconv.AppendFloat(b, f, 'g', -1, 64)
+		return append(b, '"')
 	}
-	return string(buf)
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
+}
+
+// appendJSONString renders s as a JSON string literal with encoding/json's
+// bytes. Printable ASCII other than the five characters encoding/json
+// escapes (" \ and, for HTML safety, < > &) is copied between quotes; any
+// other byte — controls, DEL, non-ASCII (U+2028/9 and invalid UTF-8 are
+// rewritten) — sends the whole string through json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			buf, err := json.Marshal(s)
+			if err != nil { // cannot happen for a string
+				return append(b, `"?"`...)
+			}
+			return append(b, buf...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -149,6 +149,9 @@ const DefaultMaxEventsPerTrack = 1 << 20
 type Recorder struct {
 	tracks []*Track
 	limit  int
+	// out is WriteChrome's buffer, kept (also across Reset) so repeated
+	// exports reuse it.
+	out []byte
 }
 
 // New returns an empty recorder with the default per-track event limit.

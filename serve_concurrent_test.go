@@ -354,12 +354,18 @@ poll:
 	}
 }
 
-// TestServeSteadyStateAllocs pins the per-round allocation elimination: after
-// warm-up, a served query's host allocations must not grow with its round
-// count (the pre-PR scheduler allocated an active-set snapshot per round).
+// TestServeSteadyStateAllocs pins the served path's steady-state allocations
+// in all three modes: after warm-up, a query's host allocations must not grow
+// with its round count — and, for the adaptive modes, not with its decision
+// count beyond what the public result carries per decision. ModeFixed alone
+// never reaches the estimator, which used to issue ~1 300 allocations per
+// decision (98 % of a served workload's mallocs) unseen by this test.
 // AllocsPerRun measures at GOMAXPROCS=1, i.e. the inline round path.
 func TestServeSteadyStateAllocs(t *testing.T) {
-	measure := func(quantum int) float64 {
+	// measure serves one 48-vector query per run with the given scheduling
+	// quantum, which for the adaptive modes is also the re-optimization
+	// interval: an adaptive query runs one block, and decides once, per round.
+	measure := func(mode Mode, quantum int) (allocs float64, decisions int) {
 		e, err := New(Config{VectorSize: 512, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -375,24 +381,37 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		}
 		defer srv.Close()
 		run := func() {
-			tk, err := srv.Submit(d, convergentPlan(d, false), ExecOptions{Mode: ModeFixed})
+			tk, err := srv.Submit(d, convergentPlan(d, false),
+				ExecOptions{Mode: mode, Progressive: Progressive{Interval: quantum}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tk.Wait(); err != nil {
+			res, err := tk.Wait()
+			if err != nil {
 				t.Fatal(err)
 			}
+			decisions = res.Stats.Optimizations
 		}
-		run() // warm the plan cache, scratch freelist, and exec wave scratch
+		run() // warm the plan and feedback caches, scratch freelist, and exec scratch
 		run()
-		return testing.AllocsPerRun(5, run)
+		return testing.AllocsPerRun(5, run), decisions
 	}
-	many := measure(1)   // ~48 scheduling rounds per query
-	few := measure(1000) // one round per query
-	if delta := many - few; delta > 16 {
-		t.Errorf("allocs grow with round count: %.1f at quantum=1 vs %.1f at quantum=1000 (delta %.1f)", many, few, delta)
-	}
-	if many > 300 {
-		t.Errorf("served query allocates %.1f times at steady state; budget 300", many)
+	for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {
+		many, manyDecisions := measure(mode, 1) // ~48 scheduling rounds per query
+		few, fewDecisions := measure(mode, 4)   // 12 rounds per query
+		if mode != ModeFixed && manyDecisions < fewDecisions+8 {
+			t.Fatalf("%v: %d v. %d decisions; the comparison needs more at quantum=1", mode, manyDecisions, fewDecisions)
+		}
+		// Each decision's observation is returned in Stats.Samples, whose
+		// SampleObs.Counters is a map: two allocations per decision that the
+		// public result owns. Nothing else may scale.
+		allowed := 16 + 2*float64(manyDecisions-fewDecisions)
+		if delta := many - few; delta > allowed {
+			t.Errorf("%v: allocs grow with round/decision count: %.1f at quantum=1 (%d decisions) vs %.1f at quantum=4 (%d decisions); delta %.1f, allowed %.1f",
+				mode, many, manyDecisions, few, fewDecisions, delta, allowed)
+		}
+		if many > 300 {
+			t.Errorf("%v: served query allocates %.1f times at steady state; budget 300", mode, many)
+		}
 	}
 }

@@ -48,7 +48,10 @@
 // ExecResult.Rows — each row carrying its sort-key values and the per-row
 // value of the plan's Sum expression. Results, grouped output, and ordered
 // rows are bit-identical across modes, worker counts, and Config.ScalarExec
-// (the tuple-at-a-time ablation).
+// (the tuple-at-a-time ablation). The two adaptive modes are one reoptimizer
+// loop at every worker count and in the server: it is stepped a vector at a
+// time on a single core and a morsel block at a time on a pool (DESIGN.md,
+// "The reoptimizer loop").
 //
 // The former per-shape methods (BuildQ6, BuildScan, BuildPipeline, Run,
 // RunProgressive, RunMicroAdaptive, RunGroupBy) remain as deprecated thin

@@ -78,7 +78,7 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 
 		if pendingValidation && !opt.DisableValidation {
 			pendingValidation = false
-			limit := float64(prevVecCycles) * (1 + opt.ValidationTolerance)
+			limit := float64(prevVecCycles) * (1 + validationTolerance)
 			if float64(vecCycles) > limit && (hi-lo) == vs {
 				curPerm = append([]int(nil), prevPerm...)
 				var err error
@@ -89,7 +89,7 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 				if !opt.DisablePredictorReset {
 					c.ResetPredictor()
 				}
-				c.Exec(opt.ReorderCostInstr)
+				c.Exec(reorderCostInstr)
 				st.Reverts++
 			}
 		}
@@ -110,7 +110,7 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 				if !opt.DisablePredictorReset {
 					c.ResetPredictor()
 				}
-				c.Exec(opt.ReorderCostInstr)
+				c.Exec(reorderCostInstr)
 				st.Reorders++
 				pendingValidation = true
 			}

@@ -23,9 +23,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/adaptive_golden.
 const goldenPath = "testdata/adaptive_golden.json"
 
 // goldenRow pins everything one adaptive run decided and produced. The file
-// was captured from the three hand-mirrored loops this package used to have
-// (two serial drivers and the block stepper) and is the only record of their
-// semantics: a driver change that moves any field here changed behaviour.
+// was captured when the serial drivers were loops of their own, before they
+// became the stepper's one-vector case, and is the only record of their
+// semantics: a change that moves any field here changed behaviour.
 type goldenRow struct {
 	Config            string
 	Cycles            uint64
@@ -72,7 +72,6 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 
 	var res exec.Result
 	var st Stats
-	var implSwitches int
 	var err error
 	if workers == 1 {
 		e := exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs)
@@ -83,9 +82,7 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		e.CPU().ResetPredictor()
 		e.SetTrace(cores[0])
 		if micro {
-			var mst MicroAdaptiveStats
-			res, mst, err = RunMicroAdaptive(e, q, opt)
-			st, implSwitches = mst.Stats, mst.ImplSwitches
+			res, st, err = RunMicroAdaptive(e, q, opt)
 		} else {
 			res, st, err = RunProgressive(e, q, opt)
 		}
@@ -101,13 +98,9 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		p.Cold()
 		p.SetTrace(cores)
 		if micro {
-			var mst ParallelMicroAdaptiveStats
-			res, mst, err = RunParallelMicroAdaptive(p, q, opt)
-			st, implSwitches = mst.Stats, mst.ImplSwitches
+			res, st, err = RunParallelMicroAdaptive(p, q, opt)
 		} else {
-			var pst ParallelStats
-			res, pst, err = RunParallelProgressive(p, q, opt)
-			st = pst.Stats
+			res, st, err = RunParallelProgressive(p, q, opt)
 		}
 	}
 	if err != nil {
@@ -126,7 +119,7 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		Reorders:          st.Reorders,
 		Reverts:           st.Reverts,
 		Explorations:      st.Explorations,
-		ImplSwitches:      implSwitches,
+		ImplSwitches:      st.ImplSwitches,
 		ConvergedAtCycles: st.ConvergedAtCycles,
 		FinalOrder:        st.FinalOrder,
 		Trace:             fnvHex(buf.Bytes()),

@@ -41,7 +41,7 @@ func TestRunParallelMicroAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runPar := func(workers int) (exec.Result, ParallelMicroAdaptiveStats) {
+	runPar := func(workers int) (exec.Result, Stats) {
 		qp, _ := microQuery(t)
 		p, err := exec.NewParallel(cpu.ScaledXeon(), workers, 1024)
 		if err != nil {

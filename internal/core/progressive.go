@@ -10,7 +10,7 @@ import (
 	"progopt/internal/trace"
 )
 
-// Options configure the progressive optimization driver (§4.4, Figure 10).
+// Options configure the reoptimizer loop (§4.4, Figure 10).
 type Options struct {
 	// ReopInterval is the number of vectors between optimization cycles (the
 	// paper sweeps 10, 75, 200). Zero disables re-optimization, reducing the
@@ -27,25 +27,9 @@ type Options struct {
 	// DisablePredictorReset keeps branch-predictor state across reorders
 	// (ablation; real JIT recompilation moves branch addresses).
 	DisablePredictorReset bool
-	// SampleCostInstr is the instruction cost charged per PMU sample
-	// (virtually free on real hardware; default 50).
-	SampleCostInstr int
-	// NMEvalCostInstr is the instruction cost charged per Nelder-Mead
-	// objective evaluation, accounting for the optimizer's own CPU time
-	// (default 80).
-	NMEvalCostInstr int
-	// ReorderCostInstr is charged per applied reorder: re-chaining
-	// pre-compiled primitives, Vectorwise-style (default 2000).
-	ReorderCostInstr int
-	// ValidationTolerance is the fractional cycle regression tolerated
-	// before reverting (default 0.02).
-	ValidationTolerance float64
-	// MaxStartsOverride overrides the estimator's start budget (0 keeps the
-	// paper's m = 2p).
-	MaxStartsOverride int
 	// ExploreEvery enables the §4.5 correlation probe: after this many
-	// consecutive optimization cycles that kept the same order, one vector
-	// is executed under an exploratory rotation of that order. Correlated
+	// consecutive optimization cycles that kept the same order, one step is
+	// executed under an exploratory rotation of that order. Correlated
 	// attributes make the estimator's independence assumption lie; actually
 	// running a different PEO measures the truth, and validation keeps the
 	// probe order only if it is genuinely faster. Zero disables probing.
@@ -58,26 +42,36 @@ type Options struct {
 	Trace *trace.Track
 }
 
+// What the optimizer's own work costs the simulated CPU.
+const (
+	// sampleCostInstr is the instruction cost charged per PMU sample
+	// (virtually free on real hardware).
+	sampleCostInstr = 50
+	// nmEvalCostInstr is the instruction cost charged per Nelder-Mead
+	// objective evaluation, accounting for the optimizer's own CPU time.
+	nmEvalCostInstr = 80
+	// reorderCostInstr is charged per applied reorder, revert, probe or
+	// implementation switch, on every core running the query: re-chaining
+	// pre-compiled primitives, Vectorwise-style.
+	reorderCostInstr = 2000
+	// validationTolerance is the fractional cycle regression tolerated
+	// before a reorder is reverted.
+	validationTolerance = 0.02
+)
+
 func (o *Options) setDefaults() {
-	if o.SampleCostInstr <= 0 {
-		o.SampleCostInstr = 50
-	}
-	if o.NMEvalCostInstr <= 0 {
-		o.NMEvalCostInstr = 80
-	}
-	if o.ReorderCostInstr <= 0 {
-		o.ReorderCostInstr = 2000
-	}
-	if o.ValidationTolerance <= 0 {
-		o.ValidationTolerance = 0.02
-	}
 	if o.Chain.States() == 0 {
 		o.Chain = markov.Paper()
 	}
 }
 
-// Stats reports what the progressive driver did.
+// Stats reports what the reoptimizer loop did.
 type Stats struct {
+	// Workers is the number of simulated cores the run was scheduled on.
+	Workers int
+	// Blocks is the number of steps the loop coordinated: single vectors on
+	// one core, morsel blocks on a pool.
+	Blocks int
 	// Vectors executed.
 	Vectors int
 	// Optimizations is the number of estimation cycles run.
@@ -96,213 +90,41 @@ type Stats struct {
 	EstimatorEvaluations int
 	// Explorations counts §4.5 correlation probes issued.
 	Explorations int
-	// ConvergedAtCycles is the run's cycle clock at the last change the
-	// optimizer applied (reorder, revert, exploration, or implementation
-	// switch): the cycles spent before the run settled on its final plan.
-	// Zero means the initial order was never changed — the signature of a
-	// feedback-cache warm start that began at the converged order.
+	// ConvergedAtCycles is the run's cycle clock at the end of the last step
+	// in which the optimizer applied a change (reorder, revert, exploration,
+	// or implementation choice): the cycles spent before the run settled on
+	// its final plan. Zero means the initial order was never changed — the
+	// signature of a feedback-cache warm start that began at the converged
+	// order.
 	ConvergedAtCycles uint64
 	// Samples is the per-cycle observation series (bounded; see Sample): the
 	// PMU evidence and selectivity estimate of every optimization cycle, in
 	// order. The trace's optimizer track and the ext-* figures render the
 	// same series.
 	Samples []Sample
+	// BranchingVectors and BranchFreeVectors count vectors per scan
+	// implementation across all cores, and ImplSwitches the implementation
+	// changes; all zero unless the run was micro-adaptive.
+	BranchingVectors, BranchFreeVectors int
+	ImplSwitches                        int
 
 	// selsChunk is the storage keepSels carves retained estimates from.
 	selsChunk []float64
 }
 
-// RunProgressive executes the query vector-at-a-time with progressive
-// re-optimization: every ReopInterval vectors it samples the PMU delta of
-// the last vector, estimates per-operator selectivities, reorders operators
-// by ascending rank (per-row load weight over estimated drop rate — plain
-// ascending selectivity for all-predicate plans; see RankOrder), then
-// validates the new order against the next vector and reverts on regression
-// (§4.4).
+// RunProgressive executes the query on one core with progressive
+// re-optimization: the reoptimizer loop (see BlockStepper) stepped one vector
+// at a time, with an optimization point every ReopInterval vectors — sample
+// the PMU delta of the last vector, estimate per-operator selectivities,
+// reorder operators by ascending rank (per-row load weight over estimated
+// drop rate — plain ascending selectivity for all-predicate plans; see
+// RankOrder), then validate the new order against the next vector and revert
+// on regression (§4.4).
 //
 // The returned result's counters and cycles include the sampling,
 // estimation, and reordering overhead, charged to the simulated CPU.
 func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, Stats, error) {
-	if err := q.Validate(); err != nil {
-		return exec.Result{}, Stats{}, err
-	}
-	opt.setDefaults()
-	c := e.CPU()
-	if opt.Geometry.LineSize == 0 {
-		hier := c.Profile().Hierarchy
-		opt.Geometry = cachemodel.Geometry{
-			LineSize:      hier.L3.LineSize,
-			CapacityLines: hier.L3.Lines(),
-		}
-	}
-
-	nOps := len(q.Ops)
-	curPerm := identity(nOps)
-	prevPerm := identity(nOps)
-	curQ := q
-	aggWidths := aggColumnWidths(q)
-	var estimator Estimator
-
-	start := c.Sample()
-	startCycles := c.Cycles()
-	var out exec.Result
-	var st Stats
-
-	n := q.Table.NumRows()
-	vs := e.VectorSize()
-	numVectors := (n + vs - 1) / vs
-
-	var prevVecCycles uint64
-	pendingValidation := false
-	// stableCycles counts consecutive optimization cycles that confirmed the
-	// current order (drives the §4.5 correlation probe).
-	stableCycles := 0
-	// rejected remembers the last order validation reverted: proposing it
-	// again would just repeat the measured regression, so the estimator's
-	// (and the probe's) output is ignored while it equals this order. Only a
-	// revert overwrites it, so a genuinely changed estimate still reorders.
-	var rejected []int
-
-	vec := 0
-	for lo := 0; lo < n; lo += vs {
-		hi := lo + vs
-		if hi > n {
-			hi = n
-		}
-		s0 := c.Sample()
-		c0 := c.Cycles()
-		vr, err := e.RunVector(curQ, lo, hi)
-		if err != nil {
-			return exec.Result{}, Stats{}, err
-		}
-		out.Qualifying += vr.Qualifying
-		out.Sum += vr.Sum
-		out.Vectors++
-		vecCycles := c.Cycles() - c0
-		delta := c.Sample().Sub(s0)
-		vec++
-
-		if pendingValidation && !opt.DisableValidation {
-			pendingValidation = false
-			limit := float64(prevVecCycles) * (1 + opt.ValidationTolerance)
-			if float64(vecCycles) > limit && (hi-lo) == vs {
-				// Deteriorated: re-establish the previous order and remember
-				// the rejected one so it is not proposed again.
-				rejected, curPerm = curPerm, prevPerm
-				curQ, err = q.WithOrder(curPerm)
-				if err != nil {
-					return exec.Result{}, Stats{}, err
-				}
-				if !opt.DisablePredictorReset {
-					c.ResetPredictor()
-				}
-				c.Exec(opt.ReorderCostInstr)
-				st.Reverts++
-				st.ConvergedAtCycles = c.Cycles() - startCycles
-				if opt.Trace != nil {
-					traceDecision(opt.Trace, "revert", c.Cycles(), delta,
-						trace.A("to", curPerm),
-						trace.A("vec_cycles", vecCycles), trace.A("limit", limit))
-				}
-			}
-		}
-
-		runOpt := opt.ReopInterval > 0 && vec%opt.ReopInterval == 0 && vec < numVectors
-		if runOpt && opt.ExploreEvery > 0 && stableCycles >= opt.ExploreEvery {
-			// §4.5 correlation probe: the estimator has confirmed the same
-			// order ExploreEvery times in a row; its independence assumption
-			// might be hiding a better order. Execute the next vector under
-			// a rotation of the current order and let validation decide.
-			// (A rotation that validation already rejected is skipped — the
-			// cycle falls through to plain estimation instead.)
-			if probe := rotate(curPerm); !equalPerm(probe, rejected) {
-				stableCycles = 0
-				st.Explorations++
-				prevPerm, curPerm = curPerm, probe
-				curQ, err = q.WithOrder(curPerm)
-				if err != nil {
-					return exec.Result{}, Stats{}, err
-				}
-				if !opt.DisablePredictorReset {
-					c.ResetPredictor()
-				}
-				c.Exec(opt.ReorderCostInstr)
-				pendingValidation = true
-				st.ConvergedAtCycles = c.Cycles() - startCycles
-				if opt.Trace != nil {
-					traceDecision(opt.Trace, "explore", c.Cycles(), delta,
-						trace.A("from", prevPerm), trace.A("to", curPerm))
-				}
-				prevVecCycles = vecCycles
-				continue
-			}
-		}
-		if runOpt {
-			c.Exec(opt.SampleCostInstr)
-			sample := SampleFromPMU(delta, hi-lo)
-			cfg := EstimatorConfig{
-				Widths:    opWidths(curQ),
-				AggWidths: aggWidths,
-				Geometry:  opt.Geometry,
-				Chain:     opt.Chain,
-				MaxStarts: opt.MaxStartsOverride,
-			}
-			est, err := estimator.Estimate(sample, cfg)
-			if err != nil {
-				return exec.Result{}, Stats{}, err
-			}
-			est.Sels = st.keepSels(est.Sels)
-			st.Optimizations++
-			st.EstimatorEvaluations += est.NMEvaluations
-			st.LastEstimate = est.Sels
-			c.Exec(est.NMEvaluations * opt.NMEvalCostInstr)
-			smp := Sample{
-				Cycles:   c.Cycles() - startCycles,
-				Tuples:   hi - lo,
-				Counters: delta.Project(paperGroup),
-				Sels:     est.Sels,
-			}
-			st.addSample(smp)
-			traceSample(opt.Trace, c.Cycles(), smp)
-			order := RankOrder(LoadWeights(curQ), est.Sels)
-			newPerm := compose(curPerm, order)
-			if !equalPerm(newPerm, curPerm) && !equalPerm(newPerm, rejected) {
-				stableCycles = 0
-				prevPerm, curPerm = curPerm, newPerm
-				curQ, err = q.WithOrder(curPerm)
-				if err != nil {
-					return exec.Result{}, Stats{}, err
-				}
-				if !opt.DisablePredictorReset {
-					c.ResetPredictor()
-				}
-				c.Exec(opt.ReorderCostInstr)
-				st.Reorders++
-				pendingValidation = true
-				st.ConvergedAtCycles = c.Cycles() - startCycles
-				if opt.Trace != nil {
-					traceDecision(opt.Trace, "reorder", c.Cycles(), smp.Counters,
-						trace.A("from", prevPerm), trace.A("to", curPerm),
-						trace.A("est_sels", est.Sels))
-				}
-			} else {
-				stableCycles++
-			}
-		}
-		prevVecCycles = vecCycles
-	}
-
-	out.Cycles = c.Cycles() - startCycles
-	out.Millis = c.MillisOf(out.Cycles)
-	out.Counters = c.Sample().Sub(start)
-	st.Vectors = out.Vectors
-	st.FinalOrder = curPerm
-	if opt.Trace != nil {
-		opt.Trace.Instant("plan-final", c.Cycles(),
-			trace.A("order", curPerm), trace.A("reorders", st.Reorders),
-			trace.A("converged_at", st.ConvergedAtCycles))
-	}
-	return out, st, nil
+	return RunAdaptive(e, nil, q, opt, false)
 }
 
 func identity(n int) []int {

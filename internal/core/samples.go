@@ -7,13 +7,14 @@ import (
 
 // Sample is one progressive-sampling observation: the PMU evidence an
 // optimization cycle saw and the selectivity estimate it produced. The
-// drivers retain a bounded series of these on Stats, so end-state statistics,
+// stepper retains a bounded series of these on Stats, so end-state statistics,
 // the trace's optimizer track, and the ext-* figures all share one source of
 // truth for the convergence timeline.
 type Sample struct {
-	// Cycles is the sampling clock relative to the run's start: the serial
-	// drivers' core clock, or the accounted block clock of the parallel and
-	// service drivers (comparable to the reported makespan).
+	// Cycles is the sampling clock relative to the run's start: the
+	// stepper's accounted query clock — on one core that core's own clock,
+	// on a pool the sum of block makespans and coordination (comparable to
+	// the reported makespan).
 	Cycles uint64
 	// Tuples is how many tuples the sampled PMU delta covers.
 	Tuples int

@@ -5,20 +5,22 @@ import (
 
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
+	"progopt/internal/hw/pmu"
 	"progopt/internal/trace"
 )
 
-// BlockStepper holds the between-block coordination state of block-granular
-// progressive (and micro-adaptive) execution: the current operator
-// permutation, the pending validation against the previous block's
-// per-vector cost, the selectivity estimation over merged per-core PMU
-// deltas, and — in micro mode — the branching/branch-free implementation
-// choice. It is the shared brain of RunParallelProgressive,
-// RunParallelMicroAdaptive, and the workload service's scheduler, which
-// drives the same coordination while the query runs on a *dynamic* subset of
-// cores: the stepper never talks to the morsel scheduler, it only consumes
-// finished BlockResults and tells the caller which query order and scan
-// implementation the next block must run.
+// BlockStepper is the reoptimizer loop (§4.4, Figure 10): the state carried
+// between the steps of one progressive or micro-adaptive query — the current
+// operator permutation, the pending validation against the previous step's
+// per-vector cost, the selectivity estimation over the step's (merged
+// per-core) PMU delta, and — in micro mode — the branching/branch-free
+// implementation choice. Every adaptive run goes through it: the four Run*
+// drivers (RunAdaptive steps it one vector at a time on a single engine, or
+// one morsel block at a time on a pool) and the workload service's scheduler,
+// which drives the same coordination while the query runs on a *dynamic*
+// subset of cores. The stepper never executes anything: it consumes finished
+// BlockResults and tells the caller which query order and scan
+// implementation the next step must run.
 type BlockStepper struct {
 	base *exec.Query
 	opt  Options
@@ -26,6 +28,17 @@ type BlockStepper struct {
 	micro    bool
 	eligible bool
 	costP    ImplCostParams
+
+	// vectorSteps says the steps are single vectors on one engine (the
+	// serial drivers), and clockBase is that engine's clock at the run's
+	// start: decision events are stamped clockBase + accounted, which there
+	// is the core's own clock, next to its vector spans. Block-granular
+	// callers leave both zero. Beyond the clock, vectorSteps selects the
+	// trace spelling of the revert and plan-final events and how a
+	// validation against a zero-cost step is read (see AfterBlock and
+	// DESIGN.md, "The reoptimizer loop").
+	vectorSteps bool
+	clockBase   uint64
 
 	curPerm, prevPerm []int
 	curQ              *exec.Query
@@ -48,26 +61,27 @@ type BlockStepper struct {
 
 	prevCostPerVec    float64
 	pendingValidation bool
-	// stableBlocks counts consecutive optimization epochs that confirmed the
-	// current order (drives the §4.5 correlation probe at block granularity;
-	// progressive mode only — the serial micro-adaptive driver has no probe
-	// either, keeping worker counts decision-identical).
+	// stableBlocks counts consecutive optimization points that confirmed the
+	// current order (drives the §4.5 correlation probe; progressive mode
+	// only).
 	stableBlocks int
 	// rejected remembers the last order validation reverted, so neither the
 	// estimator nor the probe proposes the measured regression again.
 	rejected []int
 
 	// accounted is the simulated cycle cost attributed to the query so far
-	// (block makespans plus coordination), the clock ConvergedAtCycles is
-	// stamped from.
+	// (step makespans plus coordination), the clock ConvergedAtCycles and
+	// Sample.Cycles are stamped from. On a single engine it equals the
+	// core's clock since the run began: every charge goes through a step's
+	// cost or the extra AfterBlock returns.
 	accounted uint64
 
-	st ParallelMicroAdaptiveStats
+	st Stats
 }
 
-// bfResampleEvery spaces the branching sampling blocks while running
-// branch-free (the serial micro-adaptive driver's resampling policy at block
-// granularity).
+// bfResampleEvery spaces the sampling windows while running branch-free:
+// return to the (counter-observable) branching scan only every Nth
+// optimization point, keeping most vectors on the cheaper implementation.
 const bfResampleEvery = 3
 
 // NewBlockStepper builds the coordination state for one query. prof supplies
@@ -140,8 +154,8 @@ func (s *BlockStepper) SetImpl(impl exec.ScanImpl) {
 	}
 }
 
-// BlockVectors returns how many vectors the next optimization block spans on
-// k cores (ReopInterval per core), or 0 when re-optimization is disabled.
+// BlockVectors returns how many vectors one block-granular step spans on k
+// cores (ReopInterval per core), or 0 when re-optimization is disabled.
 func (s *BlockStepper) BlockVectors(k int) int {
 	if s.opt.ReopInterval <= 0 {
 		return 0
@@ -149,19 +163,32 @@ func (s *BlockStepper) BlockVectors(k int) int {
 	return s.opt.ReopInterval * k
 }
 
-// AfterBlock runs the coordination that follows one finished morsel block:
-// validate the previous reorder against the block's per-vector cost (revert
-// on regression), and — unless the block was the query's last — sample the
-// merged counters, estimate selectivities, reorder by ascending estimate,
-// and in micro mode choose the next block's scan implementation. tuples is
-// the number of driving-table tuples the block covered. coord is the core
+// at is the trace timestamp of a decision taken extra cycles into the
+// current step's coordination.
+func (s *BlockStepper) at(extra uint64) uint64 { return s.clockBase + s.accounted + extra }
+
+// AfterBlock runs the coordination that follows one finished step — a morsel
+// block, or a single vector on one engine: validate the previous reorder
+// against the step's per-vector cost (revert on regression) and, when
+// optPoint says an optimization point is due, either issue a §4.5 probe or
+// sample the merged counters, estimate selectivities, reorder by ascending
+// rank and, in micro mode, choose the next step's scan implementation.
+//
+// tuples is the number of driving-table tuples the step covered. optPoint is
+// the caller's schedule: every ReopInterval-th vector but the last at vector
+// granularity, every block but the last at block granularity. validate says
+// whether the step's cost may be held against the previous step's: false for
+// a partial last vector, whose fixed costs are spread over fewer tuples, and
+// true for every block (a short last block still reverts). coord is the core
 // the estimation runs on (the others idle at the block barrier); engines are
 // the cores currently executing the query, each of which pays the recompile
 // of a reorder or implementation switch. The returned cycles are the
 // makespan extension of the coordination; the caller adds them to the
 // query's clock.
-func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
+func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, validate bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
+	optPoint = optPoint && s.opt.ReopInterval > 0
 	s.st.Blocks++
+	s.st.Vectors += br.Vectors
 	if s.micro {
 		if s.impl == exec.ImplBranchFree {
 			s.st.BranchFreeVectors += br.Vectors
@@ -176,131 +203,77 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 
 	if s.pendingValidation && !s.opt.DisableValidation {
 		s.pendingValidation = false
-		if s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+s.opt.ValidationTolerance) {
+		limit := s.prevCostPerVec * (1 + validationTolerance)
+		// Zone-map-skipped vectors cost nothing. A block made only of them
+		// is no yardstick for the next one; a single skipped vector is held
+		// against all the same, so an order estimated from its empty sample
+		// is reverted by the first vector that costs anything.
+		if validate && costPerVec > limit && (s.vectorSteps || s.prevCostPerVec > 0) {
 			// Deteriorated: re-establish the previous order on every core and
 			// remember the rejected one so it is not proposed again.
 			s.rejected = s.curPerm
 			if err := s.setOrder(s.prevPerm); err != nil {
 				return 0, err
 			}
-			extra += recompileEngines(engines, s.opt)
+			extra += s.recompile(engines)
 			s.st.Reverts++
 			changed = true
 			if s.opt.Trace != nil {
-				traceDecision(s.opt.Trace, "revert", s.accounted+extra, br.Counters,
-					trace.A("to", s.curPerm),
-					trace.A("cost_per_vec", costPerVec),
-					trace.A("prev_cost_per_vec", s.prevCostPerVec))
+				measured, bound := trace.A("cost_per_vec", costPerVec), trace.A("prev_cost_per_vec", s.prevCostPerVec)
+				if s.vectorSteps {
+					measured, bound = trace.A("vec_cycles", br.MaxCycles), trace.A("limit", limit)
+				}
+				traceDecision(s.opt.Trace, "revert", s.at(extra), br.Counters,
+					trace.A("to", s.curPerm), measured, bound)
 			}
 		}
 	}
 
-	runOpt := s.opt.ReopInterval > 0 && !last
-	if runOpt && !s.micro && s.opt.ExploreEvery > 0 && s.stableBlocks >= s.opt.ExploreEvery {
-		// §4.5 correlation probe at block granularity: the estimator has
-		// confirmed the same order ExploreEvery epochs in a row; run the next
-		// block under a rotation of the current order and let validation
-		// decide. A rotation validation already rejected is skipped and the
-		// epoch falls through to plain estimation.
-		if probe := rotate(s.curPerm); !equalPerm(probe, s.rejected) {
-			s.stableBlocks = 0
-			s.st.Explorations++
-			s.prevPerm = s.curPerm
-			if err := s.setOrder(probe); err != nil {
-				return 0, err
-			}
-			extra += recompileEngines(engines, s.opt)
-			s.pendingValidation = true
-			changed = true
-			if s.opt.Trace != nil {
-				traceDecision(s.opt.Trace, "explore", s.accounted+extra, br.Counters,
-					trace.A("from", s.prevPerm), trace.A("to", s.curPerm))
-			}
-			s.prevCostPerVec = costPerVec
-			s.accounted += extra
-			s.st.ConvergedAtCycles = s.accounted
-			return extra, nil
+	// §4.5 correlation probe: the estimator has confirmed the same order
+	// ExploreEvery optimization points in a row; its independence assumption
+	// might be hiding a better order. A rotation validation already rejected
+	// is skipped — the point falls through to plain estimation — and a
+	// single operator has no other order to try.
+	var probe []int
+	if optPoint && !s.micro && s.opt.ExploreEvery > 0 && s.stableBlocks >= s.opt.ExploreEvery && len(s.curPerm) > 1 {
+		if r := rotate(s.curPerm); !equalPerm(r, s.rejected) {
+			probe = r
 		}
 	}
-	if runOpt && s.impl == exec.ImplBranching {
-		// Estimation epoch on the coordinator core.
-		c0 := coord.Cycles()
-		coord.Exec(s.opt.SampleCostInstr)
-		sample := SampleFromPMU(br.Counters, tuples)
-		cfg := EstimatorConfig{
-			Widths:    s.curWidths,
-			AggWidths: s.aggWidths,
-			Geometry:  s.opt.Geometry,
-			Chain:     s.opt.Chain,
-			MaxStarts: s.opt.MaxStartsOverride,
+	switch {
+	case !optPoint:
+	case probe != nil:
+		// Run the next step under the rotation and let validation decide.
+		s.stableBlocks = 0
+		s.st.Explorations++
+		s.prevPerm = s.curPerm
+		if err := s.setOrder(probe); err != nil {
+			return 0, err
 		}
-		est, err := s.estimator.Estimate(sample, cfg)
+		extra += s.recompile(engines)
+		s.pendingValidation = true
+		changed = true
+		if s.opt.Trace != nil {
+			traceDecision(s.opt.Trace, "explore", s.at(extra), br.Counters,
+				trace.A("from", s.prevPerm), trace.A("to", s.curPerm))
+		}
+	case s.impl == exec.ImplBranching:
+		applied, err := s.estimate(br.Counters, tuples, &extra, coord, engines)
 		if err != nil {
 			return 0, err
 		}
-		est.Sels = s.st.keepSels(est.Sels)
-		s.st.Optimizations++
-		s.st.EstimatorEvaluations += est.NMEvaluations
-		s.st.LastEstimate = est.Sels
-		coord.Exec(est.NMEvaluations * s.opt.NMEvalCostInstr)
-		extra += coord.Cycles() - c0
-		smp := Sample{
-			Cycles:   s.accounted + extra,
-			Tuples:   tuples,
-			Counters: br.Counters.Project(paperGroup),
-			Sels:     est.Sels,
-		}
-		s.st.addSample(smp)
-		traceSample(s.opt.Trace, s.accounted+extra, smp)
-
-		order := rankOrder(s.order, s.curWeights, est.Sels)
-		if !composesTo(s.curPerm, order, s.curPerm) && !composesTo(s.curPerm, order, s.rejected) {
-			s.stableBlocks = 0
-			s.prevPerm = s.curPerm
-			if err := s.setOrder(compose(s.curPerm, order)); err != nil {
-				return 0, err
-			}
-			extra += recompileEngines(engines, s.opt)
-			s.st.Reorders++
-			s.pendingValidation = true
-			changed = true
-			if s.opt.Trace != nil {
-				traceDecision(s.opt.Trace, "reorder", s.accounted+extra, smp.Counters,
-					trace.A("from", s.prevPerm), trace.A("to", s.curPerm),
-					trace.A("est_sels", est.Sels))
-			}
-		} else {
-			s.stableBlocks++
-		}
-		if s.eligible {
-			for i, o := range order {
-				s.ordered[i] = est.Sels[o]
-			}
-			next := ChooseImpl(s.ordered, s.costP)
-			if next != s.impl {
-				s.st.ImplSwitches++
-				s.impl = next
-				extra += recompileEngines(engines, s.opt)
-				changed = true
-				if s.opt.Trace != nil {
-					// The event retains its arguments; s.ordered is reused.
-					traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, smp.Counters,
-						trace.A("impl", implName(s.impl)),
-						trace.A("est_sels", slices.Clone(s.ordered)))
-				}
-			}
-		}
-	} else if runOpt && s.impl == exec.ImplBranchFree {
-		// Branch-free blocks carry no per-predicate branch signal; return to
-		// the branching scan for one sampling block every few points.
+		changed = changed || applied
+	default:
+		// Branch-free steps carry no per-predicate branch signal; return to
+		// the branching scan for one sampling window every few points.
 		s.bfOptPoints++
 		if s.bfOptPoints >= bfResampleEvery {
 			s.bfOptPoints = 0
 			s.st.ImplSwitches++
 			s.impl = exec.ImplBranching
-			extra += recompileEngines(engines, s.opt)
+			extra += s.recompile(engines)
 			if s.opt.Trace != nil {
-				traceDecision(s.opt.Trace, "impl-switch", s.accounted+extra, br.Counters,
+				traceDecision(s.opt.Trace, "impl-switch", s.at(extra), br.Counters,
 					trace.A("impl", implName(s.impl)),
 					trace.A("resample", true))
 			}
@@ -314,39 +287,114 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, last bool, co
 	return extra, nil
 }
 
+// estimate is an optimization point on the branching scan: charge the sample
+// and the estimator's own work to the coordinator core, rank the operators by
+// the estimate, and apply a changed order and (micro) a changed scan
+// implementation on every core. It adds the cycles it charged to *extra and
+// reports whether it changed the plan.
+func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, coord *cpu.CPU, engines []*exec.Engine) (bool, error) {
+	c0 := coord.Cycles()
+	coord.Exec(sampleCostInstr)
+	est, err := s.estimator.Estimate(SampleFromPMU(counters, tuples), EstimatorConfig{
+		Widths:    s.curWidths,
+		AggWidths: s.aggWidths,
+		Geometry:  s.opt.Geometry,
+		Chain:     s.opt.Chain,
+	})
+	if err != nil {
+		return false, err
+	}
+	est.Sels = s.st.keepSels(est.Sels)
+	s.st.Optimizations++
+	s.st.EstimatorEvaluations += est.NMEvaluations
+	s.st.LastEstimate = est.Sels
+	coord.Exec(est.NMEvaluations * nmEvalCostInstr)
+	*extra += coord.Cycles() - c0
+	smp := Sample{
+		Cycles:   s.accounted + *extra,
+		Tuples:   tuples,
+		Counters: counters.Project(paperGroup),
+		Sels:     est.Sels,
+	}
+	s.st.addSample(smp)
+	traceSample(s.opt.Trace, s.at(*extra), smp)
+
+	changed := false
+	order := rankOrder(s.order, s.curWeights, est.Sels)
+	if !composesTo(s.curPerm, order, s.curPerm) && !composesTo(s.curPerm, order, s.rejected) {
+		s.stableBlocks = 0
+		s.prevPerm = s.curPerm
+		if err := s.setOrder(compose(s.curPerm, order)); err != nil {
+			return false, err
+		}
+		*extra += s.recompile(engines)
+		s.st.Reorders++
+		s.pendingValidation = true
+		changed = true
+		if s.opt.Trace != nil {
+			traceDecision(s.opt.Trace, "reorder", s.at(*extra), smp.Counters,
+				trace.A("from", s.prevPerm), trace.A("to", s.curPerm),
+				trace.A("est_sels", est.Sels))
+		}
+	} else {
+		s.stableBlocks++
+	}
+	if s.eligible {
+		for i, o := range order {
+			s.ordered[i] = est.Sels[o]
+		}
+		if next := ChooseImpl(s.ordered, s.costP); next != s.impl {
+			s.st.ImplSwitches++
+			s.impl = next
+			*extra += s.recompile(engines)
+			changed = true
+			if s.opt.Trace != nil {
+				// The event retains its arguments; s.ordered is reused.
+				traceDecision(s.opt.Trace, "impl-switch", s.at(*extra), smp.Counters,
+					trace.A("impl", implName(s.impl)),
+					trace.A("est_sels", slices.Clone(s.ordered)))
+			}
+		}
+	}
+	return changed, nil
+}
+
 // TraceFinal emits the plan-final event on the stepper's decision track (if
 // any), stamped with the accounted query clock. Callers invoke it once, when
-// the query's last block has been coordinated.
+// the query's last step has been coordinated.
 func (s *BlockStepper) TraceFinal() {
 	if s.opt.Trace == nil {
 		return
 	}
-	s.opt.Trace.Instant("plan-final", s.accounted,
-		trace.A("order", s.curPerm), trace.A("reorders", s.st.Reorders),
-		trace.A("impl", implName(s.impl)),
-		trace.A("converged_at", s.st.ConvergedAtCycles))
+	args := make([]trace.Arg, 0, 4)
+	args = append(args, trace.A("order", s.curPerm), trace.A("reorders", s.st.Reorders))
+	if s.micro || !s.vectorSteps {
+		args = append(args, trace.A("impl", implName(s.impl)))
+	}
+	s.opt.Trace.Instant("plan-final", s.at(0),
+		append(args, trace.A("converged_at", s.st.ConvergedAtCycles))...)
 }
 
 // Stats snapshots the coordination telemetry; FinalOrder is the permutation
 // currently in effect (relative to the stepper's base query).
-func (s *BlockStepper) Stats() ParallelMicroAdaptiveStats {
+func (s *BlockStepper) Stats() Stats {
 	st := s.st
 	st.FinalOrder = append([]int(nil), s.curPerm...)
 	return st
 }
 
-// recompileEngines re-JITs the scan loop on every given core (new branch
-// addresses, re-chained primitives) and returns the resulting makespan
-// extension: the largest per-core cycle delta of the recompile.
-func recompileEngines(engines []*exec.Engine, opt Options) uint64 {
+// recompile re-JITs the scan loop on every given core (new branch addresses,
+// re-chained primitives) and returns the resulting makespan extension: the
+// largest per-core cycle delta of the recompile.
+func (s *BlockStepper) recompile(engines []*exec.Engine) uint64 {
 	var max uint64
 	for _, e := range engines {
 		c := e.CPU()
 		c0 := c.Cycles()
-		if !opt.DisablePredictorReset {
+		if !s.opt.DisablePredictorReset {
 			c.ResetPredictor()
 		}
-		c.Exec(opt.ReorderCostInstr)
+		c.Exec(reorderCostInstr)
 		if d := c.Cycles() - c0; d > max {
 			max = d
 		}

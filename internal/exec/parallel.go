@@ -42,7 +42,7 @@ type Parallel struct {
 	workers    []*Engine
 	vectorSize int
 	// blockCores/blockClocks are the reusable identity subset of the
-	// whole-pool entry points (RunBlock*, RunGroupBy), which always have a
+	// whole-pool entry points (RunBlock, RunGroupBy), which always have a
 	// single driver.
 	blockCores  []int
 	blockClocks []uint64
@@ -375,20 +375,6 @@ type BlockResult struct {
 	Counters pmu.Sample
 }
 
-// RunBlock executes vectors [vecLo, vecHi) of the query morsel-driven: each
-// vector is one morsel, claimed by the core whose simulated clock is
-// furthest behind (ties go to the lowest core id).
-func (p *Parallel) RunBlock(q *Query, vecLo, vecHi int) (BlockResult, error) {
-	return p.RunBlockImpl(q, vecLo, vecHi, ImplBranching)
-}
-
-// RunBlockImpl is RunBlock with an explicit scan implementation: the
-// micro-adaptive driver runs whole morsel blocks branch-free when the merged
-// counters say predication is cheaper on every core.
-func (p *Parallel) RunBlockImpl(q *Query, vecLo, vecHi int, impl ScanImpl) (BlockResult, error) {
-	return p.RunBlockImplSum(q, vecLo, vecHi, impl, nil)
-}
-
 // fullCores returns the reusable identity core subset and zeroed entry
 // clocks covering the whole pool.
 func (p *Parallel) fullCores() ([]int, []uint64) {
@@ -403,12 +389,16 @@ func (p *Parallel) fullCores() ([]int, []uint64) {
 	return p.blockCores, p.blockClocks
 }
 
-// RunBlockImplSum is RunBlockImpl with RunBlockSubset's external aggregate
-// accumulator: a driver that splits one scan into many blocks passes the
-// same *float64 to every call and gets the exact per-vector addition order
-// (and therefore bit pattern) of an unsplit serial run, regardless of block
-// boundaries.
-func (p *Parallel) RunBlockImplSum(q *Query, vecLo, vecHi int, impl ScanImpl, sum *float64) (BlockResult, error) {
+// RunBlock executes vectors [vecLo, vecHi) of the query morsel-driven over
+// the whole pool from an even start: each vector is one morsel, claimed by
+// the core whose simulated clock is furthest behind (ties go to the lowest
+// core id), all cores inside the scan implementation impl. sum is
+// RunBlockSubset's external aggregate accumulator: a driver that splits one
+// scan into many blocks passes the same *float64 to every call and gets the
+// exact per-vector addition order (and therefore bit pattern) of an unsplit
+// serial run, regardless of block boundaries; with nil the block's
+// contribution is reduced into BlockResult.Sum.
+func (p *Parallel) RunBlock(q *Query, vecLo, vecHi int, impl ScanImpl, sum *float64) (BlockResult, error) {
 	cores, clocks := p.fullCores()
 	return p.run.RunBlockSubset(q, vecLo, vecHi, cores, clocks, impl, sum)
 }
@@ -622,7 +612,7 @@ func (r *BlockRun) merge(m *morsel) bool {
 // cores[i] consumed in this call, MaxCycles as the block makespan measured
 // from the earliest entry clock, and Counters as the subset's merged PMU
 // deltas. With the full pool and zero entry clocks this is exactly
-// RunBlockImpl.
+// RunBlock.
 //
 // sum, when non-nil, receives the per-vector aggregate contributions in
 // global vector order and BlockResult.Sum stays zero: a caller that splits
@@ -779,7 +769,7 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 // operator order. Result.Cycles is the makespan (the slowest core's cycle
 // count) and Result.Counters the merged per-core PMU deltas.
 func (p *Parallel) Run(q *Query) (Result, error) {
-	br, err := p.RunBlock(q, 0, p.NumVectors(q))
+	br, err := p.RunBlock(q, 0, p.NumVectors(q), ImplBranching, nil)
 	if err != nil {
 		return Result{}, err
 	}

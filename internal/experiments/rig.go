@@ -117,11 +117,7 @@ func (r *rig) measureProgressiveOpts(q *exec.Query, perm []int, opts core.Option
 	}
 	r.cold()
 	opts.Trace = r.opt
-	if r.par != nil {
-		res, pst, err := core.RunParallelProgressive(r.par, qo, opts)
-		return res, pst.Stats, err
-	}
-	return core.RunProgressive(r.eng, qo, opts)
+	return core.RunAdaptive(r.eng, r.par, qo, opts, false)
 }
 
 // millis converts simulated cycles to msec on the rig's clock.

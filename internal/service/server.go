@@ -126,7 +126,7 @@ type Outcome struct {
 	Sorted []exec.SortedRow
 	// Stats is the optimizer telemetry (zero-valued under ModeFixed);
 	// FinalOrder is in plan-order indexes even after a warm start.
-	Stats core.ParallelMicroAdaptiveStats
+	Stats core.Stats
 	// Arrival, Start, and Done are simulated timestamps; Done-Arrival is
 	// the query's latency including queueing, Start-Arrival the queueing
 	// delay alone.
@@ -206,7 +206,7 @@ type query struct {
 	sum                  float64
 	vectors              int
 	groups               []exec.Group
-	st                   core.ParallelMicroAdaptiveStats
+	st                   core.Stats
 
 	state int
 	err   error
@@ -1115,7 +1115,9 @@ func (s *Server) segmentAdaptive(q *query) error {
 		tuples = n - q.cursor*vs
 	}
 	last := v1 == q.numVec
-	extra, err := q.step.AfterBlock(br, tuples, last, engines[0].CPU(), engines)
+	// Every block but the last is an optimization point, and every block's
+	// cost — a short last one's too — is held against the previous block's.
+	extra, err := q.step.AfterBlock(br, tuples, !last, true, engines[0].CPU(), engines)
 	if err != nil {
 		return err
 	}
@@ -1184,7 +1186,6 @@ func (s *Server) finishLocked(q *query, done uint64) {
 	if q.step != nil {
 		q.step.TraceFinal()
 		q.st = q.step.Stats()
-		q.st.Vectors = q.vectors
 		if q.warm != nil {
 			abs := make([]int, len(q.st.FinalOrder))
 			for i, o := range q.st.FinalOrder {

@@ -125,8 +125,8 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	if got.Counters != want.Counters {
 		t.Errorf("counters diverge:\n got %v\nwant %v", got.Counters, want.Counters)
 	}
-	if !reflect.DeepEqual(got.Stats.ParallelStats, wantSt) {
-		t.Errorf("stats diverge:\n got %+v\nwant %+v", got.Stats.ParallelStats, wantSt)
+	if !reflect.DeepEqual(got.Stats, wantSt) {
+		t.Errorf("stats diverge:\n got %+v\nwant %+v", got.Stats, wantSt)
 	}
 }
 

@@ -167,14 +167,10 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 
 // execScan runs an unordered plan in the requested mode.
 func (e *Engine) execScan(q *Query, opts ExecOptions) (ExecResult, error) {
-	switch opts.Mode {
-	case ModeProgressive:
-		return e.execProgressive(q, opts.Progressive)
-	case ModeMicroAdaptive:
-		return e.execMicroAdaptive(q, opts.Progressive)
-	default:
+	if opts.Mode == ModeFixed {
 		return e.execFixed(q)
 	}
+	return e.execAdaptive(q, opts.Progressive, opts.Mode == ModeMicroAdaptive)
 }
 
 // execSorted runs a sorted plan: the scan executes in the requested mode —
@@ -276,50 +272,19 @@ func (e *Engine) optTrack() *trace.Track {
 	return e.tr.opt
 }
 
-func (e *Engine) execProgressive(q *Query, p Progressive) (ExecResult, error) {
+// execAdaptive runs the reoptimizer loop over the plan: vector-granular on
+// the engine's single core, block-granular on its pool when Workers > 1.
+func (e *Engine) execAdaptive(q *Query, p Progressive, micro bool) (ExecResult, error) {
 	opts := p.coreOptions()
 	opts.Trace = e.optTrack()
 	e.cold()
-	if e.par != nil {
-		r, st, err := core.RunParallelProgressive(e.par, q.q, opts)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		return ExecResult{Result: toResult(r), Stats: toStats(st.Stats)}, nil
-	}
-	r, st, err := core.RunProgressive(e.eng, q.q, opts)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return ExecResult{Result: toResult(r), Stats: toStats(st)}, nil
-}
-
-func (e *Engine) execMicroAdaptive(q *Query, p Progressive) (ExecResult, error) {
-	opts := p.coreOptions()
-	opts.Trace = e.optTrack()
-	e.cold()
-	if e.par != nil {
-		r, st, err := core.RunParallelMicroAdaptive(e.par, q.q, opts)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		return ExecResult{
-			Result: toResult(r),
-			Stats:  toStats(st.Stats),
-			Impl: ImplStats{
-				BranchingVectors:  st.BranchingVectors,
-				BranchFreeVectors: st.BranchFreeVectors,
-				ImplSwitches:      st.ImplSwitches,
-			},
-		}, nil
-	}
-	r, st, err := core.RunMicroAdaptive(e.eng, q.q, opts)
+	r, st, err := core.RunAdaptive(e.eng, e.par, q.q, opts, micro)
 	if err != nil {
 		return ExecResult{}, err
 	}
 	return ExecResult{
 		Result: toResult(r),
-		Stats:  toStats(st.Stats),
+		Stats:  toStats(st),
 		Impl: ImplStats{
 			BranchingVectors:  st.BranchingVectors,
 			BranchFreeVectors: st.BranchFreeVectors,

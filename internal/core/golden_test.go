@@ -39,6 +39,7 @@ type goldenRow struct {
 	ImplSwitches      int
 	ConvergedAtCycles uint64
 	FinalOrder        []int
+	Ledger            Ledger
 	Trace             string // FNV-64a of the run's Chrome-trace bytes
 }
 
@@ -122,6 +123,7 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		ImplSwitches:      st.ImplSwitches,
 		ConvergedAtCycles: st.ConvergedAtCycles,
 		FinalOrder:        st.FinalOrder,
+		Ledger:            st.Ledger,
 		Trace:             fnvHex(buf.Bytes()),
 	}
 }

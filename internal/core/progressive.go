@@ -107,9 +107,44 @@ type Stats struct {
 	// changes; all zero unless the run was micro-adaptive.
 	BranchingVectors, BranchFreeVectors int
 	ImplSwitches                        int
+	// Ledger is what the run's adaptivity cost.
+	Ledger
 
 	// selsChunk is the storage keepSels carves retained estimates from.
 	selsChunk []float64
+}
+
+// Ledger is the decision ledger of one adaptive run: where the cycles the
+// reoptimizer loop added to the query clock went, read off facts the stepper
+// holds anyway. SampleCycles, RecompileCycles and RevertedCycles are disjoint
+// parts of the clock; RegretCycles is the part of RevertedCycles a step under
+// the previous order would not have cost. What the loop can lose against never
+// reordering is SampleCycles + RecompileCycles + RegretCycles.
+type Ledger struct {
+	// SampleCycles were charged to the coordinator for PMU samples and the
+	// estimator's objective evaluations.
+	SampleCycles uint64
+	// RecompileCycles were charged for reorders, reverts, probes and
+	// implementation switches: the makespan extension of each recompile.
+	RecompileCycles uint64
+	// RevertedCycles were spent in steps whose order validation then rolled
+	// back.
+	RevertedCycles uint64
+	// RegretCycles is those steps' excess over the yardstick: the step the
+	// rejected order was measured against, scaled to the same vector count.
+	RegretCycles uint64
+	// HeldOff counts the optimization points the back-off after a revert sat
+	// out, uncharged.
+	HeldOff int
+}
+
+// Add accumulates another run's ledger.
+func (l *Ledger) Add(o Ledger) {
+	l.SampleCycles += o.SampleCycles
+	l.RecompileCycles += o.RecompileCycles
+	l.RevertedCycles += o.RevertedCycles
+	l.RegretCycles += o.RegretCycles
+	l.HeldOff += o.HeldOff
 }
 
 // RunProgressive executes the query on one core with progressive

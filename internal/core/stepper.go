@@ -217,14 +217,13 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 			}
 			extra += s.recompile(engines)
 			s.st.Reverts++
+			s.st.RevertedCycles += br.MaxCycles
+			s.st.RegretCycles += br.MaxCycles - uint64(s.prevCostPerVec*float64(br.Vectors))
 			changed = true
 			if s.opt.Trace != nil {
-				measured, bound := trace.A("cost_per_vec", costPerVec), trace.A("prev_cost_per_vec", s.prevCostPerVec)
-				if s.vectorSteps {
-					measured, bound = trace.A("vec_cycles", br.MaxCycles), trace.A("limit", limit)
-				}
 				traceDecision(s.opt.Trace, "revert", s.at(extra), br.Counters,
-					trace.A("to", s.curPerm), measured, bound)
+					trace.A("to", s.curPerm), trace.A("cost_per_vec", costPerVec),
+					trace.A("prev_cost_per_vec", s.prevCostPerVec))
 			}
 		}
 	}
@@ -309,6 +308,7 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 	s.st.EstimatorEvaluations += est.NMEvaluations
 	s.st.LastEstimate = est.Sels
 	coord.Exec(est.NMEvaluations * nmEvalCostInstr)
+	s.st.SampleCycles += coord.Cycles() - c0
 	*extra += coord.Cycles() - c0
 	smp := Sample{
 		Cycles:   s.accounted + *extra,
@@ -366,13 +366,13 @@ func (s *BlockStepper) TraceFinal() {
 	if s.opt.Trace == nil {
 		return
 	}
-	args := make([]trace.Arg, 0, 4)
-	args = append(args, trace.A("order", s.curPerm), trace.A("reorders", s.st.Reorders))
-	if s.micro || !s.vectorSteps {
-		args = append(args, trace.A("impl", implName(s.impl)))
-	}
+	l := s.st.Ledger
 	s.opt.Trace.Instant("plan-final", s.at(0),
-		append(args, trace.A("converged_at", s.st.ConvergedAtCycles))...)
+		trace.A("order", s.curPerm), trace.A("reorders", s.st.Reorders),
+		trace.A("impl", implName(s.impl)), trace.A("converged_at", s.st.ConvergedAtCycles),
+		trace.A("sample_cycles", l.SampleCycles), trace.A("recompile_cycles", l.RecompileCycles),
+		trace.A("reverted_cycles", l.RevertedCycles), trace.A("regret_cycles", l.RegretCycles),
+		trace.A("held_off", l.HeldOff))
 }
 
 // Stats snapshots the coordination telemetry; FinalOrder is the permutation
@@ -399,5 +399,6 @@ func (s *BlockStepper) recompile(engines []*exec.Engine) uint64 {
 			max = d
 		}
 	}
+	s.st.RecompileCycles += max
 	return max
 }

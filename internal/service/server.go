@@ -106,6 +106,8 @@ type Stats struct {
 	// converged order; FeedbackStores counts completed adaptive runs that
 	// deposited one.
 	FeedbackWarmStarts, FeedbackStores int
+	// Reopt sums the decision ledgers of the completed adaptive runs.
+	Reopt core.Ledger
 	// MakespanCycles is the largest per-core clock: the simulated time the
 	// pool has been driven to.
 	MakespanCycles uint64
@@ -1186,6 +1188,7 @@ func (s *Server) finishLocked(q *query, done uint64) {
 	if q.step != nil {
 		q.step.TraceFinal()
 		q.st = q.step.Stats()
+		s.stats.Reopt.Add(q.st.Ledger)
 		if q.warm != nil {
 			abs := make([]int, len(q.st.FinalOrder))
 			for i, o := range q.st.FinalOrder {

@@ -442,7 +442,16 @@ type Stats struct {
 	// optimizer track and the ext-* convergence figures render this same
 	// series.
 	Samples []SampleObs
+	// Ledger is what re-optimizing cost the run: cycles charged to sampling
+	// and estimation and to recompiles, cycles spent in steps whose order
+	// validation rolled back and their excess over the step they were
+	// measured against, and the optimization points the back-off sat out.
+	Ledger Ledger
 }
+
+// Ledger is the decision ledger of one adaptive run (see Stats.Ledger); a
+// server sums it over its completed queries (ServerStats.Reopt).
+type Ledger = core.Ledger
 
 // SampleObs is one progressive-sampling observation retained on Stats.
 type SampleObs struct {

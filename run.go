@@ -335,6 +335,7 @@ func toStats(st core.Stats) Stats {
 		LastEstimate:      st.LastEstimate,
 		ConvergedAtCycles: st.ConvergedAtCycles,
 		Samples:           toSamples(st.Samples),
+		Ledger:            st.Ledger,
 	}
 }
 

@@ -52,6 +52,9 @@ type ServerStats struct {
 	// converged order; FeedbackStores counts adaptive completions that
 	// deposited one.
 	FeedbackWarmStarts, FeedbackStores int
+	// Reopt sums the decision ledgers of the completed adaptive queries:
+	// what re-optimization cost the served workload.
+	Reopt Ledger
 	// MakespanCycles/Millis is the simulated time the core pool has been
 	// driven to — the whole workload's completion time.
 	MakespanCycles uint64
@@ -132,6 +135,7 @@ type serverMetrics struct {
 	submitted, admitted, rejected, completed *trace.Gauge
 	planHits, planMisses, planEvictions      *trace.Gauge
 	warmStarts, feedbackStores               *trace.Gauge
+	reopt                                    [5]*trace.Gauge
 	latency                                  *trace.Summary
 	latP50, latP95, latP99                   *trace.Gauge
 	makespan                                 *trace.Gauge
@@ -157,6 +161,13 @@ func newServerMetrics() *serverMetrics {
 		latP99:         reg.Gauge("progopt_query_latency_p99_millis", "p99 simulated query latency, in simulated milliseconds."),
 		makespan:       reg.Gauge("progopt_makespan_millis", "Simulated time the core pool has been driven to."),
 		resident:       reg.Gauge("progopt_storage_resident_bytes", "Storage-tier bytes resident in the DRAM budget after the most recent stored query."),
+		reopt: [5]*trace.Gauge{
+			reg.Gauge("progopt_reopt_sample_cycles", "Simulated cycles adaptive queries were charged for PMU sampling and estimation."),
+			reg.Gauge("progopt_reopt_recompile_cycles", "Simulated cycles charged for reorders, reverts, probes and implementation switches."),
+			reg.Gauge("progopt_reopt_reverted_cycles", "Simulated cycles spent in steps whose operator order validation rolled back."),
+			reg.Gauge("progopt_reopt_regret_cycles", "Excess of those steps over the step they were validated against."),
+			reg.Gauge("progopt_reopt_held_off", "Optimization points sat out by the back-off after a revert."),
+		},
 	}
 }
 
@@ -433,6 +444,7 @@ func (s *Server) Stats() ServerStats {
 		PlanCacheEvictions: s.plans.Evictions(),
 		FeedbackWarmStarts: st.FeedbackWarmStarts,
 		FeedbackStores:     st.FeedbackStores,
+		Reopt:              st.Reopt,
 		MakespanCycles:     st.MakespanCycles,
 	}
 	s.mu.Unlock()
@@ -460,6 +472,9 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	m.planEvictions.Set(float64(st.PlanCacheEvictions))
 	m.warmStarts.Set(float64(st.FeedbackWarmStarts))
 	m.feedbackStores.Set(float64(st.FeedbackStores))
+	for i, v := range [5]uint64{st.Reopt.SampleCycles, st.Reopt.RecompileCycles, st.Reopt.RevertedCycles, st.Reopt.RegretCycles, uint64(st.Reopt.HeldOff)} {
+		m.reopt[i].Set(float64(v))
+	}
 	m.latP50.Set(s.e.cpu.MillisOf(uint64(m.latency.Quantile(0.5))))
 	m.latP95.Set(s.e.cpu.MillisOf(uint64(m.latency.Quantile(0.95))))
 	m.latP99.Set(s.e.cpu.MillisOf(uint64(m.latency.Quantile(0.99))))

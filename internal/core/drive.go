@@ -61,7 +61,7 @@ func RunAdaptive(e *exec.Engine, p *exec.Parallel, q *exec.Query, opt Options, m
 	numVec := (n + vs - 1) / vs
 	stepVecs := 1
 	if p == nil {
-		s.vectorSteps, s.clockBase = true, coord.Cycles()
+		s.clockBase = coord.Cycles()
 	} else if stepVecs = s.BlockVectors(len(engines)); stepVecs <= 0 {
 		stepVecs = numVec // no re-optimization: one block
 	}

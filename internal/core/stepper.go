@@ -29,16 +29,11 @@ type BlockStepper struct {
 	eligible bool
 	costP    ImplCostParams
 
-	// vectorSteps says the steps are single vectors on one engine (the
-	// serial drivers), and clockBase is that engine's clock at the run's
-	// start: decision events are stamped clockBase + accounted, which there
-	// is the core's own clock, next to its vector spans. Block-granular
-	// callers leave both zero. Beyond the clock, vectorSteps selects the
-	// trace spelling of the revert and plan-final events and how a
-	// validation against a zero-cost step is read (see AfterBlock and
-	// DESIGN.md, "The reoptimizer loop").
-	vectorSteps bool
-	clockBase   uint64
+	// clockBase is the engine's clock at the start of a run stepped one
+	// vector at a time on one engine: decision events are stamped clockBase +
+	// accounted, which there is the core's own clock, next to its vector
+	// spans. Block-granular callers leave it zero.
+	clockBase uint64
 
 	curPerm, prevPerm []int
 	curQ              *exec.Query
@@ -201,14 +196,13 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 	var extra uint64
 	costPerVec := float64(br.MaxCycles) / float64(br.Vectors)
 
-	if s.pendingValidation && !s.opt.DisableValidation {
+	// A step made only of zone-map-skipped vectors cost nothing: it is neither
+	// a verdict on the order it ran under nor a yardstick for the next one,
+	// and a validation it leaves pending holds the optimization point.
+	skipped := br.MaxCycles == 0
+	if s.pendingValidation && !skipped {
 		s.pendingValidation = false
-		limit := s.prevCostPerVec * (1 + validationTolerance)
-		// Zone-map-skipped vectors cost nothing. A block made only of them
-		// is no yardstick for the next one; a single skipped vector is held
-		// against all the same, so an order estimated from its empty sample
-		// is reverted by the first vector that costs anything.
-		if validate && costPerVec > limit && (s.vectorSteps || s.prevCostPerVec > 0) {
+		if validate && !s.opt.DisableValidation && s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+validationTolerance) {
 			// Deteriorated: re-establish the previous order on every core and
 			// remember the rejected one so it is not proposed again.
 			s.rejected = s.curPerm
@@ -240,7 +234,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 		}
 	}
 	switch {
-	case !optPoint:
+	case !optPoint || s.pendingValidation:
 	case probe != nil:
 		// Run the next step under the rotation and let validation decide.
 		s.stableBlocks = 0
@@ -278,7 +272,9 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 			}
 		}
 	}
-	s.prevCostPerVec = costPerVec
+	if !skipped {
+		s.prevCostPerVec = costPerVec
+	}
 	s.accounted += extra
 	if changed {
 		s.st.ConvergedAtCycles = s.accounted

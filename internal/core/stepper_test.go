@@ -21,8 +21,8 @@ import (
 const stepTuples = 1024
 
 // stepperFixture builds a stepper over nOps predicates and the idle cores
-// that pay for its decisions. vectorSteps makes it the serial drivers' case.
-func stepperFixture(t testing.TB, nOps, cores int, micro, vectorSteps bool, opt Options) (*BlockStepper, []*exec.Engine) {
+// that pay for its decisions.
+func stepperFixture(t testing.TB, nOps, cores int, micro bool, opt Options) (*BlockStepper, []*exec.Engine) {
 	t.Helper()
 	tb := columnar.NewTable("one")
 	tb.MustAddColumn(columnar.NewInt64("a", []int64{1}))
@@ -38,7 +38,6 @@ func stepperFixture(t testing.TB, nOps, cores int, micro, vectorSteps bool, opt 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.vectorSteps = vectorSteps
 	return s, engines
 }
 
@@ -97,7 +96,7 @@ func wantOrder(t *testing.T, s *BlockStepper, want ...int) {
 // proposed again, however often the estimator asks for it, until a later
 // revert overwrites the remembered order.
 func TestStepperRevertThenTabu(t *testing.T) {
-	s, eng := stepperFixture(t, 3, 2, false, false, Options{ReopInterval: 1})
+	s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
 	feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000, optPoint: true})
 	wantOrder(t, s, 2, 1, 0)
 	// The new order costs more: back to the start, and [2 1 0] is tabu.
@@ -125,7 +124,7 @@ func TestStepperRevertThenTabu(t *testing.T) {
 // TestStepperExploreSkipsRejectedRotation: once validation has rejected the
 // probe rotation, a due probe falls through to plain estimation.
 func TestStepperExploreSkipsRejectedRotation(t *testing.T) {
-	s, eng := stepperFixture(t, 3, 1, false, false, Options{ReopInterval: 1, ExploreEvery: 1})
+	s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1, ExploreEvery: 1})
 	feed(t, s, eng, synthStep{sels: selsAscending, cost: 1000, optPoint: true}) // confirms the order
 	feed(t, s, eng, synthStep{sels: selsAscending, cost: 1000, optPoint: true}) // probe
 	wantOrder(t, s, 1, 2, 0)
@@ -149,7 +148,7 @@ func TestStepperExploreSkipsRejectedRotation(t *testing.T) {
 // a due probe must not charge a recompile, count an exploration, or set up a
 // revert to the same order.
 func TestStepperSingleOperatorNeverProbes(t *testing.T) {
-	s, eng := stepperFixture(t, 1, 1, false, false, Options{ReopInterval: 1, ExploreEvery: 1})
+	s, eng := stepperFixture(t, 1, 1, false, Options{ReopInterval: 1, ExploreEvery: 1})
 	for i := 0; i < 6; i++ {
 		feed(t, s, eng, synthStep{sels: []float64{0.5}, cost: uint64(1000 + 500*i), optPoint: true})
 	}
@@ -162,7 +161,7 @@ func TestStepperSingleOperatorNeverProbes(t *testing.T) {
 // no estimate runs on them; every third optimization point returns to the
 // branching scan for one sampling window.
 func TestStepperBranchFreeResample(t *testing.T) {
-	s, eng := stepperFixture(t, 3, 2, true, false, Options{ReopInterval: 1})
+	s, eng := stepperFixture(t, 3, 2, true, Options{ReopInterval: 1})
 	mid := []float64{0.5, 0.5, 0.5}
 	feed(t, s, eng, synthStep{sels: mid, cost: 1000, optPoint: true})
 	if s.Impl() != exec.ImplBranchFree {
@@ -193,18 +192,18 @@ func TestStepperBranchFreeResample(t *testing.T) {
 func TestStepperValidationEligibility(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		vectorSteps bool
+		blocks      bool
 		last        synthStep
 		wantReverts int
 	}{
-		{"partial last vector", true, synthStep{sels: selsDescending, cost: 5000, partial: true}, 0},
-		{"full vector", true, synthStep{sels: selsDescending, cost: 5000}, 1},
-		{"short last block", false, synthStep{sels: selsDescending, cost: 5000, vectors: 3}, 1},
+		{"partial last vector", false, synthStep{sels: selsDescending, cost: 5000, partial: true}, 0},
+		{"full vector", false, synthStep{sels: selsDescending, cost: 5000}, 1},
+		{"short last block", true, synthStep{sels: selsDescending, cost: 5000, vectors: 3}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, eng := stepperFixture(t, 3, 1, false, tc.vectorSteps, Options{ReopInterval: 1})
+			s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
 			first := synthStep{sels: selsDescending, cost: 1000, optPoint: true}
-			if !tc.vectorSteps {
+			if tc.blocks {
 				first.vectors, first.cost = 8, 8000
 			}
 			feed(t, s, eng, first)
@@ -220,13 +219,50 @@ func TestStepperValidationEligibility(t *testing.T) {
 	}
 }
 
+// TestStepperZeroCostStep: a step made only of zone-map-skipped vectors is
+// neither a verdict nor a yardstick, one vector or a block of them alike. The
+// pending validation waits for the first step that cost anything, is held
+// against the last one that did, and holds the optimization point meanwhile.
+func TestStepperZeroCostStep(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		vectors     int
+		verdictCost uint64
+		wantReverts int
+	}{
+		{"vector, worse", 1, 2000, 1},
+		{"vector, no worse", 1, 1000, 0},
+		{"block, worse", 8, 16000, 1},
+		{"block, no worse", 8, 8000, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
+			feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000 * uint64(tc.vectors), vectors: tc.vectors, optPoint: true})
+			wantOrder(t, s, 2, 1, 0)
+			for i := 0; i < 2; i++ {
+				if extra := feed(t, s, eng, synthStep{sels: selsMiddleLow, vectors: tc.vectors, optPoint: true}); extra != 0 {
+					t.Fatalf("a skipped step charged %d cycles", extra)
+				}
+				wantOrder(t, s, 2, 1, 0)
+				if !s.pendingValidation || s.prevCostPerVec != 1000 || s.st.Optimizations != 1 {
+					t.Fatalf("skipped step %d: pending %v, yardstick %v, %d optimizations", i, s.pendingValidation, s.prevCostPerVec, s.st.Optimizations)
+				}
+			}
+			feed(t, s, eng, synthStep{sels: selsDescending, cost: tc.verdictCost, vectors: tc.vectors})
+			if s.st.Reverts != tc.wantReverts || s.pendingValidation {
+				t.Fatalf("%d reverts, want %d (pending %v)", s.st.Reverts, tc.wantReverts, s.pendingValidation)
+			}
+		})
+	}
+}
+
 // TestStepperRevertAndEstimateInOneStep: at ReopInterval 1 the step that
 // validates is itself an optimization point. The revert and the estimate
 // share it — the estimate reads the sample, taken under the rejected order,
 // in the restored order's positions, here as already ascending, and changes
 // nothing — and ConvergedAtCycles is the clock at the end of that step.
 func TestStepperRevertAndEstimateInOneStep(t *testing.T) {
-	s, eng := stepperFixture(t, 3, 1, false, true, Options{ReopInterval: 1})
+	s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
 	clock := uint64(1000) + feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000, optPoint: true})
 	if s.st.ConvergedAtCycles != clock {
 		t.Fatalf("converged at %d after the reorder, clock %d", s.st.ConvergedAtCycles, clock)
@@ -257,12 +293,12 @@ func TestStepperRevertAndEstimateInOneStep(t *testing.T) {
 func FuzzStepperInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, opsRaw, flags, explore uint8, stream []byte) {
 		nOps := int(opsRaw)%5 + 1
-		micro, vectorSteps, noValidation := flags&1 != 0, flags&2 != 0, flags&8 != 0
+		micro, serial, noValidation := flags&1 != 0, flags&2 != 0, flags&8 != 0
 		cores := 1
-		if !vectorSteps {
+		if !serial {
 			cores += int(flags >> 4 & 3)
 		}
-		s, engines := stepperFixture(t, nOps, cores, micro, vectorSteps,
+		s, engines := stepperFixture(t, nOps, cores, micro,
 			Options{ReopInterval: 1, ExploreEvery: int(explore % 4), DisableValidation: noValidation})
 		if flags&4 != 0 {
 			s.SetImpl(exec.ImplBranchFree)
@@ -281,10 +317,10 @@ func FuzzStepperInvariants(f *testing.F) {
 			d[pmu.L3Access] = uint64(b[3]) * stepTuples / 64
 			d[pmu.BrTaken] = uint64(stepTuples) + uint64(b[0]^b[1])*stepTuples/255
 			br := exec.BlockResult{Vectors: 1, MaxCycles: uint64(b[4]) * 100, Counters: d}
-			if !vectorSteps {
+			if !serial {
 				br.Vectors += int(b[5] % 8)
 			}
-			optPoint, validate := b[6]&1 != 0, b[6]&2 != 0 || !vectorSteps
+			optPoint, validate := b[6]&1 != 0, b[6]&2 != 0 || !serial
 
 			before, pending, impl := s.st, s.pendingValidation, s.Impl()
 			starts := make([]uint64, cores)
@@ -305,8 +341,13 @@ func FuzzStepperInvariants(f *testing.F) {
 				t.Fatalf("%d reverts of %d reorders and %d explorations", after.Reverts, after.Reorders, after.Explorations)
 			}
 			replaced := after.Reorders > before.Reorders || after.Explorations > before.Explorations
-			if pending && validate && !noValidation && s.pendingValidation && !replaced {
-				t.Fatal("an eligible step left the validation pending")
+			// The first step that cost anything is the verdict; a step of
+			// skipped vectors leaves it pending and holds the point.
+			if pending && br.MaxCycles > 0 && s.pendingValidation && !replaced {
+				t.Fatal("a costed step left the validation pending")
+			}
+			if pending && br.MaxCycles == 0 && (!s.pendingValidation || replaced || after.Reverts > before.Reverts || after.Optimizations > before.Optimizations) {
+				t.Fatalf("a zero-cost step decided: %+v -> %+v", before, after)
 			}
 			if s.accounted != clock {
 				t.Fatalf("accounted clock %d, steps and extras sum to %d", s.accounted, clock)

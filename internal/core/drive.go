@@ -5,39 +5,6 @@ import (
 	"progopt/internal/hw/pmu"
 )
 
-// RunParallelProgressive executes the query morsel-driven across the
-// parallel executor's cores with progressive re-optimization at block
-// granularity: each step spans ReopInterval vectors per core; at every block
-// boundary the per-core PMU deltas are merged and the selectivity estimator
-// inverts the cost models over the aggregate — summing per-core counters is
-// exactly how a multi-core deployment samples its PMUs — then operators are
-// reordered by ascending rank. The next block validates the reorder against
-// the previous block's per-vector cost and reverts on regression, the
-// parallel analogue of §4.4's vector-level validation.
-//
-// Estimation runs on core 0 while the other cores idle at the block barrier,
-// so its cycle cost extends the makespan; a reorder re-JITs the scan loop on
-// every core (predictor reset + recompile charge).
-//
-// Query results (Qualifying, Sum) are bit-identical to a serial run and
-// deterministic across worker counts; because the morsel scheduler runs on
-// simulated clocks, cycle counts, counter samples, and optimizer decisions
-// are also fully reproducible run to run.
-func RunParallelProgressive(p *exec.Parallel, q *exec.Query, opt Options) (exec.Result, Stats, error) {
-	return RunAdaptive(nil, p, q, opt, false)
-}
-
-// RunParallelMicroAdaptive is RunParallelProgressive extended with per-block
-// implementation choice: when every operator is a plain predicate, the next
-// block's scan implementation (branching v. branch-free) is chosen from the
-// estimates. A chosen implementation applies to every core: the morsel
-// scheduler keeps all cores inside the same compiled scan loop, so an
-// implementation switch is a recompile on each core, exactly like a reorder.
-// Cycle counts are makespans.
-func RunParallelMicroAdaptive(p *exec.Parallel, q *exec.Query, opt Options) (exec.Result, Stats, error) {
-	return RunAdaptive(nil, p, q, opt, true)
-}
-
 // RunAdaptive is the drive loop of every adaptive run — progressive, or
 // micro-adaptive with micro set: execute one step, let the stepper
 // coordinate, repeat. It runs on the pool p when there is one and on the
@@ -46,6 +13,12 @@ func RunParallelMicroAdaptive(p *exec.Parallel, q *exec.Query, opt Options) (exe
 // block of ReopInterval vectors per core and every block is one. Neither the
 // last vector nor the last block is an optimization point: nothing would run
 // under the new plan.
+//
+// The result's cycles (a makespan on a pool) and counters include what the
+// loop charged for sampling, estimation and recompiles. Qualifying and Sum
+// are bit-identical to a fixed-order run at every worker count and interval,
+// and since the morsel scheduler runs on simulated clocks, so are cycles,
+// samples and decisions from run to run.
 func RunAdaptive(e *exec.Engine, p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
 	engines := []*exec.Engine{e}
 	if p != nil {

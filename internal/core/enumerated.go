@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"progopt/internal/exec"
 )
 
@@ -99,7 +101,7 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 			st.LastEstimate = sels
 			order := AscendingOrder(sels)
 			newPerm := compose(curPerm, order)
-			if !equalPerm(newPerm, curPerm) {
+			if !slices.Equal(newPerm, curPerm) {
 				prevPerm = append([]int(nil), curPerm...)
 				curPerm = newPerm
 				var err error

@@ -83,9 +83,9 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		e.CPU().ResetPredictor()
 		e.SetTrace(cores[0])
 		if micro {
-			res, st, err = RunMicroAdaptive(e, q, opt)
+			res, st, err = RunAdaptive(e, nil, q, opt, true)
 		} else {
-			res, st, err = RunProgressive(e, q, opt)
+			res, st, err = RunAdaptive(e, nil, q, opt, false)
 		}
 	} else {
 		p, perr := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
@@ -99,9 +99,9 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		p.Cold()
 		p.SetTrace(cores)
 		if micro {
-			res, st, err = RunParallelMicroAdaptive(p, q, opt)
+			res, st, err = RunAdaptive(nil, p, q, opt, true)
 		} else {
-			res, st, err = RunParallelProgressive(p, q, opt)
+			res, st, err = RunAdaptive(nil, p, q, opt, false)
 		}
 	}
 	if err != nil {

@@ -92,14 +92,6 @@ func ChooseImpl(sels []float64, p ImplCostParams) exec.ScanImpl {
 	return exec.ImplBranching
 }
 
-// RunMicroAdaptive is RunProgressive extended with per-cycle implementation
-// choice: after each selectivity estimation the loop also decides whether the
-// next vectors run the branching or the branch-free scan. Queries containing
-// non-predicate operators always run branching.
-func RunMicroAdaptive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, Stats, error) {
-	return RunAdaptive(e, nil, q, opt, true)
-}
-
 // implName renders a scan implementation for trace args.
 func implName(impl exec.ScanImpl) string {
 	if impl == exec.ImplBranchFree {

@@ -36,7 +36,7 @@ func microQuery(t *testing.T) (*exec.Query, *exec.Engine) {
 // the serial run.
 func TestRunParallelMicroAdaptive(t *testing.T) {
 	q, e := microQuery(t)
-	serial, _, err := RunMicroAdaptive(e, q, Options{ReopInterval: 2})
+	serial, _, err := RunAdaptive(e, nil, q, Options{ReopInterval: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunParallelMicroAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, st, err := RunParallelMicroAdaptive(p, qp, Options{ReopInterval: 2})
+		res, st, err := RunAdaptive(nil, p, qp, Options{ReopInterval: 2}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestRunParallelMicroAdaptiveJoinIneligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunParallelMicroAdaptive(p, q, Options{ReopInterval: 3})
+	_, st, err := RunAdaptive(nil, p, q, Options{ReopInterval: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

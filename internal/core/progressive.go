@@ -147,21 +147,6 @@ func (l *Ledger) Add(o Ledger) {
 	l.HeldOff += o.HeldOff
 }
 
-// RunProgressive executes the query on one core with progressive
-// re-optimization: the reoptimizer loop (see BlockStepper) stepped one vector
-// at a time, with an optimization point every ReopInterval vectors — sample
-// the PMU delta of the last vector, estimate per-operator selectivities,
-// reorder operators by ascending rank (per-row load weight over estimated
-// drop rate — plain ascending selectivity for all-predicate plans; see
-// RankOrder), then validate the new order against the next vector and revert
-// on regression (§4.4).
-//
-// The returned result's counters and cycles include the sampling,
-// estimation, and reordering overhead, charged to the simulated CPU.
-func RunProgressive(e *exec.Engine, q *exec.Query, opt Options) (exec.Result, Stats, error) {
-	return RunAdaptive(e, nil, q, opt, false)
-}
-
 func identity(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -195,18 +180,6 @@ func composesTo(curPerm, order, perm []int) bool {
 	}
 	for i, o := range order {
 		if curPerm[o] != perm[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalPerm(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -64,7 +64,7 @@ func TestRunProgressiveCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := RunProgressive(e, q, Options{ReopInterval: 5})
+	got, st, err := RunAdaptive(e, nil, q, Options{ReopInterval: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunProgressiveBeatsBadOrder(t *testing.T) {
 	if err := eProg.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	prog, st, err := RunProgressive(eProg, q, Options{ReopInterval: 5})
+	prog, st, err := RunAdaptive(eProg, nil, q, Options{ReopInterval: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRunProgressiveNearNoopOnGoodOrder(t *testing.T) {
 	if err := eProg.BindQuery(best); err != nil {
 		t.Fatal(err)
 	}
-	prog, _, err := RunProgressive(eProg, best, Options{ReopInterval: 10})
+	prog, _, err := RunAdaptive(eProg, nil, best, Options{ReopInterval: 10}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRunProgressiveZeroIntervalIsBaseline(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := RunProgressive(e, q, Options{ReopInterval: 0})
+	res, st, err := RunAdaptive(e, nil, q, Options{ReopInterval: 0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRunProgressiveValidationReverts(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunProgressive(e, q, Options{ReopInterval: 3})
+	_, st, err := RunAdaptive(e, nil, q, Options{ReopInterval: 3}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

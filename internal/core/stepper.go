@@ -60,9 +60,13 @@ type BlockStepper struct {
 	// current order (drives the §4.5 correlation probe; progressive mode
 	// only).
 	stableBlocks int
-	// rejected remembers the last order validation reverted, so neither the
-	// estimator nor the probe proposes the measured regression again.
-	rejected []int
+	// rejected is the set of orders validation rolled back since the last
+	// reorder that survived it: neither the estimator nor the probe proposes
+	// a measured regression again until the data has moved. backoff counts
+	// the reverts in a row and holdoff the optimization points still to sit
+	// out because of them (2^backoff - 1 after each revert).
+	rejected         [][]int
+	backoff, holdoff int
 
 	// accounted is the simulated cycle cost attributed to the query so far
 	// (step makespans plus coordination), the clock ConvergedAtCycles and
@@ -141,13 +145,25 @@ func (s *BlockStepper) Query() *exec.Query { return s.curQ }
 // (ImplBranching unless a micro stepper chose predication).
 func (s *BlockStepper) Impl() exec.ScanImpl { return s.impl }
 
-// SetImpl overrides the initial scan implementation (feedback-cache warm
-// start). Only meaningful before the first block of a micro stepper.
-func (s *BlockStepper) SetImpl(impl exec.ScanImpl) {
-	if s.micro && s.eligible {
+// WarmStart begins the run where a finished run of the same plan left off
+// (the feedback cache): at its final order and scan implementation, with the
+// orders it saw validation roll back already in the rejected set, so the
+// regressions the predecessor paid for are not measured again. Only
+// meaningful before the first step.
+func (s *BlockStepper) WarmStart(order []int, impl exec.ScanImpl, rejected [][]int) error {
+	if err := s.setOrder(order); err != nil {
+		return err
+	}
+	if s.eligible {
 		s.impl = impl
 	}
+	s.rejected = append(s.rejected, rejected...)
+	return nil
 }
+
+// Rejected returns the orders validation rolled back that still stand at the
+// end of the run: what WarmStart hands the next one.
+func (s *BlockStepper) Rejected() [][]int { return slices.Clone(s.rejected) }
 
 // BlockVectors returns how many vectors one block-granular step spans on k
 // cores (ReopInterval per core), or 0 when re-optimization is disabled.
@@ -168,6 +184,14 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.clockBase + s.accounte
 // optPoint says an optimization point is due, either issue a §4.5 probe or
 // sample the merged counters, estimate selectivities, reorder by ascending
 // rank and, in micro mode, choose the next step's scan implementation.
+//
+// Three rules bound what the loop can lose when its proposals are wrong. A
+// sample belongs to the order it was taken under, so the step that reverts
+// decides nothing else. Every order validation rolled back stays rejected —
+// to the estimator and to the probe — until a reorder survives validation.
+// And the k-th revert in a row sits out the next 2^k - 1 optimization points,
+// uncharged, so a run whose first order was the best pays for O(log points)
+// validation steps, not O(points).
 //
 // tuples is the number of driving-table tuples the step covered. optPoint is
 // the caller's schedule: every ReopInterval-th vector but the last at vector
@@ -192,7 +216,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 		}
 	}
 	s.accounted += br.MaxCycles
-	changed := false
+	changed, reverted := false, false
 	var extra uint64
 	costPerVec := float64(br.MaxCycles) / float64(br.Vectors)
 
@@ -205,7 +229,10 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 		if validate && !s.opt.DisableValidation && s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+validationTolerance) {
 			// Deteriorated: re-establish the previous order on every core and
 			// remember the rejected one so it is not proposed again.
-			s.rejected = s.curPerm
+			s.rejected = append(s.rejected, s.curPerm)
+			s.backoff++
+			s.holdoff = 1<<s.backoff - 1
+			reverted = true
 			if err := s.setOrder(s.prevPerm); err != nil {
 				return 0, err
 			}
@@ -219,6 +246,10 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 					trace.A("to", s.curPerm), trace.A("cost_per_vec", costPerVec),
 					trace.A("prev_cost_per_vec", s.prevCostPerVec))
 			}
+		} else {
+			// The change survived: the data moved, so earlier verdicts are
+			// stale and the loop is trusted again.
+			s.rejected, s.backoff, s.holdoff = s.rejected[:0], 0, 0
 		}
 	}
 
@@ -229,12 +260,19 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 	// single operator has no other order to try.
 	var probe []int
 	if optPoint && !s.micro && s.opt.ExploreEvery > 0 && s.stableBlocks >= s.opt.ExploreEvery && len(s.curPerm) > 1 {
-		if r := rotate(s.curPerm); !equalPerm(r, s.rejected) {
+		if r := rotate(s.curPerm); !slices.ContainsFunc(s.rejected, func(x []int) bool { return slices.Equal(x, r) }) {
 			probe = r
 		}
 	}
 	switch {
 	case !optPoint || s.pendingValidation:
+	case reverted || s.holdoff > 0:
+		// Just proven wrong: the step's sample was taken under the rejected
+		// order, and each revert in a row doubles the points sat out.
+		if !reverted {
+			s.holdoff--
+		}
+		s.st.HeldOff++
 	case probe != nil:
 		// Run the next step under the rotation and let validation decide.
 		s.stableBlocks = 0
@@ -317,7 +355,11 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 
 	changed := false
 	order := rankOrder(s.order, s.curWeights, est.Sels)
-	if !composesTo(s.curPerm, order, s.curPerm) && !composesTo(s.curPerm, order, s.rejected) {
+	// The gain gate: a predicted saving validation could not tell from noise
+	// (none at all when the order stands) is not worth a recompile, a
+	// predictor reset and a step at risk.
+	worthIt := planCost(order, s.curWeights, est.Sels) < planCost(nil, s.curWeights, est.Sels)*(1-validationTolerance)
+	if worthIt && !s.proposesRejected(order) {
 		s.stableBlocks = 0
 		s.prevPerm = s.curPerm
 		if err := s.setOrder(compose(s.curPerm, order)); err != nil {
@@ -353,6 +395,32 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 		}
 	}
 	return changed, nil
+}
+
+// planCost is the rank model's cost of running the operators in order (nil:
+// as they are): each one's load weight times the share of rows reaching it.
+func planCost(order []int, weights, sels []float64) float64 {
+	cost, reach := 0.0, 1.0
+	for i := range sels {
+		o := i
+		if order != nil {
+			o = order[i]
+		}
+		cost += reach * weights[o]
+		reach *= sels[o]
+	}
+	return cost
+}
+
+// proposesRejected reports whether order, in current-order positions, is an
+// order validation has rolled back.
+func (s *BlockStepper) proposesRejected(order []int) bool {
+	for _, r := range s.rejected {
+		if composesTo(s.curPerm, order, r) {
+			return true
+		}
+	}
+	return false
 }
 
 // TraceFinal emits the plan-final event on the stepper's decision track (if

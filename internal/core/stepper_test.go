@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -92,55 +93,172 @@ func wantOrder(t *testing.T, s *BlockStepper, want ...int) {
 	}
 }
 
-// TestStepperRevertThenTabu: a reorder that validation rolls back is not
-// proposed again, however often the estimator asks for it, until a later
-// revert overwrites the remembered order.
-func TestStepperRevertThenTabu(t *testing.T) {
-	s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
-	feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000, optPoint: true})
-	wantOrder(t, s, 2, 1, 0)
-	// The new order costs more: back to the start, and [2 1 0] is tabu.
-	feed(t, s, eng, synthStep{sels: selsDescending, cost: 2000})
-	wantOrder(t, s, 0, 1, 2)
-	for i := 0; i < 4; i++ {
-		feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000, optPoint: true})
-		wantOrder(t, s, 0, 1, 2)
-	}
-	if st := s.Stats(); st.Reorders != 1 || st.Reverts != 1 || st.Optimizations != 5 {
-		t.Fatalf("stats %+v, want 1 reorder, 1 revert, 5 optimizations", st)
-	}
-	// A different proposal is taken, and its revert overwrites the tabu.
-	feed(t, s, eng, synthStep{sels: selsMiddleLow, cost: 1000, optPoint: true})
-	wantOrder(t, s, 1, 0, 2)
-	feed(t, s, eng, synthStep{sels: selsMiddleLow, cost: 2000})
-	wantOrder(t, s, 0, 1, 2)
-	feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000, optPoint: true})
-	wantOrder(t, s, 2, 1, 0)
-	if st := s.Stats(); st.Reorders != 3 || st.Reverts != 2 {
-		t.Fatalf("stats %+v, want 3 reorders, 2 reverts", st)
+// scriptStep is one fed step and what must hold after it.
+type scriptStep struct {
+	synthStep
+	order                        []int
+	optimizations, reverts, held int
+}
+
+func runScript(t *testing.T, s *BlockStepper, eng []*exec.Engine, script []scriptStep) {
+	t.Helper()
+	for i, st := range script {
+		before := s.st
+		extra := feed(t, s, eng, st.synthStep)
+		if !slices.Equal(s.curPerm, st.order) || s.st.Optimizations != st.optimizations || s.st.Reverts != st.reverts || s.st.HeldOff != st.held {
+			t.Fatalf("step %d: order %v, %d optimizations, %d reverts, %d held off; want %v, %d, %d, %d",
+				i, s.curPerm, s.st.Optimizations, s.st.Reverts, s.st.HeldOff, st.order, st.optimizations, st.reverts, st.held)
+		}
+		if s.st.HeldOff > before.HeldOff && s.st.Reverts == before.Reverts && extra != 0 {
+			t.Fatalf("step %d: a held-off point charged %d cycles", i, extra)
+		}
 	}
 }
 
-// TestStepperExploreSkipsRejectedRotation: once validation has rejected the
-// probe rotation, a due probe falls through to plain estimation.
-func TestStepperExploreSkipsRejectedRotation(t *testing.T) {
-	s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1, ExploreEvery: 1})
-	feed(t, s, eng, synthStep{sels: selsAscending, cost: 1000, optPoint: true}) // confirms the order
-	feed(t, s, eng, synthStep{sels: selsAscending, cost: 1000, optPoint: true}) // probe
-	wantOrder(t, s, 1, 2, 0)
-	if s.st.Explorations != 1 || s.st.Optimizations != 1 {
-		t.Fatalf("stats %+v, want the second point to probe instead of estimating", s.st)
+var (
+	selsLastLow  = []float64{0.3, 0.9, 0.1} // best order [2 0 1]
+	selsFirstTop = []float64{0.9, 0.1, 0.5} // best order [1 2 0]
+	start        = []int{0, 1, 2}
+)
+
+// at is a step at an optimization point, quiet one that is not.
+func at(sels []float64, cost uint64) synthStep {
+	return synthStep{sels: sels, cost: cost, optPoint: true}
+}
+
+// TestStepperRegretRules walks the three rules that bound the loop's regret
+// through one run at ReopInterval 1, where every step validates and is an
+// optimization point: a step that reverts does not estimate (its sample was
+// taken under the rejected order); every order validation rolled back stays
+// rejected until a reorder survives; and the k-th revert in a row sits out
+// 2^k - 1 points, uncharged.
+func TestStepperRegretRules(t *testing.T) {
+	s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
+	runScript(t, s, eng, []scriptStep{
+		{at(selsDescending, 1000), []int{2, 1, 0}, 1, 0, 0},
+		// Slower: reverted, and the reverting step's own point is sat out.
+		{at(selsDescending, 2000), start, 1, 1, 1},
+		{at(selsDescending, 1000), start, 1, 1, 2}, // 2^1 - 1 held off
+		// [2 1 0] is rejected: estimating it again changes nothing.
+		{at(selsDescending, 1000), start, 2, 1, 2},
+		{at(selsMiddleLow, 1000), []int{1, 0, 2}, 3, 1, 2},
+		{at(selsMiddleLow, 2000), start, 3, 2, 3}, // second revert in a row
+		{at(selsMiddleLow, 1000), start, 3, 2, 4},
+		{at(selsMiddleLow, 1000), start, 3, 2, 5},
+		{at(selsMiddleLow, 1000), start, 3, 2, 6}, // 2^2 - 1 held off
+		// Both rejected orders are remembered, not only the last.
+		{at(selsDescending, 1000), start, 4, 2, 6},
+		{at(selsMiddleLow, 1000), start, 5, 2, 6},
+		{at(selsFirstTop, 1000), []int{1, 2, 0}, 6, 2, 6},
+		{at(selsFirstTop, 2000), start, 6, 3, 7},
+		{at(selsFirstTop, 1000), start, 6, 3, 8},
+		{at(selsFirstTop, 1000), start, 6, 3, 9},
+		{at(selsFirstTop, 1000), start, 6, 3, 10},
+		{at(selsFirstTop, 1000), start, 6, 3, 11},
+		{at(selsFirstTop, 1000), start, 6, 3, 12},
+		{at(selsFirstTop, 1000), start, 6, 3, 13},
+		{at(selsFirstTop, 1000), start, 6, 3, 14}, // 2^3 - 1 held off
+		// A reorder that survives validation: the data moved. The set is
+		// emptied and the back-off reset, so [2 1 0] may be tried again and
+		// its revert sits out one point, not fifteen.
+		{at(selsLastLow, 1000), []int{2, 0, 1}, 7, 3, 14},
+		{at(selsDescending, 900), []int{2, 1, 0}, 8, 3, 14},
+		{at(selsDescending, 2000), []int{2, 0, 1}, 8, 4, 15},
+		{at(selsDescending, 900), []int{2, 0, 1}, 8, 4, 16},
+		{at(selsDescending, 900), []int{2, 0, 1}, 9, 4, 16},
+	})
+	if st := s.Stats(); st.Reorders != 5 || st.RevertedCycles != 4*2000 || st.RegretCycles != 3*1000+1100 {
+		t.Fatalf("stats %+v, want 5 reorders, 8000 reverted and 4100 regret cycles", st)
 	}
-	// The probe is slower: reverted and remembered. Every later point is due
-	// a probe again, finds the rotation rejected, and estimates.
-	feed(t, s, eng, synthStep{sels: selsAscending, cost: 2000})
+}
+
+// TestStepperRevertingStepChargesOnlyTheRecompile: the step that reverts
+// pays for re-establishing the previous order and nothing else — no sample,
+// no estimate — and ConvergedAtCycles is the clock at the end of that step.
+func TestStepperRevertingStepChargesOnlyTheRecompile(t *testing.T) {
+	s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
+	clock := uint64(1000) + feed(t, s, eng, at(selsDescending, 1000))
+	if s.st.ConvergedAtCycles != clock {
+		t.Fatalf("converged at %d after the reorder, clock %d", s.st.ConvergedAtCycles, clock)
+	}
+	sampled, c0 := s.st.SampleCycles, eng[0].CPU().Cycles()
+	extra := feed(t, s, eng, at(selsDescending, 2000))
+	clock += 2000 + extra
 	wantOrder(t, s, 0, 1, 2)
-	for i := 0; i < 3; i++ {
-		feed(t, s, eng, synthStep{sels: selsAscending, cost: 1000, optPoint: true})
-		wantOrder(t, s, 0, 1, 2)
+	if charged := eng[0].CPU().Cycles() - c0; charged != extra || extra != 500 || s.st.SampleCycles != sampled {
+		t.Fatalf("extra %d, core charged %d, sampling %d -> %d: want the recompile (500) alone", extra, charged, sampled, s.st.SampleCycles)
 	}
-	if st := s.Stats(); st.Explorations != 1 || st.Reverts != 1 || st.Optimizations != 4 {
-		t.Fatalf("stats %+v, want 1 exploration, 1 revert, 4 optimizations", st)
+	if s.st.ConvergedAtCycles != clock || s.accounted != clock {
+		t.Fatalf("converged at %d, accounted %d, want the step's end %d", s.st.ConvergedAtCycles, s.accounted, clock)
+	}
+	// A quiet step moves the clock but not the convergence point.
+	feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000})
+	if s.st.ConvergedAtCycles != clock {
+		t.Fatalf("converged at %d moved without a change (was %d)", s.st.ConvergedAtCycles, clock)
+	}
+}
+
+// TestStepperProbeRules: the §4.5 probe obeys the same rules — a rejected
+// rotation is not probed again, and the back-off sits out a due probe.
+func TestStepperProbeRules(t *testing.T) {
+	s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1, ExploreEvery: 1})
+	runScript(t, s, eng, []scriptStep{
+		{at(selsAscending, 1000), start, 1, 0, 0},          // confirms the order
+		{at(selsAscending, 1000), []int{1, 2, 0}, 1, 0, 0}, // probes instead of estimating
+		{at(selsAscending, 2000), start, 1, 1, 1},          // slower: reverted, remembered
+		{at(selsAscending, 1000), start, 1, 1, 2},          // a probe is due, the back-off holds it
+		// Due again, the rotation is rejected: the point estimates.
+		{at(selsAscending, 1000), start, 2, 1, 2},
+		{at(selsAscending, 1000), start, 3, 1, 2},
+	})
+	if s.st.Explorations != 1 {
+		t.Fatalf("%d explorations, want 1", s.st.Explorations)
+	}
+}
+
+// TestStepperGainGate: a proposal whose predicted saving validation could
+// not tell from noise is not worth a recompile and a step at risk.
+func TestStepperGainGate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sels []float64
+		want []int
+	}{
+		// Swapping the last two saves 0.2 * (0.9 - 0.895) of 1 + 0.2 + 0.18 loads.
+		{"marginal", []float64{0.2, 0.9, 0.895}, []int{0, 1, 2}},
+		{"worth it", []float64{0.2, 0.9, 0.5}, []int{0, 2, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
+			feed(t, s, eng, at(tc.sels, 1000))
+			wantOrder(t, s, tc.want...)
+			if s.st.Optimizations != 1 {
+				t.Fatalf("%d optimizations, want 1", s.st.Optimizations)
+			}
+		})
+	}
+}
+
+// TestStepperWarmStart: a run started from a predecessor's feedback begins
+// at its order and never applies an order the predecessor saw reverted.
+func TestStepperWarmStart(t *testing.T) {
+	s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
+	if err := s.WarmStart([]int{2, 0, 1}, exec.ImplBranchFree, [][]int{{2, 1, 0}, {0, 1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Impl() != exec.ImplBranching {
+		t.Fatal("a progressive stepper took the warm implementation")
+	}
+	runScript(t, s, eng, []scriptStep{
+		{at(selsDescending, 1000), []int{2, 0, 1}, 1, 0, 0},
+		{at(selsAscending, 1000), []int{2, 0, 1}, 2, 0, 0},
+		{at(selsMiddleLow, 1000), []int{1, 0, 2}, 3, 0, 0},
+	})
+	if st := s.Stats(); st.Reorders != 1 || !slices.Equal(st.FinalOrder, []int{1, 0, 2}) {
+		t.Fatalf("stats %+v, want the one order outside the rejected set", st)
+	}
+	if err := s.WarmStart([]int{0, 0, 1}, exec.ImplBranching, nil); err == nil {
+		t.Fatal("a warm order that is no permutation was accepted")
 	}
 }
 
@@ -256,44 +374,13 @@ func TestStepperZeroCostStep(t *testing.T) {
 	}
 }
 
-// TestStepperRevertAndEstimateInOneStep: at ReopInterval 1 the step that
-// validates is itself an optimization point. The revert and the estimate
-// share it — the estimate reads the sample, taken under the rejected order,
-// in the restored order's positions, here as already ascending, and changes
-// nothing — and ConvergedAtCycles is the clock at the end of that step.
-func TestStepperRevertAndEstimateInOneStep(t *testing.T) {
-	s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
-	clock := uint64(1000) + feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000, optPoint: true})
-	if s.st.ConvergedAtCycles != clock {
-		t.Fatalf("converged at %d after the reorder, clock %d", s.st.ConvergedAtCycles, clock)
-	}
-	c0 := eng[0].CPU().Cycles()
-	extra := feed(t, s, eng, synthStep{sels: selsDescending, cost: 2000, optPoint: true})
-	clock += 2000 + extra
-	wantOrder(t, s, 0, 1, 2)
-	if st := s.Stats(); st.Reverts != 1 || st.Optimizations != 2 || st.Reorders != 1 {
-		t.Fatalf("stats %+v, want the revert and a second estimate", st)
-	}
-	if charged := eng[0].CPU().Cycles() - c0; charged != extra || extra <= 500 {
-		t.Fatalf("extra %d, core charged %d: want the recompile (500) plus the estimate", extra, charged)
-	}
-	if s.st.ConvergedAtCycles != clock || s.accounted != clock {
-		t.Fatalf("converged at %d, accounted %d, want the step's end %d", s.st.ConvergedAtCycles, s.accounted, clock)
-	}
-	// A quiet step moves the clock but not the convergence point.
-	feed(t, s, eng, synthStep{sels: selsDescending, cost: 1000})
-	if s.st.ConvergedAtCycles != clock {
-		t.Fatalf("converged at %d moved without a change (was %d)", s.st.ConvergedAtCycles, clock)
-	}
-}
-
 // FuzzStepperInvariants feeds the stepper arbitrary step streams — counters
 // that need not be consistent with any selectivities, costs, schedules — and
 // checks what must hold whatever the evidence says.
 func FuzzStepperInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, opsRaw, flags, explore uint8, stream []byte) {
 		nOps := int(opsRaw)%5 + 1
-		micro, serial, noValidation := flags&1 != 0, flags&2 != 0, flags&8 != 0
+		micro, serial, noValidation, stationary := flags&1 != 0, flags&2 != 0, flags&8 != 0, flags&64 != 0
 		cores := 1
 		if !serial {
 			cores += int(flags >> 4 & 3)
@@ -301,9 +388,12 @@ func FuzzStepperInvariants(f *testing.F) {
 		s, engines := stepperFixture(t, nOps, cores, micro,
 			Options{ReopInterval: 1, ExploreEvery: int(explore % 4), DisableValidation: noValidation})
 		if flags&4 != 0 {
-			s.SetImpl(exec.ImplBranchFree)
+			if err := s.WarmStart(identity(nOps), exec.ImplBranchFree, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var clock, converged uint64
+		points := 0
 		// Seven bytes a step: four counters, the cost, the vector count, and
 		// the schedule bits. Sixty-four steps reach every state; longer
 		// streams only slow the mutator down.
@@ -321,6 +411,16 @@ func FuzzStepperInvariants(f *testing.F) {
 				br.Vectors += int(b[5] % 8)
 			}
 			optPoint, validate := b[6]&1 != 0, b[6]&2 != 0 || !serial
+			if stationary {
+				// Whatever the counters say, the starting order is the best
+				// one and every other costs twice as much, at every point.
+				optPoint, validate = true, true
+				br.MaxCycles = 1000 * uint64(br.Vectors)
+				if !slices.Equal(s.curPerm, identity(nOps)) {
+					br.MaxCycles *= 2
+				}
+				points++
+			}
 
 			before, pending, impl := s.st, s.pendingValidation, s.Impl()
 			starts := make([]uint64, cores)
@@ -349,8 +449,22 @@ func FuzzStepperInvariants(f *testing.F) {
 			if pending && br.MaxCycles == 0 && (!s.pendingValidation || replaced || after.Reverts > before.Reverts || after.Optimizations > before.Optimizations) {
 				t.Fatalf("a zero-cost step decided: %+v -> %+v", before, after)
 			}
+			// A sample belongs to the order it was taken under: the step that
+			// reverts neither estimates nor probes.
+			if after.Reverts > before.Reverts && (replaced || after.Optimizations > before.Optimizations) {
+				t.Fatalf("a reverting step decided again: %+v -> %+v", before, after)
+			}
+			// A rejected order is not applied while it is in the set.
+			if replaced && slices.ContainsFunc(s.rejected, func(r []int) bool { return slices.Equal(r, s.curPerm) }) {
+				t.Fatalf("applied %v, which is rejected (%v)", s.curPerm, s.rejected)
+			}
 			if s.accounted != clock {
 				t.Fatalf("accounted clock %d, steps and extras sum to %d", s.accounted, clock)
+			}
+			// The ledger's three parts of the clock are disjoint, and regret
+			// is a share of the reverted steps.
+			if l := after.Ledger; l.SampleCycles+l.RecompileCycles+l.RevertedCycles > clock || l.RegretCycles > l.RevertedCycles {
+				t.Fatalf("ledger %+v exceeds the accounted clock %d", l, clock)
 			}
 			if after.ConvergedAtCycles < converged || after.ConvergedAtCycles > clock {
 				t.Fatalf("converged at %d: was %d, clock %d", after.ConvergedAtCycles, converged, clock)
@@ -368,5 +482,19 @@ func FuzzStepperInvariants(f *testing.F) {
 				}
 			}
 		}
+		// Nothing the estimator proposes on that stationary run survives, so
+		// the reverts come in a row and the back-off spaces them out.
+		if stationary && !noValidation && points > 0 {
+			if bound := bits.Len(uint(points-1)) + 1; s.st.Reverts > bound || s.st.Reverts != s.st.Reorders+s.st.Explorations-btoi(s.pendingValidation) {
+				t.Fatalf("%d reverts of %d reorders and %d probes at %d stationary points, bound %d", s.st.Reverts, s.st.Reorders, s.st.Explorations, points, bound)
+			}
+		}
 	})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -152,7 +152,7 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 			return nil, err
 		}
 		r.cold()
-		adaptive, st, err := core.RunMicroAdaptive(r.eng, q, core.Options{ReopInterval: 5})
+		adaptive, st, err := core.RunAdaptive(r.eng, nil, q, core.Options{ReopInterval: 5}, true)
 		if err != nil {
 			return nil, err
 		}

@@ -88,11 +88,13 @@ type Request struct {
 
 // Feedback is what a finished adaptive run leaves for the next submission of
 // the same fingerprint: the operator order it converged to (plan-order
-// indexes) and, for micro-adaptive runs, the scan implementation it ended
-// on. A warm-started run begins at this order instead of the plan order.
+// indexes), for micro-adaptive runs the scan implementation it ended on, and
+// the orders it saw validation roll back. A warm-started run begins at this
+// order instead of the plan order and does not try the rejected ones again.
 type Feedback struct {
-	Order []int
-	Impl  exec.ScanImpl
+	Order    []int
+	Impl     exec.ScanImpl
+	Rejected [][]int
 }
 
 // Stats counts server activity. All times are simulated.
@@ -161,8 +163,7 @@ type segScratch struct {
 type query struct {
 	seq      int
 	req      Request
-	base     *exec.Query // req.Query, reordered on a warm start
-	warm     []int       // applied warm order (nil = cold)
+	warm     []int // applied warm order (nil = cold)
 	warmImpl exec.ScanImpl
 	step     *core.BlockStepper // nil for fixed-order and grouped queries
 
@@ -790,29 +791,15 @@ func (s *Server) admitLocked() {
 	}
 }
 
-// prepareLocked readies a query for execution at admission time: consult
-// the feedback cache — admission, not submission, is when the latest
-// completed run of the same fingerprint is visible, exactly like a real
-// server racing recurring queries — apply the warm-start order, build the
+// prepareLocked readies a query for execution at admission time: build the
 // optimizer stepper for adaptive modes (writing its trace into a private
-// stage the round barrier splices), and hand the query its recycled
-// segment scratch.
+// stage the round barrier splices), warm-start it from the feedback cache —
+// admission, not submission, is when the latest completed run of the same
+// fingerprint is visible, exactly like a real server racing recurring
+// queries — and hand the query its recycled segment scratch.
 func (s *Server) prepareLocked(q *query) error {
 	req := q.req
-	base := req.Query
-	if req.Mode != ModeFixed && !req.NoFeedback && !req.Fingerprint.Zero() {
-		if v, ok := s.feedback.Get(req.Fingerprint); ok {
-			fb := v.(Feedback)
-			if wq, err := req.Query.WithOrder(fb.Order); err == nil {
-				base = wq
-				q.warm = append([]int(nil), fb.Order...)
-				q.warmImpl = fb.Impl
-				s.stats.FeedbackWarmStarts++
-			}
-		}
-	}
-	q.base = base
-	q.numVec = s.pool.NumVectors(base)
+	q.numVec = s.pool.NumVectors(req.Query)
 	if len(req.Sorts) > 0 {
 		q.sorts = make([]*exec.SortRun, len(req.Sorts))
 		for i, st := range req.Sorts {
@@ -826,12 +813,18 @@ func (s *Server) prepareLocked(q *query) error {
 			q.optStage = trace.NewStage()
 			opt.Trace = q.optStage
 		}
-		step, err := core.NewBlockStepper(base, s.prof, s.pool.Workers(), req.Mode == ModeMicroAdaptive, opt)
+		step, err := core.NewBlockStepper(req.Query, s.prof, s.pool.Workers(), req.Mode == ModeMicroAdaptive, opt)
 		if err != nil {
 			return err
 		}
-		if q.warm != nil {
-			step.SetImpl(q.warmImpl)
+		if !req.NoFeedback && !req.Fingerprint.Zero() {
+			if v, ok := s.feedback.Get(req.Fingerprint); ok {
+				fb := v.(Feedback)
+				if step.WarmStart(fb.Order, fb.Impl, fb.Rejected) == nil {
+					q.warm, q.warmImpl = fb.Order, fb.Impl
+					s.stats.FeedbackWarmStarts++
+				}
+			}
 		}
 		q.step = step
 	}
@@ -1038,7 +1031,7 @@ func (s *Server) segmentFixed(q *query) error {
 	}
 	// Accumulate the aggregate directly into q.sum so splitting the scan
 	// into quanta keeps the exact float addition order of a dedicated run.
-	br, err := sc.brun.RunBlockSubset(q.base, q.cursor, v1, q.cores, sc.clocks, exec.ImplBranching, &q.sum)
+	br, err := sc.brun.RunBlockSubset(q.req.Query, q.cursor, v1, q.cores, sc.clocks, exec.ImplBranching, &q.sum)
 	if err != nil {
 		return err
 	}
@@ -1111,7 +1104,7 @@ func (s *Server) segmentAdaptive(q *query) error {
 		coordStart[i] = engines[i].CPU().Sample()
 	}
 	vs := s.pool.VectorSize()
-	n := q.base.Table.NumRows()
+	n := q.req.Query.Table.NumRows()
 	tuples := v1*vs - q.cursor*vs
 	if v1*vs > n {
 		tuples = n - q.cursor*vs
@@ -1160,7 +1153,7 @@ func (s *Server) segmentGrouped(q *query) error {
 	}
 	q.startSet = true
 	q.start = t0
-	res, err := s.pool.RunGroupBy(q.base, q.req.Groups)
+	res, err := s.pool.RunGroupBy(q.req.Query, q.req.Groups)
 	if err != nil {
 		return err
 	}
@@ -1177,9 +1170,8 @@ func (s *Server) segmentGrouped(q *query) error {
 	return nil
 }
 
-// finishLocked completes a query: stamp times, snapshot optimizer stats
-// (FinalOrder mapped back to plan-order indexes after a warm start), deposit
-// the converged order in the feedback cache, recycle the segment scratch,
+// finishLocked completes a query: stamp times, snapshot optimizer stats,
+// deposit the converged order and the rejected ones in the feedback cache, recycle the segment scratch,
 // and queue the waiter wake-up.
 func (s *Server) finishLocked(q *query, done uint64) {
 	q.done = done
@@ -1189,17 +1181,11 @@ func (s *Server) finishLocked(q *query, done uint64) {
 		q.step.TraceFinal()
 		q.st = q.step.Stats()
 		s.stats.Reopt.Add(q.st.Ledger)
-		if q.warm != nil {
-			abs := make([]int, len(q.st.FinalOrder))
-			for i, o := range q.st.FinalOrder {
-				abs[i] = q.warm[o]
-			}
-			q.st.FinalOrder = abs
-		}
 		if !q.req.NoFeedback && !q.req.Fingerprint.Zero() {
 			s.feedback.Put(q.req.Fingerprint, Feedback{
-				Order: append([]int(nil), q.st.FinalOrder...),
-				Impl:  q.step.Impl(),
+				Order:    append([]int(nil), q.st.FinalOrder...),
+				Impl:     q.step.Impl(),
+				Rejected: q.step.Rejected(),
 			})
 			s.stats.FeedbackStores++
 		}

@@ -2,12 +2,14 @@ package service
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"progopt/internal/core"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/tpch"
+	"progopt/internal/trace"
 )
 
 func testQuery(t *testing.T, rows int, seed int64) *exec.Query {
@@ -96,7 +98,7 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	if err := ref.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := core.RunParallelProgressive(ref, q, opt)
+	want, wantSt, err := core.RunAdaptive(nil, ref, q, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +350,68 @@ func convergentQuery(t *testing.T, rows int, seed int64) *exec.Query {
 		&exec.Predicate{Col: li.Column("l_discount"), Op: exec.LE, F: 0.05, Label: "disc<=.05"},
 		&exec.Predicate{Col: li.Column("l_quantity"), Op: exec.LT, I: 10, Label: "qty<10"},
 	}}
+}
+
+// TestFeedbackCarriesRejectedOrders: what validation rolled back in one run is
+// not measured again by the next run of the same fingerprint. The cold run's
+// §4.5 probe of its converged order is reverted; the warm run starts at that
+// order with the rotation already rejected, applies no order its predecessor
+// saw reverted, and so never pays for that revert again.
+func TestFeedbackCarriesRejectedOrders(t *testing.T) {
+	const workers, vs = 4, 512
+	q := convergentQuery(t, 96*vs, 11)
+	s, err := New(cpu.ScaledXeon(), workers, vs, false, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BindQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	fp := Compute("lineitem", 1, []string{"q6-rejected"})
+	run := func() (Outcome, []trace.Event) {
+		t.Helper()
+		rec := trace.New()
+		opt := core.Options{ReopInterval: 5, ExploreEvery: 2, Trace: rec.NewTrack("optimizer")}
+		tk, err := s.Submit(Request{Query: q, Mode: ModeProgressive, Opt: opt, Fingerprint: fp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o, opt.Trace.Events()
+	}
+	cold, _ := run()
+	v, ok := s.feedback.Get(fp)
+	if !ok {
+		t.Fatal("the cold run left no feedback")
+	}
+	fb := v.(Feedback)
+	if cold.Stats.Reverts == 0 || len(fb.Rejected) == 0 {
+		t.Fatalf("cold run: %d reverts, rejected %v; workload too easy to test the carry-over", cold.Stats.Reverts, fb.Rejected)
+	}
+	warm, events := run()
+	if !warm.WarmStarted || !reflect.DeepEqual(warm.WarmOrder, fb.Order) {
+		t.Fatalf("warm start %v at %v, want %v", warm.WarmStarted, warm.WarmOrder, fb.Order)
+	}
+	for _, ev := range events {
+		if ev.Name != "reorder" && ev.Name != "explore" {
+			continue
+		}
+		for _, a := range ev.Args {
+			to, _ := a.Val.([]int)
+			if a.Key == "to" && slices.ContainsFunc(fb.Rejected, func(r []int) bool { return slices.Equal(r, to) }) {
+				t.Errorf("warm run applied %v (%s), which its predecessor saw reverted", to, ev.Name)
+			}
+		}
+	}
+	if warm.Stats.RegretCycles >= cold.Stats.RegretCycles {
+		t.Errorf("warm run regret %d cycles, cold %d: the regressions were paid for again", warm.Stats.RegretCycles, cold.Stats.RegretCycles)
+	}
+	if warm.Qualifying != cold.Qualifying || warm.Sum != cold.Sum {
+		t.Errorf("warm start changed the answer: %d/%v vs %d/%v", warm.Qualifying, warm.Sum, cold.Qualifying, cold.Sum)
+	}
 }
 
 // TestFeedbackWarmStart: the second submission of the same fingerprint

@@ -37,6 +37,62 @@ func graphTestPlan(d *Dataset) *Plan {
 		Sum("l_extendedprice * l_discount")
 }
 
+// joinProbeShape builds the benchmark of record's join_probe workload at a
+// fifth of its size: the 4-table graph over 200 000 randomly ordered
+// lineitems on four cores, and runs it fixed (the greedy order) and
+// progressive at Interval 10.
+func joinProbeShape(tb testing.TB, seed int64) (fixed, progressive func() ExecResult) {
+	tb.Helper()
+	e, err := New(Config{VectorSize: 1024, Workers: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(e.Close)
+	d, err := e.GenerateTPCH(200_000, seed, OrderRandom)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, err := e.Compile(d, graphTestPlan(d))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run := func(opt ExecOptions) func() ExecResult {
+		return func() ExecResult {
+			res, err := e.Exec(q, opt)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return res
+		}
+	}
+	return run(ExecOptions{Mode: ModeFixed}), run(ExecOptions{Mode: ModeProgressive, Progressive: Progressive{Interval: 10}})
+}
+
+// TestJoinProbeProgressiveWithinReachOfGreedy: on this graph the greedy order
+// is the best there is, so all progressive can do is not lose. Its run —
+// sampling, recompiles and reverted steps included — must stay within 7 % of
+// the fixed order's cycles, with at most four reverts.
+func TestJoinProbeProgressiveWithinReachOfGreedy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 200 000-row join runs")
+	}
+	for _, seed := range []int64{7, 14} {
+		fixed, progressive := joinProbeShape(t, seed)
+		fx, pr := fixed(), progressive()
+		if pr.Qualifying != fx.Qualifying || pr.Sum != fx.Sum {
+			t.Fatalf("seed %d: progressive answers %d/%v, fixed %d/%v", seed, pr.Qualifying, pr.Sum, fx.Qualifying, fx.Sum)
+		}
+		if float64(pr.Cycles) > 1.07*float64(fx.Cycles) || pr.Stats.Reverts > 4 {
+			t.Errorf("seed %d: progressive %d cycles against %d fixed (%.3fx), %d reverts; ledger %+v",
+				seed, pr.Cycles, fx.Cycles, float64(pr.Cycles)/float64(fx.Cycles), pr.Stats.Reverts, pr.Stats.Ledger)
+		}
+		l := pr.Stats.Ledger
+		if l.SampleCycles+l.RecompileCycles+l.RevertedCycles > pr.Cycles || l.RegretCycles > l.RevertedCycles {
+			t.Errorf("seed %d: ledger %+v exceeds the run's %d cycles", seed, l, pr.Cycles)
+		}
+	}
+}
+
 // graphRun executes the graph plan on a fresh engine in the given
 // configuration.
 func graphRun(t *testing.T, workers int, mode Mode, noFuse bool) ExecResult {

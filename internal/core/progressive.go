@@ -155,13 +155,6 @@ func identity(n int) []int {
 	return p
 }
 
-// rotate returns the §4.5 exploration rotation of a permutation: the leading
-// operator moves to the back.
-func rotate(p []int) []int {
-	out := append([]int(nil), p[1:]...)
-	return append(out, p[0])
-}
-
 // compose maps a reorder expressed in current-order positions into
 // table-space indexes: newPerm[i] = curPerm[order[i]].
 func compose(curPerm, order []int) []int {

@@ -14,9 +14,9 @@ import (
 // operator permutation, the pending validation against the previous step's
 // per-vector cost, the selectivity estimation over the step's (merged
 // per-core) PMU delta, and — in micro mode — the branching/branch-free
-// implementation choice. Every adaptive run goes through it: the four Run*
-// drivers (RunAdaptive steps it one vector at a time on a single engine, or
-// one morsel block at a time on a pool) and the workload service's scheduler,
+// implementation choice. Every adaptive run goes through it: RunAdaptive
+// (which steps it one vector at a time on a single engine, or one morsel
+// block at a time on a pool) and the workload service's scheduler,
 // which drives the same coordination while the query runs on a *dynamic*
 // subset of cores. The stepper never executes anything: it consumes finished
 // BlockResults and tells the caller which query order and scan
@@ -260,8 +260,13 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 	// single operator has no other order to try.
 	var probe []int
 	if optPoint && !s.micro && s.opt.ExploreEvery > 0 && s.stableBlocks >= s.opt.ExploreEvery && len(s.curPerm) > 1 {
-		if r := rotate(s.curPerm); !slices.ContainsFunc(s.rejected, func(x []int) bool { return slices.Equal(x, r) }) {
-			probe = r
+		// The rotation in current-order positions: the leading operator
+		// moves to the back.
+		for i := range s.order {
+			s.order[i] = (i + 1) % len(s.order)
+		}
+		if !s.proposesRejected(s.order) {
+			probe = compose(s.curPerm, s.order)
 		}
 	}
 	switch {

@@ -1171,8 +1171,8 @@ func (s *Server) segmentGrouped(q *query) error {
 }
 
 // finishLocked completes a query: stamp times, snapshot optimizer stats,
-// deposit the converged order and the rejected ones in the feedback cache, recycle the segment scratch,
-// and queue the waiter wake-up.
+// deposit the converged order and the rejected ones in the feedback cache,
+// recycle the segment scratch, and queue the waiter wake-up.
 func (s *Server) finishLocked(q *query, done uint64) {
 	q.done = done
 	q.state = stateDone

@@ -84,7 +84,7 @@ func TestLoneFixedMatchesParallelRun(t *testing.T) {
 }
 
 // TestLoneProgressiveMatchesDriver: same property for progressive execution
-// against core.RunParallelProgressive, including the optimizer stats.
+// against core.RunAdaptive on a pool, including the optimizer stats.
 func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	const workers, vs = 4, 512
 	q := testQuery(t, 64*vs, 11)

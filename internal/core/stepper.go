@@ -64,9 +64,13 @@ type BlockStepper struct {
 	// reorder that survived it: neither the estimator nor the probe proposes
 	// a measured regression again until the data has moved. backoff counts
 	// the reverts in a row and holdoff the optimization points still to sit
-	// out because of them (2^backoff - 1 after each revert).
+	// out because of them (2^backoff - 1 after each revert). heldQual of
+	// heldTuples is what the last reverted step qualified: the share a later
+	// step is held against to tell that the data has moved.
 	rejected         [][]int
 	backoff, holdoff int
+	heldQual         int64
+	heldTuples       int
 
 	// accounted is the simulated cycle cost attributed to the query so far
 	// (step makespans plus coordination), the clock ConvergedAtCycles and
@@ -191,7 +195,8 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.clockBase + s.accounte
 // to the estimator and to the probe — until a reorder survives validation.
 // And the k-th revert in a row sits out the next 2^k - 1 optimization points,
 // uncharged, so a run whose first order was the best pays for O(log points)
-// validation steps, not O(points).
+// validation steps, not O(points). Both hold for as long as the data stands
+// still: a step whose qualifying share has left the reverted step's ends them.
 //
 // tuples is the number of driving-table tuples the step covered. optPoint is
 // the caller's schedule: every ReopInterval-th vector but the last at vector
@@ -232,6 +237,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 			s.rejected = append(s.rejected, s.curPerm)
 			s.backoff++
 			s.holdoff = 1<<s.backoff - 1
+			s.heldQual, s.heldTuples = br.Qualifying, tuples
 			reverted = true
 			if err := s.setOrder(s.prevPerm); err != nil {
 				return 0, err
@@ -251,6 +257,14 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 			// stale and the loop is trusted again.
 			s.rejected, s.backoff, s.holdoff = s.rejected[:0], 0, 0
 		}
+	}
+
+	// Those verdicts are about the data they were measured on, and the share
+	// of its tuples a step qualifies does not depend on the operator order:
+	// once it differs from the reverted step's by more than chance allows, the
+	// data has moved, and the loop is trusted again from this point on.
+	if optPoint && s.backoff > 0 && !skipped && s.dataMoved(br.Qualifying, tuples) {
+		s.rejected, s.backoff, s.holdoff = s.rejected[:0], 0, 0
 	}
 
 	// §4.5 correlation probe: the estimator has confirmed the same order
@@ -342,6 +356,17 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 	if err != nil {
 		return false, err
 	}
+	// An operator no tuple reached was not measured, and the solver's value
+	// for it is arbitrary. It takes the estimate of the operator that starved
+	// it, so the ranking moves the two together: it gets measured the moment
+	// that operator lets tuples through.
+	reach := float64(tuples)
+	for i, sel := range est.Sels {
+		if reach < 1 {
+			est.Sels[i] = est.Sels[i-1]
+		}
+		reach *= sel
+	}
 	est.Sels = s.st.keepSels(est.Sels)
 	s.st.Optimizations++
 	s.st.EstimatorEvaluations += est.NMEvaluations
@@ -415,6 +440,17 @@ func planCost(order []int, weights, sels []float64) float64 {
 		reach *= sels[o]
 	}
 	return cost
+}
+
+// dataMoved reports whether a step that qualified q of n tuples differs from
+// the last reverted step by more than four standard errors of their pooled
+// share (a two-proportion z-test; a run looks hundreds of times, so three
+// would cry wolf).
+func (s *BlockStepper) dataMoved(q int64, n int) bool {
+	n0, n1 := float64(s.heldTuples), float64(n)
+	pool := float64(s.heldQual+q) / (n0 + n1)
+	d := float64(q)/n1 - float64(s.heldQual)/n0
+	return d*d > 16*pool*(1-pool)*(1/n0+1/n1)
 }
 
 // proposesRejected reports whether order, in current-order positions, is an

@@ -65,6 +65,7 @@ func countersFor(t testing.TB, s *BlockStepper, tableSels []float64) pmu.Sample 
 type synthStep struct {
 	sels     []float64 // per operator, table order
 	cost     uint64    // step makespan in cycles
+	qual     int64     // tuples of stepTuples the step qualified
 	vectors  int       // 0 means 1
 	optPoint bool
 	partial  bool // not eligible for validation
@@ -72,7 +73,7 @@ type synthStep struct {
 
 func feed(t testing.TB, s *BlockStepper, engines []*exec.Engine, st synthStep) uint64 {
 	t.Helper()
-	br := exec.BlockResult{Vectors: max(st.vectors, 1), MaxCycles: st.cost, Counters: countersFor(t, s, st.sels)}
+	br := exec.BlockResult{Vectors: max(st.vectors, 1), MaxCycles: st.cost, Qualifying: st.qual, Counters: countersFor(t, s, st.sels)}
 	extra, err := s.AfterBlock(br, stepTuples, st.optPoint, !st.partial, engines[0].CPU(), engines)
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +170,67 @@ func TestStepperRegretRules(t *testing.T) {
 	})
 	if st := s.Stats(); st.Reorders != 5 || st.RevertedCycles != 4*2000 || st.RegretCycles != 3*1000+1100 {
 		t.Fatalf("stats %+v, want 5 reorders, 8000 reverted and 4100 regret cycles", st)
+	}
+}
+
+// TestStepperDataMoved: the rejected set and the back-off are verdicts about
+// the data they were measured on. The qualifying share of a step does not
+// depend on the operator order, so a sat-out point whose share has left the
+// reverted step's by more than chance allows ends both and estimates; one
+// that wobbles within chance sits out as before.
+func TestStepperDataMoved(t *testing.T) {
+	atQ := func(sels []float64, cost uint64, qual int64) synthStep {
+		return synthStep{sels: sels, cost: cost, qual: qual, optPoint: true}
+	}
+	for _, tc := range []struct {
+		name  string
+		qual  int64 // of the sat-out point, against 100 of 1024 at the revert
+		moved bool
+	}{
+		{"same share", 100, false},
+		{"within chance", 140, false}, // 2.7 standard errors
+		{"fell to nothing", 0, true},
+		{"doubled", 200, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
+			runScript(t, s, eng, []scriptStep{
+				{atQ(selsDescending, 1000, 100), []int{2, 1, 0}, 1, 0, 0},
+				{atQ(selsDescending, 2000, 100), start, 1, 1, 1},
+				{atQ(selsDescending, 1000, 100), start, 1, 1, 2},
+				{atQ(selsMiddleLow, 1000, 100), []int{1, 0, 2}, 2, 1, 2},
+				{atQ(selsMiddleLow, 2000, 100), start, 2, 2, 3}, // three points to sit out
+			})
+			feed(t, s, eng, atQ(selsDescending, 1000, tc.qual))
+			if !tc.moved {
+				wantOrder(t, s, start...)
+				if s.st.HeldOff != 4 || s.st.Optimizations != 2 || len(s.rejected) != 2 || s.backoff != 2 {
+					t.Fatalf("a share within chance ended the streak: %+v, rejected %v, back-off %d", s.st, s.rejected, s.backoff)
+				}
+				return
+			}
+			// The point estimates, and [2 1 0] — rejected a moment ago — is
+			// applied again: that verdict was about other data.
+			wantOrder(t, s, 2, 1, 0)
+			if s.st.HeldOff != 3 || s.st.Optimizations != 3 || len(s.rejected) != 0 || s.backoff != 0 || s.holdoff != 0 {
+				t.Fatalf("moved data left the streak standing: %+v, rejected %v, back-off %d, hold-off %d", s.st, s.rejected, s.backoff, s.holdoff)
+			}
+		})
+	}
+}
+
+// TestStepperUnreachedOperatorFollowsItsKiller: behind an operator that lets
+// nothing through no tuple is measured, and whatever the solver says about
+// the operators there is arbitrary. They take the killer's estimate, so the
+// ranking moves them with it — directly behind, in their current order —
+// instead of scattering them by the noise.
+func TestStepperUnreachedOperatorFollowsItsKiller(t *testing.T) {
+	s, eng := stepperFixture(t, 4, 1, false, Options{ReopInterval: 1})
+	feed(t, s, eng, at([]float64{0.9, 0, 0.7, 0.3}, 1000))
+	wantOrder(t, s, 1, 2, 3, 0)
+	est := s.st.LastEstimate
+	if est[1] > 0.01 || est[2] != est[1] || est[3] != est[1] {
+		t.Fatalf("estimate %v: operators 2 and 3 saw no tuple and must read as operator 1 does", est)
 	}
 }
 
@@ -406,15 +468,17 @@ func FuzzStepperInvariants(f *testing.F) {
 			d[pmu.BrMPNotTaken] = uint64(b[2]) * stepTuples / 255
 			d[pmu.L3Access] = uint64(b[3]) * stepTuples / 64
 			d[pmu.BrTaken] = uint64(stepTuples) + uint64(b[0]^b[1])*stepTuples/255
-			br := exec.BlockResult{Vectors: 1, MaxCycles: uint64(b[4]) * 100, Counters: d}
+			br := exec.BlockResult{Vectors: 1, MaxCycles: uint64(b[4]) * 100, Qualifying: int64(b[5]>>3) * 32, Counters: d}
 			if !serial {
 				br.Vectors += int(b[5] % 8)
 			}
 			optPoint, validate := b[6]&1 != 0, b[6]&2 != 0 || !serial
 			if stationary {
 				// Whatever the counters say, the starting order is the best
-				// one and every other costs twice as much, at every point.
+				// one and every other costs twice as much, at every point, and
+				// every step qualifies the same share.
 				optPoint, validate = true, true
+				br.Qualifying = 100
 				br.MaxCycles = 1000 * uint64(br.Vectors)
 				if !slices.Equal(s.curPerm, identity(nOps)) {
 					br.MaxCycles *= 2
@@ -457,6 +521,11 @@ func FuzzStepperInvariants(f *testing.F) {
 			// A rejected order is not applied while it is in the set.
 			if replaced && slices.ContainsFunc(s.rejected, func(r []int) bool { return slices.Equal(r, s.curPerm) }) {
 				t.Fatalf("applied %v, which is rejected (%v)", s.curPerm, s.rejected)
+			}
+			// The set and the back-off stand and fall together: every revert of
+			// the streak is in the set, and no point is sat out without one.
+			if len(s.rejected) < s.backoff || s.backoff == 0 && s.holdoff != 0 {
+				t.Fatalf("%d rejected orders, back-off %d, hold-off %d", len(s.rejected), s.backoff, s.holdoff)
 			}
 			if s.accounted != clock {
 				t.Fatalf("accounted clock %d, steps and extras sum to %d", s.accounted, clock)

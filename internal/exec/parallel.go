@@ -621,13 +621,9 @@ func (r *BlockRun) merge(m *morsel) bool {
 // therefore the bit pattern) of an unsplit run. With sum == nil the block's
 // contribution is reduced into BlockResult.Sum, the dedicated drivers'
 // per-block contract.
-func (p *Parallel) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
-	return p.run.RunBlockSubset(q, vecLo, vecHi, cores, clocks, impl, sum)
-}
-
-// RunBlockSubset is the per-driver form of Parallel.RunBlockSubset: identical
-// semantics, but the scheduler state and scratch come from this BlockRun, so
-// concurrent drivers over disjoint core subsets do not contend.
+//
+// The scheduler state and scratch come from this BlockRun, so concurrent
+// drivers over disjoint core subsets do not contend.
 func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
 	p := r.p
 	if err := q.Validate(); err != nil {

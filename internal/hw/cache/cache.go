@@ -77,11 +77,10 @@ type Stats struct {
 // from the recency links so a set probe — the hot path — scans a contiguous
 // run of bare uint64 tags, half the memory of an interleaved record.
 type Level struct {
-	cfg      Config
-	setMask  uint64
-	setShift uint
+	cfg     Config
+	setMask uint64
 	// pshift is the set-index bit count: ln >> pshift strips the bits every
-	// tag of a set shares, so the byte below is the partial tag (see findWay).
+	// tag of a set shares, so the byte below is the partial tag (see run).
 	pshift uint
 	ways   int
 	tags   []uint64 // sets*ways entries, way-major; line id + 1, 0 = empty
@@ -100,17 +99,14 @@ type Level struct {
 	prev, next []uint16
 	heads      []uint16 // per-set MRU way index
 	stats      Stats
-	// lastSlot is the tag-array index touched by the most recent Lookup hit
-	// or Insert, consumed by the hierarchy's same-line fast path.
-	lastSlot int
 
 	// Pads the struct to a multiple of 128 bytes. Levels are written on every
-	// simulated access (stats, lastSlot) and one core's levels are allocated
-	// next to another's, so an unpadded 240-byte Level shares a cache line
+	// chunk of simulated accesses (stats) and one core's levels are allocated
+	// next to another's, so an unpadded 224-byte Level shares a cache line
 	// with its neighbour's cfg/setMask — false sharing once simulated cores
 	// run on different host threads (see DESIGN.md, "False-sharing layout
 	// rule"; pinned by TestLayoutNoFalseSharing).
-	_ [16]byte
+	_ [32]byte
 }
 
 // NewLevel builds a cache level from its configuration.
@@ -120,21 +116,16 @@ func NewLevel(cfg Config) (*Level, error) {
 	}
 	lines := cfg.Lines()
 	sets := lines / cfg.Ways
-	shift := uint(0)
-	for 1<<shift < cfg.LineSize {
-		shift++
-	}
 	l := &Level{
-		cfg:      cfg,
-		setMask:  uint64(sets - 1),
-		setShift: shift,
-		pshift:   uint(bits.TrailingZeros64(uint64(sets))),
-		ways:     cfg.Ways,
-		tags:     sectorSlice[uint64](lines),
-		ptags:    sectorSlice[uint8](lines),
-		prev:     sectorSlice[uint16](lines),
-		next:     sectorSlice[uint16](lines),
-		heads:    sectorSlice[uint16](sets),
+		cfg:     cfg,
+		setMask: uint64(sets - 1),
+		pshift:  uint(bits.TrailingZeros64(uint64(sets))),
+		ways:    cfg.Ways,
+		tags:    sectorSlice[uint64](lines),
+		ptags:   sectorSlice[uint8](lines),
+		prev:    sectorSlice[uint16](lines),
+		next:    sectorSlice[uint16](lines),
+		heads:   sectorSlice[uint16](sets),
 	}
 	l.linkRings()
 	return l, nil
@@ -172,10 +163,6 @@ func (l *Level) Config() Config { return l.cfg }
 // Stats returns a copy of the level's counters.
 func (l *Level) Stats() Stats { return l.stats }
 
-// line converts a byte address to a line id offset by 1 so that 0 stays an
-// "empty slot" sentinel in the tag arrays.
-func (l *Level) line(addr uint64) uint64 { return (addr >> l.setShift) + 1 }
-
 // swarOnes/swarHighs are the byte-broadcast constants of the SWAR
 // has-zero-byte trick.
 const (
@@ -183,58 +170,9 @@ const (
 	swarHighs = 0x8080808080808080
 )
 
-// findWay scans the set at tag base for ln and returns its way index or -1.
-//
-// The scan is two-tier for the shipped associativities (8- and 16-way): the
-// set's one-byte partial tags are compared eight ways at a time with one
-// word-sized SWAR operation, and only candidate ways are verified against
-// the full tag. A zero byte in word^broadcast(h) always flags its position
-// (no false negatives), while borrow artifacts and genuine hash collisions
-// only flag spurious candidates that the full-tag compare rejects — so the
-// result is exactly the linear scan's, but a probe of a 16-way set that
-// misses touches ~2 words instead of 16 tags (with an 8-bit partial tag,
-// ~94% of random 16-way misses have no candidate at all). The generic loop
-// covers other (test-only) geometries.
-func (l *Level) findWay(base int, ln uint64) int {
-	h := uint8(ln >> l.pshift)
-	switch l.ways {
-	case 16:
-		if w := matchWord(binary.LittleEndian.Uint64(l.ptags[base:base+8]), h, l.tags[base:base+8], ln); w >= 0 {
-			return w
-		}
-		if w := matchWord(binary.LittleEndian.Uint64(l.ptags[base+8:base+16]), h, l.tags[base+8:base+16], ln); w >= 0 {
-			return 8 + w
-		}
-		return -1
-	case 8:
-		return matchWord(binary.LittleEndian.Uint64(l.ptags[base:base+8]), h, l.tags[base:base+8], ln)
-	default:
-		tags := l.tags[base : base+l.ways]
-		for w := range tags {
-			if tags[w] == ln {
-				return w
-			}
-		}
-		return -1
-	}
-}
-
-// matchWord locates ln among eight ways whose partial tags are packed
-// little-endian in word: byte positions equal to h become zero bytes of
-// word XOR broadcast(h), are flagged low-to-high by the has-zero-byte trick,
-// and each flagged way is verified against the full tag.
-func matchWord(word uint64, h uint8, tags []uint64, ln uint64) int {
-	x := word ^ (swarOnes * uint64(h))
-	zeros := (x - swarOnes) &^ x & swarHighs
-	for zeros != 0 {
-		w := bits.TrailingZeros64(zeros) >> 3
-		if tags[w] == ln {
-			return w
-		}
-		zeros &= zeros - 1
-	}
-	return -1
-}
+// zeroBytes returns the high bit of every zero byte of x (and possibly, above
+// a zero byte, of a byte that is not zero: callers verify what it flags).
+func zeroBytes(x uint64) uint64 { return (x - swarOnes) &^ x & swarHighs }
 
 // moveToHead makes way w the MRU of the set rooted at base. O(1): a no-op
 // when w is already the head (the overwhelmingly common case for repeated
@@ -266,129 +204,125 @@ func (l *Level) moveToHeadSlow(set int, base, w int) {
 	l.heads[set] = uint16(w)
 }
 
-// Lookup probes the level for the line containing addr, updating LRU state
-// and counters. It reports whether the line was present and does NOT insert
-// on a miss; the hierarchy decides fills.
-func (l *Level) Lookup(addr uint64) bool {
-	return l.LookupLine(l.line(addr))
-}
-
-// LookupLine is Lookup on a precomputed line id (the hierarchy computes the
-// id once per access and probes every level with it — all levels of a
-// hierarchy share one line size).
-func (l *Level) LookupLine(ln uint64) bool {
+// mruSlot returns the tag slot of the most recently used way of ln's set —
+// where ln itself sits right after it was loaded.
+func (l *Level) mruSlot(ln uint64) int {
 	set := int(ln & l.setMask)
-	base := set * l.ways
-	l.stats.Accesses++
-	if w := l.findWay(base, ln); w >= 0 {
-		l.moveToHead(set, base, w)
-		l.stats.Hits++
-		l.lastSlot = base + w
-		return true
+	return set*l.ways + int(l.heads[set])
+}
+
+// prefetchOp marks a line id in a level's op stream as a streamer request;
+// an unmarked id is a demand load. Line ids are below 2^58, so the bit is free.
+const prefetchOp = 1 << 63
+
+// run applies a chunk of the level's op stream, in order, and compacts ops in
+// place to the ops the level below must see, which it returns.
+//
+// A demand load is a lookup followed, on a miss, by the fill: it is counted,
+// a hit moves to MRU and stops here, a miss takes the set's LRU way and goes
+// on down. A streamer request is not counted as an access. In L2 it is an
+// insert (present: refresh to MRU; absent: fill, one PrefetchInsert) and goes
+// on down either way, because the request occupies an L3 slot whatever L2
+// holds. In the last level it is contains-else-insert — a present line is
+// left exactly as it is — and, like a demand miss there, goes on (to memory)
+// only when the line was absent.
+//
+// The level's slices, mask and shift stay in locals for the whole chunk and
+// nothing on the common paths is a call, so a pass is one loop. The probe is
+// two-tier for the shipped associativities (8- and 16-way): the set's
+// one-byte partial tags are compared eight ways at a time with one word-sized
+// SWAR operation, and only candidate ways are verified against the full tag.
+// A zero byte in word^broadcast(h) always flags its position (no false
+// negatives), while borrow artifacts and genuine hash collisions only flag
+// spurious candidates that the full-tag compare rejects — so the result is
+// exactly a linear scan's, but a probe of a 16-way set that misses touches
+// two words instead of 16 tags (with an 8-bit partial tag, ~94% of random
+// 16-way misses have no candidate at all). Other (test-only) geometries scan
+// the tags. level_ref_test.go holds the same semantics one access at a time.
+func (l *Level) run(ops []uint64, last bool) []uint64 {
+	// One length for the four per-way arrays lets one bounds check cover an
+	// index into all of them.
+	tags := l.tags
+	ptags, prev, next, heads := l.ptags[:len(tags)], l.prev[:len(tags)], l.next[:len(tags)], l.heads
+	mask, pshift, ways := l.setMask, l.pshift, l.ways
+	n, hits, requests, inserts := 0, 0, 0, 0
+	for _, op := range ops {
+		ln := op &^ prefetchOp
+		set := int(ln & mask)
+		base := set * ways
+		h := uint8(ln >> pshift)
+		// The candidates of both halves of a 16-way set are gathered into
+		// one word (bit 8i: way i, bit 8i+1: way 8+i), so a hit anywhere in
+		// the set is one pass of one loop, with no branch on which half.
+		w := -1
+		var cand uint64
+		bh := swarOnes * uint64(h)
+		switch ways {
+		case 8:
+			cand = zeroBytes(binary.LittleEndian.Uint64(ptags[base:base+8])^bh) >> 7
+		case 16:
+			cand = zeroBytes(binary.LittleEndian.Uint64(ptags[base:base+8])^bh)>>7 |
+				zeroBytes(binary.LittleEndian.Uint64(ptags[base+8:base+16])^bh)>>6
+		default:
+			for i, t := range tags[base : base+ways] {
+				if t == ln {
+					w = i
+					break
+				}
+			}
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			tz := bits.TrailingZeros64(cand)
+			if i := tz>>3 | tz&1<<3; tags[base+i] == ln {
+				w = i
+				break
+			}
+		}
+		if op != ln {
+			requests++
+		}
+		if w < 0 {
+			// The ring tail is the LRU way, and an empty one while the set
+			// has any (see linkRings); rotating the head onto it makes it MRU.
+			victim := prev[base+int(heads[set])]
+			tags[base+int(victim)] = ln
+			ptags[base+int(victim)] = h
+			heads[set] = victim
+			if op != ln {
+				inserts++
+			}
+			ops[n] = op
+			n++
+			continue
+		}
+		if op == ln {
+			hits++
+		} else if last {
+			continue
+		} else {
+			ops[n] = op
+			n++
+		}
+		if head := int(heads[set]); head != w {
+			// moveToHeadSlow, without its shortcut for the ring tail: the
+			// splice writes the same links there.
+			pw, nw := prev[base+w], next[base+w]
+			next[base+int(pw)] = nw
+			prev[base+int(nw)] = pw
+			tail := prev[base+head]
+			prev[base+w] = tail
+			next[base+w] = uint16(head)
+			next[base+int(tail)] = uint16(w)
+			prev[base+head] = uint16(w)
+			heads[set] = uint16(w)
+		}
 	}
-	l.stats.Misses++
-	return false
-}
-
-// LastSlot returns the tag-array index touched by the most recent Lookup hit
-// or Insert.
-func (l *Level) LastSlot() int { return l.lastSlot }
-
-// TouchLine re-references line ln known (from the immediately preceding
-// access) to reside at tag slot idx, with counter and LRU effects identical
-// to a hit Lookup: one access, one hit, promotion to MRU. It reports false —
-// leaving all state untouched — if the slot no longer holds the line, in
-// which case the caller must fall back to Lookup.
-func (l *Level) TouchLine(idx int, ln uint64) bool {
-	return l.TouchLineN(idx, ln, 1)
-}
-
-// TouchLineN is TouchLine repeated n times in one step. Because no other
-// access intervenes, n sequential hit Lookups of the same line leave exactly
-// this state: n accesses and n hits counted and the line at MRU.
-func (l *Level) TouchLineN(idx int, ln uint64, n int) bool {
-	if n <= 0 || idx < 0 || idx >= len(l.tags) {
-		return false
-	}
-	return l.touchLineSlotN(idx, ln, n)
-}
-
-// touchLineSlotN records n hit-Lookup-equivalent touches of line ln at slot
-// idx, validating only that the slot still holds the line (the index is known
-// in range). The set is derived from the line id — the same computation every
-// probe uses — so the touch fast path carries no division or scan.
-func (l *Level) touchLineSlotN(idx int, ln uint64, n int) bool {
-	if l.tags[idx] != ln {
-		return false
-	}
-	l.stats.Accesses += uint64(n)
-	l.stats.Hits += uint64(n)
-	set := int(ln & l.setMask)
-	l.moveToHead(set, set*l.ways, idx-set*l.ways)
-	l.lastSlot = idx
-	return true
-}
-
-// touchSlotN is touchLineSlotN for a slot the caller just demand-loaded in
-// the same batched run (validity established, line id known).
-func (l *Level) touchSlotN(idx int, ln uint64, n int) {
-	l.stats.Accesses += uint64(n)
-	l.stats.Hits += uint64(n)
-	set := int(ln & l.setMask)
-	l.moveToHead(set, set*l.ways, idx-set*l.ways)
-	l.lastSlot = idx
-}
-
-// Contains reports whether the line holding addr is present, without touching
-// counters or LRU state (used by the prefetcher to avoid duplicate inserts).
-func (l *Level) Contains(addr uint64) bool {
-	return l.ContainsLine(l.line(addr))
-}
-
-// ContainsLine is Contains on a precomputed line id.
-func (l *Level) ContainsLine(ln uint64) bool {
-	return l.findWay(int(ln&l.setMask)*l.ways, ln) >= 0
-}
-
-// Insert installs the line containing addr, evicting the LRU way of its set
-// if needed. prefetch marks the insert as prefetcher-initiated for counting.
-func (l *Level) Insert(addr uint64, prefetch bool) {
-	l.InsertLine(l.line(addr), prefetch)
-}
-
-// InsertLine is Insert on a precomputed line id.
-func (l *Level) InsertLine(ln uint64, prefetch bool) {
-	set := int(ln & l.setMask)
-	base := set * l.ways
-	if w := l.findWay(base, ln); w >= 0 {
-		// Already present; refresh to MRU.
-		l.moveToHead(set, base, w)
-		l.lastSlot = base + w
-		return
-	}
-	l.fillLRU(set, base, ln)
-	if prefetch {
-		l.stats.PrefetchInserts++
-	}
-}
-
-// insertLineAbsent is InsertLine for a line the caller has just proven absent
-// (its own Lookup missed with no intervening mutation of this level) — the
-// demand-fill path, which skips the present-already probe entirely.
-func (l *Level) insertLineAbsent(ln uint64) {
-	set := int(ln & l.setMask)
-	l.fillLRU(set, set*l.ways, ln)
-}
-
-// fillLRU installs ln in the set's LRU way — the ring tail, which is an
-// empty slot whenever the set has one (see linkRings) — and promotes it to
-// MRU by rotating the head onto it. O(1), no scan.
-func (l *Level) fillLRU(set, base int, ln uint64) {
-	victim := l.prev[base+int(l.heads[set])]
-	l.tags[base+int(victim)] = ln
-	l.ptags[base+int(victim)] = uint8(ln >> l.pshift)
-	l.heads[set] = victim
-	l.lastSlot = base + int(victim)
+	demand := len(ops) - requests
+	l.stats.Accesses += uint64(demand)
+	l.stats.Hits += uint64(hits)
+	l.stats.Misses += uint64(demand - hits)
+	l.stats.PrefetchInserts += uint64(inserts)
+	return ops[:n]
 }
 
 // Flush empties the level and leaves counters intact. Ring order is not

@@ -109,25 +109,19 @@ type Hierarchy struct {
 	lineShift          uint
 	l3PrefetchAccesses uint64
 	memAccesses        uint64
-	// lastLine (line id + 1; 0 = invalid) and lastSlot memoize the line of
-	// the immediately preceding demand load and its L1 tag slot. A repeat
-	// load of the same line is then a guaranteed L1-MRU hit — nothing but
-	// the demand load itself writes L1 — and takes an exact fast path that
-	// replicates a hit Lookup's counter and LRU effects without the
-	// associative search. Batch kernels stream columns op-major, so their
-	// sequential loads repeat lines back to back and ride this path.
-	lastLine uint64
-	lastSlot int
-	// memoLines/memoSlots generalize the same memo to a small direct-mapped
-	// table of recently loaded lines, which catches the row-major pattern of
-	// the scalar engine (one resident line per column, touched in rotation).
-	// Unlike lastLine, an entry here is a *guess*: the line may have been
-	// evicted since. Every use is validated by TouchLine (slot still holds
-	// the line), which makes the fast path exact — a line present at the
-	// memoized slot would hit an associative Lookup with precisely the same
-	// counter, clock, and MRU-stamp effects.
+	// memoLines/memoSlots are Load's direct-mapped memo of recently loaded
+	// lines (id + 1; 0 = none) and the L1 tag slots they were left in. An
+	// entry is a guess — the line may have been evicted or moved since, by a
+	// Load or by a batch — and is believed only while the slot still holds
+	// the line; a line present at a known slot would hit an associative
+	// Lookup with precisely the same counter and recency effects.
 	memoLines [memoEntries]uint64
 	memoSlots [memoEntries]int
+	// lines and ops are the chunk buffers of the batched core (see loadLines),
+	// sized once by NewHierarchy and never grown: the line ids of the chunk
+	// being loaded, compacted in place to its L1 misses, and the op stream the
+	// streamer expands those misses into for L2 and L3.
+	lines, ops []uint64
 	// st, when attached, is a storage tier below DRAM: every access that
 	// reaches memory consults it and may pay additional whole-cycle block
 	// stalls, accumulated in storageStalls. The tier never alters cache
@@ -139,12 +133,20 @@ type Hierarchy struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [8]byte
+	_ [104]byte
 }
 
-// memoEntries sizes the direct-mapped line memo (power of two, comfortably
-// more than the column count of typical plans).
+// memoEntries sizes Load's line memo (power of two, comfortably more than
+// the column count of typical plans).
 const memoEntries = 32
+
+// chunkLines is how many line ids one round of passes takes: large enough
+// that a pass's set-up is amortised, small enough that both buffers (2 KB and
+// 4 KB) stay in the host L1 next to the simulated L1's arrays. A chunk of
+// misses fills ops only when every miss also issues a prefetch, the steady
+// state of a sequential scan; anything denser drains into L2 and L3 before
+// the chunk's last miss (see loadLines).
+const chunkLines = 256
 
 // NewHierarchy builds a hierarchy from its configuration.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
@@ -167,7 +169,11 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	for 1<<shift < cfg.L1.LineSize {
 		shift++
 	}
-	return &Hierarchy{cfg: cfg, l1: l1, l2: l2, l3: l3, pf: NewStreamPrefetcher(), lineShift: shift}, nil
+	buf := sectorSlice[uint64](3 * chunkLines)
+	return &Hierarchy{
+		cfg: cfg, l1: l1, l2: l2, l3: l3, pf: NewStreamPrefetcher(), lineShift: shift,
+		lines: buf[:chunkLines:chunkLines], ops: buf[chunkLines:],
+	}, nil
 }
 
 // Config returns the hierarchy's configuration.
@@ -185,85 +191,33 @@ func (h *Hierarchy) LineShift() uint { return h.lineShift }
 // is, L1 misses) and pulls upcoming lines into L2 and L3, consuming one L3
 // access slot per prefetch request — so the exposed L3-access count is the
 // paper's counter: demand L2-misses plus prefetcher requests.
+//
+// A single load is a batch of one line, behind a memo: the row-at-a-time
+// engine touches one resident line per column in rotation, and a load whose
+// line still sits in the L1 slot the memo remembers is recorded as the hit
+// Lookup it would be — counted, promoted to MRU — without the passes.
 func (h *Hierarchy) Load(addr uint64) AccessResult {
 	ln := (addr >> h.lineShift) + 1
 	mi := ln & (memoEntries - 1)
-	if h.memoHit(ln, mi) {
+	l1 := h.l1
+	if slot := h.memoSlots[mi]; h.memoLines[mi] == ln && l1.tags[slot] == ln {
+		l1.stats.Accesses++
+		l1.stats.Hits++
+		set := int(ln & l1.setMask)
+		l1.moveToHead(set, set*l1.ways, slot-set*l1.ways)
 		return AccessResult{Level: HitL1, LatencyCycles: h.cfg.L1.LatencyCycles}
 	}
-	res := h.loadLine(ln)
-	h.lastLine, h.lastSlot = ln, h.l1.lastSlot
-	h.memoLines[mi], h.memoSlots[mi] = ln, h.l1.lastSlot
-	return res
-}
-
-// memoHit tries the validated memo fast path for line ln (memo index mi):
-// when the memoized slot still holds the line, it records exactly one hit
-// Lookup — counters, MRU promotion, lastSlot — with the associative probe
-// skipped, and refreshes the same-line memo. This is the hottest path of
-// both engines; the single copy keeps the hit accounting impossible to
-// drift between the scalar and run-batched entry points.
-func (h *Hierarchy) memoHit(ln, mi uint64) bool {
-	if h.memoLines[mi] != ln {
-		return false
-	}
-	l1, idx := h.l1, h.memoSlots[mi]
-	if l1.tags[idx] != ln {
-		return false
-	}
-	l1.stats.Accesses++
-	l1.stats.Hits++
-	set := int(ln & l1.setMask)
-	l1.moveToHead(set, set*l1.ways, idx-set*l1.ways)
-	l1.lastSlot = idx
-	h.lastLine, h.lastSlot = ln, idx
-	return true
-}
-
-// loadLine is the full lookup-and-fill path for the line with id ln; after it
-// returns, the demand line is L1-resident at l1.lastSlot as the MRU of its
-// set. The line id is computed once by the caller and shared by every level
-// probe — all levels of a hierarchy have one line size, so the set/tag math
-// is hoisted out of the per-level (and, for batched runs, per-element) loop.
-func (h *Hierarchy) loadLine(ln uint64) AccessResult {
-	if h.l1.LookupLine(ln) {
+	h.lines[0] = ln
+	rh := h.loadLines(h.lines[:1], 0)
+	h.memoLines[mi], h.memoSlots[mi] = ln, l1.mruSlot(ln)
+	switch {
+	case rh.L1 != 0:
 		return AccessResult{Level: HitL1, LatencyCycles: h.cfg.L1.LatencyCycles}
-	}
-	if !h.cfg.PrefetchDisabled {
-		for _, pl := range h.pf.Observe(ln - 1) {
-			// Each prefetch request occupies an L3 access slot whether or not
-			// the line is already present somewhere.
-			h.l3PrefetchAccesses++
-			pln := pl + 1
-			if !h.l3.ContainsLine(pln) {
-				h.memAccesses++
-				if h.st != nil {
-					h.storageStalls += h.st.Touch((pln - 1) << h.lineShift)
-				}
-				h.l3.insertLineAbsent(pln)
-				h.l3.stats.PrefetchInserts++
-			}
-			h.l2.InsertLine(pln, true)
-		}
-	}
-	// Demand fills below insert lines their own level's lookup just missed,
-	// so the present-already re-check is skipped (insertLineAbsent).
-	if h.l2.LookupLine(ln) {
-		h.l1.insertLineAbsent(ln)
+	case rh.L2 != 0:
 		return AccessResult{Level: HitL2, LatencyCycles: h.cfg.L2.LatencyCycles}
-	}
-	if h.l3.LookupLine(ln) {
-		h.l2.insertLineAbsent(ln)
-		h.l1.insertLineAbsent(ln)
+	case rh.L3 != 0:
 		return AccessResult{Level: HitL3, LatencyCycles: h.cfg.L3.LatencyCycles}
 	}
-	h.memAccesses++
-	if h.st != nil {
-		h.storageStalls += h.st.Touch((ln - 1) << h.lineShift)
-	}
-	h.l3.insertLineAbsent(ln)
-	h.l2.insertLineAbsent(ln)
-	h.l1.insertLineAbsent(ln)
 	return AccessResult{Level: HitMem, LatencyCycles: h.cfg.MemLatencyCycles}
 }
 
@@ -284,88 +238,123 @@ func (r RunHits) Plus(o RunHits) RunHits {
 	return RunHits{L1: r.L1 + o.L1, L2: r.L2 + o.L2, L3: r.L3 + o.L3, Mem: r.Mem + o.Mem}
 }
 
-// add accounts one completed load at the given hit level.
-func (r *RunHits) add(lv HitLevel) {
-	switch lv {
-	case HitL1:
-		r.L1++
-	case HitL2:
-		r.L2++
-	case HitL3:
-		r.L3++
-	default:
-		r.Mem++
+// loadLines is the one lookup-and-fill path: it demand-loads lines (ids + 1,
+// at most chunkLines of them, consumed) in order, plus reps further loads
+// that each repeat the line loaded just before them, with the counter, LRU,
+// streamer and storage-tier effects of loading them one address at a time.
+//
+// The work is done level by level instead of address by address. Fills are
+// inclusive and nothing below ever invalidates a line above, so a level's
+// contents and recency are a function of its own op stream in order — and
+// that stream is the in-order misses of the level above (plus, from L2 down,
+// the streamer's requests, which are a function of the L1 misses alone). So
+// the chunk goes through L1, its misses through the streamer, the resulting
+// op stream through L2 and what L2 lets through through L3, each as one loop
+// over one level's arrays (Level.run); the lines that reach memory visit the
+// storage tier last, still in order. A repeat finds its line at the head of
+// its L1 set, so it moves nothing and is only counted.
+func (h *Hierarchy) loadLines(lines []uint64, reps int) RunHits {
+	l1 := h.l1
+	miss := l1.run(lines, false)
+	l1.stats.Accesses += uint64(reps)
+	l1.stats.Hits += uint64(reps)
+	rh := RunHits{L1: len(lines) - len(miss) + reps}
+	if len(miss) == 0 {
+		return rh
 	}
+	l2Hits, l3Hits, l3Misses := h.l2.stats.Hits, h.l3.stats.Hits, h.l3.stats.Misses
+	if h.cfg.PrefetchDisabled {
+		h.lower(miss)
+	} else {
+		ops := h.ops[:0]
+		for _, ln := range miss {
+			from, n := h.pf.observe(ln - 1)
+			// Each prefetch request occupies an L3 access slot whether or not
+			// the line is already present somewhere.
+			h.l3PrefetchAccesses += uint64(n)
+			if len(ops)+n >= cap(ops) {
+				h.lower(ops)
+				ops = ops[:0]
+			}
+			for k := 1; k <= n; k++ {
+				ops = append(ops, (from+uint64(k)+1)|prefetchOp) // ops carry line id + 1
+			}
+			ops = append(ops, ln)
+		}
+		h.lower(ops)
+	}
+	rh.L2 = int(h.l2.stats.Hits - l2Hits)
+	rh.L3 = int(h.l3.stats.Hits - l3Hits)
+	rh.Mem = int(h.l3.stats.Misses - l3Misses)
+	return rh
 }
 
-// loadRunFirst performs the leading demand load of a same-line streak —
-// validated memo fast path or full lookup-and-fill — and leaves the memo
-// pointing at the streak's line.
-func (h *Hierarchy) loadRunFirst(ln uint64, rh *RunHits) {
-	mi := ln & (memoEntries - 1)
-	if h.memoHit(ln, mi) {
-		rh.L1++
-		return
+// lower runs a piece of the op stream below L1 (consumed) through L2, L3 and
+// the storage tier. Any in-order split of the stream gives the same state.
+func (h *Hierarchy) lower(ops []uint64) {
+	ops = h.l3.run(h.l2.run(ops, false), true)
+	h.memAccesses += uint64(len(ops))
+	if h.st != nil {
+		for _, op := range ops {
+			h.storageStalls += h.st.Touch((op&^prefetchOp - 1) << h.lineShift)
+		}
 	}
-	rh.add(h.loadLine(ln).Level)
-	h.lastLine, h.lastSlot = ln, h.l1.lastSlot
-	h.memoLines[mi], h.memoSlots[mi] = ln, h.l1.lastSlot
 }
 
 // LoadRun performs n demand loads at start, start+stride, ... in one call,
-// with counter, LRU, and prefetcher effects identical to n Load calls.
-// Same-line streaks are collapsed: the streak length is computed in closed
-// form from the stride, the first access runs the full path, and the
-// remaining accesses are guaranteed L1-MRU hits recorded as one counted
-// touch. stride must be positive.
+// with counter, LRU, and prefetcher effects identical to n Load calls. The
+// lines are known in closed form: a stride of at most a line visits every
+// line from the first element's to the last's, ascending, and each further
+// element on a line repeats it; a wider stride never puts two neighbouring
+// elements on one line. stride must be positive.
 func (h *Hierarchy) LoadRun(start uint64, stride, n int) RunHits {
 	var rh RunHits
 	if n <= 0 {
 		return rh
 	}
 	shift := h.lineShift
-	lineSize := uint64(1) << shift
-	st := uint64(stride)
-	for i := 0; i < n; {
-		addr := start + uint64(i)*st
-		ln := (addr >> shift) + 1
-		// Elements i..j-1 share the line: the next line starts at boundary.
-		boundary := (addr | (lineSize - 1)) + 1
-		j := i + int((boundary-addr+st-1)/st)
-		if j > n {
-			j = n
+	step, left, reps := uint64(stride), n, 0 // step: address distance between consecutive lines
+	if stride <= 1<<shift {
+		step = 1 << shift
+		left = int((start+uint64(n-1)*uint64(stride))>>shift-start>>shift) + 1
+		reps = n - left
+	}
+	for addr := start; left > 0; {
+		lines := h.lines[:min(left, chunkLines)]
+		for i := range lines {
+			lines[i] = addr>>shift + 1
+			addr += step
 		}
-		h.loadRunFirst(ln, &rh)
-		if rep := j - i - 1; rep > 0 {
-			h.l1.touchSlotN(h.lastSlot, ln, rep)
-			rh.L1 += rep
-		}
-		i = j
+		rh = rh.Plus(h.loadLines(lines, reps))
+		left, reps = left-len(lines), 0
 	}
 	return rh
 }
 
 // LoadSel performs one demand load per selected row of a column at base with
 // the given stride, in selection order, with effects identical to per-row
-// Load calls. Runs of rows sharing one cache line after the run's first load
-// are guaranteed L1-MRU repeats and are recorded as one counted touch.
+// Load calls. A row on the line of the row before it is a repeat.
 func (h *Hierarchy) LoadSel(base uint64, stride int, rows []int32) RunHits {
 	var rh RunHits
 	shift := h.lineShift
 	st := uint64(stride)
-	n := len(rows)
-	for i := 0; i < n; {
-		ln := ((base + uint64(rows[i])*st) >> shift) + 1
-		j := i + 1
-		for j < n && ((base+uint64(rows[j])*st)>>shift)+1 == ln {
-			j++
+	lines, last := h.lines[:chunkLines], uint64(0)
+	for len(rows) > 0 {
+		chunk := rows[:min(len(rows), chunkLines)]
+		rows = rows[len(chunk):]
+		// Whether two selected rows share a line is a coin flip the host
+		// cannot predict, so repeats are dropped without a branch: every id
+		// is stored, and the cursor moves on only past a new line.
+		n := 0
+		for _, r := range chunk {
+			ln := ((base + uint64(r)*st) >> shift) + 1
+			lines[n] = ln
+			if ln != last {
+				n++
+			}
+			last = ln
 		}
-		h.loadRunFirst(ln, &rh)
-		if rep := j - i - 1; rep > 0 {
-			h.l1.touchSlotN(h.lastSlot, ln, rep)
-			rh.L1 += rep
-		}
-		i = j
+		rh = rh.Plus(h.loadLines(lines[:n], len(chunk)-n))
 	}
 	return rh
 }
@@ -373,23 +362,24 @@ func (h *Hierarchy) LoadSel(base uint64, stride int, rows []int32) RunHits {
 // LoadStream performs one demand load per address, in order, with effects
 // identical to per-element Load calls — the gather path of kernels whose
 // address streams are data-dependent (join probes, hash-table touches).
-// Consecutive same-line addresses collapse into counted L1 touches.
+// An address on the line of the address before it is a repeat.
 func (h *Hierarchy) LoadStream(addrs []uint64) RunHits {
 	var rh RunHits
 	shift := h.lineShift
-	n := len(addrs)
-	for i := 0; i < n; {
-		ln := (addrs[i] >> shift) + 1
-		j := i + 1
-		for j < n && (addrs[j]>>shift)+1 == ln {
-			j++
+	lines, last := h.lines[:chunkLines], uint64(0)
+	for len(addrs) > 0 {
+		chunk := addrs[:min(len(addrs), chunkLines)]
+		addrs = addrs[len(chunk):]
+		n := 0
+		for _, a := range chunk {
+			ln := (a >> shift) + 1
+			lines[n] = ln
+			if ln != last {
+				n++
+			}
+			last = ln
 		}
-		h.loadRunFirst(ln, &rh)
-		if rep := j - i - 1; rep > 0 {
-			h.l1.touchSlotN(h.lastSlot, ln, rep)
-			rh.L1 += rep
-		}
-		i = j
+		rh = rh.Plus(h.loadLines(lines[:n], len(chunk)-n))
 	}
 	return rh
 }
@@ -411,7 +401,6 @@ func (h *Hierarchy) Flush() {
 	h.l2.Flush()
 	h.l3.Flush()
 	h.pf.Reset()
-	h.lastLine = 0
 	h.memoLines = [memoEntries]uint64{}
 }
 

@@ -89,9 +89,10 @@ func TestRingLRUMatchesStampReference(t *testing.T) {
 				lvl.Insert(addr, false)
 				ref.insert(ln)
 			case 2: // touch fast path must equal n hit lookups
-				if tag := lvl.tags[lvl.lastSlot]; tag != 0 {
+				if slot := lvl.mruSlot(ln); lvl.tags[slot] != 0 {
+					tag := lvl.tags[slot]
 					n := rng.Intn(3) + 1
-					if !lvl.TouchLineN(lvl.lastSlot, tag, n) {
+					if !lvl.TouchLineN(slot, tag, n) {
 						t.Fatalf("start %d step %d: touch of resident line failed", startClock, i)
 					}
 					for k := 0; k < n; k++ {

@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // StreamPrefetcher models the L2 streamer of modern Intel parts: it watches
 // the demand access stream at L2 (line granularity), detects ascending
 // sequential streams, and pulls upcoming lines into L2 and L3 ahead of use.
@@ -22,12 +24,20 @@ type StreamPrefetcher struct {
 	// prefetching starts.
 	MinConfidence int
 
-	// The stream table is stored struct-of-arrays so the match scan — the
-	// hottest loop of join-probe simulation, paid on every L1 miss — walks one
-	// contiguous [16]uint64 of last-seen lines and nothing else. Empty entries
-	// hold invalidLine, which no reachable observation can continue, so the
-	// scan needs no validity test.
-	lastLine   [streamTableSize]uint64
+	// The stream table is stored struct-of-arrays, so verifying a candidate
+	// reads one word of one contiguous [16]uint64 of last-seen lines. Empty
+	// entries hold invalidLine, which no reachable observation can continue,
+	// so a candidate needs no validity test.
+	lastLine [streamTableSize]uint64
+	// sig holds each entry's block signature — the low byte of
+	// lastLine>>sigShift, entry i in byte i%8 of word i/8 — kept by setLast on
+	// every lastLine write. observe finds the entries that could continue a
+	// line with the SWAR byte compare Level uses on its partial tags (see
+	// Level.run): no false negatives, and candidates are verified against
+	// lastLine in index order. Words, not bytes, because every call both
+	// writes a signature and reads them all: a word load that follows a byte
+	// store into it waits for the store to retire.
+	sig        [streamTableSize / 8]uint64
 	issuedUpTo [streamTableSize]uint64
 	confidence [streamTableSize]int32
 	// prev/next thread the table entries into one circular list ordered by
@@ -52,10 +62,18 @@ type StreamPrefetcher struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [96]byte
+	_ [80]byte
 }
 
 const streamTableSize = 16
+
+// sigShift makes a signature block four lines, the default Window: the lines
+// a stream may have stopped at to cover a given line then lie in two blocks.
+const sigShift = 2
+
+// maxFilteredWindow is the largest Window observe filters by signature; a
+// wider one names so many blocks that scanning the table is no slower.
+const maxFilteredWindow = 32
 
 // invalidLine marks an empty stream-table entry. A demand line would need to
 // be within Window past it to continue the "stream", i.e. fall in
@@ -74,7 +92,7 @@ func NewStreamPrefetcher() *StreamPrefetcher {
 // value of StreamPrefetcher is usable: Observe and Reset link on first use.
 func (p *StreamPrefetcher) link() {
 	for i := range p.lastLine {
-		p.lastLine[i] = invalidLine
+		p.setLast(i, invalidLine)
 		// Recency order 15, 14, ..., 1, 0 from head to tail: entry 0 is the
 		// first victim, then 1, matching first-empty-in-index-order.
 		p.prev[i] = uint8((i + 1) % streamTableSize)
@@ -87,56 +105,93 @@ func (p *StreamPrefetcher) link() {
 // Observe feeds one demand line id into the prefetcher and returns the line
 // ids to prefetch, if any. The returned slice aliases an internal buffer and
 // is valid until the next call.
+func (p *StreamPrefetcher) Observe(line uint64) []uint64 {
+	from, n := p.observe(line)
+	if n == 0 {
+		return nil
+	}
+	out := p.buf[:0]
+	for k := 1; k <= n; k++ {
+		out = append(out, from+uint64(k))
+	}
+	p.buf = out
+	return out
+}
+
+// observe is Observe returning the request as a range: the n lines after
+// from. (A count, not an end line: line ids near 2^64 wrap.)
 //
 // The first stream (in index order) whose window covers the line wins; when
-// none matches, the least-recently-touched entry is replaced. Random access
-// patterns match nothing and pay the full 16-entry scan on every L1 miss.
-func (p *StreamPrefetcher) Observe(line uint64) []uint64 {
+// none matches, the least-recently-touched entry is replaced. A stream covers
+// line when its last line is one of line-Window .. line-1, and those lie in
+// the aligned blocks of four that hold line-Window, line-Window+4, ... and
+// line-1 — so only entries whose signature names one of those blocks can
+// match. A random gather matches nothing: its L1 misses each cost a couple
+// of word compares here instead of the 16-entry scan.
+func (p *StreamPrefetcher) observe(line uint64) (from uint64, n int) {
 	if !p.linked {
 		p.link()
 	}
 	window := uint64(p.Window)
+	c0, c1 := uint64(swarHighs), uint64(swarHighs) // candidates: entries 0-7, 8-15, one high bit per byte
+	if window-1 < maxFilteredWindow {
+		lo, hi := p.sig[0], p.sig[1]
+		b := swarOnes * uint64(uint8((line-1)>>sigShift))
+		c0, c1 = zeroBytes(lo^b), zeroBytes(hi^b)
+		for d := window; d > 1; d -= min(d, 4) {
+			b = swarOnes * uint64(uint8((line-d)>>sigShift))
+			c0 |= zeroBytes(lo ^ b)
+			c1 |= zeroBytes(hi ^ b)
+		}
+	}
+	// line continues a stream when 1 <= line-lastLine <= window; unsigned wrap
+	// makes the two-sided check one compare.
 	bestIdx := -1
-	for i := range p.lastLine {
-		// line continues the stream when 1 <= line-lastLine <= window;
-		// unsigned wrap makes the two-sided check one compare.
-		if line-p.lastLine[i]-1 < window {
+	for ; bestIdx < 0 && c0 != 0; c0 &= c0 - 1 {
+		if i := bits.TrailingZeros64(c0) >> 3; line-p.lastLine[i&7]-1 < window {
 			bestIdx = i
-			break
+		}
+	}
+	for ; bestIdx < 0 && c1 != 0; c1 &= c1 - 1 {
+		if i := 8 + bits.TrailingZeros64(c1)>>3; line-p.lastLine[i&15]-1 < window {
+			bestIdx = i
 		}
 	}
 	if bestIdx < 0 {
 		victim := p.prev[p.head]
-		p.lastLine[victim] = line
+		p.setLast(int(victim), line)
 		p.issuedUpTo[victim] = line
 		p.confidence[victim] = 0
 		p.head = victim // rotate: tail becomes head, rest keep order
-		return nil
+		return 0, 0
 	}
 	p.confidence[bestIdx]++
-	p.lastLine[bestIdx] = line
+	p.setLast(bestIdx, line)
 	p.touch(uint8(bestIdx))
 	if int(p.confidence[bestIdx]) < p.MinConfidence {
-		return nil
+		return 0, 0
 	}
 	// Fetch up to Degree lines ahead of the demand line, skipping anything
 	// this stream already issued.
-	from := line + 1
-	if p.issuedUpTo[bestIdx] >= from {
-		from = p.issuedUpTo[bestIdx] + 1
+	from = line
+	if p.issuedUpTo[bestIdx] > from {
+		from = p.issuedUpTo[bestIdx]
 	}
 	to := line + uint64(p.Degree)
-	if from > to {
-		return nil
-	}
-	out := p.buf[:0]
-	for l := from; l <= to; l++ {
-		out = append(out, l)
+	if from >= to {
+		return 0, 0
 	}
 	p.issuedUpTo[bestIdx] = to
-	p.buf = out
-	p.Issued += uint64(len(out))
-	return out
+	n = int(to - from)
+	p.Issued += uint64(n)
+	return from, n
+}
+
+// setLast records line as entry i's last-seen line, and its signature.
+func (p *StreamPrefetcher) setLast(i int, line uint64) {
+	p.lastLine[i&15] = line
+	word, shift := &p.sig[i>>3&1], uint(i&7)*8
+	*word = *word&^(0xff<<shift) | uint64(uint8(line>>sigShift))<<shift
 }
 
 // touch makes entry w the most recently used.

@@ -2,7 +2,7 @@ package cache
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -35,22 +35,50 @@ func replayHits(h *Hierarchy, addrs []uint64) RunHits {
 	return rh
 }
 
-func sameState(t *testing.T, label string, a, b *Hierarchy) {
+// hierState is everything about a hierarchy a later access could observe:
+// counters, the levels (tags and recency rings), the streamer table and the
+// storage tier with its stall total.
+type hierState struct {
+	counters Counters
+	levels   [3]*Level
+	pf       *StreamPrefetcher
+	st       *StorageSet
+	stalls   uint64
+}
+
+func (h *Hierarchy) state() hierState {
+	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf, h.st, h.storageStalls}
+}
+
+// sameLevel requires two levels to hold the same lines in the same ways and
+// the same recency rings. (Counters are compared by the caller.)
+func sameLevel(t testing.TB, label string, a, b *Level) {
 	t.Helper()
-	if !reflect.DeepEqual(a.Counters(), b.Counters()) {
-		t.Fatalf("%s: counters diverge:\n per-elem %+v\n batched  %+v", label, a.Counters(), b.Counters())
+	if !slices.Equal(a.tags, b.tags) || !slices.Equal(a.ptags, b.ptags) ||
+		!slices.Equal(a.prev, b.prev) || !slices.Equal(a.next, b.next) ||
+		!slices.Equal(a.heads, b.heads) {
+		t.Fatalf("%s: %s contents diverge", label, a.cfg.Name)
 	}
-	for i, lv := range []*Level{a.l1, a.l2, a.l3} {
-		blv := []*Level{b.l1, b.l2, b.l3}[i]
-		if !reflect.DeepEqual(lv.tags, blv.tags) || !reflect.DeepEqual(lv.ptags, blv.ptags) ||
-			!reflect.DeepEqual(lv.prev, blv.prev) || !reflect.DeepEqual(lv.next, blv.next) ||
-			!reflect.DeepEqual(lv.heads, blv.heads) {
-			t.Fatalf("%s: %s contents diverge", label, lv.cfg.Name)
-		}
+}
+
+// sameState requires two hierarchies to agree on all of it.
+func sameState(t testing.TB, label string, a, b hierState) {
+	t.Helper()
+	if a.counters != b.counters {
+		t.Fatalf("%s: counters diverge:\n %+v\n %+v", label, a.counters, b.counters)
 	}
-	if a.lastLine != b.lastLine || a.lastSlot != b.lastSlot {
-		t.Fatalf("%s: memo diverges: (%d,%d) vs (%d,%d)",
-			label, a.lastLine, a.lastSlot, b.lastLine, b.lastSlot)
+	for i, lv := range a.levels {
+		sameLevel(t, label, lv, b.levels[i])
+	}
+	if p, q := a.pf, b.pf; p.lastLine != q.lastLine || p.issuedUpTo != q.issuedUpTo || p.confidence != q.confidence ||
+		p.prev != q.prev || p.next != q.next || p.head != q.head || p.linked != q.linked || p.Issued != q.Issued {
+		t.Fatalf("%s: streamer tables diverge:\n %+v\n %+v", label, p.lastLine, q.lastLine)
+	}
+	if a.stalls != b.stalls {
+		t.Fatalf("%s: storage stalls %d vs %d", label, a.stalls, b.stalls)
+	}
+	if (a.st == nil) != (b.st == nil) || a.st != nil && a.st.Counters() != b.st.Counters() {
+		t.Fatalf("%s: storage counters diverge", label)
 	}
 }
 
@@ -124,7 +152,7 @@ func TestLoadRunMatchesPerElementLoad(t *testing.T) {
 					t.Fatalf("trial %d step %d: Load %+v vs %+v", trial, step, a, b)
 				}
 			}
-			sameState(t, "after step", ref, bat)
+			sameState(t, "after step", ref.state(), bat.state())
 		}
 	}
 }

@@ -225,7 +225,7 @@ func (c *CPU) CondBranch(site int, taken bool) branch.Outcome {
 // LoadSeq performs n demand loads at start, start+stride, ... — a batch
 // kernel streaming a column. Counter, cache, and stall effects are exactly
 // those of n Load calls: the whole run is simulated by the hierarchy in one
-// call, with same-line streaks collapsed into counted L1-MRU touches.
+// call, with further loads of a line counted as the L1 hits they are.
 func (c *CPU) LoadSeq(start uint64, stride, n int) {
 	c.addRunHits(c.mem.LoadRun(start, stride, n))
 }

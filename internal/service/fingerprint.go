@@ -6,7 +6,7 @@
 //
 // Everything runs on the simulated clock. Submissions carry simulated
 // arrival times; the scheduler partitions the pool's cores across active
-// queries at morsel granularity (exec.Parallel.RunBlockSubset) and advances
+// queries at morsel granularity (exec.BlockRun.RunBlockSubset) and advances
 // per-core absolute clocks, so a fixed workload trace produces bit-identical
 // per-query results, PMU counters, latencies, and total makespan on every
 // host run, for every GOMAXPROCS setting — there is no host-time anywhere in

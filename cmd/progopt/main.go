@@ -28,7 +28,6 @@ func main() {
 		vector  = flag.Int("vector", 0, "vector size in tuples (0 = default)")
 		perms   = flag.Int("perms", 0, "cap on PEO permutations in sweeps (0 = experiment default)")
 		workers = flag.Int("workers", 1, "simulated cores per measurement (morsel-driven when > 1)")
-		scalar  = flag.Bool("scalar", false, "tuple-at-a-time row loop instead of batch kernels")
 		trc     = flag.String("trace", "", "write a Chrome trace-event JSON of every measurement to this path")
 	)
 	flag.Parse()
@@ -46,7 +45,6 @@ func main() {
 		VectorSize: *vector,
 		PermSample: *perms,
 		Workers:    *workers,
-		ScalarExec: *scalar,
 	}
 	if *trc != "" {
 		cfg.Trace = trace.New()

@@ -280,8 +280,6 @@ func predicateFor(col *columnar.Column, step planStep) (*exec.Predicate, error) 
 			return nil, fmt.Errorf("progopt: filter on %s column %q needs an integer bound, got float %v", col.Kind(), step.col, step.f)
 		}
 		pred.F = step.f
-	case boundLegacy:
-		pred.I, pred.F = step.i, step.f
 	default:
 		return nil, fmt.Errorf("progopt: unknown bound kind %d", step.bound)
 	}

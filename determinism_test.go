@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -34,7 +33,7 @@ var (
 // the given configuration.
 func detRun(t *testing.T, workers int, mode Mode, noFuse bool) ExecResult {
 	t.Helper()
-	e, err := New(Config{VectorSize: 1024, Workers: workers, NoFuse: noFuse})
+	e, err := newRef(Config{VectorSize: 1024, Workers: workers}, refPath{noFuse: noFuse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestDeterminismMatrix(t *testing.T) {
 // block-granular scheduling) in the given configuration.
 func detServe(t *testing.T, workers int, noFuse bool) ExecResult {
 	t.Helper()
-	e, err := New(Config{VectorSize: 1024, Workers: workers, NoFuse: noFuse})
+	e, err := newRef(Config{VectorSize: 1024, Workers: workers}, refPath{noFuse: noFuse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,35 +206,6 @@ func TestDeterminismMatrixShapes(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestRunMicroAdaptiveMultiCoreError pins the refusal contract of the
-// deprecated single-core entry point: the error must say why (per-vector
-// cycle stats are not multi-core makespans) and name the supported route
-// (ModeMicroAdaptive through Engine.Exec).
-func TestRunMicroAdaptiveMultiCoreError(t *testing.T) {
-	e, err := New(Config{VectorSize: 1024, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	d, err := e.GenerateTPCH(4096, 3, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := e.BuildScan(d, []Predicate{{Column: "l_quantity", Op: CmpLE, Int: 25}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = e.RunMicroAdaptive(q, Progressive{Interval: 3})
-	if err == nil {
-		t.Fatal("RunMicroAdaptive accepted a multi-core engine")
-	}
-	for _, want := range []string{"single-core", "Workers = 4", "ModeMicroAdaptive", "Exec"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

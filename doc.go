@@ -34,31 +34,31 @@
 //	fmt.Printf("%.1fx faster, %d reorders\n",
 //		baseline.Millis/adaptive.Millis, adaptive.Stats.Reorders)
 //
-// Plans compose filters (Filter/FilterCost), join-graph edges (JoinOn) or
-// legacy single-FK joins (Join), a sum aggregate (Sum), a grouped
-// aggregation (GroupBy), or ordered output (OrderBy with an optional Top-K
-// Limit); Compile validates every column, bound, and selectivity against
-// the data set. Exec drives every execution shape: ModeFixed,
-// ModeProgressive, and
-// ModeMicroAdaptive all honor Config.Workers (morsel-driven multi-core
+// Plans compose filters (Filter/FilterCost), join-graph edges (JoinOn), a
+// sum aggregate (Sum), a grouped aggregation (GroupBy), or ordered output
+// (OrderBy with an optional Top-K Limit); Compile validates every column,
+// bound, and edge against the data set. Exec drives every execution shape:
+// ModeFixed, ModeProgressive, and ModeMicroAdaptive all honor Config.Workers (morsel-driven multi-core
 // scans with makespan cycle counts and merged PMU counters), grouped plans
 // aggregate with per-core partial hash tables merged at the barrier, and
 // ordered plans collect into per-core bounded heaps (Limit) or sorted runs
 // (full sort) merged by the coordinator at the barrier, emitting
 // ExecResult.Rows — each row carrying its sort-key values and the per-row
 // value of the plan's Sum expression. Results, grouped output, and ordered
-// rows are bit-identical across modes, worker counts, and Config.ScalarExec
-// (the tuple-at-a-time ablation). The two adaptive modes are one reoptimizer
-// loop at every worker count and in the server: it is stepped a vector at a
-// time on a single core and a morsel block at a time on a pool, and it
+// rows are bit-identical across modes and worker counts. The two adaptive
+// modes are one reoptimizer loop at every worker count and in the server: it
+// is stepped a vector at a time on a single core and a morsel block at a
+// time on a pool, and it
 // bounds its own regret: a reverting step decides nothing else, rejected
 // orders stay rejected until a reorder survives validation, consecutive
 // reverts back it off exponentially, and ExecResult.Stats.Ledger says what
 // re-optimizing cost the run (DESIGN.md, "The reoptimizer loop").
 //
-// The former per-shape methods (BuildQ6, BuildScan, BuildPipeline, Run,
-// RunProgressive, RunMicroAdaptive, RunGroupBy) remain as deprecated thin
-// wrappers over Compile/Exec; see DESIGN.md for the migration table.
+// Scan/Compile/Exec (or NewServer/Submit) is the only plan surface, and
+// nothing in Config selects a second engine: the tuple-at-a-time row loop,
+// the unfused kernel pipeline and the serial scheduling round that the test
+// suites compare the shipped path against are reached only from tests (see
+// DESIGN.md, "The equivalence contract").
 //
 // # Join graphs
 //
@@ -84,14 +84,8 @@
 //	res, err := eng.Exec(q, progopt.ExecOptions{Mode: progopt.ModeProgressive,
 //		Progressive: progopt.Progressive{Interval: 10}})
 //
-// Migration note: the single-FK Join(table, selectivity) builder predates
-// join graphs and survives unchanged for existing callers, but it cannot
-// be mixed with JoinOn in one plan (Compile rejects the mix and names the
-// fix). New code should declare edges with JoinOn — the build-side filter
-// that Join approximated with a nominal selectivity becomes a real pushed-
-// down Filter on the joined table's columns. See DESIGN.md "Join-graph
-// architecture" for the greedy baseline, the rank-based PMU proposal, and
-// why bit-identity survives join reordering.
+// See DESIGN.md "Join-graph architecture" for the greedy baseline, the
+// rank-based PMU proposal, and why bit-identity survives join reordering.
 //
 // # Serving a workload
 //

@@ -10,25 +10,33 @@ import (
 	"progopt/internal/tpch"
 )
 
-// The deprecated Build*/Run* methods are thin wrappers over Compile/Exec, so
-// these property tests pin the wrapper translation AND guard the new surface
-// against behavioral drift: every (mode, workers, scalar) cell must produce
-// bit-identical results, cycle counts, and PMU counters between the old and
-// new API on independently constructed engines.
+// These property tests pin Exec over the (mode, workers, scalar) matrix. In
+// every cell two independently constructed engines must agree bit for bit —
+// results, cycle counts, PMU counters, optimizer stats: a run is a pure
+// function of its configuration, fresh address space included — and the
+// scalar cells, which run the tuple-at-a-time row loop (the reference
+// semantics, selected through export_test.go), must return the answers of
+// the batch cell with the same worker count.
+
+// equivCase is one cell of the acceptance matrix.
+type equivCase struct {
+	cfg Config
+	ref refPath
+}
 
 // equivCases is the configuration matrix of the acceptance criterion.
-func equivCases() []Config {
-	var out []Config
+func equivCases() []equivCase {
+	var out []equivCase
 	for _, workers := range []int{1, 4} {
 		for _, scalar := range []bool{false, true} {
-			out = append(out, Config{VectorSize: 1024, Workers: workers, ScalarExec: scalar})
+			out = append(out, equivCase{Config{VectorSize: 1024, Workers: workers}, refPath{scalar: scalar}})
 		}
 	}
 	return out
 }
 
-func caseName(cfg Config) string {
-	return fmt.Sprintf("workers=%d/scalar=%v", cfg.Workers, cfg.ScalarExec)
+func caseName(c equivCase) string {
+	return fmt.Sprintf("workers=%d/scalar=%v", c.cfg.Workers, c.ref.scalar)
 }
 
 // sameResult asserts full bit-identity of two results, counters included.
@@ -58,224 +66,122 @@ func sameStats(t *testing.T, label string, a, b Stats) {
 	}
 }
 
-// q6Setup builds a fresh engine + data set + Q6 in the deliberately bad
-// reversed order, via the given builder.
-func q6Setup(t *testing.T, cfg Config, build func(e *Engine, d *Dataset) (*Query, error)) (*Engine, *Dataset, *Query) {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.GenerateTPCH(30000, 21, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := build(e, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qo, err := q.WithOrder([]int{4, 3, 2, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, d, qo
+// equivWorkload is what one matrix suite executes in every cell: a plan,
+// optionally permuted, over a generated data set.
+type equivWorkload struct {
+	rows  int
+	seed  int64
+	order Ordering
+	plan  *Plan
+	perm  []int // nil = as compiled
+	opts  ExecOptions
 }
 
-func buildQ6Legacy(e *Engine, d *Dataset) (*Query, error) { return e.BuildQ6(d) }
-
-// TestEquivalenceFixed: Run == Exec(ModeFixed) across the matrix.
-func TestEquivalenceFixed(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			eOld, _, qOld := q6Setup(t, cfg, buildQ6Legacy)
-			oldRes, err := eOld.Run(qOld)
-			if err != nil {
-				t.Fatal(err)
+// equivMatrix executes the workload twice per cell, each time on a fresh
+// engine and data set, asserts the two runs bit-identical, and asserts every
+// scalar cell's answer equal to its batch cell's.
+func equivMatrix(t *testing.T, label string, w equivWorkload) {
+	for _, c := range equivCases() {
+		t.Run(caseName(c), func(t *testing.T) {
+			first, second := equivExec(t, c, w), equivExec(t, c, w)
+			sameResult(t, label, first.Result, second.Result)
+			sameStats(t, label, first.Stats, second.Stats)
+			if first.Impl != second.Impl {
+				t.Errorf("%s: impl stats diverge: %+v vs %+v", label, first.Impl, second.Impl)
 			}
-			eNew, _, qNew := q6Setup(t, cfg, buildQ6Legacy)
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeFixed})
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(first.Groups, second.Groups) {
+				t.Errorf("%s: groups diverge:\n old %v\n new %v", label, first.Groups, second.Groups)
 			}
-			sameResult(t, "fixed", oldRes, newRes.Result)
-		})
-	}
-}
-
-// TestEquivalenceProgressive: RunProgressive == Exec(ModeProgressive),
-// results, cycles, counters, and optimizer stats.
-func TestEquivalenceProgressive(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			p := Progressive{Interval: 5}
-			eOld, _, qOld := q6Setup(t, cfg, buildQ6Legacy)
-			oldRes, oldSt, err := eOld.RunProgressive(qOld, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eNew, _, qNew := q6Setup(t, cfg, buildQ6Legacy)
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeProgressive, Progressive: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "progressive", oldRes, newRes.Result)
-			sameStats(t, "progressive", oldSt, newRes.Stats)
-		})
-	}
-}
-
-// TestEquivalenceMicroAdaptive: RunMicroAdaptive == Exec(ModeMicroAdaptive)
-// on single-core engines; on multi-core engines the deprecated method must
-// refuse rather than silently report single-core cycles.
-func TestEquivalenceMicroAdaptive(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			p := Progressive{Interval: 3}
-			build := func(e *Engine, d *Dataset) (*Query, error) {
-				return e.BuildScan(d, []Predicate{
-					{Column: "l_quantity", Op: CmpLE, Int: 25},
-					{Column: "l_discount", Op: CmpLE, Float: 0.05},
-				}, false)
-			}
-			newEngine := func() (*Engine, *Query) {
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := e.GenerateTPCH(30000, 9, OrderRandom)
-				if err != nil {
-					t.Fatal(err)
-				}
-				q, err := build(e, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e, q
-			}
-			eOld, qOld := newEngine()
-			oldRes, oldSt, err := eOld.RunMicroAdaptive(qOld, p)
-			if cfg.Workers > 1 {
-				if err == nil {
-					t.Fatal("RunMicroAdaptive accepted a multi-core engine")
-				}
+			if !c.ref.scalar {
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
+			want := equivExec(t, equivCase{cfg: c.cfg}, w)
+			if first.Qualifying != want.Qualifying || first.Sum != want.Sum {
+				t.Errorf("%s: row loop answers %d/%v, batch kernels %d/%v",
+					label, first.Qualifying, first.Sum, want.Qualifying, want.Sum)
 			}
-			eNew, qNew := newEngine()
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeMicroAdaptive, Progressive: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "micro-adaptive", oldRes, newRes.Result)
-			sameStats(t, "micro-adaptive", oldSt.Stats, newRes.Stats)
-			gotImpl := ImplStats{
-				BranchingVectors:  oldSt.BranchingVectors,
-				BranchFreeVectors: oldSt.BranchFreeVectors,
-				ImplSwitches:      oldSt.ImplSwitches,
-			}
-			if gotImpl != newRes.Impl {
-				t.Errorf("impl stats diverge: old %+v new %+v", gotImpl, newRes.Impl)
+			if !reflect.DeepEqual(first.Groups, want.Groups) {
+				t.Errorf("%s: row loop groups diverge from batch kernels:\n scalar %v\n batch  %v", label, first.Groups, want.Groups)
 			}
 		})
 	}
 }
 
-// TestEquivalenceGroupBy: RunGroupBy == Exec on a grouped plan — groups,
-// result, cycles, counters.
+// equivExec runs the workload on a fresh engine and data set in the cell's
+// configuration.
+func equivExec(t *testing.T, c equivCase, w equivWorkload) ExecResult {
+	t.Helper()
+	e, err := newRef(c.cfg, c.ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	d, err := e.GenerateTPCH(w.rows, w.seed, w.order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Compile(d, w.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.perm != nil {
+		if q, err = q.WithOrder(w.perm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := e.Exec(q, w.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// q6Worst is Q6 in the deliberately bad reversed order.
+func q6Worst(opts ExecOptions) equivWorkload {
+	return equivWorkload{rows: 30000, seed: 21, order: OrderNatural, plan: q6Plan(), perm: []int{4, 3, 2, 1, 0}, opts: opts}
+}
+
+// TestEquivalenceFixed: Exec(ModeFixed) across the matrix.
+func TestEquivalenceFixed(t *testing.T) {
+	equivMatrix(t, "fixed", q6Worst(ExecOptions{Mode: ModeFixed}))
+}
+
+// TestEquivalenceProgressive: Exec(ModeProgressive) — results, cycles,
+// counters, and optimizer stats.
+func TestEquivalenceProgressive(t *testing.T) {
+	equivMatrix(t, "progressive", q6Worst(ExecOptions{Mode: ModeProgressive, Progressive: Progressive{Interval: 5}}))
+}
+
+// TestEquivalenceMicroAdaptive: Exec(ModeMicroAdaptive), implementation
+// choices included, on single- and multi-core engines.
+func TestEquivalenceMicroAdaptive(t *testing.T) {
+	equivMatrix(t, "micro-adaptive", equivWorkload{
+		rows: 30000, seed: 9, order: OrderRandom,
+		plan: Scan("lineitem").
+			Filter("l_quantity", CmpLE, 25).
+			Filter("l_discount", CmpLE, 0.05),
+		opts: ExecOptions{Mode: ModeMicroAdaptive, Progressive: Progressive{Interval: 3}},
+	})
+}
+
+// TestEquivalenceGroupBy: Exec on a grouped plan — groups, result, cycles,
+// counters.
 func TestEquivalenceGroupBy(t *testing.T) {
-	for _, cfg := range equivCases() {
-		t.Run(caseName(cfg), func(t *testing.T) {
-			setup := func() (*Engine, *Dataset) {
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := e.GenerateTPCH(20000, 14, OrderRandom)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e, d
-			}
-			eOld, dOld := setup()
-			qOld, err := eOld.BuildScan(dOld, []Predicate{
-				{Column: "l_discount", Op: CmpGE, Float: 0.05},
-			}, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oldRows, oldRes, err := eOld.RunGroupBy(dOld, qOld, "l_quantity", "l_extendedprice")
-			if err != nil {
-				t.Fatal(err)
-			}
-			eNew, dNew := setup()
-			qNew, err := eNew.Compile(dNew, Scan("lineitem").
-				Filter("l_discount", CmpGE, 0.05).
-				GroupBy("l_quantity", "l_extendedprice"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeFixed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, "group-by", oldRes, newRes.Result)
-			if !reflect.DeepEqual(oldRows, newRes.Groups) {
-				t.Errorf("groups diverge:\n old %v\n new %v", oldRows, newRes.Groups)
-			}
-		})
-	}
-}
-
-// TestEquivalenceBuildScanPlan: a legacy Predicate list and the typed Filter
-// chain compile to the same bound query.
-func TestEquivalenceBuildScanPlan(t *testing.T) {
-	cfg := Config{VectorSize: 1024}
-	setup := func() (*Engine, *Dataset) {
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := e.GenerateTPCH(20000, 5, OrderRandom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, d
-	}
-	eOld, dOld := setup()
-	qOld, err := eOld.BuildScan(dOld, []Predicate{
-		{Column: "l_quantity", Op: CmpLT, Int: 10},
-		{Column: "l_discount", Op: CmpGE, Float: 0.05},
-	}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRes, err := eOld.Run(qOld)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eNew, dNew := setup()
-	qNew, err := eNew.Compile(dNew, Scan("lineitem").
-		Filter("l_quantity", CmpLT, 10).
-		Filter("l_discount", CmpGE, 0.05).
-		Sum("l_extendedprice * l_discount"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := eNew.Exec(qNew, ExecOptions{Mode: ModeFixed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "scan-plan", oldRes, newRes.Result)
+	equivMatrix(t, "group-by", equivWorkload{
+		rows: 20000, seed: 14, order: OrderRandom,
+		plan: Scan("lineitem").
+			Filter("l_discount", CmpGE, 0.05).
+			GroupBy("l_quantity", "l_extendedprice"),
+		opts: ExecOptions{Mode: ModeFixed},
+	})
 }
 
 // TestBuildQ6MatchesInternalOracle ties the facade's hand-written Q6 plan to
 // the internal exec.Q6 definition (still the oracle of internal tests and
-// experiments). Unlike the wrapper-vs-Exec suites above — which compare the
-// new code path with itself — this pins the public surface against an
-// independent implementation: same data, same profile, fresh address spaces,
-// full bit-identity of results, cycles, and counters.
+// experiments). Unlike the matrix suites above — which compare the facade
+// with itself — this pins the public surface against an independent
+// implementation: same data, same profile, fresh address spaces, full
+// bit-identity of results, cycles, and counters.
 func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 	oracle := func(build func(*tpch.Dataset) (*exec.Query, error)) exec.Result {
 		di, err := tpch.Generate(tpch.Config{Lineitems: 30000, Seed: 21})
@@ -318,11 +224,11 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		return q, res
 	}
 
-	q6, res6 := facade(func(e *Engine, d *Dataset) (*Query, error) { return e.BuildQ6(d) })
+	q6, res6 := facade(func(e *Engine, d *Dataset) (*Query, error) { return e.Compile(d, q6Plan()) })
 	ref6 := oracle(exec.Q6)
 	if res6.Qualifying != ref6.Qualifying || res6.Sum != ref6.Sum ||
 		res6.Cycles != ref6.Cycles {
-		t.Errorf("BuildQ6 diverges from exec.Q6: %d/%v/%d vs %d/%v/%d",
+		t.Errorf("q6Plan diverges from exec.Q6: %d/%v/%d vs %d/%v/%d",
 			res6.Qualifying, res6.Sum, res6.Cycles, ref6.Qualifying, ref6.Sum, ref6.Cycles)
 	}
 	di, err := tpch.Generate(tpch.Config{Lineitems: 30000, Seed: 21})
@@ -334,14 +240,16 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(q6.OpNames(), qi.OpNames()) {
-		t.Errorf("BuildQ6 op names %v, exec.Q6 %v", q6.OpNames(), qi.OpNames())
+		t.Errorf("q6Plan op names %v, exec.Q6 %v", q6.OpNames(), qi.OpNames())
 	}
 
 	cutoff := di.ShipdateCutoff(0.3)
-	qs, resS := facade(func(e *Engine, d *Dataset) (*Query, error) { return e.BuildQ6Shipdate(d, d.ShipdateCutoff(0.3)) })
+	qs, resS := facade(func(e *Engine, d *Dataset) (*Query, error) {
+		return e.Compile(d, q6ShipdatePlan(d.ShipdateCutoff(0.3)))
+	})
 	refS := oracle(func(d *tpch.Dataset) (*exec.Query, error) { return exec.Q6Shipdate(d, cutoff) })
 	if resS.Qualifying != refS.Qualifying || resS.Sum != refS.Sum || resS.Cycles != refS.Cycles {
-		t.Errorf("BuildQ6Shipdate diverges from exec.Q6Shipdate: %d/%v/%d vs %d/%v/%d",
+		t.Errorf("q6ShipdatePlan diverges from exec.Q6Shipdate: %d/%v/%d vs %d/%v/%d",
 			resS.Qualifying, resS.Sum, resS.Cycles, refS.Qualifying, refS.Sum, refS.Cycles)
 	}
 	qsi, err := exec.Q6Shipdate(di, cutoff)
@@ -349,7 +257,7 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(qs.OpNames(), qsi.OpNames()) {
-		t.Errorf("BuildQ6Shipdate op names %v, exec.Q6Shipdate %v", qs.OpNames(), qsi.OpNames())
+		t.Errorf("q6ShipdatePlan op names %v, exec.Q6Shipdate %v", qs.OpNames(), qsi.OpNames())
 	}
 }
 
@@ -570,25 +478,6 @@ func TestEquivalenceServedSorted(t *testing.T) {
 					sameResult(t, "served-sorted", want.Result, got.Result)
 				}
 			})
-		}
-	}
-}
-
-// TestBuildScanRejectsCrossTable pins the satellite fix: predicates on
-// build-side tables are rejected instead of corrupting reads.
-func TestBuildScanRejectsCrossTable(t *testing.T) {
-	e := testEngine(t)
-	d, err := e.GenerateTPCH(5000, 6, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, table := range []string{"orders", "part"} {
-		col := "o_orderdate"
-		if table == "part" {
-			col = "p_size"
-		}
-		if _, err := e.BuildScan(d, []Predicate{{Table: table, Column: col, Op: CmpLE, Int: 1}}, false); err == nil {
-			t.Errorf("BuildScan accepted a predicate on %s.%s", table, col)
 		}
 	}
 }

@@ -238,7 +238,7 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 		Workers: e.workers,
 		Sum:     q.sumExpr,
 	}
-	if e.scalar {
+	if e.eng.Scalar() {
 		out.Exec = "scalar"
 	}
 	if q.group != nil {
@@ -299,7 +299,7 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 		input *= oe.TrueSelectivity
 		out.Ops = append(out.Ops, oe)
 	}
-	if !e.scalar && e.eng.Fused() {
+	if !e.eng.Scalar() && e.eng.Fused() {
 		out.Pipeline = fusedPipelineDesc(q)
 	}
 	if s := q.storage; s != nil {

@@ -11,7 +11,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildQ6(d)
+	q, err := e.Compile(d, q6Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestExplain(t *testing.T) {
 	}
 	// Predicted output within a factor of the real run (correlated shipdate
 	// and discount predicates break independence, so allow slack).
-	res, err := e.Run(q)
+	res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,7 @@ func TestExplainFusedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildPipeline(d,
-		[]Predicate{{Column: "l_quantity", Op: CmpLT, Int: 25}},
-		[]JoinSpec{{Build: "orders", FilterSelectivity: 0.5}})
+	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25).Join("orders", 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func TestExplainFusedGolden(t *testing.T) {
 		t.Errorf("rendering lacks the pipeline line:\n%s", s)
 	}
 
-	q6, err := e.BuildQ6(d)
+	q6, err := e.Compile(d, q6Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +115,8 @@ func TestExplainFusedGolden(t *testing.T) {
 	}
 
 	// Unfused and scalar engines run per-operator kernels: no pipeline line.
-	for _, cfg := range []Config{
-		{VectorSize: 1024, NoFuse: true},
-		{VectorSize: 1024, ScalarExec: true},
-	} {
-		eu, err := New(cfg)
+	for _, cfg := range []refPath{{noFuse: true}, {scalar: true}} {
+		eu, err := newRef(Config{VectorSize: 1024}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +124,7 @@ func TestExplainFusedGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qu, err := eu.BuildQ6(du)
+		qu, err := eu.Compile(du, q6Plan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +147,7 @@ func TestExplainWithJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildPipeline(d,
-		[]Predicate{{Column: "l_quantity", Op: CmpLT, Int: 25}},
-		[]JoinSpec{{Build: "orders", FilterSelectivity: 0.5}})
+	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25).Join("orders", 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

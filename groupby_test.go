@@ -11,16 +11,17 @@ func TestRunGroupByFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildScan(d, []Predicate{
-		{Column: "l_discount", Op: CmpGE, Float: 0.05},
-	}, false)
+	q, err := e.Compile(d, Scan("lineitem").
+		Filter("l_discount", CmpGE, 0.05).
+		GroupBy("l_quantity", "l_extendedprice"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, res, err := e.RunGroupBy(d, q, "l_quantity", "l_extendedprice")
+	res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Groups
 	if len(rows) == 0 || len(rows) > 50 {
 		t.Fatalf("%d groups for a 1..50 quantity domain", len(rows))
 	}
@@ -42,13 +43,11 @@ func TestRunGroupByFacade(t *testing.T) {
 		t.Errorf("group counts sum to %d, run qualified %d", total, res.Qualifying)
 	}
 	// Cross-check with the plain aggregate over the same filter.
-	q2, err := e.BuildScan(d, []Predicate{
-		{Column: "l_discount", Op: CmpGE, Float: 0.05},
-	}, false)
+	q2, err := e.Compile(d, Scan("lineitem").Filter("l_discount", CmpGE, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := e.Run(q2)
+	plain, err := e.Exec(q2, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,9 @@ func TestRunGroupByFacade(t *testing.T) {
 		t.Error("degenerate grouped sum")
 	}
 
-	if _, _, err := e.RunGroupBy(d, q, "nope", "l_extendedprice"); err == nil {
+	if _, err := e.Compile(d, Scan("lineitem").
+		Filter("l_discount", CmpGE, 0.05).
+		GroupBy("nope", "l_extendedprice")); err == nil {
 		t.Error("unknown group column accepted")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // sequential CondBranch(site, taken) calls for every predictor model, so
 // instruction counts, branch counters, misprediction attribution, predictor
 // state, and stall cycles are bit-identical to the unfused path — which is
-// retained behind Engine.SetFuse(false) / Config.NoFuse as the oracle.
+// retained behind Engine.SetFuse(false) as the oracle tests compare against.
 //
 // The host win is mechanical: clustered columns (sorted dates, co-clustered
 // join keys) produce long same-outcome runs whose whole branch accounting

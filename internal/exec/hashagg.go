@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"progopt/internal/columnar"
 	"progopt/internal/hw/cpu"
@@ -99,19 +98,6 @@ func (g *GroupBy) touch(c *cpu.CPU, row int) {
 // across worker counts).
 func (g *GroupBy) apply(acc *groupTable, row int) {
 	gr := acc.at(g.GroupCol.Int64At(row))
-	gr.Sum += g.ValueCol.Float64At(row)
-	gr.Count++
-}
-
-// applyRef is the retired map-based accumulation, kept as the reference the
-// property tests pin the open-addressing table against.
-func (g *GroupBy) applyRef(acc map[int64]*Group, row int) {
-	key := g.GroupCol.Int64At(row)
-	gr, ok := acc[key]
-	if !ok {
-		gr = &Group{Key: key}
-		acc[key] = gr
-	}
 	gr.Sum += g.ValueCol.Float64At(row)
 	gr.Count++
 }
@@ -221,15 +207,4 @@ func (e *Engine) RunGroupBy(q *Query, g *GroupBy) (GroupResult, error) {
 	out.Millis = c.MillisOf(out.Cycles)
 	out.Counters = c.Sample().Sub(start)
 	return out, nil
-}
-
-// groupsOfMap flattens a map-based reference accumulator into key-sorted
-// output rows (test-only companion to applyRef).
-func groupsOfMap(acc map[int64]*Group) []Group {
-	out := make([]Group, 0, len(acc))
-	for _, gr := range acc {
-		out = append(out, *gr)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
-	return out
 }

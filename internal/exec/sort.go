@@ -40,7 +40,7 @@ import (
 // The host-side result never depends on scheduling: the comparator is a
 // total order (sort keys, then the global row id as tie-break), so the
 // merged per-core states reduce to one canonical output — bit-identical
-// across worker counts, execution modes, and Config.ScalarExec, and equal
+// across worker counts, execution modes, and the scalar row loop, and equal
 // to a stable reference sort of the qualifying rows.
 
 // SortKey is one ordering key of a Sort.

@@ -32,9 +32,6 @@ type Config struct {
 	// Workers is the number of simulated cores measurements run on (default
 	// 1 = serial; >1 uses the morsel-driven scheduler and reports makespans).
 	Workers int
-	// ScalarExec forces the tuple-at-a-time row loop instead of the
-	// batch-kernel pipeline.
-	ScalarExec bool
 	// Trace, when non-nil, records every rig measurement into this recorder:
 	// each rig registers its own uniquely named core and optimizer tracks, so
 	// one recorder can hold a whole experiment's sweep for Chrome export.

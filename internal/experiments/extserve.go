@@ -155,7 +155,7 @@ type serveTraceResult struct {
 // holds every fingerprint's converged order; the measured round then
 // warm-starts.
 func runServeTrace(prof cpu.Profile, templates []servePlanTemplate, tc serveTraceConfig) (serveTraceResult, error) {
-	s, err := service.New(prof, tc.poolWorkers, tc.vectorSize, false, service.Config{
+	s, err := service.New(prof, tc.poolWorkers, tc.vectorSize, service.Config{
 		MaxActive: tc.maxActive,
 	})
 	if err != nil {

@@ -12,9 +12,8 @@ import (
 // rig bundles the simulated cores and engine for a sequence of measurements
 // over the same bound data set. Between measurements the caches are flushed
 // and the predictors reset, so every run starts cold, like the paper's
-// separately executed queries. The config's Workers and ScalarExec knobs
-// select the morsel-driven multi-core executor and the tuple-at-a-time row
-// loop respectively; measurements dispatch accordingly.
+// separately executed queries. The config's Workers knob selects the
+// morsel-driven multi-core executor; measurements dispatch accordingly.
 type rig struct {
 	cpu *cpu.CPU
 	eng *exec.Engine
@@ -35,14 +34,12 @@ func newRig(prof cpu.Profile, cfg Config) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.SetScalar(cfg.ScalarExec)
 	r := &rig{cpu: c, eng: e}
 	if cfg.Workers > 1 {
 		par, err := exec.NewParallel(prof, cfg.Workers, cfg.VectorSize)
 		if err != nil {
 			return nil, err
 		}
-		par.SetScalar(cfg.ScalarExec)
 		r.par = par
 	}
 	if cfg.Trace != nil {

@@ -39,14 +39,6 @@ type Config struct {
 	QuantumVectors int
 	// FeedbackCacheSize bounds the PMU-feedback cache (default 64 plans).
 	FeedbackCacheSize int
-	// NoFuse disables the pool's fused batch kernels (see exec.Engine.SetFuse);
-	// bit-identical either way, kept as the equivalence oracle.
-	NoFuse bool
-	// SerialRounds forces every scheduling round to execute its segments
-	// serially on the host even on multi-core machines — the oracle the
-	// host-concurrent rounds are pinned bit-identical against. Simulated
-	// observables are unaffected either way; only host wall-clock changes.
-	SerialRounds bool
 }
 
 // Request is one query submission.
@@ -257,6 +249,8 @@ type Server struct {
 	rounds uint64
 
 	membershipChanged bool
+	// serialRounds is the test seam of SetSerialRounds.
+	serialRounds bool
 
 	// driving is true while an elected waiter runs a scheduling round; the
 	// lock itself is released during the round's execution phase, so
@@ -288,7 +282,7 @@ type Server struct {
 // New builds a server with its own pool of worker cores of the given
 // profile (fresh cores; queries must be bound into the shared address-space
 // convention, e.g. via an engine's BindQuery or the server's).
-func New(prof cpu.Profile, workers, vectorSize int, scalar bool, cfg Config) (*Server, error) {
+func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error) {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -296,8 +290,6 @@ func New(prof cpu.Profile, workers, vectorSize int, scalar bool, cfg Config) (*S
 	if err != nil {
 		return nil, err
 	}
-	p.SetScalar(scalar)
-	p.SetFuse(!cfg.NoFuse)
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = workers
 	}
@@ -323,6 +315,25 @@ func New(prof cpu.Profile, workers, vectorSize int, scalar bool, cfg Config) (*S
 
 // Workers returns the pool size.
 func (s *Server) Workers() int { return s.pool.Workers() }
+
+// MatchEngine puts the pool on the execution path e runs: its row loop when
+// e is scalar, its unfused kernel pipeline when e is unfused. Both are
+// reference paths only tests select (exec.Engine.SetScalar/SetFuse); a
+// server built on such an engine must serve what the engine executes.
+func (s *Server) MatchEngine(e *exec.Engine) {
+	s.pool.SetScalar(e.Scalar())
+	s.pool.SetFuse(e.Fused())
+}
+
+// SetSerialRounds makes every scheduling round execute its segments serially
+// on the host, in admission order — the reference the host-concurrent rounds
+// are pinned bit-identical against, selected only by tests. Simulated
+// observables are unaffected either way; only host wall-clock changes.
+func (s *Server) SetSerialRounds(on bool) {
+	s.mu.Lock()
+	s.serialRounds = on
+	s.mu.Unlock()
+}
 
 // SetTrace attaches (or, with nils, detaches) event tracks: svc receives the
 // server's admission and scheduling events, cores the per-pool-core execution
@@ -630,11 +641,11 @@ func (s *Server) failAllLocked(err error) {
 // the lock is released during the execution phase, in which the scheduled
 // queries' segments run concurrently on the host via the pool's segment
 // drivers — or serially, in admission order, when the round's queries share
-// a storage-tier set (whose LRU order must follow the serial schedule) or
-// Config.SerialRounds demands the oracle path. Both paths retire at the same
-// locked barrier, which publishes clocks, completes finished queries, and
-// splices staged optimizer traces in admission order — so every simulated
-// observable is a pure function of the submission trace.
+// a storage-tier set (whose LRU order must follow the serial schedule) or a
+// test asked for the reference path (SetSerialRounds). Both paths retire at
+// the same locked barrier, which publishes clocks, completes finished
+// queries, and splices staged optimizer traces in admission order — so every
+// simulated observable is a pure function of the submission trace.
 func (s *Server) driveRound() error {
 	s.admitLocked()
 	if len(s.active) == 0 {
@@ -651,7 +662,7 @@ func (s *Server) driveRound() error {
 		s.segmentBeginLocked(q)
 		s.sched = append(s.sched, q)
 	}
-	serial := s.cfg.SerialRounds || s.sharedStorageLocked()
+	serial := s.serialRounds || s.sharedStorageLocked()
 	s.mu.Unlock()
 	relocked := false
 	defer func() {

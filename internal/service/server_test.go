@@ -54,7 +54,7 @@ func TestLoneFixedMatchesParallelRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(prof, workers, vs, false, Config{QuantumVectors: 7})
+	s, err := New(prof, workers, vs, Config{QuantumVectors: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(prof, workers, vs, false, Config{})
+	s, err := New(prof, workers, vs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestConcurrentTraceDeterministic(t *testing.T) {
 		Makespan uint64
 	}
 	run := func(waitOrder []int) []obs {
-		s, err := New(prof, workers, vs, false, Config{MaxActive: 2})
+		s, err := New(prof, workers, vs, Config{MaxActive: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestSharedPoolPreservesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(prof, workers, vs, false, Config{MaxActive: 2})
+	s, err := New(prof, workers, vs, Config{MaxActive: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAdmissionHonorsArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(prof, workers, vs, false, Config{MaxActive: 2})
+	s, err := New(prof, workers, vs, Config{MaxActive: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestQueueLimitRejects(t *testing.T) {
 	const vs = 512
 	prof := cpu.ScaledXeon()
 	q := testQuery(t, 8*vs, 5)
-	s, err := New(prof, 1, vs, false, Config{MaxActive: 1, QueueLimit: 1})
+	s, err := New(prof, 1, vs, Config{MaxActive: 1, QueueLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func convergentQuery(t *testing.T, rows int, seed int64) *exec.Query {
 func TestFeedbackCarriesRejectedOrders(t *testing.T) {
 	const workers, vs = 4, 512
 	q := convergentQuery(t, 96*vs, 11)
-	s, err := New(cpu.ScaledXeon(), workers, vs, false, Config{})
+	s, err := New(cpu.ScaledXeon(), workers, vs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestFeedbackWarmStart(t *testing.T) {
 	const workers, vs = 4, 512
 	prof := cpu.ScaledXeon()
 	q := convergentQuery(t, 96*vs, 11)
-	s, err := New(prof, workers, vs, false, Config{})
+	s, err := New(prof, workers, vs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

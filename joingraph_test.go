@@ -2,6 +2,7 @@ package progopt
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -97,7 +98,7 @@ func TestJoinProbeProgressiveWithinReachOfGreedy(t *testing.T) {
 // configuration.
 func graphRun(t *testing.T, workers int, mode Mode, noFuse bool) ExecResult {
 	t.Helper()
-	e, err := New(Config{VectorSize: 1024, Workers: workers, NoFuse: noFuse})
+	e, err := newRef(Config{VectorSize: 1024, Workers: workers}, refPath{noFuse: noFuse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestJoinGraphDeterminismMatrix(t *testing.T) {
 func TestJoinGraphScalarOracle(t *testing.T) {
 	run := func(scalar bool) ExecResult {
 		t.Helper()
-		e, err := New(Config{VectorSize: 1024, ScalarExec: scalar})
+		e, err := newRef(Config{VectorSize: 1024}, refPath{scalar: scalar})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,6 +268,22 @@ func TestJoinGraphExplain(t *testing.T) {
 	s := ex.String()
 	if !strings.Contains(s, "join graph (greedy order):") {
 		t.Errorf("Explain output lacks the join-graph line:\n%s", s)
+	}
+	// A reordered query is the same join graph: WithOrder keeps the edges.
+	perm := make([]int, q.NumOps())
+	for i := range perm {
+		perm[i] = len(perm) - 1 - i
+	}
+	qr, err := q.WithOrder(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exr, err := e.Explain(qr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(exr.Joins, ex.Joins) {
+		t.Errorf("reordered query explains edges %+v, compiled query %+v", exr.Joins, ex.Joins)
 	}
 }
 

@@ -11,35 +11,7 @@ import (
 // keeps the order, larger windows progressively destroy locality (the
 // paper's §5.5 sortedness axis).
 func (d *Dataset) ShuffleWindow(window int, seed int64) *Dataset {
-	return &Dataset{d: d.d.ShuffleLineitemWindow(window, seed)}
-}
-
-// JoinSpec specifies one foreign-key join from lineitem into a build table.
-type JoinSpec struct {
-	// Build is "orders" (co-clustered with lineitem in natural order) or
-	// "part" (uniformly random access).
-	Build string
-	// FilterSelectivity in (0, 1] sets the build-side filter's selectivity.
-	FilterSelectivity float64
-}
-
-// BuildPipeline builds a query over lineitem whose reorderable operators are
-// the given predicates followed by the given FK joins (initial order as
-// listed; the progressive optimizer may permute all of them).
-//
-// Deprecated: build the plan with Scan, Filter, and Join, then Compile.
-func (e *Engine) BuildPipeline(d *Dataset, preds []Predicate, joins []JoinSpec) (*Query, error) {
-	if len(preds)+len(joins) == 0 {
-		return nil, fmt.Errorf("progopt: pipeline needs at least one operator")
-	}
-	p, err := scanPlan(preds)
-	if err != nil {
-		return nil, err
-	}
-	for _, js := range joins {
-		p.Join(js.Build, js.FilterSelectivity)
-	}
-	return e.Compile(d, p)
+	return newDataset(d.d.ShuffleLineitemWindow(window, seed))
 }
 
 // SortednessReport classifies the locality of a join's build-side accesses
@@ -65,7 +37,7 @@ func (e *Engine) DetectJoinLocality(q *Query, d *Dataset, build string) (Result,
 	default:
 		return Result{}, SortednessReport{}, fmt.Errorf("progopt: unknown build table %q", build)
 	}
-	res, err := e.Run(q)
+	res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		return Result{}, SortednessReport{}, err
 	}
@@ -74,5 +46,5 @@ func (e *Engine) DetectJoinLocality(q *Query, d *Dataset, build string) (Result,
 		buildTuples, 8, d.Lineitems(),
 		float64(res.Counters["l3_miss"]),
 	)
-	return res, SortednessReport{Ratio: rep.Ratio, Class: rep.Class.String()}, nil
+	return res.Result, SortednessReport{Ratio: rep.Ratio, Class: rep.Class.String()}, nil
 }

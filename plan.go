@@ -46,14 +46,10 @@ const (
 // boundKind records which bound representation a filter step carries.
 type boundKind int
 
+// The bound is checked against the column kind at compile time.
 const (
-	// boundInt / boundFloat: the public Filter API, checked against the
-	// column kind at compile time.
 	boundInt boundKind = iota
 	boundFloat
-	// boundLegacy carries both representations and resolves by column kind
-	// (the deprecated Predicate struct's contract).
-	boundLegacy
 )
 
 // planStep is one chainable step of a Plan.
@@ -133,17 +129,6 @@ func (p *Plan) FilterCost(col string, op Cmp, bound any, extraCostInstr int) *Pl
 		return p
 	}
 	p.steps = append(p.steps, step)
-	return p
-}
-
-// legacyFilter appends a filter carrying both bound representations, to be
-// resolved by column kind at compile time — the deprecated Predicate
-// struct's behavior, used by the BuildScan/BuildPipeline wrappers.
-func (p *Plan) legacyFilter(col string, op Cmp, i int64, f float64, extraCostInstr int) *Plan {
-	p.steps = append(p.steps, planStep{
-		kind: stepFilter, col: col, op: op,
-		i: i, f: f, bound: boundLegacy, extraCost: extraCostInstr,
-	})
 	return p
 }
 
@@ -290,11 +275,6 @@ func (p *Plan) fingerprintTerms() ([]string, error) {
 				b.WriteString(strconv.FormatInt(step.i, 10))
 			case boundFloat:
 				b.WriteString("|x:")
-				b.WriteString(strconv.FormatFloat(step.f, 'x', -1, 64))
-			case boundLegacy:
-				b.WriteString("|b:")
-				b.WriteString(strconv.FormatInt(step.i, 10))
-				b.WriteString(":")
 				b.WriteString(strconv.FormatFloat(step.f, 'x', -1, 64))
 			default:
 				return nil, fmt.Errorf("progopt: unknown bound kind %d", step.bound)

@@ -40,20 +40,8 @@ type Config struct {
 	// morsel-driven scheduler (default 1 = serial). Every Exec mode honors
 	// it — fixed, progressive, micro-adaptive, and grouped runs all report
 	// the makespan (slowest core) and the PMU counters merged across cores,
-	// with results bit-identical across worker counts. Of the deprecated run
-	// methods only RunMicroAdaptive does not: it keeps its single-core
-	// contract and returns an error when Workers > 1.
+	// with results bit-identical across worker counts.
 	Workers int
-	// ScalarExec forces the seed's tuple-at-a-time row loop instead of the
-	// batch-kernel pipeline (for comparison; PMU load/branch counts and
-	// results are identical either way).
-	ScalarExec bool
-	// NoFuse disables the fused filter→join→aggregate batch kernels and runs
-	// the per-operator kernel pipeline instead — the equivalence oracle.
-	// Results, cycles, and every PMU counter are bit-identical either way;
-	// only host wall-clock differs. Ignored under ScalarExec, which is its
-	// own reference semantics.
-	NoFuse bool
 	// Storage, when non-nil, executes queries over the stored (PCOL v2)
 	// image of the driving table, priced through a simulated storage tier
 	// below DRAM. See StorageConfig.
@@ -73,7 +61,6 @@ type Engine struct {
 	// par is the morsel-driven multi-core executor, nil when Workers <= 1.
 	par     *exec.Parallel
 	workers int
-	scalar  bool
 	// stcfg is the engine's storage configuration, nil for in-RAM engines;
 	// stored caches each data set's stored driving table by generation.
 	stcfg  *StorageConfig
@@ -102,8 +89,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.SetScalar(cfg.ScalarExec)
-	e.SetFuse(!cfg.NoFuse)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 1
@@ -114,8 +99,6 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		par.SetScalar(cfg.ScalarExec)
-		par.SetFuse(!cfg.NoFuse)
 	}
 	stcfg := cfg.Storage
 	if stcfg != nil {
@@ -134,7 +117,7 @@ func New(cfg Config) (*Engine, error) {
 			e.SetTrace(tr.cores[0])
 		}
 	}
-	return &Engine{cpu: c, eng: e, par: par, workers: workers, scalar: cfg.ScalarExec, stcfg: stcfg, tr: tr}, nil
+	return &Engine{cpu: c, eng: e, par: par, workers: workers, stcfg: stcfg, tr: tr}, nil
 }
 
 // Workers returns the number of simulated cores the engine runs queries on.
@@ -181,6 +164,12 @@ type Dataset struct {
 // datasetGen issues data-set generation numbers.
 var datasetGen atomic.Uint64
 
+// newDataset wraps a data set under a fresh generation — the only way a
+// Dataset is made, so no copy or reordering can share another's plans.
+func newDataset(d *tpch.Dataset) *Dataset {
+	return &Dataset{d: d, gen: datasetGen.Add(1)}
+}
+
 // GenerateTPCH produces a TPC-H-shaped data set with the given lineitem
 // count and row ordering.
 func (e *Engine) GenerateTPCH(lineitems int, seed int64, order Ordering) (*Dataset, error) {
@@ -199,7 +188,7 @@ func (e *Engine) GenerateTPCH(lineitems int, seed int64, order Ordering) (*Datas
 	default:
 		return nil, fmt.Errorf("progopt: unknown ordering %q", order)
 	}
-	return &Dataset{d: d, gen: datasetGen.Add(1)}, nil
+	return newDataset(d), nil
 }
 
 // Lineitems returns the lineitem row count.
@@ -215,7 +204,7 @@ func (d *Dataset) ShipdateCutoff(sel float64) int32 { return d.d.ShipdateCutoff(
 
 // Query wraps a compiled, executable query plan whose operator order the
 // progressive optimizer may permute. Queries are produced by Engine.Compile
-// (or the deprecated Build* methods) and executed by Engine.Exec.
+// and executed by Engine.Exec.
 type Query struct {
 	q *exec.Query
 	// group is the compiled grouped aggregation, nil for plain scans.
@@ -255,41 +244,13 @@ func (q *Query) WithOrder(perm []int) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{q: qo, group: q.group, sort: q.sort, sumExpr: q.sumExpr, storage: q.storage}, nil
-}
-
-// BuildQ6 builds TPC-H Query 6 (five reorderable predicates) over the data
-// set and binds it into the engine's address space.
-//
-// Deprecated: Q6 is an ordinary plan; build it with Scan and Compile. This
-// wrapper compiles exactly the plan below.
-func (e *Engine) BuildQ6(d *Dataset) (*Query, error) {
-	return e.Compile(d, Scan("lineitem").
-		Filter("l_shipdate", CmpGE, int64(tpch.Q6ShipdateLo())).Label("shipdate>=lo").
-		Filter("l_shipdate", CmpLT, int64(tpch.Q6ShipdateHi())).Label("shipdate<hi").
-		Filter("l_discount", CmpGE, tpch.Q6DiscountLo-1e-9).Label("discount>=0.05").
-		Filter("l_discount", CmpLE, tpch.Q6DiscountHi+1e-9).Label("discount<=0.07").
-		Filter("l_quantity", CmpLT, int64(tpch.Q6QuantityBound)).Label("quantity<24").
-		Sum("l_extendedprice * l_discount"))
-}
-
-// BuildQ6Shipdate builds the introduction's modified Q6 (four predicates)
-// with the given shipdate cutoff.
-//
-// Deprecated: build the plan with Scan and Compile.
-func (e *Engine) BuildQ6Shipdate(d *Dataset, cutoff int32) (*Query, error) {
-	return e.Compile(d, Scan("lineitem").
-		Filter("l_shipdate", CmpLE, int64(cutoff)).Label("shipdate<=v").
-		Filter("l_quantity", CmpLT, int64(tpch.Q6QuantityBound)).Label("quantity<24").
-		Filter("l_discount", CmpGE, tpch.Q6DiscountLo-1e-9).Label("discount>=0.05").
-		Filter("l_discount", CmpLE, tpch.Q6DiscountHi+1e-9).Label("discount<=0.07").
-		Sum("l_extendedprice * l_discount"))
+	return &Query{q: qo, group: q.group, sort: q.sort, sumExpr: q.sumExpr, storage: q.storage, joins: q.joins}, nil
 }
 
 // Cmp is a predicate comparison operator.
 type Cmp string
 
-// Comparison operators for Predicate.
+// Comparison operators for Plan.Filter.
 const (
 	CmpLE Cmp = "<="
 	CmpLT Cmp = "<"
@@ -297,26 +258,6 @@ const (
 	CmpGT Cmp = ">"
 	CmpEQ Cmp = "="
 )
-
-// Predicate specifies one selection predicate for the deprecated BuildScan
-// and BuildPipeline builders. New code passes bounds directly to
-// Plan.Filter.
-type Predicate struct {
-	// Table must be empty or "lineitem": scans always drive from lineitem,
-	// and a predicate on another table's column would index that shorter
-	// column with lineitem row ids. Historically accepted "orders"/"part"
-	// values are now rejected with an error.
-	Table string
-	// Column is the column name (e.g. "l_quantity").
-	Column string
-	// Op is the comparison.
-	Op Cmp
-	// Int is the bound for integer/date columns; Float for float columns.
-	Int   int64
-	Float float64
-	// ExtraCostInstr models an expensive predicate (UDF, string match).
-	ExtraCostInstr int
-}
 
 // cmpOf maps the public comparison to the executor's.
 func cmpOf(c Cmp) (exec.CmpOp, error) {
@@ -334,42 +275,6 @@ func cmpOf(c Cmp) (exec.CmpOp, error) {
 	default:
 		return 0, fmt.Errorf("progopt: unknown comparison %q", c)
 	}
-}
-
-// scanPlan translates legacy Predicate specs into plan filter steps.
-func scanPlan(preds []Predicate) (*Plan, error) {
-	p := Scan("lineitem")
-	for _, pr := range preds {
-		switch pr.Table {
-		case "", "lineitem":
-		case "orders", "part":
-			return nil, fmt.Errorf(
-				"progopt: predicate on %s.%s: cross-table predicates are rejected (they would read the build-side column with lineitem row ids); use Plan.Join",
-				pr.Table, pr.Column)
-		default:
-			return nil, fmt.Errorf("progopt: unknown table %q", pr.Table)
-		}
-		p.legacyFilter(pr.Column, pr.Op, pr.Int, pr.Float, pr.ExtraCostInstr)
-	}
-	return p, nil
-}
-
-// BuildScan builds a multi-predicate selection over lineitem with an
-// optional sum(l_extendedprice*l_discount) aggregate.
-//
-// Deprecated: build the plan with Scan, Filter, and Sum, then Compile.
-func (e *Engine) BuildScan(d *Dataset, preds []Predicate, withAgg bool) (*Query, error) {
-	if len(preds) == 0 {
-		return nil, fmt.Errorf("progopt: scan needs at least one predicate")
-	}
-	p, err := scanPlan(preds)
-	if err != nil {
-		return nil, err
-	}
-	if withAgg {
-		p.Sum("l_extendedprice * l_discount")
-	}
-	return e.Compile(d, p)
 }
 
 // Result reports a query execution.
@@ -398,20 +303,6 @@ func toResult(r exec.Result) Result {
 		Millis:     r.Millis,
 		Counters:   counters,
 	}
-}
-
-// Run executes the query with a fixed operator order (the baseline "common
-// execution pattern") from a cold hardware state. With Workers > 1 the
-// driving table is consumed as morsels by all cores; the result's Cycles and
-// Millis are the makespan and Counters the merged per-core PMU deltas.
-//
-// Deprecated: use Exec with ModeFixed, which this wrapper forwards to.
-func (e *Engine) Run(q *Query) (Result, error) {
-	r, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
-	if err != nil {
-		return Result{}, err
-	}
-	return r.Result, nil
 }
 
 // Progressive configures progressive optimization.
@@ -463,59 +354,6 @@ type SampleObs struct {
 	Counters map[string]uint64
 	// Sels is the selectivity estimate in current-order space.
 	Sels []float64
-}
-
-// RunProgressive executes the query with progressive re-optimization from a
-// cold hardware state. With Workers > 1 re-optimization runs at morsel-block
-// granularity: every block spans Interval vectors per core, the per-core PMU
-// deltas are merged, and the estimator inverts the cost models over the
-// aggregate (see core.RunAdaptive).
-//
-// Deprecated: use Exec with ModeProgressive, which this wrapper forwards to.
-func (e *Engine) RunProgressive(q *Query, p Progressive) (Result, Stats, error) {
-	r, err := e.Exec(q, ExecOptions{Mode: ModeProgressive, Progressive: p})
-	if err != nil {
-		return Result{}, Stats{}, err
-	}
-	return r.Result, r.Stats, nil
-}
-
-// MicroAdaptiveStats extends Stats with implementation-choice telemetry.
-type MicroAdaptiveStats struct {
-	Stats
-	// BranchingVectors and BranchFreeVectors count vectors per scan
-	// implementation; ImplSwitches counts changes.
-	BranchingVectors, BranchFreeVectors, ImplSwitches int
-}
-
-// RunMicroAdaptive executes the query with progressive re-optimization plus
-// micro-adaptive implementation choice: each optimization cycle also decides
-// whether upcoming vectors run the branching (short-circuiting) or the
-// branch-free (predicated) scan, from the counter-estimated selectivities.
-//
-// Its stats contract is single-core: it returns an error when Config.Workers
-// exceeds 1 rather than reporting single-core cycle counts next to
-// multi-core makespans. Use Exec with ModeMicroAdaptive for morsel-driven
-// micro-adaptive execution.
-//
-// Deprecated: use Exec with ModeMicroAdaptive, which this wrapper forwards
-// to on single-core engines.
-func (e *Engine) RunMicroAdaptive(q *Query, p Progressive) (Result, MicroAdaptiveStats, error) {
-	if e.workers > 1 {
-		return Result{}, MicroAdaptiveStats{}, fmt.Errorf(
-			"progopt: RunMicroAdaptive is single-core only (its cycle counts are not makespans); with Workers = %d use Exec(q, ExecOptions{Mode: ModeMicroAdaptive})",
-			e.workers)
-	}
-	r, err := e.Exec(q, ExecOptions{Mode: ModeMicroAdaptive, Progressive: p})
-	if err != nil {
-		return Result{}, MicroAdaptiveStats{}, err
-	}
-	return r.Result, MicroAdaptiveStats{
-		Stats:             r.Stats,
-		BranchingVectors:  r.Impl.BranchingVectors,
-		BranchFreeVectors: r.Impl.BranchFreeVectors,
-		ImplSwitches:      r.Impl.ImplSwitches,
-	}, nil
 }
 
 // EstimateSelectivities runs one estimation cycle offline: it executes a

@@ -53,28 +53,29 @@ func TestQ6EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildQ6(d)
+	q, err := e.Compile(d, q6Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.NumOps() != 5 || len(q.OpNames()) != 5 {
 		t.Fatalf("Q6 has %d ops", q.NumOps())
 	}
-	base, err := e.Run(q)
+	base, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Qualifying == 0 || base.Millis <= 0 {
-		t.Fatalf("degenerate result %+v", base)
+		t.Fatalf("degenerate result %+v", base.Result)
 	}
 	if base.Counters["br_not_taken"] == 0 || base.Counters["l3_access"] == 0 {
 		t.Error("counters missing")
 	}
 
-	prog, st, err := e.RunProgressive(q, Progressive{Interval: 5})
+	prog, err := e.Exec(q, ExecOptions{Mode: ModeProgressive, Progressive: Progressive{Interval: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := prog.Stats
 	if prog.Qualifying != base.Qualifying {
 		t.Errorf("progressive changed results: %d vs %d", prog.Qualifying, base.Qualifying)
 	}
@@ -95,14 +96,14 @@ func TestBuildQ6ShipdateAndWithOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildQ6Shipdate(d, d.ShipdateCutoff(0.3))
+	q, err := e.Compile(d, q6ShipdatePlan(d.ShipdateCutoff(0.3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.NumOps() != 4 {
 		t.Fatalf("modified Q6 has %d ops", q.NumOps())
 	}
-	r1, err := e.Run(q)
+	r1, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestBuildQ6ShipdateAndWithOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(q2)
+	r2, err := e.Exec(q2, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +129,14 @@ func TestBuildScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildScan(d, []Predicate{
-		{Column: "l_quantity", Op: CmpLT, Int: 10},
-		{Column: "l_discount", Op: CmpGE, Float: 0.05},
-	}, true)
+	q, err := e.Compile(d, Scan("lineitem").
+		Filter("l_quantity", CmpLT, 10).
+		Filter("l_discount", CmpGE, 0.05).
+		Sum("l_extendedprice * l_discount"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(q)
+	res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +149,16 @@ func TestBuildScan(t *testing.T) {
 		t.Error("aggregate empty")
 	}
 
-	if _, err := e.BuildScan(d, nil, false); err == nil {
+	if _, err := e.Compile(d, Scan("lineitem")); err == nil {
 		t.Error("empty predicate list accepted")
 	}
-	if _, err := e.BuildScan(d, []Predicate{{Column: "nope", Op: CmpLT}}, false); err == nil {
+	if _, err := e.Compile(d, Scan("lineitem").Filter("nope", CmpLT, 0)); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := e.BuildScan(d, []Predicate{{Table: "galaxy", Column: "x", Op: CmpLT}}, false); err == nil {
+	if _, err := e.Compile(d, Scan("galaxy").Filter("x", CmpLT, 0)); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := e.BuildScan(d, []Predicate{{Column: "l_quantity", Op: "!="}}, false); err == nil {
+	if _, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", "!=", 0)); err == nil {
 		t.Error("unknown comparison accepted")
 	}
 }
@@ -168,9 +169,7 @@ func TestEstimateSelectivities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.BuildScan(d, []Predicate{
-		{Column: "l_quantity", Op: CmpLT, Int: 25}, // ~48%
-	}, false)
+	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25)) // ~48%
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,25 +193,24 @@ func TestRunMicroAdaptiveFacade(t *testing.T) {
 	}
 	// Mid-selectivity predicates: the adaptive driver should use the
 	// branch-free implementation for most vectors.
-	q, err := e.BuildScan(d, []Predicate{
-		{Column: "l_quantity", Op: CmpLE, Int: 25},
-		{Column: "l_discount", Op: CmpLE, Float: 0.05},
-	}, false)
+	q, err := e.Compile(d, Scan("lineitem").
+		Filter("l_quantity", CmpLE, 25).
+		Filter("l_discount", CmpLE, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := e.Run(q)
+	base, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := e.RunMicroAdaptive(q, Progressive{Interval: 3})
+	res, err := e.Exec(q, ExecOptions{Mode: ModeMicroAdaptive, Progressive: Progressive{Interval: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Qualifying != base.Qualifying {
 		t.Errorf("micro-adaptive changed results: %d vs %d", res.Qualifying, base.Qualifying)
 	}
-	if st.BranchFreeVectors == 0 {
+	if res.Impl.BranchFreeVectors == 0 {
 		t.Error("never used the branch-free scan on mid-selectivity predicates")
 	}
 }
@@ -235,8 +233,8 @@ func TestRunExperimentFacade(t *testing.T) {
 }
 
 func TestWorkersFacade(t *testing.T) {
-	run := func(cfg Config) (Result, Result, Stats) {
-		e, err := New(cfg)
+	run := func(cfg Config, ref refPath) (Result, Result, Stats) {
+		e, err := newRef(cfg, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,22 +242,22 @@ func TestWorkersFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := e.BuildQ6(d)
+		q, err := e.Compile(d, q6Plan())
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := e.Run(q)
+		base, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, st, err := e.RunProgressive(q, Progressive{Interval: 5})
+		prog, err := e.Exec(q, ExecOptions{Mode: ModeProgressive, Progressive: Progressive{Interval: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return base, prog, st
+		return base.Result, prog.Result, prog.Stats
 	}
-	serialBase, serialProg, _ := run(Config{VectorSize: 1024})
-	parBase, parProg, st := run(Config{VectorSize: 1024, Workers: 4})
+	serialBase, serialProg, _ := run(Config{VectorSize: 1024}, refPath{})
+	parBase, parProg, st := run(Config{VectorSize: 1024, Workers: 4}, refPath{})
 	if parBase.Qualifying != serialBase.Qualifying || parBase.Sum != serialBase.Sum {
 		t.Errorf("parallel base result %d/%v, serial %d/%v",
 			parBase.Qualifying, parBase.Sum, serialBase.Qualifying, serialBase.Sum)
@@ -275,7 +273,7 @@ func TestWorkersFacade(t *testing.T) {
 		t.Error("parallel progressive never optimized")
 	}
 
-	scalarBase, _, _ := run(Config{VectorSize: 1024, ScalarExec: true})
+	scalarBase, _, _ := run(Config{VectorSize: 1024}, refPath{scalar: true})
 	if scalarBase.Qualifying != serialBase.Qualifying || scalarBase.Sum != serialBase.Sum {
 		t.Errorf("scalar mode result %d/%v, batch %d/%v",
 			scalarBase.Qualifying, scalarBase.Sum, serialBase.Qualifying, serialBase.Sum)

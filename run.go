@@ -55,6 +55,15 @@ type ImplStats struct {
 	BranchingVectors, BranchFreeVectors, ImplSwitches int
 }
 
+// GroupRow is one output row of a grouped aggregation.
+type GroupRow struct {
+	// Key is the group key.
+	Key int64
+	// Sum is the aggregated value and Count the contributing tuple count.
+	Sum   float64
+	Count int64
+}
+
 // OrderedRow is one row of a sorted (OrderBy/Limit) plan's output.
 type OrderedRow struct {
 	// Row is the driving-table row id — the deterministic tie-break, and a
@@ -79,7 +88,7 @@ type ExecResult struct {
 	Groups []GroupRow
 	// Rows holds the ordered output when the plan has OrderBy (truncated to
 	// Limit when one is set); nil otherwise. Bit-identical across execution
-	// modes, worker counts, and Config.ScalarExec.
+	// modes and worker counts.
 	Rows []OrderedRow
 	// Stats reports optimizer actions (zero-valued under ModeFixed).
 	Stats Stats
@@ -100,8 +109,8 @@ type ExecResult struct {
 // Config.Workers (with Workers > 1 the scan runs morsel-driven; Cycles and
 // Millis are makespans and Counters the merged per-core PMU deltas), and a
 // grouped plan aggregates with per-core partial hash tables merged at the
-// barrier. Qualifying, Sum, and Groups are bit-identical across modes,
-// worker counts, and Config.ScalarExec.
+// barrier. Qualifying, Sum, and Groups are bit-identical across modes and
+// worker counts.
 //
 // Grouped plans currently execute their operator order as compiled
 // (ModeFixed); adaptive modes on grouped plans return an error.
@@ -180,7 +189,7 @@ func (e *Engine) execScan(q *Query, opts ExecOptions) (ExecResult, error) {
 // barrier and emits the ordered output, extending the run's makespan and
 // counters exactly like the grouped aggregation's merge. The emitted rows
 // are the unique total-order result (keys, then row id), so they are
-// bit-identical across modes, worker counts, and Config.ScalarExec.
+// bit-identical across modes and worker counts.
 func (e *Engine) execSorted(q *Query, opts ExecOptions) (ExecResult, error) {
 	runs := make([]*exec.SortRun, len(q.sort.states))
 	for i, s := range q.sort.states {

@@ -31,12 +31,6 @@ type ServerConfig struct {
 	// order; nothing is stored) — the cold baseline of the ext-serve
 	// experiment.
 	DisableFeedback bool
-	// SerialRounds forces each scheduling round to execute its queries'
-	// segments serially on the host instead of concurrently — the oracle
-	// path the host-concurrent scheduler is pinned bit-identical against.
-	// Simulated results, latencies, traces, and metrics are unaffected;
-	// only host wall-clock changes.
-	SerialRounds bool
 }
 
 // ServerStats counts server activity since construction.
@@ -182,17 +176,16 @@ func NewServer(e *Engine, cfg ServerConfig) (*Server, error) {
 	if cfg.PlanCacheSize <= 0 {
 		cfg.PlanCacheSize = 64
 	}
-	svc, err := service.New(e.cpu.Profile(), e.workers, e.eng.VectorSize(), e.scalar, service.Config{
+	svc, err := service.New(e.cpu.Profile(), e.workers, e.eng.VectorSize(), service.Config{
 		MaxActive:         cfg.MaxActive,
 		QueueLimit:        cfg.QueueLimit,
 		QuantumVectors:    cfg.QuantumVectors,
 		FeedbackCacheSize: cfg.FeedbackCacheSize,
-		NoFuse:            !e.eng.Fused(),
-		SerialRounds:      cfg.SerialRounds,
 	})
 	if err != nil {
 		return nil, err
 	}
+	svc.MatchEngine(e.eng)
 	// When the engine traces, the server's pool and admission events join the
 	// same recorder: per-pool-core tracks plus a service track. Track creation
 	// happens here, before any scheduling, so track order is deterministic.

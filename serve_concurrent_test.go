@@ -17,7 +17,7 @@ import (
 // The host-concurrency acceptance criterion: a scheduling round that executes
 // its queries' segments concurrently on the host is bit-identical — per-query
 // results, simulated cycles, every PMU counter, trace bytes, Prometheus
-// metrics — to the serial-round service (ServerConfig.SerialRounds), across
+// metrics — to the serial-round service (Server.setSerialRounds), across
 // Workers {1,4} × GOMAXPROCS {1,4} × the three exec modes × plain/stored/
 // traced variants, with waits racing on goroutines.
 
@@ -51,11 +51,12 @@ func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(e, ServerConfig{MaxActive: 3, SerialRounds: serial})
+	srv, err := NewServer(e, ServerConfig{MaxActive: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.setSerialRounds(serial)
 	adaptive := Progressive{Interval: 5}
 	subs := []struct {
 		plan *Plan
@@ -188,7 +189,7 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.New(e.cpu.Profile(), e.workers, e.eng.VectorSize(), e.scalar, service.Config{MaxActive: 3})
+	svc, err := service.New(e.cpu.Profile(), e.workers, e.eng.VectorSize(), service.Config{MaxActive: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,6 +113,87 @@ func TestServeFingerprintOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestShuffleWindowGeneration: a windowed shuffle is a new data set. It gets
+// its own generation, so a server never answers a plan on one shuffle with the
+// query compiled against another (both submissions miss the plan cache and
+// match a direct Compile+Exec on their own data), and a storage-backed engine
+// encodes each shuffle into its own stored image.
+func TestShuffleWindowGeneration(t *testing.T) {
+	setup := func(cfg Config) (*Engine, [2]*Dataset) {
+		t.Helper()
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := e.GenerateTPCH(32*512, 31, OrderNatural)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, [2]*Dataset{base.ShuffleWindow(1, 1), base.ShuffleWindow(5000, 2)}
+	}
+	plan := func() *Plan {
+		return Scan("lineitem").Filter("l_quantity", CmpLT, 24).Join("orders", 0.5)
+	}
+	cfg := Config{VectorSize: 512}
+	eDirect, direct := setup(cfg)
+	defer eDirect.Close()
+	eServed, served := setup(cfg)
+	defer eServed.Close()
+	if g0, g1 := served[0].Generation(), served[1].Generation(); g0 == 0 || g1 == 0 || g0 == g1 {
+		t.Fatalf("shuffled data sets have generations %d and %d, want non-zero and distinct", g0, g1)
+	}
+	srv, err := NewServer(eServed, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var cycles [2]uint64
+	for i := range direct {
+		q, err := eDirect.Compile(direct[i], plan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eDirect.Exec(q, ExecOptions{Mode: ModeFixed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := srv.Submit(served[i], plan(), ExecOptions{Mode: ModeFixed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Served.PlanCacheHit {
+			t.Errorf("shuffle %d was served from another data set's compiled plan", i)
+		}
+		sameResult(t, fmt.Sprintf("shuffle %d served vs direct", i), want.Result, got.Result)
+		cycles[i] = want.Cycles
+	}
+	if cycles[0] == cycles[1] {
+		t.Errorf("both shuffles cost %d cycles; the plan does not tell them apart", cycles[0])
+	}
+	if st := srv.Stats(); st.PlanCacheHits != 0 || st.PlanCacheMisses != 2 {
+		t.Errorf("hits=%d misses=%d, want 0/2", st.PlanCacheHits, st.PlanCacheMisses)
+	}
+
+	eStored, stored := setup(Config{VectorSize: 512, Storage: &StorageConfig{LatencyCycles: 500, BytesPerCycle: 16}})
+	for i, d := range stored {
+		q, err := eStored.Compile(d, plan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := q.q.Table.Column("l_orderkey"), d.d.Lineitem.Column("l_orderkey")
+		for row := 0; row < want.Len(); row++ {
+			if got.Int64At(row) != want.Int64At(row) {
+				t.Fatalf("shuffle %d compiled against another data set's stored image (row %d: l_orderkey %d, data set has %d)",
+					i, row, got.Int64At(row), want.Int64At(row))
+			}
+		}
+	}
+}
+
 // TestServePlanCacheEviction: the plan cache respects
 // ServerConfig.PlanCacheSize with LRU eviction.
 func TestServePlanCacheEviction(t *testing.T) {

@@ -25,8 +25,9 @@ func sortTestPlan(d *Dataset, limit int) *Plan {
 
 // TestSortBitIdentity pins the acceptance criterion: ordered output —
 // including the float values carried through the sort — plus Qualifying and
-// the aggregate Sum are bit-identical across Workers {1,4}, ScalarExec on
-// and off, limit present and absent, and all three execution modes.
+// the aggregate Sum are bit-identical across Workers {1,4}, the scalar row
+// loop and the batch kernels, limit present and absent, and all three
+// execution modes.
 func TestSortBitIdentity(t *testing.T) {
 	for _, limit := range []int{-1, 40} {
 		var ref *ExecResult
@@ -34,7 +35,7 @@ func TestSortBitIdentity(t *testing.T) {
 			for _, scalar := range []bool{false, true} {
 				for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {
 					name := fmt.Sprintf("limit=%d/workers=%d/scalar=%v/%s", limit, workers, scalar, mode)
-					e, err := New(Config{VectorSize: 512, Workers: workers, ScalarExec: scalar})
+					e, err := newRef(Config{VectorSize: 512, Workers: workers}, refPath{scalar: scalar})
 					if err != nil {
 						t.Fatal(err)
 					}

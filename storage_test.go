@@ -56,8 +56,10 @@ func TestStoredFaithfulBitIdentity(t *testing.T) {
 				name := fmt.Sprintf("workers=%d/nofuse=%v/%s", workers, noFuse, mode)
 				t.Run(name, func(t *testing.T) {
 					opts := ExecOptions{Mode: mode, Progressive: Progressive{Interval: 5}}
-					ramCfg := Config{VectorSize: 1024, Workers: workers, NoFuse: noFuse}
+					ramCfg := Config{VectorSize: 1024, Workers: workers}
+					ref := refPath{noFuse: noFuse}
 					eRAM, _, qRAM := storedSetup(t, ramCfg, OrderNatural, storedQ6Plan())
+					eRAM.setRef(ref)
 					want, err := eRAM.Exec(qRAM, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -65,6 +67,7 @@ func TestStoredFaithfulBitIdentity(t *testing.T) {
 					stCfg := ramCfg
 					stCfg.Storage = stcfg
 					eST, _, qST := storedSetup(t, stCfg, OrderNatural, storedQ6Plan())
+					eST.setRef(ref)
 					got, err := eST.Exec(qST, opts)
 					if err != nil {
 						t.Fatal(err)

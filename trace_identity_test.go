@@ -21,11 +21,11 @@ import (
 // plan, optionally traced.
 func traceSetup(t *testing.T, workers int, noFuse, traced bool) (*Engine, *Dataset, *Query) {
 	t.Helper()
-	cfg := Config{VectorSize: 1024, Workers: workers, NoFuse: noFuse}
+	cfg := Config{VectorSize: 1024, Workers: workers}
 	if traced {
 		cfg.Trace = &TraceOptions{}
 	}
-	e, err := New(cfg)
+	e, err := newRef(cfg, refPath{noFuse: noFuse})
 	if err != nil {
 		t.Fatal(err)
 	}

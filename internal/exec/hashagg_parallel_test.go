@@ -1,16 +1,33 @@
 package exec
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"progopt/internal/hw/cpu"
+	"progopt/internal/hw/pmu"
 	"progopt/internal/tpch"
 )
 
 // groupedQuery builds a filtered lineitem query plus per-core group tables
-// over a fresh data set; allocations go through the first allocator so
-// serial and parallel configurations see identical address layouts.
+// (l_quantity, 50 groups) over a fresh data set; allocations go through the
+// first allocator so serial and parallel configurations see identical address
+// layouts.
 func groupedQuery(t *testing.T, tables int) (*tpch.Dataset, *Query, []*GroupBy, *cpu.CPU) {
+	t.Helper()
+	return groupedQueryOn(t, tables, "l_quantity", 50)
+}
+
+// groupedQueryOn is groupedQuery grouping on the given key column with the
+// given domain estimate.
+func groupedQueryOn(t *testing.T, tables int, key string, expected int) (*tpch.Dataset, *Query, []*GroupBy, *cpu.CPU) {
 	t.Helper()
 	d, err := tpch.Generate(tpch.Config{Lineitems: 20000, Seed: 31})
 	if err != nil {
@@ -28,7 +45,7 @@ func groupedQuery(t *testing.T, tables int) (*tpch.Dataset, *Query, []*GroupBy, 
 	}
 	gs := make([]*GroupBy, tables)
 	for i := range gs {
-		g, err := NewGroupBy(c, d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), 50)
+		g, err := NewGroupBy(c, d.Lineitem.Column(key), d.Lineitem.Column("l_extendedprice"), expected)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,53 +54,130 @@ func groupedQuery(t *testing.T, tables int) (*tpch.Dataset, *Query, []*GroupBy, 
 	return d, q, gs, c
 }
 
+var updateGroupbyGolden = flag.Bool("update", false, "rewrite testdata/groupby_golden.json from this build's grouped drivers")
+
+const groupbyGoldenPath = "testdata/groupby_golden.json"
+
+// groupbyGoldenRow pins one grouped run: the output rows (as a hash of every
+// key, count and sum bit pattern in output order), the makespan with its
+// merge barrier, and the full merged PMU delta. The file was captured while
+// the reducer kept one presence table per core and the barrier issued scalar
+// loads; it is the record of what that code simulated.
+type groupbyGoldenRow struct {
+	Config     string
+	Qualifying int64
+	Vectors    int
+	NumGroups  int
+	Groups     string // FNV-64a of (key, count, sum bits) per output row
+	Cycles     uint64
+	Counters   []uint64 // the PMU delta, indexed by pmu.Event
+}
+
+func groupbyGoldenOf(config string, res GroupResult) groupbyGoldenRow {
+	h := fnv.New64a()
+	for _, g := range res.Groups {
+		fmt.Fprintf(h, "%d,%d,%d;", g.Key, g.Count, math.Float64bits(g.Sum))
+	}
+	row := groupbyGoldenRow{
+		Config: config, Qualifying: res.Qualifying, Vectors: res.Vectors,
+		NumGroups: len(res.Groups), Groups: fmt.Sprintf("%016x", h.Sum64()), Cycles: res.Cycles,
+	}
+	for ev := pmu.Event(0); ev < pmu.NumEvents; ev++ {
+		row.Counters = append(row.Counters, res.Counters.Get(ev))
+	}
+	return row
+}
+
 // TestParallelRunGroupBy checks the morsel-parallel grouped aggregation
-// against the serial engine: identical groups (bit-identical sums), a
-// makespan below the serial cycle count, and deterministic repetition.
+// against the serial engine — identical groups (bit-identical sums), a
+// makespan below the serial cycle count — and pins every run to the golden
+// file: a 50-key and a 667-key domain × Workers {1, 2, 4, 7, 65} (128-row
+// morsels, so all 65 cores hold partial tables) × GOMAXPROCS {1, 4}, plus the
+// serial engine. go test ./internal/exec -run TestParallelRunGroupBy -update
+// rewrites the file; only an intended change of simulated behaviour may.
 func TestParallelRunGroupBy(t *testing.T) {
-	_, q, gs, c := groupedQuery(t, 1)
-	serialEng := MustEngine(c, 1024)
-	serial, err := serialEng.RunGroupBy(q, gs[0])
+	const vs = 128
+	domains := []struct {
+		key      string
+		expected int
+	}{{"l_quantity", 50}, {"l_partkey", 667}}
+	var got []groupbyGoldenRow
+	for _, dom := range domains {
+		_, q, gs, c := groupedQueryOn(t, 1, dom.key, dom.expected)
+		serial, err := MustEngine(c, vs).RunGroupBy(q, gs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial.Groups) == 0 {
+			t.Fatal("no groups")
+		}
+		got = append(got, groupbyGoldenOf(dom.key+"/serial", serial))
+
+		runPar := func(workers, procs int) GroupResult {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			_, qp, gsp, _ := groupedQueryOn(t, workers, dom.key, dom.expected)
+			p, err := NewParallel(cpu.ScaledXeon(), workers, vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			res, err := p.RunGroupBy(qp, gsp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for _, workers := range []int{1, 2, 4, 7, 65} {
+			res := runPar(workers, 1)
+			if res.Qualifying != serial.Qualifying {
+				t.Errorf("%s, %d workers: qualifying %d vs serial %d", dom.key, workers, res.Qualifying, serial.Qualifying)
+			}
+			if !reflect.DeepEqual(res.Groups, serial.Groups) {
+				t.Fatalf("%s, %d workers: groups differ from the serial engine's", dom.key, workers)
+			}
+			if workers == 4 && res.Cycles >= serial.Cycles {
+				t.Errorf("%s: 4-core makespan %d not below serial %d", dom.key, res.Cycles, serial.Cycles)
+			}
+			if res4 := runPar(workers, 4); !reflect.DeepEqual(res4, res) {
+				t.Errorf("%s, %d workers: GOMAXPROCS 4 differs from GOMAXPROCS 1", dom.key, workers)
+			}
+			got = append(got, groupbyGoldenOf(fmt.Sprintf("%s/workers=%d", dom.key, workers), res))
+		}
+	}
+	if *updateGroupbyGolden {
+		// One run per line, so a behaviour change diffs as the runs it moved.
+		out := []byte("[\n")
+		for i, row := range got {
+			b, err := json.Marshal(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b...)
+			if i < len(got)-1 {
+				out = append(out, ',')
+			}
+			out = append(out, '\n')
+		}
+		if err := os.WriteFile(groupbyGoldenPath, append(out, "]\n"...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(groupbyGoldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Groups) == 0 {
-		t.Fatal("no groups")
+	var want []groupbyGoldenRow
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
 	}
-
-	runPar := func(workers int) GroupResult {
-		_, qp, gsp, _ := groupedQuery(t, workers)
-		p, err := NewParallel(cpu.ScaledXeon(), workers, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.RunGroupBy(qp, gsp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, golden has %d", len(got), len(want))
 	}
-	for _, workers := range []int{1, 2, 4} {
-		res := runPar(workers)
-		if res.Qualifying != serial.Qualifying {
-			t.Errorf("%d workers: qualifying %d vs serial %d", workers, res.Qualifying, serial.Qualifying)
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s:\n got %+v\nwant %+v", got[i].Config, got[i], want[i])
 		}
-		if len(res.Groups) != len(serial.Groups) {
-			t.Fatalf("%d workers: %d groups vs serial %d", workers, len(res.Groups), len(serial.Groups))
-		}
-		for i, g := range res.Groups {
-			s := serial.Groups[i]
-			if g.Key != s.Key || g.Count != s.Count || g.Sum != s.Sum {
-				t.Fatalf("%d workers: group %d = %+v, serial %+v", workers, i, g, s)
-			}
-		}
-	}
-	par4a, par4b := runPar(4), runPar(4)
-	if par4a.Cycles != par4b.Cycles {
-		t.Errorf("parallel group-by not deterministic: %d vs %d cycles", par4a.Cycles, par4b.Cycles)
-	}
-	if par4a.Cycles >= serial.Cycles {
-		t.Errorf("4-core makespan %d not below serial %d", par4a.Cycles, serial.Cycles)
 	}
 }
 

@@ -346,6 +346,40 @@ func BenchmarkRunTopK(b *testing.B) {
 	b.ReportMetric(float64(cycles), "sim_cycles")
 }
 
+// BenchmarkRunGroupBy is the grouped hot path: a half-selective scan grouped
+// on l_partkey (33 334 keys) through the public facade on four simulated
+// cores — per-core partial tables, one host reduction visit per qualifying
+// row, the key-ordered merge barrier. sim_cycles pins the makespan, barrier
+// included.
+func BenchmarkRunGroupBy(b *testing.B) {
+	e, err := New(Config{Workers: 4, VectorSize: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	d, err := e.GenerateTPCH(1_000_000, 7, OrderNatural)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := e.Compile(d, Scan("lineitem").
+		Filter("l_shipdate", CmpGE, int64(d.ShipdateCutoff(0.5))).
+		GroupBy("l_partkey", "l_extendedprice"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles = res.Cycles
+	}
+	b.ReportMetric(float64(cycles), "sim_cycles")
+}
+
 // benchJoinGraph measures a JoinOn join-graph query through the public
 // facade under ModeFixed: compile resolves the edges, pushes the per-table
 // filters down, and orders the probes with the statistics-free greedy

@@ -1,108 +1,152 @@
 package exec
 
-import "sort"
+import (
+	"math"
+	"slices"
+)
 
 // groupTable is the host-side accumulator of a grouped aggregation: an
-// open-addressing hash table with the group rows stored inline in the slot
-// array, replacing the map[int64]*Group of the original implementation. One
-// linear-probe lookup lands on a contiguous 32-byte slot that the update
-// writes in place — no per-group pointer chase, no per-insert allocation.
+// open-addressing hash table whose slots hold the group row and, inline
+// behind it, the set of simulated cores whose partial tables hold the key. A
+// qualifying row costs one linear-probe lookup that lands on one contiguous
+// slot and updates sum, count and presence in place — no per-group pointer
+// chase, no per-insert allocation, no second table for the merge barrier.
 //
-// The table is a pure host-performance structure: the *simulated* hash table
-// the cache hierarchy sees is still GroupBy's reserved address region
+// A slot is stride consecutive words: key, sum (float64 bits), count, then
+// ⌈cores/64⌉ presence words (bit c of the set: core c's partial table holds
+// the key). The stride is fixed per run, so any core count takes the same
+// path; with up to 64 cores a slot is 32 bytes. A claimed slot has count ≥ 1
+// (add is the only writer), so count doubles as the occupancy mark: keys and
+// sums are domain values and offer no sentinel.
+//
+// The table is a pure host-performance structure: the *simulated* hash tables
+// the cache hierarchies see are still each GroupBy's reserved address region
 // (slotAddr), so PMU counters and cycles are untouched by this layout. Group
-// values accumulate per key in exactly the order apply is called — the global
-// row order the drivers establish — so sums remain bit-identical to the map
-// path, and output is sorted by key, independent of table internals.
+// values accumulate per key in exactly the order add is called — the global
+// row order the drivers establish — so sums are bit-identical to a map-based
+// reduction, and output is sorted by key, independent of table internals.
+//
+// A table is owned by its executor (Parallel, or the serial Engine) and
+// reset, not reallocated, at the start of every grouped run: whatever an
+// earlier run left behind — a failed one included — is gone before the first
+// row of the next is added.
 type groupTable struct {
-	slots []gslot
-	mask  uint64
-	n     int
+	slots  []uint64
+	stride int
+	mask   uint64
+	n      int
+	// order is sorted's reusable result.
+	order []groupRef
 }
 
-// gslot is one inline table entry; used distinguishes an occupied slot (keys
-// and every Group field are domain values, so no sentinel is available).
-type gslot struct {
-	g    Group
-	used bool
+// Word offsets inside a slot.
+const (
+	slotKey = iota
+	slotSum
+	slotCount
+	slotPresence
+)
+
+// groupRef names one occupied slot: its key and the offset of its first word.
+type groupRef struct {
+	key int64
+	at  int
 }
 
-// newGroupTable sizes a table for the expected number of distinct groups —
-// the Compile-time distinct-domain scan's estimate — at a load factor of at
-// most ½ if the estimate holds; growth covers under-estimates.
-func newGroupTable(expected int) *groupTable {
-	buckets := uint64(16)
-	for int(buckets) < 2*expected {
+// reset empties the table and sizes it for the expected number of distinct
+// groups — the Compile-time distinct-domain scan's estimate — at a load
+// factor of at most ½ if the estimate holds (growth covers under-estimates),
+// with presence bits for the given number of cores. The slot array is reused
+// whenever it is large enough.
+func (t *groupTable) reset(expected, cores int) {
+	buckets := 16
+	for buckets < 2*expected {
 		buckets <<= 1
 	}
-	return &groupTable{slots: make([]gslot, buckets), mask: buckets - 1}
+	t.stride = slotPresence + (cores+63)/64
+	if need := buckets * t.stride; cap(t.slots) < need {
+		t.slots = make([]uint64, need)
+	} else {
+		t.slots = t.slots[:need]
+		clear(t.slots)
+	}
+	t.mask = uint64(buckets - 1)
+	t.n = 0
 }
 
-// at returns the group row for key, claiming a slot on first sight. The
+// add folds one qualifying row into key's group and records that core's
+// partial table holds the key, claiming a slot on first sight. The
 // multiplicative hash matches slotAddr's, so host probe locality mirrors the
 // simulated table's.
-func (t *groupTable) at(key int64) *Group {
-	if 4*(t.n+1) > 3*len(t.slots) {
+func (t *groupTable) add(key int64, v float64, core int) {
+	if 4*(t.n+1) > 3*int(t.mask+1) {
 		t.grow()
 	}
 	idx := (uint64(key) * 2654435761) & t.mask
 	for {
-		sl := &t.slots[idx]
-		if !sl.used {
-			sl.used = true
-			sl.g.Key = key
+		s := t.slots[int(idx)*t.stride:][:t.stride]
+		if s[slotCount] == 0 {
+			s[slotKey] = uint64(key)
 			t.n++
-			return &sl.g
-		}
-		if sl.g.Key == key {
-			return &sl.g
-		}
-		idx = (idx + 1) & t.mask
-	}
-}
-
-// grow doubles the table, reinserting occupied slots. Group rows move by
-// value; accumulated sums and counts are preserved bit for bit.
-func (t *groupTable) grow() {
-	old := t.slots
-	t.slots = make([]gslot, 2*len(old))
-	t.mask = uint64(len(t.slots) - 1)
-	for i := range old {
-		if !old[i].used {
+		} else if int64(s[slotKey]) != key {
+			idx = (idx + 1) & t.mask
 			continue
 		}
-		idx := (uint64(old[i].g.Key) * 2654435761) & t.mask
-		for t.slots[idx].used {
+		s[slotSum] = math.Float64bits(math.Float64frombits(s[slotSum]) + v)
+		s[slotCount]++
+		s[slotPresence+core>>6] |= 1 << (core & 63)
+		return
+	}
+}
+
+// grow doubles the table, reinserting occupied slots whole: accumulated sums,
+// counts and presence sets are preserved bit for bit.
+func (t *groupTable) grow() {
+	old := t.slots
+	t.slots = make([]uint64, 2*len(old))
+	t.mask = 2*t.mask + 1
+	for at := 0; at < len(old); at += t.stride {
+		if old[at+slotCount] == 0 {
+			continue
+		}
+		idx := (old[at+slotKey] * 2654435761) & t.mask
+		for t.slots[int(idx)*t.stride+slotCount] != 0 {
 			idx = (idx + 1) & t.mask
 		}
-		t.slots[idx] = old[i]
+		copy(t.slots[int(idx)*t.stride:], old[at:at+t.stride])
 	}
 }
 
-// len returns the number of distinct keys accumulated.
-func (t *groupTable) len() int { return t.n }
-
-// groups flattens the table into key-sorted output rows.
-func (t *groupTable) groups() []Group {
-	out := make([]Group, 0, t.n)
-	for i := range t.slots {
-		if t.slots[i].used {
-			out = append(out, t.slots[i].g)
+// sorted returns the occupied slots in ascending key order: the one
+// deterministic iteration order a grouped run needs, for its output rows and
+// for its merge barrier alike. Valid until the next sorted or reset.
+func (t *groupTable) sorted() []groupRef {
+	t.order = t.order[:0]
+	for at := 0; at < len(t.slots); at += t.stride {
+		if t.slots[at+slotCount] != 0 {
+			t.order = append(t.order, groupRef{key: int64(t.slots[at+slotKey]), at: at})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
-	return out
+	slices.SortFunc(t.order, func(a, b groupRef) int {
+		if a.key < b.key { // keys are distinct
+			return -1
+		}
+		return 1
+	})
+	return t.order
 }
 
-// sortedKeys returns the accumulated keys in ascending order (the merge
-// phase's deterministic iteration order).
-func (t *groupTable) sortedKeys() []int64 {
-	out := make([]int64, 0, t.n)
-	for i := range t.slots {
-		if t.slots[i].used {
-			out = append(out, t.slots[i].g.Key)
-		}
+// has reports whether core's partial table holds ref's key.
+func (t *groupTable) has(ref groupRef, core int) bool {
+	return t.slots[ref.at+slotPresence+core>>6]&(1<<(core&63)) != 0
+}
+
+// groups copies the slots named by refs into freshly allocated output rows.
+func (t *groupTable) groups(refs []groupRef) []Group {
+	out := make([]Group, len(refs))
+	for i, ref := range refs {
+		s := t.slots[ref.at:][:slotPresence]
+		out[i] = Group{Key: ref.key, Sum: math.Float64frombits(s[slotSum]), Count: int64(s[slotCount])}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }

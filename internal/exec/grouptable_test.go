@@ -10,11 +10,14 @@ import (
 )
 
 // Property test for the open-addressing group table: accumulating a random
-// update stream through the flat table must produce exactly the rows the
-// retired map-based reference (applyRef/groupsOfMap) produces — same keys,
-// bit-identical sums, same counts — across random key domains, heavy
-// collision mixes, under-estimated sizing (forcing growth), and extreme
-// int64 keys.
+// (key, value, core) stream through the flat table must produce exactly the
+// rows the retired map-based reference (applyRef/groupsOfMap) produces — same
+// keys in ascending order, bit-identical sums, same counts — and exactly the
+// reference's key → cores presence sets, across random key domains, heavy
+// collision mixes, under-estimated sizing (forcing growth mid-stream, which
+// must carry presence along), extreme int64 keys, and core counts on both
+// sides of a presence-word boundary. The table is reused across trials, as
+// an executor reuses it across runs.
 func TestGroupTableMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	domains := [][]int64{
@@ -23,7 +26,10 @@ func TestGroupTableMatchesMapReference(t *testing.T) {
 		{1 << 62, 1<<62 + 16, 1<<62 + 32},        // same low bits: forced probes
 		nil,                                      // random wide domain, filled below
 	}
-	for trial := 0; trial < 60; trial++ {
+	coreCounts := []int{1, 2, 7, 64, 65, 130}
+	var acc groupTable
+	grew := 0
+	for trial := 0; trial < 120; trial++ {
 		domain := domains[trial%len(domains)]
 		if domain == nil {
 			domain = make([]int64, rng.Intn(400)+1)
@@ -31,6 +37,7 @@ func TestGroupTableMatchesMapReference(t *testing.T) {
 				domain[i] = rng.Int63() - rng.Int63()
 			}
 		}
+		cores := coreCounts[trial%len(coreCounts)]
 		nRows := rng.Intn(3000) + 1
 		keys := make([]int64, nRows)
 		vals := make([]float64, nRows)
@@ -45,29 +52,38 @@ func TestGroupTableMatchesMapReference(t *testing.T) {
 			// grows mid-stream.
 			expected: rng.Intn(len(domain)) + 1,
 		}
-		acc := g.accTable()
+		acc.reset(g.expected, cores)
+		buckets := len(acc.slots)
 		ref := make(map[int64]*Group)
+		present := make(map[int64]map[int]bool)
 		for row := 0; row < nRows; row++ {
-			g.apply(acc, row)
+			core := rng.Intn(cores)
+			g.fold(&acc, []int32{int32(row)}, core)
 			g.applyRef(ref, row)
+			if present[keys[row]] == nil {
+				present[keys[row]] = make(map[int]bool)
+			}
+			present[keys[row]][core] = true
 		}
-		got, want := acc.groups(), groupsOfMap(ref)
+		if len(acc.slots) > buckets {
+			grew++
+		}
+		refs := acc.sorted()
+		got, want := acc.groups(refs), groupsOfMap(ref)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (domain %d, rows %d): table %v\nreference %v",
 				trial, len(domain), nRows, got, want)
 		}
-		if acc.len() != len(ref) {
-			t.Fatalf("trial %d: table len %d, reference %d", trial, acc.len(), len(ref))
-		}
-		// sortedKeys must agree with the reference key set, ascending.
-		ks := acc.sortedKeys()
-		if len(ks) != len(want) {
-			t.Fatalf("trial %d: %d sorted keys for %d groups", trial, len(ks), len(want))
-		}
-		for i, k := range ks {
-			if k != want[i].Key {
-				t.Fatalf("trial %d: sortedKeys[%d] = %d, want %d", trial, i, k, want[i].Key)
+		for _, r := range refs {
+			for core := 0; core < cores; core++ {
+				if acc.has(r, core) != present[r.key][core] {
+					t.Fatalf("trial %d (%d cores): key %d on core %d: table says %v, reference %v",
+						trial, cores, r.key, core, acc.has(r, core), present[r.key][core])
+				}
 			}
 		}
+	}
+	if grew < 5 {
+		t.Errorf("only %d of 120 trials grew the table mid-stream", grew)
 	}
 }

@@ -79,6 +79,10 @@ const groupUpdateCostInstr = 6
 // (add sum, add count, possibly insert).
 const groupMergeCostInstr = 4
 
+// groupMergeChunk is how many partial slots the merge barrier gathers into
+// one simulated load run: a vector's worth, like the scan's own gathers.
+const groupMergeChunk = 1024
+
 // slotAddr returns the simulated address of the key's hash-table slot.
 func (g *GroupBy) slotAddr(key int64) uint64 {
 	bucket := (uint64(key) * 2654435761) & g.mask
@@ -92,25 +96,21 @@ func (g *GroupBy) touch(c *cpu.CPU, row int) {
 	c.Load(g.slotAddr(g.GroupCol.Int64At(row)))
 }
 
-// apply performs the Go-level accumulation of one update into acc. Split
-// from touch so a parallel run can simulate per-core partial tables while
-// reducing values in global row order (deterministic, bit-identical sums
-// across worker counts).
-func (g *GroupBy) apply(acc *groupTable, row int) {
-	gr := acc.at(g.GroupCol.Int64At(row))
-	gr.Sum += g.ValueCol.Float64At(row)
-	gr.Count++
+// fold reduces one morsel's survivors into acc as rows of core's partial
+// table. Split from touch so a parallel run can simulate per-core partial
+// tables while reducing values in global row order (deterministic,
+// bit-identical sums across worker counts).
+func (g *GroupBy) fold(acc *groupTable, sel []int32, core int) {
+	for _, row := range sel {
+		acc.add(g.GroupCol.Int64At(int(row)), g.ValueCol.Float64At(int(row)), core)
+	}
 }
-
-// accTable builds the host accumulator sized from the Compile-time
-// distinct-domain estimate this GroupBy was constructed with.
-func (g *GroupBy) accTable() *groupTable { return newGroupTable(g.expected) }
 
 // GroupVector runs the query's operators over rows [lo, hi) and simulates
 // the hash-aggregate update for each survivor in g's table, under the
 // engine's execution mode. It returns the qualifying selection in ascending
 // row order (valid until the next batch call on e); the caller folds it into
-// its accumulator via g's apply, so simulation placement (which core's cache
+// its accumulator via g's fold, so simulation placement (which core's cache
 // sees the hash table) and value reduction order are decoupled.
 func (e *Engine) GroupVector(q *Query, g *GroupBy, lo, hi int) ([]int32, error) {
 	if err := e.checkVector(q, lo, hi); err != nil {
@@ -183,7 +183,8 @@ func (e *Engine) RunGroupBy(q *Query, g *GroupBy) (GroupResult, error) {
 	start := c.Sample()
 	startCycles := c.Cycles()
 
-	acc := g.accTable()
+	acc := &e.groupAcc
+	acc.reset(g.expected, 1)
 	n := q.Table.NumRows()
 	var out GroupResult
 	for lo := 0; lo < n; lo += e.vectorSize {
@@ -195,14 +196,12 @@ func (e *Engine) RunGroupBy(q *Query, g *GroupBy) (GroupResult, error) {
 		if err != nil {
 			return GroupResult{}, err
 		}
-		for _, r := range sel {
-			g.apply(acc, int(r))
-		}
+		g.fold(acc, sel, 0)
 		out.Qualifying += int64(len(sel))
 		out.Vectors++
 	}
 
-	out.Groups = acc.groups()
+	out.Groups = acc.groups(acc.sorted())
 	out.Cycles = c.Cycles() - startCycles
 	out.Millis = c.MillisOf(out.Cycles)
 	out.Counters = c.Sample().Sub(start)

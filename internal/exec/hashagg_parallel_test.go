@@ -226,3 +226,66 @@ func TestGroupVectorMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupedRunAfterFailedRunIsClean: the accumulator is the pool's, not the
+// run's, so a grouped run that dies mid-block — a corrupt foreign key in
+// morsel 5, after morsels 0–4 were reduced — must leave nothing behind: the
+// next run on the same pool returns exactly what a fresh pool returns.
+func TestGroupedRunAfterFailedRunIsClean(t *testing.T) {
+	d, q := failingJoinQuery(t)
+	q.Agg = nil
+	c := cpu.MustNew(cpu.ScaledXeon())
+	const workers = 4
+	gs := make([]*GroupBy, workers)
+	for i := range gs {
+		g, err := NewGroupBy(c, d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g
+	}
+	newPool := func() *Parallel {
+		p, err := NewParallel(cpu.ScaledXeon(), workers, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			p := newPool()
+			defer p.Close()
+			keys := d.Lineitem.Column("l_orderkey").I64()
+			saved := keys[5*512+17]
+			keys[5*512+17] = int64(d.NumOrders) + 55
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("grouped run over a corrupt key did not fail")
+					}
+				}()
+				p.RunGroupBy(q, gs)
+			}()
+			keys[5*512+17] = saved
+			if len(p.groupAcc.sorted()) == 0 {
+				t.Fatal("the failed run reduced nothing before it failed: the test injects too early")
+			}
+			p.Cold()
+			got, err := p.RunGroupBy(q, gs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := newPool()
+			defer fresh.Close()
+			want, err := fresh.RunGroupBy(q, gs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("gomaxprocs=%d: run after a failed run differs from a fresh pool's:\n got %+v ... %+v\nwant %+v ... %+v",
+					procs, got.Groups[0], got.Result, want.Groups[0], want.Result)
+			}
+		}()
+	}
+}

@@ -51,6 +51,11 @@ type Parallel struct {
 	// service's host-parallel scheduling rounds) allocate their own context
 	// per driver with NewBlockRun.
 	run BlockRun
+	// groupAcc is RunGroupBy's accumulator: the merged group rows and, per
+	// key, which cores' partial tables hold it. Reset at the start of every
+	// grouped run, so nothing of an earlier run — a failed one included —
+	// reaches the next.
+	groupAcc groupTable
 	// pool holds the persistent helper goroutines, started lazily by the
 	// first block or segment fan-out that can use one on a GOMAXPROCS > 1
 	// host and reused until Close. Guarded by poolMu for concurrent
@@ -96,10 +101,9 @@ type BlockRun struct {
 	merging bool
 
 	// Reduction targets.
-	out  BlockResult
-	sum  *float64
-	acc  *groupTable   // RunGroupBy: the merged accumulator
-	keys []*groupTable // RunGroupBy: which keys each core's partial table holds
+	out BlockResult
+	sum *float64
+	acc *groupTable // RunGroupBy: the pool's accumulator
 	// failed is the lowest-numbered failed morsel, once the reduction has
 	// reached it (its ring slot is not reused: a failure stops assignment).
 	failed *morsel
@@ -583,11 +587,7 @@ func (r *BlockRun) merge(m *morsel) bool {
 	}
 	// Per-key accumulation order is the global row order — identical float
 	// association to a serial run for every worker count.
-	g, keys := r.groups[m.core], r.keys[m.pos]
-	for _, row := range m.sel {
-		g.apply(r.acc, int(row))
-		keys.at(g.GroupCol.Int64At(int(row))).Count = 1
-	}
+	r.groups[m.core].fold(r.acc, m.sel, m.pos)
 	r.out.Qualifying += int64(len(m.sel))
 	return true
 }
@@ -693,9 +693,11 @@ func (r *BlockRun) begin(cores []int) []pmu.Sample {
 //
 // The scan is one block on the same lookahead loop as RunBlockSubset
 // (host-parallel on multi-core machines); each morsel's survivors reduce
-// into the accumulator in global vector order, so Groups (keys, sums,
+// into the pool's accumulator in global vector order, so Groups (keys, sums,
 // counts) are bit-identical to a serial Engine.RunGroupBy and deterministic
-// across worker counts and GOMAXPROCS settings.
+// across worker counts and GOMAXPROCS settings. The same visit records, in
+// the key's slot, that the morsel's core holds the key: the accumulator's one
+// key-ordered slot list then serves the output rows and the barrier alike.
 func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	if err := q.Validate(); err != nil {
 		return GroupResult{}, err
@@ -712,18 +714,11 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	cores, clocks := p.fullCores()
 	r := &p.run
 	startSamples := r.begin(cores)
-	r.acc = gs[0].accTable()
-	// keys tracks which keys each core's partial table holds, for the merge
-	// phase (sorted for determinism). Count doubles as the presence marker;
-	// sums stay zero. The tables escape into nothing but grow with the key
-	// domain, so they stay per-call rather than pool scratch.
-	r.keys = make([]*groupTable, nw)
-	for w := range r.keys {
-		r.keys[w] = gs[w].accTable()
-	}
-	acc, keys := r.acc, r.keys
+	acc := &p.groupAcc
+	acc.reset(gs[0].expected, nw)
+	r.acc = acc
 	err := r.runBlock(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, gs)
-	r.acc, r.keys = nil, nil
+	r.acc = nil
 	if err != nil {
 		return GroupResult{}, err
 	}
@@ -736,17 +731,34 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	for _, cl := range clocks {
 		scanMakespan = max(scanMakespan, cl)
 	}
-	// Core 0 folds every other core's partial slots into its table (one read
-	// of the remote slot, one read-modify-write of its own).
+	// Core 0 folds every other core's partial slots into its table, core by
+	// core and key by ascending key: one read of the remote slot, one
+	// read-modify-write of its own, groupMergeCostInstr of arithmetic. The
+	// loads are gathered and simulated a chunk at a time — LoadAddrs is
+	// defined as its per-element Load sequence, and instruction and stall
+	// totals are sums, so where in a chunk the arithmetic retires changes
+	// nothing a clock or a counter can show.
+	refs := acc.sorted()
 	c0 := p.workers[0].CPU()
 	mergeStart := c0.Cycles()
+	addrs := c0.AddrBuf(2 * groupMergeChunk)
+	flush := func() {
+		c0.LoadAddrs(addrs)
+		c0.Exec(groupMergeCostInstr * len(addrs) / 2)
+		addrs = addrs[:0]
+	}
 	for w := 1; w < nw; w++ {
-		for _, k := range keys[w].sortedKeys() {
-			c0.Load(gs[w].slotAddr(k))
-			c0.Load(gs[0].slotAddr(k))
-			c0.Exec(groupMergeCostInstr)
+		for _, ref := range refs {
+			if !acc.has(ref, w) {
+				continue
+			}
+			addrs = append(addrs, gs[w].slotAddr(ref.key), gs[0].slotAddr(ref.key))
+			if len(addrs) == 2*groupMergeChunk {
+				flush()
+			}
 		}
 	}
+	flush()
 	mergeCycles := c0.Cycles() - mergeStart
 	if tr := p.workers[0].tr; tr != nil && mergeCycles > 0 {
 		tr.Span("group-merge", mergeStart, c0.Cycles(), trace.A("workers", nw))
@@ -755,7 +767,7 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	for w, eng := range p.workers {
 		out.Counters = out.Counters.Add(eng.CPU().Sample().Sub(startSamples[w]))
 	}
-	out.Groups = acc.groups()
+	out.Groups = acc.groups(refs)
 	out.Cycles = scanMakespan + mergeCycles
 	out.Millis = p.workers[0].CPU().MillisOf(out.Cycles)
 	return out, nil

@@ -202,18 +202,25 @@ type SortRun struct {
 	// run boundary.
 	rows    []int32
 	pending int
-	// scratch gathers one batch's data-dependent heap touches for a single
-	// LoadAddrs call.
-	scratch []uint64
 }
 
-// NewSortRun builds an empty run state for the given compiled Sort.
+// NewSortRun builds an empty run state for the given compiled Sort. A Top-K
+// heap is allocated at its final size, min(Limit, rows), here.
 func NewSortRun(s *Sort) *SortRun {
 	if s == nil {
 		return nil
 	}
-	return &SortRun{s: s}
+	r := &SortRun{s: s}
+	if s.Limit > 0 {
+		r.heap = make([]int32, 0, min(s.Limit, s.nRows))
+	}
+	return r
 }
+
+// maxPushTouches bounds the heap slots one pushTopK touches: the slot it
+// writes or the root it compares, then at most two per level of a heap of
+// cap(r.heap) rows — the sift-up of the fill phase visits one per level.
+func (r *SortRun) maxPushTouches() int { return 1 + 2*bits.Len(uint(cap(r.heap))) }
 
 // Sort returns the compiled operator this state belongs to.
 func (r *SortRun) Sort() *Sort { return r.s }
@@ -230,14 +237,16 @@ func (r *SortRun) Add(c *cpu.CPU, sel []int32) {
 		if s.Limit == 0 {
 			return
 		}
-		r.scratch = r.scratch[:0]
+		// One batch's data-dependent heap touches, gathered in the core's
+		// address scratch for a single LoadAddrs call.
+		scratch := c.AddrBuf(len(sel) * r.maxPushTouches())
 		instr := 0
 		for _, row := range sel {
 			var d int
-			r.scratch, d = r.pushTopK(row, r.scratch)
+			scratch, d = r.pushTopK(row, scratch)
 			instr += d
 		}
-		c.LoadAddrs(r.scratch)
+		c.LoadAddrs(scratch)
 		c.Exec(instr)
 		return
 	}
@@ -263,10 +272,8 @@ func (r *SortRun) AddOne(c *cpu.CPU, row int) {
 		if s.Limit == 0 {
 			return
 		}
-		r.scratch = r.scratch[:0]
-		var instr int
-		r.scratch, instr = r.pushTopK(int32(row), r.scratch)
-		c.LoadAddrs(r.scratch)
+		scratch, instr := r.pushTopK(int32(row), c.AddrBuf(r.maxPushTouches()))
+		c.LoadAddrs(scratch)
 		c.Exec(instr)
 		return
 	}
@@ -378,6 +385,11 @@ func FinalizeSort(c *cpu.CPU, coord int, runs []*SortRun) []SortedRow {
 	s := runs[coord].s
 	var all []int32
 	if s.Limit >= 0 {
+		total := 0
+		for _, r := range runs {
+			total += len(r.heap)
+		}
+		all = make([]int32, 0, total)
 		all = append(all, runs[coord].heap...)
 		for w, r := range runs {
 			if w == coord {

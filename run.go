@@ -55,14 +55,9 @@ type ImplStats struct {
 	BranchingVectors, BranchFreeVectors, ImplSwitches int
 }
 
-// GroupRow is one output row of a grouped aggregation.
-type GroupRow struct {
-	// Key is the group key.
-	Key int64
-	// Sum is the aggregated value and Count the contributing tuple count.
-	Sum   float64
-	Count int64
-}
+// GroupRow is one output row of a grouped aggregation: the group Key, the
+// Sum of the aggregated value and the Count of contributing tuples.
+type GroupRow = exec.Group
 
 // OrderedRow is one row of a sorted (OrderBy/Limit) plan's output.
 type OrderedRow struct {
@@ -314,11 +309,7 @@ func (e *Engine) execGrouped(q *Query) (ExecResult, error) {
 	if err != nil {
 		return ExecResult{}, err
 	}
-	rows := make([]GroupRow, len(res.Groups))
-	for i, g := range res.Groups {
-		rows[i] = GroupRow{Key: g.Key, Sum: g.Sum, Count: g.Count}
-	}
-	return ExecResult{Result: toResult(res.Result), Groups: rows}, nil
+	return ExecResult{Result: toResult(res.Result), Groups: res.Groups}, nil
 }
 
 // coreOptions maps the public Progressive knobs to the driver options,

@@ -360,14 +360,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		warmStart:    o.WarmStarted,
 		warmOrder:    o.WarmOrder,
 	})
-	out := ExecResult{Result: toResult(o.Result)}
-	if o.Groups != nil {
-		rows := make([]GroupRow, len(o.Groups))
-		for i, g := range o.Groups {
-			rows[i] = GroupRow{Key: g.Key, Sum: g.Sum, Count: g.Count}
-		}
-		out.Groups = rows
-	}
+	out := ExecResult{Result: toResult(o.Result), Groups: o.Groups}
 	if o.Sorted != nil {
 		out.Rows = toOrderedRows(o.Sorted)
 	}

@@ -375,7 +375,12 @@ func BenchmarkRunGroupBy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = res.Cycles
+		if i == 0 {
+			// The fresh engine's run: a reused engine's clock drifts by a
+			// cycle or two between runs (ROADMAP item 1a), and the gate on
+			// this metric is exact at any -benchtime.
+			cycles = res.Cycles
+		}
 	}
 	b.ReportMetric(float64(cycles), "sim_cycles")
 }

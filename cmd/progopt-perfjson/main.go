@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'BenchmarkRun(TupleAtATime|Batch|Parallel|ParallelTraced|TopK|JoinGraph[24])$|BenchmarkScan(Stored|Compressed)$|BenchmarkServeConcurrent[48]$' \
+//	go test -run xxx -bench 'BenchmarkRun(TupleAtATime|Batch|Parallel|ParallelTraced|TopK|GroupBy|JoinGraph[24]|JoinGraph4Progressive)$|BenchmarkScan(Stored|Compressed)$|BenchmarkServeConcurrent[48]$' \
 //	    -benchmem -benchtime 3x -count 3 -cpu 1,4 . \
 //	    | go run ./cmd/progopt-perfjson -out BENCH_perf.json \
 //	        [-baseline BENCH_baseline.json -max-regress 10 -summary sum.md] \

@@ -16,9 +16,9 @@ func TestCheckAcceptsNonFiniteArgs(t *testing.T) {
 	r := trace.New()
 	opt := r.NewTrack("optimizer")
 	opt.Instant("reorder", 100,
-		trace.A("cost", math.Inf(1)), trace.A("gain", math.NaN()),
-		trace.A("est_sels", []float64{0.5, math.Inf(-1)}))
-	opt.Span("block", 100, 250, trace.A("cost_per_vec", 12.5))
+		trace.Float64("cost", math.Inf(1)), trace.Float64("gain", math.NaN()),
+		trace.Float64s("est_sels", []float64{0.5, math.Inf(-1)}))
+	opt.Span("block", 100, 250, trace.Float64("cost_per_vec", 12.5))
 	path := filepath.Join(t.TempDir(), "trace.json")
 	f, err := os.Create(path)
 	if err != nil {

@@ -122,12 +122,12 @@
 // make the same pick, so a lone query with the pool to itself uses the host
 // too, and a host thread that finishes a short segment helps a long one.
 // None of it is configurable and none of it is observable in any result.
-// Once a plan is cached and the scratch is warm, serving a query allocates at
-// most a few hundred host objects (the pinned budget is 300 per query,
-// measured 50 fixed and under 200 adaptive) however many scheduling rounds
-// it takes: the selectivity estimator's buffers belong to the query's
-// stepper for the life of the run, so a re-optimization decision allocates
-// nothing beyond the two objects of the SampleObs it adds to Stats.Samples.
+// Once a plan is cached and the scratch is warm, serving a query allocates
+// under a hundred host objects (the pinned budget is 150 per query, measured
+// 50 fixed and 94 adaptive) however many scheduling rounds it takes: the
+// selectivity estimator's buffers belong to the query's stepper for the life
+// of the run, and the SampleObs a re-optimization decision adds to
+// Stats.Samples is a plain value, so a decision allocates nothing.
 // cmd/progopt-serve drives seeded workload traces and emits the
 // BENCH_serve.json artifact.
 //

@@ -61,12 +61,12 @@ var paperGroup = pmu.PaperGroup()
 
 // pmuArgs renders the paper-group counters of one sampled delta as trace
 // args — the evidence attached to sampling and decision events.
-func pmuArgs(s pmu.Sample) []trace.Arg {
-	return []trace.Arg{
-		trace.A("br_not_taken", s.Get(pmu.BrNotTaken)),
-		trace.A("br_mp_taken", s.Get(pmu.BrMPTaken)),
-		trace.A("br_mp_not_taken", s.Get(pmu.BrMPNotTaken)),
-		trace.A("l3_access", s.Get(pmu.L3Access)),
+func pmuArgs(s pmu.Sample) [4]trace.Arg {
+	return [4]trace.Arg{
+		trace.Uint64("br_not_taken", s.Get(pmu.BrNotTaken)),
+		trace.Uint64("br_mp_taken", s.Get(pmu.BrMPTaken)),
+		trace.Uint64("br_mp_not_taken", s.Get(pmu.BrMPNotTaken)),
+		trace.Uint64("l3_access", s.Get(pmu.L3Access)),
 	}
 }
 
@@ -77,9 +77,9 @@ func traceSample(tr *trace.Track, at uint64, s Sample) {
 	if tr == nil {
 		return
 	}
-	args := append([]trace.Arg{trace.A("tuples", s.Tuples)}, pmuArgs(s.Counters)...)
-	args = append(args, trace.A("est_sels", s.Sels))
-	tr.Instant("sample", at, args...)
+	ev := pmuArgs(s.Counters)
+	tr.Instant("sample", at, trace.Int("tuples", s.Tuples), ev[0], ev[1], ev[2], ev[3],
+		trace.Float64s("est_sels", s.Sels))
 }
 
 // traceDecision emits a plan-change event (reorder, revert, explore,
@@ -88,5 +88,8 @@ func traceDecision(tr *trace.Track, name string, at uint64, evidence pmu.Sample,
 	if tr == nil {
 		return
 	}
-	tr.Instant(name, at, append(extra, pmuArgs(evidence)...)...)
+	// Room for every caller's extras plus the evidence, on the stack.
+	var buf [8]trace.Arg
+	ev := pmuArgs(evidence)
+	tr.Instant(name, at, append(append(buf[:0], extra...), ev[:]...)...)
 }

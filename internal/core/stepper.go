@@ -249,8 +249,8 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 			changed = true
 			if s.opt.Trace != nil {
 				traceDecision(s.opt.Trace, "revert", s.at(extra), br.Counters,
-					trace.A("to", s.curPerm), trace.A("cost_per_vec", costPerVec),
-					trace.A("prev_cost_per_vec", s.prevCostPerVec))
+					trace.Ints("to", s.curPerm), trace.Float64("cost_per_vec", costPerVec),
+					trace.Float64("prev_cost_per_vec", s.prevCostPerVec))
 			}
 		} else {
 			// The change survived: the data moved, so earlier verdicts are
@@ -305,7 +305,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 		changed = true
 		if s.opt.Trace != nil {
 			traceDecision(s.opt.Trace, "explore", s.at(extra), br.Counters,
-				trace.A("from", s.prevPerm), trace.A("to", s.curPerm))
+				trace.Ints("from", s.prevPerm), trace.Ints("to", s.curPerm))
 		}
 	case s.impl == exec.ImplBranching:
 		applied, err := s.estimate(br.Counters, tuples, &extra, coord, engines)
@@ -324,8 +324,8 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 			extra += s.recompile(engines)
 			if s.opt.Trace != nil {
 				traceDecision(s.opt.Trace, "impl-switch", s.at(extra), br.Counters,
-					trace.A("impl", implName(s.impl)),
-					trace.A("resample", true))
+					trace.String("impl", implName(s.impl)),
+					trace.Bool("resample", true))
 			}
 		}
 	}
@@ -401,8 +401,8 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 		changed = true
 		if s.opt.Trace != nil {
 			traceDecision(s.opt.Trace, "reorder", s.at(*extra), smp.Counters,
-				trace.A("from", s.prevPerm), trace.A("to", s.curPerm),
-				trace.A("est_sels", est.Sels))
+				trace.Ints("from", s.prevPerm), trace.Ints("to", s.curPerm),
+				trace.Float64s("est_sels", est.Sels))
 		}
 	} else {
 		s.stableBlocks++
@@ -419,8 +419,8 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 			if s.opt.Trace != nil {
 				// The event retains its arguments; s.ordered is reused.
 				traceDecision(s.opt.Trace, "impl-switch", s.at(*extra), smp.Counters,
-					trace.A("impl", implName(s.impl)),
-					trace.A("est_sels", slices.Clone(s.ordered)))
+					trace.String("impl", implName(s.impl)),
+					trace.Float64s("est_sels", slices.Clone(s.ordered)))
 			}
 		}
 	}
@@ -473,11 +473,11 @@ func (s *BlockStepper) TraceFinal() {
 	}
 	l := s.st.Ledger
 	s.opt.Trace.Instant("plan-final", s.at(0),
-		trace.A("order", s.curPerm), trace.A("reorders", s.st.Reorders),
-		trace.A("impl", implName(s.impl)), trace.A("converged_at", s.st.ConvergedAtCycles),
-		trace.A("sample_cycles", l.SampleCycles), trace.A("recompile_cycles", l.RecompileCycles),
-		trace.A("reverted_cycles", l.RevertedCycles), trace.A("regret_cycles", l.RegretCycles),
-		trace.A("held_off", l.HeldOff))
+		trace.Ints("order", s.curPerm), trace.Int("reorders", s.st.Reorders),
+		trace.String("impl", implName(s.impl)), trace.Uint64("converged_at", s.st.ConvergedAtCycles),
+		trace.Uint64("sample_cycles", l.SampleCycles), trace.Uint64("recompile_cycles", l.RecompileCycles),
+		trace.Uint64("reverted_cycles", l.RevertedCycles), trace.Uint64("regret_cycles", l.RegretCycles),
+		trace.Int("held_off", l.HeldOff))
 }
 
 // Stats snapshots the coordination telemetry; FinalOrder is the permutation

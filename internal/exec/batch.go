@@ -58,7 +58,7 @@ func (e *Engine) batchSelect(q *Query, lo, hi int) ([]int32, error) {
 		t0 := c.Cycles()
 		out := fusedPipeline(c, q.Ops, cur, next)
 		e.tr.Span("fused-pipeline", t0, c.Cycles(),
-			trace.A("ops", len(q.Ops)), trace.A("in", inN), trace.A("out", len(out)))
+			trace.Int("ops", len(q.Ops)), trace.Int("in", inN), trace.Int("out", len(out)))
 		return out, nil
 	}
 	for si, op := range q.Ops {
@@ -73,7 +73,7 @@ func (e *Engine) batchSelect(q *Query, lo, hi int) ([]int32, error) {
 			t0 := c.Cycles()
 			next = op.EvalBatch(c, si, cur, next[:0])
 			e.tr.Span(op.Name(), t0, c.Cycles(),
-				trace.A("in", len(cur)), trace.A("out", len(next)))
+				trace.Int("in", len(cur)), trace.Int("out", len(next)))
 		}
 		cur, next = next, cur
 	}

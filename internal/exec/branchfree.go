@@ -43,7 +43,7 @@ func (e *Engine) RunVectorBranchFree(q *Query, lo, hi int) (VectorResult, error)
 	}
 	if e.skipVector(lo, hi) {
 		if e.tr != nil {
-			e.tr.Instant("skip", e.cpu.Cycles(), trace.A("lo", lo), trace.A("rows", hi-lo))
+			e.tr.Instant("skip", e.cpu.Cycles(), trace.Int("lo", lo), trace.Int("rows", hi-lo))
 		}
 		return VectorResult{}, nil
 	}
@@ -54,8 +54,8 @@ func (e *Engine) RunVectorBranchFree(q *Query, lo, hi int) (VectorResult, error)
 	if !e.scalar {
 		vr, err := e.runVectorBranchFreeBatch(q, lo, hi)
 		if err == nil && e.tr != nil {
-			e.tr.Span("vector", t0, e.cpu.Cycles(), trace.A("lo", lo),
-				trace.A("rows", hi-lo), trace.A("qual", vr.Qualifying), trace.A("impl", "branch-free"))
+			e.tr.Span("vector", t0, e.cpu.Cycles(), trace.Int("lo", lo),
+				trace.Int("rows", hi-lo), trace.Int64("qual", vr.Qualifying), trace.String("impl", "branch-free"))
 		}
 		return vr, err
 	}
@@ -101,8 +101,8 @@ func (e *Engine) RunVectorBranchFree(q *Query, lo, hi int) (VectorResult, error)
 		c.CondBranchN(loopSite, true, hi-lo)
 	}
 	if e.tr != nil {
-		e.tr.Span("vector", t0, c.Cycles(), trace.A("lo", lo),
-			trace.A("rows", hi-lo), trace.A("qual", res.Qualifying), trace.A("impl", "branch-free"))
+		e.tr.Span("vector", t0, c.Cycles(), trace.Int("lo", lo),
+			trace.Int("rows", hi-lo), trace.Int64("qual", res.Qualifying), trace.String("impl", "branch-free"))
 	}
 	return res, nil
 }

@@ -242,7 +242,7 @@ func (e *Engine) RunVector(q *Query, lo, hi int) (VectorResult, error) {
 	}
 	if e.skipVector(lo, hi) {
 		if e.tr != nil {
-			e.tr.Instant("skip", e.cpu.Cycles(), trace.A("lo", lo), trace.A("rows", hi-lo))
+			e.tr.Instant("skip", e.cpu.Cycles(), trace.Int("lo", lo), trace.Int("rows", hi-lo))
 		}
 		return VectorResult{}, nil
 	}
@@ -264,7 +264,7 @@ func (e *Engine) RunVector(q *Query, lo, hi int) (VectorResult, error) {
 		return vr, err
 	}
 	e.tr.Span("vector", t0, e.cpu.Cycles(),
-		trace.A("lo", lo), trace.A("rows", hi-lo), trace.A("qual", vr.Qualifying))
+		trace.Int("lo", lo), trace.Int("rows", hi-lo), trace.Int64("qual", vr.Qualifying))
 	return vr, nil
 }
 
@@ -388,7 +388,7 @@ func (e *Engine) Run(q *Query) (Result, error) {
 	out.Counters = e.cpu.Sample().Sub(start)
 	if e.tr != nil {
 		e.tr.Span("run", startCycles, e.cpu.Cycles(),
-			trace.A("vectors", out.Vectors), trace.A("qual", out.Qualifying))
+			trace.Int("vectors", out.Vectors), trace.Int64("qual", out.Qualifying))
 	}
 	return out, nil
 }

@@ -539,9 +539,9 @@ func (r *BlockRun) finish(m *morsel, eng *Engine, c0 uint64) {
 	m.cycles = end - c0
 	if tr := eng.tr; tr != nil && m.err == nil && m.pv == nil {
 		if r.groups != nil {
-			tr.Span("morsel", c0, end, trace.A("v", m.v), trace.A("rows", m.hi-m.lo), trace.A("grouped", true))
+			tr.Span("morsel", c0, end, trace.Int("v", m.v), trace.Int("rows", m.hi-m.lo), trace.Bool("grouped", true))
 		} else {
-			tr.Span("morsel", c0, end, trace.A("v", m.v), trace.A("wave", m.wave), trace.A("rows", m.hi-m.lo))
+			tr.Span("morsel", c0, end, trace.Int("v", m.v), trace.Int("wave", m.wave), trace.Int("rows", m.hi-m.lo))
 		}
 	}
 }
@@ -761,7 +761,7 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	flush()
 	mergeCycles := c0.Cycles() - mergeStart
 	if tr := p.workers[0].tr; tr != nil && mergeCycles > 0 {
-		tr.Span("group-merge", mergeStart, c0.Cycles(), trace.A("workers", nw))
+		tr.Span("group-merge", mergeStart, c0.Cycles(), trace.Int("workers", nw))
 	}
 
 	for w, eng := range p.workers {

@@ -61,9 +61,9 @@ func (e *Engine) wireStorageObserver() {
 		switch kind {
 		case cache.StorageFetch:
 			tr.Instant("tier-fetch", c.Cycles(),
-				trace.A("block", block), trace.A("bytes", bytes), trace.A("stall", stall))
+				trace.Int("block", block), trace.Uint64("bytes", bytes), trace.Uint64("stall", stall))
 		case cache.StorageEvict:
-			tr.Instant("tier-evict", c.Cycles(), trace.A("block", block))
+			tr.Instant("tier-evict", c.Cycles(), trace.Int("block", block))
 		}
 	})
 }

@@ -114,7 +114,8 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 			"fixed series has no decision rows: its only event is the final makespan",
 		},
 	}
-	for _, ev := range events {
+	for i, ev := range events {
+		args := r.opt.Args(i)
 		at := ev.Start
 		if at >= rebase {
 			at -= rebase
@@ -122,10 +123,10 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 		rep.Rows = append(rep.Rows, []string{
 			"progressive", ev.Name,
 			fmt.Sprintf("%d", at), fmtMs(r.millis(at)),
-			fmtArgInt(ev, "tuples"),
-			fmtU64(argU64(ev, "br_mp_taken") + argU64(ev, "br_mp_not_taken")),
-			fmtU64(argU64(ev, "l3_access")),
-			eventDetail(ev),
+			fmtArgInt(args, "tuples"),
+			fmtU64(argU64(args, "br_mp_taken") + argU64(args, "br_mp_not_taken")),
+			fmtU64(argU64(args, "l3_access")),
+			eventDetail(args),
 		})
 	}
 	rep.Rows = append(rep.Rows,
@@ -138,18 +139,18 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 }
 
 // evArg looks up one event argument by key.
-func evArg(ev trace.Event, key string) (any, bool) {
-	for _, a := range ev.Args {
+func evArg(args []trace.Arg, key string) (any, bool) {
+	for _, a := range args {
 		if a.Key == key {
-			return a.Val, true
+			return a.Value(), true
 		}
 	}
 	return nil, false
 }
 
 // argU64 coerces a numeric event argument to uint64 (0 when absent).
-func argU64(ev trace.Event, key string) uint64 {
-	v, ok := evArg(ev, key)
+func argU64(args []trace.Arg, key string) uint64 {
+	v, ok := evArg(args, key)
 	if !ok {
 		return 0
 	}
@@ -173,8 +174,8 @@ func fmtU64(v uint64) string {
 }
 
 // fmtArgInt renders an integer argument cell ("" when absent).
-func fmtArgInt(ev trace.Event, key string) string {
-	v, ok := evArg(ev, key)
+func fmtArgInt(args []trace.Arg, key string) string {
+	v, ok := evArg(args, key)
 	if !ok {
 		return ""
 	}
@@ -186,29 +187,29 @@ func fmtArgInt(ev trace.Event, key string) string {
 
 // eventDetail summarizes the plan-shaped payload of a decision event: orders
 // for reorder/revert/plan-final, selectivity estimates for samples.
-func eventDetail(ev trace.Event) string {
+func eventDetail(args []trace.Arg) string {
 	var parts []string
-	if v, ok := evArg(ev, "from"); ok {
+	if v, ok := evArg(args, "from"); ok {
 		if p, ok := v.([]int); ok {
 			parts = append(parts, "from "+fmtPerm(p))
 		}
 	}
-	if v, ok := evArg(ev, "to"); ok {
+	if v, ok := evArg(args, "to"); ok {
 		if p, ok := v.([]int); ok {
 			parts = append(parts, "to "+fmtPerm(p))
 		}
 	}
-	if v, ok := evArg(ev, "order"); ok {
+	if v, ok := evArg(args, "order"); ok {
 		if p, ok := v.([]int); ok {
 			parts = append(parts, "order "+fmtPerm(p))
 		}
 	}
-	if v, ok := evArg(ev, "impl"); ok {
+	if v, ok := evArg(args, "impl"); ok {
 		if s, ok := v.(string); ok {
 			parts = append(parts, "impl "+s)
 		}
 	}
-	if v, ok := evArg(ev, "est_sels"); ok {
+	if v, ok := evArg(args, "est_sels"); ok {
 		if s, ok := v.([]float64); ok && len(s) > 0 {
 			cells := make([]string, len(s))
 			for i, x := range s {

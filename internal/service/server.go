@@ -464,8 +464,8 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	}
 	if s.tr != nil {
 		s.tr.Instant("submit", q.arrival,
-			trace.A("seq", q.seq), trace.A("mode", modeName(req.Mode)),
-			trace.A("queued", len(s.queue)))
+			trace.Int("seq", q.seq), trace.String("mode", modeName(req.Mode)),
+			trace.Int("queued", len(s.queue)))
 	}
 	return &Ticket{s: s, q: q}, nil
 }
@@ -788,12 +788,12 @@ func (s *Server) admitLocked() {
 		}
 		if s.tr != nil {
 			s.tr.Instant("admit", now,
-				trace.A("seq", head.seq), trace.A("active", len(s.active)),
-				trace.A("queued", len(s.queue)))
+				trace.Int("seq", head.seq), trace.Int("active", len(s.active)),
+				trace.Int("queued", len(s.queue)))
 			if head.warm != nil {
 				s.tr.Instant("warm-start", now,
-					trace.A("seq", head.seq), trace.A("order", head.warm),
-					trace.A("impl", head.warmImpl == exec.ImplBranchFree))
+					trace.Int("seq", head.seq), trace.Ints("order", head.warm),
+					trace.Bool("impl", head.warmImpl == exec.ImplBranchFree))
 			}
 		}
 		if head.grouped() {
@@ -1209,7 +1209,7 @@ func (s *Server) finishLocked(q *query, done uint64) {
 	s.stats.Completed++
 	if s.tr != nil {
 		s.tr.Span("query", q.start, done,
-			trace.A("seq", q.seq), trace.A("latency", done-q.arrival),
-			trace.A("queue_wait", q.start-q.arrival), trace.A("qual", q.qual))
+			trace.Int("seq", q.seq), trace.Uint64("latency", done-q.arrival),
+			trace.Uint64("queue_wait", q.start-q.arrival), trace.Int64("qual", q.qual))
 	}
 }

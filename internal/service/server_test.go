@@ -368,7 +368,7 @@ func TestFeedbackCarriesRejectedOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := Compute("lineitem", 1, []string{"q6-rejected"})
-	run := func() (Outcome, []trace.Event) {
+	run := func() (Outcome, *trace.Track) {
 		t.Helper()
 		rec := trace.New()
 		opt := core.Options{ReopInterval: 5, ExploreEvery: 2, Trace: rec.NewTrack("optimizer")}
@@ -380,7 +380,7 @@ func TestFeedbackCarriesRejectedOrders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return o, opt.Trace.Events()
+		return o, opt.Trace
 	}
 	cold, _ := run()
 	v, ok := s.feedback.Get(fp)
@@ -391,16 +391,16 @@ func TestFeedbackCarriesRejectedOrders(t *testing.T) {
 	if cold.Stats.Reverts == 0 || len(fb.Rejected) == 0 {
 		t.Fatalf("cold run: %d reverts, rejected %v; workload too easy to test the carry-over", cold.Stats.Reverts, fb.Rejected)
 	}
-	warm, events := run()
+	warm, track := run()
 	if !warm.WarmStarted || !reflect.DeepEqual(warm.WarmOrder, fb.Order) {
 		t.Fatalf("warm start %v at %v, want %v", warm.WarmStarted, warm.WarmOrder, fb.Order)
 	}
-	for _, ev := range events {
+	for i, ev := range track.Events() {
 		if ev.Name != "reorder" && ev.Name != "explore" {
 			continue
 		}
-		for _, a := range ev.Args {
-			to, _ := a.Val.([]int)
+		for _, a := range track.Args(i) {
+			to, _ := a.Value().([]int)
 			if a.Key == "to" && slices.ContainsFunc(fb.Rejected, func(r []int) bool { return slices.Equal(r, to) }) {
 				t.Errorf("warm run applied %v (%s), which its predecessor saw reverted", to, ev.Name)
 			}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -61,7 +60,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 				b = append(b, ",\"name\":"...)
 			}
 			b = appendJSONString(b, ev.Name)
-			b = appendArgs(b, ev.Args)
+			b = appendArgs(b, t.args[ev.argLo:ev.argHi])
 			b = append(b, '}')
 		}
 		if t.dropped > 0 {
@@ -92,51 +91,47 @@ func appendArgs(b []byte, args []Arg) []byte {
 		return b
 	}
 	b = append(b, ",\"args\":{"...)
-	for i, a := range args {
+	for i := range args {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, a.Key)
+		b = appendJSONString(b, args[i].Key)
 		b = append(b, ':')
-		b = appendVal(b, a.Val)
+		b = appendVal(b, &args[i])
 	}
 	return append(b, '}')
 }
 
-func appendVal(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case float64:
-		return appendFloat(b, x)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case string:
-		return appendJSONString(b, x)
-	case []int:
+func appendVal(b []byte, a *Arg) []byte {
+	switch a.kind {
+	case kindUint64:
+		return strconv.AppendUint(b, a.num, 10)
+	case kindInt, kindInt64:
+		return strconv.AppendInt(b, int64(a.num), 10)
+	case kindFloat64:
+		return appendFloat(b, math.Float64frombits(a.num))
+	case kindBool:
+		return strconv.AppendBool(b, a.num != 0)
+	case kindString:
+		return appendJSONString(b, a.str)
+	case kindInts:
 		b = append(b, '[')
-		for i, n := range x {
+		for i, n := range a.ints {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = strconv.AppendInt(b, int64(n), 10)
 		}
 		return append(b, ']')
-	case []float64:
+	default:
 		b = append(b, '[')
-		for i, f := range x {
+		for i, f := range a.floats {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = appendFloat(b, f)
 		}
 		return append(b, ']')
-	default:
-		return appendJSONString(b, fmt.Sprint(x))
 	}
 }
 

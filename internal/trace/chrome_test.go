@@ -11,21 +11,22 @@ import (
 )
 
 // goldenRecorder records one event of every shape the exporter has: each Arg
-// kind (the fallback for an unlisted type included), an instant, a span, a
-// zero-length span, names that need escaping, and a track that dropped
-// events.
+// kind, an instant, a span, a zero-length span, names that need escaping, and
+// a track that dropped events. ("other" was a uint32 when Arg held an
+// interface; the exporter's fallback for unlisted types rendered it as the
+// string it is now.)
 func goldenRecorder() *Recorder {
 	r := New()
 	core := r.NewTrack("core 0")
 	opt := r.NewTrack(`optimizer "q<1>" & co`)
-	core.Span("vector", 1000, 2500, A("rows", 512), A("note", `quoted "name"`))
+	core.Span("vector", 1000, 2500, Int("rows", 512), String("note", `quoted "name"`))
 	core.Span("empty", 2500, 2500)
-	core.Instant("tier-fetch", 1234567, A("block", 7), A("bytes", uint64(1)<<40), A("stall", uint64(0)))
+	core.Instant("tier-fetch", 1234567, Int("block", 7), Uint64("bytes", 1<<40), Uint64("stall", 0))
 	opt.Instant("reorder", 1800,
-		A("order", []int{2, 0, 1}), A("none", []int{}), A("est_sels", []float64{0.1, 0.25, 1e-9, 1e21}),
-		A("ok", true), A("gain", 1.25), A("delta", int64(-3)), A("neg", math.Copysign(0, -1)),
-		A("impl", "branch-free"), A("path", "a\\b\tc\u2028d"), A("other", uint32(9)))
-	opt.Instant("plan-final", 18446744073709551615, A("converged_at", uint64(math.MaxUint64)))
+		Ints("order", []int{2, 0, 1}), Ints("none", []int{}), Float64s("est_sels", []float64{0.1, 0.25, 1e-9, 1e21}),
+		Bool("ok", true), Float64("gain", 1.25), Int64("delta", -3), Float64("neg", math.Copysign(0, -1)),
+		String("impl", "branch-free"), String("path", "a\\b\tc\u2028d"), String("other", "9"))
+	opt.Instant("plan-final", 18446744073709551615, Uint64("converged_at", math.MaxUint64))
 	r.SetMaxEventsPerTrack(2)
 	tiny := r.NewTrack("tiny")
 	for i := 0; i < 5; i++ {
@@ -94,8 +95,8 @@ func TestNonFiniteFloatsStayLoadable(t *testing.T) {
 	r := New()
 	tr := r.NewTrack("optimizer")
 	tr.Instant("estimate", 10,
-		A("cost", math.Inf(1)), A("low", math.Inf(-1)), A("nan", math.NaN()), A("fine", 0.1),
-		A("sels", []float64{0.5, math.NaN(), math.Inf(1)}))
+		Float64("cost", math.Inf(1)), Float64("low", math.Inf(-1)), Float64("nan", math.NaN()), Float64("fine", 0.1),
+		Float64s("sels", []float64{0.5, math.NaN(), math.Inf(1)}))
 	var out bytes.Buffer
 	if err := r.WriteChrome(&out); err != nil {
 		t.Fatal(err)
@@ -126,9 +127,9 @@ func TestWriteChromeSteadyStateAllocs(t *testing.T) {
 		core, opt := r.NewTrack("core 0"), r.NewTrack("optimizer")
 		fill := func() {
 			for i := 0; i < n; i++ {
-				core.Span("vector", uint64(i)*1000, uint64(i)*1000+750, A("rows", 1024), A("impl", "branching"))
+				core.Span("vector", uint64(i)*1000, uint64(i)*1000+750, Int("rows", 1024), String("impl", "branching"))
 				if i%10 == 0 {
-					opt.Instant("sample", uint64(i)*1000, A("est_sels", []float64{0.5, 0.25}), A("order", []int{1, 0}))
+					opt.Instant("sample", uint64(i)*1000, Float64s("est_sels", []float64{0.5, 0.25}), Ints("order", []int{1, 0}))
 				}
 			}
 		}

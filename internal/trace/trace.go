@@ -25,39 +25,125 @@
 // guard with a single pointer test before building any argument.
 package trace
 
-// Arg is one key/value annotation on an event. Values are restricted to the
-// JSON-exact types the exporter can serialize deterministically.
+import "math"
+
+// Arg is one key/value annotation on an event: a small tagged value built by
+// the typed constructors below, restricted to the JSON-exact kinds the
+// exporter can serialize deterministically. Numbers, booleans and strings are
+// stored inline and no constructor takes an interface, so building an Arg —
+// and passing a list of them to Span or Instant, which copy it — allocates
+// nothing.
 type Arg struct {
-	Key string
-	Val any // uint64, int, int64, float64, bool, string, []int, []float64
+	Key    string
+	kind   argKind
+	num    uint64 // uint64, int, int64 (two's complement), float64 bits, bool
+	str    string
+	ints   []int
+	floats []float64
 }
 
-// A returns an Arg; it exists so call sites read as A("rows", n).
-func A(key string, val any) Arg { return Arg{Key: key, Val: val} }
+// argKind tags the value an Arg carries.
+type argKind uint8
+
+const (
+	kindUint64 argKind = iota
+	kindInt
+	kindInt64
+	kindFloat64
+	kindBool
+	kindString
+	kindInts
+	kindFloat64s
+)
+
+// Uint64 returns an Arg holding an unsigned counter or cycle value.
+func Uint64(key string, v uint64) Arg { return Arg{Key: key, kind: kindUint64, num: v} }
+
+// Int returns an Arg holding an int.
+func Int(key string, v int) Arg { return Arg{Key: key, kind: kindInt, num: uint64(v)} }
+
+// Int64 returns an Arg holding an int64.
+func Int64(key string, v int64) Arg { return Arg{Key: key, kind: kindInt64, num: uint64(v)} }
+
+// Float64 returns an Arg holding a float64 (non-finite values export as
+// strings, see appendFloat).
+func Float64(key string, v float64) Arg {
+	return Arg{Key: key, kind: kindFloat64, num: math.Float64bits(v)}
+}
+
+// Bool returns an Arg holding a boolean.
+func Bool(key string, v bool) Arg {
+	a := Arg{Key: key, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
+
+// String returns an Arg holding a string.
+func String(key, v string) Arg { return Arg{Key: key, kind: kindString, str: v} }
+
+// Ints returns an Arg holding an int slice (an operator order). The slice is
+// retained, not copied: the caller must not mutate it afterwards.
+func Ints(key string, v []int) Arg { return Arg{Key: key, kind: kindInts, ints: v} }
+
+// Float64s returns an Arg holding a float64 slice (selectivity estimates),
+// retained like Ints'.
+func Float64s(key string, v []float64) Arg { return Arg{Key: key, kind: kindFloat64s, floats: v} }
+
+// Value returns the annotation's value in the type it was built from:
+// uint64, int, int64, float64, bool, string, []int or []float64. It boxes,
+// so it is for readers of a finished trace, not for recording.
+func (a Arg) Value() any {
+	switch a.kind {
+	case kindUint64:
+		return a.num
+	case kindInt:
+		return int(a.num)
+	case kindInt64:
+		return int64(a.num)
+	case kindFloat64:
+		return math.Float64frombits(a.num)
+	case kindBool:
+		return a.num != 0
+	case kindString:
+		return a.str
+	case kindInts:
+		return a.ints
+	default:
+		return a.floats
+	}
+}
 
 // Event is one recorded span or instant on a track. Start and End are
 // simulated cycles on the owning core's clock; an instant has End == Start.
+// Its annotations live in the owning track's arg arena (Track.Args).
 type Event struct {
 	Name    string
 	Start   uint64
 	End     uint64
 	Instant bool
-	Args    []Arg
+	// The event's annotations are args[argLo:argHi] of its track.
+	argLo, argHi uint32
 }
 
 // Track is an append-only event sequence owned by one timeline (a simulated
 // core, the optimizer, the service scheduler). All methods are safe on a nil
 // receiver and do nothing, so a nil Track is the disabled state.
 type Track struct {
-	name    string
-	events  []Event
+	name   string
+	events []Event
+	// args is the arena every event's annotation list is copied into, in
+	// event order; Reset truncates it with the events, so a warm track
+	// records without allocating.
+	args    []Arg
 	limit   int
 	dropped int
 
 	// Pads the struct to 128 bytes: per-core tracks are allocated back to back
 	// and each is appended to by a different host thread (see DESIGN.md,
 	// "False-sharing layout rule").
-	_ [72]byte
+	_ [48]byte
 }
 
 // Name returns the track's display name.
@@ -76,6 +162,16 @@ func (t *Track) Events() []Event {
 	return t.events
 }
 
+// Args returns the annotations of the i-th event of Events (borrowed, not
+// copied).
+func (t *Track) Args(i int) []Arg {
+	if t == nil {
+		return nil
+	}
+	ev := &t.events[i]
+	return t.args[ev.argLo:ev.argHi]
+}
+
 // Dropped returns how many events were discarded after the track filled.
 func (t *Track) Dropped() int {
 	if t == nil {
@@ -84,13 +180,13 @@ func (t *Track) Dropped() int {
 	return t.dropped
 }
 
-// Span records a [start, end] interval. Args are retained as given; callers
-// must not mutate them afterwards.
+// Span records a [start, end] interval. The args are copied into the track;
+// slice values inside them are retained as given.
 func (t *Track) Span(name string, start, end uint64, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.add(Event{Name: name, Start: start, End: end, Args: args})
+	t.add(Event{Name: name, Start: start, End: end}, args)
 }
 
 // Instant records a point event at the given cycle.
@@ -98,16 +194,19 @@ func (t *Track) Instant(name string, at uint64, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.add(Event{Name: name, Start: at, End: at, Instant: true, Args: args})
+	t.add(Event{Name: name, Start: at, End: at, Instant: true}, args)
 }
 
-func (t *Track) add(ev Event) {
+func (t *Track) add(ev Event, args []Arg) {
 	if t.limit > 0 && len(t.events) >= t.limit {
 		// Full tracks drop deterministically: the first limit events are
 		// kept, the drop count is exported so truncation is visible.
 		t.dropped++
 		return
 	}
+	ev.argLo = uint32(len(t.args))
+	t.args = append(t.args, args...)
+	ev.argHi = uint32(len(t.args))
 	t.events = append(t.events, ev)
 }
 
@@ -119,8 +218,8 @@ func (t *Track) add(ev Event) {
 // barrier, in a deterministic order.
 func NewStage() *Track { return &Track{name: "stage", limit: DefaultMaxEventsPerTrack} }
 
-// Splice appends every event of src to t, in src's append order, and resets
-// src for reuse. Nil-safe on both ends: a nil t discards src's events (the
+// Splice appends every event of src to t, in src's append order and with its
+// annotations (copied from src's arena into t's), and resets src for reuse. Nil-safe on both ends: a nil t discards src's events (the
 // disabled destination), a nil src is a no-op. Drop accounting carries over:
 // events src already dropped stay dropped, and events t has no room for are
 // dropped by t's own limit.
@@ -129,13 +228,19 @@ func (t *Track) Splice(src *Track) {
 		return
 	}
 	if t != nil {
-		for _, ev := range src.events {
-			t.add(ev)
+		for i, ev := range src.events {
+			t.add(ev, src.Args(i))
 		}
 		t.dropped += src.dropped
 	}
-	src.events = src.events[:0]
-	src.dropped = 0
+	src.reset()
+}
+
+// reset empties the track and its arg arena, keeping both buffers.
+func (t *Track) reset() {
+	t.events = t.events[:0]
+	t.args = t.args[:0]
+	t.dropped = 0
 }
 
 // DefaultMaxEventsPerTrack bounds a track's buffer when the recorder was not
@@ -193,8 +298,7 @@ func (r *Recorder) Events() int {
 // long-lived attachments (benchmarks, serving sessions) can reuse buffers.
 func (r *Recorder) Reset() {
 	for _, t := range r.tracks {
-		t.events = t.events[:0]
-		t.dropped = 0
+		t.reset()
 	}
 }
 

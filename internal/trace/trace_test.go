@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,17 @@ func TestNilSafety(t *testing.T) {
 	tr.Instant("y", 5)
 	if tr.Events() != nil || tr.Name() != "" || tr.Dropped() != 0 {
 		t.Fatal("nil track must be inert")
+	}
+	// The disabled path builds no argument: an Arg is a plain value, so even
+	// a call site that does not guard with the pointer test allocates nothing
+	// on a nil track, slice-valued annotations included.
+	order, sels := []int{2, 0, 1}, []float64{0.5, 0.25}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Span("vector", 0, 10, Int("rows", len(order)), Uint64("stall", 7), String("impl", "branching"),
+			Bool("grouped", true), Float64("cost", 1.5), Int64("qual", -1))
+		tr.Instant("reorder", 5, Ints("to", order), Float64s("est_sels", sels))
+	}); n != 0 {
+		t.Fatalf("recording on a nil track allocates %.0f times", n)
 	}
 	var c *Counter
 	var g *Gauge
@@ -37,11 +49,23 @@ func TestTrackRecording(t *testing.T) {
 	r := New()
 	a := r.NewTrack("core 0")
 	b := r.NewTrack("optimizer")
-	a.Span("vector", 100, 220, A("rows", 1024))
-	a.Instant("fetch", 150, A("block", uint64(7)))
-	b.Instant("reorder", 200, A("order", []int{2, 0, 1}), A("sels", []float64{0.1, 0.5, 0.9}))
+	a.Span("vector", 100, 220, Int("rows", 1024))
+	a.Instant("fetch", 150, Uint64("block", 7))
+	b.Instant("reorder", 200, Ints("order", []int{2, 0, 1}), Float64s("sels", []float64{0.1, 0.5, 0.9}))
 	if r.NumTracks() != 2 || r.Events() != 3 {
 		t.Fatalf("got %d tracks, %d events", r.NumTracks(), r.Events())
+	}
+	// Args reads each event's annotations back, by event index, in the type
+	// they were built from.
+	if got := a.Args(0); len(got) != 1 || got[0].Key != "rows" || got[0].Value() != 1024 {
+		t.Fatalf("bad span args: %+v", got)
+	}
+	if got := a.Args(1); len(got) != 1 || got[0].Value() != uint64(7) {
+		t.Fatalf("bad instant args: %+v", got)
+	}
+	if got := b.Args(0); len(got) != 2 || !reflect.DeepEqual(got[0].Value(), []int{2, 0, 1}) ||
+		!reflect.DeepEqual(got[1].Value(), []float64{0.1, 0.5, 0.9}) {
+		t.Fatalf("bad slice args: %+v", got)
 	}
 	if got := a.Events()[0]; got.Name != "vector" || got.Start != 100 || got.End != 220 || got.Instant {
 		t.Fatalf("bad span: %+v", got)
@@ -90,8 +114,8 @@ func TestWriteChrome(t *testing.T) {
 	r := New()
 	core := r.NewTrack("core 0")
 	opt := r.NewTrack("optimizer")
-	core.Span("vector", 1000, 2500, A("rows", 512), A("note", `quoted "name"`))
-	opt.Instant("reorder", 1800, A("order", []int{1, 0}), A("ok", true), A("gain", 1.25))
+	core.Span("vector", 1000, 2500, Int("rows", 512), String("note", `quoted "name"`))
+	opt.Instant("reorder", 1800, Ints("order", []int{1, 0}), Bool("ok", true), Float64("gain", 1.25))
 
 	var w1, w2 bytes.Buffer
 	if err := r.WriteChrome(&w1); err != nil {

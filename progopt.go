@@ -350,10 +350,31 @@ type SampleObs struct {
 	Cycles uint64
 	// Tuples is how many tuples the sampled PMU delta covers.
 	Tuples int
-	// Counters holds the paper-group PMU delta by perf-style event name.
-	Counters map[string]uint64
+	// Counters holds the paper-group PMU delta.
+	Counters SampleCounters
 	// Sels is the selectivity estimate in current-order space.
 	Sels []float64
+}
+
+// SampleCounters is the PMU delta of one sampling observation: the four
+// events the paper's optimizer samples (§4.2).
+type SampleCounters struct {
+	// BrNotTaken counts retired not-taken conditional branches; BrMPTaken
+	// and BrMPNotTaken count mispredicted ones by their actual direction.
+	BrNotTaken, BrMPTaken, BrMPNotTaken uint64
+	// L3Access counts L3 accesses, demand and prefetch.
+	L3Access uint64
+}
+
+// Map returns the counters by perf-style event name, the keys
+// Result.Counters uses.
+func (c SampleCounters) Map() map[string]uint64 {
+	return map[string]uint64{
+		pmu.BrNotTaken.String():   c.BrNotTaken,
+		pmu.BrMPTaken.String():    c.BrMPTaken,
+		pmu.BrMPNotTaken.String(): c.BrMPNotTaken,
+		pmu.L3Access.String():     c.L3Access,
+	}
 }
 
 // EstimateSelectivities runs one estimation cycle offline: it executes a

@@ -349,11 +349,11 @@ func toSamples(ss []core.Sample) []SampleObs {
 		out[i] = SampleObs{
 			Cycles: s.Cycles,
 			Tuples: s.Tuples,
-			Counters: map[string]uint64{
-				pmu.BrNotTaken.String():   s.Counters.Get(pmu.BrNotTaken),
-				pmu.BrMPTaken.String():    s.Counters.Get(pmu.BrMPTaken),
-				pmu.BrMPNotTaken.String(): s.Counters.Get(pmu.BrMPNotTaken),
-				pmu.L3Access.String():     s.Counters.Get(pmu.L3Access),
+			Counters: SampleCounters{
+				BrNotTaken:   s.Counters.Get(pmu.BrNotTaken),
+				BrMPTaken:    s.Counters.Get(pmu.BrMPTaken),
+				BrMPNotTaken: s.Counters.Get(pmu.BrMPNotTaken),
+				L3Access:     s.Counters.Get(pmu.L3Access),
 			},
 			Sels: s.Sels,
 		}

@@ -253,10 +253,10 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 	obs.Counters = shared.Counters()
 	obs.Resident = shared.ResidentBytes()
 	for ti, trk := range coreTracks {
-		for _, ev := range trk.Events() {
+		for i, ev := range trk.Events() {
 			if ev.Name == "tier-fetch" || ev.Name == "tier-evict" {
 				obs.Events = append(obs.Events,
-					fmt.Sprintf("%d:%s:%v@%d", ti, ev.Name, ev.Args[0].Val, ev.Start))
+					fmt.Sprintf("%d:%s:%v@%d", ti, ev.Name, trk.Args(i)[0].Value(), ev.Start))
 			}
 		}
 	}
@@ -357,10 +357,11 @@ poll:
 
 // TestServeSteadyStateAllocs pins the served path's steady-state allocations
 // in all three modes: after warm-up, a query's host allocations must not grow
-// with its round count — and, for the adaptive modes, not with its decision
-// count beyond what the public result carries per decision. ModeFixed alone
-// never reaches the estimator, which used to issue ~1 300 allocations per
-// decision (98 % of a served workload's mallocs) unseen by this test.
+// with its round count nor, for the adaptive modes, with its decision count
+// (the public result carries one SampleObs, a plain value, per decision).
+// ModeFixed alone never reaches the estimator, which used to issue ~1 300
+// allocations per decision (98 % of a served workload's mallocs) unseen by
+// this test.
 // AllocsPerRun measures at GOMAXPROCS=1, i.e. the inline round path.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	// measure serves one 48-vector query per run with the given scheduling
@@ -403,16 +404,15 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		if mode != ModeFixed && manyDecisions < fewDecisions+8 {
 			t.Fatalf("%v: %d v. %d decisions; the comparison needs more at quantum=1", mode, manyDecisions, fewDecisions)
 		}
-		// Each decision's observation is returned in Stats.Samples, whose
-		// SampleObs.Counters is a map: two allocations per decision that the
-		// public result owns. Nothing else may scale.
-		allowed := 16 + 2*float64(manyDecisions-fewDecisions)
+		// Nothing may scale with either: a decision's observation is one more
+		// element of Stats.Samples, whose few reallocations are the headroom.
+		const allowed = 16.0
 		if delta := many - few; delta > allowed {
 			t.Errorf("%v: allocs grow with round/decision count: %.1f at quantum=1 (%d decisions) vs %.1f at quantum=4 (%d decisions); delta %.1f, allowed %.1f",
 				mode, many, manyDecisions, few, fewDecisions, delta, allowed)
 		}
-		if many > 300 {
-			t.Errorf("%v: served query allocates %.1f times at steady state; budget 300", mode, many)
+		if many > 150 {
+			t.Errorf("%v: served query allocates %.1f times at steady state; budget 150", mode, many)
 		}
 	}
 }

@@ -241,18 +241,18 @@ func TestTraceReorderEvidence(t *testing.T) {
 		t.Fatal("progressive run on random order performed no reorders")
 	}
 	reorders := 0
-	for _, ev := range e.tr.opt.Events() {
+	for i, ev := range e.tr.opt.Events() {
 		if ev.Name != "reorder" {
 			continue
 		}
 		reorders++
 		keys := map[string]bool{}
-		for _, a := range ev.Args {
+		for _, a := range e.tr.opt.Args(i) {
 			keys[a.Key] = true
 		}
 		for _, want := range []string{"from", "to", "br_not_taken", "br_mp_taken", "br_mp_not_taken", "l3_access"} {
 			if !keys[want] {
-				t.Errorf("reorder event lacks %q evidence: %v", want, ev.Args)
+				t.Errorf("reorder event lacks %q evidence: %v", want, e.tr.opt.Args(i))
 			}
 		}
 	}
@@ -269,7 +269,10 @@ func TestTraceReorderEvidence(t *testing.T) {
 			t.Fatalf("sample %d clock went backwards: %d < %d", i, s.Cycles, prev)
 		}
 		prev = s.Cycles
-		if s.Counters["br_not_taken"] == 0 && s.Counters["l3_access"] == 0 {
+		if m := s.Counters.Map(); m["br_not_taken"] != s.Counters.BrNotTaken || m["l3_access"] != s.Counters.L3Access || len(m) != 4 {
+			t.Errorf("sample %d: Map() %v does not mirror %+v", i, m, s.Counters)
+		}
+		if s.Counters.BrNotTaken == 0 && s.Counters.L3Access == 0 {
 			t.Errorf("sample %d carries no counter evidence", i)
 		}
 	}
@@ -426,6 +429,58 @@ func TestTraceServiceEvents(t *testing.T) {
 	for _, want := range []string{"submit", "admit", "query"} {
 		if seen[want] == 0 {
 			t.Errorf("service track lacks %q events (have %v)", want, seen)
+		}
+	}
+}
+
+// TestTracedExecAllocBudget states the recorder's allocation budget: once its
+// tracks are warm, a traced Exec on four cores allocates what the untraced
+// one does plus a fixed per-Exec summary (Explain's per-name aggregates) plus
+// at most 2 objects per 1 000 recorded events — typed args and the per-track
+// arena leave nothing per event, per vector or per morsel, and a
+// re-optimizing run's decision events (slice-valued args included) none per
+// block.
+func TestTracedExecAllocBudget(t *testing.T) {
+	const vectors = 256
+	for _, mode := range []Mode{ModeFixed, ModeProgressive} {
+		measure := func(traced bool) (allocs float64, events int) {
+			cfg := Config{VectorSize: 1024, Workers: 4}
+			if traced {
+				cfg.Trace = &TraceOptions{}
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			d, err := e.GenerateTPCH(vectors*1024, 37, OrderRandom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := e.Compile(d, convergentPlan(d, false).Sum("l_extendedprice * l_discount"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				e.Trace().Reset()
+				if _, err := e.Exec(q, ExecOptions{Mode: mode, Progressive: Progressive{Interval: 5}}); err != nil {
+					t.Fatal(err)
+				}
+				events = e.Trace().NumEvents()
+			}
+			run() // grow the tracks, their arg arenas and the exec scratch
+			run()
+			return testing.AllocsPerRun(5, run), events
+		}
+		untraced, _ := measure(false)
+		traced, events := measure(true)
+		if events < 3*vectors {
+			t.Fatalf("%v: %d events for %d vectors; the budget needs a vector, a kernel and a morsel span each", mode, events, vectors)
+		}
+		const summary = 16 // measured 10 fixed, 14 progressive
+		if budget := untraced + summary + 2*float64(events)/1000; traced > budget {
+			t.Errorf("%v: traced Exec allocates %.1f times for %d events, untraced %.1f; budget %.1f",
+				mode, traced, events, untraced, budget)
 		}
 	}
 }

@@ -102,8 +102,7 @@ type BlockRun struct {
 
 	// Reduction targets.
 	out BlockResult
-	sum *float64
-	acc *groupTable // RunGroupBy: the pool's accumulator
+	sum *float64 // grouped blocks reduce into p.groupAcc instead
 	// failed is the lowest-numbered failed morsel, once the reduction has
 	// reached it (its ring slot is not reused: a failure stops assignment).
 	failed *morsel
@@ -587,7 +586,7 @@ func (r *BlockRun) merge(m *morsel) bool {
 	}
 	// Per-key accumulation order is the global row order — identical float
 	// association to a serial run for every worker count.
-	r.groups[m.core].fold(r.acc, m.sel, m.pos)
+	r.groups[m.core].fold(&r.p.groupAcc, m.sel, m.pos)
 	r.out.Qualifying += int64(len(m.sel))
 	return true
 }
@@ -716,10 +715,7 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	startSamples := r.begin(cores)
 	acc := &p.groupAcc
 	acc.reset(gs[0].expected, nw)
-	r.acc = acc
-	err := r.runBlock(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, gs)
-	r.acc = nil
-	if err != nil {
+	if err := r.runBlock(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, gs); err != nil {
 		return GroupResult{}, err
 	}
 	var out GroupResult

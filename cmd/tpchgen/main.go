@@ -1,11 +1,11 @@
 // Command tpchgen generates the TPC-H-shaped data set and writes each table
-// in the engine's binary column format: v1 (plain columns) or v2 (the PCOL
-// block format with per-column compression and zone maps).
+// in the engine's binary column format, PCOL v2: fixed-size blocks with
+// per-column compression and zone maps.
 //
 // Usage:
 //
 //	tpchgen -rows 1000000 -seed 42 -ordering natural -out ./data
-//	tpchgen -rows 1000000 -format v2 -blockrows 4096 -compress -out ./data
+//	tpchgen -rows 1000000 -blockrows 4096 -compress -out ./data
 package main
 
 import (
@@ -24,17 +24,10 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generation seed")
 		ordering  = flag.String("ordering", "natural", "lineitem row order: natural|sorted|clustered|random")
 		out       = flag.String("out", ".", "output directory")
-		format    = flag.String("format", "v1", "file format: v1 (plain) | v2 (compressed blocks + zone maps)")
-		blockRows = flag.Int("blockrows", 4096, "rows per block (v2 only)")
-		compress  = flag.Bool("compress", false, "print per-column compression statistics (v2 only)")
+		blockRows = flag.Int("blockrows", 4096, "rows per block")
+		compress  = flag.Bool("compress", false, "print per-column compression statistics")
 	)
 	flag.Parse()
-	if *format != "v1" && *format != "v2" {
-		fatal(fmt.Errorf("unknown format %q (want v1 or v2)", *format))
-	}
-	if *compress && *format != "v2" {
-		fatal(fmt.Errorf("-compress needs -format v2"))
-	}
 
 	d, err := tpch.Generate(tpch.Config{Lineitems: *rows, Seed: *seed})
 	if err != nil {
@@ -56,30 +49,13 @@ func main() {
 		fatal(err)
 	}
 	for _, t := range []*columnar.Table{d.Lineitem, d.Orders, d.Part} {
-		path := filepath.Join(*out, t.Name()+".pcol")
-		if *format == "v2" {
-			writeV2(path, t, *blockRows, *compress)
-			continue
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := columnar.WriteTable(f, t); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s: %d rows, %d columns, %.1f MB\n",
-			path, t.NumRows(), t.NumCols(), float64(t.SizeBytes())/(1<<20))
+		write(filepath.Join(*out, t.Name()+".pcol"), t, *blockRows, *compress)
 	}
 }
 
-// writeV2 encodes the table into the PCOL v2 block format and writes it,
+// write encodes the table into the PCOL v2 block format and writes it,
 // optionally printing the per-column compression report.
-func writeV2(path string, t *columnar.Table, blockRows int, compress bool) {
+func write(path string, t *columnar.Table, blockRows int, compress bool) {
 	enc, err := columnar.EncodeTable(t, blockRows)
 	if err != nil {
 		fatal(err)

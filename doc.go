@@ -151,8 +151,8 @@
 // prices predicate scans over the packed column images, moving fewer
 // simulated bytes without changing any answer. ExecResult.Storage reports
 // block pruning and tier activity; Explain renders the same provenance.
-// cmd/tpchgen writes both file formats (-format v1|v2 -compress), and the
-// version-dispatching loader reads either.
+// cmd/tpchgen writes the stored file format (PCOL v2; -compress prints the
+// per-column report).
 //
 // # Tracing and metrics
 //

@@ -1,24 +1,18 @@
 package columnar
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
-// Binary table format:
-//
-//	magic "PCOL" | version u32 | nameLen u32 | name | numCols u32
-//	per column: nameLen u32 | name | kind u32 | rows u64 | payload (LE)
-//
-// The format exists so generated data sets (cmd/tpchgen) can be produced once
-// and reloaded by benchmarks and examples.
+// Shared pieces of the PCOL stream format (layout in io2.go): the header
+// constants, the typed version error, and the length-checked string and
+// payload readers. The format exists so generated data sets (cmd/tpchgen) can
+// be produced once and reloaded by benchmarks and examples.
 
 const (
-	formatMagic   = "PCOL"
-	formatVersion = 1
+	formatMagic = "PCOL"
 	// maxStringLen bounds on-disk string lengths to keep corrupt files from
 	// driving huge allocations.
 	maxStringLen = 1 << 16
@@ -26,27 +20,16 @@ const (
 	maxRows = 1 << 30
 )
 
-// WriteTable serializes t to w in the binary column format.
-func WriteTable(w io.Writer, t *Table) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(formatMagic); err != nil {
-		return err
+// UnsupportedVersionError reports a well-formed PCOL header whose format
+// version this build does not read. Version 1, the unencoded format without
+// zone maps, was retired: its files are regenerated, not converted.
+type UnsupportedVersionError struct{ Version uint32 }
+
+func (e *UnsupportedVersionError) Error() string {
+	if e.Version == 1 {
+		return "columnar: unsupported format version 1, regenerate with tpchgen"
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(formatVersion)); err != nil {
-		return err
-	}
-	if err := writeString(bw, t.Name()); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(t.NumCols())); err != nil {
-		return err
-	}
-	for _, c := range t.Columns() {
-		if err := writeColumn(bw, c); err != nil {
-			return fmt.Errorf("columnar: writing column %q: %w", c.Name(), err)
-		}
-	}
-	return bw.Flush()
+	return fmt.Sprintf("columnar: unsupported format version %d", e.Version)
 }
 
 func writeString(w io.Writer, s string) error {
@@ -58,77 +41,6 @@ func writeString(w io.Writer, s string) error {
 	}
 	_, err := io.WriteString(w, s)
 	return err
-}
-
-func writeColumn(w io.Writer, c *Column) error {
-	if err := writeString(w, c.Name()); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(c.Kind())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(c.Len())); err != nil {
-		return err
-	}
-	var buf [8]byte
-	switch c.Kind() {
-	case Int64:
-		for _, v := range c.I64() {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			if _, err := w.Write(buf[:8]); err != nil {
-				return err
-			}
-		}
-	case Float64:
-		for _, v := range c.F64() {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			if _, err := w.Write(buf[:8]); err != nil {
-				return err
-			}
-		}
-	case Int32, Date:
-		for _, v := range c.I32() {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-			if _, err := w.Write(buf[:4]); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("columnar: unsupported kind %v", c.Kind())
-	}
-	return nil
-}
-
-// ReadTable parses a table from r. It accepts both format versions (it is
-// LoadTable under the original name).
-func ReadTable(r io.Reader) (*Table, error) {
-	return LoadTable(r)
-}
-
-// readV1Body parses the v1 stream after the magic/version header.
-func readV1Body(br io.Reader) (*Table, error) {
-	name, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	var numCols uint32
-	if err := binary.Read(br, binary.LittleEndian, &numCols); err != nil {
-		return nil, err
-	}
-	if numCols > 4096 {
-		return nil, fmt.Errorf("columnar: implausible column count %d", numCols)
-	}
-	t := NewTable(name)
-	for i := uint32(0); i < numCols; i++ {
-		c, err := readColumn(br)
-		if err != nil {
-			return nil, fmt.Errorf("columnar: reading column %d: %w", i, err)
-		}
-		if err := t.AddColumn(c); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }
 
 func readString(r io.Reader) (string, error) {
@@ -146,54 +58,6 @@ func readString(r io.Reader) (string, error) {
 	return string(b), nil
 }
 
-func readColumn(r io.Reader) (*Column, error) {
-	name, err := readString(r)
-	if err != nil {
-		return nil, err
-	}
-	var kind uint32
-	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
-		return nil, err
-	}
-	var rows uint64
-	if err := binary.Read(r, binary.LittleEndian, &rows); err != nil {
-		return nil, err
-	}
-	if rows > maxRows {
-		return nil, fmt.Errorf("columnar: row count %d exceeds limit", rows)
-	}
-	n := int(rows)
-	switch Kind(kind) {
-	case Int64:
-		data, err := readI64s(r, n)
-		if err != nil {
-			return nil, err
-		}
-		return NewInt64(name, data), nil
-	case Float64:
-		raw, err := readI64s(r, n)
-		if err != nil {
-			return nil, err
-		}
-		data := make([]float64, n)
-		for i, v := range raw {
-			data[i] = math.Float64frombits(uint64(v))
-		}
-		return NewFloat64(name, data), nil
-	case Int32, Date:
-		data, err := readI32s(r, n)
-		if err != nil {
-			return nil, err
-		}
-		if Kind(kind) == Date {
-			return NewDate(name, data), nil
-		}
-		return NewInt32(name, data), nil
-	default:
-		return nil, fmt.Errorf("columnar: unknown kind %d", kind)
-	}
-}
-
 // readChunkBytes values are decoded per ReadFull call by the chunked payload
 // readers, so memory growth tracks bytes actually present in the stream — a
 // corrupt header declaring a billion rows over a ten-byte payload fails
@@ -203,10 +67,10 @@ const readChunkBytes = 64 << 10
 // readI64s reads n little-endian 8-byte values, growing the result as the
 // stream delivers them.
 func readI64s(r io.Reader, n int) ([]int64, error) {
-	out := make([]int64, 0, minInt(n, readChunkBytes/8))
-	buf := make([]byte, minInt(n*8, readChunkBytes))
+	out := make([]int64, 0, min(n, readChunkBytes/8))
+	buf := make([]byte, min(n*8, readChunkBytes))
 	for len(out) < n {
-		chunk := minInt(n-len(out), readChunkBytes/8)
+		chunk := min(n-len(out), readChunkBytes/8)
 		if _, err := io.ReadFull(r, buf[:chunk*8]); err != nil {
 			return nil, err
 		}
@@ -219,10 +83,10 @@ func readI64s(r io.Reader, n int) ([]int64, error) {
 
 // readI32s reads n little-endian 4-byte values, growing as delivered.
 func readI32s(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, minInt(n, readChunkBytes/4))
-	buf := make([]byte, minInt(n*4, readChunkBytes))
+	out := make([]int32, 0, min(n, readChunkBytes/4))
+	buf := make([]byte, min(n*4, readChunkBytes))
 	for len(out) < n {
-		chunk := minInt(n-len(out), readChunkBytes/4)
+		chunk := min(n-len(out), readChunkBytes/4)
 		if _, err := io.ReadFull(r, buf[:chunk*4]); err != nil {
 			return nil, err
 		}
@@ -235,9 +99,9 @@ func readI32s(r io.Reader, n int) ([]int32, error) {
 
 // readBytes reads exactly n bytes, growing as delivered.
 func readBytes(r io.Reader, n int) ([]byte, error) {
-	out := make([]byte, 0, minInt(n, readChunkBytes))
+	out := make([]byte, 0, min(n, readChunkBytes))
 	for len(out) < n {
-		chunk := minInt(n-len(out), readChunkBytes)
+		chunk := min(n-len(out), readChunkBytes)
 		start := len(out)
 		out = append(out, make([]byte, chunk)...)
 		if _, err := io.ReadFull(r, out[start:]); err != nil {
@@ -245,11 +109,4 @@ func readBytes(r io.Reader, n int) ([]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -16,7 +16,7 @@ import (
 //	  nameLen u32 | name | kind u32 | rows u64 | enc u8 | numBlocks u32
 //	  per block: rows u32 | minBits u64 | maxBits u64 | flags u8
 //	  payload:
-//	    Plain: raw values (v1 payload)
+//	    Plain: raw values
 //	    Dict:  dictLen u32 | dict values u64 each | codeWidth u8 | codes
 //	    FoR:   per block: ref i64 | widthBits u8 | packedLen u32 | packed
 //
@@ -205,34 +205,22 @@ func ReadEncoded(r io.Reader) (*EncodedTable, error) {
 		return nil, err
 	}
 	if version != formatVersion2 {
-		return nil, fmt.Errorf("columnar: expected v2 stream, found version %d", version)
+		return nil, &UnsupportedVersionError{Version: version}
 	}
 	return readEncodedBody(br)
 }
 
-// LoadTable parses a table from r, dispatching on the stream's format
-// version: v1 streams load directly, v2 streams are decoded from their
-// encoded form. Unknown versions are rejected.
+// LoadTable parses a table from r: the stream is read in its encoded form and
+// decoded. Any version but 2 is an *UnsupportedVersionError.
 func LoadTable(r io.Reader) (*Table, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	version, err := readHeader(br)
+	et, err := ReadEncoded(r)
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case formatVersion:
-		return readV1Body(br)
-	case formatVersion2:
-		et, err := readEncodedBody(br)
-		if err != nil {
-			return nil, err
-		}
-		return et.Decode()
-	}
-	return nil, fmt.Errorf("columnar: unsupported format version %d", version)
+	return et.Decode()
 }
 
-// readHeader consumes the magic and version common to both formats.
+// readHeader consumes the magic and the format version.
 func readHeader(r io.Reader) (uint32, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -336,7 +324,7 @@ func readEncodedColumn(r io.Reader, tableRows, blockRows int) (*EncodedColumn, e
 	if int(numBlocks) != wantBlocks {
 		return nil, fmt.Errorf("block count %d disagrees with geometry (%d rows / %d per block)", numBlocks, c.rows, blockRows)
 	}
-	c.blocks = make([]BlockMeta, 0, minInt(int(numBlocks), 4096))
+	c.blocks = make([]BlockMeta, 0, min(int(numBlocks), 4096))
 	for i := 0; i < int(numBlocks); i++ {
 		c.blocks = append(c.blocks, BlockMeta{})
 		b := &c.blocks[i]

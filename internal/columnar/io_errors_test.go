@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -23,18 +24,26 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteTableFailurePaths(t *testing.T) {
+	// Values no encoding shrinks, so the stream is as long as the plain
+	// payload and every budget below cuts it short.
+	rng := rand.New(rand.NewSource(3))
+	a, b, c := make([]int64, 1000), make([]float64, 1000), make([]int32, 1000)
+	for i := range a {
+		a[i], b[i], c[i] = int64(rng.Uint64()), rng.NormFloat64(), int32(rng.Uint32())
+	}
 	tb := NewTable("t")
-	tb.MustAddColumn(NewInt64("a", make([]int64, 1000)))
-	tb.MustAddColumn(NewFloat64("b", make([]float64, 1000)))
-	tb.MustAddColumn(NewInt32("c", make([]int32, 1000)))
-	// Fail at several depths into the stream: header, column header, payload.
+	tb.MustAddColumn(NewInt64("a", a))
+	tb.MustAddColumn(NewFloat64("b", b))
+	tb.MustAddColumn(NewInt32("c", c))
+	// The stream goes out in one buffered flush: any budget below its length
+	// fails it.
 	for _, lim := range []int{0, 2, 10, 30, 600, 9000} {
-		if err := WriteTable(&failWriter{n: lim}, tb); err == nil {
+		if err := WriteTableV2(&failWriter{n: lim}, tb, 128); err == nil {
 			t.Errorf("write with %d-byte budget succeeded", lim)
 		}
 	}
 	// A generous budget succeeds.
-	if err := WriteTable(&failWriter{n: 1 << 20}, tb); err != nil {
+	if err := WriteTableV2(&failWriter{n: 1 << 20}, tb, 128); err != nil {
 		t.Errorf("write with ample budget failed: %v", err)
 	}
 }
@@ -42,17 +51,18 @@ func TestWriteTableFailurePaths(t *testing.T) {
 func TestWriteTableRejectsHugeName(t *testing.T) {
 	tb := NewTable(strings.Repeat("x", 1<<17))
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err == nil {
+	if err := WriteTableV2(&buf, tb, 16); err == nil {
 		t.Error("oversized table name accepted")
 	}
 }
 
-// corruptAt flips the table stream at a field and checks ReadTable rejects it.
+// TestReadTableCorruptions flips the table stream at a header field and
+// checks LoadTable rejects it.
 func TestReadTableCorruptions(t *testing.T) {
 	tb := NewTable("t")
 	tb.MustAddColumn(NewInt64("a", []int64{1, 2, 3}))
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableV2(&buf, tb, 2); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -60,7 +70,7 @@ func TestReadTableCorruptions(t *testing.T) {
 	mutate := func(name string, f func(b []byte)) {
 		b := append([]byte(nil), good...)
 		f(b)
-		if _, err := ReadTable(bytes.NewReader(b)); err == nil {
+		if _, err := LoadTable(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -74,14 +84,14 @@ func TestReadTableCorruptions(t *testing.T) {
 		// name "t" is 1 byte; numCols lives at offset 4+4+4+1.
 		binary.LittleEndian.PutUint32(b[13:], 1<<20)
 	})
-	// Unknown column kind: kind field follows numCols(4) + colNameLen(4) +
-	// colName("a" = 1 byte).
+	// Unknown column kind: kind field follows numCols(4) + blockRows(4) +
+	// numRows(8) + colNameLen(4) + colName("a" = 1 byte).
 	mutate("unknown kind", func(b []byte) {
-		binary.LittleEndian.PutUint32(b[22:], 77)
+		binary.LittleEndian.PutUint32(b[34:], 77)
 	})
-	// Huge row count follows the kind.
+	// The column's row count follows the kind and must match the table's.
 	mutate("huge rows", func(b []byte) {
-		binary.LittleEndian.PutUint64(b[26:], 1<<40)
+		binary.LittleEndian.PutUint64(b[38:], 1<<40)
 	})
 }
 
@@ -90,16 +100,16 @@ func TestReadTableTruncatedAtEveryBoundary(t *testing.T) {
 	tb.MustAddColumn(NewDate("d", []int32{100, 200}))
 	tb.MustAddColumn(NewFloat64("f", []float64{1.5, 2.5}))
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableV2(&buf, tb, 1); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut += 3 {
-		if _, err := ReadTable(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := LoadTable(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(full))
 		}
 	}
-	if _, err := ReadTable(bytes.NewReader(full)); err != nil {
+	if _, err := LoadTable(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full stream rejected: %v", err)
 	}
 }

@@ -11,12 +11,12 @@ import (
 func roundTrip(t *testing.T, tb *Table) *Table {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
-		t.Fatalf("WriteTable: %v", err)
+	if err := WriteTableV2(&buf, tb, 2); err != nil {
+		t.Fatalf("WriteTableV2: %v", err)
 	}
-	got, err := ReadTable(&buf)
+	got, err := LoadTable(&buf)
 	if err != nil {
-		t.Fatalf("ReadTable: %v", err)
+		t.Fatalf("LoadTable: %v", err)
 	}
 	return got
 }
@@ -60,21 +60,21 @@ func TestIOEmptyTable(t *testing.T) {
 }
 
 func TestIOBadInputs(t *testing.T) {
-	if _, err := ReadTable(strings.NewReader("")); err == nil {
+	if _, err := LoadTable(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ReadTable(strings.NewReader("JUNKJUNKJUNK")); err == nil {
+	if _, err := LoadTable(strings.NewReader("JUNKJUNKJUNK")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncated valid prefix.
 	var buf bytes.Buffer
 	tb := NewTable("t")
 	tb.MustAddColumn(NewInt64("a", []int64{1, 2, 3}))
-	if err := WriteTable(&buf, tb); err != nil {
+	if err := WriteTableV2(&buf, tb, 2); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadTable(bytes.NewReader(trunc)); err == nil {
+	if _, err := LoadTable(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input accepted")
 	}
 }
@@ -90,10 +90,10 @@ func TestIORoundTripProperty(t *testing.T) {
 		tb.MustAddColumn(NewInt64("a", i64[:n]))
 		tb.MustAddColumn(NewFloat64("b", f64[:n]))
 		var buf bytes.Buffer
-		if err := WriteTable(&buf, tb); err != nil {
+		if err := WriteTableV2(&buf, tb, 2); err != nil {
 			return false
 		}
-		got, err := ReadTable(&buf)
+		got, err := LoadTable(&buf)
 		if err != nil {
 			return false
 		}

@@ -12,7 +12,7 @@ import (
 // carries a zone map (min/max plus a null-free flag), and the payload is
 // stored under one of three per-column encodings chosen by size:
 //
-//   - Plain: the v1 payload, raw little-endian values.
+//   - Plain: raw little-endian values.
 //   - Dict: a sorted dictionary of distinct values plus per-row codes of
 //     1/2/4 bytes — the low-cardinality case (l_discount has 11 distinct
 //     values; one byte per row instead of eight).
@@ -30,7 +30,7 @@ import (
 type Encoding uint8
 
 const (
-	// EncPlain stores raw little-endian values (the v1 payload).
+	// EncPlain stores raw little-endian values.
 	EncPlain Encoding = iota
 	// EncDict stores a sorted dictionary plus fixed-width per-row codes.
 	EncDict
@@ -93,7 +93,7 @@ type EncodedColumn struct {
 	codes     []uint32
 	codeWidth int
 
-	// Plain payloads (also the decode scratch for v1 parity).
+	// Plain payloads (also the decode scratch).
 	plainI64 []int64
 	plainI32 []int32
 	plainF64 []float64
@@ -127,7 +127,7 @@ func (c *EncodedColumn) ZoneFloat(i int) (min, max float64) {
 	return math.Float64frombits(c.blocks[i].MinBits), math.Float64frombits(c.blocks[i].MaxBits)
 }
 
-// PlainBytes is the uncompressed payload size (the v1 footprint).
+// PlainBytes is the uncompressed payload size.
 func (c *EncodedColumn) PlainBytes() int { return c.rows * c.kind.Width() }
 
 // EncodedBytes is the encoded payload size: the sum over blocks of

@@ -2,8 +2,12 @@ package columnar
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -137,26 +141,40 @@ func TestV2FileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadTableReadsV1 is the back-compat satellite: a v1 file written by
-// the current writer loads through the dispatching LoadTable (and through
-// ReadTable, which now shares the dispatch).
-func TestLoadTableReadsV1(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tb := randomTable(rng, 1200)
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, tb); err != nil {
-		t.Fatal(err)
+// v1Stream hand-assembles a well-formed PCOL v1 stream — the retired format,
+// which no writer produces any more: one int64 column "a" of table "t".
+func v1Stream(vals ...int64) []byte {
+	var b bytes.Buffer
+	b.WriteString(formatMagic)
+	le := func(v any) { binary.Write(&b, binary.LittleEndian, v) }
+	le(uint32(1)) // version
+	le(uint32(1)) // table name
+	b.WriteString("t")
+	le(uint32(1)) // columns
+	le(uint32(1)) // column name
+	b.WriteString("a")
+	le(uint32(Int64))
+	le(uint64(len(vals)))
+	le(vals)
+	return b.Bytes()
+}
+
+// TestLoadTableRejectsV1: a v1 file is recognised and refused with the typed
+// error that says what to do about it, by both readers.
+func TestLoadTableRejectsV1(t *testing.T) {
+	for name, read := range map[string]func(io.Reader) error{
+		"LoadTable":   func(r io.Reader) error { _, err := LoadTable(r); return err },
+		"ReadEncoded": func(r io.Reader) error { _, err := ReadEncoded(r); return err },
+	} {
+		err := read(bytes.NewReader(v1Stream(1, 2, 3)))
+		var uv *UnsupportedVersionError
+		if !errors.As(err, &uv) || uv.Version != 1 {
+			t.Fatalf("%s on a v1 stream: %v, want *UnsupportedVersionError{1}", name, err)
+		}
+		if !strings.Contains(err.Error(), "regenerate with tpchgen") {
+			t.Errorf("%s: error %q does not say how to recover", name, err)
+		}
 	}
-	loaded, err := LoadTable(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadTable on v1 stream: %v", err)
-	}
-	sameTable(t, tb, loaded)
-	reread, err := ReadTable(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadTable on v1 stream: %v", err)
-	}
-	sameTable(t, tb, reread)
 }
 
 // TestEncodingChoices pins the size-driven encoding selection on the column

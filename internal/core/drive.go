@@ -1,97 +1,451 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"progopt/internal/exec"
 	"progopt/internal/hw/pmu"
 )
 
-// RunAdaptive is the drive loop of every adaptive run — progressive, or
-// micro-adaptive with micro set: execute one step, let the stepper
-// coordinate, repeat. It runs on the pool p when there is one and on the
-// single engine e otherwise. On one engine a step is one vector and every
-// ReopInterval-th is an optimization point; on a pool a step is a morsel
-// block of ReopInterval vectors per core and every block is one. Neither the
-// last vector nor the last block is an optimization point: nothing would run
-// under the new plan.
-//
-// The result's cycles (a makespan on a pool) and counters include what the
-// loop charged for sampling, estimation and recompiles. Qualifying and Sum
-// are bit-identical to a fixed-order run at every worker count and interval,
-// and since the morsel scheduler runs on simulated clocks, so are cycles,
-// samples and decisions from run to run.
-func RunAdaptive(e *exec.Engine, p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
-	engines := []*exec.Engine{e}
-	if p != nil {
-		engines = p.Engines()
-	}
-	coord := engines[0].CPU()
-	s, err := NewBlockStepper(q, coord.Profile(), len(engines), micro, opt)
-	if err != nil {
-		return exec.Result{}, Stats{}, err
-	}
-	n := q.Table.NumRows()
-	vs := engines[0].VectorSize()
-	numVec := (n + vs - 1) / vs
-	stepVecs := 1
-	if p == nil {
-		s.clockBase = coord.Cycles()
-	} else if stepVecs = s.BlockVectors(len(engines)); stepVecs <= 0 {
-		stepVecs = numVec // no re-optimization: one block
-	}
-	startSamples := make([]pmu.Sample, len(engines))
-	for i, w := range engines {
-		startSamples[i] = w.CPU().Sample()
-	}
+// Mode selects how a query is driven.
+type Mode int
 
-	var out exec.Result
-	for v0 := 0; v0 < numVec; v0 += stepVecs {
-		v1 := min(v0+stepVecs, numVec)
-		lo, hi := v0*vs, min(v1*vs, n)
-		// Every step adds into out.Sum directly, which keeps the aggregate's
-		// float addition in global vector order across step boundaries: Sum
-		// is bit-identical for every worker count and interval.
-		var br exec.BlockResult
-		if p != nil {
-			br, err = p.RunBlock(s.Query(), v0, v1, s.Impl(), &out.Sum)
-		} else {
-			br, err = runVector(e, s.Query(), lo, hi, s.Impl(), &out.Sum)
-		}
-		if err != nil {
-			return exec.Result{}, Stats{}, err
-		}
-		out.Qualifying += br.Qualifying
-		out.Vectors += br.Vectors
-		optPoint := opt.ReopInterval > 0 && v1%opt.ReopInterval == 0 && v1 < numVec
-		extra, err := s.AfterBlock(br, hi-lo, optPoint, p != nil || hi-lo == vs, coord, engines)
-		if err != nil {
-			return exec.Result{}, Stats{}, err
-		}
-		out.Cycles += br.MaxCycles + extra
-	}
+// Execution modes.
+const (
+	// ModeFixed executes the plan's operator order unchanged (the paper's
+	// baseline "common execution pattern").
+	ModeFixed Mode = iota
+	// ModeProgressive re-optimizes the operator order during execution from
+	// sampled PMU counters (§4.4).
+	ModeProgressive
+	// ModeMicroAdaptive is ModeProgressive plus per-interval implementation
+	// choice between the branching and branch-free scan (predicates only).
+	ModeMicroAdaptive
+)
 
-	s.TraceFinal()
-	out.Millis = coord.MillisOf(out.Cycles)
-	for i, w := range engines {
-		out.Counters = out.Counters.Add(w.CPU().Sample().Sub(startSamples[i]))
+// String names the mode.
+func (m Mode) String() string {
+	switch m {
+	case ModeFixed:
+		return "fixed"
+	case ModeProgressive:
+		return "progressive"
+	case ModeMicroAdaptive:
+		return "micro-adaptive"
 	}
-	return out, s.Stats(), nil
+	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// runVector executes rows [lo, hi) — one vector — on a single engine and
-// reports it as a one-morsel block. WorkerCycles stays nil: the stepper never
-// reads it, and it would be an allocation per vector.
-func runVector(e *exec.Engine, q *exec.Query, lo, hi int, impl exec.ScanImpl, sum *float64) (exec.BlockResult, error) {
-	c := e.CPU()
-	s0, c0 := c.Sample(), c.Cycles()
-	vr, err := e.RunVectorImpl(q, lo, hi, impl)
-	if err != nil {
-		return exec.BlockResult{}, err
+// Spec is one query as the driver runs it.
+type Spec struct {
+	// Query is the compiled, bound query; its operator order is the one an
+	// adaptive run starts from.
+	Query *exec.Query
+	Mode  Mode
+	// Opt configures the reoptimizer loop of the adaptive modes.
+	Opt Options
+	// Groups makes the query a grouped aggregation: one partial hash table per
+	// core. It runs in one step on every core, in fixed order.
+	Groups []*exec.GroupBy
+	// Sorts makes it an ordered (OrderBy/Limit) query: one compiled sort state
+	// per core. Each core a step runs on collects into its own partial heap or
+	// run buffer, and the last step merges them.
+	Sorts []*exec.Sort
+	// Quantum is how many vectors per core one step of a fixed-order run
+	// covers (and of an adaptive run whose ReopInterval is zero); zero or less
+	// is all that are left.
+	Quantum int
+}
+
+// Validate checks the spec against the number of cores it will run on.
+func (s *Spec) Validate(workers int) error {
+	if s.Query == nil {
+		return fmt.Errorf("core: run needs a query")
 	}
-	*sum += vr.Sum
-	return exec.BlockResult{
-		Qualifying: vr.Qualifying,
-		Vectors:    1,
-		MaxCycles:  c.Cycles() - c0,
-		Counters:   c.Sample().Sub(s0),
-	}, nil
+	if s.Mode < ModeFixed || s.Mode > ModeMicroAdaptive {
+		return fmt.Errorf("core: unknown mode %d", int(s.Mode))
+	}
+	if len(s.Groups) > 0 {
+		if s.Mode != ModeFixed {
+			return fmt.Errorf("core: grouped queries must use ModeFixed")
+		}
+		if len(s.Sorts) > 0 {
+			return fmt.Errorf("core: a query cannot both group and sort")
+		}
+		if len(s.Groups) != workers {
+			return fmt.Errorf("core: %d partial group tables for %d cores", len(s.Groups), workers)
+		}
+	}
+	if len(s.Sorts) > 0 && len(s.Sorts) != workers {
+		return fmt.Errorf("core: %d partial sort states for %d cores", len(s.Sorts), workers)
+	}
+	return s.Query.Validate()
+}
+
+// Run drives one query at a time through the paper's loop (§4.4, Figure 10):
+// run a block, sample the PMU, maybe reorder, validate. It is the only caller
+// of the stepper and of the sort merge. Whoever owns the cores calls Step
+// until it reports the query done: the workload service once per scheduling
+// round, on whatever subset its partitioner gave the query; everyone else
+// through Drive.
+//
+// What a step reads is the query's cursor, the stepper's current order and
+// the clocks it is handed; what it advances is the cursor, those clocks, and
+// the accumulators below. Nothing else carries over, which is why a run may
+// be cut into steps anywhere and moved between subsets: the aggregate is
+// added up in global vector order whatever the cut, a fixed-order run hands
+// each morsel to the core whose clock is smallest, so consecutive quanta on
+// carried clocks are one seamless morsel stream, and an adaptive block starts
+// at a barrier, so it depends on the subset's size and latest clock only.
+//
+// A Run keeps its scratch between queries; Begin starts the next one.
+type Run struct {
+	pool *exec.Parallel // nil: the run has one engine of its own
+	brun *exec.BlockRun
+	// engines are the pool's, or the one; all and zero are Drive's subset.
+	engines []*exec.Engine
+	all     []int
+	zero    []uint64
+	// subset and coordStart are a block's engines and their PMUs before the
+	// stepper's coordination.
+	subset     []*exec.Engine
+	coordStart []pmu.Sample
+
+	spec    Spec
+	step    *BlockStepper   // nil in fixed order
+	sorts   []*exec.SortRun // per core; nil unless ordered
+	numVec  int
+	cursor  int
+	started bool
+	// pmu0 is the one engine's PMU when its run began.
+	pmu0 pmu.Sample
+
+	// Result accumulates the query's output: Sum in global vector order,
+	// Counters as the PMU deltas of its morsels and coordination, Cycles as
+	// the time it kept its cores busy (a fixed-order run: first entry to last
+	// exit; an adaptive one: block makespans plus coordination, barrier waits
+	// excluded). Millis is set by the last step.
+	exec.Result
+	// Groups and Sorted are a grouped and an ordered query's output rows.
+	Groups []exec.Group
+	Sorted []exec.SortedRow
+	// Start is the clock the query began at: the earliest entry clock of a
+	// fixed-order run's first step, the barrier of an adaptive or grouped one.
+	Start uint64
+}
+
+// NewRun returns a driver for the pool p or, when p is nil, for the engine e.
+func NewRun(e *exec.Engine, p *exec.Parallel) *Run {
+	if p != nil {
+		return &Run{pool: p, brun: p.NewBlockRun(), engines: p.Engines()}
+	}
+	return &Run{engines: []*exec.Engine{e}}
+}
+
+// Begin makes spec the query the following steps execute.
+func (r *Run) Begin(spec Spec) error {
+	if err := spec.Validate(len(r.engines)); err != nil {
+		return err
+	}
+	r.spec, r.step, r.sorts = spec, nil, nil
+	if spec.Mode != ModeFixed {
+		step, err := NewBlockStepper(spec.Query, r.engines[0].CPU().Profile(), len(r.engines), spec.Mode == ModeMicroAdaptive, spec.Opt)
+		if err != nil {
+			return err
+		}
+		r.step = step
+	}
+	if len(spec.Sorts) > 0 {
+		r.sorts = make([]*exec.SortRun, len(spec.Sorts))
+		for i, s := range spec.Sorts {
+			r.sorts[i] = exec.NewSortRun(s)
+		}
+	}
+	r.numVec, r.cursor, r.started = r.engines[0].NumVectors(spec.Query), 0, false
+	r.Result, r.Groups, r.Sorted, r.Start = exec.Result{}, nil, nil, 0
+	return nil
+}
+
+// Workers is the number of cores the run has: what a spec's per-core group
+// tables and sort states are sized for.
+func (r *Run) Workers() int { return len(r.engines) }
+
+// Stepper returns the reoptimizer state of an adaptive run, nil in fixed
+// order: what the workload service warm-starts before the first step and
+// takes the feedback from after the last.
+func (r *Run) Stepper() *BlockStepper { return r.step }
+
+// Stats is the stepper's telemetry, zero in fixed order.
+func (r *Run) Stats() Stats {
+	if r.step == nil {
+		return Stats{}
+	}
+	return r.step.Stats()
+}
+
+// Drive runs the query to completion on every core from zero clocks.
+func (r *Run) Drive() error {
+	if r.all == nil {
+		r.all, r.zero = identity(len(r.engines)), make([]uint64, len(r.engines))
+	}
+	clear(r.zero)
+	for {
+		if done, err := r.Step(r.all, r.zero); done || err != nil {
+			return err
+		}
+	}
+}
+
+// Step executes the query's next block on the given cores of the pool —
+// ascending ids, clocks[i] the absolute time core cores[i] is next free,
+// advanced in place — and reports whether that completed the query:
+//
+//   - fixed order: Quantum morsels per core as one morsel stream from the
+//     clocks as they are;
+//   - adaptive: the subset barriers at its latest clock, runs ReopInterval
+//     morsels per core, the stepper coordinates on the subset's first core,
+//     and every clock moves to the barrier plus the block's makespan plus
+//     what the coordination charged;
+//   - grouped: the whole scan and its merge on the whole pool, from the
+//     barrier;
+//   - the last step of an ordered query: the subset barriers, its first core
+//     merges the partial sort states, and every clock moves to the merge's end.
+//
+// A Run with one engine of its own ignores cores and clocks (the engine's
+// clock is the time) and steps vector-granular: a fixed-order or grouped run
+// whole, an adaptive one a vector at a time, every ReopInterval-th an
+// optimization point.
+func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
+	if r.sorts != nil {
+		// The collectors ride on whichever cores the step runs on; the next
+		// step, or another query, may get different ones.
+		for _, w := range cores {
+			r.engines[w].SetSortRun(r.sorts[w])
+		}
+		defer func() {
+			for _, w := range cores {
+				r.engines[w].SetSortRun(nil)
+			}
+		}()
+	}
+	switch {
+	case r.pool == nil:
+		done, err = r.stepEngine()
+	case len(r.spec.Groups) > 0:
+		done, err = r.stepGrouped(clocks)
+	case r.step != nil:
+		done, err = r.stepBlock(cores, clocks)
+	default:
+		done, err = r.stepQuantum(cores, clocks)
+	}
+	if done && err == nil {
+		if r.step != nil {
+			r.step.TraceFinal()
+		}
+		r.Millis = r.engines[0].CPU().MillisOf(r.Cycles)
+	}
+	return done, err
+}
+
+// begin stamps the query's start clock on its first step.
+func (r *Run) begin(at uint64) {
+	if !r.started {
+		r.started, r.Start = true, at
+	}
+}
+
+// coordinate hands the stepper a finished step of an adaptive run — a morsel
+// block, or one vector on the run's own engine — and returns the cycles the
+// step kept the query's cores busy: its makespan plus what the coordination
+// charged. See AfterBlock for optPoint and validate.
+func (r *Run) coordinate(br exec.BlockResult, tuples int, optPoint, validate bool, engines []*exec.Engine) (uint64, error) {
+	extra, err := r.step.AfterBlock(br, tuples, optPoint, validate, engines[0].CPU(), engines)
+	if err != nil {
+		return 0, err
+	}
+	r.Qualifying += br.Qualifying
+	r.Vectors += br.Vectors
+	r.Cycles += br.MaxCycles + extra
+	return br.MaxCycles + extra, nil
+}
+
+// vectors is how many vectors the next step covers at perCore per core.
+func (r *Run) vectors(perCore, cores int) int {
+	if perCore <= 0 {
+		return r.numVec - r.cursor
+	}
+	return min(perCore*cores, r.numVec-r.cursor)
+}
+
+func (r *Run) stepQuantum(cores []int, clocks []uint64) (bool, error) {
+	r.begin(slices.Min(clocks))
+	v1 := r.cursor + r.vectors(r.spec.Quantum, len(cores))
+	br, err := r.brun.RunBlockSubset(r.spec.Query, r.cursor, v1, cores, clocks, exec.ImplBranching, &r.Sum)
+	if err != nil {
+		return false, err
+	}
+	r.Counters = r.Counters.Add(br.Counters)
+	r.Qualifying += br.Qualifying
+	r.Vectors += br.Vectors
+	if r.cursor = v1; v1 < r.numVec {
+		return false, nil
+	}
+	end := slices.Max(clocks)
+	if r.sorts != nil {
+		end += r.mergeSorts(cores[0])
+		fill(clocks, end)
+	}
+	r.Cycles = end - r.Start
+	return true, nil
+}
+
+func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
+	t0 := slices.Max(clocks)
+	r.begin(t0)
+	perCore := r.step.opt.ReopInterval
+	if perCore <= 0 {
+		perCore = r.spec.Quantum
+	}
+	v1 := r.cursor + r.vectors(perCore, len(cores))
+	fill(clocks, t0)
+	br, err := r.brun.RunBlockSubset(r.step.Query(), r.cursor, v1, cores, clocks, r.step.Impl(), &r.Sum)
+	if err != nil {
+		return false, err
+	}
+	if cap(r.subset) < len(cores) {
+		r.subset = make([]*exec.Engine, len(cores))
+		r.coordStart = make([]pmu.Sample, len(cores))
+	}
+	subset, coordStart := r.subset[:len(cores)], r.coordStart[:len(cores)]
+	for i, w := range cores {
+		subset[i] = r.engines[w]
+		coordStart[i] = subset[i].CPU().Sample()
+	}
+	vs := r.pool.VectorSize()
+	tuples := min(v1*vs, r.spec.Query.Table.NumRows()) - r.cursor*vs
+	last := v1 == r.numVec
+	// Every block but the last is an optimization point, and every block's
+	// cost — a short last one's too — is held against the previous block's.
+	busy, err := r.coordinate(br, tuples, !last, true, subset)
+	if err != nil {
+		return false, err
+	}
+	r.Counters = r.Counters.Add(br.Counters)
+	for i, e := range subset {
+		r.Counters = r.Counters.Add(e.CPU().Sample().Sub(coordStart[i]))
+	}
+	r.cursor = v1
+	if last && r.sorts != nil {
+		merge := r.mergeSorts(cores[0])
+		r.Cycles += merge
+		busy += merge
+	}
+	fill(clocks, t0+busy)
+	return last, nil
+}
+
+func (r *Run) stepGrouped(clocks []uint64) (bool, error) {
+	t0 := slices.Max(clocks)
+	r.begin(t0)
+	res, err := r.pool.RunGroupBy(r.spec.Query, r.spec.Groups)
+	if err != nil {
+		return false, err
+	}
+	r.Result, r.Groups = res.Result, res.Groups
+	fill(clocks, t0+res.Cycles)
+	return true, nil
+}
+
+func (r *Run) stepEngine() (bool, error) {
+	e := r.engines[0]
+	c := e.CPU()
+	if !r.started {
+		r.started, r.pmu0 = true, c.Sample()
+		if r.step != nil {
+			r.step.clockBase = c.Cycles()
+		}
+	}
+	switch {
+	case len(r.spec.Groups) > 0:
+		res, err := e.RunGroupBy(r.spec.Query, r.spec.Groups[0])
+		if err != nil {
+			return false, err
+		}
+		r.Result, r.Groups = res.Result, res.Groups
+		return true, nil
+	case r.step == nil:
+		res, err := e.Run(r.spec.Query)
+		if err != nil {
+			return false, err
+		}
+		r.Result, r.cursor = res, r.numVec
+	default:
+		vs := e.VectorSize()
+		lo := r.cursor * vs
+		hi := min(lo+vs, r.spec.Query.Table.NumRows())
+		s0, c0 := c.Sample(), c.Cycles()
+		vr, err := e.RunVectorImpl(r.step.Query(), lo, hi, r.step.Impl())
+		if err != nil {
+			return false, err
+		}
+		r.Sum += vr.Sum
+		// A one-morsel block. WorkerCycles stays nil: the stepper never reads
+		// it, and it would be an allocation per vector.
+		br := exec.BlockResult{Qualifying: vr.Qualifying, Vectors: 1, MaxCycles: c.Cycles() - c0, Counters: c.Sample().Sub(s0)}
+		r.cursor++
+		// Neither the last vector is an optimization point (nothing would run
+		// under the new plan) nor is a partial one held against a full one's
+		// cost: its fixed costs are spread over fewer tuples.
+		every := r.step.opt.ReopInterval
+		optPoint := every > 0 && r.cursor%every == 0 && r.cursor < r.numVec
+		if _, err := r.coordinate(br, hi-lo, optPoint, hi-lo == vs, r.engines); err != nil {
+			return false, err
+		}
+	}
+	if r.cursor < r.numVec {
+		return false, nil
+	}
+	if r.sorts != nil {
+		r.Cycles += r.mergeSorts(0)
+	}
+	r.Counters = c.Sample().Sub(r.pmu0)
+	return true, nil
+}
+
+// fill sets every clock of a subset that leaves a step together.
+func fill(clocks []uint64, t uint64) {
+	for i := range clocks {
+		clocks[i] = t
+	}
+}
+
+// mergeSorts runs the sort merge of a completed ordered query on core coord,
+// every other core waiting at the barrier for it — the makespan-extension
+// contract of the grouped aggregation's table merge. It returns the merge's
+// cycles; its PMU delta joins the query's counters.
+func (r *Run) mergeSorts(coord int) uint64 {
+	c := r.engines[coord].CPU()
+	s0, c0 := c.Sample(), c.Cycles()
+	r.Sorted = exec.FinalizeSort(c, coord, r.sorts)
+	r.Counters = r.Counters.Add(c.Sample().Sub(s0))
+	return c.Cycles() - c0
+}
+
+// RunAdaptive drives q in ModeProgressive — ModeMicroAdaptive with micro set —
+// to completion on the pool p when there is one and on the engine e otherwise,
+// and returns the result with the stepper's telemetry.
+func RunAdaptive(e *exec.Engine, p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
+	mode := ModeProgressive
+	if micro {
+		mode = ModeMicroAdaptive
+	}
+	r := NewRun(e, p)
+	if err := r.Begin(Spec{Query: q, Mode: mode, Opt: opt}); err != nil {
+		return exec.Result{}, Stats{}, err
+	}
+	if err := r.Drive(); err != nil {
+		return exec.Result{}, Stats{}, err
+	}
+	return r.Result, r.Stats(), nil
 }

@@ -1,0 +1,244 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+
+	"progopt/internal/exec"
+	"progopt/internal/hw/cpu"
+	"progopt/internal/tpch"
+)
+
+// driveCase is one query shape of the driver matrix; spec builds it for a
+// pool of the given size (per-core sort states and group tables).
+type driveCase struct {
+	name string
+	spec func(workers int) Spec
+}
+
+// driveCases binds Q6, started at its reversed order, and returns the shapes
+// the driver runs: the three modes, an ordered query on the fixed-order and
+// on the adaptive path, and a grouped aggregation.
+func driveCases(t *testing.T, rows, vs int) []driveCase {
+	t.Helper()
+	d := tpch.MustGenerate(tpch.Config{Lineitems: rows, Seed: 11})
+	q6, err := exec.Q6(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One binder for the columns, the sort regions and the hash tables: every
+	// core of every pool below shares its address space.
+	binder := exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs)
+	if err := binder.BindQuery(q6); err != nil {
+		t.Fatal(err)
+	}
+	q, err := q6.WithOrder([]int{4, 3, 2, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	li := d.Lineitem
+	sorts := func(workers, limit int) []*exec.Sort {
+		out := make([]*exec.Sort, workers)
+		for i := range out {
+			keys := []exec.SortKey{{Col: li.Column("l_extendedprice"), Desc: true}}
+			if out[i], err = exec.NewSort(binder.CPU(), keys, limit, q.Agg, rows, vs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	groups := func(workers int) []*exec.GroupBy {
+		out := make([]*exec.GroupBy, workers)
+		for i := range out {
+			if out[i], err = exec.NewGroupBy(binder.CPU(), li.Column("l_quantity"), li.Column("l_extendedprice"), 50); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	opt := Options{ReopInterval: 2}
+	return []driveCase{
+		{"fixed", func(int) Spec { return Spec{Query: q} }},
+		{"progressive", func(int) Spec { return Spec{Query: q, Mode: ModeProgressive, Opt: opt} }},
+		{"micro-adaptive", func(int) Spec { return Spec{Query: q, Mode: ModeMicroAdaptive, Opt: opt} }},
+		{"top-k", func(w int) Spec { return Spec{Query: q, Sorts: sorts(w, 10)} }},
+		{"sorted-progressive", func(w int) Spec {
+			return Spec{Query: q, Mode: ModeProgressive, Opt: opt, Sorts: sorts(w, -1)}
+		}},
+		{"grouped", func(w int) Spec { return Spec{Query: q, Groups: groups(w)} }},
+	}
+}
+
+// sameAnswer holds a run's output against the reference's: what may never
+// depend on how the run was cut into steps or which cores ran them.
+func sameAnswer(t *testing.T, what string, got, want *Run) {
+	t.Helper()
+	if got.Qualifying != want.Qualifying || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) || got.Vectors != want.Vectors {
+		t.Errorf("%s: %d qualifying, sum %v, %d vectors; want %d, %v, %d",
+			what, got.Qualifying, got.Sum, got.Vectors, want.Qualifying, want.Sum, want.Vectors)
+	}
+	if !reflect.DeepEqual(got.Sorted, want.Sorted) {
+		t.Errorf("%s: %d sorted rows differ from the reference's %d", what, len(got.Sorted), len(want.Sorted))
+	}
+	if !reflect.DeepEqual(got.Groups, want.Groups) {
+		t.Errorf("%s: %d groups differ from the reference's %d", what, len(got.Groups), len(want.Groups))
+	}
+}
+
+// TestStepMatchesDrive is the driver's own equivalence matrix, where the
+// dedicated runners and the served segment runners used to be compared:
+// every query shape × Workers {1, 2, 4}, run (a) to completion on the full
+// pool from zero clocks, (b) in quanta on the full pool from a later, even
+// clock — every simulated observable must match (a) — and (c) in quanta on a
+// subset that changes from step to step and is entered at unequal clocks —
+// the answer must match (a), whatever the schedule cost. At one worker the
+// engine-granular run (a vector per adaptive step) must give the answer too.
+func TestStepMatchesDrive(t *testing.T) {
+	const rows, vs = 64*512 - 100, 512
+	cases := driveCases(t, rows, vs)
+	begin := func(workers int, spec Spec) *Run {
+		p, err := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		r := NewRun(nil, p)
+		if err := r.Begin(spec); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			// One spec for all runs of the cell: they share the sort regions and
+			// hash tables, as repeated runs of one compiled query do.
+			spec := tc.spec(workers)
+			ref := begin(workers, spec)
+			if err := ref.Drive(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ref.Qualifying == 0 || ref.Vectors != 64 {
+				t.Fatalf("%s: reference qualified %d tuples over %d vectors", name, ref.Qualifying, ref.Vectors)
+			}
+			if ref.Stepper() != nil && ref.Stats().Optimizations == 0 {
+				t.Fatalf("%s: the adaptive reference never reached an optimization point", name)
+			}
+
+			// (b) the full subset, unchanged, three morsels per core and step.
+			spec.Quantum = 3
+			even := begin(workers, spec)
+			const t0 = 5000
+			clocks := make([]uint64, workers)
+			fill(clocks, t0)
+			steps := 0
+			for done := false; !done; steps++ {
+				var err error
+				if done, err = even.Step(identity(workers), clocks); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			sameAnswer(t, name+" in quanta", even, ref)
+			if even.Cycles != ref.Cycles || even.Counters != ref.Counters || even.Millis != ref.Millis {
+				t.Errorf("%s in quanta: %d cycles, reference %d; counters equal: %v",
+					name, even.Cycles, ref.Cycles, even.Counters == ref.Counters)
+			}
+			if even.Start != t0 || slices.Max(clocks) != t0+ref.Cycles {
+				t.Errorf("%s in quanta: started at %d, clocks %v; want %d and a latest clock of %d",
+					name, even.Start, clocks, t0, t0+ref.Cycles)
+			}
+			if len(spec.Groups) == 0 && steps < 4 {
+				t.Errorf("%s in quanta: %d steps, the run was not cut", name, steps)
+			}
+			if !reflect.DeepEqual(even.Stats(), ref.Stats()) {
+				t.Errorf("%s in quanta: stepper stats\n got %+v\nwant %+v", name, even.Stats(), ref.Stats())
+			}
+
+			// (c) a subset that changes between steps — all cores, the middle
+			// ones, all but one — entered at unequal clocks. A grouped query owns
+			// the whole pool; its one step starts from the unequal clocks.
+			moved := begin(workers, spec)
+			subsets := [][]int{identity(workers)}
+			if workers == 2 && len(spec.Groups) == 0 {
+				subsets = [][]int{{0, 1}, {1}, {0}}
+			}
+			if workers == 4 && len(spec.Groups) == 0 {
+				subsets = [][]int{{0, 1, 2, 3}, {1, 2}, {0, 2, 3}}
+			}
+			pool := make([]uint64, workers)
+			for w := range pool {
+				pool[w] = uint64(1000 * (workers - w))
+			}
+			for i, done := 0, false; !done; i++ {
+				cores := subsets[i%len(subsets)]
+				sub := make([]uint64, len(cores))
+				for j, w := range cores {
+					sub[j] = pool[w]
+				}
+				var err error
+				if done, err = moved.Step(cores, sub); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for j, w := range cores {
+					if sub[j] < pool[w] {
+						t.Fatalf("%s: step %d moved core %d's clock back, %d to %d", name, i, w, pool[w], sub[j])
+					}
+					pool[w] = sub[j]
+				}
+			}
+			sameAnswer(t, name+" on a moving subset", moved, ref)
+
+			if workers == 1 {
+				one := NewRun(exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs), nil)
+				if err := one.Begin(spec); err != nil {
+					t.Fatal(err)
+				}
+				if err := one.Drive(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sameAnswer(t, name+" on one engine", one, ref)
+			}
+		}
+	}
+}
+
+// TestSpecValidate: the driver refuses what it could not run, before any core
+// is touched.
+func TestSpecValidate(t *testing.T) {
+	cases := driveCases(t, 4*512, 512)
+	spec := func(name string, workers int) Spec {
+		for _, tc := range cases {
+			if tc.name == name {
+				return tc.spec(workers)
+			}
+		}
+		t.Fatalf("no case %q", name)
+		return Spec{}
+	}
+	both := spec("grouped", 2)
+	both.Sorts = spec("top-k", 2).Sorts
+	adaptiveGrouped := spec("grouped", 2)
+	adaptiveGrouped.Mode = ModeProgressive
+	for name, s := range map[string]Spec{
+		"no query":            {},
+		"unknown mode":        {Query: spec("fixed", 2).Query, Mode: 7},
+		"no operators":        {Query: &exec.Query{Table: spec("fixed", 2).Query.Table}},
+		"adaptive grouped":    adaptiveGrouped,
+		"grouped and sorted":  both,
+		"tables for 4 cores":  spec("grouped", 4),
+		"sort states for one": spec("top-k", 1),
+	} {
+		if err := s.Validate(2); err == nil {
+			t.Errorf("%s: accepted for a 2-core pool", name)
+		}
+	}
+	for _, tc := range cases {
+		s := tc.spec(2)
+		if err := s.Validate(2); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}

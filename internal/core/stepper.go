@@ -14,13 +14,11 @@ import (
 // operator permutation, the pending validation against the previous step's
 // per-vector cost, the selectivity estimation over the step's (merged
 // per-core) PMU delta, and — in micro mode — the branching/branch-free
-// implementation choice. Every adaptive run goes through it: RunAdaptive
-// (which steps it one vector at a time on a single engine, or one morsel
-// block at a time on a pool) and the workload service's scheduler,
-// which drives the same coordination while the query runs on a *dynamic*
-// subset of cores. The stepper never executes anything: it consumes finished
-// BlockResults and tells the caller which query order and scan
-// implementation the next step must run.
+// implementation choice. Run.Step is its one caller: it steps it one vector at
+// a time on a single engine and one morsel block at a time on a pool, on
+// whatever subset of cores the step was given. The stepper never executes
+// anything: it consumes finished BlockResults and tells the driver which query
+// order and scan implementation the next step must run.
 type BlockStepper struct {
 	base *exec.Query
 	opt  Options
@@ -168,15 +166,6 @@ func (s *BlockStepper) WarmStart(order []int, impl exec.ScanImpl, rejected [][]i
 // Rejected returns the orders validation rolled back that still stand at the
 // end of the run: what WarmStart hands the next one.
 func (s *BlockStepper) Rejected() [][]int { return slices.Clone(s.rejected) }
-
-// BlockVectors returns how many vectors one block-granular step spans on k
-// cores (ReopInterval per core), or 0 when re-optimization is disabled.
-func (s *BlockStepper) BlockVectors(k int) int {
-	if s.opt.ReopInterval <= 0 {
-		return 0
-	}
-	return s.opt.ReopInterval * k
-}
 
 // at is the trace timestamp of a decision taken extra cycles into the
 // current step's coordination.

@@ -42,14 +42,13 @@ type Parallel struct {
 	workers    []*Engine
 	vectorSize int
 	// blockCores/blockClocks are the reusable identity subset of the
-	// whole-pool entry points (RunBlock, RunGroupBy), which always have a
-	// single driver.
+	// whole-pool entry points (Run, RunGroupBy), which always have a single
+	// caller.
 	blockCores  []int
 	blockClocks []uint64
-	// run is the default block-run context of the single-driver entry
-	// points. Drivers that execute blocks concurrently (the workload
-	// service's host-parallel scheduling rounds) allocate their own context
-	// per driver with NewBlockRun.
+	// run is the block-run context of those whole-pool entry points. The
+	// query driver (core.Run) brings its own, made with NewBlockRun, so the
+	// workload service's concurrent queries never share one.
 	run BlockRun
 	// groupAcc is RunGroupBy's accumulator: the merged group rows and, per
 	// key, which cores' partial tables hold it. Reset at the start of every
@@ -64,13 +63,13 @@ type Parallel struct {
 	pool   atomic.Pointer[hostPool]
 }
 
-// BlockRun is one driver's block execution context: the lookahead scheduler
-// state, the ring of per-morsel results, the reduction targets, and reusable
-// scratch (PMU sample snapshots, the per-call busy-cycle counters). The
-// simulation state lives in the Parallel's engines; several drivers may
-// execute blocks on one Parallel concurrently as long as each uses its own
-// BlockRun over a disjoint core subset. Everything a block needs lives here
-// and is reused, so a steady-state block allocates nothing.
+// BlockRun is the block execution context of one query at a time: the
+// lookahead scheduler state, the ring of per-morsel results, the reduction
+// targets, and reusable scratch (PMU sample snapshots, the per-call
+// busy-cycle counters). The simulation state lives in the Parallel's engines;
+// several queries may execute blocks on one Parallel concurrently as long as
+// each uses its own BlockRun over a disjoint core subset. Everything a block
+// needs lives here and is reused, so a steady-state block allocates nothing.
 type BlockRun struct {
 	p             *Parallel
 	sampleScratch []pmu.Sample
@@ -127,7 +126,7 @@ type morsel struct {
 	pv     any // captured panic value, nil if the morsel did not panic
 }
 
-// NewBlockRun returns a fresh block-run context for one concurrent driver.
+// NewBlockRun returns a fresh block-run context.
 func (p *Parallel) NewBlockRun() *BlockRun { return &BlockRun{p: p} }
 
 // NewParallel builds a parallel executor with the given number of worker
@@ -392,20 +391,6 @@ func (p *Parallel) fullCores() ([]int, []uint64) {
 	return p.blockCores, p.blockClocks
 }
 
-// RunBlock executes vectors [vecLo, vecHi) of the query morsel-driven over
-// the whole pool from an even start: each vector is one morsel, claimed by
-// the core whose simulated clock is furthest behind (ties go to the lowest
-// core id), all cores inside the scan implementation impl. sum is
-// RunBlockSubset's external aggregate accumulator: a driver that splits one
-// scan into many blocks passes the same *float64 to every call and gets the
-// exact per-vector addition order (and therefore bit pattern) of an unsplit
-// serial run, regardless of block boundaries; with nil the block's
-// contribution is reduced into BlockResult.Sum.
-func (p *Parallel) RunBlock(q *Query, vecLo, vecHi int, impl ScanImpl, sum *float64) (BlockResult, error) {
-	cores, clocks := p.fullCores()
-	return p.run.RunBlockSubset(q, vecLo, vecHi, cores, clocks, impl, sum)
-}
-
 // minVectorCycles returns a guaranteed lower bound on the simulated cycles
 // any engine spends on an n-row vector: every execution mode of every driver
 // (batch, fused, scalar, branch-free, and GroupVector) unconditionally
@@ -592,14 +577,14 @@ func (r *BlockRun) merge(m *morsel) bool {
 }
 
 // RunBlockSubset executes vectors [vecLo, vecHi) of the query morsel-driven
-// on a dynamic subset of the pool's cores — the primitive the workload
-// service partitions cores across concurrent queries with. cores lists the
-// participating core ids in strictly ascending order; clocks[i] is the
-// absolute simulated time core cores[i] is next free, continued from the
-// caller's discrete-event state and updated in place. Each morsel goes to
-// the subset core whose clock is smallest (ties to the lowest position), so
-// a core that enters the block behind the others naturally backfills first —
-// the same self-balancing rule RunBlock applies from an even start.
+// on a subset of the pool's cores, all inside the scan implementation impl —
+// the block primitive of the query driver's step (core.Run.Step) and, over
+// the whole pool from zero clocks, of Run. cores lists the participating core
+// ids in strictly ascending order; clocks[i] is the absolute simulated time
+// core cores[i] is next free, continued from the caller's discrete-event
+// state and updated in place. Each vector is one morsel and goes to the
+// subset core whose clock is smallest (ties to the lowest position), so a
+// core that enters the block behind the others naturally backfills first.
 //
 // Morsels overlap on the host wherever the lookahead rule can certify the
 // next core choice early (see lookahead.go); results reduce in ascending
@@ -610,19 +595,17 @@ func (r *BlockRun) merge(m *morsel) bool {
 // The returned BlockResult reports WorkerCycles[i] as the busy cycles core
 // cores[i] consumed in this call, MaxCycles as the block makespan measured
 // from the earliest entry clock, and Counters as the subset's merged PMU
-// deltas. With the full pool and zero entry clocks this is exactly
-// RunBlock.
+// deltas.
 //
 // sum, when non-nil, receives the per-vector aggregate contributions in
-// global vector order and BlockResult.Sum stays zero: a caller that splits
-// one logical scan into many scheduling quanta accumulates into the same
-// float across all of them, preserving the exact addition order (and
-// therefore the bit pattern) of an unsplit run. With sum == nil the block's
-// contribution is reduced into BlockResult.Sum, the dedicated drivers'
-// per-block contract.
+// global vector order and BlockResult.Sum stays zero: the driver, which
+// splits one scan into many steps, accumulates into the same float across
+// all of them, preserving the exact addition order (and therefore the bit
+// pattern) of an unsplit run. With sum == nil the block's contribution is
+// reduced into BlockResult.Sum, which is what Run reports.
 //
 // The scheduler state and scratch come from this BlockRun, so concurrent
-// drivers over disjoint core subsets do not contend.
+// queries over disjoint core subsets do not contend.
 func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
 	p := r.p
 	if err := q.Validate(); err != nil {
@@ -773,7 +756,8 @@ func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 // operator order. Result.Cycles is the makespan (the slowest core's cycle
 // count) and Result.Counters the merged per-core PMU deltas.
 func (p *Parallel) Run(q *Query) (Result, error) {
-	br, err := p.RunBlock(q, 0, p.NumVectors(q), ImplBranching, nil)
+	cores, clocks := p.fullCores()
+	br, err := p.run.RunBlockSubset(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -9,6 +9,13 @@ import (
 	"progopt/internal/tpch"
 )
 
+// runBlock executes vectors [vecLo, vecHi) over the whole pool from zero
+// clocks on the pool's own block-run context.
+func runBlock(p *Parallel, q *Query, vecLo, vecHi int, impl ScanImpl, sum *float64) (BlockResult, error) {
+	cores, clocks := p.fullCores()
+	return p.run.RunBlockSubset(q, vecLo, vecHi, cores, clocks, impl, sum)
+}
+
 func parallelFixture(t *testing.T) (*tpch.Dataset, *Query) {
 	t.Helper()
 	d := tpch.MustGenerate(tpch.Config{Lineitems: 50000, Seed: 2})
@@ -90,7 +97,7 @@ func TestParallelLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := p.RunBlock(q, 0, p.NumVectors(q), ImplBranching, nil)
+	br, err := runBlock(p, q, 0, p.NumVectors(q), ImplBranching, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +120,13 @@ func TestParallelBlockValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nv := p.NumVectors(q)
-	if _, err := p.RunBlock(q, -1, nv, ImplBranching, nil); err == nil {
+	if _, err := runBlock(p, q, -1, nv, ImplBranching, nil); err == nil {
 		t.Error("negative block start accepted")
 	}
-	if _, err := p.RunBlock(q, 0, nv+1, ImplBranching, nil); err == nil {
+	if _, err := runBlock(p, q, 0, nv+1, ImplBranching, nil); err == nil {
 		t.Error("block beyond table accepted")
 	}
-	if _, err := p.RunBlock(q, 3, 2, ImplBranching, nil); err == nil {
+	if _, err := runBlock(p, q, 3, 2, ImplBranching, nil); err == nil {
 		t.Error("inverted block accepted")
 	}
 	if _, err := NewParallel(cpu.ScaledXeon(), 0, 1024); err == nil {
@@ -173,7 +180,7 @@ func TestParallelFailurePaths(t *testing.T) {
 	run := func(p *Parallel) (o outcome) {
 		defer func() { o.panicked = recover() }()
 		p.Cold()
-		_, err := p.RunBlock(q, 0, p.NumVectors(q), ImplBranching, &o.sum)
+		_, err := runBlock(p, q, 0, p.NumVectors(q), ImplBranching, &o.sum)
 		t.Errorf("block over a corrupt key returned (err %v) instead of panicking", err)
 		return o
 	}
@@ -204,7 +211,7 @@ func TestParallelFailurePaths(t *testing.T) {
 		// An error every morsel raises: the block returns it, reduces nothing,
 		// and leaves no morsel running.
 		sum := 0.0
-		if _, err := p.RunBlock(q, 0, p.NumVectors(q), ImplBranchFree, &sum); err == nil || sum != 0 {
+		if _, err := runBlock(p, q, 0, p.NumVectors(q), ImplBranchFree, &sum); err == nil || sum != 0 {
 			t.Fatalf("gomaxprocs=%d: branch-free join returned err %v, sum %v", gmp, err, sum)
 		}
 		// Same executor, keys repaired: it must still give the serial answer.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"progopt/internal/core"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/tpch"
@@ -58,27 +59,18 @@ func ExtGroupBy(cfg Config) ([]*Report, error) {
 		if err := r.bind(q); err != nil {
 			return nil, err
 		}
-		nTables := 1
-		if r.par != nil {
-			nTables = workers
-		}
-		gs := make([]*exec.GroupBy, nTables)
+		gs := make([]*exec.GroupBy, r.run.Workers())
 		for i := range gs {
 			gs[i], err = exec.NewGroupBy(r.cpu, d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), 50)
 			if err != nil {
 				return nil, err
 			}
 		}
-		r.cold()
-		var res exec.GroupResult
-		if r.par != nil {
-			res, err = r.par.RunGroupBy(q, gs)
-		} else {
-			res, err = r.eng.RunGroupBy(q, gs[0])
-		}
+		run, err := r.drive(core.Spec{Query: q, Groups: gs})
 		if err != nil {
 			return nil, err
 		}
+		res := exec.GroupResult{Result: run.Result, Groups: run.Groups}
 		if workers == 1 {
 			serial = res
 		} else {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"progopt/internal/columnar"
+	"progopt/internal/core"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/tpch"
@@ -97,42 +98,15 @@ func runTopK(cfg Config, rows, workers, limit int) ([]exec.SortedRow, float64, e
 		return nil, 0, err
 	}
 	keys := []exec.SortKey{{Col: price, Desc: true}}
-	n := 1
-	if r.par != nil {
-		n = workers
-	}
-	runs := make([]*exec.SortRun, n)
-	for i := range runs {
-		s, err := exec.NewSort(r.cpu, keys, limit, agg, rows, cfg.VectorSize)
-		if err != nil {
+	sorts := make([]*exec.Sort, r.run.Workers())
+	for i := range sorts {
+		if sorts[i], err = exec.NewSort(r.cpu, keys, limit, agg, rows, cfg.VectorSize); err != nil {
 			return nil, 0, err
 		}
-		runs[i] = exec.NewSortRun(s)
 	}
-	r.cold()
-	var res exec.Result
-	if r.par != nil {
-		for i, eng := range r.par.Engines() {
-			eng.SetSortRun(runs[i])
-		}
-		res, err = r.par.Run(q)
-		for _, eng := range r.par.Engines() {
-			eng.SetSortRun(nil)
-		}
-	} else {
-		r.eng.SetSortRun(runs[0])
-		res, err = r.eng.Run(q)
-		r.eng.SetSortRun(nil)
-	}
+	run, err := r.drive(core.Spec{Query: q, Sorts: sorts})
 	if err != nil {
 		return nil, 0, err
 	}
-	coord := r.cpu
-	if r.par != nil {
-		coord = r.par.Engines()[0].CPU()
-	}
-	c0 := coord.Cycles()
-	out := exec.FinalizeSort(coord, 0, runs)
-	cycles := res.Cycles + coord.Cycles() - c0
-	return out, r.millis(cycles), nil
+	return run.Sorted, run.Millis, nil
 }

@@ -13,7 +13,8 @@ import (
 // over the same bound data set. Between measurements the caches are flushed
 // and the predictors reset, so every run starts cold, like the paper's
 // separately executed queries. The config's Workers knob selects the
-// morsel-driven multi-core executor; measurements dispatch accordingly.
+// morsel-driven multi-core executor; every measurement goes through the one
+// query driver, which runs on the pool when there is one.
 type rig struct {
 	cpu *cpu.CPU
 	eng *exec.Engine
@@ -23,6 +24,7 @@ type rig struct {
 	// recorder, nil otherwise. Rigs within one recorder get uniquely prefixed
 	// track names so sweeps over several rigs stay distinguishable.
 	opt *trace.Track
+	run *core.Run
 }
 
 func newRig(prof cpu.Profile, cfg Config) (*rig, error) {
@@ -42,6 +44,7 @@ func newRig(prof cpu.Profile, cfg Config) (*rig, error) {
 		}
 		r.par = par
 	}
+	r.run = core.NewRun(e, r.par)
 	if cfg.Trace != nil {
 		// Track names embed the recorder's current track count so each rig
 		// in a sweep gets its own set (determinism: rigs are created in
@@ -84,6 +87,17 @@ func (r *rig) cold() {
 	}
 }
 
+// drive runs one query to completion from a cold start; the result, output
+// rows and stepper are the run's until the next measurement.
+func (r *rig) drive(spec core.Spec) (*core.Run, error) {
+	r.cold()
+	spec.Opt.Trace = r.opt
+	if err := r.run.Begin(spec); err != nil {
+		return nil, err
+	}
+	return r.run, r.run.Drive()
+}
+
 // measureBaseline runs q under the given operator permutation with the
 // common (fixed-order) execution pattern and returns the result.
 func (r *rig) measureBaseline(q *exec.Query, perm []int) (exec.Result, error) {
@@ -91,11 +105,11 @@ func (r *rig) measureBaseline(q *exec.Query, perm []int) (exec.Result, error) {
 	if err != nil {
 		return exec.Result{}, err
 	}
-	r.cold()
-	if r.par != nil {
-		return r.par.Run(qo)
+	run, err := r.drive(core.Spec{Query: qo})
+	if err != nil {
+		return exec.Result{}, err
 	}
-	return r.eng.Run(qo)
+	return run.Result, nil
 }
 
 // measureProgressive runs q under the given initial permutation with
@@ -112,9 +126,11 @@ func (r *rig) measureProgressiveOpts(q *exec.Query, perm []int, opts core.Option
 	if err != nil {
 		return exec.Result{}, core.Stats{}, err
 	}
-	r.cold()
-	opts.Trace = r.opt
-	return core.RunAdaptive(r.eng, r.par, qo, opts, false)
+	run, err := r.drive(core.Spec{Query: qo, Mode: core.ModeProgressive, Opt: opts})
+	if err != nil {
+		return exec.Result{}, core.Stats{}, err
+	}
+	return run.Result, run.Stats(), nil
 }
 
 // millis converts simulated cycles to msec on the rig's clock.

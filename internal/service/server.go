@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,18 +10,17 @@ import (
 	"progopt/internal/exec"
 	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
-	"progopt/internal/hw/pmu"
 	"progopt/internal/trace"
 )
 
-// Mode mirrors the public execution modes.
-type Mode int
+// Mode is the driver's execution mode.
+type Mode = core.Mode
 
 // Execution modes.
 const (
-	ModeFixed Mode = iota
-	ModeProgressive
-	ModeMicroAdaptive
+	ModeFixed         = core.ModeFixed
+	ModeProgressive   = core.ModeProgressive
+	ModeMicroAdaptive = core.ModeMicroAdaptive
 )
 
 // Config configures a workload server.
@@ -140,15 +140,13 @@ const (
 	stateDone
 )
 
-// segScratch is one query's reusable segment-execution scratch: the per-driver
-// block-run context plus the clock/engine/PMU snapshots a segment carries
-// between its locked begin phase and the round barrier. Recycled through the
-// server's freelist at completion, so steady-state rounds allocate nothing.
+// segScratch is what a query executes its segments with: the driver, with its
+// block-run context, and the subset's clocks between a segment's locked begin
+// phase and the round barrier. Recycled through the server's freelist at
+// completion, so steady-state rounds allocate nothing.
 type segScratch struct {
-	brun       *exec.BlockRun
-	clocks     []uint64
-	engines    []*exec.Engine
-	coordStart []pmu.Sample
+	run    *core.Run
+	clocks []uint64
 }
 
 // query is the scheduler's per-submission state.
@@ -157,7 +155,6 @@ type query struct {
 	req      Request
 	warm     []int // applied warm order (nil = cold)
 	warmImpl exec.ScanImpl
-	step     *core.BlockStepper // nil for fixed-order and grouped queries
 
 	// optReal/optStage stage the optimizer trace: the stepper writes its
 	// decision events into the private stage, and the round barrier splices
@@ -166,13 +163,7 @@ type query struct {
 	optReal  *trace.Track
 	optStage *trace.Track
 
-	// sorts holds the per-pool-core sort collectors of an ordered query
-	// (indexed by core id; attached to the subset's engines per segment).
-	sorts  []*exec.SortRun
-	sorted []exec.SortedRow
-
-	numVec, cursor int
-	cores          []int // current core subset, ascending; empty = descheduled
+	cores []int // current core subset, ascending; empty = descheduled
 
 	// Segment-execution plumbing: sc is the recycled scratch, fn the
 	// prebuilt closure the host pool runs (allocated once per query), and
@@ -182,26 +173,18 @@ type query struct {
 	segErr      error
 	segPanic    any
 	segPanicked bool
-	// finished/finDone mark a segment that completed its query; the barrier
-	// turns them into finishLocked under the lock.
+	// finished marks a segment that completed its query; the barrier turns it
+	// into finishLocked under the lock.
 	finished bool
-	finDone  uint64
 
 	// cond parks Ticket.Wait callers while another waiter drives rounds;
 	// waiters counts sleepers for the driver handoff.
 	cond    *sync.Cond
 	waiters int
 
-	startSet             bool
-	arrival, start, done uint64
-	busy                 uint64
-	millis               float64
-	counters             pmu.Sample
-	qual                 int64
-	sum                  float64
-	vectors              int
-	groups               []exec.Group
-	st                   core.Stats
+	arrival uint64
+	// out is the finished query's outcome (WarmOrder is copied per Wait).
+	out Outcome
 
 	state int
 	err   error
@@ -233,7 +216,6 @@ func (q *query) grouped() bool { return len(q.req.Groups) > 0 }
 type Server struct {
 	mu   sync.Mutex
 	pool *exec.Parallel
-	prof cpu.Profile
 	cfg  Config
 
 	clock []uint64 // absolute simulated time each core is next free
@@ -301,7 +283,6 @@ func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error)
 	}
 	s := &Server{
 		pool:              p,
-		prof:              prof,
 		cfg:               cfg,
 		clock:             make([]uint64, workers),
 		owner:             make([]*query, workers),
@@ -379,13 +360,7 @@ func (s *Server) BindQuery(q *exec.Query) error {
 func (s *Server) Now() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	min := s.pubClock[0]
-	for _, cl := range s.pubClock[1:] {
-		if cl < min {
-			min = cl
-		}
-	}
-	return min
+	return slices.Min(s.pubClock)
 }
 
 // Stats snapshots the server counters. Reads the round-barrier-published
@@ -395,9 +370,7 @@ func (s *Server) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	for _, cl := range s.pubClock {
-		if cl > st.MakespanCycles {
-			st.MakespanCycles = cl
-		}
+		st.MakespanCycles = max(st.MakespanCycles, cl)
 	}
 	return st
 }
@@ -414,33 +387,12 @@ type Ticket struct {
 // deterministic workload, submit the trace in order before (or while)
 // waiting.
 func (s *Server) Submit(req Request) (*Ticket, error) {
-	if req.Query == nil {
-		return nil, fmt.Errorf("service: Submit needs a query")
-	}
-	switch req.Mode {
-	case ModeFixed, ModeProgressive, ModeMicroAdaptive:
-	default:
-		return nil, fmt.Errorf("service: unknown mode %d", int(req.Mode))
-	}
-	if err := req.Query.Validate(); err != nil {
+	spec := s.spec(&req)
+	if err := spec.Validate(s.pool.Workers()); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(req.Groups) > 0 {
-		if req.Mode != ModeFixed {
-			return nil, fmt.Errorf("service: grouped queries must use ModeFixed")
-		}
-		if len(req.Groups) != s.pool.Workers() {
-			return nil, fmt.Errorf("service: %d partial group tables for a %d-core pool", len(req.Groups), s.pool.Workers())
-		}
-		if len(req.Sorts) > 0 {
-			return nil, fmt.Errorf("service: a query cannot both group and sort")
-		}
-	}
-	if len(req.Sorts) > 0 && len(req.Sorts) != s.pool.Workers() {
-		return nil, fmt.Errorf("service: %d partial sort states for a %d-core pool", len(req.Sorts), s.pool.Workers())
-	}
 	if len(req.Storage) > 0 && len(req.Storage) != s.pool.Workers() {
 		return nil, fmt.Errorf("service: %d stored-scan states for a %d-core pool", len(req.Storage), s.pool.Workers())
 	}
@@ -464,21 +416,18 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	}
 	if s.tr != nil {
 		s.tr.Instant("submit", q.arrival,
-			trace.Int("seq", q.seq), trace.String("mode", modeName(req.Mode)),
+			trace.Int("seq", q.seq), trace.String("mode", req.Mode.String()),
 			trace.Int("queued", len(s.queue)))
 	}
 	return &Ticket{s: s, q: q}, nil
 }
 
-// modeName renders an execution mode for trace args.
-func modeName(m Mode) string {
-	switch m {
-	case ModeProgressive:
-		return "progressive"
-	case ModeMicroAdaptive:
-		return "micro-adaptive"
-	default:
-		return "fixed"
+// spec is the request as the driver runs it: fixed-order scans in quanta of
+// QuantumVectors morsels per core.
+func (s *Server) spec(req *Request) core.Spec {
+	return core.Spec{
+		Query: req.Query, Mode: req.Mode, Opt: req.Opt,
+		Groups: req.Groups, Sorts: req.Sorts, Quantum: s.cfg.QuantumVectors,
 	}
 }
 
@@ -527,7 +476,9 @@ func (t *Ticket) Wait() (Outcome, error) {
 	if q.err != nil {
 		return Outcome{}, q.err
 	}
-	return q.outcome(), nil
+	out := q.out
+	out.WarmOrder = slices.Clone(q.warm)
+	return out, nil
 }
 
 // wakeDoneLocked wakes the waiters of every query that completed (or failed)
@@ -591,28 +542,6 @@ func (t *Ticket) WarmStarted() (bool, []int) {
 		return false, nil
 	}
 	return true, append([]int(nil), t.q.warm...)
-}
-
-// outcome flattens a finished query.
-func (q *query) outcome() Outcome {
-	return Outcome{
-		Result: exec.Result{
-			Qualifying: q.qual,
-			Sum:        q.sum,
-			Cycles:     q.busy,
-			Millis:     q.millis,
-			Counters:   q.counters,
-			Vectors:    q.vectors,
-		},
-		Groups:      q.groups,
-		Sorted:      q.sorted,
-		Stats:       q.st,
-		Arrival:     q.arrival,
-		Start:       q.start,
-		Done:        q.done,
-		WarmStarted: q.warm != nil,
-		WarmOrder:   append([]int(nil), q.warm...),
-	}
 }
 
 // failAllLocked marks every unfinished query failed — scheduler errors
@@ -802,50 +731,42 @@ func (s *Server) admitLocked() {
 	}
 }
 
-// prepareLocked readies a query for execution at admission time: build the
-// optimizer stepper for adaptive modes (writing its trace into a private
-// stage the round barrier splices), warm-start it from the feedback cache —
-// admission, not submission, is when the latest completed run of the same
-// fingerprint is visible, exactly like a real server racing recurring
-// queries — and hand the query its recycled segment scratch.
+// prepareLocked readies a query for execution at admission time: hand it a
+// recycled driver, begin the query on it (an adaptive one writes its optimizer
+// trace into a private stage the round barrier splices), and warm-start it
+// from the feedback cache — admission, not submission, is when the latest
+// completed run of the same fingerprint is visible, exactly like a real server
+// racing recurring queries.
 func (s *Server) prepareLocked(q *query) error {
-	req := q.req
-	q.numVec = s.pool.NumVectors(req.Query)
-	if len(req.Sorts) > 0 {
-		q.sorts = make([]*exec.SortRun, len(req.Sorts))
-		for i, st := range req.Sorts {
-			q.sorts[i] = exec.NewSortRun(st)
-		}
+	req := &q.req
+	spec := s.spec(req)
+	if req.Mode != ModeFixed && spec.Opt.Trace != nil {
+		q.optReal = spec.Opt.Trace
+		q.optStage = trace.NewStage()
+		spec.Opt.Trace = q.optStage
 	}
-	if req.Mode == ModeProgressive || req.Mode == ModeMicroAdaptive {
-		opt := req.Opt
-		if opt.Trace != nil {
-			q.optReal = opt.Trace
-			q.optStage = trace.NewStage()
-			opt.Trace = q.optStage
-		}
-		step, err := core.NewBlockStepper(req.Query, s.prof, s.pool.Workers(), req.Mode == ModeMicroAdaptive, opt)
-		if err != nil {
-			return err
-		}
-		if !req.NoFeedback && !req.Fingerprint.Zero() {
-			if v, ok := s.feedback.Get(req.Fingerprint); ok {
-				fb := v.(Feedback)
-				if step.WarmStart(fb.Order, fb.Impl, fb.Rejected) == nil {
-					q.warm, q.warmImpl = fb.Order, fb.Impl
-					s.stats.FeedbackWarmStarts++
-				}
-			}
-		}
-		q.step = step
-	}
+	var sc *segScratch
 	if n := len(s.scratchFree); n > 0 {
-		q.sc = s.scratchFree[n-1]
+		sc = s.scratchFree[n-1]
 		s.scratchFree[n-1] = nil
 		s.scratchFree = s.scratchFree[:n-1]
 	} else {
-		q.sc = &segScratch{brun: s.pool.NewBlockRun()}
+		sc = &segScratch{run: core.NewRun(nil, s.pool)}
 	}
+	if err := sc.run.Begin(spec); err != nil {
+		s.scratchFree = append(s.scratchFree, sc)
+		return err
+	}
+	if step := sc.run.Stepper(); step != nil && !req.NoFeedback && !req.Fingerprint.Zero() {
+		if v, ok := s.feedback.Get(req.Fingerprint); ok {
+			fb := v.(Feedback)
+			if step.WarmStart(fb.Order, fb.Impl, fb.Rejected) == nil {
+				q.warm, q.warmImpl = fb.Order, fb.Impl
+				s.stats.FeedbackWarmStarts++
+			}
+		}
+	}
+	q.sc = sc
 	q.fn = func() { s.segmentRun(q) }
 	return nil
 }
@@ -891,9 +812,9 @@ func (s *Server) partitionLocked() {
 
 // segmentBeginLocked is the locked prologue of one query's segment: resolve
 // cold context switches, clamp the subset's clocks to the arrival, attach
-// the query's sort collectors and tier views to its cores, and snapshot the
-// subset's entry clocks into the query's scratch. Everything the unlocked
-// execution phase touches afterwards is owned by this query alone.
+// the query's tier views to its cores, and snapshot the subset's entry clocks
+// into the query's scratch. Everything the unlocked execution phase touches
+// afterwards is owned by this query alone.
 func (s *Server) segmentBeginLocked(q *query) {
 	// Cold context switch: a core picking up a different query than it last
 	// ran flushes its caches and resets its predictor (per-query JIT'd scan
@@ -911,15 +832,9 @@ func (s *Server) segmentBeginLocked(q *query) {
 			s.clock[w] = q.arrival
 		}
 	}
-	// An ordered query's collectors ride along on whichever cores this
-	// segment runs on; they are detached at the barrier because the
-	// partitioner may hand the same cores to a different query next round.
-	if q.sorts != nil {
-		for _, w := range q.cores {
-			engines[w].SetSortRun(q.sorts[w])
-		}
-	}
-	// A stored query's tier views ride along the same way.
+	// A stored query's tier views ride along on whichever cores this segment
+	// runs on; they are detached at the barrier because the partitioner may
+	// hand the same cores to a different query next round.
 	if q.req.Storage != nil {
 		for _, w := range q.cores {
 			engines[w].SetStorage(q.req.Storage[w])
@@ -937,25 +852,20 @@ func (s *Server) segmentBeginLocked(q *query) {
 	q.segPanic, q.segPanicked = nil, false
 }
 
-// segmentRun executes one query's segment without the server lock: it
-// touches only the query's own cores, scratch, and staged trace. Failures
-// are parked on the query for the barrier, so every scheduled segment runs
-// to its own completion or failure and the barrier surfaces the first one
-// in admission order — deterministically, regardless of host interleaving.
+// segmentRun executes one query's segment without the server lock: one step
+// of its driver on the subset the partitioner gave it (a grouped query is
+// alone on the pool — admission sees to that). It touches only the query's
+// own cores, scratch, and staged trace. Failures are parked on the query for
+// the barrier, so every scheduled segment runs to its own completion or
+// failure and the barrier surfaces the first one in admission order —
+// deterministically, regardless of host interleaving.
 func (s *Server) segmentRun(q *query) {
 	defer func() {
 		if r := recover(); r != nil {
 			q.segPanic, q.segPanicked = r, true
 		}
 	}()
-	switch {
-	case q.grouped():
-		q.segErr = s.segmentGrouped(q)
-	case q.step != nil:
-		q.segErr = s.segmentAdaptive(q)
-	default:
-		q.segErr = s.segmentFixed(q)
-	}
+	q.finished, q.segErr = q.sc.run.Step(q.cores, q.sc.clocks)
 }
 
 // barrierLocked retires the round: in admission order, surface failures,
@@ -967,11 +877,6 @@ func (s *Server) segmentRun(q *query) {
 func (s *Server) barrierLocked() error {
 	engines := s.pool.Engines()
 	for _, q := range s.sched {
-		if q.sorts != nil {
-			for _, w := range q.cores {
-				engines[w].SetSortRun(nil)
-			}
-		}
 		if q.req.Storage != nil {
 			for _, w := range q.cores {
 				engines[w].SetStorage(nil)
@@ -990,7 +895,7 @@ func (s *Server) barrierLocked() error {
 		}
 		if q.finished {
 			q.finished = false
-			s.finishLocked(q, q.finDone)
+			s.finishLocked(q)
 		}
 		if q.optStage != nil {
 			q.optReal.Splice(q.optStage)
@@ -1000,216 +905,37 @@ func (s *Server) barrierLocked() error {
 	return nil
 }
 
-// finalizeSort runs the sort merge of a completed ordered query on the
-// first core of its final subset: the subset barriers at bar (every core
-// must finish scanning before its partial state is readable), the
-// coordinator merges and emits, and every subset clock advances to the
-// merge's end — the same makespan-extension contract as the grouped
-// aggregation's table merge and the dedicated Engine.Exec path.
-func (s *Server) finalizeSort(q *query, bar uint64) uint64 {
-	w0 := q.cores[0]
-	c := s.pool.Engines()[w0].CPU()
-	s0 := c.Sample()
-	c0 := c.Cycles()
-	q.sorted = exec.FinalizeSort(c, w0, q.sorts)
-	d := c.Cycles() - c0
-	q.counters = q.counters.Add(c.Sample().Sub(s0))
-	t1 := bar + d
-	for i := range q.sc.clocks {
-		q.sc.clocks[i] = t1
-	}
-	return t1
-}
-
-// segmentFixed runs one quantum of a fixed-order query: QuantumVectors
-// morsels per assigned core, dispensed to the earliest-free core with
-// clocks carried across segments — so an uninterrupted run is one seamless
-// morsel stream, exactly a dedicated Parallel.Run.
-func (s *Server) segmentFixed(q *query) error {
-	sc := q.sc
-	v1 := q.cursor + s.cfg.QuantumVectors*len(q.cores)
-	if v1 > q.numVec {
-		v1 = q.numVec
-	}
-	if !q.startSet {
-		q.startSet = true
-		q.start = sc.clocks[0]
-		for _, cl := range sc.clocks[1:] {
-			if cl < q.start {
-				q.start = cl
-			}
-		}
-	}
-	// Accumulate the aggregate directly into q.sum so splitting the scan
-	// into quanta keeps the exact float addition order of a dedicated run.
-	br, err := sc.brun.RunBlockSubset(q.req.Query, q.cursor, v1, q.cores, sc.clocks, exec.ImplBranching, &q.sum)
-	if err != nil {
-		return err
-	}
-	q.counters = q.counters.Add(br.Counters)
-	q.qual += br.Qualifying
-	q.vectors += br.Vectors
-	q.cursor = v1
-	if q.cursor == q.numVec {
-		done := sc.clocks[0]
-		for _, cl := range sc.clocks[1:] {
-			if cl > done {
-				done = cl
-			}
-		}
-		if q.sorts != nil {
-			done = s.finalizeSort(q, done)
-		}
-		q.busy = done - q.start
-		q.finished, q.finDone = true, done
-	}
-	return nil
-}
-
-// segmentAdaptive runs one optimization block of a progressive or
-// micro-adaptive query: barrier the subset, execute ReopInterval morsels per
-// core, then let the BlockStepper validate/estimate/reorder on the subset's
-// coordinator — the same per-block protocol as the dedicated parallel
-// drivers, so a lone query reproduces Engine.Exec cycle for cycle.
-func (s *Server) segmentAdaptive(q *query) error {
-	sc := q.sc
-	var t0 uint64
-	for _, cl := range sc.clocks {
-		if cl > t0 {
-			t0 = cl
-		}
-	}
-	if !q.startSet {
-		q.startSet = true
-		q.start = t0
-	}
-	blockVecs := q.step.BlockVectors(len(q.cores))
-	if blockVecs <= 0 {
-		blockVecs = s.cfg.QuantumVectors * len(q.cores)
-	}
-	if blockVecs <= 0 {
-		blockVecs = 1
-	}
-	v1 := q.cursor + blockVecs
-	if v1 > q.numVec {
-		v1 = q.numVec
-	}
-	for i := range sc.clocks {
-		sc.clocks[i] = t0
-	}
-	// The external accumulator mirrors the dedicated adaptive drivers'
-	// block loop bit for bit: per-vector addition order into q.sum,
-	// regardless of block or scheduling-quantum boundaries.
-	br, err := sc.brun.RunBlockSubset(q.step.Query(), q.cursor, v1, q.cores, sc.clocks, q.step.Impl(), &q.sum)
-	if err != nil {
-		return err
-	}
-	if cap(sc.engines) < len(q.cores) {
-		sc.engines = make([]*exec.Engine, len(q.cores))
-		sc.coordStart = make([]pmu.Sample, len(q.cores))
-	}
-	engines := sc.engines[:len(q.cores)]
-	coordStart := sc.coordStart[:len(q.cores)]
-	for i, w := range q.cores {
-		engines[i] = s.pool.Engines()[w]
-		coordStart[i] = engines[i].CPU().Sample()
-	}
-	vs := s.pool.VectorSize()
-	n := q.req.Query.Table.NumRows()
-	tuples := v1*vs - q.cursor*vs
-	if v1*vs > n {
-		tuples = n - q.cursor*vs
-	}
-	last := v1 == q.numVec
-	// Every block but the last is an optimization point, and every block's
-	// cost — a short last one's too — is held against the previous block's.
-	extra, err := q.step.AfterBlock(br, tuples, !last, true, engines[0].CPU(), engines)
-	if err != nil {
-		return err
-	}
-	q.counters = q.counters.Add(br.Counters)
-	for i, e := range engines {
-		q.counters = q.counters.Add(e.CPU().Sample().Sub(coordStart[i]))
-	}
-	t1 := t0 + br.MaxCycles + extra
-	for i := range sc.clocks {
-		sc.clocks[i] = t1
-	}
-	q.busy += br.MaxCycles + extra
-	q.qual += br.Qualifying
-	q.vectors += br.Vectors
-	q.cursor = v1
-	if last {
-		if q.sorts != nil {
-			t0 := t1
-			t1 = s.finalizeSort(q, t1)
-			q.busy += t1 - t0
-		}
-		q.finished, q.finDone = true, t1
-	}
-	return nil
-}
-
-// segmentGrouped runs a grouped aggregation exclusively on the whole pool
-// (admission guarantees it is the sole active query): barrier all cores,
-// run the morsel-driven partial-table aggregation, and advance every clock
-// by its makespan.
-func (s *Server) segmentGrouped(q *query) error {
-	sc := q.sc
-	var t0 uint64
-	for _, cl := range sc.clocks {
-		if cl > t0 {
-			t0 = cl
-		}
-	}
-	q.startSet = true
-	q.start = t0
-	res, err := s.pool.RunGroupBy(q.req.Query, q.req.Groups)
-	if err != nil {
-		return err
-	}
-	q.counters = res.Counters
-	q.qual = res.Qualifying
-	q.vectors = res.Vectors
-	q.groups = res.Groups
-	q.busy = res.Cycles
-	t1 := t0 + res.Cycles
-	for i := range sc.clocks {
-		sc.clocks[i] = t1
-	}
-	q.finished, q.finDone = true, t1
-	return nil
-}
-
 // finishLocked completes a query: stamp times, snapshot optimizer stats,
 // deposit the converged order and the rejected ones in the feedback cache,
 // recycle the segment scratch, and queue the waiter wake-up.
-func (s *Server) finishLocked(q *query, done uint64) {
-	q.done = done
+func (s *Server) finishLocked(q *query) {
+	run := q.sc.run
+	// Every core of the last subset is free once the slowest is.
+	done := slices.Max(q.sc.clocks)
 	q.state = stateDone
-	q.millis = s.pool.Engines()[0].CPU().MillisOf(q.busy)
-	if q.step != nil {
-		q.step.TraceFinal()
-		q.st = q.step.Stats()
-		s.stats.Reopt.Add(q.st.Ledger)
+	q.out = Outcome{
+		Result: run.Result, Groups: run.Groups, Sorted: run.Sorted, Stats: run.Stats(),
+		Arrival: q.arrival, Start: run.Start, Done: done,
+		WarmStarted: q.warm != nil,
+	}
+	if step := run.Stepper(); step != nil {
+		s.stats.Reopt.Add(q.out.Stats.Ledger)
 		if !q.req.NoFeedback && !q.req.Fingerprint.Zero() {
 			s.feedback.Put(q.req.Fingerprint, Feedback{
-				Order:    append([]int(nil), q.st.FinalOrder...),
-				Impl:     q.step.Impl(),
-				Rejected: q.step.Rejected(),
+				Order:    slices.Clone(q.out.Stats.FinalOrder),
+				Impl:     step.Impl(),
+				Rejected: step.Rejected(),
 			})
 			s.stats.FeedbackStores++
 		}
 	}
-	if q.sc != nil {
-		s.scratchFree = append(s.scratchFree, q.sc)
-		q.sc = nil
-	}
+	s.scratchFree = append(s.scratchFree, q.sc)
+	q.sc = nil
 	s.doneRound = append(s.doneRound, q)
 	s.stats.Completed++
 	if s.tr != nil {
-		s.tr.Span("query", q.start, done,
+		s.tr.Span("query", run.Start, done,
 			trace.Int("seq", q.seq), trace.Uint64("latency", done-q.arrival),
-			trace.Uint64("queue_wait", q.start-q.arrival), trace.Int64("qual", q.qual))
+			trace.Uint64("queue_wait", run.Start-q.arrival), trace.Int64("qual", run.Qualifying))
 	}
 }

@@ -477,3 +477,190 @@ func TestFeedbackWarmStart(t *testing.T) {
 		t.Errorf("warm starts %d stores %d, want 1 and 2", st.FeedbackWarmStarts, st.FeedbackStores)
 	}
 }
+
+// shapedFixture binds a query through a core that also allocates the per-core
+// sort states and group tables the grouped and ordered tests submit (every
+// pool afterwards finds the columns bound).
+func shapedFixture(t *testing.T, workers, vs int) (q *exec.Query, sorts []*exec.Sort, groups []*exec.GroupBy) {
+	t.Helper()
+	q = testQuery(t, 48*vs, 11)
+	binder := exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs)
+	err := binder.BindQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := binder.CPU()
+	sorts, groups = make([]*exec.Sort, workers), make([]*exec.GroupBy, workers)
+	for i := range sorts {
+		keys := []exec.SortKey{{Col: q.Table.Column("l_extendedprice"), Desc: true}}
+		if sorts[i], err = exec.NewSort(alloc, keys, 25, q.Agg, q.Table.NumRows(), vs); err != nil {
+			t.Fatal(err)
+		}
+		if groups[i], err = exec.NewGroupBy(alloc, q.Table.Column("l_quantity"), q.Table.Column("l_extendedprice"), 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return q, sorts, groups
+}
+
+// driven runs spec to completion on a dedicated pool.
+func driven(t *testing.T, workers, vs int, spec core.Spec) *core.Run {
+	t.Helper()
+	ref, err := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := core.NewRun(nil, ref)
+	if err := r.Begin(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drive(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestServedGroupedMatchesDriver: a grouped aggregation through Submit/Wait
+// is the dedicated run — groups, result, cycles, counters — and when it
+// queues behind scans it still runs alone on the pool and gives the groups.
+func TestServedGroupedMatchesDriver(t *testing.T) {
+	const workers, vs = 4, 512
+	q, _, groups := shapedFixture(t, workers, vs)
+	want := driven(t, workers, vs, core.Spec{Query: q, Groups: groups})
+	if len(want.Groups) == 0 {
+		t.Fatal("reference produced no groups")
+	}
+
+	s, err := New(cpu.ScaledXeon(), workers, vs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Request{Query: q, Groups: groups, Mode: ModeProgressive}); err == nil {
+		t.Error("adaptive grouped submission accepted")
+	}
+	if _, err := s.Submit(Request{Query: q, Groups: groups[:2]}); err == nil {
+		t.Error("two partial tables accepted for a four-core pool")
+	}
+	tk, err := s.Submit(Request{Query: q, Groups: groups})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lone.Result != want.Result || !reflect.DeepEqual(lone.Groups, want.Groups) {
+		t.Errorf("lone grouped query diverges from the dedicated run:\n got %+v\nwant %+v", lone.Result, want.Result)
+	}
+	if lone.Done-lone.Start != want.Cycles {
+		t.Errorf("span %d..%d, want %d cycles", lone.Start, lone.Done, want.Cycles)
+	}
+
+	at := s.Now()
+	var tks []*Ticket
+	for _, req := range []Request{
+		{Query: q, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 3}},
+		{Query: q, Groups: groups},
+		{Query: q, Mode: ModeFixed},
+	} {
+		req.Arrival = at
+		tk, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
+	}
+	outs := make([]Outcome, len(tks))
+	for i, tk := range tks {
+		if outs[i], err = tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := outs[1]
+	if g.Qualifying != want.Qualifying || !reflect.DeepEqual(g.Groups, want.Groups) {
+		t.Errorf("queued grouped query changed its answer: %d qualifying, %d groups", g.Qualifying, len(g.Groups))
+	}
+	for _, i := range []int{0, 2} {
+		if o := outs[i]; o.Start < g.Done && g.Start < o.Done {
+			t.Errorf("grouped query ran %d..%d while query %d ran %d..%d; it must own the pool", g.Start, g.Done, i, o.Start, o.Done)
+		}
+		if outs[i].Qualifying != want.Qualifying {
+			t.Errorf("scan %d qualified %d, want %d", i, outs[i].Qualifying, want.Qualifying)
+		}
+	}
+}
+
+// TestServedOrderedMatchesDriver: an ordered (Top-K) query through
+// Submit/Wait is the dedicated run in fixed and in progressive mode, and its
+// rows do not change when it shares the pool, on subsets that shrink and grow
+// as its neighbours come and go.
+func TestServedOrderedMatchesDriver(t *testing.T) {
+	const workers, vs = 4, 512
+	q, sorts, _ := shapedFixture(t, workers, vs)
+	opt := core.Options{ReopInterval: 3}
+	var rows []exec.SortedRow
+	for _, mode := range []Mode{ModeFixed, ModeProgressive} {
+		want := driven(t, workers, vs, core.Spec{Query: q, Mode: mode, Opt: opt, Sorts: sorts})
+		if rows = want.Sorted; len(rows) != 25 {
+			t.Fatalf("%v: reference emitted %d rows, want 25", mode, len(rows))
+		}
+		s, err := New(cpu.ScaledXeon(), workers, vs, Config{QuantumVectors: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := s.Submit(Request{Query: q, Sorts: sorts, Mode: mode, Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Result != want.Result || !reflect.DeepEqual(got.Sorted, want.Sorted) {
+			t.Errorf("%v: lone ordered query diverges from the dedicated run:\n got %+v\nwant %+v", mode, got.Result, want.Result)
+		}
+		if !reflect.DeepEqual(got.Stats, want.Stats()) {
+			t.Errorf("%v: stepper stats diverge", mode)
+		}
+	}
+
+	s, err := New(cpu.ScaledXeon(), workers, vs, Config{MaxActive: 3, QuantumVectors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Request{Query: q, Sorts: sorts[:1]}); err == nil {
+		t.Error("one sort state accepted for a four-core pool")
+	}
+	short := testQuery(t, 8*vs, 3)
+	if err := s.BindQuery(short); err != nil {
+		t.Fatal(err)
+	}
+	var tks []*Ticket
+	for _, req := range []Request{
+		{Query: q, Sorts: sorts, Mode: ModeProgressive, Opt: opt},
+		{Query: short, Mode: ModeFixed},
+		{Query: q, Mode: ModeFixed},
+		{Query: short, Mode: ModeFixed, Arrival: 40000},
+	} {
+		tk, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
+	}
+	for i, tk := range tks {
+		o, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && !reflect.DeepEqual(o.Sorted, rows) {
+			t.Errorf("ordered query's rows changed under sharing")
+		}
+		if i != 0 && o.Sorted != nil {
+			t.Errorf("query %d: an unordered query returned %d sorted rows", i, len(o.Sorted))
+		}
+	}
+	if st := s.Stats(); st.PeakActive != 3 {
+		t.Errorf("peak active %d, want 3 (the ordered query shared the pool)", st.PeakActive)
+	}
+}

@@ -67,6 +67,8 @@ type Engine struct {
 	stored map[uint64]*storedTable
 	// tr is the engine's event recorder, nil when tracing is disabled.
 	tr *Trace
+	// run drives every Exec: on the pool when there is one, else on eng.
+	run *core.Run
 }
 
 // New builds an Engine.
@@ -117,7 +119,7 @@ func New(cfg Config) (*Engine, error) {
 			e.SetTrace(tr.cores[0])
 		}
 	}
-	return &Engine{cpu: c, eng: e, par: par, workers: workers, stcfg: stcfg, tr: tr}, nil
+	return &Engine{cpu: c, eng: e, par: par, workers: workers, stcfg: stcfg, tr: tr, run: core.NewRun(e, par)}, nil
 }
 
 // Workers returns the number of simulated cores the engine runs queries on.

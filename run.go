@@ -11,33 +11,20 @@ import (
 )
 
 // Mode selects how Exec drives a query.
-type Mode int
+type Mode = core.Mode
 
 // Execution modes.
 const (
 	// ModeFixed executes the plan's operator order unchanged (the paper's
 	// baseline "common execution pattern").
-	ModeFixed Mode = iota
+	ModeFixed = core.ModeFixed
 	// ModeProgressive re-optimizes the operator order during execution from
 	// sampled PMU counters (§4.4).
-	ModeProgressive
+	ModeProgressive = core.ModeProgressive
 	// ModeMicroAdaptive is ModeProgressive plus per-interval implementation
 	// choice between the branching and branch-free scan (predicates only).
-	ModeMicroAdaptive
+	ModeMicroAdaptive = core.ModeMicroAdaptive
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeFixed:
-		return "fixed"
-	case ModeProgressive:
-		return "progressive"
-	case ModeMicroAdaptive:
-		return "micro-adaptive"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
 
 // ExecOptions configure one Exec call.
 type ExecOptions struct {
@@ -139,19 +126,25 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	if e.tr != nil {
 		marks = e.tr.rec.Marks()
 	}
-	var out ExecResult
-	var err error
-	switch {
-	case q.group != nil:
-		out, err = e.execGrouped(q)
-	case q.sort != nil:
-		out, err = e.execSorted(q, opts)
-	default:
-		out, err = e.execScan(q, opts)
+	// One driver for every shape and mode: on the pool a fixed-order scan is a
+	// single morsel stream and an adaptive one a block per step, on the
+	// engine's single core an adaptive scan steps a vector at a time.
+	spec := core.Spec{Query: q.q, Mode: opts.Mode, Opt: opts.Progressive.coreOptions()}
+	spec.Opt.Trace = e.optTrack()
+	if q.group != nil {
+		spec.Groups = q.group.tables
 	}
-	if err != nil {
+	if q.sort != nil {
+		spec.Sorts = q.sort.states
+	}
+	e.cold()
+	if err := e.run.Begin(spec); err != nil {
 		return ExecResult{}, err
 	}
+	if err := e.run.Drive(); err != nil {
+		return ExecResult{}, err
+	}
+	out := toExecResult(e.run.Result, e.run.Groups, e.run.Sorted, e.run.Stats())
 	if e.tr != nil {
 		aggs := summarizeTrace(e.tr.rec.SummarizeSince(marks))
 		q.traced.Store(&aggs)
@@ -169,60 +162,23 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	return out, nil
 }
 
-// execScan runs an unordered plan in the requested mode.
-func (e *Engine) execScan(q *Query, opts ExecOptions) (ExecResult, error) {
-	if opts.Mode == ModeFixed {
-		return e.execFixed(q)
+// toExecResult maps what the driver produced — for Exec, or for a served
+// query — to the public type.
+func toExecResult(r exec.Result, groups []exec.Group, sorted []exec.SortedRow, st core.Stats) ExecResult {
+	out := ExecResult{
+		Result: toResult(r),
+		Groups: groups,
+		Stats:  toStats(st),
+		Impl: ImplStats{
+			BranchingVectors:  st.BranchingVectors,
+			BranchFreeVectors: st.BranchFreeVectors,
+			ImplSwitches:      st.ImplSwitches,
+		},
 	}
-	return e.execAdaptive(q, opts.Progressive, opts.Mode == ModeMicroAdaptive)
-}
-
-// execSorted runs a sorted plan: the scan executes in the requested mode —
-// fixed, progressive, or micro-adaptive, serial or morsel-parallel — with a
-// fresh per-core sort collector attached to every engine, then the
-// coordinator core (core 0) merges the partial heaps or sorted runs at the
-// barrier and emits the ordered output, extending the run's makespan and
-// counters exactly like the grouped aggregation's merge. The emitted rows
-// are the unique total-order result (keys, then row id), so they are
-// bit-identical across modes and worker counts.
-func (e *Engine) execSorted(q *Query, opts ExecOptions) (ExecResult, error) {
-	runs := make([]*exec.SortRun, len(q.sort.states))
-	for i, s := range q.sort.states {
-		runs[i] = exec.NewSortRun(s)
+	if sorted != nil {
+		out.Rows = toOrderedRows(sorted)
 	}
-	if e.par != nil {
-		engines := e.par.Engines()
-		if len(engines) != len(runs) {
-			return ExecResult{}, fmt.Errorf("progopt: query compiled for %d cores, engine has %d", len(runs), len(engines))
-		}
-		for i, w := range engines {
-			w.SetSortRun(runs[i])
-		}
-		defer func() {
-			for _, w := range engines {
-				w.SetSortRun(nil)
-			}
-		}()
-	} else {
-		e.eng.SetSortRun(runs[0])
-		defer e.eng.SetSortRun(nil)
-	}
-	out, err := e.execScan(q, opts)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	coord := e.cpu
-	if e.par != nil {
-		coord = e.par.Engines()[0].CPU()
-	}
-	s0 := coord.Sample()
-	c0 := coord.Cycles()
-	rows := exec.FinalizeSort(coord, 0, runs)
-	out.Cycles += coord.Cycles() - c0
-	out.Millis = coord.MillisOf(out.Cycles)
-	addCounters(out.Counters, coord.Sample().Sub(s0))
-	out.Rows = toOrderedRows(rows)
-	return out, nil
+	return out
 }
 
 // toOrderedRows maps the executor's sorted rows to the public type.
@@ -232,13 +188,6 @@ func toOrderedRows(rows []exec.SortedRow) []OrderedRow {
 		out[i] = OrderedRow{Row: r.Row, Keys: r.Keys, Value: r.Value}
 	}
 	return out
-}
-
-// addCounters folds a PMU delta into a public counter map.
-func addCounters(m map[string]uint64, delta pmu.Sample) {
-	for ev := pmu.Event(0); ev < pmu.NumEvents; ev++ {
-		m[ev.String()] += delta.Get(ev)
-	}
 }
 
 // cold resets transient hardware state on every core the run will use.
@@ -251,22 +200,6 @@ func (e *Engine) cold() {
 	e.cpu.ResetPredictor()
 }
 
-func (e *Engine) execFixed(q *Query) (ExecResult, error) {
-	e.cold()
-	if e.par != nil {
-		r, err := e.par.Run(q.q)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		return ExecResult{Result: toResult(r)}, nil
-	}
-	r, err := e.eng.Run(q.q)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return ExecResult{Result: toResult(r)}, nil
-}
-
 // optTrack returns the engine's optimizer decision track, nil when tracing is
 // disabled.
 func (e *Engine) optTrack() *trace.Track {
@@ -274,42 +207,6 @@ func (e *Engine) optTrack() *trace.Track {
 		return nil
 	}
 	return e.tr.opt
-}
-
-// execAdaptive runs the reoptimizer loop over the plan: vector-granular on
-// the engine's single core, block-granular on its pool when Workers > 1.
-func (e *Engine) execAdaptive(q *Query, p Progressive, micro bool) (ExecResult, error) {
-	opts := p.coreOptions()
-	opts.Trace = e.optTrack()
-	e.cold()
-	r, st, err := core.RunAdaptive(e.eng, e.par, q.q, opts, micro)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return ExecResult{
-		Result: toResult(r),
-		Stats:  toStats(st),
-		Impl: ImplStats{
-			BranchingVectors:  st.BranchingVectors,
-			BranchFreeVectors: st.BranchFreeVectors,
-			ImplSwitches:      st.ImplSwitches,
-		},
-	}, nil
-}
-
-func (e *Engine) execGrouped(q *Query) (ExecResult, error) {
-	e.cold()
-	var res exec.GroupResult
-	var err error
-	if e.par != nil {
-		res, err = e.par.RunGroupBy(q.q, q.group.tables)
-	} else {
-		res, err = e.eng.RunGroupBy(q.q, q.group.tables[0])
-	}
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return ExecResult{Result: toResult(res.Result), Groups: res.Groups}, nil
 }
 
 // coreOptions maps the public Progressive knobs to the driver options,

@@ -93,10 +93,11 @@ type servedProvenance struct {
 // Everything runs on the simulated clock: a fixed submission trace yields
 // bit-identical per-query results, latencies, and makespan on every host
 // run, from any goroutines, at any GOMAXPROCS. A query that has the pool to
-// itself executes exactly like Engine.Exec (see equivalence_test.go);
-// adaptive modes on a single-core engine use the multi-core drivers' block
-// protocol, so their cycle counts differ from the serial Exec drivers while
-// results stay bit-identical.
+// itself executes exactly like Engine.Exec — both loop the same driver step
+// (see equivalence_test.go). The one exception is an adaptive query on a
+// single-core engine: the server's pool of one steps it a block at a time,
+// Exec a vector at a time, so cycle counts differ while results stay
+// bit-identical.
 type Server struct {
 	e   *Engine
 	svc *service.Server
@@ -222,6 +223,9 @@ type Ticket struct {
 	// tie-breaks the resident gauge when two stored queries complete at the
 	// same simulated cycle.
 	seq uint64
+	// observed says the query's latency is in the summary: a ticket may be
+	// waited on several times but is one query. Guarded by s.mu.
+	observed bool
 }
 
 // Query returns the compiled query the server executes for this submission
@@ -286,7 +290,7 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 
 	req := service.Request{
 		Query:       q.q,
-		Mode:        serviceMode(opts.Mode),
+		Mode:        opts.Mode,
 		Opt:         opts.Progressive.coreOptions(),
 		Arrival:     arrival,
 		Fingerprint: fp,
@@ -332,18 +336,6 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 // afterwards.
 func (s *Server) Close() { s.svc.Close() }
 
-// serviceMode maps the public execution mode to the service's.
-func serviceMode(m Mode) service.Mode {
-	switch m {
-	case ModeProgressive:
-		return service.ModeProgressive
-	case ModeMicroAdaptive:
-		return service.ModeMicroAdaptive
-	default:
-		return service.ModeFixed
-	}
-}
-
 // Wait drives the server's deterministic scheduler until this submission
 // completes and returns its result. Result.Cycles/Millis are the query's
 // execution span on its assigned cores (for a query that had the pool to
@@ -360,16 +352,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		warmStart:    o.WarmStarted,
 		warmOrder:    o.WarmOrder,
 	})
-	out := ExecResult{Result: toResult(o.Result), Groups: o.Groups}
-	if o.Sorted != nil {
-		out.Rows = toOrderedRows(o.Sorted)
-	}
-	out.Stats = toStats(o.Stats)
-	out.Impl = ImplStats{
-		BranchingVectors:  o.Stats.BranchingVectors,
-		BranchFreeVectors: o.Stats.BranchFreeVectors,
-		ImplSwitches:      o.Stats.ImplSwitches,
-	}
+	out := toExecResult(o.Result, o.Groups, o.Sorted, o.Stats)
 	if t.stviews != nil {
 		// Same out-of-band accounting as Engine.Exec: the tier observes, its
 		// stall debt extends the query's reported execution span (not the
@@ -380,27 +363,28 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		out.Millis = t.s.e.cpu.MillisOf(out.Cycles)
 	}
 	lat := o.Done - o.Arrival
-	// Latency observations are integral cycle counts, so the summary's sum
-	// and quantiles are exact and independent of Wait completion order.
-	t.s.met.latency.Observe(float64(lat))
-	if t.stviews != nil {
-		var res uint64
-		for _, v := range t.stviews {
-			if v != nil && v.Set != nil {
-				res += v.Set.ResidentBytes()
-			}
+	var res uint64
+	for _, v := range t.stviews {
+		if v != nil && v.Set != nil {
+			res += v.Set.ResidentBytes()
 		}
-		// The gauge reports the most recent stored query on the *simulated*
-		// clock (ties to the later submission), so racing waiters publish it
-		// deterministically regardless of host completion order.
-		s := t.s
-		s.mu.Lock()
-		if !s.resSet || o.Done > s.resDone || (o.Done == s.resDone && t.seq > s.resSeq) {
-			s.resSet, s.resDone, s.resSeq = true, o.Done, t.seq
-			s.met.resident.Set(float64(res))
-		}
-		s.mu.Unlock()
 	}
+	s := t.s
+	s.mu.Lock()
+	if !t.observed {
+		// Latency observations are integral cycle counts, so the summary's sum
+		// and quantiles are exact and independent of Wait completion order.
+		t.observed = true
+		s.met.latency.Observe(float64(lat))
+	}
+	// The gauge reports the most recent stored query on the *simulated*
+	// clock (ties to the later submission), so racing waiters publish it
+	// deterministically regardless of host completion order.
+	if t.stviews != nil && (!s.resSet || o.Done > s.resDone || (o.Done == s.resDone && t.seq > s.resSeq)) {
+		s.resSet, s.resDone, s.resSeq = true, o.Done, t.seq
+		s.met.resident.Set(float64(res))
+	}
+	s.mu.Unlock()
 	out.Served = &ServedInfo{
 		Arrival:       o.Arrival,
 		Start:         o.Start,

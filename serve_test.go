@@ -1,9 +1,11 @@
 package progopt
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -470,5 +472,42 @@ predicted: BNT=64791 MP=33455 L3=15359 out=3904
 `, cold.Served.Fingerprint)
 	if got := plan.String(); got != want {
 		t.Errorf("sorted served explain drifted:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestServeWaitTwiceObservesOnce: a ticket may be waited on any number of
+// times (service.Ticket.Wait supports several waiters), but it is one query:
+// the latency summary counts it once, like the completed gauge, and every
+// Wait returns the same result.
+func TestServeWaitTwiceObservesOnce(t *testing.T) {
+	e, d := serveEngine(t, 2)
+	srv, err := NewServer(e, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tk, err := srv.Submit(d, convergentPlan(d, false), ExecOptions{Mode: ModeProgressive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("the two Waits differ:\n first %+v\nsecond %+v", first, second)
+	}
+	var met bytes.Buffer
+	if err := srv.WriteMetrics(&met); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"progopt_queries_completed 1", "progopt_query_latency_cycles_count 1"} {
+		if !strings.Contains(met.String(), line+"\n") {
+			t.Errorf("metrics lack %q:\n%s", line, met.String())
+		}
 	}
 }

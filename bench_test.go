@@ -346,6 +346,16 @@ func BenchmarkRunTopK(b *testing.B) {
 	b.ReportMetric(float64(cycles), "sim_cycles")
 }
 
+// sameCycles returns iteration i's simulated cycles after checking them
+// against the iterations before: Exec is a cold start, so a benchmark's
+// sim_cycles is the same at any -benchtime.
+func sameCycles(b *testing.B, i int, before, cycles uint64) uint64 {
+	if i > 0 && cycles != before {
+		b.Fatalf("iteration %d took %d simulated cycles, the ones before %d", i, cycles, before)
+	}
+	return cycles
+}
+
 // BenchmarkRunGroupBy is the grouped hot path: a half-selective scan grouped
 // on l_partkey (33 334 keys) through the public facade on four simulated
 // cores — per-core partial tables, one host reduction visit per qualifying
@@ -375,12 +385,7 @@ func BenchmarkRunGroupBy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			// The fresh engine's run: a reused engine's clock drifts by a
-			// cycle or two between runs (ROADMAP item 1a), and the gate on
-			// this metric is exact at any -benchtime.
-			cycles = res.Cycles
-		}
+		cycles = sameCycles(b, i, cycles, res.Cycles)
 	}
 	b.ReportMetric(float64(cycles), "sim_cycles")
 }
@@ -444,14 +449,9 @@ func BenchmarkRunJoinGraph4Progressive(b *testing.B) {
 	fixed, progressive := joinProbeShape(b, 7)
 	fx := fixed()
 	b.ResetTimer()
-	// The first run's cycles are the ones reported: a reused engine drifts
-	// by a cycle or so between repeats (ROADMAP item 1), and the gate on
-	// sim_cycles is exact whatever -benchtime says.
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		if c := progressive().Cycles; i == 0 {
-			cycles = c
-		}
+		cycles = sameCycles(b, i, cycles, progressive().Cycles)
 	}
 	b.ReportMetric(float64(cycles), "sim_cycles")
 	b.ReportMetric(float64(fx.Cycles)/float64(cycles), "sim_speedup_vs_fixed")

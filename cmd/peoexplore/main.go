@@ -75,8 +75,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		c.FlushCaches()
-		c.ResetPredictor()
+		c.Cold()
 		res, err := eng.Run(qo)
 		if err != nil {
 			fatal(err)
@@ -101,8 +100,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	c.FlushCaches()
-	c.ResetPredictor()
+	c.Cold()
 	before := c.Sample()
 	if _, err := eng.RunVector(qo, 0, *vector); err != nil {
 		fatal(err)

@@ -196,8 +196,6 @@ func TestBuildQ6MatchesInternalOracle(t *testing.T) {
 		if err := ei.BindQuery(qi); err != nil {
 			t.Fatal(err)
 		}
-		ei.CPU().FlushCaches()
-		ei.CPU().ResetPredictor()
 		ri, err := ei.Run(qi)
 		if err != nil {
 			t.Fatal(err)

@@ -184,12 +184,17 @@ func (r *Run) Stats() Stats {
 	return r.step.Stats()
 }
 
-// Drive runs the query to completion on every core from zero clocks.
+// Drive is the cold start: it runs the query to completion on every core,
+// each cold (cpu.CPU.Cold), from zero clocks. Whoever calls Step itself colds
+// a core when it changes hands between queries.
 func (r *Run) Drive() error {
 	if r.all == nil {
 		r.all, r.zero = identity(len(r.engines)), make([]uint64, len(r.engines))
 	}
 	clear(r.zero)
+	for _, e := range r.engines {
+		e.CPU().Cold()
+	}
 	for {
 		if done, err := r.Step(r.all, r.zero); done || err != nil {
 			return err

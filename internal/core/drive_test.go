@@ -99,12 +99,20 @@ func sameAnswer(t *testing.T, what string, got, want *Run) {
 func TestStepMatchesDrive(t *testing.T) {
 	const rows, vs = 64*512 - 100, 512
 	cases := driveCases(t, rows, vs)
+	// One pool per size for the whole matrix: Drive is a cold start, and who
+	// steps a run itself colds the cores first, so no run sees the ones before.
+	pools := map[int]*exec.Parallel{}
 	begin := func(workers int, spec Spec) *Run {
-		p, err := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
-		if err != nil {
-			t.Fatal(err)
+		p := pools[workers]
+		if p == nil {
+			var err error
+			if p, err = exec.NewParallel(cpu.ScaledXeon(), workers, vs); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(p.Close)
+			pools[workers] = p
 		}
-		t.Cleanup(p.Close)
+		p.Cold()
 		r := NewRun(nil, p)
 		if err := r.Begin(spec); err != nil {
 			t.Fatal(err)

@@ -59,8 +59,8 @@ func countersHash(s pmu.Sample) string {
 
 // goldenRun executes one cell of the matrix: a fixed-order warm-up run (so
 // the adaptive run starts on cores whose clocks are not zero, as every rig
-// and served query after the first does), a cold start, then the adaptive
-// driver with per-core and optimizer trace tracks attached.
+// and served query after the first does), then the adaptive driver — its own
+// cold start — with per-core and optimizer trace tracks attached.
 func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options) goldenRow {
 	t.Helper()
 	const vs = 512
@@ -79,8 +79,6 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		if _, err := e.Run(q); err != nil {
 			t.Fatal(err)
 		}
-		e.CPU().FlushCaches()
-		e.CPU().ResetPredictor()
 		e.SetTrace(cores[0])
 		if micro {
 			res, st, err = RunAdaptive(e, nil, q, opt, true)
@@ -96,7 +94,6 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		if _, err := p.Run(q); err != nil {
 			t.Fatal(err)
 		}
-		p.Cold()
 		p.SetTrace(cores)
 		if micro {
 			res, st, err = RunAdaptive(nil, p, q, opt, true)

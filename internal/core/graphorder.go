@@ -45,6 +45,14 @@ func GreedyGraphOrder(driving string, joins []GraphJoin) ([]int, error) {
 	return placeAll(driving, joins, func(i int) float64 { return float64(joins[i].BuildRows) })
 }
 
+// missStallWeight converts one miss into comparable cost units (roughly the
+// memory-stall cycles of the simulated core) and evalCost is the bookkeeping
+// cost of one probe.
+const (
+	missStallWeight = 45.0
+	evalCost        = 4.0
+)
+
 // CostModelGraphOrder orders the same search space with the classic static
 // rank criterion, rank = cost/(1-selectivity) ascending, where each edge's
 // per-probe cost is Eq. (1)'s *predicted random-access* miss rate — the

@@ -246,65 +246,6 @@ func TestDetectSortedness(t *testing.T) {
 	}
 }
 
-func TestRecommendJoinOrderPrefersCoClustered(t *testing.T) {
-	// The §5.6 scenario: part is 8x smaller (size-based optimizers pick it
-	// first) but orders is co-clustered (few sampled misses).
-	g := cachemodel.MustGeometry(64, 16384)
-	probes := 1 << 20
-	orders := JoinProbeStats{
-		Name: "orders", Selectivity: 0.5, Probes: probes,
-		SampledMisses: float64(probes) / 32, // sequential: one miss per 8-tuple line per 4 probes
-		BuildTuples:   probes / 4, BuildWidth: 8,
-	}
-	part := JoinProbeStats{
-		Name: "part", Selectivity: 0.5, Probes: probes,
-		SampledMisses: float64(probes) * 0.9, // random: nearly one miss per probe
-		BuildTuples:   probes / 30, BuildWidth: 8,
-	}
-	dec, err := RecommendJoinOrder(g, []JoinProbeStats{part, orders})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Order[0] != 1 {
-		t.Errorf("recommended order %v, want orders (index 1) first", dec.Order)
-	}
-	if dec.Sortedness[1].Class != CoClustered {
-		t.Errorf("orders classified %v, want co-clustered", dec.Sortedness[1].Class)
-	}
-	if dec.Sortedness[0].Class == CoClustered {
-		t.Error("part misclassified as co-clustered")
-	}
-}
-
-func TestRecommendJoinOrderValidation(t *testing.T) {
-	g := cachemodel.MustGeometry(64, 16384)
-	if _, err := RecommendJoinOrder(g, nil); err == nil {
-		t.Error("empty join list accepted")
-	}
-	bad := []JoinProbeStats{{Name: "x", Probes: 0, BuildTuples: 10, BuildWidth: 8}}
-	if _, err := RecommendJoinOrder(g, bad); err == nil {
-		t.Error("zero probes accepted")
-	}
-	bad = []JoinProbeStats{{Name: "x", Probes: 10, Selectivity: 2, BuildTuples: 10, BuildWidth: 8}}
-	if _, err := RecommendJoinOrder(g, bad); err == nil {
-		t.Error("selectivity > 1 accepted")
-	}
-}
-
-func TestRecommendJoinOrderSelectivityTiebreak(t *testing.T) {
-	// Equal miss rates: the more selective join goes first (rank ordering).
-	g := cachemodel.MustGeometry(64, 16384)
-	a := JoinProbeStats{Name: "a", Selectivity: 0.9, Probes: 1000, SampledMisses: 500, BuildTuples: 100000, BuildWidth: 8}
-	b := JoinProbeStats{Name: "b", Selectivity: 0.2, Probes: 1000, SampledMisses: 500, BuildTuples: 100000, BuildWidth: 8}
-	dec, err := RecommendJoinOrder(g, []JoinProbeStats{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Order[0] != 1 {
-		t.Errorf("order %v, want selective join (index 1) first", dec.Order)
-	}
-}
-
 func TestVerifyIdentity(t *testing.T) {
 	d := progDataset(t, 10000)
 	e := progEngine(t)

@@ -32,8 +32,6 @@ func runBothModes(t *testing.T, q *Query, vectorSize int, branchFree bool) (scal
 	run := func(scalarMode bool) Result {
 		e := MustEngine(cpu.MustNew(cpu.ScaledXeon()), vectorSize)
 		e.SetScalar(scalarMode)
-		e.CPU().FlushCaches()
-		e.CPU().ResetPredictor()
 		var res Result
 		var err error
 		if branchFree {

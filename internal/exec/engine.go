@@ -394,8 +394,8 @@ func (e *Engine) Run(q *Query) (Result, error) {
 }
 
 // BindQuery binds the query's table columns and any join filter columns that
-// are still unbound into the CPU's address space, and flushes caches so runs
-// start cold (the paper's scans never reuse data between runs anyway).
+// are still unbound into the CPU's address space, and leaves the core cold
+// (the paper's scans never reuse data between runs anyway).
 // Binding state is tracked explicitly per column (columnar.Column.Bound), so
 // a column legitimately bound at address 0 is never re-bound.
 func (e *Engine) BindQuery(q *Query) error {
@@ -422,6 +422,6 @@ func (e *Engine) BindQuery(q *Query) error {
 			col.Bind(base)
 		}
 	}
-	e.cpu.FlushCaches()
+	e.cpu.Cold()
 	return nil
 }

@@ -211,11 +211,10 @@ func (p *Parallel) Close() {
 	}
 }
 
-// Cold flushes caches and resets predictors on every core.
+// Cold returns every core to its constructed state (cpu.CPU.Cold).
 func (p *Parallel) Cold() {
 	for _, w := range p.workers {
-		w.CPU().FlushCaches()
-		w.CPU().ResetPredictor()
+		w.CPU().Cold()
 	}
 }
 

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"progopt/internal/trace"
@@ -215,21 +214,4 @@ func fmtPerm(p []int) string {
 		parts[i] = fmt.Sprintf("%d", v)
 	}
 	return strings.Join(parts, "-")
-}
-
-// sortRowsByFloatColumn sorts rows ascending by the numeric value of the
-// given column (non-numeric cells sort last).
-func sortRowsByFloatColumn(rows [][]string, col int) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		var va, vb float64
-		_, ea := fmt.Sscanf(rows[a][col], "%g", &va)
-		_, eb := fmt.Sscanf(rows[b][col], "%g", &vb)
-		if ea != nil {
-			return false
-		}
-		if eb != nil {
-			return true
-		}
-		return va < vb
-	})
 }

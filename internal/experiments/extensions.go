@@ -85,7 +85,7 @@ func ExtEnum(cfg Config) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.cold()
+		r.cpu.Cold()
 		enumRes, _, err := core.RunProgressiveEnumerated(r.eng, qo, core.Options{ReopInterval: reop})
 		if err != nil {
 			return nil, err
@@ -141,17 +141,15 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 		if err := r.bind(q); err != nil {
 			return nil, err
 		}
-		r.cold()
 		branching, err := r.eng.Run(q)
 		if err != nil {
 			return nil, err
 		}
-		r.cold()
+		r.cpu.Cold()
 		free, err := r.eng.RunBranchFree(q)
 		if err != nil {
 			return nil, err
 		}
-		r.cold()
 		adaptive, st, err := core.RunAdaptive(r.eng, nil, q, core.Options{ReopInterval: 5}, true)
 		if err != nil {
 			return nil, err

@@ -228,8 +228,7 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 		// Self-validation: same answer under every order; the progressive run
 		// itself within 7 % of greedy; on a skewed configuration the PMU
 		// optimizer must reorder and its converged order be no worse than
-		// greedy (a thousandth is the cycle drift of a reused engine, ROADMAP
-		// item 1).
+		// greedy.
 		for label, res := range map[string]exec.Result{"costmodel": cm, "progressive": prog, "pmu-final": final} {
 			if res.Qualifying != greedy.Qualifying || res.Sum != greedy.Sum {
 				return nil, fmt.Errorf("experiments: ext-joins %s tables: %s answer diverges from greedy (%d/%v vs %d/%v)",
@@ -243,7 +242,7 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 			return nil, fmt.Errorf("experiments: ext-joins %s tables: progressive run (%d cycles) more than 7%% behind greedy (%d); ledger %+v",
 				nTables, prog.Cycles, greedy.Cycles, pstats.Ledger)
 		}
-		if pt.skewed && final.Cycles > greedy.Cycles+greedy.Cycles/1000 {
+		if pt.skewed && final.Cycles > greedy.Cycles {
 			return nil, fmt.Errorf("experiments: ext-joins %s tables: converged order (%d cycles) worse than greedy (%d)",
 				nTables, final.Cycles, greedy.Cycles)
 		}

@@ -249,7 +249,7 @@ func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int3
 	}
 	r.eng.SetStorage(&exec.StorageScan{Skip: plan.Skip, Set: set})
 	defer r.eng.SetStorage(nil)
-	r.cold()
+	r.cpu.Cold()
 	res, err := r.eng.Run(q)
 	if err != nil {
 		return storedCell{}, err

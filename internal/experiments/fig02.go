@@ -54,7 +54,6 @@ func Fig02(cfg Config) ([]*Report, error) {
 		if err := r.bind(q); err != nil {
 			return nil, err
 		}
-		r.cold()
 		res, err := r.eng.Run(q)
 		if err != nil {
 			return nil, err

@@ -67,7 +67,6 @@ func Fig06(cfg Config) ([]*Report, error) {
 			if err := r.bind(q); err != nil {
 				return nil, err
 			}
-			r.cold()
 			res, err := r.eng.Run(q)
 			if err != nil {
 				return nil, err

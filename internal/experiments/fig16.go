@@ -56,18 +56,17 @@ func Fig16(cfg Config) ([]*Report, error) {
 		if err := r.bind(q); err != nil {
 			return nil, err
 		}
-		r.cold()
 		plain, err := r.eng.Run(q)
 		if err != nil {
 			return nil, err
 		}
-		r.cold()
+		r.cpu.Cold()
 		inst, _, err := r.eng.RunInstrumented(q)
 		if err != nil {
 			return nil, err
 		}
 		// PAPI-style run: plain execution plus one counter read per vector.
-		r.cold()
+		r.cpu.Cold()
 		c0 := r.cpu.Cycles()
 		n := tb.NumRows()
 		for lo := 0; lo < n; lo += cfg.VectorSize {

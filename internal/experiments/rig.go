@@ -10,11 +10,10 @@ import (
 )
 
 // rig bundles the simulated cores and engine for a sequence of measurements
-// over the same bound data set. Between measurements the caches are flushed
-// and the predictors reset, so every run starts cold, like the paper's
-// separately executed queries. The config's Workers knob selects the
-// morsel-driven multi-core executor; every measurement goes through the one
-// query driver, which runs on the pool when there is one.
+// over the same bound data set. Every measurement starts cold (cpu.CPU.Cold),
+// like the paper's separately executed queries. The config's Workers knob
+// selects the morsel-driven multi-core executor; every measurement goes
+// through the one query driver, which runs on the pool when there is one.
 type rig struct {
 	cpu *cpu.CPU
 	eng *exec.Engine
@@ -78,19 +77,9 @@ func (r *rig) bind(q *exec.Query) error {
 	return r.eng.BindQuery(q)
 }
 
-// cold resets transient hardware state (not counters) before a measurement.
-func (r *rig) cold() {
-	r.cpu.FlushCaches()
-	r.cpu.ResetPredictor()
-	if r.par != nil {
-		r.par.Cold()
-	}
-}
-
 // drive runs one query to completion from a cold start; the result, output
 // rows and stepper are the run's until the next measurement.
 func (r *rig) drive(spec core.Spec) (*core.Run, error) {
-	r.cold()
 	spec.Opt.Trace = r.opt
 	if err := r.run.Begin(spec); err != nil {
 		return nil, err

@@ -336,6 +336,3 @@ func (l *Level) Flush() {
 		l.ptags[i] = 0
 	}
 }
-
-// ResetStats zeroes the level's counters.
-func (l *Level) ResetStats() { l.stats = Stats{} }

@@ -126,8 +126,8 @@ type Hierarchy struct {
 	// reaches memory consults it and may pay additional whole-cycle block
 	// stalls, accumulated in storageStalls. The tier never alters cache
 	// contents or any counter above, so attaching it leaves the PMU event
-	// stream bit-identical. storageStalls is monotonic across ResetCounters
-	// (like the CPU's own stall clock); cores snapshot and subtract.
+	// stream bit-identical. storageStalls is monotonic (like the CPU's own
+	// stall clock); cores snapshot and subtract.
 	st            *StorageSet
 	storageStalls uint64
 
@@ -413,15 +413,6 @@ func (h *Hierarchy) AttachStorage(st *StorageSet) { h.st = st }
 func (h *Hierarchy) Storage() *StorageSet { return h.st }
 
 // StorageStallCycles returns the cumulative stall cycles charged by the
-// storage tier. Monotonic: not cleared by ResetCounters, so it composes with
-// the CPU's cycle clock the way stallQuarters does.
+// storage tier. Monotonic, so it composes with the CPU's cycle clock the way
+// stallQuarters does.
 func (h *Hierarchy) StorageStallCycles() uint64 { return h.storageStalls }
-
-// ResetCounters zeroes all event counts; cache contents are preserved.
-func (h *Hierarchy) ResetCounters() {
-	h.l1.ResetStats()
-	h.l2.ResetStats()
-	h.l3.ResetStats()
-	h.l3PrefetchAccesses = 0
-	h.memAccesses = 0
-}

@@ -37,6 +37,11 @@ type CPU struct {
 	// cycle accounting stays integral at IssueWidth 4.
 	stallQuarters uint64
 
+	// The clock epoch Cold last opened: the clock's value then, and the
+	// instruction and stall-quarter totals it is counted from since. Zero on a
+	// new core.
+	epochCycles, epochInstr, epochStallQ uint64
+
 	allocNext  uint64
 	allocCount uint64
 
@@ -58,7 +63,7 @@ type CPU struct {
 	// Pads the struct to a multiple of 128 bytes so two cores' hot counters
 	// never share a cache-line pair (see DESIGN.md, "False-sharing layout
 	// rule"; pinned by TestLayoutNoFalseSharing).
-	_ [72]byte
+	_ [48]byte
 }
 
 // progressChunk is how many gathered loads a core simulates between two
@@ -341,6 +346,20 @@ func (c *CPU) ResetPredictor() { c.pred.Reset() }
 // FlushCaches empties the cache hierarchy (counters are preserved).
 func (c *CPU) FlushCaches() { c.mem.Flush() }
 
+// Cold returns the core to its constructed state, which is what every query
+// starts from: caches, streamer and line memo empty, predictor untrained, and
+// a new clock epoch. The clock keeps its value (timelines of successive runs
+// stay monotone) and the PMU counters stay cumulative, but the fraction of a
+// cycle the issue slots and stalls so far add up to is dropped, so every
+// cycle delta read after Cold depends on what ran after it and on nothing
+// before. On a new core Cold changes nothing.
+func (c *CPU) Cold() {
+	c.mem.Flush()
+	c.pred.Reset()
+	c.epochCycles = c.Cycles()
+	c.epochInstr, c.epochStallQ = c.instructions, c.stallQuarters
+}
+
 // Cycles returns elapsed core cycles: retired instructions spread over the
 // issue width plus accumulated stall time. Whole-cycle stalls charged by an
 // attached storage tier are NOT included: the tier is a pure observer whose
@@ -350,10 +369,11 @@ func (c *CPU) FlushCaches() { c.mem.Flush() }
 func (c *CPU) Cycles() uint64 { return c.cyclesAt(c.instructions, c.stallQuarters) }
 
 // cyclesAt is the cycle clock at the given retired-instruction and
-// stall-quarter totals.
+// stall-quarter totals: whole cycles since the epoch Cold opened, on top of
+// the clock at that moment.
 func (c *CPU) cyclesAt(instructions, stallQuarters uint64) uint64 {
-	issueQuarters := instructions * 4 / uint64(c.prof.IssueWidth)
-	return (issueQuarters + stallQuarters) / 4
+	issueQuarters := (instructions - c.epochInstr) * 4 / uint64(c.prof.IssueWidth)
+	return c.epochCycles + (issueQuarters+stallQuarters-c.epochStallQ)/4
 }
 
 // Millis converts Cycles to milliseconds at the profile's clock.
@@ -389,13 +409,4 @@ func (c *CPU) Sample() pmu.Sample {
 	s[pmu.Instructions] = c.instructions
 	s[pmu.Cycles] = c.Cycles()
 	return s
-}
-
-// ResetCounters zeroes every PMU event (cache contents and predictor state
-// are preserved; real PMUs reset counters without touching the pipeline).
-func (c *CPU) ResetCounters() {
-	c.brCond, c.brTaken, c.brNotTaken = 0, 0, 0
-	c.brMPTaken, c.brMPNotTaken = 0, 0
-	c.instructions, c.stallQuarters = 0, 0
-	c.mem.ResetCounters()
 }

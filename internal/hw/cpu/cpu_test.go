@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"progopt/internal/hw/branch"
@@ -154,19 +155,67 @@ func TestResetPredictorClearsTraining(t *testing.T) {
 	}
 }
 
-func TestResetCountersPreservesCaches(t *testing.T) {
-	c := MustNew(ScaledXeon())
-	base, _ := c.Alloc(4096)
-	c.Load(base)
-	c.ResetCounters()
-	s := c.Sample()
-	for e := pmu.Event(0); e < pmu.NumEvents; e++ {
-		if s.Get(e) != 0 {
-			t.Errorf("event %v nonzero after reset: %d", e, s.Get(e))
+// coldScript is a fixed mix of loads, branches and ALU work that ends on a
+// fraction of a cycle (3 mod 4 issue slots, odd stall quarters), and returns
+// the clock readings taken along the way.
+func coldScript(c *CPU, base uint64) []uint64 {
+	var clocks []uint64
+	rows := []int32{1, 9, 10, 700, 4000, 4001}
+	addrs := []uint64{base + 1<<19, base + 64, base + 1<<18, base + 1<<19}
+	for round := 0; round < 3; round++ {
+		c.Load(base + uint64(round)*4096)
+		c.LoadSeq(base, 8, 1500)
+		c.LoadSel(base+1<<16, 4, rows)
+		c.LoadAddrs(addrs)
+		for i := 0; i < 37; i++ {
+			c.CondBranch(1, i%3 == 0)
 		}
+		c.CondBranchN(2, round%2 == 0, 11)
+		c.Exec(3)
+		clocks = append(clocks, c.Cycles())
 	}
-	if r := c.Load(base); r.Level != cache.HitL1 {
-		t.Errorf("cache contents lost by ResetCounters: reload hit %v", r.Level)
+	return clocks
+}
+
+// TestColdIsConstructedState pins Cold's contract: what runs after it reads
+// the PMU and cycle deltas it reads on a new core, the clock never moves back,
+// and a new core is already cold.
+func TestColdIsConstructedState(t *testing.T) {
+	fresh := MustNew(ScaledXeon())
+	base, _ := fresh.Alloc(1 << 20)
+	want := coldScript(fresh, base)
+	wantPMU := fresh.Sample()
+
+	untouched := MustNew(ScaledXeon())
+	untouched.Cold()
+	if got := coldScript(untouched, base); !slices.Equal(got, want) || untouched.Sample() != wantPMU {
+		t.Errorf("Cold changed a new core: clocks %v, want %v", got, want)
+	}
+
+	used := MustNew(ScaledXeon())
+	// Leave the core warm, trained and between two cycles.
+	coldScript(used, base)
+	used.Exec(1)
+	used.Load(base + 1<<17)
+	for i := 0; i < 3; i++ {
+		before := used.Cycles()
+		used.Cold()
+		t0, pmu0 := used.Cycles(), used.Sample()
+		if t0 < before {
+			t.Fatalf("reuse %d: clock moved back across Cold: %d -> %d", i, before, t0)
+		}
+		got := coldScript(used, base)
+		for k := range got {
+			got[k] -= t0
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("reuse %d: cycle deltas %v, want %v", i, got, want)
+		}
+		d := used.Sample().Sub(pmu0)
+		if d != wantPMU {
+			t.Errorf("reuse %d: PMU delta\n got %v\nwant %v", i, d, wantPMU)
+		}
+		used.Exec(i + 1) // a different residue to start the next reuse from
 	}
 }
 

@@ -823,9 +823,7 @@ func (s *Server) segmentBeginLocked(q *query) {
 	engines := s.pool.Engines()
 	for _, w := range q.cores {
 		if s.owner[w] != q {
-			c := engines[w].CPU()
-			c.FlushCaches()
-			c.ResetPredictor()
+			engines[w].CPU().Cold()
 			s.owner[w] = q
 		}
 		if s.clock[w] < q.arrival {

@@ -503,14 +503,22 @@ func shapedFixture(t *testing.T, workers, vs int) (q *exec.Query, sorts []*exec.
 	return q, sorts, groups
 }
 
-// driven runs spec to completion on a dedicated pool.
-func driven(t *testing.T, workers, vs int, spec core.Spec) *core.Run {
+// driver returns the query driver of a dedicated pool. A test takes all its
+// reference runs from one: Drive is a cold start, whatever ran before.
+func driver(t *testing.T, workers, vs int) *core.Run {
 	t.Helper()
 	ref, err := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.NewRun(nil, ref)
+	t.Cleanup(ref.Close)
+	return core.NewRun(nil, ref)
+}
+
+// driven runs spec to completion on r's pool; the result is r's until the
+// next run.
+func driven(t *testing.T, r *core.Run, spec core.Spec) *core.Run {
+	t.Helper()
 	if err := r.Begin(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +534,7 @@ func driven(t *testing.T, workers, vs int, spec core.Spec) *core.Run {
 func TestServedGroupedMatchesDriver(t *testing.T) {
 	const workers, vs = 4, 512
 	q, _, groups := shapedFixture(t, workers, vs)
-	want := driven(t, workers, vs, core.Spec{Query: q, Groups: groups})
+	want := driven(t, driver(t, workers, vs), core.Spec{Query: q, Groups: groups})
 	if len(want.Groups) == 0 {
 		t.Fatal("reference produced no groups")
 	}
@@ -599,8 +607,9 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 	q, sorts, _ := shapedFixture(t, workers, vs)
 	opt := core.Options{ReopInterval: 3}
 	var rows []exec.SortedRow
+	ref := driver(t, workers, vs)
 	for _, mode := range []Mode{ModeFixed, ModeProgressive} {
-		want := driven(t, workers, vs, core.Spec{Query: q, Mode: mode, Opt: opt, Sorts: sorts})
+		want := driven(t, ref, core.Spec{Query: q, Mode: mode, Opt: opt, Sorts: sorts})
 		if rows = want.Sorted; len(rows) != 25 {
 			t.Fatalf("%v: reference emitted %d rows, want 25", mode, len(rows))
 		}

@@ -137,7 +137,6 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	if q.sort != nil {
 		spec.Sorts = q.sort.states
 	}
-	e.cold()
 	if err := e.run.Begin(spec); err != nil {
 		return ExecResult{}, err
 	}
@@ -188,16 +187,6 @@ func toOrderedRows(rows []exec.SortedRow) []OrderedRow {
 		out[i] = OrderedRow{Row: r.Row, Keys: r.Keys, Value: r.Value}
 	}
 	return out
-}
-
-// cold resets transient hardware state on every core the run will use.
-func (e *Engine) cold() {
-	if e.par != nil {
-		e.par.Cold()
-		return
-	}
-	e.cpu.FlushCaches()
-	e.cpu.ResetPredictor()
 }
 
 // optTrack returns the engine's optimizer decision track, nil when tracing is

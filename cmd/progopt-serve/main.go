@@ -178,19 +178,24 @@ func run(queries, templates, workers, vector, lineitems int, seed int64,
 		return err
 	}
 
-	// Recurring templates: worst-first predicate chains plus a join, with
-	// bounds drawn from small discrete sets so fingerprints repeat exactly.
+	// Recurring templates: a worst-first predicate chain and an edge into
+	// orders with a pushed-down date bound, every bound drawn from a small
+	// discrete set so fingerprints repeat exactly.
 	rng := rand.New(rand.NewSource(seed))
 	plans := make([]*progopt.Plan, templates)
 	shipSels := []float64{0.7, 0.8, 0.9}
 	qtyBounds := []int{8, 10, 15, 20}
 	joinSels := []float64{0.4, 0.5, 0.6}
 	for i := range plans {
+		ship := shipSels[rng.Intn(len(shipSels))]
+		join := joinSels[rng.Intn(len(joinSels))]
+		qty := qtyBounds[rng.Intn(len(qtyBounds))]
 		plans[i] = progopt.Scan("lineitem").
-			Filter("l_shipdate", progopt.CmpLE, int64(ds.ShipdateCutoff(shipSels[rng.Intn(len(shipSels))]))).Label("shipdate").
+			Filter("l_shipdate", progopt.CmpLE, int64(ds.ShipdateCutoff(ship))).Label("shipdate").
 			Filter("l_discount", progopt.CmpLE, 0.05).Label("discount").
-			Join("orders", joinSels[rng.Intn(len(joinSels))]).
-			Filter("l_quantity", progopt.CmpLT, qtyBounds[rng.Intn(len(qtyBounds))]).Label("quantity")
+			Filter("l_quantity", progopt.CmpLT, qty).Label("quantity").
+			JoinOn("lineitem", "l_orderkey", "orders").
+			Filter("o_orderdate", progopt.CmpLE, int64(ds.ShipdateCutoff(join)))
 	}
 
 	opts := progopt.ExecOptions{Mode: mode, Progressive: progopt.Progressive{Interval: interval}}

@@ -6,7 +6,6 @@ import (
 
 	"progopt/internal/columnar"
 	"progopt/internal/exec"
-	"progopt/internal/tpch"
 )
 
 // groupExec is a compiled grouped aggregation: the group/value columns plus
@@ -34,12 +33,14 @@ type sortExec struct {
 }
 
 // Compile validates the plan against the data set, binds its columns into
-// the engine's address space, and returns an executable query. Validation
-// covers: driving-table membership of every filter, aggregate, and order-by
-// column (cross-table predicates are rejected — a predicate on an orders or
-// part column would index the shorter build-side column with driving-table
-// row ids), bound types against column kinds, join build tables and filter
-// selectivities, group-key domains (the grouped-aggregation hash table is
+// the engine's address space, and returns an executable query. Every plan
+// compiles as a join graph rooted at its driving table — a plan without
+// JoinOn steps is the graph without edges, and any table of the data set can
+// drive. Validation covers: the edges (tables, key columns, connectivity),
+// ownership of every filter column (a predicate on a table the plan does not
+// join is rejected, not evaluated with driving-table row ids), driving-table
+// membership of every aggregate and order-by column, bound types against
+// column kinds, group-key domains (the grouped-aggregation hash table is
 // sized from the key column's actual min/max, scanned here), and ordering
 // constraints (Limit needs OrderBy and a non-negative bound).
 func (e *Engine) Compile(d *Dataset, p *Plan) (*Query, error) {
@@ -52,25 +53,7 @@ func (e *Engine) Compile(d *Dataset, p *Plan) (*Query, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	hasEdge, hasLegacyJoin := false, false
-	for _, step := range p.steps {
-		switch step.kind {
-		case stepEdge:
-			hasEdge = true
-		case stepJoin:
-			hasLegacyJoin = true
-		}
-	}
-	if hasEdge && hasLegacyJoin {
-		return nil, fmt.Errorf("progopt: plan mixes Join and JoinOn; migrate Join(build, sel) to JoinOn(%q, <fk column>, build) plus a Filter on the build table", p.fingerprintTable())
-	}
-	var driving *columnar.Table
-	var err error
-	if hasEdge {
-		driving, err = graphDrivingTable(d, p.table)
-	} else {
-		driving, err = drivingTable(d, p.table)
-	}
+	driving, err := graphDrivingTable(d, p.table)
 	if err != nil {
 		return nil, err
 	}
@@ -96,32 +79,12 @@ func (e *Engine) Compile(d *Dataset, p *Plan) (*Query, error) {
 		return nil, fmt.Errorf("progopt: plan has both Sum and GroupBy; a grouped plan sums its value column")
 	}
 
-	var ops []exec.Op
-	var joinEdges []JoinEdgeExplain
-	if hasEdge {
-		// Join-graph plans: resolve edges, push down cross-table predicates,
-		// and order operators with the statistics-free greedy orderer.
-		ops, joinEdges, err = e.compileGraph(d, driving, p)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ops = make([]exec.Op, 0, len(p.steps))
-		for _, step := range p.steps {
-			var op exec.Op
-			switch step.kind {
-			case stepFilter:
-				op, err = e.compileFilter(d, driving, step)
-			case stepJoin:
-				op, err = e.compileJoin(d, driving, step)
-			default:
-				err = fmt.Errorf("progopt: unknown plan step kind %d", step.kind)
-			}
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, op)
-		}
+	// Every plan is a join graph, a filter-only one a graph without edges:
+	// resolve edges, push down cross-table predicates, and order operators
+	// with the statistics-free greedy orderer.
+	ops, joinEdges, err := e.compileGraph(d, driving, p)
+	if err != nil {
+		return nil, err
 	}
 
 	q := &exec.Query{Table: driving, Ops: ops}
@@ -212,24 +175,8 @@ func (e *Engine) compileSort(d *Dataset, driving *columnar.Table, p *Plan, agg *
 	return se, nil
 }
 
-// drivingTable resolves the plan's table name for plans without JoinOn
-// edges. Only lineitem can drive such a scan: the dimension tables are build
-// sides, reachable through Join (or, with JoinOn, any table can drive — see
-// graphDrivingTable).
-func drivingTable(d *Dataset, name string) (*columnar.Table, error) {
-	switch name {
-	case "", "lineitem":
-		return d.d.Lineitem, nil
-	default:
-		if d.d.Table(name) != nil {
-			return nil, fmt.Errorf("progopt: table %q cannot drive a scan without join edges (declare JoinOn edges, or join into it from lineitem)", name)
-		}
-		return nil, fmt.Errorf("progopt: unknown table %q (tables: %s)", name, strings.Join(datasetTableNames(d), ", "))
-	}
-}
-
-// graphDrivingTable resolves the driving table of a join-graph plan: any
-// data-set table can root the graph.
+// graphDrivingTable resolves the plan's driving table: any data-set table can
+// root the join graph.
 func graphDrivingTable(d *Dataset, name string) (*columnar.Table, error) {
 	if name == "" {
 		return d.d.Lineitem, nil
@@ -238,26 +185,6 @@ func graphDrivingTable(d *Dataset, name string) (*columnar.Table, error) {
 		return t, nil
 	}
 	return nil, fmt.Errorf("progopt: unknown table %q (tables: %s)", name, strings.Join(datasetTableNames(d), ", "))
-}
-
-// compileFilter resolves one filter step of a plan without join edges into a
-// bound driving-table predicate.
-func (e *Engine) compileFilter(d *Dataset, driving *columnar.Table, step planStep) (exec.Op, error) {
-	col := driving.Column(step.col)
-	if col == nil {
-		// Distinguish a typo from a cross-table predicate for the error.
-		for _, name := range datasetTableNames(d) {
-			t := d.d.Table(name)
-			if t != driving && t.Column(step.col) != nil {
-				return nil, fmt.Errorf(
-					"progopt: filter column %q belongs to %q, not the driving table %q (declare JoinOn(..., ..., %q) and the predicate is pushed down to it)",
-					step.col, name, driving.Name(), name)
-			}
-		}
-		return nil, fmt.Errorf("progopt: unknown column %q in %q (columns: %s)",
-			step.col, driving.Name(), strings.Join(columnNames(driving), ", "))
-	}
-	return predicateFor(col, step)
 }
 
 // predicateFor builds the bound predicate for a filter step whose column has
@@ -284,35 +211,6 @@ func predicateFor(col *columnar.Column, step planStep) (*exec.Predicate, error) 
 		return nil, fmt.Errorf("progopt: unknown bound kind %d", step.bound)
 	}
 	return pred, nil
-}
-
-// compileJoin resolves one join step into a bound foreign-key join with a
-// build-side filter of the requested selectivity. Probe keys come from the
-// driving table (which may be the stored decoded image); build-side columns
-// always live in RAM.
-func (e *Engine) compileJoin(d *Dataset, driving *columnar.Table, step planStep) (exec.Op, error) {
-	if step.filterSel <= 0 || step.filterSel > 1 {
-		return nil, fmt.Errorf("progopt: join filter selectivity %v outside (0,1]", step.filterSel)
-	}
-	label := step.label
-	switch step.build {
-	case "orders":
-		if label == "" {
-			label = "join-orders"
-		}
-		cut := tpch.QuantileInt32(d.d.Orders.Column("o_orderdate"), step.filterSel)
-		filter := &exec.Predicate{Col: d.d.Orders.Column("o_orderdate"), Op: exec.LE, I: int64(cut)}
-		return exec.NewFKJoin(e.cpu, driving.Column("l_orderkey"), d.d.NumOrders, filter, label)
-	case "part":
-		if label == "" {
-			label = "join-part"
-		}
-		cut := int64(50 * step.filterSel)
-		filter := &exec.Predicate{Col: d.d.Part.Column("p_size"), Op: exec.LE, I: cut}
-		return exec.NewFKJoin(e.cpu, driving.Column("l_partkey"), d.d.NumParts, filter, label)
-	default:
-		return nil, fmt.Errorf("progopt: unknown build table %q (Join reaches \"orders\" and \"part\"; use JoinOn for other tables)", step.build)
-	}
 }
 
 // compileSum parses an aggregate expression — a numeric column name or a

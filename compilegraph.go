@@ -10,18 +10,19 @@ import (
 	"progopt/internal/exec"
 )
 
-// This file compiles join-graph plans — plans that declare equi-join edges
-// with JoinOn. The graph is resolved into a tree rooted at the driving
-// table; every edge then compiles to one or more *driving-row* operators: a
-// (possibly multi-hop) FK probe from the driving table along the tree path
-// to the edge's table, filtered by the predicates pushed down to that table.
-// Because each operator filters the same driving-row stream independently,
-// the full operator list stays permutable — the progressive and
-// micro-adaptive modes reorder joins across the whole search space with the
-// same machinery (and the same bit-identity guarantees) as filter
-// permutations. The default order is the statistics-free greedy one:
-// driving-table predicates first, then edges smallest-build-relation-first
-// under the connectivity constraint (core.GreedyGraphOrder).
+// This file compiles plans. Every plan is a join graph: the equi-join edges
+// declared with JoinOn — none, for a filter-only plan — are resolved into a
+// tree rooted at the driving table, and every edge then compiles to one or
+// more *driving-row* operators: a (possibly multi-hop) FK probe from the
+// driving table along the tree path to the edge's table, filtered by the
+// predicates pushed down to that table. Because each operator filters the
+// same driving-row stream independently, the full operator list stays
+// permutable — the progressive and micro-adaptive modes reorder joins across
+// the whole search space with the same machinery (and the same bit-identity
+// guarantees) as filter permutations. The default order is the
+// statistics-free greedy one: driving-table predicates first, in declaration
+// order, then edges smallest-build-relation-first under the connectivity
+// constraint (core.GreedyGraphOrder).
 
 // graphEdge is one resolved JoinOn edge during compilation.
 type graphEdge struct {
@@ -75,7 +76,7 @@ func (e *Engine) compileGraph(d *Dataset, driving *columnar.Table, p *Plan) ([]e
 	for _, pred := range drivingPreds {
 		ops = append(ops, pred)
 	}
-	explains := make([]JoinEdgeExplain, 0, len(edges))
+	var explains []JoinEdgeExplain
 	for _, i := range order {
 		ge := edges[i]
 		eops, err := e.compileEdgeOps(ge)
@@ -242,19 +243,28 @@ func routeFilter(d *Dataset, driving *columnar.Table, edges []graphEdge, step pl
 			return nil, nil
 		}
 	}
-	joinedNames := []string{driving.Name()}
+	joined := []*columnar.Table{driving}
 	for _, ge := range edges {
-		joinedNames = append(joinedNames, ge.to)
+		joined = append(joined, d.d.Table(ge.to))
 	}
-	sort.Strings(joinedNames)
+	sort.Slice(joined, func(a, b int) bool { return joined[a].Name() < joined[b].Name() })
 	for _, name := range datasetTableNames(d) {
 		if d.d.Table(name).Column(step.col) != nil {
+			names := make([]string, len(joined))
+			for i, t := range joined {
+				names[i] = t.Name()
+			}
 			return nil, fmt.Errorf("progopt: filter column %q belongs to %q, which this plan does not join (joined tables: %s; add JoinOn(..., ..., %q) to reach it)",
-				step.col, name, strings.Join(joinedNames, ", "), name)
+				step.col, name, strings.Join(names, ", "), name)
 		}
 	}
+	// A typo: list what each joined table offers.
+	alts := make([]string, len(joined))
+	for i, t := range joined {
+		alts[i] = t.Name() + ": " + strings.Join(columnNames(t), ", ")
+	}
 	return nil, fmt.Errorf("progopt: unknown column %q in any joined table (%s)",
-		step.col, strings.Join(joinedNames, ", "))
+		step.col, strings.Join(alts, "; "))
 }
 
 // intColumnRange scans an integer-kind column's min and max; an empty

@@ -62,6 +62,8 @@
 //
 // # Join graphs
 //
+// Every plan is a join graph rooted at the table it scans — any table of the
+// data set — and a filter-only plan is the graph without edges.
 // JoinOn(from, key, to) declares an equi-join edge between any two plan
 // tables, in any order — Compile resolves the edge set into a tree rooted
 // at the driving table, routes each filter to whichever table owns its

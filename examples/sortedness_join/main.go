@@ -38,11 +38,12 @@ func main() {
 	for _, win := range windows {
 		ds := base.ShuffleWindow(win.w, int64(win.w))
 		// One expensive predicate (FilterCost models a string match / UDF)
-		// followed by an FK join into orders with a 50%-selective build
-		// filter — declared as one plan, reordered freely by WithOrder.
+		// and an FK join into orders with a 50%-selective pushed-down date
+		// bound — declared as one plan, reordered freely by WithOrder.
 		q, err := eng.Compile(ds, progopt.Scan("lineitem").
 			FilterCost("l_quantity", progopt.CmpLE, 25, 40).
-			Join("orders", 0.5))
+			JoinOn("lineitem", "l_orderkey", "orders").
+			Filter("o_orderdate", progopt.CmpLE, int64(ds.ShipdateCutoff(0.5))))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func TestExplainFusedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25).Join("orders", 0.5))
+	q, err := e.Compile(d, ordersEdge(Scan("lineitem").Filter("l_quantity", CmpLT, 25), midOrderDate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestExplainWithJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := e.Compile(d, Scan("lineitem").Filter("l_quantity", CmpLT, 25).Join("orders", 0.5))
+	q, err := e.Compile(d, ordersEdge(Scan("lineitem").Filter("l_quantity", CmpLT, 25), midOrderDate))
 	if err != nil {
 		t.Fatal(err)
 	}

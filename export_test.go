@@ -43,6 +43,16 @@ func newRef(cfg Config, ref refPath) (*Engine, error) {
 // on the host — the reference of the host-concurrent rounds.
 func (s *Server) setSerialRounds(on bool) { s.svc.SetSerialRounds(on) }
 
+// midOrderDate is the middle of the order-date range: about half the orders
+// pass "o_orderdate <= midOrderDate" on every generated data set.
+var midOrderDate = int64(tpch.StartDate+tpch.EndOrderDate) / 2
+
+// ordersEdge appends the edge lineitem → orders and a date bound pushed down
+// to it: one join operator, after the plan's lineitem predicates.
+func ordersEdge(p *Plan, bound int64) *Plan {
+	return p.JoinOn("lineitem", "l_orderkey", "orders").Filter("o_orderdate", CmpLE, bound)
+}
+
 // q6Plan is TPC-H Query 6 (five reorderable predicates) as a plan; it must
 // compile to exactly internal/exec.Q6 (TestBuildQ6MatchesInternalOracle).
 func q6Plan() *Plan {

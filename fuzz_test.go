@@ -28,7 +28,7 @@ var (
 
 // fuzzPlan decodes a byte string into a plan: byte 0 picks the driving
 // table, then each opcode byte plus its fixed operands appends one builder
-// step (join edge, int/float filter, order-by, sum, legacy join, group-by).
+// step (join edge, int/float filter, order-by, sum, costed filter, group-by).
 // Operands past the end of the input read as zero, so every byte string
 // decodes to some plan; whether it compiles is exactly what the fuzz target
 // is probing.
@@ -68,7 +68,9 @@ func fuzzPlan(data []byte) *Plan {
 		case 4:
 			p = p.Sum(fuzzSums[next()%len(fuzzSums)])
 		case 5:
-			p = p.Join(table(), float64(next())/255)
+			// Two operands, like the Join step this opcode used to spell: the
+			// committed corpus keeps decoding its other steps.
+			p = p.FilterCost(col(), CmpLE, int64(next())*64, 20)
 		case 6:
 			p = p.GroupBy(col(), col())
 		}
@@ -117,9 +119,10 @@ func FuzzPlanCompile(f *testing.F) {
 		2, 14, 0, 200, // float filter on c_acctbal
 		4, 1, // Sum(l_extendedprice * l_discount)
 	})
-	// Legacy Join builder, still compiling through the untouched path.
+	// An expensive filter beside a plain one, no edge (testdata's
+	// seed-legacy-join, named for what opcode 5 spelled before).
 	f.Add([]byte{0, 5, 1, 128, 1, 2, 1, 1, 4, 0})
-	// Mixing Join and JoinOn must be rejected with the migration error.
+	// An expensive filter and one edge (seed-mixed-join-joinon).
 	f.Add([]byte{0, 5, 1, 128, 0, 0, 0, 1})
 	// Unknown driving table.
 	f.Add([]byte{5, 1, 2, 1, 1})

@@ -40,7 +40,7 @@ type GraphJoin struct {
 // the smallest build relation. No cardinality estimates, no sampled
 // statistics, only physical table sizes; ties break by To-table name, then
 // declaration order, so the result is deterministic. Returns indexes into
-// joins.
+// joins: the empty order for a graph without edges.
 func GreedyGraphOrder(driving string, joins []GraphJoin) ([]int, error) {
 	return placeAll(driving, joins, func(i int) float64 { return float64(joins[i].BuildRows) })
 }
@@ -85,9 +85,6 @@ func CostModelGraphOrder(g cachemodel.Geometry, driving string, joins []GraphJoi
 // orderers: each step places the unplaced edge with the lowest score among
 // those whose From table is already joined.
 func placeAll(driving string, joins []GraphJoin, score func(int) float64) ([]int, error) {
-	if len(joins) == 0 {
-		return nil, fmt.Errorf("core: no graph joins to order")
-	}
 	if driving == "" {
 		return nil, fmt.Errorf("core: graph order needs a driving table")
 	}

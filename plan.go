@@ -8,11 +8,12 @@ import (
 )
 
 // Plan is a declarative description of a query over one driving table: a
-// chain of reorderable filtering steps (predicates and foreign-key joins),
-// optionally followed by a sum aggregate or a grouped aggregation. Plans are
-// built with the chainable Scan/Filter/Join/Sum/GroupBy methods, carry no
-// engine or data-set state, and become executable only through
-// Engine.Compile, which validates every step against a concrete data set.
+// join graph (zero or more JoinOn edges) whose predicates and foreign-key
+// probes are reorderable filtering steps, optionally followed by a sum
+// aggregate, a grouped aggregation or an ordering. Plans are built with the
+// chainable Scan/Filter/JoinOn/Sum/GroupBy/OrderBy methods, carry no engine
+// or data-set state, and become executable only through Engine.Compile,
+// which validates every step against a concrete data set.
 //
 // Builder methods never fail in place; the first construction error is
 // remembered and reported by Compile, so chains stay uncluttered:
@@ -39,7 +40,6 @@ type stepKind int
 
 const (
 	stepFilter stepKind = iota
-	stepJoin
 	stepEdge
 )
 
@@ -64,10 +64,6 @@ type planStep struct {
 	bound     boundKind
 	extraCost int
 	label     string
-
-	// Join fields.
-	build     string
-	filterSel float64
 
 	// Edge fields (JoinOn).
 	from, key, to string
@@ -95,9 +91,8 @@ const (
 	Desc
 )
 
-// Scan starts a plan over the named driving table. The engine's data sets
-// drive scans from "lineitem"; the orders and part tables are build sides
-// reachable through Join.
+// Scan starts a plan over the named driving table; any table of the data set
+// can drive ("" is "lineitem"), the others are reached through JoinOn.
 func Scan(table string) *Plan {
 	return &Plan{table: table}
 }
@@ -129,20 +124,6 @@ func (p *Plan) FilterCost(col string, op Cmp, bound any, extraCostInstr int) *Pl
 		return p
 	}
 	p.steps = append(p.steps, step)
-	return p
-}
-
-// Join appends a foreign-key join from the driving table into the named
-// build table ("orders" or "part") with a build-side filter of the given
-// selectivity in (0, 1].
-//
-// Join predates the join-graph API and survives for compatibility: it only
-// reaches orders and part, hard-codes the probe key and a quantile-derived
-// build filter, and keeps its declaration position in the operator order.
-// New plans should declare edges with JoinOn and push build-side predicates
-// with Filter; see the package example.
-func (p *Plan) Join(build string, filterSelectivity float64) *Plan {
-	p.steps = append(p.steps, planStep{kind: stepJoin, build: build, filterSel: filterSelectivity})
 	return p
 }
 
@@ -283,11 +264,6 @@ func (p *Plan) fingerprintTerms() ([]string, error) {
 				b.WriteString("|c:")
 				b.WriteString(strconv.Itoa(step.extraCost))
 			}
-		case stepJoin:
-			b.WriteString("j|")
-			b.WriteString(step.build)
-			b.WriteString("|x:")
-			b.WriteString(strconv.FormatFloat(step.filterSel, 'x', -1, 64))
 		case stepEdge:
 			// Graph edges canonicalize by content alone: the order-independent
 			// hash then makes isomorphic graphs (same edges, any declaration

@@ -21,8 +21,6 @@ func TestCompileValidation(t *testing.T) {
 	}{
 		{"nil steps", Scan("lineitem"), "at least one operator"},
 		{"unknown driving table", Scan("galaxy").Filter("x", CmpLT, 1), "unknown table"},
-		{"orders cannot drive", Scan("orders").Filter("o_orderdate", CmpLT, 1), "cannot drive"},
-		{"part cannot drive", Scan("part").Filter("p_size", CmpLT, 1), "cannot drive"},
 		{"cross-table predicate", Scan("lineitem").Filter("o_orderdate", CmpLE, 1), "belongs to \"orders\""},
 		{"cross-table part predicate", Scan("lineitem").Filter("p_size", CmpLE, 1), "belongs to \"part\""},
 		{"unknown column", Scan("lineitem").Filter("l_nope", CmpLE, 1), "unknown column"},
@@ -31,9 +29,6 @@ func TestCompileValidation(t *testing.T) {
 		{"int bound on float column", Scan("lineitem").Filter("l_discount", CmpLE, 1), "float bound"},
 		{"unsupported bound type", Scan("lineitem").Filter("l_quantity", CmpLE, "ten"), "unsupported bound type"},
 		{"label before step", Scan("lineitem").Label("x"), "before any step"},
-		{"join selectivity zero", Scan("lineitem").Join("orders", 0), "outside (0,1]"},
-		{"join selectivity above one", Scan("lineitem").Join("orders", 1.5), "outside (0,1]"},
-		{"unknown build table", Scan("lineitem").Join("supplier", 0.5), "unknown build table"},
 		{"unknown aggregate column", Scan("lineitem").Filter("l_quantity", CmpLE, 10).Sum("l_nope"), "unknown aggregate column"},
 		{"three-factor aggregate", Scan("lineitem").Filter("l_quantity", CmpLE, 10).Sum("l_tax * l_tax * l_tax"), "factors"},
 		{"empty aggregate factor", Scan("lineitem").Filter("l_quantity", CmpLE, 10).Sum("l_tax * "), "malformed"},
@@ -75,7 +70,8 @@ func TestPlanBuilderEndToEnd(t *testing.T) {
 		Filter("l_shipdate", CmpLE, int64(d.ShipdateCutoff(0.6))).Label("ship<=p60").
 		FilterCost("l_quantity", CmpLT, 30, 20).
 		Filter("l_discount", CmpGE, 0.03).
-		Join("orders", 0.5).
+		JoinOn("lineitem", "l_orderkey", "orders").Label("join-orders").
+		Filter("o_orderdate", CmpLE, midOrderDate).
 		Sum("l_extendedprice * l_discount"))
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func convergentPlan(d *Dataset, withJoin bool) *Plan {
 		Filter("l_discount", CmpLE, 0.05).Label("disc<=.05").
 		Filter("l_quantity", CmpLT, 10).Label("qty<10")
 	if withJoin {
-		p.Join("orders", 0.5)
+		ordersEdge(p, midOrderDate)
 	}
 	return p
 }
@@ -41,8 +41,8 @@ func serveEngine(t *testing.T, workers int) (*Engine, *Dataset) {
 
 // TestServeFingerprintOrderIndependent: the same steps chained in a
 // different order hit the plan cache (identical canonical fingerprint),
-// while changing a bound, a join selectivity, or the data-set generation
-// misses.
+// while changing a bound, the bound pushed down to a joined table, or the
+// data-set generation misses.
 func TestServeFingerprintOrderIndependent(t *testing.T) {
 	e, d := serveEngine(t, 2)
 	srv, err := NewServer(e, ServerConfig{})
@@ -61,13 +61,11 @@ func TestServeFingerprintOrderIndependent(t *testing.T) {
 		}
 		return res.Served
 	}
-	a := Scan("lineitem").
+	a := ordersEdge(Scan("lineitem").
 		Filter("l_quantity", CmpLT, 24).
-		Filter("l_discount", CmpGE, 0.05).
-		Join("orders", 0.5).
+		Filter("l_discount", CmpGE, 0.05), midOrderDate).
 		Sum("l_extendedprice * l_discount")
-	b := Scan("lineitem").
-		Join("orders", 0.5).
+	b := ordersEdge(Scan("lineitem"), midOrderDate).
 		Filter("l_discount", CmpGE, 0.05).
 		Filter("l_quantity", CmpLT, 24).
 		Sum("l_discount * l_extendedprice") // commuted factors
@@ -81,22 +79,20 @@ func TestServeFingerprintOrderIndependent(t *testing.T) {
 	}
 
 	// Bound change -> new fingerprint.
-	c := Scan("lineitem").
+	c := ordersEdge(Scan("lineitem").
 		Filter("l_quantity", CmpLT, 25).
-		Filter("l_discount", CmpGE, 0.05).
-		Join("orders", 0.5).
+		Filter("l_discount", CmpGE, 0.05), midOrderDate).
 		Sum("l_extendedprice * l_discount")
 	if ic := submit(d, c); ic.Fingerprint == ia.Fingerprint || ic.PlanCacheHit {
 		t.Error("bound change did not change the fingerprint")
 	}
-	// Join selectivity change -> new fingerprint.
-	j := Scan("lineitem").
+	// Pushed-down bound change -> new fingerprint.
+	j := ordersEdge(Scan("lineitem").
 		Filter("l_quantity", CmpLT, 24).
-		Filter("l_discount", CmpGE, 0.05).
-		Join("orders", 0.25).
+		Filter("l_discount", CmpGE, 0.05), midOrderDate-300).
 		Sum("l_extendedprice * l_discount")
 	if ij := submit(d, j); ij.Fingerprint == ia.Fingerprint || ij.PlanCacheHit {
-		t.Error("join selectivity change did not change the fingerprint")
+		t.Error("a changed bound on the joined table did not change the fingerprint")
 	}
 	// Same parameters, regenerated data set -> new generation -> miss.
 	d2, err := e.GenerateTPCH(96*512, 31, OrderRandom)
@@ -140,7 +136,7 @@ func TestShuffleWindowGeneration(t *testing.T) {
 		return e, [2]*Dataset{base.ShuffleWindow(1, 1), base.ShuffleWindow(5000, 2)}
 	}
 	plan := func() *Plan {
-		return Scan("lineitem").Filter("l_quantity", CmpLT, 24).Join("orders", 0.5)
+		return ordersEdge(Scan("lineitem").Filter("l_quantity", CmpLT, 24), midOrderDate)
 	}
 	cfg := Config{VectorSize: 512, Workers: 2}
 	eDirect, direct := setup(cfg)

@@ -471,9 +471,7 @@ func TestStoredGroupedAndSorted(t *testing.T) {
 // driving table, build sides stay in RAM, answers and counters match.
 func TestStoredJoin(t *testing.T) {
 	plan := func() *Plan {
-		return Scan("lineitem").
-			Filter("l_quantity", CmpLT, 30).
-			Join("orders", 0.5).
+		return ordersEdge(Scan("lineitem").Filter("l_quantity", CmpLT, 30), midOrderDate).
 			Sum("l_extendedprice * l_discount")
 	}
 	for _, workers := range []int{1, 4} {

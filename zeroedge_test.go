@@ -37,7 +37,7 @@ func zeroEdgePlans(d *Dataset) map[string]*Plan {
 }
 
 // TestZeroEdgePlanIsTheOldPath pins plans without join edges to what the
-// edge-less compiler (compileFilter, deleted in PR 22) produced for them:
+// edge-less compiler (the second compile path, deleted in PR 22) produced:
 // operator names, Explain text, fingerprint and the whole ExecResult in every
 // mode at Workers 1 and 4. The golden file was captured at the parent of the
 // commit that routed every plan through compileGraph.

@@ -152,22 +152,3 @@ func (cc Concurrent) FootprintBytes() float64 {
 
 // String implements Pattern.
 func (cc Concurrent) String() string { return fmt.Sprintf("concurrent(%d patterns)", len(cc)) }
-
-// HashJoinPattern models a canonical hash equi-join as pattern composition:
-// build = sequential read of the build input plus random writes into the
-// hash table; probe = sequential read of the probe input plus random reads
-// of the table. This is how the generic model prices the operators the
-// paper's §7 plans to integrate.
-func HashJoinPattern(buildTuples, buildWidth, probeTuples, probeWidth, slotBytes int) Pattern {
-	tableBytes := buildTuples * slotBytes
-	return Seq{
-		Concurrent{
-			STrav{N: buildTuples, Width: buildWidth},
-			RRAcc{RegionBytes: tableBytes, Probes: buildTuples},
-		},
-		Concurrent{
-			STrav{N: probeTuples, Width: probeWidth},
-			RRAcc{RegionBytes: tableBytes, Probes: probeTuples},
-		},
-	}
-}

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -77,26 +76,6 @@ func TestConcurrentNoInterferenceWhenTiny(t *testing.T) {
 	together := (Concurrent{a, b}).Misses(g)
 	if math.Abs(together-solo) > solo*0.01 {
 		t.Errorf("tiny concurrent regions interfered: %v vs %v", together, solo)
-	}
-}
-
-func TestHashJoinPattern(t *testing.T) {
-	g := geo()
-	// Small build side: table resident, probes nearly free beyond cold
-	// misses. Large build side: probe phase thrashes.
-	small := HashJoinPattern(1000, 8, 1<<20, 8, 16)
-	big := HashJoinPattern(4<<20, 8, 1<<20, 8, 16)
-	ms, mb := small.Misses(g), big.Misses(g)
-	if ms >= mb {
-		t.Errorf("small-build join misses %v not below large-build %v", ms, mb)
-	}
-	// The large join's misses must be dominated by probe-side random reads:
-	// at least ~half the probes miss.
-	if mb < float64(1<<20)/2 {
-		t.Errorf("large-build join misses %v implausibly low", mb)
-	}
-	if !strings.Contains(small.String(), "seq") {
-		t.Error("pattern description missing")
 	}
 }
 

@@ -51,17 +51,6 @@ func UniformFloat64(rng *rand.Rand, n int, lo, hi float64) []float64 {
 	return out
 }
 
-// ZipfInt64 returns n zipfian draws over [0, max] with skew parameter s > 1
-// being flat-ish near 1 and increasingly skewed as it grows.
-func ZipfInt64(rng *rand.Rand, n int, s float64, max uint64) []int64 {
-	z := rand.NewZipf(rng, s, 1, max)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(z.Uint64())
-	}
-	return out
-}
-
 // Ascending returns 0,1,...,n-1 as int64.
 func Ascending(n int) []int64 {
 	out := make([]int64, n)
@@ -172,27 +161,6 @@ func Correlated(rng *rand.Rand, base []int64, corr float64, lo, hi int64) []int6
 			out[i] = v
 		} else {
 			out[i] = lo + rng.Int63n(span)
-		}
-	}
-	return out
-}
-
-// PiecewiseSelectivity returns n boolean-as-int64 values (1 = qualifies)
-// where the qualification probability changes per contiguous segment: seg[k]
-// applies to rows [k*n/len(seg), (k+1)*n/len(seg)). Used to construct skewed
-// data whose best PEO changes mid-scan (§4.5, §5.4).
-func PiecewiseSelectivity(rng *rand.Rand, n int, seg []float64) []int64 {
-	if len(seg) == 0 {
-		panic("datagen: no segments")
-	}
-	out := make([]int64, n)
-	for i := range out {
-		k := i * len(seg) / n
-		if k >= len(seg) {
-			k = len(seg) - 1
-		}
-		if rng.Float64() < seg[k] {
-			out[i] = 1
 		}
 	}
 	return out

@@ -45,21 +45,6 @@ func TestUniformCoversDomain(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	rng := NewRNG(3)
-	draws := ZipfInt64(rng, 20000, 1.5, 999)
-	counts := map[int64]int{}
-	for _, v := range draws {
-		if v < 0 || v > 999 {
-			t.Fatalf("zipf draw %d outside [0,999]", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[500]*3 {
-		t.Errorf("zipf head %d not ≫ tail %d", counts[0], counts[500])
-	}
-}
-
 func TestAscending(t *testing.T) {
 	a := Ascending(5)
 	for i, v := range a {
@@ -198,31 +183,6 @@ func TestCorrelatedPanicsOnBadCorr(t *testing.T) {
 		}
 	}()
 	Correlated(NewRNG(1), []int64{1}, 2, 0, 10)
-}
-
-func TestPiecewiseSelectivity(t *testing.T) {
-	rng := NewRNG(9)
-	const n = 30000
-	out := PiecewiseSelectivity(rng, n, []float64{0.9, 0.1, 0.5})
-	third := n / 3
-	frac := func(lo, hi int) float64 {
-		c := 0
-		for _, v := range out[lo:hi] {
-			if v == 1 {
-				c++
-			}
-		}
-		return float64(c) / float64(hi-lo)
-	}
-	if f := frac(0, third); f < 0.85 || f > 0.95 {
-		t.Errorf("segment 0 selectivity %v, want ~0.9", f)
-	}
-	if f := frac(third, 2*third); f < 0.05 || f > 0.15 {
-		t.Errorf("segment 1 selectivity %v, want ~0.1", f)
-	}
-	if f := frac(2*third, n); f < 0.45 || f > 0.55 {
-		t.Errorf("segment 2 selectivity %v, want ~0.5", f)
-	}
 }
 
 func TestWindowPermutationSortednessSpectrum(t *testing.T) {

@@ -76,7 +76,7 @@ func TestBatchScalarEquivalenceQ6(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		lo := int32(9000 + rng.Intn(1000))
 		hi := lo + int32(100+rng.Intn(700))
-		q, err := Q6ShipdateWindow(d, lo, hi)
+		q, err := q6WithShipdateWindow(d, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -268,30 +268,6 @@ func (e *Engine) RunVector(q *Query, lo, hi int) (VectorResult, error) {
 	return vr, nil
 }
 
-// RunVectorScalar executes rows [lo, hi) with the tuple-at-a-time row loop
-// regardless of the engine mode (the seed engine's interpreted scan).
-func (e *Engine) RunVectorScalar(q *Query, lo, hi int) (VectorResult, error) {
-	if err := e.checkVector(q, lo, hi); err != nil {
-		return VectorResult{}, err
-	}
-	if e.skipVector(lo, hi) {
-		return VectorResult{}, nil
-	}
-	return e.runVectorScalar(q, lo, hi), nil
-}
-
-// RunVectorBatch executes rows [lo, hi) with the batch-kernel pipeline
-// regardless of the engine mode.
-func (e *Engine) RunVectorBatch(q *Query, lo, hi int) (VectorResult, error) {
-	if err := e.checkVector(q, lo, hi); err != nil {
-		return VectorResult{}, err
-	}
-	if e.skipVector(lo, hi) {
-		return VectorResult{}, nil
-	}
-	return e.runVectorBatch(q, lo, hi)
-}
-
 func (e *Engine) runVectorScalar(q *Query, lo, hi int) VectorResult {
 	c := e.cpu
 	ops := q.Ops

@@ -20,12 +20,8 @@ func Q6(d *tpch.Dataset) (*Query, error) {
 	return q6WithShipdateWindow(d, tpch.Q6ShipdateLo(), tpch.Q6ShipdateHi())
 }
 
-// Q6ShipdateWindow is Q6 with custom shipdate bounds [lo, hi); the sorted
+// q6WithShipdateWindow is Q6 with shipdate bounds [lo, hi); the sorted
 // data-set experiment (§5.4) relies on both bounds being present.
-func Q6ShipdateWindow(d *tpch.Dataset, lo, hi int32) (*Query, error) {
-	return q6WithShipdateWindow(d, lo, hi)
-}
-
 func q6WithShipdateWindow(d *tpch.Dataset, lo, hi int32) (*Query, error) {
 	li := d.Lineitem
 	ship := li.Column("l_shipdate")

@@ -174,9 +174,7 @@ func runServeTrace(prof cpu.Profile, templates []servePlanTemplate, tc serveTrac
 		for i := 0; i < tc.queries; i++ {
 			tpl := templates[i%len(templates)]
 			tk, err := s.Submit(service.Request{
-				Query:       tpl.q,
-				Mode:        service.ModeProgressive,
-				Opt:         opt,
+				Spec:        core.Spec{Query: tpl.q, Mode: core.ModeProgressive, Opt: opt},
 				Arrival:     base,
 				Fingerprint: tpl.fp,
 				NoFeedback:  tc.noFeedback,

@@ -182,9 +182,6 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 // LineSize returns the cache-line size in bytes.
 func (h *Hierarchy) LineSize() int { return h.cfg.L1.LineSize }
 
-// LineShift returns log2(LineSize), the byte-address-to-line-id shift.
-func (h *Hierarchy) LineShift() uint { return h.lineShift }
-
 // Load performs a demand load of the line containing addr and returns where
 // it hit. Fills are inclusive (a miss installs the line in every level above
 // the hit level). The streamer observes all demand traffic reaching L2 (that

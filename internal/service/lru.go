@@ -60,8 +60,5 @@ func (l *LRU) touch(k Fingerprint) {
 // Len returns the number of cached entries.
 func (l *LRU) Len() int { return len(l.values) }
 
-// Cap returns the configured capacity.
-func (l *LRU) Cap() int { return l.cap }
-
 // Evictions returns how many entries capacity pressure has evicted.
 func (l *LRU) Evictions() int { return l.evictions }

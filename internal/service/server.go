@@ -43,19 +43,13 @@ type Config struct {
 
 // Request is one query submission.
 type Request struct {
-	// Query is the compiled, bound query (its operator order is the plan
-	// order the optimizer starts from).
-	Query *exec.Query
-	// Groups, when non-nil, makes this a grouped aggregation: one partial
-	// hash table per pool core. Grouped queries run exclusively (they own
-	// the whole pool) and must use ModeFixed.
-	Groups []*exec.GroupBy
-	// Sorts, when non-nil, makes this an ordered (OrderBy/Limit) query: one
-	// compiled sort state per pool core. Each core the scheduler assigns
-	// collects qualifying tuples into its own partial heap or run buffer;
-	// the first core of the final subset merges them at completion. Ordered
-	// queries schedule like plain scans in every mode.
-	Sorts []*exec.Sort
+	// Spec is the query as the driver runs it: the compiled, bound query (its
+	// operator order is the plan order the optimizer starts from), the mode
+	// and optimizer options, and one group table or sort state per pool core
+	// for a grouped or an ordered query. A grouped query runs exclusively (it
+	// owns the whole pool); an ordered one schedules like a plain scan in
+	// every mode. The server sets Quantum, from Config.QuantumVectors.
+	Spec core.Spec
 	// Storage, when non-nil, runs the query over a stored table: one
 	// stored-scan state per pool core (shared skip bitmap, private tier
 	// view), attached to every core a segment runs on. The tier is a pure
@@ -63,10 +57,6 @@ type Request struct {
 	// co-scheduled query; its stall debt accumulates in the views' counters
 	// for the caller to read out-of-band.
 	Storage []*exec.StorageScan
-	// Mode selects fixed, progressive, or micro-adaptive execution.
-	Mode Mode
-	// Opt configures the progressive optimizer for adaptive modes.
-	Opt core.Options
 	// Arrival is the simulated time the query arrives at the server; it
 	// cannot consume core cycles earlier.
 	Arrival uint64
@@ -190,7 +180,7 @@ type query struct {
 	err   error
 }
 
-func (q *query) grouped() bool { return len(q.req.Groups) > 0 }
+func (q *query) grouped() bool { return len(q.req.Spec.Groups) > 0 }
 
 // Server runs many concurrent queries against one shared pool of simulated
 // cores as a discrete-event simulation: per-core absolute clocks, morsel
@@ -387,8 +377,9 @@ type Ticket struct {
 // deterministic workload, submit the trace in order before (or while)
 // waiting.
 func (s *Server) Submit(req Request) (*Ticket, error) {
-	spec := s.spec(&req)
-	if err := spec.Validate(s.pool.Workers()); err != nil {
+	// Fixed-order scans run in quanta of QuantumVectors morsels per core.
+	req.Spec.Quantum = s.cfg.QuantumVectors
+	if err := req.Spec.Validate(s.pool.Workers()); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -416,19 +407,10 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	}
 	if s.tr != nil {
 		s.tr.Instant("submit", q.arrival,
-			trace.Int("seq", q.seq), trace.String("mode", req.Mode.String()),
+			trace.Int("seq", q.seq), trace.String("mode", req.Spec.Mode.String()),
 			trace.Int("queued", len(s.queue)))
 	}
 	return &Ticket{s: s, q: q}, nil
-}
-
-// spec is the request as the driver runs it: fixed-order scans in quanta of
-// QuantumVectors morsels per core.
-func (s *Server) spec(req *Request) core.Spec {
-	return core.Spec{
-		Query: req.Query, Mode: req.Mode, Opt: req.Opt,
-		Groups: req.Groups, Sorts: req.Sorts, Quantum: s.cfg.QuantumVectors,
-	}
 }
 
 // Wait drives scheduling rounds until the ticket's query completes and
@@ -739,8 +721,8 @@ func (s *Server) admitLocked() {
 // racing recurring queries.
 func (s *Server) prepareLocked(q *query) error {
 	req := &q.req
-	spec := s.spec(req)
-	if req.Mode != ModeFixed && spec.Opt.Trace != nil {
+	spec := req.Spec
+	if spec.Mode != ModeFixed && spec.Opt.Trace != nil {
 		q.optReal = spec.Opt.Trace
 		q.optStage = trace.NewStage()
 		spec.Opt.Trace = q.optStage

@@ -61,7 +61,7 @@ func TestLoneFixedMatchesParallelRun(t *testing.T) {
 	if err := s.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	tk, err := s.Submit(Request{Query: q, Mode: ModeFixed})
+	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	if err := s.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	tk, err := s.Submit(Request{Query: q, Mode: ModeProgressive, Opt: opt})
+	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +160,9 @@ func TestConcurrentTraceDeterministic(t *testing.T) {
 			}
 		}
 		reqs := []Request{
-			{Query: q1, Mode: ModeFixed, Arrival: 0},
-			{Query: q2, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 5}, Arrival: 1000},
-			{Query: q3, Mode: ModeFixed, Arrival: 2000},
+			{Spec: core.Spec{Query: q1, Mode: ModeFixed}, Arrival: 0},
+			{Spec: core.Spec{Query: q2, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 5}}, Arrival: 1000},
+			{Spec: core.Spec{Query: q3, Mode: ModeFixed}, Arrival: 2000},
 		}
 		tks := make([]*Ticket, len(reqs))
 		for i, r := range reqs {
@@ -223,11 +223,11 @@ func TestSharedPoolPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := s.Submit(Request{Query: q1, Mode: ModeFixed})
+	t1, err := s.Submit(Request{Spec: core.Spec{Query: q1, Mode: ModeFixed}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := s.Submit(Request{Query: q2, Mode: ModeFixed})
+	t2, err := s.Submit(Request{Spec: core.Spec{Query: q2, Mode: ModeFixed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +282,11 @@ func TestAdmissionHonorsArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	farFuture := 100 * w1.Cycles
-	t1, err := s.Submit(Request{Query: q1, Mode: ModeFixed, Arrival: 0})
+	t1, err := s.Submit(Request{Spec: core.Spec{Query: q1, Mode: ModeFixed}, Arrival: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := s.Submit(Request{Query: q2, Mode: ModeFixed, Arrival: farFuture})
+	t2, err := s.Submit(Request{Spec: core.Spec{Query: q2, Mode: ModeFixed}, Arrival: farFuture})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +322,10 @@ func TestQueueLimitRejects(t *testing.T) {
 	}
 	// Nothing is active until a Wait drives the scheduler, so both land in
 	// the queue; the second overflows it.
-	if _, err := s.Submit(Request{Query: q, Mode: ModeFixed}); err != nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(Request{Query: q, Mode: ModeFixed}); err == nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}}); err == nil {
 		t.Fatal("second submission accepted beyond the queue limit")
 	}
 	st := s.Stats()
@@ -372,7 +372,7 @@ func TestFeedbackCarriesRejectedOrders(t *testing.T) {
 		t.Helper()
 		rec := trace.New()
 		opt := core.Options{ReopInterval: 5, ExploreEvery: 2, Trace: rec.NewTrack("optimizer")}
-		tk, err := s.Submit(Request{Query: q, Mode: ModeProgressive, Opt: opt, Fingerprint: fp})
+		tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}, Fingerprint: fp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestFeedbackWarmStart(t *testing.T) {
 	fp := Compute("lineitem", 1, []string{"q6-test"})
 	opt := core.Options{ReopInterval: 5}
 
-	t1, err := s.Submit(Request{Query: q, Mode: ModeProgressive, Opt: opt, Fingerprint: fp})
+	t1, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestFeedbackWarmStart(t *testing.T) {
 		t.Fatal("cold run never reordered; workload too easy to measure warm start")
 	}
 
-	t2, err := s.Submit(Request{Query: q, Mode: ModeProgressive, Opt: opt, Fingerprint: fp})
+	t2, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,13 +543,13 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(Request{Query: q, Groups: groups, Mode: ModeProgressive}); err == nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups, Mode: ModeProgressive}}); err == nil {
 		t.Error("adaptive grouped submission accepted")
 	}
-	if _, err := s.Submit(Request{Query: q, Groups: groups[:2]}); err == nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups[:2]}}); err == nil {
 		t.Error("two partial tables accepted for a four-core pool")
 	}
-	tk, err := s.Submit(Request{Query: q, Groups: groups})
+	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,9 +567,9 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 	at := s.Now()
 	var tks []*Ticket
 	for _, req := range []Request{
-		{Query: q, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 3}},
-		{Query: q, Groups: groups},
-		{Query: q, Mode: ModeFixed},
+		{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 3}}},
+		{Spec: core.Spec{Query: q, Groups: groups}},
+		{Spec: core.Spec{Query: q, Mode: ModeFixed}},
 	} {
 		req.Arrival = at
 		tk, err := s.Submit(req)
@@ -617,7 +617,7 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk, err := s.Submit(Request{Query: q, Sorts: sorts, Mode: mode, Opt: opt})
+		tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Sorts: sorts, Mode: mode, Opt: opt}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -637,7 +637,7 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(Request{Query: q, Sorts: sorts[:1]}); err == nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Sorts: sorts[:1]}}); err == nil {
 		t.Error("one sort state accepted for a four-core pool")
 	}
 	short := testQuery(t, 8*vs, 3)
@@ -646,10 +646,10 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 	}
 	var tks []*Ticket
 	for _, req := range []Request{
-		{Query: q, Sorts: sorts, Mode: ModeProgressive, Opt: opt},
-		{Query: short, Mode: ModeFixed},
-		{Query: q, Mode: ModeFixed},
-		{Query: short, Mode: ModeFixed, Arrival: 40000},
+		{Spec: core.Spec{Query: q, Sorts: sorts, Mode: ModeProgressive, Opt: opt}},
+		{Spec: core.Spec{Query: short, Mode: ModeFixed}},
+		{Spec: core.Spec{Query: q, Mode: ModeFixed}},
+		{Spec: core.Spec{Query: short, Mode: ModeFixed}, Arrival: 40000},
 	} {
 		tk, err := s.Submit(req)
 		if err != nil {

@@ -312,30 +312,12 @@ func (d *Dataset) ReorderLineitem(o Ordering, seed int64) *Dataset {
 	return d.withLineitem(permuteTable(d.Lineitem, perm))
 }
 
-// ReorderLineitemWindow returns a copy with lineitem rows produced by a
-// windowed Knuth shuffle over the shipdate-sorted order: window 1 is fully
-// sorted, window >= n fully random, and intermediate windows sweep the
-// sortedness spectrum of the paper's Figure 14.
-func (d *Dataset) ReorderLineitemWindow(window int, seed int64) *Dataset {
-	rng := datagen.NewRNG(seed)
-	ship := d.Lineitem.Column("l_shipdate").I32()
-	n := len(ship)
-	sorted := identityPerm(n)
-	sort.SliceStable(sorted, func(a, b int) bool { return ship[sorted[a]] < ship[sorted[b]] })
-	win := datagen.WindowPermutation(rng, n, window)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = sorted[win[i]]
-	}
-	return d.withLineitem(permuteTable(d.Lineitem, perm))
-}
-
 // ShuffleLineitemWindow returns a copy with lineitem rows permuted by a
-// windowed Knuth shuffle over the CURRENT row order (unlike
-// ReorderLineitemWindow, which shuffles over the shipdate-sorted order).
-// Applied to a natural-order data set this degrades lineitem/orders
-// co-clustering progressively: window 1 keeps it intact, window >= n
-// destroys it — the §5.5 sortedness axis for join locality.
+// windowed Knuth shuffle over the current row order. Applied to a
+// natural-order data set this degrades lineitem/orders co-clustering
+// progressively: window 1 keeps it intact, window >= n destroys it — the
+// §5.5 sortedness axis for join locality; applied to a shipdate-sorted one
+// it sweeps the sortedness spectrum of the paper's Figure 14.
 func (d *Dataset) ShuffleLineitemWindow(window int, seed int64) *Dataset {
 	rng := datagen.NewRNG(seed)
 	n := d.Lineitem.NumRows()

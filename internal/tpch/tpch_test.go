@@ -208,9 +208,11 @@ func TestReorderingKeepsRowAlignment(t *testing.T) {
 	}
 }
 
+// TestWindowReordering: a windowed shuffle over the shipdate-sorted order
+// keeps it at window 1 and loses more of it the wider the window.
 func TestWindowReordering(t *testing.T) {
-	d := smallSet(t)
-	w1 := d.ReorderLineitemWindow(1, 4)
+	d := smallSet(t).ReorderLineitem(OrderingShipdateSorted, 4)
+	w1 := d.ShuffleLineitemWindow(1, 4)
 	ship := w1.Lineitem.Column("l_shipdate").I32()
 	if !sort.SliceIsSorted(ship, func(a, b int) bool { return ship[a] < ship[b] }) {
 		t.Error("window=1 must be fully sorted")
@@ -225,8 +227,8 @@ func TestWindowReordering(t *testing.T) {
 		}
 		return c
 	}
-	small := inv(d.ReorderLineitemWindow(16, 4))
-	large := inv(d.ReorderLineitemWindow(20000, 4))
+	small := inv(d.ShuffleLineitemWindow(16, 4))
+	large := inv(d.ShuffleLineitemWindow(20000, 4))
 	if small == 0 || large <= small {
 		t.Errorf("window shuffle inversions: 16->%d, 20000->%d; want 0 < small < large", small, large)
 	}

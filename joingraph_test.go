@@ -480,6 +480,34 @@ func TestJoinGraphAnyTableDrives(t *testing.T) {
 	}
 }
 
+// TestDetectJoinLocality: the build side is any table of the data set, looked
+// up by name; a co-clustered edge reads as such and an unknown table is an
+// error.
+func TestDetectJoinLocality(t *testing.T) {
+	e := testEngine(t)
+	d, err := e.GenerateTPCH(20000, 16, OrderNatural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Compile(d, ordersEdge(Scan("lineitem"), midOrderDate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rep, err := e.DetectJoinLocality(q, d, "orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Qualifying == 0 || rep.Class != "co-clustered" {
+		t.Errorf("natural order: %d rows, locality %+v; want a co-clustered probe", res.Qualifying, rep)
+	}
+	if _, _, err := e.DetectJoinLocality(q, d, "customer"); err != nil {
+		t.Errorf("customer is a table of the data set: %v", err)
+	}
+	if _, _, err := e.DetectJoinLocality(q, d, "galaxy"); err == nil || !strings.Contains(err.Error(), `unknown build table "galaxy"`) {
+		t.Errorf("unknown build table: %v", err)
+	}
+}
+
 // TestJoinGraphFingerprintCanonical: isomorphic graphs — same edges and
 // predicates in any declaration order — share a fingerprint; any shape
 // difference (extra edge, re-keyed edge, different bound) changes it.

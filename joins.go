@@ -28,13 +28,8 @@ type SortednessReport struct {
 // random-access prediction (Eq. 1). The returned result is the measurement
 // run's result.
 func (e *Engine) DetectJoinLocality(q *Query, d *Dataset, build string) (Result, SortednessReport, error) {
-	var buildTuples int
-	switch build {
-	case "orders":
-		buildTuples = d.d.NumOrders
-	case "part":
-		buildTuples = d.d.NumParts
-	default:
+	buildTuples := d.d.TableRows(build)
+	if buildTuples == 0 {
 		return Result{}, SortednessReport{}, fmt.Errorf("progopt: unknown build table %q", build)
 	}
 	res, err := e.Exec(q, ExecOptions{Mode: ModeFixed})

@@ -100,13 +100,9 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	if q == nil || q.q == nil {
 		return ExecResult{}, fmt.Errorf("progopt: Exec needs a compiled query")
 	}
-	switch opts.Mode {
-	case ModeFixed, ModeProgressive, ModeMicroAdaptive:
-	default:
-		return ExecResult{}, fmt.Errorf("progopt: unknown execution mode %d", int(opts.Mode))
-	}
-	if q.group != nil && opts.Mode != ModeFixed {
-		return ExecResult{}, fmt.Errorf("progopt: %s execution of grouped plans is not supported yet; use ModeFixed", opts.Mode)
+	spec, err := e.spec(q, opts)
+	if err != nil {
+		return ExecResult{}, err
 	}
 	// A stored query runs with the storage tier attached to every core —
 	// residency dropped first (every Exec is a cold scan), counters
@@ -129,14 +125,6 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	// One driver for every shape and mode: on the pool a fixed-order scan is a
 	// single morsel stream and an adaptive one a block per step, on the
 	// engine's single core an adaptive scan steps a vector at a time.
-	spec := core.Spec{Query: q.q, Mode: opts.Mode, Opt: opts.Progressive.coreOptions()}
-	spec.Opt.Trace = e.optTrack()
-	if q.group != nil {
-		spec.Groups = q.group.tables
-	}
-	if q.sort != nil {
-		spec.Sorts = q.sort.states
-	}
 	if err := e.run.Begin(spec); err != nil {
 		return ExecResult{}, err
 	}
@@ -159,6 +147,30 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 		out.Millis = e.cpu.MillisOf(out.Cycles)
 	}
 	return out, nil
+}
+
+// spec is the compiled query as the driver runs it under opts, for Exec and
+// for a served query alike: the mode checked, the optimizer options mapped
+// and pointed at the engine's decision track, the per-core group tables and
+// sort states attached.
+func (e *Engine) spec(q *Query, opts ExecOptions) (core.Spec, error) {
+	switch opts.Mode {
+	case ModeFixed, ModeProgressive, ModeMicroAdaptive:
+	default:
+		return core.Spec{}, fmt.Errorf("progopt: unknown execution mode %d", int(opts.Mode))
+	}
+	if q.group != nil && opts.Mode != ModeFixed {
+		return core.Spec{}, fmt.Errorf("progopt: %s execution of grouped plans is not supported yet; use ModeFixed", opts.Mode)
+	}
+	spec := core.Spec{Query: q.q, Mode: opts.Mode, Opt: opts.Progressive.coreOptions()}
+	spec.Opt.Trace = e.optTrack()
+	if q.group != nil {
+		spec.Groups = q.group.tables
+	}
+	if q.sort != nil {
+		spec.Sorts = q.sort.states
+	}
+	return spec, nil
 }
 
 // toExecResult maps what the driver produced — for Exec, or for a served

@@ -253,11 +253,6 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	if p == nil {
 		return nil, fmt.Errorf("progopt: Submit needs a plan")
 	}
-	switch opts.Mode {
-	case ModeFixed, ModeProgressive, ModeMicroAdaptive:
-	default:
-		return nil, fmt.Errorf("progopt: unknown execution mode %d", int(opts.Mode))
-	}
 	terms, err := p.fingerprintTerms()
 	if err != nil {
 		return nil, err
@@ -284,31 +279,17 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 		s.plans.Put(fp, q)
 		s.mu.Unlock()
 	}
-	if q.group != nil && opts.Mode != ModeFixed {
-		return nil, fmt.Errorf("progopt: %s execution of grouped plans is not supported yet; use ModeFixed", opts.Mode)
-	}
-
-	req := service.Request{
-		Query:       q.q,
-		Mode:        opts.Mode,
-		Opt:         opts.Progressive.coreOptions(),
-		Arrival:     arrival,
-		Fingerprint: fp,
-		NoFeedback:  s.disableFeedback,
-	}
-	// Served steppers share the engine's optimizer track: each query's
-	// stepper records decisions into a private stage and the scheduler
-	// splices the stages into this track at the round barrier in admission
-	// order, so decision events from concurrent queries interleave
+	// Served steppers share the engine's optimizer track (spec.Opt.Trace):
+	// each query's stepper records decisions into a private stage and the
+	// scheduler splices the stages into this track at the round barrier in
+	// admission order, so decision events from concurrent queries interleave
 	// deterministically (each stamped with its own query's accounted block
 	// clock) even when segments execute host-parallel.
-	req.Opt.Trace = s.e.optTrack()
-	if q.group != nil {
-		req.Groups = q.group.tables
+	spec, err := s.e.spec(q, opts)
+	if err != nil {
+		return nil, err
 	}
-	if q.sort != nil {
-		req.Sorts = q.sort.states
-	}
+	req := service.Request{Spec: spec, Arrival: arrival, Fingerprint: fp, NoFeedback: s.disableFeedback}
 	var stviews []*exec.StorageScan
 	if q.storage != nil {
 		stviews, err = q.storage.freshViews()

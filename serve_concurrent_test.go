@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"progopt/internal/core"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cache"
 	"progopt/internal/service"
@@ -219,14 +220,13 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 			views[i] = &exec.StorageScan{Skip: q.storage.plan.Skip, Set: set}
 		}
 		req := service.Request{
-			Query:       q.q,
-			Mode:        mode,
+			Spec:        core.Spec{Query: q.q, Mode: mode},
 			Arrival:     uint64(j) * 30_000,
 			Fingerprint: service.Compute("lineitem", d.gen, []string{fmt.Sprintf("shared-stor-%d", j)}),
 			Storage:     views,
 		}
 		if mode == service.ModeProgressive {
-			req.Opt = Progressive{Interval: 5}.coreOptions()
+			req.Spec.Opt = Progressive{Interval: 5}.coreOptions()
 		}
 		tk, err := svc.Submit(req)
 		if err != nil {

@@ -315,7 +315,7 @@ func BenchmarkRunBatch(b *testing.B) { benchRunMode(b, false) }
 // BenchmarkRunTopK is the order-aware hot path: a filtered Top-100 ordered
 // scan through the public facade (bounded-heap collection per qualifying
 // tuple plus the barrier merge and emission). Feeds the BENCH_perf.json
-// sort row (schema progopt-perf/v2).
+// sort row.
 func BenchmarkRunTopK(b *testing.B) {
 	e, err := New(Config{VectorSize: 1024})
 	if err != nil {
@@ -432,8 +432,7 @@ func benchJoinGraph(b *testing.B, nTables int) {
 }
 
 // BenchmarkRunJoinGraph2 is the 2-table graph (lineitem→orders with a
-// pushed-down orders filter). Feeds the BENCH_perf.json join-graph rows
-// (schema progopt-perf/v6).
+// pushed-down orders filter). Feeds the BENCH_perf.json join-graph rows.
 func BenchmarkRunJoinGraph2(b *testing.B) { benchJoinGraph(b, 2) }
 
 // BenchmarkRunJoinGraph4 is the 4-table star/snowflake (orders, part,
@@ -491,14 +490,14 @@ func benchStored(b *testing.B, st *StorageConfig) {
 
 // BenchmarkScanStored is the stored-table hot path: the Q6 scan over the
 // PCOL v2 image with a priced block tier and zone-map skipping. Feeds the
-// BENCH_perf.json stored row (schema progopt-perf/v3).
+// BENCH_perf.json stored row.
 func BenchmarkScanStored(b *testing.B) {
 	benchStored(b, &StorageConfig{LatencyCycles: 400, BytesPerCycle: 16, SkipScan: true})
 }
 
 // BenchmarkScanCompressed adds the packed-image predicate scan: the same
 // stored Q6 with predicates priced over the compressed column images. Feeds
-// the BENCH_perf.json compressed row (schema progopt-perf/v3).
+// the BENCH_perf.json compressed row.
 func BenchmarkScanCompressed(b *testing.B) {
 	benchStored(b, &StorageConfig{LatencyCycles: 400, BytesPerCycle: 16, SkipScan: true, CompressedScan: true})
 }
@@ -530,7 +529,7 @@ func BenchmarkRunParallel(b *testing.B) {
 // exactly — tracing is a pure observer), plus the host-side cost of recording
 // every morsel span. The recorder is reset per iteration so the track buffers
 // stay warm and the bench measures steady-state recording, not growth. Feeds
-// the BENCH_perf.json traced row (schema progopt-perf/v4).
+// the BENCH_perf.json traced row.
 func BenchmarkRunParallelTraced(b *testing.B) {
 	q := benchQ6(b, 200_000)
 	p, err := exec.NewParallel(cpu.ScaledXeon(), 4, 1024)
@@ -603,8 +602,7 @@ func TestRunParallelSteadyStateAllocs(t *testing.T) {
 // -cpu 4 the scheduling rounds execute distinct queries' segments on distinct
 // host threads, so ns/op measures the host-concurrency win; sim_cycles (the
 // workload makespan) is bit-identical at every -cpu, pinning that only host
-// wall-clock changes. Feeds the BENCH_perf.json served rows (schema
-// progopt-perf/v5).
+// wall-clock changes. Feeds the BENCH_perf.json served rows.
 func benchServeConcurrent(b *testing.B, n int) {
 	e, err := New(Config{VectorSize: 512, Workers: 4})
 	if err != nil {

@@ -1,13 +1,6 @@
 // Command progopt-perfjson converts `go test -bench` output on stdin into
 // the BENCH_perf.json artifact CI uploads per commit — the host-performance
-// trajectory of the simulator's hot paths (schema progopt-perf/v6; v2 added
-// the BenchmarkRunTopK sort row, v3 added the stored-table scan rows
-// BenchmarkScanStored and BenchmarkScanCompressed, v4 added the traced-run
-// row BenchmarkRunParallelTraced, v5 added the served-workload rows
-// BenchmarkServeConcurrent4 and BenchmarkServeConcurrent8, v6 adds the
-// join-graph rows BenchmarkRunJoinGraph2 and BenchmarkRunJoinGraph4 — all
-// with an unchanged field layout, see DESIGN.md for the back-compat note;
-// later additive fields: cpu, samples).
+// trajectory of the simulator's hot paths (schema progopt-perf/v6).
 //
 // Usage:
 //
@@ -57,18 +50,7 @@ import (
 	"time"
 )
 
-// Schema is the artifact format identifier. v2 is v1 plus the sort
-// benchmark row (BenchmarkRunTopK); v3 is v2 plus the stored-table scan
-// rows (BenchmarkScanStored, BenchmarkScanCompressed); v4 is v3 plus the
-// traced-run row (BenchmarkRunParallelTraced, whose sim_cycles must equal
-// BenchmarkRunParallel's — tracing is a pure observer); v5 is v4 plus the
-// served-workload rows (BenchmarkServeConcurrent4/8, whose sim_cycles — the
-// workload makespan — must be identical at every cpu: host concurrency
-// never touches the simulation); v6 is v5 plus the join-graph execution
-// rows (BenchmarkRunJoinGraph2/4, ModeFixed over the greedy order). The
-// per-bench field layout is unchanged throughout, so older consumers can
-// read newer documents by ignoring the version. The cpu and samples fields
-// are additive and omitted when absent.
+// Schema is the artifact format identifier.
 const Schema = "progopt-perf/v6"
 
 // Bench is one benchmark result row (the median across -count repeats).

@@ -243,25 +243,23 @@ func routeFilter(d *Dataset, driving *columnar.Table, edges []graphEdge, step pl
 			return nil, nil
 		}
 	}
+	// Not a column of any joined table: name the table that owns it, or, for
+	// a typo, what each joined table offers.
 	joined := []*columnar.Table{driving}
 	for _, ge := range edges {
 		joined = append(joined, d.d.Table(ge.to))
 	}
 	sort.Slice(joined, func(a, b int) bool { return joined[a].Name() < joined[b].Name() })
+	names, alts := make([]string, len(joined)), make([]string, len(joined))
+	for i, t := range joined {
+		names[i] = t.Name()
+		alts[i] = t.Name() + ": " + strings.Join(columnNames(t), ", ")
+	}
 	for _, name := range datasetTableNames(d) {
 		if d.d.Table(name).Column(step.col) != nil {
-			names := make([]string, len(joined))
-			for i, t := range joined {
-				names[i] = t.Name()
-			}
 			return nil, fmt.Errorf("progopt: filter column %q belongs to %q, which this plan does not join (joined tables: %s; add JoinOn(..., ..., %q) to reach it)",
 				step.col, name, strings.Join(names, ", "), name)
 		}
-	}
-	// A typo: list what each joined table offers.
-	alts := make([]string, len(joined))
-	for i, t := range joined {
-		alts[i] = t.Name() + ": " + strings.Join(columnNames(t), ", ")
 	}
 	return nil, fmt.Errorf("progopt: unknown column %q in any joined table (%s)",
 		step.col, strings.Join(alts, "; "))

@@ -26,13 +26,20 @@ type zeroEdgeCase struct {
 	Results map[string]ExecResult `json:"results"`
 }
 
-// zeroEdgePlans are plans that declare no JoinOn edge: a filter scan, a
-// grouped aggregation and a top-k ordering.
-func zeroEdgePlans(d *Dataset) map[string]*Plan {
-	return map[string]*Plan{
-		"q6":      q6Plan(),
-		"grouped": Scan("lineitem").Filter("l_discount", CmpGE, 0.02).GroupBy("l_quantity", "l_extendedprice"),
-		"topk":    sortTestPlan(d, 40),
+// zeroEdgePlan is a named plan that declares no JoinOn edge.
+type zeroEdgePlan struct {
+	name string
+	plan *Plan
+}
+
+// zeroEdgePlans are a filter scan, a grouped aggregation and a top-k ordering,
+// in the order the test compiles them: sort regions and group tables take
+// simulated addresses as they are compiled.
+func zeroEdgePlans(d *Dataset) []zeroEdgePlan {
+	return []zeroEdgePlan{
+		{"q6", q6Plan()},
+		{"grouped", Scan("lineitem").Filter("l_discount", CmpGE, 0.02).GroupBy("l_quantity", "l_extendedprice")},
+		{"topk", sortTestPlan(d, 40)},
 	}
 }
 
@@ -54,11 +61,8 @@ func TestZeroEdgePlanIsTheOldPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans := zeroEdgePlans(d)
-		// Compile in one fixed order: sort regions and group tables take
-		// simulated addresses as they are compiled.
-		for _, name := range []string{"q6", "grouped", "topk"} {
-			p := plans[name]
+		for _, zp := range zeroEdgePlans(d) {
+			name, p := zp.name, zp.plan
 			q, err := e.Compile(d, p)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -1,8 +1,7 @@
 // Package cache implements the paper's cache cost model (§3.1): the Pirk et
-// al. access patterns (single sequential, sequential with conditional read)
-// extended to double-count random misses, the Manegold-style generic
-// traversal primitives, and the alternative equi-join random-miss model the
-// paper grounds in the external memory model (Eq. 1 and 2).
+// al. access pattern of a sequential scan with conditional read, extended to
+// double-count random misses, and the alternative equi-join random-miss model
+// the paper grounds in the external memory model (Eq. 1 and 2).
 package cache
 
 import (
@@ -35,13 +34,6 @@ func (g Geometry) Lines(n int, width int) float64 {
 		return 0
 	}
 	return math.Ceil(float64(n) * float64(width) / float64(g.LineSize))
-}
-
-// SeqAccesses models the single sequential traversal pattern of the first
-// predicate's column: one random access for the first line, one sequential
-// access per subsequent line — n*w/B line accesses in total.
-func (g Geometry) SeqAccesses(n int, width int) float64 {
-	return g.Lines(n, width)
 }
 
 // CondRead is the result of the sequential-scan-with-conditional-read
@@ -139,47 +131,6 @@ func (g Geometry) RandomMisses(relTuples, width, r int) float64 {
 		frac = 0
 	}
 	return float64(r) * frac
-}
-
-// SeqMisses is the original Manegold sequential-traversal miss count: every
-// covering line misses once (no reuse).
-func (g Geometry) SeqMisses(relTuples, width int) float64 {
-	return g.Lines(relTuples, width)
-}
-
-// JoinAccessKind distinguishes the two probe-side access patterns Eq. (1)
-// separates with a multiplicative factor.
-type JoinAccessKind int
-
-// Probe-side access patterns for JoinMisses.
-const (
-	// JoinRandom means probe keys address the build side uniformly at random
-	// (e.g. lineitem→part).
-	JoinRandom JoinAccessKind = iota
-	// JoinCoClustered means probe keys are (nearly) sorted so build-side
-	// accesses are sequential (e.g. lineitem→orders on a bulk-loaded table).
-	JoinCoClustered
-)
-
-// JoinMisses predicts the build-side miss count for an equi-join probing r
-// times into a relation of relTuples tuples of the given width: the paper's
-// §5.6 rule combines Eq. (1) for random probes with the sequential model for
-// co-clustered probes.
-func (g Geometry) JoinMisses(kind JoinAccessKind, relTuples, width, r int) float64 {
-	switch kind {
-	case JoinRandom:
-		return g.RandomMisses(relTuples, width, r)
-	case JoinCoClustered:
-		// Sequential over the touched prefix: at most one miss per line, and
-		// no more lines than probes.
-		lines := g.SeqMisses(relTuples, width)
-		if float64(r) < lines {
-			return float64(r)
-		}
-		return lines
-	default:
-		panic(fmt.Sprintf("cachemodel: unknown join access kind %d", int(kind)))
-	}
 }
 
 // NewGeometry validates and returns a Geometry.

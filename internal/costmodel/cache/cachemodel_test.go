@@ -159,43 +159,3 @@ func TestRandomMissesMonotoneInRelationSize(t *testing.T) {
 		prev = m
 	}
 }
-
-func TestJoinMisses(t *testing.T) {
-	g := geo()
-	rel := 4 << 20 // 32 MB build side
-	// Probes must outnumber build-side lines for co-clustering to pay off
-	// (TPC-H: ~4 lineitem probes per orders row, i.e. ~32 per line).
-	r := 16 << 20
-	random := g.JoinMisses(JoinRandom, rel, 8, r)
-	co := g.JoinMisses(JoinCoClustered, rel, 8, r)
-	if co*4 >= random {
-		t.Errorf("co-clustered misses %v not ≪ random %v", co, random)
-	}
-	// Co-clustered bounded by min(probes, lines).
-	if co > math.Min(float64(r), g.Lines(rel, 8)) {
-		t.Errorf("co-clustered misses %v exceed bound", co)
-	}
-	// Few probes over a big sequential region: one miss per probe at most.
-	if got := g.JoinMisses(JoinCoClustered, rel, 8, 10); got != 10 {
-		t.Errorf("sparse co-clustered misses %v, want 10", got)
-	}
-}
-
-func TestJoinMissesPanicsOnUnknownKind(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown kind did not panic")
-		}
-	}()
-	geo().JoinMisses(JoinAccessKind(42), 100, 8, 10)
-}
-
-func TestSeqAccessesMatchesLines(t *testing.T) {
-	g := geo()
-	if g.SeqAccesses(1000, 8) != g.Lines(1000, 8) {
-		t.Error("sequential accesses must equal covering lines")
-	}
-	if g.SeqMisses(1000, 8) != g.Lines(1000, 8) {
-		t.Error("sequential misses must equal covering lines")
-	}
-}

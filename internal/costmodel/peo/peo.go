@@ -44,13 +44,6 @@ func (p Params) validate() error {
 	return nil
 }
 
-func checkSels(sels []float64, predicates int) error {
-	if len(sels) != predicates {
-		return fmt.Errorf("peo: %d selectivities for %d predicates", len(sels), predicates)
-	}
-	return nil
-}
-
 // Estimate holds predicted counter values for one PEO.
 type Estimate struct {
 	// BNT is the number of branches not taken: the sum over predicates of
@@ -107,8 +100,8 @@ func (m *Model) Reset(par Params) error {
 // selectivities (in evaluation order) are sels. Selectivities are clamped to
 // [0,1]; independence between predicates is assumed, as in the paper.
 func (m *Model) Counters(sels []float64) (Estimate, error) {
-	if err := checkSels(sels, len(m.cols)); err != nil {
-		return Estimate{}, err
+	if len(sels) != len(m.cols) {
+		return Estimate{}, fmt.Errorf("peo: %d selectivities for %d predicates", len(sels), len(m.cols))
 	}
 	n := m.n
 	var est Estimate
@@ -151,94 +144,4 @@ func Counters(par Params, sels []float64) (Estimate, error) {
 		return Estimate{}, err
 	}
 	return m.Counters(sels)
-}
-
-// CostParams convert counter estimates into cycles, mirroring the simulated
-// core's accounting closely enough to rank PEOs.
-type CostParams struct {
-	// IssueWidth spreads retired instructions over cycles.
-	IssueWidth int
-	// MPPenaltyCycles is the misprediction flush cost.
-	MPPenaltyCycles int
-	// LineStallCycles is the average stall charged per L3 line access
-	// (memory latency diluted by memory-level parallelism).
-	LineStallCycles float64
-	// InstrPerEval is the instruction cost of one predicate evaluation
-	// (load + compare + jump).
-	InstrPerEval float64
-	// InstrPerTuple is the loop overhead per tuple.
-	InstrPerTuple float64
-	// InstrPerOutput is the aggregation cost per qualifying tuple.
-	InstrPerOutput float64
-}
-
-// DefaultCostParams matches the simulated ScaledXeon core.
-func DefaultCostParams() CostParams {
-	return CostParams{
-		IssueWidth:      4,
-		MPPenaltyCycles: 15,
-		LineStallCycles: 45, // 180-cycle memory latency / MemParallelism 4
-		InstrPerEval:    3,
-		InstrPerTuple:   4,
-		InstrPerOutput:  5,
-	}
-}
-
-// Cycles converts an estimate into a cycle count for ranking PEOs.
-func Cycles(par Params, cost CostParams, sels []float64) (float64, error) {
-	est, err := Counters(par, sels)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(par.N)
-	evals := 0.0
-	prod := 1.0
-	for _, sel := range sels {
-		evals += n * prod
-		s := sel
-		if s < 0 {
-			s = 0
-		}
-		if s > 1 {
-			s = 1
-		}
-		prod *= s
-	}
-	instr := evals*cost.InstrPerEval + n*cost.InstrPerTuple + est.Qualifying*cost.InstrPerOutput
-	cycles := instr/float64(cost.IssueWidth) +
-		est.MP()*float64(cost.MPPenaltyCycles) +
-		est.L3*cost.LineStallCycles
-	return cycles, nil
-}
-
-// BestOrder returns the permutation of predicate indexes that minimizes
-// Cycles for the given per-predicate selectivities (indexes refer to the
-// Params/sels order). For equal widths this is ascending selectivity, the
-// classical result the paper's reordering step applies.
-func BestOrder(par Params, cost CostParams, sels []float64) ([]int, error) {
-	if err := par.validate(); err != nil {
-		return nil, err
-	}
-	if err := checkSels(sels, len(par.Widths)); err != nil {
-		return nil, err
-	}
-	idx := make([]int, len(sels))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Selection-cost exchange argument: sorting by ascending selectivity is
-	// optimal when per-predicate costs are equal; with unequal widths the
-	// standard rank is (sel-1)/cost, but widths only perturb the cache term,
-	// so we sort by ascending selectivity and break ties by width.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			a, b := idx[j-1], idx[j]
-			if sels[b] < sels[a] || (sels[b] == sels[a] && par.Widths[b] < par.Widths[a]) {
-				idx[j-1], idx[j] = idx[j], idx[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	return idx, nil
 }

@@ -46,7 +46,9 @@ type Spec struct {
 	// Opt configures the reoptimizer loop of the adaptive modes.
 	Opt Options
 	// Groups makes the query a grouped aggregation: one partial hash table per
-	// core. It runs in one step on every core, in fixed order.
+	// core of the pool, in fixed order. Each core a step runs on updates its own
+	// table, the survivors fold into the run's accumulator, and the last step
+	// merges the tables.
 	Groups []*exec.GroupBy
 	// Sorts makes it an ordered (OrderBy/Limit) query: one compiled sort state
 	// per core. Each core a step runs on collects into its own partial heap or
@@ -85,10 +87,10 @@ func (s *Spec) Validate(workers int) error {
 
 // Run drives one query at a time through the paper's loop (§4.4, Figure 10):
 // run a block, sample the PMU, maybe reorder, validate. It is the only caller
-// of the stepper and of the sort merge. Whoever owns the cores calls Step
-// until it reports the query done: the workload service once per scheduling
-// round, on whatever subset its partitioner gave the query; everyone else
-// through Drive.
+// of the stepper and of the sort and group-table merges. Whoever owns the
+// cores calls Step until it reports the query done: the workload service once
+// per scheduling round, on whatever subset its partitioner gave the query;
+// everyone else through Drive.
 //
 // What a step reads is the query's cursor, the stepper's current order and
 // the clocks it is handed; what it advances is the cursor, those clocks, and
@@ -131,7 +133,7 @@ type Run struct {
 	Groups []exec.Group
 	Sorted []exec.SortedRow
 	// Start is the clock the query began at: the earliest entry clock of a
-	// fixed-order run's first step, the barrier of an adaptive or grouped one.
+	// fixed-order run's first step, the barrier of an adaptive one.
 	Start uint64
 }
 
@@ -149,6 +151,11 @@ func (r *Run) Begin(spec Spec) error {
 		return err
 	}
 	r.spec, r.step, r.sorts = spec, nil, nil
+	if r.brun != nil {
+		if err := r.brun.BeginGroups(spec.Groups); err != nil {
+			return err
+		}
+	}
 	if spec.Mode != ModeFixed {
 		step, err := NewBlockStepper(spec.Query, r.engines[0].CPU().Profile(), len(r.engines), spec.Mode == ModeMicroAdaptive, spec.Opt)
 		if err != nil {
@@ -207,15 +214,14 @@ func (r *Run) Drive() error {
 // advanced in place — and reports whether that completed the query:
 //
 //   - fixed order: Quantum morsels per core as one morsel stream from the
-//     clocks as they are;
+//     clocks as they are (grouped: survivors fold into the run's accumulator);
 //   - adaptive: the subset barriers at its latest clock, runs ReopInterval
 //     morsels per core, the stepper coordinates on the subset's first core,
 //     and every clock moves to the barrier plus the block's makespan plus
 //     what the coordination charged;
-//   - grouped: the whole scan and its merge on the whole pool, from the
-//     barrier;
-//   - the last step of an ordered query: the subset barriers, its first core
-//     merges the partial sort states, and every clock moves to the merge's end.
+//   - the last step of an ordered or a grouped query: the subset barriers,
+//     its first core merges the partial sort states or group tables, and every
+//     clock moves to the merge's end.
 //
 // A Run with one engine of its own ignores cores and clocks (the engine's
 // clock is the time) and steps vector-granular: a fixed-order or grouped run
@@ -237,8 +243,6 @@ func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
 	switch {
 	case r.pool == nil:
 		done, err = r.stepEngine()
-	case len(r.spec.Groups) > 0:
-		done, err = r.stepGrouped(clocks)
 	case r.step != nil:
 		done, err = r.stepBlock(cores, clocks)
 	default:
@@ -297,8 +301,8 @@ func (r *Run) stepQuantum(cores []int, clocks []uint64) (bool, error) {
 		return false, nil
 	}
 	end := slices.Max(clocks)
-	if r.sorts != nil {
-		end += r.mergeSorts(cores[0])
+	if r.sorts != nil || len(r.spec.Groups) > 0 {
+		end += r.merge(cores[0])
 		fill(clocks, end)
 	}
 	r.Cycles = end - r.Start
@@ -342,24 +346,12 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	}
 	r.cursor = v1
 	if last && r.sorts != nil {
-		merge := r.mergeSorts(cores[0])
+		merge := r.merge(cores[0])
 		r.Cycles += merge
 		busy += merge
 	}
 	fill(clocks, t0+busy)
 	return last, nil
-}
-
-func (r *Run) stepGrouped(clocks []uint64) (bool, error) {
-	t0 := slices.Max(clocks)
-	r.begin(t0)
-	res, err := r.pool.RunGroupBy(r.spec.Query, r.spec.Groups)
-	if err != nil {
-		return false, err
-	}
-	r.Result, r.Groups = res.Result, res.Groups
-	fill(clocks, t0+res.Cycles)
-	return true, nil
 }
 
 func (r *Run) stepEngine() (bool, error) {
@@ -412,7 +404,7 @@ func (r *Run) stepEngine() (bool, error) {
 		return false, nil
 	}
 	if r.sorts != nil {
-		r.Cycles += r.mergeSorts(0)
+		r.Cycles += r.merge(0)
 	}
 	r.Counters = c.Sample().Sub(r.pmu0)
 	return true, nil
@@ -425,14 +417,18 @@ func fill(clocks []uint64, t uint64) {
 	}
 }
 
-// mergeSorts runs the sort merge of a completed ordered query on core coord,
-// every other core waiting at the barrier for it — the makespan-extension
-// contract of the grouped aggregation's table merge. It returns the merge's
-// cycles; its PMU delta joins the query's counters.
-func (r *Run) mergeSorts(coord int) uint64 {
+// merge runs the merge of a completed ordered or grouped query — of its
+// partial sort states or group tables — on core coord, every other core
+// waiting at the barrier for it: the merge extends the makespan. It returns
+// the merge's cycles; its PMU delta joins the query's counters.
+func (r *Run) merge(coord int) uint64 {
 	c := r.engines[coord].CPU()
 	s0, c0 := c.Sample(), c.Cycles()
-	r.Sorted = exec.FinalizeSort(c, coord, r.sorts)
+	if r.sorts != nil {
+		r.Sorted = exec.FinalizeSort(c, coord, r.sorts)
+	} else {
+		r.Groups = r.brun.FinalizeGroups(coord)
+	}
 	r.Counters = r.Counters.Add(c.Sample().Sub(s0))
 	return c.Cycles() - c0
 }

@@ -94,7 +94,10 @@ func sameAnswer(t *testing.T, what string, got, want *Run) {
 // pool from zero clocks, (b) in quanta on the full pool from a later, even
 // clock — every simulated observable must match (a) — and (c) in quanta on a
 // subset that changes from step to step and is entered at unequal clocks —
-// the answer must match (a), whatever the schedule cost. At one worker the
+// the answer must match (a), whatever the schedule cost. The grouped shape
+// goes through (b) and (c) like the others: its accumulator is the run's, so
+// it is cut into quanta and moved between subsets, and the merge runs on
+// whichever core the last subset starts with. At one worker the
 // engine-granular run (a vector per adaptive step) must give the answer too.
 func TestStepMatchesDrive(t *testing.T) {
 	const rows, vs = 64*512 - 100, 512
@@ -158,7 +161,7 @@ func TestStepMatchesDrive(t *testing.T) {
 				t.Errorf("%s in quanta: started at %d, clocks %v; want %d and a latest clock of %d",
 					name, even.Start, clocks, t0, t0+ref.Cycles)
 			}
-			if len(spec.Groups) == 0 && steps < 4 {
+			if steps < 4 {
 				t.Errorf("%s in quanta: %d steps, the run was not cut", name, steps)
 			}
 			if !reflect.DeepEqual(even.Stats(), ref.Stats()) {
@@ -166,14 +169,13 @@ func TestStepMatchesDrive(t *testing.T) {
 			}
 
 			// (c) a subset that changes between steps — all cores, the middle
-			// ones, all but one — entered at unequal clocks. A grouped query owns
-			// the whole pool; its one step starts from the unequal clocks.
+			// ones, all but one — entered at unequal clocks.
 			moved := begin(workers, spec)
 			subsets := [][]int{identity(workers)}
-			if workers == 2 && len(spec.Groups) == 0 {
+			if workers == 2 {
 				subsets = [][]int{{0, 1}, {1}, {0}}
 			}
-			if workers == 4 && len(spec.Groups) == 0 {
+			if workers == 4 {
 				subsets = [][]int{{0, 1, 2, 3}, {1, 2}, {0, 2, 3}}
 			}
 			pool := make([]uint64, workers)

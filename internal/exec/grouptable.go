@@ -26,10 +26,10 @@ import (
 // row order the drivers establish — so sums are bit-identical to a map-based
 // reduction, and output is sorted by key, independent of table internals.
 //
-// A table is owned by its executor (Parallel, or the serial Engine) and
-// reset, not reallocated, at the start of every grouped run: whatever an
-// earlier run left behind — a failed one included — is gone before the first
-// row of the next is added.
+// A table is owned by the query's block-run context (BlockRun; a serial
+// Engine has its own) and reset, not reallocated, at the start of every
+// grouped run: whatever an earlier run left behind — a failed one included —
+// is gone before the first row of the next is added.
 type groupTable struct {
 	slots  []uint64
 	stride int

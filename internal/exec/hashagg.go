@@ -11,8 +11,7 @@ import (
 // query: SELECT group, SUM(value), COUNT(*) ... GROUP BY group. It extends
 // the engine beyond pure selections — the paper's future work (§7) names
 // integrating further relational operators — and exercises the cache
-// substrate with the random-write pattern of hash-table maintenance, which
-// the Manegold cost model's r_trav pattern predicts.
+// substrate with the random-write pattern of hash-table maintenance.
 type GroupBy struct {
 	// GroupCol is the grouping key column (integer-kind).
 	GroupCol *columnar.Column

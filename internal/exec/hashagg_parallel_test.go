@@ -54,6 +54,28 @@ func groupedQueryOn(t *testing.T, tables int, key string, expected int) (*tpch.D
 	return d, q, gs, c
 }
 
+// runGroupBy is a grouped aggregation on the whole pool from zero clocks — the
+// three calls the query driver (core.Run) makes, with the merge on core 0.
+// Cycles is the makespan: the scan's, extended by the merge barrier.
+func (r *BlockRun) runGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
+	if err := r.BeginGroups(gs); err != nil {
+		return GroupResult{}, err
+	}
+	cores, clocks := r.p.fullCores()
+	br, err := r.RunBlockSubset(q, 0, r.p.NumVectors(q), cores, clocks, ImplBranching, nil)
+	if err != nil {
+		return GroupResult{}, err
+	}
+	c := r.p.workers[0].CPU()
+	s0, c0 := c.Sample(), c.Cycles()
+	out := GroupResult{Groups: r.FinalizeGroups(0)}
+	out.Qualifying, out.Vectors = br.Qualifying, br.Vectors
+	out.Cycles = br.MaxCycles + c.Cycles() - c0
+	out.Millis = c.MillisOf(out.Cycles)
+	out.Counters = br.Counters.Add(c.Sample().Sub(s0))
+	return out, nil
+}
+
 var updateGroupbyGolden = flag.Bool("update", false, "rewrite testdata/groupby_golden.json from this build's grouped drivers")
 
 const groupbyGoldenPath = "testdata/groupby_golden.json"
@@ -121,7 +143,7 @@ func TestParallelRunGroupBy(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			res, err := p.RunGroupBy(qp, gsp)
+			res, err := p.NewBlockRun().runGroupBy(qp, gsp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,18 +205,19 @@ func TestParallelRunGroupBy(t *testing.T) {
 
 // TestParallelRunGroupByValidation covers the error paths.
 func TestParallelRunGroupByValidation(t *testing.T) {
-	_, q, gs, _ := groupedQuery(t, 2)
+	_, q, gs, _ := groupedQuery(t, 4)
 	p, err := NewParallel(cpu.ScaledXeon(), 4, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RunGroupBy(q, gs); err == nil {
+	r := p.NewBlockRun()
+	if _, err := r.runGroupBy(q, gs[:2]); err == nil {
 		t.Error("accepted 2 partial tables for 4 workers")
 	}
-	if _, err := p.RunGroupBy(q, []*GroupBy{nil, nil, nil, nil}); err == nil {
+	if _, err := r.runGroupBy(q, []*GroupBy{nil, nil, nil, nil}); err == nil {
 		t.Error("accepted nil partial tables")
 	}
-	if _, err := p.RunGroupBy(&Query{}, gs); err == nil {
+	if _, err := r.runGroupBy(&Query{Table: q.Table}, gs); err == nil {
 		t.Error("accepted an invalid query")
 	}
 }
@@ -227,10 +250,11 @@ func TestGroupVectorMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGroupedRunAfterFailedRunIsClean: the accumulator is the pool's, not the
-// run's, so a grouped run that dies mid-block — a corrupt foreign key in
-// morsel 5, after morsels 0–4 were reduced — must leave nothing behind: the
-// next run on the same pool returns exactly what a fresh pool returns.
+// TestGroupedRunAfterFailedRunIsClean: a run context is recycled from query
+// to query (the server's freelist), so a grouped run that dies mid-block — a
+// corrupt foreign key in morsel 5, after morsels 0–4 were reduced — must leave
+// nothing in its accumulator for the next query: the next grouped run on the
+// same context returns exactly what a fresh pool returns.
 func TestGroupedRunAfterFailedRunIsClean(t *testing.T) {
 	d, q := failingJoinQuery(t)
 	q.Agg = nil
@@ -256,6 +280,7 @@ func TestGroupedRunAfterFailedRunIsClean(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			p := newPool()
 			defer p.Close()
+			r := p.NewBlockRun()
 			keys := d.Lineitem.Column("l_orderkey").I64()
 			saved := keys[5*512+17]
 			keys[5*512+17] = int64(d.NumOrders) + 55
@@ -265,20 +290,20 @@ func TestGroupedRunAfterFailedRunIsClean(t *testing.T) {
 						t.Error("grouped run over a corrupt key did not fail")
 					}
 				}()
-				p.RunGroupBy(q, gs)
+				r.runGroupBy(q, gs)
 			}()
 			keys[5*512+17] = saved
-			if len(p.groupAcc.sorted()) == 0 {
+			if len(r.groupAcc.sorted()) == 0 {
 				t.Fatal("the failed run reduced nothing before it failed: the test injects too early")
 			}
 			p.Cold()
-			got, err := p.RunGroupBy(q, gs)
+			got, err := r.runGroupBy(q, gs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fresh := newPool()
 			defer fresh.Close()
-			want, err := fresh.RunGroupBy(q, gs)
+			want, err := fresh.NewBlockRun().runGroupBy(q, gs)
 			if err != nil {
 				t.Fatal(err)
 			}

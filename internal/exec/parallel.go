@@ -42,19 +42,13 @@ type Parallel struct {
 	workers    []*Engine
 	vectorSize int
 	// blockCores/blockClocks are the reusable identity subset of the
-	// whole-pool entry points (Run, RunGroupBy), which always have a single
-	// caller.
+	// whole-pool entry point (Run), which always has a single caller.
 	blockCores  []int
 	blockClocks []uint64
-	// run is the block-run context of those whole-pool entry points. The
+	// run is the block-run context of that whole-pool entry point. The
 	// query driver (core.Run) brings its own, made with NewBlockRun, so the
 	// workload service's concurrent queries never share one.
 	run BlockRun
-	// groupAcc is RunGroupBy's accumulator: the merged group rows and, per
-	// key, which cores' partial tables hold it. Reset at the start of every
-	// grouped run, so nothing of an earlier run — a failed one included —
-	// reaches the next.
-	groupAcc groupTable
 	// pool holds the persistent helper goroutines, started lazily by the
 	// first block or segment fan-out that can use one on a GOMAXPROCS > 1
 	// host and reused until Close. Guarded by poolMu for concurrent
@@ -78,10 +72,9 @@ type BlockRun struct {
 	busyScratch []uint64
 
 	// The block in progress.
-	q      *Query
-	impl   ScanImpl
-	cores  []int
-	groups []*GroupBy // non-nil: run GroupVector instead of RunVectorImpl
+	q     *Query
+	impl  ScanImpl
+	cores []int
 	// skip is the zone-map verdict per vector (see StorageScan), shared by
 	// the run's cores; the subset's first core carries it like every other.
 	skip       []bool
@@ -101,7 +94,13 @@ type BlockRun struct {
 
 	// Reduction targets.
 	out BlockResult
-	sum *float64 // grouped blocks reduce into p.groupAcc instead
+	sum *float64
+	// groups, set by BeginGroups for all of a grouped query's blocks, are the
+	// pool's partial tables (morsels run GroupVector instead of RunVectorImpl)
+	// and groupAcc, which those blocks reduce into, the query's accumulator: the
+	// merged group rows and, per key, which pool cores' partial tables hold it.
+	groups   []*GroupBy
+	groupAcc groupTable
 	// failed is the lowest-numbered failed morsel, once the reduction has
 	// reached it (its ring slot is not reused: a failure stops assignment).
 	failed *morsel
@@ -413,9 +412,9 @@ const lookaheadWindow = 4
 // the error of the lowest-numbered failed morsel — re-raising it if it was a
 // panic — after every running morsel has drained, exactly the failure the
 // serial scheduler would have stopped at.
-func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, groups []*GroupBy) error {
+func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl) error {
 	p := r.p
-	r.q, r.impl, r.cores, r.groups = q, impl, cores, groups
+	r.q, r.impl, r.cores = q, impl, cores
 	r.issueWidth = p.workers[0].CPU().Profile().IssueWidth
 	r.skip = nil
 	if st := p.workers[cores[0]].stor; st != nil {
@@ -438,7 +437,7 @@ func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []ui
 	} else {
 		r.work()
 	}
-	r.q, r.groups = nil, nil
+	r.q = nil
 	if r.failed == nil {
 		return nil
 	}
@@ -570,7 +569,7 @@ func (r *BlockRun) merge(m *morsel) bool {
 	}
 	// Per-key accumulation order is the global row order — identical float
 	// association to a serial run for every worker count.
-	r.groups[m.core].fold(&r.p.groupAcc, m.sel, m.pos)
+	r.groups[m.core].fold(&r.groupAcc, m.sel, m.core)
 	r.out.Qualifying += int64(len(m.sel))
 	return true
 }
@@ -601,7 +600,9 @@ func (r *BlockRun) merge(m *morsel) bool {
 // splits one scan into many steps, accumulates into the same float across
 // all of them, preserving the exact addition order (and therefore the bit
 // pattern) of an unsplit run. With sum == nil the block's contribution is
-// reduced into BlockResult.Sum, which is what Run reports.
+// reduced into BlockResult.Sum, which is what Run reports. After BeginGroups
+// the morsels are a grouped aggregation's: their survivors fold into the
+// BlockRun's accumulator, Qualifying counts them, and no sum is written.
 //
 // The scheduler state and scratch come from this BlockRun, so concurrent
 // queries over disjoint core subsets do not contend.
@@ -633,7 +634,7 @@ func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clock
 	}
 	startSamples := r.begin(cores)
 	r.sum = sum
-	if err := r.runBlock(q, vecLo, vecHi, cores, clocks, impl, nil); err != nil {
+	if err := r.runBlock(q, vecLo, vecHi, cores, clocks, impl); err != nil {
 		return BlockResult{}, err
 	}
 	out := r.out
@@ -665,90 +666,74 @@ func (r *BlockRun) begin(cores []int) []pmu.Sample {
 	return samples
 }
 
-// RunGroupBy executes the query's filters and aggregates survivors
-// morsel-driven across all cores with per-core partial hash tables: worker w
-// updates only gs[w] (its private table region, so hash-table maintenance
-// hits its own cache hierarchy), and at the barrier after the scan core 0
-// merges every other core's partial slots into its table, extending the
-// makespan — the standard shared-nothing parallel aggregation plan.
-//
-// The scan is one block on the same lookahead loop as RunBlockSubset
-// (host-parallel on multi-core machines); each morsel's survivors reduce
-// into the pool's accumulator in global vector order, so Groups (keys, sums,
-// counts) are bit-identical to a serial Engine.RunGroupBy and deterministic
-// across worker counts and GOMAXPROCS settings. The same visit records, in
-// the key's slot, that the morsel's core holds the key: the accumulator's one
-// key-ordered slot list then serves the output rows and the barrier alike.
-func (p *Parallel) RunGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
-	if err := q.Validate(); err != nil {
-		return GroupResult{}, err
+// BeginGroups makes the blocks that follow those of a grouped aggregation and
+// empties its accumulator, so nothing of an earlier query — a failed one
+// included — reaches this one; nil makes them plain scans again. gs[w] is pool
+// core w's partial hash table: a morsel on core w updates only gs[w] (its
+// private table region, so hash-table maintenance hits its own cache
+// hierarchy) and its survivors reduce into the accumulator in global vector
+// order, so the groups (keys, sums, counts) are bit-identical to a serial
+// Engine.RunGroupBy whatever the blocks, their core subsets and GOMAXPROCS.
+// The same visit records, in the key's slot, that the morsel's core holds the
+// key: the accumulator's one key-ordered slot list then serves the output rows
+// and the merge barrier (FinalizeGroups) alike.
+func (r *BlockRun) BeginGroups(gs []*GroupBy) error {
+	if r.groups = gs; gs == nil {
+		return nil
 	}
-	nw := len(p.workers)
-	if len(gs) != nw {
-		return GroupResult{}, fmt.Errorf("exec: %d partial group tables for %d workers", len(gs), nw)
+	if nw := len(r.p.workers); len(gs) != nw {
+		return fmt.Errorf("exec: %d partial group tables for %d workers", len(gs), nw)
 	}
 	for w, g := range gs {
 		if g == nil {
-			return GroupResult{}, fmt.Errorf("exec: nil partial group table for worker %d", w)
+			return fmt.Errorf("exec: nil partial group table for worker %d", w)
 		}
 	}
-	cores, clocks := p.fullCores()
-	r := &p.run
-	startSamples := r.begin(cores)
-	acc := &p.groupAcc
-	acc.reset(gs[0].expected, nw)
-	if err := r.runBlock(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, gs); err != nil {
-		return GroupResult{}, err
-	}
-	var out GroupResult
-	out.Qualifying, out.Vectors = r.out.Qualifying, r.out.Vectors
-	// Merge barrier: every core must finish scanning before core 0 folds the
-	// partial tables, so the merge starts at the scan makespan (the slowest
-	// core's clock) and extends it — not core 0's own scan clock.
-	var scanMakespan uint64
-	for _, cl := range clocks {
-		scanMakespan = max(scanMakespan, cl)
-	}
-	// Core 0 folds every other core's partial slots into its table, core by
-	// core and key by ascending key: one read of the remote slot, one
-	// read-modify-write of its own, groupMergeCostInstr of arithmetic. The
-	// loads are gathered and simulated a chunk at a time — LoadAddrs is
-	// defined as its per-element Load sequence, and instruction and stall
-	// totals are sums, so where in a chunk the arithmetic retires changes
-	// nothing a clock or a counter can show.
+	r.groupAcc.reset(gs[0].expected, len(gs))
+	return nil
+}
+
+// FinalizeGroups is the merge barrier of a grouped aggregation whose scan is
+// complete, and returns its output rows: pool core coord, every other core
+// waiting for it, folds every other core's partial slots into its own table,
+// core by ascending id and key by ascending key — the standard shared-nothing
+// parallel aggregation plan. A fold is one read of the remote slot, one
+// read-modify-write of coord's own and groupMergeCostInstr of arithmetic. The
+// loads are gathered and simulated a chunk at a time — LoadAddrs is defined
+// as its per-element Load sequence, and instruction and stall totals are
+// sums, so where in a chunk the arithmetic retires changes nothing a clock or
+// a counter can show.
+func (r *BlockRun) FinalizeGroups(coord int) []Group {
+	acc, gs := &r.groupAcc, r.groups
 	refs := acc.sorted()
-	c0 := p.workers[0].CPU()
-	mergeStart := c0.Cycles()
-	addrs := c0.AddrBuf(2 * groupMergeChunk)
+	eng := r.p.workers[coord]
+	c := eng.CPU()
+	mergeStart := c.Cycles()
+	addrs := c.AddrBuf(2 * groupMergeChunk)
 	flush := func() {
-		c0.LoadAddrs(addrs)
-		c0.Exec(groupMergeCostInstr * len(addrs) / 2)
+		c.LoadAddrs(addrs)
+		c.Exec(groupMergeCostInstr * len(addrs) / 2)
 		addrs = addrs[:0]
 	}
-	for w := 1; w < nw; w++ {
+	for w := range gs {
+		if w == coord {
+			continue
+		}
 		for _, ref := range refs {
 			if !acc.has(ref, w) {
 				continue
 			}
-			addrs = append(addrs, gs[w].slotAddr(ref.key), gs[0].slotAddr(ref.key))
+			addrs = append(addrs, gs[w].slotAddr(ref.key), gs[coord].slotAddr(ref.key))
 			if len(addrs) == 2*groupMergeChunk {
 				flush()
 			}
 		}
 	}
 	flush()
-	mergeCycles := c0.Cycles() - mergeStart
-	if tr := p.workers[0].tr; tr != nil && mergeCycles > 0 {
-		tr.Span("group-merge", mergeStart, c0.Cycles(), trace.Int("workers", nw))
+	if tr := eng.tr; tr != nil && c.Cycles() > mergeStart {
+		tr.Span("group-merge", mergeStart, c.Cycles(), trace.Int("workers", len(gs)))
 	}
-
-	for w, eng := range p.workers {
-		out.Counters = out.Counters.Add(eng.CPU().Sample().Sub(startSamples[w]))
-	}
-	out.Groups = acc.groups(refs)
-	out.Cycles = scanMakespan + mergeCycles
-	out.Millis = p.workers[0].CPU().MillisOf(out.Cycles)
-	return out, nil
+	return acc.groups(refs)
 }
 
 // Run executes the whole table morsel-driven under the query's fixed

@@ -46,9 +46,8 @@ type Request struct {
 	// Spec is the query as the driver runs it: the compiled, bound query (its
 	// operator order is the plan order the optimizer starts from), the mode
 	// and optimizer options, and one group table or sort state per pool core
-	// for a grouped or an ordered query. A grouped query runs exclusively (it
-	// owns the whole pool); an ordered one schedules like a plain scan in
-	// every mode. The server sets Quantum, from Config.QuantumVectors.
+	// for a grouped or an ordered query; either schedules like a plain scan of
+	// its mode. The server sets Quantum, from Config.QuantumVectors.
 	Spec core.Spec
 	// Storage, when non-nil, runs the query over a stored table: one
 	// stored-scan state per pool core (shared skip bitmap, private tier
@@ -131,9 +130,10 @@ const (
 )
 
 // segScratch is what a query executes its segments with: the driver, with its
-// block-run context, and the subset's clocks between a segment's locked begin
-// phase and the round barrier. Recycled through the server's freelist at
-// completion, so steady-state rounds allocate nothing.
+// block-run context (a grouped query's accumulator and survivor buffers are
+// part of it), and the subset's clocks between a segment's locked begin phase
+// and the round barrier. Recycled through the server's freelist at completion,
+// so steady-state rounds allocate nothing.
 type segScratch struct {
 	run    *core.Run
 	clocks []uint64
@@ -179,8 +179,6 @@ type query struct {
 	state int
 	err   error
 }
-
-func (q *query) grouped() bool { return len(q.req.Spec.Groups) > 0 }
 
 // Server runs many concurrent queries against one shared pool of simulated
 // cores as a discrete-event simulation: per-core absolute clocks, morsel
@@ -656,13 +654,8 @@ func (s *Server) sharedStorageLocked() bool {
 // pool's clock frontier has reached its arrival — activating it earlier
 // would reserve (and fast-forward) cores for work that has not arrived,
 // inflating the latency of queries that have. An idle pool jumps straight
-// to the next arrival. Grouped queries run exclusively: one is admitted
-// only into an empty pool, and blocks further admissions until it
-// completes.
+// to the next arrival.
 func (s *Server) admitLocked() {
-	if len(s.active) == 1 && s.active[0].grouped() {
-		return
-	}
 	// The frontier is the earliest time any core can take new work; while
 	// queries are active every core is in some subset, so it advances each
 	// round.
@@ -678,9 +671,6 @@ func (s *Server) admitLocked() {
 	for len(s.queue) > 0 && len(s.active) < s.cfg.MaxActive {
 		head := s.queue[0]
 		if head.arrival > now {
-			break
-		}
-		if head.grouped() && len(s.active) > 0 {
 			break
 		}
 		s.queue = s.queue[1:]
@@ -706,9 +696,6 @@ func (s *Server) admitLocked() {
 					trace.Int("seq", head.seq), trace.Ints("order", head.warm),
 					trace.Bool("impl", head.warmImpl == exec.ImplBranchFree))
 			}
-		}
-		if head.grouped() {
-			break
 		}
 	}
 }
@@ -833,11 +820,10 @@ func (s *Server) segmentBeginLocked(q *query) {
 }
 
 // segmentRun executes one query's segment without the server lock: one step
-// of its driver on the subset the partitioner gave it (a grouped query is
-// alone on the pool — admission sees to that). It touches only the query's
-// own cores, scratch, and staged trace. Failures are parked on the query for
-// the barrier, so every scheduled segment runs to its own completion or
-// failure and the barrier surfaces the first one in admission order —
+// of its driver on the subset the partitioner gave it. It touches only the
+// query's own cores, scratch, and staged trace. Failures are parked on the
+// query for the barrier, so every scheduled segment runs to its own completion
+// or failure and the barrier surfaces the first one in admission order —
 // deterministically, regardless of host interleaving.
 func (s *Server) segmentRun(q *query) {
 	defer func() {

@@ -529,8 +529,9 @@ func driven(t *testing.T, r *core.Run, spec core.Spec) *core.Run {
 }
 
 // TestServedGroupedMatchesDriver: a grouped aggregation through Submit/Wait
-// is the dedicated run — groups, result, cycles, counters — and when it
-// queues behind scans it still runs alone on the pool and gives the groups.
+// is the dedicated run — groups, result, counters, span — though the server
+// cuts it into quanta, and its groups do not change when it shares the pool,
+// on subsets that shrink and grow as its neighbours come and go.
 func TestServedGroupedMatchesDriver(t *testing.T) {
 	const workers, vs = 4, 512
 	q, _, groups := shapedFixture(t, workers, vs)
@@ -539,7 +540,7 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 		t.Fatal("reference produced no groups")
 	}
 
-	s, err := New(cpu.ScaledXeon(), workers, vs, Config{})
+	s, err := New(cpu.ScaledXeon(), workers, vs, Config{QuantumVectors: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,14 +565,20 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 		t.Errorf("span %d..%d, want %d cycles", lone.Start, lone.Done, want.Cycles)
 	}
 
-	at := s.Now()
+	if s, err = New(cpu.ScaledXeon(), workers, vs, Config{MaxActive: 3, QuantumVectors: 3}); err != nil {
+		t.Fatal(err)
+	}
+	short := testQuery(t, 8*vs, 3)
+	if err := s.BindQuery(short); err != nil {
+		t.Fatal(err)
+	}
 	var tks []*Ticket
 	for _, req := range []Request{
-		{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 3}}},
 		{Spec: core.Spec{Query: q, Groups: groups}},
-		{Spec: core.Spec{Query: q, Mode: ModeFixed}},
+		{Spec: core.Spec{Query: short, Mode: ModeFixed}},
+		{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 3}}},
+		{Spec: core.Spec{Query: q, Groups: groups}, Arrival: 40000},
 	} {
-		req.Arrival = at
 		tk, err := s.Submit(req)
 		if err != nil {
 			t.Fatal(err)
@@ -584,17 +591,22 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := outs[1]
-	if g.Qualifying != want.Qualifying || !reflect.DeepEqual(g.Groups, want.Groups) {
-		t.Errorf("queued grouped query changed its answer: %d qualifying, %d groups", g.Qualifying, len(g.Groups))
+	for _, i := range []int{0, 3} {
+		if g := outs[i]; g.Qualifying != want.Qualifying || !reflect.DeepEqual(g.Groups, want.Groups) {
+			t.Errorf("grouped query %d changed its answer under sharing: %d qualifying, %d groups", i, g.Qualifying, len(g.Groups))
+		}
 	}
-	for _, i := range []int{0, 2} {
-		if o := outs[i]; o.Start < g.Done && g.Start < o.Done {
-			t.Errorf("grouped query ran %d..%d while query %d ran %d..%d; it must own the pool", g.Start, g.Done, i, o.Start, o.Done)
+	if outs[1].Groups != nil || outs[2].Groups != nil {
+		t.Error("an ungrouped query returned groups")
+	}
+	// The same grouped plan twice, and a scan, in flight at once.
+	for _, i := range []int{2, 3} {
+		if g, o := outs[0], outs[i]; !(o.Start < g.Done && g.Start < o.Done) {
+			t.Errorf("grouped query ran %d..%d, query %d %d..%d: they did not share the pool", g.Start, g.Done, i, o.Start, o.Done)
 		}
-		if outs[i].Qualifying != want.Qualifying {
-			t.Errorf("scan %d qualified %d, want %d", i, outs[i].Qualifying, want.Qualifying)
-		}
+	}
+	if st := s.Stats(); st.PeakActive != 3 {
+		t.Errorf("peak active %d, want 3 (the grouped queries shared the pool)", st.PeakActive)
 	}
 }
 

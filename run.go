@@ -90,9 +90,9 @@ type ExecResult struct {
 // single entry point for every execution shape: all modes honor
 // Config.Workers (with Workers > 1 the scan runs morsel-driven; Cycles and
 // Millis are makespans and Counters the merged per-core PMU deltas), and a
-// grouped plan aggregates with per-core partial hash tables merged at the
-// barrier. Qualifying, Sum, and Groups are bit-identical across modes and
-// worker counts.
+// grouped plan is such a scan whose survivors aggregate in per-core partial
+// hash tables, merged at the barrier that ends it. Qualifying, Sum, and
+// Groups are bit-identical across modes and worker counts.
 //
 // Grouped plans currently execute their operator order as compiled
 // (ModeFixed); adaptive modes on grouped plans return an error.
@@ -100,10 +100,10 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	if q == nil || q.q == nil {
 		return ExecResult{}, fmt.Errorf("progopt: Exec needs a compiled query")
 	}
-	spec, err := e.spec(q, opts)
-	if err != nil {
+	if err := checkMode(opts.Mode, q.group != nil); err != nil {
 		return ExecResult{}, err
 	}
+	spec := e.spec(q, opts)
 	// A stored query runs with the storage tier attached to every core —
 	// residency dropped first (every Exec is a cold scan), counters
 	// snapshotted for the post-run delta.
@@ -149,19 +149,25 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	return out, nil
 }
 
-// spec is the compiled query as the driver runs it under opts, for Exec and
-// for a served query alike: the mode checked, the optimizer options mapped
-// and pointed at the engine's decision track, the per-core group tables and
-// sort states attached.
-func (e *Engine) spec(q *Query, opts ExecOptions) (core.Spec, error) {
-	switch opts.Mode {
+// checkMode refuses a mode Exec and the server cannot run: an unknown one, or
+// an adaptive one on a grouped plan.
+func checkMode(mode Mode, grouped bool) error {
+	switch mode {
 	case ModeFixed, ModeProgressive, ModeMicroAdaptive:
 	default:
-		return core.Spec{}, fmt.Errorf("progopt: unknown execution mode %d", int(opts.Mode))
+		return fmt.Errorf("progopt: unknown execution mode %d", int(mode))
 	}
-	if q.group != nil && opts.Mode != ModeFixed {
-		return core.Spec{}, fmt.Errorf("progopt: %s execution of grouped plans is not supported yet; use ModeFixed", opts.Mode)
+	if grouped && mode != ModeFixed {
+		return fmt.Errorf("progopt: %s execution of grouped plans is not supported yet; use ModeFixed", mode)
 	}
+	return nil
+}
+
+// spec is the compiled query as the driver runs it under opts (their mode
+// checked by checkMode), for Exec and for a served query alike: the optimizer
+// options mapped and pointed at the engine's decision track, the per-core
+// group tables and sort states attached.
+func (e *Engine) spec(q *Query, opts ExecOptions) core.Spec {
 	spec := core.Spec{Query: q.q, Mode: opts.Mode, Opt: opts.Progressive.coreOptions()}
 	spec.Opt.Trace = e.optTrack()
 	if q.group != nil {
@@ -170,7 +176,7 @@ func (e *Engine) spec(q *Query, opts ExecOptions) (core.Spec, error) {
 	if q.sort != nil {
 		spec.Sorts = q.sort.states
 	}
-	return spec, nil
+	return spec
 }
 
 // toExecResult maps what the driver produced — for Exec, or for a served

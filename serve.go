@@ -253,6 +253,11 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	if p == nil {
 		return nil, fmt.Errorf("progopt: Submit needs a plan")
 	}
+	// Before the plan cache is consulted: a submission refused for its mode
+	// compiles and caches nothing and counts no miss.
+	if err := checkMode(opts.Mode, p.group != nil); err != nil {
+		return nil, err
+	}
 	terms, err := p.fingerprintTerms()
 	if err != nil {
 		return nil, err
@@ -285,11 +290,7 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	// admission order, so decision events from concurrent queries interleave
 	// deterministically (each stamped with its own query's accounted block
 	// clock) even when segments execute host-parallel.
-	spec, err := s.e.spec(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	req := service.Request{Spec: spec, Arrival: arrival, Fingerprint: fp, NoFeedback: s.disableFeedback}
+	req := service.Request{Spec: s.e.spec(q, opts), Arrival: arrival, Fingerprint: fp, NoFeedback: s.disableFeedback}
 	var stviews []*exec.StorageScan
 	if q.storage != nil {
 		stviews, err = q.storage.freshViews()

@@ -31,8 +31,9 @@ type serveMatrixObs struct {
 	Trace   string
 }
 
-// runServeMatrix serves a fixed eight-query trace — all three exec modes, a
-// join, a sorted query, a grouped query, recurring fingerprints, staggered
+// runServeMatrix serves a fixed nine-query trace — all three exec modes, a
+// join, a sorted query, one grouped plan submitted twice so that both runs of
+// the cached plan are in flight at once, recurring fingerprints, staggered
 // arrivals — and waits from racing goroutines.
 func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serveMatrixObs {
 	t.Helper()
@@ -59,18 +60,20 @@ func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serv
 	defer srv.Close()
 	srv.setSerialRounds(serial)
 	adaptive := Progressive{Interval: 5}
+	grouped := Scan("lineitem").
+		Filter("l_shipdate", CmpLE, int64(d.ShipdateCutoff(0.8))).
+		GroupBy("l_quantity", "l_extendedprice")
 	subs := []struct {
 		plan *Plan
 		opts ExecOptions
 	}{
+		{grouped, ExecOptions{Mode: ModeFixed}},
+		{grouped, ExecOptions{Mode: ModeFixed}},
 		{convergentPlan(d, false), ExecOptions{Mode: ModeFixed}},
 		{convergentPlan(d, true), ExecOptions{Mode: ModeProgressive, Progressive: adaptive}},
 		{convergentPlan(d, false), ExecOptions{Mode: ModeMicroAdaptive, Progressive: adaptive}},
 		{convergentPlan(d, false).OrderBy("l_extendedprice", Desc).Limit(8),
 			ExecOptions{Mode: ModeProgressive, Progressive: adaptive}},
-		{Scan("lineitem").
-			Filter("l_shipdate", CmpLE, int64(d.ShipdateCutoff(0.8))).
-			GroupBy("l_quantity", "l_extendedprice"), ExecOptions{Mode: ModeFixed}},
 		{convergentPlan(d, true), ExecOptions{Mode: ModeProgressive, Progressive: adaptive}},
 		{convergentPlan(d, false), ExecOptions{Mode: ModeMicroAdaptive, Progressive: adaptive}},
 		{convergentPlan(d, true), ExecOptions{Mode: ModeFixed}},
@@ -114,6 +117,23 @@ func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serv
 			t.Fatal(err)
 		}
 		obs.Trace = tr.String()
+	}
+	// The two grouped runs shared the pool and the compiled plan, and each is
+	// the answer of a direct Exec.
+	a, b := obs.Results[0], obs.Results[1]
+	if !b.Served.PlanCacheHit || !(a.Served.Start < b.Served.Done && b.Served.Start < a.Served.Done) {
+		t.Errorf("grouped runs %d..%d and %d..%d (plan-cache hit %v): want one cached plan twice in flight",
+			a.Served.Start, a.Served.Done, b.Served.Start, b.Served.Done, b.Served.PlanCacheHit)
+	}
+	direct, err := e.Exec(tks[0].Query(), ExecOptions{Mode: ModeFixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []ExecResult{a, b} {
+		if g.Qualifying != direct.Qualifying || len(g.Groups) == 0 || !reflect.DeepEqual(g.Groups, direct.Groups) {
+			t.Errorf("served grouped run differs from Exec: %d qualifying in %d groups, Exec %d in %d",
+				g.Qualifying, len(g.Groups), direct.Qualifying, len(direct.Groups))
+		}
 	}
 	return obs
 }
@@ -356,9 +376,12 @@ poll:
 }
 
 // TestServeSteadyStateAllocs pins the served path's steady-state allocations
-// in all three modes: after warm-up, a query's host allocations must not grow
-// with its round count nor, for the adaptive modes, with its decision count
-// (the public result carries one SampleObs, a plain value, per decision).
+// in all three modes and for a grouped query: after warm-up, a query's host
+// allocations must not grow with its round count nor, for the adaptive modes,
+// with its decision count (the public result carries one SampleObs, a plain
+// value, per decision). A grouped query's accumulator and survivor buffers
+// belong to its run, which the server recycles, so only its output rows are
+// allocated anew.
 // ModeFixed alone never reaches the estimator, which used to issue ~1 300
 // allocations per decision (98 % of a served workload's mallocs) unseen by
 // this test.
@@ -367,7 +390,7 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	// measure serves one 48-vector query per run with the given scheduling
 	// quantum, which for the adaptive modes is also the re-optimization
 	// interval: an adaptive query runs one block, and decides once, per round.
-	measure := func(mode Mode, quantum int) (allocs float64, decisions int) {
+	measure := func(mode Mode, grouped bool, quantum int) (allocs float64, decisions int) {
 		e, err := New(Config{VectorSize: 512, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -383,7 +406,11 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		}
 		defer srv.Close()
 		run := func() {
-			tk, err := srv.Submit(d, convergentPlan(d, false),
+			plan := convergentPlan(d, false)
+			if grouped {
+				plan.GroupBy("l_quantity", "l_extendedprice")
+			}
+			tk, err := srv.Submit(d, plan,
 				ExecOptions{Mode: mode, Progressive: Progressive{Interval: quantum}})
 			if err != nil {
 				t.Fatal(err)
@@ -398,9 +425,13 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		run()
 		return testing.AllocsPerRun(5, run), decisions
 	}
-	for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {
-		many, manyDecisions := measure(mode, 1) // ~48 scheduling rounds per query
-		few, fewDecisions := measure(mode, 4)   // 12 rounds per query
+	for _, tc := range []struct {
+		mode    Mode
+		grouped bool
+	}{{ModeFixed, false}, {ModeProgressive, false}, {ModeMicroAdaptive, false}, {ModeFixed, true}} {
+		mode := tc.mode
+		many, manyDecisions := measure(mode, tc.grouped, 1) // ~48 scheduling rounds per query
+		few, fewDecisions := measure(mode, tc.grouped, 4)   // 12 rounds per query
 		if mode != ModeFixed && manyDecisions < fewDecisions+8 {
 			t.Fatalf("%v: %d v. %d decisions; the comparison needs more at quantum=1", mode, manyDecisions, fewDecisions)
 		}
@@ -408,11 +439,11 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		// element of Stats.Samples, whose few reallocations are the headroom.
 		const allowed = 16.0
 		if delta := many - few; delta > allowed {
-			t.Errorf("%v: allocs grow with round/decision count: %.1f at quantum=1 (%d decisions) vs %.1f at quantum=4 (%d decisions); delta %.1f, allowed %.1f",
-				mode, many, manyDecisions, few, fewDecisions, delta, allowed)
+			t.Errorf("%v (grouped %v): allocs grow with round/decision count: %.1f at quantum=1 (%d decisions) vs %.1f at quantum=4 (%d decisions); delta %.1f, allowed %.1f",
+				mode, tc.grouped, many, manyDecisions, few, fewDecisions, delta, allowed)
 		}
 		if many > 150 {
-			t.Errorf("%v: served query allocates %.1f times at steady state; budget 150", mode, many)
+			t.Errorf("%v (grouped %v): served query allocates %.1f times at steady state; budget 150", mode, tc.grouped, many)
 		}
 	}
 }

@@ -234,6 +234,44 @@ func TestServePlanCacheEviction(t *testing.T) {
 	}
 }
 
+// TestServeRejectedModeLeavesPlanCacheAlone: a submission refused for its mode
+// — an unknown one, an adaptive one on a grouped plan — is refused before the
+// plan cache is consulted: nothing is compiled or cached and no miss counted.
+func TestServeRejectedModeLeavesPlanCacheAlone(t *testing.T) {
+	e, d := serveEngine(t, 2)
+	srv, err := NewServer(e, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped := Scan("lineitem").Filter("l_quantity", CmpLT, 10).GroupBy("l_quantity", "l_extendedprice")
+	for name, sub := range map[string]struct {
+		plan *Plan
+		mode Mode
+	}{
+		"unknown mode":     {convergentPlan(d, false), Mode(7)},
+		"adaptive grouped": {grouped, ModeProgressive},
+	} {
+		if _, err := srv.Submit(d, sub.plan, ExecOptions{Mode: sub.mode}); err == nil {
+			t.Errorf("%s: submission accepted", name)
+		}
+	}
+	if st := srv.Stats(); st.PlanCacheMisses != 0 || st.PlanCacheHits != 0 || st.Submitted != 0 || srv.plans.Len() != 0 {
+		t.Errorf("rejected submissions left %d misses, %d hits, %d submitted, %d cached plans; want none",
+			st.PlanCacheMisses, st.PlanCacheHits, st.Submitted, srv.plans.Len())
+	}
+	// The grouped plan itself is fine: in fixed order it compiles, once.
+	tk, err := srv.Submit(d, grouped, ExecOptions{Mode: ModeFixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.PlanCacheMisses != 1 || srv.plans.Len() != 1 {
+		t.Errorf("%d misses, %d cached plans after one accepted submission; want 1 and 1", st.PlanCacheMisses, srv.plans.Len())
+	}
+}
+
 // TestServeWarmStartRecurringJoin pins the acceptance criterion: the second
 // submission of a recurring join query warm-starts at the converged pipeline
 // order and spends measurably fewer simulated cycles before reaching it —

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -208,5 +209,51 @@ func TestBindQueryTracksBoundState(t *testing.T) {
 	}
 	if b.Base() != bBase {
 		t.Errorf("re-binding moved column from %#x to %#x", bBase, b.Base())
+	}
+}
+
+// TestBindQueryRejectsUnknownCmpOp pins where a comparison outside LE..EQ is
+// turned away: Engine.BindQuery and Parallel.BindQuery return an
+// *UnknownCmpOpError naming the operator — for a predicate and for a join's
+// build-side filter alike — and bind nothing, so no kernel's default arm is
+// ever reached.
+func TestBindQueryRejectsUnknownCmpOp(t *testing.T) {
+	for _, bad := range []CmpOp{EQ + 1, LE - 1} {
+		tb := columnar.NewTable("t")
+		a := columnar.NewInt64("a", []int64{0, 1, 2})
+		tb.MustAddColumn(a)
+		build := columnar.NewInt64("b", []int64{7, 8, 9})
+		alloc := cpu.MustNew(cpu.ScaledXeon())
+		join, err := NewFKJoin(alloc, a, 3, &Predicate{Col: build, Op: bad, I: 8}, "join-b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			q        *Query
+			operator string
+		}{
+			{&Query{Table: tb, Ops: []Op{&Predicate{Col: a, Op: GE, I: 0}, &Predicate{Col: a, Op: bad, I: 1, Label: "a ? 1"}}}, "a ? 1"},
+			{&Query{Table: tb, Ops: []Op{join}}, "join-b"},
+		} {
+			par, err := NewParallel(cpu.ScaledXeon(), 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, bind := range map[string]func(*Query) error{
+				"Engine":   MustEngine(cpu.MustNew(cpu.ScaledXeon()), 2).BindQuery,
+				"Parallel": par.BindQuery,
+			} {
+				var unknown *UnknownCmpOpError
+				if err := bind(tc.q); !errors.As(err, &unknown) {
+					t.Fatalf("%s.BindQuery with comparison %d on %s: error %v, want *UnknownCmpOpError", name, int(bad), tc.operator, err)
+				}
+				if unknown.Op != bad || unknown.Operator != tc.operator {
+					t.Errorf("%s.BindQuery reported %+v, want comparison %d on %q", name, *unknown, int(bad), tc.operator)
+				}
+			}
+			if a.Bound() || build.Bound() {
+				t.Errorf("a rejected query on %s still bound a column", tc.operator)
+			}
+		}
 	}
 }

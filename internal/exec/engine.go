@@ -169,7 +169,8 @@ func (e *Engine) SetScalar(scalar bool) { e.scalar = scalar }
 func (e *Engine) Scalar() bool { return e.scalar }
 
 // SetFuse enables (default) or disables the fused batch pipeline: specialized
-// Filter→FKJoin→aggregate kernels with run-length-encoded branch retirement.
+// Filter→FKJoin→aggregate kernels that retire each operator's branches as one
+// outcome bitmask per vector instead of one call per row.
 // Both settings produce bit-identical results, cycles, and PMU counters; the
 // unfused path exists as the equivalence oracle. Ignored by the scalar row
 // loop, which is its own reference semantics.
@@ -371,10 +372,15 @@ func (e *Engine) Run(q *Query) (Result, error) {
 
 // BindQuery binds the query's table columns and any join filter columns that
 // are still unbound into the CPU's address space, and leaves the core cold
-// (the paper's scans never reuse data between runs anyway).
+// (the paper's scans never reuse data between runs anyway). A predicate or
+// join filter whose comparison is none of LE..EQ is rejected with an
+// *UnknownCmpOpError before anything is bound: the kernels assume the five.
 // Binding state is tracked explicitly per column (columnar.Column.Bound), so
 // a column legitimately bound at address 0 is never re-bound.
 func (e *Engine) BindQuery(q *Query) error {
+	if err := checkCmpOps(q); err != nil {
+		return err
+	}
 	if err := q.Table.BindAll(e.cpu); err != nil {
 		return err
 	}

@@ -11,23 +11,30 @@ import (
 // This file implements the fused form of the batch pipeline: the operator
 // chain Filter*→FKJoin*→(Sum|GroupBy) runs through specialized kernels that
 // keep the survivor selection in the pipeline's working buffers and retire
-// each operator's conditional branch run-length encoded — one CondBranchN
-// call per same-outcome run instead of one CondBranch call per row, plus one
-// bulk survivor append per run instead of one per row.
+// each operator's conditional branches without a host branch on the data.
+// A kernel makes two passes over its vector: selectBits compares every
+// selected row, packs the branch directions into an outcome bitmask and
+// compacts the survivors as it goes; one CondBranchBits call then retires the
+// whole mask.
 //
 // Fusion changes no simulated event. Per operator the fused kernel performs
-// the same Exec charges, the same run-batched loads, and then emits the
-// per-site branch-outcome stream in exactly the per-row order of the unfused
-// kernel: CondBranchN(site, taken, n) is defined (and tested) to equal n
-// sequential CondBranch(site, taken) calls for every predictor model, so
-// instruction counts, branch counters, misprediction attribution, predictor
-// state, and stall cycles are bit-identical to the unfused path — which is
-// retained behind Engine.SetFuse(false) as the oracle tests compare against.
+// the same Exec charges and the same run-batched loads, hoisted ahead of the
+// branches exactly as the unfused kernel hoists them (loads touch no
+// predictor state, branches no cache state). Bit i of the mask is the
+// direction of the operator's i-th selected row, so the site sees its outcome
+// stream in the unfused kernel's per-row order, and CondBranchBits(site,
+// bits, n) is defined (and tested, internal/hw/cpu/runbatch_test.go) to
+// equal n sequential CondBranch calls for every predictor model: the
+// saturating predictors walk a table that is Observe composed eight times,
+// built by calling Observe; every other predictor observes bit by bit.
+// Instruction counts, branch counters, misprediction attribution, predictor
+// state and stall cycles are therefore bit-identical to the unfused path —
+// which is retained behind Engine.SetFuse(false) as the oracle tests compare
+// against.
 //
-// The host win is mechanical: clustered columns (sorted dates, co-clustered
-// join keys) produce long same-outcome runs whose whole branch accounting
-// collapses into one closed-form predictor update, and even random 50/50
-// outcomes halve the per-row call count.
+// The host win is what the kernel no longer does: on an unclustered column a
+// row's outcome is a coin the host's predictor cannot call, while the
+// simulated predictor's answer is a pure function of the bit string.
 
 // fusedPipeline runs the operator chain over cur, alternating between the two
 // selection buffers, and returns the final survivors (aliasing one of the
@@ -54,215 +61,128 @@ func fusedPipeline(c *cpu.CPU, ops []Op, cur, next []int32) []int32 {
 }
 
 // evalBatchFused is Predicate.EvalBatch with the compare-and-branch phase
-// run-length encoded. Charges, loads, and the branch-outcome stream are
-// identical.
+// retired through an outcome bitmask. Charges, loads, and the branch-outcome
+// stream are identical.
 func (p *Predicate) evalBatchFused(c *cpu.CPU, site int, sel, out []int32) []int32 {
 	if p.ExtraCostInstr > 0 {
 		c.Exec(p.ExtraCostInstr * len(sel))
 	}
 	base, w := p.scanLayout()
-	switch p.Col.Kind() {
-	case columnar.Float64:
-		return predLoopRLE(c, site, sel, out, p.Col.F64(), base, w, p.Op, p.F)
-	case columnar.Int64:
-		return predLoopRLE(c, site, sel, out, p.Col.I64(), base, w, p.Op, p.I)
-	default: // Int32, Date
-		if p.I > math.MaxInt32 || p.I < math.MinInt32 {
-			return constLoop(c, site, sel, out, base, w, wideBoundPasses(p.Op, p.I))
-		}
-		return predLoopRLE(c, site, sel, out, p.Col.I32(), base, w, p.Op, int32(p.I))
-	}
-}
-
-// predLoopRLE is predLoop with run-length-encoded branch retirement: each
-// row's comparison is evaluated exactly once, maximal same-outcome runs
-// retire as one CondBranchN (bit-identical to per-row CondBranch calls), and
-// each passing run appends to the survivor vector in one copy.
-func predLoopRLE[T int32 | int64 | float64](c *cpu.CPU, site int, sel, out []int32, vals []T, base, w uint64, op CmpOp, bound T) []int32 {
 	selLoads(c, sel, base, w)
-	n := len(sel)
-	switch op {
-	case LE:
-		for i := 0; i < n; {
-			ok := vals[sel[i]] <= bound
-			j := i + 1
-			for j < n && (vals[sel[j]] <= bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
-		}
-	case LT:
-		for i := 0; i < n; {
-			ok := vals[sel[i]] < bound
-			j := i + 1
-			for j < n && (vals[sel[j]] < bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
-		}
-	case GE:
-		for i := 0; i < n; {
-			ok := vals[sel[i]] >= bound
-			j := i + 1
-			for j < n && (vals[sel[j]] >= bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
-		}
-	case GT:
-		for i := 0; i < n; {
-			ok := vals[sel[i]] > bound
-			j := i + 1
-			for j < n && (vals[sel[j]] > bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
-		}
-	case EQ:
-		for i := 0; i < n; {
-			ok := vals[sel[i]] == bound
-			j := i + 1
-			for j < n && (vals[sel[j]] == bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
-		}
-	default:
-		return predLoop(c, site, sel, out, vals, base, w, op, bound)
-	}
-	return out
+	return selectFused(c, site, p, sel, sel, out)
 }
 
-// evalBatchFused is FKJoin.EvalBatch with the filter branch phase run-length
-// encoded and the filter comparison monomorphized over the build column's
-// kind (the per-row passRaw dispatch hoisted out of the loop). The gather
-// phase — charges, key loads, interleaved hop/probe/filter address stream —
-// is the unfused kernel's own gatherBatch, so it is byte-for-byte identical
-// by construction.
+// evalBatchFused is FKJoin.EvalBatch with the filter's branch phase retired
+// through an outcome bitmask. The gather phase — charges, key loads,
+// interleaved hop/probe/filter address stream — is the unfused kernel's own
+// gatherBatch, so it is byte-for-byte identical by construction.
 func (j *FKJoin) evalBatchFused(c *cpu.CPU, site int, sel, out []int32) []int32 {
 	keys := j.gatherBatch(c, sel)
 	if j.Filter == nil {
 		c.CondBranchN(site, false, len(sel))
 		return append(out, sel...)
 	}
-	return filterKeysRLE(c, site, j.Filter, sel, keys, out)
+	return selectFused(c, site, j.Filter, keys, sel, out)
 }
 
-// filterKeysRLE retires the join filter's branch phase with run-length
-// encoding, dispatching once on the build column's kind. Outcomes match
-// passRaw exactly, including integer bounds outside the int32 range.
-func filterKeysRLE(c *cpu.CPU, site int, f *Predicate, sel []int32, keys []int64, out []int32) []int32 {
-	switch f.Col.Kind() {
+// selectFused is the compare-and-branch phase of both fused kernels: it
+// compares p's column at idx[i] against the bound for every i, retires the
+// branches at site and appends the sel[i] that pass to out, dispatching once
+// on the column's kind. A predicate passes its own selection as idx, a join
+// filter the build rows its probe rows resolved to. Outcomes match passRaw
+// exactly, including integer bounds outside the int32 range.
+func selectFused[I int32 | int64](c *cpu.CPU, site int, p *Predicate, idx []I, sel, out []int32) []int32 {
+	switch p.Col.Kind() {
 	case columnar.Float64:
-		return keyLoopRLE(c, site, sel, keys, out, f.Col.F64(), f.Op, f.F)
+		return selectBits(c, site, p.Col.F64(), idx, sel, out, p.Op, p.F)
 	case columnar.Int64:
-		return keyLoopRLE(c, site, sel, keys, out, f.Col.I64(), f.Op, f.I)
+		return selectBits(c, site, p.Col.I64(), idx, sel, out, p.Op, p.I)
 	default: // Int32, Date
-		if f.I > math.MaxInt32 || f.I < math.MinInt32 {
-			ok := wideBoundPasses(f.Op, f.I)
-			c.CondBranchN(site, !ok, len(sel))
-			if ok {
-				out = append(out, sel...)
-			}
-			return out
+		if p.I > math.MaxInt32 || p.I < math.MinInt32 {
+			return constLoop(c, site, sel, out, wideBoundPasses(p.Op, p.I))
 		}
-		return keyLoopRLE(c, site, sel, keys, out, f.Col.I32(), f.Op, int32(f.I))
+		return selectBits(c, site, p.Col.I32(), idx, sel, out, p.Op, int32(p.I))
 	}
 }
 
-// keyLoopRLE is predLoopRLE's shape over gathered build rows: the filter
-// value is indexed by the decoded key instead of the probe row, survivors are
-// still the probe-side selection.
-func keyLoopRLE[T int32 | int64 | float64](c *cpu.CPU, site int, sel []int32, keys []int64, out []int32, vals []T, op CmpOp, bound T) []int32 {
+// selectBits evaluates vals[idx[i]] op bound for every i with no host branch
+// on the outcome. Sixty-four rows at a time, passWord gathers the pass bits
+// into one word while appending sel[i] to out unconditionally and advancing
+// out's length by the row's pass bit; the word's complement — the branch is
+// taken when the row fails — goes to the core's direction scratch, and one
+// CondBranchBits call then retires all len(sel) branches in row order.
+func selectBits[T int32 | int64 | float64, I int32 | int64](c *cpu.CPU, site int, vals []T, idx []I, sel, out []int32, op CmpOp, bound T) []int32 {
 	n := len(sel)
+	dirs := c.BitBuf(n)
+	out = out[:n]
+	k := 0
+	for lo := 0; lo < n; lo += 64 {
+		hi := min(lo+64, n)
+		pass, kept := passWord(vals, idx[lo:hi], sel[lo:hi], out[k:], op, bound)
+		dirs[lo>>6] = ^pass
+		k += kept
+	}
+	c.CondBranchBits(site, dirs, n)
+	return out[:k]
+}
+
+// passWord compares up to 64 indexed values against the bound. It returns
+// the outcomes as a word, bit i set iff vals[idx[i]] passes, and has written
+// the sel[i] that pass to the front of out, whose count it also returns (out
+// needs room for len(idx) rows: every row is stored, a failing one is
+// overwritten by the next). It is the one compare loop of the fused kernels,
+// kept out of line so that each of its loops holds its live values in
+// registers.
+func passWord[T int32 | int64 | float64, I int32 | int64](vals []T, idx []I, sel, out []int32, op CmpOp, bound T) (pass uint64, k int) {
+	sel = sel[:len(idx)]
 	switch op {
 	case LE:
-		for i := 0; i < n; {
-			ok := vals[keys[i]] <= bound
-			j := i + 1
-			for j < n && (vals[keys[j]] <= bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
+		for i, x := range idx {
+			b := bit(vals[x] <= bound)
+			out[k] = sel[i]
+			k += int(b)
+			pass = pass>>1 | b<<63
 		}
 	case LT:
-		for i := 0; i < n; {
-			ok := vals[keys[i]] < bound
-			j := i + 1
-			for j < n && (vals[keys[j]] < bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
+		for i, x := range idx {
+			b := bit(vals[x] < bound)
+			out[k] = sel[i]
+			k += int(b)
+			pass = pass>>1 | b<<63
 		}
 	case GE:
-		for i := 0; i < n; {
-			ok := vals[keys[i]] >= bound
-			j := i + 1
-			for j < n && (vals[keys[j]] >= bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
+		for i, x := range idx {
+			b := bit(vals[x] >= bound)
+			out[k] = sel[i]
+			k += int(b)
+			pass = pass>>1 | b<<63
 		}
 	case GT:
-		for i := 0; i < n; {
-			ok := vals[keys[i]] > bound
-			j := i + 1
-			for j < n && (vals[keys[j]] > bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
+		for i, x := range idx {
+			b := bit(vals[x] > bound)
+			out[k] = sel[i]
+			k += int(b)
+			pass = pass>>1 | b<<63
 		}
 	case EQ:
-		for i := 0; i < n; {
-			ok := vals[keys[i]] == bound
-			j := i + 1
-			for j < n && (vals[keys[j]] == bound) == ok {
-				j++
-			}
-			c.CondBranchN(site, !ok, j-i)
-			if ok {
-				out = append(out, sel[i:j]...)
-			}
-			i = j
+		for i, x := range idx {
+			b := bit(vals[x] == bound)
+			out[k] = sel[i]
+			k += int(b)
+			pass = pass>>1 | b<<63
 		}
 	default:
+		// Unreachable: BindQuery rejects an Op outside LE..EQ.
 		panic(fmt.Sprintf("exec: unknown comparison %d", int(op)))
 	}
-	return out
+	return pass >> (uint(64-len(idx)) & 63), k
+}
+
+// bit is 1 for true and 0 for false; it compiles to a flag-set instruction,
+// not a branch.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -76,6 +76,37 @@ func (o CmpOp) String() string {
 	return fmt.Sprintf("cmp(%d)", int(o))
 }
 
+// UnknownCmpOpError reports a predicate or join filter whose comparison is
+// not one of LE..EQ.
+type UnknownCmpOpError struct {
+	// Operator names the operator that carries the comparison.
+	Operator string
+	// Op is the offending value.
+	Op CmpOp
+}
+
+func (e *UnknownCmpOpError) Error() string {
+	return fmt.Sprintf("exec: operator %q has unknown comparison %d", e.Operator, int(e.Op))
+}
+
+// checkCmpOps is the one place a comparison outside LE..EQ is turned away;
+// every kernel's default arm relies on it.
+func checkCmpOps(q *Query) error {
+	for _, op := range q.Ops {
+		var p *Predicate
+		switch t := op.(type) {
+		case *Predicate:
+			p = t
+		case *FKJoin:
+			p = t.Filter
+		}
+		if p != nil && (p.Op < LE || p.Op > EQ) {
+			return &UnknownCmpOpError{Operator: op.Name(), Op: p.Op}
+		}
+	}
+	return nil
+}
+
 // Predicate compares one column against a constant. Integer-kind columns
 // (Int64, Int32, Date) compare against I; Float64 columns against F.
 type Predicate struct {
@@ -164,6 +195,7 @@ func cmp[T int64 | float64](op CmpOp, v, bound T) bool {
 	case EQ:
 		return v == bound
 	}
+	// Unreachable: BindQuery rejects an Op outside LE..EQ.
 	panic(fmt.Sprintf("exec: unknown comparison %d", int(op)))
 }
 
@@ -175,16 +207,17 @@ func (p *Predicate) EvalBatch(c *cpu.CPU, site int, sel, out []int32) []int32 {
 		c.Exec(p.ExtraCostInstr * len(sel))
 	}
 	base, w := p.scanLayout()
+	selLoads(c, sel, base, w)
 	switch p.Col.Kind() {
 	case columnar.Float64:
-		return predLoop(c, site, sel, out, p.Col.F64(), base, w, p.Op, p.F)
+		return predLoop(c, site, sel, out, p.Col.F64(), p.Op, p.F)
 	case columnar.Int64:
-		return predLoop(c, site, sel, out, p.Col.I64(), base, w, p.Op, p.I)
+		return predLoop(c, site, sel, out, p.Col.I64(), p.Op, p.I)
 	default: // Int32, Date
 		if p.I > math.MaxInt32 || p.I < math.MinInt32 {
-			return constLoop(c, site, sel, out, base, w, wideBoundPasses(p.Op, p.I))
+			return constLoop(c, site, sel, out, wideBoundPasses(p.Op, p.I))
 		}
-		return predLoop(c, site, sel, out, p.Col.I32(), base, w, p.Op, int32(p.I))
+		return predLoop(c, site, sel, out, p.Col.I32(), p.Op, int32(p.I))
 	}
 }
 
@@ -201,10 +234,10 @@ func selLoads(c *cpu.CPU, sel []int32, base, w uint64) {
 }
 
 // predLoop is the monomorphic inner loop of a predicate batch kernel: per
-// selected row one load, one comparison, and one retired conditional branch,
-// exactly mirroring Eval plus the engine's branch step.
-func predLoop[T int32 | int64 | float64](c *cpu.CPU, site int, sel, out []int32, vals []T, base, w uint64, op CmpOp, bound T) []int32 {
-	selLoads(c, sel, base, w)
+// selected row one comparison and one retired conditional branch (the loads
+// were streamed by the caller), exactly mirroring Eval plus the engine's
+// branch step.
+func predLoop[T int32 | int64 | float64](c *cpu.CPU, site int, sel, out []int32, vals []T, op CmpOp, bound T) []int32 {
 	switch op {
 	case LE:
 		for _, r := range sel {
@@ -247,6 +280,7 @@ func predLoop[T int32 | int64 | float64](c *cpu.CPU, site int, sel, out []int32,
 			}
 		}
 	default:
+		// Unreachable: BindQuery rejects an Op outside LE..EQ.
 		panic(fmt.Sprintf("exec: unknown comparison %d", int(op)))
 	}
 	return out
@@ -254,10 +288,9 @@ func predLoop[T int32 | int64 | float64](c *cpu.CPU, site int, sel, out []int32,
 
 // constLoop handles the degenerate kernel where the comparison outcome is
 // the same for every row (an integer bound outside the column's value range):
-// the loads and branches are still simulated — as one run and one
-// constant-outcome branch batch — only the compare is constant.
-func constLoop(c *cpu.CPU, site int, sel, out []int32, base, w uint64, ok bool) []int32 {
-	selLoads(c, sel, base, w)
+// the branches are still simulated — as one constant-outcome batch, after the
+// caller's loads — only the compare is constant.
+func constLoop(c *cpu.CPU, site int, sel, out []int32, ok bool) []int32 {
 	c.CondBranchN(site, !ok, len(sel))
 	if ok {
 		out = append(out, sel...)
@@ -328,6 +361,7 @@ func maskLoop[T int32 | int64 | float64](lo, hi int, mask []bool, vals []T, op C
 			mask[r-lo] = mask[r-lo] && vals[r] == bound
 		}
 	default:
+		// Unreachable: BindQuery rejects an Op outside LE..EQ.
 		panic(fmt.Sprintf("exec: unknown comparison %d", int(op)))
 	}
 }
@@ -378,5 +412,6 @@ func (p *Predicate) passRaw(row int) bool {
 	case EQ:
 		return v == p.I
 	}
+	// Unreachable: BindQuery rejects an Op outside LE..EQ.
 	return false
 }

@@ -73,3 +73,44 @@ func TestObserveNZeroAndSaturated(t *testing.T) {
 		t.Fatalf("direction flip mispredicted %d, want %d", got, s.TakenStates())
 	}
 }
+
+// TestObserveBitsMatchesObserveLoop holds ObserveBits to its definition on
+// the predictor alone (the PMU side is internal/hw/cpu's exactness test):
+// for every geometry, random streams of every length up to three words —
+// every fourth one of equal bits — mispredict as often, per direction, as the
+// same directions through Observe, and leave the same counter behind, at a
+// site inside the initial table and at one that makes it grow.
+func TestObserveBitsMatchesObserveLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for states := 2; states <= 16; states++ {
+		biases := []Bias{BiasNone}
+		if states%2 == 1 {
+			biases = []Bias{BiasTaken, BiasNotTaken}
+		}
+		for _, bias := range biases {
+			fast, ref := MustSaturating(states, bias), MustSaturating(states, bias)
+			for n := 0; n <= 192; n++ {
+				site := []int{2, 500}[n&1]
+				bits := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+				if n%4 == 3 {
+					bits[0], bits[1] = -uint64(n>>2&1), -uint64(n>>3&1)
+				}
+				var wantT, wantNT int
+				for i := 0; i < n; i++ {
+					if out := ref.Observe(site, bits[i>>6]>>(i&63)&1 == 1); out.Mispredicted() {
+						if out.Taken {
+							wantT++
+						} else {
+							wantNT++
+						}
+					}
+				}
+				gotT, gotNT := fast.ObserveBits(site, bits, n)
+				if gotT != wantT || gotNT != wantNT || fast.counters[site] != ref.counters[site] {
+					t.Fatalf("%s site %d n %d bits %#x: ObserveBits mispredicts %d/%d and leaves state %d, Observe loop %d/%d and %d",
+						fast.Name(), site, n, bits, gotT, gotNT, fast.counters[site], wantT, wantNT, ref.counters[site])
+				}
+			}
+		}
+	}
+}

@@ -41,3 +41,22 @@ type Predictor interface {
 	// Name identifies the predictor configuration (for reports).
 	Name() string
 }
+
+// ObserveEach observes branches from..n-1 of the direction stream bits —
+// branch i is taken iff bit i%64 of bits[i/64] is set — through one Observe
+// call each, in order, and returns how many were mispredicted, split by
+// actual direction. It is the definition the batched forms
+// (Saturating.ObserveBits, cpu.CondBranchBits) are held to, and the path of
+// predictors that have no batched form.
+func ObserveEach(p Predictor, site int, bits []uint64, from, n int) (mpTaken, mpNotTaken int) {
+	for i := from; i < n; i++ {
+		if out := p.Observe(site, bits[i>>6]>>(uint(i)&63)&1 == 1); out.Mispredicted() {
+			if out.Taken {
+				mpTaken++
+			} else {
+				mpNotTaken++
+			}
+		}
+	}
+	return mpTaken, mpNotTaken
+}

@@ -1,6 +1,9 @@
 package branch
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Saturating is an n-state saturating-counter predictor with one counter per
 // branch site. States 0..TakenStates-1 (counted from the "taken" end) predict
@@ -18,10 +21,13 @@ type Saturating struct {
 	initState   int8
 	counters    []int8
 	name        string
+	// steps is the geometry's shared, read-only eight-branch transition table
+	// (see stepsFor); ObserveBits walks it.
+	steps []step8
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [64]byte
+	_ [40]byte
 }
 
 // Bias selects how an odd state count splits between taken- and
@@ -70,6 +76,7 @@ func NewSaturating(states int, bias Bias) (*Saturating, error) {
 		// predict backward branches (loop bodies) taken on first sight.
 		initState: int8(taken - 1),
 		name:      name,
+		steps:     stepsFor(states, taken),
 	}
 	s.Reset()
 	return s, nil
@@ -155,6 +162,94 @@ func (s *Saturating) ObserveN(site int, taken bool, n int) int {
 	}
 	s.counters[site] = int8(st)
 	return mp
+}
+
+// step8 is what eight consecutive branches do to one counter: the state they
+// leave it in (as that state's row offset in the table, state<<8) and how
+// many of them it mispredicted, split by the direction the mispredicted
+// branch actually took.
+type step8 struct {
+	next                uint16
+	mpTaken, mpNotTaken uint8
+}
+
+// stepTables holds one transition table per counter geometry, indexed by
+// [states][takenStates-states/2]; each is built on first use and never
+// written again, so every predictor of a geometry — one per simulated core —
+// reads the same backing array.
+var stepTables [17][2]struct {
+	once  sync.Once
+	steps []step8
+}
+
+// stepsFor returns the table whose entry [st<<8|b] is the §3.2 chain's
+// transition function composed eight times: the effect of Observe on a
+// counter in state st for the eight directions in b, bit 0 first. It is
+// built by calling Observe, so the two cannot disagree.
+func stepsFor(states, takenStates int) []step8 {
+	t := &stepTables[states][takenStates-states/2]
+	t.once.Do(func() {
+		probe := Saturating{states: states, takenStates: takenStates, counters: make([]int8, 1)}
+		t.steps = make([]step8, states<<8)
+		for i := range t.steps {
+			probe.counters[0] = int8(i >> 8)
+			mpTaken, mpNotTaken := ObserveEach(&probe, 0, []uint64{uint64(i)}, 0, 8)
+			t.steps[i] = step8{uint16(probe.counters[0]) << 8, uint8(mpTaken), uint8(mpNotTaken)}
+		}
+	})
+	return t.steps
+}
+
+// ObserveBits observes n consecutive branches at the given site whose
+// directions are the low n bits of the stream bits — branch i is taken iff
+// bit i%64 of bits[i/64] is set; anything above bit n is ignored — and
+// returns how many were mispredicted, split by actual direction. State and
+// counts are exactly those of n Observe calls in that order: whole bytes step
+// the counter eight branches per table lookup, a word of 64 equal bits takes
+// ObserveN's closed form (a clustered column's usual case), and the last n%8
+// branches go through Observe itself.
+func (s *Saturating) ObserveBits(site int, bits []uint64, n int) (mpTaken, mpNotTaken int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	if site >= len(s.counters) {
+		s.grow(site)
+	}
+	row := uint(s.counters[site]) << 8
+	step := func(b uint64) {
+		e := s.steps[row|uint(uint8(b))]
+		row = uint(e.next)
+		mpTaken += int(e.mpTaken)
+		mpNotTaken += int(e.mpNotTaken)
+	}
+	for _, w := range bits[:n>>6] {
+		if w == 0 || w == ^uint64(0) {
+			s.counters[site] = int8(row >> 8)
+			if mp := s.ObserveN(site, w != 0, 64); w != 0 {
+				mpTaken += mp
+			} else {
+				mpNotTaken += mp
+			}
+			row = uint(s.counters[site]) << 8
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			step(w)
+			w >>= 8
+		}
+	}
+	var w uint64
+	rest := n & 63
+	if rest > 0 {
+		w = bits[n>>6]
+	}
+	for ; rest >= 8; rest -= 8 {
+		step(w)
+		w >>= 8
+	}
+	s.counters[site] = int8(row >> 8)
+	tailTaken, tailNotTaken := ObserveEach(s, site, bits, n-rest, n)
+	return mpTaken + tailTaken, mpNotTaken + tailNotTaken
 }
 
 func (s *Saturating) grow(site int) {

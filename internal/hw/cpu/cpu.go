@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"progopt/internal/hw/branch"
@@ -49,9 +50,11 @@ type CPU struct {
 	// address streams (join probes, hash-table touches) into before handing
 	// them to LoadAddrs in one call; keyBuf holds the values those addresses
 	// were derived from, for kernels that need them again after the loads
-	// (the join's branch phase).
+	// (the join's branch phase); bitBuf holds the branch directions a predicate
+	// kernel packs for CondBranchBits.
 	addrBuf []uint64
 	keyBuf  []int64
+	bitBuf  []uint64
 
 	// progress, when non-nil, is where this core publishes progressBase +
 	// Cycles() after every batched load run (see SetProgress). Nil — the
@@ -63,7 +66,7 @@ type CPU struct {
 	// Pads the struct to a multiple of 128 bytes so two cores' hot counters
 	// never share a cache-line pair (see DESIGN.md, "False-sharing layout
 	// rule"; pinned by TestLayoutNoFalseSharing).
-	_ [48]byte
+	_ [24]byte
 }
 
 // progressChunk is how many gathered loads a core simulates between two
@@ -85,17 +88,11 @@ func New(prof Profile) (*CPU, error) {
 	}
 	c := &CPU{
 		prof: prof,
-		pred: pred,
 		mem:  mem,
 		// Leave a null guard page; allocations start at 1 MB.
 		allocNext: 1 << 20,
 	}
-	switch p := pred.(type) {
-	case *branch.Saturating:
-		c.sat = p
-	case *branch.Gshare:
-		c.gs = p
-	}
+	c.setPredictor(pred)
 	stall := func(lat int) uint64 {
 		s := (lat - prof.Hierarchy.L1.LatencyCycles) * 4 / prof.MemParallelism
 		if s < 0 {
@@ -107,6 +104,18 @@ func New(prof Profile) (*CPU, error) {
 	c.stallQ[cache.HitL3] = stall(prof.Hierarchy.L3.LatencyCycles)
 	c.stallQ[cache.HitMem] = stall(prof.Hierarchy.MemLatencyCycles)
 	return c, nil
+}
+
+// setPredictor installs the core's branch predictor and its devirtualized
+// aliases.
+func (c *CPU) setPredictor(pred branch.Predictor) {
+	c.pred, c.sat, c.gs = pred, nil, nil
+	switch p := pred.(type) {
+	case *branch.Saturating:
+		c.sat = p
+	case *branch.Gshare:
+		c.gs = p
+	}
 }
 
 // MustNew is New that panics on error, for statically valid profiles.
@@ -286,12 +295,58 @@ func (c *CPU) KeyBuf(n int) []int64 {
 	return c.keyBuf[:0]
 }
 
+// BitBuf returns the CPU's reusable scratch for a stream of n branch
+// directions, one bit each (the layout CondBranchBits reads). Its contents
+// are unspecified; it is valid until the next BitBuf call.
+func (c *CPU) BitBuf(n int) []uint64 {
+	words := (n + 63) >> 6
+	if cap(c.bitBuf) < words {
+		// At least a 128-byte sector: rewritten every vector, it must not
+		// share a cache line with another core's.
+		c.bitBuf = make([]uint64, max(words, 16))
+	}
+	return c.bitBuf[:words]
+}
+
+// CondBranchBits retires n conditional branches at the given site whose
+// directions are the low n bits of the stream dirs: branch i is taken iff
+// bit i%64 of dirs[i/64] is set, and bits above n are ignored. Counter and
+// predictor effects are exactly those of n CondBranch calls in that order.
+// The saturating predictors step their counter eight branches per table
+// lookup (branch.Saturating.ObserveBits); any other predictor observes the
+// branches one by one (branch.ObserveEach).
+func (c *CPU) CondBranchBits(site int, dirs []uint64, n int) {
+	if n <= 0 {
+		return
+	}
+	var taken, mpTaken, mpNotTaken int
+	if c.sat != nil {
+		mpTaken, mpNotTaken = c.sat.ObserveBits(site, dirs, n)
+	} else {
+		mpTaken, mpNotTaken = branch.ObserveEach(c.pred, site, dirs, 0, n)
+	}
+	for _, w := range dirs[:n>>6] {
+		taken += bits.OnesCount64(w)
+	}
+	if r := uint(n) & 63; r != 0 {
+		taken += bits.OnesCount64(dirs[n>>6] << (64 - r))
+	}
+	c.instructions += 2 * uint64(n) // cmp + jcc each
+	c.brCond += uint64(n)
+	c.brTaken += uint64(taken)
+	c.brNotTaken += uint64(n - taken)
+	c.brMPTaken += uint64(mpTaken)
+	c.brMPNotTaken += uint64(mpNotTaken)
+	c.stallQuarters += uint64(mpTaken+mpNotTaken) * uint64(c.prof.BranchMissPenaltyCycles) * 4
+}
+
 // CondBranchN retires n identical conditional branches at the given site
 // (the batch engine's loop back-edge, or a kernel whose comparison outcome is
-// constant over the vector). Counter and predictor effects are exactly those
-// of calling CondBranch n times; with the concrete predictor models the
-// misprediction count of a same-direction batch is computed in O(1)
-// (saturating) or O(history) (gshare) instead of n predictor steps.
+// constant over the vector; outcomes that vary go through CondBranchBits).
+// Counter and predictor effects are exactly those of calling CondBranch n
+// times; with the concrete predictor models the misprediction count of a
+// same-direction batch is computed in O(1) (saturating) or O(history)
+// (gshare) instead of n predictor steps.
 func (c *CPU) CondBranchN(site int, taken bool, n int) {
 	if n <= 0 {
 		return

@@ -63,6 +63,18 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
+// TestExtJoinsRefusesTooFewPoints pins ext-joins' scale limit: the quick
+// scale on four workers gives each progressive run one optimization point,
+// and the figure says so instead of failing one of its checks.
+func TestExtJoinsRefusesTooFewPoints(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Workers = 4
+	_, err := ExtJoins(cfg)
+	if err == nil || !strings.Contains(err.Error(), "1 optimization point(s), fewer than the 2") {
+		t.Fatalf("ExtJoins at -quick -workers 4: %v, want the optimization-point limit", err)
+	}
+}
+
 func TestByID(t *testing.T) {
 	e, err := ByID("fig07")
 	if err != nil || e.ID != "fig07" {

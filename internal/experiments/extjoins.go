@@ -36,7 +36,9 @@ import (
 // structural load weights' own static assumptions, and a fixed-cost run under
 // the order it ended on costs no more than greedy's. (On the control that
 // last number is reported, not checked: where no order is better throughout,
-// the order a run ends on is only what its last steps preferred.)
+// the order a run ends on is only what its last steps preferred.) A
+// configuration whose progressive runs get fewer optimization points than
+// ExploreEvery (2) is refused: the quick scale on four workers gets one.
 func ExtJoins(cfg Config) ([]*Report, error) {
 	cfg = cfg.withDefaults()
 	rows := cfg.Lineitems
@@ -49,7 +51,7 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 		LineSize:      prof.Hierarchy.L3.LineSize,
 		CapacityLines: prof.Hierarchy.L3.Lines(),
 	}
-	reopInt := 10
+	const reopInt, exploreEvery = 10, 2
 
 	// The edge pool, in attachment order. Selectivities are the nominal
 	// filter fractions the static cost model is given.
@@ -210,7 +212,7 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 			return nil, err
 		}
 		prog, pstats, err := r.measureProgressiveOpts(q, greedyPerm,
-			core.Options{ReopInterval: reopInt, ExploreEvery: 2})
+			core.Options{ReopInterval: reopInt, ExploreEvery: exploreEvery})
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +230,14 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 		// Self-validation: same answer under every order; the progressive run
 		// itself within 7 % of greedy; on a skewed configuration the PMU
 		// optimizer must reorder and its converged order be no worse than
-		// greedy.
+		// greedy. The last three judge what the run did at its optimization
+		// points, so a run with fewer than the probe waits for has had no
+		// chance to move, and one reverted step outweighs the rest of it: the
+		// quick scale on four workers gives one point per run.
+		if pstats.Optimizations < exploreEvery {
+			return nil, fmt.Errorf("experiments: ext-joins %s tables: the progressive run had %d optimization point(s), fewer than the %d the figure's checks need (%d lineitems on %d workers, ReopInterval %d): use more rows or fewer workers",
+				nTables, pstats.Optimizations, exploreEvery, rows, cfg.Workers, reopInt)
+		}
 		for label, res := range map[string]exec.Result{"costmodel": cm, "progressive": prog, "pmu-final": final} {
 			if res.Qualifying != greedy.Qualifying || res.Sum != greedy.Sum {
 				return nil, fmt.Errorf("experiments: ext-joins %s tables: %s answer diverges from greedy (%d/%v vs %d/%v)",

@@ -122,6 +122,11 @@ type Hierarchy struct {
 	// being loaded, compacted in place to its L1 misses, and the op stream the
 	// streamer expands those misses into for L2 and L3.
 	lines, ops []uint64
+	// l2mru holds, per L2 set, the line that set holds at MRU once every op
+	// emitted so far has been applied (0: none since the last Flush). Every
+	// op L2 applies leaves its line at MRU, so this is the line of the set's
+	// last op; between calls it is the set's MRU tag.
+	l2mru []uint64
 	// st, when attached, is a storage tier below DRAM: every access that
 	// reaches memory consults it and may pay additional whole-cycle block
 	// stalls, accumulated in storageStalls. The tier never alters cache
@@ -133,7 +138,7 @@ type Hierarchy struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [104]byte
+	_ [80]byte
 }
 
 // memoEntries sizes Load's line memo (power of two, comfortably more than
@@ -169,10 +174,11 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	for 1<<shift < cfg.L1.LineSize {
 		shift++
 	}
-	buf := sectorSlice[uint64](3 * chunkLines)
+	buf := sectorSlice[uint64](3*chunkLines + len(l2.heads))
 	return &Hierarchy{
 		cfg: cfg, l1: l1, l2: l2, l3: l3, pf: NewStreamPrefetcher(), lineShift: shift,
-		lines: buf[:chunkLines:chunkLines], ops: buf[chunkLines:],
+		lines: buf[:chunkLines:chunkLines], ops: buf[chunkLines : 3*chunkLines : 3*chunkLines],
+		l2mru: buf[3*chunkLines:],
 	}, nil
 }
 
@@ -249,7 +255,9 @@ func (r RunHits) Plus(o RunHits) RunHits {
 // op stream through L2 and what L2 lets through through L3, each as one loop
 // over one level's arrays (Level.run); the lines that reach memory visit the
 // storage tier last, still in order. A repeat finds its line at the head of
-// its L1 set, so it moves nothing and is only counted.
+// its L1 set, so it moves nothing and is only counted. So does a demand miss
+// whose line its L2 set will hold at MRU when L2 reaches it (l2mru): it is
+// counted as an L2 hit and never enters the op stream.
 func (h *Hierarchy) loadLines(lines []uint64, reps int) RunHits {
 	l1 := h.l1
 	miss := l1.run(lines, false)
@@ -260,11 +268,10 @@ func (h *Hierarchy) loadLines(lines []uint64, reps int) RunHits {
 		return rh
 	}
 	l2Hits, l3Hits, l3Misses := h.l2.stats.Hits, h.l3.stats.Hits, h.l3.stats.Misses
-	if h.cfg.PrefetchDisabled {
-		h.lower(miss)
-	} else {
-		ops := h.ops[:0]
-		for _, ln := range miss {
+	prefetch, mru, mask := !h.cfg.PrefetchDisabled, h.l2mru, h.l2.setMask
+	ops, mruHits := h.ops[:0], uint64(0)
+	for _, ln := range miss {
+		if prefetch {
 			from, n := h.pf.observe(ln - 1)
 			// Each prefetch request occupies an L3 access slot whether or not
 			// the line is already present somewhere.
@@ -274,12 +281,21 @@ func (h *Hierarchy) loadLines(lines []uint64, reps int) RunHits {
 				ops = ops[:0]
 			}
 			for k := 1; k <= n; k++ {
-				ops = append(ops, (from+uint64(k)+1)|prefetchOp) // ops carry line id + 1
+				pln := from + uint64(k) + 1 // ops carry line id + 1
+				mru[pln&mask] = pln
+				ops = append(ops, pln|prefetchOp)
 			}
-			ops = append(ops, ln)
 		}
-		h.lower(ops)
+		if mru[ln&mask] == ln {
+			mruHits++
+			continue
+		}
+		mru[ln&mask] = ln
+		ops = append(ops, ln)
 	}
+	h.lower(ops)
+	h.l2.stats.Accesses += mruHits
+	h.l2.stats.Hits += mruHits
 	rh.L2 = int(h.l2.stats.Hits - l2Hits)
 	rh.L3 = int(h.l3.stats.Hits - l3Hits)
 	rh.Mem = int(h.l3.stats.Misses - l3Misses)
@@ -399,6 +415,7 @@ func (h *Hierarchy) Flush() {
 	h.l3.Flush()
 	h.pf.Reset()
 	h.memoLines = [memoEntries]uint64{}
+	clear(h.l2mru)
 }
 
 // AttachStorage installs (or, with nil, removes) a storage tier below DRAM.

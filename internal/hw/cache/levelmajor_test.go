@@ -115,6 +115,28 @@ func (p *lmPair) check(t testing.TB, label string) {
 			t.Fatalf("%s: stream %d: signature %#x for last line %#x", label, i, sig, last)
 		}
 	}
+	l2 := p.got.l2
+	for s, ln := range p.got.l2mru {
+		if tag := l2.tags[s*l2.ways+int(l2.heads[s])]; ln != tag {
+			t.Fatalf("%s: L2 set %d: l2mru %#x, MRU tag %#x", label, s, ln, tag)
+		}
+	}
+	checkArmed(t, label, p.got.pf)
+}
+
+// checkArmed requires an armed streamer to keep every entry but the head out
+// of fastLo-Window .. fastLo+fastX-1 (mod 2^64), the lines arm proved free.
+func checkArmed(t testing.TB, label string, p *StreamPrefetcher) {
+	t.Helper()
+	if !p.armed {
+		return
+	}
+	w := uint64(p.fastWindow)
+	for j, last := range p.lastLine {
+		if j != int(p.head) && last-(p.fastLo-w) < w+p.fastX {
+			t.Fatalf("%s: armed at %#x+%#x (window %d), but stream %d's last line is %#x", label, p.fastLo, p.fastX, w, j, last)
+		}
+	}
 }
 
 // lmLengths are the run lengths scripts pick from: the chunk boundaries of the
@@ -127,7 +149,7 @@ func lmAddrs(rng *rand.Rand, cfg HierarchyConfig, pattern uint8, n int) []uint64
 	lines := uint64(lmSpan) / line
 	out := make([]uint64, n)
 	at := func(ln uint64) uint64 { return lmBase + ln%lines*line + uint64(rng.Intn(int(line))) }
-	switch pattern % 7 {
+	switch pattern % 8 {
 	case 0: // random over the region
 		for i := range out {
 			out[i] = at(uint64(rng.Int63()))
@@ -172,7 +194,7 @@ func lmAddrs(rng *rand.Rand, cfg HierarchyConfig, pattern uint8, n int) []uint64
 				out[i] = at(uint64(rng.Int63()))
 			}
 		}
-	default: // more streams than the table holds, round robin
+	case 6: // more streams than the table holds, round robin
 		var heads [streamTableSize + 3]uint64
 		for i := range heads {
 			heads[i] = uint64(rng.Int63())
@@ -181,6 +203,25 @@ func lmAddrs(rng *rand.Rand, cfg HierarchyConfig, pattern uint8, n int) []uint64
 			s := i % len(heads)
 			out[i] = at(heads[s])
 			heads[s]++
+		}
+	default: // re-read: a sequential run, the same run again from its start,
+		// then two streams past it, each reading every other line, the second
+		// one to five lines behind the first (so it covers the first's lines)
+		first := uint64(rng.Int63())
+		k := n / 3
+		for i := 0; i < 2*k; i++ {
+			out[i] = at(first + uint64(i%k))
+		}
+		b := first + uint64(k)           // each stream's next line; either may
+		a := b + uint64(1+2*rng.Intn(3)) // take the lower table entry
+		for i := 2 * k; i < n; i++ {
+			if a-b == 5 || a-b == 3 && rng.Intn(2) == 0 {
+				out[i] = at(b)
+				b += 2
+			} else {
+				out[i] = at(a)
+				a += 2
+			}
 		}
 	}
 	return out
@@ -310,9 +351,12 @@ func TestLevelRunMatchesPerAccess(t *testing.T) {
 // Observe, over windows the signature filter handles (1 to maxFilteredWindow)
 // and ones it leaves to the scan (0, negative, wider), and degrees from none
 // to many. (Not a negative Degree: at line 0 the old issue loop never ends.)
+// Window is an exported field, so it also changes between calls, now and then,
+// to another of those windows: an armed stream must notice.
 func TestObserveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, window := range []int{-3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, maxFilteredWindow, maxFilteredWindow + 1, 100} {
+	windows := []int{-3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, maxFilteredWindow, maxFilteredWindow + 1, 100}
+	for _, window := range windows {
 		for _, degree := range []int{0, 1, 2, 5} {
 			ref, got := NewStreamPrefetcher(), NewStreamPrefetcher()
 			ref.Window, got.Window = window, window
@@ -332,14 +376,20 @@ func TestObserveMatchesReference(t *testing.T) {
 				if rng.Intn(16) == 0 {
 					line = uint64(rng.Int63())
 				}
+				if rng.Intn(64) == 0 {
+					w := windows[rng.Intn(len(windows))]
+					ref.Window, got.Window = w, w
+				}
 				want := append([]uint64(nil), refObserve(ref, line)...)
+				label := fmt.Sprintf("window %d (now %d) degree %d step %d", window, got.Window, degree, i)
 				if g := got.Observe(line); !reflect.DeepEqual(append([]uint64(nil), g...), want) {
-					t.Fatalf("window %d degree %d step %d: Observe(%d) = %v, reference %v", window, degree, i, line, g, want)
+					t.Fatalf("%s: Observe(%d) = %v, reference %v", label, line, g, want)
 				}
 				if ref.lastLine != got.lastLine || ref.issuedUpTo != got.issuedUpTo || ref.confidence != got.confidence ||
 					ref.prev != got.prev || ref.next != got.next || ref.head != got.head || ref.Issued != got.Issued {
-					t.Fatalf("window %d degree %d step %d: tables diverge after Observe(%d)", window, degree, i, line)
+					t.Fatalf("%s: tables diverge after Observe(%d)", label, line)
 				}
+				checkArmed(t, label, got)
 			}
 		}
 	}

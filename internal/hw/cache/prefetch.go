@@ -51,6 +51,13 @@ type StreamPrefetcher struct {
 	prev, next [streamTableSize]uint8
 	head       uint8
 	linked     bool
+	// armed says that the head entry alone can cover any line from fastLo to
+	// fastLo+fastX (mod 2^64) under Window == fastWindow (see arm); observe
+	// then skips the search for such a line. Window is exported, so the
+	// Window armed under is kept and compared.
+	armed         bool
+	fastLo, fastX uint64
+	fastWindow    int
 	// buf backs Observe's result. NewStreamPrefetcher gives it a full
 	// 128-byte allocation up front: grown by append from nil it would be a
 	// 16-byte object, and the allocator packs every core's into one cache
@@ -62,7 +69,7 @@ type StreamPrefetcher struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [80]byte
+	_ [56]byte
 }
 
 const streamTableSize = 16
@@ -100,6 +107,7 @@ func (p *StreamPrefetcher) link() {
 	}
 	p.head = streamTableSize - 1
 	p.linked = true
+	p.armed = false
 }
 
 // Observe feeds one demand line id into the prefetcher and returns the line
@@ -127,47 +135,60 @@ func (p *StreamPrefetcher) Observe(line uint64) []uint64 {
 // the aligned blocks of four that hold line-Window, line-Window+4, ... and
 // line-1 — so only entries whose signature names one of those blocks can
 // match. A random gather matches nothing: its L1 misses each cost a couple
-// of word compares here instead of the 16-entry scan.
+// of word compares here instead of the 16-entry scan. A sequential stream
+// skips even that while armed: its next lines are the head's alone (see arm).
 func (p *StreamPrefetcher) observe(line uint64) (from uint64, n int) {
 	if !p.linked {
 		p.link()
 	}
 	window := uint64(p.Window)
-	c0, c1 := uint64(swarHighs), uint64(swarHighs) // candidates: entries 0-7, 8-15, one high bit per byte
-	if window-1 < maxFilteredWindow {
-		lo, hi := p.sig[0], p.sig[1]
-		b := swarOnes * uint64(uint8((line-1)>>sigShift))
-		c0, c1 = zeroBytes(lo^b), zeroBytes(hi^b)
-		for d := window; d > 1; d -= min(d, 4) {
-			b = swarOnes * uint64(uint8((line-d)>>sigShift))
-			c0 |= zeroBytes(lo ^ b)
-			c1 |= zeroBytes(hi ^ b)
-		}
-	}
 	// line continues a stream when 1 <= line-lastLine <= window; unsigned wrap
 	// makes the two-sided check one compare.
-	bestIdx := -1
-	for ; bestIdx < 0 && c0 != 0; c0 &= c0 - 1 {
-		if i := bits.TrailingZeros64(c0) >> 3; line-p.lastLine[i&7]-1 < window {
-			bestIdx = i
+	bestIdx := int(p.head)
+	if !p.armed || p.Window != p.fastWindow || line-p.lastLine[bestIdx&15]-1 >= window || line-p.fastLo > p.fastX {
+		c0, c1 := uint64(swarHighs), uint64(swarHighs) // candidates: entries 0-7, 8-15, one high bit per byte
+		if window-1 < maxFilteredWindow {
+			lo, hi := p.sig[0], p.sig[1]
+			b := swarOnes * uint64(uint8((line-1)>>sigShift))
+			c0, c1 = zeroBytes(lo^b), zeroBytes(hi^b)
+			for d := window; d > 1; d -= min(d, 4) {
+				b = swarOnes * uint64(uint8((line-d)>>sigShift))
+				c0 |= zeroBytes(lo ^ b)
+				c1 |= zeroBytes(hi ^ b)
+			}
 		}
-	}
-	for ; bestIdx < 0 && c1 != 0; c1 &= c1 - 1 {
-		if i := 8 + bits.TrailingZeros64(c1)>>3; line-p.lastLine[i&15]-1 < window {
-			bestIdx = i
+		bestIdx = -1
+		for ; bestIdx < 0 && c0 != 0; c0 &= c0 - 1 {
+			if i := bits.TrailingZeros64(c0) >> 3; line-p.lastLine[i&7]-1 < window {
+				bestIdx = i
+			}
 		}
-	}
-	if bestIdx < 0 {
-		victim := p.prev[p.head]
-		p.setLast(int(victim), line)
-		p.issuedUpTo[victim] = line
-		p.confidence[victim] = 0
-		p.head = victim // rotate: tail becomes head, rest keep order
-		return 0, 0
+		for ; bestIdx < 0 && c1 != 0; c1 &= c1 - 1 {
+			if i := 8 + bits.TrailingZeros64(c1)>>3; line-p.lastLine[i&15]-1 < window {
+				bestIdx = i
+			}
+		}
+		if bestIdx < 0 {
+			victim := p.prev[p.head]
+			p.setLast(int(victim), line)
+			p.issuedUpTo[victim] = line
+			p.confidence[victim] = 0
+			p.head = victim // rotate: tail becomes head, rest keep order
+			p.armed = false
+			return 0, 0
+		}
+		// Only the head continuing arms: a stream taking the head over waits
+		// for its next line, so interleaved streams do not scan the table on
+		// every call.
+		if uint8(bestIdx) == p.head {
+			p.arm(line, window)
+		} else {
+			p.touch(uint8(bestIdx))
+			p.armed = false
+		}
 	}
 	p.confidence[bestIdx]++
 	p.setLast(bestIdx, line)
-	p.touch(uint8(bestIdx))
 	if int(p.confidence[bestIdx]) < p.MinConfidence {
 		return 0, 0
 	}
@@ -192,6 +213,30 @@ func (p *StreamPrefetcher) setLast(i int, line uint64) {
 	p.lastLine[i&15] = line
 	word, shift := &p.sig[i>>3&1], uint(i&7)*8
 	*word = *word&^(0xff<<shift) | uint64(uint8(line>>sigShift))<<shift
+}
+
+// arm is called when a matched observe finds the head continuing to line.
+// Another entry covers a line L when its last line is one of L-window .. L-1.
+// If one's last line is one of line+1-window .. line, it may cover line+1
+// already and arm leaves the streamer disarmed. Otherwise fastLo is line+1 and
+// fastX the distance from there to the nearest other last line (mod 2^64):
+// no other entry's last line lies in fastLo-window .. fastLo+fastX-1, and for
+// every L with L-fastLo <= fastX that range holds all of L-window .. L-1, so a
+// line the head covers there is the head's alone. Only an observe that moves
+// the head moves another entry, and it disarms.
+func (p *StreamPrefetcher) arm(line, window uint64) {
+	lo, near := line+1-window, ^uint64(0)
+	for j, last := range p.lastLine {
+		if j == int(p.head) {
+			continue
+		}
+		if last-lo < window {
+			p.armed = false
+			return
+		}
+		near = min(near, last-lo)
+	}
+	p.armed, p.fastLo, p.fastX, p.fastWindow = true, line+1, near-window, p.Window
 }
 
 // touch makes entry w the most recently used.

@@ -251,7 +251,7 @@ func (e *Engine) compileGroup(driving *columnar.Table, key, value string) (*grou
 	if g == nil || v == nil {
 		return nil, fmt.Errorf("progopt: unknown column %q or %q in %q", key, value, driving.Name())
 	}
-	distinct, err := keyDomain(g)
+	dom, err := exec.ScanKeyDomain(g)
 	if err != nil {
 		return nil, err
 	}
@@ -259,45 +259,13 @@ func (e *Engine) compileGroup(driving *columnar.Table, key, value string) (*grou
 	if e.par != nil {
 		nTables = e.par.Workers()
 	}
-	ge := &groupExec{key: key, value: value, distinct: distinct, tables: make([]*exec.GroupBy, nTables)}
+	ge := &groupExec{key: key, value: value, distinct: dom.Groups, tables: make([]*exec.GroupBy, nTables)}
 	for i := range ge.tables {
-		gb, err := exec.NewGroupBy(e.cpu, g, v, distinct)
+		gb, err := exec.NewGroupBy(e.cpu, g, v, dom)
 		if err != nil {
 			return nil, err
 		}
 		ge.tables[i] = gb
 	}
 	return ge, nil
-}
-
-// keyDomain scans the group-key column and returns its domain width
-// max-min+1 bounded by the row count — the expected distinct-group count the
-// hash tables are sized for. A domain-sized table keeps the multiplicative
-// hash collision-free for dense keys; sizing from row count alone (or a
-// hard-coded constant) collides pathologically on wide domains.
-func keyDomain(c *columnar.Column) (int, error) {
-	n := c.Len()
-	if n == 0 {
-		return 0, fmt.Errorf("progopt: group column %q is empty", c.Name())
-	}
-	switch c.Kind() {
-	case columnar.Int64, columnar.Int32, columnar.Date:
-	default:
-		return 0, fmt.Errorf("progopt: group column %q must be integer-kind, is %v", c.Name(), c.Kind())
-	}
-	min, max := c.Int64At(0), c.Int64At(0)
-	for i := 1; i < n; i++ {
-		v := c.Int64At(i)
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	domain := max - min + 1
-	if domain <= 0 || domain > int64(n) {
-		return n, nil
-	}
-	return int(domain), nil
 }

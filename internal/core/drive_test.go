@@ -53,7 +53,7 @@ func driveCases(t *testing.T, rows, vs int) []driveCase {
 	groups := func(workers int) []*exec.GroupBy {
 		out := make([]*exec.GroupBy, workers)
 		for i := range out {
-			if out[i], err = exec.NewGroupBy(binder.CPU(), li.Column("l_quantity"), li.Column("l_extendedprice"), 50); err != nil {
+			if out[i], err = exec.NewGroupBy(binder.CPU(), li.Column("l_quantity"), li.Column("l_extendedprice"), exec.KeyDomain{Groups: 50}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -158,7 +158,7 @@ func TestBatchScalarEquivalenceGroupBy(t *testing.T) {
 		if err := e.BindQuery(q); err != nil {
 			t.Fatal(err)
 		}
-		g, err := NewGroupBy(e.CPU(), d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), 64)
+		g, err := NewGroupBy(e.CPU(), d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), KeyDomain{Groups: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,7 +152,7 @@ func TestGroupByCorrectness(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	gb, err := NewGroupBy(e.CPU(), qty, disc, 50)
+	gb, err := NewGroupBy(e.CPU(), qty, disc, KeyDomain{Groups: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +200,13 @@ func TestGroupByValidation(t *testing.T) {
 	e := newEngine(t)
 	qty := d.Lineitem.Column("l_quantity")
 	disc := d.Lineitem.Column("l_discount")
-	if _, err := NewGroupBy(e.CPU(), nil, disc, 10); err == nil {
+	if _, err := NewGroupBy(e.CPU(), nil, disc, KeyDomain{Groups: 10}); err == nil {
 		t.Error("nil group column accepted")
 	}
-	if _, err := NewGroupBy(e.CPU(), disc, disc, 10); err == nil {
+	if _, err := NewGroupBy(e.CPU(), disc, disc, KeyDomain{Groups: 10}); err == nil {
 		t.Error("float group column accepted")
 	}
-	if _, err := NewGroupBy(e.CPU(), qty, disc, 0); err == nil {
+	if _, err := NewGroupBy(e.CPU(), qty, disc, KeyDomain{}); err == nil {
 		t.Error("zero expected groups accepted")
 	}
 	q := &Query{Table: d.Lineitem, Ops: []Op{&Predicate{Col: qty, Op: LT, I: 25}}}

@@ -145,7 +145,7 @@ type Engine struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [40]byte
+	_ [24]byte
 }
 
 // NewEngine returns an engine with the given vector size (tuples per vector).

@@ -6,11 +6,11 @@ import (
 )
 
 // groupTable is the host-side accumulator of a grouped aggregation: an
-// open-addressing hash table whose slots hold the group row and, inline
-// behind it, the set of simulated cores whose partial tables hold the key. A
-// qualifying row costs one linear-probe lookup that lands on one contiguous
-// slot and updates sum, count and presence in place — no per-group pointer
-// chase, no per-insert allocation, no second table for the merge barrier.
+// open-addressing table whose slots hold the group row and, inline behind it,
+// the set of simulated cores whose partial tables hold the key. A qualifying
+// row costs one linear-probe lookup that lands on one contiguous slot and
+// updates sum, count and presence in place — no per-group pointer chase, no
+// per-insert allocation, no second table for the merge barrier.
 //
 // A slot is stride consecutive words: key, sum (float64 bits), count, then
 // ⌈cores/64⌉ presence words (bit c of the set: core c's partial table holds
@@ -19,12 +19,18 @@ import (
 // (add is the only writer), so count doubles as the occupancy mark: keys and
 // sums are domain values and offer no sentinel.
 //
+// One probe loop serves two index functions, chosen at reset from the key
+// domain the compiler proved (KeyDomain). A dense domain indexes by key − Min
+// in a table sized to the domain: keys never collide, the table never grows,
+// and the occupied slots lie in key order. A wide domain hashes
+// multiplicatively at a load factor of at most ½ and grows past ¾.
+//
 // The table is a pure host-performance structure: the *simulated* hash tables
-// the cache hierarchies see are still each GroupBy's reserved address region
-// (slotAddr), so PMU counters and cycles are untouched by this layout. Group
-// values accumulate per key in exactly the order add is called — the global
-// row order the drivers establish — so sums are bit-identical to a map-based
-// reduction, and output is sorted by key, independent of table internals.
+// the cache hierarchies see are each GroupBy's reserved address region
+// (slotAddr), whatever this layout. Group values accumulate per key in
+// exactly the order add is called — the global row order the drivers
+// establish — so sums are bit-identical to a map-based reduction, and output
+// is sorted by key, independent of table internals.
 //
 // A table is owned by the query's block-run context (BlockRun; a serial
 // Engine has its own) and reset, not reallocated, at the start of every
@@ -34,7 +40,10 @@ type groupTable struct {
 	slots  []uint64
 	stride int
 	mask   uint64
-	n      int
+	// A key's home bucket is ((key − lo) · mul) & mask: lo = Min and mul = 1
+	// for a dense domain, lo = 0 and the multiplicative hash otherwise.
+	lo, mul uint64
+	n       int
 	// order is sorted's reusable result.
 	order []groupRef
 }
@@ -53,15 +62,26 @@ type groupRef struct {
 	at  int
 }
 
-// reset empties the table and sizes it for the expected number of distinct
-// groups — the Compile-time distinct-domain scan's estimate — at a load
-// factor of at most ½ if the estimate holds (growth covers under-estimates),
-// with presence bits for the given number of cores. The slot array is reused
+// groupHashMul is the multiplicative hash of a wide key domain.
+const groupHashMul = 2654435761
+
+// reset empties the table and sizes it for the key domain, with presence bits
+// for the given number of cores. A dense domain gets room for all its keys
+// under the ¾ growth threshold; a wide one a load factor of at most ½ if the
+// estimate holds (growth covers under-estimates). The slot array is reused
 // whenever it is large enough.
-func (t *groupTable) reset(expected, cores int) {
+func (t *groupTable) reset(dom KeyDomain, cores int) {
 	buckets := 16
-	for buckets < 2*expected {
-		buckets <<= 1
+	if dom.Dense {
+		for 3*buckets < 4*(dom.Groups+1) {
+			buckets <<= 1
+		}
+		t.lo, t.mul = uint64(dom.Min), 1
+	} else {
+		for buckets < 2*dom.Groups {
+			buckets <<= 1
+		}
+		t.lo, t.mul = 0, groupHashMul
 	}
 	t.stride = slotPresence + (cores+63)/64
 	if need := buckets * t.stride; cap(t.slots) < need {
@@ -74,15 +94,18 @@ func (t *groupTable) reset(expected, cores int) {
 	t.n = 0
 }
 
+// home returns key's home bucket.
+func (t *groupTable) home(key uint64) uint64 {
+	return ((key - t.lo) * t.mul) & t.mask
+}
+
 // add folds one qualifying row into key's group and records that core's
-// partial table holds the key, claiming a slot on first sight. The
-// multiplicative hash matches slotAddr's, so host probe locality mirrors the
-// simulated table's.
+// partial table holds the key, claiming a slot on first sight.
 func (t *groupTable) add(key int64, v float64, core int) {
 	if 4*(t.n+1) > 3*int(t.mask+1) {
 		t.grow()
 	}
-	idx := (uint64(key) * 2654435761) & t.mask
+	idx := t.home(uint64(key))
 	for {
 		s := t.slots[int(idx)*t.stride:][:t.stride]
 		if s[slotCount] == 0 {
@@ -109,7 +132,7 @@ func (t *groupTable) grow() {
 		if old[at+slotCount] == 0 {
 			continue
 		}
-		idx := (old[at+slotKey] * 2654435761) & t.mask
+		idx := t.home(old[at+slotKey])
 		for t.slots[int(idx)*t.stride+slotCount] != 0 {
 			idx = (idx + 1) & t.mask
 		}
@@ -119,13 +142,23 @@ func (t *groupTable) grow() {
 
 // sorted returns the occupied slots in ascending key order: the one
 // deterministic iteration order a grouped run needs, for its output rows and
-// for its merge barrier alike. Valid until the next sorted or reset.
+// for its merge barrier alike. The slots of a dense domain already lie in key
+// order, and then the one pass that collects them is all it costs. Valid
+// until the next sorted or reset.
 func (t *groupTable) sorted() []groupRef {
 	t.order = t.order[:0]
+	ordered := true
 	for at := 0; at < len(t.slots); at += t.stride {
 		if t.slots[at+slotCount] != 0 {
-			t.order = append(t.order, groupRef{key: int64(t.slots[at+slotKey]), at: at})
+			key := int64(t.slots[at+slotKey])
+			if n := len(t.order); n > 0 && t.order[n-1].key > key {
+				ordered = false
+			}
+			t.order = append(t.order, groupRef{key: key, at: at})
 		}
+	}
+	if ordered {
+		return t.order
 	}
 	slices.SortFunc(t.order, func(a, b groupRef) int {
 		if a.key < b.key { // keys are distinct

@@ -13,9 +13,11 @@ import (
 // acc — reset for the trial, as an executor resets it per run — and through
 // the retired map-based reference (applyRef/groupsOfMap) plus a key → cores
 // set, and requires the same keys in ascending order, bit-identical sums,
-// the same counts and exactly the reference's presence sets. It reports
-// whether the table grew mid-stream.
-func groupTableTrial(t testing.TB, acc *groupTable, rng *rand.Rand, domain []int64, cores, expected, nRows int) (grew bool) {
+// the same counts and exactly the reference's presence sets. expected > 0
+// sizes the table as a wide domain of that many groups; expected == 0 sizes
+// it by ScanKeyDomain over the stream's keys, as a compiled plan is. It
+// reports the domain and whether the table grew mid-stream.
+func groupTableTrial(t testing.TB, acc *groupTable, rng *rand.Rand, domain []int64, cores, expected, nRows int) (dom KeyDomain, grew bool) {
 	t.Helper()
 	keys := make([]int64, nRows)
 	vals := make([]float64, nRows)
@@ -26,9 +28,15 @@ func groupTableTrial(t testing.TB, acc *groupTable, rng *rand.Rand, domain []int
 	g := &GroupBy{
 		GroupCol: columnar.NewInt64("k", keys),
 		ValueCol: columnar.NewFloat64("v", vals),
-		expected: expected,
+		domain:   KeyDomain{Groups: expected},
 	}
-	acc.reset(g.expected, cores)
+	if expected == 0 {
+		var err error
+		if g.domain, err = ScanKeyDomain(g.GroupCol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acc.reset(g.domain, cores)
 	buckets := len(acc.slots)
 	ref := make(map[int64]*Group)
 	present := make(map[int64]map[int]bool)
@@ -54,64 +62,141 @@ func groupTableTrial(t testing.TB, acc *groupTable, rng *rand.Rand, domain []int
 			}
 		}
 	}
-	return len(acc.slots) > buckets
+	return g.domain, len(acc.slots) > buckets
 }
 
-// Property test for the open-addressing group table against the map-based
-// reference (see groupTableTrial) across random key domains, heavy collision
-// mixes, under-estimated sizing (forcing growth mid-stream, which must carry
-// presence along), extreme int64 keys, and core counts on both sides of a
-// presence-word boundary. The table is reused across trials, as an executor
-// reuses it across runs.
+// slotsInKeyOrder reports whether acc's occupied slots, read in slot order,
+// already ascend by key — the case in which sorted is one linear pass.
+func slotsInKeyOrder(acc *groupTable) bool {
+	first, prev := true, int64(0)
+	for at := 0; at < len(acc.slots); at += acc.stride {
+		if acc.slots[at+slotCount] == 0 {
+			continue
+		}
+		key := int64(acc.slots[at+slotKey])
+		if !first && key <= prev {
+			return false
+		}
+		first, prev = false, key
+	}
+	return true
+}
+
+// Property test for the group table against the map-based reference (see
+// groupTableTrial) across random key domains, heavy collision mixes,
+// under-estimated sizing (forcing growth mid-stream, which must carry presence
+// along), extreme int64 keys, and core counts on both sides of a
+// presence-word boundary. Dense domains — negative, large, or ending at
+// MaxInt64 — are sized by ScanKeyDomain and must neither grow nor leave their
+// slots out of key order; wide patterned domains (multiples of 2^k) hash.
+// The table is reused across trials, as an executor reuses it across runs.
 func TestGroupTableMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	domains := [][]int64{
-		{0, 1, 2, 3},                             // dense tiny
-		{math.MinInt64, math.MaxInt64, -1, 0, 1}, // extreme bounds
-		{1 << 62, 1<<62 + 16, 1<<62 + 32},        // same low bits: forced probes
-		nil,                                      // random wide domain, filled below
+	span := func(lo int64, n int) []int64 {
+		d := make([]int64, n)
+		for i := range d {
+			d[i] = lo + int64(i)
+		}
+		return d
+	}
+	multiples := func(shift uint, n int) []int64 {
+		d := make([]int64, n)
+		for i := range d {
+			d[i] = int64(i-n/2) << shift
+		}
+		return d
+	}
+	domains := []struct {
+		keys  []int64 // nil: a random wide domain, drawn per trial
+		scan  bool    // sized by ScanKeyDomain, not by an estimate
+		dense bool    // what the scan must find
+	}{
+		{keys: []int64{0, 1, 2, 3}, scan: true, dense: true},
+		{keys: span(-6, 12), scan: true, dense: true}, // 12 keys fill 16 buckets to ¾
+		{keys: span(-700, 500), scan: true, dense: true},
+		{keys: span(1<<62, 300), scan: true, dense: true},
+		{keys: span(math.MaxInt64-63, 64), scan: true, dense: true},
+		{keys: span(math.MinInt64, 40), scan: true, dense: true},
+		{keys: []int64{math.MinInt64, math.MaxInt64, -1, 0, 1}, scan: true}, // the width overflows
+		{keys: []int64{math.MinInt64, math.MaxInt64, -1, 0, 1}},             // extreme bounds
+		{keys: []int64{1 << 62, 1<<62 + 16, 1<<62 + 32}},                    // same low bits: forced probes
+		{keys: multiples(4, 300)},
+		{keys: multiples(17, 200)},
+		{keys: multiples(40, 100)},
+		{},
 	}
 	coreCounts := []int{1, 2, 7, 64, 65, 130}
 	var acc groupTable
 	grew := 0
-	for trial := 0; trial < 120; trial++ {
-		domain := domains[trial%len(domains)]
-		if domain == nil {
-			domain = make([]int64, rng.Intn(400)+1)
-			for i := range domain {
-				domain[i] = rng.Int63() - rng.Int63()
+	for trial := 0; trial < 220; trial++ {
+		d := domains[trial%len(domains)]
+		keys := d.keys
+		if keys == nil {
+			keys = make([]int64, rng.Intn(400)+1)
+			for i := range keys {
+				keys[i] = rng.Int63() - rng.Int63()
 			}
+		}
+		cores := coreCounts[trial%len(coreCounts)]
+		if d.scan {
+			// Enough rows to draw every key, so the scan proves the domain.
+			nRows := 4*len(keys) + rng.Intn(2000)
+			dom, g := groupTableTrial(t, &acc, rng, keys, cores, 0, nRows)
+			switch {
+			case dom.Dense != d.dense:
+				t.Fatalf("domain from %d, %d keys over %d rows: scanned %+v, want dense %v", keys[0], len(keys), nRows, dom, d.dense)
+			case !dom.Dense:
+			case g:
+				t.Fatalf("dense domain %+v grew the table", dom)
+			case !slotsInKeyOrder(&acc):
+				t.Fatalf("dense domain %+v left its slots out of key order", dom)
+			}
+			continue
 		}
 		// Deliberately under-estimate sizing on most trials so the table
 		// grows mid-stream.
-		expected := rng.Intn(len(domain)) + 1
-		if groupTableTrial(t, &acc, rng, domain, coreCounts[trial%len(coreCounts)], expected, rng.Intn(3000)+1) {
+		expected := rng.Intn(len(keys)) + 1
+		if _, g := groupTableTrial(t, &acc, rng, keys, cores, expected, rng.Intn(3000)+1); g {
 			grew++
 		}
 	}
 	if grew < 5 {
-		t.Errorf("only %d of 120 trials grew the table mid-stream", grew)
+		t.Errorf("only %d of the wide trials grew the table mid-stream", grew)
 	}
 }
 
 // FuzzGroupTableMatchesMapReference lets the fuzzer choose the stream's seed,
-// the domain width and spread, the core count, the sizing estimate and the
-// length, two trials per input on one table so that a reset after a larger or
-// differently strided run is covered too.
+// the domain's width, spread and offset, the core count, the sizing estimate
+// and the length, two trials per input on one table so that a reset after a
+// larger or differently strided run is covered too. An estimate of 0 sizes
+// the first trial by ScanKeyDomain, dense whenever the rows cover the width.
 func FuzzGroupTableMatchesMapReference(f *testing.F) {
-	f.Add(int64(1), uint16(4), uint8(0), uint8(1), uint16(1), uint16(100))
-	f.Add(int64(2), uint16(400), uint8(63), uint8(65), uint16(3), uint16(3000))
-	f.Add(int64(3), uint16(33), uint8(4), uint8(200), uint16(500), uint16(900))
-	f.Fuzz(func(t *testing.T, seed int64, width uint16, shift, cores uint8, expected, nRows uint16) {
+	f.Add(int64(1), uint16(4), uint8(0), int64(0), uint8(1), uint16(1), uint16(100))
+	f.Add(int64(2), uint16(400), uint8(63), int64(0), uint8(65), uint16(3), uint16(3000))
+	f.Add(int64(3), uint16(33), uint8(4), int64(0), uint8(200), uint16(500), uint16(900))
+	f.Add(int64(4), uint16(300), uint8(0), int64(-1<<40), uint8(3), uint16(0), uint16(2000))
+	f.Add(int64(5), uint16(50), uint8(0), int64(math.MaxInt64-200), uint8(64), uint16(0), uint16(1000))
+	f.Add(int64(6), uint16(90), uint8(0), int64(math.MinInt64+100), uint8(2), uint16(0), uint16(700))
+	f.Add(int64(7), uint16(200), uint8(12), int64(0), uint8(8), uint16(0), uint16(3000))
+	f.Fuzz(func(t *testing.T, seed int64, width uint16, shift uint8, offset int64, cores uint8, expected, nRows uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		domain := make([]int64, int(width)%2048+1)
 		for i := range domain {
 			// Small shifts give dense runs, large ones keys that share their
-			// low bits.
-			domain[i] = (rng.Int63n(int64(len(domain))*2) - int64(len(domain))) << (shift % 64)
+			// low bits; the offset moves the run anywhere in int64 (wrapping).
+			domain[i] = (rng.Int63n(int64(len(domain))*2)-int64(len(domain)))<<(shift%64) + offset
 		}
 		var acc groupTable
-		groupTableTrial(t, &acc, rng, domain, int(cores)+1, int(expected)+1, int(nRows)%4096+1)
+		est := int(expected)
+		if est%8 != 0 {
+			est++ // mostly an estimate; every eighth input scans the domain
+		} else {
+			est = 0
+		}
+		dom, grew := groupTableTrial(t, &acc, rng, domain, int(cores)+1, est, int(nRows)%4096+1)
+		if dom.Dense && (grew || !slotsInKeyOrder(&acc)) {
+			t.Fatalf("dense domain %+v: grew %v, slots in key order %v", dom, grew, slotsInKeyOrder(&acc))
+		}
 		groupTableTrial(t, &acc, rng, domain[:len(domain)/2+1], int(cores)/2+1, int(expected)/4+1, int(nRows)%512+1)
 	})
 }

@@ -20,35 +20,84 @@ type GroupBy struct {
 
 	tableBase uint64
 	mask      uint64
-	expected  int
+	domain    KeyDomain
+}
+
+// KeyDomain is what one scan of a group-key column proves about its keys.
+type KeyDomain struct {
+	// Groups is the expected number of distinct groups the hash tables are
+	// sized for: the domain width max−min+1, bounded by the row count.
+	Groups int
+	// Dense reports that the width is within the row count and did not
+	// overflow, so every key lies in [Min, Min+Groups).
+	Dense bool
+	// Min is the smallest key.
+	Min int64
+}
+
+// ScanKeyDomain scans the group-key column for its domain. A width bounded
+// by the row count lets the host accumulator index by key − Min; sizing from
+// row count alone (or a hard-coded constant) would collide pathologically on
+// wide domains.
+func ScanKeyDomain(c *columnar.Column) (KeyDomain, error) {
+	n := c.Len()
+	if n == 0 {
+		return KeyDomain{}, fmt.Errorf("exec: group column %q is empty", c.Name())
+	}
+	if err := checkGroupKind(c); err != nil {
+		return KeyDomain{}, err
+	}
+	min, max := c.Int64At(0), c.Int64At(0)
+	for i := 1; i < n; i++ {
+		v := c.Int64At(i)
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	width := max - min + 1
+	if width <= 0 || width > int64(n) {
+		return KeyDomain{Groups: n, Min: min}, nil
+	}
+	return KeyDomain{Groups: int(width), Dense: true, Min: min}, nil
+}
+
+// checkGroupKind rejects a group column that is not integer-kind.
+func checkGroupKind(c *columnar.Column) error {
+	switch c.Kind() {
+	case columnar.Int64, columnar.Int32, columnar.Date:
+		return nil
+	}
+	return fmt.Errorf("exec: group column %q must be integer-kind, is %v", c.Name(), c.Kind())
 }
 
 // groupSlotBytes models one hash-table slot (key, sum, count).
 const groupSlotBytes = 24
 
 // NewGroupBy builds the aggregate and reserves its hash-table region sized
-// for the expected number of distinct groups.
-func NewGroupBy(alloc columnar.Allocator, group, value *columnar.Column, expectedGroups int) (*GroupBy, error) {
+// for the domain's expected number of distinct groups. A dense domain must be
+// the group column's own (ScanKeyDomain); any other names only the estimate.
+func NewGroupBy(alloc columnar.Allocator, group, value *columnar.Column, dom KeyDomain) (*GroupBy, error) {
 	if group == nil || value == nil {
 		return nil, fmt.Errorf("exec: group-by needs group and value columns")
 	}
-	switch group.Kind() {
-	case columnar.Int64, columnar.Int32, columnar.Date:
-	default:
-		return nil, fmt.Errorf("exec: group column %q must be integer-kind, is %v", group.Name(), group.Kind())
+	if err := checkGroupKind(group); err != nil {
+		return nil, err
 	}
-	if expectedGroups <= 0 {
-		return nil, fmt.Errorf("exec: non-positive expected group count %d", expectedGroups)
+	if dom.Groups <= 0 {
+		return nil, fmt.Errorf("exec: non-positive expected group count %d", dom.Groups)
 	}
 	buckets := uint64(1)
-	for buckets < 2*uint64(expectedGroups) {
+	for buckets < 2*uint64(dom.Groups) {
 		buckets <<= 1
 	}
 	base, err := alloc.Alloc(int(buckets) * groupSlotBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &GroupBy{GroupCol: group, ValueCol: value, tableBase: base, mask: buckets - 1, expected: expectedGroups}, nil
+	return &GroupBy{GroupCol: group, ValueCol: value, tableBase: base, mask: buckets - 1, domain: dom}, nil
 }
 
 // Group is one output row of a GroupBy.
@@ -84,7 +133,7 @@ const groupMergeChunk = 1024
 
 // slotAddr returns the simulated address of the key's hash-table slot.
 func (g *GroupBy) slotAddr(key int64) uint64 {
-	bucket := (uint64(key) * 2654435761) & g.mask
+	bucket := (uint64(key) * groupHashMul) & g.mask
 	return g.tableBase + bucket*groupSlotBytes
 }
 
@@ -183,7 +232,7 @@ func (e *Engine) RunGroupBy(q *Query, g *GroupBy) (GroupResult, error) {
 	startCycles := c.Cycles()
 
 	acc := &e.groupAcc
-	acc.reset(g.expected, 1)
+	acc.reset(g.domain, 1)
 	n := q.Table.NumRows()
 	var out GroupResult
 	for lo := 0; lo < n; lo += e.vectorSize {

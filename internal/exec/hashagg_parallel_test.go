@@ -22,12 +22,12 @@ import (
 // layouts.
 func groupedQuery(t *testing.T, tables int) (*tpch.Dataset, *Query, []*GroupBy, *cpu.CPU) {
 	t.Helper()
-	return groupedQueryOn(t, tables, "l_quantity", 50)
+	return groupedQueryOn(t, tables, "l_quantity")
 }
 
-// groupedQueryOn is groupedQuery grouping on the given key column with the
-// given domain estimate.
-func groupedQueryOn(t *testing.T, tables int, key string, expected int) (*tpch.Dataset, *Query, []*GroupBy, *cpu.CPU) {
+// groupedQueryOn is groupedQuery grouping on the given key column, sized by
+// its scanned domain as a compiled plan is.
+func groupedQueryOn(t *testing.T, tables int, key string) (*tpch.Dataset, *Query, []*GroupBy, *cpu.CPU) {
 	t.Helper()
 	d, err := tpch.Generate(tpch.Config{Lineitems: 20000, Seed: 31})
 	if err != nil {
@@ -43,9 +43,13 @@ func groupedQueryOn(t *testing.T, tables int, key string, expected int) (*tpch.D
 	if err := MustEngine(c, 1024).BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
+	dom, err := ScanKeyDomain(d.Lineitem.Column(key))
+	if err != nil {
+		t.Fatal(err)
+	}
 	gs := make([]*GroupBy, tables)
 	for i := range gs {
-		g, err := NewGroupBy(c, d.Lineitem.Column(key), d.Lineitem.Column("l_extendedprice"), expected)
+		g, err := NewGroupBy(c, d.Lineitem.Column(key), d.Lineitem.Column("l_extendedprice"), dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,12 +124,15 @@ func groupbyGoldenOf(config string, res GroupResult) groupbyGoldenRow {
 func TestParallelRunGroupBy(t *testing.T) {
 	const vs = 128
 	domains := []struct {
-		key      string
-		expected int
+		key    string
+		groups int
 	}{{"l_quantity", 50}, {"l_partkey", 667}}
 	var got []groupbyGoldenRow
 	for _, dom := range domains {
-		_, q, gs, c := groupedQueryOn(t, 1, dom.key, dom.expected)
+		_, q, gs, c := groupedQueryOn(t, 1, dom.key)
+		if d := gs[0].domain; d.Groups != dom.groups || !d.Dense {
+			t.Fatalf("%s: scanned domain %+v, want %d dense keys", dom.key, d, dom.groups)
+		}
 		serial, err := MustEngine(c, vs).RunGroupBy(q, gs[0])
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +144,7 @@ func TestParallelRunGroupBy(t *testing.T) {
 
 		runPar := func(workers, procs int) GroupResult {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			_, qp, gsp, _ := groupedQueryOn(t, workers, dom.key, dom.expected)
+			_, qp, gsp, _ := groupedQueryOn(t, workers, dom.key)
 			p, err := NewParallel(cpu.ScaledXeon(), workers, vs)
 			if err != nil {
 				t.Fatal(err)
@@ -262,7 +269,7 @@ func TestGroupedRunAfterFailedRunIsClean(t *testing.T) {
 	const workers = 4
 	gs := make([]*GroupBy, workers)
 	for i := range gs {
-		g, err := NewGroupBy(c, d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), 50)
+		g, err := NewGroupBy(c, d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), KeyDomain{Groups: 50})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -689,7 +689,7 @@ func (r *BlockRun) BeginGroups(gs []*GroupBy) error {
 			return fmt.Errorf("exec: nil partial group table for worker %d", w)
 		}
 	}
-	r.groupAcc.reset(gs[0].expected, len(gs))
+	r.groupAcc.reset(gs[0].domain, len(gs))
 	return nil
 }
 

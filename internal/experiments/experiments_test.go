@@ -75,6 +75,18 @@ func TestExtJoinsRefusesTooFewPoints(t *testing.T) {
 	}
 }
 
+// TestExtTraceRefusesTooFewPoints pins ext-trace's scale limit: the quick
+// scale on four workers gives the progressive run no optimization point, so
+// no reorder event can appear, and the figure says so.
+func TestExtTraceRefusesTooFewPoints(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Workers = 4
+	_, err := ExtTrace(cfg)
+	if err == nil || !strings.Contains(err.Error(), "0 optimization points, fewer than the 1") {
+		t.Fatalf("ExtTrace at -quick -workers 4: %v, want the optimization-point limit", err)
+	}
+}
+
 func TestByID(t *testing.T) {
 	e, err := ByID("fig07")
 	if err != nil || e.ID != "fig07" {

@@ -19,7 +19,8 @@ import (
 // mispredictions, L3 accesses), the selectivity estimates, and the reorder
 // events they triggered, ending in the plan-final state. The experiment
 // validates its own trace: it fails unless the optimizer track carries at
-// least one reorder event and the event clock is monotone.
+// least one reorder event and the event clock is monotone, and it refuses a
+// configuration whose progressive run gets no optimization point.
 func ExtTrace(cfg Config) ([]*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Trace == nil {
@@ -81,7 +82,13 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 	}
 
 	// Self-validation: the optimizer track (written only by the progressive
-	// run) must carry at least one reorder and a monotone event clock.
+	// run) must carry at least one reorder and a monotone event clock. A
+	// reorder happens only at an optimization point, so a run without one is
+	// refused: the quick scale on four workers gets none.
+	if st.Optimizations == 0 {
+		return nil, fmt.Errorf("ext-trace: the progressive run had 0 optimization points, fewer than the 1 a reorder event needs (%d lineitems on %d workers, ReopInterval %d): use more rows or fewer workers",
+			rows, cfg.Workers, reop)
+	}
 	events := r.opt.Events()
 	reorders := 0
 	var prev uint64

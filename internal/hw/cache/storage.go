@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -24,11 +25,13 @@ import (
 type StorageSet struct {
 	cfg StorageConfig
 
-	// ranges map address windows to logical blocks, kept sorted by base.
+	// ranges map address windows to logical blocks, kept sorted by base;
+	// [lo, hi) spans them all, and an address outside it needs no search.
 	ranges []storRange
-	sorted bool
+	lo, hi uint64
 	// lastRange memoizes the previously matched range (scans touch blocks
-	// in long sequential runs).
+	// in long sequential runs); Touch checks it against the address, so an
+	// insert that shifts the ranges needs no reset.
 	lastRange int
 
 	// Per logical block: transfer cost and residency/LRU state. The LRU is
@@ -144,8 +147,9 @@ func (s *StorageSet) AddBlock(costBytes uint64) int {
 }
 
 // AddRange maps the address window [base, base+span) to the given block.
-// Windows must not overlap; several windows may share a block (a column
-// block's decoded and packed images are one residency unit).
+// Several windows may share a block (a column block's decoded and packed
+// images are one residency unit); a window that overlaps one already added,
+// or wraps past the top of the address space, is rejected.
 func (s *StorageSet) AddRange(base, span uint64, block int) error {
 	if block < 0 || block >= len(s.costBytes) {
 		return fmt.Errorf("cache: storage range names unknown block %d", block)
@@ -153,33 +157,30 @@ func (s *StorageSet) AddRange(base, span uint64, block int) error {
 	if span == 0 {
 		return nil
 	}
-	s.ranges = append(s.ranges, storRange{base: base, end: base + span, block: int32(block)})
-	s.sorted = false
-	return nil
-}
-
-// seal sorts and validates the range table (called on first touch).
-func (s *StorageSet) seal() {
-	sort.Slice(s.ranges, func(a, b int) bool { return s.ranges[a].base < s.ranges[b].base })
-	for i := 1; i < len(s.ranges); i++ {
-		if s.ranges[i].base < s.ranges[i-1].end {
-			panic(fmt.Sprintf("cache: storage ranges overlap at %#x", s.ranges[i].base))
-		}
+	end := base + span
+	if end < base {
+		return fmt.Errorf("cache: storage range at %#x wraps the address space", base)
 	}
-	s.sorted = true
-	s.lastRange = -1
+	i := sort.Search(len(s.ranges), func(i int) bool { return s.ranges[i].base >= base })
+	if i < len(s.ranges) && s.ranges[i].base < end || i > 0 && s.ranges[i-1].end > base {
+		return fmt.Errorf("cache: storage range [%#x, %#x) overlaps a registered one", base, end)
+	}
+	s.ranges = slices.Insert(s.ranges, i, storRange{base: base, end: end, block: int32(block)})
+	s.lo, s.hi = s.ranges[0].base, s.ranges[len(s.ranges)-1].end
+	return nil
 }
 
 // Touch observes a memory-level access to addr and returns the stall cycles
 // it causes: zero for addresses outside every registered window or within a
 // resident block, the fetch cost otherwise. Resident blocks are bumped to
-// MRU either way.
+// MRU either way. Group and join tables lie outside every window, so an
+// address outside [lo, hi) returns before the search.
 func (s *StorageSet) Touch(addr uint64) uint64 {
-	if !s.sorted {
-		s.seal()
-	}
 	ri := s.lastRange
 	if ri < 0 || addr < s.ranges[ri].base || addr >= s.ranges[ri].end {
+		if addr < s.lo || addr >= s.hi {
+			return 0
+		}
 		ri = s.findRange(addr)
 		if ri < 0 {
 			return 0

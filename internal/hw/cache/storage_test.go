@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -148,15 +149,133 @@ func TestStorageRangeValidation(t *testing.T) {
 	if err := s.AddRange(0x100, 0x100, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddRange(0x180, 0x100, b); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overlapping ranges must panic at seal time")
+	for _, r := range [][2]uint64{{0x180, 0x100}, {0x80, 0x81}, {0x100, 0x100}, {0x0, 0x1000}, {1<<64 - 0x40, 0x80}} {
+		if err := s.AddRange(r[0], r[1], b); err == nil {
+			t.Fatalf("range [%#x, +%#x) accepted over [0x100, 0x200) or past the top", r[0], r[1])
 		}
-	}()
-	s.Touch(0x100)
+	}
+	for _, r := range [][2]uint64{{0x200, 0x40}, {0x80, 0x80}} { // touching is not overlapping
+		if err := s.AddRange(r[0], r[1], b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// refStorage is a linear-scan model of StorageSet: windows in insertion
+// order, the resident blocks as an MRU-first list, every access a search of
+// both. It holds nothing StorageSet's lookup shortcuts rely on.
+type refStorage struct {
+	cfg      StorageConfig
+	cost     []uint64
+	windows  [][3]uint64 // base, end, block
+	mru      []int
+	resBytes uint64
+	ctr      StorageCounters
+	evicted  []int
+}
+
+func (r *refStorage) touch(addr uint64) uint64 {
+	for _, w := range r.windows {
+		if addr < w[0] || addr >= w[1] {
+			continue
+		}
+		b := int(w[2])
+		for i, m := range r.mru {
+			if m == b {
+				r.ctr.BlockHits++
+				r.mru = append([]int{b}, append(r.mru[:i:i], r.mru[i+1:]...)...)
+				return 0
+			}
+		}
+		stall := r.cfg.LatencyCycles + (r.cost[b]+r.cfg.BytesPerCycle-1)/r.cfg.BytesPerCycle
+		r.ctr.BlockFetches++
+		r.ctr.BytesFetched += r.cost[b]
+		r.ctr.StallCycles += stall
+		r.mru = append([]int{b}, r.mru...)
+		r.resBytes += r.cost[b]
+		for r.cfg.BudgetBytes > 0 && r.resBytes > r.cfg.BudgetBytes && r.mru[len(r.mru)-1] != b {
+			last := r.mru[len(r.mru)-1]
+			r.mru = r.mru[:len(r.mru)-1]
+			r.resBytes -= r.cost[last]
+			r.ctr.Evictions++
+			r.evicted = append(r.evicted, last)
+		}
+		return stall
+	}
+	return 0
+}
+
+// TestStorageTouchMatchesLinearScan drives StorageSet and the linear-scan
+// model with addresses below, between, inside and above windows added out of
+// address order and between accesses, several windows per block, under a
+// budget that evicts: every
+// stall, the counters, the resident bytes and the eviction order must agree.
+func TestStorageTouchMatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := StorageConfig{LatencyCycles: 300, BytesPerCycle: uint64(rng.Intn(16) + 1), BudgetBytes: uint64(rng.Intn(4)) * 3000}
+		s := NewStorageSet(cfg)
+		ref := &refStorage{cfg: cfg}
+		var evicted []int
+		s.SetObserver(func(kind StorageEventKind, block int, _, _ uint64) {
+			if kind == StorageEvict {
+				evicted = append(evicted, block)
+			}
+		})
+		nBlocks := rng.Intn(12) + 1
+		for b := 0; b < nBlocks; b++ {
+			ref.cost = append(ref.cost, uint64(rng.Intn(2000)+1))
+			s.AddBlock(ref.cost[b])
+		}
+		// Windows on a 0x1000 grid with gaps, registered in shuffled order.
+		const lo = 0x10000
+		var bases []uint64
+		for i := 0; i < 3*nBlocks; i++ {
+			if rng.Intn(3) > 0 {
+				bases = append(bases, lo+uint64(i)*0x1000)
+			}
+		}
+		rng.Shuffle(len(bases), func(i, j int) { bases[i], bases[j] = bases[j], bases[i] })
+		top := lo + uint64(3*nBlocks)*0x1000
+		for i := 0; i < 4000; i++ {
+			// Windows arrive among the first accesses, so an insert lands
+			// between a memoized window and its successors.
+			if i%50 == 0 && len(bases) > 0 {
+				base := bases[0]
+				bases = bases[1:]
+				span, b := uint64(rng.Intn(0x1000)+1), rng.Intn(nBlocks)
+				if err := s.AddRange(base, span, b); err != nil {
+					t.Fatal(err)
+				}
+				ref.windows = append(ref.windows, [3]uint64{base, base + span, uint64(b)})
+			}
+			var addr uint64
+			switch rng.Intn(5) {
+			case 0: // below every window
+				addr = uint64(rng.Intn(lo))
+			case 1: // at or above the last window's end
+				addr = top + uint64(rng.Intn(0x4000)) - 0x800
+			case 2: // a window's edges
+				if len(ref.windows) > 0 {
+					w := ref.windows[rng.Intn(len(ref.windows))]
+					addr = []uint64{w[0] - 1, w[0], w[1] - 1, w[1]}[rng.Intn(4)]
+				}
+			default: // anywhere in the windowed span: inside or in a gap
+				addr = lo + uint64(rng.Intn(int(top-lo)))
+			}
+			got, want := s.Touch(addr), ref.touch(addr)
+			if got != want {
+				t.Fatalf("seed %d, access %d at %#x: stall %d, linear scan %d", seed, i, addr, got, want)
+			}
+		}
+		if s.Counters() != ref.ctr || s.ResidentBytes() != ref.resBytes {
+			t.Fatalf("seed %d: counters %+v resident %d, linear scan %+v resident %d",
+				seed, s.Counters(), s.ResidentBytes(), ref.ctr, ref.resBytes)
+		}
+		if !slices.Equal(evicted, ref.evicted) {
+			t.Fatalf("seed %d: evictions %v, linear scan %v", seed, evicted, ref.evicted)
+		}
+	}
 }
 
 // TestStorageObserverInvariant is the tier's bit-identity contract at the

@@ -496,7 +496,7 @@ func shapedFixture(t *testing.T, workers, vs int) (q *exec.Query, sorts []*exec.
 		if sorts[i], err = exec.NewSort(alloc, keys, 25, q.Agg, q.Table.NumRows(), vs); err != nil {
 			t.Fatal(err)
 		}
-		if groups[i], err = exec.NewGroupBy(alloc, q.Table.Column("l_quantity"), q.Table.Column("l_extendedprice"), 50); err != nil {
+		if groups[i], err = exec.NewGroupBy(alloc, q.Table.Column("l_quantity"), q.Table.Column("l_extendedprice"), exec.KeyDomain{Groups: 50}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"progopt/internal/service"
 )
 
-var updateZeroEdge = flag.Bool("update", false, "rewrite testdata/zero_edge_golden.json from this build")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/ of the tests -run selects from this build")
 
 // zeroEdgeCase is one plan on one engine in testdata/zero_edge_golden.json.
 type zeroEdgeCase struct {
@@ -93,7 +93,7 @@ func TestZeroEdgePlanIsTheOldPath(t *testing.T) {
 			got = append(got, c)
 		}
 	}
-	if *updateZeroEdge {
+	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)

@@ -690,7 +690,11 @@ func progressiveCycles(b *testing.B, d *tpch.Dataset, vectorSize int, opt core.O
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, _, err := core.RunAdaptive(eng, nil, qo, opt, false)
+	p, err := exec.NewParallel(cpu.ScaledXeon(), 1, vectorSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, _, err := core.RunAdaptive(p, qo, opt, false)
 	if err != nil {
 		b.Fatal(err)
 	}

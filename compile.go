@@ -16,8 +16,7 @@ type groupExec struct {
 	// distinct is the compile-time key-domain estimate the tables are sized
 	// for.
 	distinct int
-	// tables holds one hash-table region per core (a single entry on a
-	// serial engine).
+	// tables holds one hash-table region per core.
 	tables []*exec.GroupBy
 }
 
@@ -160,11 +159,7 @@ func (e *Engine) compileSort(d *Dataset, driving *columnar.Table, p *Plan, agg *
 		}
 		limit = p.limit
 	}
-	nCores := 1
-	if e.par != nil {
-		nCores = e.par.Workers()
-	}
-	se := &sortExec{keys: keys, limit: limit, states: make([]*exec.Sort, nCores)}
+	se := &sortExec{keys: keys, limit: limit, states: make([]*exec.Sort, e.par.Workers())}
 	for i := range se.states {
 		s, err := exec.NewSort(e.cpu, keys, limit, agg, driving.NumRows(), e.eng.VectorSize())
 		if err != nil {
@@ -255,11 +250,7 @@ func (e *Engine) compileGroup(driving *columnar.Table, key, value string) (*grou
 	if err != nil {
 		return nil, err
 	}
-	nTables := 1
-	if e.par != nil {
-		nTables = e.par.Workers()
-	}
-	ge := &groupExec{key: key, value: value, distinct: dom.Groups, tables: make([]*exec.GroupBy, nTables)}
+	ge := &groupExec{key: key, value: value, distinct: dom.Groups, tables: make([]*exec.GroupBy, e.par.Workers())}
 	for i := range ge.tables {
 		gb, err := exec.NewGroupBy(e.cpu, g, v, dom)
 		if err != nil {

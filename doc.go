@@ -47,12 +47,11 @@
 // value of the plan's Sum expression. Results, grouped output, and ordered
 // rows are bit-identical across modes and worker counts. The two adaptive
 // modes are one reoptimizer loop at every worker count and in the server: it
-// is stepped a vector at a time on a single core and a morsel block at a
-// time on a pool, and it
-// bounds its own regret: a reverting step decides nothing else, rejected
-// orders stay rejected until a reorder survives validation, consecutive
-// reverts back it off exponentially, and ExecResult.Stats.Ledger says what
-// re-optimizing cost the run (DESIGN.md, "The reoptimizer loop").
+// is stepped a morsel block at a time — a vector at a time on a pool of one
+// core — and it bounds its own regret: a reverting step decides nothing else,
+// rejected orders stay rejected until a reorder survives validation,
+// consecutive reverts back it off exponentially, and ExecResult.Stats.Ledger
+// says what re-optimizing cost the run (DESIGN.md, "The reoptimizer loop").
 //
 // Scan/Compile/Exec (or NewServer/Submit) is the only plan surface, and
 // nothing in Config selects a second engine: the tuple-at-a-time row loop,

@@ -329,12 +329,9 @@ func servedEquivSetup(t *testing.T, workers int) (*Engine, *Dataset, *Plan) {
 
 // TestEquivalenceServed pins the service satellite: a query submitted
 // through Server.Submit to an otherwise idle server returns bit-identical
-// results and PMU counters to the same query run via Engine.Exec, at
-// Workers 1 and 4. Adaptive modes compare at Workers 4 in full (cycles,
-// counters, optimizer stats: the server drives the same per-block protocol
-// as Exec's parallel drivers); at Workers 1 Exec uses the serial per-vector
-// drivers while the server schedules at block granularity, so there the
-// contract — and the assertion — is answer identity.
+// results, cycles, PMU counters and optimizer stats to the same query run via
+// Engine.Exec, in every mode at Workers 1 and 4: both drive it with the same
+// step on a pool of the same size.
 func TestEquivalenceServed(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {
@@ -369,12 +366,10 @@ func TestEquivalenceServed(t *testing.T) {
 					t.Errorf("answers diverge: %d/%v vs %d/%v",
 						got.Qualifying, got.Sum, want.Qualifying, want.Sum)
 				}
-				if workers > 1 || mode == ModeFixed {
-					sameResult(t, "served", want.Result, got.Result)
-					sameStats(t, "served", want.Stats, got.Stats)
-					if want.Impl != got.Impl {
-						t.Errorf("impl stats diverge: %+v vs %+v", want.Impl, got.Impl)
-					}
+				sameResult(t, "served", want.Result, got.Result)
+				sameStats(t, "served", want.Stats, got.Stats)
+				if want.Impl != got.Impl {
+					t.Errorf("impl stats diverge: %+v vs %+v", want.Impl, got.Impl)
 				}
 			})
 		}

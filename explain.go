@@ -235,7 +235,7 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 		Table:   q.q.Table.Name(),
 		Rows:    q.q.Table.NumRows(),
 		Exec:    "batch",
-		Workers: e.workers,
+		Workers: e.Workers(),
 		Sum:     q.sumExpr,
 	}
 	if e.eng.Scalar() {

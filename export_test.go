@@ -23,10 +23,8 @@ type refPath struct {
 func (e *Engine) setRef(ref refPath) {
 	e.eng.SetScalar(ref.scalar)
 	e.eng.SetFuse(!ref.noFuse)
-	if e.par != nil {
-		e.par.SetScalar(ref.scalar)
-		e.par.SetFuse(!ref.noFuse)
-	}
+	e.par.SetScalar(ref.scalar)
+	e.par.SetFuse(!ref.noFuse)
 }
 
 // newRef is New followed by setRef.

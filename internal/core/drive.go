@@ -103,9 +103,8 @@ func (s *Spec) Validate(workers int) error {
 //
 // A Run keeps its scratch between queries; Begin starts the next one.
 type Run struct {
-	pool *exec.Parallel // nil: the run has one engine of its own
 	brun *exec.BlockRun
-	// engines are the pool's, or the one; all and zero are Drive's subset.
+	// engines are the pool's; all and zero are Drive's subset.
 	engines []*exec.Engine
 	all     []int
 	zero    []uint64
@@ -120,8 +119,6 @@ type Run struct {
 	numVec  int
 	cursor  int
 	started bool
-	// pmu0 is the one engine's PMU when its run began.
-	pmu0 pmu.Sample
 
 	// Result accumulates the query's output: Sum in global vector order,
 	// Counters as the PMU deltas of its morsels and coordination, Cycles as
@@ -137,12 +134,9 @@ type Run struct {
 	Start uint64
 }
 
-// NewRun returns a driver for the pool p or, when p is nil, for the engine e.
-func NewRun(e *exec.Engine, p *exec.Parallel) *Run {
-	if p != nil {
-		return &Run{pool: p, brun: p.NewBlockRun(), engines: p.Engines()}
-	}
-	return &Run{engines: []*exec.Engine{e}}
+// NewRun returns a driver for the pool p.
+func NewRun(p *exec.Parallel) *Run {
+	return &Run{brun: p.NewBlockRun(), engines: p.Engines()}
 }
 
 // Begin makes spec the query the following steps execute.
@@ -151,10 +145,8 @@ func (r *Run) Begin(spec Spec) error {
 		return err
 	}
 	r.spec, r.step, r.sorts = spec, nil, nil
-	if r.brun != nil {
-		if err := r.brun.BeginGroups(spec.Groups); err != nil {
-			return err
-		}
+	if err := r.brun.BeginGroups(spec.Groups); err != nil {
+		return err
 	}
 	if spec.Mode != ModeFixed {
 		step, err := NewBlockStepper(spec.Query, r.engines[0].CPU().Profile(), len(r.engines), spec.Mode == ModeMicroAdaptive, spec.Opt)
@@ -223,10 +215,8 @@ func (r *Run) Drive() error {
 //     its first core merges the partial sort states or group tables, and every
 //     clock moves to the merge's end.
 //
-// A Run with one engine of its own ignores cores and clocks (the engine's
-// clock is the time) and steps vector-granular: a fixed-order or grouped run
-// whole, an adaptive one a vector at a time, every ReopInterval-th an
-// optimization point.
+// On a pool of one core an adaptive step is one vector, every ReopInterval-th
+// an optimization point.
 func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
 	if r.sorts != nil {
 		// The collectors ride on whichever cores the step runs on; the next
@@ -240,12 +230,9 @@ func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
 			}
 		}()
 	}
-	switch {
-	case r.pool == nil:
-		done, err = r.stepEngine()
-	case r.step != nil:
+	if r.step != nil {
 		done, err = r.stepBlock(cores, clocks)
-	default:
+	} else {
 		done, err = r.stepQuantum(cores, clocks)
 	}
 	if done && err == nil {
@@ -264,10 +251,9 @@ func (r *Run) begin(at uint64) {
 	}
 }
 
-// coordinate hands the stepper a finished step of an adaptive run — a morsel
-// block, or one vector on the run's own engine — and returns the cycles the
-// step kept the query's cores busy: its makespan plus what the coordination
-// charged. See AfterBlock for optPoint and validate.
+// coordinate hands the stepper a finished step of an adaptive run and returns
+// the cycles the step kept the query's cores busy: its makespan plus what the
+// coordination charged. See AfterBlock for optPoint and validate.
 func (r *Run) coordinate(br exec.BlockResult, tuples int, optPoint, validate bool, engines []*exec.Engine) (uint64, error) {
 	extra, err := r.step.AfterBlock(br, tuples, optPoint, validate, engines[0].CPU(), engines)
 	if err != nil {
@@ -312,8 +298,12 @@ func (r *Run) stepQuantum(cores []int, clocks []uint64) (bool, error) {
 func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	t0 := slices.Max(clocks)
 	r.begin(t0)
-	perCore := r.step.opt.ReopInterval
-	if perCore <= 0 {
+	every, one := r.step.opt.ReopInterval, len(r.engines) == 1
+	perCore := every
+	switch {
+	case one:
+		perCore = 1
+	case perCore <= 0:
 		perCore = r.spec.Quantum
 	}
 	v1 := r.cursor + r.vectors(perCore, len(cores))
@@ -331,12 +321,19 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 		subset[i] = r.engines[w]
 		coordStart[i] = subset[i].CPU().Sample()
 	}
-	vs := r.pool.VectorSize()
+	vs := r.engines[0].VectorSize()
 	tuples := min(v1*vs, r.spec.Query.Table.NumRows()) - r.cursor*vs
 	last := v1 == r.numVec
 	// Every block but the last is an optimization point, and every block's
 	// cost — a short last one's too — is held against the previous block's.
-	busy, err := r.coordinate(br, tuples, !last, true, subset)
+	// A pool of one core steps a vector at a time: every ReopInterval-th but
+	// the last is a point, and a partial vector is held against nothing, its
+	// fixed costs being spread over fewer tuples.
+	optPoint, validate := !last, true
+	if one {
+		optPoint, validate = every > 0 && v1%every == 0 && !last, tuples == vs
+	}
+	busy, err := r.coordinate(br, tuples, optPoint, validate, subset)
 	if err != nil {
 		return false, err
 	}
@@ -352,62 +349,6 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	}
 	fill(clocks, t0+busy)
 	return last, nil
-}
-
-func (r *Run) stepEngine() (bool, error) {
-	e := r.engines[0]
-	c := e.CPU()
-	if !r.started {
-		r.started, r.pmu0 = true, c.Sample()
-		if r.step != nil {
-			r.step.clockBase = c.Cycles()
-		}
-	}
-	switch {
-	case len(r.spec.Groups) > 0:
-		res, err := e.RunGroupBy(r.spec.Query, r.spec.Groups[0])
-		if err != nil {
-			return false, err
-		}
-		r.Result, r.Groups = res.Result, res.Groups
-		return true, nil
-	case r.step == nil:
-		res, err := e.Run(r.spec.Query)
-		if err != nil {
-			return false, err
-		}
-		r.Result, r.cursor = res, r.numVec
-	default:
-		vs := e.VectorSize()
-		lo := r.cursor * vs
-		hi := min(lo+vs, r.spec.Query.Table.NumRows())
-		s0, c0 := c.Sample(), c.Cycles()
-		vr, err := e.RunVectorImpl(r.step.Query(), lo, hi, r.step.Impl())
-		if err != nil {
-			return false, err
-		}
-		r.Sum += vr.Sum
-		// A one-morsel block. WorkerCycles stays nil: the stepper never reads
-		// it, and it would be an allocation per vector.
-		br := exec.BlockResult{Qualifying: vr.Qualifying, Vectors: 1, MaxCycles: c.Cycles() - c0, Counters: c.Sample().Sub(s0)}
-		r.cursor++
-		// Neither the last vector is an optimization point (nothing would run
-		// under the new plan) nor is a partial one held against a full one's
-		// cost: its fixed costs are spread over fewer tuples.
-		every := r.step.opt.ReopInterval
-		optPoint := every > 0 && r.cursor%every == 0 && r.cursor < r.numVec
-		if _, err := r.coordinate(br, hi-lo, optPoint, hi-lo == vs, r.engines); err != nil {
-			return false, err
-		}
-	}
-	if r.cursor < r.numVec {
-		return false, nil
-	}
-	if r.sorts != nil {
-		r.Cycles += r.merge(0)
-	}
-	r.Counters = c.Sample().Sub(r.pmu0)
-	return true, nil
 }
 
 // fill sets every clock of a subset that leaves a step together.
@@ -434,14 +375,14 @@ func (r *Run) merge(coord int) uint64 {
 }
 
 // RunAdaptive drives q in ModeProgressive — ModeMicroAdaptive with micro set —
-// to completion on the pool p when there is one and on the engine e otherwise,
-// and returns the result with the stepper's telemetry.
-func RunAdaptive(e *exec.Engine, p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
+// to completion on the pool p and returns the result with the stepper's
+// telemetry.
+func RunAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
 	mode := ModeProgressive
 	if micro {
 		mode = ModeMicroAdaptive
 	}
-	r := NewRun(e, p)
+	r := NewRun(p)
 	if err := r.Begin(Spec{Query: q, Mode: mode, Opt: opt}); err != nil {
 		return exec.Result{}, Stats{}, err
 	}

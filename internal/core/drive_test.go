@@ -97,8 +97,8 @@ func sameAnswer(t *testing.T, what string, got, want *Run) {
 // the answer must match (a), whatever the schedule cost. The grouped shape
 // goes through (b) and (c) like the others: its accumulator is the run's, so
 // it is cut into quanta and moved between subsets, and the merge runs on
-// whichever core the last subset starts with. At one worker the
-// engine-granular run (a vector per adaptive step) must give the answer too.
+// whichever core the last subset starts with. At one worker an adaptive step
+// is a vector.
 func TestStepMatchesDrive(t *testing.T) {
 	const rows, vs = 64*512 - 100, 512
 	cases := driveCases(t, rows, vs)
@@ -116,7 +116,7 @@ func TestStepMatchesDrive(t *testing.T) {
 			pools[workers] = p
 		}
 		p.Cold()
-		r := NewRun(nil, p)
+		r := NewRun(p)
 		if err := r.Begin(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -201,16 +201,6 @@ func TestStepMatchesDrive(t *testing.T) {
 			}
 			sameAnswer(t, name+" on a moving subset", moved, ref)
 
-			if workers == 1 {
-				one := NewRun(exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs), nil)
-				if err := one.Begin(spec); err != nil {
-					t.Fatal(err)
-				}
-				if err := one.Drive(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				sameAnswer(t, name+" on one engine", one, ref)
-			}
 		}
 	}
 }

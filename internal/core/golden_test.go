@@ -71,36 +71,16 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 	}
 	opt.Trace = rec.NewTrack("optimizer")
 
-	var res exec.Result
-	var st Stats
-	var err error
-	if workers == 1 {
-		e := exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs)
-		if _, err := e.Run(q); err != nil {
-			t.Fatal(err)
-		}
-		e.SetTrace(cores[0])
-		if micro {
-			res, st, err = RunAdaptive(e, nil, q, opt, true)
-		} else {
-			res, st, err = RunAdaptive(e, nil, q, opt, false)
-		}
-	} else {
-		p, perr := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		defer p.Close()
-		if _, err := p.Run(q); err != nil {
-			t.Fatal(err)
-		}
-		p.SetTrace(cores)
-		if micro {
-			res, st, err = RunAdaptive(nil, p, q, opt, true)
-		} else {
-			res, st, err = RunAdaptive(nil, p, q, opt, false)
-		}
+	p, err := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer p.Close()
+	if _, err := p.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	p.SetTrace(cores)
+	res, st, err := RunAdaptive(p, q, opt, micro)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestRunMicroAdaptiveCorrectnessAndSwitching(t *testing.T) {
 	if err := eMA.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := RunAdaptive(eMA, nil, q, Options{ReopInterval: 3}, true)
+	res, st, err := RunAdaptive(poolOfOne(t, eMA), q, Options{ReopInterval: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRunMicroAdaptiveIneligibleStaysBranching(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunAdaptive(e, nil, q, Options{ReopInterval: 3}, true)
+	_, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRunProgressiveEnumeratedMatchesAndCosts(t *testing.T) {
 	if err := ePMU.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	pmuRes, pmuSt, err := RunAdaptive(ePMU, nil, q, Options{ReopInterval: 5}, false)
+	pmuRes, pmuSt, err := RunAdaptive(poolOfOne(t, ePMU), q, Options{ReopInterval: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,18 @@ func progEngine(t *testing.T) *exec.Engine {
 	return exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), 2048)
 }
 
+// poolOfOne returns a pool of one core of e's profile and vector size: what a
+// query bound through e runs on at Workers 1.
+func poolOfOne(t *testing.T, e *exec.Engine) *exec.Parallel {
+	t.Helper()
+	p, err := exec.NewParallel(e.CPU().Profile(), 1, e.VectorSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
 // worstOrderQ6 returns Q6 with a deliberately bad initial PEO: the paper's
 // motivating situation.
 func worstOrderQ6(t *testing.T, d *tpch.Dataset) (*exec.Query, []float64) {
@@ -64,7 +76,7 @@ func TestRunProgressiveCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := RunAdaptive(e, nil, q, Options{ReopInterval: 5}, false)
+	got, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +114,7 @@ func TestRunProgressiveBeatsBadOrder(t *testing.T) {
 	if err := eProg.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	prog, st, err := RunAdaptive(eProg, nil, q, Options{ReopInterval: 5}, false)
+	prog, st, err := RunAdaptive(poolOfOne(t, eProg), q, Options{ReopInterval: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +172,7 @@ func TestRunProgressiveNearNoopOnGoodOrder(t *testing.T) {
 	if err := eProg.BindQuery(best); err != nil {
 		t.Fatal(err)
 	}
-	prog, _, err := RunAdaptive(eProg, nil, best, Options{ReopInterval: 10}, false)
+	prog, _, err := RunAdaptive(poolOfOne(t, eProg), best, Options{ReopInterval: 10}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +189,7 @@ func TestRunProgressiveZeroIntervalIsBaseline(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := RunAdaptive(e, nil, q, Options{ReopInterval: 0}, false)
+	res, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +216,7 @@ func TestRunProgressiveValidationReverts(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunAdaptive(e, nil, q, Options{ReopInterval: 3}, false)
+	_, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 3}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 // operator permutation, the pending validation against the previous step's
 // per-vector cost, the selectivity estimation over the step's (merged
 // per-core) PMU delta, and — in micro mode — the branching/branch-free
-// implementation choice. Run.Step is its one caller: it steps it one vector at
-// a time on a single engine and one morsel block at a time on a pool, on
-// whatever subset of cores the step was given. The stepper never executes
+// implementation choice. Run.Step is its one caller: it steps it one morsel
+// block at a time — one vector on a pool of one core — on whatever subset of
+// cores the step was given. The stepper never executes
 // anything: it consumes finished BlockResults and tells the driver which query
 // order and scan implementation the next step must run.
 type BlockStepper struct {
@@ -26,12 +26,6 @@ type BlockStepper struct {
 	micro    bool
 	eligible bool
 	costP    ImplCostParams
-
-	// clockBase is the engine's clock at the start of a run stepped one
-	// vector at a time on one engine: decision events are stamped clockBase +
-	// accounted, which there is the core's own clock, next to its vector
-	// spans. Block-granular callers leave it zero.
-	clockBase uint64
 
 	curPerm, prevPerm []int
 	curQ              *exec.Query
@@ -71,10 +65,10 @@ type BlockStepper struct {
 	heldTuples       int
 
 	// accounted is the simulated cycle cost attributed to the query so far
-	// (step makespans plus coordination), the clock ConvergedAtCycles and
-	// Sample.Cycles are stamped from. On a single engine it equals the
-	// core's clock since the run began: every charge goes through a step's
-	// cost or the extra AfterBlock returns.
+	// (step makespans plus coordination), the clock ConvergedAtCycles,
+	// Sample.Cycles and decision events are stamped from. On a pool of one
+	// core it equals the core's clock since the run began: every charge goes
+	// through a step's cost or the extra AfterBlock returns.
 	accounted uint64
 
 	st Stats
@@ -169,10 +163,9 @@ func (s *BlockStepper) Rejected() [][]int { return slices.Clone(s.rejected) }
 
 // at is the trace timestamp of a decision taken extra cycles into the
 // current step's coordination.
-func (s *BlockStepper) at(extra uint64) uint64 { return s.clockBase + s.accounted + extra }
+func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 
-// AfterBlock runs the coordination that follows one finished step — a morsel
-// block, or a single vector on one engine: validate the previous reorder
+// AfterBlock runs the coordination that follows one finished step: validate the previous reorder
 // against the step's per-vector cost (revert on regression) and, when
 // optPoint says an optimization point is due, either issue a §4.5 probe or
 // sample the merged counters, estimate selectivities, reorder by ascending
@@ -188,11 +181,11 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.clockBase + s.accounte
 // still: a step whose qualifying share has left the reverted step's ends them.
 //
 // tuples is the number of driving-table tuples the step covered. optPoint is
-// the caller's schedule: every ReopInterval-th vector but the last at vector
-// granularity, every block but the last at block granularity. validate says
-// whether the step's cost may be held against the previous step's: false for
-// a partial last vector, whose fixed costs are spread over fewer tuples, and
-// true for every block (a short last block still reverts). coord is the core
+// the caller's schedule: every block but the last, and on a pool of one core,
+// which steps a vector at a time, every ReopInterval-th vector but the last.
+// validate says whether the step's cost may be held against the previous
+// step's: true for every block (a short last block still reverts), false for
+// a partial last vector, whose fixed costs are spread over fewer tuples. coord is the core
 // the estimation runs on (the others idle at the block barrier); engines are
 // the cores currently executing the query, each of which pays the recompile
 // of a reorder or implementation switch. The returned cycles are the

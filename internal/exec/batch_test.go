@@ -154,7 +154,6 @@ func TestBatchScalarEquivalenceGroupBy(t *testing.T) {
 	}
 	run := func(scalarMode bool) GroupResult {
 		e := MustEngine(cpu.MustNew(cpu.ScaledXeon()), 1024)
-		e.SetScalar(scalarMode)
 		if err := e.BindQuery(q); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +161,7 @@ func TestBatchScalarEquivalenceGroupBy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.RunGroupBy(q, g)
+		res, err := poolOfOne(t, 1024, scalarMode).NewBlockRun().runGroupBy(q, []*GroupBy{g})
 		if err != nil {
 			t.Fatal(err)
 		}

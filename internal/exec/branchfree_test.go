@@ -156,7 +156,7 @@ func TestGroupByCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunGroupBy(q, gb)
+	res, err := poolOfOne(t, e.VectorSize(), false).NewBlockRun().runGroupBy(q, []*GroupBy{gb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestGroupByValidation(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunGroupBy(q, nil); err == nil {
+	if _, err := poolOfOne(t, e.VectorSize(), false).NewBlockRun().runGroupBy(q, []*GroupBy{nil}); err == nil {
 		t.Error("nil GroupBy accepted")
 	}
 }

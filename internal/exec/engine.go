@@ -139,13 +139,10 @@ type Engine struct {
 	// untraced runs are bit-identical; a nil track is the zero-overhead
 	// disabled state.
 	tr *trace.Track
-	// groupAcc is the accumulator of RunGroupBy, reset at the start of every
-	// grouped run on this engine and otherwise empty.
-	groupAcc groupTable
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [24]byte
+	_ [112]byte
 }
 
 // NewEngine returns an engine with the given vector size (tuples per vector).

@@ -216,42 +216,3 @@ func (e *Engine) GroupVector(q *Query, g *GroupBy, lo, hi int) ([]int32, error) 
 	c.CondBranchN(loopSite, true, hi-lo)
 	return sel, nil
 }
-
-// RunGroupBy executes the query's filters and aggregates survivors into g's
-// hash table, vector at a time under the engine's execution mode. The
-// query's own Agg is ignored; g defines the aggregation.
-func (e *Engine) RunGroupBy(q *Query, g *GroupBy) (GroupResult, error) {
-	if err := q.Validate(); err != nil {
-		return GroupResult{}, err
-	}
-	if g == nil {
-		return GroupResult{}, fmt.Errorf("exec: nil GroupBy")
-	}
-	c := e.cpu
-	start := c.Sample()
-	startCycles := c.Cycles()
-
-	acc := &e.groupAcc
-	acc.reset(g.domain, 1)
-	n := q.Table.NumRows()
-	var out GroupResult
-	for lo := 0; lo < n; lo += e.vectorSize {
-		hi := lo + e.vectorSize
-		if hi > n {
-			hi = n
-		}
-		sel, err := e.GroupVector(q, g, lo, hi)
-		if err != nil {
-			return GroupResult{}, err
-		}
-		g.fold(acc, sel, 0)
-		out.Qualifying += int64(len(sel))
-		out.Vectors++
-	}
-
-	out.Groups = acc.groups(acc.sorted())
-	out.Cycles = c.Cycles() - startCycles
-	out.Millis = c.MillisOf(out.Cycles)
-	out.Counters = c.Sample().Sub(start)
-	return out, nil
-}

@@ -80,6 +80,18 @@ func (r *BlockRun) runGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	return out, nil
 }
 
+// poolOfOne returns a pool of one core on the row loop or the batch kernels.
+func poolOfOne(t *testing.T, vs int, scalar bool) *Parallel {
+	t.Helper()
+	p, err := NewParallel(cpu.ScaledXeon(), 1, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	p.SetScalar(scalar)
+	return p
+}
+
 var updateGroupbyGolden = flag.Bool("update", false, "rewrite testdata/groupby_golden.json from this build's grouped drivers")
 
 const groupbyGoldenPath = "testdata/groupby_golden.json"
@@ -115,12 +127,12 @@ func groupbyGoldenOf(config string, res GroupResult) groupbyGoldenRow {
 }
 
 // TestParallelRunGroupBy checks the morsel-parallel grouped aggregation
-// against the serial engine — identical groups (bit-identical sums), a
-// makespan below the serial cycle count — and pins every run to the golden
-// file: a 50-key and a 667-key domain × Workers {1, 2, 4, 7, 65} (128-row
-// morsels, so all 65 cores hold partial tables) × GOMAXPROCS {1, 4}, plus the
-// serial engine. go test ./internal/exec -run TestParallelRunGroupBy -update
-// rewrites the file; only an intended change of simulated behaviour may.
+// against a pool of one core — identical groups (bit-identical sums), a
+// makespan below its cycle count — and pins every run to the golden file: a
+// 50-key and a 667-key domain × Workers {1, 2, 4, 7, 65} (128-row morsels, so
+// all 65 cores hold partial tables) × GOMAXPROCS {1, 4}. go test
+// ./internal/exec -run TestParallelRunGroupBy -update rewrites the file; only
+// an intended change of simulated behaviour may.
 func TestParallelRunGroupBy(t *testing.T) {
 	const vs = 128
 	domains := []struct {
@@ -129,19 +141,10 @@ func TestParallelRunGroupBy(t *testing.T) {
 	}{{"l_quantity", 50}, {"l_partkey", 667}}
 	var got []groupbyGoldenRow
 	for _, dom := range domains {
-		_, q, gs, c := groupedQueryOn(t, 1, dom.key)
+		_, _, gs, _ := groupedQueryOn(t, 1, dom.key)
 		if d := gs[0].domain; d.Groups != dom.groups || !d.Dense {
 			t.Fatalf("%s: scanned domain %+v, want %d dense keys", dom.key, d, dom.groups)
 		}
-		serial, err := MustEngine(c, vs).RunGroupBy(q, gs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(serial.Groups) == 0 {
-			t.Fatal("no groups")
-		}
-		got = append(got, groupbyGoldenOf(dom.key+"/serial", serial))
-
 		runPar := func(workers, procs int) GroupResult {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			_, qp, gsp, _ := groupedQueryOn(t, workers, dom.key)
@@ -156,16 +159,23 @@ func TestParallelRunGroupBy(t *testing.T) {
 			}
 			return res
 		}
+		var one GroupResult
 		for _, workers := range []int{1, 2, 4, 7, 65} {
 			res := runPar(workers, 1)
-			if res.Qualifying != serial.Qualifying {
-				t.Errorf("%s, %d workers: qualifying %d vs serial %d", dom.key, workers, res.Qualifying, serial.Qualifying)
+			if workers == 1 {
+				if len(res.Groups) == 0 {
+					t.Fatal("no groups")
+				}
+				one = res
 			}
-			if !reflect.DeepEqual(res.Groups, serial.Groups) {
-				t.Fatalf("%s, %d workers: groups differ from the serial engine's", dom.key, workers)
+			if res.Qualifying != one.Qualifying {
+				t.Errorf("%s, %d workers: qualifying %d vs one core's %d", dom.key, workers, res.Qualifying, one.Qualifying)
 			}
-			if workers == 4 && res.Cycles >= serial.Cycles {
-				t.Errorf("%s: 4-core makespan %d not below serial %d", dom.key, res.Cycles, serial.Cycles)
+			if !reflect.DeepEqual(res.Groups, one.Groups) {
+				t.Fatalf("%s, %d workers: groups differ from one core's", dom.key, workers)
+			}
+			if workers == 4 && res.Cycles >= one.Cycles {
+				t.Errorf("%s: 4-core makespan %d not below one core's %d", dom.key, res.Cycles, one.Cycles)
 			}
 			if res4 := runPar(workers, 4); !reflect.DeepEqual(res4, res) {
 				t.Errorf("%s, %d workers: GOMAXPROCS 4 differs from GOMAXPROCS 1", dom.key, workers)

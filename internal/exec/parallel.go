@@ -672,8 +672,8 @@ func (r *BlockRun) begin(cores []int) []pmu.Sample {
 // core w's partial hash table: a morsel on core w updates only gs[w] (its
 // private table region, so hash-table maintenance hits its own cache
 // hierarchy) and its survivors reduce into the accumulator in global vector
-// order, so the groups (keys, sums, counts) are bit-identical to a serial
-// Engine.RunGroupBy whatever the blocks, their core subsets and GOMAXPROCS.
+// order, so the groups (keys, sums, counts) are bit-identical whatever the
+// pool's size, the blocks, their core subsets and GOMAXPROCS.
 // The same visit records, in the key's slot, that the morsel's core holds the
 // key: the accumulator's one key-ordered slot list then serves the output rows
 // and the merge barrier (FinalizeGroups) alike.

@@ -118,6 +118,8 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 	if cfg.Quick {
 		selPoints = []int{10, 50, 90}
 	}
+	serial := cfg
+	serial.Workers = 1
 	rep := &Report{
 		ID:      "ext-micro",
 		Title:   "Extension: micro-adaptive implementation choice (branching v. branch-free)",
@@ -134,7 +136,9 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 				&exec.Predicate{Col: tb.Column("b"), Op: exec.LT, I: int64(s * 10)},
 			},
 		}
-		r, err := newRig(cpu.ScaledXeon(), cfg)
+		// One core whatever cfg.Workers: the static columns run on the
+		// rig's engine, and the adaptive one must be serial like them.
+		r, err := newRig(cpu.ScaledXeon(), serial)
 		if err != nil {
 			return nil, err
 		}
@@ -150,10 +154,11 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		adaptive, st, err := core.RunAdaptive(r.eng, nil, q, core.Options{ReopInterval: 5}, true)
+		run, err := r.drive(core.Spec{Query: q, Mode: core.ModeMicroAdaptive, Opt: core.Options{ReopInterval: 5}})
 		if err != nil {
 			return nil, err
 		}
+		adaptive, st := run.Result, run.Stats()
 		rep.Rows = append(rep.Rows, []string{
 			fmtF(float64(s)),
 			fmtMs(branching.Millis), fmtMs(free.Millis), fmtMs(adaptive.Millis),

@@ -64,14 +64,6 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The serial driver stamps optimizer events with the core's absolute
-	// clock (which already includes the baseline run above); rebase them to
-	// the progressive run's start so the timeline aligns with its makespan.
-	// The parallel stepper's accounted clock is already run-relative.
-	var rebase uint64
-	if r.par == nil {
-		rebase = r.cpu.Cycles()
-	}
 	prog, st, err := r.measureProgressive(q, desc, reop)
 	if err != nil {
 		return nil, err
@@ -121,15 +113,13 @@ func ExtTrace(cfg Config) ([]*Report, error) {
 			"fixed series has no decision rows: its only event is the final makespan",
 		},
 	}
+	// Decision events are stamped on the run's own clock, so the timeline
+	// aligns with its makespan.
 	for i, ev := range events {
 		args := r.opt.Args(i)
-		at := ev.Start
-		if at >= rebase {
-			at -= rebase
-		}
 		rep.Rows = append(rep.Rows, []string{
 			"progressive", ev.Name,
-			fmt.Sprintf("%d", at), fmtMs(r.millis(at)),
+			fmt.Sprintf("%d", ev.Start), fmtMs(r.millis(ev.Start)),
 			fmtArgInt(args, "tuples"),
 			fmtU64(argU64(args, "br_mp_taken") + argU64(args, "br_mp_not_taken")),
 			fmtU64(argU64(args, "l3_access")),

@@ -11,14 +11,14 @@ import (
 
 // rig bundles the simulated cores and engine for a sequence of measurements
 // over the same bound data set. Every measurement starts cold (cpu.CPU.Cold),
-// like the paper's separately executed queries. The config's Workers knob
-// selects the morsel-driven multi-core executor; every measurement goes
-// through the one query driver, which runs on the pool when there is one.
+// like the paper's separately executed queries. cpu and eng bind the data set
+// into the address space every core shares, and the figures' direct engine
+// calls (Engine.Run, RunBranchFree, RunInstrumented) run on them; every other
+// measurement goes through the one query driver, on a pool of the config's
+// Workers cores — one by default.
 type rig struct {
 	cpu *cpu.CPU
 	eng *exec.Engine
-	// par is the morsel-driven multi-core executor, nil when Workers <= 1.
-	par *exec.Parallel
 	// opt is the optimizer-decision track when the config carries a trace
 	// recorder, nil otherwise. Rigs within one recorder get uniquely prefixed
 	// track names so sweeps over several rigs stay distinguishable.
@@ -35,34 +35,23 @@ func newRig(prof cpu.Profile, cfg Config) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &rig{cpu: c, eng: e}
-	if cfg.Workers > 1 {
-		par, err := exec.NewParallel(prof, cfg.Workers, cfg.VectorSize)
-		if err != nil {
-			return nil, err
-		}
-		r.par = par
+	workers := max(cfg.Workers, 1)
+	par, err := exec.NewParallel(prof, workers, cfg.VectorSize)
+	if err != nil {
+		return nil, err
 	}
-	r.run = core.NewRun(e, r.par)
+	r := &rig{cpu: c, eng: e, run: core.NewRun(par)}
 	if cfg.Trace != nil {
 		// Track names embed the recorder's current track count so each rig
 		// in a sweep gets its own set (determinism: rigs are created in
 		// program order, never concurrently).
 		id := cfg.Trace.NumTracks()
-		workers := cfg.Workers
-		if workers < 1 {
-			workers = 1
-		}
 		cores := make([]*trace.Track, workers)
 		for i := range cores {
 			cores[i] = cfg.Trace.NewTrack(fmt.Sprintf("rig%d/core %d", id, i))
 		}
 		r.opt = cfg.Trace.NewTrack(fmt.Sprintf("rig%d/optimizer", id))
-		if r.par != nil {
-			r.par.SetTrace(cores)
-		} else {
-			r.eng.SetTrace(cores[0])
-		}
+		par.SetTrace(cores)
 	}
 	return r, nil
 }

@@ -200,7 +200,7 @@ func TestColdIsConstructedState(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		before := used.Cycles()
 		used.Cold()
-		t0, pmu0 := used.Cycles(), used.Sample()
+		t0, s0 := used.Cycles(), used.Sample()
 		if t0 < before {
 			t.Fatalf("reuse %d: clock moved back across Cold: %d -> %d", i, before, t0)
 		}
@@ -211,7 +211,7 @@ func TestColdIsConstructedState(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("reuse %d: cycle deltas %v, want %v", i, got, want)
 		}
-		d := used.Sample().Sub(pmu0)
+		d := used.Sample().Sub(s0)
 		if d != wantPMU {
 			t.Errorf("reuse %d: PMU delta\n got %v\nwant %v", i, d, wantPMU)
 		}

@@ -720,7 +720,7 @@ func (s *Server) prepareLocked(q *query) error {
 		s.scratchFree[n-1] = nil
 		s.scratchFree = s.scratchFree[:n-1]
 	} else {
-		sc = &segScratch{run: core.NewRun(nil, s.pool)}
+		sc = &segScratch{run: core.NewRun(s.pool)}
 	}
 	if err := sc.run.Begin(spec); err != nil {
 		s.scratchFree = append(s.scratchFree, sc)

@@ -98,7 +98,7 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	if err := ref.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := core.RunAdaptive(nil, ref, q, opt, false)
+	want, wantSt, err := core.RunAdaptive(ref, q, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func driver(t *testing.T, workers, vs int) *core.Run {
 		t.Fatal(err)
 	}
 	t.Cleanup(ref.Close)
-	return core.NewRun(nil, ref)
+	return core.NewRun(ref)
 }
 
 // driven runs spec to completion on r's pool; the result is r's until the

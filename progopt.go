@@ -56,18 +56,20 @@ type Config struct {
 // Engine is the public facade: one or more simulated cores plus the
 // vectorized query engine and the progressive optimizer.
 type Engine struct {
+	// cpu and eng bind compiled queries into the address space every core
+	// shares; EstimateSelectivities runs on them.
 	cpu *cpu.CPU
 	eng *exec.Engine
-	// par is the morsel-driven multi-core executor, nil when Workers <= 1.
-	par     *exec.Parallel
-	workers int
+	// par is the morsel-driven executor every query runs on: Config.Workers
+	// cores, one at Workers 1.
+	par *exec.Parallel
 	// stcfg is the engine's storage configuration, nil for in-RAM engines;
 	// stored caches each data set's stored driving table by generation.
 	stcfg  *StorageConfig
 	stored map[uint64]*storedTable
 	// tr is the engine's event recorder, nil when tracing is disabled.
 	tr *Trace
-	// run drives every Exec: on the pool when there is one, else on eng.
+	// run drives every Exec on par.
 	run *core.Run
 }
 
@@ -95,12 +97,9 @@ func New(cfg Config) (*Engine, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	var par *exec.Parallel
-	if workers > 1 {
-		par, err = exec.NewParallel(prof, workers, cfg.VectorSize)
-		if err != nil {
-			return nil, err
-		}
+	par, err := exec.NewParallel(prof, workers, cfg.VectorSize)
+	if err != nil {
+		return nil, err
 	}
 	stcfg := cfg.Storage
 	if stcfg != nil {
@@ -111,28 +110,18 @@ func New(cfg Config) (*Engine, error) {
 	var tr *Trace
 	if cfg.Trace != nil {
 		tr = newTrace(cfg.Trace, workers)
-		// Per-core tracks attach to whichever cores will execute queries:
-		// the parallel pool when one exists, the serial engine otherwise.
-		if par != nil {
-			par.SetTrace(tr.cores)
-		} else {
-			e.SetTrace(tr.cores[0])
-		}
+		par.SetTrace(tr.cores)
 	}
-	return &Engine{cpu: c, eng: e, par: par, workers: workers, stcfg: stcfg, tr: tr, run: core.NewRun(e, par)}, nil
+	return &Engine{cpu: c, eng: e, par: par, stcfg: stcfg, tr: tr, run: core.NewRun(par)}, nil
 }
 
 // Workers returns the number of simulated cores the engine runs queries on.
-func (e *Engine) Workers() int { return e.workers }
+func (e *Engine) Workers() int { return e.par.Workers() }
 
 // Close releases the multi-core executor's host worker goroutines, if any
 // were started (multi-core hosts only; see exec.Parallel.Close). The engine
 // remains usable afterwards.
-func (e *Engine) Close() {
-	if e.par != nil {
-		e.par.Close()
-	}
-}
+func (e *Engine) Close() { e.par.Close() }
 
 // Ordering selects the physical row order of a generated TPC-H data set.
 type Ordering string

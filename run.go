@@ -87,12 +87,12 @@ type ExecResult struct {
 }
 
 // Exec executes a compiled query from a cold hardware state. It is the
-// single entry point for every execution shape: all modes honor
-// Config.Workers (with Workers > 1 the scan runs morsel-driven; Cycles and
-// Millis are makespans and Counters the merged per-core PMU deltas), and a
-// grouped plan is such a scan whose survivors aggregate in per-core partial
-// hash tables, merged at the barrier that ends it. Qualifying, Sum, and
-// Groups are bit-identical across modes and worker counts.
+// single entry point for every execution shape: all modes run morsel-driven
+// on Config.Workers cores (Cycles and Millis are makespans and Counters the
+// merged per-core PMU deltas), and a grouped plan is such a scan whose
+// survivors aggregate in per-core partial hash tables, merged at the barrier
+// that ends it. Qualifying, Sum, and Groups are bit-identical across modes
+// and worker counts.
 //
 // Grouped plans currently execute their operator order as compiled
 // (ModeFixed); adaptive modes on grouped plans return an error.
@@ -122,9 +122,9 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	if e.tr != nil {
 		marks = e.tr.rec.Marks()
 	}
-	// One driver for every shape and mode: on the pool a fixed-order scan is a
-	// single morsel stream and an adaptive one a block per step, on the
-	// engine's single core an adaptive scan steps a vector at a time.
+	// One driver for every shape, mode and worker count: a fixed-order scan is
+	// a single morsel stream, an adaptive one a block per step (a vector on a
+	// pool of one core).
 	if err := e.run.Begin(spec); err != nil {
 		return ExecResult{}, err
 	}

@@ -94,10 +94,7 @@ type servedProvenance struct {
 // bit-identical per-query results, latencies, and makespan on every host
 // run, from any goroutines, at any GOMAXPROCS. A query that has the pool to
 // itself executes exactly like Engine.Exec — both loop the same driver step
-// (see equivalence_test.go). The one exception is an adaptive query on a
-// single-core engine: the server's pool of one steps it a block at a time,
-// Exec a vector at a time, so cycle counts differ while results stay
-// bit-identical.
+// (see equivalence_test.go).
 type Server struct {
 	e   *Engine
 	svc *service.Server
@@ -177,7 +174,7 @@ func NewServer(e *Engine, cfg ServerConfig) (*Server, error) {
 	if cfg.PlanCacheSize <= 0 {
 		cfg.PlanCacheSize = 64
 	}
-	svc, err := service.New(e.cpu.Profile(), e.workers, e.eng.VectorSize(), service.Config{
+	svc, err := service.New(e.cpu.Profile(), e.Workers(), e.eng.VectorSize(), service.Config{
 		MaxActive:         cfg.MaxActive,
 		QueueLimit:        cfg.QueueLimit,
 		QuantumVectors:    cfg.QuantumVectors,

@@ -210,7 +210,7 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.New(e.cpu.Profile(), e.workers, e.eng.VectorSize(), service.Config{MaxActive: 3})
+	svc, err := service.New(e.cpu.Profile(), e.Workers(), e.eng.VectorSize(), service.Config{MaxActive: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 	// sequence with block ids and cycle stamps.
 	rec := trace.New()
 	svcTrack := rec.NewTrack("service")
-	coreTracks := make([]*trace.Track, e.workers)
+	coreTracks := make([]*trace.Track, e.Workers())
 	for i := range coreTracks {
 		coreTracks[i] = rec.NewTrack(fmt.Sprintf("pool %d", i))
 	}
@@ -229,7 +229,7 @@ func runSharedStorageTrace(t *testing.T) sharedStorObs {
 	modes := []service.Mode{service.ModeFixed, service.ModeProgressive, service.ModeFixed}
 	tks := make([]*service.Ticket, len(modes))
 	for j, mode := range modes {
-		views := make([]*exec.StorageScan, e.workers)
+		views := make([]*exec.StorageScan, e.Workers())
 		for i := range views {
 			set := shared
 			if i != j {

@@ -150,7 +150,7 @@ func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, e
 			}
 		}
 	}
-	views := make([]*exec.StorageScan, e.workers)
+	views := make([]*exec.StorageScan, e.par.Workers())
 	for i := range views {
 		set, err := plan.NewSet()
 		if err != nil {
@@ -165,32 +165,22 @@ func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, e
 // will use, drops tier residency (every Exec is a cold scan), and snapshots
 // the tier counters for the post-run delta.
 func (e *Engine) attachStorage(s *storedQuery) ([]cache.StorageCounters, error) {
-	if e.par != nil && len(s.views) != len(e.par.Engines()) {
-		return nil, fmt.Errorf("progopt: stored query compiled for %d cores, engine has %d", len(s.views), len(e.par.Engines()))
+	if len(s.views) != e.par.Workers() {
+		return nil, fmt.Errorf("progopt: stored query compiled for %d cores, engine has %d", len(s.views), e.par.Workers())
 	}
 	before := make([]cache.StorageCounters, len(s.views))
-	for i, v := range s.views {
-		v.Set.DropResidency()
-		before[i] = v.Set.Counters()
-	}
-	if e.par != nil {
-		for i, w := range e.par.Engines() {
-			w.SetStorage(s.views[i])
-		}
-	} else {
-		e.eng.SetStorage(s.views[0])
+	for i, w := range e.par.Engines() {
+		s.views[i].Set.DropResidency()
+		before[i] = s.views[i].Set.Counters()
+		w.SetStorage(s.views[i])
 	}
 	return before, nil
 }
 
 // detachStorage removes the stored-scan state from every core.
 func (e *Engine) detachStorage() {
-	if e.par != nil {
-		for _, w := range e.par.Engines() {
-			w.SetStorage(nil)
-		}
-	} else {
-		e.eng.SetStorage(nil)
+	for _, w := range e.par.Engines() {
+		w.SetStorage(nil)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // per-core) PMU delta, and — in micro mode — the branching/branch-free
 // implementation choice. Run.Step is its one caller: it steps it one morsel
 // block at a time — one vector on a pool of one core — on whatever subset of
-// cores the step was given. The stepper never executes
-// anything: it consumes finished BlockResults and tells the driver which query
-// order and scan implementation the next step must run.
+// cores the step was given. The stepper never executes anything: it consumes
+// finished BlockResults and tells the driver which query order and scan
+// implementation the next step must run.
 type BlockStepper struct {
 	base *exec.Query
 	opt  Options
@@ -165,11 +165,12 @@ func (s *BlockStepper) Rejected() [][]int { return slices.Clone(s.rejected) }
 // current step's coordination.
 func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 
-// AfterBlock runs the coordination that follows one finished step: validate the previous reorder
-// against the step's per-vector cost (revert on regression) and, when
-// optPoint says an optimization point is due, either issue a §4.5 probe or
-// sample the merged counters, estimate selectivities, reorder by ascending
-// rank and, in micro mode, choose the next step's scan implementation.
+// AfterBlock runs the coordination that follows one finished step: validate
+// the previous reorder against the step's per-vector cost (revert on
+// regression) and, when optPoint says an optimization point is due, either
+// issue a §4.5 probe or sample the merged counters, estimate selectivities,
+// reorder by ascending rank and, in micro mode, choose the next step's scan
+// implementation.
 //
 // Three rules bound what the loop can lose when its proposals are wrong. A
 // sample belongs to the order it was taken under, so the step that reverts
@@ -185,12 +186,12 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 // which steps a vector at a time, every ReopInterval-th vector but the last.
 // validate says whether the step's cost may be held against the previous
 // step's: true for every block (a short last block still reverts), false for
-// a partial last vector, whose fixed costs are spread over fewer tuples. coord is the core
-// the estimation runs on (the others idle at the block barrier); engines are
-// the cores currently executing the query, each of which pays the recompile
-// of a reorder or implementation switch. The returned cycles are the
-// makespan extension of the coordination; the caller adds them to the
-// query's clock.
+// a partial last vector, whose fixed costs are spread over fewer tuples.
+// coord is the core the estimation runs on (the others idle at the block
+// barrier); engines are the cores currently executing the query, each of
+// which pays the recompile of a reorder or implementation switch. The
+// returned cycles are the makespan extension of the coordination; the caller
+// adds them to the query's clock.
 func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, validate bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
 	optPoint = optPoint && s.opt.ReopInterval > 0
 	s.st.Blocks++

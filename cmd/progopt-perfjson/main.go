@@ -1,6 +1,6 @@
 // Command progopt-perfjson converts `go test -bench` output on stdin into
 // the BENCH_perf.json artifact CI uploads per commit — the host-performance
-// trajectory of the simulator's hot paths (schema progopt-perf/v6).
+// trajectory of the simulator's hot paths (schema progopt-perf/v7).
 //
 // Usage:
 //
@@ -27,10 +27,12 @@
 // goes to stdout and, with -summary, to a markdown file for the CI job
 // summary. The same gate checks the new artifact against itself: a
 // host-parallel row (see earnedRows) whose -cpu N median is slower than its
-// -cpu 1 median fails — host parallelism has to pay for itself or go.
+// -cpu 1 median fails — host parallelism has to pay for itself or go. A row
+// whose N exceeds the host's CPU count, recorded in the artifact, measures
+// oversubscription rather than parallelism and is listed as skipped.
 //
 // With -history, the run is appended as one JSON line (commit, date, schema,
-// rows without their raw text) to an append-only file: the trajectory is a
+// host CPU count, rows without their raw text) to an append-only file: the trajectory is a
 // file, not git archaeology. CI's main-branch job commits it.
 //
 // Only benchmark result lines are consumed; everything else (goos/pkg
@@ -44,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,7 +54,7 @@ import (
 )
 
 // Schema is the artifact format identifier.
-const Schema = "progopt-perf/v6"
+const Schema = "progopt-perf/v7"
 
 // Bench is one benchmark result row (the median across -count repeats).
 type Bench struct {
@@ -76,8 +79,11 @@ type Bench struct {
 
 // Artifact is the whole BENCH_perf.json document.
 type Artifact struct {
-	Schema  string  `json:"schema"`
-	Benches []Bench `json:"benches"`
+	Schema string `json:"schema"`
+	// HostCPUs is the number of logical CPUs of the host that ran the
+	// benchmarks; zero in artifacts written before it was recorded.
+	HostCPUs int     `json:"host_cpus"`
+	Benches  []Bench `json:"benches"`
 }
 
 func main() {
@@ -89,7 +95,7 @@ func main() {
 	commit := flag.String("commit", "", "commit id recorded in the -history line")
 	flag.Parse()
 
-	art := Artifact{Schema: Schema}
+	art := Artifact{Schema: Schema, HostCPUs: runtime.NumCPU()}
 	var samples []Bench
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
@@ -321,17 +327,18 @@ func compare(old, cur Artifact, maxRegress float64) (bool, string) {
 
 // historyEntry is one line of the append-only trajectory file.
 type historyEntry struct {
-	Commit  string  `json:"commit"`
-	Date    string  `json:"date"`
-	Schema  string  `json:"schema"`
-	Benches []Bench `json:"benches"`
+	Commit   string  `json:"commit"`
+	Date     string  `json:"date"`
+	Schema   string  `json:"schema"`
+	HostCPUs int     `json:"host_cpus"`
+	Benches  []Bench `json:"benches"`
 }
 
 // appendHistory appends art as one JSON line to path, creating it if needed.
 // Raw result lines are dropped: the trajectory keeps the numbers, the
 // per-commit artifact keeps the forensics.
 func appendHistory(path, commit string, now time.Time, art Artifact) error {
-	e := historyEntry{Commit: commit, Date: now.UTC().Format(time.RFC3339), Schema: art.Schema}
+	e := historyEntry{Commit: commit, Date: now.UTC().Format(time.RFC3339), Schema: art.Schema, HostCPUs: art.HostCPUs}
 	for _, b := range art.Benches {
 		b.Raw = ""
 		e.Benches = append(e.Benches, b)
@@ -352,16 +359,18 @@ func appendHistory(path, commit string, now time.Time, art Artifact) error {
 }
 
 // earnedRows are the benchmarks hostParallelGate holds to "earn it or remove
-// it": BenchmarkRunParallel simulates four cores and must turn extra host
-// threads into wall-clock; BenchmarkRunJoinGraph4 simulates one and must at
-// least not pay for the threads it cannot use.
-var earnedRows = []string{"BenchmarkRunParallel", "BenchmarkRunJoinGraph4"}
+// it": BenchmarkRunParallel and BenchmarkRunGroupBy simulate four cores and
+// must turn extra host threads into wall-clock; BenchmarkRunJoinGraph4
+// simulates one and must at least not pay for the threads it cannot use.
+var earnedRows = []string{"BenchmarkRunParallel", "BenchmarkRunGroupBy", "BenchmarkRunJoinGraph4"}
 
 // hostParallelGate compares, within one artifact, each earned row's -cpu N
 // median against its own -cpu 1 median and fails any that is slower. noise is
 // the same percentage allowance the baseline comparison gives wall-clock: the
 // single-core row ties by construction, and a strict comparison of two noisy
-// medians would fail it every other run.
+// medians would fail it every other run. A row with N above cur.HostCPUs is
+// skipped: more threads than processors time the scheduler's yields, not
+// parallelism.
 func hostParallelGate(cur Artifact, noise float64) (bool, string) {
 	ok := true
 	var b strings.Builder
@@ -378,7 +387,9 @@ func hostParallelGate(cur Artifact, noise float64) (bool, string) {
 				continue
 			}
 			status := "ok"
-			if n.NsPerOp > one.NsPerOp*(1+noise/100) {
+			if n.Cpu > cur.HostCPUs {
+				status = fmt.Sprintf("skipped (oversubscribed: %d host CPUs)", cur.HostCPUs)
+			} else if n.NsPerOp > one.NsPerOp*(1+noise/100) {
 				status = "FAIL"
 				ok = false
 			}

@@ -9,37 +9,57 @@ import (
 	"time"
 )
 
-// TestHostParallelGate: a host-parallel row slower at -cpu 4 than at -cpu 1
+// TestHostParallelGate: a host-parallel row slower at -cpu N than at -cpu 1
 // fails (the committed baseline before lookahead scheduling had exactly that
 // shape: 6.8 ms vs 4.9 ms), one that is faster or within the noise allowance
-// passes, and benchmarks outside earnedRows are not judged.
+// passes, benchmarks outside earnedRows are not judged, and a row with more
+// threads than the host has CPUs is listed as skipped instead of judged.
 func TestHostParallelGate(t *testing.T) {
 	row := func(name string, cpu int, ns float64) Bench { return Bench{Name: name, Cpu: cpu, NsPerOp: ns} }
 	for _, c := range []struct {
-		name    string
-		benches []Bench
-		ok      bool
+		name     string
+		hostCPUs int
+		benches  []Bench
+		ok       bool
+		skipped  bool
 	}{
-		{"parallel row earns its threads", []Bench{
+		{"parallel row earns its threads", 4, []Bench{
 			row("BenchmarkRunParallel", 1, 4.0e6), row("BenchmarkRunParallel", 4, 2.3e6),
 			row("BenchmarkRunJoinGraph4", 1, 35e6), row("BenchmarkRunJoinGraph4", 4, 36e6),
-		}, true},
-		{"parallel row slower with more threads", []Bench{
+		}, true, false},
+		{"parallel row slower with more threads", 4, []Bench{
 			row("BenchmarkRunParallel", 1, 4.9e6), row("BenchmarkRunParallel", 4, 6.8e6),
-		}, false},
-		{"single-core row pays for idle threads", []Bench{
+		}, false, false},
+		{"grouped row slower with more threads", 4, []Bench{
+			row("BenchmarkRunGroupBy", 1, 28.7e6), row("BenchmarkRunGroupBy", 4, 44.7e6),
+		}, false, false},
+		{"grouped row earns its threads", 2, []Bench{
+			row("BenchmarkRunGroupBy", 1, 44.7e6), row("BenchmarkRunGroupBy", 2, 28.7e6),
+		}, true, false},
+		{"single-core row pays for idle threads", 4, []Bench{
 			row("BenchmarkRunJoinGraph4", 1, 35e6), row("BenchmarkRunJoinGraph4", 4, 42e6),
-		}, false},
-		{"other benchmarks are not judged", []Bench{
+		}, false, false},
+		{"other benchmarks are not judged", 4, []Bench{
 			row("BenchmarkRunTopK", 1, 9e6), row("BenchmarkRunTopK", 4, 12e6),
-		}, true},
+		}, true, false},
+		{"oversubscribed row is skipped", 2, []Bench{
+			row("BenchmarkRunParallel", 1, 2.1e6), row("BenchmarkRunParallel", 2, 1.4e6),
+			row("BenchmarkRunParallel", 4, 2.9e6),
+		}, true, true},
+		{"a row within the host's CPUs is still judged", 2, []Bench{
+			row("BenchmarkRunParallel", 1, 2.1e6), row("BenchmarkRunParallel", 2, 2.9e6),
+			row("BenchmarkRunParallel", 4, 1.4e6),
+		}, false, true},
 	} {
-		ok, table := hostParallelGate(Artifact{Benches: c.benches}, 10)
+		ok, table := hostParallelGate(Artifact{HostCPUs: c.hostCPUs, Benches: c.benches}, 10)
 		if ok != c.ok {
 			t.Errorf("%s: gate passed=%v, want %v\n%s", c.name, ok, c.ok, table)
 		}
 		if !c.ok && !strings.Contains(table, "FAIL") {
 			t.Errorf("%s: failing table names no row:\n%s", c.name, table)
+		}
+		if got := strings.Contains(table, "skipped (oversubscribed"); got != c.skipped {
+			t.Errorf("%s: table lists a skipped row: %v, want %v\n%s", c.name, got, c.skipped, table)
 		}
 	}
 }
@@ -85,12 +105,13 @@ func TestAllocationGate(t *testing.T) {
 	}
 }
 
-// TestAppendHistory: every run adds exactly one parseable line, earlier lines
-// stay, and raw result text is left to the per-commit artifact.
+// TestAppendHistory: every run adds exactly one parseable line carrying the
+// host's CPU count, earlier lines stay, and raw result text is left to the
+// per-commit artifact.
 func TestAppendHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	allocs := 770.0
-	art := Artifact{Schema: Schema, Benches: []Bench{{Name: "BenchmarkServeConcurrent4", Cpu: 1, NsPerOp: 27e6,
+	art := Artifact{Schema: Schema, HostCPUs: 2, Benches: []Bench{{Name: "BenchmarkServeConcurrent4", Cpu: 1, NsPerOp: 27e6,
 		AllocsPerOp: &allocs, Raw: "BenchmarkServeConcurrent4 3 27000000 ns/op"}}}
 	when := time.Date(2026, 9, 29, 12, 0, 0, 0, time.UTC)
 	for _, commit := range []string{"aaa", "bbb"} {
@@ -111,7 +132,7 @@ func TestAppendHistory(t *testing.T) {
 		if err := json.Unmarshal([]byte(lines[i]), &e); err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if e.Commit != commit || e.Date != "2026-09-29T12:00:00Z" || e.Schema != Schema ||
+		if e.Commit != commit || e.Date != "2026-09-29T12:00:00Z" || e.Schema != Schema || e.HostCPUs != 2 ||
 			len(e.Benches) != 1 || *e.Benches[0].AllocsPerOp != 770 || e.Benches[0].Raw != "" {
 			t.Errorf("line %d = %+v", i, e)
 		}

@@ -216,7 +216,7 @@ func resolveJoinKey(d *Dataset, fromTab *columnar.Table, s planStep) (*columnar.
 			s.from, s.key, s.to, s.key, key.Kind())
 	}
 	rows := d.d.TableRows(s.to)
-	lo, hi := intColumnRange(key)
+	lo, hi := key.IntRange()
 	if lo < 0 || hi >= int64(rows) {
 		return nil, fmt.Errorf("progopt: JoinOn(%q, %q, %q): key values span [%d, %d], not valid row ids of %q (which has %d rows)",
 			s.from, s.key, s.to, lo, hi, s.to, rows)
@@ -263,37 +263,6 @@ func routeFilter(d *Dataset, driving *columnar.Table, edges []graphEdge, step pl
 	}
 	return nil, fmt.Errorf("progopt: unknown column %q in any joined table (%s)",
 		step.col, strings.Join(alts, "; "))
-}
-
-// intColumnRange scans an integer-kind column's min and max; an empty
-// column reports the empty range (0, -1).
-func intColumnRange(c *columnar.Column) (lo, hi int64) {
-	if c.Len() == 0 {
-		return 0, -1
-	}
-	if s := c.I64(); s != nil {
-		lo, hi = s[0], s[0]
-		for _, v := range s[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		return lo, hi
-	}
-	s := c.I32()
-	lo32, hi32 := s[0], s[0]
-	for _, v := range s[1:] {
-		if v < lo32 {
-			lo32 = v
-		}
-		if v > hi32 {
-			hi32 = v
-		}
-	}
-	return int64(lo32), int64(hi32)
 }
 
 // datasetTableNames returns the data set's table names, sorted.

@@ -156,3 +156,32 @@ func (c *Column) I32() []int32 { return c.i32 }
 
 // F64 exposes the raw float64 payload (nil for other kinds).
 func (c *Column) F64() []float64 { return c.f64 }
+
+// IntRange returns the smallest and largest value of an integer-kind column
+// (Int64, Int32 or Date), widened to int64. An empty column, or one of
+// another kind, reports the empty range (0, -1).
+func (c *Column) IntRange() (lo, hi int64) {
+	switch c.kind {
+	case Int64:
+		return minMax(c.i64)
+	case Int32, Date:
+		return minMax(c.i32)
+	}
+	return 0, -1
+}
+
+func minMax[T int32 | int64](s []T) (lo, hi int64) {
+	if len(s) == 0 {
+		return 0, -1
+	}
+	l, h := s[0], s[0]
+	for _, v := range s[1:] {
+		if v < l {
+			l = v
+		}
+		if v > h {
+			h = v
+		}
+	}
+	return int64(l), int64(h)
+}

@@ -1,6 +1,9 @@
 package columnar
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestKindProperties(t *testing.T) {
 	cases := []struct {
@@ -77,6 +80,26 @@ func TestInt64AtPanicsOnFloat(t *testing.T) {
 		}
 	}()
 	NewFloat64("f", []float64{1}).Int64At(0)
+}
+
+func TestIntRange(t *testing.T) {
+	for _, c := range []struct {
+		col    *Column
+		lo, hi int64
+	}{
+		{NewInt64("i64", []int64{5, -3, 9, 0}), -3, 9},
+		{NewInt64("wide", []int64{math.MaxInt64, math.MinInt64}), math.MinInt64, math.MaxInt64},
+		{NewInt32("i32", []int32{-7, -2, -9}), -9, -2},
+		{NewDate("date", []int32{8037, 8036, 10591}), 8036, 10591},
+		{NewInt64("one", []int64{-4}), -4, -4},
+		{NewDate("one date", []int32{42}), 42, 42},
+		{NewInt32("empty", nil), 0, -1},
+		{NewFloat64("float", []float64{1, 2}), 0, -1},
+	} {
+		if lo, hi := c.col.IntRange(); lo != c.lo || hi != c.hi {
+			t.Errorf("%s: IntRange = [%d, %d], want [%d, %d]", c.col.Name(), lo, hi, c.lo, c.hi)
+		}
+	}
 }
 
 func TestTableInvariants(t *testing.T) {

@@ -23,7 +23,6 @@ func RunProgressiveEnumerated(e *exec.Engine, q *exec.Query, opt Options) (exec.
 	if err := q.Validate(); err != nil {
 		return exec.Result{}, Stats{}, err
 	}
-	opt.setDefaults()
 	c := e.CPU()
 
 	nOps := len(q.Ops)

@@ -61,9 +61,6 @@ type EstimatorConfig struct {
 	// AbsTol is the paper's absolute tolerance of 1 between iterations,
 	// applied to the raw counter-difference objective of Eq. (10).
 	AbsTol float64
-	// NoImproveLimit stops after this many consecutive starts without
-	// improvement (the paper's n < 5; default 4).
-	NoImproveLimit int
 	// MaxStarts bounds the number of start points (the paper's m = 2p;
 	// default 2*len(Widths)).
 	MaxStarts int
@@ -72,6 +69,10 @@ type EstimatorConfig struct {
 	// counter-subset ablation.
 	Weights *CounterWeights
 }
+
+// noImproveLimit stops the restarts after this many consecutive starts
+// without improvement (the paper's n < 5).
+const noImproveLimit = 4
 
 // CounterWeights scales the four counters in the estimation objective.
 type CounterWeights struct {
@@ -84,9 +85,6 @@ func (c *EstimatorConfig) setDefaults() {
 	}
 	if c.AbsTol <= 0 {
 		c.AbsTol = 1
-	}
-	if c.NoImproveLimit <= 0 {
-		c.NoImproveLimit = 4
 	}
 	if c.MaxStarts <= 0 {
 		c.MaxStarts = 2 * len(c.Widths)
@@ -231,7 +229,7 @@ func (e *Estimator) Estimate(s CounterSample, cfg EstimatorConfig) (Estimation, 
 	best := Estimation{Cost: math.Inf(1)}
 	noImprove := 0
 	starts := 0
-	for starts < cfg.MaxStarts && noImprove < cfg.NoImproveLimit {
+	for starts < cfg.MaxStarts && noImprove < noImproveLimit {
 		res, err := e.nm.minimize(e.objective, e.gen.next(e.x0), NMOptions{
 			MaxIter: cfg.MaxIterNM,
 			AbsTol:  cfg.AbsTol,

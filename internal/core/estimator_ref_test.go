@@ -124,7 +124,7 @@ func estimateSelectivitiesRef(s CounterSample, cfg EstimatorConfig) (Estimation,
 	best := Estimation{Cost: math.Inf(1)}
 	noImprove := 0
 	starts := 0
-	for starts < cfg.MaxStarts && noImprove < cfg.NoImproveLimit {
+	for starts < cfg.MaxStarts && noImprove < noImproveLimit {
 		x0 := gen.Next()
 		res, err := nelderMeadRef(objective, x0, NMOptions{
 			MaxIter: cfg.MaxIterNM,
@@ -184,10 +184,6 @@ func nelderMeadRef(f func([]float64) float64, x0 []float64, opt NMOptions) (NMRe
 	if opt.Hi != nil && len(opt.Hi) != d {
 		return NMResult{}, fmt.Errorf("core: upper bound dimension %d != %d", len(opt.Hi), d)
 	}
-	step := opt.InitialStep
-	if step <= 0 {
-		step = 0.1
-	}
 
 	evals := 0
 	clamp := func(x []float64) {
@@ -214,9 +210,9 @@ func nelderMeadRef(f func([]float64) float64, x0 []float64, opt NMOptions) (NMRe
 	values[0] = eval(simplex[0])
 	for i := 0; i < d; i++ {
 		v := append([]float64(nil), simplex[0]...)
-		h := step
+		h := nmInitialStep
 		if opt.Lo != nil && opt.Hi != nil {
-			h = step * (opt.Hi[i] - opt.Lo[i])
+			h = nmInitialStep * (opt.Hi[i] - opt.Lo[i])
 			if h == 0 {
 				h = 1e-12
 			}
@@ -247,20 +243,7 @@ func nelderMeadRef(f func([]float64) float64, x0 []float64, opt NMOptions) (NMRe
 		sort.Slice(order, func(a, b int) bool { return values[order[a]] < values[order[b]] })
 		best, worst := order[0], order[d]
 		if math.Abs(values[worst]-values[best]) < opt.AbsTol {
-			if opt.XTol <= 0 {
-				break
-			}
-			diam := 0.0
-			for i := 1; i <= d; i++ {
-				for j := 0; j < d; j++ {
-					if dd := math.Abs(simplex[i][j] - simplex[0][j]); dd > diam {
-						diam = dd
-					}
-				}
-			}
-			if diam < opt.XTol {
-				break
-			}
+			break
 		}
 		// Centroid of all but the worst.
 		centroid := make([]float64, d)

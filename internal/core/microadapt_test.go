@@ -9,21 +9,20 @@ import (
 )
 
 func TestChooseImpl(t *testing.T) {
-	p := DefaultImplCostParams()
 	// Very selective first predicate over a deeper PEO: branching
 	// short-circuits away most work and mispredicts little.
-	if got := ChooseImpl([]float64{0.01, 0.5, 0.5, 0.5}, p); got != exec.ImplBranching {
+	if got := ChooseImpl([]float64{0.01, 0.5, 0.5, 0.5}); got != exec.ImplBranching {
 		t.Errorf("sel 1%% first of four: chose %v, want branching", got)
 	}
 	// Mid selectivity: mispredictions dominate; branch-free wins.
-	if got := ChooseImpl([]float64{0.5, 0.5}, p); got != exec.ImplBranchFree {
+	if got := ChooseImpl([]float64{0.5, 0.5}); got != exec.ImplBranchFree {
 		t.Errorf("sel 50%%: chose %v, want branch-free", got)
 	}
 	// Empty and clamping.
-	if got := ChooseImpl(nil, p); got != exec.ImplBranching {
+	if got := ChooseImpl(nil); got != exec.ImplBranching {
 		t.Error("empty sels must default to branching")
 	}
-	if got := ChooseImpl([]float64{-1, 0.5, 0.5, 2}, p); got != exec.ImplBranching {
+	if got := ChooseImpl([]float64{-1, 0.5, 0.5, 2}); got != exec.ImplBranching {
 		t.Errorf("clamped first-sel-0 chose %v, want branching", got)
 	}
 }
@@ -34,7 +33,6 @@ func TestChooseImpl(t *testing.T) {
 func TestChooseImplAgainstMeasurement(t *testing.T) {
 	d := tpch.MustGenerate(tpch.Config{Lineitems: 40000, Seed: 8})
 	qty := d.Lineitem.Column("l_quantity") // uniform 1..50
-	p := DefaultImplCostParams()
 	for _, bound := range []int64{2, 25, 49} {
 		sel := float64(bound) / 50
 		q := &exec.Query{
@@ -64,7 +62,7 @@ func TestChooseImplAgainstMeasurement(t *testing.T) {
 		}
 		branching := run(exec.ImplBranching)
 		free := run(exec.ImplBranchFree)
-		chosen := ChooseImpl([]float64{sel, 1}, p)
+		chosen := ChooseImpl([]float64{sel, 1})
 		measuredBest := exec.ImplBranching
 		if free < branching {
 			measuredBest = exec.ImplBranchFree

@@ -18,16 +18,11 @@ type NMOptions struct {
 	// Lo and Hi are per-dimension box bounds; points are clamped into the
 	// box before evaluation. Nil means unbounded.
 	Lo, Hi []float64
-	// InitialStep sizes the starting simplex relative to the box (default
-	// 0.1 of the box width, or 0.1 absolute when unbounded).
-	InitialStep float64
-	// XTol, when positive, additionally requires the simplex diameter to
-	// fall below it before terminating on AbsTol. This guards against the
-	// classic Nelder-Mead stall where vertices straddle a minimum
-	// symmetrically and their values tie exactly. Zero keeps the paper's
-	// value-spread-only criterion.
-	XTol float64
 }
+
+// nmInitialStep sizes the starting simplex relative to the box: 0.1 of the
+// box width, or 0.1 absolute when unbounded.
+const nmInitialStep = 0.1
 
 // NMResult reports the optimization outcome.
 type NMResult struct {
@@ -119,10 +114,6 @@ func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOp
 	if opt.Hi != nil && len(opt.Hi) != d {
 		return NMResult{}, fmt.Errorf("core: upper bound dimension %d != %d", len(opt.Hi), d)
 	}
-	step := opt.InitialStep
-	if step <= 0 {
-		step = 0.1
-	}
 
 	evals := 0
 	clamp := func(x []float64) {
@@ -153,9 +144,9 @@ func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOp
 	for i := 0; i < d; i++ {
 		v := simplex[i+1]
 		copy(v, simplex[0])
-		h := step
+		h := nmInitialStep
 		if opt.Lo != nil && opt.Hi != nil {
-			h = step * (opt.Hi[i] - opt.Lo[i])
+			h = nmInitialStep * (opt.Hi[i] - opt.Lo[i])
 			if h == 0 {
 				h = 1e-12
 			}
@@ -184,20 +175,7 @@ func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOp
 		sortOrder(order, values)
 		best, worst := order[0], order[d]
 		if math.Abs(values[worst]-values[best]) < opt.AbsTol {
-			if opt.XTol <= 0 {
-				break
-			}
-			diam := 0.0
-			for i := 1; i <= d; i++ {
-				for j := 0; j < d; j++ {
-					if dd := math.Abs(simplex[i][j] - simplex[0][j]); dd > diam {
-						diam = dd
-					}
-				}
-			}
-			if diam < opt.XTol {
-				break
-			}
+			break
 		}
 		// Centroid of all but the worst.
 		centroid := w.rows[iCentroid]

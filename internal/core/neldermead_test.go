@@ -27,7 +27,7 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 		b := x[1] - x[0]*x[0]
 		return a*a + 100*b*b
 	}
-	res, err := NelderMead(f, []float64{-1.2, 1}, NMOptions{MaxIter: 5000, AbsTol: 1e-14, InitialStep: 0.5})
+	res, err := NelderMead(f, []float64{-1.2, 1}, NMOptions{MaxIter: 5000, AbsTol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,20 +80,6 @@ func TestNelderMeadValidation(t *testing.T) {
 	}
 	if _, err := NelderMead(f, []float64{0}, NMOptions{Lo: []float64{0, 0}}); err == nil {
 		t.Error("mismatched bounds accepted")
-	}
-}
-
-func TestNelderMeadOneDimensional(t *testing.T) {
-	// Smooth objective: with |x-0.25| a symmetric straddle of the kink gives
-	// equal vertex values and the f-spread criterion stops early — a known
-	// Nelder-Mead property, not a bug.
-	f := func(x []float64) float64 { return (x[0] - 0.25) * (x[0] - 0.25) }
-	res, err := NelderMead(f, []float64{0.9}, NMOptions{MaxIter: 1000, AbsTol: 1e-10, XTol: 1e-6, Lo: []float64{0}, Hi: []float64{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-0.25) > 1e-3 {
-		t.Errorf("1-d minimum at %v, want 0.25", res.X[0])
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	cachemodel "progopt/internal/costmodel/cache"
-	"progopt/internal/costmodel/markov"
 	"progopt/internal/exec"
 	"progopt/internal/hw/pmu"
 	"progopt/internal/trace"
@@ -16,11 +14,6 @@ type Options struct {
 	// paper sweeps 10, 75, 200). Zero disables re-optimization, reducing the
 	// driver to the baseline execution pattern.
 	ReopInterval int
-	// Chain overrides the branch model (default: the paper's 6-state chain).
-	Chain markov.Chain
-	// Geometry overrides the cache model (default: derived from the engine's
-	// CPU profile).
-	Geometry cachemodel.Geometry
 	// DisableValidation skips the execute-and-compare step after a reorder
 	// (ablation: Figure 13c's random data set relies on reverting).
 	DisableValidation bool
@@ -58,12 +51,6 @@ const (
 	// before a reorder is reverted.
 	validationTolerance = 0.02
 )
-
-func (o *Options) setDefaults() {
-	if o.Chain.States() == 0 {
-		o.Chain = markov.Paper()
-	}
-}
 
 // Stats reports what the reoptimizer loop did.
 type Stats struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	cachemodel "progopt/internal/costmodel/cache"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/hw/pmu"
@@ -25,7 +26,9 @@ type BlockStepper struct {
 
 	micro    bool
 	eligible bool
-	costP    ImplCostParams
+	// geometry is the L3 of the profile the run is scheduled on, the cache
+	// the estimator models.
+	geometry cachemodel.Geometry
 
 	curPerm, prevPerm []int
 	curQ              *exec.Query
@@ -80,28 +83,20 @@ type BlockStepper struct {
 const bfResampleEvery = 3
 
 // NewBlockStepper builds the coordination state for one query. prof supplies
-// the cache geometry the estimator defaults to; workers is reported in the
+// the cache geometry the estimator models; workers is reported in the
 // stats (the pool size the run is scheduled on). micro enables per-block
 // implementation choice.
 func NewBlockStepper(q *exec.Query, prof cpu.Profile, workers int, micro bool, opt Options) (*BlockStepper, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	opt.setDefaults()
-	if opt.Geometry.LineSize == 0 {
-		hier := prof.Hierarchy
-		opt.Geometry.LineSize = hier.L3.LineSize
-		opt.Geometry.CapacityLines = hier.L3.Lines()
-	}
-	costP := DefaultImplCostParams()
-	costP.Chain = opt.Chain
 	nOps := len(q.Ops)
 	s := &BlockStepper{
 		base:     q,
 		opt:      opt,
 		micro:    micro,
 		eligible: micro && exec.BranchFreeEligible(q),
-		costP:    costP,
+		geometry: cachemodel.Geometry{LineSize: prof.Hierarchy.L3.LineSize, CapacityLines: prof.Hierarchy.L3.Lines()},
 		curPerm:  identity(nOps),
 		prevPerm: identity(nOps),
 		curQ:     q,
@@ -333,8 +328,7 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 	est, err := s.estimator.Estimate(SampleFromPMU(counters, tuples), EstimatorConfig{
 		Widths:    s.curWidths,
 		AggWidths: s.aggWidths,
-		Geometry:  s.opt.Geometry,
-		Chain:     s.opt.Chain,
+		Geometry:  s.geometry,
 	})
 	if err != nil {
 		return false, err
@@ -394,7 +388,7 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 		for i, o := range order {
 			s.ordered[i] = est.Sels[o]
 		}
-		if next := ChooseImpl(s.ordered, s.costP); next != s.impl {
+		if next := ChooseImpl(s.ordered); next != s.impl {
 			s.st.ImplSwitches++
 			s.impl = next
 			*extra += s.recompile(engines)

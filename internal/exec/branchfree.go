@@ -6,10 +6,16 @@ import (
 	"progopt/internal/trace"
 )
 
-// BranchFreeScan executes a multi-predicate selection without data-dependent
-// branches: every predicate is evaluated for every tuple and the outcomes
-// are combined with logical AND into a 0/1 mask (Ross, "Selection conditions
-// in main memory", TODS 2004 — reference [19] of the paper).
+// maskCostInstr is the per-predicate cost of the branch-free combine: the
+// comparison materialized as a flag plus the AND.
+const maskCostInstr = 2
+
+// RunVectorBranchFree executes rows [lo, hi) of a multi-predicate selection
+// without data-dependent branches: every predicate is evaluated for every
+// tuple and the outcomes are combined with logical AND into a 0/1 mask (Ross,
+// "Selection conditions in main memory", TODS 2004 — reference [19] of the
+// paper). It dispatches to the batch mask kernel or the scalar row loop per
+// the engine mode.
 //
 // The trade-off against the branching scan of RunVector is the one the
 // paper's §2.2.1 describes: branch-free evaluation retires more instructions
@@ -23,15 +29,6 @@ import (
 //
 // Only the loop branch remains, and it is perfectly predictable; operators
 // must be Predicates (joins short-circuit by nature and stay branching).
-type BranchFreeScan struct{}
-
-// maskCostInstr is the per-predicate cost of the branch-free combine: the
-// comparison materialized as a flag plus the AND.
-const maskCostInstr = 2
-
-// RunVectorBranchFree executes rows [lo, hi) evaluating all predicates for
-// every tuple, without per-predicate conditional branches, dispatching to
-// the batch mask kernel or the scalar row loop per the engine mode.
 func (e *Engine) RunVectorBranchFree(q *Query, lo, hi int) (VectorResult, error) {
 	if err := e.checkVector(q, lo, hi); err != nil {
 		return VectorResult{}, err

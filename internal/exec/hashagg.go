@@ -47,16 +47,7 @@ func ScanKeyDomain(c *columnar.Column) (KeyDomain, error) {
 	if err := checkGroupKind(c); err != nil {
 		return KeyDomain{}, err
 	}
-	min, max := c.Int64At(0), c.Int64At(0)
-	for i := 1; i < n; i++ {
-		v := c.Int64At(i)
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
+	min, max := c.IntRange()
 	width := max - min + 1
 	if width <= 0 || width > int64(n) {
 		return KeyDomain{Groups: n, Min: min}, nil

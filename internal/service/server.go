@@ -37,9 +37,10 @@ type Config struct {
 	// matching the progressive drivers' default re-optimization interval).
 	// Adaptive queries schedule at their own optimization-block granularity.
 	QuantumVectors int
-	// FeedbackCacheSize bounds the PMU-feedback cache (default 64 plans).
-	FeedbackCacheSize int
 }
+
+// feedbackCacheSize bounds the PMU-feedback cache, in plans.
+const feedbackCacheSize = 64
 
 // Request is one query submission.
 type Request struct {
@@ -206,12 +207,11 @@ type Server struct {
 	pool *exec.Parallel
 	cfg  Config
 
-	clock []uint64 // absolute simulated time each core is next free
-	owner []*query // query each core last executed (cold-switch detection)
-
-	// pubClock is the round-barrier-published copy of clock: Stats and Now
-	// read it without waiting on an in-flight round.
-	pubClock []uint64
+	// clock is the absolute simulated time each core is next free, written
+	// only under mu; owner is the query each core last executed (cold-switch
+	// detection).
+	clock []uint64
+	owner []*query
 
 	queue  []*query // waiting, sorted by (arrival, seq)
 	active []*query // admitted, in admission order
@@ -266,17 +266,13 @@ func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error)
 	if cfg.QuantumVectors <= 0 {
 		cfg.QuantumVectors = 10
 	}
-	if cfg.FeedbackCacheSize <= 0 {
-		cfg.FeedbackCacheSize = 64
-	}
 	s := &Server{
 		pool:              p,
 		cfg:               cfg,
 		clock:             make([]uint64, workers),
 		owner:             make([]*query, workers),
-		pubClock:          make([]uint64, workers),
 		membershipChanged: true,
-		feedback:          NewLRU(cfg.FeedbackCacheSize),
+		feedback:          NewLRU(feedbackCacheSize),
 	}
 	s.idle = sync.NewCond(&s.mu)
 	return s, nil
@@ -343,21 +339,21 @@ func (s *Server) BindQuery(q *exec.Query) error {
 }
 
 // Now returns the earliest simulated time any core can take new work — the
-// default arrival stamp for submissions that do not carry one. Reads the
-// round-barrier-published clock, so it never waits on an in-flight round.
+// default arrival stamp for submissions that do not carry one. The driver
+// releases mu while a round's segments run, so it never waits on one.
 func (s *Server) Now() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Min(s.pubClock)
+	return slices.Min(s.clock)
 }
 
-// Stats snapshots the server counters. Reads the round-barrier-published
-// clock, so it never waits on an in-flight round.
+// Stats snapshots the server counters. Like Now, it never waits on an
+// in-flight round.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	for _, cl := range s.pubClock {
+	for _, cl := range s.clock {
 		st.MakespanCycles = max(st.MakespanCycles, cl)
 	}
 	return st
@@ -838,8 +834,7 @@ func (s *Server) segmentRun(q *query) {
 // publish each segment's end clocks into the shared frontier, complete
 // finished queries (stats, feedback, service-track span), and splice each
 // query's staged optimizer events into the real track — the same per-track
-// append order the fully serial scheduler produces. Finally the frontier is
-// published for lock-free-in-spirit Stats/Now readers.
+// append order the fully serial scheduler produces.
 func (s *Server) barrierLocked() error {
 	engines := s.pool.Engines()
 	for _, q := range s.sched {
@@ -867,7 +862,6 @@ func (s *Server) barrierLocked() error {
 			q.optReal.Splice(q.optStage)
 		}
 	}
-	copy(s.pubClock, s.clock)
 	return nil
 }
 

@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// Metrics is a small simulated-time metrics registry: counters, gauges, and
-// latency summaries whose values are simulated quantities (cycles, simulated
+// Metrics is a small simulated-time metrics registry: gauges and latency
+// summaries whose values are simulated quantities (cycles, simulated
 // milliseconds, cache hit counts), exposed in the Prometheus text format.
 // Unlike the event recorder it is safe for concurrent use — metrics are
 // host-side bookkeeping outside the simulation, so a mutex here cannot
@@ -26,8 +26,7 @@ type Metrics struct {
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
+	kindGauge metricKind = iota
 	kindSummary
 )
 
@@ -57,43 +56,6 @@ func (m *Metrics) register(name, help string, kind metricKind) *metric {
 	m.byN[name] = mt
 	m.order = append(m.order, mt)
 	return mt
-}
-
-// Counter is a monotonically increasing value. Nil-safe.
-type Counter struct {
-	m  *Metrics
-	mt *metric
-}
-
-// Counter registers (or returns) the named counter.
-func (m *Metrics) Counter(name, help string) *Counter {
-	if m == nil {
-		return nil
-	}
-	return &Counter{m: m, mt: m.register(name, help, kindCounter)}
-}
-
-// Add increases the counter by v (v < 0 is ignored).
-func (c *Counter) Add(v float64) {
-	if c == nil || v < 0 {
-		return
-	}
-	c.m.mu.Lock()
-	c.mt.val += v
-	c.m.mu.Unlock()
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	c.m.mu.Lock()
-	defer c.m.mu.Unlock()
-	return c.mt.val
 }
 
 // Gauge is a value that can go up and down. Nil-safe.
@@ -216,8 +178,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", mt.name, mt.help)
 		}
 		switch mt.kind {
-		case kindCounter:
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %s\n", mt.name, mt.name, fmtVal(mt.val))
 		case kindGauge:
 			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", mt.name, mt.name, fmtVal(mt.val))
 		case kindSummary:

@@ -26,18 +26,15 @@ func TestNilSafety(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("recording on a nil track allocates %.0f times", n)
 	}
-	var c *Counter
 	var g *Gauge
 	var s *Summary
-	c.Inc()
-	c.Add(3)
 	g.Set(1)
 	s.Observe(2)
-	if c.Value() != 0 || g.Value() != 0 || s.Quantile(0.5) != 0 || s.Count() != 0 {
+	if g.Value() != 0 || s.Quantile(0.5) != 0 || s.Count() != 0 {
 		t.Fatal("nil metrics must be inert")
 	}
 	var m *Metrics
-	if m.Counter("a", "") != nil || m.Gauge("b", "") != nil || m.Summary("c", "") != nil {
+	if m.Gauge("b", "") != nil || m.Summary("c", "") != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	if err := m.WritePrometheus(&bytes.Buffer{}); err != nil {
@@ -159,11 +156,8 @@ func TestWriteChrome(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
-	served := m.Counter("progopt_queries_served_total", "queries completed")
 	act := m.Gauge("progopt_peak_active_queries", "peak concurrently active queries")
 	lat := m.Summary("progopt_sim_latency_ms", "simulated end-to-end latency")
-	served.Inc()
-	served.Add(2)
 	act.Set(4)
 	for _, v := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
 		lat.Observe(v)
@@ -180,8 +174,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"# TYPE progopt_queries_served_total counter",
-		"progopt_queries_served_total 3",
 		"# TYPE progopt_peak_active_queries gauge",
 		"progopt_peak_active_queries 4",
 		"# TYPE progopt_sim_latency_ms summary",
@@ -195,7 +187,7 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 	// Same name returns the same instrument.
-	if m.Counter("progopt_queries_served_total", "").Value() != 3 {
+	if m.Gauge("progopt_peak_active_queries", "").Value() != 4 {
 		t.Fatal("re-registration must return the existing instrument")
 	}
 }

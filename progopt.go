@@ -34,8 +34,6 @@ type Config struct {
 	// Arch selects the simulated branch predictor (default Ivy Bridge, the
 	// paper's evaluation machine).
 	Arch Arch
-	// DisablePrefetch turns the simulated L2 streamer off.
-	DisablePrefetch bool
 	// Workers is the number of simulated cores executing queries with the
 	// morsel-driven scheduler (default 1 = serial). Every Exec mode honors
 	// it — fixed, progressive, micro-adaptive, and grouped runs all report
@@ -81,9 +79,6 @@ func New(cfg Config) (*Engine, error) {
 	prof := cpu.ScaledXeon()
 	if cfg.Arch != ArchDefault {
 		prof = cpu.ForArch(branch.Arch(cfg.Arch))
-	}
-	if cfg.DisablePrefetch {
-		prof.Hierarchy.PrefetchDisabled = true
 	}
 	c, err := cpu.New(prof)
 	if err != nil {
@@ -301,8 +296,6 @@ type Progressive struct {
 	// Interval is the number of vectors between optimization cycles
 	// (default 10, the paper's best setting).
 	Interval int
-	// DisableValidation skips the reorder validation step (ablation).
-	DisableValidation bool
 }
 
 // Stats reports what the progressive optimizer did.

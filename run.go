@@ -216,17 +216,14 @@ func (e *Engine) optTrack() *trace.Track {
 	return e.tr.opt
 }
 
-// coreOptions maps the public Progressive knobs to the driver options,
-// applying the default interval.
+// coreOptions maps Progressive to the driver options, applying the default
+// interval.
 func (p Progressive) coreOptions() core.Options {
 	interval := p.Interval
 	if interval <= 0 {
 		interval = 10
 	}
-	return core.Options{
-		ReopInterval:      interval,
-		DisableValidation: p.DisableValidation,
-	}
+	return core.Options{ReopInterval: interval}
 }
 
 // toStats maps driver stats to the public type.

@@ -21,9 +21,6 @@ type ServerConfig struct {
 	// PlanCacheSize bounds the fingerprint-keyed compiled-plan cache
 	// (default 64 plans). A hit skips Compile entirely.
 	PlanCacheSize int
-	// FeedbackCacheSize bounds the PMU-feedback cache of converged operator
-	// orders (default 64 plans).
-	FeedbackCacheSize int
 	// QuantumVectors is the scheduling quantum of fixed-order queries:
 	// morsels per assigned core between scheduling decisions (default 10).
 	QuantumVectors int
@@ -175,10 +172,9 @@ func NewServer(e *Engine, cfg ServerConfig) (*Server, error) {
 		cfg.PlanCacheSize = 64
 	}
 	svc, err := service.New(e.cpu.Profile(), e.Workers(), e.eng.VectorSize(), service.Config{
-		MaxActive:         cfg.MaxActive,
-		QueueLimit:        cfg.QueueLimit,
-		QuantumVectors:    cfg.QuantumVectors,
-		FeedbackCacheSize: cfg.FeedbackCacheSize,
+		MaxActive:      cfg.MaxActive,
+		QueueLimit:     cfg.QueueLimit,
+		QuantumVectors: cfg.QuantumVectors,
 	})
 	if err != nil {
 		return nil, err

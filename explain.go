@@ -8,7 +8,16 @@ import (
 	"progopt/internal/costmodel/markov"
 	"progopt/internal/costmodel/peo"
 	"progopt/internal/exec"
+	"progopt/internal/hw/cpu"
 )
+
+// cacheGeometry is the L3 geometry of prof, as the PEO cost model reads it.
+func cacheGeometry(prof cpu.Profile) cachemodel.Geometry {
+	return cachemodel.Geometry{
+		LineSize:      prof.Hierarchy.L3.LineSize,
+		CapacityLines: prof.Hierarchy.L3.Lines(),
+	}
+}
 
 // OpExplain describes one operator in an explained plan.
 type OpExplain struct {
@@ -308,11 +317,10 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 		out.StorageVectorsSkipped = s.plan.VectorsSkipped()
 		out.Storage = storageDesc(s)
 	}
-	prof := e.cpu.Profile()
 	params := peo.Params{
 		N:        out.Rows,
 		Widths:   widths,
-		Geometry: cachemodel.Geometry{LineSize: prof.Hierarchy.L3.LineSize, CapacityLines: prof.Hierarchy.L3.Lines()},
+		Geometry: cacheGeometry(e.cpu.Profile()),
 		Chain:    markov.Paper(),
 	}
 	if q.q.Agg != nil {

@@ -106,30 +106,7 @@ func (e *Engine) RunVectorBranchFree(q *Query, lo, hi int) (VectorResult, error)
 
 // RunBranchFree executes the whole table with the branch-free scan.
 func (e *Engine) RunBranchFree(q *Query) (Result, error) {
-	if err := q.Validate(); err != nil {
-		return Result{}, err
-	}
-	start := e.cpu.Sample()
-	startCycles := e.cpu.Cycles()
-	var out Result
-	n := q.Table.NumRows()
-	for lo := 0; lo < n; lo += e.vectorSize {
-		hi := lo + e.vectorSize
-		if hi > n {
-			hi = n
-		}
-		vr, err := e.RunVectorBranchFree(q, lo, hi)
-		if err != nil {
-			return Result{}, err
-		}
-		out.Qualifying += vr.Qualifying
-		out.Sum += vr.Sum
-		out.Vectors++
-	}
-	out.Cycles = e.cpu.Cycles() - startCycles
-	out.Millis = e.cpu.MillisOf(out.Cycles)
-	out.Counters = e.cpu.Sample().Sub(start)
-	return out, nil
+	return e.runTable(q, e.RunVectorBranchFree)
 }
 
 // ScanImpl identifies a scan implementation for the micro-adaptive choice.

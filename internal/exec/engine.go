@@ -337,6 +337,13 @@ func (e *Engine) runVectorScalar(q *Query, lo, hi int) VectorResult {
 // Run executes the whole table vector by vector under a fixed operator order
 // (the paper's "common execution pattern" baseline) and returns totals.
 func (e *Engine) Run(q *Query) (Result, error) {
+	return e.runTable(q, e.RunVector)
+}
+
+// runTable executes the whole table vector by vector through vector and
+// returns totals: Run, RunBranchFree and RunInstrumented differ only in the
+// vector loop they call.
+func (e *Engine) runTable(q *Query, vector func(q *Query, lo, hi int) (VectorResult, error)) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -345,11 +352,7 @@ func (e *Engine) Run(q *Query) (Result, error) {
 	var out Result
 	n := q.Table.NumRows()
 	for lo := 0; lo < n; lo += e.vectorSize {
-		hi := lo + e.vectorSize
-		if hi > n {
-			hi = n
-		}
-		vr, err := e.RunVector(q, lo, hi)
+		vr, err := vector(q, lo, min(lo+e.vectorSize, n))
 		if err != nil {
 			return Result{}, err
 		}
@@ -360,10 +363,6 @@ func (e *Engine) Run(q *Query) (Result, error) {
 	out.Cycles = e.cpu.Cycles() - startCycles
 	out.Millis = e.cpu.MillisOf(out.Cycles)
 	out.Counters = e.cpu.Sample().Sub(start)
-	if e.tr != nil {
-		e.tr.Span("run", startCycles, e.cpu.Cycles(),
-			trace.Int("vectors", out.Vectors), trace.Int64("qual", out.Qualifying))
-	}
 	return out, nil
 }
 

@@ -33,7 +33,7 @@ const counterCostInstr = 3
 // the loop body additionally maintains the explicit counters, paying
 // counterCostInstr per maintained count — the overhead Figure 16 measures.
 func (e *Engine) RunVectorInstrumented(q *Query, lo, hi int, oc *OpCounts) (VectorResult, error) {
-	if err := q.Validate(); err != nil {
+	if err := e.checkVector(q, lo, hi); err != nil {
 		return VectorResult{}, err
 	}
 	if oc == nil {
@@ -42,10 +42,6 @@ func (e *Engine) RunVectorInstrumented(q *Query, lo, hi int, oc *OpCounts) (Vect
 	if len(oc.Evaluated) != len(q.Ops) || len(oc.Passed) != len(q.Ops) {
 		return VectorResult{}, fmt.Errorf("exec: OpCounts sized %d/%d for %d ops",
 			len(oc.Evaluated), len(oc.Passed), len(q.Ops))
-	}
-	n := q.Table.NumRows()
-	if lo < 0 || hi > n || lo > hi {
-		return VectorResult{}, fmt.Errorf("exec: vector [%d,%d) outside table of %d rows", lo, hi, n)
 	}
 	if e.skipVector(lo, hi) {
 		return VectorResult{}, nil
@@ -89,32 +85,15 @@ func (e *Engine) RunVectorInstrumented(q *Query, lo, hi int, oc *OpCounts) (Vect
 // RunInstrumented executes the whole table with enumerator instrumentation
 // and returns totals plus the explicit counters.
 func (e *Engine) RunInstrumented(q *Query) (Result, OpCounts, error) {
-	if err := q.Validate(); err != nil {
-		return Result{}, OpCounts{}, err
-	}
 	oc := OpCounts{
 		Evaluated: make([]int64, len(q.Ops)),
 		Passed:    make([]int64, len(q.Ops)),
 	}
-	start := e.cpu.Sample()
-	startCycles := e.cpu.Cycles()
-	var out Result
-	n := q.Table.NumRows()
-	for lo := 0; lo < n; lo += e.vectorSize {
-		hi := lo + e.vectorSize
-		if hi > n {
-			hi = n
-		}
-		vr, err := e.RunVectorInstrumented(q, lo, hi, &oc)
-		if err != nil {
-			return Result{}, OpCounts{}, err
-		}
-		out.Qualifying += vr.Qualifying
-		out.Sum += vr.Sum
-		out.Vectors++
+	out, err := e.runTable(q, func(q *Query, lo, hi int) (VectorResult, error) {
+		return e.RunVectorInstrumented(q, lo, hi, &oc)
+	})
+	if err != nil {
+		return Result{}, OpCounts{}, err
 	}
-	out.Cycles = e.cpu.Cycles() - startCycles
-	out.Millis = e.cpu.MillisOf(out.Cycles)
-	out.Counters = e.cpu.Sample().Sub(start)
 	return out, oc, nil
 }

@@ -168,11 +168,6 @@ type query struct {
 	// into finishLocked under the lock.
 	finished bool
 
-	// cond parks Ticket.Wait callers while another waiter drives rounds;
-	// waiters counts sleepers for the driver handoff.
-	cond    *sync.Cond
-	waiters int
-
 	arrival uint64
 	// out is the finished query's outcome (WarmOrder is copied per Wait).
 	out Outcome
@@ -192,14 +187,15 @@ type query struct {
 // exactly like a dedicated engine run.
 //
 // There is no background goroutine and no host time anywhere: Ticket.Wait
-// elects one waiter to drive scheduling rounds while the others park on
-// per-ticket condition variables. Within a round the elected driver releases
-// the lock and executes the scheduled queries' segments concurrently on the
-// host (their core subsets are disjoint, so segments share no simulated
-// state); every cross-query structure — the clock frontier, the feedback
-// cache, admission stats, the service and optimizer trace tracks — is read
-// in the locked admission phase and written at the locked round barrier, in
-// admission order. A fixed submission trace therefore yields bit-identical
+// elects one waiter to drive scheduling rounds while the others park on the
+// server's one condition variable, which each round that retires a query
+// broadcasts. Within a round the elected driver releases the lock and
+// executes the scheduled queries' segments concurrently on the host (their
+// core subsets are disjoint, so segments share no simulated state); every
+// cross-query structure — the clock frontier, the feedback cache, admission
+// stats, the service and optimizer trace tracks — is read in the locked
+// admission phase and written at the locked round barrier, in admission
+// order. A fixed submission trace therefore yields bit-identical
 // results, latencies, and makespan on every run, from any number of waiting
 // goroutines, at any GOMAXPROCS — only host wall-clock changes.
 type Server struct {
@@ -223,20 +219,18 @@ type Server struct {
 	serialRounds bool
 
 	// driving is true while an elected waiter runs a scheduling round; the
-	// lock itself is released during the round's execution phase, so
-	// operations that would touch engine state (BindQuery, SetTrace, Close)
-	// park on idle until the round retires.
+	// lock itself is released during the round's execution phase, so other
+	// waiters and operations that would touch engine state (BindQuery,
+	// SetTrace, Close) park on idle while it is set.
 	driving bool
 	idle    *sync.Cond
 
 	// Round scratch, reused every round so steady-state serving allocates
 	// nothing: sched is the round's scheduled-query snapshot, fns the
-	// segment closures handed to the host pool, doneRound the queries whose
-	// waiters need waking, scratchFree the segScratch freelist, and storSeen
-	// the shared-storage-set detector's map.
+	// segment closures handed to the host pool, scratchFree the segScratch
+	// freelist, and storSeen the shared-storage-set detector's map.
 	sched       []*query
 	fns         []func()
-	doneRound   []*query
 	scratchFree []*segScratch
 	storSeen    map[*cache.StorageSet]*query
 
@@ -409,10 +403,12 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 
 // Wait drives scheduling rounds until the ticket's query completes and
 // returns its outcome. Safe to call from any goroutine: one waiter is
-// elected to drive each round while the others park on their tickets'
-// condition variables, so the simulation advances exactly once per round
-// no matter how many goroutines wait — and which goroutine happens to drive
-// cannot influence any simulated observable.
+// elected to drive each round while the others park on idle, so the
+// simulation advances exactly once per round no matter how many goroutines
+// wait — and which goroutine happens to drive cannot influence any simulated
+// observable. Only a round that retires a query (finished or failed) or
+// panics broadcasts idle: parked waiters then recheck theirs, and one takes
+// over when the driver leaves.
 func (t *Ticket) Wait() (Outcome, error) {
 	s := t.s
 	q := t.q
@@ -420,89 +416,31 @@ func (t *Ticket) Wait() (Outcome, error) {
 	defer s.mu.Unlock()
 	for q.state != stateDone {
 		if s.driving {
-			if q.cond == nil {
-				q.cond = sync.NewCond(&s.mu)
-			}
-			q.waiters++
-			q.cond.Wait()
-			q.waiters--
+			s.idle.Wait()
 			continue
 		}
 		s.driving = true
-		completed := false
 		func() {
+			wake := true // a panic escaping the round wakes every waiter
 			defer func() {
 				s.driving = false
-				s.idle.Broadcast()
-				if completed {
-					s.wakeDoneLocked()
-				} else {
-					// A panic escaped the round; wake every waiter so no
-					// goroutine parks forever behind the poisoned server.
-					s.wakeAllLocked()
+				if wake {
+					s.idle.Broadcast()
 				}
 			}()
-			if err := s.driveRound(); err != nil {
+			retired, err := s.driveRound()
+			if err != nil {
 				s.failAllLocked(err)
 			}
-			completed = true
+			wake = retired || err != nil
 		}()
 	}
-	s.handoffLocked()
 	if q.err != nil {
 		return Outcome{}, q.err
 	}
 	out := q.out
 	out.WarmOrder = slices.Clone(q.warm)
 	return out, nil
-}
-
-// wakeDoneLocked wakes the waiters of every query that completed (or failed)
-// during the round that just retired.
-func (s *Server) wakeDoneLocked() {
-	for i, q := range s.doneRound {
-		if q.cond != nil {
-			q.cond.Broadcast()
-		}
-		s.doneRound[i] = nil
-	}
-	s.doneRound = s.doneRound[:0]
-}
-
-// wakeAllLocked wakes every parked waiter (panic path).
-func (s *Server) wakeAllLocked() {
-	for _, q := range s.active {
-		if q.cond != nil {
-			q.cond.Broadcast()
-		}
-	}
-	for _, q := range s.queue {
-		if q.cond != nil {
-			q.cond.Broadcast()
-		}
-	}
-	s.doneRound = s.doneRound[:0]
-}
-
-// handoffLocked hands the driver role to a parked waiter when a Wait call
-// returns: if nobody is driving and some ticket still has sleepers, one is
-// signalled so it can wake up, observe driving == false, and take over.
-func (s *Server) handoffLocked() {
-	if s.driving {
-		return
-	}
-	for _, q := range s.active {
-		if q.waiters > 0 && q.cond != nil {
-			q.cond.Signal()
-			return
-		}
-	}
-	for _, q := range s.queue {
-		if q.waiters > 0 && q.cond != nil {
-			q.cond.Signal()
-			return
-		}
-	}
 }
 
 // WarmStarted reports whether the submission began at a feedback-cached
@@ -521,22 +459,16 @@ func (t *Ticket) WarmStarted() (bool, []int) {
 }
 
 // failAllLocked marks every unfinished query failed — scheduler errors
-// (estimator failures, invalid permutations) poison the shared simulation —
-// and wakes all their waiters.
+// (estimator failures, invalid permutations) poison the shared simulation.
+// The failed round's broadcast wakes their waiters.
 func (s *Server) failAllLocked(err error) {
 	for _, q := range s.active {
 		q.err = err
 		q.state = stateDone
-		if q.cond != nil {
-			q.cond.Broadcast()
-		}
 	}
 	for _, q := range s.queue {
 		q.err = err
 		q.state = stateDone
-		if q.cond != nil {
-			q.cond.Broadcast()
-		}
 	}
 	s.active = s.active[:0]
 	s.queue = s.queue[:0]
@@ -550,11 +482,13 @@ func (s *Server) failAllLocked(err error) {
 // test asked for the reference path (SetSerialRounds). Both paths retire at
 // the same locked barrier, which publishes clocks, completes finished
 // queries, and splices staged optimizer traces in admission order — so every
-// simulated observable is a pure function of the submission trace.
-func (s *Server) driveRound() error {
-	s.admitLocked()
+// simulated observable is a pure function of the submission trace. It
+// reports whether the round retired a query: finished it, or failed its
+// admission.
+func (s *Server) driveRound() (retired bool, err error) {
+	retired = s.admitLocked()
 	if len(s.active) == 0 {
-		return fmt.Errorf("service: scheduler round with no admissible work")
+		return retired, fmt.Errorf("service: scheduler round with no admissible work")
 	}
 	if s.membershipChanged || len(s.active) > len(s.clock) {
 		s.partitionLocked()
@@ -589,19 +523,20 @@ func (s *Server) driveRound() error {
 	s.mu.Lock()
 	relocked = true
 	if err := s.barrierLocked(); err != nil {
-		return err
+		return retired, err
 	}
 	kept := s.active[:0]
 	for _, q := range s.active {
 		if q.state == stateDone {
 			s.membershipChanged = true
+			retired = true
 			continue
 		}
 		kept = append(kept, q)
 	}
 	s.active = kept
 	s.rounds++
-	return nil
+	return retired, nil
 }
 
 // sharedStorageLocked reports whether two scheduled queries would touch the
@@ -650,8 +585,9 @@ func (s *Server) sharedStorageLocked() bool {
 // pool's clock frontier has reached its arrival — activating it earlier
 // would reserve (and fast-forward) cores for work that has not arrived,
 // inflating the latency of queries that have. An idle pool jumps straight
-// to the next arrival.
-func (s *Server) admitLocked() {
+// to the next arrival. It reports whether a query failed to prepare, which
+// retires it.
+func (s *Server) admitLocked() (failed bool) {
 	// The frontier is the earliest time any core can take new work; while
 	// queries are active every core is in some subset, so it advances each
 	// round.
@@ -673,7 +609,7 @@ func (s *Server) admitLocked() {
 		if err := s.prepareLocked(head); err != nil {
 			head.err = err
 			head.state = stateDone
-			s.doneRound = append(s.doneRound, head)
+			failed = true
 			continue
 		}
 		head.state = stateActive
@@ -694,6 +630,7 @@ func (s *Server) admitLocked() {
 			}
 		}
 	}
+	return failed
 }
 
 // prepareLocked readies a query for execution at admission time: hand it a
@@ -867,7 +804,7 @@ func (s *Server) barrierLocked() error {
 
 // finishLocked completes a query: stamp times, snapshot optimizer stats,
 // deposit the converged order and the rejected ones in the feedback cache,
-// recycle the segment scratch, and queue the waiter wake-up.
+// and recycle the segment scratch.
 func (s *Server) finishLocked(q *query) {
 	run := q.sc.run
 	// Every core of the last subset is free once the slowest is.
@@ -891,7 +828,6 @@ func (s *Server) finishLocked(q *query) {
 	}
 	s.scratchFree = append(s.scratchFree, q.sc)
 	q.sc = nil
-	s.doneRound = append(s.doneRound, q)
 	s.stats.Completed++
 	if s.tr != nil {
 		s.tr.Span("query", run.Start, done,

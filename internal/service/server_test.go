@@ -1,9 +1,13 @@
 package service
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"progopt/internal/core"
 	"progopt/internal/exec"
@@ -683,5 +687,84 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 	}
 	if st := s.Stats(); st.PeakActive != 3 {
 		t.Errorf("peak active %d, want 3 (the ordered query shared the pool)", st.PeakActive)
+	}
+}
+
+// panicAt wraps an operator and panics once the scan reaches row at.
+type panicAt struct {
+	exec.Op
+	at int
+}
+
+func (p panicAt) Eval(c *cpu.CPU, row int) bool {
+	if row >= p.at {
+		panic(fmt.Sprintf("scan reached row %d", row))
+	}
+	return p.Op.Eval(c, row)
+}
+
+func (p panicAt) EvalBatch(c *cpu.CPU, site int, sel, out []int32) []int32 {
+	if n := len(sel); n > 0 && int(sel[n-1]) >= p.at {
+		panic(fmt.Sprintf("scan reached row %d", sel[n-1]))
+	}
+	return p.Op.EvalBatch(c, site, sel, out)
+}
+
+// TestPanicWakesEveryWaiter: a panic escaping a scheduling round surfaces in
+// the goroutine that drove it, and the round's broadcast wakes every other
+// waiter, so no Wait parks forever behind the poisoned server. One-vector
+// quanta put the panic eight rounds in, after the other waiters have parked
+// through rounds that retire nothing and so wake nobody.
+func TestPanicWakesEveryWaiter(t *testing.T) {
+	const workers, vs = 4, 512
+	prof := cpu.ScaledXeon()
+	q := testQuery(t, 16*vs, 5)
+	poisoned := &exec.Query{Table: q.Table, Ops: slices.Clone(q.Ops), Agg: q.Agg}
+	poisoned.Ops[0] = panicAt{Op: q.Ops[0], at: 8 * vs}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s, err := New(prof, workers, vs, Config{QuantumVectors: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.BindQuery(q); err != nil {
+				t.Fatal(err)
+			}
+			tks := make([]*Ticket, 6)
+			for i := range tks {
+				spec := core.Spec{Query: q, Mode: ModeFixed}
+				if i == 2 {
+					spec.Query = poisoned
+				}
+				if tks[i], err = s.Submit(Request{Spec: spec}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			panicked := make([]bool, len(tks))
+			var wg sync.WaitGroup
+			for i, tk := range tks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { panicked[i] = recover() != nil }()
+					tk.Wait()
+				}()
+			}
+			done := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("a Wait parked forever behind the panicking round")
+			}
+			if !slices.Contains(panicked, true) {
+				t.Error("no waiter saw the operator's panic")
+			}
+			s.Close()
+		})
 	}
 }

@@ -215,23 +215,6 @@ func TestRunMicroAdaptiveFacade(t *testing.T) {
 	}
 }
 
-func TestRunExperimentFacade(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 24 { // 14 paper figures + 10 extensions
-		t.Fatalf("%d experiment ids", len(ids))
-	}
-	tables, err := RunExperiment("fig07", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) == 0 || tables[0].Text == "" || tables[0].CSV == "" {
-		t.Error("fig07 rendering empty")
-	}
-	if _, err := RunExperiment("fig99", true); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
 func TestWorkersFacade(t *testing.T) {
 	run := func(cfg Config, ref refPath) (Result, Result, Stats) {
 		e, err := newRef(cfg, ref)

@@ -566,9 +566,9 @@ func BenchmarkRunParallelTraced(b *testing.B) {
 // buffers, and sample scratch are all reused across calls. The budget has
 // headroom for the handful of fixed-size allocations the run makes; what it
 // must catch is any O(vectors) or O(rows) allocation sneaking into the wave
-// loop. (AllocsPerRun measures at GOMAXPROCS 1, i.e. the inline wave path —
-// the host pool's dispatch closures are per-wave by design and benchmarked,
-// not asserted, via BenchmarkRunParallel -cpu 4.)
+// loop. (AllocsPerRun measures at GOMAXPROCS 1, i.e. the inline path; the
+// pooled hand-offs are pinned at zero allocations at GOMAXPROCS 2 by
+// internal/exec's TestPooledHandOffsAllocateNothing.)
 func TestRunParallelSteadyStateAllocs(t *testing.T) {
 	d, err := tpch.Generate(tpch.Config{Lineitems: 64 * 1024, Seed: 7})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"progopt/internal/hw/cpu"
 	"progopt/internal/hw/pmu"
@@ -55,6 +56,8 @@ type Parallel struct {
 	// starters; readers load the atomic pointer.
 	poolMu sync.Mutex
 	pool   atomic.Pointer[hostPool]
+	// segments is the job of RunSegments, which has one caller at a time.
+	segments segmentJob
 }
 
 // BlockRun is the block execution context of one query at a time: the
@@ -256,30 +259,63 @@ type hostPool struct {
 	jobs chan *hostJob
 }
 
+// helperLinger is how long a helper that has finished a job keeps polling
+// for the next invitation before it parks. A served round's segments and an
+// adaptive query's blocks follow each other within tens of microseconds,
+// while waking a parked helper takes about 100 µs on a 2-vCPU virtual
+// machine; a helper still polling joins the next job at once.
+const helperLinger = 100 * time.Microsecond
+
+// serve is a helper's loop: it works on every job it is invited to, and
+// parks only after lingering without an invitation.
+func (hp *hostPool) serve() {
+	for j := range hp.jobs {
+		for ; j != nil; j = hp.linger() {
+			j.help()
+		}
+	}
+}
+
+// linger polls for an invitation for up to helperLinger, yielding the
+// processor between polls. It returns nil when none came or the pool closed.
+func (hp *hostPool) linger() *hostJob {
+	for start := time.Now(); time.Since(start) < helperLinger; runtime.Gosched() {
+		select {
+		case j := <-hp.jobs:
+			return j
+		default:
+		}
+	}
+	return nil
+}
+
+// startPool returns the helper pool, starting it on first use with one
+// helper fewer than the host threads the simulated cores can occupy — the
+// driver is a worker too.
+func (p *Parallel) startPool() *hostPool {
+	if hp := p.pool.Load(); hp != nil {
+		return hp
+	}
+	p.poolMu.Lock()
+	defer p.poolMu.Unlock()
+	hp := p.pool.Load()
+	if hp == nil {
+		size := min(runtime.GOMAXPROCS(0), len(p.workers)) - 1
+		hp = &hostPool{jobs: make(chan *hostJob, size)}
+		for range size {
+			go hp.serve()
+		}
+		p.pool.Store(hp)
+	}
+	return hp
+}
+
 // runJob runs j.work on the caller and on up to n invited helpers, and
 // returns once all of them are out of it. An invitation is not a rendezvous:
 // a helper busy elsewhere takes it when it comes free and joins late, or
-// finds the job over; the driver never waits for one to show up. The pool is
-// started on first use with one helper fewer than the host threads the
-// simulated cores can occupy — the driver is a worker too.
+// finds the job over; the driver never waits for one to show up.
 func (p *Parallel) runJob(j *hostJob, n int) {
-	hp := p.pool.Load()
-	if hp == nil {
-		p.poolMu.Lock()
-		if hp = p.pool.Load(); hp == nil {
-			size := min(runtime.GOMAXPROCS(0), len(p.workers)) - 1
-			hp = &hostPool{jobs: make(chan *hostJob, size)}
-			for i := 0; i < size; i++ {
-				go func() {
-					for j := range hp.jobs {
-						j.help()
-					}
-				}()
-			}
-			p.pool.Store(hp)
-		}
-		p.poolMu.Unlock()
-	}
+	hp := p.startPool()
 	j.mu.Lock()
 	j.open = true
 	j.mu.Unlock()
@@ -323,6 +359,29 @@ func (j *hostJob) help() {
 	j.mu.Unlock()
 }
 
+// segmentJob is the job of a RunSegments call, reused by every call the way
+// BlockRun.job is: the call's closures, the panic each raised, and the index
+// of the next closure to claim.
+type segmentJob struct {
+	job  hostJob
+	fns  []func()
+	pvs  []any // the panic closure i raised, if any
+	next atomic.Int64
+}
+
+// work claims closures by index until none are left.
+func (s *segmentJob) work() {
+	for i := int(s.next.Add(1)) - 1; i < len(s.fns); i = int(s.next.Add(1)) - 1 {
+		s.call(i)
+	}
+}
+
+// call runs closure i and captures its panic.
+func (s *segmentJob) call(i int) {
+	defer func() { s.pvs[i] = recover() }()
+	s.fns[i]()
+}
+
 // RunSegments executes the given closures concurrently — on the caller and
 // on whichever pooled helpers are free — and returns after all complete: the
 // fan-out primitive for the workload service's host-parallel scheduling
@@ -333,6 +392,9 @@ func (j *hostJob) help() {
 // captured where it happened and re-raised on the caller after all closures
 // have finished; when several panic, the lowest slice index wins, so the
 // surfaced failure is deterministic.
+//
+// RunSegments has one caller at a time — the server's elected round driver —
+// and reuses one job for every call, so a call allocates nothing.
 func (p *Parallel) RunSegments(fns []func()) {
 	if len(fns) <= 1 || runtime.GOMAXPROCS(0) == 1 {
 		for _, f := range fns {
@@ -340,19 +402,19 @@ func (p *Parallel) RunSegments(fns []func()) {
 		}
 		return
 	}
-	pvs := make([]any, len(fns)) // the panic closure i raised, if any
-	call := func(i int) {
-		defer func() { pvs[i] = recover() }()
-		fns[i]()
+	s := &p.segments
+	if s.job.work == nil {
+		s.job.work = s.work
 	}
-	var next atomic.Int64
-	p.runJob(&hostJob{work: func() {
-		for i := int(next.Add(1)) - 1; i < len(fns); i = int(next.Add(1)) - 1 {
-			call(i)
-		}
-	}}, len(fns)-1)
-	for _, pv := range pvs {
+	if cap(s.pvs) < len(fns) {
+		s.pvs = make([]any, len(fns))
+	}
+	s.fns, s.pvs = fns, s.pvs[:len(fns)]
+	s.next.Store(0)
+	p.runJob(&s.job, len(fns)-1)
+	for _, pv := range s.pvs {
 		if pv != nil {
+			// Re-raises the lowest panicking segment's panic, raised on any host thread.
 			panic(pv)
 		}
 	}
@@ -442,6 +504,7 @@ func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []ui
 		return nil
 	}
 	if r.failed.pv != nil {
+		// Re-raises the lowest failed morsel's panic, raised on any host thread.
 		panic(r.failed.pv)
 	}
 	return r.failed.err

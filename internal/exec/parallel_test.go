@@ -1,8 +1,13 @@
 package exec
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"progopt/internal/columnar"
 	"progopt/internal/hw/cpu"
@@ -265,6 +270,148 @@ func TestRunSegmentsPanicLowestIndexWins(t *testing.T) {
 		}()
 		if ran != [4]bool{true, true, true, true} {
 			t.Fatalf("closures ran %v before the panic surfaced", ran)
+		}
+	}
+}
+
+// TestRunSegmentsReusedJob: back-to-back calls share one job, and helpers
+// linger between them, yet every closure runs exactly once and within its
+// own call — a stale invitation to a longer call that meets a shorter one
+// claims nothing of it twice. A call whose closures 1 and 3 panic surfaces
+// closure 1's panic and leaves the next call clean. Close stops the helpers
+// mid-linger, and a block after it starts a fresh pool.
+func TestRunSegmentsReusedJob(t *testing.T) {
+	_, q := parallelFixture(t)
+	for _, gmp := range []int{2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", gmp), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
+			baseline := runtime.NumGoroutine()
+			p, err := NewParallel(cpu.ScaledXeon(), 4, 1024)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				call atomic.Int64 // the call in progress, 0 between calls
+				ran  [5]atomic.Int32
+				late atomic.Int64
+			)
+			rng := rand.New(rand.NewPCG(1, uint64(gmp)))
+			for k := int64(1); k <= 5000; k++ {
+				n, panics := 1+rng.IntN(5), k%250 == 0
+				if panics {
+					n = 4
+				}
+				fns := make([]func(), n)
+				for i := range fns {
+					fns[i] = func() {
+						if call.Load() != k {
+							late.Add(1)
+						}
+						ran[i].Add(1)
+						runtime.Gosched()
+						if panics && (i == 1 || i == 3) {
+							panic(i)
+						}
+					}
+				}
+				call.Store(k)
+				pv := func() (pv any) {
+					defer func() { pv = recover() }()
+					p.RunSegments(fns)
+					return nil
+				}()
+				call.Store(0)
+				if (panics && pv != 1) || (!panics && pv != nil) {
+					t.Fatalf("call %d surfaced panic %v", k, pv)
+				}
+				for i := range ran {
+					want := int32(0)
+					if i < n {
+						want = 1
+					}
+					if got := ran[i].Swap(0); got != want {
+						t.Fatalf("call %d of %d closures: closure %d ran %d times", k, n, i, got)
+					}
+				}
+			}
+			if l := late.Load(); l != 0 {
+				t.Fatalf("%d closures ran outside their own call", l)
+			}
+
+			sum := 0.0
+			want, err := runBlock(p, q, 0, 8, ImplBranching, &sum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Close() // the helpers are lingering after the block
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines 1 s after Close, %d before the pool started", runtime.NumGoroutine(), baseline)
+				}
+			}
+			got, err := runBlock(p, q, 0, 8, ImplBranching, &sum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.pool.Load() == nil {
+				t.Fatal("a block after Close started no pool")
+			}
+			if got.Qualifying != want.Qualifying || got.Vectors != want.Vectors {
+				t.Fatalf("block after Close %+v, before %+v", got, want)
+			}
+			p.Close()
+		})
+	}
+}
+
+// TestPooledHandOffsAllocateNothing: once warm, a segment fan-out and a block
+// that invites helpers allocate nothing. testing.AllocsPerRun measures at
+// GOMAXPROCS 1, where neither invites a helper, so this counts the process's
+// mallocs at GOMAXPROCS 2 instead. Those include the runtime's own
+// allocations, which host scheduling decides: a goroutine's timer on its first
+// sleep (waiter.pause), a waiting record when a lock parks, a new OS thread.
+// They come in rare bursts of a few, so the 500 calls are five windows of 100
+// and the quietest window must allocate at most once; one allocation per call
+// or per morsel is 100 or more in every window. Race instrumentation may
+// allocate too: CI runs this test without -race.
+func TestPooledHandOffsAllocateNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_, q := parallelFixture(t)
+	p, err := NewParallel(cpu.ScaledXeon(), 4, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var n atomic.Int64
+	fns := []func(){func() { n.Add(1) }, func() { n.Add(1) }, func() { n.Add(1) }}
+	sum := 0.0
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"RunSegments with three closures", func() { p.RunSegments(fns) }},
+		{"8-vector block on four cores", func() {
+			if _, err := runBlock(p, q, 0, 8, ImplBranching, &sum); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		for range 50 { // start the pool, grow the scratch
+			c.run()
+		}
+		const windows, calls = 5, 100
+		fewest := uint64(math.MaxUint64)
+		for range windows {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range calls {
+				c.run()
+			}
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		if fewest > 1 {
+			t.Errorf("%s: at least %d allocations in each of %d windows of %d calls, want 0 per call", c.name, fewest, windows, calls)
 		}
 	}
 }

@@ -385,7 +385,9 @@ poll:
 // ModeFixed alone never reaches the estimator, which used to issue ~1 300
 // allocations per decision (98 % of a served workload's mallocs) unseen by
 // this test.
-// AllocsPerRun measures at GOMAXPROCS=1, i.e. the inline round path.
+// AllocsPerRun measures at GOMAXPROCS=1, i.e. the inline round path; the
+// pooled round's segment fan-out and blocks are pinned at zero allocations at
+// GOMAXPROCS 2 by internal/exec's TestPooledHandOffsAllocateNothing.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	// measure serves one 48-vector query per run with the given scheduling
 	// quantum, which for the adaptive modes is also the re-optimization

@@ -37,10 +37,6 @@ func newRef(cfg Config, ref refPath) (*Engine, error) {
 	return e, nil
 }
 
-// setSerialRounds makes the server execute every scheduling round serially
-// on the host — the reference of the host-concurrent rounds.
-func (s *Server) setSerialRounds(on bool) { s.svc.SetSerialRounds(on) }
-
 // midOrderDate is the middle of the order-date range: about half the orders
 // pass "o_orderdate <= midOrderDate" on every generated data set.
 var midOrderDate = int64(tpch.StartDate+tpch.EndOrderDate) / 2

@@ -62,26 +62,6 @@ func certify(clocks, bounds []uint64, inFlight []bool) (pos, blocker int, at uin
 	return pos, -1, clocks[pos]
 }
 
-// startsWave is the numbering rule behind the trace's "wave" argument, kept
-// from the barrier scheduler this one replaced so traces stay byte-identical.
-// A wave was a maximal run of consecutive morsels that could be certified
-// from their entry clocks and guaranteed minimum durations alone: the morsel
-// given to position pos at clock t opens a new wave when pos already carries
-// a morsel of the current wave, or t has reached some member's minEnd (its
-// entry clock plus minimum duration). A pure function of the serial
-// schedule, so the numbers do not depend on what overlapped on the host.
-func startsWave(pos int, t uint64, inWave []bool, minEnd []uint64) bool {
-	if inWave[pos] {
-		return true
-	}
-	for j, member := range inWave {
-		if member && t >= minEnd[j] {
-			return true
-		}
-	}
-	return false
-}
-
 // lookahead is the scheduler state of one block: morsels [next, hi) are
 // unassigned, morsels below merged are reduced, and the ones in between are
 // running or waiting for their turn in the reduction. All fields but cells
@@ -97,10 +77,6 @@ type lookahead struct {
 	minEnd []uint64
 	bounds []uint64 // certify scratch
 	cells  []progressCell
-	// inWave marks the positions that carried a morsel of the current wave
-	// (see startsWave); their minEnd entries are still those morsels'.
-	inWave []bool
-	wave   int
 
 	next, hi int
 	merged   int
@@ -125,19 +101,15 @@ func (l *lookahead) reset(clocks []uint64, lo, hi, window int) {
 		l.minEnd = make([]uint64, n)
 		l.bounds = make([]uint64, n)
 		l.cells = make([]progressCell, n)
-		l.inWave = make([]bool, n)
 	}
 	l.clocks = clocks
-	l.inFlight, l.minEnd, l.bounds = l.inFlight[:n], l.minEnd[:n], l.bounds[:n]
-	l.cells, l.inWave = l.cells[:n], l.inWave[:n]
+	l.inFlight, l.minEnd, l.bounds, l.cells = l.inFlight[:n], l.minEnd[:n], l.bounds[:n], l.cells[:n]
 	clear(l.inFlight)
-	clear(l.inWave)
 	if cap(l.done) < window {
 		l.done = make([]bool, window)
 	}
 	l.done = l.done[:window]
 	clear(l.done)
-	l.wave = 0
 	l.next, l.hi, l.merged = lo, hi, lo
 	l.stopped, l.broken = false, false
 }
@@ -146,12 +118,12 @@ func (l *lookahead) reset(clocks []uint64, lo, hi, window int) {
 func (l *lookahead) finished() bool { return l.stopped || l.next >= l.hi }
 
 // assign tries to hand out morsel l.next, whose guaranteed minimum duration
-// is minDur. On success it returns the chosen position and the morsel's wave
-// number and advances next; otherwise pos is -1 and the caller should await
-// (blocker, at, gen) before trying again.
-func (l *lookahead) assign(minDur uint64) (pos, wave, blocker int, at uint64) {
+// is minDur. On success it returns the chosen position and advances next;
+// otherwise pos is -1 and the caller should await (blocker, at, gen) before
+// trying again.
+func (l *lookahead) assign(minDur uint64) (pos, blocker int, at uint64) {
 	if l.next-l.merged >= len(l.done) {
-		return -1, 0, -1, 0 // window full: wait for a completion
+		return -1, -1, 0 // window full: wait for a completion
 	}
 	for j, busy := range l.inFlight {
 		if busy {
@@ -160,18 +132,14 @@ func (l *lookahead) assign(minDur uint64) (pos, wave, blocker int, at uint64) {
 	}
 	pos, blocker, at = certify(l.clocks, l.bounds, l.inFlight)
 	if pos < 0 {
-		return -1, 0, blocker, at
+		return -1, blocker, at
 	}
-	if startsWave(pos, at, l.inWave, l.minEnd) {
-		l.wave++
-		clear(l.inWave)
-	}
-	l.inWave[pos], l.inFlight[pos], l.minEnd[pos] = true, true, at+minDur
+	l.inFlight[pos], l.minEnd[pos] = true, at+minDur
 	// A cell may still hold a clock from an earlier block, whose time base
 	// need not be this one's.
 	l.cells[pos].clock.Store(at)
 	l.next++
-	return pos, l.wave, -1, at
+	return pos, -1, at
 }
 
 // await pauses until a failed assign is worth retrying: a morsel completed

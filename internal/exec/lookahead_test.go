@@ -33,26 +33,6 @@ func TestCertify(t *testing.T) {
 	}
 }
 
-func TestStartsWave(t *testing.T) {
-	inWave := []bool{true, false, true, false}
-	minEnd := []uint64{100, 0, 140, 999}
-	for _, c := range []struct {
-		name string
-		pos  int
-		t    uint64
-		want bool
-	}{
-		{"fresh core below every member's minimum end", 1, 99, false},
-		{"core already carries a morsel of this wave", 0, 0, true},
-		{"clock reached a member's minimum end", 1, 100, true},
-		{"non-members' stale minEnd is ignored", 3, 50, false},
-	} {
-		if got := startsWave(c.pos, c.t, inWave, minEnd); got != c.want {
-			t.Errorf("%s: got %v", c.name, got)
-		}
-	}
-}
-
 // schedCase is one synthetic block: entry clocks, a duration for every
 // (core, morsel) pair, guaranteed minimum durations, and optionally failing
 // morsels. No engine, no query — only what the scheduling rule sees.
@@ -83,46 +63,6 @@ func (c *schedCase) serialSchedule() (pos []int, clocks []uint64) {
 		}
 	}
 	return pos, clocks
-}
-
-// barrierWaves is the scheduler this one replaced, kept as the reference for
-// the trace's wave numbers: certify a maximal run of morsels from the clocks
-// at the last barrier and the guaranteed minimum durations alone, at most one
-// morsel per core; run them; update the clocks at the barrier; repeat.
-func (c *schedCase) barrierWaves() (pos, wave []int) {
-	clocks := slices.Clone(c.entry)
-	n := len(c.minDur)
-	for v, w := 0, 0; v < n; w++ {
-		busy := make([]bool, len(clocks))
-		var minEnds []uint64
-		first := v
-		for v < n {
-			i := -1
-			for j := range clocks {
-				if !busy[j] && (i < 0 || clocks[j] < clocks[i]) {
-					i = j
-				}
-			}
-			certified := i >= 0
-			for _, e := range minEnds {
-				certified = certified && clocks[i] < e
-			}
-			if !certified {
-				break
-			}
-			busy[i] = true
-			minEnds = append(minEnds, clocks[i]+c.minDur[v])
-			pos, wave = append(pos, i), append(wave, w)
-			v++
-		}
-		for m := first; m < v; m++ {
-			clocks[pos[m]] += c.dur[pos[m]][m]
-			if c.fails[m] {
-				return pos[:m+1], wave[:m+1]
-			}
-		}
-	}
-	return pos, wave
 }
 
 // decodeSched turns fuzz bytes into a case plus the leftover bytes that drive
@@ -169,7 +109,7 @@ func decodeSched(data []byte) (*schedCase, []byte) {
 // completes and reduces whatever is next in order. When the script runs out
 // the remaining work is drained round-robin, which also proves that no
 // reachable state is a deadlock.
-func runLookahead(c *schedCase, workers int, script []byte) (pos, wave, merged []int, clocks []uint64, failed int, err error) {
+func runLookahead(c *schedCase, workers int, script []byte) (pos, merged []int, clocks []uint64, failed int, err error) {
 	type running struct {
 		active     bool
 		pos, v     int
@@ -181,7 +121,7 @@ func runLookahead(c *schedCase, workers int, script []byte) (pos, wave, merged [
 	var s lookahead
 	s.reset(clocks, 0, n, c.window)
 	ws := make([]running, workers)
-	pos, wave = make([]int, 0, n), make([]int, 0, n)
+	pos = make([]int, 0, n)
 	failed = -1
 	step := func(w int, publish bool, frac uint64) (progressed bool) {
 		r := &ws[w]
@@ -190,14 +130,14 @@ func runLookahead(c *schedCase, workers int, script []byte) (pos, wave, merged [
 				return false
 			}
 			v := s.next
-			p, wv, _, at := s.assign(c.minDur[v])
+			p, _, at := s.assign(c.minDur[v])
 			if p < 0 {
 				return false
 			}
 			if len(pos) != v {
 				err = fmt.Errorf("morsel %d assigned after %d others", v, len(pos))
 			}
-			pos, wave = append(pos, p), append(wave, wv)
+			pos = append(pos, p)
 			*r = running{active: true, pos: p, v: v, entry: at, end: at + c.dur[p][v], published: at}
 			return true
 		}
@@ -241,16 +181,12 @@ func runLookahead(c *schedCase, workers int, script []byte) (pos, wave, merged [
 	if !s.finished() {
 		err = fmt.Errorf("deadlock: morsel %d can never be assigned (clocks %v)", s.next, clocks)
 	}
-	return pos, wave, merged, clocks, failed, err
+	return pos, merged, clocks, failed, err
 }
 
 func checkLookahead(t *testing.T, data []byte) {
 	c, script := decodeSched(data)
 	wantPos, wantClocks := c.serialSchedule()
-	barrierPos, wantWave := c.barrierWaves()
-	if !slices.Equal(barrierPos, wantPos) {
-		t.Fatalf("references disagree: barrier waves %v, serial %v", barrierPos, wantPos)
-	}
 	wantFailed := -1
 	if last := len(wantPos) - 1; c.fails[last] {
 		wantFailed = last
@@ -259,7 +195,7 @@ func checkLookahead(t *testing.T, data []byte) {
 	if len(script) > 0 {
 		workers += int(script[0]) % len(c.entry)
 	}
-	pos, wave, merged, clocks, failed, err := runLookahead(c, workers, script)
+	pos, merged, clocks, failed, err := runLookahead(c, workers, script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +203,6 @@ func checkLookahead(t *testing.T, data []byte) {
 	// than the serial one, which stops dead; up to there they must agree.
 	if len(pos) < len(wantPos) || !slices.Equal(pos[:len(wantPos)], wantPos) {
 		t.Fatalf("assignment sequence %v, serial argmin schedule %v", pos, wantPos)
-	}
-	if !slices.Equal(wave[:len(wantWave)], wantWave) {
-		t.Fatalf("wave numbers %v, barrier scheduler's %v", wave, wantWave)
 	}
 	if failed != wantFailed {
 		t.Fatalf("surfaced failure of morsel %d, serial scheduler stops at %d", failed, wantFailed)
@@ -295,9 +228,8 @@ func checkLookahead(t *testing.T, data []byte) {
 // zero-duration skipped vectors, exact ties, and a core far behind — random
 // interleavings of assign/publish/complete events, random publication points
 // and random worker counts, the lookahead scheduler hands out morsels in
-// exactly the serial argmin order, numbers waves like the barrier scheduler
-// did, reduces in ascending morsel order, surfaces the lowest failed morsel,
-// and never deadlocks.
+// exactly the serial argmin order, reduces in ascending morsel order,
+// surfaces the lowest failed morsel, and never deadlocks.
 func FuzzLookaheadSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 20, 7, 0, 0, 0, 0, 255})

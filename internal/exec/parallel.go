@@ -111,11 +111,10 @@ type BlockRun struct {
 
 // morsel is one (core, vector) assignment and, once run, its result.
 type morsel struct {
-	pos    int // index into the block's core subset
-	core   int // pool core id
-	v      int // morsel (vector) index
-	lo, hi int // row range
-	wave   int
+	pos    int    // index into the block's core subset
+	core   int    // pool core id
+	v      int    // morsel (vector) index
+	lo, hi int    // row range
 	entry  uint64 // block-absolute clock the core starts the morsel at
 
 	res VectorResult
@@ -540,10 +539,10 @@ func (r *BlockRun) acquire() *morsel {
 		if v >= len(r.skip) || !r.skip[v] {
 			minDur = minVectorCycles(hi-lo, r.issueWidth)
 		}
-		pos, wave, blocker, at := s.assign(minDur)
+		pos, blocker, at := s.assign(minDur)
 		if pos >= 0 {
 			m := &r.ring[v%len(s.done)]
-			*m = morsel{pos: pos, core: r.cores[pos], v: v, lo: lo, hi: hi, wave: wave, entry: at, sel: m.sel[:0]}
+			*m = morsel{pos: pos, core: r.cores[pos], v: v, lo: lo, hi: hi, entry: at, sel: m.sel[:0]}
 			r.mu.Unlock()
 			return m
 		}
@@ -586,7 +585,7 @@ func (r *BlockRun) finish(m *morsel, eng *Engine, c0 uint64) {
 		if r.groups != nil {
 			tr.Span("morsel", c0, end, trace.Int("v", m.v), trace.Int("rows", m.hi-m.lo), trace.Bool("grouped", true))
 		} else {
-			tr.Span("morsel", c0, end, trace.Int("v", m.v), trace.Int("wave", m.wave), trace.Int("rows", m.hi-m.lo))
+			tr.Span("morsel", c0, end, trace.Int("v", m.v), trace.Int("rows", m.hi-m.lo))
 		}
 	}
 }

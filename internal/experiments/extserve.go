@@ -173,12 +173,11 @@ func runServeTrace(prof cpu.Profile, templates []servePlanTemplate, tc serveTrac
 		tks := make([]*service.Ticket, tc.queries)
 		for i := 0; i < tc.queries; i++ {
 			tpl := templates[i%len(templates)]
-			tk, err := s.Submit(service.Request{
-				Spec:        core.Spec{Query: tpl.q, Mode: core.ModeProgressive, Opt: opt},
-				Arrival:     base,
-				Fingerprint: tpl.fp,
-				NoFeedback:  tc.noFeedback,
-			})
+			req := service.Request{Spec: core.Spec{Query: tpl.q, Mode: core.ModeProgressive, Opt: opt}, Arrival: base}
+			if !tc.noFeedback {
+				req.Fingerprint = tpl.fp
+			}
+			tk, err := s.Submit(req)
 			if err != nil {
 				return nil, err
 			}

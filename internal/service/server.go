@@ -8,8 +8,8 @@ import (
 
 	"progopt/internal/core"
 	"progopt/internal/exec"
-	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
+	"progopt/internal/storage"
 	"progopt/internal/trace"
 )
 
@@ -50,22 +50,20 @@ type Request struct {
 	// for a grouped or an ordered query; either schedules like a plain scan of
 	// its mode. The server sets Quantum, from Config.QuantumVectors.
 	Spec core.Spec
-	// Storage, when non-nil, runs the query over a stored table: one
-	// stored-scan state per pool core (shared skip bitmap, private tier
-	// view), attached to every core a segment runs on. The tier is a pure
+	// Storage, when non-nil, runs the query over a stored table: at
+	// admission the server builds the query's own stored-scan state from the
+	// plan, one per pool core (the plan's skip verdicts, a private tier view),
+	// and attaches it to every core a segment runs on. The tier is a pure
 	// observer — it changes no simulated observable of this or any
-	// co-scheduled query; its stall debt accumulates in the views' counters
-	// for the caller to read out-of-band.
-	Storage []*exec.StorageScan
+	// co-scheduled query; its stall debt accumulates in the views' counters,
+	// which Outcome.Storage hands back for the caller to read out-of-band.
+	Storage *storage.Plan
 	// Arrival is the simulated time the query arrives at the server; it
 	// cannot consume core cycles earlier.
 	Arrival uint64
 	// Fingerprint keys the feedback cache. Zero disables feedback for this
-	// submission.
+	// submission: no warm start, no converged order stored.
 	Fingerprint Fingerprint
-	// NoFeedback skips the feedback warm-start lookup and the converged-
-	// order store (cold runs, ablation experiments).
-	NoFeedback bool
 }
 
 // Feedback is what a finished adaptive run leaves for the next submission of
@@ -121,6 +119,9 @@ type Outcome struct {
 	// order it began at.
 	WarmStarted bool
 	WarmOrder   []int
+	// Storage is a stored query's per-core tier views (nil otherwise), with
+	// the counters and residency its run left behind.
+	Storage []*exec.StorageScan
 }
 
 // query states.
@@ -155,6 +156,9 @@ type query struct {
 	optStage *trace.Track
 
 	cores []int // current core subset, ascending; empty = descheduled
+	// views is a stored query's stored-scan state, one per pool core, built
+	// at admission and owned by this query alone.
+	views []*exec.StorageScan
 
 	// Segment-execution plumbing: sc is the recycled scratch, fn the
 	// prebuilt closure the host pool runs (allocated once per query), and
@@ -215,8 +219,6 @@ type Server struct {
 	rounds uint64
 
 	membershipChanged bool
-	// serialRounds is the test seam of SetSerialRounds.
-	serialRounds bool
 
 	// driving is true while an elected waiter runs a scheduling round; the
 	// lock itself is released during the round's execution phase, so other
@@ -227,12 +229,11 @@ type Server struct {
 
 	// Round scratch, reused every round so steady-state serving allocates
 	// nothing: sched is the round's scheduled-query snapshot, fns the
-	// segment closures handed to the host pool, scratchFree the segScratch
-	// freelist, and storSeen the shared-storage-set detector's map.
+	// segment closures handed to the host pool, and scratchFree the
+	// segScratch freelist.
 	sched       []*query
 	fns         []func()
 	scratchFree []*segScratch
-	storSeen    map[*cache.StorageSet]*query
 
 	feedback *LRU
 	stats    Stats
@@ -282,16 +283,6 @@ func (s *Server) Workers() int { return s.pool.Workers() }
 func (s *Server) MatchEngine(e *exec.Engine) {
 	s.pool.SetScalar(e.Scalar())
 	s.pool.SetFuse(e.Fused())
-}
-
-// SetSerialRounds makes every scheduling round execute its segments serially
-// on the host, in admission order — the reference the host-concurrent rounds
-// are pinned bit-identical against, selected only by tests. Simulated
-// observables are unaffected either way; only host wall-clock changes.
-func (s *Server) SetSerialRounds(on bool) {
-	s.mu.Lock()
-	s.serialRounds = on
-	s.mu.Unlock()
 }
 
 // SetTrace attaches (or, with nils, detaches) event tracks: svc receives the
@@ -372,9 +363,6 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(req.Storage) > 0 && len(req.Storage) != s.pool.Workers() {
-		return nil, fmt.Errorf("service: %d stored-scan states for a %d-core pool", len(req.Storage), s.pool.Workers())
-	}
 	s.stats.Submitted++
 	if s.cfg.QueueLimit > 0 && len(s.queue) >= s.cfg.QueueLimit {
 		s.stats.Rejected++
@@ -477,13 +465,12 @@ func (s *Server) failAllLocked(err error) {
 // driveRound runs one scheduling round. Called (and returns) with s.mu held;
 // the lock is released during the execution phase, in which the scheduled
 // queries' segments run concurrently on the host via the pool's segment
-// drivers — or serially, in admission order, when the round's queries share
-// a storage-tier set (whose LRU order must follow the serial schedule) or a
-// test asked for the reference path (SetSerialRounds). Both paths retire at
-// the same locked barrier, which publishes clocks, completes finished
-// queries, and splices staged optimizer traces in admission order — so every
-// simulated observable is a pure function of the submission trace. It
-// reports whether the round retired a query: finished it, or failed its
+// drivers (inline, in admission order, on a single-threaded host). Segments
+// share no simulated state — disjoint core subsets, each stored query with
+// its own tier views — and the locked barrier publishes clocks, completes
+// finished queries, and splices staged optimizer traces in admission order,
+// so every simulated observable is a pure function of the submission trace.
+// It reports whether the round retired a query: finished it, or failed its
 // admission.
 func (s *Server) driveRound() (retired bool, err error) {
 	retired = s.admitLocked()
@@ -493,15 +480,15 @@ func (s *Server) driveRound() (retired bool, err error) {
 	if s.membershipChanged || len(s.active) > len(s.clock) {
 		s.partitionLocked()
 	}
-	s.sched = s.sched[:0]
+	s.sched, s.fns = s.sched[:0], s.fns[:0]
 	for _, q := range s.active {
 		if len(q.cores) == 0 {
 			continue
 		}
 		s.segmentBeginLocked(q)
 		s.sched = append(s.sched, q)
+		s.fns = append(s.fns, q.fn)
 	}
-	serial := s.serialRounds || s.sharedStorageLocked()
 	s.mu.Unlock()
 	relocked := false
 	defer func() {
@@ -509,17 +496,7 @@ func (s *Server) driveRound() (retired bool, err error) {
 			s.mu.Lock()
 		}
 	}()
-	if serial {
-		for _, q := range s.sched {
-			s.segmentRun(q)
-		}
-	} else {
-		s.fns = s.fns[:0]
-		for _, q := range s.sched {
-			s.fns = append(s.fns, q.fn)
-		}
-		s.pool.RunSegments(s.fns)
-	}
+	s.pool.RunSegments(s.fns)
 	s.mu.Lock()
 	relocked = true
 	if err := s.barrierLocked(); err != nil {
@@ -537,47 +514,6 @@ func (s *Server) driveRound() (retired bool, err error) {
 	s.active = kept
 	s.rounds++
 	return retired, nil
-}
-
-// sharedStorageLocked reports whether two scheduled queries would touch the
-// same storage-tier set this round. The tier's LRU is ordered by fetch
-// sequence, so a set reachable from two concurrent segments would resolve
-// its residency by host arrival order; such rounds fall back to serial
-// execution (per-core sets attached by at most one query are fine — core
-// subsets are disjoint).
-func (s *Server) sharedStorageLocked() bool {
-	if len(s.sched) < 2 {
-		return false
-	}
-	stored := 0
-	for _, q := range s.sched {
-		if q.req.Storage != nil {
-			stored++
-		}
-	}
-	if stored < 2 {
-		return false
-	}
-	if s.storSeen == nil {
-		s.storSeen = make(map[*cache.StorageSet]*query)
-	}
-	clear(s.storSeen)
-	for _, q := range s.sched {
-		if q.req.Storage == nil {
-			continue
-		}
-		for _, w := range q.cores {
-			set := q.req.Storage[w].Set
-			if set == nil {
-				continue
-			}
-			if o, ok := s.storSeen[set]; ok && o != q {
-				return true
-			}
-			s.storSeen[set] = q
-		}
-	}
-	return false
 }
 
 // admitLocked moves queued queries into the active set up to MaxActive,
@@ -633,14 +569,21 @@ func (s *Server) admitLocked() (failed bool) {
 	return failed
 }
 
-// prepareLocked readies a query for execution at admission time: hand it a
-// recycled driver, begin the query on it (an adaptive one writes its optimizer
-// trace into a private stage the round barrier splices), and warm-start it
-// from the feedback cache — admission, not submission, is when the latest
-// completed run of the same fingerprint is visible, exactly like a real server
-// racing recurring queries.
+// prepareLocked readies a query for execution at admission time: build a
+// stored query's tier views, hand it a recycled driver, begin the query on it
+// (an adaptive one writes its optimizer trace into a private stage the round
+// barrier splices), and warm-start it from the feedback cache — admission, not
+// submission, is when the latest completed run of the same fingerprint is
+// visible, exactly like a real server racing recurring queries.
 func (s *Server) prepareLocked(q *query) error {
 	req := &q.req
+	if req.Storage != nil {
+		views, err := req.Storage.NewViews(s.pool.Workers())
+		if err != nil {
+			return err
+		}
+		q.views = views
+	}
 	spec := req.Spec
 	if spec.Mode != ModeFixed && spec.Opt.Trace != nil {
 		q.optReal = spec.Opt.Trace
@@ -659,7 +602,7 @@ func (s *Server) prepareLocked(q *query) error {
 		s.scratchFree = append(s.scratchFree, sc)
 		return err
 	}
-	if step := sc.run.Stepper(); step != nil && !req.NoFeedback && !req.Fingerprint.Zero() {
+	if step := sc.run.Stepper(); step != nil && !req.Fingerprint.Zero() {
 		if v, ok := s.feedback.Get(req.Fingerprint); ok {
 			fb := v.(Feedback)
 			if step.WarmStart(fb.Order, fb.Impl, fb.Rejected) == nil {
@@ -735,9 +678,9 @@ func (s *Server) segmentBeginLocked(q *query) {
 	// A stored query's tier views ride along on whichever cores this segment
 	// runs on; they are detached at the barrier because the partitioner may
 	// hand the same cores to a different query next round.
-	if q.req.Storage != nil {
+	if q.views != nil {
 		for _, w := range q.cores {
-			engines[w].SetStorage(q.req.Storage[w])
+			engines[w].SetStorage(q.views[w])
 		}
 	}
 	sc := q.sc
@@ -771,11 +714,11 @@ func (s *Server) segmentRun(q *query) {
 // publish each segment's end clocks into the shared frontier, complete
 // finished queries (stats, feedback, service-track span), and splice each
 // query's staged optimizer events into the real track — the same per-track
-// append order the fully serial scheduler produces.
+// append order a round run inline in admission order produces.
 func (s *Server) barrierLocked() error {
 	engines := s.pool.Engines()
 	for _, q := range s.sched {
-		if q.req.Storage != nil {
+		if q.views != nil {
 			for _, w := range q.cores {
 				engines[w].SetStorage(nil)
 			}
@@ -783,6 +726,7 @@ func (s *Server) barrierLocked() error {
 	}
 	for _, q := range s.sched {
 		if q.segPanicked {
+			// Re-raises a segment's panic, raised on any host thread, first in admission order.
 			panic(q.segPanic)
 		}
 		if q.segErr != nil {
@@ -814,10 +758,11 @@ func (s *Server) finishLocked(q *query) {
 		Result: run.Result, Groups: run.Groups, Sorted: run.Sorted, Stats: run.Stats(),
 		Arrival: q.arrival, Start: run.Start, Done: done,
 		WarmStarted: q.warm != nil,
+		Storage:     q.views,
 	}
 	if step := run.Stepper(); step != nil {
 		s.stats.Reopt.Add(q.out.Stats.Ledger)
-		if !q.req.NoFeedback && !q.req.Fingerprint.Zero() {
+		if !q.req.Fingerprint.Zero() {
 			s.feedback.Put(q.req.Fingerprint, Feedback{
 				Order:    slices.Clone(q.out.Stats.FinalOrder),
 				Impl:     step.Impl(),

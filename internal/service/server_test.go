@@ -9,9 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"progopt/internal/columnar"
 	"progopt/internal/core"
 	"progopt/internal/exec"
+	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
+	"progopt/internal/storage"
 	"progopt/internal/tpch"
 	"progopt/internal/trace"
 )
@@ -766,5 +769,89 @@ func TestPanicWakesEveryWaiter(t *testing.T) {
 			}
 			s.Close()
 		})
+	}
+}
+
+// TestStoredQueriesGetTheirOwnViews: the server builds each admitted stored
+// query's tier views, so two requests of one plan admitted into the same
+// round on a 4-core pool share no view, and each core's tier counters are
+// those of a solo run on a pool of the two cores it got.
+func TestStoredQueriesGetTheirOwnViews(t *testing.T) {
+	const vs = 512
+	prof := cpu.ScaledXeon()
+	d, err := tpch.Generate(tpch.Config{Lineitems: 32 * vs, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := columnar.EncodeTable(d.Lineitem, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := enc.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.BindAll(cpu.MustNew(prof)); err != nil {
+		t.Fatal(err)
+	}
+	d.Lineitem = tab
+	q, err := exec.Q6(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := storage.Compile(enc, tab, q, vs, storage.Config{LatencyCycles: 300, BytesPerCycle: 8, ResidentBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(workers, n int) []Outcome {
+		s, err := New(prof, workers, vs, Config{MaxActive: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		tks := make([]*Ticket, n)
+		for i := range tks {
+			if tks[i], err = s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}, Storage: plan}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outs := make([]Outcome, n)
+		for i, tk := range tks {
+			if outs[i], err = tk.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return outs
+	}
+	counters := func(o Outcome) []cache.StorageCounters {
+		out := make([]cache.StorageCounters, len(o.Storage))
+		for i, v := range o.Storage {
+			out[i] = v.Set.Counters()
+		}
+		return out
+	}
+	pair := serve(4, 2)
+	want := counters(serve(2, 1)[0])
+	if want[0].Evictions == 0 || want[1].Evictions == 0 {
+		t.Fatalf("solo run evicted nothing (%+v); the comparison is vacuous", want)
+	}
+	seen := map[*cache.StorageSet]int{}
+	for i, o := range pair {
+		if o.Start != 0 {
+			t.Errorf("query %d started at %d, not in the first round", i, o.Start)
+		}
+		for _, v := range o.Storage {
+			if j, dup := seen[v.Set]; dup {
+				t.Errorf("queries %d and %d share a tier view", j, i)
+			}
+			seen[v.Set] = i
+		}
+		// The partitioner gives query i cores 2i and 2i+1; the other two views
+		// stay untouched.
+		got := counters(o)
+		idle := slices.Delete(slices.Clone(got), 2*i, 2*i+2)
+		if !slices.Equal(got[2*i:2*i+2], want) || idle[0] != (cache.StorageCounters{}) || idle[1] != (cache.StorageCounters{}) {
+			t.Errorf("query %d tier counters %+v, want %+v on cores %d and %d and zero elsewhere", i, got, want, 2*i, 2*i+1)
+		}
 	}
 }

@@ -247,3 +247,19 @@ func (p *Plan) NewSet() (*cache.StorageSet, error) {
 	}
 	return s, nil
 }
+
+// NewViews builds the per-core stored-scan state of one run over n cores:
+// each core's own tier view (NewSet, residency starting cold), all sharing
+// the plan's skip verdicts. Two runs never share a view, so neither can see
+// the other's residency.
+func (p *Plan) NewViews(n int) ([]*exec.StorageScan, error) {
+	views := make([]*exec.StorageScan, n)
+	for i := range views {
+		set, err := p.NewSet()
+		if err != nil {
+			return nil, err
+		}
+		views[i] = &exec.StorageScan{Skip: p.Skip, Set: set}
+	}
+	return views, nil
+}

@@ -13,10 +13,10 @@
 //
 //   - Determinism. Events carry simulated cycles, never host time, and every
 //     track has a single writer at any instant: a core's track is appended by
-//     whichever host goroutine runs that simulated core (the wave scheduler
-//     certifies the per-core morsel order equals the serial schedule), and the
-//     optimizer/service tracks are appended only between waves or under the
-//     service lock. Append order per track is thus a pure function of the
+//     whichever host goroutine runs that simulated core (the lookahead
+//     scheduler certifies the per-core morsel order equals the serial
+//     schedule), and the optimizer/service tracks are appended only between
+//     blocks or under the service lock. Append order per track is thus a pure function of the
 //     simulation, so exporting tracks in creation order and events in append
 //     order yields byte-identical files across runs, GOMAXPROCS, and hosts.
 //

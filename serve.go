@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 
-	"progopt/internal/exec"
 	"progopt/internal/service"
 	"progopt/internal/trace"
 )
@@ -208,10 +207,6 @@ type Ticket struct {
 	q       *Query
 	fp      service.Fingerprint
 	planHit bool
-	// stviews are this submission's private tier views (fresh residency per
-	// submission, so plan-cache sharing never shares residency); nil for
-	// in-RAM engines.
-	stviews []*exec.StorageScan
 	// seq is the submission's position in program submission order; it
 	// tie-breaks the resident gauge when two stored queries complete at the
 	// same simulated cycle.
@@ -283,14 +278,14 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	// admission order, so decision events from concurrent queries interleave
 	// deterministically (each stamped with its own query's accounted block
 	// clock) even when segments execute host-parallel.
-	req := service.Request{Spec: s.e.spec(q, opts), Arrival: arrival, Fingerprint: fp, NoFeedback: s.disableFeedback}
-	var stviews []*exec.StorageScan
+	// The server builds a stored query's tier views at admission, so plan-cache
+	// sharing never shares residency.
+	req := service.Request{Spec: s.e.spec(q, opts), Arrival: arrival}
+	if !s.disableFeedback {
+		req.Fingerprint = fp
+	}
 	if q.storage != nil {
-		stviews, err = q.storage.freshViews()
-		if err != nil {
-			return nil, err
-		}
-		req.Storage = stviews
+		req.Storage = q.storage.plan
 	}
 	tk, err := s.svc.Submit(req)
 	if err != nil {
@@ -303,7 +298,7 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	// Warm-start provenance is decided when the admission controller
 	// activates the query; Wait refreshes it.
 	q.served.Store(&servedProvenance{fingerprint: fp.String(), planCacheHit: hit})
-	return &Ticket{s: s, t: tk, q: q, fp: fp, planHit: hit, stviews: stviews, seq: seq}, nil
+	return &Ticket{s: s, t: tk, q: q, fp: fp, planHit: hit, seq: seq}, nil
 }
 
 // Close releases the host worker goroutines of the server's core pool, if
@@ -328,21 +323,19 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		warmOrder:    o.WarmOrder,
 	})
 	out := toExecResult(o.Result, o.Groups, o.Sorted, o.Stats)
-	if t.stviews != nil {
+	if o.Storage != nil {
 		// Same out-of-band accounting as Engine.Exec: the tier observes, its
 		// stall debt extends the query's reported execution span (not the
 		// server's discrete-event clock, which schedules on compute time).
-		stats, maxStall := storageStats(t.q.storage.plan, t.stviews, nil)
+		stats, maxStall := storageStats(t.q.storage.plan, o.Storage, nil)
 		out.Storage = stats
 		out.Cycles += maxStall
 		out.Millis = t.s.e.cpu.MillisOf(out.Cycles)
 	}
 	lat := o.Done - o.Arrival
 	var res uint64
-	for _, v := range t.stviews {
-		if v != nil && v.Set != nil {
-			res += v.Set.ResidentBytes()
-		}
+	for _, v := range o.Storage {
+		res += v.Set.ResidentBytes()
 	}
 	s := t.s
 	s.mu.Lock()
@@ -355,7 +348,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 	// The gauge reports the most recent stored query on the *simulated*
 	// clock (ties to the later submission), so racing waiters publish it
 	// deterministically regardless of host completion order.
-	if t.stviews != nil && (!s.resSet || o.Done > s.resDone || (o.Done == s.resDone && t.seq > s.resSeq)) {
+	if o.Storage != nil && (!s.resSet || o.Done > s.resDone || (o.Done == s.resDone && t.seq > s.resSeq)) {
 		s.resSet, s.resDone, s.resSeq = true, o.Done, t.seq
 		s.met.resident.Set(float64(res))
 	}

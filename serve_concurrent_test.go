@@ -5,25 +5,21 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
-
-	"progopt/internal/core"
-	"progopt/internal/exec"
-	"progopt/internal/hw/cache"
-	"progopt/internal/service"
-	"progopt/internal/trace"
 )
 
 // The host-concurrency acceptance criterion: a scheduling round that executes
 // its queries' segments concurrently on the host is bit-identical — per-query
 // results, simulated cycles, every PMU counter, trace bytes, Prometheus
-// metrics — to the serial-round service (Server.setSerialRounds), across
+// metrics — to the same server at GOMAXPROCS=1, where every round runs its
+// segments inline in admission order (exec.Parallel.RunSegments), across
 // Workers {1,4} × GOMAXPROCS {1,4} × the three exec modes × plain/stored/
 // traced variants, with waits racing on goroutines.
 
 // serveMatrixObs is everything one served workload reports that must match
-// the serial oracle bit for bit.
+// the inline rounds bit for bit.
 type serveMatrixObs struct {
 	Results []ExecResult
 	Stats   ServerStats
@@ -34,13 +30,16 @@ type serveMatrixObs struct {
 // runServeMatrix serves a fixed nine-query trace — all three exec modes, a
 // join, a sorted query, one grouped plan submitted twice so that both runs of
 // the cached plan are in flight at once, recurring fingerprints, staggered
-// arrivals — and waits from racing goroutines.
-func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serveMatrixObs {
+// arrivals — and waits from racing goroutines. The stored variant is traced
+// too, under a budget that forces evictions, so every core's tier-fetch and
+// tier-evict order is part of the compared trace bytes.
+func runServeMatrix(t *testing.T, workers int, variant string) serveMatrixObs {
 	t.Helper()
 	cfg := Config{VectorSize: 512, Workers: workers}
 	switch variant {
 	case "stored":
-		cfg.Storage = &StorageConfig{LatencyCycles: 500, BytesPerCycle: 16}
+		cfg.Storage = &StorageConfig{LatencyCycles: 500, BytesPerCycle: 16, ResidentBytes: 8 << 10}
+		cfg.Trace = &TraceOptions{}
 	case "traced":
 		cfg.Trace = &TraceOptions{}
 	}
@@ -58,7 +57,6 @@ func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serv
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.setSerialRounds(serial)
 	adaptive := Progressive{Interval: 5}
 	grouped := Scan("lineitem").
 		Filter("l_shipdate", CmpLE, int64(d.ShipdateCutoff(0.8))).
@@ -111,7 +109,7 @@ func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serv
 		t.Fatal(err)
 	}
 	obs.Metrics = met.String()
-	if variant == "traced" {
+	if cfg.Trace != nil {
 		var tr bytes.Buffer
 		if err := e.Trace().WriteChrome(&tr); err != nil {
 			t.Fatal(err)
@@ -138,31 +136,40 @@ func runServeMatrix(t *testing.T, workers int, variant string, serial bool) serv
 	return obs
 }
 
-// TestServeConcurrentBitIdentical pins the tentpole: the concurrent-round
-// scheduler reproduces the serial-round oracle bit for bit over the full
-// matrix. The oracle runs at GOMAXPROCS=1; the concurrent runs at 1 and 4.
+// TestServeConcurrentBitIdentical: the concurrent-round scheduler reproduces
+// its inline rounds at GOMAXPROCS=1 bit for bit over the full matrix, at
+// GOMAXPROCS 1 and 4.
 func TestServeConcurrentBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, variant := range []string{"plain", "stored", "traced"} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, variant), func(t *testing.T) {
 				prev := runtime.GOMAXPROCS(1)
-				ref := runServeMatrix(t, workers, variant, true)
+				ref := runServeMatrix(t, workers, variant)
 				runtime.GOMAXPROCS(prev)
+				if variant == "stored" {
+					var evictions uint64
+					for _, r := range ref.Results {
+						evictions += r.Storage.Evictions
+					}
+					if evictions == 0 || !strings.Contains(ref.Trace, `"tier-evict"`) {
+						t.Fatalf("%d evictions, none traced; the tier-order check is vacuous", evictions)
+					}
+				}
 				for _, gmp := range []int{1, 4} {
 					t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
-						got := runServeMatrix(t, workers, variant, false)
+						got := runServeMatrix(t, workers, variant)
 						for i := range ref.Results {
 							if !reflect.DeepEqual(ref.Results[i], got.Results[i]) {
-								t.Errorf("query %d diverges from serial oracle:\n serial     %+v\n concurrent %+v",
+								t.Errorf("query %d diverges from the inline rounds:\n inline     %+v\n concurrent %+v",
 									i, ref.Results[i], got.Results[i])
 							}
 						}
 						if ref.Stats != got.Stats {
-							t.Errorf("server stats diverge:\n serial     %+v\n concurrent %+v", ref.Stats, got.Stats)
+							t.Errorf("server stats diverge:\n inline     %+v\n concurrent %+v", ref.Stats, got.Stats)
 						}
 						if ref.Metrics != got.Metrics {
-							t.Errorf("metrics exposition diverges:\n serial:\n%s\n concurrent:\n%s", ref.Metrics, got.Metrics)
+							t.Errorf("metrics exposition diverges:\n inline:\n%s\n concurrent:\n%s", ref.Metrics, got.Metrics)
 						}
 						if ref.Trace != got.Trace {
 							t.Errorf("trace bytes diverge: %d vs %d bytes", len(ref.Trace), len(got.Trace))
@@ -170,140 +177,6 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 					})
 				}
 			})
-		}
-	}
-}
-
-// sharedStorObs is one run of the shared-tier workload: per-query outcomes,
-// the shared view's counters and residency, and its exact fetch/evict
-// sequence.
-type sharedStorObs struct {
-	Outcomes []service.Outcome
-	Counters cache.StorageCounters
-	Resident uint64
-	Events   []string
-}
-
-// runSharedStorageTrace serves three queries whose tier views share one
-// cache.StorageSet under an eviction-forcing budget: query j exposes the
-// shared set at core slot j (and private sets elsewhere), so rounds where two
-// queries both hold their shared slot exercise the scheduler's serial
-// fallback, while single-toucher rounds stay host-concurrent.
-func runSharedStorageTrace(t *testing.T) sharedStorObs {
-	t.Helper()
-	e, err := New(Config{VectorSize: 512, Workers: 4, Storage: &StorageConfig{
-		BlockRows: 2048, LatencyCycles: 300, BytesPerCycle: 8, ResidentBytes: 8 << 10,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	d, err := e.GenerateTPCH(30000, 21, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := e.Compile(d, storedQ6Plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := q.storage.plan.NewSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := service.New(e.cpu.Profile(), e.Workers(), e.eng.VectorSize(), service.Config{MaxActive: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	// Trace the pool cores: SetStorage wires each attached tier view's
-	// fetch/evict stream to the attaching core's track (the engine owns the
-	// set's observer slot), so the tracks record the exact per-core tier event
-	// sequence with block ids and cycle stamps.
-	rec := trace.New()
-	svcTrack := rec.NewTrack("service")
-	coreTracks := make([]*trace.Track, e.Workers())
-	for i := range coreTracks {
-		coreTracks[i] = rec.NewTrack(fmt.Sprintf("pool %d", i))
-	}
-	svc.SetTrace(svcTrack, coreTracks)
-	modes := []service.Mode{service.ModeFixed, service.ModeProgressive, service.ModeFixed}
-	tks := make([]*service.Ticket, len(modes))
-	for j, mode := range modes {
-		views := make([]*exec.StorageScan, e.Workers())
-		for i := range views {
-			set := shared
-			if i != j {
-				if set, err = q.storage.plan.NewSet(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			views[i] = &exec.StorageScan{Skip: q.storage.plan.Skip, Set: set}
-		}
-		req := service.Request{
-			Spec:        core.Spec{Query: q.q, Mode: mode},
-			Arrival:     uint64(j) * 30_000,
-			Fingerprint: service.Compute("lineitem", d.gen, []string{fmt.Sprintf("shared-stor-%d", j)}),
-			Storage:     views,
-		}
-		if mode == service.ModeProgressive {
-			req.Spec.Opt = Progressive{Interval: 5}.coreOptions()
-		}
-		tk, err := svc.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tks[j] = tk
-	}
-	obs := sharedStorObs{Outcomes: make([]service.Outcome, len(tks))}
-	errs := make([]error, len(tks))
-	var wg sync.WaitGroup
-	for j, tk := range tks {
-		wg.Add(1)
-		go func(j int, tk *service.Ticket) {
-			defer wg.Done()
-			obs.Outcomes[j], errs[j] = tk.Wait()
-		}(j, tk)
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			t.Fatalf("query %d: %v", j, err)
-		}
-	}
-	obs.Counters = shared.Counters()
-	obs.Resident = shared.ResidentBytes()
-	for ti, trk := range coreTracks {
-		for i, ev := range trk.Events() {
-			if ev.Name == "tier-fetch" || ev.Name == "tier-evict" {
-				obs.Events = append(obs.Events,
-					fmt.Sprintf("%d:%s:%v@%d", ti, ev.Name, trk.Args(i)[0].Value(), ev.Start))
-			}
-		}
-	}
-	return obs
-}
-
-// TestServeSharedStorageDeterministic pins storage-tier determinism under
-// concurrent rounds: a tier view shared across three served queries
-// reproduces identical counters, stall debt, residency, and the exact
-// fetch/eviction sequence on repeated runs and across GOMAXPROCS {1,4}.
-func TestServeSharedStorageDeterministic(t *testing.T) {
-	a := runSharedStorageTrace(t)
-	b := runSharedStorageTrace(t)
-	prev := runtime.GOMAXPROCS(1)
-	c := runSharedStorageTrace(t)
-	runtime.GOMAXPROCS(4)
-	e := runSharedStorageTrace(t)
-	runtime.GOMAXPROCS(prev)
-	if a.Counters.BlockFetches == 0 || a.Counters.StallCycles == 0 {
-		t.Fatalf("shared tier view saw no traffic: %+v", a.Counters)
-	}
-	if a.Counters.Evictions == 0 || len(a.Events) == 0 {
-		t.Fatalf("budget forced no evictions (%d events); the sequence check is vacuous", len(a.Events))
-	}
-	for name, got := range map[string]sharedStorObs{"repeat": b, "gomaxprocs=1": c, "gomaxprocs=4": e} {
-		if !reflect.DeepEqual(a, got) {
-			t.Errorf("%s run diverges:\n ref %+v\n got %+v", name, a, got)
 		}
 	}
 }

@@ -44,7 +44,7 @@ type StorageConfig struct {
 	CompressedScan bool
 }
 
-// storageBlockRows applies the BlockRows default.
+// blockRows applies the BlockRows default.
 func (c *StorageConfig) blockRows() int {
 	if c.BlockRows > 0 {
 		return c.BlockRows
@@ -52,7 +52,7 @@ func (c *StorageConfig) blockRows() int {
 	return 4096
 }
 
-// storageCfg maps the public knobs to the storage compiler's.
+// planConfig maps the public knobs to the storage compiler's.
 func (c *StorageConfig) planConfig() storage.Config {
 	return storage.Config{
 		LatencyCycles:  c.LatencyCycles,
@@ -150,13 +150,9 @@ func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, e
 			}
 		}
 	}
-	views := make([]*exec.StorageScan, e.par.Workers())
-	for i := range views {
-		set, err := plan.NewSet()
-		if err != nil {
-			return nil, err
-		}
-		views[i] = &exec.StorageScan{Skip: plan.Skip, Set: set}
+	views, err := plan.NewViews(e.par.Workers())
+	if err != nil {
+		return nil, err
 	}
 	return &storedQuery{plan: plan, views: views}, nil
 }
@@ -182,22 +178,6 @@ func (e *Engine) detachStorage() {
 	for _, w := range e.par.Engines() {
 		w.SetStorage(nil)
 	}
-}
-
-// freshViews builds a new per-core set of tier views over the same plan —
-// one per pool core, residency starting cold. The workload server gives each
-// submission its own views so concurrently served queries sharing a cached
-// plan never share residency state.
-func (s *storedQuery) freshViews() ([]*exec.StorageScan, error) {
-	views := make([]*exec.StorageScan, len(s.views))
-	for i := range views {
-		set, err := s.plan.NewSet()
-		if err != nil {
-			return nil, err
-		}
-		views[i] = &exec.StorageScan{Skip: s.plan.Skip, Set: set}
-	}
-	return views, nil
 }
 
 // storageStats folds the plan facts and the run's tier-counter deltas into

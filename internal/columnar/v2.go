@@ -1,10 +1,12 @@
 package columnar
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // PCOL v2 is the encoded, block-structured revision of the table format:
@@ -300,94 +302,201 @@ func encodeColumn(c *Column, blockRows int) (*EncodedColumn, error) {
 	case Float64:
 		encodeFloatColumn(ec, c.F64(), blockRows)
 	case Int64:
-		encodeIntColumn(ec, c.I64(), nil, blockRows)
+		if encodeIntColumn(ec, c.I64(), blockRows) {
+			ec.plainI64 = c.I64()
+		}
 	case Int32, Date:
-		encodeIntColumn(ec, nil, c.I32(), blockRows)
+		if encodeIntColumn(ec, c.I32(), blockRows) {
+			ec.plainI32 = c.I32()
+		}
 	default:
 		return nil, fmt.Errorf("unsupported kind %v", c.Kind())
 	}
 	return ec, nil
 }
 
-// intAt reads row i of whichever integer slice is populated, widened.
-func intAt(i64 []int64, i32 []int32, i int) int64 {
-	if i64 != nil {
-		return i64[i]
-	}
-	return int64(i32[i])
-}
-
-func encodeIntColumn(ec *EncodedColumn, i64 []int64, i32 []int32, blockRows int) {
+// encodeIntColumn fills ec's zone maps and its Dict or FoR payload; it
+// reports whether the column stays Plain, whose payload the caller sets.
+func encodeIntColumn[T int32 | int64](ec *EncodedColumn, vals []T, blockRows int) (plain bool) {
 	rows := ec.rows
-	// Zone maps plus FoR sizing in one pass over the blocks.
+	// Zone maps plus FoR sizing in one pass over the blocks; the column's
+	// value range falls out of the zone maps.
 	forBytes := 0
-	blockSpans(rows, blockRows, func(_, lo, hi int) {
-		min, max := intAt(i64, i32, lo), intAt(i64, i32, lo)
-		for r := lo + 1; r < hi; r++ {
-			if v := intAt(i64, i32, r); v < min {
+	var lo, hi int64
+	blockSpans(rows, blockRows, func(i, l, h int) {
+		min, max := vals[l], vals[l]
+		for _, v := range vals[l+1 : h] {
+			if v < min {
 				min = v
 			} else if v > max {
 				max = v
 			}
 		}
+		if i == 0 || int64(min) < lo {
+			lo = int64(min)
+		}
+		if i == 0 || int64(max) > hi {
+			hi = int64(max)
+		}
 		width := bits.Len64(uint64(max) - uint64(min))
-		forBytes += ((hi-lo)*width+7)/8 + 9
+		forBytes += ((h-l)*width+7)/8 + 9
 		ec.blocks = append(ec.blocks, BlockMeta{
-			Rows: hi - lo, MinBits: uint64(min), MaxBits: uint64(max), NullFree: true,
+			Rows: h - l, MinBits: uint64(min), MaxBits: uint64(max), NullFree: true,
 		})
 	})
 
-	// Distinct scan for the dictionary candidate, bailing past the cap.
-	distinct := make(map[int64]struct{})
-	for r := 0; r < rows && len(distinct) <= maxDictLen; r++ {
-		distinct[intAt(i64, i32, r)] = struct{}{}
-	}
+	dict, codes := intDictionary(vals, lo, hi)
 	dictBytes := math.MaxInt
-	var dict []int64
-	if len(distinct) <= maxDictLen {
-		dict = make([]int64, 0, len(distinct))
-		for v := range distinct {
-			dict = append(dict, v)
-		}
-		sort.Slice(dict, func(a, b int) bool { return dict[a] < dict[b] })
+	if dict != nil {
 		dictBytes = len(dict)*8 + rows*codeWidthFor(len(dict))
 	}
-
 	plainBytes := ec.PlainBytes()
 	switch {
 	case dictBytes < forBytes && dictBytes < plainBytes:
 		ec.enc = EncDict
 		ec.dictI = dict
 		ec.codeWidth = codeWidthFor(len(dict))
-		ec.codes = make([]uint32, rows)
-		idx := make(map[int64]uint32, len(dict))
-		for i, v := range dict {
-			idx[v] = uint32(i)
-		}
-		for r := 0; r < rows; r++ {
-			ec.codes[r] = idx[intAt(i64, i32, r)]
-		}
+		ec.codes = codes()
 	case forBytes < plainBytes:
 		ec.enc = EncFoR
-		deltas := make([]uint64, 0, blockRows)
-		blockSpans(rows, blockRows, func(i, lo, hi int) {
+		deltas := make([]uint64, min(rows, blockRows))
+		blockSpans(rows, blockRows, func(i, l, h int) {
 			b := &ec.blocks[i]
 			b.Ref = int64(b.MinBits)
 			b.WidthBits = uint8(bits.Len64(b.MaxBits - b.MinBits))
-			deltas = deltas[:0]
-			for r := lo; r < hi; r++ {
-				deltas = append(deltas, uint64(intAt(i64, i32, r))-uint64(b.Ref))
+			d := deltas[:h-l]
+			for j, v := range vals[l:h] {
+				d[j] = uint64(v) - uint64(b.Ref)
 			}
-			b.Packed = packBits(deltas, int(b.WidthBits))
+			b.Packed = packBits(d, int(b.WidthBits))
 		})
 	default:
 		ec.enc = EncPlain
-		if i64 != nil {
-			ec.plainI64 = i64
-		} else {
-			ec.plainI32 = i32
+		return true
+	}
+	return false
+}
+
+// intDictionary returns the sorted distinct values of an integer column
+// whose values lie in [lo, hi], and a function computing every row's code; the
+// dictionary is nil past maxDictLen distinct values. A range within the row
+// count is indexed by value − lo: the presence array lists the dictionary in
+// key order, then maps each value to its code with one index. Wider domains
+// go through hashDictionary.
+func intDictionary[T int32 | int64](vals []T, lo, hi int64) ([]int64, func() []uint32) {
+	rows := len(vals)
+	if rows == 0 {
+		return nil, nil
+	}
+	if span := uint64(hi) - uint64(lo); span < uint64(rows) {
+		idx := make([]uint32, span+1)
+		for _, v := range vals {
+			idx[uint64(v)-uint64(lo)] = 1
+		}
+		n := 0
+		for _, seen := range idx {
+			n += int(seen)
+		}
+		if n > maxDictLen {
+			return nil, nil
+		}
+		dict := make([]int64, 0, n)
+		for i, seen := range idx {
+			if seen != 0 {
+				idx[i] = uint32(len(dict))
+				dict = append(dict, lo+int64(i))
+			}
+		}
+		return dict, func() []uint32 {
+			codes := make([]uint32, rows)
+			for r, v := range vals {
+				codes[r] = idx[uint64(v)-uint64(lo)]
+			}
+			return codes
 		}
 	}
+	keys, codes := hashDictionary(vals, func(v T) uint64 { return uint64(v) }, cmp.Compare[T])
+	if keys == nil {
+		return nil, nil
+	}
+	dict := make([]int64, len(keys))
+	for i, k := range keys {
+		dict[i] = int64(k)
+	}
+	return dict, codes
+}
+
+// hashDictionary is the dictionary pass over a domain too wide to index.
+// Each row's key is hashed once, into an open-addressing table that maps it
+// to the first-seen id of its value and doubles as distinct keys arrive; past
+// maxDictLen distinct keys the pass gives up (nil). The distinct values come
+// back sorted by compare, and codes renumbers every row's id to its value's
+// position in that order.
+func hashDictionary[V any](vals []V, key func(V) uint64, compare func(a, b V) int) ([]V, func() []uint32) {
+	var (
+		seen  []V      // distinct values by id
+		keys  []uint64 // and their keys
+		slots = make([]uint32, 256)
+		shift = uint(64 - 8) // slots hold id+1, 0 when empty
+	)
+	// probe returns the slot holding k, or the empty slot where k belongs.
+	probe := func(k uint64) int {
+		s := int(k * 0x9e3779b97f4a7c15 >> shift) // Fibonacci hashing
+		for slots[s] != 0 && keys[slots[s]-1] != k {
+			s = (s + 1) & (len(slots) - 1)
+		}
+		return s
+	}
+	rowIDs := make([]uint32, len(vals))
+	for r, v := range vals {
+		k := key(v)
+		s := probe(k)
+		id := slots[s]
+		if id == 0 {
+			if len(seen) == maxDictLen {
+				return nil, nil
+			}
+			seen, keys = append(seen, v), append(keys, k)
+			id = uint32(len(seen))
+			slots[s] = id
+			if 2*len(seen) > len(slots) {
+				slots, shift = make([]uint32, 2*len(slots)), shift-1
+				for i, k := range keys {
+					slots[probe(k)] = uint32(i + 1)
+				}
+			}
+		}
+		rowIDs[r] = id - 1
+	}
+	order := make([]uint32, len(seen))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return compare(seen[a], seen[b]) })
+	dict := make([]V, len(seen))
+	rank := make([]uint32, len(seen))
+	for pos, id := range order {
+		dict[pos] = seen[id]
+		rank[id] = uint32(pos)
+	}
+	return dict, func() []uint32 {
+		for r, id := range rowIDs {
+			rowIDs[r] = rank[id]
+		}
+		return rowIDs
+	}
+}
+
+// compareFloatBits orders floats by value with ties (signed zeros) broken by
+// bit pattern, the dictionary order of Float64 columns.
+func compareFloatBits(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return cmp.Compare(math.Float64bits(a), math.Float64bits(b))
 }
 
 func encodeFloatColumn(ec *EncodedColumn, vals []float64, blockRows int) {
@@ -408,36 +517,14 @@ func encodeFloatColumn(ec *EncodedColumn, vals []float64, blockRows int) {
 
 	// Floats have no FoR form; the dictionary is the only compressed option.
 	// Distinctness is by bit pattern so every value (signed zeros included)
-	// round-trips exactly; the dictionary sorts by value with ties broken by
-	// bit pattern to stay deterministic.
-	distinct := make(map[uint64]struct{})
-	for r := 0; r < rows && len(distinct) <= maxDictLen; r++ {
-		distinct[math.Float64bits(vals[r])] = struct{}{}
-	}
-	plainBytes := ec.PlainBytes()
-	if len(distinct) <= maxDictLen {
-		dict := make([]float64, 0, len(distinct))
-		for b := range distinct {
-			dict = append(dict, math.Float64frombits(b))
-		}
-		sort.Slice(dict, func(a, b int) bool {
-			if dict[a] != dict[b] {
-				return dict[a] < dict[b]
-			}
-			return math.Float64bits(dict[a]) < math.Float64bits(dict[b])
-		})
-		if dictBytes := len(dict)*8 + rows*codeWidthFor(len(dict)); dictBytes < plainBytes {
+	// round-trips exactly.
+	dict, codes := hashDictionary(vals, math.Float64bits, compareFloatBits)
+	if dict != nil {
+		if dictBytes := len(dict)*8 + rows*codeWidthFor(len(dict)); dictBytes < ec.PlainBytes() {
 			ec.enc = EncDict
 			ec.dictF = dict
 			ec.codeWidth = codeWidthFor(len(dict))
-			ec.codes = make([]uint32, rows)
-			idx := make(map[uint64]uint32, len(dict))
-			for i, v := range dict {
-				idx[math.Float64bits(v)] = uint32(i)
-			}
-			for r := 0; r < rows; r++ {
-				ec.codes[r] = idx[math.Float64bits(vals[r])]
-			}
+			ec.codes = codes()
 			return
 		}
 	}
@@ -458,58 +545,91 @@ func codeWidthFor(n int) int {
 }
 
 func (c *EncodedColumn) decode() (*Column, error) {
+	var (
+		i64 []int64
+		i32 []int32
+		f64 []float64
+		err error
+	)
+	switch c.kind {
+	case Int64:
+		i64, err = decodeInts(c, c.plainI64)
+	case Int32, Date:
+		i32, err = decodeInts(c, c.plainI32)
+	case Float64:
+		switch c.enc {
+		case EncPlain:
+			f64 = c.plainF64
+		case EncDict:
+			f64, err = lookupCodes(c.dictF, c.codes, c.rows)
+		default:
+			err = fmt.Errorf("encoding %v is integer-only, column is %v", c.enc, c.kind)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c.wrap(i64, i32, f64)
+}
+
+// decodeInts decodes an integer column straight into its kind. A dictionary
+// entry or FoR value outside T's range — possible only in a corrupt Int32 or
+// Date column — is an error, never a truncated value.
+func decodeInts[T int32 | int64](c *EncodedColumn, plain []T) ([]T, error) {
 	switch c.enc {
 	case EncPlain:
-		return c.wrap(c.plainI64, c.plainI32, c.plainF64)
+		return plain, nil
 	case EncDict:
-		if c.kind == Float64 {
-			vals := make([]float64, c.rows)
-			for r, code := range c.codes {
-				if int(code) >= len(c.dictF) {
-					return nil, fmt.Errorf("dict code %d out of range %d", code, len(c.dictF))
-				}
-				vals[r] = c.dictF[code]
+		dict := make([]T, len(c.dictI))
+		for i, v := range c.dictI {
+			if int64(T(v)) != v {
+				return nil, fmt.Errorf("dictionary entry %d = %d outside the %v range", i, v, c.kind)
 			}
-			return c.wrap(nil, nil, vals)
+			dict[i] = T(v)
 		}
-		wide := make([]int64, c.rows)
-		for r, code := range c.codes {
-			if int(code) >= len(c.dictI) {
-				return nil, fmt.Errorf("dict code %d out of range %d", code, len(c.dictI))
-			}
-			wide[r] = c.dictI[code]
-		}
-		return c.wrapInts(wide)
+		return lookupCodes(dict, c.codes, c.rows)
 	case EncFoR:
-		wide := make([]int64, 0, c.rows)
+		total, widest := 0, 0
+		for _, b := range c.blocks {
+			total += b.Rows
+			widest = max(widest, b.Rows)
+		}
+		if total != c.rows {
+			return nil, fmt.Errorf("block rows sum to %d, want %d", total, c.rows)
+		}
+		vals := make([]T, c.rows)
+		deltas := make([]uint64, widest)
+		r := 0
 		for i := range c.blocks {
 			b := &c.blocks[i]
-			deltas, err := unpackBits(b.Packed, b.Rows, int(b.WidthBits))
-			if err != nil {
+			d := deltas[:b.Rows]
+			if err := unpackBits(d, b.Packed, int(b.WidthBits)); err != nil {
 				return nil, fmt.Errorf("block %d: %w", i, err)
 			}
-			for _, d := range deltas {
-				wide = append(wide, int64(uint64(b.Ref)+d))
+			for _, delta := range d {
+				v := int64(uint64(b.Ref) + delta)
+				if int64(T(v)) != v {
+					return nil, fmt.Errorf("block %d: value %d outside the %v range", i, v, c.kind)
+				}
+				vals[r] = T(v)
+				r++
 			}
 		}
-		if len(wide) != c.rows {
-			return nil, fmt.Errorf("block rows sum to %d, want %d", len(wide), c.rows)
-		}
-		return c.wrapInts(wide)
+		return vals, nil
 	}
 	return nil, fmt.Errorf("unknown encoding %v", c.enc)
 }
 
-// wrapInts narrows a widened integer slice back to the column's kind.
-func (c *EncodedColumn) wrapInts(wide []int64) (*Column, error) {
-	if c.kind == Int64 {
-		return c.wrap(wide, nil, nil)
+// lookupCodes expands dictionary codes into rows values.
+func lookupCodes[T any](dict []T, codes []uint32, rows int) ([]T, error) {
+	vals := make([]T, rows)
+	for r, code := range codes {
+		if int(code) >= len(dict) {
+			return nil, fmt.Errorf("dict code %d out of range %d", code, len(dict))
+		}
+		vals[r] = dict[code]
 	}
-	narrow := make([]int32, len(wide))
-	for i, v := range wide {
-		narrow[i] = int32(v)
-	}
-	return c.wrap(nil, narrow, nil)
+	return vals, nil
 }
 
 func (c *EncodedColumn) wrap(i64 []int64, i32 []int32, f64 []float64) (*Column, error) {
@@ -526,56 +646,67 @@ func (c *EncodedColumn) wrap(i64 []int64, i32 []int32, f64 []float64) (*Column, 
 	return nil, fmt.Errorf("unsupported kind %v", c.kind)
 }
 
-// packBits packs each value's low width bits LSB-first into a byte stream.
-// Values must fit width bits.
+// packBits packs each value's low width bits LSB-first into a byte stream,
+// a 64-bit word at a time. Values must fit width bits.
 func packBits(vals []uint64, width int) []byte {
 	if width == 0 {
 		return nil
 	}
-	out := make([]byte, (len(vals)*width+7)/8)
-	bitPos := 0
+	n := (len(vals)*width + 7) / 8
+	out := make([]byte, (n+7)&^7) // whole words; the tail is cut off below
+	var acc uint64                // pending bits, LSB first
+	pending, pos := 0, 0
 	for _, v := range vals {
-		for w := 0; w < width; {
-			idx, off := bitPos>>3, bitPos&7
-			take := 8 - off
-			if take > width-w {
-				take = width - w
-			}
-			out[idx] |= byte((v >> uint(w)) << uint(off))
-			w += take
-			bitPos += take
+		acc |= v << pending
+		pending += width
+		if pending >= 64 {
+			binary.LittleEndian.PutUint64(out[pos:], acc)
+			pos += 8
+			pending -= 64
+			acc = v >> (width - pending) // Go shifts of 64 give 0
 		}
 	}
-	return out
+	if pending > 0 {
+		binary.LittleEndian.PutUint64(out[pos:], acc)
+	}
+	return out[:n]
 }
 
-// unpackBits is packBits' inverse: n width-bit values from src.
-func unpackBits(src []byte, n, width int) ([]uint64, error) {
+// unpackBits is packBits' inverse: it fills dst with len(dst) width-bit
+// values from src, reading a 64-bit word at a time.
+func unpackBits(dst []uint64, src []byte, width int) error {
 	if width < 0 || width > 64 {
-		return nil, fmt.Errorf("bit width %d out of range", width)
+		return fmt.Errorf("bit width %d out of range", width)
 	}
-	need := (n*width + 7) / 8
-	if len(src) < need {
-		return nil, fmt.Errorf("packed payload %d bytes, need %d", len(src), need)
+	if need := (len(dst)*width + 7) / 8; len(src) < need {
+		return fmt.Errorf("packed payload %d bytes, need %d", len(src), need)
 	}
-	out := make([]uint64, n)
 	if width == 0 {
-		return out, nil
+		clear(dst)
+		return nil
 	}
-	bitPos := 0
-	for i := range out {
-		var v uint64
-		for w := 0; w < width; {
-			idx, off := bitPos>>3, bitPos&7
-			take := 8 - off
-			if take > width-w {
-				take = width - w
-			}
-			v |= (uint64(src[idx]>>uint(off)) & (1<<uint(take) - 1)) << uint(w)
-			w += take
-			bitPos += take
+	mask := uint64(1)<<width - 1 // all ones at width 64
+	var acc uint64               // buffered bits, LSB first, none above avail
+	avail, pos := 0, 0
+	for i := range dst {
+		if avail >= width {
+			dst[i] = acc & mask
+			acc >>= width
+			avail -= width
+			continue
 		}
-		out[i] = v
+		var w uint64
+		if pos+8 <= len(src) {
+			w = binary.LittleEndian.Uint64(src[pos:])
+		} else {
+			var tail [8]byte
+			copy(tail[:], src[pos:])
+			w = binary.LittleEndian.Uint64(tail[:])
+		}
+		pos += 8
+		dst[i] = (acc | w<<avail) & mask
+		acc = w >> (width - avail)
+		avail += 64 - width
 	}
-	return out, nil
+	return nil
 }

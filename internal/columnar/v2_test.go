@@ -280,8 +280,8 @@ func TestPackBitsRoundTrip(t *testing.T) {
 		if want := (n*width + 7) / 8; len(packed) != want {
 			t.Fatalf("width %d: packed %d bytes, want %d", width, len(packed), want)
 		}
-		got, err := unpackBits(packed, n, width)
-		if err != nil {
+		got := make([]uint64, n)
+		if err := unpackBits(got, packed, width); err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
 		for i := range vals {

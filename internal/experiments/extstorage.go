@@ -39,8 +39,8 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 		return nil, err
 	}
 	d = d.ReorderLineitem(tpch.OrderingShipdateSorted, cfg.Seed+1)
-	cut := cachedQuantileInt32(d.Lineitem.Column("l_shipdate"), 0.10)
-	enc, err := cachedEncodedLineitem(d, fmt.Sprintf("r%d-s%d-sorted", rows, cfg.Seed), blockRows)
+	cut := tpch.QuantileInt32(d.Lineitem.Column("l_shipdate"), 0.10)
+	enc, err := columnar.EncodeTable(d.Lineitem, blockRows)
 	if err != nil {
 		return nil, err
 	}

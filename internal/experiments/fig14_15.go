@@ -7,6 +7,7 @@ import (
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/hw/pmu"
+	"progopt/internal/tpch"
 )
 
 // Fig14 reproduces Figure 14: an expensive selection combined with a
@@ -78,7 +79,7 @@ func Fig14(cfg Config) ([]*Report, error) {
 			Col: d.Lineitem.Column("l_quantity"), Op: exec.LE, I: 25,
 			ExtraCostInstr: 40, Label: "expensive-sel",
 		}
-		dateCut := cachedQuantileInt32(d.Orders.Column("o_orderdate"), 0.5)
+		dateCut := tpch.QuantileInt32(d.Orders.Column("o_orderdate"), 0.5)
 		filter := &exec.Predicate{Col: d.Orders.Column("o_orderdate"), Op: exec.LE, I: int64(dateCut)}
 		join, err := exec.NewFKJoin(r.cpu, d.Lineitem.Column("l_orderkey"), d.NumOrders, filter, "fk-orders")
 		if err != nil {
@@ -153,7 +154,7 @@ func Fig15(cfg Config) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		dateCut := cachedQuantileInt32(d.Orders.Column("o_orderdate"), sel)
+		dateCut := tpch.QuantileInt32(d.Orders.Column("o_orderdate"), sel)
 		oFilter := &exec.Predicate{Col: d.Orders.Column("o_orderdate"), Op: exec.LE, I: int64(dateCut)}
 		oJoin, err := exec.NewFKJoin(r.cpu, d.Lineitem.Column("l_orderkey"), d.NumOrders, oFilter, "join-orders")
 		if err != nil {

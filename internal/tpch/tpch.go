@@ -12,8 +12,8 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"progopt/internal/columnar"
@@ -281,35 +281,86 @@ func (o Ordering) String() string {
 // physically reordered. Orders and part tables are shared (their order never
 // changes in the paper's experiments).
 func (d *Dataset) ReorderLineitem(o Ordering, seed int64) *Dataset {
+	return d.withLineitem(permuteTable(d.Lineitem, d.lineitemPerm(o, seed)))
+}
+
+// lineitemPerm is the row permutation behind ReorderLineitem: row i of the
+// reordered table is row perm[i] of the current one.
+func (d *Dataset) lineitemPerm(o Ordering, seed int64) []int {
 	rng := datagen.NewRNG(seed)
 	ship := d.Lineitem.Column("l_shipdate").I32()
-	n := len(ship)
-	var perm []int
 	switch o {
 	case OrderingNatural:
-		perm = identityPerm(n)
+		return identityPerm(len(ship))
 	case OrderingShipdateSorted:
-		perm = identityPerm(n)
-		sort.SliceStable(perm, func(a, b int) bool { return ship[perm[a]] < ship[perm[b]] })
+		return stableOrder(ship)
 	case OrderingClusteredMonth:
-		// Sort by shipdate first, then shuffle within months.
-		sorted := identityPerm(n)
-		sort.SliceStable(sorted, func(a, b int) bool { return ship[sorted[a]] < ship[sorted[b]] })
-		months := make([]int32, n)
+		// Sort by shipdate first, then shuffle within months. Sorted rows
+		// come in runs of one day, so each run converts its day once.
+		sorted := stableOrder(ship)
+		months := make([]int32, len(sorted))
+		day, month := int32(0), int32(0)
 		for i, p := range sorted {
-			months[i] = MonthID(ship[p])
+			if i == 0 || ship[p] != day {
+				day, month = ship[p], MonthID(ship[p])
+			}
+			months[i] = month
 		}
 		within := datagen.GroupPermutation(rng, months)
-		perm = make([]int, n)
+		perm := make([]int, len(sorted))
 		for i := range perm {
 			perm[i] = sorted[within[i]]
 		}
+		return perm
 	case OrderingRandom:
-		perm = rng.Perm(n)
-	default:
-		panic(fmt.Sprintf("tpch: unknown ordering %d", int(o)))
+		return rng.Perm(len(ship))
 	}
-	return d.withLineitem(permuteTable(d.Lineitem, perm))
+	// Unreachable: every caller passes an ordering it has already validated.
+	panic(fmt.Sprintf("tpch: unknown ordering %d", int(o)))
+}
+
+// stableOrder returns the permutation that sorts keys ascending, equal keys
+// in row order. A stable sort on one key has exactly one output, so this is
+// the permutation any stable sort gives; it is computed by counting. Keys
+// spanning no more values than there are rows (shipdates: about 2 500 days)
+// take one counting pass over key−min; wider spans take two over the low and
+// high 16 bits of key−min, least significant first.
+func stableOrder(keys []int32) []int {
+	if len(keys) == 0 {
+		return []int{}
+	}
+	lo, hi := slices.Min(keys), slices.Max(keys)
+	// Two's-complement wrap-around makes key−lo exact as a uint32.
+	span := uint32(hi - lo)
+	if uint64(span) < uint64(len(keys)) {
+		return countingPass(keys, nil, lo, span, 0, math.MaxUint32)
+	}
+	low := countingPass(keys, nil, lo, span, 0, 0xffff)
+	return countingPass(keys, low, lo, span, 16, 0xffff)
+}
+
+// countingPass stably orders rows by the digit (key−lo)>>shift & mask: the
+// rows listed in perm, or every row in order when perm is nil. Keys lie in
+// [lo, lo+span].
+func countingPass(keys []int32, perm []int, lo int32, span uint32, shift uint, mask uint32) []int {
+	start := make([]int, min(mask, span>>shift)+2)
+	for _, k := range keys {
+		start[uint32(k-lo)>>shift&mask+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	out := make([]int, len(keys))
+	for i := range out {
+		p := i
+		if perm != nil {
+			p = perm[i]
+		}
+		d := uint32(keys[p]-lo) >> shift & mask
+		out[start[d]] = p
+		start[d]++
+	}
+	return out
 }
 
 // ShuffleLineitemWindow returns a copy with lineitem rows permuted by a

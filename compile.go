@@ -94,7 +94,7 @@ func (e *Engine) Compile(d *Dataset, p *Plan) (*Query, error) {
 		}
 		q.Agg = agg
 	}
-	if err := e.eng.BindQuery(q); err != nil {
+	if err := e.par.BindQuery(q); err != nil {
 		return nil, err
 	}
 
@@ -161,7 +161,7 @@ func (e *Engine) compileSort(d *Dataset, driving *columnar.Table, p *Plan, agg *
 	}
 	se := &sortExec{keys: keys, limit: limit, states: make([]*exec.Sort, e.par.Workers())}
 	for i := range se.states {
-		s, err := exec.NewSort(e.cpu, keys, limit, agg, driving.NumRows(), e.eng.VectorSize())
+		s, err := exec.NewSort(e.par, keys, limit, agg, driving.NumRows(), e.par.VectorSize())
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +252,7 @@ func (e *Engine) compileGroup(driving *columnar.Table, key, value string) (*grou
 	}
 	ge := &groupExec{key: key, value: value, distinct: dom.Groups, tables: make([]*exec.GroupBy, e.par.Workers())}
 	for i := range ge.tables {
-		gb, err := exec.NewGroupBy(e.cpu, g, v, dom)
+		gb, err := exec.NewGroupBy(e.par, g, v, dom)
 		if err != nil {
 			return nil, err
 		}

@@ -112,7 +112,7 @@ func (e *Engine) compileEdgeOps(ge graphEdge) ([]exec.Op, error) {
 		if i == 0 {
 			label = ge.label
 		}
-		j, err := exec.NewFKJoinVia(e.cpu, key, via, ge.rows, pred, label)
+		j, err := exec.NewFKJoinVia(e.par, key, via, ge.rows, pred, label)
 		if err != nil {
 			return nil, fmt.Errorf("progopt: join to %q: %w", ge.to, err)
 		}

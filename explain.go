@@ -4,20 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	cachemodel "progopt/internal/costmodel/cache"
+	"progopt/internal/core"
 	"progopt/internal/costmodel/markov"
 	"progopt/internal/costmodel/peo"
 	"progopt/internal/exec"
-	"progopt/internal/hw/cpu"
 )
-
-// cacheGeometry is the L3 geometry of prof, as the PEO cost model reads it.
-func cacheGeometry(prof cpu.Profile) cachemodel.Geometry {
-	return cachemodel.Geometry{
-		LineSize:      prof.Hierarchy.L3.LineSize,
-		CapacityLines: prof.Hierarchy.L3.Lines(),
-	}
-}
 
 // OpExplain describes one operator in an explained plan.
 type OpExplain struct {
@@ -247,7 +238,7 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 		Workers: e.Workers(),
 		Sum:     q.sumExpr,
 	}
-	if e.eng.Scalar() {
+	if e.core0().Scalar() {
 		out.Exec = "scalar"
 	}
 	if q.group != nil {
@@ -308,7 +299,7 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 		input *= oe.TrueSelectivity
 		out.Ops = append(out.Ops, oe)
 	}
-	if !e.eng.Scalar() && e.eng.Fused() {
+	if w := e.core0(); !w.Scalar() && w.Fused() {
 		out.Pipeline = fusedPipelineDesc(q)
 	}
 	if s := q.storage; s != nil {
@@ -320,7 +311,7 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 	params := peo.Params{
 		N:        out.Rows,
 		Widths:   widths,
-		Geometry: cacheGeometry(e.cpu.Profile()),
+		Geometry: core.L3Geometry(e.core0().CPU().Profile()),
 		Chain:    markov.Paper(),
 	}
 	if q.q.Agg != nil {

@@ -16,13 +16,10 @@ type refPath struct {
 	scalar, noFuse bool
 }
 
-// setRef puts every core the engine executes queries on — its own and its
-// pool's — on the given reference path. Compiled queries do not depend on the
-// path; a Server built on the engine afterwards serves on it (NewServer
-// copies it).
+// setRef puts every core of the engine's pool on the given reference path.
+// Compiled queries do not depend on the path; a Server built on the engine
+// afterwards serves on it (NewServer copies it).
 func (e *Engine) setRef(ref refPath) {
-	e.eng.SetScalar(ref.scalar)
-	e.eng.SetFuse(!ref.noFuse)
 	e.par.SetScalar(ref.scalar)
 	e.par.SetFuse(!ref.noFuse)
 }

@@ -82,6 +82,12 @@ type BlockStepper struct {
 // optimization point, keeping most vectors on the cheaper implementation.
 const bfResampleEvery = 3
 
+// L3Geometry is the L3 of prof as the cache cost model reads it: the cache
+// the estimator, Explain's counter predictions and the figures model.
+func L3Geometry(prof cpu.Profile) cachemodel.Geometry {
+	return cachemodel.Geometry{LineSize: prof.Hierarchy.L3.LineSize, CapacityLines: prof.Hierarchy.L3.Lines()}
+}
+
 // NewBlockStepper builds the coordination state for one query. prof supplies
 // the cache geometry the estimator models; workers is reported in the
 // stats (the pool size the run is scheduled on). micro enables per-block
@@ -96,7 +102,7 @@ func NewBlockStepper(q *exec.Query, prof cpu.Profile, workers int, micro bool, o
 		opt:      opt,
 		micro:    micro,
 		eligible: micro && exec.BranchFreeEligible(q),
-		geometry: cachemodel.Geometry{LineSize: prof.Hierarchy.L3.LineSize, CapacityLines: prof.Hierarchy.L3.Lines()},
+		geometry: L3Geometry(prof),
 		curPerm:  identity(nOps),
 		prevPerm: identity(nOps),
 		curQ:     q,

@@ -21,10 +21,10 @@ import (
 // morsels automatically receive fewer of them, exactly the self-balancing
 // property morsel-driven execution is built for.
 //
-// All cores share one synthetic physical address space (columns are bound
-// once, by whichever CPU allocated them) but simulate private cache
-// hierarchies, branch predictors, and PMUs — the private-L1/L2 topology of
-// the paper's evaluation machine. Scheduling decisions depend only on
+// All cores share one synthetic physical address space, which core 0
+// assigns (Alloc, BindQuery), but simulate private cache hierarchies, branch
+// predictors, and PMUs — the private-L1/L2 topology of the paper's
+// evaluation machine. Scheduling decisions depend only on
 // simulated clocks, so everything is deterministic: Qualifying and Sum are
 // bit-identical to a serial run (the aggregate is reduced in global vector
 // order), and cycle counts and PMU samples reproduce exactly across runs,
@@ -224,10 +224,12 @@ func (p *Parallel) NumVectors(q *Query) int {
 	return (q.Table.NumRows() + p.vectorSize - 1) / p.vectorSize
 }
 
-// BindQuery binds the query through worker 0's address space and starts all
-// cores cold. When the query was already bound by an external engine sharing
-// the address-space convention (the usual facade setup), binding is a no-op
-// and only the cold start applies.
+// Alloc reserves size bytes of the pool's address space through core 0
+// (cpu.CPU.Alloc), making the pool a columnar.Allocator.
+func (p *Parallel) Alloc(size int) (uint64, error) { return p.workers[0].CPU().Alloc(size) }
+
+// BindQuery binds the query's still-unbound columns through core 0 and starts
+// all cores cold.
 func (p *Parallel) BindQuery(q *Query) error {
 	if err := p.workers[0].BindQuery(q); err != nil {
 		return err

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"progopt/internal/trace"
 )
 
 func quickCfg() Config { return Config{Quick: true, Seed: 7} }
@@ -276,6 +278,31 @@ func TestFig16EnumeratorDwarfsPMU(t *testing.T) {
 	// Enumerator overhead grows with predicate count.
 	if cell(t, r, len(r.Rows)-1, en) <= cell(t, r, 0, en) {
 		t.Error("enumerator overhead did not grow with predicates")
+	}
+}
+
+// TestDirectRunsAreTraced: the figures' direct engine calls run on the rig
+// pool's core 0, so a traced Fig16, which measures through nothing else,
+// records execution spans on its rigs' core-0 tracks.
+func TestDirectRunsAreTraced(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Trace = trace.New()
+	if _, err := Fig16(cfg); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, tk := range cfg.Trace.Tracks() {
+		if !strings.HasSuffix(tk.Name(), "/core 0") {
+			continue
+		}
+		for _, ev := range tk.Events() {
+			if !ev.Instant && (ev.Name == "vector" || ev.Name == "fused-pipeline") {
+				spans++
+			}
+		}
+	}
+	if spans == 0 {
+		t.Fatal("traced Fig16 recorded no vector or fused-pipeline span on a rig's core 0")
 	}
 }
 

@@ -85,7 +85,7 @@ func ExtEnum(cfg Config) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.cpu.Cold()
+		r.eng.CPU().Cold()
 		enumRes, _, err := core.RunProgressiveEnumerated(r.eng, qo, core.Options{ReopInterval: reop})
 		if err != nil {
 			return nil, err
@@ -149,7 +149,7 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.cpu.Cold()
+		r.eng.CPU().Cold()
 		free, err := r.eng.RunBranchFree(q)
 		if err != nil {
 			return nil, err

@@ -61,7 +61,7 @@ func ExtGroupBy(cfg Config) ([]*Report, error) {
 		}
 		gs := make([]*exec.GroupBy, r.run.Workers())
 		for i := range gs {
-			gs[i], err = exec.NewGroupBy(r.cpu, d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), exec.KeyDomain{Groups: 50})
+			gs[i], err = exec.NewGroupBy(r.eng.CPU(), d.Lineitem.Column("l_quantity"), d.Lineitem.Column("l_extendedprice"), exec.KeyDomain{Groups: 50})
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,6 @@ import (
 
 	"progopt/internal/columnar"
 	"progopt/internal/core"
-	cachemodel "progopt/internal/costmodel/cache"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/tpch"
@@ -47,10 +46,7 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 		return nil, err
 	}
 	prof := cpu.ScaledXeon()
-	geom := cachemodel.Geometry{
-		LineSize:      prof.Hierarchy.L3.LineSize,
-		CapacityLines: prof.Hierarchy.L3.Lines(),
-	}
+	geom := core.L3Geometry(prof)
 	const reopInt, exploreEvery = 10, 2
 
 	// The edge pool, in attachment order. Selectivities are the nominal
@@ -163,7 +159,7 @@ func ExtJoins(cfg Config) ([]*Report, error) {
 			for _, vc := range s.viaCols {
 				via = append(via, viaColumn[vc])
 			}
-			j, err := exec.NewFKJoinVia(r.cpu, d.Lineitem.Column(s.keyCol), via, s.rows, s.filter(), "join-"+s.name)
+			j, err := exec.NewFKJoinVia(r.eng.CPU(), d.Lineitem.Column(s.keyCol), via, s.rows, s.filter(), "join-"+s.name)
 			if err != nil {
 				return nil, err
 			}

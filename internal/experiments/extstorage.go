@@ -226,35 +226,24 @@ func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int3
 		return storedCell{}, err
 	}
 	if scfg.CompressedScan {
-		plan.Packed = make(map[string]storage.PackedImage, len(enc.Columns()))
-		for _, ec := range enc.Columns() {
-			w := ec.PackedWidthBytes()
-			base, err := r.cpu.Alloc(ec.Rows() * w)
-			if err != nil {
-				return storedCell{}, err
-			}
-			plan.Packed[ec.Name()] = storage.PackedImage{Base: base, Width: w}
+		images, err := storage.AllocPacked(r.eng.CPU(), enc)
+		if err != nil {
+			return storedCell{}, err
 		}
-		for _, op := range q.Ops {
-			if p, ok := op.(*exec.Predicate); ok {
-				if img, ok := plan.Packed[p.Col.Name()]; ok {
-					p.ScanBase, p.ScanWidth = img.Base, img.Width
-				}
-			}
-		}
+		plan.ScanPacked(images, q)
 	}
-	set, err := plan.NewSet()
+	views, err := plan.NewViews(1)
 	if err != nil {
 		return storedCell{}, err
 	}
-	r.eng.SetStorage(&exec.StorageScan{Skip: plan.Skip, Set: set})
+	r.eng.SetStorage(views[0])
 	defer r.eng.SetStorage(nil)
-	r.cpu.Cold()
+	r.eng.CPU().Cold()
 	res, err := r.eng.Run(q)
 	if err != nil {
 		return storedCell{}, err
 	}
-	c := set.Counters()
+	c := views[0].Set.Counters()
 	cycles := res.Cycles + c.StallCycles
 	return storedCell{
 		res:    res,

@@ -100,7 +100,7 @@ func runTopK(cfg Config, rows, workers, limit int) ([]exec.SortedRow, float64, e
 	keys := []exec.SortKey{{Col: price, Desc: true}}
 	sorts := make([]*exec.Sort, r.run.Workers())
 	for i := range sorts {
-		if sorts[i], err = exec.NewSort(r.cpu, keys, limit, agg, rows, cfg.VectorSize); err != nil {
+		if sorts[i], err = exec.NewSort(r.eng.CPU(), keys, limit, agg, rows, cfg.VectorSize); err != nil {
 			return nil, 0, err
 		}
 	}

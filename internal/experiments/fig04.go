@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"progopt/internal/columnar"
-	cachemodel "progopt/internal/costmodel/cache"
+	"progopt/internal/core"
 	"progopt/internal/costmodel/markov"
 	"progopt/internal/costmodel/peo"
 	"progopt/internal/datagen"
@@ -33,11 +33,10 @@ func Fig04(cfg Config) ([]*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := r.cpu.Profile()
 	params := peo.Params{
 		N:        n,
 		Widths:   []int{8, 8},
-		Geometry: cachemodel.Geometry{LineSize: prof.Hierarchy.L3.LineSize, CapacityLines: prof.Hierarchy.L3.Lines()},
+		Geometry: core.L3Geometry(r.eng.CPU().Profile()),
 		Chain:    markov.Paper(),
 	}
 

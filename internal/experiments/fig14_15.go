@@ -81,7 +81,7 @@ func Fig14(cfg Config) ([]*Report, error) {
 		}
 		dateCut := tpch.QuantileInt32(d.Orders.Column("o_orderdate"), 0.5)
 		filter := &exec.Predicate{Col: d.Orders.Column("o_orderdate"), Op: exec.LE, I: int64(dateCut)}
-		join, err := exec.NewFKJoin(r.cpu, d.Lineitem.Column("l_orderkey"), d.NumOrders, filter, "fk-orders")
+		join, err := exec.NewFKJoin(r.eng.CPU(), d.Lineitem.Column("l_orderkey"), d.NumOrders, filter, "fk-orders")
 		if err != nil {
 			return nil, err
 		}
@@ -156,13 +156,13 @@ func Fig15(cfg Config) ([]*Report, error) {
 		}
 		dateCut := tpch.QuantileInt32(d.Orders.Column("o_orderdate"), sel)
 		oFilter := &exec.Predicate{Col: d.Orders.Column("o_orderdate"), Op: exec.LE, I: int64(dateCut)}
-		oJoin, err := exec.NewFKJoin(r.cpu, d.Lineitem.Column("l_orderkey"), d.NumOrders, oFilter, "join-orders")
+		oJoin, err := exec.NewFKJoin(r.eng.CPU(), d.Lineitem.Column("l_orderkey"), d.NumOrders, oFilter, "join-orders")
 		if err != nil {
 			return nil, err
 		}
 		sizeCut := int64(float64(50) * sel)
 		pFilter := &exec.Predicate{Col: d.Part.Column("p_size"), Op: exec.LE, I: sizeCut}
-		pJoin, err := exec.NewFKJoin(r.cpu, d.Lineitem.Column("l_partkey"), d.NumParts, pFilter, "join-part")
+		pJoin, err := exec.NewFKJoin(r.eng.CPU(), d.Lineitem.Column("l_partkey"), d.NumParts, pFilter, "join-part")
 		if err != nil {
 			return nil, err
 		}

@@ -60,14 +60,15 @@ func Fig16(cfg Config) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.cpu.Cold()
+		r.eng.CPU().Cold()
 		inst, _, err := r.eng.RunInstrumented(q)
 		if err != nil {
 			return nil, err
 		}
 		// PAPI-style run: plain execution plus one counter read per vector.
-		r.cpu.Cold()
-		c0 := r.cpu.Cycles()
+		c := r.eng.CPU()
+		c.Cold()
+		c0 := c.Cycles()
 		n := tb.NumRows()
 		for lo := 0; lo < n; lo += cfg.VectorSize {
 			hi := lo + cfg.VectorSize
@@ -77,9 +78,9 @@ func Fig16(cfg Config) ([]*Report, error) {
 			if _, err := r.eng.RunVector(q, lo, hi); err != nil {
 				return nil, err
 			}
-			r.cpu.Exec(pmuReadInstr)
+			c.Exec(pmuReadInstr)
 		}
-		papiCycles := r.cpu.Cycles() - c0
+		papiCycles := c.Cycles() - c0
 
 		enumPct := (float64(inst.Cycles) - float64(plain.Cycles)) / float64(plain.Cycles) * 100
 		papiPct := (float64(papiCycles) - float64(plain.Cycles)) / float64(plain.Cycles) * 100

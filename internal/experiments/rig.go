@@ -11,13 +11,14 @@ import (
 
 // rig bundles the simulated cores and engine for a sequence of measurements
 // over the same bound data set. Every measurement starts cold (cpu.CPU.Cold),
-// like the paper's separately executed queries. cpu and eng bind the data set
-// into the address space every core shares, and the figures' direct engine
-// calls (Engine.Run, RunBranchFree, RunInstrumented) run on them; every other
-// measurement goes through the one query driver, on a pool of the config's
-// Workers cores — one by default.
+// like the paper's separately executed queries, and runs on a pool of the
+// config's Workers cores — one by default: through the one query driver, or,
+// for the figures' direct engine calls (Engine.Run, RunBranchFree,
+// RunInstrumented), on the pool's core 0.
 type rig struct {
-	cpu *cpu.CPU
+	// eng is the pool's core 0. It binds the data set and reserves every
+	// region the figures allocate, and the direct engine calls run on it,
+	// so they land on its trace track.
 	eng *exec.Engine
 	// opt is the optimizer-decision track when the config carries a trace
 	// recorder, nil otherwise. Rigs within one recorder get uniquely prefixed
@@ -27,20 +28,12 @@ type rig struct {
 }
 
 func newRig(prof cpu.Profile, cfg Config) (*rig, error) {
-	c, err := cpu.New(prof)
-	if err != nil {
-		return nil, err
-	}
-	e, err := exec.NewEngine(c, cfg.VectorSize)
-	if err != nil {
-		return nil, err
-	}
 	workers := max(cfg.Workers, 1)
 	par, err := exec.NewParallel(prof, workers, cfg.VectorSize)
 	if err != nil {
 		return nil, err
 	}
-	r := &rig{cpu: c, eng: e, run: core.NewRun(par)}
+	r := &rig{eng: par.Engines()[0], run: core.NewRun(par)}
 	if cfg.Trace != nil {
 		// Track names embed the recorder's current track count so each rig
 		// in a sweep gets its own set (determinism: rigs are created in
@@ -112,6 +105,6 @@ func (r *rig) measureProgressiveOpts(q *exec.Query, perm []int, opts core.Option
 }
 
 // millis converts simulated cycles to msec on the rig's clock.
-func (r *rig) millis(cycles uint64) float64 { return r.cpu.MillisOf(cycles) }
+func (r *rig) millis(cycles uint64) float64 { return r.eng.CPU().MillisOf(cycles) }
 
 func fmtMs(ms float64) string { return fmt.Sprintf("%.2f", ms) }

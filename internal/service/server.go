@@ -244,9 +244,9 @@ type Server struct {
 	tr *trace.Track
 }
 
-// New builds a server with its own pool of worker cores of the given
-// profile (fresh cores; queries must be bound into the shared address-space
-// convention, e.g. via an engine's BindQuery or the server's).
+// New builds a server with its own pool of fresh worker cores of the given
+// profile. Submitted queries must be bound: by the pool that compiled them,
+// or by BindQuery.
 func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error) {
 	if workers <= 0 {
 		workers = 1

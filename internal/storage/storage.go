@@ -107,8 +107,8 @@ func (p *Plan) VectorsSkipped() int {
 // enc: block pruning and vector skip verdicts from the query's predicate
 // ops (when cfg.SkipScan), in the given vector geometry. The decoded table
 // must be the query's driving table. Packed images are registered
-// separately (the caller allocates them after all ordinary binds, to keep
-// the faithful configuration address-identical to an in-RAM run).
+// separately (ScanPacked; the caller reserves them after all ordinary binds,
+// to keep the faithful configuration address-identical to an in-RAM run).
 func Compile(enc *columnar.EncodedTable, tab *columnar.Table, q *exec.Query, vectorSize int, cfg Config) (*Plan, error) {
 	if enc == nil || tab == nil {
 		return nil, fmt.Errorf("storage: Compile needs an encoded table and its decoded image")
@@ -207,13 +207,45 @@ func skipVectors(pruned []bool, blockRows, numRows, vectorSize int) []bool {
 	return skip
 }
 
-// NewSet builds one core's storage-tier view of the plan: one logical block
+// AllocPacked reserves one packed image per stored column through alloc, in
+// the stored column order.
+func AllocPacked(alloc columnar.Allocator, enc *columnar.EncodedTable) (map[string]PackedImage, error) {
+	images := make(map[string]PackedImage, len(enc.Columns()))
+	for _, ec := range enc.Columns() {
+		w := ec.PackedWidthBytes()
+		base, err := alloc.Alloc(ec.Rows() * w)
+		if err != nil {
+			return nil, err
+		}
+		images[ec.Name()] = PackedImage{Base: base, Width: w}
+	}
+	return images, nil
+}
+
+// ScanPacked registers the packed images on the plan and points every
+// predicate of q over a column of the plan's decoded table at that column's
+// image. Predicates over other tables (join filters) keep scanning decoded
+// values.
+func (p *Plan) ScanPacked(images map[string]PackedImage, q *exec.Query) {
+	p.Packed = images
+	for _, op := range q.Ops {
+		pred, ok := op.(*exec.Predicate)
+		if !ok {
+			continue
+		}
+		if img, ok := images[pred.Col.Name()]; ok && p.Tab.Column(pred.Col.Name()) == pred.Col {
+			pred.ScanBase, pred.ScanWidth = img.Base, img.Width
+		}
+	}
+}
+
+// newSet builds one core's storage-tier view of the plan: one logical block
 // per (column, block) — the unit the tier transfers, costing the block's
 // encoded bytes — with the decoded address window and, when present, the
 // packed image's window aliased onto it. Every core of a run gets its own
 // set over identical geometry, so residency evolves per simulated core and
 // stays deterministic.
-func (p *Plan) NewSet() (*cache.StorageSet, error) {
+func (p *Plan) newSet() (*cache.StorageSet, error) {
 	s := cache.NewStorageSet(p.cfg.tierConfig())
 	blockRows := uint64(p.Enc.BlockRows())
 	for _, ec := range p.Enc.Columns() {
@@ -249,13 +281,13 @@ func (p *Plan) NewSet() (*cache.StorageSet, error) {
 }
 
 // NewViews builds the per-core stored-scan state of one run over n cores:
-// each core's own tier view (NewSet, residency starting cold), all sharing
+// each core's own tier view (newSet, residency starting cold), all sharing
 // the plan's skip verdicts. Two runs never share a view, so neither can see
 // the other's residency.
 func (p *Plan) NewViews(n int) ([]*exec.StorageScan, error) {
 	views := make([]*exec.StorageScan, n)
 	for i := range views {
-		set, err := p.NewSet()
+		set, err := p.newSet()
 		if err != nil {
 			return nil, err
 		}

@@ -147,7 +147,7 @@ func TestPruneBlocksForeignPredicate(t *testing.T) {
 	}
 }
 
-// TestNewSetBinding: NewSet requires a bound decoded image and builds one
+// TestNewSetBinding: newSet requires a bound decoded image and builds one
 // logical block per (column, block) with the packed image aliased on.
 func TestNewSetBinding(t *testing.T) {
 	enc, tab, c := testTable(t, 1000, 256)
@@ -155,7 +155,7 @@ func TestNewSetBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.NewSet()
+	s, err := p.newSet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestNewSetBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Packed = map[string]PackedImage{enc.Columns()[0].Name(): {Base: base, Width: pw}}
-	s2, err := p.NewSet()
+	s2, err := p.newSet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestNewSetBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p3.NewSet(); err == nil {
+	if _, err := p3.newSet(); err == nil {
 		t.Error("unbound decoded image accepted")
 	}
 }

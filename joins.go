@@ -37,7 +37,7 @@ func (e *Engine) DetectJoinLocality(q *Query, d *Dataset, build string) (Result,
 		return Result{}, SortednessReport{}, err
 	}
 	rep := core.DetectSortedness(
-		cacheGeometry(e.cpu.Profile()),
+		core.L3Geometry(e.core0().CPU().Profile()),
 		buildTuples, 8, d.Lineitems(),
 		float64(res.Counters["l3_miss"]),
 	)

@@ -54,12 +54,9 @@ type Config struct {
 // Engine is the public facade: one or more simulated cores plus the
 // vectorized query engine and the progressive optimizer.
 type Engine struct {
-	// cpu and eng bind compiled queries into the address space every core
-	// shares; EstimateSelectivities runs on them.
-	cpu *cpu.CPU
-	eng *exec.Engine
 	// par is the morsel-driven executor every query runs on: Config.Workers
-	// cores, one at Workers 1.
+	// cores, one at Workers 1. Its core 0 assigns every address a compiled
+	// query touches (core0).
 	par *exec.Parallel
 	// stcfg is the engine's storage configuration, nil for in-RAM engines;
 	// stored caches each data set's stored driving table by generation.
@@ -80,14 +77,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Arch != ArchDefault {
 		prof = cpu.ForArch(branch.Arch(cfg.Arch))
 	}
-	c, err := cpu.New(prof)
-	if err != nil {
-		return nil, err
-	}
-	e, err := exec.NewEngine(c, cfg.VectorSize)
-	if err != nil {
-		return nil, err
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 1
@@ -107,8 +96,16 @@ func New(cfg Config) (*Engine, error) {
 		tr = newTrace(cfg.Trace, workers)
 		par.SetTrace(tr.cores)
 	}
-	return &Engine{cpu: c, eng: e, par: par, stcfg: stcfg, tr: tr, run: core.NewRun(par)}, nil
+	return &Engine{par: par, stcfg: stcfg, tr: tr, run: core.NewRun(par)}, nil
 }
+
+// core0 is the pool's first core: e.par.Alloc and e.par.BindQuery reserve
+// and bind through it, the engine reads its profile and clock, and
+// EstimateSelectivities runs on it.
+func (e *Engine) core0() *exec.Engine { return e.par.Engines()[0] }
+
+// millis converts simulated cycles to milliseconds at the engine's clock.
+func (e *Engine) millis(cycles uint64) float64 { return e.core0().CPU().MillisOf(cycles) }
 
 // Workers returns the number of simulated cores the engine runs queries on.
 func (e *Engine) Workers() int { return e.par.Workers() }
@@ -362,29 +359,27 @@ func (c SampleCounters) Map() map[string]uint64 {
 }
 
 // EstimateSelectivities runs one estimation cycle offline: it executes a
-// single vector of the query, samples the four paper counters, and inverts
-// the cost models. Exposed so applications can inspect the estimator
-// directly (see examples/skew_detection).
+// single vector of the query from a cold core, samples the four paper
+// counters, and inverts the cost models. Exposed so applications can inspect
+// the estimator directly (see examples/skew_detection).
 func (e *Engine) EstimateSelectivities(q *Query) ([]float64, error) {
-	n := q.q.Table.NumRows()
-	vs := e.eng.VectorSize()
-	if n < vs {
-		vs = n
-	}
-	before := e.cpu.Sample()
-	if _, err := e.eng.RunVector(q.q, 0, vs); err != nil {
+	w := e.core0()
+	vs := min(q.q.Table.NumRows(), w.VectorSize())
+	c := w.CPU()
+	c.Cold()
+	before := c.Sample()
+	if _, err := w.RunVector(q.q, 0, vs); err != nil {
 		return nil, err
 	}
-	delta := e.cpu.Sample().Sub(before)
+	delta := c.Sample().Sub(before)
 	sample := core.SampleFromPMU(delta, vs)
 	widths := make([]int, len(q.q.Ops))
 	for i, op := range q.q.Ops {
 		widths[i] = op.Width()
 	}
-	prof := e.cpu.Profile()
 	est, err := core.EstimateSelectivities(sample, core.EstimatorConfig{
 		Widths:   widths,
-		Geometry: cacheGeometry(prof),
+		Geometry: core.L3Geometry(c.Profile()),
 	})
 	if err != nil {
 		return nil, err

@@ -185,6 +185,45 @@ func TestEstimateSelectivities(t *testing.T) {
 	}
 }
 
+// TestEstimateSelectivitiesStartsCold: the estimate runs on the pool's core
+// 0 from a cold start, so an Exec that left that core warm does not move it.
+func TestEstimateSelectivitiesStartsCold(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e, err := New(Config{VectorSize: 1024, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		d, err := e.GenerateTPCH(20000, 6, OrderRandom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := e.Compile(d, Scan("lineitem").
+			Filter("l_quantity", CmpLT, 25).
+			Filter("l_discount", CmpLE, 0.05).
+			Filter("l_shipdate", CmpLE, int64(d.ShipdateCutoff(0.3))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := e.EstimateSelectivities(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Exec(q, ExecOptions{Mode: ModeProgressive}); err != nil {
+			t.Fatal(err)
+		}
+		after, err := e.EstimateSelectivities(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range before {
+			if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
+				t.Fatalf("workers %d: estimate %v before a progressive Exec, %v after", workers, before, after)
+			}
+		}
+	}
+}
+
 func TestRunMicroAdaptiveFacade(t *testing.T) {
 	e := testEngine(t)
 	d, err := e.GenerateTPCH(30000, 9, OrderRandom)

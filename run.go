@@ -144,7 +144,7 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 		stats, maxStall := storageStats(q.storage.plan, q.storage.views, before)
 		out.Storage = stats
 		out.Cycles += maxStall
-		out.Millis = e.cpu.MillisOf(out.Cycles)
+		out.Millis = e.millis(out.Cycles)
 	}
 	return out, nil
 }

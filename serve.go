@@ -170,7 +170,7 @@ func NewServer(e *Engine, cfg ServerConfig) (*Server, error) {
 	if cfg.PlanCacheSize <= 0 {
 		cfg.PlanCacheSize = 64
 	}
-	svc, err := service.New(e.cpu.Profile(), e.Workers(), e.eng.VectorSize(), service.Config{
+	svc, err := service.New(e.core0().CPU().Profile(), e.Workers(), e.par.VectorSize(), service.Config{
 		MaxActive:      cfg.MaxActive,
 		QueueLimit:     cfg.QueueLimit,
 		QuantumVectors: cfg.QuantumVectors,
@@ -178,7 +178,7 @@ func NewServer(e *Engine, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc.MatchEngine(e.eng)
+	svc.MatchEngine(e.core0())
 	// When the engine traces, the server's pool and admission events join the
 	// same recorder: per-pool-core tracks plus a service track. Track creation
 	// happens here, before any scheduling, so track order is deterministic.
@@ -330,7 +330,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		stats, maxStall := storageStats(t.q.storage.plan, o.Storage, nil)
 		out.Storage = stats
 		out.Cycles += maxStall
-		out.Millis = t.s.e.cpu.MillisOf(out.Cycles)
+		out.Millis = t.s.e.millis(out.Cycles)
 	}
 	lat := o.Done - o.Arrival
 	var res uint64
@@ -358,7 +358,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		Start:         o.Start,
 		Done:          o.Done,
 		LatencyCycles: lat,
-		LatencyMillis: t.s.e.cpu.MillisOf(lat),
+		LatencyMillis: t.s.e.millis(lat),
 		PlanCacheHit:  t.planHit,
 		WarmStart:     o.WarmStarted,
 		Fingerprint:   t.fp.String(),
@@ -386,7 +386,7 @@ func (s *Server) Stats() ServerStats {
 		MakespanCycles:     st.MakespanCycles,
 	}
 	s.mu.Unlock()
-	out.MakespanMillis = s.e.cpu.MillisOf(out.MakespanCycles)
+	out.MakespanMillis = s.e.millis(out.MakespanCycles)
 	return out
 }
 
@@ -413,9 +413,9 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	for i, v := range [5]uint64{st.Reopt.SampleCycles, st.Reopt.RecompileCycles, st.Reopt.RevertedCycles, st.Reopt.RegretCycles, uint64(st.Reopt.HeldOff)} {
 		m.reopt[i].Set(float64(v))
 	}
-	m.latP50.Set(s.e.cpu.MillisOf(uint64(m.latency.Quantile(0.5))))
-	m.latP95.Set(s.e.cpu.MillisOf(uint64(m.latency.Quantile(0.95))))
-	m.latP99.Set(s.e.cpu.MillisOf(uint64(m.latency.Quantile(0.99))))
+	m.latP50.Set(s.e.millis(uint64(m.latency.Quantile(0.5))))
+	m.latP95.Set(s.e.millis(uint64(m.latency.Quantile(0.95))))
+	m.latP99.Set(s.e.millis(uint64(m.latency.Quantile(0.99))))
 	m.makespan.Set(st.MakespanMillis)
 	return m.reg.WritePrometheus(w)
 }

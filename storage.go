@@ -123,32 +123,17 @@ func (e *Engine) storedLineitem(d *Dataset) (*storedTable, error) {
 // compile, so a faithful configuration stays address-identical to an in-RAM
 // engine.
 func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, error) {
-	plan, err := storage.Compile(st.enc, st.tab, q, e.eng.VectorSize(), e.stcfg.planConfig())
+	plan, err := storage.Compile(st.enc, st.tab, q, e.par.VectorSize(), e.stcfg.planConfig())
 	if err != nil {
 		return nil, err
 	}
 	if e.stcfg.CompressedScan {
 		if st.packed == nil {
-			st.packed = make(map[string]storage.PackedImage, len(st.enc.Columns()))
-			for _, ec := range st.enc.Columns() {
-				w := ec.PackedWidthBytes()
-				base, err := e.cpu.Alloc(ec.Rows() * w)
-				if err != nil {
-					return nil, err
-				}
-				st.packed[ec.Name()] = storage.PackedImage{Base: base, Width: w}
+			if st.packed, err = storage.AllocPacked(e.par, st.enc); err != nil {
+				return nil, err
 			}
 		}
-		plan.Packed = st.packed
-		for _, op := range q.Ops {
-			p, ok := op.(*exec.Predicate)
-			if !ok {
-				continue
-			}
-			if img, ok := st.packed[p.Col.Name()]; ok && st.tab.Column(p.Col.Name()) == p.Col {
-				p.ScanBase, p.ScanWidth = img.Base, img.Width
-			}
-		}
+		plan.ScanPacked(st.packed, q)
 	}
 	views, err := plan.NewViews(e.par.Workers())
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"progopt/internal/columnar"
 	"progopt/internal/core"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
@@ -33,12 +34,17 @@ func ExtServe(cfg Config) ([]*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := cpu.ScaledXeon()
+	// Core 0 of one pool assigns every address the mix touches; the servers'
+	// pools receive bound queries and allocate nothing.
+	binder, err := exec.NewParallel(cpu.ScaledXeon(), 1, cfg.VectorSize)
+	if err != nil {
+		return nil, err
+	}
 
 	// Three recurring templates: worst-first predicate chains of cleanly
 	// separated selectivities plus a foreign-key join — the shape whose
 	// converged order is worth remembering.
-	templates, err := serveTemplates(prof, d)
+	templates, err := serveTemplates(binder, d)
 	if err != nil {
 		return nil, err
 	}
@@ -59,14 +65,14 @@ func ExtServe(cfg Config) ([]*Report, error) {
 	}
 
 	for _, maxActive := range []int{1, 2, 4, 8} {
-		cold, err := runServeTrace(prof, templates, serveTraceConfig{
+		cold, err := runServeTrace(binder, templates, serveTraceConfig{
 			vectorSize: cfg.VectorSize, poolWorkers: poolWorkers,
 			maxActive: maxActive, queries: queries, noFeedback: true, warmup: false,
 		})
 		if err != nil {
 			return nil, err
 		}
-		warm, err := runServeTrace(prof, templates, serveTraceConfig{
+		warm, err := runServeTrace(binder, templates, serveTraceConfig{
 			vectorSize: cfg.VectorSize, poolWorkers: poolWorkers,
 			maxActive: maxActive, queries: queries, noFeedback: false, warmup: true,
 		})
@@ -86,13 +92,18 @@ func ExtServe(cfg Config) ([]*Report, error) {
 }
 
 // serveTemplates builds the recurring query mix with stable fingerprints.
-func serveTemplates(prof cpu.Profile, d *tpch.Dataset) ([]servePlanTemplate, error) {
+// Each template's join region is reserved on binder (an *exec.Parallel) and
+// its columns bound right after, so no region lies on a column a template
+// reads.
+func serveTemplates(binder interface {
+	columnar.Allocator
+	BindQuery(*exec.Query) error
+}, d *tpch.Dataset) ([]servePlanTemplate, error) {
 	li := d.Lineitem
-	alloc := cpu.MustNew(prof)
 	mk := func(shipSel float64, qtyBound int64, joinSel float64) (servePlanTemplate, error) {
 		cut := tpch.QuantileInt32(d.Orders.Column("o_orderdate"), joinSel)
 		jf := &exec.Predicate{Col: d.Orders.Column("o_orderdate"), Op: exec.LE, I: int64(cut)}
-		j, err := exec.NewFKJoin(alloc, li.Column("l_orderkey"), d.NumOrders, jf, "join-orders")
+		j, err := exec.NewFKJoin(binder, li.Column("l_orderkey"), d.NumOrders, jf, "join-orders")
 		if err != nil {
 			return servePlanTemplate{}, err
 		}
@@ -102,6 +113,9 @@ func serveTemplates(prof cpu.Profile, d *tpch.Dataset) ([]servePlanTemplate, err
 			j,
 			&exec.Predicate{Col: li.Column("l_quantity"), Op: exec.LT, I: qtyBound, Label: "quantity"},
 		}}
+		if err := binder.BindQuery(q); err != nil {
+			return servePlanTemplate{}, err
+		}
 		fp := service.Compute("lineitem", 1, []string{
 			fmt.Sprintf("ship|%v", shipSel),
 			fmt.Sprintf("qty|%d", qtyBound),
@@ -150,21 +164,17 @@ type serveTraceResult struct {
 	warmStarts int
 }
 
-// runServeTrace offers the recurring mix to a fresh server and measures the
-// workload. With warmup, the trace runs once first so the feedback cache
-// holds every fingerprint's converged order; the measured round then
-// warm-starts.
-func runServeTrace(prof cpu.Profile, templates []servePlanTemplate, tc serveTraceConfig) (serveTraceResult, error) {
-	s, err := service.New(prof, tc.poolWorkers, tc.vectorSize, service.Config{
+// runServeTrace offers the recurring mix, bound by binder, to a fresh server
+// of binder's profile and measures the workload on binder's clock. With
+// warmup, the trace runs once first so the feedback cache holds every
+// fingerprint's converged order; the measured round then warm-starts.
+func runServeTrace(binder *exec.Parallel, templates []servePlanTemplate, tc serveTraceConfig) (serveTraceResult, error) {
+	clock := binder.Engines()[0].CPU()
+	s, err := service.New(clock.Profile(), tc.poolWorkers, tc.vectorSize, service.Config{
 		MaxActive: tc.maxActive,
 	})
 	if err != nil {
 		return serveTraceResult{}, err
-	}
-	for _, tpl := range templates {
-		if err := s.BindQuery(tpl.q); err != nil {
-			return serveTraceResult{}, err
-		}
 	}
 	// ReopInterval 5 keeps several optimization blocks in every sweep cell,
 	// including a lone query holding all 8 cores at quick scale.
@@ -207,7 +217,6 @@ func runServeTrace(prof cpu.Profile, templates []servePlanTemplate, tc serveTrac
 		return serveTraceResult{}, err
 	}
 
-	clock := cpu.MustNew(prof)
 	lat := make([]float64, len(outs))
 	var makespan uint64
 	for i, o := range outs {

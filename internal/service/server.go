@@ -222,8 +222,8 @@ type Server struct {
 
 	// driving is true while an elected waiter runs a scheduling round; the
 	// lock itself is released during the round's execution phase, so other
-	// waiters and operations that would touch engine state (BindQuery,
-	// SetTrace, Close) park on idle while it is set.
+	// waiters and operations that would touch engine state (SetTrace,
+	// Close) park on idle while it is set.
 	driving bool
 	idle    *sync.Cond
 
@@ -245,8 +245,8 @@ type Server struct {
 }
 
 // New builds a server with its own pool of fresh worker cores of the given
-// profile. Submitted queries must be bound: by the pool that compiled them,
-// or by BindQuery.
+// profile. The pool never allocates: submitted queries arrive bound by the
+// pool that compiled them.
 func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error) {
 	if workers <= 0 {
 		workers = 1
@@ -310,17 +310,6 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.pool.Close()
-}
-
-// BindQuery binds a query's columns through the pool's address space (no-op
-// for columns an engine already bound).
-func (s *Server) BindQuery(q *exec.Query) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.driving {
-		s.idle.Wait()
-	}
-	return s.pool.BindQuery(q)
 }
 
 // Now returns the earliest simulated time any core can take new work — the

@@ -19,6 +19,21 @@ import (
 	"progopt/internal/trace"
 )
 
+// bindFresh binds the queries, in order, on a one-core pool of their own: a
+// server's pool never allocates, so queries reach it bound.
+func bindFresh(t *testing.T, vs int, qs ...*exec.Query) {
+	t.Helper()
+	p, err := exec.NewParallel(cpu.ScaledXeon(), 1, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		if err := p.BindQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func testQuery(t *testing.T, rows int, seed int64) *exec.Query {
 	t.Helper()
 	d, err := tpch.Generate(tpch.Config{Lineitems: rows, Seed: seed})
@@ -63,9 +78,6 @@ func TestLoneFixedMatchesParallelRun(t *testing.T) {
 
 	s, err := New(prof, workers, vs, Config{QuantumVectors: 7})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
 	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}})
@@ -114,9 +126,6 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BindQuery(q); err != nil {
-		t.Fatal(err)
-	}
 	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}})
 	if err != nil {
 		t.Fatal(err)
@@ -156,15 +165,11 @@ func TestConcurrentTraceDeterministic(t *testing.T) {
 		Done     uint64
 		Makespan uint64
 	}
+	bindFresh(t, vs, q1, q2, q3)
 	run := func(waitOrder []int) []obs {
 		s, err := New(prof, workers, vs, Config{MaxActive: 2})
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, q := range []*exec.Query{q1, q2, q3} {
-			if err := s.BindQuery(q); err != nil {
-				t.Fatal(err)
-			}
 		}
 		reqs := []Request{
 			{Spec: core.Spec{Query: q1, Mode: ModeFixed}, Arrival: 0},
@@ -285,9 +290,7 @@ func TestAdmissionHonorsArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BindQuery(q2); err != nil {
-		t.Fatal(err)
-	}
+	bindFresh(t, vs, q2)
 	farFuture := 100 * w1.Cycles
 	t1, err := s.Submit(Request{Spec: core.Spec{Query: q1, Mode: ModeFixed}, Arrival: 0})
 	if err != nil {
@@ -324,9 +327,7 @@ func TestQueueLimitRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BindQuery(q); err != nil {
-		t.Fatal(err)
-	}
+	bindFresh(t, vs, q)
 	// Nothing is active until a Wait drives the scheduler, so both land in
 	// the queue; the second overflows it.
 	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}}); err != nil {
@@ -371,9 +372,7 @@ func TestFeedbackCarriesRejectedOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BindQuery(q); err != nil {
-		t.Fatal(err)
-	}
+	bindFresh(t, vs, q)
 	fp := Compute("lineitem", 1, []string{"q6-rejected"})
 	run := func() (Outcome, *trace.Track) {
 		t.Helper()
@@ -431,9 +430,7 @@ func TestFeedbackWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BindQuery(q); err != nil {
-		t.Fatal(err)
-	}
+	bindFresh(t, vs, q)
 	fp := Compute("lineitem", 1, []string{"q6-test"})
 	opt := core.Options{ReopInterval: 5}
 
@@ -576,9 +573,7 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := testQuery(t, 8*vs, 3)
-	if err := s.BindQuery(short); err != nil {
-		t.Fatal(err)
-	}
+	bindFresh(t, vs, short)
 	var tks []*Ticket
 	for _, req := range []Request{
 		{Spec: core.Spec{Query: q, Groups: groups}},
@@ -660,9 +655,7 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 		t.Error("one sort state accepted for a four-core pool")
 	}
 	short := testQuery(t, 8*vs, 3)
-	if err := s.BindQuery(short); err != nil {
-		t.Fatal(err)
-	}
+	bindFresh(t, vs, short)
 	var tks []*Ticket
 	for _, req := range []Request{
 		{Spec: core.Spec{Query: q, Sorts: sorts, Mode: ModeProgressive, Opt: opt}},
@@ -731,9 +724,7 @@ func TestPanicWakesEveryWaiter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.BindQuery(q); err != nil {
-				t.Fatal(err)
-			}
+			bindFresh(t, vs, q)
 			tks := make([]*Ticket, 6)
 			for i := range tks {
 				spec := core.Spec{Query: q, Mode: ModeFixed}

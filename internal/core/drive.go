@@ -54,6 +54,13 @@ type Spec struct {
 	// per core. Each core a step runs on collects into its own partial heap or
 	// run buffer, and the last step merges them.
 	Sorts []*exec.Sort
+	// Storage makes it a stored scan: one storage-scan view per core, as
+	// storage.Plan.NewViews builds them (the plan's skip verdicts and the
+	// core's private tier view, never nil). Each core a step runs on scans
+	// through its own view, Drive colds the views with their cores, and the
+	// last step adds the largest view's stall cycles — the slowest core's tier
+	// debt — to the run's Cycles.
+	Storage []*exec.StorageScan
 	// Quantum is how many vectors per core one step of a fixed-order run
 	// covers (and of an adaptive run whose ReopInterval is zero); zero or less
 	// is all that are left.
@@ -81,6 +88,9 @@ func (s *Spec) Validate(workers int) error {
 	}
 	if len(s.Sorts) > 0 && len(s.Sorts) != workers {
 		return fmt.Errorf("core: %d partial sort states for %d cores", len(s.Sorts), workers)
+	}
+	if len(s.Storage) > 0 && len(s.Storage) != workers {
+		return fmt.Errorf("core: %d storage views for %d cores", len(s.Storage), workers)
 	}
 	return s.Query.Validate()
 }
@@ -184,8 +194,10 @@ func (r *Run) Stats() Stats {
 }
 
 // Drive is the cold start: it runs the query to completion on every core,
-// each cold (cpu.CPU.Cold), from zero clocks. Whoever calls Step itself colds
-// a core when it changes hands between queries.
+// each cold (cpu.CPU.Cold) and with its storage view cold
+// (cache.StorageSet.Cold), from zero clocks. Whoever calls Step itself colds a
+// core when it changes hands between queries, and hands a stored query new
+// views.
 func (r *Run) Drive() error {
 	if r.all == nil {
 		r.all, r.zero = identity(len(r.engines)), make([]uint64, len(r.engines))
@@ -193,6 +205,9 @@ func (r *Run) Drive() error {
 	clear(r.zero)
 	for _, e := range r.engines {
 		e.CPU().Cold()
+	}
+	for _, v := range r.spec.Storage {
+		v.Set.Cold()
 	}
 	for {
 		if done, err := r.Step(r.all, r.zero); done || err != nil {
@@ -213,20 +228,31 @@ func (r *Run) Drive() error {
 //     what the coordination charged;
 //   - the last step of an ordered or a grouped query: the subset barriers,
 //     its first core merges the partial sort states or group tables, and every
-//     clock moves to the merge's end.
+//     clock moves to the merge's end;
+//   - the last step of a stored scan adds the largest view's stall cycles to
+//     Cycles; the tier observes, so it moves no clock.
 //
 // On a pool of one core an adaptive step is one vector, every ReopInterval-th
 // an optimization point.
 func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
-	if r.sorts != nil {
-		// The collectors ride on whichever cores the step runs on; the next
-		// step, or another query, may get different ones.
+	if st := r.spec.Storage; r.sorts != nil || st != nil {
+		// The collectors and the storage views ride on whichever cores the
+		// step runs on; the next step, or another query, may get different
+		// ones.
 		for _, w := range cores {
-			r.engines[w].SetSortRun(r.sorts[w])
+			if r.sorts != nil {
+				r.engines[w].SetSortRun(r.sorts[w])
+			}
+			if st != nil {
+				r.engines[w].SetStorage(st[w])
+			}
 		}
 		defer func() {
 			for _, w := range cores {
 				r.engines[w].SetSortRun(nil)
+				if st != nil {
+					r.engines[w].SetStorage(nil)
+				}
 			}
 		}()
 	}
@@ -239,6 +265,11 @@ func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
 		if r.step != nil {
 			r.step.TraceFinal()
 		}
+		var stall uint64
+		for _, v := range r.spec.Storage {
+			stall = max(stall, v.Set.Counters().StallCycles)
+		}
+		r.Cycles += stall
 		r.Millis = r.engines[0].CPU().MillisOf(r.Cycles)
 	}
 	return done, err

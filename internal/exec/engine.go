@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"progopt/internal/columnar"
+	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/hw/pmu"
 	"progopt/internal/trace"
@@ -133,6 +134,9 @@ type Engine struct {
 	// verdicts per vector plus this core's private storage-tier view (see
 	// storage.go). Same lifecycle as sortRun.
 	stor *StorageScan
+	// storObs records an attached tier view's events on tr; nil when tracing
+	// is disabled. SetTrace builds it, so SetStorage allocates nothing.
+	storObs cache.StorageObserver
 	// tr, when non-nil, receives this core's execution spans (vectors,
 	// operators, morsels) keyed on the core's simulated clock. Recording is a
 	// pure observer — only Cycles() reads on the enabled path — so traced and
@@ -142,7 +146,7 @@ type Engine struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [112]byte
+	_ [104]byte
 }
 
 // NewEngine returns an engine with the given vector size (tuples per vector).
@@ -192,8 +196,13 @@ func (e *Engine) CPU() *cpu.CPU { return e.cpu }
 // core's execution spans are recorded on. The track must have a single writer
 // at any instant: attach per core, and only while the core is quiesced.
 func (e *Engine) SetTrace(t *trace.Track) {
-	e.tr = t
-	e.wireStorageObserver()
+	e.tr, e.storObs = t, nil
+	if t != nil {
+		e.storObs = e.storageObserver(t)
+	}
+	if s := e.stor; s != nil && s.Set != nil {
+		s.Set.SetObserver(e.storObs)
+	}
 }
 
 // Trace returns the attached event track (nil when tracing is disabled).

@@ -14,50 +14,47 @@ import (
 //     branch is simulated. Consulting the zone maps is not charged: they are
 //     a few words per block, read at plan time.
 //   - Set is this core's private view of the storage tier below DRAM (see
-//     cache.StorageSet), attached to the core's hierarchy for the duration
-//     of a run so every access that reaches memory prices block transfers.
+//     cache.StorageSet), attached to the core's hierarchy while the core runs
+//     the query so every access that reaches memory prices block transfers.
 //
 // Both fields may be nil/empty independently. The Skip slice is shared
 // read-only across cores of one run; Set must be per-core (residency and
-// counters are mutable simulation state).
+// counters are mutable simulation state). A query's views are part of its
+// core.Spec (Storage, one per pool core), and core.Run owns them: it attaches
+// them on every step, colds them with their cores, and adds the largest
+// view's stall cycles to the run's Cycles.
 type StorageScan struct {
 	Skip []bool
 	Set  *cache.StorageSet
 }
 
-// SetStorage attaches (or, with nil, detaches) a storage-scan plan. The
-// caller owns the lifecycle, mirroring SetSortRun: attach per run, detach
-// after the barrier. Attaching also installs the plan's tier view on the
-// core's cache hierarchy.
+// SetStorage attaches (or, with nil, detaches) a storage-scan plan, and the
+// plan's tier view to the core's cache hierarchy. core.Run owns the
+// lifecycle, as it does the sort collectors': each step attaches the query's
+// views to the cores it runs on and detaches them after. Attaching allocates
+// nothing, traced or not: the tier observer is built once, by SetTrace.
 func (e *Engine) SetStorage(s *StorageScan) {
 	if old := e.stor; old != nil && old.Set != nil {
 		old.Set.SetObserver(nil)
 	}
 	e.stor = s
-	if s != nil {
-		e.cpu.Hierarchy().AttachStorage(s.Set)
-	} else {
+	if s == nil {
 		e.cpu.Hierarchy().AttachStorage(nil)
+		return
 	}
-	e.wireStorageObserver()
+	e.cpu.Hierarchy().AttachStorage(s.Set)
+	if s.Set != nil {
+		s.Set.SetObserver(e.storObs)
+	}
 }
 
-// wireStorageObserver connects the attached tier view's fetch/evict stream to
-// this core's event track, stamping events with the core's simulated clock.
-// Events land on the track of whichever core caused the traffic, so per-track
-// order stays single-writer and deterministic. Called from both SetStorage
-// and SetTrace — attach order does not matter.
-func (e *Engine) wireStorageObserver() {
-	s := e.stor
-	if s == nil || s.Set == nil {
-		return
-	}
-	if e.tr == nil {
-		s.Set.SetObserver(nil)
-		return
-	}
-	tr, c := e.tr, e.cpu
-	s.Set.SetObserver(func(kind cache.StorageEventKind, block int, bytes, stall uint64) {
+// storageObserver returns the observer that records the attached tier view's
+// fetches and evictions on track tr, stamped with this core's simulated clock:
+// events land on the track of whichever core caused the traffic, so per-track
+// order stays single-writer and deterministic.
+func (e *Engine) storageObserver(tr *trace.Track) cache.StorageObserver {
+	c := e.cpu
+	return func(kind cache.StorageEventKind, block int, bytes, stall uint64) {
 		switch kind {
 		case cache.StorageFetch:
 			tr.Instant("tier-fetch", c.Cycles(),
@@ -65,11 +62,8 @@ func (e *Engine) wireStorageObserver() {
 		case cache.StorageEvict:
 			tr.Instant("tier-evict", c.Cycles(), trace.Int("block", block))
 		}
-	})
+	}
 }
-
-// Storage returns the attached storage-scan plan, or nil.
-func (e *Engine) Storage() *StorageScan { return e.stor }
 
 // skipVector reports whether [lo, hi) is a vector the attached storage plan
 // proves empty. Skip verdicts are computed for the engine's vector geometry,

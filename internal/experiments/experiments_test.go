@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -278,6 +279,27 @@ func TestFig16EnumeratorDwarfsPMU(t *testing.T) {
 	// Enumerator overhead grows with predicate count.
 	if cell(t, r, len(r.Rows)-1, en) <= cell(t, r, 0, en) {
 		t.Error("enumerator overhead did not grow with predicates")
+	}
+}
+
+// TestExtEnumIsSerial: every ext-enum column runs on one core, so the quick
+// rows at Workers 4 are those at Workers 1 — the enumerated optimizer's core-0
+// run is compared with a baseline and a PMU run on that one core too.
+func TestExtEnumIsSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two ext-enum sweeps")
+	}
+	rows := func(workers int) [][]string {
+		cfg := quickCfg()
+		cfg.Workers = workers
+		reps, err := ExtEnum(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reps[0].Rows
+	}
+	if one, four := rows(1), rows(4); !reflect.DeepEqual(one, four) {
+		t.Fatalf("ext-enum rows differ with the worker count:\n1: %v\n4: %v", one, four)
 	}
 }
 

@@ -65,8 +65,12 @@ func ExtEnum(cfg Config) ([]*Report, error) {
 			"the PMU's fixed inversion cost amortizes with vector size; the enumerator's tax does not",
 		},
 	}
+	serial := cfg
+	serial.Workers = 1
 	for _, vs := range vectorSizes {
-		r, err := newRig(cpu.ScaledXeon(), cfg.withVector(vs))
+		// One core whatever cfg.Workers: the enumerated optimizer runs on the
+		// rig's engine, and the baseline and PMU columns must be serial like it.
+		r, err := newRig(cpu.ScaledXeon(), serial.withVector(vs))
 		if err != nil {
 			return nil, err
 		}

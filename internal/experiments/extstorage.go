@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"progopt/internal/columnar"
+	"progopt/internal/core"
 	"progopt/internal/exec"
+	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/hw/pmu"
 	"progopt/internal/storage"
@@ -99,11 +101,11 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 			cells[si] = cell
 		}
 		if budget == 0 {
-			cycFullUnbounded = cells[0].cycles
+			cycFullUnbounded = cells[0].res.Cycles
 		}
-		cycFullTight = cells[0].cycles
+		cycFullTight = cells[0].res.Cycles
 		row = append(row,
-			fmt.Sprintf("%d", cells[0].cycles/1000), fmt.Sprintf("%d", cells[1].cycles/1000),
+			fmt.Sprintf("%d", cells[0].res.Cycles/1000), fmt.Sprintf("%d", cells[1].res.Cycles/1000),
 			fmt.Sprintf("%d", cells[0].cnt.BytesFetched/1024),
 			fmt.Sprintf("%d", cells[1].cnt.BytesFetched/1024),
 			fmt.Sprintf("%d", cells[0].cnt.Evictions))
@@ -163,7 +165,7 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 			memPlain = cell.res.Counters.Get(pmu.MemAccess)
 		}
 		packed.Rows = append(packed.Rows, []string{
-			label, fmtMs(cell.ms),
+			label, fmtMs(cell.res.Millis),
 			fmt.Sprintf("%d", cell.res.Counters.Get(pmu.MemAccess)),
 			fmt.Sprintf("%d", cell.res.Qualifying),
 		})
@@ -175,26 +177,19 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 	return []*Report{sweep, compress, packed}, nil
 }
 
-// storedCell is one measured stored-scan configuration.
+// storedCell is one measured stored-scan configuration: the run's result,
+// whose Cycles and Millis include the tier's stall debt, and its tier
+// counters.
 type storedCell struct {
-	res exec.Result
-	// cycles is the run's stall-inclusive cycle count; ms the same on the
-	// rig's clock.
-	cycles uint64
-	ms     float64
-	plan   *storage.Plan
-	cnt    cacheCounters
-}
-
-// cacheCounters mirrors the tier counters the reports print.
-type cacheCounters struct {
-	BytesFetched, Evictions, StallCycles uint64
+	res  exec.Result
+	plan *storage.Plan
+	cnt  cache.StorageCounters
 }
 
 // runStored executes the selective Q6-shaped scan over the stored table
 // under one tier configuration, from a cold tier, on a fresh serial rig.
 // Reported time includes the tier's stall debt (serial: exactly the run's
-// stall cycles).
+// stall cycles, which the driver adds).
 func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int32, scfg storage.Config) (storedCell, error) {
 	tab, err := enc.Decode()
 	if err != nil {
@@ -214,7 +209,9 @@ func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int3
 			F:    func(r int) float64 { return price.F64()[r] * disc.F64()[r] },
 		},
 	}
-	r, err := newRig(cpu.ScaledXeon(), cfg)
+	serial := cfg
+	serial.Workers = 1
+	r, err := newRig(cpu.ScaledXeon(), serial)
 	if err != nil {
 		return storedCell{}, err
 	}
@@ -236,20 +233,9 @@ func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int3
 	if err != nil {
 		return storedCell{}, err
 	}
-	r.eng.SetStorage(views[0])
-	defer r.eng.SetStorage(nil)
-	r.eng.CPU().Cold()
-	res, err := r.eng.Run(q)
+	run, err := r.drive(core.Spec{Query: q, Storage: views})
 	if err != nil {
 		return storedCell{}, err
 	}
-	c := views[0].Set.Counters()
-	cycles := res.Cycles + c.StallCycles
-	return storedCell{
-		res:    res,
-		cycles: cycles,
-		ms:     r.millis(cycles),
-		plan:   plan,
-		cnt:    cacheCounters{BytesFetched: c.BytesFetched, Evictions: c.Evictions, StallCycles: c.StallCycles},
-	}, nil
+	return storedCell{res: run.Result, plan: plan, cnt: views[0].Set.Counters()}, nil
 }

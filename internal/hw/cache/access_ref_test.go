@@ -21,7 +21,6 @@ type refHierarchy struct {
 	memoLines          [memoEntries]uint64
 	memoSlots          [memoEntries]int
 	st                 *StorageSet
-	storageStalls      uint64
 }
 
 // newRefHierarchy takes its levels and streamer from a Hierarchy built for
@@ -48,7 +47,7 @@ func (h *refHierarchy) Counters() Counters {
 
 // state is what sameState compares.
 func (h *refHierarchy) state() hierState {
-	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf, h.st, h.storageStalls}
+	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf, h.st}
 }
 
 func (h *refHierarchy) Load(addr uint64) AccessResult {
@@ -92,7 +91,7 @@ func (h *refHierarchy) loadLine(ln uint64) AccessResult {
 			if !h.l3.ContainsLine(pln) {
 				h.memAccesses++
 				if h.st != nil {
-					h.storageStalls += h.st.Touch((pln - 1) << h.lineShift)
+					h.st.Touch((pln - 1) << h.lineShift)
 				}
 				h.l3.insertLineAbsent(pln)
 				h.l3.stats.PrefetchInserts++
@@ -113,7 +112,7 @@ func (h *refHierarchy) loadLine(ln uint64) AccessResult {
 	}
 	h.memAccesses++
 	if h.st != nil {
-		h.storageStalls += h.st.Touch((ln - 1) << h.lineShift)
+		h.st.Touch((ln - 1) << h.lineShift)
 	}
 	h.l3.insertLineAbsent(ln)
 	h.l2.insertLineAbsent(ln)

@@ -128,17 +128,15 @@ type Hierarchy struct {
 	// last op; between calls it is the set's MRU tag.
 	l2mru []uint64
 	// st, when attached, is a storage tier below DRAM: every access that
-	// reaches memory consults it and may pay additional whole-cycle block
-	// stalls, accumulated in storageStalls. The tier never alters cache
-	// contents or any counter above, so attaching it leaves the PMU event
-	// stream bit-identical. storageStalls is monotonic (like the CPU's own
-	// stall clock); cores snapshot and subtract.
-	st            *StorageSet
-	storageStalls uint64
+	// reaches memory consults it and may pay whole-cycle block stalls, which
+	// the tier's own counters record. The tier never alters cache contents or
+	// any counter above, so attaching it leaves the PMU event stream
+	// bit-identical.
+	st *StorageSet
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [80]byte
+	_ [88]byte
 }
 
 // memoEntries sizes Load's line memo (power of two, comfortably more than
@@ -309,7 +307,7 @@ func (h *Hierarchy) lower(ops []uint64) {
 	h.memAccesses += uint64(len(ops))
 	if h.st != nil {
 		for _, op := range ops {
-			h.storageStalls += h.st.Touch((op&^prefetchOp - 1) << h.lineShift)
+			h.st.Touch((op&^prefetchOp - 1) << h.lineShift)
 		}
 	}
 }
@@ -422,11 +420,3 @@ func (h *Hierarchy) Flush() {
 // The tier observes every access that reaches memory and charges block-fetch
 // stalls; it has no effect on cache contents or counters.
 func (h *Hierarchy) AttachStorage(st *StorageSet) { h.st = st }
-
-// Storage returns the attached storage tier, or nil.
-func (h *Hierarchy) Storage() *StorageSet { return h.st }
-
-// StorageStallCycles returns the cumulative stall cycles charged by the
-// storage tier. Monotonic, so it composes with the CPU's cycle clock the way
-// stallQuarters does.
-func (h *Hierarchy) StorageStallCycles() uint64 { return h.storageStalls }

@@ -37,17 +37,16 @@ func replayHits(h *Hierarchy, addrs []uint64) RunHits {
 
 // hierState is everything about a hierarchy a later access could observe:
 // counters, the levels (tags and recency rings), the streamer table and the
-// storage tier with its stall total.
+// storage tier, whose counters hold its stall total.
 type hierState struct {
 	counters Counters
 	levels   [3]*Level
 	pf       *StreamPrefetcher
 	st       *StorageSet
-	stalls   uint64
 }
 
 func (h *Hierarchy) state() hierState {
-	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf, h.st, h.storageStalls}
+	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf, h.st}
 }
 
 // sameLevel requires two levels to hold the same lines in the same ways and
@@ -73,9 +72,6 @@ func sameState(t testing.TB, label string, a, b hierState) {
 	if p, q := a.pf, b.pf; p.lastLine != q.lastLine || p.issuedUpTo != q.issuedUpTo || p.confidence != q.confidence ||
 		p.prev != q.prev || p.next != q.next || p.head != q.head || p.linked != q.linked || p.Issued != q.Issued {
 		t.Fatalf("%s: streamer tables diverge:\n %+v\n %+v", label, p.lastLine, q.lastLine)
-	}
-	if a.stalls != b.stalls {
-		t.Fatalf("%s: storage stalls %d vs %d", label, a.stalls, b.stalls)
 	}
 	if (a.st == nil) != (b.st == nil) || a.st != nil && a.st.Counters() != b.st.Counters() {
 		t.Fatalf("%s: storage counters diverge", label)

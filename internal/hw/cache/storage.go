@@ -296,14 +296,17 @@ func (s *StorageSet) Counters() StorageCounters { return s.ctr }
 // ResidentBytes returns the bytes currently held in the DRAM budget.
 func (s *StorageSet) ResidentBytes() uint64 { return s.residentBytes }
 
-// DropResidency empties the resident set without touching counters — the
-// storage-tier analogue of a cache flush, used to measure cold scans.
-func (s *StorageSet) DropResidency() {
+// Cold returns the view to its constructed state: nothing resident and every
+// counter zero, as NewStorageSet plus the plan's blocks and ranges left it.
+// It is the tier's half of a cold start (cpu.CPU.Cold is the core's), so the
+// counters read after a run are that run's alone.
+func (s *StorageSet) Cold() {
 	for i := range s.resident {
 		s.resident[i] = false
 		s.prev[i] = -1
 		s.next[i] = -1
 	}
-	s.head, s.tail = -1, -1
+	s.head, s.tail, s.lastRange = -1, -1, -1
 	s.residentBytes = 0
+	s.ctr = StorageCounters{}
 }

@@ -118,22 +118,39 @@ func TestStorageBudgetNeverEvictsIncomingBlock(t *testing.T) {
 	}
 }
 
-func TestStorageDropResidency(t *testing.T) {
-	s := NewStorageSet(storCfg())
-	b := s.AddBlock(64)
-	if err := s.AddRange(0, 0x100, b); err != nil {
-		t.Fatal(err)
+// TestStorageCold: Cold returns a used view to its constructed state, so a
+// run after it prices and counts exactly what the same run on a new view does.
+func TestStorageCold(t *testing.T) {
+	build := func() *StorageSet {
+		s := NewStorageSet(StorageConfig{LatencyCycles: 100, BytesPerCycle: 4, BudgetBytes: 128})
+		for i := 0; i < 3; i++ {
+			if err := s.AddRange(uint64(i)*0x100, 0x100, s.AddBlock(64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
 	}
-	first := s.Touch(0)
-	s.DropResidency()
-	if s.ResidentBytes() != 0 {
-		t.Fatal("resident bytes after drop")
+	trace := []uint64{0, 0x100, 0, 0x200, 0x180, 0x40, 0x200}
+	run := func(s *StorageSet) []uint64 {
+		stalls := make([]uint64, len(trace))
+		for i, a := range trace {
+			stalls[i] = s.Touch(a)
+		}
+		return stalls
 	}
-	if got := s.Touch(0); got != first {
-		t.Fatalf("post-drop touch stall = %d, want %d (a fresh cold fetch)", got, first)
+	fresh := build()
+	want := run(fresh)
+	if c := fresh.Counters(); c.Evictions == 0 || c.BlockHits == 0 {
+		t.Fatalf("trace neither evicts nor hits (%+v); the comparison is vacuous", c)
 	}
-	if c := s.Counters(); c.Evictions != 0 {
-		t.Fatal("DropResidency must not count as evictions")
+	used := build()
+	run(used)
+	used.Cold()
+	if used.ResidentBytes() != 0 || used.Counters() != (StorageCounters{}) {
+		t.Fatalf("after Cold: %d resident bytes, counters %+v; want none and zero", used.ResidentBytes(), used.Counters())
+	}
+	if got := run(used); !slices.Equal(got, want) || used.Counters() != fresh.Counters() || used.ResidentBytes() != fresh.ResidentBytes() {
+		t.Fatalf("run after Cold: stalls %v counters %+v, a new view's %v %+v", got, used.Counters(), want, fresh.Counters())
 	}
 }
 
@@ -281,7 +298,7 @@ func TestStorageTouchMatchesLinearScan(t *testing.T) {
 // TestStorageObserverInvariant is the tier's bit-identity contract at the
 // hierarchy level: the same access trace through two identically configured
 // hierarchies — one with a storage tier attached — produces identical cache
-// counters; only StorageStallCycles differs.
+// counters; only the tier's own counters record stalls.
 func TestStorageObserverInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	plain, err := NewHierarchy(hcfg())
@@ -321,15 +338,8 @@ func TestStorageObserverInvariant(t *testing.T) {
 	if plain.Counters() != stored.Counters() {
 		t.Fatalf("counters diverged:\nplain  %+v\nstored %+v", plain.Counters(), stored.Counters())
 	}
-	if plain.StorageStallCycles() != 0 {
-		t.Fatal("unattached hierarchy reports storage stalls")
-	}
-	st := stored.StorageStallCycles()
-	if st == 0 {
+	if s.Counters().StallCycles == 0 {
 		t.Fatal("attached hierarchy never charged a storage stall")
-	}
-	if st != s.Counters().StallCycles {
-		t.Fatalf("hierarchy stalls %d != set stalls %d", st, s.Counters().StallCycles)
 	}
 }
 

@@ -418,9 +418,9 @@ func (c *CPU) Cold() {
 // Cycles returns elapsed core cycles: retired instructions spread over the
 // issue width plus accumulated stall time. Whole-cycle stalls charged by an
 // attached storage tier are NOT included: the tier is a pure observer whose
-// stall debt is read out-of-band (cache.StorageSet.Counters) and added to
-// reported run times by the driver, so attaching a tier perturbs neither
-// scheduling decisions nor any simulated observable.
+// stall debt is read out-of-band (cache.StorageSet.Counters) and added to a
+// run's Cycles by core.Run, which owns the query's views, so attaching a tier
+// perturbs neither scheduling decisions nor any simulated observable.
 func (c *CPU) Cycles() uint64 { return c.cyclesAt(c.instructions, c.stallQuarters) }
 
 // cyclesAt is the cycle clock at the given retired-instruction and

@@ -53,10 +53,11 @@ type Request struct {
 	// Storage, when non-nil, runs the query over a stored table: at
 	// admission the server builds the query's own stored-scan state from the
 	// plan, one per pool core (the plan's skip verdicts, a private tier view),
-	// and attaches it to every core a segment runs on. The tier is a pure
-	// observer — it changes no simulated observable of this or any
-	// co-scheduled query; its stall debt accumulates in the views' counters,
-	// which Outcome.Storage hands back for the caller to read out-of-band.
+	// and puts it in the spec (core.Spec.Storage); core.Run attaches it to
+	// every core a segment runs on and adds the slowest core's stall debt to
+	// the query's Cycles. The tier is a pure observer — it changes no other
+	// simulated observable of this or any co-scheduled query, and no clock;
+	// Outcome.Storage hands the views and their counters back.
 	Storage *storage.Plan
 	// Arrival is the simulated time the query arrives at the server; it
 	// cannot consume core cycles earlier.
@@ -99,9 +100,9 @@ type Stats struct {
 type Outcome struct {
 	// Result carries the per-query output: Qualifying, Sum, Counters (the
 	// PMU deltas of exactly this query's morsels and coordination), and
-	// Cycles/Millis as the query's execution span on its cores — for a
-	// query that had the pool to itself, bit-identical to a dedicated
-	// Engine run.
+	// Cycles/Millis as the query's execution span on its cores plus a stored
+	// query's largest per-core tier stall — for a query that had the pool to
+	// itself, bit-identical to a dedicated Engine run.
 	exec.Result
 	// Groups is the grouped-aggregation output (nil for plain scans).
 	Groups []exec.Group
@@ -566,14 +567,14 @@ func (s *Server) admitLocked() (failed bool) {
 // visible, exactly like a real server racing recurring queries.
 func (s *Server) prepareLocked(q *query) error {
 	req := &q.req
+	spec := req.Spec
 	if req.Storage != nil {
 		views, err := req.Storage.NewViews(s.pool.Workers())
 		if err != nil {
 			return err
 		}
-		q.views = views
+		q.views, spec.Storage = views, views
 	}
-	spec := req.Spec
 	if spec.Mode != ModeFixed && spec.Opt.Trace != nil {
 		q.optReal = spec.Opt.Trace
 		q.optStage = trace.NewStage()
@@ -645,10 +646,9 @@ func (s *Server) partitionLocked() {
 }
 
 // segmentBeginLocked is the locked prologue of one query's segment: resolve
-// cold context switches, clamp the subset's clocks to the arrival, attach
-// the query's tier views to its cores, and snapshot the subset's entry clocks
-// into the query's scratch. Everything the unlocked execution phase touches
-// afterwards is owned by this query alone.
+// cold context switches, clamp the subset's clocks to the arrival, and
+// snapshot the subset's entry clocks into the query's scratch. Everything the
+// unlocked execution phase touches afterwards is owned by this query alone.
 func (s *Server) segmentBeginLocked(q *query) {
 	// Cold context switch: a core picking up a different query than it last
 	// ran flushes its caches and resets its predictor (per-query JIT'd scan
@@ -662,14 +662,6 @@ func (s *Server) segmentBeginLocked(q *query) {
 		}
 		if s.clock[w] < q.arrival {
 			s.clock[w] = q.arrival
-		}
-	}
-	// A stored query's tier views ride along on whichever cores this segment
-	// runs on; they are detached at the barrier because the partitioner may
-	// hand the same cores to a different query next round.
-	if q.views != nil {
-		for _, w := range q.cores {
-			engines[w].SetStorage(q.views[w])
 		}
 	}
 	sc := q.sc
@@ -705,14 +697,6 @@ func (s *Server) segmentRun(q *query) {
 // query's staged optimizer events into the real track — the same per-track
 // append order a round run inline in admission order produces.
 func (s *Server) barrierLocked() error {
-	engines := s.pool.Engines()
-	for _, q := range s.sched {
-		if q.views != nil {
-			for _, w := range q.cores {
-				engines[w].SetStorage(nil)
-			}
-		}
-	}
 	for _, q := range s.sched {
 		if q.segPanicked {
 			// Re-raises a segment's panic, raised on any host thread, first in admission order.

@@ -5,7 +5,6 @@ import (
 
 	"progopt/internal/core"
 	"progopt/internal/exec"
-	"progopt/internal/hw/cache"
 	"progopt/internal/hw/pmu"
 	"progopt/internal/trace"
 )
@@ -104,17 +103,10 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 		return ExecResult{}, err
 	}
 	spec := e.spec(q, opts)
-	// A stored query runs with the storage tier attached to every core —
-	// residency dropped first (every Exec is a cold scan), counters
-	// snapshotted for the post-run delta.
-	var before []cache.StorageCounters
 	if q.storage != nil {
-		b, err := e.attachStorage(q.storage)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		before = b
-		defer e.detachStorage()
+		// The compiled query's own views: Drive colds them, so every Exec is a
+		// cold scan.
+		spec.Storage = q.storage.views
 	}
 	// The trace summary aggregates exactly this query's events: mark the
 	// recorder now, summarize what was appended after the run.
@@ -137,14 +129,7 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 		q.traced.Store(&aggs)
 	}
 	if q.storage != nil {
-		// The tier is an observer: the run's schedule, results, and PMU
-		// counters are exactly the in-RAM engine's. Its stall debt extends
-		// the reported time — the slowest core's stalls on a parallel run,
-		// the run's whole stall delta on a serial one.
-		stats, maxStall := storageStats(q.storage.plan, q.storage.views, before)
-		out.Storage = stats
-		out.Cycles += maxStall
-		out.Millis = e.millis(out.Cycles)
+		out.Storage = storageStats(q.storage.plan, q.storage.views)
 	}
 	return out, nil
 }

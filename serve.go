@@ -324,13 +324,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 	})
 	out := toExecResult(o.Result, o.Groups, o.Sorted, o.Stats)
 	if o.Storage != nil {
-		// Same out-of-band accounting as Engine.Exec: the tier observes, its
-		// stall debt extends the query's reported execution span (not the
-		// server's discrete-event clock, which schedules on compute time).
-		stats, maxStall := storageStats(t.q.storage.plan, o.Storage, nil)
-		out.Storage = stats
-		out.Cycles += maxStall
-		out.Millis = t.s.e.millis(out.Cycles)
+		out.Storage = storageStats(t.q.storage.plan, o.Storage)
 	}
 	lat := o.Done - o.Arrival
 	var res uint64

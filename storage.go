@@ -1,11 +1,8 @@
 package progopt
 
 import (
-	"fmt"
-
 	"progopt/internal/columnar"
 	"progopt/internal/exec"
-	"progopt/internal/hw/cache"
 	"progopt/internal/storage"
 )
 
@@ -142,37 +139,11 @@ func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, e
 	return &storedQuery{plan: plan, views: views}, nil
 }
 
-// attachStorage installs the query's stored-scan state on every core the run
-// will use, drops tier residency (every Exec is a cold scan), and snapshots
-// the tier counters for the post-run delta.
-func (e *Engine) attachStorage(s *storedQuery) ([]cache.StorageCounters, error) {
-	if len(s.views) != e.par.Workers() {
-		return nil, fmt.Errorf("progopt: stored query compiled for %d cores, engine has %d", len(s.views), e.par.Workers())
-	}
-	before := make([]cache.StorageCounters, len(s.views))
-	for i, w := range e.par.Engines() {
-		s.views[i].Set.DropResidency()
-		before[i] = s.views[i].Set.Counters()
-		w.SetStorage(s.views[i])
-	}
-	return before, nil
-}
-
-// detachStorage removes the stored-scan state from every core.
-func (e *Engine) detachStorage() {
-	for _, w := range e.par.Engines() {
-		w.SetStorage(nil)
-	}
-}
-
-// storageStats folds the plan facts and the run's tier-counter deltas into
-// the public report. The second return is the largest single view's stall
-// delta — the stall debt of the run's slowest core, which extends the
-// reported makespan (cores synchronize at the scan barrier, so the run
-// completes no earlier than its largest per-core tier debt; on a serial
-// engine this is exactly the run's stall cycles). before may be nil (fresh
-// views).
-func storageStats(p *storage.Plan, views []*exec.StorageScan, before []cache.StorageCounters) (*StorageStats, uint64) {
+// storageStats folds the plan facts and the tier counters of a run's views —
+// cold or new when it began, so the counters are that run's — into the public
+// report. The run's Cycles already hold the slowest core's stall debt
+// (core.Run adds it).
+func storageStats(p *storage.Plan, views []*exec.StorageScan) *StorageStats {
 	out := &StorageStats{
 		BlocksTotal:    p.BlocksTotal(),
 		BlocksPruned:   p.BlocksPruned(),
@@ -180,22 +151,15 @@ func storageStats(p *storage.Plan, views []*exec.StorageScan, before []cache.Sto
 		PlainBytes:     p.Enc.PlainBytes(),
 		EncodedBytes:   p.Enc.EncodedBytes(),
 	}
-	var maxStall uint64
-	for i, v := range views {
+	for _, v := range views {
 		d := v.Set.Counters()
-		if before != nil {
-			d = d.Sub(before[i])
-		}
 		out.BlockFetches += d.BlockFetches
 		out.BlockHits += d.BlockHits
 		out.BytesFetched += d.BytesFetched
 		out.Evictions += d.Evictions
 		out.StallCycles += d.StallCycles
-		if d.StallCycles > maxStall {
-			maxStall = d.StallCycles
-		}
 	}
-	return out, maxStall
+	return out
 }
 
 // EncodedLineitem returns (encoding and caching on first use) the data set's

@@ -22,6 +22,12 @@ const (
 	// ModeMicroAdaptive is ModeProgressive plus per-interval implementation
 	// choice between the branching and branch-free scan (predicates only).
 	ModeMicroAdaptive
+	// ModeEnumerated is ModeProgressive with the §5.7 comparator's evidence:
+	// every optimization point's step runs the instrumented loop
+	// (exec.ImplInstrumented), and the point ranks by the exact selectivities
+	// it counted instead of sampling the PMU. The instrumentation is the
+	// tax. Internal: the experiments run it, Exec and the server do not.
+	ModeEnumerated
 )
 
 // String names the mode.
@@ -33,6 +39,8 @@ func (m Mode) String() string {
 		return "progressive"
 	case ModeMicroAdaptive:
 		return "micro-adaptive"
+	case ModeEnumerated:
+		return "enumerated"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
@@ -72,7 +80,7 @@ func (s *Spec) Validate(workers int) error {
 	if s.Query == nil {
 		return fmt.Errorf("core: run needs a query")
 	}
-	if s.Mode < ModeFixed || s.Mode > ModeMicroAdaptive {
+	if s.Mode < ModeFixed || s.Mode > ModeEnumerated {
 		return fmt.Errorf("core: unknown mode %d", int(s.Mode))
 	}
 	if len(s.Groups) > 0 {
@@ -86,8 +94,14 @@ func (s *Spec) Validate(workers int) error {
 			return fmt.Errorf("core: %d partial group tables for %d cores", len(s.Groups), workers)
 		}
 	}
-	if len(s.Sorts) > 0 && len(s.Sorts) != workers {
-		return fmt.Errorf("core: %d partial sort states for %d cores", len(s.Sorts), workers)
+	if len(s.Sorts) > 0 {
+		if s.Mode == ModeEnumerated {
+			// The instrumented loop feeds no sort collector.
+			return fmt.Errorf("core: ordered queries cannot use ModeEnumerated")
+		}
+		if len(s.Sorts) != workers {
+			return fmt.Errorf("core: %d partial sort states for %d cores", len(s.Sorts), workers)
+		}
 	}
 	if len(s.Storage) > 0 && len(s.Storage) != workers {
 		return fmt.Errorf("core: %d storage views for %d cores", len(s.Storage), workers)
@@ -123,9 +137,12 @@ type Run struct {
 	subset     []*exec.Engine
 	coordStart []pmu.Sample
 
-	spec    Spec
-	step    *BlockStepper   // nil in fixed order
-	sorts   []*exec.SortRun // per core; nil unless ordered
+	spec  Spec
+	step  *BlockStepper   // nil in fixed order
+	sorts []*exec.SortRun // per core; nil unless ordered
+	// counts are the per-core explicit counters of a ModeEnumerated run, nil
+	// otherwise.
+	counts  []exec.OpCounts
 	numVec  int
 	cursor  int
 	started bool
@@ -154,7 +171,7 @@ func (r *Run) Begin(spec Spec) error {
 	if err := spec.Validate(len(r.engines)); err != nil {
 		return err
 	}
-	r.spec, r.step, r.sorts = spec, nil, nil
+	r.spec, r.step, r.sorts, r.counts = spec, nil, nil, nil
 	if err := r.brun.BeginGroups(spec.Groups); err != nil {
 		return err
 	}
@@ -164,6 +181,13 @@ func (r *Run) Begin(spec Spec) error {
 			return err
 		}
 		r.step = step
+	}
+	if spec.Mode == ModeEnumerated {
+		n := len(spec.Query.Ops)
+		r.counts = make([]exec.OpCounts, len(r.engines))
+		for i := range r.counts {
+			r.counts[i] = exec.OpCounts{Evaluated: make([]int64, n), Passed: make([]int64, n)}
+		}
 	}
 	if len(spec.Sorts) > 0 {
 		r.sorts = make([]*exec.SortRun, len(spec.Sorts))
@@ -235,13 +259,16 @@ func (r *Run) Drive() error {
 // On a pool of one core an adaptive step is one vector, every ReopInterval-th
 // an optimization point.
 func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
-	if st := r.spec.Storage; r.sorts != nil || st != nil {
-		// The collectors and the storage views ride on whichever cores the
-		// step runs on; the next step, or another query, may get different
-		// ones.
+	if st := r.spec.Storage; r.sorts != nil || st != nil || r.counts != nil {
+		// The collectors, the counters and the storage views ride on
+		// whichever cores the step runs on; the next step, or another query,
+		// may get different ones.
 		for _, w := range cores {
 			if r.sorts != nil {
 				r.engines[w].SetSortRun(r.sorts[w])
+			}
+			if r.counts != nil {
+				r.engines[w].SetOpCounts(&r.counts[w])
 			}
 			if st != nil {
 				r.engines[w].SetStorage(st[w])
@@ -250,6 +277,7 @@ func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
 		defer func() {
 			for _, w := range cores {
 				r.engines[w].SetSortRun(nil)
+				r.engines[w].SetOpCounts(nil)
 				if st != nil {
 					r.engines[w].SetStorage(nil)
 				}
@@ -284,9 +312,9 @@ func (r *Run) begin(at uint64) {
 
 // coordinate hands the stepper a finished step of an adaptive run and returns
 // the cycles the step kept the query's cores busy: its makespan plus what the
-// coordination charged. See AfterBlock for optPoint and validate.
-func (r *Run) coordinate(br exec.BlockResult, tuples int, optPoint, validate bool, engines []*exec.Engine) (uint64, error) {
-	extra, err := r.step.AfterBlock(br, tuples, optPoint, validate, engines[0].CPU(), engines)
+// coordination charged. See AfterBlock for exact, optPoint and validate.
+func (r *Run) coordinate(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool, engines []*exec.Engine) (uint64, error) {
+	extra, err := r.step.AfterBlock(br, tuples, exact, optPoint, validate, engines[0].CPU(), engines)
 	if err != nil {
 		return 0, err
 	}
@@ -338,20 +366,6 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 		perCore = r.spec.Quantum
 	}
 	v1 := r.cursor + r.vectors(perCore, len(cores))
-	fill(clocks, t0)
-	br, err := r.brun.RunBlockSubset(r.step.Query(), r.cursor, v1, cores, clocks, r.step.Impl(), &r.Sum)
-	if err != nil {
-		return false, err
-	}
-	if cap(r.subset) < len(cores) {
-		r.subset = make([]*exec.Engine, len(cores))
-		r.coordStart = make([]pmu.Sample, len(cores))
-	}
-	subset, coordStart := r.subset[:len(cores)], r.coordStart[:len(cores)]
-	for i, w := range cores {
-		subset[i] = r.engines[w]
-		coordStart[i] = subset[i].CPU().Sample()
-	}
 	vs := r.engines[0].VectorSize()
 	tuples := min(v1*vs, r.spec.Query.Table.NumRows()) - r.cursor*vs
 	last := v1 == r.numVec
@@ -364,7 +378,35 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	if one {
 		optPoint, validate = every > 0 && v1%every == 0 && !last, tuples == vs
 	}
-	busy, err := r.coordinate(br, tuples, optPoint, validate, subset)
+	// An enumerated run counts its evidence during an optimization point's
+	// step.
+	impl, instrument := r.step.Impl(), r.counts != nil && optPoint && every > 0
+	if instrument {
+		impl = exec.ImplInstrumented
+		for _, w := range cores {
+			clear(r.counts[w].Evaluated)
+			clear(r.counts[w].Passed)
+		}
+	}
+	fill(clocks, t0)
+	br, err := r.brun.RunBlockSubset(r.step.Query(), r.cursor, v1, cores, clocks, impl, &r.Sum)
+	if err != nil {
+		return false, err
+	}
+	var exact []float64
+	if instrument {
+		exact = r.exactSels(cores)
+	}
+	if cap(r.subset) < len(cores) {
+		r.subset = make([]*exec.Engine, len(cores))
+		r.coordStart = make([]pmu.Sample, len(cores))
+	}
+	subset, coordStart := r.subset[:len(cores)], r.coordStart[:len(cores)]
+	for i, w := range cores {
+		subset[i] = r.engines[w]
+		coordStart[i] = subset[i].CPU().Sample()
+	}
+	busy, err := r.coordinate(br, tuples, exact, optPoint, validate, subset)
 	if err != nil {
 		return false, err
 	}
@@ -380,6 +422,19 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	}
 	fill(clocks, t0+busy)
 	return last, nil
+}
+
+// exactSels sums the counters the cores of an instrumented step kept into the
+// exact selectivities of the order the step ran under.
+func (r *Run) exactSels(cores []int) []float64 {
+	total := r.counts[cores[0]]
+	for _, w := range cores[1:] {
+		for i, n := range r.counts[w].Evaluated {
+			total.Evaluated[i] += n
+			total.Passed[i] += r.counts[w].Passed[i]
+		}
+	}
+	return total.Selectivities()
 }
 
 // fill sets every clock of a subset that leaves a step together.

@@ -20,7 +20,7 @@ type driveCase struct {
 }
 
 // driveCases binds Q6, started at its reversed order, and returns the shapes
-// the driver runs: the three modes, an ordered query on the fixed-order and
+// the driver runs: the four modes, an ordered query on the fixed-order and
 // on the adaptive path, and a grouped aggregation.
 func driveCases(t *testing.T, rows, vs int) []driveCase {
 	t.Helper()
@@ -64,6 +64,7 @@ func driveCases(t *testing.T, rows, vs int) []driveCase {
 		{"fixed", func(int) Spec { return Spec{Query: q} }},
 		{"progressive", func(int) Spec { return Spec{Query: q, Mode: ModeProgressive, Opt: opt} }},
 		{"micro-adaptive", func(int) Spec { return Spec{Query: q, Mode: ModeMicroAdaptive, Opt: opt} }},
+		{"enumerated", func(int) Spec { return Spec{Query: q, Mode: ModeEnumerated, Opt: opt} }},
 		{"top-k", func(w int) Spec { return Spec{Query: q, Sorts: sorts(w, 10)} }},
 		{"sorted-progressive", func(w int) Spec {
 			return Spec{Query: q, Mode: ModeProgressive, Opt: opt, Sorts: sorts(w, -1)}
@@ -222,11 +223,17 @@ func TestSpecValidate(t *testing.T) {
 	both.Sorts = spec("top-k", 2).Sorts
 	adaptiveGrouped := spec("grouped", 2)
 	adaptiveGrouped.Mode = ModeProgressive
+	enumeratedGrouped := spec("grouped", 2)
+	enumeratedGrouped.Mode = ModeEnumerated
+	enumeratedSorted := spec("top-k", 2)
+	enumeratedSorted.Mode = ModeEnumerated
 	for name, s := range map[string]Spec{
 		"no query":            {},
 		"unknown mode":        {Query: spec("fixed", 2).Query, Mode: 7},
 		"no operators":        {Query: &exec.Query{Table: spec("fixed", 2).Query.Table}},
 		"adaptive grouped":    adaptiveGrouped,
+		"enumerated grouped":  enumeratedGrouped,
+		"enumerated sorted":   enumeratedSorted,
 		"grouped and sorted":  both,
 		"tables for 4 cores":  spec("grouped", 4),
 		"sort states for one": spec("top-k", 1),

@@ -75,11 +75,3 @@ func ChooseImpl(sels []float64) exec.ScanImpl {
 	}
 	return exec.ImplBranching
 }
-
-// implName renders a scan implementation for trace args.
-func implName(impl exec.ScanImpl) string {
-	if impl == exec.ImplBranchFree {
-		return "branch-free"
-	}
-	return "branching"
-}

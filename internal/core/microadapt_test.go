@@ -147,37 +147,3 @@ func TestRunMicroAdaptiveIneligibleStaysBranching(t *testing.T) {
 		t.Error("join query ran branch-free vectors")
 	}
 }
-
-func TestRunProgressiveEnumeratedMatchesAndCosts(t *testing.T) {
-	d := progDataset(t, 60000).ReorderLineitem(tpch.OrderingRandom, 41)
-	q, wsels := worstOrderQ6(t, d)
-	_ = wsels
-
-	ePMU := progEngine(t)
-	if err := ePMU.BindQuery(q); err != nil {
-		t.Fatal(err)
-	}
-	pmuRes, pmuSt, err := RunAdaptive(poolOfOne(t, ePMU), q, Options{ReopInterval: 5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eEnum := progEngine(t)
-	if err := eEnum.BindQuery(q); err != nil {
-		t.Fatal(err)
-	}
-	enumRes, enumSt, err := RunProgressiveEnumerated(eEnum, q, Options{ReopInterval: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enumRes.Qualifying != pmuRes.Qualifying {
-		t.Errorf("results diverge: %d vs %d", enumRes.Qualifying, pmuRes.Qualifying)
-	}
-	if enumSt.Optimizations == 0 || pmuSt.Optimizations == 0 {
-		t.Fatal("optimizers idle")
-	}
-	// Both repair the bad order; the enumerated variant's decisions are
-	// exact, so its final order must be ascending in true selectivity.
-	if enumSt.Reorders == 0 {
-		t.Error("enumerated optimizer never reordered the worst PEO")
-	}
-}

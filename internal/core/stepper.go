@@ -171,7 +171,9 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 // regression) and, when optPoint says an optimization point is due, either
 // issue a §4.5 probe or sample the merged counters, estimate selectivities,
 // reorder by ascending rank and, in micro mode, choose the next step's scan
-// implementation.
+// implementation. exact, when non-nil, are the selectivities an instrumented
+// step counted in the current order (ModeEnumerated): the optimization point
+// takes them instead of the PMU estimate.
 //
 // Three rules bound what the loop can lose when its proposals are wrong. A
 // sample belongs to the order it was taken under, so the step that reverts
@@ -193,7 +195,7 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 // which pays the recompile of a reorder or implementation switch. The
 // returned cycles are the makespan extension of the coordination; the caller
 // adds them to the query's clock.
-func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, validate bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
+func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
 	optPoint = optPoint && s.opt.ReopInterval > 0
 	s.st.Blocks++
 	s.st.Vectors += br.Vectors
@@ -292,7 +294,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 				trace.Ints("from", s.prevPerm), trace.Ints("to", s.curPerm))
 		}
 	case s.impl == exec.ImplBranching:
-		applied, err := s.estimate(br.Counters, tuples, &extra, coord, engines)
+		applied, err := s.estimate(br.Counters, tuples, exact, &extra, coord, engines)
 		if err != nil {
 			return 0, err
 		}
@@ -308,7 +310,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 			extra += s.recompile(engines)
 			if s.opt.Trace != nil {
 				traceDecision(s.opt.Trace, "impl-switch", s.at(extra), br.Counters,
-					trace.String("impl", implName(s.impl)),
+					trace.String("impl", s.impl.String()),
 					trace.Bool("resample", true))
 			}
 		}
@@ -324,54 +326,59 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, optPoint, val
 }
 
 // estimate is an optimization point on the branching scan: charge the sample
-// and the estimator's own work to the coordinator core, rank the operators by
-// the estimate, and apply a changed order and (micro) a changed scan
-// implementation on every core. It adds the cycles it charged to *extra and
-// reports whether it changed the plan.
-func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, coord *cpu.CPU, engines []*exec.Engine) (bool, error) {
-	c0 := coord.Cycles()
-	coord.Exec(sampleCostInstr)
-	est, err := s.estimator.Estimate(SampleFromPMU(counters, tuples), EstimatorConfig{
-		Widths:    s.curWidths,
-		AggWidths: s.aggWidths,
-		Geometry:  s.geometry,
-	})
-	if err != nil {
-		return false, err
+// and the estimator's own work to the coordinator core — unless exact
+// selectivities were counted, whose instrumented step already paid for them —
+// rank the operators by the estimate, and apply a changed order and (micro) a
+// changed scan implementation on every core. It adds the cycles it charged to
+// *extra and reports whether it changed the plan.
+func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, exact []float64, extra *uint64, coord *cpu.CPU, engines []*exec.Engine) (bool, error) {
+	sels := exact
+	if sels == nil {
+		c0 := coord.Cycles()
+		coord.Exec(sampleCostInstr)
+		est, err := s.estimator.Estimate(SampleFromPMU(counters, tuples), EstimatorConfig{
+			Widths:    s.curWidths,
+			AggWidths: s.aggWidths,
+			Geometry:  s.geometry,
+		})
+		if err != nil {
+			return false, err
+		}
+		s.st.EstimatorEvaluations += est.NMEvaluations
+		coord.Exec(est.NMEvaluations * nmEvalCostInstr)
+		s.st.SampleCycles += coord.Cycles() - c0
+		*extra += coord.Cycles() - c0
+		sels = est.Sels
 	}
-	// An operator no tuple reached was not measured, and the solver's value
-	// for it is arbitrary. It takes the estimate of the operator that starved
-	// it, so the ranking moves the two together: it gets measured the moment
-	// that operator lets tuples through.
+	// An operator no tuple reached was not measured: the solver's value for it
+	// is arbitrary, and its count is zero. It takes the estimate of the
+	// operator that starved it, so the ranking moves the two together: it gets
+	// measured the moment that operator lets tuples through.
 	reach := float64(tuples)
-	for i, sel := range est.Sels {
+	for i, sel := range sels {
 		if reach < 1 {
-			est.Sels[i] = est.Sels[i-1]
+			sels[i] = sels[i-1]
 		}
 		reach *= sel
 	}
-	est.Sels = s.st.keepSels(est.Sels)
+	sels = s.st.keepSels(sels)
 	s.st.Optimizations++
-	s.st.EstimatorEvaluations += est.NMEvaluations
-	s.st.LastEstimate = est.Sels
-	coord.Exec(est.NMEvaluations * nmEvalCostInstr)
-	s.st.SampleCycles += coord.Cycles() - c0
-	*extra += coord.Cycles() - c0
+	s.st.LastEstimate = sels
 	smp := Sample{
 		Cycles:   s.accounted + *extra,
 		Tuples:   tuples,
 		Counters: counters.Project(paperGroup),
-		Sels:     est.Sels,
+		Sels:     sels,
 	}
 	s.st.addSample(smp)
 	traceSample(s.opt.Trace, s.at(*extra), smp)
 
 	changed := false
-	order := rankOrder(s.order, s.curWeights, est.Sels)
+	order := rankOrder(s.order, s.curWeights, sels)
 	// The gain gate: a predicted saving validation could not tell from noise
 	// (none at all when the order stands) is not worth a recompile, a
 	// predictor reset and a step at risk.
-	worthIt := planCost(order, s.curWeights, est.Sels) < planCost(nil, s.curWeights, est.Sels)*(1-validationTolerance)
+	worthIt := planCost(order, s.curWeights, sels) < planCost(nil, s.curWeights, sels)*(1-validationTolerance)
 	if worthIt && !s.proposesRejected(order) {
 		s.stableBlocks = 0
 		s.prevPerm = s.curPerm
@@ -385,14 +392,14 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 		if s.opt.Trace != nil {
 			traceDecision(s.opt.Trace, "reorder", s.at(*extra), smp.Counters,
 				trace.Ints("from", s.prevPerm), trace.Ints("to", s.curPerm),
-				trace.Float64s("est_sels", est.Sels))
+				trace.Float64s("est_sels", sels))
 		}
 	} else {
 		s.stableBlocks++
 	}
 	if s.eligible {
 		for i, o := range order {
-			s.ordered[i] = est.Sels[o]
+			s.ordered[i] = sels[o]
 		}
 		if next := ChooseImpl(s.ordered); next != s.impl {
 			s.st.ImplSwitches++
@@ -402,7 +409,7 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, extra *uint64, 
 			if s.opt.Trace != nil {
 				// The event retains its arguments; s.ordered is reused.
 				traceDecision(s.opt.Trace, "impl-switch", s.at(*extra), smp.Counters,
-					trace.String("impl", implName(s.impl)),
+					trace.String("impl", s.impl.String()),
 					trace.Float64s("est_sels", slices.Clone(s.ordered)))
 			}
 		}
@@ -457,7 +464,7 @@ func (s *BlockStepper) TraceFinal() {
 	l := s.st.Ledger
 	s.opt.Trace.Instant("plan-final", s.at(0),
 		trace.Ints("order", s.curPerm), trace.Int("reorders", s.st.Reorders),
-		trace.String("impl", implName(s.impl)), trace.Uint64("converged_at", s.st.ConvergedAtCycles),
+		trace.String("impl", s.impl.String()), trace.Uint64("converged_at", s.st.ConvergedAtCycles),
 		trace.Uint64("sample_cycles", l.SampleCycles), trace.Uint64("recompile_cycles", l.RecompileCycles),
 		trace.Uint64("reverted_cycles", l.RevertedCycles), trace.Uint64("regret_cycles", l.RegretCycles),
 		trace.Int("held_off", l.HeldOff))

@@ -74,7 +74,7 @@ type synthStep struct {
 func feed(t testing.TB, s *BlockStepper, engines []*exec.Engine, st synthStep) uint64 {
 	t.Helper()
 	br := exec.BlockResult{Vectors: max(st.vectors, 1), MaxCycles: st.cost, Qualifying: st.qual, Counters: countersFor(t, s, st.sels)}
-	extra, err := s.AfterBlock(br, stepTuples, st.optPoint, !st.partial, engines[0].CPU(), engines)
+	extra, err := s.AfterBlock(br, stepTuples, nil, st.optPoint, !st.partial, engines[0].CPU(), engines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func FuzzStepperInvariants(f *testing.F) {
 			for i, e := range engines {
 				starts[i] = e.CPU().Cycles()
 			}
-			extra, err := s.AfterBlock(br, stepTuples, optPoint, validate, engines[0].CPU(), engines)
+			extra, err := s.AfterBlock(br, stepTuples, nil, optPoint, validate, engines[0].CPU(), engines)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,7 +109,8 @@ func (e *Engine) RunBranchFree(q *Query) (Result, error) {
 	return e.runTable(q, e.RunVectorBranchFree)
 }
 
-// ScanImpl identifies a scan implementation for the micro-adaptive choice.
+// ScanImpl identifies a scan implementation: the micro-adaptive choice, and
+// the instrumented loop an enumerator-driven optimization point runs.
 type ScanImpl int
 
 // Scan implementations.
@@ -118,6 +119,9 @@ const (
 	ImplBranching ScanImpl = iota
 	// ImplBranchFree is the predicated full-evaluation loop.
 	ImplBranchFree
+	// ImplInstrumented is the branching loop with enumerator instrumentation
+	// (RunVectorInstrumented), counting into the engine's attached OpCounts.
+	ImplInstrumented
 )
 
 // String names the implementation.
@@ -127,6 +131,8 @@ func (s ScanImpl) String() string {
 		return "branching"
 	case ImplBranchFree:
 		return "branch-free"
+	case ImplInstrumented:
+		return "instrumented"
 	}
 	return fmt.Sprintf("impl(%d)", int(s))
 }
@@ -138,6 +144,8 @@ func (e *Engine) RunVectorImpl(q *Query, lo, hi int, impl ScanImpl) (VectorResul
 		return e.RunVector(q, lo, hi)
 	case ImplBranchFree:
 		return e.RunVectorBranchFree(q, lo, hi)
+	case ImplInstrumented:
+		return e.RunVectorInstrumented(q, lo, hi, e.opCounts)
 	default:
 		return VectorResult{}, fmt.Errorf("exec: unknown scan implementation %d", int(impl))
 	}

@@ -129,13 +129,25 @@ func TestRunVectorImplDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Qualifying != b.Qualifying {
+	if _, err := e.RunVectorImpl(q, 0, 1000, ImplInstrumented); err == nil {
+		t.Error("instrumented vector ran without attached counters")
+	}
+	oc := &OpCounts{Evaluated: make([]int64, 2), Passed: make([]int64, 2)}
+	e.SetOpCounts(oc)
+	c, err := e.RunVectorImpl(q, 0, 1000, ImplInstrumented)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Qualifying != b.Qualifying || a.Qualifying != c.Qualifying {
 		t.Error("implementations disagree")
+	}
+	if oc.Evaluated[0] != 1000 || oc.Passed[1] != c.Qualifying {
+		t.Errorf("attached counters %+v for 1000 rows, %d qualifying", *oc, c.Qualifying)
 	}
 	if _, err := e.RunVectorImpl(q, 0, 10, ScanImpl(9)); err == nil {
 		t.Error("unknown implementation accepted")
 	}
-	if ImplBranching.String() != "branching" || ImplBranchFree.String() != "branch-free" {
+	if ImplBranching.String() != "branching" || ImplBranchFree.String() != "branch-free" || ImplInstrumented.String() != "instrumented" {
 		t.Error("impl names wrong")
 	}
 }

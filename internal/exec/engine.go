@@ -134,6 +134,9 @@ type Engine struct {
 	// verdicts per vector plus this core's private storage-tier view (see
 	// storage.go). Same lifecycle as sortRun.
 	stor *StorageScan
+	// opCounts, when non-nil, are the explicit counters ImplInstrumented
+	// vectors maintain (see instrumented.go). Same lifecycle as sortRun.
+	opCounts *OpCounts
 	// storObs records an attached tier view's events on tr; nil when tracing
 	// is disabled. SetTrace builds it, so SetStorage allocates nothing.
 	storObs cache.StorageObserver
@@ -146,7 +149,7 @@ type Engine struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [104]byte
+	_ [96]byte
 }
 
 // NewEngine returns an engine with the given vector size (tuples per vector).
@@ -213,6 +216,11 @@ func (e *Engine) Trace() *trace.Track { return e.tr }
 // lifecycle: one fresh SortRun per core per run, detached after the
 // barrier.
 func (e *Engine) SetSortRun(r *SortRun) { e.sortRun = r }
+
+// SetOpCounts attaches (or, with nil, detaches) the explicit counters every
+// subsequent ImplInstrumented vector adds to. The caller owns them, as it
+// owns a SortRun.
+func (e *Engine) SetOpCounts(oc *OpCounts) { e.opCounts = oc }
 
 // VectorSize returns tuples per vector.
 func (e *Engine) VectorSize() int { return e.vectorSize }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"progopt/internal/hw/cpu"
 )
 
 func TestCertify(t *testing.T) {
@@ -237,4 +239,62 @@ func FuzzLookaheadSchedule(f *testing.F) {
 	f.Add([]byte("\x01\x10\x01\x02\xff one core, serial by construction, window of one ........"))
 	f.Add([]byte("\x05\x1e\x02\x00\x00\x00\x00\x00\x04 a failing morsel in a tight window \x00\x01\x02\x03\x04\x00\x01\x02\x03"))
 	f.Fuzz(checkLookahead)
+}
+
+// TestMinVectorCyclesBoundsEveryLoop pins the certification invariant the
+// lookahead scheduler rests on: no vector loop of any implementation spends
+// fewer simulated cycles than minVectorCycles, on a full vector or a partial
+// one, cold or warm, whether every row fails the first predicate or passes
+// them all.
+func TestMinVectorCyclesBoundsEveryLoop(t *testing.T) {
+	const vs, partial = 1024, 300
+	tb := testTable(t, vs+partial)
+	type loop func(e *Engine, q *Query, lo, hi int) error
+	vector := func(impl ScanImpl) loop {
+		return func(e *Engine, q *Query, lo, hi int) error {
+			_, err := e.RunVectorImpl(q, lo, hi, impl)
+			return err
+		}
+	}
+	grouped := func(e *Engine, q *Query, lo, hi int) error {
+		g, err := NewGroupBy(e.CPU(), tb.Column("a"), tb.Column("v"), KeyDomain{Groups: 100})
+		if err != nil {
+			return err
+		}
+		_, err = e.GroupVector(q, g, lo, hi)
+		return err
+	}
+	for _, c := range []struct {
+		name           string
+		scalar, noFuse bool
+		run            loop
+	}{
+		{"branching fused", false, false, vector(ImplBranching)},
+		{"branching unfused", false, true, vector(ImplBranching)},
+		{"branching scalar", true, false, vector(ImplBranching)},
+		{"branch-free", false, false, vector(ImplBranchFree)},
+		{"branch-free scalar", true, false, vector(ImplBranchFree)},
+		{"instrumented", false, false, vector(ImplInstrumented)},
+		{"GroupVector", false, false, grouped},
+		{"GroupVector scalar", true, false, grouped},
+	} {
+		for _, bound := range []int64{0, 100} {
+			e := MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs)
+			e.SetScalar(c.scalar)
+			e.SetFuse(!c.noFuse)
+			q := buildQuery(t, tb, e, bound, 100)
+			e.SetOpCounts(&OpCounts{Evaluated: make([]int64, len(q.Ops)), Passed: make([]int64, len(q.Ops))})
+			width := e.CPU().Profile().IssueWidth
+			for _, r := range [][2]int{{0, vs}, {vs, vs + partial}, {0, vs}, {vs, vs + partial}} {
+				c0 := e.CPU().Cycles()
+				if err := c.run(e, q, r[0], r[1]); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if d, min := e.CPU().Cycles()-c0, minVectorCycles(r[1]-r[0], width); d < min {
+					t.Errorf("%s, a < %d, rows [%d, %d): %d cycles, below the certified minimum %d",
+						c.name, bound, r[0], r[1], d, min)
+				}
+			}
+		}
+	}
 }

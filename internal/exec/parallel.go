@@ -454,11 +454,11 @@ func (p *Parallel) fullCores() ([]int, []uint64) {
 
 // minVectorCycles returns a guaranteed lower bound on the simulated cycles
 // any engine spends on an n-row vector: every execution mode of every driver
-// (batch, fused, scalar, branch-free, and GroupVector) unconditionally
-// retires the per-row loop bookkeeping (loopOverheadInstr = 2 instructions)
-// and the always-taken back-edge branch (2 instructions: cmp + jcc), so at
-// least 4n instructions issue, and load latencies, operator work, and stalls
-// only add. The bound is evaluated with the exact integer arithmetic of
+// (batch, fused, scalar, branch-free, instrumented, and GroupVector)
+// unconditionally retires the per-row loop bookkeeping (loopOverheadInstr = 2
+// instructions) and the always-taken back-edge branch (2 instructions: cmp +
+// jcc), so at least 4n instructions issue, and load latencies, operator work,
+// counter increments and stalls only add. The bound is evaluated with the exact integer arithmetic of
 // CPU.Cycles (issue quarters, floored), which never exceeds the cycle delta
 // the extra instructions alone produce.
 func minVectorCycles(n, issueWidth int) uint64 {

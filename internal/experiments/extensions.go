@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"progopt/internal/columnar"
 	"progopt/internal/core"
@@ -12,12 +13,14 @@ import (
 	"progopt/internal/tpch"
 )
 
-// ExtEnum compares the two complete adaptive systems end to end: the PMU
-// counter-driven progressive optimizer against an enumerator-driven one that
-// obtains exact selectivities by running instrumented sample vectors. It
-// extends Figure 16 from per-loop overhead to whole-query runtime: the
-// enumerated optimizer makes (exact) decisions but pays the instrumentation
-// tax on every sampled vector.
+// ExtEnum compares the two evidence sources of one progressive optimizer end
+// to end: PMU sampling (core.ModeProgressive) against enumerator
+// instrumentation (core.ModeEnumerated), which obtains exact selectivities by
+// running each optimization point's vector instrumented. The loop and its
+// policy are the same; only the evidence differs. It extends Figure 16 from
+// per-loop overhead to whole-query runtime: the enumerated optimizer decides
+// on exact selectivities but pays the instrumentation tax on every sampled
+// vector. It fails unless the three runs agree on the answer.
 func ExtEnum(cfg Config) ([]*Report, error) {
 	cfg = cfg.withDefaults()
 	rows := 150 * cfg.VectorSize
@@ -68,8 +71,11 @@ func ExtEnum(cfg Config) ([]*Report, error) {
 	serial := cfg
 	serial.Workers = 1
 	for _, vs := range vectorSizes {
-		// One core whatever cfg.Workers: the enumerated optimizer runs on the
-		// rig's engine, and the baseline and PMU columns must be serial like it.
+		// One core whatever cfg.Workers: the paper's enumerator instruments
+		// one sampled vector per optimization point. On a pool of several
+		// cores every block but the last is an optimization point, so whole
+		// blocks would run instrumented. The baseline and PMU columns run on
+		// the same one-core rig so the three compare.
 		r, err := newRig(cpu.ScaledXeon(), serial.withVector(vs))
 		if err != nil {
 			return nil, err
@@ -89,10 +95,19 @@ func ExtEnum(cfg Config) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.eng.CPU().Cold()
-		enumRes, _, err := core.RunProgressiveEnumerated(r.eng, qo, core.Options{ReopInterval: reop})
+		run, err := r.drive(core.Spec{Query: qo, Mode: core.ModeEnumerated, Opt: core.Options{ReopInterval: reop}})
 		if err != nil {
 			return nil, err
+		}
+		enumRes := run.Result
+		for _, c := range []struct {
+			name string
+			res  exec.Result
+		}{{"pmu", pmuRes}, {"enumerator", enumRes}} {
+			if c.res.Qualifying != base.Qualifying || math.Float64bits(c.res.Sum) != math.Float64bits(base.Sum) {
+				return nil, fmt.Errorf("ext-enum: vector size %d: %s run answers %d rows, sum %v; the baseline %d rows, sum %v",
+					vs, c.name, c.res.Qualifying, c.res.Sum, base.Qualifying, base.Sum)
+			}
 		}
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", vs),

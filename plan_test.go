@@ -123,6 +123,10 @@ func TestExecModeErrors(t *testing.T) {
 	if _, err := e.Exec(q, ExecOptions{Mode: Mode(42)}); err == nil {
 		t.Error("unknown mode accepted")
 	}
+	// The driver's enumerator-driven mode is internal to the experiments.
+	if _, err := e.Exec(q, ExecOptions{Mode: Mode(3)}); err == nil {
+		t.Error("mode 3 accepted")
+	}
 	gq, err := e.Compile(d, Scan("lineitem").
 		Filter("l_quantity", CmpLE, 10).GroupBy("l_quantity", "l_extendedprice"))
 	if err != nil {

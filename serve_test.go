@@ -249,6 +249,7 @@ func TestServeRejectedModeLeavesPlanCacheAlone(t *testing.T) {
 		mode Mode
 	}{
 		"unknown mode":     {convergentPlan(d, false), Mode(7)},
+		"internal mode":    {convergentPlan(d, false), Mode(3)},
 		"adaptive grouped": {grouped, ModeProgressive},
 	} {
 		if _, err := srv.Submit(d, sub.plan, ExecOptions{Mode: sub.mode}); err == nil {

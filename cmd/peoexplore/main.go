@@ -46,13 +46,16 @@ func main() {
 		fatal(fmt.Errorf("unknown ordering %q", *ordering))
 	}
 
-	c := cpu.MustNew(cpu.ScaledXeon())
-	eng := exec.MustEngine(c, *vector)
+	par, err := exec.NewParallel(cpu.ScaledXeon(), 1, *vector)
+	if err != nil {
+		fatal(err)
+	}
+	run := core.NewRun(par)
 	q, err := exec.Q6(d)
 	if err != nil {
 		fatal(err)
 	}
-	if err := eng.BindQuery(q); err != nil {
+	if err := par.BindQuery(q); err != nil {
 		fatal(err)
 	}
 
@@ -75,12 +78,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		c.Cold()
-		res, err := eng.Run(qo)
-		if err != nil {
+		if err := run.Begin(core.Spec{Query: qo}); err != nil {
 			fatal(err)
 		}
-		entries = append(entries, entry{perm, res.Millis})
+		if err := run.Drive(); err != nil {
+			fatal(err)
+		}
+		entries = append(entries, entry{perm, run.Millis})
 	}
 	best, worst := 0, 0
 	for i, e := range entries {
@@ -100,12 +104,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	c.Cold()
-	before := c.Sample()
-	if _, err := eng.RunVector(qo, 0, *vector); err != nil {
+	par.Cold()
+	if err := run.Begin(core.Spec{Query: qo, Quantum: 1}); err != nil {
 		fatal(err)
 	}
-	delta := c.Sample().Sub(before)
+	if _, err := run.Step([]int{0}, []uint64{0}); err != nil {
+		fatal(err)
+	}
+	delta := run.Counters
 	sample := core.SampleFromPMU(delta, *vector)
 	fmt.Printf("\nsampled counters for one vector of the worst PEO:\n")
 	fmt.Printf("  branches not taken : %.0f\n", sample.BNT)

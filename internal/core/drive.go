@@ -69,6 +69,9 @@ type Spec struct {
 	// last step adds the largest view's stall cycles — the slowest core's tier
 	// debt — to the run's Cycles.
 	Storage []*exec.StorageScan
+	// Impl is the scan a ModeFixed run uses, zero meaning the branching loop.
+	// exec.ImplInstrumented keeps the §5.7 enumerator's per-core counts.
+	Impl exec.ScanImpl
 	// Quantum is how many vectors per core one step of a fixed-order run
 	// covers (and of an adaptive run whose ReopInterval is zero); zero or less
 	// is all that are left.
@@ -102,6 +105,21 @@ func (s *Spec) Validate(workers int) error {
 		if len(s.Sorts) != workers {
 			return fmt.Errorf("core: %d partial sort states for %d cores", len(s.Sorts), workers)
 		}
+	}
+	switch s.Impl {
+	case exec.ImplBranching:
+	case exec.ImplBranchFree, exec.ImplInstrumented:
+		if s.Mode != ModeFixed || len(s.Groups) > 0 {
+			return fmt.Errorf("core: the %v scan runs in ModeFixed without groups", s.Impl)
+		}
+		if s.Impl == exec.ImplInstrumented && len(s.Sorts) > 0 {
+			return fmt.Errorf("core: ordered queries cannot run instrumented")
+		}
+		if s.Impl == exec.ImplBranchFree && !exec.BranchFreeEligible(s.Query) {
+			return fmt.Errorf("core: the branch-free scan needs a query of predicates only")
+		}
+	default:
+		return fmt.Errorf("core: unknown scan implementation %d", int(s.Impl))
 	}
 	if len(s.Storage) > 0 && len(s.Storage) != workers {
 		return fmt.Errorf("core: %d storage views for %d cores", len(s.Storage), workers)
@@ -140,8 +158,8 @@ type Run struct {
 	spec  Spec
 	step  *BlockStepper   // nil in fixed order
 	sorts []*exec.SortRun // per core; nil unless ordered
-	// counts are the per-core explicit counters of a ModeEnumerated run, nil
-	// otherwise.
+	// counts are the per-core explicit counters of a ModeEnumerated or an
+	// instrumented run, nil otherwise.
 	counts  []exec.OpCounts
 	numVec  int
 	cursor  int
@@ -182,7 +200,7 @@ func (r *Run) Begin(spec Spec) error {
 		}
 		r.step = step
 	}
-	if spec.Mode == ModeEnumerated {
+	if spec.Mode == ModeEnumerated || spec.Impl == exec.ImplInstrumented {
 		n := len(spec.Query.Ops)
 		r.counts = make([]exec.OpCounts, len(r.engines))
 		for i := range r.counts {
@@ -335,7 +353,7 @@ func (r *Run) vectors(perCore, cores int) int {
 func (r *Run) stepQuantum(cores []int, clocks []uint64) (bool, error) {
 	r.begin(slices.Min(clocks))
 	v1 := r.cursor + r.vectors(r.spec.Quantum, len(cores))
-	br, err := r.brun.RunBlockSubset(r.spec.Query, r.cursor, v1, cores, clocks, exec.ImplBranching, &r.Sum)
+	br, err := r.brun.RunBlockSubset(r.spec.Query, r.cursor, v1, cores, clocks, r.spec.Impl, &r.Sum)
 	if err != nil {
 		return false, err
 	}

@@ -20,8 +20,9 @@ type driveCase struct {
 }
 
 // driveCases binds Q6, started at its reversed order, and returns the shapes
-// the driver runs: the four modes, an ordered query on the fixed-order and
-// on the adaptive path, and a grouped aggregation.
+// the driver runs: the four modes, the fixed order in the two other scans, an
+// ordered query on the fixed-order and on the adaptive path, and a grouped
+// aggregation.
 func driveCases(t *testing.T, rows, vs int) []driveCase {
 	t.Helper()
 	d := tpch.MustGenerate(tpch.Config{Lineitems: rows, Seed: 11})
@@ -62,6 +63,8 @@ func driveCases(t *testing.T, rows, vs int) []driveCase {
 	opt := Options{ReopInterval: 2}
 	return []driveCase{
 		{"fixed", func(int) Spec { return Spec{Query: q} }},
+		{"fixed/branch-free", func(int) Spec { return Spec{Query: q, Impl: exec.ImplBranchFree} }},
+		{"fixed/instrumented", func(int) Spec { return Spec{Query: q, Impl: exec.ImplInstrumented} }},
 		{"progressive", func(int) Spec { return Spec{Query: q, Mode: ModeProgressive, Opt: opt} }},
 		{"micro-adaptive", func(int) Spec { return Spec{Query: q, Mode: ModeMicroAdaptive, Opt: opt} }},
 		{"enumerated", func(int) Spec { return Spec{Query: q, Mode: ModeEnumerated, Opt: opt} }},
@@ -227,16 +230,32 @@ func TestSpecValidate(t *testing.T) {
 	enumeratedGrouped.Mode = ModeEnumerated
 	enumeratedSorted := spec("top-k", 2)
 	enumeratedSorted.Mode = ModeEnumerated
+	branchFreeGrouped := spec("grouped", 2)
+	branchFreeGrouped.Impl = exec.ImplBranchFree
+	instrumentedSorted := spec("top-k", 2)
+	instrumentedSorted.Impl = exec.ImplInstrumented
+	fixed := spec("fixed", 2)
+	d := tpch.MustGenerate(tpch.Config{Lineitems: 100, Seed: 1})
+	join, err := exec.NewFKJoin(cpu.MustNew(cpu.ScaledXeon()), d.Lineitem.Column("l_orderkey"), d.NumOrders, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, s := range map[string]Spec{
-		"no query":            {},
-		"unknown mode":        {Query: spec("fixed", 2).Query, Mode: 7},
-		"no operators":        {Query: &exec.Query{Table: spec("fixed", 2).Query.Table}},
-		"adaptive grouped":    adaptiveGrouped,
-		"enumerated grouped":  enumeratedGrouped,
-		"enumerated sorted":   enumeratedSorted,
-		"grouped and sorted":  both,
-		"tables for 4 cores":  spec("grouped", 4),
-		"sort states for one": spec("top-k", 1),
+		"no query":                {},
+		"unknown mode":            {Query: spec("fixed", 2).Query, Mode: 7},
+		"no operators":            {Query: &exec.Query{Table: spec("fixed", 2).Query.Table}},
+		"adaptive grouped":        adaptiveGrouped,
+		"enumerated grouped":      enumeratedGrouped,
+		"enumerated sorted":       enumeratedSorted,
+		"grouped and sorted":      both,
+		"tables for 4 cores":      spec("grouped", 4),
+		"sort states for one":     spec("top-k", 1),
+		"branch-free progressive": {Query: fixed.Query, Mode: ModeProgressive, Impl: exec.ImplBranchFree},
+		"instrumented enumerated": {Query: fixed.Query, Mode: ModeEnumerated, Impl: exec.ImplInstrumented},
+		"branch-free grouped":     branchFreeGrouped,
+		"instrumented sorted":     instrumentedSorted,
+		"branch-free join":        {Query: &exec.Query{Table: d.Lineitem, Ops: []exec.Op{join}}, Impl: exec.ImplBranchFree},
+		"unknown scan":            {Query: fixed.Query, Impl: 9},
 	} {
 		if err := s.Validate(2); err == nil {
 			t.Errorf("%s: accepted for a 2-core pool", name)
@@ -246,6 +265,63 @@ func TestSpecValidate(t *testing.T) {
 		s := tc.spec(2)
 		if err := s.Validate(2); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestFixedImplIsTheVectorLoop: a fixed-order run in each scan on a pool of
+// one core is that scan's vector loop on a fresh engine — the same answer,
+// cycles, PMU counts and explicit counters — and Workers 4 gives the same
+// answer.
+func TestFixedImplIsTheVectorLoop(t *testing.T) {
+	const rows, vs = 16*512 - 100, 512
+	for _, tc := range driveCases(t, rows, vs) {
+		spec := tc.spec(1)
+		if spec.Mode != ModeFixed || spec.Groups != nil || spec.Sorts != nil {
+			continue
+		}
+		q := spec.Query
+		e := exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), vs)
+		oc := exec.OpCounts{Evaluated: make([]int64, len(q.Ops)), Passed: make([]int64, len(q.Ops))}
+		e.SetOpCounts(&oc)
+		var want exec.Result
+		s0, c0 := e.CPU().Sample(), e.CPU().Cycles()
+		for lo := 0; lo < rows; lo += vs {
+			vr, err := e.RunVectorImpl(q, lo, min(lo+vs, rows), spec.Impl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Qualifying += vr.Qualifying
+			want.Sum += vr.Sum
+		}
+		want.Cycles, want.Counters = e.CPU().Cycles()-c0, e.CPU().Sample().Sub(s0)
+
+		for _, workers := range []int{1, 4} {
+			p, err := exec.NewParallel(cpu.ScaledXeon(), workers, vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(p.Close)
+			r := NewRun(p)
+			if err := r.Begin(spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Drive(); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			if r.Qualifying != want.Qualifying || math.Float64bits(r.Sum) != math.Float64bits(want.Sum) {
+				t.Errorf("%s: %d qualifying, sum %v; the vector loop %d, %v", name, r.Qualifying, r.Sum, want.Qualifying, want.Sum)
+			}
+			if workers > 1 {
+				continue
+			}
+			if r.Cycles != want.Cycles || r.Counters != want.Counters {
+				t.Errorf("%s: %d cycles, the vector loop %d; counters equal: %v", name, r.Cycles, want.Cycles, r.Counters == want.Counters)
+			}
+			if spec.Impl == exec.ImplInstrumented && !reflect.DeepEqual(r.counts[0], oc) {
+				t.Errorf("%s: explicit counts %+v, the vector loop %+v", name, r.counts[0], oc)
+			}
 		}
 	}
 }

@@ -25,30 +25,14 @@ var orderInsensitiveEvents = []pmu.Event{
 	pmu.L1Access, pmu.Instructions,
 }
 
-// runBothModes executes q identically on two fresh engines — one scalar, one
-// batch — and returns both results. Columns are rebound per engine-pair by
-// the caller.
-func runBothModes(t *testing.T, q *Query, vectorSize int, branchFree bool) (scalar, batch Result) {
+// runBothModes executes q identically on two fresh one-core pools — one
+// scalar, one batch — and returns both results. The caller binds the columns.
+func runBothModes(t *testing.T, q *Query, vectorSize int, impl ScanImpl) (scalar, batch BlockResult) {
 	t.Helper()
-	run := func(scalarMode bool) Result {
-		e := MustEngine(cpu.MustNew(cpu.ScaledXeon()), vectorSize)
-		e.SetScalar(scalarMode)
-		var res Result
-		var err error
-		if branchFree {
-			res, err = e.RunBranchFree(q)
-		} else {
-			res, err = e.Run(q)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	return run(true), run(false)
+	return wholeTable(t, poolOfOne(t, vectorSize, true), q, impl), wholeTable(t, poolOfOne(t, vectorSize, false), q, impl)
 }
 
-func assertEquivalent(t *testing.T, label string, scalar, batch Result) {
+func assertEquivalent(t *testing.T, label string, scalar, batch BlockResult) {
 	t.Helper()
 	if scalar.Qualifying != batch.Qualifying {
 		t.Errorf("%s: qualifying scalar=%d batch=%d", label, scalar.Qualifying, batch.Qualifying)
@@ -91,7 +75,7 @@ func TestBatchScalarEquivalenceQ6(t *testing.T) {
 			t.Fatal(err)
 		}
 		vs := 256 << rng.Intn(4) // 256..2048
-		scalar, batch := runBothModes(t, q, vs, false)
+		scalar, batch := runBothModes(t, q, vs, ImplBranching)
 		assertEquivalent(t, "q6", scalar, batch)
 		if scalar.Qualifying == 0 {
 			t.Error("degenerate trial: no qualifying tuples")
@@ -109,7 +93,7 @@ func TestBatchScalarEquivalenceBranchFree(t *testing.T) {
 	if err := MustEngine(cpu.MustNew(cpu.ScaledXeon()), 1024).BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	scalar, batch := runBothModes(t, q, 512, true)
+	scalar, batch := runBothModes(t, q, 512, ImplBranchFree)
 	assertEquivalent(t, "branch-free", scalar, batch)
 }
 
@@ -138,7 +122,7 @@ func TestBatchScalarEquivalenceJoin(t *testing.T) {
 	if err := MustEngine(alloc, 1024).BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	scalar, batch := runBothModes(t, q, 1024, false)
+	scalar, batch := runBothModes(t, q, 1024, ImplBranching)
 	assertEquivalent(t, "join", scalar, batch)
 	if scalar.Qualifying == 0 {
 		t.Error("degenerate configuration: no qualifying tuples")

@@ -104,11 +104,6 @@ func (e *Engine) RunVectorBranchFree(q *Query, lo, hi int) (VectorResult, error)
 	return res, nil
 }
 
-// RunBranchFree executes the whole table with the branch-free scan.
-func (e *Engine) RunBranchFree(q *Query) (Result, error) {
-	return e.runTable(q, e.RunVectorBranchFree)
-}
-
 // ScanImpl identifies a scan implementation: the micro-adaptive choice, and
 // the instrumented loop an enumerator-driven optimization point runs.
 type ScanImpl int

@@ -12,17 +12,10 @@ import (
 
 func TestBranchFreeMatchesBranchingResults(t *testing.T) {
 	tb := testTable(t, 30000)
-	eA := newEngine(t)
-	q := buildQuery(t, tb, eA, 35, 65)
-	branching, err := eA.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eB := newEngine(t)
-	free, err := eB.RunBranchFree(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pA := poolOfOne(t, 1024, false)
+	q := buildQuery(t, tb, pA.Engines()[0], 35, 65)
+	branching := wholeTable(t, pA, q, ImplBranching)
+	free := wholeTable(t, poolOfOne(t, 1024, false), q, ImplBranchFree)
 	if free.Qualifying != branching.Qualifying {
 		t.Errorf("qualifying %d vs %d", free.Qualifying, branching.Qualifying)
 	}
@@ -33,12 +26,9 @@ func TestBranchFreeMatchesBranchingResults(t *testing.T) {
 
 func TestBranchFreeHasNoPredicateMispredictions(t *testing.T) {
 	tb := testTable(t, 30000)
-	e := newEngine(t)
-	q := buildQuery(t, tb, e, 50, 50) // worst case for the predictor
-	res, err := e.RunBranchFree(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := poolOfOne(t, 1024, false)
+	q := buildQuery(t, tb, p.Engines()[0], 50, 50) // worst case for the predictor
+	res := wholeTable(t, p, q, ImplBranchFree)
 	// Only the always-taken loop branch exists; after warm-up it never
 	// mispredicts.
 	if mp := res.Counters.Get(pmu.BrMP); mp > 2 {
@@ -62,8 +52,8 @@ func TestBranchFreeCrossover(t *testing.T) {
 	for _, name := range []string{"a", "b", "c", "d"} {
 		tb.MustAddColumn(columnar.NewInt64(name, datagen.UniformInt64(rng, n, 0, 99)))
 	}
-	cost := func(firstBound int64, branchFree bool) uint64 {
-		e := newEngine(t)
+	cost := func(firstBound int64, impl ScanImpl) uint64 {
+		p := poolOfOne(t, 1024, false)
 		q := &Query{
 			Table: tb,
 			Ops: []Op{
@@ -73,27 +63,17 @@ func TestBranchFreeCrossover(t *testing.T) {
 				&Predicate{Col: tb.Column("d"), Op: LT, I: 50},
 			},
 		}
-		if err := e.BindQuery(q); err != nil {
+		if err := p.BindQuery(q); err != nil {
 			t.Fatal(err)
 		}
-		var res Result
-		var err error
-		if branchFree {
-			res, err = e.RunBranchFree(q)
-		} else {
-			res, err = e.Run(q)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Cycles
+		return wholeTable(t, p, q, impl).MaxCycles
 	}
 	// Mid selectivity everywhere: branch-free must win.
-	if bf, br := cost(50, true), cost(50, false); bf >= br {
+	if bf, br := cost(50, ImplBranchFree), cost(50, ImplBranching); bf >= br {
 		t.Errorf("sel 50%%: branch-free %d cycles not below branching %d", bf, br)
 	}
 	// Highly selective first predicate over four columns: branching must win.
-	if bf, br := cost(2, true), cost(2, false); br >= bf {
+	if bf, br := cost(2, ImplBranchFree), cost(2, ImplBranching); br >= bf {
 		t.Errorf("sel 2%% of four: branching %d cycles not below branch-free %d", br, bf)
 	}
 }

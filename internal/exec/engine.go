@@ -352,15 +352,9 @@ func (e *Engine) runVectorScalar(q *Query, lo, hi int) VectorResult {
 }
 
 // Run executes the whole table vector by vector under a fixed operator order
-// (the paper's "common execution pattern" baseline) and returns totals.
+// and returns totals. Queries run through core.Run; Run stays for the
+// benchmark's exec.run probe, which times the bare engine loop.
 func (e *Engine) Run(q *Query) (Result, error) {
-	return e.runTable(q, e.RunVector)
-}
-
-// runTable executes the whole table vector by vector through vector and
-// returns totals: Run, RunBranchFree and RunInstrumented differ only in the
-// vector loop they call.
-func (e *Engine) runTable(q *Query, vector func(q *Query, lo, hi int) (VectorResult, error)) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -369,7 +363,7 @@ func (e *Engine) runTable(q *Query, vector func(q *Query, lo, hi int) (VectorRes
 	var out Result
 	n := q.Table.NumRows()
 	for lo := 0; lo < n; lo += e.vectorSize {
-		vr, err := vector(q, lo, min(lo+e.vectorSize, n))
+		vr, err := e.RunVector(q, lo, min(lo+e.vectorSize, n))
 		if err != nil {
 			return Result{}, err
 		}

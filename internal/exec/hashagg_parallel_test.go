@@ -92,6 +92,17 @@ func poolOfOne(t *testing.T, vs int, scalar bool) *Parallel {
 	return p
 }
 
+// wholeTable runs q's whole table as one block on the one-core pool p, in
+// the scan implementation impl.
+func wholeTable(t *testing.T, p *Parallel, q *Query, impl ScanImpl) BlockResult {
+	t.Helper()
+	br, err := p.NewBlockRun().RunBlockSubset(q, 0, p.NumVectors(q), []int{0}, []uint64{0}, impl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return br
+}
+
 var updateGroupbyGolden = flag.Bool("update", false, "rewrite testdata/groupby_golden.json from this build's grouped drivers")
 
 const groupbyGoldenPath = "testdata/groupby_golden.json"

@@ -81,19 +81,3 @@ func (e *Engine) RunVectorInstrumented(q *Query, lo, hi int, oc *OpCounts) (Vect
 	}
 	return res, nil
 }
-
-// RunInstrumented executes the whole table with enumerator instrumentation
-// and returns totals plus the explicit counters.
-func (e *Engine) RunInstrumented(q *Query) (Result, OpCounts, error) {
-	oc := OpCounts{
-		Evaluated: make([]int64, len(q.Ops)),
-		Passed:    make([]int64, len(q.Ops)),
-	}
-	out, err := e.runTable(q, func(q *Query, lo, hi int) (VectorResult, error) {
-		return e.RunVectorInstrumented(q, lo, hi, &oc)
-	})
-	if err != nil {
-		return Result{}, OpCounts{}, err
-	}
-	return out, oc, nil
-}

@@ -177,22 +177,18 @@ func TestJoinAfterSelectionCheaperWhenSelective(t *testing.T) {
 
 func TestInstrumentedRunMatchesPlainAndCostsMore(t *testing.T) {
 	tb := testTable(t, 30000)
-	plainEng := newEngine(t)
-	q := buildQuery(t, tb, plainEng, 40, 60)
-	plain, err := plainEng.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	instEng := newEngine(t)
-	inst, oc, err := instEng.RunInstrumented(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainPool := poolOfOne(t, 1024, false)
+	q := buildQuery(t, tb, plainPool.Engines()[0], 40, 60)
+	plain := wholeTable(t, plainPool, q, ImplBranching)
+	instPool := poolOfOne(t, 1024, false)
+	oc := OpCounts{Evaluated: make([]int64, len(q.Ops)), Passed: make([]int64, len(q.Ops))}
+	instPool.Engines()[0].SetOpCounts(&oc)
+	inst := wholeTable(t, instPool, q, ImplInstrumented)
 	if inst.Qualifying != plain.Qualifying || inst.Sum != plain.Sum {
 		t.Error("instrumented run changed results")
 	}
-	if inst.Cycles <= plain.Cycles {
-		t.Errorf("instrumented %d cycles not above plain %d", inst.Cycles, plain.Cycles)
+	if inst.MaxCycles <= plain.MaxCycles {
+		t.Errorf("instrumented %d cycles not above plain %d", inst.MaxCycles, plain.MaxCycles)
 	}
 	// Counter semantics: op0 evaluated for every tuple; op1 for op0's passes.
 	if oc.Evaluated[0] != int64(tb.NumRows()) {
@@ -210,7 +206,7 @@ func TestInstrumentedRunMatchesPlainAndCostsMore(t *testing.T) {
 	}
 }
 
-func TestRunInstrumentedValidation(t *testing.T) {
+func TestRunVectorInstrumentedValidation(t *testing.T) {
 	tb := testTable(t, 100)
 	e := newEngine(t)
 	q := buildQuery(t, tb, e, 50, 50)

@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"progopt/internal/trace"
 )
 
 func quickCfg() Config { return Config{Quick: true, Seed: 7} }
@@ -303,28 +301,31 @@ func TestExtEnumIsSerial(t *testing.T) {
 	}
 }
 
-// TestDirectRunsAreTraced: the figures' direct engine calls run on the rig
-// pool's core 0, so a traced Fig16, which measures through nothing else,
-// records execution spans on its rigs' core-0 tracks.
-func TestDirectRunsAreTraced(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Trace = trace.New()
-	if _, err := Fig16(cfg); err != nil {
-		t.Fatal(err)
-	}
-	spans := 0
-	for _, tk := range cfg.Trace.Tracks() {
-		if !strings.HasSuffix(tk.Name(), "/core 0") {
-			continue
+// TestSingleCoreFiguresAreSerial: the figures that read one core's counters
+// or compare one core's runs build their rig on a pool of one, so their quick
+// rows at Workers 4 are those at Workers 1.
+func TestSingleCoreFiguresAreSerial(t *testing.T) {
+	for _, id := range []string{"fig02", "fig04", "fig06", "fig16", "ext-micro"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, ev := range tk.Events() {
-			if !ev.Instant && (ev.Name == "vector" || ev.Name == "fused-pipeline") {
-				spans++
+		rows := func(workers int) [][][]string {
+			cfg := quickCfg()
+			cfg.Workers = workers
+			reps, err := e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			var out [][][]string
+			for _, r := range reps {
+				out = append(out, r.Rows)
+			}
+			return out
 		}
-	}
-	if spans == 0 {
-		t.Fatal("traced Fig16 recorded no vector or fused-pipeline span on a rig's core 0")
+		if one, four := rows(1), rows(4); !reflect.DeepEqual(one, four) {
+			t.Errorf("%s rows differ with the worker count:\n1: %v\n4: %v", id, one, four)
+		}
 	}
 }
 

@@ -68,15 +68,13 @@ func ExtEnum(cfg Config) ([]*Report, error) {
 			"the PMU's fixed inversion cost amortizes with vector size; the enumerator's tax does not",
 		},
 	}
-	serial := cfg
-	serial.Workers = 1
 	for _, vs := range vectorSizes {
 		// One core whatever cfg.Workers: the paper's enumerator instruments
 		// one sampled vector per optimization point. On a pool of several
 		// cores every block but the last is an optimization point, so whole
 		// blocks would run instrumented. The baseline and PMU columns run on
 		// the same one-core rig so the three compare.
-		r, err := newRig(cpu.ScaledXeon(), serial.withVector(vs))
+		r, err := newRig(cpu.ScaledXeon(), cfg.serial().withVector(vs))
 		if err != nil {
 			return nil, err
 		}
@@ -137,8 +135,6 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 	if cfg.Quick {
 		selPoints = []int{10, 50, 90}
 	}
-	serial := cfg
-	serial.Workers = 1
 	rep := &Report{
 		ID:      "ext-micro",
 		Title:   "Extension: micro-adaptive implementation choice (branching v. branch-free)",
@@ -155,34 +151,29 @@ func ExtMicro(cfg Config) ([]*Report, error) {
 				&exec.Predicate{Col: tb.Column("b"), Op: exec.LT, I: int64(s * 10)},
 			},
 		}
-		// One core whatever cfg.Workers: the static columns run on the
-		// rig's engine, and the adaptive one must be serial like them.
-		r, err := newRig(cpu.ScaledXeon(), serial)
+		// One core whatever cfg.Workers: the three columns compare one
+		// core's runs.
+		r, err := newRig(cpu.ScaledXeon(), cfg.serial())
 		if err != nil {
 			return nil, err
 		}
 		if err := r.bind(q); err != nil {
 			return nil, err
 		}
-		branching, err := r.eng.Run(q)
-		if err != nil {
-			return nil, err
+		row := []string{fmtF(float64(s))}
+		for _, spec := range []core.Spec{
+			{Query: q},
+			{Query: q, Impl: exec.ImplBranchFree},
+			{Query: q, Mode: core.ModeMicroAdaptive, Opt: core.Options{ReopInterval: 5}},
+		} {
+			run, err := r.drive(spec)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, fmtMs(run.Millis))
 		}
-		r.eng.CPU().Cold()
-		free, err := r.eng.RunBranchFree(q)
-		if err != nil {
-			return nil, err
-		}
-		run, err := r.drive(core.Spec{Query: q, Mode: core.ModeMicroAdaptive, Opt: core.Options{ReopInterval: 5}})
-		if err != nil {
-			return nil, err
-		}
-		adaptive, st := run.Result, run.Stats()
-		rep.Rows = append(rep.Rows, []string{
-			fmtF(float64(s)),
-			fmtMs(branching.Millis), fmtMs(free.Millis), fmtMs(adaptive.Millis),
-			fmt.Sprintf("%db/%df", st.BranchingVectors, st.BranchFreeVectors),
-		})
+		st := r.run.Stats()
+		rep.Rows = append(rep.Rows, append(row, fmt.Sprintf("%db/%df", st.BranchingVectors, st.BranchFreeVectors)))
 	}
 	return []*Report{rep}, nil
 }

@@ -209,9 +209,7 @@ func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int3
 			F:    func(r int) float64 { return price.F64()[r] * disc.F64()[r] },
 		},
 	}
-	serial := cfg
-	serial.Workers = 1
-	r, err := newRig(cpu.ScaledXeon(), serial)
+	r, err := newRig(cpu.ScaledXeon(), cfg.serial())
 	if err != nil {
 		return storedCell{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"progopt/internal/columnar"
+	"progopt/internal/core"
 	"progopt/internal/datagen"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
@@ -30,7 +31,7 @@ func Fig02(cfg Config) ([]*Report, error) {
 		step = 20
 	}
 
-	r, err := newRig(cpu.ScaledXeon(), cfg)
+	r, err := newRig(cpu.ScaledXeon(), cfg.serial())
 	if err != nil {
 		return nil, err
 	}
@@ -54,11 +55,11 @@ func Fig02(cfg Config) ([]*Report, error) {
 		if err := r.bind(q); err != nil {
 			return nil, err
 		}
-		res, err := r.eng.Run(q)
+		run, err := r.drive(core.Spec{Query: q})
 		if err != nil {
 			return nil, err
 		}
-		c := res.Counters
+		c := run.Counters
 		nf := float64(n)
 		// Exclude the fully predictable loop branch so percentages reflect
 		// the predicate's branch, matching the paper's presentation.

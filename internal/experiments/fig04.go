@@ -29,7 +29,7 @@ func Fig04(cfg Config) ([]*Report, error) {
 	tb.MustAddColumn(columnar.NewInt64("a", datagen.UniformInt64(rng, n, 0, 999)))
 	tb.MustAddColumn(columnar.NewInt64("b", datagen.UniformInt64(rng, n, 0, 999)))
 
-	r, err := newRig(cpu.ScaledXeon(), cfg)
+	r, err := newRig(cpu.ScaledXeon(), cfg.serial())
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func Fig04(cfg Config) ([]*Report, error) {
 			if err := r.bind(q); err != nil {
 				return nil, err
 			}
-			res, err := r.eng.Run(q)
+			run, err := r.drive(core.Spec{Query: q})
 			if err != nil {
 				return nil, err
 			}
@@ -87,7 +87,7 @@ func Fig04(cfg Config) ([]*Report, error) {
 				}
 				return fmt.Sprintf("%.2f", meas/pred)
 			}
-			c := res.Counters
+			c := run.Counters
 			rowNT = append(rowNT, ratio(float64(c.Get(pmu.BrMPNotTaken)), est.MPNotTaken))
 			rowT = append(rowT, ratio(float64(c.Get(pmu.BrMPTaken)), est.MPTaken))
 			rowAll = append(rowAll, ratio(float64(c.Get(pmu.BrMP)), est.MP()))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"progopt/internal/columnar"
+	"progopt/internal/core"
 	"progopt/internal/costmodel/markov"
 	"progopt/internal/datagen"
 	"progopt/internal/exec"
@@ -46,7 +47,7 @@ func Fig06(cfg Config) ([]*Report, error) {
 	// One rig per architecture, reused across the sweep.
 	rigs := make(map[branch.Arch]*rig)
 	for _, a := range arches {
-		r, err := newRig(cpu.ForArch(a), cfg)
+		r, err := newRig(cpu.ForArch(a), cfg.serial())
 		if err != nil {
 			return nil, err
 		}
@@ -67,11 +68,11 @@ func Fig06(cfg Config) ([]*Report, error) {
 			if err := r.bind(q); err != nil {
 				return nil, err
 			}
-			res, err := r.eng.Run(q)
+			run, err := r.drive(core.Spec{Query: q})
 			if err != nil {
 				return nil, err
 			}
-			c := res.Counters
+			c := run.Counters
 			rowAll = append(rowAll, fmt.Sprintf("%d", c.Get(pmu.BrMP)))
 			rowT = append(rowT, fmt.Sprintf("%d", c.Get(pmu.BrMPTaken)))
 			rowNT = append(rowNT, fmt.Sprintf("%d", c.Get(pmu.BrMPNotTaken)))

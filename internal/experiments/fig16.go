@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"progopt/internal/columnar"
+	"progopt/internal/core"
 	"progopt/internal/datagen"
 	"progopt/internal/exec"
 	"progopt/internal/hw/cpu"
@@ -49,44 +50,32 @@ func Fig16(cfg Config) ([]*Report, error) {
 		}
 		q := &exec.Query{Table: tb, Ops: ops}
 
-		r, err := newRig(cpu.ScaledXeon(), cfg)
+		r, err := newRig(cpu.ScaledXeon(), cfg.serial())
 		if err != nil {
 			return nil, err
 		}
 		if err := r.bind(q); err != nil {
 			return nil, err
 		}
-		plain, err := r.eng.Run(q)
+		run, err := r.drive(core.Spec{Query: q})
 		if err != nil {
 			return nil, err
 		}
-		r.eng.CPU().Cold()
-		inst, _, err := r.eng.RunInstrumented(q)
-		if err != nil {
-			return nil, err
-		}
-		// PAPI-style run: plain execution plus one counter read per vector.
+		plain := run.Result
+		// PAPI-style run: the plain run plus one counter read per vector,
+		// charged at its end — the clock is a function of running totals.
 		c := r.eng.CPU()
-		c.Cold()
-		c0 := c.Cycles()
-		n := tb.NumRows()
-		for lo := 0; lo < n; lo += cfg.VectorSize {
-			hi := lo + cfg.VectorSize
-			if hi > n {
-				hi = n
-			}
-			if _, err := r.eng.RunVector(q, lo, hi); err != nil {
-				return nil, err
-			}
-			c.Exec(pmuReadInstr)
+		end := c.Cycles()
+		c.Exec(pmuReadInstr * plain.Vectors)
+		papiCycles := plain.Cycles + c.Cycles() - end
+		run, err = r.drive(core.Spec{Query: q, Impl: exec.ImplInstrumented})
+		if err != nil {
+			return nil, err
 		}
-		papiCycles := c.Cycles() - c0
+		inst := run.Result
 
 		enumPct := (float64(inst.Cycles) - float64(plain.Cycles)) / float64(plain.Cycles) * 100
 		papiPct := (float64(papiCycles) - float64(plain.Cycles)) / float64(plain.Cycles) * 100
-		if papiPct < 0 {
-			papiPct = 0
-		}
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("%d", p),
 			fmt.Sprintf("%.2f", enumPct),

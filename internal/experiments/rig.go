@@ -10,15 +10,14 @@ import (
 )
 
 // rig bundles the simulated cores and engine for a sequence of measurements
-// over the same bound data set. Every measurement starts cold (cpu.CPU.Cold),
-// like the paper's separately executed queries, and runs on a pool of the
-// config's Workers cores — one by default: through the one query driver, or,
-// for the figures' direct engine calls (Engine.Run, RunBranchFree,
-// RunInstrumented), on the pool's core 0.
+// over the same bound data set. Every measurement runs through the one query
+// driver (core.Run) from a cold start (cpu.CPU.Cold), like the paper's
+// separately executed queries, on a pool of the config's Workers cores — one
+// by default, and one for the figures that read a single core's counters
+// (Config.serial).
 type rig struct {
 	// eng is the pool's core 0. It binds the data set and reserves every
-	// region the figures allocate, and the direct engine calls run on it,
-	// so they land on its trace track.
+	// region the figures allocate.
 	eng *exec.Engine
 	// opt is the optimizer-decision track when the config carries a trace
 	// recorder, nil otherwise. Rigs within one recorder get uniquely prefixed
@@ -52,6 +51,14 @@ func newRig(prof cpu.Profile, cfg Config) (*rig, error) {
 // withVector returns the config with a different vector size (for sweeps).
 func (c Config) withVector(vs int) Config {
 	c.VectorSize = vs
+	return c
+}
+
+// serial returns the config on one core: for the figures that measure a
+// single core's counters, or compare columns a multi-core pool would run
+// differently.
+func (c Config) serial() Config {
+	c.Workers = 1
 	return c
 }
 

@@ -30,8 +30,9 @@ var (
 )
 
 // detRun executes the three-predicate aggregate plan on a fresh engine in
-// the given configuration.
-func detRun(t *testing.T, workers int, mode Mode, noFuse bool) ExecResult {
+// the given configuration. It also returns how many L1 misses helper threads
+// simulated (Engine.helperLines).
+func detRun(t *testing.T, workers int, mode Mode, noFuse bool) (ExecResult, uint64) {
 	t.Helper()
 	e, err := newRef(Config{VectorSize: 1024, Workers: workers}, refPath{noFuse: noFuse})
 	if err != nil {
@@ -54,15 +55,25 @@ func detRun(t *testing.T, workers int, mode Mode, noFuse bool) ExecResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, e.helperLines()
 }
 
+// staged reports whether a pool of the given size stages its cores at the
+// given GOMAXPROCS: whether the host can give every simulated core a second
+// thread for its cache levels below L1 (exec.Parallel).
+func staged(workers, procs int) bool { return 2*workers <= procs }
+
+// The cells where the host gives every simulated core a second thread
+// (staged) run each core's cache levels below L1 on a helper thread of its
+// own, and compare that with the inline reference; checkStaged requires
+// helpers to have simulated lines there.
 func TestDeterminismMatrix(t *testing.T) {
+	helped := map[[2]int]uint64{}
 	for _, workers := range detWorkers {
 		for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {
 			// Reference: serial host (the driver alone), fused kernels.
 			prev := runtime.GOMAXPROCS(1)
-			ref := detRun(t, workers, mode, false)
+			ref, _ := detRun(t, workers, mode, false)
 			runtime.GOMAXPROCS(prev)
 			if ref.Qualifying == 0 {
 				t.Fatalf("workers=%d/%s: reference selected nothing", workers, mode)
@@ -72,7 +83,8 @@ func TestDeterminismMatrix(t *testing.T) {
 					name := fmt.Sprintf("workers=%d/%s/gomaxprocs=%d/nofuse=%v", workers, mode, gmp, noFuse)
 					t.Run(name, func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
-						got := detRun(t, workers, mode, noFuse)
+						got, lines := detRun(t, workers, mode, noFuse)
+						helped[[2]int{workers, gmp}] += lines
 						sameResult(t, name, ref.Result, got.Result)
 						sameStats(t, name, ref.Stats, got.Stats)
 						if ref.Impl != got.Impl {
@@ -82,6 +94,28 @@ func TestDeterminismMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+	checkStaged(t, helped)
+}
+
+// checkStaged requires helper threads to have simulated no line in a cell
+// whose cores are not staged, and some in the staged cells together. A
+// helper parked by the runtime may take milliseconds to start, longer than
+// one cell's run on its fresh engine, so no single staged cell must have
+// engaged (TestStagedCoresMatchInline in internal/core requires each of its
+// pools to).
+func checkStaged(t *testing.T, helped map[[2]int]uint64) {
+	t.Helper()
+	var total uint64
+	for cell, lines := range helped {
+		if staged(cell[0], cell[1]) {
+			total += lines
+		} else if lines != 0 {
+			t.Errorf("workers=%d/gomaxprocs=%d: helpers simulated %d lines, but the cores are not staged", cell[0], cell[1], lines)
+		}
+	}
+	if total == 0 {
+		t.Error("no helper simulated a line in any staged cell: the staged path went untested")
 	}
 }
 
@@ -146,8 +180,9 @@ func TestDeterminismMatrixServed(t *testing.T) {
 // ordered output (per-core collectors fed in each core's morsel order), and
 // a stored scan whose zone maps skip vectors in zero simulated cycles (a
 // skipped morsel's lower bound is its entry clock, so nothing is certified
-// past it until it completes). Everything Exec returns must match the
-// GOMAXPROCS=1 run.
+// past it until it completes).
+// Everything Exec returns must match the GOMAXPROCS=1 run, staged cells
+// included (see TestDeterminismMatrix); a stored scan's cores stay inline.
 func TestDeterminismMatrixShapes(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -164,6 +199,7 @@ func TestDeterminismMatrixShapes(t *testing.T) {
 			BlockRows: 1024, LatencyCycles: 300, BytesPerCycle: 16, ResidentBytes: 64 << 10, SkipScan: true,
 		}}, OrderNatural, ModeProgressive, func(*Dataset) *Plan { return storedQ6Plan() }},
 	}
+	helped := map[[2]int]uint64{}
 	for _, sh := range shapes {
 		run := func(t *testing.T, workers int) ExecResult {
 			t.Helper()
@@ -186,9 +222,16 @@ func TestDeterminismMatrixShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if sh.cfg.Storage == nil {
+				helped[[2]int{workers, runtime.GOMAXPROCS(0)}] += e.helperLines()
+			} else if n := e.helperLines(); n != 0 {
+				// A core with a storage tier stays inline: the tier's observer
+				// reads the core's clock from inside the levels below L1.
+				t.Errorf("helpers simulated %d lines of a stored scan", n)
+			}
 			return res
 		}
-		for _, workers := range detWorkers[1:] {
+		for _, workers := range detWorkers {
 			prev := runtime.GOMAXPROCS(1)
 			ref := run(t, workers)
 			runtime.GOMAXPROCS(prev)
@@ -208,4 +251,5 @@ func TestDeterminismMatrixShapes(t *testing.T) {
 			}
 		}
 	}
+	checkStaged(t, helped)
 }

@@ -66,3 +66,14 @@ func q6ShipdatePlan(cutoff int32) *Plan {
 		Filter("l_discount", CmpLE, tpch.Q6DiscountHi+1e-9).Label("discount<=0.07").
 		Sum("l_extendedprice * l_discount")
 }
+
+// helperLines sums, over the engine's cores, the L1 misses that helper threads
+// simulated below L1 (cache.Hierarchy.HelperLines): nonzero once a core ran
+// staged.
+func (e *Engine) helperLines() uint64 {
+	var n uint64
+	for _, w := range e.par.Engines() {
+		n += w.CPU().Hierarchy().HelperLines()
+	}
+	return n
+}

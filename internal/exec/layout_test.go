@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -30,10 +31,25 @@ func TestLayoutNoFalseSharing(t *testing.T) {
 		{"exec.Engine", unsafe.Sizeof(Engine{})},
 		{"exec.progressCell", unsafe.Sizeof(progressCell{})},
 		{"trace.Track", unsafe.Sizeof(trace.Track{})},
+		{"cache.lower", hierField(t, "lo").Type.Size()},
+		{"cache.stage", hierField(t, "sg").Type.Elem().Size()},
 	} {
 		if c.size%128 != 0 {
 			t.Errorf("%s is %d bytes, not a multiple of 128: adjust its padding", c.name, c.size)
 		}
+	}
+
+	// A staged hierarchy's halves: the helper thread writes the levels below
+	// L1 (lo), which start a sector of their own, and the ring's tail; the
+	// caller writes the rest and the ring's head, in another sector.
+	if lo := hierField(t, "lo"); lo.Offset%128 != 0 {
+		t.Errorf("cache.Hierarchy.lo at offset %d does not start a 128-byte sector", lo.Offset)
+	}
+	sg := hierField(t, "sg").Type.Elem()
+	head, _ := sg.FieldByName("head")
+	tail, _ := sg.FieldByName("tail")
+	if head.Offset/128 == tail.Offset/128 {
+		t.Errorf("stage cursors head (offset %d) and tail (offset %d) share a 128-byte sector", head.Offset, tail.Offset)
 	}
 
 	// The scheduler's progress cells: one 128-byte sector each.
@@ -50,4 +66,15 @@ func TestLayoutNoFalseSharing(t *testing.T) {
 	if base := uintptr(unsafe.Pointer(&s.cells[0])); base%128 != 0 {
 		t.Errorf("progress cells start at %#x, not on a sector boundary", base)
 	}
+}
+
+// hierField returns a field of cache.Hierarchy: the halves of the hierarchy
+// are unexported, so the layout is read through reflection.
+func hierField(t *testing.T, name string) reflect.StructField {
+	t.Helper()
+	f, ok := reflect.TypeOf(cache.Hierarchy{}).FieldByName(name)
+	if !ok {
+		t.Fatalf("cache.Hierarchy has no field %q", name)
+	}
+	return f
 }

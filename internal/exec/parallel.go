@@ -86,9 +86,14 @@ type BlockRun struct {
 	// shared says helpers were invited to the block: running cores then
 	// publish their clocks. In a block the driver runs alone nothing does.
 	shared bool
-	job    hostJob
-	mu     sync.Mutex // guards sched, the ring handoff, merging, busyScratch
-	sched  lookahead
+	// lone says the block runs on one core that no trace records: its
+	// morsels read the core's clock without settling it (clock), and settled
+	// is the last such reading.
+	lone    bool
+	settled uint64
+	job     hostJob
+	mu      sync.Mutex // guards sched, the ring handoff, merging, busyScratch
+	sched   lookahead
 	// ring buffers the results of morsels [sched.merged, sched.next), slot
 	// v % len(ring). merging marks the one worker reducing a slot outside
 	// the lock; slots are reduced in ascending morsel order.
@@ -205,6 +210,9 @@ func (p *Parallel) SetTrace(tracks []*trace.Track) {
 // multi-core host do not leak its goroutines. On single-threaded hosts no
 // pool is ever started and Close is a no-op.
 func (p *Parallel) Close() {
+	for _, w := range p.workers {
+		w.cpu.Hierarchy().Unstage()
+	}
 	p.poolMu.Lock()
 	defer p.poolMu.Unlock()
 	if hp := p.pool.Swap(nil); hp != nil {
@@ -257,8 +265,12 @@ type hostJob struct {
 type hostPool struct {
 	// jobs is buffered one invitation per helper: with every helper busy, a
 	// longer queue would only hold invitations to jobs that have since ended.
-	jobs chan *hostJob
+	jobs chan helperTask
 }
+
+// helperTask is what a pooled helper can be invited to: a hostJob, or a
+// staged core's levels below L1 (Engine.help).
+type helperTask interface{ help() }
 
 // helperLinger is how long a helper that has finished a job keeps polling
 // for the next invitation before it parks. A served round's segments and an
@@ -279,7 +291,7 @@ func (hp *hostPool) serve() {
 
 // linger polls for an invitation for up to helperLinger, yielding the
 // processor between polls. It returns nil when none came or the pool closed.
-func (hp *hostPool) linger() *hostJob {
+func (hp *hostPool) linger() helperTask {
 	for start := time.Now(); time.Since(start) < helperLinger; runtime.Gosched() {
 		select {
 		case j := <-hp.jobs:
@@ -292,7 +304,7 @@ func (hp *hostPool) linger() *hostJob {
 
 // startPool returns the helper pool, starting it on first use with one
 // helper fewer than the host threads the simulated cores can occupy — the
-// driver is a worker too.
+// driver is a worker too — plus one per core when the cores are staged.
 func (p *Parallel) startPool() *hostPool {
 	if hp := p.pool.Load(); hp != nil {
 		return hp
@@ -302,7 +314,10 @@ func (p *Parallel) startPool() *hostPool {
 	hp := p.pool.Load()
 	if hp == nil {
 		size := min(runtime.GOMAXPROCS(0), len(p.workers)) - 1
-		hp = &hostPool{jobs: make(chan *hostJob, size)}
+		if p.staging() {
+			size += len(p.workers)
+		}
+		hp = &hostPool{jobs: make(chan helperTask, size)}
 		for range size {
 			go hp.serve()
 		}
@@ -489,6 +504,9 @@ func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []ui
 	}
 	r.sched.reset(clocks, vecLo, vecHi, window)
 	r.out, r.failed = BlockResult{}, nil
+	if vecHi > vecLo {
+		p.stage(cores)
+	}
 	// Helpers are worth inviting only when two morsels can overlap and the
 	// host has a second thread to run one on.
 	width := min(runtime.GOMAXPROCS(0), len(cores), vecHi-vecLo)
@@ -497,6 +515,16 @@ func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []ui
 			r.job.work = r.work
 		}
 		p.runJob(&r.job, width-1)
+	} else if r.lone = len(cores) == 1 && p.workers[cores[0]].tr == nil; r.lone {
+		c := p.workers[cores[0]].CPU()
+		r.settled = c.Cycles()
+		r.work()
+		// The stall the morsels' readings left out lands on the block's last
+		// morsel, where every later reading sees it.
+		d := c.Cycles() - r.settled
+		clocks[0] += d
+		r.busyScratch[0] += d
+		r.lone = false
 	} else {
 		r.work()
 	}
@@ -510,6 +538,42 @@ func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []ui
 	}
 	return r.failed.err
 }
+
+// staging reports whether blocks stage their cores: whether the host can
+// give every simulated core of the pool a second thread, for the levels
+// below L1 (cache.Hierarchy.Stage).
+func (p *Parallel) staging() bool { return 2*len(p.workers) <= runtime.GOMAXPROCS(0) }
+
+// stage decides, for a block, whether its cores are staged: if so, it stages
+// them and invites a pooled helper to each core no helper serves yet, and
+// otherwise it returns them to inline simulation. A stage outlives the
+// block, so the steps of a stepped query keep their helper; the helper
+// leaves once its core has had no work for a while
+// (cache.Hierarchy.ServeStage). An invitation is not a rendezvous: until a
+// helper joins, a core simulates its lower levels itself whenever it has to
+// wait for them. A core with a storage tier stays inline (its tier's
+// observer reads the core's clock from inside the lower levels).
+func (p *Parallel) stage(cores []int) {
+	if !p.staging() {
+		for _, w := range cores {
+			p.workers[w].cpu.Hierarchy().Unstage()
+		}
+		return
+	}
+	hp := p.startPool()
+	for _, w := range cores {
+		if e := p.workers[w]; e.cpu.Hierarchy().Stage() {
+			select {
+			case hp.jobs <- e:
+			default:
+			}
+		}
+	}
+}
+
+// help is a pooled helper's side of a staged core: it simulates the core's
+// levels below L1 until the core is unstaged or has no work for a while.
+func (e *Engine) help() { e.cpu.Hierarchy().ServeStage() }
 
 // work is the loop every host worker of a block runs — the driver always,
 // helpers while they have nothing else to do: take a certified morsel, run
@@ -559,7 +623,7 @@ func (r *BlockRun) acquire() *morsel {
 func (r *BlockRun) execute(m *morsel) {
 	eng := r.p.workers[m.core]
 	c := eng.CPU()
-	c0 := c.Cycles()
+	c0 := r.clock(c)
 	if r.shared {
 		c.SetProgress(&r.sched.cells[m.pos].clock, m.entry-c0)
 	}
@@ -573,6 +637,21 @@ func (r *BlockRun) execute(m *morsel) {
 	}
 }
 
+// clock reads a morsel's core's clock at the morsel's start or end. A lone
+// core's block reads it without settling the stall of loads its staged lower
+// levels have yet to simulate (cpu.CPU.SettledCycles): the core's morsel
+// durations then still add up to the block's, once runBlock settles the
+// remainder, and nothing else reads them — a block on one core has nothing
+// to schedule, and no trace stamps its spans. So the core's second thread
+// keeps working from one morsel into the next instead of draining at each.
+func (r *BlockRun) clock(c *cpu.CPU) uint64 {
+	if r.lone {
+		r.settled = c.SettledCycles()
+		return r.settled
+	}
+	return c.Cycles()
+}
+
 // finish closes a morsel's execution: it captures a panic (e.g. an
 // out-of-range foreign key) for the reduction to re-raise in morsel order,
 // detaches the progress cell, and emits the morsel span while this worker
@@ -581,7 +660,7 @@ func (r *BlockRun) finish(m *morsel, eng *Engine, c0 uint64) {
 	m.pv = recover()
 	c := eng.CPU()
 	c.SetProgress(nil, 0)
-	end := c.Cycles()
+	end := r.clock(c)
 	m.cycles = end - c0
 	if tr := eng.tr; tr != nil && m.err == nil && m.pv == nil {
 		if r.groups != nil {

@@ -373,7 +373,9 @@ func TestRunSegmentsReusedJob(t *testing.T) {
 // They come in rare bursts of a few, so the 500 calls are five windows of 100
 // and the quietest window must allocate at most once; one allocation per call
 // or per morsel is 100 or more in every window. Race instrumentation may
-// allocate too: CI runs this test without -race.
+// allocate too: CI runs this test without -race. The pool of one core stages
+// its core at GOMAXPROCS 2 (cache.Hierarchy.Stage): its block steps one vector at a
+// time, as an adaptive query's do, with the lower levels on a helper.
 func TestPooledHandOffsAllocateNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	_, q := parallelFixture(t)
@@ -382,6 +384,12 @@ func TestPooledHandOffsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	one, err := NewParallel(cpu.ScaledXeon(), 1, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	v := 0
 	var n atomic.Int64
 	fns := []func(){func() { n.Add(1) }, func() { n.Add(1) }, func() { n.Add(1) }}
 	sum := 0.0
@@ -394,6 +402,12 @@ func TestPooledHandOffsAllocateNothing(t *testing.T) {
 			if _, err := runBlock(p, q, 0, 8, ImplBranching, &sum); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"1-vector block on a staged core", func() {
+			if _, err := runBlock(one, q, v, v+1, ImplBranching, &sum); err != nil {
+				t.Fatal(err)
+			}
+			v = (v + 1) % one.NumVectors(q)
 		}},
 	} {
 		for range 50 { // start the pool, grow the scratch
@@ -413,5 +427,8 @@ func TestPooledHandOffsAllocateNothing(t *testing.T) {
 		if fewest > 1 {
 			t.Errorf("%s: at least %d allocations in each of %d windows of %d calls, want 0 per call", c.name, fewest, windows, calls)
 		}
+	}
+	if one.Engines()[0].CPU().Hierarchy().HelperLines() == 0 {
+		t.Error("no helper simulated a line of the one-core pool: its core was never staged")
 	}
 }

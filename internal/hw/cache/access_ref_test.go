@@ -30,7 +30,7 @@ func newRefHierarchy(cfg HierarchyConfig) (*refHierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &refHierarchy{cfg: cfg, l1: h.l1, l2: h.l2, l3: h.l3, pf: h.pf, lineShift: h.lineShift}, nil
+	return &refHierarchy{cfg: cfg, l1: h.l1, l2: h.lo.l2, l3: h.lo.l3, pf: h.lo.pf, lineShift: h.lineShift}, nil
 }
 
 func (h *refHierarchy) AttachStorage(st *StorageSet) { h.st = st }

@@ -102,13 +102,22 @@ func (c Counters) Sub(prev Counters) Counters {
 }
 
 // Hierarchy is a three-level inclusive cache hierarchy with an L2 streamer.
+// It is split at L1: the fields up to lo hold L1 and everything a caller's
+// thread needs to run it, lo holds the levels below. The two halves sit in
+// separate 128-byte sectors, so while a helper thread simulates the lower one
+// (Stage) neither thread writes a cache line the other reads.
 type Hierarchy struct {
-	cfg                HierarchyConfig
-	l1, l2, l3         *Level
-	pf                 *StreamPrefetcher
-	lineShift          uint
-	l3PrefetchAccesses uint64
-	memAccesses        uint64
+	cfg       HierarchyConfig
+	l1        *Level
+	lineShift uint
+	// lines is the chunk buffer of the batched core (see loadLines), sized
+	// once by NewHierarchy and never grown: the line ids of the chunk being
+	// loaded, compacted in place to its L1 misses.
+	lines []uint64
+	// sg is the hand-off to a helper thread, allocated by the first Stage;
+	// staged says loadLines hands its L1 misses to it (see Stage).
+	sg     *stage
+	staged bool
 	// memoLines/memoSlots are Load's direct-mapped memo of recently loaded
 	// lines (id + 1; 0 = none) and the L1 tag slots they were left in. An
 	// entry is a guess — the line may have been evicted or moved since, by a
@@ -117,16 +126,32 @@ type Hierarchy struct {
 	// Lookup with precisely the same counter and recency effects.
 	memoLines [memoEntries]uint64
 	memoSlots [memoEntries]int
-	// lines and ops are the chunk buffers of the batched core (see loadLines),
-	// sized once by NewHierarchy and never grown: the line ids of the chunk
-	// being loaded, compacted in place to its L1 misses, and the op stream the
-	// streamer expands those misses into for L2 and L3.
-	lines, ops []uint64
+
+	// Pads the caller's half to a multiple of 128 bytes, so lo starts a
+	// sector of its own: see the false-sharing layout rule in DESIGN.md
+	// (pinned by TestLayoutNoFalseSharing).
+	_  [40]byte
+	lo lower
+}
+
+// lower is the part of a hierarchy below L1: the streamer, L2, L3, memory
+// and the storage tier. Its op stream is the L1 misses in order, and nothing
+// in it ever reaches back into L1, so it may run behind L1 on another thread.
+type lower struct {
+	l2, l3    *Level
+	pf        *StreamPrefetcher
+	lineShift uint
+	prefetch  bool
+	// ops is the op stream the streamer expands a piece of L1 misses into for
+	// L2 and L3, sized once and never grown.
+	ops []uint64
 	// l2mru holds, per L2 set, the line that set holds at MRU once every op
 	// emitted so far has been applied (0: none since the last Flush). Every
 	// op L2 applies leaves its line at MRU, so this is the line of the set's
 	// last op; between calls it is the set's MRU tag.
-	l2mru []uint64
+	l2mru              []uint64
+	l3PrefetchAccesses uint64
+	memAccesses        uint64
 	// st, when attached, is a storage tier below DRAM: every access that
 	// reaches memory consults it and may pay whole-cycle block stalls, which
 	// the tier's own counters record. The tier never alters cache contents or
@@ -134,9 +159,8 @@ type Hierarchy struct {
 	// bit-identical.
 	st *StorageSet
 
-	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
-	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [88]byte
+	// Pads the struct to a multiple of 128 bytes (TestLayoutNoFalseSharing).
+	_ [16]byte
 }
 
 // memoEntries sizes Load's line memo (power of two, comfortably more than
@@ -148,7 +172,7 @@ const memoEntries = 32
 // 4 KB) stay in the host L1 next to the simulated L1's arrays. A chunk of
 // misses fills ops only when every miss also issues a prefetch, the steady
 // state of a sequential scan; anything denser drains into L2 and L3 before
-// the chunk's last miss (see loadLines).
+// the chunk's last miss (see lower.run).
 const chunkLines = 256
 
 // NewHierarchy builds a hierarchy from its configuration.
@@ -174,9 +198,11 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}
 	buf := sectorSlice[uint64](3*chunkLines + len(l2.heads))
 	return &Hierarchy{
-		cfg: cfg, l1: l1, l2: l2, l3: l3, pf: NewStreamPrefetcher(), lineShift: shift,
-		lines: buf[:chunkLines:chunkLines], ops: buf[chunkLines : 3*chunkLines : 3*chunkLines],
-		l2mru: buf[3*chunkLines:],
+		cfg: cfg, l1: l1, lineShift: shift, lines: buf[:chunkLines:chunkLines],
+		lo: lower{
+			l2: l2, l3: l3, pf: NewStreamPrefetcher(), lineShift: shift, prefetch: !cfg.PrefetchDisabled,
+			ops: buf[chunkLines : 3*chunkLines : 3*chunkLines], l2mru: buf[3*chunkLines:],
+		},
 	}, nil
 }
 
@@ -209,7 +235,13 @@ func (h *Hierarchy) Load(addr uint64) AccessResult {
 		return AccessResult{Level: HitL1, LatencyCycles: h.cfg.L1.LatencyCycles}
 	}
 	h.lines[0] = ln
-	rh := h.loadLines(h.lines[:1], 0)
+	rh, miss := h.runL1(h.lines[:1], 0)
+	if len(miss) != 0 {
+		// The caller needs the level now: let a stage catch up, then take
+		// the levels below for this one line.
+		h.wait()
+		rh = rh.Plus(h.lo.run(miss))
+	}
 	h.memoLines[mi], h.memoSlots[mi] = ln, l1.mruSlot(ln)
 	switch {
 	case rh.L1 != 0:
@@ -225,18 +257,20 @@ func (h *Hierarchy) Load(addr uint64) AccessResult {
 // RunHits counts the demand loads of one batched run by the level that
 // satisfied each of them. It is the whole result a caller needs to account a
 // run: per-load latency is a function of the hit level alone, so the CPU
-// converts the four counts into stall cycles without ever seeing individual
-// loads.
+// converts the counts into stall cycles without ever seeing individual loads.
 type RunHits struct {
 	L1, L2, L3, Mem int
+	// Lower counts the loads of a staged hierarchy that missed L1 and were
+	// handed to the levels below, whose verdict the next Drain returns.
+	Lower int
 }
 
 // Total returns the number of demand loads in the run.
-func (r RunHits) Total() int { return r.L1 + r.L2 + r.L3 + r.Mem }
+func (r RunHits) Total() int { return r.L1 + r.L2 + r.L3 + r.Mem + r.Lower }
 
 // Plus returns the level-wise sum of two runs' counts.
 func (r RunHits) Plus(o RunHits) RunHits {
-	return RunHits{L1: r.L1 + o.L1, L2: r.L2 + o.L2, L3: r.L3 + o.L3, Mem: r.Mem + o.Mem}
+	return RunHits{L1: r.L1 + o.L1, L2: r.L2 + o.L2, L3: r.L3 + o.L3, Mem: r.Mem + o.Mem, Lower: r.Lower + o.Lower}
 }
 
 // loadLines is the one lookup-and-fill path: it demand-loads lines (ids + 1,
@@ -249,33 +283,53 @@ func (r RunHits) Plus(o RunHits) RunHits {
 // contents and recency are a function of its own op stream in order — and
 // that stream is the in-order misses of the level above (plus, from L2 down,
 // the streamer's requests, which are a function of the L1 misses alone). So
-// the chunk goes through L1, its misses through the streamer, the resulting
-// op stream through L2 and what L2 lets through through L3, each as one loop
-// over one level's arrays (Level.run); the lines that reach memory visit the
-// storage tier last, still in order. A repeat finds its line at the head of
-// its L1 set, so it moves nothing and is only counted. So does a demand miss
-// whose line its L2 set will hold at MRU when L2 reaches it (l2mru): it is
-// counted as an L2 hit and never enters the op stream.
+// the chunk goes through L1 (runL1) and its misses through the levels below
+// (lower.run) — at once, or, on a staged hierarchy, whenever the helper
+// thread gets to them.
 func (h *Hierarchy) loadLines(lines []uint64, reps int) RunHits {
+	rh, miss := h.runL1(lines, reps)
+	switch {
+	case len(miss) == 0:
+	case h.staged:
+		h.push(miss)
+		rh.Lower = len(miss)
+	default:
+		rh = rh.Plus(h.lo.run(miss))
+	}
+	return rh
+}
+
+// runL1 runs lines and reps repeats through L1 and returns the L1 hits and,
+// compacted into lines, the misses. A repeat finds its line at the head of
+// its L1 set, so it moves nothing and is only counted.
+func (h *Hierarchy) runL1(lines []uint64, reps int) (RunHits, []uint64) {
 	l1 := h.l1
 	miss := l1.run(lines, false)
 	l1.stats.Accesses += uint64(reps)
 	l1.stats.Hits += uint64(reps)
-	rh := RunHits{L1: len(lines) - len(miss) + reps}
-	if len(miss) == 0 {
-		return rh
-	}
-	l2Hits, l3Hits, l3Misses := h.l2.stats.Hits, h.l3.stats.Hits, h.l3.stats.Misses
-	prefetch, mru, mask := !h.cfg.PrefetchDisabled, h.l2mru, h.l2.setMask
-	ops, mruHits := h.ops[:0], uint64(0)
+	return RunHits{L1: len(lines) - len(miss) + reps}, miss
+}
+
+// run loads a piece of the L1 miss stream (line ids + 1, at most chunkLines) and
+// returns how many of the loads L2, L3 and memory served. Each miss goes
+// through the streamer, the resulting op stream through L2 and what L2 lets
+// through through L3, each as one loop over one level's arrays (Level.run);
+// the lines that reach memory visit the storage tier last, still in order.
+// A demand miss whose line its L2 set will hold at MRU when L2 reaches it
+// (l2mru) is counted as an L2 hit and never enters the op stream. Any
+// in-order split of the miss stream gives the same state.
+func (lo *lower) run(miss []uint64) RunHits {
+	l2Hits, l3Hits, l3Misses := lo.l2.stats.Hits, lo.l3.stats.Hits, lo.l3.stats.Misses
+	prefetch, mru, mask := lo.prefetch, lo.l2mru, lo.l2.setMask
+	ops, mruHits := lo.ops[:0], uint64(0)
 	for _, ln := range miss {
 		if prefetch {
-			from, n := h.pf.observe(ln - 1)
+			from, n := lo.pf.observe(ln - 1)
 			// Each prefetch request occupies an L3 access slot whether or not
 			// the line is already present somewhere.
-			h.l3PrefetchAccesses += uint64(n)
+			lo.l3PrefetchAccesses += uint64(n)
 			if len(ops)+n >= cap(ops) {
-				h.lower(ops)
+				lo.apply(ops)
 				ops = ops[:0]
 			}
 			for k := 1; k <= n; k++ {
@@ -291,23 +345,24 @@ func (h *Hierarchy) loadLines(lines []uint64, reps int) RunHits {
 		mru[ln&mask] = ln
 		ops = append(ops, ln)
 	}
-	h.lower(ops)
-	h.l2.stats.Accesses += mruHits
-	h.l2.stats.Hits += mruHits
-	rh.L2 = int(h.l2.stats.Hits - l2Hits)
-	rh.L3 = int(h.l3.stats.Hits - l3Hits)
-	rh.Mem = int(h.l3.stats.Misses - l3Misses)
-	return rh
+	lo.apply(ops)
+	lo.l2.stats.Accesses += mruHits
+	lo.l2.stats.Hits += mruHits
+	return RunHits{
+		L2:  int(lo.l2.stats.Hits - l2Hits),
+		L3:  int(lo.l3.stats.Hits - l3Hits),
+		Mem: int(lo.l3.stats.Misses - l3Misses),
+	}
 }
 
-// lower runs a piece of the op stream below L1 (consumed) through L2, L3 and
+// apply runs a piece of the op stream below L1 (consumed) through L2, L3 and
 // the storage tier. Any in-order split of the stream gives the same state.
-func (h *Hierarchy) lower(ops []uint64) {
-	ops = h.l3.run(h.l2.run(ops, false), true)
-	h.memAccesses += uint64(len(ops))
-	if h.st != nil {
+func (lo *lower) apply(ops []uint64) {
+	ops = lo.l3.run(lo.l2.run(ops, false), true)
+	lo.memAccesses += uint64(len(ops))
+	if lo.st != nil {
 		for _, op := range ops {
-			h.st.Touch((op&^prefetchOp - 1) << h.lineShift)
+			lo.st.Touch((op&^prefetchOp - 1) << lo.lineShift)
 		}
 	}
 }
@@ -397,26 +452,33 @@ func (h *Hierarchy) LoadStream(addrs []uint64) RunHits {
 
 // Counters returns a snapshot of all event counts.
 func (h *Hierarchy) Counters() Counters {
+	h.wait()
+	lo := &h.lo
 	return Counters{
 		L1:                 h.l1.Stats(),
-		L2:                 h.l2.Stats(),
-		L3:                 h.l3.Stats(),
-		L3PrefetchAccesses: h.l3PrefetchAccesses,
-		MemAccesses:        h.memAccesses,
+		L2:                 lo.l2.Stats(),
+		L3:                 lo.l3.Stats(),
+		L3PrefetchAccesses: lo.l3PrefetchAccesses,
+		MemAccesses:        lo.memAccesses,
 	}
 }
 
 // Flush empties all levels and prefetcher streams; counters are preserved.
 func (h *Hierarchy) Flush() {
+	h.wait()
 	h.l1.Flush()
-	h.l2.Flush()
-	h.l3.Flush()
-	h.pf.Reset()
+	h.lo.l2.Flush()
+	h.lo.l3.Flush()
+	h.lo.pf.Reset()
 	h.memoLines = [memoEntries]uint64{}
-	clear(h.l2mru)
+	clear(h.lo.l2mru)
 }
 
 // AttachStorage installs (or, with nil, removes) a storage tier below DRAM.
 // The tier observes every access that reaches memory and charges block-fetch
-// stalls; it has no effect on cache contents or counters.
-func (h *Hierarchy) AttachStorage(st *StorageSet) { h.st = st }
+// stalls; it has no effect on cache contents or counters. A staged hierarchy
+// is unstaged first: the tier's observer may read the core's clock.
+func (h *Hierarchy) AttachStorage(st *StorageSet) {
+	h.Unstage()
+	h.lo.st = st
+}

@@ -46,7 +46,7 @@ type hierState struct {
 }
 
 func (h *Hierarchy) state() hierState {
-	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf, h.st}
+	return hierState{h.Counters(), [3]*Level{h.l1, h.lo.l2, h.lo.l3}, h.lo.pf, h.lo.st}
 }
 
 // sameLevel requires two levels to hold the same lines in the same ways and

@@ -130,7 +130,9 @@ func MustNew(prof Profile) *CPU {
 // Profile returns the CPU's profile.
 func (c *CPU) Profile() Profile { return c.prof }
 
-// Hierarchy exposes the cache hierarchy (read-only use intended).
+// Hierarchy exposes the cache hierarchy: for reading, and for the executor
+// to stage it (cache.Hierarchy.Stage), which leaves every simulated
+// observable of the core as it is.
 func (c *CPU) Hierarchy() *cache.Hierarchy { return c.mem }
 
 // Alloc reserves size bytes of the synthetic address space, aligned to 4 KB
@@ -170,13 +172,24 @@ func (c *CPU) Load(addr uint64) cache.AccessResult {
 // addRunHits accounts one batched run: every load retires one instruction
 // and pays the per-level stall of wherever it hit, exactly as the same loads
 // would through Load.
+//
+// On a staged hierarchy the run's L1 misses are still on their way down
+// (RunHits.Lower): their instructions retire now, their stall when settle
+// drains them. The published clock leaves that stall out, which keeps it a
+// lower bound on every later reading.
 func (c *CPU) addRunHits(rh cache.RunHits) {
 	c.instructions += uint64(rh.Total())
 	c.stallQuarters += c.runStall(rh)
 	if c.progress != nil {
-		c.progress.Store(c.progressBase + c.Cycles())
+		c.progress.Store(c.progressBase + c.SettledCycles())
 	}
 }
+
+// settle charges the stall of every load a staged hierarchy has handed below
+// L1 since the last settle. runStall is linear in the level counts, so
+// charging a run's stall in pieces, later, gives the same total; every read
+// of the clock or the PMU settles first.
+func (c *CPU) settle() { c.stallQuarters += c.runStall(c.mem.Drain()) }
 
 // runStall converts a run's per-level hit counts into stall quarter-cycles.
 func (c *CPU) runStall(rh cache.RunHits) uint64 {
@@ -421,7 +434,15 @@ func (c *CPU) Cold() {
 // stall debt is read out-of-band (cache.StorageSet.Counters) and added to a
 // run's Cycles by core.Run, which owns the query's views, so attaching a tier
 // perturbs neither scheduling decisions nor any simulated observable.
-func (c *CPU) Cycles() uint64 { return c.cyclesAt(c.instructions, c.stallQuarters) }
+func (c *CPU) Cycles() uint64 {
+	c.settle()
+	return c.SettledCycles()
+}
+
+// SettledCycles is Cycles without the stall of the loads a staged hierarchy
+// has handed below L1 and not yet simulated: a lower bound on Cycles, equal
+// to it once they are settled. It waits for nothing.
+func (c *CPU) SettledCycles() uint64 { return c.cyclesAt(c.instructions, c.stallQuarters) }
 
 // cyclesAt is the cycle clock at the given retired-instruction and
 // stall-quarter totals: whole cycles since the epoch Cold opened, on top of

@@ -59,8 +59,9 @@ func groupedQueryOn(t *testing.T, tables int, key string) (*tpch.Dataset, *Query
 }
 
 // runGroupBy is a grouped aggregation on the whole pool from zero clocks — the
-// three calls the query driver (core.Run) makes, with the merge on core 0.
-// Cycles is the makespan: the scan's, extended by the merge barrier.
+// three calls the query driver (core.Run) makes, with the merge barrier on
+// every core. Cycles is the makespan: the scan's, extended by the barrier's,
+// the largest core's merge cycles.
 func (r *BlockRun) runGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	if err := r.BeginGroups(gs); err != nil {
 		return GroupResult{}, err
@@ -70,13 +71,20 @@ func (r *BlockRun) runGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	if err != nil {
 		return GroupResult{}, err
 	}
-	c := r.p.workers[0].CPU()
-	s0, c0 := c.Sample(), c.Cycles()
-	out := GroupResult{Groups: r.FinalizeGroups(0)}
-	out.Qualifying, out.Vectors = br.Qualifying, br.Vectors
-	out.Cycles = br.MaxCycles + c.Cycles() - c0
-	out.Millis = c.MillisOf(out.Cycles)
-	out.Counters = br.Counters.Add(c.Sample().Sub(s0))
+	start := make([]pmu.Sample, len(cores))
+	for i, w := range cores {
+		start[i] = r.p.workers[w].CPU().Sample()
+	}
+	out := GroupResult{Groups: r.FinalizeGroups(cores)}
+	out.Qualifying, out.Vectors, out.Counters = br.Qualifying, br.Vectors, br.Counters
+	var merge uint64
+	for i, w := range cores {
+		d := r.p.workers[w].CPU().Sample().Sub(start[i])
+		out.Counters = out.Counters.Add(d)
+		merge = max(merge, d.Get(pmu.Cycles))
+	}
+	out.Cycles = br.MaxCycles + merge
+	out.Millis = r.p.workers[0].CPU().MillisOf(out.Cycles)
 	return out, nil
 }
 

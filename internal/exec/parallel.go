@@ -109,6 +109,8 @@ type BlockRun struct {
 	// merged group rows and, per key, which pool cores' partial tables hold it.
 	groups   []*GroupBy
 	groupAcc groupTable
+	// barrier is the merge barrier's job (FinalizeGroups).
+	barrier mergeBarrier
 	// failed is the lowest-numbered failed morsel, once the reduction has
 	// reached it (its ring slot is not reused: a failure stops assignment).
 	failed *morsel
@@ -837,19 +839,66 @@ func (r *BlockRun) BeginGroups(gs []*GroupBy) error {
 }
 
 // FinalizeGroups is the merge barrier of a grouped aggregation whose scan is
-// complete, and returns its output rows: pool core coord, every other core
-// waiting for it, folds every other core's partial slots into its own table,
-// core by ascending id and key by ascending key — the standard shared-nothing
-// parallel aggregation plan. A fold is one read of the remote slot, one
-// read-modify-write of coord's own and groupMergeCostInstr of arithmetic. The
-// loads are gathered and simulated a chunk at a time — LoadAddrs is defined
-// as its per-element Load sequence, and instruction and stall totals are
-// sums, so where in a chunk the arithmetic retires changes nothing a clock or
-// a counter can show.
-func (r *BlockRun) FinalizeGroups(coord int) []Group {
+// complete, and returns its output rows. It is partitioned across the given
+// cores — the last step's subset, ascending ids — as morsel-driven engines
+// merge by partition: the key-ordered slots split into len(cores) contiguous
+// ranges of equal key count, and owner cores[i] folds every other pool core's
+// partial slots of range i into its own table, core by ascending id and key by
+// ascending key. A fold is one read of the remote slot, one read-modify-write
+// of the owner's own and groupMergeCostInstr of arithmetic. The loads are
+// gathered and simulated a chunk at a time — LoadAddrs is defined as its
+// per-element Load sequence, and instruction and stall totals are sums, so
+// where in a chunk the arithmetic retires changes nothing a clock or a counter
+// can show. A one-core subset owns every key: the one-core merge.
+//
+// Each owner touches only its own simulated core and emits its group-merge
+// span on that core's track, so the owners run as one host job on the caller
+// and whichever pooled helpers are free, and nothing simulated depends on
+// which host thread ran which owner. The barrier's makespan is the largest
+// owner's cycles; the caller reads it, and every owner's PMU delta, off the
+// cores.
+func (r *BlockRun) FinalizeGroups(cores []int) []Group {
+	b := &r.barrier
+	b.cores, b.refs = cores, r.groupAcc.sorted()
+	b.next.Store(0)
+	if width := min(runtime.GOMAXPROCS(0), len(cores)); width > 1 {
+		if b.job.work == nil {
+			b.job.work = r.mergeOwners
+		}
+		r.p.runJob(&b.job, width-1)
+	} else {
+		r.mergeOwners()
+	}
+	out := r.groupAcc.groups(b.refs)
+	b.cores, b.refs = nil, nil
+	return out
+}
+
+// mergeBarrier is FinalizeGroups' host job, reused by every barrier of the
+// BlockRun the way segmentJob is: the owners, the key-ordered slots they
+// split, and the index of the next owner to claim.
+type mergeBarrier struct {
+	job   hostJob
+	cores []int
+	refs  []groupRef
+	next  atomic.Int64
+}
+
+// mergeOwners claims owners by index until none are left and runs each one's
+// merge.
+func (r *BlockRun) mergeOwners() {
+	b := &r.barrier
+	n, k := len(b.refs), len(b.cores)
+	for i := int(b.next.Add(1)) - 1; i < k; i = int(b.next.Add(1)) - 1 {
+		r.mergeRange(b.cores[i], b.refs[i*n/k:(i+1)*n/k])
+	}
+}
+
+// mergeRange is owner's share of the barrier: it folds every other pool
+// core's partial slots of the keys in refs into owner's table.
+func (r *BlockRun) mergeRange(owner int, refs []groupRef) {
 	acc, gs := &r.groupAcc, r.groups
-	refs := acc.sorted()
-	eng := r.p.workers[coord]
+	eng := r.p.workers[owner]
 	c := eng.CPU()
 	mergeStart := c.Cycles()
 	addrs := c.AddrBuf(2 * groupMergeChunk)
@@ -859,14 +908,14 @@ func (r *BlockRun) FinalizeGroups(coord int) []Group {
 		addrs = addrs[:0]
 	}
 	for w := range gs {
-		if w == coord {
+		if w == owner {
 			continue
 		}
 		for _, ref := range refs {
 			if !acc.has(ref, w) {
 				continue
 			}
-			addrs = append(addrs, gs[w].slotAddr(ref.key), gs[coord].slotAddr(ref.key))
+			addrs = append(addrs, gs[w].slotAddr(ref.key), gs[owner].slotAddr(ref.key))
 			if len(addrs) == 2*groupMergeChunk {
 				flush()
 			}
@@ -876,7 +925,6 @@ func (r *BlockRun) FinalizeGroups(coord int) []Group {
 	if tr := eng.tr; tr != nil && c.Cycles() > mergeStart {
 		tr.Span("group-merge", mergeStart, c.Cycles(), trace.Int("workers", len(gs)))
 	}
-	return acc.groups(refs)
 }
 
 // Run executes the whole table morsel-driven under the query's fixed

@@ -280,6 +280,33 @@ func TestFig16EnumeratorDwarfsPMU(t *testing.T) {
 	}
 }
 
+// TestExtGroupByScales: the grouped aggregation scales with the cores it runs
+// on, its merge barrier included — each core merges its own range of the keys,
+// so the barrier shrinks with the scan. The speedup rises strictly from 2 to 4
+// to 8 workers and reaches 6 at 8.
+func TestExtGroupByScales(t *testing.T) {
+	reps, err := ExtGroupBy(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reps[0]
+	wc, sc := colIndex(t, r, "workers"), colIndex(t, r, "speedup")
+	prev := 1.0
+	for i := range r.Rows {
+		workers, speedup := cell(t, r, i, wc), cell(t, r, i, sc)
+		if workers > 1 && speedup <= prev {
+			t.Errorf("%v workers: speedup %v, not above %v", workers, speedup, prev)
+		}
+		prev = speedup
+		if workers == 8 && speedup < 6 {
+			t.Errorf("8 workers: speedup %v, want at least 6", speedup)
+		}
+	}
+	if last := cell(t, r, len(r.Rows)-1, wc); last != 8 {
+		t.Fatalf("last row has %v workers, want 8", last)
+	}
+}
+
 // TestExtEnumIsSerial: every ext-enum column runs on one core, so the quick
 // rows at Workers 4 are those at Workers 1 — the enumerated optimizer's core-0
 // run is compared with a baseline and a PMU run on that one core too.

@@ -12,10 +12,10 @@ import (
 // ExtGroupBy measures morsel-driven grouped aggregation: a filtered
 // SELECT l_quantity, SUM(l_extendedprice), COUNT(*) GROUP BY l_quantity,
 // executed serially and on 2/4/8 simulated cores with per-core partial hash
-// tables merged at the barrier. Reported times are makespans; groups (keys,
-// float sums, counts) are verified bit-identical across worker counts — the
-// value reduction runs in global row order regardless of which core drew
-// which morsel.
+// tables merged at the barrier, every core merging its own range of the keys.
+// Reported times are makespans; groups (keys, float sums, counts) are verified
+// bit-identical across worker counts — the value reduction runs in global row
+// order regardless of which core drew which morsel.
 func ExtGroupBy(cfg Config) ([]*Report, error) {
 	cfg = cfg.withDefaults()
 	rows := 128 * cfg.VectorSize
@@ -29,7 +29,7 @@ func ExtGroupBy(cfg Config) ([]*Report, error) {
 		Columns: []string{"workers", "group_ms", "speedup", "groups", "qualifying"},
 		Notes: []string{
 			fmt.Sprintf("%d lineitems; filter 60%% shipdate + discount>=0.04, group by l_quantity", rows),
-			"makespan of the slowest core incl. the core-0 merge of all partial tables",
+			"makespan of the slowest core incl. the merge barrier, each core merging one key range of every partial table",
 			"groups verified bit-identical (float sums included) across worker counts",
 		},
 	}

@@ -610,6 +610,44 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 	if st := s.Stats(); st.PeakActive != 3 {
 		t.Errorf("peak active %d, want 3 (the grouped queries shared the pool)", st.PeakActive)
 	}
+
+	// Two grouped queries at once: each runs every quantum, its last one and
+	// the merge barrier included, on a two-core subset, where both cores merge
+	// a half of the keys. Each is the driver stepped on that subset.
+	if s, err = New(cpu.ScaledXeon(), workers, vs, Config{MaxActive: 2, QuantumVectors: 3}); err != nil {
+		t.Fatal(err)
+	}
+	tks = tks[:0]
+	for range 2 {
+		tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
+	}
+	for i, cores := range [][]int{{0, 1}, {2, 3}} {
+		got, err := tks[i].Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := driver(t, workers, vs)
+		if err := ref.Begin(core.Spec{Query: q, Groups: groups, Quantum: 3}); err != nil {
+			t.Fatal(err)
+		}
+		clocks := make([]uint64, len(cores))
+		for done := false; !done; {
+			if done, err = ref.Step(cores, clocks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.Result != ref.Result || !reflect.DeepEqual(got.Groups, ref.Groups) || got.Done-got.Start != ref.Cycles {
+			t.Errorf("grouped query on cores %v diverges from the driver stepped there:\n got %+v, span %d\nwant %+v",
+				cores, got.Result, got.Done-got.Start, ref.Result)
+		}
+		if !reflect.DeepEqual(got.Groups, want.Groups) {
+			t.Errorf("grouped query on cores %v changed its answer", cores)
+		}
+	}
 }
 
 // TestServedOrderedMatchesDriver: an ordered (Top-K) query through

@@ -117,9 +117,11 @@ const groupbyGoldenPath = "testdata/groupby_golden.json"
 
 // groupbyGoldenRow pins one grouped run: the output rows (as a hash of every
 // key, count and sum bit pattern in output order), the makespan with its
-// merge barrier, and the full merged PMU delta. The file was captured while
-// the reducer kept one presence table per core and the barrier issued scalar
-// loads; it is the record of what that code simulated.
+// merge barrier, and the full merged PMU delta. The Workers 1 rows were
+// captured while the reducer kept one presence table per core and the barrier
+// issued scalar loads, and are the record of what that code simulated; the
+// other rows were regenerated when the barrier was partitioned across the
+// cores.
 type groupbyGoldenRow struct {
 	Config     string
 	Qualifying int64

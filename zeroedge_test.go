@@ -47,7 +47,9 @@ func zeroEdgePlans(d *Dataset) []zeroEdgePlan {
 // edge-less compiler (the second compile path, deleted in PR 22) produced:
 // operator names, Explain text, fingerprint and the whole ExecResult in every
 // mode at Workers 1 and 4. The golden file was captured at the parent of the
-// commit that routed every plan through compileGraph.
+// commit that routed every plan through compileGraph; the grouped plan's
+// Workers 4 cycles and counters were regenerated when the merge barrier was
+// partitioned across the cores.
 func TestZeroEdgePlanIsTheOldPath(t *testing.T) {
 	const path = "testdata/zero_edge_golden.json"
 	var got []zeroEdgeCase

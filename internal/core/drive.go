@@ -150,10 +150,10 @@ type Run struct {
 	engines []*exec.Engine
 	all     []int
 	zero    []uint64
-	// subset and start are a step's engines and their PMUs before the
-	// stepper's coordination or the merge barrier (snapshot).
-	subset []*exec.Engine
-	start  []pmu.Sample
+	// subset and coordStart are a block's engines and their PMUs before the
+	// stepper's coordination.
+	subset     []*exec.Engine
+	coordStart []pmu.Sample
 
 	spec  Spec
 	step  *BlockStepper   // nil in fixed order
@@ -415,13 +415,23 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	if instrument {
 		exact = r.exactSels(cores)
 	}
-	subset := r.snapshot(cores)
+	if cap(r.subset) < len(cores) {
+		r.subset = make([]*exec.Engine, len(cores))
+		r.coordStart = make([]pmu.Sample, len(cores))
+	}
+	subset, coordStart := r.subset[:len(cores)], r.coordStart[:len(cores)]
+	for i, w := range cores {
+		subset[i] = r.engines[w]
+		coordStart[i] = subset[i].CPU().Sample()
+	}
 	busy, err := r.coordinate(br, tuples, exact, optPoint, validate, subset)
 	if err != nil {
 		return false, err
 	}
 	r.Counters = r.Counters.Add(br.Counters)
-	r.since(subset)
+	for i, e := range subset {
+		r.Counters = r.Counters.Add(e.CPU().Sample().Sub(coordStart[i]))
+	}
 	r.cursor = v1
 	if last && r.sorts != nil {
 		merge := r.merge(cores)
@@ -452,33 +462,6 @@ func fill(clocks []uint64, t uint64) {
 	}
 }
 
-// snapshot returns the engines of a subset and records their PMUs, for since.
-// Both stay valid until the next snapshot.
-func (r *Run) snapshot(cores []int) []*exec.Engine {
-	if cap(r.subset) < len(cores) {
-		r.subset = make([]*exec.Engine, len(cores))
-		r.start = make([]pmu.Sample, len(cores))
-	}
-	subset := r.subset[:len(cores)]
-	for i, w := range cores {
-		subset[i] = r.engines[w]
-		r.start[i] = subset[i].CPU().Sample()
-	}
-	return subset
-}
-
-// since adds what every core of the snapshot's subset counted since the
-// snapshot to the query's counters, and returns the largest core's cycles.
-func (r *Run) since(subset []*exec.Engine) uint64 {
-	var span uint64
-	for i, e := range subset {
-		d := e.CPU().Sample().Sub(r.start[i])
-		r.Counters = r.Counters.Add(d)
-		span = max(span, d.Get(pmu.Cycles))
-	}
-	return span
-}
-
 // merge runs the barrier of a completed ordered or grouped query on its
 // cores, which wait at the barrier for the slowest of them: the partial sort
 // states merge on the first core, the group tables on every core, each owning
@@ -486,16 +469,17 @@ func (r *Run) since(subset []*exec.Engine) uint64 {
 // makespan, the largest core's merge cycles; every core's PMU delta joins the
 // query's counters.
 func (r *Run) merge(cores []int) uint64 {
-	if r.sorts != nil {
-		cores = cores[:1]
+	if r.sorts == nil {
+		var br exec.BlockResult
+		r.Groups, br = r.brun.FinalizeGroups(cores)
+		r.Counters = r.Counters.Add(br.Counters)
+		return br.MaxCycles
 	}
-	subset := r.snapshot(cores)
-	if r.sorts != nil {
-		r.Sorted = exec.FinalizeSort(subset[0].CPU(), cores[0], r.sorts)
-	} else {
-		r.Groups = r.brun.FinalizeGroups(cores)
-	}
-	return r.since(subset)
+	c := r.engines[cores[0]].CPU()
+	s0, c0 := c.Sample(), c.Cycles()
+	r.Sorted = exec.FinalizeSort(c, cores[0], r.sorts)
+	r.Counters = r.Counters.Add(c.Sample().Sub(s0))
+	return c.Cycles() - c0
 }
 
 // RunAdaptive drives q in ModeProgressive — ModeMicroAdaptive with micro set —

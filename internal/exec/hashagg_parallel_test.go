@@ -71,19 +71,11 @@ func (r *BlockRun) runGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	if err != nil {
 		return GroupResult{}, err
 	}
-	start := make([]pmu.Sample, len(cores))
-	for i, w := range cores {
-		start[i] = r.p.workers[w].CPU().Sample()
-	}
-	out := GroupResult{Groups: r.FinalizeGroups(cores)}
-	out.Qualifying, out.Vectors, out.Counters = br.Qualifying, br.Vectors, br.Counters
-	var merge uint64
-	for i, w := range cores {
-		d := r.p.workers[w].CPU().Sample().Sub(start[i])
-		out.Counters = out.Counters.Add(d)
-		merge = max(merge, d.Get(pmu.Cycles))
-	}
-	out.Cycles = br.MaxCycles + merge
+	groups, merge := r.FinalizeGroups(cores)
+	out := GroupResult{Groups: groups}
+	out.Qualifying, out.Vectors = br.Qualifying, br.Vectors
+	out.Cycles = br.MaxCycles + merge.MaxCycles
+	out.Counters = br.Counters.Add(merge.Counters)
 	out.Millis = r.p.workers[0].CPU().MillisOf(out.Cycles)
 	return out, nil
 }

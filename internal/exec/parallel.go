@@ -109,8 +109,14 @@ type BlockRun struct {
 	// merged group rows and, per key, which pool cores' partial tables hold it.
 	groups   []*GroupBy
 	groupAcc groupTable
-	// barrier is the merge barrier's job (FinalizeGroups).
-	barrier mergeBarrier
+	// barrier is the merge barrier in progress (FinalizeGroups): while on,
+	// the job's workers claim owners — the cores — by index instead of
+	// morsels, and split refs, the key-ordered slots, among them.
+	barrier struct {
+		on   bool
+		refs []groupRef
+		next atomic.Int64
+	}
 	// failed is the lowest-numbered failed morsel, once the reduction has
 	// reached it (its ring slot is not reused: a failure stops assignment).
 	failed *morsel
@@ -579,8 +585,13 @@ func (e *Engine) help() { e.cpu.Hierarchy().ServeStage() }
 
 // work is the loop every host worker of a block runs — the driver always,
 // helpers while they have nothing else to do: take a certified morsel, run
-// it on its simulated core, hand the core back.
+// it on its simulated core, hand the core back. At a merge barrier it runs
+// owners' merges instead.
 func (r *BlockRun) work() {
+	if r.barrier.on {
+		r.mergeOwners()
+		return
+	}
 	for m := r.acquire(); m != nil; m = r.acquire() {
 		r.execute(m)
 		r.complete(m)
@@ -851,46 +862,46 @@ func (r *BlockRun) BeginGroups(gs []*GroupBy) error {
 // where in a chunk the arithmetic retires changes nothing a clock or a counter
 // can show. A one-core subset owns every key: the one-core merge.
 //
+// The BlockResult reports the barrier as RunBlockSubset reports a block:
+// WorkerCycles[i] is owner cores[i]'s merge, MaxCycles the largest — the
+// barrier's makespan, since every core waits for the slowest — and Counters
+// the owners' merged PMU deltas.
+//
 // Each owner touches only its own simulated core and emits its group-merge
-// span on that core's track, so the owners run as one host job on the caller
-// and whichever pooled helpers are free, and nothing simulated depends on
-// which host thread ran which owner. The barrier's makespan is the largest
-// owner's cycles; the caller reads it, and every owner's PMU delta, off the
-// cores.
-func (r *BlockRun) FinalizeGroups(cores []int) []Group {
+// span on that core's track, so the owners run as the BlockRun's host job, on
+// the caller and whichever pooled helpers are free, and nothing simulated
+// depends on which host thread ran which owner.
+func (r *BlockRun) FinalizeGroups(cores []int) ([]Group, BlockResult) {
+	start := r.begin(cores)
 	b := &r.barrier
-	b.cores, b.refs = cores, r.groupAcc.sorted()
+	r.cores, b.refs, b.on = cores, r.groupAcc.sorted(), true
 	b.next.Store(0)
 	if width := min(runtime.GOMAXPROCS(0), len(cores)); width > 1 {
-		if b.job.work == nil {
-			b.job.work = r.mergeOwners
+		if r.job.work == nil {
+			r.job.work = r.work
 		}
-		r.p.runJob(&b.job, width-1)
+		r.p.runJob(&r.job, width-1)
 	} else {
 		r.mergeOwners()
 	}
-	out := r.groupAcc.groups(b.refs)
-	b.cores, b.refs = nil, nil
-	return out
-}
-
-// mergeBarrier is FinalizeGroups' host job, reused by every barrier of the
-// BlockRun the way segmentJob is: the owners, the key-ordered slots they
-// split, and the index of the next owner to claim.
-type mergeBarrier struct {
-	job   hostJob
-	cores []int
-	refs  []groupRef
-	next  atomic.Int64
+	b.on = false
+	out := BlockResult{WorkerCycles: r.busyScratch}
+	for i, w := range cores {
+		d := r.p.workers[w].CPU().Sample().Sub(start[i])
+		out.WorkerCycles[i] = d.Get(pmu.Cycles)
+		out.MaxCycles = max(out.MaxCycles, out.WorkerCycles[i])
+		out.Counters = out.Counters.Add(d)
+	}
+	return r.groupAcc.groups(b.refs), out
 }
 
 // mergeOwners claims owners by index until none are left and runs each one's
-// merge.
+// share of the merge barrier.
 func (r *BlockRun) mergeOwners() {
 	b := &r.barrier
-	n, k := len(b.refs), len(b.cores)
+	n, k := len(b.refs), len(r.cores)
 	for i := int(b.next.Add(1)) - 1; i < k; i = int(b.next.Add(1)) - 1 {
-		r.mergeRange(b.cores[i], b.refs[i*n/k:(i+1)*n/k])
+		r.mergeRange(r.cores[i], b.refs[i*n/k:(i+1)*n/k])
 	}
 }
 

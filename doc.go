@@ -40,7 +40,8 @@
 // bound, and edge against the data set. Exec drives every execution shape:
 // ModeFixed, ModeProgressive, and ModeMicroAdaptive all honor Config.Workers (morsel-driven multi-core
 // scans with makespan cycle counts and merged PMU counters), grouped plans
-// aggregate with per-core partial hash tables merged at the barrier, and
+// aggregate with per-core partial hash tables merged at the barrier by every
+// core, each merging its own contiguous range of the keys, and
 // ordered plans collect into per-core bounded heaps (Limit) or sorted runs
 // (full sort) merged by the coordinator at the barrier, emitting
 // ExecResult.Rows — each row carrying its sort-key values and the per-row

@@ -268,9 +268,10 @@ func (r *Run) Drive() error {
 //     morsels per core, the stepper coordinates on the subset's first core,
 //     and every clock moves to the barrier plus the block's makespan plus
 //     what the coordination charged;
-//   - the last step of an ordered or a grouped query: the subset barriers,
-//     its first core merges the partial sort states or group tables, and every
-//     clock moves to the merge's end;
+//   - the last step of an ordered or a grouped query: the subset barriers at
+//     its latest clock; its first core merges the partial sort states, or
+//     every core merges one key range of the group tables, and every clock
+//     moves to the barrier plus the slowest core's merge;
 //   - the last step of a stored scan adds the largest view's stall cycles to
 //     Cycles; the tier observes, so it moves no clock.
 //

@@ -101,8 +101,8 @@ func sameAnswer(t *testing.T, what string, got, want *Run) {
 // the answer must match (a), whatever the schedule cost. The grouped shape
 // goes through (b) and (c) like the others: its accumulator is the run's, so
 // it is cut into quanta and moved between subsets, and the merge runs on
-// whichever core the last subset starts with. At one worker an adaptive step
-// is a vector.
+// every core of the last subset. At one worker an adaptive step is a
+// vector.
 func TestStepMatchesDrive(t *testing.T) {
 	const rows, vs = 64*512 - 100, 512
 	cases := driveCases(t, rows, vs)

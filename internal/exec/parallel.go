@@ -255,7 +255,8 @@ func (p *Parallel) BindQuery(q *Query) error {
 }
 
 // hostJob is work that its driver runs together with whichever pooled
-// helpers are free: a block's morsel loop or a segment fan-out. Helpers join
+// helpers are free: a block's morsel loop, a merge barrier's owners or a
+// segment fan-out. Helpers join
 // while the job is open and the driver waits for the last of them to leave.
 type hostJob struct {
 	// work takes items off the job until none are left; the driver and every

@@ -104,18 +104,9 @@ func (b *Bounds) restrict(p int, tupsIn, tupsOut, bntSampled float64) error {
 	return nil
 }
 
-// ProductBounds converts the BNT access bounds into bounds on cumulative
+// productBounds converts the BNT access bounds into bounds on cumulative
 // selectivity products x_i = accesses(i)/tupsIn, the space the estimator's
-// non-linear optimization searches.
-func (b Bounds) ProductBounds() (lo, hi []float64) {
-	p := len(b.UpperBNT)
-	lo = make([]float64, p)
-	hi = make([]float64, p)
-	b.productBounds(lo, hi)
-	return lo, hi
-}
-
-// productBounds is ProductBounds into caller-provided slices of length p.
+// non-linear optimization searches, into caller-provided slices of length p.
 func (b Bounds) productBounds(lo, hi []float64) {
 	for i := range b.UpperBNT {
 		lo[i] = b.LowerBNT[i] / b.TupsIn

@@ -123,10 +123,8 @@ func TestProductBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := b.ProductBounds()
-	if len(lo) != 4 || len(hi) != 4 {
-		t.Fatal("wrong dimensions")
-	}
+	lo, hi := make([]float64, 4), make([]float64, 4)
+	b.productBounds(lo, hi)
 	for i := range lo {
 		if lo[i] < 0 || hi[i] > 1 || lo[i] > hi[i] {
 			t.Errorf("product bounds[%d] = [%v,%v] invalid", i, lo[i], hi[i])

@@ -10,7 +10,7 @@ import (
 // for a predicate's column read; for a foreign-key join the key read, each
 // via hop, the hash-bucket probe, and the pushed build-side filter column if
 // present. The weights are structural — read off the compiled operators, no
-// statistics — and feed RankOrder so the progressive optimizer prices a
+// statistics — and feed rankOrder so the progressive optimizer prices a
 // multi-hop probe at what it actually costs per row instead of treating
 // every operator as one load.
 func LoadWeights(q *exec.Query) []float64 {
@@ -30,21 +30,17 @@ func LoadWeights(q *exec.Query) []float64 {
 	return w
 }
 
-// RankOrder returns the positions sorted by the classic rank criterion
-// ascending: rank_i = w_i / (1 - s_i), an operator's per-row cost divided by
-// the fraction of rows it removes. With uniform weights this is exactly
-// AscendingOrder — the paper's predicate-only rule — so all-predicate plans
-// behave identically; with join operators in the pipeline it keeps a cheap
-// selective predicate ahead of an expensive multi-hop probe that filters
-// only slightly harder, which plain selectivity ordering gets wrong.
+// rankOrder fills order (length len(sels)) with the positions sorted by the
+// classic rank criterion ascending, and returns it: rank_i = w_i / (1 - s_i),
+// an operator's per-row cost divided by the fraction of rows it removes.
+// With uniform weights this is exactly AscendingOrder — the paper's
+// predicate-only rule — so all-predicate plans behave identically; with join
+// operators in the pipeline it keeps a cheap selective predicate ahead of an
+// expensive multi-hop probe that filters only slightly harder, which plain
+// selectivity ordering gets wrong.
 //
 // Exact rank ties break by ascending selectivity, then input position, so
 // the order is deterministic for any input.
-func RankOrder(weights, sels []float64) []int {
-	return rankOrder(make([]int, len(sels)), weights, sels)
-}
-
-// rankOrder is RankOrder into order (length len(sels)).
 func rankOrder(order []int, weights, sels []float64) []int {
 	for i := range order {
 		order[i] = i

@@ -22,8 +22,8 @@ func TestRankOrderUniformWeightsMatchesAscending(t *testing.T) {
 		for i := range w {
 			w[i] = 1
 		}
-		if got, want := RankOrder(w, sels), AscendingOrder(sels); !reflect.DeepEqual(got, want) {
-			t.Errorf("RankOrder(uniform, %v) = %v, want AscendingOrder %v", sels, got, want)
+		if got, want := rankOrder(make([]int, len(sels)), w, sels), AscendingOrder(sels); !reflect.DeepEqual(got, want) {
+			t.Errorf("rankOrder(uniform, %v) = %v, want AscendingOrder %v", sels, got, want)
 		}
 	}
 }
@@ -35,8 +35,8 @@ func TestRankOrderWeighted(t *testing.T) {
 	weights := []float64{1, 3, 3} // predicate, orders probe, part probe
 	sels := []float64{0.58, 0.05, 0.9}
 	// ranks: 1/0.42=2.4, 3/0.95=3.2, 3/0.1=30.
-	if got, want := RankOrder(weights, sels), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("RankOrder = %v, want %v", got, want)
+	if got, want := rankOrder(make([]int, 3), weights, sels), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rankOrder = %v, want %v", got, want)
 	}
 	// Plain selectivity would hoist the expensive probe above the predicate.
 	if asc := AscendingOrder(sels); asc[0] != 1 || asc[1] != 0 {
@@ -48,13 +48,13 @@ func TestRankOrderWeighted(t *testing.T) {
 // must not divide by zero; saturated operators order by selectivity then
 // position, deterministically.
 func TestRankOrderSaturated(t *testing.T) {
-	got := RankOrder([]float64{1, 1, 1}, []float64{1.0, 0.3, 1.0})
+	got := rankOrder(make([]int, 3), []float64{1, 1, 1}, []float64{1.0, 0.3, 1.0})
 	if want := []int{1, 0, 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("RankOrder saturated = %v, want %v", got, want)
+		t.Errorf("rankOrder saturated = %v, want %v", got, want)
 	}
 }
 
-// rankOrderRef is RankOrder as it stood when it sorted through
+// rankOrderRef is rankOrder as it stood when it sorted through
 // sort.SliceStable at every size.
 func rankOrderRef(weights, sels []float64) []int {
 	order := make([]int, len(sels))
@@ -98,8 +98,8 @@ func TestRankOrderMatchesSliceStable(t *testing.T) {
 				sels[i] = math.NaN()
 			}
 		}
-		if got, want := RankOrder(weights, sels), rankOrderRef(weights, sels); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RankOrder(%v, %v) = %v, reference %v", weights, sels, got, want)
+		if got, want := rankOrder(make([]int, n), weights, sels), rankOrderRef(weights, sels); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rankOrder(%v, %v) = %v, reference %v", weights, sels, got, want)
 		}
 	}
 }

@@ -161,9 +161,6 @@ type Rates struct {
 // BTakMP + BNotTakRP, an evident typo for BTakMP + BNotTakMP.)
 func (r Rates) MP() float64 { return r.MPTaken + r.MPNotTaken }
 
-// RP returns the total correct-prediction probability.
-func (r Rates) RP() float64 { return r.RPTaken + r.RPNotTaken }
-
 // Predict evaluates Eq. (5) for a branch that is not taken with probability p
 // (i.e. a selection predicate of selectivity p).
 func (c Chain) Predict(p float64) Rates {

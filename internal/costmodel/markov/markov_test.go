@@ -82,13 +82,15 @@ func TestPredictProbabilitiesSumToOne(t *testing.T) {
 	c := Paper()
 	for p := 0.0; p <= 1.0; p += 0.05 {
 		r := c.Predict(p)
-		if s := r.MP() + r.RP(); math.Abs(s-1) > 1e-9 {
-			t.Errorf("p=%v: MP+RP = %v", p, s)
-		}
+		s := 0.0
 		for _, v := range []float64{r.MPTaken, r.MPNotTaken, r.RPTaken, r.RPNotTaken} {
 			if v < -1e-12 || v > 1 {
 				t.Errorf("p=%v: rate %v outside [0,1]", p, v)
 			}
+			s += v
+		}
+		if math.Abs(s-1) > 1e-9 {
+			t.Errorf("p=%v: rates sum to %v", p, s)
 		}
 	}
 }

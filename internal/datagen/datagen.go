@@ -137,31 +137,3 @@ func ApplyPermFloat64(data []float64, perm []int) []float64 {
 	}
 	return out
 }
-
-// Correlated returns a column correlated with base: each output value is
-// base[i] with probability corr (in [0,1]) and an independent uniform draw
-// from [lo, hi] otherwise. corr=1 duplicates base; corr=0 is independent.
-// Correlated predicates over such pairs violate the independence assumption
-// the paper's §4.5 discusses.
-func Correlated(rng *rand.Rand, base []int64, corr float64, lo, hi int64) []int64 {
-	if corr < 0 || corr > 1 {
-		panic(fmt.Sprintf("datagen: correlation %v outside [0,1]", corr))
-	}
-	out := make([]int64, len(base))
-	span := hi - lo + 1
-	for i, b := range base {
-		if rng.Float64() < corr {
-			v := b
-			if v < lo {
-				v = lo
-			}
-			if v > hi {
-				v = hi
-			}
-			out[i] = v
-		} else {
-			out[i] = lo + rng.Int63n(span)
-		}
-	}
-	return out
-}

@@ -154,37 +154,6 @@ func TestApplyPerm(t *testing.T) {
 	}
 }
 
-func TestCorrelated(t *testing.T) {
-	rng := NewRNG(8)
-	base := UniformInt64(rng, 10000, 0, 100)
-	dup := Correlated(rng, base, 1, 0, 100)
-	for i := range base {
-		if dup[i] != base[i] {
-			t.Fatal("corr=1 must duplicate base")
-		}
-	}
-	ind := Correlated(rng, base, 0, 0, 100)
-	same := 0
-	for i := range base {
-		if ind[i] == base[i] {
-			same++
-		}
-	}
-	// Independent uniform over 101 values matches ~1% of the time.
-	if same > 500 {
-		t.Errorf("corr=0 matched base %d/10000 times", same)
-	}
-}
-
-func TestCorrelatedPanicsOnBadCorr(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("corr=2 did not panic")
-		}
-	}()
-	Correlated(NewRNG(1), []int64{1}, 2, 0, 10)
-}
-
 func TestWindowPermutationSortednessSpectrum(t *testing.T) {
 	// Kendall-tau-ish proxy: count adjacent inversions after permuting an
 	// ascending sequence; must increase with window size.

@@ -222,9 +222,6 @@ func NewSortRun(s *Sort) *SortRun {
 // cap(r.heap) rows — the sift-up of the fill phase visits one per level.
 func (r *SortRun) maxPushTouches() int { return 1 + 2*bits.Len(uint(cap(r.heap))) }
 
-// Sort returns the compiled operator this state belongs to.
-func (r *SortRun) Sort() *Sort { return r.s }
-
 // Add consumes one batch kernel's survivor selection (ascending row ids):
 // host state updates plus the PR 4-protocol simulation — heap touches
 // gathered into one LoadAddrs stream, run-buffer appends as LoadSeq runs.

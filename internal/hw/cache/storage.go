@@ -133,9 +133,6 @@ func NewStorageSet(cfg StorageConfig) *StorageSet {
 // Config returns the pricing configuration.
 func (s *StorageSet) Config() StorageConfig { return s.cfg }
 
-// NumBlocks returns the logical block count.
-func (s *StorageSet) NumBlocks() int { return len(s.costBytes) }
-
 // AddBlock registers a logical block of the given encoded transfer size and
 // returns its id.
 func (s *StorageSet) AddBlock(costBytes uint64) int {

@@ -452,11 +452,6 @@ func (c *CPU) cyclesAt(instructions, stallQuarters uint64) uint64 {
 	return c.epochCycles + (issueQuarters+stallQuarters-c.epochStallQ)/4
 }
 
-// Millis converts Cycles to milliseconds at the profile's clock.
-func (c *CPU) Millis() float64 {
-	return float64(c.Cycles()) / (c.prof.ClockGHz * 1e6)
-}
-
 // MillisOf converts a cycle count to milliseconds at the profile's clock.
 func (c *CPU) MillisOf(cycles uint64) float64 {
 	return float64(cycles) / (c.prof.ClockGHz * 1e6)

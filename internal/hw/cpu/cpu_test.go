@@ -237,8 +237,8 @@ func TestL3AccessCounterComposition(t *testing.T) {
 func TestMillis(t *testing.T) {
 	c := MustNew(ScaledXeon())
 	c.Exec(2_600_000 * 4) // issue width 4 -> 2.6M cycles = 1 ms at 2.6 GHz
-	if got := c.Millis(); got < 0.99 || got > 1.01 {
-		t.Errorf("Millis() = %v, want ~1.0", got)
+	if got := c.MillisOf(c.Cycles()); got < 0.99 || got > 1.01 {
+		t.Errorf("MillisOf(Cycles()) = %v, want ~1.0", got)
 	}
 	if got := c.MillisOf(2_600_000); got < 0.99 || got > 1.01 {
 		t.Errorf("MillisOf = %v, want ~1.0", got)

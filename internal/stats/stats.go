@@ -153,9 +153,6 @@ func BuildCatalog(t *columnar.Table, sampleRows int) (*Catalog, error) {
 	return c, nil
 }
 
-// Histogram returns the histogram for a column, or nil.
-func (c *Catalog) Histogram(name string) *Histogram { return c.hists[name] }
-
 // EstimatePredicate estimates one predicate's selectivity from the catalog
 // (0.5 for unknown columns, the textbook default).
 func (c *Catalog) EstimatePredicate(p *exec.Predicate) float64 {

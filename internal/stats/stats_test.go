@@ -135,7 +135,7 @@ func TestCatalogAndStaticOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.Histogram("l_quantity") == nil {
+	if cat.hists["l_quantity"] == nil {
 		t.Fatal("catalog missing column")
 	}
 	q, err := exec.Q6(d)

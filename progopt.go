@@ -93,7 +93,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	var tr *Trace
 	if cfg.Trace != nil {
-		tr = newTrace(cfg.Trace, workers)
+		tr = newTrace(workers)
 		par.SetTrace(tr.cores)
 	}
 	return &Engine{par: par, stcfg: stcfg, tr: tr, run: core.NewRun(par)}, nil

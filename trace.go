@@ -13,13 +13,9 @@ import (
 // traced run is bit-identical — results, cycles, every PMU counter — to the
 // same run untraced, and identical configurations produce byte-identical
 // trace files across runs and GOMAXPROCS (all events carry simulated clocks,
-// never host time).
-type TraceOptions struct {
-	// MaxEventsPerTrack bounds each track's event buffer (default 1<<20).
-	// Full tracks deterministically keep their earliest events and count the
-	// rest as dropped.
-	MaxEventsPerTrack int
-}
+// never host time). A track keeps its first 1<<20 events and counts the rest
+// as dropped.
+type TraceOptions struct{}
 
 // Trace is an engine's event recorder: one track per simulated core (vector,
 // morsel, pipeline, and storage-tier events), an optimizer track (sampling
@@ -35,11 +31,8 @@ type Trace struct {
 }
 
 // newTrace builds the recorder and the engine-side tracks.
-func newTrace(opts *TraceOptions, workers int) *Trace {
+func newTrace(workers int) *Trace {
 	rec := trace.New()
-	if opts.MaxEventsPerTrack > 0 {
-		rec.SetMaxEventsPerTrack(opts.MaxEventsPerTrack)
-	}
 	cores := make([]*trace.Track, workers)
 	for i := range cores {
 		cores[i] = rec.NewTrack(fmt.Sprintf("core %d", i))

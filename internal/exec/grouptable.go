@@ -25,12 +25,12 @@ import (
 // and the occupied slots lie in key order. A wide domain hashes
 // multiplicatively at a load factor of at most ½ and grows past ¾.
 //
-// The table is a pure host-performance structure: the *simulated* hash tables
-// the cache hierarchies see are each GroupBy's reserved address region
-// (slotAddr), whatever this layout. Group values accumulate per key in
-// exactly the order add is called — the global row order the drivers
-// establish — so sums are bit-identical to a map-based reduction, and output
-// is sorted by key, independent of table internals.
+// The table is a host structure: the *simulated* tables the cache hierarchies
+// see are each GroupBy's reserved address region (slotAddr), indexed by the
+// same rule (keyIndex) without the presence words. Group values accumulate
+// per key in exactly the order add is called — the global row order the
+// drivers establish — so sums are bit-identical to a map-based reduction, and
+// output is sorted by key, independent of table internals.
 //
 // A table is owned by the query's block-run context (BlockRun; a serial
 // Engine has its own) and reset, not reallocated, at the start of every
@@ -39,11 +39,8 @@ import (
 type groupTable struct {
 	slots  []uint64
 	stride int
-	mask   uint64
-	// A key's home bucket is ((key − lo) · mul) & mask: lo = Min and mul = 1
-	// for a dense domain, lo = 0 and the multiplicative hash otherwise.
-	lo, mul uint64
-	n       int
+	keyIndex
+	n int
 	// order is sorted's reusable result.
 	order []groupRef
 }
@@ -94,9 +91,16 @@ func (t *groupTable) reset(dom KeyDomain, cores int) {
 	t.n = 0
 }
 
-// home returns key's home bucket.
-func (t *groupTable) home(key uint64) uint64 {
-	return ((key - t.lo) * t.mul) & t.mask
+// keyIndex is a key domain's one index rule, shared by the host accumulator
+// and the simulated tables (GroupBy.slotAddr): a key's home slot is
+// ((key − lo) · mul) & mask, with lo = Min and mul = 1 for a dense domain —
+// whose tables hold every key, so the mask never bites — and lo = 0 and the
+// multiplicative hash otherwise.
+type keyIndex struct{ lo, mul, mask uint64 }
+
+// home returns key's home slot.
+func (x keyIndex) home(key uint64) uint64 {
+	return ((key - x.lo) * x.mul) & x.mask
 }
 
 // add folds one qualifying row into key's group and records that core's

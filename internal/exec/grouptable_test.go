@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"progopt/internal/columnar"
+	"progopt/internal/tpch"
 )
 
 // groupTableTrial accumulates one random (key, value, core) stream through
@@ -199,4 +200,91 @@ func FuzzGroupTableMatchesMapReference(f *testing.F) {
 		}
 		groupTableTrial(t, &acc, rng, domain[:len(domain)/2+1], int(cores)/2+1, int(expected)/4+1, int(nRows)%512+1)
 	})
+}
+
+// regionAlloc hands out consecutive simulated regions and remembers the last.
+type regionAlloc struct {
+	next, base, size uint64
+}
+
+func (a *regionAlloc) Alloc(size int) (uint64, error) {
+	a.base, a.size = a.next, uint64(size)
+	a.next += a.size
+	return a.base, nil
+}
+
+// TestGroupSlotLayout pins the simulated table of each kind of key domain. A
+// dense one (ScanKeyDomain over a generated column) is a direct-indexed array
+// of exactly Groups slots: key Min+i lives at base + 24·i, and every key of
+// the column inside the region. A wide one — scanned too wide, or a
+// hand-built estimate — is the multiplicative hash over the next power of two
+// ≥ 2·Groups slots, computed here from the formula.
+func TestGroupSlotLayout(t *testing.T) {
+	d, err := tpch.Generate(tpch.Config{Lineitems: 20000, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	li := d.Lineitem
+	alloc := &regionAlloc{next: 1 << 20}
+	for _, key := range []string{"l_partkey", "l_quantity"} {
+		col := li.Column(key)
+		dom, err := ScanKeyDomain(col)
+		if err != nil || !dom.Dense {
+			t.Fatalf("%s: domain %+v, %v; want dense", key, dom, err)
+		}
+		g, err := NewGroupBy(alloc, col, li.Column("l_extendedprice"), dom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(dom.Groups) * groupSlotBytes; alloc.size != want {
+			t.Fatalf("%s: reserved %d bytes for %d keys, want %d", key, alloc.size, dom.Groups, want)
+		}
+		for i := range dom.Groups {
+			if got, want := g.slotAddr(dom.Min+int64(i)), alloc.base+groupSlotBytes*uint64(i); got != want {
+				t.Fatalf("%s: key Min+%d at %#x, want %#x", key, i, got, want)
+			}
+		}
+		for row := range col.Len() {
+			if a := g.slotAddr(col.Int64At(row)); a < alloc.base || a+groupSlotBytes > alloc.base+alloc.size {
+				t.Fatalf("%s: key %d at %#x, outside [%#x, %#x)", key, col.Int64At(row), a, alloc.base, alloc.base+alloc.size)
+			}
+		}
+	}
+
+	spread := make([]int64, 1000)
+	for i := range spread {
+		spread[i] = int64(i)*1_000_003 - 1<<40
+	}
+	wideCol := columnar.NewInt64("k", spread)
+	scanned, err := ScanKeyDomain(wideCol)
+	if err != nil || scanned.Dense {
+		t.Fatalf("spread keys: domain %+v, %v; want wide", scanned, err)
+	}
+	qty := li.Column("l_quantity")
+	for _, c := range []struct {
+		col *columnar.Column
+		dom KeyDomain
+	}{
+		{wideCol, scanned},
+		{qty, KeyDomain{Groups: 50}},
+		{qty, KeyDomain{Groups: 64}},
+	} {
+		g, err := NewGroupBy(alloc, c.col, li.Column("l_extendedprice"), c.dom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buckets := uint64(1)
+		for buckets < 2*uint64(c.dom.Groups) {
+			buckets <<= 1
+		}
+		if want := buckets * groupSlotBytes; alloc.size != want {
+			t.Fatalf("%+v: reserved %d bytes, want %d", c.dom, alloc.size, want)
+		}
+		for row := range c.col.Len() {
+			key := c.col.Int64At(row)
+			if got, want := g.slotAddr(key), alloc.base+(uint64(key)*2654435761&(buckets-1))*groupSlotBytes; got != want {
+				t.Fatalf("%+v: key %d at %#x, want %#x", c.dom, key, got, want)
+			}
+		}
+	}
 }

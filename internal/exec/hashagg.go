@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"progopt/internal/columnar"
 	"progopt/internal/hw/cpu"
@@ -19,14 +20,16 @@ type GroupBy struct {
 	ValueCol *columnar.Column
 
 	tableBase uint64
-	mask      uint64
+	index     keyIndex
 	domain    KeyDomain
 }
 
 // KeyDomain is what one scan of a group-key column proves about its keys.
 type KeyDomain struct {
-	// Groups is the expected number of distinct groups the hash tables are
-	// sized for: the domain width max−min+1, bounded by the row count.
+	// Groups is the number of distinct groups the tables are sized for: the
+	// domain width max−min+1 of a dense domain, which then holds exactly one
+	// simulated slot per key, and otherwise the expected count a hash table
+	// is sized for at a load factor of ½.
 	Groups int
 	// Dense reports that the width is within the row count and did not
 	// overflow, so every key lies in [Min, Min+Groups).
@@ -64,12 +67,13 @@ func checkGroupKind(c *columnar.Column) error {
 	return fmt.Errorf("exec: group column %q must be integer-kind, is %v", c.Name(), c.Kind())
 }
 
-// groupSlotBytes models one hash-table slot (key, sum, count).
+// groupSlotBytes models one simulated table slot (key, sum, count).
 const groupSlotBytes = 24
 
-// NewGroupBy builds the aggregate and reserves its hash-table region sized
-// for the domain's expected number of distinct groups. A dense domain must be
-// the group column's own (ScanKeyDomain); any other names only the estimate.
+// NewGroupBy builds the aggregate and reserves its simulated table region. A
+// dense domain gets a direct-indexed array of exactly Groups slots; it must be
+// the group column's own (ScanKeyDomain). Any other domain names only the
+// estimate, and gets a hash table of the next power of two ≥ 2·Groups slots.
 func NewGroupBy(alloc columnar.Allocator, group, value *columnar.Column, dom KeyDomain) (*GroupBy, error) {
 	if group == nil || value == nil {
 		return nil, fmt.Errorf("exec: group-by needs group and value columns")
@@ -80,15 +84,19 @@ func NewGroupBy(alloc columnar.Allocator, group, value *columnar.Column, dom Key
 	if dom.Groups <= 0 {
 		return nil, fmt.Errorf("exec: non-positive expected group count %d", dom.Groups)
 	}
-	buckets := uint64(1)
-	for buckets < 2*uint64(dom.Groups) {
-		buckets <<= 1
+	slots, index := uint64(dom.Groups), keyIndex{lo: uint64(dom.Min), mul: 1, mask: math.MaxUint64}
+	if !dom.Dense {
+		slots = 1
+		for slots < 2*uint64(dom.Groups) {
+			slots <<= 1
+		}
+		index = keyIndex{mul: groupHashMul, mask: slots - 1}
 	}
-	base, err := alloc.Alloc(int(buckets) * groupSlotBytes)
+	base, err := alloc.Alloc(int(slots) * groupSlotBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &GroupBy{GroupCol: group, ValueCol: value, tableBase: base, mask: buckets - 1, domain: dom}, nil
+	return &GroupBy{GroupCol: group, ValueCol: value, tableBase: base, index: index, domain: dom}, nil
 }
 
 // Group is one output row of a GroupBy.
@@ -122,10 +130,11 @@ const groupMergeCostInstr = 4
 // one simulated load run: a vector's worth, like the scan's own gathers.
 const groupMergeChunk = 1024
 
-// slotAddr returns the simulated address of the key's hash-table slot.
+// slotAddr returns the simulated address of the key's slot, by the index rule
+// the host accumulator follows too: key − Min in a dense domain, the
+// multiplicative hash in a wide one.
 func (g *GroupBy) slotAddr(key int64) uint64 {
-	bucket := (uint64(key) * groupHashMul) & g.mask
-	return g.tableBase + bucket*groupSlotBytes
+	return g.tableBase + g.index.home(uint64(key))*groupSlotBytes
 }
 
 // touch simulates the hash-table slot access of one aggregate update (the

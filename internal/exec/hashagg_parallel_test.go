@@ -109,11 +109,12 @@ const groupbyGoldenPath = "testdata/groupby_golden.json"
 
 // groupbyGoldenRow pins one grouped run: the output rows (as a hash of every
 // key, count and sum bit pattern in output order), the makespan with its
-// merge barrier, and the full merged PMU delta. The Workers 1 rows were
-// captured while the reducer kept one presence table per core and the barrier
-// issued scalar loads, and are the record of what that code simulated; the
-// other rows were regenerated when the barrier was partitioned across the
-// cores.
+// merge barrier, and the full merged PMU delta. The Workers 1 rows keep the
+// instruction and branch counts captured while the reducer kept one presence
+// table per core and the barrier issued scalar loads; the other rows were
+// regenerated when the barrier was partitioned across the cores, and every
+// row's memory counters when a dense domain's simulated table became a
+// direct-indexed array.
 type groupbyGoldenRow struct {
 	Config     string
 	Qualifying int64

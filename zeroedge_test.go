@@ -49,7 +49,9 @@ func zeroEdgePlans(d *Dataset) []zeroEdgePlan {
 // mode at Workers 1 and 4. The golden file was captured at the parent of the
 // commit that routed every plan through compileGraph; the grouped plan's
 // Workers 4 cycles and counters were regenerated when the merge barrier was
-// partitioned across the cores.
+// partitioned across the cores, and its cycles and memory counters at both
+// worker counts when a dense domain's simulated table became a direct-indexed
+// array.
 func TestZeroEdgePlanIsTheOldPath(t *testing.T) {
 	const path = "testdata/zero_edge_golden.json"
 	var got []zeroEdgeCase

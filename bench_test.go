@@ -358,9 +358,10 @@ func sameCycles(b *testing.B, i int, before, cycles uint64) uint64 {
 
 // BenchmarkRunGroupBy is the grouped hot path: a half-selective scan grouped
 // on l_partkey (33 334 keys) through the public facade on four simulated
-// cores — per-core partial tables, one host reduction visit per qualifying
-// row, the key-ordered merge barrier with each core merging a quarter of the
-// keys. sim_cycles pins the makespan, barrier included.
+// cores — per-core partial tables, direct-indexed since the key domain is
+// dense, one host reduction visit per qualifying row, the key-ordered merge
+// barrier with each core merging a quarter of the keys. sim_cycles pins the
+// makespan, barrier included.
 func BenchmarkRunGroupBy(b *testing.B) {
 	e, err := New(Config{Workers: 4, VectorSize: 1024})
 	if err != nil {

@@ -73,12 +73,10 @@ func (t *groupTable) reset(dom KeyDomain, cores int) {
 		for 3*buckets < 4*(dom.Groups+1) {
 			buckets <<= 1
 		}
-		t.lo, t.mul = uint64(dom.Min), 1
 	} else {
 		for buckets < 2*dom.Groups {
 			buckets <<= 1
 		}
-		t.lo, t.mul = 0, groupHashMul
 	}
 	t.stride = slotPresence + (cores+63)/64
 	if need := buckets * t.stride; cap(t.slots) < need {
@@ -87,16 +85,24 @@ func (t *groupTable) reset(dom KeyDomain, cores int) {
 		t.slots = t.slots[:need]
 		clear(t.slots)
 	}
-	t.mask = uint64(buckets - 1)
+	t.keyIndex = dom.index(uint64(buckets))
 	t.n = 0
 }
 
 // keyIndex is a key domain's one index rule, shared by the host accumulator
 // and the simulated tables (GroupBy.slotAddr): a key's home slot is
-// ((key − lo) · mul) & mask, with lo = Min and mul = 1 for a dense domain —
-// whose tables hold every key, so the mask never bites — and lo = 0 and the
-// multiplicative hash otherwise.
+// ((key − lo) · mul) & mask.
 type keyIndex struct{ lo, mul, mask uint64 }
+
+// index returns the domain's index rule over a power-of-two number of
+// buckets: key − Min for a dense domain, whose tables have a bucket for every
+// key, so the mask never bites; the multiplicative hash for a wide one.
+func (d KeyDomain) index(buckets uint64) keyIndex {
+	if d.Dense {
+		return keyIndex{lo: uint64(d.Min), mul: 1, mask: buckets - 1}
+	}
+	return keyIndex{mul: groupHashMul, mask: buckets - 1}
+}
 
 // home returns key's home slot.
 func (x keyIndex) home(key uint64) uint64 {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"progopt/internal/columnar"
 	"progopt/internal/hw/cpu"
@@ -84,19 +83,19 @@ func NewGroupBy(alloc columnar.Allocator, group, value *columnar.Column, dom Key
 	if dom.Groups <= 0 {
 		return nil, fmt.Errorf("exec: non-positive expected group count %d", dom.Groups)
 	}
-	slots, index := uint64(dom.Groups), keyIndex{lo: uint64(dom.Min), mul: 1, mask: math.MaxUint64}
-	if !dom.Dense {
-		slots = 1
-		for slots < 2*uint64(dom.Groups) {
-			slots <<= 1
-		}
-		index = keyIndex{mul: groupHashMul, mask: slots - 1}
+	buckets := uint64(1)
+	for buckets < 2*uint64(dom.Groups) {
+		buckets <<= 1
+	}
+	slots := buckets
+	if dom.Dense {
+		slots = uint64(dom.Groups)
 	}
 	base, err := alloc.Alloc(int(slots) * groupSlotBytes)
 	if err != nil {
 		return nil, err
 	}
-	return &GroupBy{GroupCol: group, ValueCol: value, tableBase: base, index: index, domain: dom}, nil
+	return &GroupBy{GroupCol: group, ValueCol: value, tableBase: base, index: dom.index(buckets), domain: dom}, nil
 }
 
 // Group is one output row of a GroupBy.

@@ -20,6 +20,7 @@
 //
 //	eng, err := progopt.New(progopt.Config{})
 //	if err != nil { ... }
+//	defer eng.Close()
 //	ds, err := eng.GenerateTPCH(1_000_000, 42, progopt.OrderNatural)
 //	q, err := eng.Compile(ds, progopt.Scan("lineitem").
 //		Filter("l_shipdate", progopt.CmpLE, int64(ds.ShipdateCutoff(0.5))).
@@ -96,6 +97,7 @@
 // (Server -> plan/feedback cache -> Engine -> exec.Parallel):
 //
 //	srv, err := progopt.NewServer(eng, progopt.ServerConfig{MaxActive: 4})
+//	defer srv.Close()
 //	t1, err := srv.SubmitAt(ds, plan, opts, 0)      // arrival on the simulated clock
 //	t2, err := srv.SubmitAt(ds, plan, opts, 50_000) // same plan, recurring
 //	res1, err := t1.Wait()
@@ -145,6 +147,7 @@
 //		LatencyCycles: 400, BytesPerCycle: 16,
 //		ResidentBytes: 1 << 20, SkipScan: true, CompressedScan: true,
 //	}})
+//	defer eng.Close()
 //
 // The tier is a pure observer: a stored run's rows, aggregates, morsel
 // schedule, and every PMU counter are bit-identical to the in-RAM engine's,
@@ -169,6 +172,7 @@
 //
 //	eng, err := progopt.New(progopt.Config{Trace: &progopt.TraceOptions{}})
 //	if err != nil { ... }
+//	defer eng.Close()
 //	ds, err := eng.GenerateTPCH(100_000, 42, progopt.OrderRandom)
 //	q, err := eng.Compile(ds, progopt.Scan("lineitem").
 //		Filter("l_shipdate", progopt.CmpLE, int64(ds.ShipdateCutoff(0.5))).
@@ -192,6 +196,8 @@
 // flag on cmd/progopt and cmd/progopt-serve records whole figure runs and
 // served workloads; cmd/progopt-tracecheck validates the artifacts.
 //
-// See the examples/ directory for runnable programs and DESIGN.md /
-// EXPERIMENTS.md for the reproduction methodology and per-figure results.
+// The Examples in example_test.go, which documentation servers such as
+// pkgsite show beside the API they use, are runnable programs whose printed
+// answers, simulated milliseconds and PMU counts go test checks; DESIGN.md
+// describes the reproduction methodology and per-figure results.
 package progopt

@@ -180,7 +180,7 @@ func TestNelderMeadMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NelderMead(c.f, c.x0, c.opt)
+		got, err := new(nmWorkspace).minimize(c.f, c.x0, c.opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,14 +37,6 @@ type NMResult struct {
 	Evaluations int
 }
 
-// NelderMead minimizes f starting from x0 using the Nelder-Mead simplex
-// method (Nelder & Mead 1965), the algorithm the paper selected from NLopt
-// for its selectivity estimation.
-func NelderMead(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResult, error) {
-	var w nmWorkspace
-	return w.minimize(f, x0, opt)
-}
-
 // nmWorkspace owns the vectors of a Nelder-Mead search so that repeated
 // searches (one per start point, several per decision) allocate nothing once
 // the workspace has grown to the problem's dimension.
@@ -95,7 +87,9 @@ func sortOrder(order []int, values []float64) {
 	}
 }
 
-// minimize is NelderMead on the workspace's vectors. The result's X aliases
+// minimize minimizes f starting from x0 using the Nelder-Mead simplex method
+// (Nelder & Mead 1965), the algorithm the paper selected from NLopt for its
+// selectivity estimation, on the workspace's vectors. The result's X aliases
 // a workspace row and is valid until the next call.
 func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOptions) (NMResult, error) {
 	d := len(x0)

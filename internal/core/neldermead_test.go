@@ -9,7 +9,7 @@ func TestNelderMeadQuadratic(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-3)*(x[0]-3) + (x[1]+1)*(x[1]+1)
 	}
-	res, err := NelderMead(f, []float64{0, 0}, NMOptions{MaxIter: 2000, AbsTol: 1e-12})
+	res, err := new(nmWorkspace).minimize(f, []float64{0, 0}, NMOptions{MaxIter: 2000, AbsTol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 		b := x[1] - x[0]*x[0]
 		return a*a + 100*b*b
 	}
-	res, err := NelderMead(f, []float64{-1.2, 1}, NMOptions{MaxIter: 5000, AbsTol: 1e-14})
+	res, err := new(nmWorkspace).minimize(f, []float64{-1.2, 1}, NMOptions{MaxIter: 5000, AbsTol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestNelderMeadRespectsBounds(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-3)*(x[0]-3) + (x[1]+1)*(x[1]+1)
 	}
-	res, err := NelderMead(f, []float64{1, 1}, NMOptions{
+	res, err := new(nmWorkspace).minimize(f, []float64{1, 1}, NMOptions{
 		MaxIter: 2000, AbsTol: 1e-12,
 		Lo: []float64{0, 0}, Hi: []float64{2, 2},
 	})
@@ -61,7 +61,7 @@ func TestNelderMeadRespectsBounds(t *testing.T) {
 func TestNelderMeadStartAtBound(t *testing.T) {
 	// Start exactly on the upper bound: the initial simplex must step inward.
 	f := func(x []float64) float64 { return x[0] * x[0] }
-	res, err := NelderMead(f, []float64{1}, NMOptions{
+	res, err := new(nmWorkspace).minimize(f, []float64{1}, NMOptions{
 		MaxIter: 500, AbsTol: 1e-12,
 		Lo: []float64{-1}, Hi: []float64{1},
 	})
@@ -75,17 +75,17 @@ func TestNelderMeadStartAtBound(t *testing.T) {
 
 func TestNelderMeadValidation(t *testing.T) {
 	f := func(x []float64) float64 { return 0 }
-	if _, err := NelderMead(f, nil, NMOptions{}); err == nil {
+	if _, err := new(nmWorkspace).minimize(f, nil, NMOptions{}); err == nil {
 		t.Error("empty start accepted")
 	}
-	if _, err := NelderMead(f, []float64{0}, NMOptions{Lo: []float64{0, 0}}); err == nil {
+	if _, err := new(nmWorkspace).minimize(f, []float64{0}, NMOptions{Lo: []float64{0, 0}}); err == nil {
 		t.Error("mismatched bounds accepted")
 	}
 }
 
 func TestNelderMeadHonorsMaxIter(t *testing.T) {
 	f := func(x []float64) float64 { return x[0] * x[0] }
-	res, err := NelderMead(f, []float64{100}, NMOptions{MaxIter: 3, AbsTol: 1e-300})
+	res, err := new(nmWorkspace).minimize(f, []float64{100}, NMOptions{MaxIter: 3, AbsTol: 1e-300})
 	if err != nil {
 		t.Fatal(err)
 	}

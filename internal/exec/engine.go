@@ -208,9 +208,6 @@ func (e *Engine) SetTrace(t *trace.Track) {
 	}
 }
 
-// Trace returns the attached event track (nil when tracing is disabled).
-func (e *Engine) Trace() *trace.Track { return e.tr }
-
 // SetSortRun attaches (or, with nil, detaches) the order-by collector every
 // qualifying row of subsequent vectors feeds. The caller owns the state's
 // lifecycle: one fresh SortRun per core per run, detached after the

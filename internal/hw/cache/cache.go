@@ -157,9 +157,6 @@ func (l *Level) linkRings() {
 	}
 }
 
-// Config returns the level's configuration.
-func (l *Level) Config() Config { return l.cfg }
-
 // Stats returns a copy of the level's counters.
 func (l *Level) Stats() Stats { return l.stats }
 

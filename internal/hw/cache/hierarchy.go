@@ -206,9 +206,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}, nil
 }
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
 // Load performs a demand load of the line containing addr and returns where
 // it hit. Fills are inclusive (a miss installs the line in every level above
 // the hit level). The streamer observes all demand traffic reaching L2 (that

@@ -95,28 +95,6 @@ type StorageCounters struct {
 	StallCycles uint64
 }
 
-// Sub returns a - b, counter-wise.
-func (a StorageCounters) Sub(b StorageCounters) StorageCounters {
-	return StorageCounters{
-		BlockFetches: a.BlockFetches - b.BlockFetches,
-		BlockHits:    a.BlockHits - b.BlockHits,
-		BytesFetched: a.BytesFetched - b.BytesFetched,
-		Evictions:    a.Evictions - b.Evictions,
-		StallCycles:  a.StallCycles - b.StallCycles,
-	}
-}
-
-// Add returns a + b, counter-wise.
-func (a StorageCounters) Add(b StorageCounters) StorageCounters {
-	return StorageCounters{
-		BlockFetches: a.BlockFetches + b.BlockFetches,
-		BlockHits:    a.BlockHits + b.BlockHits,
-		BytesFetched: a.BytesFetched + b.BytesFetched,
-		Evictions:    a.Evictions + b.Evictions,
-		StallCycles:  a.StallCycles + b.StallCycles,
-	}
-}
-
 type storRange struct {
 	base, end uint64
 	block     int32
@@ -129,9 +107,6 @@ func NewStorageSet(cfg StorageConfig) *StorageSet {
 	}
 	return &StorageSet{cfg: cfg, head: -1, tail: -1, lastRange: -1}
 }
-
-// Config returns the pricing configuration.
-func (s *StorageSet) Config() StorageConfig { return s.cfg }
 
 // AddBlock registers a logical block of the given encoded transfer size and
 // returns its id.

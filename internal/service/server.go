@@ -421,21 +421,6 @@ func (t *Ticket) Wait() (Outcome, error) {
 	return out, nil
 }
 
-// WarmStarted reports whether the submission began at a feedback-cached
-// order, and that order. The decision is made when the admission controller
-// activates the query (the latest point the feedback of completed runs is
-// visible), so it reads false until then. Admission happens under the lock
-// at the start of a round, so this never waits on an in-flight round's
-// execution phase.
-func (t *Ticket) WarmStarted() (bool, []int) {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	if t.q.warm == nil {
-		return false, nil
-	}
-	return true, append([]int(nil), t.q.warm...)
-}
-
 // failAllLocked marks every unfinished query failed — scheduler errors
 // (estimator failures, invalid permutations) poison the shared simulation.
 // The failed round's broadcast wakes their waiters.

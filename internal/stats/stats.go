@@ -17,7 +17,6 @@ import (
 
 // Histogram is an equi-width histogram over an integer-kind or float column.
 type Histogram struct {
-	name    string
 	lo, hi  float64
 	buckets []int64
 	total   int64
@@ -54,7 +53,7 @@ func BuildHistogram(col *columnar.Column, sampleRows, buckets int) (*Histogram, 
 			hi = v
 		}
 	}
-	h := &Histogram{name: col.Name(), lo: lo, hi: hi, buckets: make([]int64, buckets)}
+	h := &Histogram{lo: lo, hi: hi, buckets: make([]int64, buckets)}
 	span := hi - lo
 	for i := 0; i < sampleRows; i++ {
 		v := col.Float64At(i)
@@ -73,9 +72,6 @@ func BuildHistogram(col *columnar.Column, sampleRows, buckets int) (*Histogram, 
 	}
 	return h, nil
 }
-
-// Name returns the column the histogram describes.
-func (h *Histogram) Name() string { return h.name }
 
 // Rows returns the number of sampled rows.
 func (h *Histogram) Rows() int64 { return h.total }

@@ -361,7 +361,7 @@ func (c SampleCounters) Map() map[string]uint64 {
 // EstimateSelectivities runs one estimation cycle offline: it executes a
 // single vector of the query from a cold core, samples the four paper
 // counters, and inverts the cost models. Exposed so applications can inspect
-// the estimator directly (see examples/skew_detection).
+// the estimator directly (see ExampleEngine_EstimateSelectivities).
 func (e *Engine) EstimateSelectivities(q *Query) ([]float64, error) {
 	w := e.core0()
 	vs := min(q.q.Table.NumRows(), w.VectorSize())

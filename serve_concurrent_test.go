@@ -182,11 +182,11 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 }
 
 // TestServeStatsNonBlockingMidRun pins the published-at-barrier regression:
-// Ticket.WarmStarted and Server.Stats called from a second goroutine must not
-// block behind an in-flight scheduling round, and Stats must observe the
-// makespan advancing while the workload is still running (before this PR the
-// driving waiter held the server mutex for the whole workload, so a mid-run
-// Stats call could only ever see the pre-run or final makespan).
+// Server.Stats called from a second goroutine must not block behind an
+// in-flight scheduling round, and must observe the makespan advancing while
+// the workload is still running (a driving waiter that held the server mutex
+// for the whole workload let a mid-run Stats call see only the pre-run or
+// final makespan).
 func TestServeStatsNonBlockingMidRun(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e, d := serveEngine(t, 4)
@@ -227,7 +227,6 @@ poll:
 		default:
 		}
 		st := srv.Stats()
-		tks[3].t.WarmStarted() // must not block either
 		if n := len(midrun); n == 0 || midrun[n-1] != st.MakespanCycles {
 			midrun = append(midrun, st.MakespanCycles)
 		}

@@ -3,6 +3,7 @@ package progopt
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -550,5 +551,76 @@ func TestServeWaitTwiceObservesOnce(t *testing.T) {
 		if !strings.Contains(met.String(), line+"\n") {
 			t.Errorf("metrics lack %q:\n%s", line, met.String())
 		}
+	}
+}
+
+// TestServeMetricsGolden pins WriteMetrics byte for byte after a small fixed
+// workload: fixed, progressive and micro-adaptive queries, so the reopt_*
+// gauges are nonzero; stored queries under a resident budget, so the resident
+// gauge is; a one-plan cache, so plans evict; and a late recurring query, so
+// one run warm-starts. `go test -run
+// TestServeMetricsGolden -update .` rewrites testdata/metrics_golden.prom, for
+// an intended change of the exposition only.
+func TestServeMetricsGolden(t *testing.T) {
+	const path = "testdata/metrics_golden.prom"
+	e, err := New(Config{VectorSize: 512, Workers: 2,
+		Storage: &StorageConfig{LatencyCycles: 500, BytesPerCycle: 16, ResidentBytes: 64 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	d, err := e.GenerateTPCH(32*512, 31, OrderRandom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(e, ServerConfig{PlanCacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	adaptive := Progressive{Interval: 5}
+	subs := []struct {
+		plan *Plan
+		opts ExecOptions
+	}{
+		{convergentPlan(d, false), ExecOptions{Mode: ModeFixed}},
+		{convergentPlan(d, true), ExecOptions{Mode: ModeProgressive, Progressive: adaptive}},
+		{convergentPlan(d, false), ExecOptions{Mode: ModeMicroAdaptive, Progressive: adaptive}},
+		{convergentPlan(d, false), ExecOptions{Mode: ModeProgressive, Progressive: adaptive}},
+		{convergentPlan(d, true), ExecOptions{Mode: ModeFixed}},
+		// Arrives after the rest are done, so it warm-starts.
+		{convergentPlan(d, false), ExecOptions{Mode: ModeProgressive, Progressive: adaptive}},
+	}
+	tks := make([]*Ticket, len(subs))
+	for i, sub := range subs {
+		at := uint64(i) * 20_000
+		if i == len(subs)-1 {
+			at = 2_000_000
+		}
+		if tks[i], err = srv.SubmitAt(d, sub.plan, sub.opts, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tk := range tks {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	if err := srv.WriteMetrics(&got); err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("exposition differs from %s:\n got:\n%s\nwant:\n%s", path, got.Bytes(), want)
 	}
 }

@@ -187,10 +187,9 @@
 //
 // One trace nanosecond equals one simulated cycle, with one named track
 // per simulated core plus optimizer and service tracks. Servers
-// additionally expose a simulated-time metrics registry in Prometheus
-// text format — queries served, plan/feedback cache hit rates,
-// p50/p95/p99 simulated latency, storage-tier residency — via
-// Server.WriteMetrics. Per-sample PMU series are retained on
+// additionally render their counters in Prometheus text format — queries
+// served, plan/feedback cache hit rates, p50/p95/p99 simulated latency of
+// every completed query, storage-tier residency — via Server.WriteMetrics. Per-sample PMU series are retained on
 // Stats.Samples (a bounded ring), one source of truth shared by the
 // trace, the metrics, and the ext-trace convergence figure. The -trace
 // flag on cmd/progopt and cmd/progopt-serve records whole figure runs and

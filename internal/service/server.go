@@ -13,16 +13,6 @@ import (
 	"progopt/internal/trace"
 )
 
-// Mode is the driver's execution mode.
-type Mode = core.Mode
-
-// Execution modes.
-const (
-	ModeFixed         = core.ModeFixed
-	ModeProgressive   = core.ModeProgressive
-	ModeMicroAdaptive = core.ModeMicroAdaptive
-)
-
 // Config configures a workload server.
 type Config struct {
 	// MaxActive is the admission controller's cap on queries sharing the
@@ -94,6 +84,12 @@ type Stats struct {
 	// MakespanCycles is the largest per-core clock: the simulated time the
 	// pool has been driven to.
 	MakespanCycles uint64
+	// LatencyCycles holds each completed query's Done-Arrival, in the order
+	// the round barriers completed them.
+	LatencyCycles []uint64
+	// ResidentBytes is the tier residency the stored query with the latest
+	// Done left behind (ties to the later submission); 0 before any.
+	ResidentBytes uint64
 }
 
 // Outcome reports one completed query.
@@ -109,7 +105,7 @@ type Outcome struct {
 	// Sorted is the ordered output of an OrderBy/Limit query (nil
 	// otherwise).
 	Sorted []exec.SortedRow
-	// Stats is the optimizer telemetry (zero-valued under ModeFixed);
+	// Stats is the optimizer telemetry (zero-valued under core.ModeFixed);
 	// FinalOrder is in plan-order indexes even after a warm start.
 	Stats core.Stats
 	// Arrival, Start, and Done are simulated timestamps; Done-Arrival is
@@ -238,6 +234,10 @@ type Server struct {
 
 	feedback *LRU
 	stats    Stats
+	// resDone and resSeq stamp the stored query stats.ResidentBytes reports;
+	// resSeq is -1 before any.
+	resDone uint64
+	resSeq  int
 
 	// tr, when non-nil, receives admission and scheduling events (submit,
 	// admit, warm-start, done), stamped with simulated clocks and appended
@@ -269,6 +269,7 @@ func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error)
 		owner:             make([]*query, workers),
 		membershipChanged: true,
 		feedback:          NewLRU(feedbackCacheSize),
+		resSeq:            -1,
 	}
 	s.idle = sync.NewCond(&s.mu)
 	return s, nil
@@ -328,9 +329,8 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	for _, cl := range s.clock {
-		st.MakespanCycles = max(st.MakespanCycles, cl)
-	}
+	st.MakespanCycles = slices.Max(s.clock)
+	st.LatencyCycles = slices.Clone(st.LatencyCycles)
 	return st
 }
 
@@ -502,12 +502,7 @@ func (s *Server) admitLocked() (failed bool) {
 	// The frontier is the earliest time any core can take new work; while
 	// queries are active every core is in some subset, so it advances each
 	// round.
-	now := s.clock[0]
-	for _, cl := range s.clock[1:] {
-		if cl < now {
-			now = cl
-		}
-	}
+	now := slices.Min(s.clock)
 	if len(s.active) == 0 && len(s.queue) > 0 && s.queue[0].arrival > now {
 		now = s.queue[0].arrival
 	}
@@ -560,7 +555,7 @@ func (s *Server) prepareLocked(q *query) error {
 		}
 		q.views, spec.Storage = views, views
 	}
-	if spec.Mode != ModeFixed && spec.Opt.Trace != nil {
+	if spec.Mode != core.ModeFixed && spec.Opt.Trace != nil {
 		q.optReal = spec.Opt.Trace
 		q.optStage = trace.NewStage()
 		spec.Opt.Trace = q.optStage
@@ -705,8 +700,10 @@ func (s *Server) barrierLocked() error {
 }
 
 // finishLocked completes a query: stamp times, snapshot optimizer stats,
-// deposit the converged order and the rejected ones in the feedback cache,
-// and recycle the segment scratch.
+// record its latency and a stored query's residency, deposit the converged
+// order and the rejected ones in the feedback cache, and recycle the segment
+// scratch. Barriers complete queries in a fixed order, but not always in
+// order of Done, so the residency follows the latest Done.
 func (s *Server) finishLocked(q *query) {
 	run := q.sc.run
 	// Every core of the last subset is free once the slowest is.
@@ -732,6 +729,14 @@ func (s *Server) finishLocked(q *query) {
 	s.scratchFree = append(s.scratchFree, q.sc)
 	q.sc = nil
 	s.stats.Completed++
+	s.stats.LatencyCycles = append(s.stats.LatencyCycles, done-q.arrival)
+	if q.views != nil && (done > s.resDone || done == s.resDone && q.seq > s.resSeq) {
+		s.resDone, s.resSeq = done, q.seq
+		s.stats.ResidentBytes = 0
+		for _, v := range q.views {
+			s.stats.ResidentBytes += v.Set.ResidentBytes()
+		}
+	}
 	if s.tr != nil {
 		s.tr.Span("query", run.Start, done,
 			trace.Int("seq", q.seq), trace.Uint64("latency", done-q.arrival),

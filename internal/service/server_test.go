@@ -80,7 +80,7 @@ func TestLoneFixedMatchesParallelRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}})
+	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeFixed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}})
+	tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeProgressive, Opt: opt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,9 @@ func TestConcurrentTraceDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqs := []Request{
-			{Spec: core.Spec{Query: q1, Mode: ModeFixed}, Arrival: 0},
-			{Spec: core.Spec{Query: q2, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 5}}, Arrival: 1000},
-			{Spec: core.Spec{Query: q3, Mode: ModeFixed}, Arrival: 2000},
+			{Spec: core.Spec{Query: q1, Mode: core.ModeFixed}, Arrival: 0},
+			{Spec: core.Spec{Query: q2, Mode: core.ModeProgressive, Opt: core.Options{ReopInterval: 5}}, Arrival: 1000},
+			{Spec: core.Spec{Query: q3, Mode: core.ModeFixed}, Arrival: 2000},
 		}
 		tks := make([]*Ticket, len(reqs))
 		for i, r := range reqs {
@@ -235,11 +235,11 @@ func TestSharedPoolPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := s.Submit(Request{Spec: core.Spec{Query: q1, Mode: ModeFixed}})
+	t1, err := s.Submit(Request{Spec: core.Spec{Query: q1, Mode: core.ModeFixed}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := s.Submit(Request{Spec: core.Spec{Query: q2, Mode: ModeFixed}})
+	t2, err := s.Submit(Request{Spec: core.Spec{Query: q2, Mode: core.ModeFixed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +292,11 @@ func TestAdmissionHonorsArrival(t *testing.T) {
 	}
 	bindFresh(t, vs, q2)
 	farFuture := 100 * w1.Cycles
-	t1, err := s.Submit(Request{Spec: core.Spec{Query: q1, Mode: ModeFixed}, Arrival: 0})
+	t1, err := s.Submit(Request{Spec: core.Spec{Query: q1, Mode: core.ModeFixed}, Arrival: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := s.Submit(Request{Spec: core.Spec{Query: q2, Mode: ModeFixed}, Arrival: farFuture})
+	t2, err := s.Submit(Request{Spec: core.Spec{Query: q2, Mode: core.ModeFixed}, Arrival: farFuture})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +330,10 @@ func TestQueueLimitRejects(t *testing.T) {
 	bindFresh(t, vs, q)
 	// Nothing is active until a Wait drives the scheduler, so both land in
 	// the queue; the second overflows it.
-	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}}); err != nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeFixed}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}}); err == nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeFixed}}); err == nil {
 		t.Fatal("second submission accepted beyond the queue limit")
 	}
 	st := s.Stats()
@@ -378,7 +378,7 @@ func TestFeedbackCarriesRejectedOrders(t *testing.T) {
 		t.Helper()
 		rec := trace.New()
 		opt := core.Options{ReopInterval: 5, ExploreEvery: 2, Trace: rec.NewTrack("optimizer")}
-		tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}, Fingerprint: fp})
+		tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeProgressive, Opt: opt}, Fingerprint: fp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestFeedbackWarmStart(t *testing.T) {
 	fp := Compute("lineitem", 1, []string{"q6-test"})
 	opt := core.Options{ReopInterval: 5}
 
-	t1, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}, Fingerprint: fp})
+	t1, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeProgressive, Opt: opt}, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestFeedbackWarmStart(t *testing.T) {
 		t.Fatal("cold run never reordered; workload too easy to measure warm start")
 	}
 
-	t2, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: opt}, Fingerprint: fp})
+	t2, err := s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeProgressive, Opt: opt}, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups, Mode: ModeProgressive}}); err == nil {
+	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups, Mode: core.ModeProgressive}}); err == nil {
 		t.Error("adaptive grouped submission accepted")
 	}
 	if _, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups[:2]}}); err == nil {
@@ -574,8 +574,8 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 	var tks []*Ticket
 	for _, req := range []Request{
 		{Spec: core.Spec{Query: q, Groups: groups}},
-		{Spec: core.Spec{Query: short, Mode: ModeFixed}},
-		{Spec: core.Spec{Query: q, Mode: ModeProgressive, Opt: core.Options{ReopInterval: 3}}},
+		{Spec: core.Spec{Query: short, Mode: core.ModeFixed}},
+		{Spec: core.Spec{Query: q, Mode: core.ModeProgressive, Opt: core.Options{ReopInterval: 3}}},
 		{Spec: core.Spec{Query: q, Groups: groups}, Arrival: 40000},
 	} {
 		tk, err := s.Submit(req)
@@ -657,7 +657,7 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 	opt := core.Options{ReopInterval: 3}
 	var rows []exec.SortedRow
 	ref := driver(t, workers, vs)
-	for _, mode := range []Mode{ModeFixed, ModeProgressive} {
+	for _, mode := range []core.Mode{core.ModeFixed, core.ModeProgressive} {
 		want := driven(t, ref, core.Spec{Query: q, Mode: mode, Opt: opt, Sorts: sorts})
 		if rows = want.Sorted; len(rows) != 25 {
 			t.Fatalf("%v: reference emitted %d rows, want 25", mode, len(rows))
@@ -693,10 +693,10 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 	bindFresh(t, vs, short)
 	var tks []*Ticket
 	for _, req := range []Request{
-		{Spec: core.Spec{Query: q, Sorts: sorts, Mode: ModeProgressive, Opt: opt}},
-		{Spec: core.Spec{Query: short, Mode: ModeFixed}},
-		{Spec: core.Spec{Query: q, Mode: ModeFixed}},
-		{Spec: core.Spec{Query: short, Mode: ModeFixed}, Arrival: 40000},
+		{Spec: core.Spec{Query: q, Sorts: sorts, Mode: core.ModeProgressive, Opt: opt}},
+		{Spec: core.Spec{Query: short, Mode: core.ModeFixed}},
+		{Spec: core.Spec{Query: q, Mode: core.ModeFixed}},
+		{Spec: core.Spec{Query: short, Mode: core.ModeFixed}, Arrival: 40000},
 	} {
 		tk, err := s.Submit(req)
 		if err != nil {
@@ -762,7 +762,7 @@ func TestPanicWakesEveryWaiter(t *testing.T) {
 			bindFresh(t, vs, q)
 			tks := make([]*Ticket, 6)
 			for i := range tks {
-				spec := core.Spec{Query: q, Mode: ModeFixed}
+				spec := core.Spec{Query: q, Mode: core.ModeFixed}
 				if i == 2 {
 					spec.Query = poisoned
 				}
@@ -837,7 +837,7 @@ func TestStoredQueriesGetTheirOwnViews(t *testing.T) {
 		defer s.Close()
 		tks := make([]*Ticket, n)
 		for i := range tks {
-			if tks[i], err = s.Submit(Request{Spec: core.Spec{Query: q, Mode: ModeFixed}, Storage: plan}); err != nil {
+			if tks[i], err = s.Submit(Request{Spec: core.Spec{Query: q, Mode: core.ModeFixed}, Storage: plan}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -879,5 +879,87 @@ func TestStoredQueriesGetTheirOwnViews(t *testing.T) {
 		if !slices.Equal(got[2*i:2*i+2], want) || idle[0] != (cache.StorageCounters{}) || idle[1] != (cache.StorageCounters{}) {
 			t.Errorf("query %d tier counters %+v, want %+v on cores %d and %d and zero elsewhere", i, got, want, 2*i, 2*i+1)
 		}
+	}
+}
+
+// TestResidentBytesFollowLatestDone: two stored queries admitted into one
+// round finish at its barrier in admission order, the larger first, though it
+// is done later on the simulated clock. Stats reports the residency of the
+// one done later, and each query's latency in barrier order.
+func TestResidentBytesFollowLatestDone(t *testing.T) {
+	const vs = 512
+	prof := cpu.ScaledXeon()
+	c := cpu.MustNew(prof)
+	stored := func(rows int) (*exec.Query, *storage.Plan) {
+		d, err := tpch.Generate(tpch.Config{Lineitems: rows, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := columnar.EncodeTable(d.Lineitem, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := enc.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.BindAll(c); err != nil {
+			t.Fatal(err)
+		}
+		d.Lineitem = tab
+		q, err := exec.Q6(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := storage.Compile(enc, tab, q, vs, storage.Config{LatencyCycles: 300, BytesPerCycle: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, plan
+	}
+	bigQ, bigPlan := stored(32 * vs)
+	smallQ, smallPlan := stored(8 * vs)
+	// A quantum longer than either query: both finish in the first round.
+	s, err := New(prof, 4, vs, Config{MaxActive: 2, QuantumVectors: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var tks []*Ticket
+	for _, r := range []Request{
+		{Spec: core.Spec{Query: bigQ, Mode: core.ModeFixed}, Storage: bigPlan},
+		{Spec: core.Spec{Query: smallQ, Mode: core.ModeFixed}, Storage: smallPlan},
+	} {
+		tk, err := s.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
+	}
+	var outs []Outcome
+	for _, tk := range tks {
+		o, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, o)
+	}
+	residency := func(o Outcome) (n uint64) {
+		for _, v := range o.Storage {
+			n += v.Set.ResidentBytes()
+		}
+		return n
+	}
+	big, small := outs[0], outs[1]
+	if big.Start != small.Start || big.Done <= small.Done || residency(big) == residency(small) {
+		t.Fatalf("big query %d..%d (%d B), small %d..%d (%d B): want one round, the big one done later, residencies apart",
+			big.Start, big.Done, residency(big), small.Start, small.Done, residency(small))
+	}
+	st := s.Stats()
+	if st.ResidentBytes != residency(big) {
+		t.Errorf("ResidentBytes = %d, want the big query's %d (the small one left %d)", st.ResidentBytes, residency(big), residency(small))
+	}
+	if want := []uint64{big.Done - big.Arrival, small.Done - small.Arrival}; !slices.Equal(st.LatencyCycles, want) {
+		t.Errorf("LatencyCycles = %v, want %v", st.LatencyCycles, want)
 	}
 }

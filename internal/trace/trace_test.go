@@ -26,20 +26,6 @@ func TestNilSafety(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("recording on a nil track allocates %.0f times", n)
 	}
-	var g *Gauge
-	var s *Summary
-	g.Set(1)
-	s.Observe(2)
-	if g.Value() != 0 || s.Quantile(0.5) != 0 || s.Count() != 0 {
-		t.Fatal("nil metrics must be inert")
-	}
-	var m *Metrics
-	if m.Gauge("b", "") != nil || m.Summary("c", "") != nil {
-		t.Fatal("nil registry must hand out nil instruments")
-	}
-	if err := m.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestTrackRecording(t *testing.T) {
@@ -151,43 +137,5 @@ func TestWriteChrome(t *testing.T) {
 	args := inst["args"].(map[string]any)
 	if args["ok"] != true || args["gain"].(float64) != 1.25 {
 		t.Fatalf("bad args: %v", args)
-	}
-}
-
-func TestMetricsExposition(t *testing.T) {
-	m := NewMetrics()
-	act := m.Gauge("progopt_peak_active_queries", "peak concurrently active queries")
-	lat := m.Summary("progopt_sim_latency_ms", "simulated end-to-end latency")
-	act.Set(4)
-	for _, v := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
-		lat.Observe(v)
-	}
-	if got := lat.Quantile(0.5); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := lat.Quantile(0.99); got != 10 {
-		t.Fatalf("p99 = %v, want 10", got)
-	}
-	var out bytes.Buffer
-	if err := m.WritePrometheus(&out); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{
-		"# TYPE progopt_peak_active_queries gauge",
-		"progopt_peak_active_queries 4",
-		"# TYPE progopt_sim_latency_ms summary",
-		`progopt_sim_latency_ms{quantile="0.5"} 5`,
-		`progopt_sim_latency_ms{quantile="0.95"} 10`,
-		"progopt_sim_latency_ms_sum 55",
-		"progopt_sim_latency_ms_count 10",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
-	}
-	// Same name returns the same instrument.
-	if m.Gauge("progopt_peak_active_queries", "").Value() != 4 {
-		t.Fatal("re-registration must return the existing instrument")
 	}
 }

@@ -1,8 +1,12 @@
 package progopt
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 	"sync"
 
 	"progopt/internal/service"
@@ -100,63 +104,6 @@ type Server struct {
 	planHits        int
 	planMisses      int
 	disableFeedback bool
-
-	// subSeq numbers submissions; resDone/resSeq stamp the stored query whose
-	// residency the resident gauge currently reports, so racing waiters
-	// publish the gauge in simulated completion order (ties to the later
-	// submission), not host completion order.
-	subSeq, resSeq uint64
-	resDone        uint64
-	resSet         bool
-
-	// met is the server's simulated-time metrics registry, always on (see
-	// WriteMetrics); metrics are host-side bookkeeping and perturb nothing.
-	met *serverMetrics
-}
-
-// serverMetrics bundles the server's registry and its instruments, registered
-// once in a fixed order so the exposition is byte-identical for identical
-// workloads.
-type serverMetrics struct {
-	reg *trace.Metrics
-
-	submitted, admitted, rejected, completed *trace.Gauge
-	planHits, planMisses, planEvictions      *trace.Gauge
-	warmStarts, feedbackStores               *trace.Gauge
-	reopt                                    [5]*trace.Gauge
-	latency                                  *trace.Summary
-	latP50, latP95, latP99                   *trace.Gauge
-	makespan                                 *trace.Gauge
-	resident                                 *trace.Gauge
-}
-
-func newServerMetrics() *serverMetrics {
-	reg := trace.NewMetrics()
-	return &serverMetrics{
-		reg:            reg,
-		submitted:      reg.Gauge("progopt_queries_submitted", "Queries submitted to the server."),
-		admitted:       reg.Gauge("progopt_queries_admitted", "Queries admitted by the admission controller."),
-		rejected:       reg.Gauge("progopt_queries_rejected", "Queries rejected at the queue limit."),
-		completed:      reg.Gauge("progopt_queries_completed", "Queries completed."),
-		planHits:       reg.Gauge("progopt_plan_cache_hits", "Plan-cache lookups that skipped Compile."),
-		planMisses:     reg.Gauge("progopt_plan_cache_misses", "Plan-cache lookups that required Compile."),
-		planEvictions:  reg.Gauge("progopt_plan_cache_evictions", "Plan-cache capacity evictions."),
-		warmStarts:     reg.Gauge("progopt_feedback_warm_starts", "Submissions that began at a feedback-cached converged order."),
-		feedbackStores: reg.Gauge("progopt_feedback_stores", "Adaptive completions that deposited a converged order."),
-		latency:        reg.Summary("progopt_query_latency_cycles", "Per-query simulated latency (Done-Arrival), in cycles."),
-		latP50:         reg.Gauge("progopt_query_latency_p50_millis", "p50 simulated query latency, in simulated milliseconds."),
-		latP95:         reg.Gauge("progopt_query_latency_p95_millis", "p95 simulated query latency, in simulated milliseconds."),
-		latP99:         reg.Gauge("progopt_query_latency_p99_millis", "p99 simulated query latency, in simulated milliseconds."),
-		makespan:       reg.Gauge("progopt_makespan_millis", "Simulated time the core pool has been driven to."),
-		resident:       reg.Gauge("progopt_storage_resident_bytes", "Storage-tier bytes resident in the DRAM budget after the most recent stored query."),
-		reopt: [5]*trace.Gauge{
-			reg.Gauge("progopt_reopt_sample_cycles", "Simulated cycles adaptive queries were charged for PMU sampling and estimation."),
-			reg.Gauge("progopt_reopt_recompile_cycles", "Simulated cycles charged for reorders, reverts, probes and implementation switches."),
-			reg.Gauge("progopt_reopt_reverted_cycles", "Simulated cycles spent in steps whose operator order validation rolled back."),
-			reg.Gauge("progopt_reopt_regret_cycles", "Excess of those steps over the step they were validated against."),
-			reg.Gauge("progopt_reopt_held_off", "Optimization points sat out by the back-off after a revert."),
-		},
-	}
 }
 
 // NewServer builds a workload server on the engine. The server schedules on
@@ -195,7 +142,6 @@ func NewServer(e *Engine, cfg ServerConfig) (*Server, error) {
 		svc:             svc,
 		plans:           service.NewLRU(cfg.PlanCacheSize),
 		disableFeedback: cfg.DisableFeedback,
-		met:             newServerMetrics(),
 	}, nil
 }
 
@@ -207,13 +153,6 @@ type Ticket struct {
 	q       *Query
 	fp      service.Fingerprint
 	planHit bool
-	// seq is the submission's position in program submission order; it
-	// tie-breaks the resident gauge when two stored queries complete at the
-	// same simulated cycle.
-	seq uint64
-	// observed says the query's latency is in the summary: a ticket may be
-	// waited on several times but is one query. Guarded by s.mu.
-	observed bool
 }
 
 // Query returns the compiled query the server executes for this submission
@@ -291,14 +230,10 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.subSeq++
-	seq := s.subSeq
-	s.mu.Unlock()
 	// Warm-start provenance is decided when the admission controller
 	// activates the query; Wait refreshes it.
 	q.served.Store(&servedProvenance{fingerprint: fp.String(), planCacheHit: hit})
-	return &Ticket{s: s, t: tk, q: q, fp: fp, planHit: hit, seq: seq}, nil
+	return &Ticket{s: s, t: tk, q: q, fp: fp, planHit: hit}, nil
 }
 
 // Close releases the host worker goroutines of the server's core pool, if
@@ -327,26 +262,6 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		out.Storage = storageStats(t.q.storage.plan, o.Storage)
 	}
 	lat := o.Done - o.Arrival
-	var res uint64
-	for _, v := range o.Storage {
-		res += v.Set.ResidentBytes()
-	}
-	s := t.s
-	s.mu.Lock()
-	if !t.observed {
-		// Latency observations are integral cycle counts, so the summary's sum
-		// and quantiles are exact and independent of Wait completion order.
-		t.observed = true
-		s.met.latency.Observe(float64(lat))
-	}
-	// The gauge reports the most recent stored query on the *simulated*
-	// clock (ties to the later submission), so racing waiters publish it
-	// deterministically regardless of host completion order.
-	if o.Storage != nil && (!s.resSet || o.Done > s.resDone || (o.Done == s.resDone && t.seq > s.resSeq)) {
-		s.resSet, s.resDone, s.resSeq = true, o.Done, t.seq
-		s.met.resident.Set(float64(res))
-	}
-	s.mu.Unlock()
 	out.Served = &ServedInfo{
 		Arrival:       o.Arrival,
 		Start:         o.Start,
@@ -362,6 +277,13 @@ func (t *Ticket) Wait() (ExecResult, error) {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() ServerStats {
+	out, _ := s.stats()
+	return out
+}
+
+// stats snapshots the server counters and returns them with the service's
+// snapshot they were read from.
+func (s *Server) stats() (ServerStats, service.Stats) {
 	st := s.svc.Stats()
 	s.mu.Lock()
 	out := ServerStats{
@@ -381,7 +303,7 @@ func (s *Server) Stats() ServerStats {
 	}
 	s.mu.Unlock()
 	out.MakespanMillis = s.e.millis(out.MakespanCycles)
-	return out
+	return out, st
 }
 
 // Workers returns the size of the server's core pool.
@@ -390,26 +312,64 @@ func (s *Server) Workers() int { return s.svc.Workers() }
 // WriteMetrics renders the server's metrics in the Prometheus text exposition
 // format (version 0.0.4): query throughput, plan- and feedback-cache
 // effectiveness, p50/p95/p99 simulated latency, pool makespan, and
-// storage-tier residency. Every value is a simulated quantity; exposition is
-// byte-identical for identical workloads.
+// storage-tier residency. Latency covers every completed query, waited on or
+// not. Every value is a simulated quantity; exposition is byte-identical for
+// identical workloads.
 func (s *Server) WriteMetrics(w io.Writer) error {
-	st := s.Stats()
-	m := s.met
-	m.submitted.Set(float64(st.Submitted))
-	m.admitted.Set(float64(st.Admitted))
-	m.rejected.Set(float64(st.Rejected))
-	m.completed.Set(float64(st.Completed))
-	m.planHits.Set(float64(st.PlanCacheHits))
-	m.planMisses.Set(float64(st.PlanCacheMisses))
-	m.planEvictions.Set(float64(st.PlanCacheEvictions))
-	m.warmStarts.Set(float64(st.FeedbackWarmStarts))
-	m.feedbackStores.Set(float64(st.FeedbackStores))
-	for i, v := range [5]uint64{st.Reopt.SampleCycles, st.Reopt.RecompileCycles, st.Reopt.RevertedCycles, st.Reopt.RegretCycles, uint64(st.Reopt.HeldOff)} {
-		m.reopt[i].Set(float64(v))
+	st, svc := s.stats()
+	lat := svc.LatencyCycles // the snapshot's own copy
+	slices.Sort(lat)
+	var b bytes.Buffer
+	gauge := func(name, help string, v float64) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, formatValue(v))
 	}
-	m.latP50.Set(s.e.millis(uint64(m.latency.Quantile(0.5))))
-	m.latP95.Set(s.e.millis(uint64(m.latency.Quantile(0.95))))
-	m.latP99.Set(s.e.millis(uint64(m.latency.Quantile(0.99))))
-	m.makespan.Set(st.MakespanMillis)
-	return m.reg.WritePrometheus(w)
+	gauge("progopt_queries_submitted", "Queries submitted to the server.", float64(st.Submitted))
+	gauge("progopt_queries_admitted", "Queries admitted by the admission controller.", float64(st.Admitted))
+	gauge("progopt_queries_rejected", "Queries rejected at the queue limit.", float64(st.Rejected))
+	gauge("progopt_queries_completed", "Queries completed.", float64(st.Completed))
+	gauge("progopt_plan_cache_hits", "Plan-cache lookups that skipped Compile.", float64(st.PlanCacheHits))
+	gauge("progopt_plan_cache_misses", "Plan-cache lookups that required Compile.", float64(st.PlanCacheMisses))
+	gauge("progopt_plan_cache_evictions", "Plan-cache capacity evictions.", float64(st.PlanCacheEvictions))
+	gauge("progopt_feedback_warm_starts", "Submissions that began at a feedback-cached converged order.", float64(st.FeedbackWarmStarts))
+	gauge("progopt_feedback_stores", "Adaptive completions that deposited a converged order.", float64(st.FeedbackStores))
+	writeLatencySummary(&b, lat)
+	gauge("progopt_query_latency_p50_millis", "p50 simulated query latency, in simulated milliseconds.", s.e.millis(nearestRank(lat, 0.5)))
+	gauge("progopt_query_latency_p95_millis", "p95 simulated query latency, in simulated milliseconds.", s.e.millis(nearestRank(lat, 0.95)))
+	gauge("progopt_query_latency_p99_millis", "p99 simulated query latency, in simulated milliseconds.", s.e.millis(nearestRank(lat, 0.99)))
+	gauge("progopt_makespan_millis", "Simulated time the core pool has been driven to.", st.MakespanMillis)
+	gauge("progopt_storage_resident_bytes", "Storage-tier bytes resident in the DRAM budget after the most recent stored query.", float64(svc.ResidentBytes))
+	gauge("progopt_reopt_sample_cycles", "Simulated cycles adaptive queries were charged for PMU sampling and estimation.", float64(st.Reopt.SampleCycles))
+	gauge("progopt_reopt_recompile_cycles", "Simulated cycles charged for reorders, reverts, probes and implementation switches.", float64(st.Reopt.RecompileCycles))
+	gauge("progopt_reopt_reverted_cycles", "Simulated cycles spent in steps whose operator order validation rolled back.", float64(st.Reopt.RevertedCycles))
+	gauge("progopt_reopt_regret_cycles", "Excess of those steps over the step they were validated against.", float64(st.Reopt.RegretCycles))
+	gauge("progopt_reopt_held_off", "Optimization points sat out by the back-off after a revert.", float64(st.Reopt.HeldOff))
+	_, err := w.Write(b.Bytes())
+	return err
 }
+
+// writeLatencySummary writes the latency summary of the ascending latencies
+// lat: nearest-rank p50/p95/p99, then _sum and _count.
+func writeLatencySummary(b *bytes.Buffer, lat []uint64) {
+	const name = "progopt_query_latency_cycles"
+	fmt.Fprintf(b, "# HELP %s Per-query simulated latency (Done-Arrival), in cycles.\n# TYPE %s summary\n", name, name)
+	for _, q := range [...]float64{0.5, 0.95, 0.99} {
+		fmt.Fprintf(b, "%s{quantile=%q} %s\n", name, formatValue(q), formatValue(float64(nearestRank(lat, q))))
+	}
+	var sum uint64
+	for _, v := range lat {
+		sum += v
+	}
+	fmt.Fprintf(b, "%s_sum %s\n%s_count %d\n", name, formatValue(float64(sum)), name, len(lat))
+}
+
+// nearestRank returns the q-quantile (0 <= q <= 1) of the ascending xs by
+// nearest rank, the ceil(q*n)-th smallest, or 0 when xs is empty.
+func nearestRank(xs []uint64, q float64) uint64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(xs)))) - 1
+	return xs[min(max(i, 0), len(xs)-1)]
+}
+
+func formatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -624,3 +624,65 @@ func TestServeMetricsGolden(t *testing.T) {
 		t.Errorf("exposition differs from %s:\n got:\n%s\nwant:\n%s", path, got.Bytes(), want)
 	}
 }
+
+// TestServeUnwaitedQueriesCountInLatency: the service records a query's
+// latency when it completes, so a query nobody waits on counts in the summary
+// like it counts in progopt_queries_completed.
+func TestServeUnwaitedQueriesCountInLatency(t *testing.T) {
+	e, d := serveEngine(t, 2)
+	defer e.Close()
+	// One query at a time: the last completes after the other two.
+	srv, err := NewServer(e, ServerConfig{MaxActive: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var last *Ticket
+	for range 3 {
+		if last, err = srv.Submit(d, convergentPlan(d, false), ExecOptions{Mode: ModeFixed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := last.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var met bytes.Buffer
+	if err := srv.WriteMetrics(&met); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"progopt_queries_completed 3", "progopt_query_latency_cycles_count 3"} {
+		if !strings.Contains(met.String(), line+"\n") {
+			t.Errorf("metrics lack %q:\n%s", line, met.String())
+		}
+	}
+}
+
+// TestLatencySummaryNearestRank: the summary's quantiles are nearest-rank
+// over the sorted latencies, and _sum and _count cover all of them.
+func TestLatencySummaryNearestRank(t *testing.T) {
+	lat := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, c := range []struct {
+		q    float64
+		want uint64
+	}{{0, 1}, {0.5, 5}, {0.95, 10}, {0.99, 10}, {1, 10}} {
+		if got := nearestRank(lat, c.q); got != c.want {
+			t.Errorf("q %v of 1..10 = %d, want %d", c.q, got, c.want)
+		}
+	}
+	if got := nearestRank(nil, 0.5); got != 0 {
+		t.Errorf("q 0.5 of nothing = %d, want 0", got)
+	}
+	var b bytes.Buffer
+	writeLatencySummary(&b, lat)
+	want := `# HELP progopt_query_latency_cycles Per-query simulated latency (Done-Arrival), in cycles.
+# TYPE progopt_query_latency_cycles summary
+progopt_query_latency_cycles{quantile="0.5"} 5
+progopt_query_latency_cycles{quantile="0.95"} 10
+progopt_query_latency_cycles{quantile="0.99"} 10
+progopt_query_latency_cycles_sum 55
+progopt_query_latency_cycles_count 10
+`
+	if b.String() != want {
+		t.Errorf("summary:\n%s\nwant:\n%s", b.String(), want)
+	}
+}

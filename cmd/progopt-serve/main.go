@@ -206,7 +206,7 @@ func run(queries, templates, workers, vector, lineitems int, seed int64,
 	subs := make([]submission, queries)
 	var arrival uint64
 	for i := 0; i < queries; i++ {
-		arrival += uint64(rng.ExpFloat64() * float64(gap))
+		arrival += uint64(float64(rng.ExpFloat64() * float64(gap)))
 		tk, err := srv.SubmitAt(ds, plans[rng.Intn(len(plans))], opts, arrival)
 		if err != nil {
 			return err

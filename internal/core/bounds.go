@@ -80,7 +80,7 @@ func (b *Bounds) restrict(p int, tupsIn, tupsOut, bntSampled float64) error {
 		}
 		// Eq. (8): positions 0..i all take the same maximal value x while
 		// later positions take tupsOut: (i+1)*x + (p-1-i)*tupsOut = BNT.
-		up := (bntSampled - float64(p-1-i)*tupsOut) / float64(i+1)
+		up := (bntSampled - float64(float64(p-1-i)*tupsOut)) / float64(i+1)
 		if up > tupsIn {
 			up = tupsIn
 		}
@@ -92,7 +92,7 @@ func (b *Bounds) restrict(p int, tupsIn, tupsOut, bntSampled float64) error {
 		// Eq. (9), corrected divisor: positions before i maxed at tupsIn,
 		// last pinned at tupsOut, remainder spread over p-1-i positions of
 		// which position i is the largest.
-		lo := (bntSampled - tupsOut - float64(i)*tupsIn) / float64(p-1-i)
+		lo := (bntSampled - tupsOut - float64(float64(i)*tupsIn)) / float64(p-1-i)
 		if lo < tupsOut {
 			lo = tupsOut
 		}

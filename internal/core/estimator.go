@@ -301,7 +301,7 @@ func (e *Estimator) selsOf(sels, x []float64) float64 {
 			prod = e.qualFrac
 		}
 		if prod > prev {
-			penalty += (prod - prev) * e.s.N * 10
+			penalty += float64((prod - prev) * e.s.N * 10)
 			prod = prev
 		}
 		if prev <= 0 {
@@ -333,10 +333,10 @@ func (e *Estimator) objectiveAt(x []float64) float64 {
 		return math.Inf(1)
 	}
 	s, w := &e.s, &e.weights
-	return w.BNT*math.Abs(s.BNT-est.BNT) +
-		w.L3*math.Abs(s.L3-est.L3) +
-		w.MPNotTaken*math.Abs(s.MPNotTaken-est.MPNotTaken) +
-		w.MPTaken*math.Abs(s.MPTaken-est.MPTaken) +
+	return float64(w.BNT*math.Abs(s.BNT-est.BNT)) +
+		float64(w.L3*math.Abs(s.L3-est.L3)) +
+		float64(w.MPNotTaken*math.Abs(s.MPNotTaken-est.MPNotTaken)) +
+		float64(w.MPTaken*math.Abs(s.MPTaken-est.MPTaken)) +
 		penalty
 }
 

@@ -70,7 +70,7 @@ func CostModelGraphOrder(g cachemodel.Geometry, driving string, joins []GraphJoi
 			return nil, fmt.Errorf("core: graph join %q selectivity %v outside [0,1]", name(j, i), j.Selectivity)
 		}
 		missRate := g.RandomMisses(j.BuildRows, j.BuildWidth, j.Probes) / float64(j.Probes)
-		cost := evalCost + missRate*missStallWeight
+		cost := evalCost + float64(missRate*missStallWeight)
 		drop := 1 - j.Selectivity
 		if drop <= 1e-9 {
 			ranks[i] = cost * 1e9

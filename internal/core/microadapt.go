@@ -61,13 +61,13 @@ func ChooseImpl(sels []float64) exec.ScanImpl {
 		if s > 1 {
 			s = 1
 		}
-		branching += reach * (implEvalInstr + implBranchInstr) / implIssueWidth
-		branching += reach * implChain.Predict(s).MP() * implMPPenaltyCycles
+		branching += float64(reach * (implEvalInstr + implBranchInstr) / implIssueWidth)
+		branching += float64(reach * implChain.Predict(s).MP() * implMPPenaltyCycles)
 		cr := implGeometry.CondReadAccesses(n, implWidth, reach)
-		branching += (cr.Touched*implSeqLineStall + cr.Random*implRandomLineStall) / n
+		branching += float64((float64(cr.Touched*implSeqLineStall) + float64(cr.Random*implRandomLineStall)) / n)
 
 		branchFree += (implEvalInstr + implMaskInstr) / implIssueWidth
-		branchFree += implGeometry.Lines(n, implWidth) * implSeqLineStall / n
+		branchFree += float64(implGeometry.Lines(n, implWidth) * implSeqLineStall / n)
 		reach *= s
 	}
 	if branchFree < branching {

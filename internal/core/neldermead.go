@@ -215,7 +215,7 @@ func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOp
 			// Contraction.
 			contr := w.rows[iContr]
 			for j := range contr {
-				contr[j] = centroid[j] + rho*(simplex[worst][j]-centroid[j])
+				contr[j] = centroid[j] + float64(rho*(simplex[worst][j]-centroid[j]))
 			}
 			if fContr := eval(contr); fContr < values[worst] {
 				replace(iContr, fContr)
@@ -223,7 +223,7 @@ func (w *nmWorkspace) minimize(f func([]float64) float64, x0 []float64, opt NMOp
 				// Shrink toward the best vertex.
 				for _, idx := range order[1:] {
 					for j := range simplex[idx] {
-						simplex[idx][j] = simplex[best][j] + sigma*(simplex[idx][j]-simplex[best][j])
+						simplex[idx][j] = simplex[best][j] + float64(sigma*(simplex[idx][j]-simplex[best][j]))
 					}
 					values[idx] = eval(simplex[idx])
 				}

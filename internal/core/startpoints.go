@@ -205,8 +205,8 @@ func (g *StartPointGen) haltonPoint(pt []float64) {
 		f, r := 1.0, 0.0
 		for i := g.halton; i > 0; i /= base {
 			f /= float64(base)
-			r += f * float64(i%base)
+			r += float64(f * float64(i%base))
 		}
-		pt[j] = g.lo[j] + r*(g.hi[j]-g.lo[j])
+		pt[j] = g.lo[j] + float64(r*(g.hi[j]-g.lo[j]))
 	}
 }

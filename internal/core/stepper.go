@@ -231,7 +231,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 			extra += s.recompile(engines)
 			s.st.Reverts++
 			s.st.RevertedCycles += br.MaxCycles
-			s.st.RegretCycles += br.MaxCycles - uint64(s.prevCostPerVec*float64(br.Vectors))
+			s.st.RegretCycles += br.MaxCycles - uint64(float64(s.prevCostPerVec*float64(br.Vectors)))
 			changed = true
 			if s.opt.Trace != nil {
 				traceDecision(s.opt.Trace, "revert", s.at(extra), br.Counters,
@@ -426,7 +426,7 @@ func planCost(order []int, weights, sels []float64) float64 {
 		if order != nil {
 			o = order[i]
 		}
-		cost += reach * weights[o]
+		cost += float64(reach * weights[o])
 		reach *= sels[o]
 	}
 	return cost

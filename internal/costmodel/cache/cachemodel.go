@@ -87,9 +87,9 @@ func (c CondReadColumn) Accesses(access float64) CondRead {
 	}
 	// Probability at least one of the ~vpl tuples on a line is accessed.
 	pTouch := 1 - math.Pow(1-access, c.vpl)
-	touched := c.lines * pTouch
+	touched := float64(c.lines * pTouch)
 	// A touched line is a random access when the preceding line was skipped.
-	random := c.lines * pTouch * (1 - pTouch)
+	random := float64(c.lines * pTouch * (1 - pTouch))
 	return CondRead{
 		Touched:  touched,
 		Random:   random,

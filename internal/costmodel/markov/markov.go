@@ -110,7 +110,7 @@ func stationary(pi []float64, p float64) {
 		pi[0] = 1
 		sum := 1.0
 		for i := 1; i < len(pi); i++ {
-			pi[i] = pi[i-1] * r
+			pi[i] = float64(pi[i-1] * r)
 			sum += pi[i]
 		}
 		for i := range pi {

@@ -117,11 +117,11 @@ func (m *Model) Counters(sels []float64) (Estimate, error) {
 		input := n * prod
 		// Branch events of predicate i (§2.2.1): not taken when the tuple
 		// qualifies, taken when it fails.
-		est.BNT += input * sel
-		est.BTaken += input * (1 - sel)
+		est.BNT += float64(input * sel)
+		est.BTaken += float64(input * (1 - sel))
 		r := m.chain.Predict(sel)
-		est.MPTaken += r.MPTaken * input
-		est.MPNotTaken += r.MPNotTaken * input
+		est.MPTaken += float64(r.MPTaken * input)
+		est.MPNotTaken += float64(r.MPNotTaken * input)
 		// Column of predicate i is read for every tuple reaching it: a
 		// conditional-read pattern with access probability prod (sequential
 		// scan when prod == 1).

@@ -46,7 +46,7 @@ func UniformFloat64(rng *rand.Rand, n int, lo, hi float64) []float64 {
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = lo + rng.Float64()*(hi-lo)
+		out[i] = lo + float64(rng.Float64()*(hi-lo))
 	}
 	return out
 }

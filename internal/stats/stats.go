@@ -93,7 +93,7 @@ func (h *Histogram) EstimateLE(bound float64) float64 {
 	if span == 0 {
 		return 1
 	}
-	pos := (bound - h.lo) / span * float64(len(h.buckets))
+	pos := float64((bound - h.lo) / span * float64(len(h.buckets)))
 	full := int(pos)
 	frac := pos - float64(full)
 	var count float64
@@ -101,7 +101,7 @@ func (h *Histogram) EstimateLE(bound float64) float64 {
 		count += float64(h.buckets[i])
 	}
 	if full < len(h.buckets) {
-		count += frac * float64(h.buckets[full])
+		count += float64(frac * float64(h.buckets[full]))
 	}
 	return count / float64(h.total)
 }
@@ -124,7 +124,7 @@ func (h *Histogram) Estimate(op exec.CmpOp, bound float64) float64 {
 		if w <= 0 {
 			return 1
 		}
-		return h.EstimateLE(bound+w/2) - h.EstimateLE(bound-w/2)
+		return h.EstimateLE(bound+float64(w/2)) - h.EstimateLE(bound-float64(w/2))
 	default:
 		return 0.5
 	}

@@ -186,7 +186,7 @@ func Generate(cfg Config) (*Dataset, error) {
 			lPartkey = append(lPartkey, rng.Int63n(int64(numParts)))
 			q := 1 + rng.Int63n(50)
 			lQuantity = append(lQuantity, q)
-			lPrice = append(lPrice, float64(q)*(900+rng.Float64()*1200))
+			lPrice = append(lPrice, float64(q)*(900+float64(rng.Float64()*1200)))
 			lDiscount = append(lDiscount, float64(rng.Intn(11))/100)
 			lTax = append(lTax, float64(rng.Intn(9))/100)
 			ship := oDate[order] + 1 + int32(rng.Intn(121))

@@ -88,7 +88,8 @@ type Stats struct {
 	// the round barriers completed them.
 	LatencyCycles []uint64
 	// ResidentBytes is the tier residency the stored query with the latest
-	// Done left behind (ties to the later submission); 0 before any.
+	// Done left behind (ties to the later submission), summed over its
+	// per-core views, each under its own budget; 0 before any.
 	ResidentBytes uint64
 }
 

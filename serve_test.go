@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -622,6 +623,54 @@ func TestServeMetricsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("exposition differs from %s:\n got:\n%s\nwant:\n%s", path, got.Bytes(), want)
+	}
+}
+
+// TestServeResidentGaugeSumsPerCoreBudgets: StorageConfig.ResidentBytes
+// bounds each simulated core's tier view, and progopt_storage_resident_bytes
+// sums the views of the last stored query. A scan that overflows every view
+// reads above one budget and never above Workers of them.
+func TestServeResidentGaugeSumsPerCoreBudgets(t *testing.T) {
+	const workers, budget = 4, 16 << 10
+	e, err := New(Config{VectorSize: 512, Workers: workers,
+		Storage: &StorageConfig{LatencyCycles: 500, BytesPerCycle: 16, ResidentBytes: budget}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	d, err := e.GenerateTPCH(32*512, 31, OrderRandom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(e, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tk, err := srv.Submit(d, convergentPlan(d, false), ExecOptions{Mode: ModeFixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var met bytes.Buffer
+	if err := srv.WriteMetrics(&met); err != nil {
+		t.Fatal(err)
+	}
+	const name = "progopt_storage_resident_bytes "
+	i := strings.Index(met.String(), "\n"+name)
+	if i < 0 {
+		t.Fatalf("metrics lack %q:\n%s", name, met.String())
+	}
+	line, _, _ := strings.Cut(met.String()[i+1+len(name):], "\n")
+	got, err := strconv.ParseFloat(line, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got <= budget || got > workers*budget {
+		t.Errorf("resident gauge %v, want in (%d, %d]: above one view's budget, within the %d views'",
+			got, budget, workers*budget, workers)
 	}
 }
 

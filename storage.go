@@ -28,8 +28,10 @@ type StorageConfig struct {
 	LatencyCycles uint64
 	// BytesPerCycle is the tier's transfer bandwidth (0 = 1).
 	BytesPerCycle uint64
-	// ResidentBytes bounds DRAM-resident encoded bytes; blocks evict LRU
-	// past the budget (0 = unbounded).
+	// ResidentBytes bounds the DRAM-resident encoded bytes of each
+	// simulated core's tier view; a view evicts blocks LRU past it
+	// (0 = unbounded). The views are separate, so a query on Workers cores
+	// can hold up to Workers × ResidentBytes.
 	ResidentBytes uint64
 	// SkipScan answers vectors that zone maps prove empty from metadata
 	// alone — no loads, instructions, or branches are simulated for them.

@@ -52,8 +52,9 @@
 // is stepped a morsel block at a time — a vector at a time on a pool of one
 // core — and it bounds its own regret: a reverting step decides nothing else,
 // rejected orders stay rejected until a reorder survives validation,
-// consecutive reverts back it off exponentially, and ExecResult.Stats.Ledger
-// says what re-optimizing cost the run (DESIGN.md, "The reoptimizer loop").
+// consecutive reverts and consecutive points that confirm the order back it
+// off exponentially, and ExecResult.Stats.Ledger says what re-optimizing
+// cost the run (DESIGN.md, "The reoptimizer loop").
 //
 // Scan/Compile/Exec (or NewServer/Submit) is the only plan surface, and
 // nothing in Config selects a second engine: the tuple-at-a-time row loop,

@@ -120,8 +120,8 @@ type Ledger struct {
 	// RegretCycles is those steps' excess over the yardstick: the step the
 	// rejected order was measured against, scaled to the same vector count.
 	RegretCycles uint64
-	// HeldOff counts the optimization points the back-off after a revert sat
-	// out, uncharged.
+	// HeldOff counts the optimization points the back-offs after a revert
+	// and after a run of confirming points sat out, uncharged.
 	HeldOff int
 }
 

@@ -52,9 +52,16 @@ type BlockStepper struct {
 	prevCostPerVec    float64
 	pendingValidation bool
 	// stableBlocks counts consecutive optimization points that confirmed the
-	// current order (drives the §4.5 correlation probe; progressive mode
-	// only).
+	// current order, sat out ones included (drives the §4.5 correlation
+	// probe; progressive mode only).
 	stableBlocks int
+	// confirmed counts the points in a row that estimated and changed
+	// nothing, and skip the points still to sit out because of them
+	// (2^confirmed - 1 after each). confQual of confTuples is what the last
+	// confirming step qualified.
+	confirmed, skip int
+	confQual        int64
+	confTuples      int
 	// rejected is the set of orders validation rolled back since the last
 	// reorder that survived it: neither the estimator nor the probe proposes
 	// a measured regression again until the data has moved. backoff counts
@@ -184,6 +191,13 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 // validation steps, not O(points). Both hold for as long as the data stands
 // still: a step whose qualifying share has left the reverted step's ends them.
 //
+// Confirming costs the same way: after the k-th point in a row whose PMU
+// estimate changed nothing, the next 2^k - 1 points sit out, uncharged but
+// counted toward the probe's cadence, so a run on its best order pays for
+// O(log points) samples. Any plan change ends the run, and so does a point
+// whose qualifying share has left the last confirming step's: it samples at
+// once. Exact counts (ModeEnumerated) rank every point.
+//
 // tuples is the number of driving-table tuples the step covered. optPoint is
 // the caller's schedule: every block but the last, and on a pool of one core,
 // which steps a vector at a time, every ReopInterval-th vector but the last.
@@ -249,8 +263,14 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 	// of its tuples a step qualifies does not depend on the operator order:
 	// once it differs from the reverted step's by more than chance allows, the
 	// data has moved, and the loop is trusted again from this point on.
-	if optPoint && s.backoff > 0 && !skipped && s.dataMoved(br.Qualifying, tuples) {
+	if optPoint && s.backoff > 0 && !skipped && dataMoved(s.heldQual, s.heldTuples, br.Qualifying, tuples) {
 		s.rejected, s.backoff, s.holdoff = s.rejected[:0], 0, 0
+	}
+	// Likewise a point due to sit out because the order keeps being
+	// confirmed samples at once when the data has left the last confirming
+	// step's.
+	if optPoint && s.skip > 0 && !skipped && dataMoved(s.confQual, s.confTuples, br.Qualifying, tuples) {
+		s.confirmed, s.skip = 0, 0
 	}
 
 	// §4.5 correlation probe: the estimator has confirmed the same order
@@ -293,12 +313,24 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 			traceDecision(s.opt.Trace, "explore", s.at(extra), br.Counters,
 				trace.Ints("from", s.prevPerm), trace.Ints("to", s.curPerm))
 		}
+	case s.skip > 0:
+		// Confirmed often enough in a row: sit the point out, uncharged. It
+		// still counts toward the probe's cadence.
+		s.skip--
+		s.stableBlocks++
+		s.st.HeldOff++
 	case s.impl == exec.ImplBranching:
 		applied, err := s.estimate(br.Counters, tuples, exact, &extra, coord, engines)
 		if err != nil {
 			return 0, err
 		}
 		changed = changed || applied
+		// Exact counts (ModeEnumerated) rank every point.
+		if !applied && exact == nil {
+			s.confirmed++
+			s.skip = 1<<s.confirmed - 1
+			s.confQual, s.confTuples = br.Qualifying, tuples
+		}
 	default:
 		// Branch-free steps carry no per-predicate branch signal; return to
 		// the branching scan for one sampling window every few points.
@@ -321,6 +353,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 	s.accounted += extra
 	if changed {
 		s.st.ConvergedAtCycles = s.accounted
+		s.confirmed, s.skip = 0, 0
 	}
 	return extra, nil
 }
@@ -433,14 +466,14 @@ func planCost(order []int, weights, sels []float64) float64 {
 }
 
 // dataMoved reports whether a step that qualified q of n tuples differs from
-// the last reverted step by more than four standard errors of their pooled
-// share (a two-proportion z-test; a run looks hundreds of times, so three
-// would cry wolf).
-func (s *BlockStepper) dataMoved(q int64, n int) bool {
-	n0, n1 := float64(s.heldTuples), float64(n)
-	pool := float64(s.heldQual+q) / (n0 + n1)
-	d := float64(q)/n1 - float64(s.heldQual)/n0
-	return d*d > 16*pool*(1-pool)*(1/n0+1/n1)
+// a reference step that qualified q0 of n0 by more than four standard errors
+// of their pooled share (a two-proportion z-test; a run looks hundreds of
+// times, so three would cry wolf).
+func dataMoved(q0 int64, n0 int, q int64, n int) bool {
+	f0, f1 := float64(n0), float64(n)
+	pool := float64(q0+q) / (f0 + f1)
+	d := float64(q)/f1 - float64(q0)/f0
+	return d*d > 16*pool*(1-pool)*(1/f0+1/f1)
 }
 
 // proposesRejected reports whether order, in current-order positions, is an

@@ -132,7 +132,9 @@ func at(sels []float64, cost uint64) synthStep {
 // optimization point: a step that reverts does not estimate (its sample was
 // taken under the rejected order); every order validation rolled back stays
 // rejected until a reorder survives; and the k-th revert in a row sits out
-// 2^k - 1 points, uncharged.
+// 2^k - 1 points, uncharged. A point whose estimate changes nothing starts
+// the confirmation back-off (TestStepperConfirmationBackoff); the run sits
+// those points out too.
 func TestStepperRegretRules(t *testing.T) {
 	s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
 	runScript(t, s, eng, []scriptStep{
@@ -140,33 +142,39 @@ func TestStepperRegretRules(t *testing.T) {
 		// Slower: reverted, and the reverting step's own point is sat out.
 		{at(selsDescending, 2000), start, 1, 1, 1},
 		{at(selsDescending, 1000), start, 1, 1, 2}, // 2^1 - 1 held off
-		// [2 1 0] is rejected: estimating it again changes nothing.
+		// [2 1 0] is rejected: estimating it again changes nothing, and the
+		// first confirmation sits out one point.
 		{at(selsDescending, 1000), start, 2, 1, 2},
-		{at(selsMiddleLow, 1000), []int{1, 0, 2}, 3, 1, 2},
-		{at(selsMiddleLow, 2000), start, 3, 2, 3}, // second revert in a row
-		{at(selsMiddleLow, 1000), start, 3, 2, 4},
+		{at(selsDescending, 1000), start, 2, 1, 3},
+		{at(selsMiddleLow, 1000), []int{1, 0, 2}, 3, 1, 3},
+		{at(selsMiddleLow, 2000), start, 3, 2, 4}, // second revert in a row
 		{at(selsMiddleLow, 1000), start, 3, 2, 5},
-		{at(selsMiddleLow, 1000), start, 3, 2, 6}, // 2^2 - 1 held off
+		{at(selsMiddleLow, 1000), start, 3, 2, 6},
+		{at(selsMiddleLow, 1000), start, 3, 2, 7}, // 2^2 - 1 held off
 		// Both rejected orders are remembered, not only the last.
-		{at(selsDescending, 1000), start, 4, 2, 6},
-		{at(selsMiddleLow, 1000), start, 5, 2, 6},
-		{at(selsFirstTop, 1000), []int{1, 2, 0}, 6, 2, 6},
-		{at(selsFirstTop, 2000), start, 6, 3, 7},
-		{at(selsFirstTop, 1000), start, 6, 3, 8},
-		{at(selsFirstTop, 1000), start, 6, 3, 9},
-		{at(selsFirstTop, 1000), start, 6, 3, 10},
-		{at(selsFirstTop, 1000), start, 6, 3, 11},
-		{at(selsFirstTop, 1000), start, 6, 3, 12},
+		{at(selsDescending, 1000), start, 4, 2, 7},
+		{at(selsDescending, 1000), start, 4, 2, 8},
+		{at(selsMiddleLow, 1000), start, 5, 2, 8},
+		{at(selsMiddleLow, 1000), start, 5, 2, 9},
+		{at(selsMiddleLow, 1000), start, 5, 2, 10},
+		{at(selsMiddleLow, 1000), start, 5, 2, 11}, // second confirmation: 2^2 - 1
+		{at(selsFirstTop, 1000), []int{1, 2, 0}, 6, 2, 11},
+		{at(selsFirstTop, 2000), start, 6, 3, 12},
 		{at(selsFirstTop, 1000), start, 6, 3, 13},
-		{at(selsFirstTop, 1000), start, 6, 3, 14}, // 2^3 - 1 held off
+		{at(selsFirstTop, 1000), start, 6, 3, 14},
+		{at(selsFirstTop, 1000), start, 6, 3, 15},
+		{at(selsFirstTop, 1000), start, 6, 3, 16},
+		{at(selsFirstTop, 1000), start, 6, 3, 17},
+		{at(selsFirstTop, 1000), start, 6, 3, 18},
+		{at(selsFirstTop, 1000), start, 6, 3, 19}, // 2^3 - 1 held off
 		// A reorder that survives validation: the data moved. The set is
 		// emptied and the back-off reset, so [2 1 0] may be tried again and
 		// its revert sits out one point, not fifteen.
-		{at(selsLastLow, 1000), []int{2, 0, 1}, 7, 3, 14},
-		{at(selsDescending, 900), []int{2, 1, 0}, 8, 3, 14},
-		{at(selsDescending, 2000), []int{2, 0, 1}, 8, 4, 15},
-		{at(selsDescending, 900), []int{2, 0, 1}, 8, 4, 16},
-		{at(selsDescending, 900), []int{2, 0, 1}, 9, 4, 16},
+		{at(selsLastLow, 1000), []int{2, 0, 1}, 7, 3, 19},
+		{at(selsDescending, 900), []int{2, 1, 0}, 8, 3, 19},
+		{at(selsDescending, 2000), []int{2, 0, 1}, 8, 4, 20},
+		{at(selsDescending, 900), []int{2, 0, 1}, 8, 4, 21},
+		{at(selsDescending, 900), []int{2, 0, 1}, 9, 4, 21},
 	})
 	if st := s.Stats(); st.Reorders != 5 || st.RevertedCycles != 4*2000 || st.RegretCycles != 3*1000+1100 {
 		t.Fatalf("stats %+v, want 5 reorders, 8000 reverted and 4100 regret cycles", st)
@@ -219,6 +227,126 @@ func TestStepperDataMoved(t *testing.T) {
 	}
 }
 
+// TestStepperConfirmationBackoff: the k-th point in a row whose estimate
+// changes nothing sits out the next 2^k - 1 points. A sat-out point takes no
+// sample, runs no estimator and charges nothing, but counts as held off and
+// toward the probe's cadence. A point whose step qualifies a share the last
+// confirming step's could not have ends the run and samples; so does, for the
+// points after it, any plan change.
+func TestStepperConfirmationBackoff(t *testing.T) {
+	atQ := func(sels []float64, qual int64) synthStep {
+		return synthStep{sels: sels, cost: 1000, qual: qual, optPoint: true}
+	}
+	// sitOut feeds n points that must all be sat out.
+	sitOut := func(t *testing.T, s *BlockStepper, eng []*exec.Engine, n int, st synthStep) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			before, stable, c0 := s.st, s.stableBlocks, eng[0].CPU().Cycles()
+			extra := feed(t, s, eng, st)
+			if extra != 0 || eng[0].CPU().Cycles() != c0 || s.st.Optimizations != before.Optimizations ||
+				len(s.st.Samples) != len(before.Samples) || s.st.SampleCycles != before.SampleCycles {
+				t.Fatalf("sat-out point %d of %d charged %d cycles, %d -> %d optimizations", i+1, n, extra, before.Optimizations, s.st.Optimizations)
+			}
+			if s.st.HeldOff != before.HeldOff+1 || s.stableBlocks != stable+1 {
+				t.Fatalf("sat-out point %d of %d: held off %d -> %d, stable %d -> %d", i+1, n, before.HeldOff, s.st.HeldOff, stable, s.stableBlocks)
+			}
+		}
+	}
+	// confirm feeds one point that must estimate and change nothing.
+	confirm := func(t *testing.T, s *BlockStepper, eng []*exec.Engine, st synthStep) {
+		t.Helper()
+		opt, order := s.st.Optimizations, slices.Clone(s.curPerm)
+		if extra := feed(t, s, eng, st); extra == 0 || s.st.Optimizations != opt+1 || !slices.Equal(s.curPerm, order) {
+			t.Fatalf("point did not confirm: extra %d, optimizations %d -> %d, order %v -> %v", extra, opt, s.st.Optimizations, order, s.curPerm)
+		}
+	}
+
+	t.Run("doubles", func(t *testing.T) {
+		s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
+		for k := 1; k <= 4; k++ {
+			confirm(t, s, eng, atQ(selsAscending, 100))
+			if s.confirmed != k {
+				t.Fatalf("%d confirmations, want %d", s.confirmed, k)
+			}
+			sitOut(t, s, eng, 1<<k-1, atQ(selsAscending, 100))
+		}
+		if s.st.Optimizations != 4 || s.st.HeldOff != 1+3+7+15 || s.st.ConvergedAtCycles != 0 {
+			t.Fatalf("stats %+v, want 4 estimates and 26 points sat out", s.st)
+		}
+	})
+
+	t.Run("moved data", func(t *testing.T) {
+		for _, tc := range []struct {
+			name  string
+			qual  int64 // of the point, against 100 of 1024 at the confirmation
+			moved bool
+		}{
+			{"within chance", 140, false},
+			{"doubled", 200, true},
+			{"fell to nothing", 0, true},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
+				confirm(t, s, eng, atQ(selsAscending, 100))
+				sitOut(t, s, eng, 1, atQ(selsAscending, 100))
+				confirm(t, s, eng, atQ(selsAscending, 100))
+				sitOut(t, s, eng, 1, atQ(selsAscending, 100)) // one of three
+				if !tc.moved {
+					sitOut(t, s, eng, 1, atQ(selsAscending, tc.qual))
+					return
+				}
+				// The point samples at once; its order stands, so it is the
+				// first confirmation of a new run.
+				confirm(t, s, eng, atQ(selsAscending, tc.qual))
+				if s.confirmed != 1 || s.skip != 1 || s.confQual != tc.qual {
+					t.Fatalf("after moved data: %d confirmations, %d to sit out, reference %d", s.confirmed, s.skip, s.confQual)
+				}
+			})
+		}
+	})
+
+	t.Run("plan changes reset", func(t *testing.T) {
+		s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
+		confirm(t, s, eng, at(selsAscending, 1000))
+		sitOut(t, s, eng, 1, at(selsAscending, 1000))
+		confirm(t, s, eng, at(selsAscending, 1000))
+		sitOut(t, s, eng, 3, at(selsAscending, 1000))
+		// A reorder.
+		feed(t, s, eng, at(selsDescending, 1000))
+		wantOrder(t, s, 2, 1, 0)
+		if s.confirmed != 0 || s.skip != 0 {
+			t.Fatalf("a reorder left %d confirmations, %d to sit out", s.confirmed, s.skip)
+		}
+		// The reorder survives, the point after it confirms; then the data
+		// turns, the order is changed again and that change is reverted.
+		confirm(t, s, eng, at(selsDescending, 900))
+		feed(t, s, eng, at(selsDescending, 900)) // sat out
+		feed(t, s, eng, at(selsAscending, 900))
+		wantOrder(t, s, 0, 1, 2)
+		feed(t, s, eng, at(selsAscending, 2000))
+		wantOrder(t, s, 2, 1, 0)
+		if s.st.Reverts != 1 || s.confirmed != 0 || s.skip != 0 {
+			t.Fatalf("%d reverts, %d confirmations, %d to sit out; want a revert that leaves none", s.st.Reverts, s.confirmed, s.skip)
+		}
+
+		// An implementation switch. A rare first predicate keeps the
+		// branching scan.
+		rare := []float64{0.02, 0.5, 0.9}
+		s, eng = stepperFixture(t, 3, 1, true, Options{ReopInterval: 1})
+		confirm(t, s, eng, at(rare, 1000))
+		sitOut(t, s, eng, 1, at(rare, 1000))
+		confirm(t, s, eng, at(rare, 1000))
+		if s.Impl() != exec.ImplBranching || s.confirmed != 2 {
+			t.Fatalf("impl %v, %d confirmations; want two on the branching scan", s.Impl(), s.confirmed)
+		}
+		sitOut(t, s, eng, 3, at(rare, 1000))
+		feed(t, s, eng, at([]float64{0.5, 0.5, 0.5}, 1000))
+		if s.Impl() != exec.ImplBranchFree || s.confirmed != 0 || s.skip != 0 {
+			t.Fatalf("impl %v, %d confirmations, %d to sit out; want a switch that leaves none", s.Impl(), s.confirmed, s.skip)
+		}
+	})
+}
+
 // TestStepperUnreachedOperatorFollowsItsKiller: behind an operator that lets
 // nothing through no tuple is measured, and whatever the solver says about
 // the operators there is arbitrary. They take the killer's estimate, so the
@@ -269,9 +397,11 @@ func TestStepperProbeRules(t *testing.T) {
 		{at(selsAscending, 1000), []int{1, 2, 0}, 1, 0, 0}, // probes instead of estimating
 		{at(selsAscending, 2000), start, 1, 1, 1},          // slower: reverted, remembered
 		{at(selsAscending, 1000), start, 1, 1, 2},          // a probe is due, the back-off holds it
-		// Due again, the rotation is rejected: the point estimates.
+		// Due again, the rotation is rejected: the point estimates, or sits
+		// out when the order was just confirmed.
 		{at(selsAscending, 1000), start, 2, 1, 2},
-		{at(selsAscending, 1000), start, 3, 1, 2},
+		{at(selsAscending, 1000), start, 2, 1, 3},
+		{at(selsAscending, 1000), start, 3, 1, 3},
 	})
 	if s.st.Explorations != 1 {
 		t.Fatalf("%d explorations, want 1", s.st.Explorations)
@@ -313,8 +443,12 @@ func TestStepperWarmStart(t *testing.T) {
 	}
 	runScript(t, s, eng, []scriptStep{
 		{at(selsDescending, 1000), []int{2, 0, 1}, 1, 0, 0},
-		{at(selsAscending, 1000), []int{2, 0, 1}, 2, 0, 0},
-		{at(selsMiddleLow, 1000), []int{1, 0, 2}, 3, 0, 0},
+		{at(selsDescending, 1000), []int{2, 0, 1}, 1, 0, 1}, // confirmed once
+		{at(selsAscending, 1000), []int{2, 0, 1}, 2, 0, 1},
+		{at(selsAscending, 1000), []int{2, 0, 1}, 2, 0, 2},
+		{at(selsAscending, 1000), []int{2, 0, 1}, 2, 0, 3},
+		{at(selsAscending, 1000), []int{2, 0, 1}, 2, 0, 4}, // twice
+		{at(selsMiddleLow, 1000), []int{1, 0, 2}, 3, 0, 4},
 	})
 	if st := s.Stats(); st.Reorders != 1 || !slices.Equal(st.FinalOrder, []int{1, 0, 2}) {
 		t.Fatalf("stats %+v, want the one order outside the rejected set", st)
@@ -326,14 +460,15 @@ func TestStepperWarmStart(t *testing.T) {
 
 // TestStepperSingleOperatorNeverProbes: one operator has no other order, so
 // a due probe must not charge a recompile, count an exploration, or set up a
-// revert to the same order.
+// revert to the same order. Its points estimate or sit out under the
+// confirmation back-off, as a run without probes does.
 func TestStepperSingleOperatorNeverProbes(t *testing.T) {
 	s, eng := stepperFixture(t, 1, 1, false, Options{ReopInterval: 1, ExploreEvery: 1})
 	for i := 0; i < 6; i++ {
 		feed(t, s, eng, synthStep{sels: []float64{0.5}, cost: uint64(1000 + 500*i), optPoint: true})
 	}
-	if st := s.Stats(); st.Explorations != 0 || st.Reverts != 0 || st.Optimizations != 6 || st.ConvergedAtCycles != 0 {
-		t.Fatalf("stats %+v, want six plain estimations and no plan change", st)
+	if st := s.Stats(); st.Explorations != 0 || st.Reverts != 0 || st.Optimizations != 2 || st.HeldOff != 4 || st.ConvergedAtCycles != 0 {
+		t.Fatalf("stats %+v, want two plain estimations, four points sat out and no plan change", st)
 	}
 }
 
@@ -455,7 +590,9 @@ func FuzzStepperInvariants(f *testing.F) {
 			}
 		}
 		var clock, converged uint64
-		points := 0
+		// points counts the stationary points; since and estimates the points
+		// and the estimates since the last plan change.
+		points, since, estimates := 0, 0, 0
 		// Seven bytes a step: four counters, the cost, the vector count, and
 		// the schedule bits. Sixty-four steps reach every state; longer
 		// streams only slow the mutator down.
@@ -541,6 +678,21 @@ func FuzzStepperInvariants(f *testing.F) {
 			converged = after.ConvergedAtCycles
 			if after.Optimizations > before.Optimizations && (impl == exec.ImplBranchFree || !optPoint) {
 				t.Fatalf("estimated on a %v step (optimization point: %v)", impl, optPoint)
+			}
+			// A point sat out, by either back-off, samples nothing and
+			// charges nothing; only the reverting step itself pays.
+			if after.HeldOff > before.HeldOff && after.Reverts == before.Reverts && (extra != 0 || after.Optimizations != before.Optimizations) {
+				t.Fatalf("a sat-out point charged %d cycles: %+v -> %+v", extra, before, after)
+			}
+			// Between two plan changes the confirmation back-off doubles the
+			// points it sits out: on a stationary stream the n-th point after
+			// a change has estimated at most log2(n) + 1 times since.
+			if stationary {
+				if after.Reorders+after.Reverts+after.Explorations+after.ImplSwitches > before.Reorders+before.Reverts+before.Explorations+before.ImplSwitches {
+					since, estimates = 0, 0
+				} else if since, estimates = since+1, estimates+after.Optimizations-before.Optimizations; estimates > bits.Len(uint(since)) {
+					t.Fatalf("%d estimates in the %d points since the last plan change", estimates, since)
+				}
 			}
 			// The coordinator pays for everything the step charged; the other
 			// cores only for recompiles.

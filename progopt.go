@@ -317,7 +317,7 @@ type Stats struct {
 	// Ledger is what re-optimizing cost the run: cycles charged to sampling
 	// and estimation and to recompiles, cycles spent in steps whose order
 	// validation rolled back and their excess over the step they were
-	// measured against, and the optimization points the back-off sat out.
+	// measured against, and the optimization points the back-offs sat out.
 	Ledger Ledger
 }
 

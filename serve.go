@@ -342,7 +342,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	gauge("progopt_reopt_recompile_cycles", "Simulated cycles charged for reorders, reverts, probes and implementation switches.", float64(st.Reopt.RecompileCycles))
 	gauge("progopt_reopt_reverted_cycles", "Simulated cycles spent in steps whose operator order validation rolled back.", float64(st.Reopt.RevertedCycles))
 	gauge("progopt_reopt_regret_cycles", "Excess of those steps over the step they were validated against.", float64(st.Reopt.RegretCycles))
-	gauge("progopt_reopt_held_off", "Optimization points sat out by the back-off after a revert.", float64(st.Reopt.HeldOff))
+	gauge("progopt_reopt_held_off", "Optimization points sat out by the back-offs after a revert and after a run of confirmations.", float64(st.Reopt.HeldOff))
 	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"progopt/internal/columnar"
+	"progopt/internal/datagen"
 )
 
 // The host-concurrency acceptance criterion: a scheduling round that executes
@@ -260,6 +263,9 @@ poll:
 // AllocsPerRun measures at GOMAXPROCS=1, i.e. the inline round path; the
 // pooled round's segment fan-out and blocks are pinned at zero allocations at
 // GOMAXPROCS 2 by internal/exec's TestPooledHandOffsAllocateNothing.
+// The data alternates (alternatingLineitem): on stationary data the
+// confirmation back-off would leave an adaptive query a handful of decisions
+// at either quantum.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	// measure serves one 48-vector query per run with the given scheduling
 	// quantum, which for the adaptive modes is also the re-optimization
@@ -274,13 +280,16 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		d = alternatingLineitem(d, 512)
 		srv, err := NewServer(e, ServerConfig{QuantumVectors: quantum})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		run := func() {
-			plan := convergentPlan(d, false)
+			plan := Scan("lineitem").
+				Filter("l_shipdate", CmpLE, int64(d.ShipdateCutoff(0.8))).
+				Filter("l_quantity", CmpLT, 10)
 			if grouped {
 				plan.GroupBy("l_quantity", "l_extendedprice")
 			}
@@ -320,4 +329,52 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%v (grouped %v): served query allocates %.1f times at steady state; budget 150", mode, tc.grouped, many)
 		}
 	}
+}
+
+// alternatingLineitem returns d with its lineitem rows reordered so that the
+// rows with l_quantity < 10 alternate by vector of vs rows: each even vector
+// holds three times the share of them each odd vector holds. The share of
+// tuples a one-vector step qualifies under convergentPlan then jumps at every
+// step, so an adaptive query keeps finding that its data has moved, while a
+// four-vector step averages two vectors of each kind. The predicate stays the
+// most selective in every vector, so the best order does not move with it.
+func alternatingLineitem(d *Dataset, vs int) *Dataset {
+	li := d.d.Lineitem
+	var few, rest []int
+	for i, q := range li.Column("l_quantity").I64() {
+		if q < 10 {
+			few = append(few, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	vectors := (li.NumRows() + vs - 1) / vs
+	per := len(few) / (2 * vectors)
+	perm := make([]int, 0, li.NumRows())
+	for v := 0; v < vectors; v++ {
+		n := min(per, len(few))
+		if v%2 == 0 {
+			n = min(3*per, len(few))
+		}
+		m := min(vs-n, len(rest))
+		perm = append(append(perm, few[:n]...), rest[:m]...)
+		few, rest = few[n:], rest[m:]
+	}
+	perm = append(append(perm, few...), rest...)
+	out := columnar.NewTable(li.Name())
+	for _, c := range li.Columns() {
+		switch c.Kind() {
+		case columnar.Int64:
+			out.MustAddColumn(columnar.NewInt64(c.Name(), datagen.ApplyPermInt64(c.I64(), perm)))
+		case columnar.Date:
+			out.MustAddColumn(columnar.NewDate(c.Name(), datagen.ApplyPermInt32(c.I32(), perm)))
+		case columnar.Float64:
+			out.MustAddColumn(columnar.NewFloat64(c.Name(), datagen.ApplyPermFloat64(c.F64(), perm)))
+		default:
+			panic(fmt.Sprintf("lineitem column %s of kind %v", c.Name(), c.Kind()))
+		}
+	}
+	dd := *d.d
+	dd.Lineitem = out
+	return newDataset(&dd)
 }

@@ -72,7 +72,7 @@ func Example() {
 	// predicates: [l_shipdate <= 9298 l_discount >= 0.05 l_discount <= 0.07 l_quantity < 24]
 	// baseline (fixed bad order):      1.19 ms, revenue=13602932.32, rows=12540
 	// progressive (reopt every 10):    0.72 ms, revenue=13602932.32, rows=12540
-	// speedup 1.65x with 7 optimizations, 3 reorders, 2 reverts
+	// speedup 1.65x with 5 optimizations, 3 reorders, 2 reverts
 	// final predicate order: [3 2 0 1]
 	// PMU: 108444 branches not taken, 79844 mispredictions, 76084 L3 accesses
 }
@@ -146,9 +146,9 @@ func ExampleProgressive() {
 	// --------------------------------------------------------
 	// [0 1 2 3 4]       0.43         0.48       0.90x
 	// [4 3 2 1 0]       0.71         0.54       1.33x
-	// [2 3 0 1 4]       0.74         0.46       1.61x
-	// [1 0 4 3 2]       0.38         0.45       0.85x
-	// [3 4 1 2 0]       0.70         0.50       1.39x
+	// [2 3 0 1 4]       0.74         0.46       1.63x
+	// [1 0 4 3 2]       0.38         0.45       0.86x
+	// [3 4 1 2 0]       0.70         0.50       1.41x
 	//
 	// worst-case runtime: baseline 0.74 ms vs progressive 0.54 ms (1.39x more robust)
 }
@@ -345,7 +345,7 @@ func ExampleEngine_EstimateSelectivities() {
 	// That difference IS the skew: a static optimizer using the global
 	// statistic would order the predicates wrongly for this region.
 	//
-	// progressive run: 0.53 ms, 46102 rows, 9 optimizations, 2 reorders (0 reverted)
+	// progressive run: 0.53 ms, 46102 rows, 7 optimizations, 2 reorders (0 reverted)
 	// final selectivity estimate per position: [0 0]
 }
 

@@ -127,6 +127,11 @@ func at(sels []float64, cost uint64) synthStep {
 	return synthStep{sels: sels, cost: cost, optPoint: true}
 }
 
+// atQ is a step at an optimization point that qualified qual tuples.
+func atQ(sels []float64, cost uint64, qual int64) synthStep {
+	return synthStep{sels: sels, cost: cost, qual: qual, optPoint: true}
+}
+
 // TestStepperRegretRules walks the three rules that bound the loop's regret
 // through one run at ReopInterval 1, where every step validates and is an
 // optimization point: a step that reverts does not estimate (its sample was
@@ -187,9 +192,6 @@ func TestStepperRegretRules(t *testing.T) {
 // reverted step's by more than chance allows ends both and estimates; one
 // that wobbles within chance sits out as before.
 func TestStepperDataMoved(t *testing.T) {
-	atQ := func(sels []float64, cost uint64, qual int64) synthStep {
-		return synthStep{sels: sels, cost: cost, qual: qual, optPoint: true}
-	}
 	for _, tc := range []struct {
 		name  string
 		qual  int64 // of the sat-out point, against 100 of 1024 at the revert
@@ -234,9 +236,6 @@ func TestStepperDataMoved(t *testing.T) {
 // confirming step's could not have ends the run and samples; so does, for the
 // points after it, any plan change.
 func TestStepperConfirmationBackoff(t *testing.T) {
-	atQ := func(sels []float64, qual int64) synthStep {
-		return synthStep{sels: sels, cost: 1000, qual: qual, optPoint: true}
-	}
 	// sitOut feeds n points that must all be sat out.
 	sitOut := func(t *testing.T, s *BlockStepper, eng []*exec.Engine, n int, st synthStep) {
 		t.Helper()
@@ -264,11 +263,11 @@ func TestStepperConfirmationBackoff(t *testing.T) {
 	t.Run("doubles", func(t *testing.T) {
 		s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
 		for k := 1; k <= 4; k++ {
-			confirm(t, s, eng, atQ(selsAscending, 100))
+			confirm(t, s, eng, atQ(selsAscending, 1000, 100))
 			if s.confirmed != k {
 				t.Fatalf("%d confirmations, want %d", s.confirmed, k)
 			}
-			sitOut(t, s, eng, 1<<k-1, atQ(selsAscending, 100))
+			sitOut(t, s, eng, 1<<k-1, atQ(selsAscending, 1000, 100))
 		}
 		if s.st.Optimizations != 4 || s.st.HeldOff != 1+3+7+15 || s.st.ConvergedAtCycles != 0 {
 			t.Fatalf("stats %+v, want 4 estimates and 26 points sat out", s.st)
@@ -287,17 +286,17 @@ func TestStepperConfirmationBackoff(t *testing.T) {
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				s, eng := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
-				confirm(t, s, eng, atQ(selsAscending, 100))
-				sitOut(t, s, eng, 1, atQ(selsAscending, 100))
-				confirm(t, s, eng, atQ(selsAscending, 100))
-				sitOut(t, s, eng, 1, atQ(selsAscending, 100)) // one of three
+				confirm(t, s, eng, atQ(selsAscending, 1000, 100))
+				sitOut(t, s, eng, 1, atQ(selsAscending, 1000, 100))
+				confirm(t, s, eng, atQ(selsAscending, 1000, 100))
+				sitOut(t, s, eng, 1, atQ(selsAscending, 1000, 100)) // one of three
 				if !tc.moved {
-					sitOut(t, s, eng, 1, atQ(selsAscending, tc.qual))
+					sitOut(t, s, eng, 1, atQ(selsAscending, 1000, tc.qual))
 					return
 				}
 				// The point samples at once; its order stands, so it is the
 				// first confirmation of a new run.
-				confirm(t, s, eng, atQ(selsAscending, tc.qual))
+				confirm(t, s, eng, atQ(selsAscending, 1000, tc.qual))
 				if s.confirmed != 1 || s.skip != 1 || s.confQual != tc.qual {
 					t.Fatalf("after moved data: %d confirmations, %d to sit out, reference %d", s.confirmed, s.skip, s.confQual)
 				}

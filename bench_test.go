@@ -716,47 +716,6 @@ func BenchmarkAblationVectorSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPredictorReset: JIT recompilation clears predictor state.
-func BenchmarkAblationPredictorReset(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "reset"
-		if disable {
-			name = "no-reset"
-		}
-		b.Run(name, func(b *testing.B) {
-			d := ablationDataset(b, 120_000, tpch.OrderingShipdateSorted)
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				cycles = progressiveCycles(b, d, 1024, core.Options{
-					ReopInterval: 10, DisablePredictorReset: disable,
-				})
-			}
-			b.ReportMetric(float64(cycles), "sim_cycles")
-		})
-	}
-}
-
-// BenchmarkAblationRevert: validation reverting bad reorders matters on
-// random data (Figure 13c).
-func BenchmarkAblationRevert(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "validate"
-		if disable {
-			name = "no-validate"
-		}
-		b.Run(name, func(b *testing.B) {
-			d := ablationDataset(b, 120_000, tpch.OrderingRandom)
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				cycles = progressiveCycles(b, d, 1024, core.Options{
-					ReopInterval: 5, DisableValidation: disable,
-				})
-			}
-			b.ReportMetric(float64(cycles), "sim_cycles")
-		})
-	}
-}
-
 // estimationError measures mean absolute selectivity error of the estimator
 // against a known synthetic forward-model sample.
 func estimationError(b *testing.B, cfg core.EstimatorConfig, truth []float64) float64 {
@@ -805,27 +764,6 @@ func BenchmarkAblationStartPoints(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := ablationEstCfg()
 				cfg.MaxStarts = starts
-				errv = estimationError(b, cfg, truth)
-			}
-			b.ReportMetric(errv, "mean_abs_sel_err")
-		})
-	}
-}
-
-// BenchmarkAblationCounterSubsets: estimating from BNT alone v. all four
-// counters of Eq. (10).
-func BenchmarkAblationCounterSubsets(b *testing.B) {
-	truth := []float64{0.8, 0.3, 0.6, 0.1}
-	weights := map[string]*core.CounterWeights{
-		"bnt-only": {BNT: 1},
-		"all-four": nil,
-	}
-	for name, w := range weights {
-		b.Run(name, func(b *testing.B) {
-			var errv float64
-			for i := 0; i < b.N; i++ {
-				cfg := ablationEstCfg()
-				cfg.Weights = w
 				errv = estimationError(b, cfg, truth)
 			}
 			b.ReportMetric(errv, "mean_abs_sel_err")

@@ -73,8 +73,7 @@ type Spec struct {
 	// exec.ImplInstrumented keeps the §5.7 enumerator's per-core counts.
 	Impl exec.ScanImpl
 	// Quantum is how many vectors per core one step of a fixed-order run
-	// covers (and of an adaptive run whose ReopInterval is zero); zero or less
-	// is all that are left.
+	// covers; zero or less is all that are left.
 	Quantum int
 }
 
@@ -123,6 +122,9 @@ func (s *Spec) Validate(workers int) error {
 	}
 	if len(s.Storage) > 0 && len(s.Storage) != workers {
 		return fmt.Errorf("core: %d storage views for %d cores", len(s.Storage), workers)
+	}
+	if s.Mode != ModeFixed && s.Opt.ReopInterval <= 0 {
+		return fmt.Errorf("core: ReopInterval %d: a %v run needs a positive interval", s.Opt.ReopInterval, s.Mode)
 	}
 	return s.Query.Validate()
 }
@@ -378,11 +380,8 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	r.begin(t0)
 	every, one := r.step.opt.ReopInterval, len(r.engines) == 1
 	perCore := every
-	switch {
-	case one:
+	if one {
 		perCore = 1
-	case perCore <= 0:
-		perCore = r.spec.Quantum
 	}
 	v1 := r.cursor + r.vectors(perCore, len(cores))
 	vs := r.engines[0].VectorSize()
@@ -395,11 +394,11 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	// fixed costs being spread over fewer tuples.
 	optPoint, validate := !last, true
 	if one {
-		optPoint, validate = every > 0 && v1%every == 0 && !last, tuples == vs
+		optPoint, validate = v1%every == 0 && !last, tuples == vs
 	}
 	// An enumerated run counts its evidence during an optimization point's
 	// step.
-	impl, instrument := r.step.Impl(), r.counts != nil && optPoint && every > 0
+	impl, instrument := r.step.Impl(), r.counts != nil && optPoint
 	if instrument {
 		impl = exec.ImplInstrumented
 		for _, w := range cores {

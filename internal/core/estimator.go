@@ -64,20 +64,11 @@ type EstimatorConfig struct {
 	// MaxStarts bounds the number of start points (the paper's m = 2p;
 	// default 2*len(Widths)).
 	MaxStarts int
-	// Weights scales each counter's contribution to the Eq. (10) objective;
-	// nil weights every counter at 1 (the paper's choice). Used by the
-	// counter-subset ablation.
-	Weights *CounterWeights
 }
 
 // noImproveLimit stops the restarts after this many consecutive starts
 // without improvement (the paper's n < 5).
 const noImproveLimit = 4
-
-// CounterWeights scales the four counters in the estimation objective.
-type CounterWeights struct {
-	BNT, L3, MPNotTaken, MPTaken float64
-}
 
 func (c *EstimatorConfig) setDefaults() {
 	if c.MaxIterNM <= 0 {
@@ -130,7 +121,6 @@ type Estimator struct {
 	// Inputs of the running Estimate call, read by the objective.
 	s        CounterSample
 	qualFrac float64
-	weights  CounterWeights
 	evals    int
 	model    peo.Model
 	// modelErr is the forward model's rejection of the call's parameters; the
@@ -205,10 +195,6 @@ func (e *Estimator) Estimate(s CounterSample, cfg EstimatorConfig) (Estimation, 
 		Geometry:  cfg.Geometry,
 		Chain:     cfg.Chain,
 	})
-	e.weights = CounterWeights{BNT: 1, L3: 1, MPNotTaken: 1, MPTaken: 1}
-	if cfg.Weights != nil {
-		e.weights = *cfg.Weights
-	}
 	if e.objective == nil {
 		e.objective = e.objectiveAt
 	}
@@ -320,8 +306,8 @@ func (e *Estimator) selsOf(sels, x []float64) float64 {
 	return penalty
 }
 
-// objectiveAt is the Eq. (10) objective at x: the weighted absolute
-// difference between the sampled and the modelled counters.
+// objectiveAt is the Eq. (10) objective at x: the summed absolute
+// differences between the sampled and the modelled counters.
 func (e *Estimator) objectiveAt(x []float64) float64 {
 	e.evals++
 	penalty := e.selsOf(e.sels, x)
@@ -332,11 +318,9 @@ func (e *Estimator) objectiveAt(x []float64) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	s, w := &e.s, &e.weights
-	return float64(w.BNT*math.Abs(s.BNT-est.BNT)) +
-		float64(w.L3*math.Abs(s.L3-est.L3)) +
-		float64(w.MPNotTaken*math.Abs(s.MPNotTaken-est.MPNotTaken)) +
-		float64(w.MPTaken*math.Abs(s.MPTaken-est.MPTaken)) +
+	s := &e.s
+	return math.Abs(s.BNT-est.BNT) + math.Abs(s.L3-est.L3) +
+		math.Abs(s.MPNotTaken-est.MPNotTaken) + math.Abs(s.MPTaken-est.MPTaken) +
 		penalty
 }
 

@@ -98,8 +98,7 @@ func oracleCases(t testing.TB) []oracleCase {
 			noisy.BNT *= 1 + 0.1*(rng.Float64()-0.5)
 			noisy.MPTaken *= 1 + 0.3*(rng.Float64()-0.5)
 			noisy.L3 *= 1 + 0.3*(rng.Float64()-0.5)
-			cfg.Weights = &CounterWeights{BNT: 1, L3: 0.5, MPNotTaken: 0, MPTaken: 2}
-			cases = append(cases, oracleCase{name: "noisy weighted", s: noisy, cfg: cfg})
+			cases = append(cases, oracleCase{name: "noisy", s: noisy, cfg: cfg})
 		}
 	}
 	w4 := []int{4, 8, 4, 8}
@@ -192,7 +191,7 @@ func TestNelderMeadMatchesReference(t *testing.T) {
 }
 
 // FuzzEstimatorMatchesReference draws counter samples and configurations —
-// widths for p in [1, 8], both chains, optional weights, counters anywhere
+// widths for p in [1, 8], both chains, counters anywhere
 // from consistent to contradictory — and requires the Estimator (fresh, and
 // reused after a differently sized call) to reproduce the reference's bits.
 // The seed corpus (testdata/fuzz) holds the degenerate shapes: Qualifying 0
@@ -215,9 +214,6 @@ func FuzzEstimatorMatchesReference(f *testing.F) {
 		if flags&1 != 0 {
 			cfg.Chain = markov.AMD()
 			cfg.AggWidths = []int{8}
-		}
-		if flags&2 != 0 {
-			cfg.Weights = &CounterWeights{BNT: 1, L3: 0.25, MPNotTaken: 1}
 		}
 		want, wantErr := estimateSelectivitiesRef(s, cfg)
 		var e Estimator

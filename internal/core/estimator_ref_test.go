@@ -89,10 +89,6 @@ func estimateSelectivitiesRef(s CounterSample, cfg EstimatorConfig) (Estimation,
 		}
 		return sels, penalty
 	}
-	w := cfg.Weights
-	if w == nil {
-		w = &CounterWeights{BNT: 1, L3: 1, MPNotTaken: 1, MPTaken: 1}
-	}
 	objective := func(x []float64) float64 {
 		evals++
 		sels, penalty := selsOf(x)
@@ -100,10 +96,10 @@ func estimateSelectivitiesRef(s CounterSample, cfg EstimatorConfig) (Estimation,
 		if err != nil {
 			return math.Inf(1)
 		}
-		return w.BNT*math.Abs(s.BNT-est.BNT) +
-			w.L3*math.Abs(s.L3-est.L3) +
-			w.MPNotTaken*math.Abs(s.MPNotTaken-est.MPNotTaken) +
-			w.MPTaken*math.Abs(s.MPTaken-est.MPTaken) +
+		return math.Abs(s.BNT-est.BNT) +
+			math.Abs(s.L3-est.L3) +
+			math.Abs(s.MPNotTaken-est.MPNotTaken) +
+			math.Abs(s.MPTaken-est.MPTaken) +
 			penalty
 	}
 

@@ -11,15 +11,9 @@ import (
 // Options configure the reoptimizer loop (§4.4, Figure 10).
 type Options struct {
 	// ReopInterval is the number of vectors between optimization cycles (the
-	// paper sweeps 10, 75, 200). Zero disables re-optimization, reducing the
-	// driver to the baseline execution pattern.
+	// paper sweeps 10, 75, 200); Spec.Validate refuses zero and less, as the
+	// fixed order is ModeFixed.
 	ReopInterval int
-	// DisableValidation skips the execute-and-compare step after a reorder
-	// (ablation: Figure 13c's random data set relies on reverting).
-	DisableValidation bool
-	// DisablePredictorReset keeps branch-predictor state across reorders
-	// (ablation; real JIT recompilation moves branch addresses).
-	DisablePredictorReset bool
 	// ExploreEvery enables the §4.5 correlation probe: after this many
 	// consecutive optimization cycles that kept the same order, one step is
 	// executed under an exploratory rotation of that order. Correlated

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	cachemodel "progopt/internal/costmodel/cache"
@@ -182,26 +184,26 @@ func TestRunProgressiveNearNoopOnGoodOrder(t *testing.T) {
 	}
 }
 
-func TestRunProgressiveZeroIntervalIsBaseline(t *testing.T) {
+// TestRunAdaptiveRefusesNonPositiveInterval: the fixed order is ModeFixed, so
+// an adaptive run without a positive ReopInterval is refused, in every
+// adaptive mode, with an error that names the interval.
+func TestRunAdaptiveRefusesNonPositiveInterval(t *testing.T) {
 	d := progDataset(t, 20000)
 	q, _ := worstOrderQ6(t, d)
 	e := progEngine(t)
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 0}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Optimizations != 0 || st.Reorders != 0 {
-		t.Error("ReopInterval=0 must disable optimization")
-	}
-	if res.Qualifying == 0 {
-		t.Error("query produced nothing")
-	}
-	for i, v := range st.FinalOrder {
-		if v != i {
-			t.Error("order changed without optimization")
+	for _, interval := range []int{0, -1} {
+		for _, mode := range []Mode{ModeProgressive, ModeMicroAdaptive, ModeEnumerated} {
+			spec := Spec{Query: q, Mode: mode, Opt: Options{ReopInterval: interval}}
+			err := spec.Validate(1)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("ReopInterval %d", interval)) {
+				t.Errorf("%v at interval %d: %v, want a refusal naming the interval", mode, interval, err)
+			}
+		}
+		if _, _, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: interval}, false); err == nil {
+			t.Errorf("RunAdaptive ran at interval %d", interval)
 		}
 	}
 }

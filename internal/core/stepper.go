@@ -55,24 +55,15 @@ type BlockStepper struct {
 	// current order, sat out ones included (drives the §4.5 correlation
 	// probe; progressive mode only).
 	stableBlocks int
-	// confirmed counts the points in a row that estimated and changed
-	// nothing, and skip the points still to sit out because of them
-	// (2^confirmed - 1 after each). confQual of confTuples is what the last
-	// confirming step qualified.
-	confirmed, skip int
-	confQual        int64
-	confTuples      int
+	// confirm backs off the points in a row that estimated and changed
+	// nothing.
+	confirm backoff
 	// rejected is the set of orders validation rolled back since the last
 	// reorder that survived it: neither the estimator nor the probe proposes
-	// a measured regression again until the data has moved. backoff counts
-	// the reverts in a row and holdoff the optimization points still to sit
-	// out because of them (2^backoff - 1 after each revert). heldQual of
-	// heldTuples is what the last reverted step qualified: the share a later
-	// step is held against to tell that the data has moved.
-	rejected         [][]int
-	backoff, holdoff int
-	heldQual         int64
-	heldTuples       int
+	// a measured regression again until the data has moved. revert backs off
+	// the reverts in a row.
+	rejected [][]int
+	revert   backoff
 
 	// accounted is the simulated cycle cost attributed to the query so far
 	// (step makespans plus coordination), the clock ConvergedAtCycles,
@@ -82,6 +73,36 @@ type BlockStepper struct {
 	accounted uint64
 
 	st Stats
+}
+
+// backoff sits out optimization points after a run of the same verdict: the
+// k-th in a row sits out the next 2^k - 1 points, left of which are still to
+// come. q of n is what the step of the last verdict qualified, the share a
+// later step is held against to tell that the data has moved. The zero value
+// is no run.
+type backoff struct {
+	k, left int
+	q       int64
+	n       int
+}
+
+// arm records another verdict in a row from a step that qualified q of n
+// tuples.
+func (b *backoff) arm(q int64, n int) {
+	b.k++
+	b.left = 1<<b.k - 1
+	b.q, b.n = q, n
+}
+
+// moved reports whether a step that qualified q of n tuples differs from the
+// last verdict's step by more than four standard errors of their pooled share
+// (a two-proportion z-test; a run looks hundreds of times, so three would cry
+// wolf).
+func (b *backoff) moved(q int64, n int) bool {
+	f0, f1 := float64(b.n), float64(n)
+	pool := float64(b.q+q) / (f0 + f1)
+	d := float64(q)/f1 - float64(b.q)/f0
+	return d*d > 16*pool*(1-pool)*(1/f0+1/f1)
 }
 
 // bfResampleEvery spaces the sampling windows while running branch-free:
@@ -210,7 +231,6 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 // returned cycles are the makespan extension of the coordination; the caller
 // adds them to the query's clock.
 func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
-	optPoint = optPoint && s.opt.ReopInterval > 0
 	s.st.Blocks++
 	s.st.Vectors += br.Vectors
 	if s.micro {
@@ -231,13 +251,11 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 	skipped := br.MaxCycles == 0
 	if s.pendingValidation && !skipped {
 		s.pendingValidation = false
-		if validate && !s.opt.DisableValidation && s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+validationTolerance) {
+		if validate && s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+validationTolerance) {
 			// Deteriorated: re-establish the previous order on every core and
 			// remember the rejected one so it is not proposed again.
 			s.rejected = append(s.rejected, s.curPerm)
-			s.backoff++
-			s.holdoff = 1<<s.backoff - 1
-			s.heldQual, s.heldTuples = br.Qualifying, tuples
+			s.revert.arm(br.Qualifying, tuples)
 			reverted = true
 			if err := s.setOrder(s.prevPerm); err != nil {
 				return 0, err
@@ -255,7 +273,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 		} else {
 			// The change survived: the data moved, so earlier verdicts are
 			// stale and the loop is trusted again.
-			s.rejected, s.backoff, s.holdoff = s.rejected[:0], 0, 0
+			s.rejected, s.revert = s.rejected[:0], backoff{}
 		}
 	}
 
@@ -263,14 +281,14 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 	// of its tuples a step qualifies does not depend on the operator order:
 	// once it differs from the reverted step's by more than chance allows, the
 	// data has moved, and the loop is trusted again from this point on.
-	if optPoint && s.backoff > 0 && !skipped && dataMoved(s.heldQual, s.heldTuples, br.Qualifying, tuples) {
-		s.rejected, s.backoff, s.holdoff = s.rejected[:0], 0, 0
+	if optPoint && s.revert.k > 0 && !skipped && s.revert.moved(br.Qualifying, tuples) {
+		s.rejected, s.revert = s.rejected[:0], backoff{}
 	}
 	// Likewise a point due to sit out because the order keeps being
 	// confirmed samples at once when the data has left the last confirming
 	// step's.
-	if optPoint && s.skip > 0 && !skipped && dataMoved(s.confQual, s.confTuples, br.Qualifying, tuples) {
-		s.confirmed, s.skip = 0, 0
+	if optPoint && s.confirm.left > 0 && !skipped && s.confirm.moved(br.Qualifying, tuples) {
+		s.confirm = backoff{}
 	}
 
 	// §4.5 correlation probe: the estimator has confirmed the same order
@@ -291,11 +309,11 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 	}
 	switch {
 	case !optPoint || s.pendingValidation:
-	case reverted || s.holdoff > 0:
+	case reverted || s.revert.left > 0:
 		// Just proven wrong: the step's sample was taken under the rejected
 		// order, and each revert in a row doubles the points sat out.
 		if !reverted {
-			s.holdoff--
+			s.revert.left--
 		}
 		s.st.HeldOff++
 	case probe != nil:
@@ -313,10 +331,10 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 			traceDecision(s.opt.Trace, "explore", s.at(extra), br.Counters,
 				trace.Ints("from", s.prevPerm), trace.Ints("to", s.curPerm))
 		}
-	case s.skip > 0:
+	case s.confirm.left > 0:
 		// Confirmed often enough in a row: sit the point out, uncharged. It
 		// still counts toward the probe's cadence.
-		s.skip--
+		s.confirm.left--
 		s.stableBlocks++
 		s.st.HeldOff++
 	case s.impl == exec.ImplBranching:
@@ -327,9 +345,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 		changed = changed || applied
 		// Exact counts (ModeEnumerated) rank every point.
 		if !applied && exact == nil {
-			s.confirmed++
-			s.skip = 1<<s.confirmed - 1
-			s.confQual, s.confTuples = br.Qualifying, tuples
+			s.confirm.arm(br.Qualifying, tuples)
 		}
 	default:
 		// Branch-free steps carry no per-predicate branch signal; return to
@@ -353,7 +369,7 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 	s.accounted += extra
 	if changed {
 		s.st.ConvergedAtCycles = s.accounted
-		s.confirmed, s.skip = 0, 0
+		s.confirm = backoff{}
 	}
 	return extra, nil
 }
@@ -465,17 +481,6 @@ func planCost(order []int, weights, sels []float64) float64 {
 	return cost
 }
 
-// dataMoved reports whether a step that qualified q of n tuples differs from
-// a reference step that qualified q0 of n0 by more than four standard errors
-// of their pooled share (a two-proportion z-test; a run looks hundreds of
-// times, so three would cry wolf).
-func dataMoved(q0 int64, n0 int, q int64, n int) bool {
-	f0, f1 := float64(n0), float64(n)
-	pool := float64(q0+q) / (f0 + f1)
-	d := float64(q)/f1 - float64(q0)/f0
-	return d*d > 16*pool*(1-pool)*(1/f0+1/f1)
-}
-
 // proposesRejected reports whether order, in current-order positions, is an
 // order validation has rolled back.
 func (s *BlockStepper) proposesRejected(order []int) bool {
@@ -519,9 +524,7 @@ func (s *BlockStepper) recompile(engines []*exec.Engine) uint64 {
 	for _, e := range engines {
 		c := e.CPU()
 		c0 := c.Cycles()
-		if !s.opt.DisablePredictorReset {
-			c.ResetPredictor()
-		}
+		c.ResetPredictor()
 		c.Exec(reorderCostInstr)
 		if d := c.Cycles() - c0; d > max {
 			max = d

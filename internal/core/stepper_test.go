@@ -214,16 +214,16 @@ func TestStepperDataMoved(t *testing.T) {
 			feed(t, s, eng, atQ(selsDescending, 1000, tc.qual))
 			if !tc.moved {
 				wantOrder(t, s, start...)
-				if s.st.HeldOff != 4 || s.st.Optimizations != 2 || len(s.rejected) != 2 || s.backoff != 2 {
-					t.Fatalf("a share within chance ended the streak: %+v, rejected %v, back-off %d", s.st, s.rejected, s.backoff)
+				if s.st.HeldOff != 4 || s.st.Optimizations != 2 || len(s.rejected) != 2 || s.revert.k != 2 {
+					t.Fatalf("a share within chance ended the streak: %+v, rejected %v, back-off %d", s.st, s.rejected, s.revert.k)
 				}
 				return
 			}
 			// The point estimates, and [2 1 0] — rejected a moment ago — is
 			// applied again: that verdict was about other data.
 			wantOrder(t, s, 2, 1, 0)
-			if s.st.HeldOff != 3 || s.st.Optimizations != 3 || len(s.rejected) != 0 || s.backoff != 0 || s.holdoff != 0 {
-				t.Fatalf("moved data left the streak standing: %+v, rejected %v, back-off %d, hold-off %d", s.st, s.rejected, s.backoff, s.holdoff)
+			if s.st.HeldOff != 3 || s.st.Optimizations != 3 || len(s.rejected) != 0 || s.revert != (backoff{}) {
+				t.Fatalf("moved data left the streak standing: %+v, rejected %v, back-off %+v", s.st, s.rejected, s.revert)
 			}
 		})
 	}
@@ -264,8 +264,8 @@ func TestStepperConfirmationBackoff(t *testing.T) {
 		s, eng := stepperFixture(t, 3, 2, false, Options{ReopInterval: 1})
 		for k := 1; k <= 4; k++ {
 			confirm(t, s, eng, atQ(selsAscending, 1000, 100))
-			if s.confirmed != k {
-				t.Fatalf("%d confirmations, want %d", s.confirmed, k)
+			if s.confirm.k != k {
+				t.Fatalf("%d confirmations, want %d", s.confirm.k, k)
 			}
 			sitOut(t, s, eng, 1<<k-1, atQ(selsAscending, 1000, 100))
 		}
@@ -297,8 +297,8 @@ func TestStepperConfirmationBackoff(t *testing.T) {
 				// The point samples at once; its order stands, so it is the
 				// first confirmation of a new run.
 				confirm(t, s, eng, atQ(selsAscending, 1000, tc.qual))
-				if s.confirmed != 1 || s.skip != 1 || s.confQual != tc.qual {
-					t.Fatalf("after moved data: %d confirmations, %d to sit out, reference %d", s.confirmed, s.skip, s.confQual)
+				if s.confirm.k != 1 || s.confirm.left != 1 || s.confirm.q != tc.qual {
+					t.Fatalf("after moved data: %d confirmations, %d to sit out, reference %d", s.confirm.k, s.confirm.left, s.confirm.q)
 				}
 			})
 		}
@@ -313,8 +313,8 @@ func TestStepperConfirmationBackoff(t *testing.T) {
 		// A reorder.
 		feed(t, s, eng, at(selsDescending, 1000))
 		wantOrder(t, s, 2, 1, 0)
-		if s.confirmed != 0 || s.skip != 0 {
-			t.Fatalf("a reorder left %d confirmations, %d to sit out", s.confirmed, s.skip)
+		if s.confirm.k != 0 || s.confirm.left != 0 {
+			t.Fatalf("a reorder left %d confirmations, %d to sit out", s.confirm.k, s.confirm.left)
 		}
 		// The reorder survives, the point after it confirms; then the data
 		// turns, the order is changed again and that change is reverted.
@@ -324,8 +324,8 @@ func TestStepperConfirmationBackoff(t *testing.T) {
 		wantOrder(t, s, 0, 1, 2)
 		feed(t, s, eng, at(selsAscending, 2000))
 		wantOrder(t, s, 2, 1, 0)
-		if s.st.Reverts != 1 || s.confirmed != 0 || s.skip != 0 {
-			t.Fatalf("%d reverts, %d confirmations, %d to sit out; want a revert that leaves none", s.st.Reverts, s.confirmed, s.skip)
+		if s.st.Reverts != 1 || s.confirm.k != 0 || s.confirm.left != 0 {
+			t.Fatalf("%d reverts, %d confirmations, %d to sit out; want a revert that leaves none", s.st.Reverts, s.confirm.k, s.confirm.left)
 		}
 
 		// An implementation switch. A rare first predicate keeps the
@@ -335,13 +335,13 @@ func TestStepperConfirmationBackoff(t *testing.T) {
 		confirm(t, s, eng, at(rare, 1000))
 		sitOut(t, s, eng, 1, at(rare, 1000))
 		confirm(t, s, eng, at(rare, 1000))
-		if s.Impl() != exec.ImplBranching || s.confirmed != 2 {
-			t.Fatalf("impl %v, %d confirmations; want two on the branching scan", s.Impl(), s.confirmed)
+		if s.Impl() != exec.ImplBranching || s.confirm.k != 2 {
+			t.Fatalf("impl %v, %d confirmations; want two on the branching scan", s.Impl(), s.confirm.k)
 		}
 		sitOut(t, s, eng, 3, at(rare, 1000))
 		feed(t, s, eng, at([]float64{0.5, 0.5, 0.5}, 1000))
-		if s.Impl() != exec.ImplBranchFree || s.confirmed != 0 || s.skip != 0 {
-			t.Fatalf("impl %v, %d confirmations, %d to sit out; want a switch that leaves none", s.Impl(), s.confirmed, s.skip)
+		if s.Impl() != exec.ImplBranchFree || s.confirm.k != 0 || s.confirm.left != 0 {
+			t.Fatalf("impl %v, %d confirmations, %d to sit out; want a switch that leaves none", s.Impl(), s.confirm.k, s.confirm.left)
 		}
 	})
 }
@@ -576,13 +576,13 @@ func TestStepperZeroCostStep(t *testing.T) {
 func FuzzStepperInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, opsRaw, flags, explore uint8, stream []byte) {
 		nOps := int(opsRaw)%5 + 1
-		micro, serial, noValidation, stationary := flags&1 != 0, flags&2 != 0, flags&8 != 0, flags&64 != 0
+		micro, serial, stationary := flags&1 != 0, flags&2 != 0, flags&64 != 0
 		cores := 1
 		if !serial {
 			cores += int(flags >> 4 & 3)
 		}
 		s, engines := stepperFixture(t, nOps, cores, micro,
-			Options{ReopInterval: 1, ExploreEvery: int(explore % 4), DisableValidation: noValidation})
+			Options{ReopInterval: 1, ExploreEvery: int(explore % 4)})
 		if flags&4 != 0 {
 			if err := s.WarmStart(identity(nOps), exec.ImplBranchFree, nil); err != nil {
 				t.Fatal(err)
@@ -660,8 +660,8 @@ func FuzzStepperInvariants(f *testing.F) {
 			}
 			// The set and the back-off stand and fall together: every revert of
 			// the streak is in the set, and no point is sat out without one.
-			if len(s.rejected) < s.backoff || s.backoff == 0 && s.holdoff != 0 {
-				t.Fatalf("%d rejected orders, back-off %d, hold-off %d", len(s.rejected), s.backoff, s.holdoff)
+			if len(s.rejected) < s.revert.k || s.revert.k == 0 && s.revert.left != 0 {
+				t.Fatalf("%d rejected orders, back-off %d, hold-off %d", len(s.rejected), s.revert.k, s.revert.left)
 			}
 			if s.accounted != clock {
 				t.Fatalf("accounted clock %d, steps and extras sum to %d", s.accounted, clock)
@@ -704,7 +704,7 @@ func FuzzStepperInvariants(f *testing.F) {
 		}
 		// Nothing the estimator proposes on that stationary run survives, so
 		// the reverts come in a row and the back-off spaces them out.
-		if stationary && !noValidation && points > 0 {
+		if stationary && points > 0 {
 			if bound := bits.Len(uint(points-1)) + 1; s.st.Reverts > bound || s.st.Reverts != s.st.Reorders+s.st.Explorations-btoi(s.pendingValidation) {
 				t.Fatalf("%d reverts of %d reorders and %d probes at %d stationary points, bound %d", s.st.Reverts, s.st.Reorders, s.st.Explorations, points, bound)
 			}

@@ -82,22 +82,20 @@ func (h *refHierarchy) loadLine(ln uint64) AccessResult {
 	if h.l1.LookupLine(ln) {
 		return AccessResult{Level: HitL1, LatencyCycles: h.cfg.L1.LatencyCycles}
 	}
-	if !h.cfg.PrefetchDisabled {
-		for _, pl := range refObserve(h.pf, ln-1) {
-			// Each prefetch request occupies an L3 access slot whether or not
-			// the line is already present somewhere.
-			h.l3PrefetchAccesses++
-			pln := pl + 1
-			if !h.l3.ContainsLine(pln) {
-				h.memAccesses++
-				if h.st != nil {
-					h.st.Touch((pln - 1) << h.lineShift)
-				}
-				h.l3.insertLineAbsent(pln)
-				h.l3.stats.PrefetchInserts++
+	for _, pl := range refObserve(h.pf, ln-1) {
+		// Each prefetch request occupies an L3 access slot whether or not
+		// the line is already present somewhere.
+		h.l3PrefetchAccesses++
+		pln := pl + 1
+		if !h.l3.ContainsLine(pln) {
+			h.memAccesses++
+			if h.st != nil {
+				h.st.Touch((pln - 1) << h.lineShift)
 			}
-			h.l2.InsertLine(pln, true)
+			h.l3.insertLineAbsent(pln)
+			h.l3.stats.PrefetchInserts++
 		}
+		h.l2.InsertLine(pln, true)
 	}
 	// Demand fills below insert lines their own level's lookup just missed,
 	// so the present-already re-check is skipped (insertLineAbsent).

@@ -214,25 +214,6 @@ func TestHierarchySequentialScanPrefetch(t *testing.T) {
 	}
 }
 
-func TestHierarchyPrefetchDisabled(t *testing.T) {
-	c := hcfg()
-	c.PrefetchDisabled = true
-	h, _ := NewHierarchy(c)
-	const lines = 1024
-	memHits := 0
-	for i := 0; i < lines; i++ {
-		if r := h.Load(uint64(i * 64)); r.Level == HitMem {
-			memHits++
-		}
-	}
-	if memHits != lines {
-		t.Errorf("prefetch disabled: %d/%d memory hits, want all (no reuse)", memHits, lines)
-	}
-	if pc := h.Counters().L3PrefetchAccesses; pc != 0 {
-		t.Errorf("prefetch disabled but %d prefetch accesses counted", pc)
-	}
-}
-
 func TestHierarchyCountersSub(t *testing.T) {
 	h, _ := NewHierarchy(hcfg())
 	for i := 0; i < 100; i++ {

@@ -9,9 +9,6 @@ type HierarchyConfig struct {
 	L1, L2, L3 Config
 	// MemLatencyCycles is the load-to-use latency of a main-memory access.
 	MemLatencyCycles int
-	// PrefetchDisabled turns the L2 streamer off (used by ablation benches;
-	// the paper's cost model explicitly includes prefetch traffic).
-	PrefetchDisabled bool
 }
 
 func (c HierarchyConfig) validate() error {
@@ -130,7 +127,7 @@ type Hierarchy struct {
 	// Pads the caller's half to a multiple of 128 bytes, so lo starts a
 	// sector of its own: see the false-sharing layout rule in DESIGN.md
 	// (pinned by TestLayoutNoFalseSharing).
-	_  [40]byte
+	_  [48]byte
 	lo lower
 }
 
@@ -141,7 +138,6 @@ type lower struct {
 	l2, l3    *Level
 	pf        *StreamPrefetcher
 	lineShift uint
-	prefetch  bool
 	// ops is the op stream the streamer expands a piece of L1 misses into for
 	// L2 and L3, sized once and never grown.
 	ops []uint64
@@ -160,7 +156,7 @@ type lower struct {
 	st *StorageSet
 
 	// Pads the struct to a multiple of 128 bytes (TestLayoutNoFalseSharing).
-	_ [16]byte
+	_ [24]byte
 }
 
 // memoEntries sizes Load's line memo (power of two, comfortably more than
@@ -200,7 +196,7 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return &Hierarchy{
 		cfg: cfg, l1: l1, lineShift: shift, lines: buf[:chunkLines:chunkLines],
 		lo: lower{
-			l2: l2, l3: l3, pf: NewStreamPrefetcher(), lineShift: shift, prefetch: !cfg.PrefetchDisabled,
+			l2: l2, l3: l3, pf: NewStreamPrefetcher(), lineShift: shift,
 			ops: buf[chunkLines : 3*chunkLines : 3*chunkLines], l2mru: buf[3*chunkLines:],
 		},
 	}, nil
@@ -314,23 +310,21 @@ func (h *Hierarchy) runL1(lines []uint64, reps int) (RunHits, []uint64) {
 // in-order split of the miss stream gives the same state.
 func (lo *lower) run(miss []uint64) RunHits {
 	l2Hits, l3Hits, l3Misses := lo.l2.stats.Hits, lo.l3.stats.Hits, lo.l3.stats.Misses
-	prefetch, mru, mask := lo.prefetch, lo.l2mru, lo.l2.setMask
+	mru, mask := lo.l2mru, lo.l2.setMask
 	ops, mruHits := lo.ops[:0], uint64(0)
 	for _, ln := range miss {
-		if prefetch {
-			from, n := lo.pf.observe(ln - 1)
-			// Each prefetch request occupies an L3 access slot whether or not
-			// the line is already present somewhere.
-			lo.l3PrefetchAccesses += uint64(n)
-			if len(ops)+n >= cap(ops) {
-				lo.apply(ops)
-				ops = ops[:0]
-			}
-			for k := 1; k <= n; k++ {
-				pln := from + uint64(k) + 1 // ops carry line id + 1
-				mru[pln&mask] = pln
-				ops = append(ops, pln|prefetchOp)
-			}
+		from, n := lo.pf.observe(ln - 1)
+		// Each prefetch request occupies an L3 access slot whether or not the
+		// line is already present somewhere.
+		lo.l3PrefetchAccesses += uint64(n)
+		if len(ops)+n >= cap(ops) {
+			lo.apply(ops)
+			ops = ops[:0]
+		}
+		for k := 1; k <= n; k++ {
+			pln := from + uint64(k) + 1 // ops carry line id + 1
+			mru[pln&mask] = pln
+			ops = append(ops, pln|prefetchOp)
 		}
 		if mru[ln&mask] == ln {
 			mruHits++

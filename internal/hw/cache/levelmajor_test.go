@@ -33,10 +33,10 @@ func lmGeometry(line int, size, ways [3]int) HierarchyConfig {
 	return HierarchyConfig{L1: lv(0), L2: lv(1), L3: lv(2), MemLatencyCycles: 180}
 }
 
-// Flags of an lmPair.
+// Flags of an lmPair. Bit 0 once turned the streamer off; it is ignored, so
+// the committed seeds keep the meaning of their other bits.
 const (
-	lmNoPrefetch = 1 << iota
-	lmStorage
+	lmStorage = 2 << iota
 	lmWindow2
 	lmWindow6 // with lmWindow2: Window 1
 )
@@ -62,7 +62,6 @@ type lmPair struct {
 
 func newLMPair(t testing.TB, geom, flags uint8) *lmPair {
 	cfg := lmGeometries[int(geom)%len(lmGeometries)]
-	cfg.PrefetchDisabled = flags&lmNoPrefetch != 0
 	ref, err := newRefHierarchy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +281,7 @@ func (p *lmPair) step(t testing.TB, rng *rand.Rand, op, arg uint8) {
 // through every operation, pattern and length.
 func TestLoadLinesMatchesAccessMajor(t *testing.T) {
 	for geom := range lmGeometries {
-		for flags := uint8(0); flags < 16; flags++ {
+		for flags := uint8(0); flags < 16; flags += 2 { // bit 0 is ignored
 			p := newLMPair(t, uint8(geom), flags)
 			rng := rand.New(rand.NewSource(int64(geom)<<8 | int64(flags)))
 			for i := 0; i < 120; i++ {

@@ -9,7 +9,7 @@ import (
 // Property test for the run-batched load protocol: LoadRun, LoadSel, and
 // LoadStream must produce bit-identical counters, cache contents, and hit
 // levels to the equivalent sequence of per-element Load calls, across random
-// strides, selections, and cache geometries, with the prefetcher on and off.
+// strides, selections, and cache geometries.
 
 func randHierCfg(rng *rand.Rand) HierarchyConfig {
 	lineSize := 32 << rng.Intn(2) // 32 or 64
@@ -22,7 +22,6 @@ func randHierCfg(rng *rand.Rand) HierarchyConfig {
 		L2:               mk("L2", 4, ways[rng.Intn(4)], 12),
 		L3:               mk("L3", 16, ways[rng.Intn(4)], 36),
 		MemLatencyCycles: 180,
-		PrefetchDisabled: rng.Intn(2) == 0,
 	}
 }
 

@@ -66,7 +66,7 @@ type CPU struct {
 	// Pads the struct to a multiple of 128 bytes so two cores' hot counters
 	// never share a cache-line pair (see DESIGN.md, "False-sharing layout
 	// rule"; pinned by TestLayoutNoFalseSharing).
-	_ [24]byte
+	_ [32]byte
 }
 
 // progressChunk is how many gathered loads a core simulates between two

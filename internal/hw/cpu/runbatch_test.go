@@ -27,9 +27,6 @@ func randProfile(rng *rand.Rand) Profile {
 		hier.L2.Ways = 4
 	}
 	if rng.Intn(2) == 0 {
-		hier.PrefetchDisabled = true
-	}
-	if rng.Intn(2) == 0 {
 		hier.L1.SizeBytes = 1 << 10
 	}
 	return p

@@ -164,6 +164,17 @@ var rules = []rule{
 		bad: `func (c *CPU) Millis() float64 {`, at: "internal/hw/cpu/cpu.go"},
 	{pr: 40, pattern: `func \(\w+ \*?Catalog\) Histogram\(`,
 		bad: `func (c *Catalog) Histogram(name string) *Histogram { return c.hists[name] }`, at: "internal/stats/stats.go"},
+	// Validation, the predictor reset of a recompile, all four counters of
+	// Eq. (10) and the streamer are the paper's loop and cost model, not
+	// options: the switches no program set stay gone.
+	{pr: 45, pattern: `DisableValidation`, word: true, allow: `_test\.go$`,
+		bad: `	DisableValidation bool`, at: "internal/core/progressive.go", ok: "internal/core/stepper_test.go"},
+	{pr: 45, pattern: `DisablePredictorReset`, word: true, allow: `_test\.go$`,
+		bad: `		if !s.opt.DisablePredictorReset {`, at: "internal/core/stepper.go", ok: "internal/core/stepper_test.go"},
+	{pr: 45, pattern: `CounterWeights`, word: true, allow: `_test\.go$`,
+		bad: `	Weights *CounterWeights`, at: "internal/core/estimator.go", ok: "internal/core/estimator_ref_test.go"},
+	{pr: 45, pattern: `PrefetchDisabled`, word: true, allow: `_test\.go$`,
+		bad: `	PrefetchDisabled bool`, at: "internal/hw/cache/hierarchy.go", ok: "internal/hw/cache/access_ref_test.go"},
 }
 
 // structureFile is this file, which no rule reads.

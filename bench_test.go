@@ -695,11 +695,14 @@ func progressiveCycles(b *testing.B, d *tpch.Dataset, vectorSize int, opt core.O
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, _, err := core.RunAdaptive(p, qo, opt, false)
-	if err != nil {
+	r := core.NewRun(p)
+	if err := r.Begin(core.Spec{Query: qo, Mode: core.ModeProgressive, Opt: opt}); err != nil {
 		b.Fatal(err)
 	}
-	return res.Cycles
+	if err := r.Drive(); err != nil {
+		b.Fatal(err)
+	}
+	return r.Result.Cycles
 }
 
 // BenchmarkAblationVectorSize: sampling granularity v. adaptation lag.

@@ -2,6 +2,7 @@ package progopt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"progopt/internal/core"
@@ -262,7 +263,7 @@ func (e *Engine) Explain(q *Query) (PlanExplain, error) {
 		}
 	}
 	if ta := q.traced.Load(); ta != nil {
-		out.Trace = *ta
+		out.Trace = slices.Clone(*ta)
 	}
 	if q.joins != nil {
 		out.Joins = append([]JoinEdgeExplain(nil), q.joins...)

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// FuzzLoadTable drives the loader with arbitrary bytes.
-// The loader must never panic and never allocate out of proportion to the
+// FuzzLoadTable drives the loader, ReadEncoded and Decode, with arbitrary
+// bytes. The loader must never panic and never allocate out of proportion to the
 // input (corrupt headers declaring huge row counts, truncated payloads, and
 // oversize length fields are the interesting corpus directions — the
 // chunked payload readers exist because of them). Valid inputs must
@@ -20,8 +20,12 @@ import (
 func FuzzLoadTable(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	tb := randomTable(rng, 64)
+	et, err := EncodeTable(tb, 16)
+	if err != nil {
+		f.Fatal(err)
+	}
 	var v2 bytes.Buffer
-	if err := WriteTableV2(&v2, tb, 16); err != nil {
+	if err := WriteEncoded(&v2, et); err != nil {
 		f.Fatal(err)
 	}
 	v1 := v1Stream(7, 8, 9)
@@ -39,20 +43,30 @@ func FuzzLoadTable(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := LoadTable(bytes.NewReader(data))
+		et, err := ReadEncoded(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		loaded, err := et.Decode()
 		if err != nil {
 			return
 		}
 		if len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) == 1 {
 			t.Fatal("a v1 stream yielded a table")
 		}
+		if et, err = EncodeTable(loaded, 16); err != nil {
+			t.Fatalf("re-encoding accepted table: %v", err)
+		}
 		var out bytes.Buffer
-		if err := WriteTableV2(&out, loaded, 16); err != nil {
+		if err := WriteEncoded(&out, et); err != nil {
 			t.Fatalf("re-serializing accepted table: %v", err)
 		}
-		again, err := LoadTable(bytes.NewReader(out.Bytes()))
-		if err != nil {
+		if et, err = ReadEncoded(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("reloading re-serialized table: %v", err)
+		}
+		again, err := et.Decode()
+		if err != nil {
+			t.Fatalf("decoding re-serialized table: %v", err)
 		}
 		sameTable(t, loaded, again)
 	})

@@ -29,16 +29,6 @@ const formatVersion2 = 2
 // zoneFlagNullFree marks a block with no null rows.
 const zoneFlagNullFree = 1
 
-// WriteTableV2 encodes t at the given block geometry and serializes it in
-// the v2 format.
-func WriteTableV2(w io.Writer, t *Table, blockRows int) error {
-	et, err := EncodeTable(t, blockRows)
-	if err != nil {
-		return err
-	}
-	return WriteEncoded(w, et)
-}
-
 // WriteEncoded serializes an already-encoded table in the v2 format.
 func WriteEncoded(w io.Writer, t *EncodedTable) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -198,6 +188,7 @@ func writeDictPayload(w io.Writer, c *EncodedColumn) error {
 
 // ReadEncoded parses a v2 stream into its encoded form (zone maps and
 // payloads intact) — the shape the storage tier binds block-at-a-time.
+// Any version but 2 is an *UnsupportedVersionError.
 func ReadEncoded(r io.Reader) (*EncodedTable, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	version, err := readHeader(br)
@@ -208,16 +199,6 @@ func ReadEncoded(r io.Reader) (*EncodedTable, error) {
 		return nil, &UnsupportedVersionError{Version: version}
 	}
 	return readEncodedBody(br)
-}
-
-// LoadTable parses a table from r: the stream is read in its encoded form and
-// decoded. Any version but 2 is an *UnsupportedVersionError.
-func LoadTable(r io.Reader) (*Table, error) {
-	et, err := ReadEncoded(r)
-	if err != nil {
-		return nil, err
-	}
-	return et.Decode()
 }
 
 // readHeader consumes the magic and the format version.

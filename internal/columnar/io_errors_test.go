@@ -35,34 +35,45 @@ func TestWriteTableFailurePaths(t *testing.T) {
 	tb.MustAddColumn(NewInt64("a", a))
 	tb.MustAddColumn(NewFloat64("b", b))
 	tb.MustAddColumn(NewInt32("c", c))
+	et, err := EncodeTable(tb, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The stream goes out in one buffered flush: any budget below its length
 	// fails it.
 	for _, lim := range []int{0, 2, 10, 30, 600, 9000} {
-		if err := WriteTableV2(&failWriter{n: lim}, tb, 128); err == nil {
+		if err := WriteEncoded(&failWriter{n: lim}, et); err == nil {
 			t.Errorf("write with %d-byte budget succeeded", lim)
 		}
 	}
 	// A generous budget succeeds.
-	if err := WriteTableV2(&failWriter{n: 1 << 20}, tb, 128); err != nil {
+	if err := WriteEncoded(&failWriter{n: 1 << 20}, et); err != nil {
 		t.Errorf("write with ample budget failed: %v", err)
 	}
 }
 
 func TestWriteTableRejectsHugeName(t *testing.T) {
-	tb := NewTable(strings.Repeat("x", 1<<17))
+	et, err := EncodeTable(NewTable(strings.Repeat("x", 1<<17)), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteTableV2(&buf, tb, 16); err == nil {
+	if err := WriteEncoded(&buf, et); err == nil {
 		t.Error("oversized table name accepted")
 	}
 }
 
 // TestReadTableCorruptions flips the table stream at a header field and
-// checks LoadTable rejects it.
+// checks ReadEncoded rejects it.
 func TestReadTableCorruptions(t *testing.T) {
 	tb := NewTable("t")
 	tb.MustAddColumn(NewInt64("a", []int64{1, 2, 3}))
+	et, err := EncodeTable(tb, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteTableV2(&buf, tb, 2); err != nil {
+	if err := WriteEncoded(&buf, et); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -70,7 +81,7 @@ func TestReadTableCorruptions(t *testing.T) {
 	mutate := func(name string, f func(b []byte)) {
 		b := append([]byte(nil), good...)
 		f(b)
-		if _, err := LoadTable(bytes.NewReader(b)); err == nil {
+		if _, err := ReadEncoded(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -99,18 +110,25 @@ func TestReadTableTruncatedAtEveryBoundary(t *testing.T) {
 	tb := NewTable("tbl")
 	tb.MustAddColumn(NewDate("d", []int32{100, 200}))
 	tb.MustAddColumn(NewFloat64("f", []float64{1.5, 2.5}))
+	et, err := EncodeTable(tb, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteTableV2(&buf, tb, 1); err != nil {
+	if err := WriteEncoded(&buf, et); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut += 3 {
-		if _, err := LoadTable(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := ReadEncoded(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(full))
 		}
 	}
-	if _, err := LoadTable(bytes.NewReader(full)); err != nil {
+	if et, err = ReadEncoded(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full stream rejected: %v", err)
+	}
+	if _, err := et.Decode(); err != nil {
+		t.Fatalf("full stream does not decode: %v", err)
 	}
 }
 

@@ -10,13 +10,20 @@ import (
 
 func roundTrip(t *testing.T, tb *Table) *Table {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteTableV2(&buf, tb, 2); err != nil {
-		t.Fatalf("WriteTableV2: %v", err)
-	}
-	got, err := LoadTable(&buf)
+	et, err := EncodeTable(tb, 2)
 	if err != nil {
-		t.Fatalf("LoadTable: %v", err)
+		t.Fatalf("EncodeTable: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteEncoded(&buf, et); err != nil {
+		t.Fatalf("WriteEncoded: %v", err)
+	}
+	if et, err = ReadEncoded(&buf); err != nil {
+		t.Fatalf("ReadEncoded: %v", err)
+	}
+	got, err := et.Decode()
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
 	}
 	return got
 }
@@ -60,21 +67,25 @@ func TestIOEmptyTable(t *testing.T) {
 }
 
 func TestIOBadInputs(t *testing.T) {
-	if _, err := LoadTable(strings.NewReader("")); err == nil {
+	if _, err := ReadEncoded(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := LoadTable(strings.NewReader("JUNKJUNKJUNK")); err == nil {
+	if _, err := ReadEncoded(strings.NewReader("JUNKJUNKJUNK")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncated valid prefix.
-	var buf bytes.Buffer
 	tb := NewTable("t")
 	tb.MustAddColumn(NewInt64("a", []int64{1, 2, 3}))
-	if err := WriteTableV2(&buf, tb, 2); err != nil {
+	et, err := EncodeTable(tb, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteEncoded(&buf, et); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := LoadTable(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadEncoded(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input accepted")
 	}
 }
@@ -89,14 +100,7 @@ func TestIORoundTripProperty(t *testing.T) {
 		tb := NewTable("prop")
 		tb.MustAddColumn(NewInt64("a", i64[:n]))
 		tb.MustAddColumn(NewFloat64("b", f64[:n]))
-		var buf bytes.Buffer
-		if err := WriteTableV2(&buf, tb, 2); err != nil {
-			return false
-		}
-		got, err := LoadTable(&buf)
-		if err != nil {
-			return false
-		}
+		got := roundTrip(t, tb)
 		for i := 0; i < n; i++ {
 			if got.Column("a").Int64At(i) != i64[i] {
 				return false

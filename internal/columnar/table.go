@@ -67,15 +67,6 @@ func (t *Table) NumRows() int {
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return len(t.cols) }
 
-// SizeBytes returns the total storage footprint of all columns.
-func (t *Table) SizeBytes() int {
-	n := 0
-	for _, c := range t.cols {
-		n += c.SizeBytes()
-	}
-	return n
-}
-
 // Allocator reserves ranges of the simulated address space (implemented by
 // *cpu.CPU; declared here to avoid a dependency cycle).
 type Allocator interface {

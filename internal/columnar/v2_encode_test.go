@@ -268,10 +268,17 @@ func int32OutOfRange(t testing.TB) []outOfRangeStream {
 // value.
 func TestDecodeRejectsOutOfRangeInt32(t *testing.T) {
 	for _, s := range int32OutOfRange(t) {
-		if _, err := LoadTable(bytes.NewReader(s.pristine)); err != nil {
+		et, err := ReadEncoded(bytes.NewReader(s.pristine))
+		if err != nil {
 			t.Fatalf("%s: pristine stream rejected: %v", s.name, err)
 		}
-		tab, err := LoadTable(bytes.NewReader(s.corrupt))
+		if _, err := et.Decode(); err != nil {
+			t.Fatalf("%s: pristine stream does not decode: %v", s.name, err)
+		}
+		if et, err = ReadEncoded(bytes.NewReader(s.corrupt)); err != nil {
+			t.Fatalf("%s: the loader reads the stream, Decode must refuse it: %v", s.name, err)
+		}
+		tab, err := et.Decode()
 		if err == nil {
 			t.Errorf("%s: loaded, first values %v", s.name, tab.Columns()[0].I32()[:4])
 			continue

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -111,16 +110,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestV2FileRoundTrip pins the full disk path: encode, serialize, reload via
-// both ReadEncoded+Decode and the version-dispatching LoadTable.
+// ReadEncoded and Decode.
 func TestV2FileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tb := randomTable(rng, 2500)
 	for _, blockRows := range []int{1, 7, 512, 2500, 4096} {
+		et, err := EncodeTable(tb, blockRows)
+		if err != nil {
+			t.Fatalf("block %d: encode: %v", blockRows, err)
+		}
 		var buf bytes.Buffer
-		if err := WriteTableV2(&buf, tb, blockRows); err != nil {
+		if err := WriteEncoded(&buf, et); err != nil {
 			t.Fatalf("block %d: write: %v", blockRows, err)
 		}
-		et, err := ReadEncoded(bytes.NewReader(buf.Bytes()))
+		et, err = ReadEncoded(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("block %d: read encoded: %v", blockRows, err)
 		}
@@ -132,12 +135,6 @@ func TestV2FileRoundTrip(t *testing.T) {
 			t.Fatalf("block %d: decode: %v", blockRows, err)
 		}
 		sameTable(t, tb, dec)
-
-		loaded, err := LoadTable(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("block %d: LoadTable: %v", blockRows, err)
-		}
-		sameTable(t, tb, loaded)
 	}
 }
 
@@ -159,21 +156,16 @@ func v1Stream(vals ...int64) []byte {
 	return b.Bytes()
 }
 
-// TestLoadTableRejectsV1: a v1 file is recognised and refused with the typed
-// error that says what to do about it, by both readers.
+// TestLoadTableRejectsV1: a v1 file is recognised and refused by the loader
+// with the typed error that says what to do about it.
 func TestLoadTableRejectsV1(t *testing.T) {
-	for name, read := range map[string]func(io.Reader) error{
-		"LoadTable":   func(r io.Reader) error { _, err := LoadTable(r); return err },
-		"ReadEncoded": func(r io.Reader) error { _, err := ReadEncoded(r); return err },
-	} {
-		err := read(bytes.NewReader(v1Stream(1, 2, 3)))
-		var uv *UnsupportedVersionError
-		if !errors.As(err, &uv) || uv.Version != 1 {
-			t.Fatalf("%s on a v1 stream: %v, want *UnsupportedVersionError{1}", name, err)
-		}
-		if !strings.Contains(err.Error(), "regenerate with tpchgen") {
-			t.Errorf("%s: error %q does not say how to recover", name, err)
-		}
+	_, err := ReadEncoded(bytes.NewReader(v1Stream(1, 2, 3)))
+	var uv *UnsupportedVersionError
+	if !errors.As(err, &uv) || uv.Version != 1 {
+		t.Fatalf("ReadEncoded on a v1 stream: %v, want *UnsupportedVersionError{1}", err)
+	}
+	if !strings.Contains(err.Error(), "regenerate with tpchgen") {
+		t.Errorf("error %q does not say how to recover", err)
 	}
 }
 
@@ -296,18 +288,25 @@ func TestPackBitsRoundTrip(t *testing.T) {
 func TestV2Corruptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tb := randomTable(rng, 300)
+	et, err := EncodeTable(tb, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteTableV2(&buf, tb, 64); err != nil {
+	if err := WriteEncoded(&buf, et); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	if _, err := LoadTable(bytes.NewReader(good)); err != nil {
+	if et, err = ReadEncoded(bytes.NewReader(good)); err != nil {
 		t.Fatalf("pristine stream rejected: %v", err)
+	}
+	if _, err := et.Decode(); err != nil {
+		t.Fatalf("pristine stream does not decode: %v", err)
 	}
 	mutate := func(name string, f func(b []byte)) {
 		b := append([]byte(nil), good...)
 		f(b)
-		if _, err := LoadTable(bytes.NewReader(b)); err == nil {
+		if _, err := ReadEncoded(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -325,7 +324,7 @@ func TestV2Corruptions(t *testing.T) {
 	})
 	// Truncations at every boundary must error, never panic.
 	for cut := 0; cut < len(good); cut += 7 {
-		if _, err := LoadTable(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := ReadEncoded(bytes.NewReader(good[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(good))
 		}
 	}

@@ -481,21 +481,3 @@ func (r *Run) merge(cores []int) uint64 {
 	r.Counters = r.Counters.Add(c.Sample().Sub(s0))
 	return c.Cycles() - c0
 }
-
-// RunAdaptive drives q in ModeProgressive — ModeMicroAdaptive with micro set —
-// to completion on the pool p and returns the result with the stepper's
-// telemetry.
-func RunAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
-	mode := ModeProgressive
-	if micro {
-		mode = ModeMicroAdaptive
-	}
-	r := NewRun(p)
-	if err := r.Begin(Spec{Query: q, Mode: mode, Opt: opt}); err != nil {
-		return exec.Result{}, Stats{}, err
-	}
-	if err := r.Drive(); err != nil {
-		return exec.Result{}, Stats{}, err
-	}
-	return r.Result, r.Stats(), nil
-}

@@ -43,7 +43,7 @@ func TestExplorationTriggersAndPreservesResults(t *testing.T) {
 	}
 
 	eProg, qProg := explorationQuery(t, 60000)
-	got, st, err := RunAdaptive(poolOfOne(t, eProg), qProg, Options{ReopInterval: 2, ExploreEvery: 2}, false)
+	got, st, err := runAdaptive(poolOfOne(t, eProg), qProg, Options{ReopInterval: 2, ExploreEvery: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExplorationDisabledByDefault(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 2}, false)
+	_, st, err := runAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +123,13 @@ func TestExplorationFindsCorrelatedOrder(t *testing.T) {
 
 	// Without exploration, starting from [c0, c1, c2].
 	e1, q1 := mk()
-	plain, _, err := RunAdaptive(poolOfOne(t, e1), q1, Options{ReopInterval: 3}, false)
+	plain, _, err := runAdaptive(poolOfOne(t, e1), q1, Options{ReopInterval: 3}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With exploration.
 	e2, q2 := mk()
-	probed, st, err := RunAdaptive(poolOfOne(t, e2), q2, Options{ReopInterval: 3, ExploreEvery: 2}, false)
+	probed, st, err := runAdaptive(poolOfOne(t, e2), q2, Options{ReopInterval: 3, ExploreEvery: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

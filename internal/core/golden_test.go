@@ -80,7 +80,7 @@ func goldenRun(t *testing.T, q *exec.Query, micro bool, workers int, opt Options
 		t.Fatal(err)
 	}
 	p.SetTrace(cores)
-	res, st, err := RunAdaptive(p, q, opt, micro)
+	res, st, err := runAdaptive(p, q, opt, micro)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestRunMicroAdaptiveCorrectnessAndSwitching(t *testing.T) {
 	if err := eMA.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := RunAdaptive(poolOfOne(t, eMA), q, Options{ReopInterval: 3}, true)
+	res, st, err := runAdaptive(poolOfOne(t, eMA), q, Options{ReopInterval: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRunMicroAdaptiveIneligibleStaysBranching(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 3}, true)
+	_, st, err := runAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

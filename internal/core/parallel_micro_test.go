@@ -36,7 +36,7 @@ func microQuery(t *testing.T) (*exec.Query, *exec.Engine) {
 // the serial run.
 func TestRunParallelMicroAdaptive(t *testing.T) {
 	q, e := microQuery(t)
-	serial, _, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 2}, true)
+	serial, _, err := runAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunParallelMicroAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, st, err := RunAdaptive(p, qp, Options{ReopInterval: 2}, true)
+		res, st, err := runAdaptive(p, qp, Options{ReopInterval: 2}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestRunParallelMicroAdaptiveJoinIneligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunAdaptive(p, q, Options{ReopInterval: 3}, true)
+	_, st, err := runAdaptive(p, q, Options{ReopInterval: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func parallelProgFixture(t *testing.T) *exec.Query {
 func TestParallelProgressiveMatchesSerialResults(t *testing.T) {
 	q := parallelProgFixture(t)
 	serialEng := exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), 1024)
-	serial, _, err := RunAdaptive(poolOfOne(t, serialEng), q, Options{ReopInterval: 10}, false)
+	serial, _, err := runAdaptive(poolOfOne(t, serialEng), q, Options{ReopInterval: 10}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestParallelProgressiveMatchesSerialResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, st, err := RunAdaptive(p, q, Options{ReopInterval: 10}, false)
+		res, st, err := runAdaptive(p, q, Options{ReopInterval: 10}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestParallelProgressiveReoptimizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, st, err := RunAdaptive(p2, q, Options{ReopInterval: 10}, false)
+	prog, st, err := runAdaptive(p2, q, Options{ReopInterval: 10}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,24 @@ func poolOfOne(t *testing.T, e *exec.Engine) *exec.Parallel {
 	return p
 }
 
+// runAdaptive drives q in ModeProgressive — ModeMicroAdaptive with micro set —
+// to completion on the pool p and returns the result with the stepper's
+// telemetry.
+func runAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {
+	mode := ModeProgressive
+	if micro {
+		mode = ModeMicroAdaptive
+	}
+	r := NewRun(p)
+	if err := r.Begin(Spec{Query: q, Mode: mode, Opt: opt}); err != nil {
+		return exec.Result{}, Stats{}, err
+	}
+	if err := r.Drive(); err != nil {
+		return exec.Result{}, Stats{}, err
+	}
+	return r.Result, r.Stats(), nil
+}
+
 // worstOrderQ6 returns Q6 with a deliberately bad initial PEO: the paper's
 // motivating situation.
 func worstOrderQ6(t *testing.T, d *tpch.Dataset) (*exec.Query, []float64) {
@@ -78,7 +96,7 @@ func TestRunProgressiveCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 5}, false)
+	got, st, err := runAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +134,7 @@ func TestRunProgressiveBeatsBadOrder(t *testing.T) {
 	if err := eProg.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	prog, st, err := RunAdaptive(poolOfOne(t, eProg), q, Options{ReopInterval: 5}, false)
+	prog, st, err := runAdaptive(poolOfOne(t, eProg), q, Options{ReopInterval: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +192,7 @@ func TestRunProgressiveNearNoopOnGoodOrder(t *testing.T) {
 	if err := eProg.BindQuery(best); err != nil {
 		t.Fatal(err)
 	}
-	prog, _, err := RunAdaptive(poolOfOne(t, eProg), best, Options{ReopInterval: 10}, false)
+	prog, _, err := runAdaptive(poolOfOne(t, eProg), best, Options{ReopInterval: 10}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +220,8 @@ func TestRunAdaptiveRefusesNonPositiveInterval(t *testing.T) {
 				t.Errorf("%v at interval %d: %v, want a refusal naming the interval", mode, interval, err)
 			}
 		}
-		if _, _, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: interval}, false); err == nil {
-			t.Errorf("RunAdaptive ran at interval %d", interval)
+		if _, _, err := runAdaptive(poolOfOne(t, e), q, Options{ReopInterval: interval}, false); err == nil {
+			t.Errorf("an adaptive run began at interval %d", interval)
 		}
 	}
 }
@@ -218,7 +236,7 @@ func TestRunProgressiveValidationReverts(t *testing.T) {
 	if err := e.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := RunAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 3}, false)
+	_, st, err := runAdaptive(poolOfOne(t, e), q, Options{ReopInterval: 3}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,12 @@ var orderInsensitiveEvents = []pmu.Event{
 
 // runBothModes executes q identically on two fresh one-core pools — one
 // scalar, one batch — and returns both results. The caller binds the columns.
-func runBothModes(t *testing.T, q *Query, vectorSize int, impl ScanImpl) (scalar, batch BlockResult) {
+func runBothModes(t *testing.T, q *Query, vectorSize int, impl ScanImpl) (scalar, batch tableRun) {
 	t.Helper()
 	return wholeTable(t, poolOfOne(t, vectorSize, true), q, impl), wholeTable(t, poolOfOne(t, vectorSize, false), q, impl)
 }
 
-func assertEquivalent(t *testing.T, label string, scalar, batch BlockResult) {
+func assertEquivalent(t *testing.T, label string, scalar, batch tableRun) {
 	t.Helper()
 	if scalar.Qualifying != batch.Qualifying {
 		t.Errorf("%s: qualifying scalar=%d batch=%d", label, scalar.Qualifying, batch.Qualifying)

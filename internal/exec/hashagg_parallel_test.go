@@ -67,7 +67,8 @@ func (r *BlockRun) runGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 		return GroupResult{}, err
 	}
 	cores, clocks := r.p.fullCores()
-	br, err := r.RunBlockSubset(q, 0, r.p.NumVectors(q), cores, clocks, ImplBranching, nil)
+	var sum float64 // a grouped block writes none
+	br, err := r.RunBlockSubset(q, 0, r.p.NumVectors(q), cores, clocks, ImplBranching, &sum)
 	if err != nil {
 		return GroupResult{}, err
 	}
@@ -92,15 +93,23 @@ func poolOfOne(t *testing.T, vs int, scalar bool) *Parallel {
 	return p
 }
 
+// tableRun is a whole-table block and the aggregate it reduced.
+type tableRun struct {
+	BlockResult
+	Sum float64
+}
+
 // wholeTable runs q's whole table as one block on the one-core pool p, in
 // the scan implementation impl.
-func wholeTable(t *testing.T, p *Parallel, q *Query, impl ScanImpl) BlockResult {
+func wholeTable(t *testing.T, p *Parallel, q *Query, impl ScanImpl) tableRun {
 	t.Helper()
-	br, err := p.NewBlockRun().RunBlockSubset(q, 0, p.NumVectors(q), []int{0}, []uint64{0}, impl, nil)
+	var out tableRun
+	br, err := p.NewBlockRun().RunBlockSubset(q, 0, p.NumVectors(q), []int{0}, []uint64{0}, impl, &out.Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return br
+	out.BlockResult = br
+	return out
 }
 
 var updateGroupbyGolden = flag.Bool("update", false, "rewrite testdata/groupby_golden.json from this build's grouped drivers")

@@ -447,10 +447,9 @@ func (p *Parallel) RunSegments(fns []func()) {
 
 // BlockResult reports one morsel block execution.
 type BlockResult struct {
-	// Qualifying and Sum are the block's query results, reduced in vector
-	// order (bit-identical to a serial run).
+	// Qualifying is the block's qualifying tuple count; its aggregate goes to
+	// the caller's sum (see RunBlockSubset).
 	Qualifying int64
-	Sum        float64
 	// Vectors is the number of morsels executed.
 	Vectors int
 	// MaxCycles is the block makespan: the largest per-core cycle delta.
@@ -717,11 +716,7 @@ func (r *BlockRun) merge(m *morsel) bool {
 		// The aggregate accumulates in global vector order for a
 		// serial-identical float bit pattern.
 		r.out.Qualifying += m.res.Qualifying
-		if r.sum != nil {
-			*r.sum += m.res.Sum
-		} else {
-			r.out.Sum += m.res.Sum
-		}
+		*r.sum += m.res.Sum
 		return true
 	}
 	// Per-key accumulation order is the global row order — identical float
@@ -752,14 +747,13 @@ func (r *BlockRun) merge(m *morsel) bool {
 // from the earliest entry clock, and Counters as the subset's merged PMU
 // deltas.
 //
-// sum, when non-nil, receives the per-vector aggregate contributions in
-// global vector order and BlockResult.Sum stays zero: the driver, which
-// splits one scan into many steps, accumulates into the same float across
-// all of them, preserving the exact addition order (and therefore the bit
-// pattern) of an unsplit run. With sum == nil the block's contribution is
-// reduced into BlockResult.Sum, which is what Run reports. After BeginGroups
-// the morsels are a grouped aggregation's: their survivors fold into the
-// BlockRun's accumulator, Qualifying counts them, and no sum is written.
+// sum is required: it receives the per-vector aggregate contributions in
+// global vector order. The driver, which splits one scan into many steps,
+// accumulates into the same float across all of them, preserving the exact
+// addition order (and therefore the bit pattern) of an unsplit run; Run
+// reduces into its Result.Sum the same way. After BeginGroups the morsels are
+// a grouped aggregation's: their survivors fold into the BlockRun's
+// accumulator, Qualifying counts them, and no sum is written.
 //
 // The scheduler state and scratch come from this BlockRun, so concurrent
 // queries over disjoint core subsets do not contend.
@@ -944,17 +938,13 @@ func (r *BlockRun) mergeRange(owner int, refs []groupRef) {
 // count) and Result.Counters the merged per-core PMU deltas.
 func (p *Parallel) Run(q *Query) (Result, error) {
 	cores, clocks := p.fullCores()
-	br, err := p.run.RunBlockSubset(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, nil)
+	var out Result
+	br, err := p.run.RunBlockSubset(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, &out.Sum)
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{
-		Qualifying: br.Qualifying,
-		Sum:        br.Sum,
-		Vectors:    br.Vectors,
-		Cycles:     br.MaxCycles,
-		Counters:   br.Counters,
-	}
+	out.Qualifying, out.Vectors = br.Qualifying, br.Vectors
+	out.Cycles, out.Counters = br.MaxCycles, br.Counters
 	out.Millis = p.workers[0].CPU().MillisOf(out.Cycles)
 	return out, nil
 }

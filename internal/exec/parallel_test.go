@@ -102,7 +102,8 @@ func TestParallelLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := runBlock(p, q, 0, p.NumVectors(q), ImplBranching, nil)
+	var sum float64
+	br, err := runBlock(p, q, 0, p.NumVectors(q), ImplBranching, &sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +126,14 @@ func TestParallelBlockValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nv := p.NumVectors(q)
-	if _, err := runBlock(p, q, -1, nv, ImplBranching, nil); err == nil {
+	var sum float64
+	if _, err := runBlock(p, q, -1, nv, ImplBranching, &sum); err == nil {
 		t.Error("negative block start accepted")
 	}
-	if _, err := runBlock(p, q, 0, nv+1, ImplBranching, nil); err == nil {
+	if _, err := runBlock(p, q, 0, nv+1, ImplBranching, &sum); err == nil {
 		t.Error("block beyond table accepted")
 	}
-	if _, err := runBlock(p, q, 3, 2, ImplBranching, nil); err == nil {
+	if _, err := runBlock(p, q, 3, 2, ImplBranching, &sum); err == nil {
 		t.Error("inverted block accepted")
 	}
 	if _, err := NewParallel(cpu.ScaledXeon(), 0, 1024); err == nil {

@@ -6,8 +6,10 @@ package cache
 // loadRunFirst, LoadRun, LoadSel, LoadStream and StreamPrefetcher.Observe are
 // the old ones verbatim, re-homed on refHierarchy (which carries the line
 // memo the production Hierarchy no longer has) and turned from methods into
-// ref-prefixed ones. A hierarchy driven through refHierarchy must only ever
-// be driven through it: the old Observe does not keep the stream signatures.
+// ref-prefixed ones (refObserve returns a fresh slice where Observe reused a
+// buffer of the prefetcher's). A hierarchy driven through refHierarchy must
+// only ever be driven through it: the old Observe does not keep the stream
+// signatures.
 
 type refHierarchy struct {
 	cfg                HierarchyConfig
@@ -277,12 +279,11 @@ func refObserve(p *StreamPrefetcher, line uint64) []uint64 {
 	if from > to {
 		return nil
 	}
-	out := p.buf[:0]
+	var out []uint64
 	for l := from; l <= to; l++ {
 		out = append(out, l)
 	}
 	p.issuedUpTo[bestIdx] = to
-	p.buf = out
 	p.Issued += uint64(len(out))
 	return out
 }

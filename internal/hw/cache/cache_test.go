@@ -214,24 +214,6 @@ func TestHierarchySequentialScanPrefetch(t *testing.T) {
 	}
 }
 
-func TestHierarchyCountersSub(t *testing.T) {
-	h, _ := NewHierarchy(hcfg())
-	for i := 0; i < 100; i++ {
-		h.Load(uint64(i * 64))
-	}
-	before := h.Counters()
-	for i := 100; i < 150; i++ {
-		h.Load(uint64(i * 64))
-	}
-	delta := h.Counters().Sub(before)
-	if delta.L1.Accesses != 50 {
-		t.Errorf("delta L1 accesses = %d, want 50", delta.L1.Accesses)
-	}
-	if got := h.Counters(); got.L1.Accesses != 150 {
-		t.Errorf("total L1 accesses = %d, want 150", got.L1.Accesses)
-	}
-}
-
 // TestHierarchyMonotonicCounters: accesses >= hits+misses equality and all
 // counters are non-decreasing over arbitrary address streams.
 func TestHierarchyMonotonicCounters(t *testing.T) {
@@ -259,15 +241,6 @@ func TestHierarchyMonotonicCounters(t *testing.T) {
 	}
 }
 
-func TestHitLevelString(t *testing.T) {
-	want := map[HitLevel]string{HitL1: "L1", HitL2: "L2", HitL3: "L3", HitMem: "Mem"}
-	for lv, s := range want {
-		if lv.String() != s {
-			t.Errorf("HitLevel(%d).String() = %q, want %q", lv, lv.String(), s)
-		}
-	}
-}
-
 // TestSectorSlice: per-core recency arrays fill whole 128-byte sectors
 // whatever their length, so two cores' arrays never share a cache line.
 func TestSectorSlice(t *testing.T) {
@@ -278,9 +251,5 @@ func TestSectorSlice(t *testing.T) {
 		if s := sectorSlice[uint64](n); len(s) != n || cap(s)*8%128 != 0 {
 			t.Errorf("uint64 n=%d: len %d cap %d", n, len(s), cap(s))
 		}
-	}
-	// The streamer's result buffer must not start life as a 16-byte object.
-	if p := NewStreamPrefetcher(); cap(p.buf)*8 < 128 {
-		t.Errorf("prefetch buffer holds %d bytes, want a full sector", cap(p.buf)*8)
 	}
 }

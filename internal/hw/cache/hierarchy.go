@@ -42,21 +42,6 @@ const (
 	HitMem
 )
 
-// String returns "L1", "L2", "L3", or "Mem".
-func (h HitLevel) String() string {
-	switch h {
-	case HitL1:
-		return "L1"
-	case HitL2:
-		return "L2"
-	case HitL3:
-		return "L3"
-	case HitMem:
-		return "Mem"
-	}
-	return fmt.Sprintf("HitLevel(%d)", int(h))
-}
-
 // AccessResult describes one completed load.
 type AccessResult struct {
 	// Level is where the line was found.
@@ -78,25 +63,6 @@ type Counters struct {
 // L3TotalAccesses returns the paper's L3-access counter: demand requests that
 // missed L2 plus prefetcher requests (§2.2.2).
 func (c Counters) L3TotalAccesses() uint64 { return c.L3.Accesses + c.L3PrefetchAccesses }
-
-// Sub returns c - prev, field by field (for vector-granular deltas).
-func (c Counters) Sub(prev Counters) Counters {
-	sub := func(a, b Stats) Stats {
-		return Stats{
-			Accesses:        a.Accesses - b.Accesses,
-			Hits:            a.Hits - b.Hits,
-			Misses:          a.Misses - b.Misses,
-			PrefetchInserts: a.PrefetchInserts - b.PrefetchInserts,
-		}
-	}
-	return Counters{
-		L1:                 sub(c.L1, prev.L1),
-		L2:                 sub(c.L2, prev.L2),
-		L3:                 sub(c.L3, prev.L3),
-		L3PrefetchAccesses: c.L3PrefetchAccesses - prev.L3PrefetchAccesses,
-		MemAccesses:        c.MemAccesses - prev.MemAccesses,
-	}
-}
 
 // Hierarchy is a three-level inclusive cache hierarchy with an L2 streamer.
 // It is split at L1: the fields up to lo hold L1 and everything a caller's

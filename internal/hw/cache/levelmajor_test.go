@@ -390,17 +390,26 @@ func TestObserveMatchesReference(t *testing.T) {
 				}
 				want := append([]uint64(nil), refObserve(ref, line)...)
 				label := fmt.Sprintf("window %d (now %d) degree %d step %d", window, got.Window, degree, i)
-				if g := got.Observe(line); !reflect.DeepEqual(append([]uint64(nil), g...), want) {
-					t.Fatalf("%s: Observe(%d) = %v, reference %v", label, line, g, want)
+				if g := expand(got.observe(line)); !reflect.DeepEqual(g, want) {
+					t.Fatalf("%s: observe(%d) = %v, reference %v", label, line, g, want)
 				}
 				if ref.lastLine != got.lastLine || ref.issuedUpTo != got.issuedUpTo || ref.confidence != got.confidence ||
 					ref.prev != got.prev || ref.next != got.next || ref.head != got.head || ref.Issued != got.Issued {
-					t.Fatalf("%s: tables diverge after Observe(%d)", label, line)
+					t.Fatalf("%s: tables diverge after observe(%d)", label, line)
 				}
 				checkArmed(t, label, got)
 			}
 		}
 	}
+}
+
+// expand lists observe's request, the n lines after from.
+func expand(from uint64, n int) []uint64 {
+	var out []uint64
+	for k := 1; k <= n; k++ {
+		out = append(out, from+uint64(k))
+	}
+	return out
 }
 
 func abs(x int) int {
@@ -429,8 +438,8 @@ func TestObserveAtTopOfLineSpace(t *testing.T) {
 		{top - 1, nil},           // a request past the top line wraps: none
 		{top, nil},
 	} {
-		if got := p.Observe(c.line); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("Observe(2^64-%d) = %v, want %v", top-c.line+1, got, c.want)
+		if got := expand(p.observe(c.line)); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("observe(2^64-%d) = %v, want %v", top-c.line+1, got, c.want)
 		}
 	}
 	if p.Issued != 4 {

@@ -43,7 +43,7 @@ type StreamPrefetcher struct {
 	// prev/next thread the table entries into one circular list ordered by
 	// recency (head = most recently touched, head.prev = victim). This is the
 	// same positional-LRU construction as the cache sets: because every
-	// Observe touches exactly one entry, recency order equals the old
+	// observe touches exactly one entry, recency order equals the old
 	// last-use-timestamp order, and entries never touched (the empties) stay
 	// in their seeded order so victims pop in index order 0, 1, 2, ... —
 	// reproducing the old two-pass rule (first invalid entry, else least
@@ -58,18 +58,13 @@ type StreamPrefetcher struct {
 	armed         bool
 	fastLo, fastX uint64
 	fastWindow    int
-	// buf backs Observe's result. NewStreamPrefetcher gives it a full
-	// 128-byte allocation up front: grown by append from nil it would be a
-	// 16-byte object, and the allocator packs every core's into one cache
-	// line that each core then writes on every prefetch.
-	buf []uint64
 	// Issued counts prefetch requests issued; each consumes an L3 access
 	// slot, which is why the paper's L3-access counter includes them.
 	Issued uint64
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [56]byte
+	_ [80]byte
 }
 
 const streamTableSize = 16
@@ -91,12 +86,12 @@ const invalidLine = uint64(1) << 63
 // NewStreamPrefetcher returns a prefetcher with typical streamer parameters:
 // degree 2, window 4 lines, confidence threshold 2.
 func NewStreamPrefetcher() *StreamPrefetcher {
-	return &StreamPrefetcher{Degree: 2, Window: 4, MinConfidence: 2, buf: make([]uint64, 0, 16)}
+	return &StreamPrefetcher{Degree: 2, Window: 4, MinConfidence: 2}
 }
 
 // link seeds the table: all entries empty, recency ring ordered so that the
 // victim (ring tail) cycles 0, 1, ..., 15 while empties remain. The zero
-// value of StreamPrefetcher is usable: Observe and Reset link on first use.
+// value of StreamPrefetcher is usable: observe and Reset link on first use.
 func (p *StreamPrefetcher) link() {
 	for i := range p.lastLine {
 		p.setLast(i, invalidLine)
@@ -110,24 +105,9 @@ func (p *StreamPrefetcher) link() {
 	p.armed = false
 }
 
-// Observe feeds one demand line id into the prefetcher and returns the line
-// ids to prefetch, if any. The returned slice aliases an internal buffer and
-// is valid until the next call.
-func (p *StreamPrefetcher) Observe(line uint64) []uint64 {
-	from, n := p.observe(line)
-	if n == 0 {
-		return nil
-	}
-	out := p.buf[:0]
-	for k := 1; k <= n; k++ {
-		out = append(out, from+uint64(k))
-	}
-	p.buf = out
-	return out
-}
-
-// observe is Observe returning the request as a range: the n lines after
-// from. (A count, not an end line: line ids near 2^64 wrap.)
+// observe feeds one demand line id into the prefetcher and returns the lines
+// to prefetch as a range: the n lines after from. (A count, not an end line:
+// line ids near 2^64 wrap.)
 //
 // The first stream (in index order) whose window covers the line wins; when
 // none matches, the least-recently-touched entry is replaced. A stream covers

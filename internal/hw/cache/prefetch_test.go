@@ -4,17 +4,18 @@ import "testing"
 
 func TestPrefetcherDetectsSequentialStream(t *testing.T) {
 	p := NewStreamPrefetcher()
-	var got []uint64
+	var from uint64
+	var n int
 	for line := uint64(100); line < 110; line++ {
-		got = p.Observe(line)
+		from, n = p.observe(line)
 	}
 	// Steady state: exactly one new line per observed line (the rest of the
 	// degree-2 window was issued on earlier observations).
-	if len(got) != 1 {
-		t.Fatalf("steady-state stream returned %d prefetches, want 1", len(got))
+	if n != 1 {
+		t.Fatalf("steady-state stream returned %d prefetches, want 1", n)
 	}
-	if got[0] != 111 {
-		t.Fatalf("prefetch target %v, want [111] (degree 2 ahead of line 109)", got)
+	if from+1 != 111 {
+		t.Fatalf("prefetch target %d, want 111 (degree 2 ahead of line 109)", from+1)
 	}
 	// Total issues: first trigger at confidence 2 issues the full degree-2
 	// window, then one per line.
@@ -25,13 +26,13 @@ func TestPrefetcherDetectsSequentialStream(t *testing.T) {
 
 func TestPrefetcherNeedsConfidence(t *testing.T) {
 	p := NewStreamPrefetcher()
-	if out := p.Observe(100); out != nil {
+	if _, n := p.observe(100); n != 0 {
 		t.Fatal("first miss must not prefetch")
 	}
-	if out := p.Observe(101); out != nil {
+	if _, n := p.observe(101); n != 0 {
 		t.Fatal("second miss (confidence 1 < 2) must not prefetch")
 	}
-	if out := p.Observe(102); len(out) == 0 {
+	if _, n := p.observe(102); n == 0 {
 		t.Fatal("third sequential miss should trigger prefetch")
 	}
 }
@@ -42,7 +43,8 @@ func TestPrefetcherIgnoresRandomStream(t *testing.T) {
 	lines := []uint64{10, 5000, 90, 70000, 33, 123456, 9}
 	issued := 0
 	for _, l := range lines {
-		issued += len(p.Observe(l))
+		_, n := p.observe(l)
+		issued += n
 	}
 	if issued != 0 {
 		t.Errorf("random stream issued %d prefetches, want 0", issued)
@@ -55,7 +57,8 @@ func TestPrefetcherToleratesSkippedLines(t *testing.T) {
 	p := NewStreamPrefetcher()
 	issued := 0
 	for line := uint64(0); line < 40; line += 2 {
-		issued += len(p.Observe(line))
+		_, n := p.observe(line)
+		issued += n
 	}
 	if issued == 0 {
 		t.Error("stride-2 stream inside the window issued no prefetches")
@@ -68,11 +71,11 @@ func TestPrefetcherTracksMultipleStreams(t *testing.T) {
 	a, b := uint64(1000), uint64(500000)
 	issuedA, issuedB := 0, 0
 	for i := 0; i < 10; i++ {
-		if out := p.Observe(a + uint64(i)); len(out) > 0 && out[0] > a {
-			issuedA += len(out)
+		if from, n := p.observe(a + uint64(i)); n > 0 && from+1 > a {
+			issuedA += n
 		}
-		if out := p.Observe(b + uint64(i)); len(out) > 0 && out[0] > b {
-			issuedB += len(out)
+		if from, n := p.observe(b + uint64(i)); n > 0 && from+1 > b {
+			issuedB += n
 		}
 	}
 	if issuedA == 0 || issuedB == 0 {
@@ -83,7 +86,7 @@ func TestPrefetcherTracksMultipleStreams(t *testing.T) {
 func TestPrefetcherReset(t *testing.T) {
 	p := NewStreamPrefetcher()
 	for line := uint64(0); line < 10; line++ {
-		p.Observe(line)
+		p.observe(line)
 	}
 	if p.Issued == 0 {
 		t.Fatal("setup failed to issue prefetches")
@@ -92,7 +95,7 @@ func TestPrefetcherReset(t *testing.T) {
 	if p.Issued != 0 {
 		t.Error("Reset did not clear Issued")
 	}
-	if out := p.Observe(10); out != nil {
+	if _, n := p.observe(10); n != 0 {
 		t.Error("stream survived Reset")
 	}
 }

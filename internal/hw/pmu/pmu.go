@@ -122,9 +122,6 @@ func PaperGroup() Group {
 	return g
 }
 
-// Events returns the group's event list.
-func (g Group) Events() []Event { return append([]Event(nil), g.events...) }
-
 // Sample is a snapshot of all counter values at one instant.
 type Sample [NumEvents]uint64
 

@@ -42,16 +42,21 @@ func TestGroupValidation(t *testing.T) {
 	}
 }
 
+// TestPaperGroup projects a sample with every counter set onto the paper's
+// group: its four events and the two fixed counters survive, nothing else.
 func TestPaperGroup(t *testing.T) {
-	g := PaperGroup()
-	want := map[Event]bool{BrNotTaken: true, BrMPTaken: true, BrMPNotTaken: true, L3Access: true}
-	got := map[Event]bool{}
-	for _, e := range g.Events() {
-		got[e] = true
+	var s Sample
+	for e := range s {
+		s[e] = uint64(e) + 1
 	}
-	for e := range want {
-		if !got[e] {
+	p := s.Project(PaperGroup())
+	want := map[Event]bool{BrNotTaken: true, BrMPTaken: true, BrMPNotTaken: true, L3Access: true, Instructions: true, Cycles: true}
+	for e := Event(0); e < NumEvents; e++ {
+		if want[e] && p[e] != s[e] {
 			t.Errorf("PaperGroup missing %v", e)
+		}
+		if !want[e] && p[e] != 0 {
+			t.Errorf("PaperGroup holds %v", e)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestLoneFixedMatchesParallelRun(t *testing.T) {
 }
 
 // TestLoneProgressiveMatchesDriver: same property for progressive execution
-// against core.RunAdaptive on a pool, including the optimizer stats.
+// against core.Run driving the query on a pool, including the optimizer stats.
 func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	const workers, vs = 4, 512
 	q := testQuery(t, 64*vs, 11)
@@ -117,10 +117,14 @@ func TestLoneProgressiveMatchesDriver(t *testing.T) {
 	if err := ref.BindQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := core.RunAdaptive(ref, q, opt, false)
-	if err != nil {
+	r := core.NewRun(ref)
+	if err := r.Begin(core.Spec{Query: q, Mode: core.ModeProgressive, Opt: opt}); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.Drive(); err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt := r.Result, r.Stats()
 
 	s, err := New(prof, workers, vs, Config{})
 	if err != nil {

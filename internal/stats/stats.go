@@ -73,9 +73,6 @@ func BuildHistogram(col *columnar.Column, sampleRows, buckets int) (*Histogram, 
 	return h, nil
 }
 
-// Rows returns the number of sampled rows.
-func (h *Histogram) Rows() int64 { return h.total }
-
 // EstimateLE estimates the selectivity of "col <= bound" by summing full
 // buckets below the bound and interpolating linearly within the boundary
 // bucket.

@@ -29,8 +29,8 @@ func TestBuildHistogramValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Rows() != 100 {
-		t.Errorf("sampled %d rows, want all 100", h.Rows())
+	if h.total != 100 {
+		t.Errorf("sampled %d rows, want all 100", h.total)
 	}
 }
 

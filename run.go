@@ -45,19 +45,13 @@ type ImplStats struct {
 // Sum of the aggregated value and the Count of contributing tuples.
 type GroupRow = exec.Group
 
-// OrderedRow is one row of a sorted (OrderBy/Limit) plan's output.
-type OrderedRow struct {
-	// Row is the driving-table row id — the deterministic tie-break, and a
-	// handle back into the data set.
-	Row int64
-	// Keys holds the sort-key values in OrderBy precedence order
-	// (integer-kind columns widened to float64).
-	Keys []float64
-	// Value is the plan's Sum expression evaluated for this row (0 when the
-	// plan has no Sum). Result.Sum still totals the expression over all
-	// qualifying tuples, limit or not.
-	Value float64
-}
+// OrderedRow is one row of a sorted (OrderBy/Limit) plan's output: the
+// driving-table Row id (the deterministic tie-break, and a handle back into
+// the data set), the sort Keys in OrderBy precedence order (integer-kind
+// columns widened to float64), and the Value of the plan's Sum expression for
+// the row (0 when the plan has no Sum; Result.Sum still totals the expression
+// over all qualifying tuples, limit or not).
+type OrderedRow = exec.SortedRow
 
 // ExecResult is the outcome of one Exec call: the execution result, the
 // grouped output when the plan groups, the ordered output when it sorts,
@@ -125,7 +119,7 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	}
 	out := toExecResult(e.run.Result, e.run.Groups, e.run.Sorted, e.run.Stats())
 	if e.tr != nil {
-		aggs := summarizeTrace(e.tr.rec.SummarizeSince(marks))
+		aggs := e.tr.rec.SummarizeSince(marks)
 		q.traced.Store(&aggs)
 	}
 	if q.storage != nil {
@@ -165,11 +159,13 @@ func (e *Engine) spec(q *Query, opts ExecOptions) core.Spec {
 }
 
 // toExecResult maps what the driver produced — for Exec, or for a served
-// query — to the public type.
+// query — to the public type. The driver builds groups and sorted afresh for
+// every run, so the result hands them out as they are.
 func toExecResult(r exec.Result, groups []exec.Group, sorted []exec.SortedRow, st core.Stats) ExecResult {
-	out := ExecResult{
+	return ExecResult{
 		Result: toResult(r),
 		Groups: groups,
+		Rows:   sorted,
 		Stats:  toStats(st),
 		Impl: ImplStats{
 			BranchingVectors:  st.BranchingVectors,
@@ -177,19 +173,6 @@ func toExecResult(r exec.Result, groups []exec.Group, sorted []exec.SortedRow, s
 			ImplSwitches:      st.ImplSwitches,
 		},
 	}
-	if sorted != nil {
-		out.Rows = toOrderedRows(sorted)
-	}
-	return out
-}
-
-// toOrderedRows maps the executor's sorted rows to the public type.
-func toOrderedRows(rows []exec.SortedRow) []OrderedRow {
-	out := make([]OrderedRow, len(rows))
-	for i, r := range rows {
-		out[i] = OrderedRow{Row: r.Row, Keys: r.Keys, Value: r.Value}
-	}
-	return out
 }
 
 // optTrack returns the engine's optimizer decision track, nil when tracing is

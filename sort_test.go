@@ -73,6 +73,77 @@ func TestSortBitIdentity(t *testing.T) {
 	}
 }
 
+// TestHandedOutResultsAreTheCallers: the ordered rows Exec returns and the
+// trace summary Explain returns belong to the caller. A later Exec on the same
+// engine, of another ordered plan or of the same plan in another mode, leaves
+// them as they were, and what one caller writes into a summary no later
+// Explain returns.
+func TestHandedOutResultsAreTheCallers(t *testing.T) {
+	e, err := New(Config{VectorSize: 512, Trace: &TraceOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	d, err := e.GenerateTPCH(24_000, 19, OrderRandom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, err := e.Compile(d, sortTestPlan(d, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := e.Compile(d, Scan("lineitem").
+		Filter("l_discount", CmpLE, 0.05).
+		OrderBy("l_extendedprice", Desc).
+		Sum("l_quantity").
+		Limit(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, err := e.Exec(q1, ExecOptions{Mode: ModeProgressive, Progressive: Progressive{Interval: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex1, err := e.Explain(q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]OrderedRow, len(res1.Rows))
+	for i, r := range res1.Rows {
+		rows[i] = OrderedRow{Row: r.Row, Keys: append([]float64(nil), r.Keys...), Value: r.Value}
+	}
+	aggs := append([]TraceAgg(nil), ex1.Trace...)
+
+	res2, err := e.Exec(q2, ExecOptions{Mode: ModeFixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(res2.Rows, rows) {
+		t.Fatal("the second plan orders the same rows: it cannot show aliasing")
+	}
+	if !reflect.DeepEqual(res1.Rows, rows) {
+		t.Error("a second ordered Exec changed the first result's Rows")
+	}
+
+	if _, err := e.Exec(q1, ExecOptions{Mode: ModeFixed}); err != nil {
+		t.Fatal(err)
+	}
+	ex2, err := e.Explain(q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(ex2.Trace, aggs) {
+		t.Fatal("the fixed-order run summarizes like the progressive one: it cannot show aliasing")
+	}
+	if !reflect.DeepEqual(ex1.Trace, aggs) {
+		t.Errorf("a second traced Exec changed the first Explain's trace summary:\n got %+v\nwant %+v", ex1.Trace, aggs)
+	}
+	ex2.Trace[0].Count = -1
+	if ex3, err := e.Explain(q1); err != nil || ex3.Trace[0].Count == -1 {
+		t.Errorf("a caller's write into its trace summary reached the next Explain (%v)", err)
+	}
+}
+
 // TestSortAgainstSliceStable fuzzes the public surface against an oracle
 // independent of any engine code: qualifying rows recomputed from the raw
 // columns and ordered with sort.SliceStable on the keys alone — stability

@@ -175,6 +175,33 @@ var rules = []rule{
 		bad: `	Weights *CounterWeights`, at: "internal/core/estimator.go", ok: "internal/core/estimator_ref_test.go"},
 	{pr: 45, pattern: `PrefetchDisabled`, word: true, allow: `_test\.go$`,
 		bad: `	PrefetchDisabled bool`, at: "internal/hw/cache/hierarchy.go", ok: "internal/hw/cache/access_ref_test.go"},
+	// Functions only tests reached stay gone: their tests go through the path
+	// a binary takes (EncodeTable and WriteEncoded, ReadEncoded and Decode,
+	// core.Run, the streamer's observe, Sample.Project).
+	{pr: 50, pattern: `func WriteTableV2\(`,
+		bad: `func WriteTableV2(w io.Writer, t *Table, blockRows int) error {`, at: "internal/columnar/io2.go"},
+	{pr: 50, pattern: `func LoadTable\(`,
+		bad: `func LoadTable(r io.Reader) (*Table, error) {`, at: "internal/columnar/io2.go"},
+	{pr: 50, pattern: `func \(\w+ \*?Table\) SizeBytes\(`,
+		bad: `func (t *Table) SizeBytes() int {`, at: "internal/columnar/table.go"},
+	{pr: 50, pattern: `func RunAdaptive\(`,
+		bad: `func RunAdaptive(p *exec.Parallel, q *exec.Query, opt Options, micro bool) (exec.Result, Stats, error) {`, at: "internal/core/drive.go"},
+	{pr: 50, pattern: `func \(\w+ \*?Counters\) Sub\(`,
+		bad: `func (c Counters) Sub(prev Counters) Counters {`, at: "internal/hw/cache/hierarchy.go"},
+	{pr: 50, pattern: `func \(\w+ \*?HitLevel\) String\(`,
+		bad: `func (h HitLevel) String() string {`, at: "internal/hw/cache/hierarchy.go"},
+	{pr: 50, pattern: `func \(\w+ \*?StreamPrefetcher\) Observe\(`,
+		bad: `func (p *StreamPrefetcher) Observe(line uint64) []uint64 {`, at: "internal/hw/cache/prefetch.go"},
+	{pr: 50, pattern: `func \(\w+ \*?Group\) Events\(`,
+		bad: `func (g Group) Events() []Event { return append([]Event(nil), g.events...) }`, at: "internal/hw/pmu/pmu.go"},
+	{pr: 50, pattern: `func \(\w+ \*?Histogram\) Rows\(`,
+		bad: `func (h *Histogram) Rows() int64 { return h.total }`, at: "internal/stats/stats.go"},
+	// A public result row that has an internal twin is an alias of it, as
+	// GroupRow is of exec.Group: no field-by-field copy.
+	{pr: 50, pattern: `type OrderedRow struct`,
+		bad: `type OrderedRow struct {`, at: "run.go"},
+	{pr: 50, pattern: `type TraceAgg struct`,
+		bad: `type TraceAgg struct {`, at: "trace.go"},
 }
 
 // structureFile is this file, which no rule reads.

@@ -89,23 +89,8 @@ func (t *Trace) WriteChromeFile(path string) error {
 func (e *Engine) Trace() *Trace { return e.tr }
 
 // TraceAgg is one line of a per-query trace summary: every occurrence of one
-// event name during the query, with span cycles totaled. Reported by Explain
-// for the most recently traced execution of a query.
-type TraceAgg struct {
-	// Name is the event name ("vector", "reorder", "tier-fetch", ...).
-	Name string
-	// Count is the number of occurrences and Cycles the summed span length
-	// (instant events contribute 0).
-	Count int
-	// Cycles is the total simulated span length.
-	Cycles uint64
-}
-
-// summarizeTrace converts recorder aggregates to the public type.
-func summarizeTrace(aggs []trace.NameAgg) []TraceAgg {
-	out := make([]TraceAgg, len(aggs))
-	for i, a := range aggs {
-		out[i] = TraceAgg{Name: a.Name, Count: a.Count, Cycles: a.Cycles}
-	}
-	return out
-}
+// event Name ("vector", "reorder", "tier-fetch", ...) during the query, their
+// Count, and their summed simulated span length in Cycles (instant events
+// contribute 0). Reported by Explain for the most recently traced execution of
+// a query.
+type TraceAgg = trace.NameAgg

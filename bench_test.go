@@ -600,8 +600,7 @@ func TestRunParallelSteadyStateAllocs(t *testing.T) {
 // benchServeConcurrent serves n simultaneous submissions of mixed shapes
 // (plain scans, a join, a sorted query; fixed and progressive modes) against
 // a fresh 4-core server per iteration, waiting from racing goroutines. At
-// -cpu 4 the scheduling rounds execute distinct queries' segments on distinct
-// host threads, so ns/op measures the host-concurrency win; sim_cycles (the
+// -cpu 4 each round's blocks run on pooled host helpers; sim_cycles (the
 // workload makespan) is bit-identical at every -cpu, pinning that only host
 // wall-clock changes. Feeds the BENCH_perf.json served rows.
 func benchServeConcurrent(b *testing.B, n int) {
@@ -655,7 +654,7 @@ func benchServeConcurrent(b *testing.B, n int) {
 	b.ReportMetric(float64(makespan), "sim_cycles")
 }
 
-// BenchmarkServeConcurrent4 serves four simultaneous queries — one per core.
+// BenchmarkServeConcurrent4 serves four simultaneous queries — all admitted.
 func BenchmarkServeConcurrent4(b *testing.B) { benchServeConcurrent(b, 4) }
 
 // BenchmarkServeConcurrent8 serves eight — queueing behind MaxActive 4.

@@ -94,7 +94,7 @@
 // # Serving a workload
 //
 // Above the single-query engine sits a workload server that runs many
-// concurrent queries against one shared pool of simulated cores
+// queries against one shared pool of simulated cores
 // (Server -> plan/feedback cache -> Engine -> exec.Parallel):
 //
 //	srv, err := progopt.NewServer(eng, progopt.ServerConfig{MaxActive: 4})
@@ -106,8 +106,10 @@
 //	fmt.Println(res2.Served.PlanCacheHit, res2.Served.WarmStart,
 //		res2.Served.LatencyMillis, srv.Stats().MakespanMillis)
 //
-// An admission controller and fair scheduler partition Config.Workers cores
-// across active queries at morsel granularity; a plan cache keyed by a
+// An admission controller admits queries in arrival order, up to MaxActive,
+// and the oldest admitted query runs to completion on all Config.Workers
+// cores while the others wait: queries of similar cost finish sooner in
+// arrival order than sharing the cores would let them. A plan cache keyed by a
 // canonical fingerprint (table + operators + bounds + data-set generation)
 // skips re-compilation of recurring plans; and a PMU-feedback cache
 // warm-starts adaptive runs at the operator order a previous run of the
@@ -115,18 +117,14 @@
 // paper's observation cost. Scheduling runs entirely on the simulated
 // clock: a fixed submission trace yields bit-identical per-query results,
 // latencies, and total makespan on every host run, at any GOMAXPROCS. A
-// query that has the pool to itself is bit-identical to Engine.Exec
-// (equivalence_test.go). Each scheduling round's query segments execute
-// concurrently on the host (their simulated core subsets are disjoint),
-// with all order-sensitive effects published at a deterministic round
-// barrier — behavior is unchanged from the serial service, rounds are just
-// faster when several queries are in flight. Within a segment — as within
-// any Exec at Workers > 1 — the simulated cores themselves run on as many
-// host threads as are free: the next morsel is handed out as soon as the
-// clocks the running cores have published prove the serial scheduler would
-// make the same pick, so a lone query with the pool to itself uses the host
-// too, and a host thread that finishes a short segment helps a long one.
-// None of it is configurable and none of it is observable in any result.
+// query that finds the pool idle is bit-identical to Engine.Exec
+// (equivalence_test.go). A query whose step fails is retired with its error
+// alone; the other tickets are served as if it had never been submitted.
+// Within a round — as within any Exec at Workers > 1 — the simulated cores
+// run on as many host threads as are free: the next morsel is handed out as
+// soon as the clocks the running cores have published prove the serial
+// scheduler would make the same pick. None of it is configurable and none of
+// it is observable in any result.
 // Once a plan is cached and the scratch is warm, serving a query allocates
 // under a hundred host objects (the pinned budget is 150 per query, measured
 // 50 fixed and 94 adaptive) however many scheduling rounds it takes: the

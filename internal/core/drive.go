@@ -133,8 +133,7 @@ func (s *Spec) Validate(workers int) error {
 // run a block, sample the PMU, maybe reorder, validate. It is the only caller
 // of the stepper and of the sort and group-table merges. Whoever owns the
 // cores calls Step until it reports the query done: the workload service once
-// per scheduling round, on whatever subset its partitioner gave the query;
-// everyone else through Drive.
+// per scheduling round, on the whole pool; everyone else through Drive.
 //
 // What a step reads is the query's cursor, the stepper's current order and
 // the clocks it is handed; what it advances is the cursor, those clocks, and

@@ -160,10 +160,10 @@ func composesTo(curPerm, order, perm []int) bool {
 	return true
 }
 
-func opWidths(q *exec.Query) []int {
-	w := make([]int, len(q.Ops))
-	for i, op := range q.Ops {
-		w[i] = op.Width()
+// opWidths appends the operator input widths of q, in its order, to w.
+func opWidths(w []int, q *exec.Query) []int {
+	for _, op := range q.Ops {
+		w = append(w, op.Width())
 	}
 	return w
 }

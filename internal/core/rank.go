@@ -6,26 +6,23 @@ import (
 	"progopt/internal/exec"
 )
 
-// LoadWeights returns each operator's dependent loads per driving row: one
+// LoadWeights appends to w each operator's dependent loads per driving row: one
 // for a predicate's column read; for a foreign-key join the key read, each
 // via hop, the hash-bucket probe, and the pushed build-side filter column if
 // present. The weights are structural — read off the compiled operators, no
 // statistics — and feed rankOrder so the progressive optimizer prices a
 // multi-hop probe at what it actually costs per row instead of treating
 // every operator as one load.
-func LoadWeights(q *exec.Query) []float64 {
-	w := make([]float64, len(q.Ops))
-	for i, op := range q.Ops {
-		switch j := op.(type) {
-		case *exec.FKJoin:
-			loads := 2 + len(j.Via) // key read, via hops, bucket probe
+func LoadWeights(w []float64, q *exec.Query) []float64 {
+	for _, op := range q.Ops {
+		loads := 1
+		if j, ok := op.(*exec.FKJoin); ok {
+			loads = 2 + len(j.Via) // key read, via hops, bucket probe
 			if j.Filter != nil {
 				loads++
 			}
-			w[i] = float64(loads)
-		default:
-			w[i] = 1
 		}
+		w = append(w, float64(loads))
 	}
 	return w
 }

@@ -30,11 +30,21 @@ type BlockStepper struct {
 	// the estimator models.
 	geometry cachemodel.Geometry
 
+	// curPerm and prevPerm are orders of base; no order is written once
+	// made, because the rejected set, the feedback cache and trace events
+	// keep them. perms holds every order this run has made, so a flip back
+	// to one of them allocates nothing.
 	curPerm, prevPerm []int
-	curQ              *exec.Query
+	perms             [][]int
+	// curQ is base in curPerm's order: base itself until the first reorder,
+	// then one of queries. setOrder writes the other, so the query the block
+	// that just ran held is never overwritten; seen is its scratch.
+	curQ    *exec.Query
+	queries [2]exec.Query
+	seen    []bool
 	// curWidths and curWeights cache opWidths(curQ) and LoadWeights(curQ),
-	// refreshed only when the order changes — the estimator and the ranking
-	// consume them once per block.
+	// refreshed in place only when the order changes — the estimator and the
+	// ranking consume them once per block.
 	curWidths  []int
 	curWeights []float64
 	aggWidths  []int
@@ -125,15 +135,18 @@ func NewBlockStepper(q *exec.Query, prof cpu.Profile, workers int, micro bool, o
 		return nil, err
 	}
 	nOps := len(q.Ops)
+	id := identity(nOps)
 	s := &BlockStepper{
 		base:     q,
 		opt:      opt,
 		micro:    micro,
 		eligible: micro && exec.BranchFreeEligible(q),
 		geometry: L3Geometry(prof),
-		curPerm:  identity(nOps),
-		prevPerm: identity(nOps),
+		curPerm:  id,
+		prevPerm: id,
+		perms:    [][]int{id},
 		curQ:     q,
+		seen:     make([]bool, nOps),
 		order:    make([]int, nOps),
 		ordered:  make([]float64, nOps),
 
@@ -148,8 +161,11 @@ func NewBlockStepper(q *exec.Query, prof cpu.Profile, workers int, micro bool, o
 
 // setOrder makes perm the current operator order.
 func (s *BlockStepper) setOrder(perm []int) error {
-	q, err := s.base.WithOrder(perm)
-	if err != nil {
+	q := &s.queries[0]
+	if q == s.curQ {
+		q = &s.queries[1]
+	}
+	if err := s.base.OrderInto(q, perm, s.seen); err != nil {
 		return err
 	}
 	s.curPerm, s.curQ = perm, q
@@ -157,9 +173,31 @@ func (s *BlockStepper) setOrder(perm []int) error {
 	return nil
 }
 
+// reorder makes the current order followed in the positions order gives —
+// compose(curPerm, order) — the current one, and the order it replaces the
+// previous one.
+func (s *BlockStepper) reorder(order []int) error {
+	next := s.intern(order)
+	s.prevPerm = s.curPerm
+	return s.setOrder(next)
+}
+
+// intern returns compose(curPerm, order), as the order made before when the
+// run has made it.
+func (s *BlockStepper) intern(order []int) []int {
+	for _, p := range s.perms {
+		if composesTo(s.curPerm, order, p) {
+			return p
+		}
+	}
+	p := compose(s.curPerm, order)
+	s.perms = append(s.perms, p)
+	return p
+}
+
 func (s *BlockStepper) refreshOrderCaches() {
-	s.curWidths = opWidths(s.curQ)
-	s.curWeights = LoadWeights(s.curQ)
+	s.curWidths = opWidths(s.curWidths[:0], s.curQ)
+	s.curWeights = LoadWeights(s.curWeights[:0], s.curQ)
 }
 
 // Query returns the query in its current operator order; the next block must
@@ -179,6 +217,7 @@ func (s *BlockStepper) WarmStart(order []int, impl exec.ScanImpl, rejected [][]i
 	if err := s.setOrder(order); err != nil {
 		return err
 	}
+	s.perms = append(s.perms, order)
 	if s.eligible {
 		s.impl = impl
 	}
@@ -296,16 +335,14 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 	// might be hiding a better order. A rotation validation already rejected
 	// is skipped — the point falls through to plain estimation — and a
 	// single operator has no other order to try.
-	var probe []int
+	probe := false
 	if optPoint && !s.micro && s.opt.ExploreEvery > 0 && s.stableBlocks >= s.opt.ExploreEvery && len(s.curPerm) > 1 {
 		// The rotation in current-order positions: the leading operator
 		// moves to the back.
 		for i := range s.order {
 			s.order[i] = (i + 1) % len(s.order)
 		}
-		if !s.proposesRejected(s.order) {
-			probe = compose(s.curPerm, s.order)
-		}
+		probe = !s.proposesRejected(s.order)
 	}
 	switch {
 	case !optPoint || s.pendingValidation:
@@ -316,12 +353,11 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 			s.revert.left--
 		}
 		s.st.HeldOff++
-	case probe != nil:
+	case probe:
 		// Run the next step under the rotation and let validation decide.
 		s.stableBlocks = 0
 		s.st.Explorations++
-		s.prevPerm = s.curPerm
-		if err := s.setOrder(probe); err != nil {
+		if err := s.reorder(s.order); err != nil {
 			return 0, err
 		}
 		extra += s.recompile(engines)
@@ -430,8 +466,7 @@ func (s *BlockStepper) estimate(counters pmu.Sample, tuples int, exact []float64
 	worthIt := planCost(order, s.curWeights, sels) < planCost(nil, s.curWeights, sels)*(1-validationTolerance)
 	if worthIt && !s.proposesRejected(order) {
 		s.stableBlocks = 0
-		s.prevPerm = s.curPerm
-		if err := s.setOrder(compose(s.curPerm, order)); err != nil {
+		if err := s.reorder(order); err != nil {
 			return false, err
 		}
 		*extra += s.recompile(engines)

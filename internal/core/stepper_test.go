@@ -132,6 +132,56 @@ func atQ(sels []float64, cost uint64, qual int64) synthStep {
 	return synthStep{sels: sels, cost: cost, qual: qual, optPoint: true}
 }
 
+// TestOrderFlipsAllocateNothing: once the run has made the orders they go to,
+// a reorder, a probe's rotation and a revert allocate nothing, and none
+// overwrites the query the step before it ran under.
+func TestOrderFlipsAllocateNothing(t *testing.T) {
+	s, _ := stepperFixture(t, 3, 1, false, Options{ReopInterval: 1})
+	rotation, reverse := []int{1, 2, 0}, []int{2, 1, 0}
+	// One period changes the order at every point and ends where it began.
+	period := []func() error{
+		func() error { return s.reorder(rotation) },
+		func() error { return s.setOrder(s.prevPerm) }, // revert
+		func() error { return s.reorder(rotation) },
+		func() error { return s.reorder(rotation) },
+		func() error { return s.reorder(rotation) },
+		func() error { return s.reorder(reverse) },
+		func() error { return s.reorder(reverse) },
+	}
+	for range 2 {
+		for i, change := range period {
+			ran := s.Query()
+			ranOps := slices.Clone(ran.Ops)
+			if err := change(); err != nil {
+				t.Fatal(err)
+			}
+			q := s.Query()
+			if q == ran || !slices.Equal(ran.Ops, ranOps) {
+				t.Fatalf("change %d overwrote the query the last step ran under", i)
+			}
+			for j, p := range s.curPerm {
+				if q.Ops[j] != s.base.Ops[p] || q.Table != s.base.Table {
+					t.Fatalf("change %d: query is not the base in order %v", i, s.curPerm)
+				}
+			}
+			if !slices.Equal(s.curWidths, opWidths(nil, q)) || !slices.Equal(s.curWeights, LoadWeights(nil, q)) {
+				t.Fatalf("change %d: order caches stale", i)
+			}
+		}
+		wantOrder(t, s, 0, 1, 2)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, change := range period {
+			if err := change(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per %d order changes, want 0", allocs, len(period))
+	}
+}
+
 // TestStepperRegretRules walks the three rules that bound the loop's regret
 // through one run at ReopInterval 1, where every step validates and is an
 // optimization point: a step that reverts does not estimate (its sample was

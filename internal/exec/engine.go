@@ -58,19 +58,30 @@ func (q *Query) Validate() error {
 // WithOrder returns a copy of the query whose operators are permuted: new
 // position i holds old operator perm[i].
 func (q *Query) WithOrder(perm []int) (*Query, error) {
-	if len(perm) != len(q.Ops) {
-		return nil, fmt.Errorf("exec: permutation length %d for %d ops", len(perm), len(q.Ops))
+	out := &Query{}
+	if err := q.OrderInto(out, perm, make([]bool, len(q.Ops))); err != nil {
+		return nil, err
 	}
-	seen := make([]bool, len(perm))
-	ops := make([]Op, len(perm))
-	for i, p := range perm {
+	return out, nil
+}
+
+// OrderInto is WithOrder into dst, reusing its operator slice, with seen
+// (one flag per operator) as scratch: once dst has room it allocates nothing.
+// On an invalid permutation dst is left partly written.
+func (q *Query) OrderInto(dst *Query, perm []int, seen []bool) error {
+	if len(perm) != len(q.Ops) || len(seen) != len(q.Ops) {
+		return fmt.Errorf("exec: permutation length %d for %d ops", len(perm), len(q.Ops))
+	}
+	clear(seen)
+	dst.Table, dst.Ops, dst.Agg = q.Table, dst.Ops[:0], q.Agg
+	for _, p := range perm {
 		if p < 0 || p >= len(q.Ops) || seen[p] {
-			return nil, fmt.Errorf("exec: invalid permutation %v", perm)
+			return fmt.Errorf("exec: invalid permutation %v", perm)
 		}
 		seen[p] = true
-		ops[i] = q.Ops[p]
+		dst.Ops = append(dst.Ops, q.Ops[p])
 	}
-	return &Query{Table: q.Table, Ops: ops, Agg: q.Agg}, nil
+	return nil
 }
 
 // OpNames returns the operator names in evaluation order.

@@ -48,25 +48,24 @@ type Parallel struct {
 	blockClocks []uint64
 	// run is the block-run context of that whole-pool entry point. The
 	// query driver (core.Run) brings its own, made with NewBlockRun, so the
-	// workload service's concurrent queries never share one.
+	// workload service's admitted queries never share one.
 	run BlockRun
 	// pool holds the persistent helper goroutines, started lazily by the
-	// first block or segment fan-out that can use one on a GOMAXPROCS > 1
+	// first block that can use one on a GOMAXPROCS > 1
 	// host and reused until Close. Guarded by poolMu for concurrent
 	// starters; readers load the atomic pointer.
 	poolMu sync.Mutex
 	pool   atomic.Pointer[hostPool]
-	// segments is the job of RunSegments, which has one caller at a time.
-	segments segmentJob
 }
 
 // BlockRun is the block execution context of one query at a time: the
 // lookahead scheduler state, the ring of per-morsel results, the reduction
 // targets, and reusable scratch (PMU sample snapshots, the per-call
 // busy-cycle counters). The simulation state lives in the Parallel's engines;
-// several queries may execute blocks on one Parallel concurrently as long as
-// each uses its own BlockRun over a disjoint core subset. Everything a block
-// needs lives here and is reused, so a steady-state block allocates nothing.
+// a query that is cut into steps keeps its BlockRun between them (a grouped
+// query's accumulator is part of it), so several queries can be in progress
+// on one Parallel, each with its own. Everything a block needs lives here and
+// is reused, so a steady-state block allocates nothing.
 type BlockRun struct {
 	p             *Parallel
 	sampleScratch []pmu.Sample
@@ -255,9 +254,9 @@ func (p *Parallel) BindQuery(q *Query) error {
 }
 
 // hostJob is work that its driver runs together with whichever pooled
-// helpers are free: a block's morsel loop, a merge barrier's owners or a
-// segment fan-out. Helpers join
-// while the job is open and the driver waits for the last of them to leave.
+// helpers are free: a block's morsel loop or a merge barrier's owners.
+// Helpers join while the job is open and the driver waits for the last of
+// them to leave.
 type hostJob struct {
 	// work takes items off the job until none are left; the driver and every
 	// helper call it concurrently.
@@ -282,7 +281,7 @@ type hostPool struct {
 type helperTask interface{ help() }
 
 // helperLinger is how long a helper that has finished a job keeps polling
-// for the next invitation before it parks. A served round's segments and an
+// for the next invitation before it parks. A served query's rounds and an
 // adaptive query's blocks follow each other within tens of microseconds,
 // while waking a parked helper takes about 100 µs on a 2-vCPU virtual
 // machine; a helper still polling joins the next job at once.
@@ -382,67 +381,6 @@ func (j *hostJob) help() {
 	j.mu.Lock()
 	j.helpers--
 	j.mu.Unlock()
-}
-
-// segmentJob is the job of a RunSegments call, reused by every call the way
-// BlockRun.job is: the call's closures, the panic each raised, and the index
-// of the next closure to claim.
-type segmentJob struct {
-	job  hostJob
-	fns  []func()
-	pvs  []any // the panic closure i raised, if any
-	next atomic.Int64
-}
-
-// work claims closures by index until none are left.
-func (s *segmentJob) work() {
-	for i := int(s.next.Add(1)) - 1; i < len(s.fns); i = int(s.next.Add(1)) - 1 {
-		s.call(i)
-	}
-}
-
-// call runs closure i and captures its panic.
-func (s *segmentJob) call(i int) {
-	defer func() { s.pvs[i] = recover() }()
-	s.fns[i]()
-}
-
-// RunSegments executes the given closures concurrently — on the caller and
-// on whichever pooled helpers are free — and returns after all complete: the
-// fan-out primitive for the workload service's host-parallel scheduling
-// rounds. The closures must be mutually data-independent (distinct queries
-// on disjoint core subsets, each with its own BlockRun). On a single-
-// threaded host, or with a single closure, everything runs inline on the
-// caller in slice order with zero dispatch overhead. A closure panic is
-// captured where it happened and re-raised on the caller after all closures
-// have finished; when several panic, the lowest slice index wins, so the
-// surfaced failure is deterministic.
-//
-// RunSegments has one caller at a time — the server's elected round driver —
-// and reuses one job for every call, so a call allocates nothing.
-func (p *Parallel) RunSegments(fns []func()) {
-	if len(fns) <= 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, f := range fns {
-			f()
-		}
-		return
-	}
-	s := &p.segments
-	if s.job.work == nil {
-		s.job.work = s.work
-	}
-	if cap(s.pvs) < len(fns) {
-		s.pvs = make([]any, len(fns))
-	}
-	s.fns, s.pvs = fns, s.pvs[:len(fns)]
-	s.next.Store(0)
-	p.runJob(&s.job, len(fns)-1)
-	for _, pv := range s.pvs {
-		if pv != nil {
-			// Re-raises the lowest panicking segment's panic, raised on any host thread.
-			panic(pv)
-		}
-	}
 }
 
 // BlockResult reports one morsel block execution.
@@ -754,9 +692,6 @@ func (r *BlockRun) merge(m *morsel) bool {
 // reduces into its Result.Sum the same way. After BeginGroups the morsels are
 // a grouped aggregation's: their survivors fold into the BlockRun's
 // accumulator, Qualifying counts them, and no sum is written.
-//
-// The scheduler state and scratch come from this BlockRun, so concurrent
-// queries over disjoint core subsets do not contend.
 func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
 	p := r.p
 	if err := q.Validate(); err != nil {

@@ -3,9 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,48 +239,11 @@ func TestParallelFailurePaths(t *testing.T) {
 	}
 }
 
-// TestRunSegmentsPanicLowestIndexWins: closures run on whichever workers are
-// free, yet the panic that surfaces is the lowest slice index's, after every
-// closure has finished.
-func TestRunSegmentsPanicLowestIndexWins(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	p, err := NewParallel(cpu.ScaledXeon(), 4, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for rep := 0; rep < 20; rep++ {
-		var ran [4]bool
-		fns := make([]func(), 4)
-		for i := range fns {
-			fns[i] = func() {
-				ran[i] = true
-				if i == 1 || i == 3 {
-					panic(i)
-				}
-			}
-		}
-		func() {
-			defer func() {
-				if pv := recover(); pv != 1 {
-					t.Fatalf("surfaced panic %v, want closure 1's", pv)
-				}
-			}()
-			p.RunSegments(fns)
-		}()
-		if ran != [4]bool{true, true, true, true} {
-			t.Fatalf("closures ran %v before the panic surfaced", ran)
-		}
-	}
-}
-
-// TestRunSegmentsReusedJob: back-to-back calls share one job, and helpers
-// linger between them, yet every closure runs exactly once and within its
-// own call — a stale invitation to a longer call that meets a shorter one
-// claims nothing of it twice. A call whose closures 1 and 3 panic surfaces
-// closure 1's panic and leaves the next call clean. Close stops the helpers
-// mid-linger, and a block after it starts a fresh pool.
-func TestRunSegmentsReusedJob(t *testing.T) {
+// TestCloseStopsLingeringHelpers: back-to-back blocks share one job, and
+// helpers linger between them, yet every block returns what the first did.
+// Close stops the helpers mid-linger, and a block after it starts a fresh
+// pool.
+func TestCloseStopsLingeringHelpers(t *testing.T) {
 	_, q := parallelFixture(t)
 	for _, gmp := range []int{2, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", gmp), func(t *testing.T) {
@@ -292,58 +253,21 @@ func TestRunSegmentsReusedJob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var (
-				call atomic.Int64 // the call in progress, 0 between calls
-				ran  [5]atomic.Int32
-				late atomic.Int64
-			)
-			rng := rand.New(rand.NewPCG(1, uint64(gmp)))
-			for k := int64(1); k <= 5000; k++ {
-				n, panics := 1+rng.IntN(5), k%250 == 0
-				if panics {
-					n = 4
-				}
-				fns := make([]func(), n)
-				for i := range fns {
-					fns[i] = func() {
-						if call.Load() != k {
-							late.Add(1)
-						}
-						ran[i].Add(1)
-						runtime.Gosched()
-						if panics && (i == 1 || i == 3) {
-							panic(i)
-						}
-					}
-				}
-				call.Store(k)
-				pv := func() (pv any) {
-					defer func() { pv = recover() }()
-					p.RunSegments(fns)
-					return nil
-				}()
-				call.Store(0)
-				if (panics && pv != 1) || (!panics && pv != nil) {
-					t.Fatalf("call %d surfaced panic %v", k, pv)
-				}
-				for i := range ran {
-					want := int32(0)
-					if i < n {
-						want = 1
-					}
-					if got := ran[i].Swap(0); got != want {
-						t.Fatalf("call %d of %d closures: closure %d ran %d times", k, n, i, got)
-					}
-				}
-			}
-			if l := late.Load(); l != 0 {
-				t.Fatalf("%d closures ran outside their own call", l)
-			}
-
 			sum := 0.0
-			want, err := runBlock(p, q, 0, 8, ImplBranching, &sum)
-			if err != nil {
-				t.Fatal(err)
+			var want BlockResult
+			for k := range 200 {
+				p.Cold()
+				got, err := runBlock(p, q, 0, 8, ImplBranching, &sum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == 0 {
+					want = got
+					want.WorkerCycles = nil
+				}
+				if got.Qualifying != want.Qualifying || got.Vectors != want.Vectors || got.MaxCycles != want.MaxCycles {
+					t.Fatalf("block %d %+v, first %+v", k, got, want)
+				}
 			}
 			p.Close() // the helpers are lingering after the block
 			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
@@ -366,8 +290,8 @@ func TestRunSegmentsReusedJob(t *testing.T) {
 	}
 }
 
-// TestPooledHandOffsAllocateNothing: once warm, a segment fan-out and a block
-// that invites helpers allocate nothing. testing.AllocsPerRun measures at
+// TestPooledHandOffsAllocateNothing: once warm, a block that invites helpers
+// allocates nothing. testing.AllocsPerRun measures at
 // GOMAXPROCS 1, where neither invites a helper, so this counts the process's
 // mallocs at GOMAXPROCS 2 instead. Those include the runtime's own
 // allocations, which host scheduling decides: a goroutine's timer on its first
@@ -392,14 +316,11 @@ func TestPooledHandOffsAllocateNothing(t *testing.T) {
 	}
 	defer one.Close()
 	v := 0
-	var n atomic.Int64
-	fns := []func(){func() { n.Add(1) }, func() { n.Add(1) }, func() { n.Add(1) }}
 	sum := 0.0
 	for _, c := range []struct {
 		name string
 		run  func()
 	}{
-		{"RunSegments with three closures", func() { p.RunSegments(fns) }},
 		{"8-vector block on four cores", func() {
 			if _, err := runBlock(p, q, 0, 8, ImplBranching, &sum); err != nil {
 				t.Fatal(err)

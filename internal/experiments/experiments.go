@@ -160,7 +160,7 @@ func All() []Experiment {
 		{"ext-static", "Extension: static histogram optimizer v. progressive", ExtStatic},
 		{"ext-parallel", "Extension: morsel-driven multi-core scaling", ExtParallel},
 		{"ext-groupby", "Extension: morsel-driven grouped aggregation", ExtGroupBy},
-		{"ext-serve", "Extension: workload service — concurrency, latency, feedback cache", ExtServe},
+		{"ext-serve", "Extension: workload service — pool size, latency, feedback cache", ExtServe},
 		{"ext-topk", "Extension: morsel-parallel Top-K/OrderBy operator", ExtTopK},
 		{"ext-storage", "Extension: stored PCOL v2 tables — budget sweep, compression, packed scans", ExtStorage},
 		{"ext-trace", "Extension: traced convergence timeline — reorder events and PMU series v. simulated cycles", ExtTrace},

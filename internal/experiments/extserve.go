@@ -13,8 +13,9 @@ import (
 )
 
 // ExtServe measures the workload service: a recurring mix of progressive
-// join queries is offered to an 8-core pool at increasing admission
-// concurrency, once with the PMU-feedback cache disabled (every run pays the
+// join queries is offered to pools of 2, 4 and 8 cores, each admitting as
+// many queries as it has cores, once with the PMU-feedback cache disabled
+// (every run pays the
 // full observe-reorder-validate cost: "cold") and once warm-started from the
 // converged orders a previous round of the same fingerprints deposited
 // ("warm"). Reported are the workload makespan, simulated throughput, and
@@ -22,7 +23,6 @@ import (
 // simulated clock, so the table is bit-reproducible.
 func ExtServe(cfg Config) ([]*Report, error) {
 	cfg = cfg.withDefaults()
-	const poolWorkers = 8
 	vecs := 96
 	queries := 12
 	if cfg.Quick {
@@ -51,36 +51,37 @@ func ExtServe(cfg Config) ([]*Report, error) {
 
 	rep := &Report{
 		ID:    "ext-serve",
-		Title: "Extension: workload service — concurrency v. latency, cold v. warm feedback cache",
+		Title: "Extension: workload service — pool size v. latency, cold v. warm feedback cache",
 		Columns: []string{
-			"max_active", "cold_mkspan_ms", "warm_mkspan_ms",
+			"workers", "cold_mkspan_ms", "warm_mkspan_ms",
 			"cold_p50_ms", "warm_p50_ms", "cold_p95_ms", "warm_p95_ms",
 			"cold_qps", "warm_qps", "warm_starts",
 		},
 		Notes: []string{
-			fmt.Sprintf("%d-core pool; %d progressive join queries over 3 recurring plan fingerprints; %d lineitems", poolWorkers, queries, rows),
+			fmt.Sprintf("pools of 2, 4 and 8 cores, MaxActive = the pool size; %d progressive join queries over 3 recurring plan fingerprints; %d lineitems", queries, rows),
+			"the oldest admitted query runs to completion on the whole pool; the others wait admitted",
 			"cold: feedback disabled; warm: same trace after one feedback-populating round",
 			"latency = completion - arrival in simulated ms (queueing included); qps = queries per simulated second",
 		},
 	}
 
-	for _, maxActive := range []int{1, 2, 4, 8} {
+	for _, workers := range []int{2, 4, 8} {
 		cold, err := runServeTrace(binder, templates, serveTraceConfig{
-			vectorSize: cfg.VectorSize, poolWorkers: poolWorkers,
-			maxActive: maxActive, queries: queries, noFeedback: true, warmup: false,
+			vectorSize: cfg.VectorSize, poolWorkers: workers,
+			queries: queries, noFeedback: true, warmup: false,
 		})
 		if err != nil {
 			return nil, err
 		}
 		warm, err := runServeTrace(binder, templates, serveTraceConfig{
-			vectorSize: cfg.VectorSize, poolWorkers: poolWorkers,
-			maxActive: maxActive, queries: queries, noFeedback: false, warmup: true,
+			vectorSize: cfg.VectorSize, poolWorkers: workers,
+			queries: queries, noFeedback: false, warmup: true,
 		})
 		if err != nil {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprintf("%d", maxActive),
+			fmt.Sprintf("%d", workers),
 			fmtMs(cold.makespanMs), fmtMs(warm.makespanMs),
 			fmtMs(cold.p50Ms), fmtMs(warm.p50Ms),
 			fmtMs(cold.p95Ms), fmtMs(warm.p95Ms),
@@ -149,8 +150,7 @@ type servePlanTemplate struct {
 
 type serveTraceConfig struct {
 	vectorSize  int
-	poolWorkers int
-	maxActive   int
+	poolWorkers int // also the admission cap
 	queries     int
 	noFeedback  bool
 	warmup      bool
@@ -170,9 +170,7 @@ type serveTraceResult struct {
 // fingerprint's converged order; the measured round then warm-starts.
 func runServeTrace(binder *exec.Parallel, templates []servePlanTemplate, tc serveTraceConfig) (serveTraceResult, error) {
 	clock := binder.Engines()[0].CPU()
-	s, err := service.New(clock.Profile(), tc.poolWorkers, tc.vectorSize, service.Config{
-		MaxActive: tc.maxActive,
-	})
+	s, err := service.New(clock.Profile(), tc.poolWorkers, tc.vectorSize, service.Config{})
 	if err != nil {
 		return serveTraceResult{}, err
 	}

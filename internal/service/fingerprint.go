@@ -1,13 +1,13 @@
 // Package service is the multi-query workload layer on top of the
 // single-query engine: a deterministic discrete-event scheduler that runs
-// many concurrent queries against one shared pool of simulated cores, plus
+// many queries against one shared pool of simulated cores, plus
 // the plan-fingerprint and PMU-feedback caches that amortize compilation and
 // progressive-optimization cost across recurring submissions.
 //
 // Everything runs on the simulated clock. Submissions carry simulated
-// arrival times; the scheduler partitions the pool's cores across active
-// queries at morsel granularity (exec.BlockRun.RunBlockSubset) and advances
-// per-core absolute clocks, so a fixed workload trace produces bit-identical
+// arrival times; the scheduler runs the oldest admitted query to completion
+// on every core of the pool, one step per round, and advances per-core
+// absolute clocks, so a fixed workload trace produces bit-identical
 // per-query results, PMU counters, latencies, and total makespan on every
 // host run, for every GOMAXPROCS setting — there is no host-time anywhere in
 // the scheduling loop.

@@ -15,15 +15,17 @@ import (
 
 // Config configures a workload server.
 type Config struct {
-	// MaxActive is the admission controller's cap on queries sharing the
-	// pool concurrently (default: the pool's worker count). Submissions
-	// beyond it queue in (arrival, submission) order.
+	// MaxActive is the admission controller's cap on admitted queries
+	// (default: the pool's worker count). The oldest admitted query runs on
+	// the whole pool and the others wait, each bound to its driver and
+	// warm-started at admission; submissions beyond the cap queue in
+	// (arrival, submission) order.
 	MaxActive int
 	// QueueLimit caps the pending queue; Submit rejects beyond it
 	// (0 = unlimited).
 	QueueLimit int
 	// QuantumVectors is the scheduling quantum of fixed-order queries:
-	// morsels per assigned core between scheduling decisions (default 10,
+	// morsels per pool core between scheduling decisions (default 10,
 	// matching the progressive drivers' default re-optimization interval).
 	// Adaptive queries schedule at their own optimization-block granularity.
 	QuantumVectors int
@@ -44,9 +46,9 @@ type Request struct {
 	// admission the server builds the query's own stored-scan state from the
 	// plan, one per pool core (the plan's skip verdicts, a private tier view),
 	// and puts it in the spec (core.Spec.Storage); core.Run attaches it to
-	// every core a segment runs on and adds the slowest core's stall debt to
+	// every core a step runs on and adds the slowest core's stall debt to
 	// the query's Cycles. The tier is a pure observer — it changes no other
-	// simulated observable of this or any co-scheduled query, and no clock;
+	// simulated observable of this or any other query, and no clock;
 	// Outcome.Storage hands the views and their counters back.
 	Storage *storage.Plan
 	// Arrival is the simulated time the query arrives at the server; it
@@ -84,12 +86,12 @@ type Stats struct {
 	// MakespanCycles is the largest per-core clock: the simulated time the
 	// pool has been driven to.
 	MakespanCycles uint64
-	// LatencyCycles holds each completed query's Done-Arrival, in the order
-	// the round barriers completed them.
+	// LatencyCycles holds each completed query's Done-Arrival, in completion
+	// order, which is the order of Done.
 	LatencyCycles []uint64
-	// ResidentBytes is the tier residency the stored query with the latest
-	// Done left behind (ties to the later submission), summed over its
-	// per-core views, each under its own budget; 0 before any.
+	// ResidentBytes is the tier residency the stored query completed last
+	// left behind, summed over its per-core views, each under its own budget;
+	// 0 before any.
 	ResidentBytes uint64
 }
 
@@ -97,9 +99,9 @@ type Stats struct {
 type Outcome struct {
 	// Result carries the per-query output: Qualifying, Sum, Counters (the
 	// PMU deltas of exactly this query's morsels and coordination), and
-	// Cycles/Millis as the query's execution span on its cores plus a stored
-	// query's largest per-core tier stall — for a query that had the pool to
-	// itself, bit-identical to a dedicated Engine run.
+	// Cycles/Millis as the query's execution span on the pool plus a stored
+	// query's largest per-core tier stall — for a query that found the pool
+	// idle, bit-identical to a dedicated Engine run.
 	exec.Result
 	// Groups is the grouped-aggregation output (nil for plain scans).
 	Groups []exec.Group
@@ -129,16 +131,6 @@ const (
 	stateDone
 )
 
-// segScratch is what a query executes its segments with: the driver, with its
-// block-run context (a grouped query's accumulator and survivor buffers are
-// part of it), and the subset's clocks between a segment's locked begin phase
-// and the round barrier. Recycled through the server's freelist at completion,
-// so steady-state rounds allocate nothing.
-type segScratch struct {
-	run    *core.Run
-	clocks []uint64
-}
-
 // query is the scheduler's per-submission state.
 type query struct {
 	seq      int
@@ -146,29 +138,12 @@ type query struct {
 	warm     []int // applied warm order (nil = cold)
 	warmImpl exec.ScanImpl
 
-	// optReal/optStage stage the optimizer trace: the stepper writes its
-	// decision events into the private stage, and the round barrier splices
-	// the stage into the real track in active order — the exact append order
-	// the serial scheduler produces, even when segments ran host-concurrent.
-	optReal  *trace.Track
-	optStage *trace.Track
-
-	cores []int // current core subset, ascending; empty = descheduled
 	// views is a stored query's stored-scan state, one per pool core, built
 	// at admission and owned by this query alone.
 	views []*exec.StorageScan
-
-	// Segment-execution plumbing: sc is the recycled scratch, fn the
-	// prebuilt closure the host pool runs (allocated once per query), and
-	// segErr/segPanic carry the unlocked phase's failure to the barrier.
-	sc          *segScratch
-	fn          func()
-	segErr      error
-	segPanic    any
-	segPanicked bool
-	// finished marks a segment that completed its query; the barrier turns it
-	// into finishLocked under the lock.
-	finished bool
+	// run is the query's driver from admission to completion, recycled
+	// through the server's freelist.
+	run *core.Run
 
 	arrival uint64
 	// out is the finished query's outcome (WarmOrder is copied per Wait).
@@ -178,67 +153,58 @@ type query struct {
 	err   error
 }
 
-// Server runs many concurrent queries against one shared pool of simulated
-// cores as a discrete-event simulation: per-core absolute clocks, morsel
-// dispensing to the earliest-free core of each query's subset, and a fair
-// partitioner that splits the pool across active queries (re-partitioned
-// whenever admissions or completions change the active set; rotated every
-// round when queries outnumber cores). A core switching to a different
-// query starts cold (cache flush + predictor reset), modeling the JIT'd
-// per-query scan loop — so a query that has the pool to itself executes
-// exactly like a dedicated engine run.
+// Server runs many queries against one shared pool of simulated cores as a
+// discrete-event simulation: per-core absolute clocks and morsel dispensing
+// to the earliest-free core. The admission controller admits queries in
+// (arrival, submission) order, and the oldest admitted query runs to
+// completion on every core of the pool while the others wait; a core freed
+// by a query's last morsel takes the next query's first. A core switching to
+// a different query starts cold (cache flush + predictor reset), modeling the
+// JIT'd per-query scan loop — so every served query executes exactly like a
+// dedicated engine run from the clocks it found.
 //
 // There is no background goroutine and no host time anywhere: Ticket.Wait
 // elects one waiter to drive scheduling rounds while the others park on the
 // server's one condition variable, which each round that retires a query
-// broadcasts. Within a round the elected driver releases the lock and
-// executes the scheduled queries' segments concurrently on the host (their
-// core subsets are disjoint, so segments share no simulated state); every
-// cross-query structure — the clock frontier, the feedback cache, admission
-// stats, the service and optimizer trace tracks — is read in the locked
-// admission phase and written at the locked round barrier, in admission
-// order. A fixed submission trace therefore yields bit-identical
-// results, latencies, and makespan on every run, from any number of waiting
-// goroutines, at any GOMAXPROCS — only host wall-clock changes.
+// broadcasts. A round is one step of the oldest query's driver; the elected
+// driver releases the lock while it runs, and every cross-query structure —
+// the clock frontier, the feedback cache, admission stats, the service track
+// — is read and written under the lock between steps. A fixed submission
+// trace therefore yields bit-identical results, latencies, and makespan on
+// every run, from any number of waiting goroutines, at any GOMAXPROCS — only
+// host wall-clock changes.
 type Server struct {
 	mu   sync.Mutex
 	pool *exec.Parallel
 	cfg  Config
 
 	// clock is the absolute simulated time each core is next free, written
-	// only under mu; owner is the query each core last executed (cold-switch
-	// detection).
-	clock []uint64
-	owner []*query
+	// only under mu; owner is the query the cores last executed (cold-switch
+	// detection). cores is the whole pool, the subset every step runs on, and
+	// clocks the step's copy of clock, published when the step succeeds.
+	clock  []uint64
+	owner  *query
+	cores  []int
+	clocks []uint64
 
-	queue  []*query // waiting, sorted by (arrival, seq)
-	active []*query // admitted, in admission order
+	queue []*query // waiting, sorted by (arrival, seq)
+	// active holds the admitted queries in admission order; the first runs.
+	active []*query
 	seq    int
-	rounds uint64
-
-	membershipChanged bool
 
 	// driving is true while an elected waiter runs a scheduling round; the
-	// lock itself is released during the round's execution phase, so other
-	// waiters and operations that would touch engine state (SetTrace,
-	// Close) park on idle while it is set.
+	// lock itself is released during the step, so other waiters and
+	// operations that would touch engine state (SetTrace, Close) park on idle
+	// while it is set.
 	driving bool
 	idle    *sync.Cond
 
-	// Round scratch, reused every round so steady-state serving allocates
-	// nothing: sched is the round's scheduled-query snapshot, fns the
-	// segment closures handed to the host pool, and scratchFree the
-	// segScratch freelist.
-	sched       []*query
-	fns         []func()
-	scratchFree []*segScratch
+	// runFree is the freelist of drivers, so steady-state serving allocates
+	// no driver scratch.
+	runFree []*core.Run
 
 	feedback *LRU
 	stats    Stats
-	// resDone and resSeq stamp the stored query stats.ResidentBytes reports;
-	// resSeq is -1 before any.
-	resDone uint64
-	resSeq  int
 
 	// tr, when non-nil, receives admission and scheduling events (submit,
 	// admit, warm-start, done), stamped with simulated clocks and appended
@@ -264,13 +230,15 @@ func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error)
 		cfg.QuantumVectors = 10
 	}
 	s := &Server{
-		pool:              p,
-		cfg:               cfg,
-		clock:             make([]uint64, workers),
-		owner:             make([]*query, workers),
-		membershipChanged: true,
-		feedback:          NewLRU(feedbackCacheSize),
-		resSeq:            -1,
+		pool:     p,
+		cfg:      cfg,
+		clock:    make([]uint64, workers),
+		cores:    make([]int, workers),
+		clocks:   make([]uint64, workers),
+		feedback: NewLRU(feedbackCacheSize),
+	}
+	for i := range s.cores {
+		s.cores[i] = i
 	}
 	s.idle = sync.NewCond(&s.mu)
 	return s, nil
@@ -317,7 +285,7 @@ func (s *Server) Close() {
 
 // Now returns the earliest simulated time any core can take new work — the
 // default arrival stamp for submissions that do not carry one. The driver
-// releases mu while a round's segments run, so it never waits on one.
+// releases mu while a round's step runs, so it never waits on one.
 func (s *Server) Now() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,11 +375,7 @@ func (t *Ticket) Wait() (Outcome, error) {
 					s.idle.Broadcast()
 				}
 			}()
-			retired, err := s.driveRound()
-			if err != nil {
-				s.failAllLocked(err)
-			}
-			wake = retired || err != nil
+			wake = s.driveRound()
 		}()
 	}
 	if q.err != nil {
@@ -422,48 +386,34 @@ func (t *Ticket) Wait() (Outcome, error) {
 	return out, nil
 }
 
-// failAllLocked marks every unfinished query failed — scheduler errors
-// (estimator failures, invalid permutations) poison the shared simulation.
-// The failed round's broadcast wakes their waiters.
-func (s *Server) failAllLocked(err error) {
-	for _, q := range s.active {
-		q.err = err
-		q.state = stateDone
-	}
-	for _, q := range s.queue {
-		q.err = err
-		q.state = stateDone
-	}
-	s.active = s.active[:0]
-	s.queue = s.queue[:0]
-}
-
-// driveRound runs one scheduling round. Called (and returns) with s.mu held;
-// the lock is released during the execution phase, in which the scheduled
-// queries' segments run concurrently on the host via the pool's segment
-// drivers (inline, in admission order, on a single-threaded host). Segments
-// share no simulated state — disjoint core subsets, each stored query with
-// its own tier views — and the locked barrier publishes clocks, completes
-// finished queries, and splices staged optimizer traces in admission order,
-// so every simulated observable is a pure function of the submission trace.
-// It reports whether the round retired a query: finished it, or failed its
-// admission.
-func (s *Server) driveRound() (retired bool, err error) {
+// driveRound runs one scheduling round: admit what has arrived, then one
+// step of the oldest admitted query's driver on every core of the pool.
+// Called (and returns) with s.mu held; the lock is released during the step,
+// which touches only the pool and the query's own state. The step runs on a
+// copy of the clocks, published only when it succeeds: a step that fails
+// retires its query alone, leaving the clocks and every other query as they
+// were. It reports whether the round retired a query: finished it, or failed
+// it or its admission.
+func (s *Server) driveRound() (retired bool) {
 	retired = s.admitLocked()
 	if len(s.active) == 0 {
-		return retired, fmt.Errorf("service: scheduler round with no admissible work")
+		// Admission jumps an idle pool to the next arrival, so nothing is
+		// left to run: the waiter's query failed its admission.
+		return retired
 	}
-	if s.membershipChanged || len(s.active) > len(s.clock) {
-		s.partitionLocked()
-	}
-	s.sched, s.fns = s.sched[:0], s.fns[:0]
-	for _, q := range s.active {
-		if len(q.cores) == 0 {
-			continue
+	q := s.active[0]
+	// Cold context switch: cores picking up a different query than they last
+	// ran flush their caches and reset their predictors (per-query JIT'd scan
+	// loops share no code or hot data), and no core runs a query before it
+	// arrived.
+	if s.owner != q {
+		for _, e := range s.pool.Engines() {
+			e.CPU().Cold()
 		}
-		s.segmentBeginLocked(q)
-		s.sched = append(s.sched, q)
-		s.fns = append(s.fns, q.fn)
+		s.owner = q
+	}
+	for i, c := range s.clock {
+		s.clocks[i] = max(c, q.arrival)
 	}
 	s.mu.Unlock()
 	relocked := false
@@ -472,45 +422,40 @@ func (s *Server) driveRound() (retired bool, err error) {
 			s.mu.Lock()
 		}
 	}()
-	s.pool.RunSegments(s.fns)
+	done, err := q.run.Step(s.cores, s.clocks)
 	s.mu.Lock()
 	relocked = true
-	if err := s.barrierLocked(); err != nil {
-		return retired, err
+	switch {
+	case err != nil:
+		q.err = err
+		s.retireLocked(q)
+	case done:
+		copy(s.clock, s.clocks)
+		s.finishLocked(q)
+	default:
+		copy(s.clock, s.clocks)
+		return retired
 	}
-	kept := s.active[:0]
-	for _, q := range s.active {
-		if q.state == stateDone {
-			s.membershipChanged = true
-			retired = true
-			continue
-		}
-		kept = append(kept, q)
-	}
-	s.active = kept
-	s.rounds++
-	return retired, nil
+	s.active = s.active[1:]
+	return true
 }
 
 // admitLocked moves queued queries into the active set up to MaxActive,
 // honoring simulated arrival times: a query is admitted only once the
-// pool's clock frontier has reached its arrival — activating it earlier
-// would reserve (and fast-forward) cores for work that has not arrived,
-// inflating the latency of queries that have. An idle pool jumps straight
-// to the next arrival. It reports whether a query failed to prepare, which
-// retires it.
+// pool's clock frontier has reached its arrival — admitting it earlier would
+// warm-start it from feedback that a real server could not have seen yet.
+// An idle pool jumps straight to the next arrival. It reports whether a
+// query failed to prepare, which retires it.
 func (s *Server) admitLocked() (failed bool) {
-	// The frontier is the earliest time any core can take new work; while
-	// queries are active every core is in some subset, so it advances each
-	// round.
+	// The frontier is the earliest time any core can take new work.
 	now := slices.Min(s.clock)
-	if len(s.active) == 0 && len(s.queue) > 0 && s.queue[0].arrival > now {
-		now = s.queue[0].arrival
-	}
 	for len(s.queue) > 0 && len(s.active) < s.cfg.MaxActive {
 		head := s.queue[0]
 		if head.arrival > now {
-			break
+			if len(s.active) > 0 {
+				break
+			}
+			now = head.arrival
 		}
 		s.queue = s.queue[1:]
 		if err := s.prepareLocked(head); err != nil {
@@ -522,7 +467,6 @@ func (s *Server) admitLocked() (failed bool) {
 		head.state = stateActive
 		s.active = append(s.active, head)
 		s.stats.Admitted++
-		s.membershipChanged = true
 		if len(s.active) > s.stats.PeakActive {
 			s.stats.PeakActive = len(s.active)
 		}
@@ -541,11 +485,10 @@ func (s *Server) admitLocked() (failed bool) {
 }
 
 // prepareLocked readies a query for execution at admission time: build a
-// stored query's tier views, hand it a recycled driver, begin the query on it
-// (an adaptive one writes its optimizer trace into a private stage the round
-// barrier splices), and warm-start it from the feedback cache — admission, not
-// submission, is when the latest completed run of the same fingerprint is
-// visible, exactly like a real server racing recurring queries.
+// stored query's tier views, hand it a recycled driver, begin the query on it,
+// and warm-start it from the feedback cache — admission, not submission, is
+// when the latest completed run of the same fingerprint is visible, exactly
+// like a real server racing recurring queries.
 func (s *Server) prepareLocked(q *query) error {
 	req := &q.req
 	spec := req.Spec
@@ -556,24 +499,19 @@ func (s *Server) prepareLocked(q *query) error {
 		}
 		q.views, spec.Storage = views, views
 	}
-	if spec.Mode != core.ModeFixed && spec.Opt.Trace != nil {
-		q.optReal = spec.Opt.Trace
-		q.optStage = trace.NewStage()
-		spec.Opt.Trace = q.optStage
-	}
-	var sc *segScratch
-	if n := len(s.scratchFree); n > 0 {
-		sc = s.scratchFree[n-1]
-		s.scratchFree[n-1] = nil
-		s.scratchFree = s.scratchFree[:n-1]
+	var run *core.Run
+	if n := len(s.runFree); n > 0 {
+		run = s.runFree[n-1]
+		s.runFree[n-1] = nil
+		s.runFree = s.runFree[:n-1]
 	} else {
-		sc = &segScratch{run: core.NewRun(s.pool)}
+		run = core.NewRun(s.pool)
 	}
-	if err := sc.run.Begin(spec); err != nil {
-		s.scratchFree = append(s.scratchFree, sc)
+	if err := run.Begin(spec); err != nil {
+		s.runFree = append(s.runFree, run)
 		return err
 	}
-	if step := sc.run.Stepper(); step != nil && !req.Fingerprint.Zero() {
+	if step := run.Stepper(); step != nil && !req.Fingerprint.Zero() {
 		if v, ok := s.feedback.Get(req.Fingerprint); ok {
 			fb := v.(Feedback)
 			if step.WarmStart(fb.Order, fb.Impl, fb.Rejected) == nil {
@@ -582,134 +520,25 @@ func (s *Server) prepareLocked(q *query) error {
 			}
 		}
 	}
-	q.sc = sc
-	q.fn = func() { s.segmentRun(q) }
+	q.run = run
 	return nil
 }
 
-// partitionLocked splits the pool's cores across the active queries: every
-// query gets floor(W/Q) cores and the first W mod Q (in admission order) one
-// extra; when queries outnumber cores, a rotating window of W queries gets
-// one core each so no query starves. Subsets are contiguous, ascending, and
-// stable while the active set is unchanged — a lone query therefore keeps
-// all cores for its whole run.
-func (s *Server) partitionLocked() {
-	W := len(s.clock)
-	Q := len(s.active)
-	for _, q := range s.active {
-		q.cores = q.cores[:0]
-	}
-	s.membershipChanged = false
-	if Q == 0 {
-		return
-	}
-	base := W / Q
-	if base == 0 {
-		off := int(s.rounds % uint64(Q))
-		for i := 0; i < W; i++ {
-			q := s.active[(off+i)%Q]
-			q.cores = append(q.cores, i)
-		}
-		return
-	}
-	extra := W % Q
-	w := 0
-	for qi, q := range s.active {
-		k := base
-		if qi < extra {
-			k++
-		}
-		for j := 0; j < k; j++ {
-			q.cores = append(q.cores, w)
-			w++
-		}
-	}
-}
-
-// segmentBeginLocked is the locked prologue of one query's segment: resolve
-// cold context switches, clamp the subset's clocks to the arrival, and
-// snapshot the subset's entry clocks into the query's scratch. Everything the
-// unlocked execution phase touches afterwards is owned by this query alone.
-func (s *Server) segmentBeginLocked(q *query) {
-	// Cold context switch: a core picking up a different query than it last
-	// ran flushes its caches and resets its predictor (per-query JIT'd scan
-	// loops share no code or hot data), and a core can never run a query
-	// before it arrived.
-	engines := s.pool.Engines()
-	for _, w := range q.cores {
-		if s.owner[w] != q {
-			engines[w].CPU().Cold()
-			s.owner[w] = q
-		}
-		if s.clock[w] < q.arrival {
-			s.clock[w] = q.arrival
-		}
-	}
-	sc := q.sc
-	if cap(sc.clocks) < len(q.cores) {
-		sc.clocks = make([]uint64, len(q.cores))
-	}
-	sc.clocks = sc.clocks[:len(q.cores)]
-	for i, w := range q.cores {
-		sc.clocks[i] = s.clock[w]
-	}
-	q.segErr = nil
-	q.segPanic, q.segPanicked = nil, false
-}
-
-// segmentRun executes one query's segment without the server lock: one step
-// of its driver on the subset the partitioner gave it. It touches only the
-// query's own cores, scratch, and staged trace. Failures are parked on the
-// query for the barrier, so every scheduled segment runs to its own completion
-// or failure and the barrier surfaces the first one in admission order —
-// deterministically, regardless of host interleaving.
-func (s *Server) segmentRun(q *query) {
-	defer func() {
-		if r := recover(); r != nil {
-			q.segPanic, q.segPanicked = r, true
-		}
-	}()
-	q.finished, q.segErr = q.sc.run.Step(q.cores, q.sc.clocks)
-}
-
-// barrierLocked retires the round: in admission order, surface failures,
-// publish each segment's end clocks into the shared frontier, complete
-// finished queries (stats, feedback, service-track span), and splice each
-// query's staged optimizer events into the real track — the same per-track
-// append order a round run inline in admission order produces.
-func (s *Server) barrierLocked() error {
-	for _, q := range s.sched {
-		if q.segPanicked {
-			// Re-raises a segment's panic, raised on any host thread, first in admission order.
-			panic(q.segPanic)
-		}
-		if q.segErr != nil {
-			return q.segErr
-		}
-		for i, w := range q.cores {
-			s.clock[w] = q.sc.clocks[i]
-		}
-		if q.finished {
-			q.finished = false
-			s.finishLocked(q)
-		}
-		if q.optStage != nil {
-			q.optReal.Splice(q.optStage)
-		}
-	}
-	return nil
+// retireLocked marks a query done and recycles its driver.
+func (s *Server) retireLocked(q *query) {
+	q.state = stateDone
+	s.runFree = append(s.runFree, q.run)
+	q.run = nil
 }
 
 // finishLocked completes a query: stamp times, snapshot optimizer stats,
 // record its latency and a stored query's residency, deposit the converged
-// order and the rejected ones in the feedback cache, and recycle the segment
-// scratch. Barriers complete queries in a fixed order, but not always in
-// order of Done, so the residency follows the latest Done.
+// order and the rejected ones in the feedback cache, and recycle the driver.
+// Queries complete in order of Done.
 func (s *Server) finishLocked(q *query) {
-	run := q.sc.run
-	// Every core of the last subset is free once the slowest is.
-	done := slices.Max(q.sc.clocks)
-	q.state = stateDone
+	run := q.run
+	// Every core is free once the slowest is.
+	done := slices.Max(s.clock)
 	q.out = Outcome{
 		Result: run.Result, Groups: run.Groups, Sorted: run.Sorted, Stats: run.Stats(),
 		Arrival: q.arrival, Start: run.Start, Done: done,
@@ -727,12 +556,10 @@ func (s *Server) finishLocked(q *query) {
 			s.stats.FeedbackStores++
 		}
 	}
-	s.scratchFree = append(s.scratchFree, q.sc)
-	q.sc = nil
+	s.retireLocked(q)
 	s.stats.Completed++
 	s.stats.LatencyCycles = append(s.stats.LatencyCycles, done-q.arrival)
-	if q.views != nil && (done > s.resDone || done == s.resDone && q.seq > s.resSeq) {
-		s.resDone, s.resSeq = done, q.seq
+	if q.views != nil {
 		s.stats.ResidentBytes = 0
 		for _, v := range q.views {
 			s.stats.ResidentBytes += v.Set.ResidentBytes()

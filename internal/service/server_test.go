@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,9 +209,9 @@ func TestConcurrentTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedPoolPreservesResults: queries sharing the pool still produce the
-// same Qualifying/Sum as dedicated runs (scheduling may change cycles, never
-// answers).
+// TestSharedPoolPreservesResults: queries admitted together still produce
+// the same Qualifying/Sum as dedicated runs (scheduling may change cycles,
+// never answers).
 func TestSharedPoolPreservesResults(t *testing.T) {
 	const workers, vs = 2, 512
 	prof := cpu.ScaledXeon()
@@ -263,7 +264,7 @@ func TestSharedPoolPreservesResults(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.PeakActive != 2 {
-		t.Errorf("peak active %d, want 2 (fair sharing)", st.PeakActive)
+		t.Errorf("peak active %d, want 2 (both admitted)", st.PeakActive)
 	}
 }
 
@@ -535,8 +536,7 @@ func driven(t *testing.T, r *core.Run, spec core.Spec) *core.Run {
 
 // TestServedGroupedMatchesDriver: a grouped aggregation through Submit/Wait
 // is the dedicated run — groups, result, counters, span — though the server
-// cuts it into quanta, and its groups do not change when it shares the pool,
-// on subsets that shrink and grow as its neighbours come and go.
+// cuts it into quanta, also when other queries are admitted with it.
 func TestServedGroupedMatchesDriver(t *testing.T) {
 	const workers, vs = 4, 512
 	q, _, groups := shapedFixture(t, workers, vs)
@@ -595,66 +595,30 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 		}
 	}
 	for _, i := range []int{0, 3} {
-		if g := outs[i]; g.Qualifying != want.Qualifying || !reflect.DeepEqual(g.Groups, want.Groups) {
-			t.Errorf("grouped query %d changed its answer under sharing: %d qualifying, %d groups", i, g.Qualifying, len(g.Groups))
+		// Each grouped run starts on cores the previous query left at one
+		// barrier clock, so it is the dedicated run shifted in time.
+		if g := outs[i]; g.Result != want.Result || !reflect.DeepEqual(g.Groups, want.Groups) {
+			t.Errorf("grouped query %d diverges from the dedicated run when admitted with others:\n got %+v\nwant %+v", i, g.Result, want.Result)
 		}
 	}
 	if outs[1].Groups != nil || outs[2].Groups != nil {
 		t.Error("an ungrouped query returned groups")
 	}
-	// The same grouped plan twice, and a scan, in flight at once.
-	for _, i := range []int{2, 3} {
-		if g, o := outs[0], outs[i]; !(o.Start < g.Done && g.Start < o.Done) {
-			t.Errorf("grouped query ran %d..%d, query %d %d..%d: they did not share the pool", g.Start, g.Done, i, o.Start, o.Done)
+	// Admitted together, run one after the other in admission order.
+	for i := 1; i < len(outs); i++ {
+		if outs[i].Start < outs[i-1].Done {
+			t.Errorf("query %d ran %d..%d, query %d %d..%d: want admission order, each on the whole pool",
+				i-1, outs[i-1].Start, outs[i-1].Done, i, outs[i].Start, outs[i].Done)
 		}
 	}
 	if st := s.Stats(); st.PeakActive != 3 {
-		t.Errorf("peak active %d, want 3 (the grouped queries shared the pool)", st.PeakActive)
-	}
-
-	// Two grouped queries at once: each runs every quantum, its last one and
-	// the merge barrier included, on a two-core subset, where both cores merge
-	// a half of the keys. Each is the driver stepped on that subset.
-	if s, err = New(cpu.ScaledXeon(), workers, vs, Config{MaxActive: 2, QuantumVectors: 3}); err != nil {
-		t.Fatal(err)
-	}
-	tks = tks[:0]
-	for range 2 {
-		tk, err := s.Submit(Request{Spec: core.Spec{Query: q, Groups: groups}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tks = append(tks, tk)
-	}
-	for i, cores := range [][]int{{0, 1}, {2, 3}} {
-		got, err := tks[i].Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := driver(t, workers, vs)
-		if err := ref.Begin(core.Spec{Query: q, Groups: groups, Quantum: 3}); err != nil {
-			t.Fatal(err)
-		}
-		clocks := make([]uint64, len(cores))
-		for done := false; !done; {
-			if done, err = ref.Step(cores, clocks); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got.Result != ref.Result || !reflect.DeepEqual(got.Groups, ref.Groups) || got.Done-got.Start != ref.Cycles {
-			t.Errorf("grouped query on cores %v diverges from the driver stepped there:\n got %+v, span %d\nwant %+v",
-				cores, got.Result, got.Done-got.Start, ref.Result)
-		}
-		if !reflect.DeepEqual(got.Groups, want.Groups) {
-			t.Errorf("grouped query on cores %v changed its answer", cores)
-		}
+		t.Errorf("peak active %d, want 3 (the grouped queries were admitted together)", st.PeakActive)
 	}
 }
 
 // TestServedOrderedMatchesDriver: an ordered (Top-K) query through
 // Submit/Wait is the dedicated run in fixed and in progressive mode, and its
-// rows do not change when it shares the pool, on subsets that shrink and grow
-// as its neighbours come and go.
+// rows do not change when other queries are admitted with it.
 func TestServedOrderedMatchesDriver(t *testing.T) {
 	const workers, vs = 4, 512
 	q, sorts, _ := shapedFixture(t, workers, vs)
@@ -714,14 +678,14 @@ func TestServedOrderedMatchesDriver(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 && !reflect.DeepEqual(o.Sorted, rows) {
-			t.Errorf("ordered query's rows changed under sharing")
+			t.Errorf("ordered query's rows changed when admitted with others")
 		}
 		if i != 0 && o.Sorted != nil {
 			t.Errorf("query %d: an unordered query returned %d sorted rows", i, len(o.Sorted))
 		}
 	}
 	if st := s.Stats(); st.PeakActive != 3 {
-		t.Errorf("peak active %d, want 3 (the ordered query shared the pool)", st.PeakActive)
+		t.Errorf("peak active %d, want 3 (the ordered query was admitted with others)", st.PeakActive)
 	}
 }
 
@@ -802,10 +766,106 @@ func TestPanicWakesEveryWaiter(t *testing.T) {
 	}
 }
 
+// breakAt wraps an operator and, once the scan reaches row at, removes the
+// query's operator at position 0 (itself, already evaluated): the query
+// passed validation at submission and admission, and the next vector's check
+// fails it.
+type breakAt struct {
+	exec.Op
+	q  *exec.Query
+	at int
+}
+
+func (b breakAt) Eval(c *cpu.CPU, row int) bool {
+	if row >= b.at {
+		b.q.Ops[0] = nil
+	}
+	return b.Op.Eval(c, row)
+}
+
+func (b breakAt) EvalBatch(c *cpu.CPU, site int, sel, out []int32) []int32 {
+	if n := len(sel); n > 0 && int(sel[n-1]) >= b.at {
+		b.q.Ops[0] = nil
+	}
+	return b.Op.EvalBatch(c, site, sel, out)
+}
+
+// TestStepErrorFailsItsQueryAlone: a query whose step fails is retired with
+// the error, and every other ticket — one admitted before it, one admitted
+// with it, one queued behind it and warm-started after it failed — gets the
+// outcome of a server that never received it. The failing vector runs inline
+// in morsel order at GOMAXPROCS 1, so the operator is removed before any
+// other morsel reads the query.
+func TestStepErrorFailsItsQueryAlone(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const workers, vs = 4, 512
+	prof := cpu.ScaledXeon()
+	fixed := testQuery(t, 24*vs, 5)
+	adaptive := convergentQuery(t, 48*vs, 11)
+	bindFresh(t, vs, fixed, adaptive)
+	fp := Compute("lineitem", 1, []string{"step-error"})
+	opt := core.Options{ReopInterval: 5}
+	good := []Request{
+		{Spec: core.Spec{Query: fixed, Mode: core.ModeFixed}},
+		{Spec: core.Spec{Query: adaptive, Mode: core.ModeProgressive, Opt: opt}, Fingerprint: fp, Arrival: 1000},
+		{Spec: core.Spec{Query: fixed, Mode: core.ModeFixed}, Arrival: 3000},
+		{Spec: core.Spec{Query: adaptive, Mode: core.ModeProgressive, Opt: opt}, Fingerprint: fp, Arrival: 4000},
+	}
+	serve := func(withBad bool) ([]Outcome, error) {
+		s, err := New(prof, workers, vs, Config{MaxActive: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		reqs := slices.Clone(good)
+		if withBad {
+			bad := &exec.Query{Table: fixed.Table, Ops: slices.Clone(fixed.Ops), Agg: fixed.Agg}
+			bad.Ops[0] = breakAt{Op: fixed.Ops[0], q: bad}
+			reqs = slices.Insert(reqs, 2, Request{Spec: core.Spec{Query: bad, Mode: core.ModeFixed}, Arrival: 2000})
+		}
+		tks := make([]*Ticket, len(reqs))
+		for i, r := range reqs {
+			if tks[i], err = s.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var outs []Outcome
+		var badErr error
+		for i, tk := range tks {
+			o, err := tk.Wait()
+			switch {
+			case withBad && i == 2:
+				badErr = err
+			case err != nil:
+				t.Fatalf("query %d: %v", i, err)
+			default:
+				outs = append(outs, o)
+			}
+		}
+		if st := s.Stats(); st.Completed != len(good) {
+			t.Errorf("%d queries completed, want %d", st.Completed, len(good))
+		}
+		return outs, badErr
+	}
+	want, _ := serve(false)
+	got, err := serve(true)
+	if err == nil || !strings.Contains(err.Error(), "nil operator") {
+		t.Fatalf("failing query returned %v, want its step's error", err)
+	}
+	if !want[3].WarmStarted {
+		t.Fatal("the last query did not warm-start; the feedback path is not covered")
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("query %d diverges from the server that never saw the failing query:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestStoredQueriesGetTheirOwnViews: the server builds each admitted stored
-// query's tier views, so two requests of one plan admitted into the same
-// round on a 4-core pool share no view, and each core's tier counters are
-// those of a solo run on a pool of the two cores it got.
+// query's tier views, so two requests of one plan admitted together on a
+// 4-core pool share no view, and each starts on cold views: the first is the
+// solo run, and the second reads as many blocks.
 func TestStoredQueriesGetTheirOwnViews(t *testing.T) {
 	const vs = 512
 	prof := cpu.ScaledXeon()
@@ -861,35 +921,48 @@ func TestStoredQueriesGetTheirOwnViews(t *testing.T) {
 		return out
 	}
 	pair := serve(4, 2)
-	want := counters(serve(2, 1)[0])
-	if want[0].Evictions == 0 || want[1].Evictions == 0 {
-		t.Fatalf("solo run evicted nothing (%+v); the comparison is vacuous", want)
+	want := counters(serve(4, 1)[0])
+	accesses := func(cs []cache.StorageCounters) (n uint64) {
+		for _, c := range cs {
+			n += c.BlockHits + c.BlockFetches
+		}
+		return n
+	}
+	if accesses(want) == 0 {
+		t.Fatal("solo run read no block; the comparison is vacuous")
+	}
+	for _, c := range want {
+		if c.Evictions == 0 {
+			t.Fatalf("solo run evicted nothing on a core (%+v); the comparison is vacuous", want)
+		}
 	}
 	seen := map[*cache.StorageSet]int{}
 	for i, o := range pair {
-		if o.Start != 0 {
-			t.Errorf("query %d started at %d, not in the first round", i, o.Start)
-		}
 		for _, v := range o.Storage {
 			if j, dup := seen[v.Set]; dup {
 				t.Errorf("queries %d and %d share a tier view", j, i)
 			}
 			seen[v.Set] = i
 		}
-		// The partitioner gives query i cores 2i and 2i+1; the other two views
-		// stay untouched.
-		got := counters(o)
-		idle := slices.Delete(slices.Clone(got), 2*i, 2*i+2)
-		if !slices.Equal(got[2*i:2*i+2], want) || idle[0] != (cache.StorageCounters{}) || idle[1] != (cache.StorageCounters{}) {
-			t.Errorf("query %d tier counters %+v, want %+v on cores %d and %d and zero elsewhere", i, got, want, 2*i, 2*i+1)
-		}
+	}
+	// The first query found the pool idle: it is the solo run, core for core.
+	// The second started on the clocks the first left, so its morsels met
+	// other cores, but it read every block the solo run read.
+	if got := counters(pair[0]); !slices.Equal(got, want) {
+		t.Errorf("first query's tier counters %+v, want the solo run's %+v", got, want)
+	}
+	if got := counters(pair[1]); accesses(got) != accesses(want) {
+		t.Errorf("second query read %d blocks (%+v), the solo run %d", accesses(got), got, accesses(want))
+	}
+	if pair[1].Start == 0 || pair[1].Done <= pair[0].Done {
+		t.Errorf("second query ran %d..%d, the first %d..%d: want it after the first", pair[1].Start, pair[1].Done, pair[0].Start, pair[0].Done)
 	}
 }
 
-// TestResidentBytesFollowLatestDone: two stored queries admitted into one
-// round finish at its barrier in admission order, the larger first, though it
-// is done later on the simulated clock. Stats reports the residency of the
-// one done later, and each query's latency in barrier order.
+// TestResidentBytesFollowLatestDone: two stored queries admitted together
+// run in arrival order, the larger first, though it was submitted second.
+// Stats reports the residency of the one done later, the smaller, and each
+// query's latency in completion order.
 func TestResidentBytesFollowLatestDone(t *testing.T) {
 	const vs = 512
 	prof := cpu.ScaledXeon()
@@ -923,7 +996,7 @@ func TestResidentBytesFollowLatestDone(t *testing.T) {
 	}
 	bigQ, bigPlan := stored(32 * vs)
 	smallQ, smallPlan := stored(8 * vs)
-	// A quantum longer than either query: both finish in the first round.
+	// A quantum longer than either query: each finishes in one round.
 	s, err := New(prof, 4, vs, Config{MaxActive: 2, QuantumVectors: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -931,8 +1004,8 @@ func TestResidentBytesFollowLatestDone(t *testing.T) {
 	defer s.Close()
 	var tks []*Ticket
 	for _, r := range []Request{
+		{Spec: core.Spec{Query: smallQ, Mode: core.ModeFixed}, Storage: smallPlan, Arrival: 1},
 		{Spec: core.Spec{Query: bigQ, Mode: core.ModeFixed}, Storage: bigPlan},
-		{Spec: core.Spec{Query: smallQ, Mode: core.ModeFixed}, Storage: smallPlan},
 	} {
 		tk, err := s.Submit(r)
 		if err != nil {
@@ -954,14 +1027,14 @@ func TestResidentBytesFollowLatestDone(t *testing.T) {
 		}
 		return n
 	}
-	big, small := outs[0], outs[1]
-	if big.Start != small.Start || big.Done <= small.Done || residency(big) == residency(small) {
-		t.Fatalf("big query %d..%d (%d B), small %d..%d (%d B): want one round, the big one done later, residencies apart",
+	small, big := outs[0], outs[1]
+	if big.Start != 0 || big.Done >= small.Done || residency(big) == residency(small) {
+		t.Fatalf("big query %d..%d (%d B), small %d..%d (%d B): want the big one first, the small one done later, residencies apart",
 			big.Start, big.Done, residency(big), small.Start, small.Done, residency(small))
 	}
 	st := s.Stats()
-	if st.ResidentBytes != residency(big) {
-		t.Errorf("ResidentBytes = %d, want the big query's %d (the small one left %d)", st.ResidentBytes, residency(big), residency(small))
+	if st.ResidentBytes != residency(small) {
+		t.Errorf("ResidentBytes = %d, want the small query's %d (the big one left %d)", st.ResidentBytes, residency(small), residency(big))
 	}
 	if want := []uint64{big.Done - big.Arrival, small.Done - small.Arrival}; !slices.Equal(st.LatencyCycles, want) {
 		t.Errorf("LatencyCycles = %v, want %v", st.LatencyCycles, want)

@@ -8,7 +8,7 @@ import (
 
 // The recorder and exporter as they were while Arg boxed its value in an
 // interface and every event retained its variadic list: the bodies of Span,
-// Instant, add, Splice, Reset, WriteChrome, appendArgs and appendVal are kept
+// Instant, add, Reset, WriteChrome, appendArgs and appendVal are kept
 // verbatim (types renamed ref*) as the byte oracle of the typed, arena-backed
 // recorder. appendTs, appendFloat and appendJSONString are shared with the
 // shipped exporter; they did not change.
@@ -55,22 +55,6 @@ func (t *refTrack) add(ev refEvent) {
 		return
 	}
 	t.events = append(t.events, ev)
-}
-
-func newRefStage() *refTrack { return &refTrack{name: "stage", limit: DefaultMaxEventsPerTrack} }
-
-func (t *refTrack) Splice(src *refTrack) {
-	if src == nil {
-		return
-	}
-	if t != nil {
-		for _, ev := range src.events {
-			t.add(ev)
-		}
-		t.dropped += src.dropped
-	}
-	src.events = src.events[:0]
-	src.dropped = 0
 }
 
 type refRecorder struct {

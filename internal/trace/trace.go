@@ -210,32 +210,6 @@ func (t *Track) add(ev Event, args []Arg) {
 	t.events = append(t.events, ev)
 }
 
-// NewStage returns a standalone staging track: a buffer that belongs to no
-// recorder and never exports. A writer that would otherwise interleave with
-// other writers on a shared track (a served query's optimizer decisions
-// during a host-concurrent scheduling round) records into its own stage and
-// the coordinator Splices the stages into the real track at a deterministic
-// barrier, in a deterministic order.
-func NewStage() *Track { return &Track{name: "stage", limit: DefaultMaxEventsPerTrack} }
-
-// Splice appends every event of src to t, in src's append order and with its
-// annotations (copied from src's arena into t's), and resets src for reuse. Nil-safe on both ends: a nil t discards src's events (the
-// disabled destination), a nil src is a no-op. Drop accounting carries over:
-// events src already dropped stay dropped, and events t has no room for are
-// dropped by t's own limit.
-func (t *Track) Splice(src *Track) {
-	if src == nil {
-		return
-	}
-	if t != nil {
-		for i, ev := range src.events {
-			t.add(ev, src.Args(i))
-		}
-		t.dropped += src.dropped
-	}
-	src.reset()
-}
-
 // reset empties the track and its arg arena, keeping both buffers.
 func (t *Track) reset() {
 	t.events = t.events[:0]

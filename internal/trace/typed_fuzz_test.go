@@ -95,9 +95,8 @@ func (s *scriptReader) arg() (Arg, refArg) {
 // the interface-boxing recorder it replaced (chrome_ref_test.go) with one
 // fuzzer-written script — spans and instants carrying random lists of all
 // eight value kinds (NaN, the infinities and negative zero, strings that need
-// escaping or are not UTF-8) on two tracks and a staging track, Splice of the
-// stage into either track, Reset followed by reuse, and a per-track limit
-// small enough that both direct appends and splices get dropped — and
+// escaping or are not UTF-8) on two tracks, Reset followed by reuse, and a
+// per-track limit small enough that appends get dropped — and
 // requires equal export bytes at every checkpoint and at the end, equal event
 // and drop counts, and that Args/Value read back what was recorded.
 func FuzzTypedArgsMatchAnyExporter(f *testing.F) {
@@ -111,8 +110,8 @@ func FuzzTypedArgsMatchAnyExporter(f *testing.F) {
 		rec, ref := New(), &refRecorder{}
 		rec.SetMaxEventsPerTrack(limit)
 		ref.limit = limit
-		tracks := []*Track{rec.NewTrack("core 0"), rec.NewTrack(`opt "<1>"`), NewStage()}
-		refs := []*refTrack{ref.NewTrack("core 0"), ref.NewTrack(`opt "<1>"`), newRefStage()}
+		tracks := []*Track{rec.NewTrack("core 0"), rec.NewTrack(`opt "<1>"`)}
+		refs := []*refTrack{ref.NewTrack("core 0"), ref.NewTrack(`opt "<1>"`)}
 		check := func() {
 			t.Helper()
 			var got, want bytes.Buffer
@@ -145,7 +144,7 @@ func FuzzTypedArgsMatchAnyExporter(f *testing.F) {
 			}
 		}
 		for !s.done() {
-			switch op := s.byte() % 8; op {
+			switch op := s.byte() % 6; op {
 			case 0, 1, 2, 3: // record
 				k := int(s.byte()) % len(tracks)
 				var args []Arg
@@ -163,14 +162,10 @@ func FuzzTypedArgsMatchAnyExporter(f *testing.F) {
 					tracks[k].Instant(name, start, args...)
 					refs[k].Instant(name, start, rargs...)
 				}
-			case 4, 5: // splice the stage into a track
-				k := int(s.byte()) % 2
-				tracks[k].Splice(tracks[2])
-				refs[k].Splice(refs[2])
-			case 6: // reset, then keep recording into the same buffers
+			case 4: // reset, then keep recording into the same buffers
 				rec.Reset()
 				ref.Reset()
-			case 7:
+			case 5:
 				check()
 			}
 		}

@@ -15,8 +15,10 @@ import (
 
 // ServerConfig configures a workload server.
 type ServerConfig struct {
-	// MaxActive caps the queries sharing the engine's cores concurrently
-	// (default: the engine's worker count). Submissions beyond it queue.
+	// MaxActive caps the admitted queries (default: the engine's worker
+	// count). The oldest admitted query runs on every core and the others
+	// wait; a query is warm-started from the feedback cache when it is
+	// admitted. Submissions beyond the cap queue.
 	MaxActive int
 	// QueueLimit caps the pending queue; Submit rejects beyond it
 	// (0 = unlimited).
@@ -25,7 +27,7 @@ type ServerConfig struct {
 	// (default 64 plans). A hit skips Compile entirely.
 	PlanCacheSize int
 	// QuantumVectors is the scheduling quantum of fixed-order queries:
-	// morsels per assigned core between scheduling decisions (default 10).
+	// morsels per core between admission decisions (default 10).
 	QuantumVectors int
 	// DisableFeedback turns warm starts off (every run starts from the plan
 	// order; nothing is stored) — the cold baseline of the ext-serve
@@ -82,8 +84,9 @@ type servedProvenance struct {
 }
 
 // Server runs a multi-query workload against one engine's simulated cores:
-// an admission controller and fair scheduler partition the Config.Workers
-// cores across concurrent queries at morsel granularity, a plan cache keyed
+// an admission controller admits queries in arrival order and the oldest
+// admitted one runs to completion on all Config.Workers cores, its first
+// morsels on the cores its predecessor's last ones freed; a plan cache keyed
 // by canonical fingerprint (table + operators + bounds + data-set
 // generation) skips re-compilation of recurring plans, and a feedback cache
 // warm-starts adaptive runs at the operator order a previous run of the
@@ -92,8 +95,8 @@ type servedProvenance struct {
 //
 // Everything runs on the simulated clock: a fixed submission trace yields
 // bit-identical per-query results, latencies, and makespan on every host
-// run, from any goroutines, at any GOMAXPROCS. A query that has the pool to
-// itself executes exactly like Engine.Exec — both loop the same driver step
+// run, from any goroutines, at any GOMAXPROCS. A query that finds the pool
+// idle executes exactly like Engine.Exec — both loop the same driver step
 // (see equivalence_test.go).
 type Server struct {
 	e   *Engine
@@ -212,11 +215,8 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 		s.mu.Unlock()
 	}
 	// Served steppers share the engine's optimizer track (spec.Opt.Trace):
-	// each query's stepper records decisions into a private stage and the
-	// scheduler splices the stages into this track at the round barrier in
-	// admission order, so decision events from concurrent queries interleave
-	// deterministically (each stamped with its own query's accounted block
-	// clock) even when segments execute host-parallel.
+	// one query steps at a time, so its decision events (each stamped with
+	// its own query's accounted block clock) append in execution order.
 	// The server builds a stored query's tier views at admission, so plan-cache
 	// sharing never shares residency.
 	req := service.Request{Spec: s.e.spec(q, opts), Arrival: arrival}

@@ -13,13 +13,12 @@ import (
 	"progopt/internal/datagen"
 )
 
-// The host-concurrency acceptance criterion: a scheduling round that executes
-// its queries' segments concurrently on the host is bit-identical — per-query
-// results, simulated cycles, every PMU counter, trace bytes, Prometheus
-// metrics — to the same server at GOMAXPROCS=1, where every round runs its
-// segments inline in admission order (exec.Parallel.RunSegments), across
-// Workers {1,4} × GOMAXPROCS {1,4} × the three exec modes × plain/stored/
-// traced variants, with waits racing on goroutines.
+// The host-concurrency acceptance criterion: a served workload whose rounds
+// run their blocks on pooled host helpers, waited on from racing goroutines,
+// is bit-identical — per-query results, simulated cycles, every PMU counter,
+// trace bytes, Prometheus metrics — to the same server at GOMAXPROCS=1, where
+// every block runs inline on the driving waiter, across Workers {1,4} ×
+// GOMAXPROCS {1,4} × the three exec modes × plain/stored/traced variants.
 
 // serveMatrixObs is everything one served workload reports that must match
 // the inline rounds bit for bit.
@@ -32,7 +31,7 @@ type serveMatrixObs struct {
 
 // runServeMatrix serves a fixed nine-query trace — all three exec modes, a
 // join, a sorted query, one grouped plan submitted twice so that both runs of
-// the cached plan are in flight at once, recurring fingerprints, staggered
+// the cached plan are admitted together, recurring fingerprints, staggered
 // arrivals — and waits from racing goroutines. The stored variant is traced
 // too, under a budget that forces evictions, so every core's tier-fetch and
 // tier-evict order is part of the compared trace bytes.
@@ -119,12 +118,12 @@ func runServeMatrix(t *testing.T, workers int, variant string) serveMatrixObs {
 		}
 		obs.Trace = tr.String()
 	}
-	// The two grouped runs shared the pool and the compiled plan, and each is
-	// the answer of a direct Exec.
+	// The two grouped runs were admitted together on the compiled plan, the
+	// second waiting for the first, and each is the answer of a direct Exec.
 	a, b := obs.Results[0], obs.Results[1]
-	if !b.Served.PlanCacheHit || !(a.Served.Start < b.Served.Done && b.Served.Start < a.Served.Done) {
-		t.Errorf("grouped runs %d..%d and %d..%d (plan-cache hit %v): want one cached plan twice in flight",
-			a.Served.Start, a.Served.Done, b.Served.Start, b.Served.Done, b.Served.PlanCacheHit)
+	if !b.Served.PlanCacheHit || !(b.Served.Arrival < a.Served.Done && a.Served.Done <= b.Served.Start) {
+		t.Errorf("grouped runs %d..%d and %d..%d (arrival %d, plan-cache hit %v): want one cached plan admitted twice, the runs one after the other",
+			a.Served.Start, a.Served.Done, b.Served.Start, b.Served.Done, b.Served.Arrival, b.Served.PlanCacheHit)
 	}
 	direct, err := e.Exec(tks[0].Query(), ExecOptions{Mode: ModeFixed})
 	if err != nil {
@@ -139,9 +138,9 @@ func runServeMatrix(t *testing.T, workers int, variant string) serveMatrixObs {
 	return obs
 }
 
-// TestServeConcurrentBitIdentical: the concurrent-round scheduler reproduces
-// its inline rounds at GOMAXPROCS=1 bit for bit over the full matrix, at
-// GOMAXPROCS 1 and 4.
+// TestServeConcurrentBitIdentical: the served workload reproduces its inline
+// rounds at GOMAXPROCS=1 bit for bit over the full matrix, at GOMAXPROCS 1
+// and 4.
 func TestServeConcurrentBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, variant := range []string{"plain", "stored", "traced"} {
@@ -261,8 +260,8 @@ poll:
 // allocations per decision (98 % of a served workload's mallocs) unseen by
 // this test.
 // AllocsPerRun measures at GOMAXPROCS=1, i.e. the inline round path; the
-// pooled round's segment fan-out and blocks are pinned at zero allocations at
-// GOMAXPROCS 2 by internal/exec's TestPooledHandOffsAllocateNothing.
+// pooled blocks are pinned at zero allocations at GOMAXPROCS 2 by
+// internal/exec's TestPooledHandOffsAllocateNothing.
 // The data alternates (alternatingLineitem): on stationary data the
 // confirmation back-off would leave an adaptive query a handful of decisions
 // at either quantum.

@@ -94,8 +94,7 @@ var rules = []rule{
 	{pr: 31, pattern: `sharedStorageLocked|storSeen|SetSerialRounds|setSerialRounds|serialRounds|startsWave|inWave|freshViews|NoFeedback`, word: true,
 		bad: `	NoFeedback bool`, at: "serve.go"},
 	// Every host hand-off reuses its job (BlockRun.job, which a merge
-	// barrier's cores share too, and Parallel.segments): a job allocated per
-	// call stays gone.
+	// barrier's cores share too): a job allocated per call stays gone.
 	{pr: 30, pattern: `&hostJob\{`, allow: `_test\.go$`,
 		bad: `	j := &hostJob{fn: fn}`, at: "internal/exec/parallel.go", ok: "internal/exec/parallel_test.go"},
 	// Data sets build in linear time: the shipdate orderings count instead of

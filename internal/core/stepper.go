@@ -32,13 +32,14 @@ type BlockStepper struct {
 
 	// curPerm and prevPerm are orders of base; no order is written once
 	// made, because the rejected set, the feedback cache and trace events
-	// keep them. perms holds every order this run has made, so a flip back
-	// to one of them allocates nothing.
+	// keep them. perms holds every order this run has composed, so a flip
+	// back to one of them allocates nothing.
 	curPerm, prevPerm []int
 	perms             [][]int
 	// curQ is base in curPerm's order: base itself until the first reorder,
 	// then one of queries. setOrder writes the other, so the query the block
-	// that just ran held is never overwritten; seen is its scratch.
+	// that just ran held is never overwritten; seen is its scratch, made by
+	// the first reorder.
 	curQ    *exec.Query
 	queries [2]exec.Query
 	seen    []bool
@@ -144,11 +145,12 @@ func NewBlockStepper(q *exec.Query, prof cpu.Profile, workers int, micro bool, o
 		geometry: L3Geometry(prof),
 		curPerm:  id,
 		prevPerm: id,
-		perms:    [][]int{id},
 		curQ:     q,
-		seen:     make([]bool, nOps),
 		order:    make([]int, nOps),
 		ordered:  make([]float64, nOps),
+
+		curWidths:  make([]int, 0, nOps),
+		curWeights: make([]float64, 0, nOps),
 
 		aggWidths:      aggColumnWidths(q),
 		impl:           exec.ImplBranching,
@@ -164,6 +166,9 @@ func (s *BlockStepper) setOrder(perm []int) error {
 	q := &s.queries[0]
 	if q == s.curQ {
 		q = &s.queries[1]
+	}
+	if s.seen == nil {
+		s.seen = make([]bool, len(s.base.Ops))
 	}
 	if err := s.base.OrderInto(q, perm, s.seen); err != nil {
 		return err
@@ -182,9 +187,12 @@ func (s *BlockStepper) reorder(order []int) error {
 	return s.setOrder(next)
 }
 
-// intern returns compose(curPerm, order), as the order made before when the
-// run has made it.
+// intern returns compose(curPerm, order), as the order held before when the
+// run has held it.
 func (s *BlockStepper) intern(order []int) []int {
+	if composesTo(s.curPerm, order, s.prevPerm) {
+		return s.prevPerm
+	}
 	for _, p := range s.perms {
 		if composesTo(s.curPerm, order, p) {
 			return p
@@ -217,7 +225,6 @@ func (s *BlockStepper) WarmStart(order []int, impl exec.ScanImpl, rejected [][]i
 	if err := s.setOrder(order); err != nil {
 		return err
 	}
-	s.perms = append(s.perms, order)
 	if s.eligible {
 		s.impl = impl
 	}

@@ -73,6 +73,9 @@ func (q *Query) OrderInto(dst *Query, perm []int, seen []bool) error {
 		return fmt.Errorf("exec: permutation length %d for %d ops", len(perm), len(q.Ops))
 	}
 	clear(seen)
+	if cap(dst.Ops) < len(perm) {
+		dst.Ops = make([]Op, 0, len(perm))
+	}
 	dst.Table, dst.Ops, dst.Agg = q.Table, dst.Ops[:0], q.Agg
 	for _, p := range perm {
 		if p < 0 || p >= len(q.Ops) || seen[p] {

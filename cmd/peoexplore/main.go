@@ -108,7 +108,7 @@ func main() {
 	if err := run.Begin(core.Spec{Query: qo, Quantum: 1}); err != nil {
 		fatal(err)
 	}
-	if _, err := run.Step([]int{0}, []uint64{0}); err != nil {
+	if _, err := run.Step([]uint64{0}); err != nil {
 		fatal(err)
 	}
 	delta := run.Counters

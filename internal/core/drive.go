@@ -133,27 +133,24 @@ func (s *Spec) Validate(workers int) error {
 // run a block, sample the PMU, maybe reorder, validate. It is the only caller
 // of the stepper and of the sort and group-table merges. Whoever owns the
 // cores calls Step until it reports the query done: the workload service once
-// per scheduling round, on the whole pool; everyone else through Drive.
+// per scheduling round; everyone else through Drive.
 //
 // What a step reads is the query's cursor, the stepper's current order and
 // the clocks it is handed; what it advances is the cursor, those clocks, and
 // the accumulators below. Nothing else carries over, which is why a run may
-// be cut into steps anywhere and moved between subsets: the aggregate is
-// added up in global vector order whatever the cut, a fixed-order run hands
-// each morsel to the core whose clock is smallest, so consecutive quanta on
-// carried clocks are one seamless morsel stream, and an adaptive block starts
-// at a barrier, so it depends on the subset's size and latest clock only.
+// be cut into steps anywhere: the aggregate is added up in global vector
+// order whatever the cut, a fixed-order run hands each morsel to the core
+// whose clock is smallest, so consecutive quanta on carried clocks are one
+// seamless morsel stream, and an adaptive block starts at a barrier, so it
+// depends on the latest clock only.
 //
 // A Run keeps its scratch between queries; Begin starts the next one.
 type Run struct {
 	brun *exec.BlockRun
-	// engines are the pool's; all and zero are Drive's subset.
+	// engines are the pool's; zero are Drive's clocks.
 	engines []*exec.Engine
-	all     []int
 	zero    []uint64
-	// subset and coordStart are a block's engines and their PMUs before the
-	// stepper's coordination.
-	subset     []*exec.Engine
+	// coordStart are the cores' PMUs before the stepper's coordination.
 	coordStart []pmu.Sample
 
 	spec  Spec
@@ -242,8 +239,8 @@ func (r *Run) Stats() Stats {
 // core when it changes hands between queries, and hands a stored query new
 // views.
 func (r *Run) Drive() error {
-	if r.all == nil {
-		r.all, r.zero = identity(len(r.engines)), make([]uint64, len(r.engines))
+	if r.zero == nil {
+		r.zero = make([]uint64, len(r.engines))
 	}
 	clear(r.zero)
 	for _, e := range r.engines {
@@ -253,61 +250,63 @@ func (r *Run) Drive() error {
 		v.Set.Cold()
 	}
 	for {
-		if done, err := r.Step(r.all, r.zero); done || err != nil {
+		if done, err := r.Step(r.zero); done || err != nil {
 			return err
 		}
 	}
 }
 
-// Step executes the query's next block on the given cores of the pool —
-// ascending ids, clocks[i] the absolute time core cores[i] is next free,
-// advanced in place — and reports whether that completed the query:
+// Step executes the query's next block on the pool — clocks[w] the absolute
+// time core w is next free, advanced in place — and reports whether that
+// completed the query:
 //
 //   - fixed order: Quantum morsels per core as one morsel stream from the
 //     clocks as they are (grouped: survivors fold into the run's accumulator);
-//   - adaptive: the subset barriers at its latest clock, runs ReopInterval
-//     morsels per core, the stepper coordinates on the subset's first core,
-//     and every clock moves to the barrier plus the block's makespan plus
-//     what the coordination charged;
-//   - the last step of an ordered or a grouped query: the subset barriers at
-//     its latest clock; its first core merges the partial sort states, or
-//     every core merges one key range of the group tables, and every clock
-//     moves to the barrier plus the slowest core's merge;
+//   - adaptive: the pool barriers at its latest clock, runs ReopInterval
+//     morsels per core, the stepper coordinates on core 0, and every clock
+//     moves to the barrier plus the block's makespan plus what the
+//     coordination charged;
+//   - the last step of an ordered or a grouped query: the pool barriers at
+//     its latest clock; core 0 merges the partial sort states, or every core
+//     merges one key range of the group tables, and every clock moves to the
+//     barrier plus the slowest core's merge;
 //   - the last step of a stored scan adds the largest view's stall cycles to
 //     Cycles; the tier observes, so it moves no clock.
 //
 // On a pool of one core an adaptive step is one vector, every ReopInterval-th
 // an optimization point.
-func (r *Run) Step(cores []int, clocks []uint64) (done bool, err error) {
+func (r *Run) Step(clocks []uint64) (done bool, err error) {
+	if len(clocks) != len(r.engines) {
+		return false, fmt.Errorf("core: %d clocks for %d cores", len(clocks), len(r.engines))
+	}
 	if st := r.spec.Storage; r.sorts != nil || st != nil || r.counts != nil {
-		// The collectors, the counters and the storage views ride on
-		// whichever cores the step runs on; the next step, or another query,
-		// may get different ones.
-		for _, w := range cores {
+		// The collectors, the counters and the storage views ride on the
+		// cores for the step; between steps another query may run on them.
+		for w, e := range r.engines {
 			if r.sorts != nil {
-				r.engines[w].SetSortRun(r.sorts[w])
+				e.SetSortRun(r.sorts[w])
 			}
 			if r.counts != nil {
-				r.engines[w].SetOpCounts(&r.counts[w])
+				e.SetOpCounts(&r.counts[w])
 			}
 			if st != nil {
-				r.engines[w].SetStorage(st[w])
+				e.SetStorage(st[w])
 			}
 		}
 		defer func() {
-			for _, w := range cores {
-				r.engines[w].SetSortRun(nil)
-				r.engines[w].SetOpCounts(nil)
+			for _, e := range r.engines {
+				e.SetSortRun(nil)
+				e.SetOpCounts(nil)
 				if st != nil {
-					r.engines[w].SetStorage(nil)
+					e.SetStorage(nil)
 				}
 			}
 		}()
 	}
 	if r.step != nil {
-		done, err = r.stepBlock(cores, clocks)
+		done, err = r.stepBlock(clocks)
 	} else {
-		done, err = r.stepQuantum(cores, clocks)
+		done, err = r.stepQuantum(clocks)
 	}
 	if done && err == nil {
 		if r.step != nil {
@@ -333,8 +332,8 @@ func (r *Run) begin(at uint64) {
 // coordinate hands the stepper a finished step of an adaptive run and returns
 // the cycles the step kept the query's cores busy: its makespan plus what the
 // coordination charged. See AfterBlock for exact, optPoint and validate.
-func (r *Run) coordinate(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool, engines []*exec.Engine) (uint64, error) {
-	extra, err := r.step.AfterBlock(br, tuples, exact, optPoint, validate, engines[0].CPU(), engines)
+func (r *Run) coordinate(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool) (uint64, error) {
+	extra, err := r.step.AfterBlock(br, tuples, exact, optPoint, validate, r.engines[0].CPU(), r.engines)
 	if err != nil {
 		return 0, err
 	}
@@ -352,10 +351,10 @@ func (r *Run) vectors(perCore, cores int) int {
 	return min(perCore*cores, r.numVec-r.cursor)
 }
 
-func (r *Run) stepQuantum(cores []int, clocks []uint64) (bool, error) {
+func (r *Run) stepQuantum(clocks []uint64) (bool, error) {
 	r.begin(slices.Min(clocks))
-	v1 := r.cursor + r.vectors(r.spec.Quantum, len(cores))
-	br, err := r.brun.RunBlockSubset(r.spec.Query, r.cursor, v1, cores, clocks, r.spec.Impl, &r.Sum)
+	v1 := r.cursor + r.vectors(r.spec.Quantum, len(r.engines))
+	br, err := r.brun.RunBlock(r.spec.Query, r.cursor, v1, clocks, r.spec.Impl, &r.Sum)
 	if err != nil {
 		return false, err
 	}
@@ -367,14 +366,14 @@ func (r *Run) stepQuantum(cores []int, clocks []uint64) (bool, error) {
 	}
 	end := slices.Max(clocks)
 	if r.sorts != nil || len(r.spec.Groups) > 0 {
-		end += r.merge(cores)
+		end += r.merge()
 		fill(clocks, end)
 	}
 	r.Cycles = end - r.Start
 	return true, nil
 }
 
-func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
+func (r *Run) stepBlock(clocks []uint64) (bool, error) {
 	t0 := slices.Max(clocks)
 	r.begin(t0)
 	every, one := r.step.opt.ReopInterval, len(r.engines) == 1
@@ -382,7 +381,7 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	if one {
 		perCore = 1
 	}
-	v1 := r.cursor + r.vectors(perCore, len(cores))
+	v1 := r.cursor + r.vectors(perCore, len(r.engines))
 	vs := r.engines[0].VectorSize()
 	tuples := min(v1*vs, r.spec.Query.Table.NumRows()) - r.cursor*vs
 	last := v1 == r.numVec
@@ -400,40 +399,37 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 	impl, instrument := r.step.Impl(), r.counts != nil && optPoint
 	if instrument {
 		impl = exec.ImplInstrumented
-		for _, w := range cores {
-			clear(r.counts[w].Evaluated)
-			clear(r.counts[w].Passed)
+		for _, c := range r.counts {
+			clear(c.Evaluated)
+			clear(c.Passed)
 		}
 	}
 	fill(clocks, t0)
-	br, err := r.brun.RunBlockSubset(r.step.Query(), r.cursor, v1, cores, clocks, impl, &r.Sum)
+	br, err := r.brun.RunBlock(r.step.Query(), r.cursor, v1, clocks, impl, &r.Sum)
 	if err != nil {
 		return false, err
 	}
 	var exact []float64
 	if instrument {
-		exact = r.exactSels(cores)
+		exact = r.exactSels()
 	}
-	if cap(r.subset) < len(cores) {
-		r.subset = make([]*exec.Engine, len(cores))
-		r.coordStart = make([]pmu.Sample, len(cores))
+	if r.coordStart == nil {
+		r.coordStart = make([]pmu.Sample, len(r.engines))
 	}
-	subset, coordStart := r.subset[:len(cores)], r.coordStart[:len(cores)]
-	for i, w := range cores {
-		subset[i] = r.engines[w]
-		coordStart[i] = subset[i].CPU().Sample()
+	for w, e := range r.engines {
+		r.coordStart[w] = e.CPU().Sample()
 	}
-	busy, err := r.coordinate(br, tuples, exact, optPoint, validate, subset)
+	busy, err := r.coordinate(br, tuples, exact, optPoint, validate)
 	if err != nil {
 		return false, err
 	}
 	r.Counters = r.Counters.Add(br.Counters)
-	for i, e := range subset {
-		r.Counters = r.Counters.Add(e.CPU().Sample().Sub(coordStart[i]))
+	for w, e := range r.engines {
+		r.Counters = r.Counters.Add(e.CPU().Sample().Sub(r.coordStart[w]))
 	}
 	r.cursor = v1
 	if last && r.sorts != nil {
-		merge := r.merge(cores)
+		merge := r.merge()
 		r.Cycles += merge
 		busy += merge
 	}
@@ -443,40 +439,40 @@ func (r *Run) stepBlock(cores []int, clocks []uint64) (bool, error) {
 
 // exactSels sums the counters the cores of an instrumented step kept into the
 // exact selectivities of the order the step ran under.
-func (r *Run) exactSels(cores []int) []float64 {
-	total := r.counts[cores[0]]
-	for _, w := range cores[1:] {
-		for i, n := range r.counts[w].Evaluated {
+func (r *Run) exactSels() []float64 {
+	total := r.counts[0]
+	for _, c := range r.counts[1:] {
+		for i, n := range c.Evaluated {
 			total.Evaluated[i] += n
-			total.Passed[i] += r.counts[w].Passed[i]
+			total.Passed[i] += c.Passed[i]
 		}
 	}
 	return total.Selectivities()
 }
 
-// fill sets every clock of a subset that leaves a step together.
+// fill sets every clock of a pool that leaves a step together.
 func fill(clocks []uint64, t uint64) {
 	for i := range clocks {
 		clocks[i] = t
 	}
 }
 
-// merge runs the barrier of a completed ordered or grouped query on its
-// cores, which wait at the barrier for the slowest of them: the partial sort
-// states merge on the first core, the group tables on every core, each owning
-// a range of the keys (exec.BlockRun.FinalizeGroups). It returns the barrier's
+// merge runs the barrier of a completed ordered or grouped query on the pool,
+// whose cores wait at the barrier for the slowest of them: the partial sort
+// states merge on core 0, the group tables on every core, each owning a range
+// of the keys (exec.BlockRun.FinalizeGroups). It returns the barrier's
 // makespan, the largest core's merge cycles; every core's PMU delta joins the
 // query's counters.
-func (r *Run) merge(cores []int) uint64 {
+func (r *Run) merge() uint64 {
 	if r.sorts == nil {
 		var br exec.BlockResult
-		r.Groups, br = r.brun.FinalizeGroups(cores)
+		r.Groups, br = r.brun.FinalizeGroups()
 		r.Counters = r.Counters.Add(br.Counters)
 		return br.MaxCycles
 	}
-	c := r.engines[cores[0]].CPU()
+	c := r.engines[0].CPU()
 	s0, c0 := c.Sample(), c.Cycles()
-	r.Sorted = exec.FinalizeSort(c, cores[0], r.sorts)
+	r.Sorted = exec.FinalizeSort(c, 0, r.sorts)
 	r.Counters = r.Counters.Add(c.Sample().Sub(s0))
 	return c.Cycles() - c0
 }

@@ -95,14 +95,13 @@ func sameAnswer(t *testing.T, what string, got, want *Run) {
 // TestStepMatchesDrive is the driver's own equivalence matrix, where the
 // dedicated runners and the served segment runners used to be compared:
 // every query shape × Workers {1, 2, 4}, run (a) to completion on the full
-// pool from zero clocks, (b) in quanta on the full pool from a later, even
-// clock — every simulated observable must match (a) — and (c) in quanta on a
-// subset that changes from step to step and is entered at unequal clocks —
-// the answer must match (a), whatever the schedule cost. The grouped shape
-// goes through (b) and (c) like the others: its accumulator is the run's, so
-// it is cut into quanta and moved between subsets, and the merge runs on
-// every core of the last subset. At one worker an adaptive step is a
-// vector.
+// pool from zero clocks, (b) in quanta from a later, even clock — every
+// simulated observable must match (a) — and (c) in quanta entered at unequal
+// clocks — the answer must match (a), whatever the schedule cost, and no
+// step moves a clock back. The grouped shape goes through (b) and (c) like
+// the others: its accumulator is the run's, so it is cut into quanta, and the
+// merge runs on every core of the last step. At one worker an adaptive step
+// is a vector.
 func TestStepMatchesDrive(t *testing.T) {
 	const rows, vs = 64*512 - 100, 512
 	cases := driveCases(t, rows, vs)
@@ -143,7 +142,7 @@ func TestStepMatchesDrive(t *testing.T) {
 				t.Fatalf("%s: the adaptive reference never reached an optimization point", name)
 			}
 
-			// (b) the full subset, unchanged, three morsels per core and step.
+			// (b) three morsels per core and step, from an even clock.
 			spec.Quantum = 3
 			even := begin(workers, spec)
 			const t0 = 5000
@@ -152,7 +151,7 @@ func TestStepMatchesDrive(t *testing.T) {
 			steps := 0
 			for done := false; !done; steps++ {
 				var err error
-				if done, err = even.Step(identity(workers), clocks); err != nil {
+				if done, err = even.Step(clocks); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -172,38 +171,25 @@ func TestStepMatchesDrive(t *testing.T) {
 				t.Errorf("%s in quanta: stepper stats\n got %+v\nwant %+v", name, even.Stats(), ref.Stats())
 			}
 
-			// (c) a subset that changes between steps — all cores, the middle
-			// ones, all but one — entered at unequal clocks.
-			moved := begin(workers, spec)
-			subsets := [][]int{identity(workers)}
-			if workers == 2 {
-				subsets = [][]int{{0, 1}, {1}, {0}}
+			// (c) entered at unequal clocks, the lowest core latest.
+			uneven := begin(workers, spec)
+			for w := range clocks {
+				clocks[w] = uint64(1000 * (workers - w))
 			}
-			if workers == 4 {
-				subsets = [][]int{{0, 1, 2, 3}, {1, 2}, {0, 2, 3}}
-			}
-			pool := make([]uint64, workers)
-			for w := range pool {
-				pool[w] = uint64(1000 * (workers - w))
-			}
+			prev := slices.Clone(clocks)
 			for i, done := 0, false; !done; i++ {
-				cores := subsets[i%len(subsets)]
-				sub := make([]uint64, len(cores))
-				for j, w := range cores {
-					sub[j] = pool[w]
-				}
 				var err error
-				if done, err = moved.Step(cores, sub); err != nil {
+				if done, err = uneven.Step(clocks); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				for j, w := range cores {
-					if sub[j] < pool[w] {
-						t.Fatalf("%s: step %d moved core %d's clock back, %d to %d", name, i, w, pool[w], sub[j])
+				for w, cl := range clocks {
+					if cl < prev[w] {
+						t.Fatalf("%s: step %d moved core %d's clock back, %d to %d", name, i, w, prev[w], cl)
 					}
-					pool[w] = sub[j]
 				}
+				copy(prev, clocks)
 			}
-			sameAnswer(t, name+" on a moving subset", moved, ref)
+			sameAnswer(t, name+" from unequal clocks", uneven, ref)
 
 		}
 	}

@@ -66,69 +66,62 @@ func traceCores(p *exec.Parallel) (*trace.Recorder, []*trace.Track) {
 }
 
 // TestPartitionedMergeBarrier: the last step of a grouped query merges the
-// partial tables on every core of its subset, each owning a contiguous range
-// of the keys (exec.BlockRun.FinalizeGroups). On subsets of 2, 4 and 7 cores
-// of an eight-core pool, entered at unequal clocks:
+// partial tables on every core of the pool, each owning a contiguous range of
+// the keys (exec.BlockRun.FinalizeGroups). On pools of 2, 4 and 7 cores,
+// entered at unequal clocks:
 //   - the barrier starts at the latest clock of the scan, its makespan is the
-//     largest owner's merge, and every clock of the subset leaves at the
-//     barrier plus that makespan;
+//     largest owner's merge, and every clock leaves at the barrier plus that
+//     makespan;
 //   - the query's counters are everything its cores counted: the scan's delta
 //     plus every owner's;
-//   - each owner records at most one group-merge span, on its own track, and
-//     no core outside the subset records one.
+//   - each owner records exactly one group-merge span, on its own track.
 //
 // Then the groups are bit-identical at Workers {1, 2, 4, 7, 65} × GOMAXPROCS
 // {1, 2, 4}, and a pool's trace bytes do not depend on GOMAXPROCS.
 func TestPartitionedMergeBarrier(t *testing.T) {
-	const rows, vs, workers = 20000, 128, 8
+	const rows, vs = 20000, 128
 	q, groups := mergeFixture(t, rows, vs)
-	p := newPool(t, workers, vs)
-	samples := func(cores []int) []pmu.Sample {
-		out := make([]pmu.Sample, len(cores))
-		for i, w := range cores {
-			out[i] = p.Engines()[w].CPU().Sample()
+	for _, workers := range []int{2, 4, 7} {
+		name := fmt.Sprintf("workers=%d", workers)
+		p := newPool(t, workers, vs)
+		samples := func() []pmu.Sample {
+			out := make([]pmu.Sample, workers)
+			for w, e := range p.Engines() {
+				out[w] = e.CPU().Sample()
+			}
+			return out
 		}
-		return out
-	}
-	for _, cores := range [][]int{{2, 5}, {0, 3, 4, 7}, {0, 1, 2, 3, 4, 5, 7}} {
-		name := fmt.Sprintf("subset %v", cores)
 		_, tracks := traceCores(p)
-		p.Cold()
 		r := NewRun(p)
 		if err := r.Begin(Spec{Query: q, Groups: groups(workers), Quantum: 3}); err != nil {
 			t.Fatal(err)
 		}
-		clocks := make([]uint64, len(cores))
-		for i := range clocks {
-			clocks[i] = uint64(700 * (len(cores) - i))
+		clocks := make([]uint64, workers)
+		for w := range clocks {
+			clocks[w] = uint64(700 * (workers - w))
 		}
-		first := samples(cores)
+		first := samples()
 		var entry []uint64
 		var last []pmu.Sample
 		for done := false; !done; {
-			entry, last = slices.Clone(clocks), samples(cores)
+			entry, last = slices.Clone(clocks), samples()
 			var err error
-			if done, err = r.Step(cores, clocks); err != nil {
+			if done, err = r.Step(clocks); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
 
 		// Each owner's merge is its group-merge span.
-		merge := make([]uint64, len(cores))
+		merge := make([]uint64, workers)
 		for w, tr := range tracks {
-			i := slices.Index(cores, w)
 			spans := 0
 			for _, ev := range tr.Events() {
-				if ev.Name != "group-merge" {
-					continue
-				}
-				if spans++; i < 0 {
-					t.Errorf("%s: core %d outside the subset recorded a group-merge span", name, w)
-				} else {
-					merge[i] = ev.End - ev.Start
+				if ev.Name == "group-merge" {
+					spans++
+					merge[w] = ev.End - ev.Start
 				}
 			}
-			if spans > 1 {
+			if spans != 1 {
 				t.Errorf("%s: core %d recorded %d group-merge spans", name, w, spans)
 			}
 		}
@@ -139,28 +132,27 @@ func TestPartitionedMergeBarrier(t *testing.T) {
 		// the scan leaves core i at its entry plus its last step's cycles less
 		// its merge; the barrier starts at the latest.
 		var barrier uint64
-		for i, s := range samples(cores) {
-			barrier = max(barrier, entry[i]+s.Sub(last[i]).Get(pmu.Cycles)-merge[i])
+		for w, s := range samples() {
+			barrier = max(barrier, entry[w]+s.Sub(last[w]).Get(pmu.Cycles)-merge[w])
 		}
 		end := barrier + slices.Max(merge)
-		for i, cl := range clocks {
+		for w, cl := range clocks {
 			if cl != end {
 				t.Errorf("%s: core %d left at %d, want the barrier %d plus the largest merge %d = %d",
-					name, cores[i], cl, barrier, slices.Max(merge), end)
+					name, w, cl, barrier, slices.Max(merge), end)
 			}
 		}
 		if r.Cycles != end-r.Start {
 			t.Errorf("%s: %d cycles from %d, want %d", name, r.Cycles, r.Start, end-r.Start)
 		}
 		var counted pmu.Sample
-		for i, s := range samples(cores) {
-			counted = counted.Add(s.Sub(first[i]))
+		for w, s := range samples() {
+			counted = counted.Add(s.Sub(first[w]))
 		}
 		if r.Counters != counted {
-			t.Errorf("%s: counters\n got %v\nwant %v (everything the subset counted)", name, r.Counters, counted)
+			t.Errorf("%s: counters\n got %v\nwant %v (everything the pool counted)", name, r.Counters, counted)
 		}
 	}
-	p.SetTrace(nil)
 
 	// The answer and the trace, across pool sizes and host threads.
 	var want []exec.Group

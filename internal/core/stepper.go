@@ -16,8 +16,8 @@ import (
 // per-vector cost, the selectivity estimation over the step's (merged
 // per-core) PMU delta, and — in micro mode — the branching/branch-free
 // implementation choice. Run.Step is its one caller: it steps it one morsel
-// block at a time — one vector on a pool of one core — on whatever subset of
-// cores the step was given. The stepper never executes anything: it consumes
+// block at a time — one vector on a pool of one core. The stepper never
+// executes anything: it consumes
 // finished BlockResults and tells the driver which query order and scan
 // implementation the next step must run.
 type BlockStepper struct {

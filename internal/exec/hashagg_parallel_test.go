@@ -66,13 +66,12 @@ func (r *BlockRun) runGroupBy(q *Query, gs []*GroupBy) (GroupResult, error) {
 	if err := r.BeginGroups(gs); err != nil {
 		return GroupResult{}, err
 	}
-	cores, clocks := r.p.fullCores()
 	var sum float64 // a grouped block writes none
-	br, err := r.RunBlockSubset(q, 0, r.p.NumVectors(q), cores, clocks, ImplBranching, &sum)
+	br, err := r.RunBlock(q, 0, r.p.NumVectors(q), r.p.zeroClocks(), ImplBranching, &sum)
 	if err != nil {
 		return GroupResult{}, err
 	}
-	groups, merge := r.FinalizeGroups(cores)
+	groups, merge := r.FinalizeGroups()
 	out := GroupResult{Groups: groups}
 	out.Qualifying, out.Vectors = br.Qualifying, br.Vectors
 	out.Cycles = br.MaxCycles + merge.MaxCycles
@@ -104,7 +103,7 @@ type tableRun struct {
 func wholeTable(t *testing.T, p *Parallel, q *Query, impl ScanImpl) tableRun {
 	t.Helper()
 	var out tableRun
-	br, err := p.NewBlockRun().RunBlockSubset(q, 0, p.NumVectors(q), []int{0}, []uint64{0}, impl, &out.Sum)
+	br, err := p.NewBlockRun().RunBlock(q, 0, p.NumVectors(q), []uint64{0}, impl, &out.Sum)
 	if err != nil {
 		t.Fatal(err)
 	}

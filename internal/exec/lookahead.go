@@ -14,7 +14,7 @@ import (
 //
 // The reference is the serial scheduler: morsels in ascending index, each to
 // the core that is idle first in simulated time — the smallest clock, ties to
-// the lowest subset position. Conservative lookahead reproduces exactly that
+// the lowest position. Conservative lookahead reproduces exactly that
 // assignment sequence while morsels overlap on the host. A running core
 // publishes a lower bound on the clock it will finish at; the next morsel is
 // handed to the idle core with the smallest clock as soon as that clock is
@@ -67,7 +67,7 @@ func certify(clocks, bounds []uint64, inFlight []bool) (pos, blocker int, at uin
 // running or waiting for their turn in the reduction. All fields but cells
 // and gen are guarded by the owner's lock.
 type lookahead struct {
-	// clocks[j] is the block-absolute time subset position j is next free
+	// clocks[j] is the block-absolute time position (core) j is next free
 	// (the caller's slice, updated as morsels complete).
 	clocks   []uint64
 	inFlight []bool

@@ -42,9 +42,8 @@ import (
 type Parallel struct {
 	workers    []*Engine
 	vectorSize int
-	// blockCores/blockClocks are the reusable identity subset of the
-	// whole-pool entry point (Run), which always has a single caller.
-	blockCores  []int
+	// blockClocks are the reusable entry clocks of the whole-pool entry point
+	// (Run), which always has a single caller.
 	blockClocks []uint64
 	// run is the block-run context of that whole-pool entry point. The
 	// query driver (core.Run) brings its own, made with NewBlockRun, so the
@@ -74,11 +73,10 @@ type BlockRun struct {
 	busyScratch []uint64
 
 	// The block in progress.
-	q     *Query
-	impl  ScanImpl
-	cores []int
+	q    *Query
+	impl ScanImpl
 	// skip is the zone-map verdict per vector (see StorageScan), shared by
-	// the run's cores; the subset's first core carries it like every other.
+	// the run's cores; core 0 carries it like every other.
 	skip       []bool
 	issueWidth int
 
@@ -123,7 +121,6 @@ type BlockRun struct {
 
 // morsel is one (core, vector) assignment and, once run, its result.
 type morsel struct {
-	pos    int    // index into the block's core subset
 	core   int    // pool core id
 	v      int    // morsel (vector) index
 	lo, hi int    // row range
@@ -386,7 +383,7 @@ func (j *hostJob) help() {
 // BlockResult reports one morsel block execution.
 type BlockResult struct {
 	// Qualifying is the block's qualifying tuple count; its aggregate goes to
-	// the caller's sum (see RunBlockSubset).
+	// the caller's sum (see RunBlock).
 	Qualifying int64
 	// Vectors is the number of morsels executed.
 	Vectors int
@@ -399,18 +396,13 @@ type BlockResult struct {
 	Counters pmu.Sample
 }
 
-// fullCores returns the reusable identity core subset and zeroed entry
-// clocks covering the whole pool.
-func (p *Parallel) fullCores() ([]int, []uint64) {
-	if p.blockCores == nil {
-		p.blockCores = make([]int, len(p.workers))
-		for i := range p.blockCores {
-			p.blockCores[i] = i
-		}
+// zeroClocks returns the reusable entry clocks of the whole pool, zeroed.
+func (p *Parallel) zeroClocks() []uint64 {
+	if p.blockClocks == nil {
 		p.blockClocks = make([]uint64, len(p.workers))
 	}
 	clear(p.blockClocks)
-	return p.blockCores, p.blockClocks
+	return p.blockClocks
 }
 
 // minVectorCycles returns a guaranteed lower bound on the simulated cycles
@@ -426,43 +418,43 @@ func minVectorCycles(n, issueWidth int) uint64 {
 	return uint64(4*n) * 4 / uint64(issueWidth) / 4
 }
 
-// lookaheadWindow is how many morsels per subset core may be assigned but
+// lookaheadWindow is how many morsels per core may be assigned but
 // not yet reduced: enough that a core drawing a long morsel does not stall
 // the others, small enough that the result ring stays cache-resident.
 const lookaheadWindow = 4
 
-// runBlock executes morsels [vecLo, vecHi) on the core subset and reduces
-// them, in ascending morsel order, into the BlockRun's targets. It returns
-// the error of the lowest-numbered failed morsel — re-raising it if it was a
-// panic — after every running morsel has drained, exactly the failure the
-// serial scheduler would have stopped at.
-func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl) error {
+// runBlock executes morsels [vecLo, vecHi) on the pool and reduces them, in
+// ascending morsel order, into the BlockRun's targets. It returns the error
+// of the lowest-numbered failed morsel — re-raising it if it was a panic —
+// after every running morsel has drained, exactly the failure the serial
+// scheduler would have stopped at.
+func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, clocks []uint64, impl ScanImpl) error {
 	p := r.p
-	r.q, r.impl, r.cores = q, impl, cores
+	r.q, r.impl = q, impl
 	r.issueWidth = p.workers[0].CPU().Profile().IssueWidth
 	r.skip = nil
-	if st := p.workers[cores[0]].stor; st != nil {
+	if st := p.workers[0].stor; st != nil {
 		r.skip = st.Skip
 	}
-	window := lookaheadWindow * len(cores)
+	window := lookaheadWindow * len(p.workers)
 	if len(r.ring) < window {
 		r.ring = make([]morsel, window)
 	}
 	r.sched.reset(clocks, vecLo, vecHi, window)
 	r.out, r.failed = BlockResult{}, nil
 	if vecHi > vecLo {
-		p.stage(cores)
+		p.stage()
 	}
 	// Helpers are worth inviting only when two morsels can overlap and the
 	// host has a second thread to run one on.
-	width := min(runtime.GOMAXPROCS(0), len(cores), vecHi-vecLo)
+	width := min(runtime.GOMAXPROCS(0), len(p.workers), vecHi-vecLo)
 	if r.shared = width > 1; r.shared {
 		if r.job.work == nil {
 			r.job.work = r.work
 		}
 		p.runJob(&r.job, width-1)
-	} else if r.lone = len(cores) == 1 && p.workers[cores[0]].tr == nil; r.lone {
-		c := p.workers[cores[0]].CPU()
+	} else if r.lone = len(p.workers) == 1 && p.workers[0].tr == nil; r.lone {
+		c := p.workers[0].CPU()
 		r.settled = c.Cycles()
 		r.work()
 		// The stall the morsels' readings left out lands on the block's last
@@ -499,16 +491,16 @@ func (p *Parallel) staging() bool { return 2*len(p.workers) <= runtime.GOMAXPROC
 // helper joins, a core simulates its lower levels itself whenever it has to
 // wait for them. A core with a storage tier stays inline (its tier's
 // observer reads the core's clock from inside the lower levels).
-func (p *Parallel) stage(cores []int) {
+func (p *Parallel) stage() {
 	if !p.staging() {
-		for _, w := range cores {
-			p.workers[w].cpu.Hierarchy().Unstage()
+		for _, e := range p.workers {
+			e.cpu.Hierarchy().Unstage()
 		}
 		return
 	}
 	hp := p.startPool()
-	for _, w := range cores {
-		if e := p.workers[w]; e.cpu.Hierarchy().Stage() {
+	for _, e := range p.workers {
+		if e.cpu.Hierarchy().Stage() {
 			select {
 			case hp.jobs <- e:
 			default:
@@ -556,10 +548,10 @@ func (r *BlockRun) acquire() *morsel {
 		if v >= len(r.skip) || !r.skip[v] {
 			minDur = minVectorCycles(hi-lo, r.issueWidth)
 		}
-		pos, blocker, at := s.assign(minDur)
-		if pos >= 0 {
+		w, blocker, at := s.assign(minDur)
+		if w >= 0 {
 			m := &r.ring[v%len(s.done)]
-			*m = morsel{pos: pos, core: r.cores[pos], v: v, lo: lo, hi: hi, entry: at, sel: m.sel[:0]}
+			*m = morsel{core: w, v: v, lo: lo, hi: hi, entry: at, sel: m.sel[:0]}
 			r.mu.Unlock()
 			return m
 		}
@@ -576,7 +568,7 @@ func (r *BlockRun) execute(m *morsel) {
 	c := eng.CPU()
 	c0 := r.clock(c)
 	if r.shared {
-		c.SetProgress(&r.sched.cells[m.pos].clock, m.entry-c0)
+		c.SetProgress(&r.sched.cells[m.core].clock, m.entry-c0)
 	}
 	defer r.finish(m, eng, c0)
 	if r.groups != nil {
@@ -629,8 +621,8 @@ func (r *BlockRun) finish(m *morsel, eng *Engine, c0 uint64) {
 func (r *BlockRun) complete(m *morsel) {
 	s := &r.sched
 	r.mu.Lock()
-	s.complete(m.pos, m.v, m.entry+m.cycles, m.err != nil || m.pv != nil)
-	r.busyScratch[m.pos] += m.cycles
+	s.complete(m.core, m.v, m.entry+m.cycles, m.err != nil || m.pv != nil)
+	r.busyScratch[m.core] += m.cycles
 	for !r.merging && s.mergeable() {
 		next := &r.ring[s.merged%len(s.done)]
 		r.merging = true
@@ -664,15 +656,14 @@ func (r *BlockRun) merge(m *morsel) bool {
 	return true
 }
 
-// RunBlockSubset executes vectors [vecLo, vecHi) of the query morsel-driven
-// on a subset of the pool's cores, all inside the scan implementation impl —
-// the block primitive of the query driver's step (core.Run.Step) and, over
-// the whole pool from zero clocks, of Run. cores lists the participating core
-// ids in strictly ascending order; clocks[i] is the absolute simulated time
-// core cores[i] is next free, continued from the caller's discrete-event
-// state and updated in place. Each vector is one morsel and goes to the
-// subset core whose clock is smallest (ties to the lowest position), so a
-// core that enters the block behind the others naturally backfills first.
+// RunBlock executes vectors [vecLo, vecHi) of the query morsel-driven on
+// the pool's cores, all inside the scan implementation impl — the block
+// primitive of the query driver's step (core.Run.Step) and, from zero clocks,
+// of Run. clocks[w] is the absolute simulated time core w is next free,
+// continued from the caller's discrete-event state and updated in place. Each
+// vector is one morsel and goes to the core whose clock is smallest (ties to
+// the lowest id), so a core that enters the block behind the others naturally
+// backfills first.
 //
 // Morsels overlap on the host wherever the lookahead rule can certify the
 // next core choice early (see lookahead.go); results reduce in ascending
@@ -680,10 +671,9 @@ func (r *BlockRun) merge(m *morsel) bool {
 // counters, float bit patterns — is identical to the serial scheduler's for
 // every Workers and GOMAXPROCS combination.
 //
-// The returned BlockResult reports WorkerCycles[i] as the busy cycles core
-// cores[i] consumed in this call, MaxCycles as the block makespan measured
-// from the earliest entry clock, and Counters as the subset's merged PMU
-// deltas.
+// The returned BlockResult reports WorkerCycles[w] as the busy cycles core w
+// consumed in this call, MaxCycles as the block makespan measured from the
+// earliest entry clock, and Counters as the cores' merged PMU deltas.
 //
 // sum is required: it receives the per-vector aggregate contributions in
 // global vector order. The driver, which splits one scan into many steps,
@@ -692,24 +682,13 @@ func (r *BlockRun) merge(m *morsel) bool {
 // reduces into its Result.Sum the same way. After BeginGroups the morsels are
 // a grouped aggregation's: their survivors fold into the BlockRun's
 // accumulator, Qualifying counts them, and no sum is written.
-func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
+func (r *BlockRun) RunBlock(q *Query, vecLo, vecHi int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
 	p := r.p
 	if err := q.Validate(); err != nil {
 		return BlockResult{}, err
 	}
-	if len(cores) == 0 {
-		return BlockResult{}, fmt.Errorf("exec: block needs at least one core")
-	}
-	if len(clocks) != len(cores) {
-		return BlockResult{}, fmt.Errorf("exec: %d clocks for %d cores", len(clocks), len(cores))
-	}
-	for i, w := range cores {
-		if w < 0 || w >= len(p.workers) {
-			return BlockResult{}, fmt.Errorf("exec: core %d outside pool of %d", w, len(p.workers))
-		}
-		if i > 0 && w <= cores[i-1] {
-			return BlockResult{}, fmt.Errorf("exec: core subset %v not strictly ascending", cores)
-		}
+	if len(clocks) != len(p.workers) {
+		return BlockResult{}, fmt.Errorf("exec: %d clocks for %d cores", len(clocks), len(p.workers))
 	}
 	if numVec := p.NumVectors(q); vecLo < 0 || vecHi > numVec || vecLo > vecHi {
 		return BlockResult{}, fmt.Errorf("exec: block [%d,%d) outside %d vectors", vecLo, vecHi, numVec)
@@ -718,9 +697,9 @@ func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clock
 	for _, cl := range clocks[1:] {
 		entryMin = min(entryMin, cl)
 	}
-	startSamples := r.begin(cores)
+	startSamples := r.begin()
 	r.sum = sum
-	if err := r.runBlock(q, vecLo, vecHi, cores, clocks, impl); err != nil {
+	if err := r.runBlock(q, vecLo, vecHi, clocks, impl); err != nil {
 		return BlockResult{}, err
 	}
 	out := r.out
@@ -730,15 +709,15 @@ func (r *BlockRun) RunBlockSubset(q *Query, vecLo, vecHi int, cores []int, clock
 			out.MaxCycles = max(out.MaxCycles, cl-entryMin)
 		}
 	}
-	for i, w := range cores {
-		out.Counters = out.Counters.Add(p.workers[w].CPU().Sample().Sub(startSamples[i]))
+	for w, e := range p.workers {
+		out.Counters = out.Counters.Add(e.CPU().Sample().Sub(startSamples[w]))
 	}
 	return out, nil
 }
 
 // begin zeroes the per-core busy counters and snapshots the cores' PMUs.
-func (r *BlockRun) begin(cores []int) []pmu.Sample {
-	nw := len(cores)
+func (r *BlockRun) begin() []pmu.Sample {
+	nw := len(r.p.workers)
 	if cap(r.busyScratch) < nw {
 		r.busyScratch = make([]uint64, nw)
 		r.sampleScratch = make([]pmu.Sample, nw)
@@ -746,8 +725,8 @@ func (r *BlockRun) begin(cores []int) []pmu.Sample {
 	r.busyScratch = r.busyScratch[:nw]
 	clear(r.busyScratch)
 	samples := r.sampleScratch[:nw]
-	for i, w := range cores {
-		samples[i] = r.p.workers[w].CPU().Sample()
+	for w, e := range r.p.workers {
+		samples[w] = e.CPU().Sample()
 	}
 	return samples
 }
@@ -759,7 +738,7 @@ func (r *BlockRun) begin(cores []int) []pmu.Sample {
 // private table region, so hash-table maintenance hits its own cache
 // hierarchy) and its survivors reduce into the accumulator in global vector
 // order, so the groups (keys, sums, counts) are bit-identical whatever the
-// pool's size, the blocks, their core subsets and GOMAXPROCS.
+// pool's size, the blocks and GOMAXPROCS.
 // The same visit records, in the key's slot, that the morsel's core holds the
 // key: the accumulator's one key-ordered slot list then serves the output rows
 // and the merge barrier (FinalizeGroups) alike.
@@ -780,33 +759,33 @@ func (r *BlockRun) BeginGroups(gs []*GroupBy) error {
 }
 
 // FinalizeGroups is the merge barrier of a grouped aggregation whose scan is
-// complete, and returns its output rows. It is partitioned across the given
-// cores — the last step's subset, ascending ids — as morsel-driven engines
-// merge by partition: the key-ordered slots split into len(cores) contiguous
-// ranges of equal key count, and owner cores[i] folds every other pool core's
-// partial slots of range i into its own table, core by ascending id and key by
-// ascending key. A fold is one read of the remote slot, one read-modify-write
-// of the owner's own and groupMergeCostInstr of arithmetic. The loads are
-// gathered and simulated a chunk at a time — LoadAddrs is defined as its
-// per-element Load sequence, and instruction and stall totals are sums, so
-// where in a chunk the arithmetic retires changes nothing a clock or a counter
-// can show. A one-core subset owns every key: the one-core merge.
+// complete, and returns its output rows. It is partitioned across the pool's
+// cores, as morsel-driven engines merge by partition: the key-ordered slots
+// split into one contiguous range of equal key count per core, and owner w
+// folds every other core's partial slots of range w into its own table, core
+// by ascending id and key by ascending key. A fold is one read of the remote
+// slot, one read-modify-write of the owner's own and groupMergeCostInstr of
+// arithmetic. The loads are gathered and simulated a chunk at a time —
+// LoadAddrs is defined as its per-element Load sequence, and instruction and
+// stall totals are sums, so where in a chunk the arithmetic retires changes
+// nothing a clock or a counter can show. A pool of one core owns every key:
+// the one-core merge.
 //
-// The BlockResult reports the barrier as RunBlockSubset reports a block:
-// WorkerCycles[i] is owner cores[i]'s merge, MaxCycles the largest — the
-// barrier's makespan, since every core waits for the slowest — and Counters
-// the owners' merged PMU deltas.
+// The BlockResult reports the barrier as RunBlock reports a block:
+// WorkerCycles[w] is owner w's merge, MaxCycles the largest — the barrier's
+// makespan, since every core waits for the slowest — and Counters the
+// owners' merged PMU deltas.
 //
 // Each owner touches only its own simulated core and emits its group-merge
 // span on that core's track, so the owners run as the BlockRun's host job, on
 // the caller and whichever pooled helpers are free, and nothing simulated
 // depends on which host thread ran which owner.
-func (r *BlockRun) FinalizeGroups(cores []int) ([]Group, BlockResult) {
-	start := r.begin(cores)
+func (r *BlockRun) FinalizeGroups() ([]Group, BlockResult) {
+	start := r.begin()
 	b := &r.barrier
-	r.cores, b.refs, b.on = cores, r.groupAcc.sorted(), true
+	b.refs, b.on = r.groupAcc.sorted(), true
 	b.next.Store(0)
-	if width := min(runtime.GOMAXPROCS(0), len(cores)); width > 1 {
+	if width := min(runtime.GOMAXPROCS(0), len(r.p.workers)); width > 1 {
 		if r.job.work == nil {
 			r.job.work = r.work
 		}
@@ -816,10 +795,10 @@ func (r *BlockRun) FinalizeGroups(cores []int) ([]Group, BlockResult) {
 	}
 	b.on = false
 	out := BlockResult{WorkerCycles: r.busyScratch}
-	for i, w := range cores {
-		d := r.p.workers[w].CPU().Sample().Sub(start[i])
-		out.WorkerCycles[i] = d.Get(pmu.Cycles)
-		out.MaxCycles = max(out.MaxCycles, out.WorkerCycles[i])
+	for w, e := range r.p.workers {
+		d := e.CPU().Sample().Sub(start[w])
+		out.WorkerCycles[w] = d.Get(pmu.Cycles)
+		out.MaxCycles = max(out.MaxCycles, out.WorkerCycles[w])
 		out.Counters = out.Counters.Add(d)
 	}
 	return r.groupAcc.groups(b.refs), out
@@ -829,9 +808,9 @@ func (r *BlockRun) FinalizeGroups(cores []int) ([]Group, BlockResult) {
 // share of the merge barrier.
 func (r *BlockRun) mergeOwners() {
 	b := &r.barrier
-	n, k := len(b.refs), len(r.cores)
+	n, k := len(b.refs), len(r.p.workers)
 	for i := int(b.next.Add(1)) - 1; i < k; i = int(b.next.Add(1)) - 1 {
-		r.mergeRange(r.cores[i], b.refs[i*n/k:(i+1)*n/k])
+		r.mergeRange(i, b.refs[i*n/k:(i+1)*n/k])
 	}
 }
 
@@ -872,9 +851,8 @@ func (r *BlockRun) mergeRange(owner int, refs []groupRef) {
 // operator order. Result.Cycles is the makespan (the slowest core's cycle
 // count) and Result.Counters the merged per-core PMU deltas.
 func (p *Parallel) Run(q *Query) (Result, error) {
-	cores, clocks := p.fullCores()
 	var out Result
-	br, err := p.run.RunBlockSubset(q, 0, p.NumVectors(q), cores, clocks, ImplBranching, &out.Sum)
+	br, err := p.run.RunBlock(q, 0, p.NumVectors(q), p.zeroClocks(), ImplBranching, &out.Sum)
 	if err != nil {
 		return Result{}, err
 	}

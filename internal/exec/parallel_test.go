@@ -15,8 +15,7 @@ import (
 // runBlock executes vectors [vecLo, vecHi) over the whole pool from zero
 // clocks on the pool's own block-run context.
 func runBlock(p *Parallel, q *Query, vecLo, vecHi int, impl ScanImpl, sum *float64) (BlockResult, error) {
-	cores, clocks := p.fullCores()
-	return p.run.RunBlockSubset(q, vecLo, vecHi, cores, clocks, impl, sum)
+	return p.run.RunBlock(q, vecLo, vecHi, p.zeroClocks(), impl, sum)
 }
 
 func parallelFixture(t *testing.T) (*tpch.Dataset, *Query) {

@@ -180,11 +180,10 @@ type Server struct {
 
 	// clock is the absolute simulated time each core is next free, written
 	// only under mu; owner is the query the cores last executed (cold-switch
-	// detection). cores is the whole pool, the subset every step runs on, and
-	// clocks the step's copy of clock, published when the step succeeds.
+	// detection). clocks is the step's copy of clock, published when the step
+	// succeeds.
 	clock  []uint64
 	owner  *query
-	cores  []int
 	clocks []uint64
 
 	queue []*query // waiting, sorted by (arrival, seq)
@@ -233,12 +232,8 @@ func New(prof cpu.Profile, workers, vectorSize int, cfg Config) (*Server, error)
 		pool:     p,
 		cfg:      cfg,
 		clock:    make([]uint64, workers),
-		cores:    make([]int, workers),
 		clocks:   make([]uint64, workers),
 		feedback: NewLRU(feedbackCacheSize),
-	}
-	for i := range s.cores {
-		s.cores[i] = i
 	}
 	s.idle = sync.NewCond(&s.mu)
 	return s, nil
@@ -422,7 +417,7 @@ func (s *Server) driveRound() (retired bool) {
 			s.mu.Lock()
 		}
 	}()
-	done, err := q.run.Step(s.cores, s.clocks)
+	done, err := q.run.Step(s.clocks)
 	s.mu.Lock()
 	relocked = true
 	switch {

@@ -109,7 +109,7 @@ var rules = []rule{
 	{pr: 20, pattern: `exec\.FinalizeSort\(`, allow: oneCallSite, want: 1,
 		bad: `	rows := exec.FinalizeSort(states, cores[0])`, at: "serve.go", ok: "internal/core/stepper.go"},
 	{pr: 23, pattern: `\.FinalizeGroups\(`, allow: oneCallSite, want: 1,
-		bad: `	groups, res := br.FinalizeGroups(cores)`, at: "internal/service/server.go", ok: "internal/exec/hashagg.go"},
+		bad: `	groups, res := br.FinalizeGroups()`, at: "internal/service/server.go", ok: "internal/exec/hashagg.go"},
 	{pr: 20, pattern: `\.AfterBlock\(`, allow: oneCallSite, want: 1,
 		bad: `	st.AfterBlock(res)`, at: "internal/service/server.go", ok: "internal/core/drive_test.go"},
 	// One definition of cold, cpu.CPU.Cold: a FlushCaches call anywhere else

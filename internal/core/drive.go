@@ -426,6 +426,12 @@ func (r *Run) stepBlock(clocks []uint64) (bool, error) {
 	r.Counters = r.Counters.Add(br.Counters)
 	for w, e := range r.engines {
 		r.Counters = r.Counters.Add(e.CPU().Sample().Sub(r.coordStart[w]))
+		// Every core waits at the barrier for the slowest, and all but the
+		// coordinator through the coordination.
+		r.step.st.IdleCycles += br.MaxCycles - br.WorkerCycles[w]
+		if w > 0 {
+			r.step.st.IdleCycles += busy - br.MaxCycles
+		}
 	}
 	r.cursor = v1
 	if last && r.sorts != nil {

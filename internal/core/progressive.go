@@ -117,6 +117,10 @@ type Ledger struct {
 	// HeldOff counts the optimization points the back-offs after a revert
 	// and after a run of confirming points sat out, uncharged.
 	HeldOff int
+	// IdleCycles are the core-cycles the run's cores sat idle at step
+	// barriers — waiting for a step's slowest core, and while one core
+	// coordinated — summed over the cores: zero on a pool of one.
+	IdleCycles uint64
 }
 
 // Add accumulates another run's ledger.
@@ -126,6 +130,7 @@ func (l *Ledger) Add(o Ledger) {
 	l.RevertedCycles += o.RevertedCycles
 	l.RegretCycles += o.RegretCycles
 	l.HeldOff += o.HeldOff
+	l.IdleCycles += o.IdleCycles
 }
 
 func identity(n int) []int {

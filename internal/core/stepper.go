@@ -547,7 +547,7 @@ func (s *BlockStepper) TraceFinal() {
 		trace.String("impl", s.impl.String()), trace.Uint64("converged_at", s.st.ConvergedAtCycles),
 		trace.Uint64("sample_cycles", l.SampleCycles), trace.Uint64("recompile_cycles", l.RecompileCycles),
 		trace.Uint64("reverted_cycles", l.RevertedCycles), trace.Uint64("regret_cycles", l.RegretCycles),
-		trace.Int("held_off", l.HeldOff))
+		trace.Int("held_off", l.HeldOff), trace.Uint64("idle_cycles", l.IdleCycles))
 }
 
 // Stats snapshots the coordination telemetry; FinalOrder is the permutation

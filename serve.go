@@ -343,6 +343,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	gauge("progopt_reopt_reverted_cycles", "Simulated cycles spent in steps whose operator order validation rolled back.", float64(st.Reopt.RevertedCycles))
 	gauge("progopt_reopt_regret_cycles", "Excess of those steps over the step they were validated against.", float64(st.Reopt.RegretCycles))
 	gauge("progopt_reopt_held_off", "Optimization points sat out by the back-offs after a revert and after a run of confirmations.", float64(st.Reopt.HeldOff))
+	gauge("progopt_reopt_idle_cycles", "Core-cycles adaptive queries' cores sat idle at step barriers and while one core coordinated.", float64(st.Reopt.IdleCycles))
 	_, err := w.Write(b.Bytes())
 	return err
 }

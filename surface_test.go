@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// surfaceOf lists what a user of the package can call or set: the exported
-// methods of the facade types and the fields of the option structs, one
-// sorted "Type.Name" line each.
+// surfaceOf lists what a user of the package can call or set, and the ledger
+// it reads back: the exported methods of the facade types and the fields of
+// the option structs and of Ledger, one sorted "Type.Name" line each.
 func surfaceOf() []string {
 	var out []string
 	for _, v := range []any{(*Engine)(nil), (*Plan)(nil), (*Server)(nil), (*Ticket)(nil), (*Dataset)(nil), (*Query)(nil)} {
@@ -20,7 +20,7 @@ func surfaceOf() []string {
 			out = append(out, "*"+t.Elem().Name()+"."+t.Method(i).Name)
 		}
 	}
-	for _, v := range []any{Config{}, ServerConfig{}, ExecOptions{}, Progressive{}, StorageConfig{}, TraceOptions{}} {
+	for _, v := range []any{Config{}, ServerConfig{}, ExecOptions{}, Progressive{}, StorageConfig{}, TraceOptions{}, Ledger{}} {
 		t := reflect.TypeOf(v)
 		for i := 0; i < t.NumField(); i++ {
 			if f := t.Field(i); f.IsExported() {

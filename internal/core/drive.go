@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"progopt/internal/exec"
-	"progopt/internal/hw/pmu"
 )
 
 // Mode selects how a query is driven.
@@ -139,10 +138,10 @@ func (s *Spec) Validate(workers int) error {
 // the clocks it is handed; what it advances is the cursor, those clocks, and
 // the accumulators below. Nothing else carries over, which is why a run may
 // be cut into steps anywhere: the aggregate is added up in global vector
-// order whatever the cut, a fixed-order run hands each morsel to the core
-// whose clock is smallest, so consecutive quanta on carried clocks are one
-// seamless morsel stream, and an adaptive block starts at a barrier, so it
-// depends on the latest clock only.
+// order whatever the cut, and every step hands each morsel to the core whose
+// clock is smallest, so consecutive steps on carried clocks are one seamless
+// morsel stream. An adaptive step ends where its decision takes effect (see
+// Step); a one-core step, at its vector.
 //
 // A Run keeps its scratch between queries; Begin starts the next one.
 type Run struct {
@@ -150,8 +149,18 @@ type Run struct {
 	// engines are the pool's; zero are Drive's clocks.
 	engines []*exec.Engine
 	zero    []uint64
-	// coordStart are the cores' PMUs before the stepper's coordination.
-	coordStart []pmu.Sample
+
+	// A multi-core adaptive step's decision (Decide) reads its window's
+	// tuples, schedule and exact counts from here. mark is the time the
+	// previous decision left its core free, the query's start before the
+	// first; ran and ranImpl are the order and scan the cores last ran, coord
+	// the core that decided on them.
+	winTuples            int
+	optPoint, instrument bool
+	mark                 uint64
+	ran                  *exec.Query
+	ranImpl              exec.ScanImpl
+	coord                int
 
 	spec  Spec
 	step  *BlockStepper   // nil in fixed order
@@ -165,15 +174,14 @@ type Run struct {
 
 	// Result accumulates the query's output: Sum in global vector order,
 	// Counters as the PMU deltas of its morsels and coordination, Cycles as
-	// the time it kept its cores busy (a fixed-order run: first entry to last
-	// exit; an adaptive one: block makespans plus coordination, barrier waits
-	// excluded). Millis is set by the last step.
+	// the time from the first core's entry to the last core's exit (merge
+	// barrier included). Millis is set by the last step.
 	exec.Result
 	// Groups and Sorted are a grouped and an ordered query's output rows.
 	Groups []exec.Group
 	Sorted []exec.SortedRow
-	// Start is the clock the query began at: the earliest entry clock of a
-	// fixed-order run's first step, the barrier of an adaptive one.
+	// Start is the clock the query began at: the earliest entry clock of its
+	// first step.
 	Start uint64
 }
 
@@ -212,6 +220,7 @@ func (r *Run) Begin(spec Spec) error {
 		}
 	}
 	r.numVec, r.cursor, r.started = r.engines[0].NumVectors(spec.Query), 0, false
+	r.ran = nil
 	r.Result, r.Groups, r.Sorted, r.Start = exec.Result{}, nil, nil, 0
 	return nil
 }
@@ -262,10 +271,12 @@ func (r *Run) Drive() error {
 //
 //   - fixed order: Quantum morsels per core as one morsel stream from the
 //     clocks as they are (grouped: survivors fold into the run's accumulator);
-//   - adaptive: the pool barriers at its latest clock, runs ReopInterval
-//     morsels per core, the stepper coordinates on core 0, and every clock
-//     moves to the barrier plus the block's makespan plus what the
-//     coordination charged;
+//   - adaptive: ReopInterval morsels per core picked from the clocks as they
+//     are — the window — and, when the last of them completes, the stepper
+//     decides on the core it completed on, which pays for it; meanwhile the
+//     other cores go on under the step's order while their clock is below the
+//     decision's time, and the step ends at the first pick at or after it
+//     (exec.BlockRun.RunWindow). The next step runs what was decided;
 //   - the last step of an ordered or a grouped query: the pool barriers at
 //     its latest clock; core 0 merges the partial sort states, or every core
 //     merges one key range of the group tables, and every clock moves to the
@@ -273,8 +284,8 @@ func (r *Run) Drive() error {
 //   - the last step of a stored scan adds the largest view's stall cycles to
 //     Cycles; the tier observes, so it moves no clock.
 //
-// On a pool of one core an adaptive step is one vector, every ReopInterval-th
-// an optimization point.
+// On a pool of one core an adaptive step is one vector and ends in its
+// decision, every ReopInterval-th an optimization point.
 func (r *Run) Step(clocks []uint64) (done bool, err error) {
 	if len(clocks) != len(r.engines) {
 		return false, fmt.Errorf("core: %d clocks for %d cores", len(clocks), len(r.engines))
@@ -303,9 +314,12 @@ func (r *Run) Step(clocks []uint64) (done bool, err error) {
 			}
 		}()
 	}
-	if r.step != nil {
-		done, err = r.stepBlock(clocks)
-	} else {
+	switch {
+	case r.step != nil && len(r.engines) > 1:
+		done, err = r.stepWindow(clocks)
+	case r.step != nil:
+		done, err = r.stepVector(clocks)
+	default:
 		done, err = r.stepQuantum(clocks)
 	}
 	if done && err == nil {
@@ -327,20 +341,6 @@ func (r *Run) begin(at uint64) {
 	if !r.started {
 		r.started, r.Start = true, at
 	}
-}
-
-// coordinate hands the stepper a finished step of an adaptive run and returns
-// the cycles the step kept the query's cores busy: its makespan plus what the
-// coordination charged. See AfterBlock for exact, optPoint and validate.
-func (r *Run) coordinate(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool) (uint64, error) {
-	extra, err := r.step.AfterBlock(br, tuples, exact, optPoint, validate, r.engines[0].CPU(), r.engines)
-	if err != nil {
-		return 0, err
-	}
-	r.Qualifying += br.Qualifying
-	r.Vectors += br.Vectors
-	r.Cycles += br.MaxCycles + extra
-	return br.MaxCycles + extra, nil
 }
 
 // vectors is how many vectors the next step covers at perCore per core.
@@ -373,38 +373,28 @@ func (r *Run) stepQuantum(clocks []uint64) (bool, error) {
 	return true, nil
 }
 
-func (r *Run) stepBlock(clocks []uint64) (bool, error) {
-	t0 := slices.Max(clocks)
+// stepVector is an adaptive step on a pool of one core: one vector, then the
+// stepper's coordination on the core.
+func (r *Run) stepVector(clocks []uint64) (bool, error) {
+	t0 := clocks[0]
 	r.begin(t0)
-	every, one := r.step.opt.ReopInterval, len(r.engines) == 1
-	perCore := every
-	if one {
-		perCore = 1
-	}
-	v1 := r.cursor + r.vectors(perCore, len(r.engines))
+	every := r.step.opt.ReopInterval
+	v1 := r.cursor + 1
 	vs := r.engines[0].VectorSize()
 	tuples := min(v1*vs, r.spec.Query.Table.NumRows()) - r.cursor*vs
 	last := v1 == r.numVec
-	// Every block but the last is an optimization point, and every block's
-	// cost — a short last one's too — is held against the previous block's.
-	// A pool of one core steps a vector at a time: every ReopInterval-th but
-	// the last is a point, and a partial vector is held against nothing, its
-	// fixed costs being spread over fewer tuples.
-	optPoint, validate := !last, true
-	if one {
-		optPoint, validate = v1%every == 0 && !last, tuples == vs
-	}
+	// Every ReopInterval-th vector but the last is a point, and a partial
+	// vector is held against nothing, its fixed costs being spread over fewer
+	// tuples.
+	optPoint, validate := v1%every == 0 && !last, tuples == vs
 	// An enumerated run counts its evidence during an optimization point's
 	// step.
 	impl, instrument := r.step.Impl(), r.counts != nil && optPoint
 	if instrument {
 		impl = exec.ImplInstrumented
-		for _, c := range r.counts {
-			clear(c.Evaluated)
-			clear(c.Passed)
-		}
+		clear(r.counts[0].Evaluated)
+		clear(r.counts[0].Passed)
 	}
-	fill(clocks, t0)
 	br, err := r.brun.RunBlock(r.step.Query(), r.cursor, v1, clocks, impl, &r.Sum)
 	if err != nil {
 		return false, err
@@ -413,34 +403,105 @@ func (r *Run) stepBlock(clocks []uint64) (bool, error) {
 	if instrument {
 		exact = r.exactSels()
 	}
-	if r.coordStart == nil {
-		r.coordStart = make([]pmu.Sample, len(r.engines))
-	}
-	for w, e := range r.engines {
-		r.coordStart[w] = e.CPU().Sample()
-	}
-	busy, err := r.coordinate(br, tuples, exact, optPoint, validate)
+	c := r.engines[0].CPU()
+	coordStart := c.Sample()
+	extra, err := r.coordinate(br, tuples, exact, optPoint, validate, 0)
 	if err != nil {
 		return false, err
 	}
-	r.Counters = r.Counters.Add(br.Counters)
-	for w, e := range r.engines {
-		r.Counters = r.Counters.Add(e.CPU().Sample().Sub(r.coordStart[w]))
-		// Every core waits at the barrier for the slowest, and all but the
-		// coordinator through the coordination.
-		r.step.st.IdleCycles += br.MaxCycles - br.WorkerCycles[w]
-		if w > 0 {
-			r.step.st.IdleCycles += busy - br.MaxCycles
-		}
-	}
+	r.Counters = r.Counters.Add(br.Counters).Add(c.Sample().Sub(coordStart))
+	r.Qualifying += br.Qualifying
+	r.Vectors += br.Vectors
+	busy := br.MaxCycles + extra
+	r.Cycles += busy
 	r.cursor = v1
 	if last && r.sorts != nil {
 		merge := r.merge()
 		r.Cycles += merge
 		busy += merge
 	}
-	fill(clocks, t0+busy)
+	clocks[0] = t0 + busy
 	return last, nil
+}
+
+// stepWindow is an adaptive step on a pool of two or more cores: a window of
+// ReopInterval morsels per core, decided on by Decide, and the morsels the
+// other cores pick before the decision's time (exec.BlockRun.RunWindow).
+func (r *Run) stepWindow(clocks []uint64) (bool, error) {
+	if !r.started {
+		r.begin(slices.Min(clocks))
+		r.mark = r.Start
+	}
+	q, impl := r.step.Query(), r.step.Impl()
+	if r.ran != nil && (q != r.ran || impl != r.ranImpl) {
+		// The decision recompiled the scan on its core; every other core
+		// meets the new code, and its branch sites, cold.
+		for w, e := range r.engines {
+			if w != r.coord {
+				e.CPU().ResetPredictor()
+			}
+		}
+	}
+	r.ran, r.ranImpl = q, impl
+	win := r.cursor + r.vectors(r.step.opt.ReopInterval, len(r.engines))
+	vs := r.engines[0].VectorSize()
+	r.winTuples = min(win*vs, r.spec.Query.Table.NumRows()) - r.cursor*vs
+	// Every window but the last is an optimization point; an enumerated run
+	// counts a point's evidence in its window.
+	r.optPoint = win < r.numVec
+	winImpl := impl
+	if r.instrument = r.counts != nil && r.optPoint; r.instrument {
+		winImpl = exec.ImplInstrumented
+		for _, c := range r.counts {
+			clear(c.Evaluated)
+			clear(c.Passed)
+		}
+	}
+	br, err := r.brun.RunWindow(q, r.cursor, win, r.numVec, clocks, winImpl, impl, &r.Sum, r)
+	if err != nil {
+		return false, err
+	}
+	r.Counters = r.Counters.Add(br.Counters)
+	r.Qualifying += br.Qualifying
+	r.Vectors += br.Vectors
+	r.step.countVectors(br.Vectors-(win-r.cursor), impl)
+	if r.cursor += br.Vectors; r.cursor < r.numVec {
+		return false, nil
+	}
+	end := slices.Max(clocks)
+	for _, cl := range clocks {
+		r.step.st.IdleCycles += end - cl
+	}
+	if r.sorts != nil || len(r.spec.Groups) > 0 {
+		end += r.merge()
+		fill(clocks, end)
+	}
+	r.Cycles = end - r.Start
+	return true, nil
+}
+
+// Decide is the decision of a multi-core adaptive step (exec.Decider): the
+// stepper's coordination over the window, charged to the core the window
+// completed on. The window's cost is what its morsels cost per core, and the
+// query's clock advances by the time from the previous decision to the
+// window's end.
+func (r *Run) Decide(w *exec.Window) error {
+	var exact []float64
+	if r.instrument {
+		exact = r.exactSels()
+	}
+	w.MaxCycles = w.End - r.mark
+	extra, err := r.coordinate(w.BlockResult, r.winTuples, exact, r.optPoint, true, w.Core)
+	r.mark, r.coord = w.End+extra, w.Core
+	return err
+}
+
+// coordinate hands the stepper a finished step and charges its coordination
+// to core coord, which alone recompiles what it changes. See AfterBlock for
+// the arguments and the cycles returned.
+func (r *Run) coordinate(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool, coord int) (uint64, error) {
+	e := r.engines[coord : coord+1]
+	return r.step.AfterBlock(br, tuples, exact, optPoint, validate, e[0].CPU(), e)
 }
 
 // exactSels sums the counters the cores of an instrumented step kept into the
@@ -456,7 +517,7 @@ func (r *Run) exactSels() []float64 {
 	return total.Selectivities()
 }
 
-// fill sets every clock of a pool that leaves a step together.
+// fill sets every clock of a pool that leaves a barrier together.
 func fill(clocks []uint64, t uint64) {
 	for i := range clocks {
 		clocks[i] = t

@@ -278,23 +278,17 @@ func (s *BlockStepper) at(extra uint64) uint64 { return s.accounted + extra }
 // adds them to the query's clock.
 func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float64, optPoint, validate bool, coord *cpu.CPU, engines []*exec.Engine) (uint64, error) {
 	s.st.Blocks++
-	s.st.Vectors += br.Vectors
-	if s.micro {
-		if s.impl == exec.ImplBranchFree {
-			s.st.BranchFreeVectors += br.Vectors
-		} else {
-			s.st.BranchingVectors += br.Vectors
-		}
-	}
+	s.countVectors(br.Vectors, s.impl)
 	s.accounted += br.MaxCycles
 	changed, reverted := false, false
 	var extra uint64
-	costPerVec := float64(br.MaxCycles) / float64(br.Vectors)
+	cost := stepCost(br)
+	costPerVec := float64(cost) / float64(br.Vectors)
 
 	// A step made only of zone-map-skipped vectors cost nothing: it is neither
 	// a verdict on the order it ran under nor a yardstick for the next one,
 	// and a validation it leaves pending holds the optimization point.
-	skipped := br.MaxCycles == 0
+	skipped := cost == 0
 	if s.pendingValidation && !skipped {
 		s.pendingValidation = false
 		if validate && s.prevCostPerVec > 0 && costPerVec > s.prevCostPerVec*(1+validationTolerance) {
@@ -308,8 +302,8 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 			}
 			extra += s.recompile(engines)
 			s.st.Reverts++
-			s.st.RevertedCycles += br.MaxCycles
-			s.st.RegretCycles += br.MaxCycles - uint64(float64(s.prevCostPerVec*float64(br.Vectors)))
+			s.st.RevertedCycles += cost
+			s.st.RegretCycles += cost - uint64(float64(s.prevCostPerVec*float64(br.Vectors)))
 			changed = true
 			if s.opt.Trace != nil {
 				traceDecision(s.opt.Trace, "revert", s.at(extra), br.Counters,
@@ -415,6 +409,35 @@ func (s *BlockStepper) AfterBlock(br exec.BlockResult, tuples int, exact []float
 		s.confirm = backoff{}
 	}
 	return extra, nil
+}
+
+// stepCost is what a step's vectors cost per core: the cycles its cores spent
+// on them, summed and divided by the pool's size — the makespan of a
+// perfectly balanced step, the makespan itself on one core. A step reported
+// without per-core cycles costs its makespan.
+func stepCost(br exec.BlockResult) uint64 {
+	if len(br.WorkerCycles) < 2 {
+		return br.MaxCycles
+	}
+	var sum uint64
+	for _, c := range br.WorkerCycles {
+		sum += c
+	}
+	return sum / uint64(len(br.WorkerCycles))
+}
+
+// countVectors counts vectors the cores ran in the scan impl: a step's, or the
+// ones a multi-core step ran after its window, under the order it decided
+// against.
+func (s *BlockStepper) countVectors(vectors int, impl exec.ScanImpl) {
+	s.st.Vectors += vectors
+	if s.micro {
+		if impl == exec.ImplBranchFree {
+			s.st.BranchFreeVectors += vectors
+		} else {
+			s.st.BranchingVectors += vectors
+		}
+	}
 }
 
 // estimate is an optimization point on the branching scan: charge the sample

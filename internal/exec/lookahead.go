@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -25,6 +26,17 @@ import (
 // core impossible, which keeps the lowest-position tie rule intact. When the
 // choice cannot be certified yet, the caller waits: bounds only rise (the
 // simulated clock is monotone) and a running morsel always completes.
+//
+// An adaptive step adds one rule, the decision time (window). Its first
+// morsels are a window whose counters the step decides on; when the last of
+// them completes, at T_end on position j (ties to the lowest), the decision
+// is taken on j, which is busy with it until T_d = T_end plus what it cost.
+// The other positions keep taking morsels under the step's order while their
+// clock is below T_d; the first pick at or after T_d belongs to the next
+// step, which runs the new order, so assignment ends there. Which side of T_d
+// a pick falls on is a fact of the simulated clock: a pick certified while a
+// window morsel is in flight is below that morsel's bound, hence below T_end;
+// once the window has completed, picks wait until T_d is known.
 
 // progressCell is one simulated core's published clock: a lower bound on the
 // block-absolute time the core is next free, written by the host thread
@@ -87,6 +99,13 @@ type lookahead struct {
 	// stopped ends assignment after a failed morsel; broken ends reduction
 	// at the first failed morsel in index order.
 	stopped, broken bool
+	// The window (see above): morsels below winHi, winLeft of them yet to
+	// complete, the latest completion winEnd so far on position winPos.
+	// decideAt is T_d once known, the largest clock before.
+	winHi, winLeft int
+	winEnd         uint64
+	winPos         int
+	decideAt       uint64
 	// gen counts completions, so a waiting scheduler can tell "something
 	// finished" from "nothing changed" without taking the lock.
 	gen atomic.Uint32
@@ -112,6 +131,12 @@ func (l *lookahead) reset(clocks []uint64, lo, hi, window int) {
 	clear(l.done)
 	l.next, l.hi, l.merged = lo, hi, lo
 	l.stopped, l.broken = false, false
+	l.winHi, l.winLeft, l.winEnd, l.winPos, l.decideAt = lo, 0, 0, -1, math.MaxUint64
+}
+
+// openWindow makes the block's first n morsels its decision window.
+func (l *lookahead) openWindow(n int) {
+	l.winHi, l.winLeft = l.next+n, n
 }
 
 // finished reports that no morsel is left to hand out.
@@ -123,7 +148,10 @@ func (l *lookahead) finished() bool { return l.stopped || l.next >= l.hi }
 // trying again.
 func (l *lookahead) assign(minDur uint64) (pos, blocker int, at uint64) {
 	if l.next-l.merged >= len(l.done) {
-		return -1, -1, 0 // window full: wait for a completion
+		return -1, -1, 0 // ring full: wait for a completion
+	}
+	if l.next >= l.winHi && l.winLeft == 0 && l.winPos >= 0 && l.decideAt == math.MaxUint64 {
+		return -1, -1, 0 // the decision is being taken: wait for T_d
 	}
 	for j, busy := range l.inFlight {
 		if busy {
@@ -133,6 +161,13 @@ func (l *lookahead) assign(minDur uint64) (pos, blocker int, at uint64) {
 	pos, blocker, at = certify(l.clocks, l.bounds, l.inFlight)
 	if pos < 0 {
 		return -1, blocker, at
+	}
+	if at >= l.decideAt {
+		// The next step's first pick: every running core finishes after at,
+		// so no pick before T_d is left.
+		l.hi = l.next
+		l.gen.Add(1)
+		return -1, -1, 0
 	}
 	l.inFlight[pos], l.minEnd[pos] = true, at+minDur
 	// A cell may still hold a clock from an earlier block, whose time base
@@ -177,14 +212,31 @@ func (w *waiter) pause() {
 }
 
 // complete records that position pos finished morsel v at block-absolute
-// clock end; failed stops further assignment.
-func (l *lookahead) complete(pos, v int, end uint64, failed bool) {
+// clock end; failed stops further assignment. It reports whether that
+// completed the window, in a block that goes on: the caller then takes the
+// decision on winPos and hands its time to decide.
+func (l *lookahead) complete(pos, v int, end uint64, failed bool) (decide bool) {
 	l.clocks[pos] = end
 	l.inFlight[pos] = false
 	l.done[v%len(l.done)] = true
 	if failed {
 		l.stopped = true
 	}
+	if v < l.winHi {
+		if l.winPos < 0 || end > l.winEnd || end == l.winEnd && pos < l.winPos {
+			l.winEnd, l.winPos = end, pos
+		}
+		l.winLeft--
+		decide = l.winLeft == 0 && !l.stopped
+	}
+	l.gen.Add(1)
+	return decide
+}
+
+// decide publishes T_d, the time the window's decision left position winPos
+// free, and lets assignment go on.
+func (l *lookahead) decide(at uint64) {
+	l.clocks[l.winPos], l.decideAt = at, at
 	l.gen.Add(1)
 }
 

@@ -35,22 +35,40 @@ func TestCertify(t *testing.T) {
 	}
 }
 
-// schedCase is one synthetic block: entry clocks, a duration for every
-// (core, morsel) pair, guaranteed minimum durations, and optionally failing
-// morsels. No engine, no query — only what the scheduling rule sees.
+// schedCase is one synthetic run: entry clocks, a duration for every (core,
+// morsel) pair, guaranteed minimum durations, and optionally failing morsels.
+// With steps, it is an adaptive run: each step's first steps morsels are its
+// window, a decision costing coord follows the window's last completion, and
+// the step ends at the first pick at or after the decision's time. A morsel
+// picked in step k runs order k and takes k cycles longer than its duration,
+// so a morsel run under the wrong order shows in the clocks. No engine, no
+// query — only what the scheduling rule sees.
 type schedCase struct {
 	entry  []uint64
 	dur    [][]uint64 // [pos][morsel]
 	minDur []uint64
 	fails  []bool
 	window int
+	steps  int // window morsels per step; 0 is one block without a window
+	coord  uint64
 }
+
+// cost is morsel v's duration on pos under order k.
+func (c *schedCase) cost(pos, v, k int) uint64 { return c.dur[pos][v] + uint64(k) }
 
 // serialSchedule is the reference: morsels in order, each to the core with
 // the smallest clock (ties to the lowest position), one at a time, stopping
-// at the first failed morsel.
-func (c *schedCase) serialSchedule() (pos []int, clocks []uint64) {
+// at the first failed morsel. With steps, the decision of step k lands on the
+// core whose window morsel completed last (ties to the lowest position) at
+// that completion plus coord, and a pick at or after it runs order k+1; order
+// is each morsel's.
+func (c *schedCase) serialSchedule() (pos, order []int, clocks []uint64) {
 	clocks = slices.Clone(c.entry)
+	k, winHi, winPos := -1, 0, -1
+	var winEnd, decideAt uint64
+	if c.steps == 0 {
+		k = 0
+	}
 	for v := range c.minDur {
 		i := 0
 		for j := range clocks {
@@ -58,13 +76,27 @@ func (c *schedCase) serialSchedule() (pos []int, clocks []uint64) {
 				i = j
 			}
 		}
-		pos = append(pos, i)
-		clocks[i] += c.dur[i][v]
+		if c.steps > 0 && v >= winHi && clocks[i] >= decideAt {
+			// The next step's first pick: its window opens.
+			k, winHi, winPos, decideAt = k+1, v+c.steps, -1, ^uint64(0)
+		}
+		pos, order = append(pos, i), append(order, k)
+		clocks[i] += c.cost(i, v, k)
 		if c.fails[v] {
 			break
 		}
+		if v < winHi {
+			if winPos < 0 || clocks[i] > winEnd || clocks[i] == winEnd && i < winPos {
+				winEnd, winPos = clocks[i], i
+			}
+			if v == min(winHi, len(c.minDur))-1 {
+				// The decision, on the core the window completed on.
+				decideAt = winEnd + c.coord
+				clocks[winPos] = decideAt
+			}
+		}
 	}
-	return pos, clocks
+	return pos, order, clocks
 }
 
 // decodeSched turns fuzz bytes into a case plus the leftover bytes that drive
@@ -83,6 +115,10 @@ func decodeSched(data []byte) (*schedCase, []byte) {
 	cores := 1 + int(next()%6)
 	morsels := 1 + int(next()%48)
 	c := &schedCase{window: 1 + int(next()%(4*uint8(cores)))}
+	if b := next(); b%2 == 1 {
+		c.steps = 1 + int(b/2)%(3*cores)
+		c.coord = []uint64{0, 1, 100, 250, 3000}[next()%5]
+	}
 	for i := 0; i < cores; i++ {
 		c.entry = append(c.entry, []uint64{0, 0, 5, 100, 100, 4000}[next()%6])
 		c.dur = append(c.dur, make([]uint64, morsels))
@@ -108,25 +144,32 @@ func decodeSched(data []byte) (*schedCase, []byte) {
 // runLookahead replays a case through the lookahead scheduler with the host
 // interleaving chosen by script: each byte picks a worker; an idle worker
 // tries to take a morsel, a running one publishes part of its progress or
-// completes and reduces whatever is next in order. When the script runs out
-// the remaining work is drained round-robin, which also proves that no
+// completes and reduces whatever is next in order, and one that completed a
+// window takes the decision. With steps, a step is one block, and the next
+// starts from its clocks where it ended. When the script runs out the
+// remaining work of a step is drained round-robin, which also proves that no
 // reachable state is a deadlock.
-func runLookahead(c *schedCase, workers int, script []byte) (pos, merged []int, clocks []uint64, failed int, err error) {
+func runLookahead(c *schedCase, workers int, script []byte) (pos, order, merged []int, clocks []uint64, failed int, err error) {
 	type running struct {
-		active     bool
-		pos, v     int
-		entry, end uint64
-		published  uint64
+		active, deciding bool
+		pos, v           int
+		entry, end       uint64
+		published        uint64
 	}
 	n := len(c.minDur)
 	clocks = slices.Clone(c.entry)
 	var s lookahead
-	s.reset(clocks, 0, n, c.window)
 	ws := make([]running, workers)
 	pos = make([]int, 0, n)
 	failed = -1
+	k := 0
 	step := func(w int, publish bool, frac uint64) (progressed bool) {
 		r := &ws[w]
+		if r.deciding {
+			s.decide(s.winEnd + c.coord)
+			r.deciding = false
+			return true
+		}
 		if !r.active {
 			if s.finished() {
 				return false
@@ -139,8 +182,8 @@ func runLookahead(c *schedCase, workers int, script []byte) (pos, merged []int, 
 			if len(pos) != v {
 				err = fmt.Errorf("morsel %d assigned after %d others", v, len(pos))
 			}
-			pos = append(pos, p)
-			*r = running{active: true, pos: p, v: v, entry: at, end: at + c.dur[p][v], published: at}
+			pos, order = append(pos, p), append(order, k)
+			*r = running{active: true, pos: p, v: v, entry: at, end: at + c.cost(p, v, k), published: at}
 			return true
 		}
 		if publish && r.end > r.published {
@@ -150,7 +193,7 @@ func runLookahead(c *schedCase, workers int, script []byte) (pos, merged []int, 
 			s.cells[r.pos].clock.Store(r.published)
 			return true
 		}
-		s.complete(r.pos, r.v, r.end, c.fails[r.v])
+		r.deciding = s.complete(r.pos, r.v, r.end, c.fails[r.v])
 		r.active = false
 		for s.mergeable() {
 			m := s.merged
@@ -163,32 +206,40 @@ func runLookahead(c *schedCase, workers int, script []byte) (pos, merged []int, 
 		}
 		return true
 	}
-	for len(script) >= 2 {
-		step(int(script[0])%workers, script[1]%3 != 0, uint64(script[1]))
-		script = script[2:]
-	}
-	for idle := 0; idle < 2; {
-		idle++
-		for w := range ws {
-			if step(w, false, 0) {
-				idle = 0
+	for lo := 0; ; k++ {
+		s.reset(clocks, lo, n, c.window)
+		if c.steps > 0 {
+			s.openWindow(min(c.steps, n-lo))
+		}
+		for len(script) >= 2 && !s.finished() {
+			step(int(script[0])%workers, script[1]%3 != 0, uint64(script[1]))
+			script = script[2:]
+		}
+		for idle := 0; idle < 2; {
+			idle++
+			for w := range ws {
+				if step(w, false, 0) {
+					idle = 0
+				}
 			}
 		}
-	}
-	for _, r := range ws {
-		if r.active {
-			err = fmt.Errorf("morsel %d still running after the drain", r.v)
+		for _, r := range ws {
+			if r.active || r.deciding {
+				err = fmt.Errorf("morsel %d still running after the drain", r.v)
+			}
+		}
+		if !s.finished() {
+			err = fmt.Errorf("deadlock: morsel %d can never be assigned (clocks %v)", s.next, clocks)
+		}
+		if lo = s.next; err != nil || s.stopped || lo >= n {
+			return pos, order, merged, clocks, failed, err
 		}
 	}
-	if !s.finished() {
-		err = fmt.Errorf("deadlock: morsel %d can never be assigned (clocks %v)", s.next, clocks)
-	}
-	return pos, merged, clocks, failed, err
 }
 
 func checkLookahead(t *testing.T, data []byte) {
 	c, script := decodeSched(data)
-	wantPos, wantClocks := c.serialSchedule()
+	wantPos, wantOrder, wantClocks := c.serialSchedule()
 	wantFailed := -1
 	if last := len(wantPos) - 1; c.fails[last] {
 		wantFailed = last
@@ -197,7 +248,7 @@ func checkLookahead(t *testing.T, data []byte) {
 	if len(script) > 0 {
 		workers += int(script[0]) % len(c.entry)
 	}
-	pos, merged, clocks, failed, err := runLookahead(c, workers, script)
+	pos, order, merged, clocks, failed, err := runLookahead(c, workers, script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +256,9 @@ func checkLookahead(t *testing.T, data []byte) {
 	// than the serial one, which stops dead; up to there they must agree.
 	if len(pos) < len(wantPos) || !slices.Equal(pos[:len(wantPos)], wantPos) {
 		t.Fatalf("assignment sequence %v, serial argmin schedule %v", pos, wantPos)
+	}
+	if !slices.Equal(order[:len(wantOrder)], wantOrder) {
+		t.Fatalf("orders the morsels ran %v, serial decision-time rule %v", order, wantOrder)
 	}
 	if failed != wantFailed {
 		t.Fatalf("surfaced failure of morsel %d, serial scheduler stops at %d", failed, wantFailed)
@@ -228,16 +282,20 @@ func checkLookahead(t *testing.T, data []byte) {
 
 // FuzzLookaheadSchedule: for random per-(core, morsel) durations — including
 // zero-duration skipped vectors, exact ties, and a core far behind — random
-// interleavings of assign/publish/complete events, random publication points
-// and random worker counts, the lookahead scheduler hands out morsels in
-// exactly the serial argmin order, reduces in ascending morsel order,
-// surfaces the lowest failed morsel, and never deadlocks.
+// interleavings of assign/publish/complete/decide events, random publication
+// points and random worker counts, the lookahead scheduler hands out morsels
+// in exactly the serial argmin order, reduces in ascending morsel order,
+// surfaces the lowest failed morsel, and never deadlocks. In adaptive runs it
+// also keeps the decision-time rule: a morsel picked before a step's decision
+// time runs the step's order, one picked at or after it the next.
 func FuzzLookaheadSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 20, 7, 0, 0, 0, 0, 255})
 	f.Add([]byte("\x03\x2f\x0b\x05\x00\x03\xff lookahead scheduling: morsels, clocks, certified picks"))
 	f.Add([]byte("\x01\x10\x01\x02\xff one core, serial by construction, window of one ........"))
 	f.Add([]byte("\x05\x1e\x02\x00\x00\x00\x00\x00\x04 a failing morsel in a tight window \x00\x01\x02\x03\x04\x00\x01\x02\x03"))
+	f.Add([]byte("\x03\x2f\x0b\x07\x03\x00\x03\xff adaptive steps: window, decision on its last core, picks before T_d"))
+	f.Add([]byte("\x04\x30\x09\x03\x00\x00\x00\x00\x00\xff window of one per step, decisions that cost nothing"))
 	f.Fuzz(checkLookahead)
 }
 

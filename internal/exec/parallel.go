@@ -72,9 +72,9 @@ type BlockRun struct {
 	// valid only until the next call on the same BlockRun.
 	busyScratch []uint64
 
-	// The block in progress.
-	q    *Query
-	impl ScanImpl
+	// The block in progress; its window's morsels run winImpl.
+	q             *Query
+	impl, winImpl ScanImpl
 	// skip is the zone-map verdict per vector (see StorageScan), shared by
 	// the run's cores; core 0 carries it like every other.
 	skip       []bool
@@ -117,6 +117,15 @@ type BlockRun struct {
 	// failed is the lowest-numbered failed morsel, once the reduction has
 	// reached it (its ring slot is not reused: a failure stops assignment).
 	failed *morsel
+
+	// win is the window of a RunWindow block, summed as its morsels complete
+	// (WorkerCycles is winScratch), and decider takes its decision.
+	win        Window
+	winScratch []uint64
+	decider    Decider
+	// decideErr is the decision's error or, in decidePanic, its panic.
+	decideErr   error
+	decidePanic any
 }
 
 // morsel is one (core, vector) assignment and, once run, its result.
@@ -127,6 +136,8 @@ type morsel struct {
 	entry  uint64 // block-absolute clock the core starts the morsel at
 
 	res VectorResult
+	// pmu is a window morsel's PMU sample at its start, then its delta.
+	pmu pmu.Sample
 	// sel is a copy of GroupVector's survivors: the engine's own buffer is
 	// overwritten by the core's next morsel, which may start before this one
 	// is reduced.
@@ -423,12 +434,13 @@ func minVectorCycles(n, issueWidth int) uint64 {
 // the others, small enough that the result ring stays cache-resident.
 const lookaheadWindow = 4
 
-// runBlock executes morsels [vecLo, vecHi) on the pool and reduces them, in
-// ascending morsel order, into the BlockRun's targets. It returns the error
+// runBlock executes morsels [vecLo, vecHi) on the pool, those below winHi as
+// the block's window, and reduces them, in ascending morsel order, into the
+// BlockRun's targets. It returns the error
 // of the lowest-numbered failed morsel — re-raising it if it was a panic —
 // after every running morsel has drained, exactly the failure the serial
 // scheduler would have stopped at.
-func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, clocks []uint64, impl ScanImpl) error {
+func (r *BlockRun) runBlock(q *Query, vecLo, winHi, vecHi int, clocks []uint64, impl ScanImpl) error {
 	p := r.p
 	r.q, r.impl = q, impl
 	r.issueWidth = p.workers[0].CPU().Profile().IssueWidth
@@ -441,6 +453,7 @@ func (r *BlockRun) runBlock(q *Query, vecLo, vecHi int, clocks []uint64, impl Sc
 		r.ring = make([]morsel, window)
 	}
 	r.sched.reset(clocks, vecLo, vecHi, window)
+	r.sched.openWindow(winHi - vecLo)
 	r.out, r.failed = BlockResult{}, nil
 	if vecHi > vecLo {
 		p.stage()
@@ -555,6 +568,11 @@ func (r *BlockRun) acquire() *morsel {
 			r.mu.Unlock()
 			return m
 		}
+		if s.finished() {
+			// The pick was the next step's.
+			r.mu.Unlock()
+			return nil
+		}
 		gen := s.gen.Load()
 		r.mu.Unlock()
 		s.await(blocker, at, gen)
@@ -571,12 +589,16 @@ func (r *BlockRun) execute(m *morsel) {
 		c.SetProgress(&r.sched.cells[m.core].clock, m.entry-c0)
 	}
 	defer r.finish(m, eng, c0)
+	impl := r.impl
+	if m.v < r.sched.winHi {
+		impl, m.pmu = r.winImpl, c.Sample()
+	}
 	if r.groups != nil {
 		var sel []int32
 		sel, m.err = eng.GroupVector(r.q, r.groups[m.core], m.lo, m.hi)
 		m.sel = append(m.sel, sel...)
 	} else {
-		m.res, m.err = eng.RunVectorImpl(r.q, m.lo, m.hi, r.impl)
+		m.res, m.err = eng.RunVectorImpl(r.q, m.lo, m.hi, impl)
 	}
 }
 
@@ -605,6 +627,9 @@ func (r *BlockRun) finish(m *morsel, eng *Engine, c0 uint64) {
 	c.SetProgress(nil, 0)
 	end := r.clock(c)
 	m.cycles = end - c0
+	if m.v < r.sched.winHi {
+		m.pmu = c.Sample().Sub(m.pmu)
+	}
 	if tr := eng.tr; tr != nil && m.err == nil && m.pv == nil {
 		if r.groups != nil {
 			tr.Span("morsel", c0, end, trace.Int("v", m.v), trace.Int("rows", m.hi-m.lo), trace.Bool("grouped", true))
@@ -621,8 +646,21 @@ func (r *BlockRun) finish(m *morsel, eng *Engine, c0 uint64) {
 func (r *BlockRun) complete(m *morsel) {
 	s := &r.sched
 	r.mu.Lock()
-	s.complete(m.core, m.v, m.entry+m.cycles, m.err != nil || m.pv != nil)
+	decide := s.complete(m.core, m.v, m.entry+m.cycles, m.err != nil || m.pv != nil)
 	r.busyScratch[m.core] += m.cycles
+	if m.v < s.winHi {
+		w := &r.win
+		w.Qualifying += m.res.Qualifying
+		w.Vectors++
+		w.WorkerCycles[m.core] += m.cycles
+		w.Counters = w.Counters.Add(m.pmu)
+	}
+	if decide {
+		// No core is picked until the decision is published.
+		r.mu.Unlock()
+		r.decide()
+		r.mu.Lock()
+	}
 	for !r.merging && s.mergeable() {
 		next := &r.ring[s.merged%len(s.done)]
 		r.merging = true
@@ -683,6 +721,73 @@ func (r *BlockRun) merge(m *morsel) bool {
 // a grouped aggregation's: their survivors fold into the BlockRun's
 // accumulator, Qualifying counts them, and no sum is written.
 func (r *BlockRun) RunBlock(q *Query, vecLo, vecHi int, clocks []uint64, impl ScanImpl, sum *float64) (BlockResult, error) {
+	return r.runWindow(q, vecLo, vecLo, vecHi, clocks, impl, impl, sum, nil)
+}
+
+// Window is the decision window of an adaptive step (RunWindow), as the
+// block hands it to the Decider once the last of its morsels has completed.
+type Window struct {
+	// BlockResult is the window's own: its qualifying tuples and vectors,
+	// WorkerCycles[w] the cycles core w spent on its morsels, and Counters
+	// the sum of the morsels' PMU deltas. MaxCycles is left zero.
+	BlockResult
+	// End is the time the window's last morsel completed, on core Core (ties
+	// to the lowest id), where the decision runs.
+	End  uint64
+	Core int
+}
+
+// Decider takes an adaptive step's decision on its window (RunWindow). It
+// runs once per block, on whichever host thread completed the window, and
+// may touch no simulated core but w.Core, whose cycles it is charged.
+type Decider interface {
+	Decide(w *Window) error
+}
+
+// RunWindow is the block of an adaptive step. Morsels [vecLo, winHi) are its
+// window: they run the scan winImpl, and when the last of them completes, at
+// w.End, d.Decide takes the step's decision on core w.Core, which is busy
+// with it until T_d = w.End plus the cycles it charged. Meanwhile and after,
+// the other cores take morsels from winHi on, in impl, while their clock is
+// below T_d; the first pick at or after T_d is the next step's, and the block
+// ends there, at most at vecHi. Every morsel runs q: the order the decision
+// sets is the next step's. The rule depends on simulated clocks only (see
+// lookahead.go), so the block, its window and T_d are the serial
+// scheduler's at every GOMAXPROCS.
+//
+// The BlockResult reports the whole block as RunBlock does — Vectors is how
+// many morsels it ran, Counters and WorkerCycles include the decision — and
+// clocks leave as the cores do, core w.Core's at T_d or later.
+func (r *BlockRun) RunWindow(q *Query, vecLo, winHi, vecHi int, clocks []uint64, winImpl, impl ScanImpl, sum *float64, d Decider) (BlockResult, error) {
+	if winHi <= vecLo || winHi > vecHi || d == nil {
+		return BlockResult{}, fmt.Errorf("exec: window [%d,%d) of block [%d,%d) needs a decider", vecLo, winHi, vecLo, vecHi)
+	}
+	return r.runWindow(q, vecLo, winHi, vecHi, clocks, winImpl, impl, sum, d)
+}
+
+// decide takes the window's decision on its core and publishes T_d; an error
+// or a panic stops the block like a failed morsel.
+func (r *BlockRun) decide() {
+	s := &r.sched
+	w := &r.win
+	w.End, w.Core = s.winEnd, s.winPos
+	c := r.p.workers[w.Core].CPU()
+	c0 := c.Cycles()
+	defer func() {
+		pv := recover()
+		d := c.Cycles() - c0
+		r.mu.Lock()
+		if pv != nil || r.decideErr != nil {
+			r.decidePanic, s.stopped = pv, true
+		}
+		r.busyScratch[w.Core] += d
+		s.decide(w.End + d)
+		r.mu.Unlock()
+	}()
+	r.decideErr = r.decider.Decide(w)
+}
+
+func (r *BlockRun) runWindow(q *Query, vecLo, winHi, vecHi int, clocks []uint64, winImpl, impl ScanImpl, sum *float64, d Decider) (BlockResult, error) {
 	p := r.p
 	if err := q.Validate(); err != nil {
 		return BlockResult{}, err
@@ -698,8 +803,22 @@ func (r *BlockRun) RunBlock(q *Query, vecLo, vecHi int, clocks []uint64, impl Sc
 		entryMin = min(entryMin, cl)
 	}
 	startSamples := r.begin()
-	r.sum = sum
-	if err := r.runBlock(q, vecLo, vecHi, clocks, impl); err != nil {
+	r.sum, r.winImpl, r.decider = sum, winImpl, d
+	if cap(r.winScratch) < len(p.workers) {
+		r.winScratch = make([]uint64, len(p.workers))
+	}
+	r.win = Window{BlockResult: BlockResult{WorkerCycles: r.winScratch[:len(p.workers)]}}
+	clear(r.win.WorkerCycles)
+	r.decideErr, r.decidePanic = nil, nil
+	err := r.runBlock(q, vecLo, winHi, vecHi, clocks, impl)
+	r.decider = nil
+	if r.decidePanic != nil {
+		panic(r.decidePanic)
+	}
+	if err == nil {
+		err = r.decideErr
+	}
+	if err != nil {
 		return BlockResult{}, err
 	}
 	out := r.out

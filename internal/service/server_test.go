@@ -594,19 +594,23 @@ func TestServedGroupedMatchesDriver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, i := range []int{0, 3} {
-		// Each grouped run starts on cores the previous query left at one
-		// barrier clock, so it is the dedicated run shifted in time.
-		if g := outs[i]; g.Result != want.Result || !reflect.DeepEqual(g.Groups, want.Groups) {
-			t.Errorf("grouped query %d diverges from the dedicated run when admitted with others:\n got %+v\nwant %+v", i, g.Result, want.Result)
-		}
+	// The first grouped run starts from the pool's zero clocks: it is the
+	// dedicated run. The second starts on cores the adaptive query left at
+	// the clocks its last morsels ended: the same answer, another schedule.
+	if g := outs[0]; g.Result != want.Result || !reflect.DeepEqual(g.Groups, want.Groups) {
+		t.Errorf("grouped query 0 diverges from the dedicated run when admitted with others:\n got %+v\nwant %+v", g.Result, want.Result)
+	}
+	if g := outs[3]; g.Qualifying != want.Qualifying || g.Vectors != want.Vectors || !reflect.DeepEqual(g.Groups, want.Groups) {
+		t.Errorf("grouped query 3 answers %d tuples over %d vectors, the dedicated run %d over %d, or its groups differ",
+			g.Qualifying, g.Vectors, want.Qualifying, want.Vectors)
 	}
 	if outs[1].Groups != nil || outs[2].Groups != nil {
 		t.Error("an ungrouped query returned groups")
 	}
-	// Admitted together, run one after the other in admission order.
+	// Admitted together, run one after the other in admission order: a query
+	// starts on the first core the one before leaves, and ends after it.
 	for i := 1; i < len(outs); i++ {
-		if outs[i].Start < outs[i-1].Done {
+		if outs[i].Start < outs[i-1].Start || outs[i].Done < outs[i-1].Done {
 			t.Errorf("query %d ran %d..%d, query %d %d..%d: want admission order, each on the whole pool",
 				i-1, outs[i-1].Start, outs[i-1].Done, i, outs[i].Start, outs[i].Done)
 		}

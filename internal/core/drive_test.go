@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -191,6 +193,66 @@ func TestStepMatchesDrive(t *testing.T) {
 			}
 			sameAnswer(t, name+" from unequal clocks", uneven, ref)
 
+		}
+	}
+}
+
+// TestWindowedStepsAreHostIndependent: on four cores an adaptive step decides
+// on the core its window completed on, and ends where the decision takes
+// effect, so every core leaves it at or after the decision's time. Result,
+// stepper stats, the step count and the trace bytes — every core's morsels
+// and the optimizer's decisions — are the same at GOMAXPROCS 1, 2 and 4.
+func TestWindowedStepsAreHostIndependent(t *testing.T) {
+	const rows, vs, workers = 64*512 - 100, 512, 4
+	for _, tc := range driveCases(t, rows, vs) {
+		spec := tc.spec(workers)
+		if spec.Mode == ModeFixed {
+			continue
+		}
+		var ref *Run
+		var refTrace []byte
+		var refSteps int
+		for _, procs := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/gomaxprocs=%d", tc.name, procs)
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				p := newPool(t, workers, vs)
+				rec, _ := traceCores(p)
+				spec.Opt.Trace = rec.NewTrack("optimizer")
+				r := NewRun(p)
+				if err := r.Begin(spec); err != nil {
+					t.Fatal(err)
+				}
+				clocks := make([]uint64, workers)
+				steps := 0
+				for done := false; !done; steps++ {
+					var err error
+					if done, err = r.Step(clocks); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !done && slices.Min(clocks) < r.mark {
+						t.Fatalf("%s: step %d left clocks %v, below its decision at %d on core %d", name, steps, clocks, r.mark, r.coord)
+					}
+				}
+				if r.Stats().Optimizations == 0 || steps < 3 {
+					t.Fatalf("%s: %d steps, %d optimization points", name, steps, r.Stats().Optimizations)
+				}
+				var buf bytes.Buffer
+				if err := rec.WriteChrome(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref, refTrace, refSteps = r, buf.Bytes(), steps
+					return
+				}
+				sameAnswer(t, name, r, ref)
+				if r.Result != ref.Result || !reflect.DeepEqual(r.Stats(), ref.Stats()) || steps != refSteps {
+					t.Errorf("%s: %+v in %d steps, GOMAXPROCS 1 gave %+v in %d", name, r.Result, steps, ref.Result, refSteps)
+				}
+				if !bytes.Equal(buf.Bytes(), refTrace) {
+					t.Errorf("%s: trace bytes differ from GOMAXPROCS 1's", name)
+				}
+			}()
 		}
 	}
 }

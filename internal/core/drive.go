@@ -373,20 +373,22 @@ func (r *Run) stepQuantum(clocks []uint64) (bool, error) {
 	return true, nil
 }
 
-// stepVector is an adaptive step on a pool of one core: one vector, then the
-// stepper's coordination on the core.
+// stepVector is an adaptive step on a pool of one core: a vector, then the
+// stepper's coordination on the core. Every ReopInterval-th vector but the
+// last is an optimization point, and it and a vector that validates a
+// pending change run alone; the vectors between them run as one block (see
+// oneCoreBlock), which the stepper holds to the same account.
 func (r *Run) stepVector(clocks []uint64) (bool, error) {
 	t0 := clocks[0]
 	r.begin(t0)
 	every := r.step.opt.ReopInterval
-	v1 := r.cursor + 1
+	v1 := r.oneCoreBlock(every)
 	vs := r.engines[0].VectorSize()
 	tuples := min(v1*vs, r.spec.Query.Table.NumRows()) - r.cursor*vs
 	last := v1 == r.numVec
-	// Every ReopInterval-th vector but the last is a point, and a partial
-	// vector is held against nothing, its fixed costs being spread over fewer
-	// tuples.
-	optPoint, validate := v1%every == 0 && !last, tuples == vs
+	// A partial vector is held against nothing, its fixed costs being spread
+	// over fewer tuples.
+	optPoint, validate := v1%every == 0 && v1-r.cursor == 1 && !last, tuples == (v1-r.cursor)*vs
 	// An enumerated run counts its evidence during an optimization point's
 	// step.
 	impl, instrument := r.step.Impl(), r.counts != nil && optPoint
@@ -422,6 +424,36 @@ func (r *Run) stepVector(clocks []uint64) (bool, error) {
 	}
 	clocks[0] = t0 + busy
 	return last, nil
+}
+
+// oneCoreBlock returns the end of a one-core step from the cursor: the next
+// vector alone when it is a point or validates a pending change, and
+// otherwise every vector up to the next point. A block's only mark on the
+// stepper is its cost, the yardstick a point's validation holds the next
+// vector to — the point's own, or, when the point is zone-map-skipped and so
+// costs nothing, the last vector before it that cost something. So that
+// vector ends a block too.
+func (r *Run) oneCoreBlock(every int) int {
+	next := r.cursor + 1
+	p := (next+every-1)/every*every - 1 // the next point at or after the cursor
+	if p == r.cursor || r.step.pendingValidation {
+		return next
+	}
+	if p >= r.numVec-1 {
+		return r.numVec
+	}
+	var skip []bool
+	if st := r.spec.Storage; st != nil {
+		skip = st[0].Skip
+	}
+	if p < len(skip) && skip[p] {
+		for u := p - 1; u >= r.cursor; u-- {
+			if !skip[u] {
+				return max(u, next)
+			}
+		}
+	}
+	return p
 }
 
 // stepWindow is an adaptive step on a pool of two or more cores: a window of

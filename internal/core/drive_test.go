@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -371,5 +372,60 @@ func TestFixedImplIsTheVectorLoop(t *testing.T) {
 				t.Errorf("%s: explicit counts %+v, the vector loop %+v", name, r.counts[0], oc)
 			}
 		}
+	}
+}
+
+// TestOneCoreBlocks: a one-core adaptive run steps a point alone, a
+// validating vector alone, and the vectors between as one block. Its
+// stepper reads a block only as a cost, the yardstick of a validation — the
+// point's, or, for a zone-map-skipped point, the last vector before it that
+// was not skipped — so that vector runs alone too. Checked on random skip
+// verdicts against that rule, vector by vector.
+func TestOneCoreBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	blocks := 0
+	for trial := 0; trial < 500; trial++ {
+		numVec, every := 1+rng.Intn(40), 1+rng.Intn(6)
+		skip := make([]bool, numVec)
+		for v := range skip {
+			skip[v] = rng.Intn(3) == 0
+		}
+		point := func(v int) bool { return (v+1)%every == 0 && v+1 < numVec }
+		yardstick := func(u int) bool {
+			if skip[u] {
+				return false
+			}
+			for p := u + 1; p < numVec; p++ {
+				if point(p) {
+					return skip[p]
+				}
+				if !skip[p] {
+					return false
+				}
+			}
+			return false
+		}
+		r := &Run{numVec: numVec, step: &BlockStepper{}, spec: Spec{Storage: []*exec.StorageScan{{Skip: skip}}}}
+		for r.cursor < numVec {
+			pending := rng.Intn(4) == 0
+			r.step.pendingValidation = pending
+			v1 := r.oneCoreBlock(every)
+			if v1 <= r.cursor || v1 > numVec {
+				t.Fatalf("trial %d: block [%d,%d) of %d vectors", trial, r.cursor, v1, numVec)
+			}
+			for v := r.cursor; v < v1 && v1-r.cursor > 1; v++ {
+				if point(v) || pending || yardstick(v) {
+					t.Fatalf("trial %d (every %d, skip %v, pending %v): block [%d,%d) holds vector %d, which runs alone",
+						trial, every, skip, pending, r.cursor, v1, v)
+				}
+			}
+			if v1-r.cursor > 1 {
+				blocks++
+			}
+			r.cursor = v1
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("no two vectors ever ran as one block")
 	}
 }

@@ -291,10 +291,12 @@ func (c *CPU) LoadAddrs(addrs []uint64) {
 // AddrBuf returns the CPU's reusable address-gather scratch, emptied, with
 // capacity for at least n addresses. The returned slice is valid until the
 // next AddrBuf call; batch kernels append the vector's data-dependent
-// addresses to it and pass the result to LoadAddrs.
+// addresses to it and pass the result to LoadAddrs. It grows by doubling at
+// least: n follows a vector's survivors, so a core would otherwise grow it
+// at every new largest selection.
 func (c *CPU) AddrBuf(n int) []uint64 {
 	if cap(c.addrBuf) < n {
-		c.addrBuf = make([]uint64, 0, n)
+		c.addrBuf = make([]uint64, 0, max(n, 2*cap(c.addrBuf)))
 	}
 	return c.addrBuf[:0]
 }
@@ -303,7 +305,7 @@ func (c *CPU) AddrBuf(n int) []uint64 {
 // were computed from; valid until the next KeyBuf call.
 func (c *CPU) KeyBuf(n int) []int64 {
 	if cap(c.keyBuf) < n {
-		c.keyBuf = make([]int64, 0, n)
+		c.keyBuf = make([]int64, 0, max(n, 2*cap(c.keyBuf)))
 	}
 	return c.keyBuf[:0]
 }

@@ -284,8 +284,9 @@ func (r *Run) Drive() error {
 //   - the last step of a stored scan adds the largest view's stall cycles to
 //     Cycles; the tier observes, so it moves no clock.
 //
-// On a pool of one core an adaptive step is one vector and ends in its
-// decision, every ReopInterval-th an optimization point.
+// On a pool of one core an adaptive step ends in its decision: an
+// optimization point (every ReopInterval-th vector but the last) or a vector
+// validating a pending change runs alone, the vectors between as one block.
 func (r *Run) Step(clocks []uint64) (done bool, err error) {
 	if len(clocks) != len(r.engines) {
 		return false, fmt.Errorf("core: %d clocks for %d cores", len(clocks), len(r.engines))

@@ -760,7 +760,7 @@ type Decider interface {
 // clocks leave as the cores do, core w.Core's at T_d or later.
 func (r *BlockRun) RunWindow(q *Query, vecLo, winHi, vecHi int, clocks []uint64, winImpl, impl ScanImpl, sum *float64, d Decider) (BlockResult, error) {
 	if winHi <= vecLo || winHi > vecHi || d == nil {
-		return BlockResult{}, fmt.Errorf("exec: window [%d,%d) of block [%d,%d) needs a decider", vecLo, winHi, vecLo, vecHi)
+		return BlockResult{}, fmt.Errorf("exec: window [%d,%d) of block [%d,%d): empty, past the block, or no decider", vecLo, winHi, vecLo, vecHi)
 	}
 	return r.runWindow(q, vecLo, winHi, vecHi, clocks, winImpl, impl, sum, d)
 }

@@ -287,9 +287,9 @@ func benchQ6(b *testing.B, rows int) *exec.Query {
 }
 
 // benchRunMode measures host wall-clock per full-table Q6 execution in the
-// given engine mode; the simulated cycle count is reported alongside. This
-// is the acceptance gauge of the batch-kernel refactor: identical simulated
-// work, less interpretation overhead per tuple.
+// given engine mode; the simulated cycle count of a cold run is reported
+// alongside. This is the acceptance gauge of the batch-kernel refactor:
+// identical simulated work, less interpretation overhead per tuple.
 func benchRunMode(b *testing.B, scalar bool) {
 	q := benchQ6(b, 200_000)
 	e := exec.MustEngine(cpu.MustNew(cpu.ScaledXeon()), 1024)
@@ -297,11 +297,12 @@ func benchRunMode(b *testing.B, scalar bool) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
+		e.CPU().Cold()
 		res, err := e.Run(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = res.Cycles
+		cycles = sameCycles(b, i, cycles, res.Cycles)
 	}
 	b.ReportMetric(float64(cycles), "sim_cycles")
 }
@@ -504,8 +505,8 @@ func BenchmarkScanCompressed(b *testing.B) {
 }
 
 // BenchmarkRunParallel is the batch pipeline under the morsel scheduler;
-// sim_cycles is the 4-core makespan (the simulated speedup), while ns/op
-// remains host time for simulating all four cores.
+// sim_cycles is the 4-core makespan of a cold run (the simulated speedup),
+// while ns/op remains host time for simulating all four cores.
 func BenchmarkRunParallel(b *testing.B) {
 	q := benchQ6(b, 200_000)
 	p, err := exec.NewParallel(cpu.ScaledXeon(), 4, 1024)
@@ -516,11 +517,12 @@ func BenchmarkRunParallel(b *testing.B) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
+		p.Cold()
 		res, err := p.Run(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = res.Cycles
+		cycles = sameCycles(b, i, cycles, res.Cycles)
 	}
 	b.ReportMetric(float64(cycles), "sim_cycles")
 }
@@ -548,11 +550,12 @@ func BenchmarkRunParallelTraced(b *testing.B) {
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
 		rec.Reset()
+		p.Cold()
 		res, err := p.Run(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = res.Cycles
+		cycles = sameCycles(b, i, cycles, res.Cycles)
 	}
 	if rec.Events() == 0 {
 		b.Fatal("traced run recorded no events")

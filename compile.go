@@ -123,7 +123,16 @@ func (e *Engine) Compile(d *Dataset, p *Plan) (*Query, error) {
 		// Last, after every ordinary bind and reservation, so a faithful
 		// (uncompressed) storage configuration keeps the address space
 		// identical to an in-RAM engine's.
-		sq, err := e.compileStorage(stored, q)
+		var more []*columnar.Column
+		if g := out.group; g != nil {
+			more = append(more, g.tables[0].GroupCol, g.tables[0].ValueCol)
+		}
+		if s := out.sort; s != nil {
+			for _, k := range s.keys {
+				more = append(more, k.Col)
+			}
+		}
+		sq, err := e.compileStorage(stored, q, more)
 		if err != nil {
 			return nil, err
 		}

@@ -116,9 +116,6 @@ func (c *EncodedColumn) Encoding() Encoding { return c.enc }
 // NumBlocks returns the block count.
 func (c *EncodedColumn) NumBlocks() int { return len(c.blocks) }
 
-// Block returns block i's metadata.
-func (c *EncodedColumn) Block(i int) BlockMeta { return c.blocks[i] }
-
 // ZoneInt returns block i's zone map as int64 bounds (integer kinds only).
 func (c *EncodedColumn) ZoneInt(i int) (min, max int64) {
 	return int64(c.blocks[i].MinBits), int64(c.blocks[i].MaxBits)

@@ -232,7 +232,7 @@ func TestZoneMaps(t *testing.T) {
 		if gotMin != wantMin || gotMax != wantMax {
 			t.Errorf("block %d zone [%d,%d], want [%d,%d]", i, gotMin, gotMax, wantMin, wantMax)
 		}
-		if !ec.Block(i).NullFree {
+		if !ec.blocks[i].NullFree {
 			t.Errorf("block %d not marked null-free", i)
 		}
 	})

@@ -61,13 +61,12 @@ type Spec struct {
 	// per core. Each core a step runs on collects into its own partial heap or
 	// run buffer, and the last step merges them.
 	Sorts []*exec.Sort
-	// Storage makes it a stored scan: one storage-scan view per core, as
-	// storage.Plan.NewViews builds them (the plan's skip verdicts and the
-	// core's private tier view, never nil). Each core a step runs on scans
-	// through its own view, Drive colds the views with their cores, and the
-	// last step adds the largest view's stall cycles — the slowest core's tier
-	// debt — to the run's Cycles.
-	Storage []*exec.StorageScan
+	// Storage makes it a stored scan: the run's read-ahead stream, as
+	// storage.Plan.NewStream builds it. Every core a step runs on carries it,
+	// each dispatched morsel is reported to it, Drive colds it with the cores,
+	// and the last step adds its shift — the run's stall — to every core's
+	// clock and so to the run's Cycles.
+	Storage *exec.Stream
 	// Impl is the scan a ModeFixed run uses, zero meaning the branching loop.
 	// exec.ImplInstrumented keeps the §5.7 enumerator's per-core counts.
 	Impl exec.ScanImpl
@@ -118,9 +117,6 @@ func (s *Spec) Validate(workers int) error {
 		}
 	default:
 		return fmt.Errorf("core: unknown scan implementation %d", int(s.Impl))
-	}
-	if len(s.Storage) > 0 && len(s.Storage) != workers {
-		return fmt.Errorf("core: %d storage views for %d cores", len(s.Storage), workers)
 	}
 	if s.Mode != ModeFixed && s.Opt.ReopInterval <= 0 {
 		return fmt.Errorf("core: ReopInterval %d: a %v run needs a positive interval", s.Opt.ReopInterval, s.Mode)
@@ -243,10 +239,10 @@ func (r *Run) Stats() Stats {
 }
 
 // Drive is the cold start: it runs the query to completion on every core,
-// each cold (cpu.CPU.Cold) and with its storage view cold
-// (cache.StorageSet.Cold), from zero clocks. Whoever calls Step itself colds a
-// core when it changes hands between queries, and hands a stored query new
-// views.
+// each cold (cpu.CPU.Cold), with a stored run's stream cold
+// (exec.Stream.Cold), from zero clocks. Whoever calls Step itself colds a core
+// when it changes hands between queries, and hands a stored query a new
+// stream.
 func (r *Run) Drive() error {
 	if r.zero == nil {
 		r.zero = make([]uint64, len(r.engines))
@@ -255,8 +251,8 @@ func (r *Run) Drive() error {
 	for _, e := range r.engines {
 		e.CPU().Cold()
 	}
-	for _, v := range r.spec.Storage {
-		v.Set.Cold()
+	if st := r.spec.Storage; st != nil {
+		st.Cold()
 	}
 	for {
 		if done, err := r.Step(r.zero); done || err != nil {
@@ -281,8 +277,9 @@ func (r *Run) Drive() error {
 //     its latest clock; core 0 merges the partial sort states, or every core
 //     merges one key range of the group tables, and every clock moves to the
 //     barrier plus the slowest core's merge;
-//   - the last step of a stored scan adds the largest view's stall cycles to
-//     Cycles; the tier observes, so it moves no clock.
+//   - the last step of a stored scan adds its stream's shift to every clock
+//     and to Cycles; until then the tier moves no clock, so the run's morsel
+//     schedule and counters are those of the same run in RAM.
 //
 // On a pool of one core an adaptive step ends in its decision: an
 // optimization point (every ReopInterval-th vector but the last) or a vector
@@ -292,8 +289,8 @@ func (r *Run) Step(clocks []uint64) (done bool, err error) {
 		return false, fmt.Errorf("core: %d clocks for %d cores", len(clocks), len(r.engines))
 	}
 	if st := r.spec.Storage; r.sorts != nil || st != nil || r.counts != nil {
-		// The collectors, the counters and the storage views ride on the
-		// cores for the step; between steps another query may run on them.
+		// The collectors, the counters and the stream ride on the cores for
+		// the step; between steps another query may run on them.
 		for w, e := range r.engines {
 			if r.sorts != nil {
 				e.SetSortRun(r.sorts[w])
@@ -302,7 +299,7 @@ func (r *Run) Step(clocks []uint64) (done bool, err error) {
 				e.SetOpCounts(&r.counts[w])
 			}
 			if st != nil {
-				e.SetStorage(st[w])
+				e.SetStorage(st)
 			}
 		}
 		defer func() {
@@ -327,11 +324,13 @@ func (r *Run) Step(clocks []uint64) (done bool, err error) {
 		if r.step != nil {
 			r.step.TraceFinal()
 		}
-		var stall uint64
-		for _, v := range r.spec.Storage {
-			stall = max(stall, v.Set.Counters().StallCycles)
+		if st := r.spec.Storage; st != nil {
+			shift := st.Counters().StallCycles
+			for i := range clocks {
+				clocks[i] += shift
+			}
+			r.Cycles += shift
 		}
-		r.Cycles += stall
 		r.Millis = r.engines[0].CPU().MillisOf(r.Cycles)
 	}
 	return done, err
@@ -445,7 +444,7 @@ func (r *Run) oneCoreBlock(every int) int {
 	}
 	var skip []bool
 	if st := r.spec.Storage; st != nil {
-		skip = st[0].Skip
+		skip = st.Skip
 	}
 	if p < len(skip) && skip[p] {
 		for u := p - 1; u >= r.cursor; u-- {

@@ -405,7 +405,7 @@ func TestOneCoreBlocks(t *testing.T) {
 			}
 			return false
 		}
-		r := &Run{numVec: numVec, step: &BlockStepper{}, spec: Spec{Storage: []*exec.StorageScan{{Skip: skip}}}}
+		r := &Run{numVec: numVec, step: &BlockStepper{}, spec: Spec{Storage: &exec.Stream{Skip: skip}}}
 		for r.cursor < numVec {
 			pending := rng.Intn(4) == 0
 			r.step.pendingValidation = pending

@@ -148,11 +148,11 @@ func TestStagedCoresMatchInline(t *testing.T) {
 	t.Run("stored core stays inline", func(t *testing.T) {
 		q, plan := storedQ6(t, rows, vs)
 		spec := func() Spec {
-			views, err := plan.NewViews(1)
+			s, err := plan.NewStream()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Spec{Query: q, Storage: views, Mode: ModeProgressive, Opt: Options{ReopInterval: 2}}
+			return Spec{Query: q, Storage: s, Mode: ModeProgressive, Opt: Options{ReopInterval: 2}}
 		}
 		want := runStaged(t, pools, "stored", spec(), 1, vs, 1, true, true)
 		got := runStaged(t, pools, "stored", spec(), 1, vs, 2, true, true)

@@ -2,12 +2,10 @@ package core
 
 import (
 	"reflect"
-	"slices"
 	"testing"
 
 	"progopt/internal/columnar"
 	"progopt/internal/exec"
-	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/storage"
 	"progopt/internal/tpch"
@@ -41,18 +39,12 @@ func storedQ6(t *testing.T, rows, vs int) (*exec.Query, *storage.Plan) {
 	return q, plan
 }
 
-func viewCounters(views []*exec.StorageScan) []cache.StorageCounters {
-	out := make([]cache.StorageCounters, len(views))
-	for i, v := range views {
-		out[i] = v.Set.Counters()
-	}
-	return out
-}
+// TestSpecStorage: a stored query's stream is the run's like its sort states.
+// Every core's morsels of a step are dispatched to the one stream, Drive
+// colds it so a repeated run is exact, and the last step adds its shift on
+// top of the cycles the same run takes without a tier, leaving every counter
+// as that run's.
 
-// TestSpecStorage: a stored query's views are the run's like its sort states.
-// A step moves each core's own view, Drive colds them so a repeated run is
-// exact, and the last step prices the slowest
-// core's tier stall on top of the cycles the same run takes without a tier.
 func TestSpecStorage(t *testing.T) {
 	const rows, vs, workers = 32 * 512, 512, 4
 	q, plan := storedQ6(t, rows, vs)
@@ -62,27 +54,27 @@ func TestSpecStorage(t *testing.T) {
 	}
 	t.Cleanup(p.Close)
 	r := NewRun(p)
-	newViews := func() []*exec.StorageScan {
-		views, err := plan.NewViews(workers)
+	newStream := func() *exec.Stream {
+		s, err := plan.NewStream()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return views
+		return s
 	}
 
-	t.Run("step moves its cores' views", func(t *testing.T) {
-		views := newViews()
+	t.Run("step moves the run's stream", func(t *testing.T) {
+		s := newStream()
 		p.Cold()
-		if err := r.Begin(Spec{Query: q, Storage: views, Quantum: 2}); err != nil {
+		if err := r.Begin(Spec{Query: q, Storage: s, Quantum: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Step(make([]uint64, workers)); err != nil {
 			t.Fatal(err)
 		}
-		for w, c := range viewCounters(views) {
-			if c.BlockFetches == 0 {
-				t.Fatalf("step left core %d's view counters %+v; want every core's own view moved", w, c)
-			}
+		// A step of two vectors per core dispatches eight vectors: the units
+		// of their blocks (1024-row blocks of 512-row vectors), four columns.
+		if c := s.Counters(); c.BlockFetches != 4*4 || c.BlockHits != 4*4 {
+			t.Fatalf("a step of 2 vectors on %d cores left the stream at %+v, want 16 fetches and 16 hits", workers, c)
 		}
 	})
 
@@ -97,25 +89,22 @@ func TestSpecStorage(t *testing.T) {
 			}
 			plain := r.Result
 
-			spec.Storage = newViews()
-			drive := func() (exec.Result, []cache.StorageCounters) {
+			spec.Storage = newStream()
+			drive := func() (exec.Result, exec.StreamCounters) {
 				if err := r.Begin(spec); err != nil {
 					t.Fatal(err)
 				}
 				if err := r.Drive(); err != nil {
 					t.Fatal(err)
 				}
-				return r.Result, viewCounters(spec.Storage)
+				return r.Result, spec.Storage.Counters()
 			}
-			first, firstViews := drive()
-			second, secondViews := drive()
-			if !reflect.DeepEqual(first, second) || !slices.Equal(firstViews, secondViews) {
-				t.Fatalf("second Drive differs:\n%+v %+v\n%+v %+v", first, firstViews, second, secondViews)
+			first, firstTier := drive()
+			second, secondTier := drive()
+			if !reflect.DeepEqual(first, second) || firstTier != secondTier {
+				t.Fatalf("second Drive differs:\n%+v %+v\n%+v %+v", first, firstTier, second, secondTier)
 			}
-			var stall uint64
-			for _, c := range firstViews {
-				stall = max(stall, c.StallCycles)
-			}
+			stall := firstTier.StallCycles
 			if stall == 0 {
 				t.Fatal("the tier charged no stall; the comparison is vacuous")
 			}
@@ -123,7 +112,7 @@ func TestSpecStorage(t *testing.T) {
 			want.Cycles += stall
 			want.Millis = p.Engines()[0].CPU().MillisOf(want.Cycles)
 			if !reflect.DeepEqual(first, want) {
-				t.Fatalf("stored run %+v, want the tierless run plus the largest view stall %d: %+v", first, stall, want)
+				t.Fatalf("stored run %+v, want the tierless run plus the stream's stall %d: %+v", first, stall, want)
 			}
 		})
 	}

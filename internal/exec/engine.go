@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"progopt/internal/columnar"
-	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/hw/pmu"
 	"progopt/internal/trace"
@@ -144,16 +143,13 @@ type Engine struct {
 	// run and detach it afterwards; the engine itself holds no sort state
 	// across runs.
 	sortRun *SortRun
-	// stor, when non-nil, is the attached storage-scan plan: zone-map skip
-	// verdicts per vector plus this core's private storage-tier view (see
-	// storage.go). Same lifecycle as sortRun.
-	stor *StorageScan
+	// stor, when non-nil, is the attached stored run's stream, whose zone-map
+	// skip verdicts per vector this core applies (see storage.go). Same
+	// lifecycle as sortRun.
+	stor *Stream
 	// opCounts, when non-nil, are the explicit counters ImplInstrumented
 	// vectors maintain (see instrumented.go). Same lifecycle as sortRun.
 	opCounts *OpCounts
-	// storObs records an attached tier view's events on tr; nil when tracing
-	// is disabled. SetTrace builds it, so SetStorage allocates nothing.
-	storObs cache.StorageObserver
 	// tr, when non-nil, receives this core's execution spans (vectors,
 	// operators, morsels) keyed on the core's simulated clock. Recording is a
 	// pure observer — only Cycles() reads on the enabled path — so traced and
@@ -163,7 +159,7 @@ type Engine struct {
 
 	// Pads the struct to a multiple of 128 bytes: see the false-sharing layout
 	// rule in DESIGN.md (pinned by TestLayoutNoFalseSharing).
-	_ [96]byte
+	_ [104]byte
 }
 
 // NewEngine returns an engine with the given vector size (tuples per vector).
@@ -212,15 +208,7 @@ func (e *Engine) CPU() *cpu.CPU { return e.cpu }
 // SetTrace attaches (or, with nil, detaches) the event track this simulated
 // core's execution spans are recorded on. The track must have a single writer
 // at any instant: attach per core, and only while the core is quiesced.
-func (e *Engine) SetTrace(t *trace.Track) {
-	e.tr, e.storObs = t, nil
-	if t != nil {
-		e.storObs = e.storageObserver(t)
-	}
-	if s := e.stor; s != nil && s.Set != nil {
-		s.Set.SetObserver(e.storObs)
-	}
-}
+func (e *Engine) SetTrace(t *trace.Track) { e.tr = t }
 
 // SetSortRun attaches (or, with nil, detaches) the order-by collector every
 // qualifying row of subsequent vectors feeds. The caller owns the state's

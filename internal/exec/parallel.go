@@ -75,9 +75,9 @@ type BlockRun struct {
 	// The block in progress; its window's morsels run winImpl.
 	q             *Query
 	impl, winImpl ScanImpl
-	// skip is the zone-map verdict per vector (see StorageScan), shared by
-	// the run's cores; core 0 carries it like every other.
-	skip       []bool
+	// stream is a stored run's (see Stream), which every core carries; nil
+	// for a run in RAM.
+	stream     *Stream
 	issueWidth int
 
 	// shared says helpers were invited to the block: running cores then
@@ -134,6 +134,9 @@ type morsel struct {
 	v      int    // morsel (vector) index
 	lo, hi int    // row range
 	entry  uint64 // block-absolute clock the core starts the morsel at
+	// tier is what the morsel's dispatch fetched and evicted, which the
+	// worker that runs it records on the core's track.
+	tier tierEvents
 
 	res VectorResult
 	// pmu is a window morsel's PMU sample at its start, then its delta.
@@ -444,10 +447,7 @@ func (r *BlockRun) runBlock(q *Query, vecLo, winHi, vecHi int, clocks []uint64, 
 	p := r.p
 	r.q, r.impl = q, impl
 	r.issueWidth = p.workers[0].CPU().Profile().IssueWidth
-	r.skip = nil
-	if st := p.workers[0].stor; st != nil {
-		r.skip = st.Skip
-	}
+	r.stream = p.workers[0].stor
 	window := lookaheadWindow * len(p.workers)
 	if len(r.ring) < window {
 		r.ring = make([]morsel, window)
@@ -502,10 +502,11 @@ func (p *Parallel) staging() bool { return 2*len(p.workers) <= runtime.GOMAXPROC
 // leaves once its core has had no work for a while
 // (cache.Hierarchy.ServeStage). An invitation is not a rendezvous: until a
 // helper joins, a core simulates its lower levels itself whenever it has to
-// wait for them. A core with a storage tier stays inline (its tier's
-// observer reads the core's clock from inside the lower levels).
+// wait for them. A stored run's cores stay inline: a lone staged core reads
+// its morsel clocks unsettled (BlockRun.clock), and the stream needs each
+// morsel's exact entry clock.
 func (p *Parallel) stage() {
-	if !p.staging() {
+	if !p.staging() || p.workers[0].stor != nil {
 		for _, e := range p.workers {
 			e.cpu.Hierarchy().Unstage()
 		}
@@ -557,14 +558,19 @@ func (r *BlockRun) acquire() *morsel {
 		// A zone-map-skipped vector answers from metadata in zero simulated
 		// cycles, so nothing can be certified past it until it completes —
 		// which it does at once, clock unchanged.
+		st := r.stream
+		skipped := st != nil && v < len(st.Skip) && st.Skip[v]
 		var minDur uint64
-		if v >= len(r.skip) || !r.skip[v] {
+		if !skipped {
 			minDur = minVectorCycles(hi-lo, r.issueWidth)
 		}
 		w, blocker, at := s.assign(minDur)
 		if w >= 0 {
 			m := &r.ring[v%len(s.done)]
 			*m = morsel{core: w, v: v, lo: lo, hi: hi, entry: at, sel: m.sel[:0]}
+			if st != nil && !skipped {
+				m.tier = st.dispatch(lo, hi, at)
+			}
 			r.mu.Unlock()
 			return m
 		}
@@ -589,6 +595,9 @@ func (r *BlockRun) execute(m *morsel) {
 		c.SetProgress(&r.sched.cells[m.core].clock, m.entry-c0)
 	}
 	defer r.finish(m, eng, c0)
+	if r.stream != nil && eng.tr != nil {
+		r.stream.trace(eng.tr, c0, m.tier)
+	}
 	impl := r.impl
 	if m.v < r.sched.winHi {
 		impl, m.pmu = r.winImpl, c.Sample()

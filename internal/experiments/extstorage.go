@@ -6,7 +6,6 @@ import (
 	"progopt/internal/columnar"
 	"progopt/internal/core"
 	"progopt/internal/exec"
-	"progopt/internal/hw/cache"
 	"progopt/internal/hw/cpu"
 	"progopt/internal/hw/pmu"
 	"progopt/internal/storage"
@@ -47,8 +46,9 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 		return nil, err
 	}
 
-	// The scan's per-vector working set: the current block of each touched
-	// column (three predicate columns plus the aggregate's second input).
+	// One block of each column the scan reads (three predicate columns plus
+	// the aggregate's second input): what the stream holds to read nothing
+	// ahead.
 	ws := 0
 	for _, name := range []string{"l_shipdate", "l_quantity", "l_discount", "l_extendedprice"} {
 		ws += enc.Column(name).BlockEncodedBytes(0)
@@ -64,8 +64,8 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 		Columns: []string{"budget_kb", "kcyc_full", "kcyc_zonemap", "fetched_full_kb", "fetched_zonemap_kb", "evictions_full"},
 		Notes: []string{
 			fmt.Sprintf("%d lineitems shipdate-sorted, %d-row blocks; shipdate<=p10 + discount>=0.05 + quantity<24, sum(price*disc)", rows, blockRows),
-			fmt.Sprintf("tier: 400 cyc/block + 8 B/cyc; scan working set ~%d KB (current block of 4 touched columns)", ws/1024),
-			"budget 0 = unbounded; budgets below the working set thrash: blocks evict mid-scan and re-fetch next vector",
+			fmt.Sprintf("tier: 400 cyc per column block + 8 B/cyc; one block of the 4 read columns ~%d KB", ws/1024),
+			"budget 0 = unbounded; below one block the stream cannot read ahead: each block waits for the last vector over the one before",
 			"zone maps answer pruned vectors from metadata, so tight budgets hurt the full scan far more",
 		},
 	}
@@ -183,7 +183,7 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 type storedCell struct {
 	res  exec.Result
 	plan *storage.Plan
-	cnt  cache.StorageCounters
+	cnt  exec.StreamCounters
 }
 
 // runStored executes the selective Q6-shaped scan over the stored table
@@ -227,13 +227,13 @@ func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int3
 		}
 		plan.ScanPacked(images, q)
 	}
-	views, err := plan.NewViews(1)
+	stream, err := plan.NewStream()
 	if err != nil {
 		return storedCell{}, err
 	}
-	run, err := r.drive(core.Spec{Query: q, Storage: views})
+	run, err := r.drive(core.Spec{Query: q, Storage: stream})
 	if err != nil {
 		return storedCell{}, err
 	}
-	return storedCell{res: run.Result, plan: plan, cnt: views[0].Set.Counters()}, nil
+	return storedCell{res: run.Result, plan: plan, cnt: stream.Counters()}, nil
 }

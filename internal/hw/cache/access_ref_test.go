@@ -22,7 +22,6 @@ type refHierarchy struct {
 	lastSlot           int
 	memoLines          [memoEntries]uint64
 	memoSlots          [memoEntries]int
-	st                 *StorageSet
 }
 
 // newRefHierarchy takes its levels and streamer from a Hierarchy built for
@@ -34,8 +33,6 @@ func newRefHierarchy(cfg HierarchyConfig) (*refHierarchy, error) {
 	}
 	return &refHierarchy{cfg: cfg, l1: h.l1, l2: h.lo.l2, l3: h.lo.l3, pf: h.lo.pf, lineShift: h.lineShift}, nil
 }
-
-func (h *refHierarchy) AttachStorage(st *StorageSet) { h.st = st }
 
 func (h *refHierarchy) Counters() Counters {
 	return Counters{
@@ -49,7 +46,7 @@ func (h *refHierarchy) Counters() Counters {
 
 // state is what sameState compares.
 func (h *refHierarchy) state() hierState {
-	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf, h.st}
+	return hierState{h.Counters(), [3]*Level{h.l1, h.l2, h.l3}, h.pf}
 }
 
 func (h *refHierarchy) Load(addr uint64) AccessResult {
@@ -91,9 +88,6 @@ func (h *refHierarchy) loadLine(ln uint64) AccessResult {
 		pln := pl + 1
 		if !h.l3.ContainsLine(pln) {
 			h.memAccesses++
-			if h.st != nil {
-				h.st.Touch((pln - 1) << h.lineShift)
-			}
 			h.l3.insertLineAbsent(pln)
 			h.l3.stats.PrefetchInserts++
 		}
@@ -111,9 +105,6 @@ func (h *refHierarchy) loadLine(ln uint64) AccessResult {
 		return AccessResult{Level: HitL3, LatencyCycles: h.cfg.L3.LatencyCycles}
 	}
 	h.memAccesses++
-	if h.st != nil {
-		h.st.Touch((ln - 1) << h.lineShift)
-	}
 	h.l3.insertLineAbsent(ln)
 	h.l2.insertLineAbsent(ln)
 	h.l1.insertLineAbsent(ln)

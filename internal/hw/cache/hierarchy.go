@@ -97,8 +97,8 @@ type Hierarchy struct {
 	lo lower
 }
 
-// lower is the part of a hierarchy below L1: the streamer, L2, L3, memory
-// and the storage tier. Its op stream is the L1 misses in order, and nothing
+// lower is the part of a hierarchy below L1: the streamer, L2, L3 and
+// memory. Its op stream is the L1 misses in order, and nothing
 // in it ever reaches back into L1, so it may run behind L1 on another thread.
 type lower struct {
 	l2, l3    *Level
@@ -114,15 +114,9 @@ type lower struct {
 	l2mru              []uint64
 	l3PrefetchAccesses uint64
 	memAccesses        uint64
-	// st, when attached, is a storage tier below DRAM: every access that
-	// reaches memory consults it and may pay whole-cycle block stalls, which
-	// the tier's own counters record. The tier never alters cache contents or
-	// any counter above, so attaching it leaves the PMU event stream
-	// bit-identical.
-	st *StorageSet
 
 	// Pads the struct to a multiple of 128 bytes (TestLayoutNoFalseSharing).
-	_ [24]byte
+	_ [32]byte
 }
 
 // memoEntries sizes Load's line memo (power of two, comfortably more than
@@ -231,8 +225,8 @@ func (r RunHits) Plus(o RunHits) RunHits {
 
 // loadLines is the one lookup-and-fill path: it demand-loads lines (ids + 1,
 // at most chunkLines of them, consumed) in order, plus reps further loads
-// that each repeat the line loaded just before them, with the counter, LRU,
-// streamer and storage-tier effects of loading them one address at a time.
+// that each repeat the line loaded just before them, with the counter, LRU
+// and streamer effects of loading them one address at a time.
 //
 // The work is done level by level instead of address by address. Fills are
 // inclusive and nothing below ever invalidates a line above, so a level's
@@ -269,8 +263,7 @@ func (h *Hierarchy) runL1(lines []uint64, reps int) (RunHits, []uint64) {
 // run loads a piece of the L1 miss stream (line ids + 1, at most chunkLines) and
 // returns how many of the loads L2, L3 and memory served. Each miss goes
 // through the streamer, the resulting op stream through L2 and what L2 lets
-// through through L3, each as one loop over one level's arrays (Level.run);
-// the lines that reach memory visit the storage tier last, still in order.
+// through through L3, each as one loop over one level's arrays (Level.run).
 // A demand miss whose line its L2 set will hold at MRU when L2 reaches it
 // (l2mru) is counted as an L2 hit and never enters the op stream. Any
 // in-order split of the miss stream gives the same state.
@@ -309,16 +302,10 @@ func (lo *lower) run(miss []uint64) RunHits {
 	}
 }
 
-// apply runs a piece of the op stream below L1 (consumed) through L2, L3 and
-// the storage tier. Any in-order split of the stream gives the same state.
+// apply runs a piece of the op stream below L1 (consumed) through L2 and L3.
+// Any in-order split of the stream gives the same state.
 func (lo *lower) apply(ops []uint64) {
-	ops = lo.l3.run(lo.l2.run(ops, false), true)
-	lo.memAccesses += uint64(len(ops))
-	if lo.st != nil {
-		for _, op := range ops {
-			lo.st.Touch((op&^prefetchOp - 1) << lo.lineShift)
-		}
-	}
+	lo.memAccesses += uint64(len(lo.l3.run(lo.l2.run(ops, false), true)))
 }
 
 // LoadRun performs n demand loads at start, start+stride, ... in one call,
@@ -426,13 +413,4 @@ func (h *Hierarchy) Flush() {
 	h.lo.pf.Reset()
 	h.memoLines = [memoEntries]uint64{}
 	clear(h.lo.l2mru)
-}
-
-// AttachStorage installs (or, with nil, removes) a storage tier below DRAM.
-// The tier observes every access that reaches memory and charges block-fetch
-// stalls; it has no effect on cache contents or counters. A staged hierarchy
-// is unstaged first: the tier's observer may read the core's clock.
-func (h *Hierarchy) AttachStorage(st *StorageSet) {
-	h.Unstage()
-	h.lo.st = st
 }

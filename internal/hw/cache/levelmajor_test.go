@@ -13,7 +13,7 @@ import (
 // Differential tests of the level-major core against the access-major
 // simulator it replaced (access_ref_test.go): every batched entry point, Load
 // and Flush, on the same script, must leave the same RunHits, counters, tags,
-// recency rings, streamer table, storage-tier totals and tier event order.
+// recency rings and streamer table.
 
 // lmGeometries are the cache shapes the scripts run on: the shipped one
 // (8/8/16-way, the SWAR probes), a 16-times smaller copy of it that evicts
@@ -33,11 +33,11 @@ func lmGeometry(line int, size, ways [3]int) HierarchyConfig {
 	return HierarchyConfig{L1: lv(0), L2: lv(1), L3: lv(2), MemLatencyCycles: 180}
 }
 
-// Flags of an lmPair. Bit 0 once turned the streamer off; it is ignored, so
-// the committed seeds keep the meaning of their other bits.
+// Flags of an lmPair. Bit 0 once turned the streamer off and bit 1 attached
+// a storage tier below memory; both are ignored, so the committed seeds keep
+// the meaning of their other bits.
 const (
-	lmStorage = 2 << iota
-	lmWindow2
+	lmWindow2 = 4 << iota
 	lmWindow6 // with lmWindow2: Window 1
 )
 
@@ -46,18 +46,11 @@ const (
 	lmSpan = 1 << 20
 )
 
-type tierEvent struct {
-	kind         StorageEventKind
-	block        int
-	bytes, stall uint64
-}
-
 // lmPair is one configuration built twice: ref driven access-major, got
 // level-major.
 type lmPair struct {
-	ref                  *refHierarchy
-	got                  *Hierarchy
-	refEvents, gotEvents []tierEvent
+	ref *refHierarchy
+	got *Hierarchy
 }
 
 func newLMPair(t testing.TB, geom, flags uint8) *lmPair {
@@ -81,24 +74,6 @@ func newLMPair(t testing.TB, geom, flags uint8) *lmPair {
 		window = 1
 	}
 	ref.pf.Window, got.lo.pf.Window = window, window
-	if flags&lmStorage != 0 {
-		// 4 KB blocks over the first three quarters of the region (the rest
-		// is plain RAM) under a budget of eight: random streams evict.
-		tier := func(events *[]tierEvent) *StorageSet {
-			st := NewStorageSet(StorageConfig{LatencyCycles: 100, BytesPerCycle: 8, BudgetBytes: 8 * 3000})
-			for off := uint64(0); off < lmSpan*3/4; off += 4096 {
-				if err := st.AddRange(lmBase+off, 4096, st.AddBlock(3000)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st.SetObserver(func(kind StorageEventKind, block int, bytes, stall uint64) {
-				*events = append(*events, tierEvent{kind, block, bytes, stall})
-			})
-			return st
-		}
-		ref.AttachStorage(tier(&p.refEvents))
-		got.AttachStorage(tier(&p.gotEvents))
-	}
 	return p
 }
 
@@ -106,9 +81,6 @@ func newLMPair(t testing.TB, geom, flags uint8) *lmPair {
 func (p *lmPair) check(t testing.TB, label string) {
 	t.Helper()
 	sameState(t, label, p.ref.state(), p.got.state())
-	if !reflect.DeepEqual(p.refEvents, p.gotEvents) {
-		t.Fatalf("%s: tier events diverge: %d access-major, %d level-major", label, len(p.refEvents), len(p.gotEvents))
-	}
 	for i, last := range p.got.lo.pf.lastLine {
 		if sig := uint8(p.got.lo.pf.sig[i/8] >> (i % 8 * 8)); sig != uint8(last>>sigShift) {
 			t.Fatalf("%s: stream %d: signature %#x for last line %#x", label, i, sig, last)
@@ -281,7 +253,7 @@ func (p *lmPair) step(t testing.TB, rng *rand.Rand, op, arg uint8) {
 // through every operation, pattern and length.
 func TestLoadLinesMatchesAccessMajor(t *testing.T) {
 	for geom := range lmGeometries {
-		for flags := uint8(0); flags < 16; flags += 2 { // bit 0 is ignored
+		for flags := uint8(0); flags < 16; flags += 4 { // bits 0 and 1 are ignored
 			p := newLMPair(t, uint8(geom), flags)
 			rng := rand.New(rand.NewSource(int64(geom)<<8 | int64(flags)))
 			for i := 0; i < 120; i++ {

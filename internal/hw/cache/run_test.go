@@ -35,17 +35,15 @@ func replayHits(h *Hierarchy, addrs []uint64) RunHits {
 }
 
 // hierState is everything about a hierarchy a later access could observe:
-// counters, the levels (tags and recency rings), the streamer table and the
-// storage tier, whose counters hold its stall total.
+// counters, the levels (tags and recency rings) and the streamer table.
 type hierState struct {
 	counters Counters
 	levels   [3]*Level
 	pf       *StreamPrefetcher
-	st       *StorageSet
 }
 
 func (h *Hierarchy) state() hierState {
-	return hierState{h.Counters(), [3]*Level{h.l1, h.lo.l2, h.lo.l3}, h.lo.pf, h.lo.st}
+	return hierState{h.Counters(), [3]*Level{h.l1, h.lo.l2, h.lo.l3}, h.lo.pf}
 }
 
 // sameLevel requires two levels to hold the same lines in the same ways and
@@ -71,9 +69,6 @@ func sameState(t testing.TB, label string, a, b hierState) {
 	if p, q := a.pf, b.pf; p.lastLine != q.lastLine || p.issuedUpTo != q.issuedUpTo || p.confidence != q.confidence ||
 		p.prev != q.prev || p.next != q.next || p.head != q.head || p.linked != q.linked || p.Issued != q.Issued {
 		t.Fatalf("%s: streamer tables diverge:\n %+v\n %+v", label, p.lastLine, q.lastLine)
-	}
-	if (a.st == nil) != (b.st == nil) || a.st != nil && a.st.Counters() != b.st.Counters() {
-		t.Fatalf("%s: storage counters diverge", label)
 	}
 }
 

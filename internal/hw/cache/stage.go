@@ -79,14 +79,8 @@ const (
 
 // Stage makes the hierarchy hand its L1 misses to a helper thread, which
 // joins by calling ServeStage, until Unstage, and reports whether the stage
-// has no helper serving it — whether to invite one. It leaves the hierarchy
-// inline, and reports false, when a storage tier is attached: the tier's
-// observer stamps its events with the core's clock from inside the lower
-// half.
+// has no helper serving it — whether to invite one.
 func (h *Hierarchy) Stage() bool {
-	if h.lo.st != nil {
-		return false
-	}
 	s := h.sg
 	if h.staged {
 		return s.state.Load() != stageServed

@@ -431,11 +431,10 @@ func (c *CPU) Cold() {
 }
 
 // Cycles returns elapsed core cycles: retired instructions spread over the
-// issue width plus accumulated stall time. Whole-cycle stalls charged by an
-// attached storage tier are NOT included: the tier is a pure observer whose
-// stall debt is read out-of-band (cache.StorageSet.Counters) and added to a
-// run's Cycles by core.Run, which owns the query's views, so attaching a tier
-// perturbs neither scheduling decisions nor any simulated observable.
+// issue width plus accumulated stall time. A stored run's storage-tier stall
+// is not among them: core.Run adds its read-ahead stream's shift to the
+// cores' clocks when the run completes, so a tier perturbs neither
+// scheduling decisions nor any counter of the run.
 func (c *CPU) Cycles() uint64 {
 	c.settle()
 	return c.SettledCycles()

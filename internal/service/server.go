@@ -43,13 +43,12 @@ type Request struct {
 	// its mode. The server sets Quantum, from Config.QuantumVectors.
 	Spec core.Spec
 	// Storage, when non-nil, runs the query over a stored table: at
-	// admission the server builds the query's own stored-scan state from the
-	// plan, one per pool core (the plan's skip verdicts, a private tier view),
-	// and puts it in the spec (core.Spec.Storage); core.Run attaches it to
-	// every core a step runs on and adds the slowest core's stall debt to
-	// the query's Cycles. The tier is a pure observer — it changes no other
-	// simulated observable of this or any other query, and no clock;
-	// Outcome.Storage hands the views and their counters back.
+	// admission the server builds the query's own read-ahead stream from the
+	// plan and puts it in the spec (core.Spec.Storage); core.Run reports the
+	// query's morsels to it and, at completion, adds its shift to every
+	// core's clock, so the query's Cycles and Done hold its stall and the
+	// next query starts after it. Nothing else of this or any other query
+	// moves; Outcome.Storage hands the stream and its counters back.
 	Storage *storage.Plan
 	// Arrival is the simulated time the query arrives at the server; it
 	// cannot consume core cycles earlier.
@@ -90,8 +89,7 @@ type Stats struct {
 	// order, which is the order of Done.
 	LatencyCycles []uint64
 	// ResidentBytes is the tier residency the stored query completed last
-	// left behind, summed over its per-core views, each under its own budget;
-	// 0 before any.
+	// left behind, under its resident budget; 0 before any.
 	ResidentBytes uint64
 }
 
@@ -99,9 +97,9 @@ type Stats struct {
 type Outcome struct {
 	// Result carries the per-query output: Qualifying, Sum, Counters (the
 	// PMU deltas of exactly this query's morsels and coordination), and
-	// Cycles/Millis as the query's execution span on the pool plus a stored
-	// query's largest per-core tier stall — for a query that found the pool
-	// idle, bit-identical to a dedicated Engine run.
+	// Cycles/Millis as the query's execution span on the pool, a stored
+	// query's tier stall included — for a query that found the pool idle,
+	// bit-identical to a dedicated Engine run.
 	exec.Result
 	// Groups is the grouped-aggregation output (nil for plain scans).
 	Groups []exec.Group
@@ -119,9 +117,9 @@ type Outcome struct {
 	// order it began at.
 	WarmStarted bool
 	WarmOrder   []int
-	// Storage is a stored query's per-core tier views (nil otherwise), with
-	// the counters and residency its run left behind.
-	Storage []*exec.StorageScan
+	// Storage is a stored query's stream (nil otherwise), with the counters
+	// and residency its run left behind.
+	Storage *exec.Stream
 }
 
 // query states.
@@ -138,9 +136,9 @@ type query struct {
 	warm     []int // applied warm order (nil = cold)
 	warmImpl exec.ScanImpl
 
-	// views is a stored query's stored-scan state, one per pool core, built
-	// at admission and owned by this query alone.
-	views []*exec.StorageScan
+	// stream is a stored query's read-ahead stream, built at admission and
+	// owned by this query alone.
+	stream *exec.Stream
 	// run is the query's driver from admission to completion, recycled
 	// through the server's freelist.
 	run *core.Run
@@ -480,7 +478,7 @@ func (s *Server) admitLocked() (failed bool) {
 }
 
 // prepareLocked readies a query for execution at admission time: build a
-// stored query's tier views, hand it a recycled driver, begin the query on it,
+// stored query's stream, hand it a recycled driver, begin the query on it,
 // and warm-start it from the feedback cache — admission, not submission, is
 // when the latest completed run of the same fingerprint is visible, exactly
 // like a real server racing recurring queries.
@@ -488,11 +486,11 @@ func (s *Server) prepareLocked(q *query) error {
 	req := &q.req
 	spec := req.Spec
 	if req.Storage != nil {
-		views, err := req.Storage.NewViews(s.pool.Workers())
+		stream, err := req.Storage.NewStream()
 		if err != nil {
 			return err
 		}
-		q.views, spec.Storage = views, views
+		q.stream, spec.Storage = stream, stream
 	}
 	var run *core.Run
 	if n := len(s.runFree); n > 0 {
@@ -538,7 +536,7 @@ func (s *Server) finishLocked(q *query) {
 		Result: run.Result, Groups: run.Groups, Sorted: run.Sorted, Stats: run.Stats(),
 		Arrival: q.arrival, Start: run.Start, Done: done,
 		WarmStarted: q.warm != nil,
-		Storage:     q.views,
+		Storage:     q.stream,
 	}
 	if step := run.Stepper(); step != nil {
 		s.stats.Reopt.Add(q.out.Stats.Ledger)
@@ -554,11 +552,8 @@ func (s *Server) finishLocked(q *query) {
 	s.retireLocked(q)
 	s.stats.Completed++
 	s.stats.LatencyCycles = append(s.stats.LatencyCycles, done-q.arrival)
-	if q.views != nil {
-		s.stats.ResidentBytes = 0
-		for _, v := range q.views {
-			s.stats.ResidentBytes += v.Set.ResidentBytes()
-		}
+	if q.stream != nil {
+		s.stats.ResidentBytes = q.stream.ResidentBytes()
 	}
 	if s.tr != nil {
 		s.tr.Span("query", run.Start, done,

@@ -1,23 +1,22 @@
 // Package storage compiles stored (PCOL v2) tables into executable scan
 // plans: it prunes blocks against predicate bounds using the format's zone
 // maps, derives per-vector skip verdicts for the execution engine, and
-// builds the per-core storage-tier views (cache.StorageSet) that price cold
-// scans through the full simulated hierarchy — caches, DRAM, and the
-// below-DRAM block tier.
+// builds each run's read-ahead stream (exec.Stream), which prices the
+// below-DRAM block tier of a cold scan.
 //
 // The package sits between the columnar codec (block geometry, zone maps,
 // encodings) and the execution engine (vector geometry, predicate ops). It
 // holds no mutable execution state itself: plans are immutable once built,
-// and each core receives its own StorageSet because residency and counters
-// are simulation state.
+// and each run receives its own stream because residency and counters are
+// simulation state.
 package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"progopt/internal/columnar"
 	"progopt/internal/exec"
-	"progopt/internal/hw/cache"
 )
 
 // Config configures a stored scan: block-tier pricing, the resident-set
@@ -27,7 +26,8 @@ type Config struct {
 	LatencyCycles uint64
 	// BytesPerCycle is the tier's transfer bandwidth (0 = 1).
 	BytesPerCycle uint64
-	// ResidentBytes bounds the DRAM-resident encoded bytes (0 = unbounded).
+	// ResidentBytes bounds a run's DRAM-resident encoded bytes (0 =
+	// unbounded).
 	ResidentBytes uint64
 	// SkipScan enables zone-map block pruning: vectors proven empty by the
 	// compiled predicate bounds are answered from metadata alone.
@@ -38,18 +38,9 @@ type Config struct {
 	CompressedScan bool
 }
 
-// tierConfig maps the public knobs to the cache layer's pricing.
-func (c Config) tierConfig() cache.StorageConfig {
-	return cache.StorageConfig{
-		LatencyCycles: c.LatencyCycles,
-		BytesPerCycle: c.BytesPerCycle,
-		BudgetBytes:   c.ResidentBytes,
-	}
-}
-
 // PackedImage locates a column's packed (encoded) image in the simulated
-// address space: Width bytes per row at Base. The image aliases the decoded
-// column's logical blocks in the tier.
+// address space: Width bytes per row at Base. The tier fetches a column's
+// encoded blocks whichever image the scan reads.
 type PackedImage struct {
 	Base  uint64
 	Width int
@@ -72,7 +63,11 @@ type Plan struct {
 	// scanning is off.
 	Packed map[string]PackedImage
 
-	cfg Config
+	cfg        Config
+	vectorSize int
+	// reads are the stored columns the query reads, in stored order: what
+	// its stream fetches.
+	reads []*columnar.EncodedColumn
 }
 
 // Config returns the plan's configuration.
@@ -105,11 +100,14 @@ func (p *Plan) VectorsSkipped() int {
 
 // Compile builds the stored-scan plan for a query over the decoded image of
 // enc: block pruning and vector skip verdicts from the query's predicate
-// ops (when cfg.SkipScan), in the given vector geometry. The decoded table
-// must be the query's driving table. Packed images are registered
-// separately (ScanPacked; the caller reserves them after all ordinary binds,
-// to keep the faithful configuration address-identical to an in-RAM run).
-func Compile(enc *columnar.EncodedTable, tab *columnar.Table, q *exec.Query, vectorSize int, cfg Config) (*Plan, error) {
+// ops (when cfg.SkipScan), in the given vector geometry, and the columns its
+// stream fetches — those of the decoded table that the query's predicates,
+// join keys and aggregate read, plus more, the columns it reads besides
+// (group key and value, sort keys). The decoded table must be the query's
+// driving table. Packed images are registered separately (ScanPacked; the
+// caller reserves them after all ordinary binds, to keep the faithful
+// configuration address-identical to an in-RAM run).
+func Compile(enc *columnar.EncodedTable, tab *columnar.Table, q *exec.Query, vectorSize int, cfg Config, more ...*columnar.Column) (*Plan, error) {
 	if enc == nil || tab == nil {
 		return nil, fmt.Errorf("storage: Compile needs an encoded table and its decoded image")
 	}
@@ -119,10 +117,29 @@ func Compile(enc *columnar.EncodedTable, tab *columnar.Table, q *exec.Query, vec
 	if vectorSize <= 0 {
 		return nil, fmt.Errorf("storage: non-positive vector size %d", vectorSize)
 	}
-	p := &Plan{Enc: enc, Tab: tab, cfg: cfg}
+	p := &Plan{Enc: enc, Tab: tab, cfg: cfg, vectorSize: vectorSize}
 	if cfg.SkipScan && q != nil {
 		p.Pruned = pruneBlocks(enc, tab, q)
 		p.Skip = skipVectors(p.Pruned, enc.BlockRows(), enc.NumRows(), vectorSize)
+	}
+	cols := more
+	if q != nil {
+		for _, op := range q.Ops {
+			switch op := op.(type) {
+			case *exec.Predicate:
+				cols = append(cols, op.Col)
+			case *exec.FKJoin:
+				cols = append(cols, op.Key)
+			}
+		}
+		if q.Agg != nil {
+			cols = append(cols, q.Agg.Cols...)
+		}
+	}
+	for _, ec := range enc.Columns() {
+		if dc := tab.Column(ec.Name()); dc != nil && slices.Contains(cols, dc) {
+			p.reads = append(p.reads, ec)
+		}
 	}
 	return p, nil
 }
@@ -239,59 +256,18 @@ func (p *Plan) ScanPacked(images map[string]PackedImage, q *exec.Query) {
 	}
 }
 
-// newSet builds one core's storage-tier view of the plan: one logical block
-// per (column, block) — the unit the tier transfers, costing the block's
-// encoded bytes — with the decoded address window and, when present, the
-// packed image's window aliased onto it. Every core of a run gets its own
-// set over identical geometry, so residency evolves per simulated core and
-// stays deterministic.
-func (p *Plan) newSet() (*cache.StorageSet, error) {
-	s := cache.NewStorageSet(p.cfg.tierConfig())
-	blockRows := uint64(p.Enc.BlockRows())
-	for _, ec := range p.Enc.Columns() {
-		dc := p.Tab.Column(ec.Name())
-		if dc == nil {
-			return nil, fmt.Errorf("storage: decoded image misses column %q", ec.Name())
-		}
-		if !dc.Bound() {
-			return nil, fmt.Errorf("storage: column %q is not bound", ec.Name())
-		}
-		base := dc.Base()
-		w := uint64(dc.Width())
-		var pk PackedImage
-		if p.Packed != nil {
-			pk = p.Packed[ec.Name()]
-		}
-		for b := 0; b < ec.NumBlocks(); b++ {
-			id := s.AddBlock(uint64(ec.BlockEncodedBytes(b)))
-			lo := uint64(b) * blockRows
-			rows := uint64(ec.Block(b).Rows)
-			if err := s.AddRange(base+lo*w, rows*w, id); err != nil {
-				return nil, err
-			}
-			if pk.Width > 0 {
-				pw := uint64(pk.Width)
-				if err := s.AddRange(pk.Base+lo*pw, rows*pw, id); err != nil {
-					return nil, err
-				}
-			}
+// NewStream builds a run's read-ahead stream over the plan: one unit per
+// (read column, block), costing the block's encoded bytes, under the plan's
+// skip verdicts and tier. Every run gets its own: two runs never share
+// residency.
+func (p *Plan) NewStream() (*exec.Stream, error) {
+	bytes := make([][]uint64, len(p.reads))
+	for c, ec := range p.reads {
+		bytes[c] = make([]uint64, ec.NumBlocks())
+		for b := range bytes[c] {
+			bytes[c][b] = uint64(ec.BlockEncodedBytes(b))
 		}
 	}
-	return s, nil
-}
-
-// NewViews builds the per-core stored-scan state of one run over n cores:
-// each core's own tier view (newSet, residency starting cold), all sharing
-// the plan's skip verdicts. Two runs never share a view, so neither can see
-// the other's residency.
-func (p *Plan) NewViews(n int) ([]*exec.StorageScan, error) {
-	views := make([]*exec.StorageScan, n)
-	for i := range views {
-		set, err := p.newSet()
-		if err != nil {
-			return nil, err
-		}
-		views[i] = &exec.StorageScan{Skip: p.Skip, Set: set}
-	}
-	return views, nil
+	cfg := exec.StreamConfig{LatencyCycles: p.cfg.LatencyCycles, BytesPerCycle: p.cfg.BytesPerCycle, BudgetBytes: p.cfg.ResidentBytes}
+	return exec.NewStream(cfg, p.Skip, p.vectorSize, p.Enc.NumRows(), p.Enc.BlockRows(), bytes)
 }

@@ -147,67 +147,57 @@ func TestPruneBlocksForeignPredicate(t *testing.T) {
 	}
 }
 
-// TestNewSetBinding: newSet requires a bound decoded image and builds one
-// logical block per (column, block) with the packed image aliased on.
-func TestNewSetBinding(t *testing.T) {
+// TestNewStreamReadsQueryColumns: a plan's stream fetches one unit per block
+// of each stored column the query reads — its predicates, join keys and
+// aggregate inputs, and the columns passed besides — costing the block's
+// encoded bytes, whichever image the scan reads: a run over the packed
+// images fetches what the run over the decoded ones does.
+func TestNewStreamReadsQueryColumns(t *testing.T) {
 	enc, tab, c := testTable(t, 1000, 256)
-	p, err := Compile(enc, tab, nil, 256, Config{LatencyCycles: 10, BytesPerCycle: 4})
+	q := &exec.Query{
+		Table: tab,
+		Ops:   []exec.Op{&exec.Predicate{Col: tab.Column("l_quantity"), Op: exec.LT, I: 30}},
+		Agg:   &exec.Aggregate{Cols: []*columnar.Column{tab.Column("l_extendedprice")}, F: func(int) float64 { return 1 }},
+	}
+	p, err := Compile(enc, tab, q, 256, Config{LatencyCycles: 10, BytesPerCycle: 4}, tab.Column("l_partkey"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.newSet()
+	var names []string
+	var want uint64
+	for _, ec := range p.reads {
+		names = append(names, ec.Name())
+		want += uint64(ec.EncodedBytes())
+	}
+	if len(names) != 3 || names[0] != "l_partkey" || names[1] != "l_quantity" || names[2] != "l_extendedprice" {
+		t.Fatalf("stream reads %v, want l_partkey, l_quantity and l_extendedprice in stored order", names)
+	}
+	run := func() exec.StreamCounters {
+		par, err := exec.NewParallel(cpu.ScaledXeon(), 1, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer par.Close()
+		s, err := p.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		par.Engines()[0].SetStorage(s)
+		if _, err := par.Run(q); err != nil {
+			t.Fatal(err)
+		}
+		return s.Counters()
+	}
+	decoded := run()
+	if decoded.BlockFetches != 4*3 || decoded.BytesFetched != want || decoded.StallCycles == 0 {
+		t.Errorf("decoded run: %+v, want 12 fetches of %d B and a stall", decoded, want)
+	}
+	images, err := AllocPacked(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch one decoded address per column: each first touch fetches that
-	// column's block once.
-	var stalls uint64
-	for _, ec := range enc.Columns() {
-		dc := tab.Column(ec.Name())
-		stalls += s.Touch(dc.Base())
-	}
-	cnt := s.Counters()
-	if cnt.BlockFetches != uint64(len(enc.Columns())) {
-		t.Errorf("%d fetches after touching %d columns", cnt.BlockFetches, len(enc.Columns()))
-	}
-	if stalls != cnt.StallCycles || stalls == 0 {
-		t.Errorf("stall accounting: returned %d, counters %d", stalls, cnt.StallCycles)
-	}
-
-	// A packed image aliases its column's blocks: touching the packed address
-	// of an already-resident block is a hit, not a fetch.
-	pw := enc.Columns()[0].PackedWidthBytes()
-	base, err := c.Alloc(enc.Columns()[0].Rows() * pw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Packed = map[string]PackedImage{enc.Columns()[0].Name(): {Base: base, Width: pw}}
-	s2, err := p.newSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Touch(tab.Column(enc.Columns()[0].Name()).Base())
-	before := s2.Counters()
-	if st := s2.Touch(base); st != 0 {
-		t.Errorf("aliased packed touch stalled %d cycles", st)
-	}
-	after := s2.Counters()
-	if after.BlockFetches != before.BlockFetches || after.BlockHits != before.BlockHits+1 {
-		t.Errorf("aliased packed touch: fetches %d->%d, hits %d->%d",
-			before.BlockFetches, after.BlockFetches, before.BlockHits, after.BlockHits)
-	}
-
-	// An unbound image is rejected.
-	enc3, _, _ := testTable(t, 500, 128)
-	unbound, err := enc3.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, err := Compile(enc3, unbound, nil, 128, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p3.newSet(); err == nil {
-		t.Error("unbound decoded image accepted")
+	p.ScanPacked(images, q)
+	if packed := run(); packed.BlockFetches != decoded.BlockFetches || packed.BytesFetched != decoded.BytesFetched {
+		t.Errorf("packed run's tier counters %+v, the decoded run's %+v", packed, decoded)
 	}
 }

@@ -98,9 +98,9 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 	}
 	spec := e.spec(q, opts)
 	if q.storage != nil {
-		// The compiled query's own views: Drive colds them, so every Exec is a
+		// The compiled query's own stream: Drive colds it, so every Exec is a
 		// cold scan.
-		spec.Storage = q.storage.views
+		spec.Storage = q.storage.stream
 	}
 	// The trace summary aggregates exactly this query's events: mark the
 	// recorder now, summarize what was appended after the run.
@@ -123,7 +123,7 @@ func (e *Engine) Exec(q *Query, opts ExecOptions) (ExecResult, error) {
 		q.traced.Store(&aggs)
 	}
 	if q.storage != nil {
-		out.Storage = storageStats(q.storage.plan, q.storage.views)
+		out.Storage = storageStats(q.storage.plan, q.storage.stream)
 	}
 	return out, nil
 }

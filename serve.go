@@ -337,7 +337,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	gauge("progopt_query_latency_p95_millis", "p95 simulated query latency, in simulated milliseconds.", s.e.millis(nearestRank(lat, 0.95)))
 	gauge("progopt_query_latency_p99_millis", "p99 simulated query latency, in simulated milliseconds.", s.e.millis(nearestRank(lat, 0.99)))
 	gauge("progopt_makespan_millis", "Simulated time the core pool has been driven to.", st.MakespanMillis)
-	gauge("progopt_storage_resident_bytes", "Storage-tier bytes the most recent stored query left resident, summed over the simulated cores' tier views; each view holds at most the configured resident budget.", float64(svc.ResidentBytes))
+	gauge("progopt_storage_resident_bytes", "Storage-tier bytes the most recent stored query left resident: at most the configured resident budget, unless a single block exceeds it.", float64(svc.ResidentBytes))
 	gauge("progopt_reopt_sample_cycles", "Simulated cycles adaptive queries were charged for PMU sampling and estimation.", float64(st.Reopt.SampleCycles))
 	gauge("progopt_reopt_recompile_cycles", "Simulated cycles charged for reorders, reverts, probes and implementation switches.", float64(st.Reopt.RecompileCycles))
 	gauge("progopt_reopt_reverted_cycles", "Simulated cycles spent in steps whose operator order validation rolled back.", float64(st.Reopt.RevertedCycles))

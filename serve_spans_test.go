@@ -116,4 +116,37 @@ func TestServedSpansAreHonest(t *testing.T) {
 			}
 		})
 	}
+	// A stored query's stall is part of its span: served alone on the
+	// benchmark's stored configuration, its span is its Cycles. When the
+	// tier's stall stayed off the server's clocks, this query reported
+	// 655 094 cycles in a span of 0..506 470.
+	t.Run("stored", func(t *testing.T) {
+		e, err := New(Config{Workers: workers, VectorSize: 1024, Storage: &StorageConfig{
+			LatencyCycles: 400, BytesPerCycle: 16, ResidentBytes: 4 << 20, SkipScan: true, CompressedScan: true,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		d, err := e.GenerateTPCH(200_000, 7, OrderSorted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(e, ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tk, err := srv.Submit(d, Scan("lineitem").Filter("l_quantity", CmpLT, 24).Sum("l_extendedprice"), ExecOptions{Mode: ModeFixed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv := r.Served; r.Storage.StallCycles == 0 || sv.Start > sv.Done || r.Cycles != sv.Done-sv.Start {
+			t.Errorf("%d cycles (%d of them stall) in a span of %d..%d", r.Cycles, r.Storage.StallCycles, sv.Start, sv.Done)
+		}
+	})
 }

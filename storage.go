@@ -9,18 +9,19 @@ import (
 // StorageConfig puts the driving table on simulated persistent storage: the
 // data set is encoded into the PCOL v2 block format (dictionary and
 // frame-of-reference compression, per-block zone maps), its decoded image is
-// what queries execute over, and a storage tier below DRAM prices every
-// access that misses the whole cache hierarchy with block-granularity
-// transfers under a resident-set budget.
+// what queries execute over, and a storage tier below DRAM brings the blocks
+// of the columns a query reads into DRAM ahead of use: one read-ahead stream
+// per run, fetching block by block over one channel, overlapped with the
+// scan and bounded by a resident-set budget.
 //
 // The zero value of every field is a valid "faithful" configuration: blocks
 // price at zero seek latency and unit bandwidth, the resident set is
 // unbounded, and both scan optimizations are off. A faithful stored run
 // retires the identical instruction, load, and branch stream as the same
 // plan over the in-RAM data set — results, morsel schedule, and every PMU
-// counter are bit-identical; only the reported Cycles grows, by the tier's
-// stall debt (on a serial engine exactly the run's stall cycles, on a
-// parallel one the slowest core's).
+// counter are bit-identical; only the reported Cycles grows, by exactly the
+// run's StallCycles: the time the scan waited for blocks the stream had not
+// yet brought in, at every worker count.
 type StorageConfig struct {
 	// BlockRows is rows per storage block (default 4096).
 	BlockRows int
@@ -28,10 +29,11 @@ type StorageConfig struct {
 	LatencyCycles uint64
 	// BytesPerCycle is the tier's transfer bandwidth (0 = 1).
 	BytesPerCycle uint64
-	// ResidentBytes bounds the DRAM-resident encoded bytes of each
-	// simulated core's tier view; a view evicts blocks LRU past it
-	// (0 = unbounded). The views are separate, so a query on Workers cores
-	// can hold up to Workers × ResidentBytes.
+	// ResidentBytes bounds the DRAM-resident encoded bytes of a run: its
+	// stream fetches a block only once evicting blocks the scan is done with
+	// makes room for it, so the budget also bounds how far it reads ahead
+	// (0 = unbounded). A block larger than the budget is admitted once the
+	// blocks before it are gone.
 	ResidentBytes uint64
 	// SkipScan answers vectors that zone maps prove empty from metadata
 	// alone — no loads, instructions, or branches are simulated for them.
@@ -73,11 +75,10 @@ type storedTable struct {
 }
 
 // storedQuery is a compiled query's stored-scan state: the immutable plan
-// plus one engine attachment per simulated core (each with a private tier
-// view).
+// and the stream its runs scan through, colded by each Exec.
 type storedQuery struct {
-	plan  *storage.Plan
-	views []*exec.StorageScan
+	plan   *storage.Plan
+	stream *exec.Stream
 }
 
 // StorageStats reports a stored scan: the plan's zone-map pruning and the
@@ -90,7 +91,8 @@ type StorageStats struct {
 	// PlainBytes and EncodedBytes are the table's decoded and stored sizes.
 	PlainBytes, EncodedBytes int
 	// BlockFetches, BlockHits, BytesFetched, Evictions, StallCycles are the
-	// tier counters accumulated during the run, summed across cores.
+	// run's tier counters (exec.StreamCounters): (column, block) fetches,
+	// later morsels' reads of fetched blocks, and the Cycles the tier added.
 	BlockFetches, BlockHits, BytesFetched, Evictions, StallCycles uint64
 }
 
@@ -116,13 +118,13 @@ func (e *Engine) storedLineitem(d *Dataset) (*storedTable, error) {
 	return st, nil
 }
 
-// compileStorage builds the stored-scan plan and per-core tier views for a
-// freshly compiled and bound query. Packed images (compressed scan) are
-// allocated on first use, after every ordinary bind of the engine's first
-// compile, so a faithful configuration stays address-identical to an in-RAM
-// engine.
-func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, error) {
-	plan, err := storage.Compile(st.enc, st.tab, q, e.par.VectorSize(), e.stcfg.planConfig())
+// compileStorage builds the stored-scan plan and stream for a freshly
+// compiled and bound query, which also reads the columns more. Packed images
+// (compressed scan) are allocated on first use, after every ordinary bind of
+// the engine's first compile, so a faithful configuration stays
+// address-identical to an in-RAM engine.
+func (e *Engine) compileStorage(st *storedTable, q *exec.Query, more []*columnar.Column) (*storedQuery, error) {
+	plan, err := storage.Compile(st.enc, st.tab, q, e.par.VectorSize(), e.stcfg.planConfig(), more...)
 	if err != nil {
 		return nil, err
 	}
@@ -134,34 +136,30 @@ func (e *Engine) compileStorage(st *storedTable, q *exec.Query) (*storedQuery, e
 		}
 		plan.ScanPacked(st.packed, q)
 	}
-	views, err := plan.NewViews(e.par.Workers())
+	stream, err := plan.NewStream()
 	if err != nil {
 		return nil, err
 	}
-	return &storedQuery{plan: plan, views: views}, nil
+	return &storedQuery{plan: plan, stream: stream}, nil
 }
 
-// storageStats folds the plan facts and the tier counters of a run's views —
+// storageStats folds the plan facts and the counters of a run's stream —
 // cold or new when it began, so the counters are that run's — into the public
-// report. The run's Cycles already hold the slowest core's stall debt
-// (core.Run adds it).
-func storageStats(p *storage.Plan, views []*exec.StorageScan) *StorageStats {
-	out := &StorageStats{
+// report. The run's Cycles already hold its stall (core.Run adds it).
+func storageStats(p *storage.Plan, s *exec.Stream) *StorageStats {
+	c := s.Counters()
+	return &StorageStats{
 		BlocksTotal:    p.BlocksTotal(),
 		BlocksPruned:   p.BlocksPruned(),
 		VectorsSkipped: p.VectorsSkipped(),
 		PlainBytes:     p.Enc.PlainBytes(),
 		EncodedBytes:   p.Enc.EncodedBytes(),
+		BlockFetches:   c.BlockFetches,
+		BlockHits:      c.BlockHits,
+		BytesFetched:   c.BytesFetched,
+		Evictions:      c.Evictions,
+		StallCycles:    c.StallCycles,
 	}
-	for _, v := range views {
-		d := v.Set.Counters()
-		out.BlockFetches += d.BlockFetches
-		out.BlockHits += d.BlockHits
-		out.BytesFetched += d.BytesFetched
-		out.Evictions += d.Evictions
-		out.StallCycles += d.StallCycles
-	}
-	return out
 }
 
 // EncodedLineitem returns (encoding and caching on first use) the data set's

@@ -148,9 +148,9 @@
 //	}})
 //	defer eng.Close()
 //
-// The tier is a pure observer: a stored run's rows, aggregates, morsel
-// schedule, and every PMU counter are bit-identical to the in-RAM engine's,
-// and only reported Cycles grows by the tier's stall debt. SkipScan answers
+// The tier moves only time: a stored run's rows, aggregates, morsel schedule,
+// and every PMU counter are bit-identical to the in-RAM engine's, and only
+// reported Cycles grows, by the run's StallCycles. SkipScan answers
 // vectors that zone maps prove empty from metadata alone; CompressedScan
 // prices predicate scans over the packed column images, moving fewer
 // simulated bytes without changing any answer. ExecResult.Storage reports

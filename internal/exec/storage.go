@@ -36,7 +36,8 @@ import (
 // clock when the run completes. Nothing else of the run moves: its morsel
 // schedule, counters and answers are those of the in-RAM run, and its Cycles
 // those plus the shift. The stream is engine-free and its rules are
-// table-tested and fuzzed against a brute-force replay (stream_test.go).
+// table-tested and fuzzed against a brute-force replay (TestStreamRules,
+// FuzzStreamRules).
 //
 // A query's stream is part of its core.Spec (Storage), and core.Run owns it:
 // it attaches it to every core on each step, colds it with its cores and

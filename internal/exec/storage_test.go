@@ -333,40 +333,46 @@ func TestStreamRules(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) { checkStream(t, c) })
 	}
 
-	// Pricing: a lone unit costs LatencyCycles + ⌈bytes/BytesPerCycle⌉, all
-	// of it stall for the dispatch that waits for it, and Cold forgets it.
-	s, err := NewStream(StreamConfig{LatencyCycles: 100, BytesPerCycle: 8}, nil, 10, 10, 10, [][]uint64{{801}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range 2 {
-		s.dispatch(0, 10, 5000)
-		if c := s.Counters(); c != (StreamCounters{BlockFetches: 1, BytesFetched: 801, StallCycles: 100 + 101}) {
-			t.Fatalf("one unit: %+v", c)
+	// A lone unit costs LatencyCycles + ⌈bytes/BytesPerCycle⌉, all of it
+	// stall for the dispatch that waits for it, and Cold forgets it.
+	t.Run("pricing and cold", func(t *testing.T) {
+		s, err := NewStream(StreamConfig{LatencyCycles: 100, BytesPerCycle: 8}, nil, 10, 10, 10, [][]uint64{{801}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		s.Cold()
-		if c := s.Counters(); c != (StreamCounters{}) || s.ResidentBytes() != 0 {
-			t.Fatalf("cold stream: %+v, %d B resident", c, s.ResidentBytes())
+		for range 2 {
+			s.dispatch(0, 10, 5000)
+			if c := s.Counters(); c != (StreamCounters{BlockFetches: 1, BytesFetched: 801, StallCycles: 100 + 101}) {
+				t.Fatalf("one unit: %+v", c)
+			}
+			s.Cold()
+			if c := s.Counters(); c != (StreamCounters{}) || s.ResidentBytes() != 0 {
+				t.Fatalf("cold stream: %+v, %d B resident", c, s.ResidentBytes())
+			}
 		}
-	}
+	})
 	// A later vector of a fetched block hits; an earlier block's units are
 	// evicted only when a fetch needs their room.
-	s, err = NewStream(StreamConfig{LatencyCycles: 10, BytesPerCycle: 1, BudgetBytes: 100}, nil, 5, 20, 10, [][]uint64{{60, 60}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, entry := range []uint64{0, 1000, 2000, 3000} {
-		s.dispatch(5*v, 5*v+5, entry)
-	}
-	if c := s.Counters(); c.BlockHits != 2 || c.Evictions != 1 || c.BlockFetches != 2 || s.ResidentBytes() != 60 {
-		t.Fatalf("two blocks of two vectors under a one-block budget: %+v, %d B resident", c, s.ResidentBytes())
-	}
-	if _, err := NewStream(StreamConfig{}, nil, 10, 100, 10, [][]uint64{{1, 2}}); err == nil {
-		t.Error("a column of 2 blocks accepted for a table of 10")
-	}
-	if _, err := NewStream(StreamConfig{}, nil, 0, 100, 10, nil); err == nil {
-		t.Error("a zero vector size accepted")
-	}
+	t.Run("hits and evictions", func(t *testing.T) {
+		s, err := NewStream(StreamConfig{LatencyCycles: 10, BytesPerCycle: 1, BudgetBytes: 100}, nil, 5, 20, 10, [][]uint64{{60, 60}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, entry := range []uint64{0, 1000, 2000, 3000} {
+			s.dispatch(5*v, 5*v+5, entry)
+		}
+		if c := s.Counters(); c.BlockHits != 2 || c.Evictions != 1 || c.BlockFetches != 2 || s.ResidentBytes() != 60 {
+			t.Fatalf("two blocks of two vectors under a one-block budget: %+v, %d B resident", c, s.ResidentBytes())
+		}
+	})
+	t.Run("geometry validation", func(t *testing.T) {
+		if _, err := NewStream(StreamConfig{}, nil, 10, 100, 10, [][]uint64{{1, 2}}); err == nil {
+			t.Error("a column of 2 blocks accepted for a table of 10")
+		}
+		if _, err := NewStream(StreamConfig{}, nil, 0, 100, 10, nil); err == nil {
+			t.Error("a zero vector size accepted")
+		}
+	})
 }
 
 // decodeStreamCase builds a case from fuzz bytes: geometry, tier, bytes per

@@ -178,8 +178,7 @@ func ExtStorage(cfg Config) ([]*Report, error) {
 }
 
 // storedCell is one measured stored-scan configuration: the run's result,
-// whose Cycles and Millis include the tier's stall debt, and its tier
-// counters.
+// whose Cycles and Millis include the tier's stall, and its tier counters.
 type storedCell struct {
 	res  exec.Result
 	plan *storage.Plan
@@ -188,8 +187,7 @@ type storedCell struct {
 
 // runStored executes the selective Q6-shaped scan over the stored table
 // under one tier configuration, from a cold tier, on a fresh serial rig.
-// Reported time includes the tier's stall debt (serial: exactly the run's
-// stall cycles, which the driver adds).
+// Reported time includes the run's stall cycles, which the driver adds.
 func runStored(cfg Config, enc *columnar.EncodedTable, d *tpch.Dataset, cut int32, scfg storage.Config) (storedCell, error) {
 	tab, err := enc.Decode()
 	if err != nil {

@@ -200,8 +200,7 @@ func (c *CPU) runStall(rh cache.RunHits) uint64 {
 
 // publishAhead publishes the clock the core will read once the part of a
 // gathered run simulated so far (rh) is accounted. The run is still accounted
-// in one piece when it ends, so Cycles — which a storage-tier observer stamps
-// its events with from inside the run — reads the same whether or not the run
+// in one piece when it ends, so Cycles reads the same whether or not the run
 // was chunked for publication.
 func (c *CPU) publishAhead(rh cache.RunHits) {
 	c.progress.Store(c.progressBase + c.cyclesAt(c.instructions+uint64(rh.Total()), c.stallQuarters+c.runStall(rh)))

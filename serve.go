@@ -217,7 +217,7 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	// Served steppers share the engine's optimizer track (spec.Opt.Trace):
 	// one query steps at a time, so its decision events (each stamped with
 	// its own query's accounted block clock) append in execution order.
-	// The server builds a stored query's tier views at admission, so plan-cache
+	// The server builds a stored query's stream at admission, so plan-cache
 	// sharing never shares residency.
 	req := service.Request{Spec: s.e.spec(q, opts), Arrival: arrival}
 	if !s.disableFeedback {

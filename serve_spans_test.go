@@ -117,9 +117,8 @@ func TestServedSpansAreHonest(t *testing.T) {
 		})
 	}
 	// A stored query's stall is part of its span: served alone on the
-	// benchmark's stored configuration, its span is its Cycles. When the
-	// tier's stall stayed off the server's clocks, this query reported
-	// 655 094 cycles in a span of 0..506 470.
+	// benchmark's stored configuration, its span is its Cycles, stall
+	// included.
 	t.Run("stored", func(t *testing.T) {
 		e, err := New(Config{Workers: workers, VectorSize: 1024, Storage: &StorageConfig{
 			LatencyCycles: 400, BytesPerCycle: 16, ResidentBytes: 4 << 20, SkipScan: true, CompressedScan: true,

@@ -89,7 +89,7 @@ var rules = []rule{
 		bad: "progopt/internal/experiments", at: "cmd/progopt"},
 	// One execution path per round, and traces keep nothing of the retired
 	// barrier scheduler: no serial-round fork, no shared-tier fallback, no
-	// wave numbers. The server builds each stored query's tier views, and a
+	// wave numbers. The server builds each stored query's stream, and a
 	// zero fingerprint is what turns feedback off.
 	{pr: 31, pattern: `sharedStorageLocked|storSeen|SetSerialRounds|setSerialRounds|serialRounds|startsWave|inWave|freshViews|NoFeedback`, word: true,
 		bad: `	NoFeedback bool`, at: "serve.go"},
@@ -123,10 +123,10 @@ var rules = []rule{
 	// executor, the hardware model and the benchmark.
 	{pr: 33, pattern: `cpu\.(New|MustNew)\(`, allow: `_test\.go$|^(internal/exec|internal/hw|benchmark)/`,
 		bad: `	c, err := cpu.New(prof)`, at: "internal/service/server.go", ok: "internal/exec/parallel.go"},
-	// One owner for a stored query's tier views: core.Run attaches them on
-	// every step (Spec.Storage), colds them in Drive and prices their stall
-	// on the last step. No other module attaches a view, and the
-	// hand-written attach, residency drop and second stall total stay gone.
+	// One owner for a stored query's stream: core.Run attaches it on every
+	// step (Spec.Storage), colds it in Drive and applies its shift on the
+	// last step. No other module attaches one, and the hand-written attach,
+	// residency drop and second stall total stay gone.
 	{pr: 34, pattern: `SetStorage\(`, allow: `_test\.go$|^internal/(core|exec)/`,
 		bad: `	eng.SetStorage(view)`, at: "internal/service/server.go", ok: "internal/core/drive.go"},
 	{pr: 34, pattern: `attachStorage|detachStorage|DropResidency|StorageStallCycles|storageStalls`,

@@ -334,21 +334,52 @@ func TestStreamRules(t *testing.T) {
 	}
 
 	// A lone unit costs LatencyCycles + ⌈bytes/BytesPerCycle⌉, all of it
-	// stall for the dispatch that waits for it, and Cold forgets it.
-	t.Run("pricing and cold", func(t *testing.T) {
-		s, err := NewStream(StreamConfig{LatencyCycles: 100, BytesPerCycle: 8}, nil, 10, 10, 10, [][]uint64{{801}})
+	// stall for the dispatch that waits for it; a later vector of its block
+	// hits and stalls no more.
+	t.Run("fetch pricing", func(t *testing.T) {
+		s, err := NewStream(StreamConfig{LatencyCycles: 100, BytesPerCycle: 8}, nil, 5, 10, 10, [][]uint64{{801}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for range 2 {
-			s.dispatch(0, 10, 5000)
-			if c := s.Counters(); c != (StreamCounters{BlockFetches: 1, BytesFetched: 801, StallCycles: 100 + 101}) {
-				t.Fatalf("one unit: %+v", c)
+		s.dispatch(0, 5, 5000)
+		if c := s.Counters(); c != (StreamCounters{BlockFetches: 1, BytesFetched: 801, StallCycles: 100 + 101}) {
+			t.Fatalf("one unit: %+v", c)
+		}
+		s.dispatch(5, 10, 5001)
+		if c := s.Counters(); c != (StreamCounters{BlockFetches: 1, BytesFetched: 801, BlockHits: 1, StallCycles: 100 + 101}) {
+			t.Fatalf("one unit read twice: %+v", c)
+		}
+	})
+	// Cold forgets what a run fetched, evicted and counted: the run after it
+	// prices as a new stream's does.
+	t.Run("cold", func(t *testing.T) {
+		build := func() *Stream {
+			s, err := NewStream(StreamConfig{LatencyCycles: 10, BytesPerCycle: 1, BudgetBytes: 100}, nil, 5, 20, 10, [][]uint64{{60, 60}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			s.Cold()
-			if c := s.Counters(); c != (StreamCounters{}) || s.ResidentBytes() != 0 {
-				t.Fatalf("cold stream: %+v, %d B resident", c, s.ResidentBytes())
+			return s
+		}
+		run := func(s *Stream) {
+			for v, entry := range []uint64{0, 1000, 2000, 3000} {
+				s.dispatch(5*v, 5*v+5, entry)
 			}
+		}
+		fresh := build()
+		run(fresh)
+		if c := fresh.Counters(); c.Evictions == 0 || c.BlockHits == 0 {
+			t.Fatalf("run neither evicts nor hits (%+v); the comparison is vacuous", c)
+		}
+		used := build()
+		run(used)
+		used.Cold()
+		if c := used.Counters(); c != (StreamCounters{}) || used.ResidentBytes() != 0 {
+			t.Fatalf("cold stream: %+v, %d B resident", c, used.ResidentBytes())
+		}
+		run(used)
+		if used.Counters() != fresh.Counters() || used.ResidentBytes() != fresh.ResidentBytes() {
+			t.Fatalf("run after Cold: %+v, %d B resident; a new stream's %+v, %d B",
+				used.Counters(), used.ResidentBytes(), fresh.Counters(), fresh.ResidentBytes())
 		}
 	})
 	// A later vector of a fetched block hits; an earlier block's units are

@@ -147,12 +147,10 @@ func TestPruneBlocksForeignPredicate(t *testing.T) {
 	}
 }
 
-// TestNewStreamReadsQueryColumns: a plan's stream fetches one unit per block
-// of each stored column the query reads — its predicates, join keys and
-// aggregate inputs, and the columns passed besides — costing the block's
-// encoded bytes, whichever image the scan reads: a run over the packed
-// images fetches what the run over the decoded ones does.
-func TestNewStreamReadsQueryColumns(t *testing.T) {
+// readsPlan compiles a plan whose query reads l_quantity and
+// l_extendedprice, with l_partkey passed besides.
+func readsPlan(t *testing.T) (*Plan, *exec.Query, *columnar.EncodedTable, *cpu.CPU) {
+	t.Helper()
 	enc, tab, c := testTable(t, 1000, 256)
 	q := &exec.Query{
 		Table: tab,
@@ -163,6 +161,35 @@ func TestNewStreamReadsQueryColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, q, enc, c
+}
+
+// streamRun runs q on one core with a new stream of p and returns the
+// stream's counters.
+func streamRun(t *testing.T, p *Plan, q *exec.Query) exec.StreamCounters {
+	t.Helper()
+	par, err := exec.NewParallel(cpu.ScaledXeon(), 1, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	s, err := p.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	par.Engines()[0].SetStorage(s)
+	if _, err := par.Run(q); err != nil {
+		t.Fatal(err)
+	}
+	return s.Counters()
+}
+
+// TestNewStreamReadsQueryColumns: a plan's stream fetches one unit per block
+// of each stored column the query reads — its predicates, join keys and
+// aggregate inputs, and the columns passed besides — costing the block's
+// encoded bytes.
+func TestNewStreamReadsQueryColumns(t *testing.T) {
+	p, q, _, _ := readsPlan(t)
 	var names []string
 	var want uint64
 	for _, ec := range p.reads {
@@ -172,32 +199,23 @@ func TestNewStreamReadsQueryColumns(t *testing.T) {
 	if len(names) != 3 || names[0] != "l_partkey" || names[1] != "l_quantity" || names[2] != "l_extendedprice" {
 		t.Fatalf("stream reads %v, want l_partkey, l_quantity and l_extendedprice in stored order", names)
 	}
-	run := func() exec.StreamCounters {
-		par, err := exec.NewParallel(cpu.ScaledXeon(), 1, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer par.Close()
-		s, err := p.NewStream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.Engines()[0].SetStorage(s)
-		if _, err := par.Run(q); err != nil {
-			t.Fatal(err)
-		}
-		return s.Counters()
+	if c := streamRun(t, p, q); c.BlockFetches != 4*3 || c.BytesFetched != want || c.StallCycles == 0 {
+		t.Errorf("decoded run: %+v, want 12 fetches of %d B and a stall", c, want)
 	}
-	decoded := run()
-	if decoded.BlockFetches != 4*3 || decoded.BytesFetched != want || decoded.StallCycles == 0 {
-		t.Errorf("decoded run: %+v, want 12 fetches of %d B and a stall", decoded, want)
-	}
+}
+
+// TestNewStreamPackedFetchesAsDecoded: the stream fetches a column's encoded
+// blocks whichever image the scan reads, so a run over the packed images
+// fetches what the run over the decoded ones does.
+func TestNewStreamPackedFetchesAsDecoded(t *testing.T) {
+	p, q, enc, c := readsPlan(t)
+	decoded := streamRun(t, p, q)
 	images, err := AllocPacked(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.ScanPacked(images, q)
-	if packed := run(); packed.BlockFetches != decoded.BlockFetches || packed.BytesFetched != decoded.BytesFetched {
+	if packed := streamRun(t, p, q); packed.BlockFetches != decoded.BlockFetches || packed.BytesFetched != decoded.BytesFetched {
 		t.Errorf("packed run's tier counters %+v, the decoded run's %+v", packed, decoded)
 	}
 }

@@ -16,10 +16,12 @@ import (
 // Config configures a workload server.
 type Config struct {
 	// MaxActive is the admission controller's cap on admitted queries
-	// (default: the pool's worker count). The oldest admitted query runs on
-	// the whole pool and the others wait, each bound to its driver and
-	// warm-started at admission; submissions beyond the cap queue in
-	// (arrival, submission) order.
+	// (default: the pool's worker count). One admitted query runs on the
+	// whole pool and the others wait, each bound to its driver and
+	// warm-started at admission; when it completes, the admitted query of
+	// smallest expected cost runs next, and one overtaken MaxActive times
+	// runs next regardless. Submissions beyond the cap queue in (arrival,
+	// submission) order.
 	MaxActive int
 	// QueueLimit caps the pending queue; Submit rejects beyond it
 	// (0 = unlimited).
@@ -58,12 +60,16 @@ type Request struct {
 	Fingerprint Fingerprint
 }
 
-// Feedback is what a finished adaptive run leaves for the next submission of
-// the same fingerprint: the operator order it converged to (plan-order
-// indexes), for micro-adaptive runs the scan implementation it ended on, and
-// the orders it saw validation roll back. A warm-started run begins at this
-// order instead of the plan order and does not try the rejected ones again.
+// Feedback is what a finished run leaves for the next submission of the same
+// fingerprint: its span on the pool (Done − Start), the next run's expected
+// cost when the scheduler picks what runs next, and from an adaptive run the
+// operator order it converged to (plan-order indexes), for micro-adaptive
+// runs the scan implementation it ended on, and the orders it saw validation
+// roll back. A warm-started run begins at this order instead of the plan
+// order and does not try the rejected ones again. A fixed-order run leaves
+// only its span (and keeps an adaptive run's order of the same fingerprint).
 type Feedback struct {
+	Cycles   uint64
 	Order    []int
 	Impl     exec.ScanImpl
 	Rejected [][]int
@@ -78,7 +84,7 @@ type Stats struct {
 	PeakActive, PeakQueued int
 	// FeedbackWarmStarts counts submissions that began at a cached
 	// converged order; FeedbackStores counts completed adaptive runs that
-	// deposited one.
+	// deposited one (a fixed-order run deposits its span alone, uncounted).
 	FeedbackWarmStarts, FeedbackStores int
 	// Reopt sums the decision ledgers of the completed adaptive runs.
 	Reopt core.Ledger
@@ -144,6 +150,11 @@ type query struct {
 	run *core.Run
 
 	arrival uint64
+	// cost is the expected span, read at admission from the feedback entry
+	// (0 when none); overtaken counts the younger admitted queries that
+	// started before this one.
+	cost      uint64
+	overtaken int
 	// out is the finished query's outcome (WarmOrder is copied per Wait).
 	out Outcome
 
@@ -154,9 +165,12 @@ type query struct {
 // Server runs many queries against one shared pool of simulated cores as a
 // discrete-event simulation: per-core absolute clocks and morsel dispensing
 // to the earliest-free core. The admission controller admits queries in
-// (arrival, submission) order, and the oldest admitted query runs to
+// (arrival, submission) order, and one admitted query at a time runs to
 // completion on every core of the pool while the others wait; a core freed
-// by a query's last morsel takes the next query's first. A core switching to
+// by a query's last morsel takes the next query's first. The next query is
+// the admitted one of shortest expected span — the last completed run of its
+// fingerprint, 0 for an unseen one, ties to the oldest — unless a query has
+// been overtaken MaxActive times, which runs next. A core switching to
 // a different query starts cold (cache flush + predictor reset), modeling the
 // JIT'd per-query scan loop — so every served query executes exactly like a
 // dedicated engine run from the clocks it found.
@@ -164,7 +178,7 @@ type query struct {
 // There is no background goroutine and no host time anywhere: Ticket.Wait
 // elects one waiter to drive scheduling rounds while the others park on the
 // server's one condition variable, which each round that retires a query
-// broadcasts. A round is one step of the oldest query's driver; the elected
+// broadcasts. A round is one step of the running query's driver; the elected
 // driver releases the lock while it runs, and every cross-query structure —
 // the clock frontier, the feedback cache, admission stats, the service track
 // — is read and written under the lock between steps. A fixed submission
@@ -185,7 +199,8 @@ type Server struct {
 	clocks []uint64
 
 	queue []*query // waiting, sorted by (arrival, seq)
-	// active holds the admitted queries in admission order; the first runs.
+	// active holds the admitted queries in admission order, except that the
+	// running one, once picked, is moved to the front.
 	active []*query
 	seq    int
 
@@ -380,7 +395,8 @@ func (t *Ticket) Wait() (Outcome, error) {
 }
 
 // driveRound runs one scheduling round: admit what has arrived, then one
-// step of the oldest admitted query's driver on every core of the pool.
+// step of the running query's driver on every core of the pool, picking the
+// next query (nextLocked) when the last one has retired.
 // Called (and returns) with s.mu held; the lock is released during the step,
 // which touches only the pool and the query's own state. The step runs on a
 // copy of the clocks, published only when it succeeds: a step that fails
@@ -400,6 +416,7 @@ func (s *Server) driveRound() (retired bool) {
 	// loops share no code or hot data), and no core runs a query before it
 	// arrived.
 	if s.owner != q {
+		q = s.nextLocked()
 		for _, e := range s.pool.Engines() {
 			e.CPU().Cold()
 		}
@@ -431,6 +448,31 @@ func (s *Server) driveRound() (retired bool) {
 	}
 	s.active = s.active[1:]
 	return true
+}
+
+// nextLocked picks the query to run once the running one has retired and
+// moves it to the front of active: the oldest query overtaken MaxActive
+// times, else the one of smallest expected cost, ties to the oldest. Every
+// query it passes over is overtaken once more. With every cost equal (no
+// feedback) it is the oldest, active[0].
+func (s *Server) nextLocked() *query {
+	pick := 0
+	for i, q := range s.active {
+		if q.overtaken >= s.cfg.MaxActive {
+			pick = i
+			break
+		}
+		if q.cost < s.active[pick].cost {
+			pick = i
+		}
+	}
+	q := s.active[pick]
+	for _, o := range s.active[:pick] {
+		o.overtaken++
+	}
+	copy(s.active[1:pick+1], s.active[:pick])
+	s.active[0] = q
+	return q
 }
 
 // admitLocked moves queued queries into the active set up to MaxActive,
@@ -479,9 +521,10 @@ func (s *Server) admitLocked() (failed bool) {
 
 // prepareLocked readies a query for execution at admission time: build a
 // stored query's stream, hand it a recycled driver, begin the query on it,
-// and warm-start it from the feedback cache — admission, not submission, is
-// when the latest completed run of the same fingerprint is visible, exactly
-// like a real server racing recurring queries.
+// and read its expected cost and warm start from the feedback cache —
+// admission, not submission, is when the latest completed run of the same
+// fingerprint is visible, exactly like a real server racing recurring
+// queries.
 func (s *Server) prepareLocked(q *query) error {
 	req := &q.req
 	spec := req.Spec
@@ -504,10 +547,11 @@ func (s *Server) prepareLocked(q *query) error {
 		s.runFree = append(s.runFree, run)
 		return err
 	}
-	if step := run.Stepper(); step != nil && !req.Fingerprint.Zero() {
+	if !req.Fingerprint.Zero() {
 		if v, ok := s.feedback.Get(req.Fingerprint); ok {
 			fb := v.(Feedback)
-			if step.WarmStart(fb.Order, fb.Impl, fb.Rejected) == nil {
+			q.cost = fb.Cycles
+			if step := run.Stepper(); step != nil && fb.Order != nil && step.WarmStart(fb.Order, fb.Impl, fb.Rejected) == nil {
 				q.warm, q.warmImpl = fb.Order, fb.Impl
 				s.stats.FeedbackWarmStarts++
 			}
@@ -525,9 +569,9 @@ func (s *Server) retireLocked(q *query) {
 }
 
 // finishLocked completes a query: stamp times, snapshot optimizer stats,
-// record its latency and a stored query's residency, deposit the converged
-// order and the rejected ones in the feedback cache, and recycle the driver.
-// Queries complete in order of Done.
+// record its latency and a stored query's residency, deposit its span and,
+// from an adaptive run, the converged order and the rejected ones in the
+// feedback cache, and recycle the driver. Queries complete in order of Done.
 func (s *Server) finishLocked(q *query) {
 	run := q.run
 	// Every core is free once the slowest is.
@@ -538,16 +582,22 @@ func (s *Server) finishLocked(q *query) {
 		WarmStarted: q.warm != nil,
 		Storage:     q.stream,
 	}
-	if step := run.Stepper(); step != nil {
+	step := run.Stepper()
+	if step != nil {
 		s.stats.Reopt.Add(q.out.Stats.Ledger)
-		if !q.req.Fingerprint.Zero() {
-			s.feedback.Put(q.req.Fingerprint, Feedback{
-				Order:    slices.Clone(q.out.Stats.FinalOrder),
-				Impl:     step.Impl(),
-				Rejected: step.Rejected(),
-			})
+	}
+	if fp := q.req.Fingerprint; !fp.Zero() {
+		fb := Feedback{Cycles: done - run.Start}
+		if step != nil {
+			fb.Order, fb.Impl, fb.Rejected = slices.Clone(q.out.Stats.FinalOrder), step.Impl(), step.Rejected()
 			s.stats.FeedbackStores++
+		} else if v, ok := s.feedback.Get(fp); ok {
+			// A fixed-order run keeps what an adaptive one left.
+			old := v.(Feedback)
+			old.Cycles = fb.Cycles
+			fb = old
 		}
+		s.feedback.Put(fp, fb)
 	}
 	s.retireLocked(q)
 	s.stats.Completed++

@@ -14,9 +14,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/hex"
-	"hash/fnv"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Fingerprint canonically identifies a compiled plan over a concrete data
@@ -34,32 +35,88 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Zero reports whether the fingerprint is unset.
 func (f Fingerprint) Zero() bool { return f == Fingerprint{} }
 
-// Compute hashes the canonical plan identity. terms are the per-step
-// encodings produced by the plan layer (filters, joins, aggregates); they
-// are sorted here, making the fingerprint independent of construction
-// order. generation is the data-set generation counter.
+// Compute hashes the canonical plan identity with 128-bit FNV-1a: the
+// driving table, the data-set generation counter and terms, the per-step
+// encodings produced by the plan layer (filters, joins, aggregates). It
+// sorts terms in place, making the fingerprint independent of construction
+// order, and allocates nothing.
 func Compute(table string, generation uint64, terms []string) Fingerprint {
-	sorted := append([]string(nil), terms...)
-	sort.Strings(sorted)
-	h := fnv.New128a()
-	writeTerm(h, "t|"+table)
-	var gen [8]byte
+	slices.Sort(terms)
+	h := begin(table, generation)
+	for _, t := range terms {
+		writeTerm(&h, t)
+	}
+	return h.sum()
+}
+
+// ComputeSpans is Compute over terms written back to back in one buffer:
+// term i is buf[spans[i][0]:spans[i][1]]. It sorts spans in place.
+func ComputeSpans(table string, generation uint64, buf []byte, spans [][2]int) Fingerprint {
+	slices.SortFunc(spans, func(a, b [2]int) int { return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]]) })
+	h := begin(table, generation)
+	for _, sp := range spans {
+		writeTerm(&h, buf[sp[0]:sp[1]])
+	}
+	return h.sum()
+}
+
+// fnv128a is the state of a 128-bit FNV-1a hash (hash/fnv's New128a), high
+// word first.
+type fnv128a [2]uint64
+
+// The FNV-1a 128-bit offset basis and prime (2^88 + 0x13b).
+const (
+	fnvOffsetHigh = 0x6c62272e07bb0142
+	fnvOffsetLow  = 0x62b821756295c58d
+	fnvPrimeLow   = 0x13b
+	fnvPrimeShift = 24 // the prime's high word is 1 << 24
+)
+
+// begin starts a fingerprint with the table term and the generation, eight
+// bytes little-endian.
+func begin(table string, generation uint64) fnv128a {
+	h := fnv128a{fnvOffsetHigh, fnvOffsetLow}
+	h.writeLen(len("t|") + len(table))
+	write(&h, "t|")
+	write(&h, table)
 	for i := 0; i < 8; i++ {
-		gen[i] = byte(generation >> (8 * i))
+		h.writeByte(byte(generation >> (8 * i)))
 	}
-	h.Write(gen[:])
-	for _, t := range sorted {
-		writeTerm(h, t)
-	}
-	var f Fingerprint
-	copy(f[:], h.Sum(nil))
-	return f
+	return h
 }
 
 // writeTerm writes one length-prefixed term, so term boundaries cannot alias
 // ("ab"+"c" never hashes like "a"+"bc").
-func writeTerm(h interface{ Write([]byte) (int, error) }, term string) {
-	n := len(term)
-	h.Write([]byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)})
-	h.Write([]byte(term))
+func writeTerm[T string | []byte](h *fnv128a, term T) {
+	h.writeLen(len(term))
+	write(h, term)
+}
+
+func (h *fnv128a) writeByte(c byte) {
+	h[1] ^= uint64(c)
+	hi, lo := bits.Mul64(fnvPrimeLow, h[1])
+	h[0] = hi + h[1]<<fnvPrimeShift + fnvPrimeLow*h[0]
+	h[1] = lo
+}
+
+// writeLen writes n as four little-endian bytes.
+func (h *fnv128a) writeLen(n int) {
+	for i := 0; i < 4; i++ {
+		h.writeByte(byte(n >> (8 * i)))
+	}
+}
+
+func write[T string | []byte](h *fnv128a, b T) {
+	for i := 0; i < len(b); i++ {
+		h.writeByte(b[i])
+	}
+}
+
+// sum is the fingerprint, the hash's big-endian bytes.
+func (h *fnv128a) sum() Fingerprint {
+	var f Fingerprint
+	for i := 0; i < 8; i++ {
+		f[i], f[8+i] = byte(h[0]>>(56-8*i)), byte(h[1]>>(56-8*i))
+	}
+	return f
 }

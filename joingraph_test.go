@@ -7,15 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"progopt/internal/service"
 )
-
-// fingerprintOf hashes plan terms at a fixed table and generation.
-func fingerprintOf(t *testing.T, terms []string) string {
-	t.Helper()
-	return service.Compute("lineitem", 1, terms).String()
-}
 
 // The join-graph surface (JoinOn edges, cross-filter pushdown, greedy
 // default order, multi-hop probes) extends the determinism contract: a
@@ -520,17 +512,16 @@ func TestJoinGraphFingerprintCanonical(t *testing.T) {
 		Filter("c_acctbal", CmpGE, 0.0).
 		JoinOn("orders", "o_custkey", "customer").
 		JoinOn("lineitem", "l_orderkey", "orders")
-	ta, err := a.fingerprintTerms()
-	if err != nil {
-		t.Fatal(err)
+	fp := func(p *Plan) string {
+		t.Helper()
+		f, err := p.fingerprint(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.String()
 	}
-	tb, err := b.fingerprintTerms()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := func(terms []string) string { return fingerprintOf(t, terms) }
-	if fp(ta) != fp(tb) {
-		t.Errorf("isomorphic graphs hash differently:\n %v\n %v", ta, tb)
+	if fp(a) != fp(b) {
+		t.Errorf("isomorphic graphs hash differently: %s, %s", fp(a), fp(b))
 	}
 	different := []*Plan{
 		// Extra edge.
@@ -551,12 +542,8 @@ func TestJoinGraphFingerprintCanonical(t *testing.T) {
 			Filter("c_acctbal", CmpGE, 1.0),
 	}
 	for i, p := range different {
-		terms, err := p.fingerprintTerms()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp(terms) == fp(ta) {
-			t.Errorf("variant %d collides with the base graph: %v", i, terms)
+		if fp(p) == fp(a) {
+			t.Errorf("variant %d collides with the base graph", i)
 		}
 	}
 }

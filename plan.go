@@ -2,9 +2,11 @@ package progopt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+
+	"progopt/internal/service"
 )
 
 // Plan is a declarative description of a query over one driving table: a
@@ -230,92 +232,127 @@ func (p *Plan) fingerprintTable() string {
 	return p.table
 }
 
-// fingerprintTerms encodes each plan step, the aggregate, and the grouping
-// as a canonical term. Terms are hashed order-independently (the optimizer
-// permutes operators anyway), bounds are encoded exactly (hex floats, full
-// integers), and labels participate so differently-annotated plans do not
-// collide in the plan cache. Together with the driving table and the
-// data-set generation, the sorted terms form the plan fingerprint that keys
-// a workload server's plan and feedback caches.
-func (p *Plan) fingerprintTerms() ([]string, error) {
-	if p.err != nil {
-		return nil, p.err
+// fingerprint is the plan's fingerprint over a data set of generation gen:
+// the driving table, the generation and the sorted terms, hashed without
+// building a string. The stack buffers hold the terms of a plan of a dozen
+// steps; a longer plan grows them.
+func (p *Plan) fingerprint(gen uint64) (service.Fingerprint, error) {
+	var buf [512]byte
+	var spans [16][2]int
+	b, sp, err := p.fingerprintTerms(buf[:0], spans[:0])
+	if err != nil {
+		return service.Fingerprint{}, err
 	}
-	terms := make([]string, 0, len(p.steps)+2)
+	return service.ComputeSpans(p.fingerprintTable(), gen, b, sp), nil
+}
+
+// fingerprintTerms encodes each plan step, the aggregate, and the grouping
+// as a canonical term appended to buf, and returns the grown buffer and
+// spans with each term's [start, end) in it appended. Terms are hashed
+// order-independently (the optimizer permutes operators anyway), bounds are
+// encoded exactly (hex floats, full integers), and labels participate so
+// differently-annotated plans do not collide in the plan cache. Together
+// with the driving table and the data-set generation, the sorted terms form
+// the plan fingerprint that keys a workload server's plan and feedback
+// caches.
+func (p *Plan) fingerprintTerms(buf []byte, spans [][2]int) ([]byte, [][2]int, error) {
+	if p.err != nil {
+		return nil, nil, p.err
+	}
+	// end closes the term that began where the last one ended.
+	start := len(buf)
+	end := func() {
+		spans = append(spans, [2]int{start, len(buf)})
+		start = len(buf)
+	}
 	for _, step := range p.steps {
-		var b strings.Builder
 		switch step.kind {
 		case stepFilter:
-			b.WriteString("f|")
-			b.WriteString(step.col)
-			b.WriteString("|")
-			b.WriteString(string(step.op))
+			buf = append(buf, "f|"...)
+			buf = append(buf, step.col...)
+			buf = append(buf, '|')
+			buf = append(buf, step.op...)
 			switch step.bound {
 			case boundInt:
-				b.WriteString("|i:")
-				b.WriteString(strconv.FormatInt(step.i, 10))
+				buf = append(buf, "|i:"...)
+				buf = strconv.AppendInt(buf, step.i, 10)
 			case boundFloat:
-				b.WriteString("|x:")
-				b.WriteString(strconv.FormatFloat(step.f, 'x', -1, 64))
+				buf = append(buf, "|x:"...)
+				buf = strconv.AppendFloat(buf, step.f, 'x', -1, 64)
 			default:
-				return nil, fmt.Errorf("progopt: unknown bound kind %d", step.bound)
+				return nil, nil, fmt.Errorf("progopt: unknown bound kind %d", step.bound)
 			}
 			if step.extraCost != 0 {
-				b.WriteString("|c:")
-				b.WriteString(strconv.Itoa(step.extraCost))
+				buf = append(buf, "|c:"...)
+				buf = strconv.AppendInt(buf, int64(step.extraCost), 10)
 			}
 		case stepEdge:
 			// Graph edges canonicalize by content alone: the order-independent
 			// hash then makes isomorphic graphs (same edges, any declaration
 			// order) collide exactly, while any shape difference — another key
 			// column, a re-rooted edge, an extra table — changes a term.
-			b.WriteString("e|")
-			b.WriteString(step.from)
-			b.WriteString("|")
-			b.WriteString(step.key)
-			b.WriteString("|")
-			b.WriteString(step.to)
+			buf = append(buf, "e|"...)
+			buf = append(buf, step.from...)
+			buf = append(buf, '|')
+			buf = append(buf, step.key...)
+			buf = append(buf, '|')
+			buf = append(buf, step.to...)
 		default:
-			return nil, fmt.Errorf("progopt: unknown plan step kind %d", step.kind)
+			return nil, nil, fmt.Errorf("progopt: unknown plan step kind %d", step.kind)
 		}
 		if step.label != "" {
-			b.WriteString("|l:")
-			b.WriteString(step.label)
+			buf = append(buf, "|l:"...)
+			buf = append(buf, step.label...)
 		}
-		terms = append(terms, b.String())
+		end()
 	}
 	if p.sum != "" {
 		// Canonicalize the aggregate expression: trimmed factors in sorted
 		// order (float multiplication commutes bitwise).
-		factors := strings.Split(p.sum, "*")
-		for i := range factors {
-			factors[i] = strings.TrimSpace(factors[i])
+		var fs [8]string
+		factors := fs[:0]
+		for rest, more := p.sum, true; more; {
+			var f string
+			f, rest, more = strings.Cut(rest, "*")
+			factors = append(factors, strings.TrimSpace(f))
 		}
-		sort.Strings(factors)
-		terms = append(terms, "s|"+strings.Join(factors, "*"))
+		slices.Sort(factors)
+		buf = append(buf, "s|"...)
+		for i, f := range factors {
+			if i > 0 {
+				buf = append(buf, '*')
+			}
+			buf = append(buf, f...)
+		}
+		end()
 	}
 	if p.group != nil {
-		terms = append(terms, "g|"+p.group.key+"|"+p.group.value)
+		buf = append(buf, "g|"...)
+		buf = append(buf, p.group.key...)
+		buf = append(buf, '|')
+		buf = append(buf, p.group.value...)
+		end()
 	}
 	if len(p.order) > 0 {
 		// All ordering keys form one term: unlike filter steps, sort-key
 		// precedence is semantic, and a single term preserves it through the
 		// order-independent hash.
-		var b strings.Builder
-		b.WriteString("o")
+		buf = append(buf, 'o')
 		for _, o := range p.order {
-			b.WriteString("|")
-			b.WriteString(o.col)
+			buf = append(buf, '|')
+			buf = append(buf, o.col...)
 			if o.desc {
-				b.WriteString(":d")
+				buf = append(buf, ":d"...)
 			} else {
-				b.WriteString(":a")
+				buf = append(buf, ":a"...)
 			}
 		}
-		terms = append(terms, b.String())
+		end()
 	}
 	if p.hasLimit {
-		terms = append(terms, "k|"+strconv.Itoa(p.limit))
+		buf = append(buf, "k|"...)
+		buf = strconv.AppendInt(buf, int64(p.limit), 10)
+		end()
 	}
-	return terms, nil
+	return buf, spans, nil
 }

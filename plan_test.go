@@ -324,3 +324,57 @@ func TestExplainPlanFeatures(t *testing.T) {
 		t.Errorf("rendering lacks grouping: %q", pe.String())
 	}
 }
+
+// fingerprintPlans are plans with every kind of fingerprint term: integer
+// and float bounds, a label, an extra cost, join edges, a sum whose factors
+// are spaced and unordered, a grouping, ordering keys in both directions and
+// a limit.
+func fingerprintPlans() map[string]*Plan {
+	return map[string]*Plan{
+		"q6": Scan("lineitem").
+			Filter("l_shipdate", CmpLE, int64(9500)).
+			Filter("l_discount", CmpGE, 0.05).
+			Filter("l_discount", CmpLE, 0.07).
+			Filter("l_quantity", CmpLT, 24).Sum("l_extendedprice * l_discount"),
+		"join": Scan("").
+			JoinOn("lineitem", "l_orderkey", "orders").
+			JoinOn("lineitem", "l_partkey", "part").
+			Filter("o_orderdate", CmpLE, int64(8000)).Label("orders80").
+			FilterCost("p_size", CmpLE, int64(25), 12).
+			Sum(" l_discount*l_extendedprice "),
+		"grouped": Scan("lineitem").Filter("l_tax", CmpLE, 0.04).GroupBy("l_quantity", "l_extendedprice"),
+		"topk": Scan("lineitem").Filter("l_quantity", CmpLT, 24).
+			OrderBy("l_extendedprice", Desc).OrderBy("l_quantity").Limit(10),
+	}
+}
+
+// TestFingerprintBytesPinned: the fingerprint of each of fingerprintPlans at
+// generation 5, captured from the string-building encoder the allocation-free
+// one replaced. A plan cache or feedback entry keyed by either is the same.
+func TestFingerprintBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"q6":      "f59b77b251691ba317f0ed140fc08ca1",
+		"join":    "01d46608e436ce637f44baa007b054e4",
+		"grouped": "5f4f1c8d3c908f3e7bcec384d4f2553a",
+		"topk":    "254fd55603a3233edcce642aefc8aaa6",
+	}
+	for name, p := range fingerprintPlans() {
+		fp, err := p.fingerprint(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fp.String(); got != want[name] {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// TestFingerprintAllocatesNothing: fingerprinting a plan on submission builds
+// no string and no term slice on the heap.
+func TestFingerprintAllocatesNothing(t *testing.T) {
+	for name, p := range fingerprintPlans() {
+		if n := testing.AllocsPerRun(100, func() { p.fingerprint(5) }); n != 0 {
+			t.Errorf("%s: fingerprint allocates %v times", name, n)
+		}
+	}
+}

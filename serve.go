@@ -77,7 +77,7 @@ type ServedInfo struct {
 // servedProvenance records, on a compiled query, how the most recent
 // Server.Submit obtained it; Explain reports it.
 type servedProvenance struct {
-	fingerprint  string
+	fingerprint  service.Fingerprint
 	planCacheHit bool
 	warmStart    bool
 	warmOrder    []int
@@ -188,11 +188,10 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	if err := checkMode(opts.Mode, p.group != nil); err != nil {
 		return nil, err
 	}
-	terms, err := p.fingerprintTerms()
+	fp, err := p.fingerprint(d.gen)
 	if err != nil {
 		return nil, err
 	}
-	fp := service.Compute(p.fingerprintTable(), d.gen, terms)
 
 	s.mu.Lock()
 	var q *Query
@@ -232,7 +231,7 @@ func (s *Server) SubmitAt(d *Dataset, p *Plan, opts ExecOptions, arrival uint64)
 	}
 	// Warm-start provenance is decided when the admission controller
 	// activates the query; Wait refreshes it.
-	q.served.Store(&servedProvenance{fingerprint: fp.String(), planCacheHit: hit})
+	q.served.Store(&servedProvenance{fingerprint: fp, planCacheHit: hit})
 	return &Ticket{s: s, t: tk, q: q, fp: fp, planHit: hit}, nil
 }
 
@@ -252,7 +251,7 @@ func (t *Ticket) Wait() (ExecResult, error) {
 		return ExecResult{}, err
 	}
 	t.q.served.Store(&servedProvenance{
-		fingerprint:  t.fp.String(),
+		fingerprint:  t.fp,
 		planCacheHit: t.planHit,
 		warmStart:    o.WarmStarted,
 		warmOrder:    o.WarmOrder,

@@ -281,9 +281,13 @@ func TestSortCompileValidation(t *testing.T) {
 // distinguish plans; chaining order of unrelated steps still does not.
 func TestSortFingerprintTerms(t *testing.T) {
 	terms := func(p *Plan) string {
-		ts, err := p.fingerprintTerms()
+		buf, spans, err := p.fingerprintTerms(nil, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ts := make([]string, len(spans))
+		for i, sp := range spans {
+			ts[i] = string(buf[sp[0]:sp[1]])
 		}
 		sort.Strings(ts)
 		return fmt.Sprint(ts)

@@ -7,8 +7,6 @@ import (
 	"os"
 	"reflect"
 	"testing"
-
-	"progopt/internal/service"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/ of the tests -run selects from this build")
@@ -75,13 +73,13 @@ func TestZeroEdgePlanIsTheOldPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			terms, err := p.fingerprintTerms()
+			fp, err := p.fingerprint(0)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			c := zeroEdgeCase{
 				Plan: name, Workers: workers, OpNames: q.OpNames(), Explain: ex.String(),
-				Fingerprint: service.Compute(p.fingerprintTable(), 0, terms).String(),
+				Fingerprint: fp.String(),
 				Results:     map[string]ExecResult{},
 			}
 			for _, mode := range []Mode{ModeFixed, ModeProgressive, ModeMicroAdaptive} {

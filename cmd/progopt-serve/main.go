@@ -1,9 +1,10 @@
 // Command progopt-serve drives a multi-query workload through the progopt
 // workload server: a seeded trace of recurring plans (so the plan cache and
 // the PMU-feedback cache see repeats) is submitted with exponentially spaced
-// simulated arrivals, run oldest first on all of the engine's simulated
-// cores, and summarized as throughput, p50/p95 latency, and cache
-// effectiveness.
+// simulated arrivals, run one at a time on all of the engine's simulated
+// cores, the admitted one of shortest expected span first (the span of its
+// plan's last completed run), and summarized as throughput, p50/p95 latency,
+// and cache effectiveness.
 //
 // Everything runs on the simulated clock, so the output — including the
 // -bench JSON artifact — is bit-identical for a fixed flag set on every
@@ -102,7 +103,7 @@ func main() {
 		vector    = flag.Int("vector", 2048, "vector size in tuples")
 		lineitems = flag.Int("lineitems", 0, "lineitem rows (0 = 96 vectors)")
 		seed      = flag.Int64("seed", 1, "trace and data seed")
-		maxActive = flag.Int("maxactive", 0, "cap on admitted queries; the oldest runs on every core while the others wait, warm-started at admission (0 = workers)")
+		maxActive = flag.Int("maxactive", 0, "cap on admitted queries; one runs on every core while the others wait, warm-started at admission, and the shortest expected runs next, unless one was overtaken maxactive times (0 = workers)")
 		gap       = flag.Int("gap", 20000, "mean inter-arrival gap in simulated cycles")
 		mode      = flag.String("mode", "progressive", "execution mode: fixed, progressive, micro")
 		interval  = flag.Int("interval", 5, "re-optimization interval (vectors per core)")

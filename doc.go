@@ -107,9 +107,11 @@
 //		res2.Served.LatencyMillis, srv.Stats().MakespanMillis)
 //
 // An admission controller admits queries in arrival order, up to MaxActive,
-// and the oldest admitted query runs to completion on all Config.Workers
-// cores while the others wait: queries of similar cost finish sooner in
-// arrival order than sharing the cores would let them. A plan cache keyed by a
+// and one admitted query at a time runs to completion on all Config.Workers
+// cores while the others wait. The next is the one of shortest expected span,
+// the span of its fingerprint's last completed run (an unseen plan costs 0,
+// ties go to the oldest), unless a query has been overtaken MaxActive times:
+// short recurring queries stop queueing behind long ones. A plan cache keyed by a
 // canonical fingerprint (table + operators + bounds + data-set generation)
 // skips re-compilation of recurring plans; and a PMU-feedback cache
 // warm-starts adaptive runs at the operator order a previous run of the

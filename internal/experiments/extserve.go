@@ -15,10 +15,10 @@ import (
 // ExtServe measures the workload service: a recurring mix of progressive
 // join queries is offered to pools of 2, 4 and 8 cores, each admitting as
 // many queries as it has cores, once with the PMU-feedback cache disabled
-// (every run pays the
-// full observe-reorder-validate cost: "cold") and once warm-started from the
-// converged orders a previous round of the same fingerprints deposited
-// ("warm"). Reported are the workload makespan, simulated throughput, and
+// (every run pays the full observe-reorder-validate cost, and admitted
+// queries run oldest first: "cold") and once warm-started from the converged
+// orders a previous round of the same fingerprints deposited, the admitted
+// query of shortest expected span first ("warm"). Reported are the workload makespan, simulated throughput, and
 // p50/p95 per-query latency (queueing included). Everything runs on the
 // simulated clock, so the table is bit-reproducible.
 func ExtServe(cfg Config) ([]*Report, error) {
@@ -59,8 +59,8 @@ func ExtServe(cfg Config) ([]*Report, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("pools of 2, 4 and 8 cores, MaxActive = the pool size; %d progressive join queries over 3 recurring plan fingerprints; %d lineitems", queries, rows),
-			"the oldest admitted query runs to completion on the whole pool; the others wait admitted",
-			"cold: feedback disabled; warm: same trace after one feedback-populating round",
+			"one admitted query at a time runs to completion on the whole pool, the shortest expected first (its fingerprint's last span); the others wait admitted",
+			"cold: feedback disabled, so every expected span ties and queries run oldest first; warm: same trace after one feedback-populating round",
 			"latency = completion - arrival in simulated ms (queueing included); qps = queries per simulated second",
 		},
 	}

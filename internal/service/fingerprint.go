@@ -5,12 +5,13 @@
 // progressive-optimization cost across recurring submissions.
 //
 // Everything runs on the simulated clock. Submissions carry simulated
-// arrival times; the scheduler runs the oldest admitted query to completion
-// on every core of the pool, one step per round, and advances per-core
-// absolute clocks, so a fixed workload trace produces bit-identical
-// per-query results, PMU counters, latencies, and total makespan on every
-// host run, for every GOMAXPROCS setting — there is no host-time anywhere in
-// the scheduling loop.
+// arrival times; the scheduler runs one admitted query at a time to
+// completion on every core of the pool, one step per round, the one of
+// shortest expected span first (the feedback cache holds each fingerprint's
+// last span), and advances per-core absolute clocks, so a fixed workload
+// trace produces bit-identical per-query results, PMU counters, latencies,
+// and total makespan on every host run, for every GOMAXPROCS setting — there
+// is no host-time anywhere in the scheduling loop.
 package service
 
 import (

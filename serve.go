@@ -16,9 +16,11 @@ import (
 // ServerConfig configures a workload server.
 type ServerConfig struct {
 	// MaxActive caps the admitted queries (default: the engine's worker
-	// count). The oldest admitted query runs on every core and the others
-	// wait; a query is warm-started from the feedback cache when it is
-	// admitted. Submissions beyond the cap queue.
+	// count). One admitted query runs on every core and the others wait;
+	// when it completes, the one of shortest expected span (its
+	// fingerprint's last completed run) runs next, and a query overtaken
+	// MaxActive times runs next regardless. A query is warm-started from the
+	// feedback cache when it is admitted. Submissions beyond the cap queue.
 	MaxActive int
 	// QueueLimit caps the pending queue; Submit rejects beyond it
 	// (0 = unlimited).
@@ -30,7 +32,8 @@ type ServerConfig struct {
 	// morsels per core between admission decisions (default 10).
 	QuantumVectors int
 	// DisableFeedback turns warm starts off (every run starts from the plan
-	// order; nothing is stored) — the cold baseline of the ext-serve
+	// order; nothing is stored, so every expected span ties and admitted
+	// queries run oldest first) — the cold baseline of the ext-serve
 	// experiment.
 	DisableFeedback bool
 }
@@ -84,14 +87,16 @@ type servedProvenance struct {
 }
 
 // Server runs a multi-query workload against one engine's simulated cores:
-// an admission controller admits queries in arrival order and the oldest
-// admitted one runs to completion on all Config.Workers cores, its first
-// morsels on the cores its predecessor's last ones freed; a plan cache keyed
+// an admission controller admits queries in arrival order and one admitted
+// query at a time runs to completion on all Config.Workers cores, its first
+// morsels on the cores its predecessor's last ones freed — the one of
+// shortest expected span, costed from the feedback cache; a plan cache keyed
 // by canonical fingerprint (table + operators + bounds + data-set
 // generation) skips re-compilation of recurring plans, and a feedback cache
 // warm-starts adaptive runs at the operator order a previous run of the
-// same fingerprint converged to — amortizing the paper's PMU-observation
-// cost across a workload instead of paying it per query.
+// same fingerprint converged to and prices every run by the span of the
+// last — amortizing the paper's PMU-observation cost across a workload
+// instead of paying it per query.
 //
 // Everything runs on the simulated clock: a fixed submission trace yields
 // bit-identical per-query results, latencies, and makespan on every host

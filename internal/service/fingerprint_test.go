@@ -81,3 +81,72 @@ func TestComputeAllocatesNothing(t *testing.T) {
 		t.Errorf("ComputeSpans allocates %v times", n)
 	}
 }
+
+func TestFingerprintOrderIndependent(t *testing.T) {
+	a := Compute("lineitem", 1, []string{"f|l_shipdate|<=|i:9000", "f|l_quantity|<|i:24", "j|orders|x:0x1p-01"})
+	b := Compute("lineitem", 1, []string{"j|orders|x:0x1p-01", "f|l_quantity|<|i:24", "f|l_shipdate|<=|i:9000"})
+	if a != b {
+		t.Errorf("step order changed the fingerprint: %s vs %s", a, b)
+	}
+}
+
+func TestFingerprintSensitivity(t *testing.T) {
+	base := Compute("lineitem", 1, []string{"f|l_quantity|<|i:24"})
+	cases := map[string]Fingerprint{
+		"bound":      Compute("lineitem", 1, []string{"f|l_quantity|<|i:25"}),
+		"op":         Compute("lineitem", 1, []string{"f|l_quantity|<=|i:24"}),
+		"column":     Compute("lineitem", 1, []string{"f|l_discount|<|i:24"}),
+		"generation": Compute("lineitem", 2, []string{"f|l_quantity|<|i:24"}),
+		"table":      Compute("orders", 1, []string{"f|l_quantity|<|i:24"}),
+		"extra step": Compute("lineitem", 1, []string{"f|l_quantity|<|i:24", "f|l_quantity|<|i:24"}),
+	}
+	for name, fp := range cases {
+		if fp == base {
+			t.Errorf("%s change did not change the fingerprint", name)
+		}
+	}
+	if base.Zero() {
+		t.Error("computed fingerprint is zero")
+	}
+}
+
+// TestFingerprintNoAliasing: term boundaries are length-prefixed, so
+// splitting content differently across terms must not collide.
+func TestFingerprintNoAliasing(t *testing.T) {
+	a := Compute("t", 1, []string{"ab", "c"})
+	b := Compute("t", 1, []string{"a", "bc"})
+	if a == b {
+		t.Error("term boundary aliasing")
+	}
+}
+
+func TestLRUEviction(t *testing.T) {
+	l := NewLRU(2)
+	k := func(i byte) Fingerprint { var f Fingerprint; f[0] = i; return f }
+	l.Put(k(1), 1)
+	l.Put(k(2), 2)
+	if _, ok := l.Get(k(1)); !ok { // touches 1; 2 becomes LRU
+		t.Fatal("entry 1 missing")
+	}
+	l.Put(k(3), 3)
+	if _, ok := l.Get(k(2)); ok {
+		t.Error("LRU entry 2 not evicted")
+	}
+	if _, ok := l.Get(k(1)); !ok {
+		t.Error("recently used entry 1 evicted")
+	}
+	if _, ok := l.Get(k(3)); !ok {
+		t.Error("new entry 3 missing")
+	}
+	if l.Evictions() != 1 || l.Len() != 2 {
+		t.Errorf("evictions=%d len=%d", l.Evictions(), l.Len())
+	}
+	// Refreshing an existing key must not evict.
+	l.Put(k(3), 33)
+	if v, _ := l.Get(k(3)); v.(int) != 33 {
+		t.Error("refresh did not replace value")
+	}
+	if l.Evictions() != 1 {
+		t.Error("refresh evicted")
+	}
+}
